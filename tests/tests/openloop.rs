@@ -8,6 +8,10 @@
 //! serving path that stopped coalescing — not run-to-run noise; the
 //! engine is deterministic, so any drift at all means the schedule
 //! changed).
+//!
+//! The digest literals are golden: they were recorded from the serial
+//! run loop at the last commit where it was separate code, and both
+//! the one-lane schedule and `Workers(n)` must keep reproducing them.
 
 use mether_net::SimDuration;
 use mether_workloads::{OpenLoopConfig, OpenLoopScenario};
@@ -18,6 +22,10 @@ fn open_loop_same_seed_same_digest() {
     let b = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(11)).run(None);
     assert!(a.outcome.finished, "open-loop tree run hit its limits");
     assert_eq!(a, b, "one seed, two different runs");
+    assert_eq!(
+        a.digest, 0xb9c0_416a_1105_8571,
+        "tree seed 11 golden digest"
+    );
     let c = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(12)).run(None);
     assert_ne!(a.digest, c.digest, "digest insensitive to the seed");
 }
@@ -27,7 +35,10 @@ fn open_loop_serial_matches_worker_lanes() {
     // The whole report — digest, percentiles, queue high-water — must
     // be identical under the lane-parallel engine, piggybacking on or
     // off.
-    for piggyback in [false, true] {
+    for (piggyback, golden) in [
+        (false, 0xd4d1_989f_6d14_276b_u64),
+        (true, 0x5ecf_82af_855a_fc83),
+    ] {
         let mut scenario = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(23));
         if piggyback {
             scenario = scenario.with_piggyback();
@@ -36,6 +47,7 @@ fn open_loop_serial_matches_worker_lanes() {
         let parallel = scenario.run(Some(2));
         assert!(serial.outcome.finished);
         assert_eq!(serial, parallel, "piggyback={piggyback}");
+        assert_eq!(serial.digest, golden, "piggyback={piggyback} golden digest");
     }
 }
 
@@ -70,6 +82,10 @@ fn openloop_slo_ci_tree() {
         .run(None);
     println!("{report}");
     assert!(report.outcome.finished, "tree SLO run hit its limits");
+    assert_eq!(
+        report.digest, 0x3d4a_a2a3_b77d_39ee,
+        "tree seed 1 golden digest"
+    );
     assert!(report.faults > 0, "no demand faults measured");
     assert!(
         report.p999 <= SimDuration::from_millis(2_000),
@@ -80,11 +96,21 @@ fn openloop_slo_ci_tree() {
 #[test]
 #[ignore = "~10M events; seconds in release, minutes in debug — CI runs it release via --include-ignored"]
 fn openloop_slo_ci_mesh() {
-    let report = OpenLoopScenario::mesh_16x16(OpenLoopConfig::seeded(1))
-        .with_piggyback()
-        .run(None);
+    let scenario = OpenLoopScenario::mesh_16x16(OpenLoopConfig::seeded(1)).with_piggyback();
+    let report = scenario.run(None);
     println!("{report}");
     assert!(report.outcome.finished, "mesh SLO run hit its limits");
+    assert_eq!(
+        report.digest, 0x2c0c_6b5e_0e3e_3027,
+        "mesh seed 1 golden digest"
+    );
+    // Digest only: the two schedules may count one exact-instant tie at
+    // the completion moment differently (`outcome.events` ± 1).
+    assert_eq!(
+        scenario.run(Some(2)).digest,
+        report.digest,
+        "mesh under Workers(2)"
+    );
     assert!(report.faults > 0, "no demand faults measured");
     // Measured p999 at this seed: 98.6 ms (transit-dominated; the
     // loaded-but-stable pace keeps the hot home far from saturation).

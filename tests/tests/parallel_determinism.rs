@@ -128,6 +128,36 @@ fn run_and_print(mut sim: Simulation, mode: ParallelMode, limits: RunLimits) -> 
     fingerprint(&sim, &m, outcome)
 }
 
+/// Runs `build()` under `Serial`, `Workers(2)` and `Workers(4)` and
+/// asserts all three fingerprints are identical *and* hash to `golden`
+/// — the FNV of the fingerprint the serial run loop produced at the
+/// last commit where it was separate code. The literal is what keeps
+/// that oracle alive as data: a schedule change in the one engine
+/// moves every mode together, which a mode-vs-mode comparison alone
+/// could not see. Returns the serial fingerprint.
+fn assert_golden(
+    label: &str,
+    build: impl Fn() -> Simulation,
+    limits: RunLimits,
+    golden: u64,
+) -> String {
+    let serial = run_and_print(build(), ParallelMode::Serial, limits);
+    for workers in [2, 4] {
+        let par = run_and_print(build(), ParallelMode::Workers(workers), limits);
+        assert_eq!(
+            serial, par,
+            "{label}: Workers({workers}) diverged from the serial schedule"
+        );
+    }
+    assert_eq!(
+        fnv(serial.as_bytes()),
+        golden,
+        "{label}: schedule moved off its golden digest (now {:#018x})",
+        fnv(serial.as_bytes())
+    );
+    serial
+}
+
 /// Counting P1/P5 with the two parties on their own bridged segment.
 /// Lossless: the cross-bridge transfer has no retransmission for a lost
 /// data frame, so loss wedges the run under either engine. The spin
@@ -149,27 +179,25 @@ fn counting_protocols_identical_under_serial_and_workers() {
         max_sim_time: SimDuration::from_secs(120),
         ..RunLimits::default()
     };
-    for protocol in [Protocol::P1, Protocol::P5] {
-        for spin_us in [48, 53, 61] {
-            let serial = run_and_print(
-                counting_pair(protocol, spin_us),
-                ParallelMode::Serial,
-                limits,
-            );
-            assert!(
-                serial.contains("finished=true"),
-                "{protocol:?} spin {spin_us}µs: the serial oracle must finish"
-            );
-            let par = run_and_print(
-                counting_pair(protocol, spin_us),
-                ParallelMode::Workers(4),
-                limits,
-            );
-            assert_eq!(
-                serial, par,
-                "{protocol:?} spin {spin_us}µs: Workers(4) diverged from the serial oracle"
-            );
-        }
+    let golden = [
+        (Protocol::P1, 48, 0x3378_8293_eef1_790a_u64),
+        (Protocol::P1, 53, 0x2bf4_337c_d424_31a0),
+        (Protocol::P1, 61, 0x7aee_4d45_ec1b_08bd),
+        (Protocol::P5, 48, 0xa251_2495_d4d1_dcde),
+        (Protocol::P5, 53, 0x50e2_666a_808d_e929),
+        (Protocol::P5, 61, 0x2c59_9c5a_f9c3_520e),
+    ];
+    for (protocol, spin_us, digest) in golden {
+        let serial = assert_golden(
+            &format!("{protocol:?} spin {spin_us}µs"),
+            || counting_pair(protocol, spin_us),
+            limits,
+            digest,
+        );
+        assert!(
+            serial.contains("finished=true"),
+            "{protocol:?} spin {spin_us}µs: the run must finish"
+        );
     }
 }
 
@@ -189,18 +217,13 @@ fn mirror_counting_pairs_identical_under_serial_and_workers() {
         max_sim_time: SimDuration::from_secs(120),
         ..RunLimits::default()
     };
-    let serial = run_and_print(
-        build_segmented_counting_pairs(4, 2, &cfg),
-        ParallelMode::Serial,
+    let serial = assert_golden(
+        "4×2 mirror pairs",
+        || build_segmented_counting_pairs(4, 2, &cfg),
         limits,
+        0xe623_4079_fd7e_ad9c,
     );
     assert!(serial.contains("finished=true"));
-    let par = run_and_print(
-        build_segmented_counting_pairs(4, 2, &cfg),
-        ParallelMode::Workers(4),
-        limits,
-    );
-    assert_eq!(serial, par, "4×2 mirror pairs diverged under Workers(4)");
 }
 
 #[test]
@@ -209,12 +232,14 @@ fn segmented_solver_identical_under_serial_and_workers() {
         iterations: 6,
         work_per_iteration: SimDuration::from_millis(20),
     };
-    for ranks in [3, 4] {
-        let build = || build_segmented_solver(ranks, 2, cfg);
-        let serial = run_and_print(build(), ParallelMode::Serial, RunLimits::default());
+    for (ranks, digest) in [(3, 0xebd1_5111_0df3_7bd9_u64), (4, 0x1194_f030_cee5_efee)] {
+        let serial = assert_golden(
+            &format!("{ranks}-rank solver"),
+            || build_segmented_solver(ranks, 2, cfg),
+            RunLimits::default(),
+            digest,
+        );
         assert!(serial.contains("finished=true"));
-        let par = run_and_print(build(), ParallelMode::Workers(4), RunLimits::default());
-        assert_eq!(serial, par, "{ranks}-rank solver diverged under Workers(4)");
     }
 }
 
@@ -238,12 +263,16 @@ fn lossy_segmented_solver_identical_under_serial_and_workers() {
         }
         sim
     };
-    for seed in [1, 7, 42] {
-        let serial = run_and_print(build(seed), ParallelMode::Serial, RunLimits::default());
-        let par = run_and_print(build(seed), ParallelMode::Workers(4), RunLimits::default());
-        assert_eq!(
-            serial, par,
-            "lossy solver seed {seed} diverged under Workers(4)"
+    for (seed, digest) in [
+        (1, 0x01e3_2ded_0fee_e083_u64),
+        (7, 0x7065_202f_9381_87d8),
+        (42, 0xed2f_8447_6a5a_7a5a),
+    ] {
+        assert_golden(
+            &format!("lossy solver seed {seed}"),
+            || build(seed),
+            RunLimits::default(),
+            digest,
         );
     }
 }
@@ -257,9 +286,12 @@ fn ring_failover_identical_under_serial_and_workers() {
         max_sim_time: SimDuration::from_secs(10),
         ..RunLimits::default()
     };
-    let serial = run_and_print(build_ring_failover(&cfg), ParallelMode::Serial, limits);
-    let par = run_and_print(build_ring_failover(&cfg), ParallelMode::Workers(4), limits);
-    assert_eq!(serial, par, "ring failover diverged under Workers(4)");
+    assert_golden(
+        "ring failover",
+        || build_ring_failover(&cfg),
+        limits,
+        0xbfdf_68e8_5eb3_1757,
+    );
 }
 
 #[test]
@@ -277,9 +309,7 @@ fn ineligible_deployments_fall_back_to_serial() {
         ..RunLimits::default()
     };
     let build = || build_counting(Protocol::P1, &cfg, sim_cfg.clone());
-    let serial = run_and_print(build(), ParallelMode::Serial, limits);
-    let par = run_and_print(build(), ParallelMode::Workers(4), limits);
-    assert_eq!(serial, par, "flat fallback must be the serial schedule");
+    assert_golden("flat P1, lossy", build, limits, 0x7231_6d93_ad46_9e9a);
 }
 
 #[test]

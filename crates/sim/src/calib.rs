@@ -23,8 +23,10 @@
 //!   → the `server_*` fields.
 //!
 //! The reproduction targets the *shape* of the paper's tables (orderings,
-//! ratios, who degenerates), not absolute equality; every experiment in
-//! `EXPERIMENTS.md` records the calibration used.
+//! ratios, who degenerates), not absolute equality; `repro baseline`
+//! (`crates/bench/src/bin/repro.rs`) prints what the default
+//! calibration, [`Calib::sun3_sunos4`], yields for the paper's §4
+//! baseline measurements beside the paper's own values.
 
 use mether_net::SimDuration;
 use serde::{Deserialize, Serialize};

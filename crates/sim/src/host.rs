@@ -31,7 +31,7 @@ use mether_core::{
 };
 use mether_net::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Base of the waiter-id namespace used by the open-loop driver. Process
 /// waiters are process indices (small); open-loop waiters are
@@ -923,7 +923,10 @@ impl HostSim {
     pub fn finish_burst(&mut self, now: SimTime) -> Vec<HostAction> {
         let mut actions: Vec<HostAction> = Vec::new();
         let burst = self.current_burst.take().expect("finish without burst");
-        if std::env::var_os("METHER_TRACE").is_some() {
+        // Read once per process: this is the hottest handler of every
+        // workload, and an environment lookup takes a lock and a scan.
+        static TRACE: OnceLock<bool> = OnceLock::new();
+        if *TRACE.get_or_init(|| std::env::var_os("METHER_TRACE").is_some()) {
             let what = match &burst {
                 Burst::AppCompute { proc, .. } => format!("app{proc} compute"),
                 Burst::AppOp { proc, op, .. } => format!("app{proc} op {op:?}"),

@@ -1,12 +1,20 @@
 //! The discrete-event simulation driver.
 //!
-//! A [`Simulation`] owns the hosts and the Ethernet, and advances virtual
-//! time through a single event heap. Three event kinds exist: a host CPU
-//! finishing its current burst, a packet transit completing delivery, and
-//! a sleep timer firing. Determinism: events at equal times are ordered
-//! by a monotonic insertion sequence (same-tick pops are insertion-order,
-//! never arbitrary), and all randomness (loss injection) flows from the
-//! seed in [`mether_net::EtherConfig`].
+//! A [`Simulation`] owns the hosts, the Ethernet segments and the
+//! bridge fabric, and advances virtual time by executing events in
+//! `(time, tier, insertion sequence)` order. This file holds what a
+//! deployment *is* — its configuration, the event vocabulary
+//! (`EvKind`) and its ordering key (`Ev`), the per-queue counters —
+//! and what can be read off it after a run; the engine that executes
+//! the events is `sim/par.rs`, and [`Simulation::run`] lives there.
+//! There is one engine: a run is cut into one lane spanning the whole
+//! deployment or, under [`ParallelMode::Workers`], one lane per bridged
+//! segment, and the same handlers execute the events either way.
+//!
+//! Determinism: events at equal times are ordered by tie class and then
+//! by a monotonic insertion sequence (same-tick pops are
+//! insertion-order, never arbitrary), and all randomness (loss
+//! injection) flows from the seed in [`mether_net::EtherConfig`].
 //!
 //! # Per-transit delivery
 //!
@@ -28,12 +36,11 @@
 //!
 //! A [`Topology::Segmented`] deployment splits the hosts into contiguous
 //! blocks ([`mether_core::SegmentLayout`]), one bridged Ethernet segment
-//! per block. The event engine gives each segment its own *delivery
-//! lane*: an independent [`EtherSim`] instance per segment (own carrier
-//! state, own loss RNG, own [`mether_net::NetStats`]) feeding the one
-//! shared time heap — so two segments clock frames out concurrently in
-//! simulated time instead of serialising on a single medium, while
-//! event ordering stays globally deterministic.
+//! per block. Each segment has its own medium: an independent
+//! [`EtherSim`] instance (own carrier state, own loss RNG, own
+//! [`mether_net::NetStats`]) — so two segments clock frames out
+//! concurrently in simulated time instead of serialising on a single
+//! medium, while event ordering stays globally deterministic.
 //!
 //! A transit on segment *s* becomes one `Deliver` event whose
 //! [`Recipients::Subset`] is *s*'s member bitmask (minus the sender):
@@ -47,24 +54,22 @@
 //! exit time the copy is transmitted on the destination segment's own
 //! medium (queueing there like any local frame), fans out to that
 //! segment's members, and is offered to the *other* devices on that
-//! segment, which carry it further along the tree — each device gets
-//! its own event lane (engine state, backlog, [`BridgeStats`]). The
+//! segment, which carry it further along the tree — each device has
+//! its own engine state, backlog and [`BridgeStats`]. The
 //! forwarding device itself is excluded from that pickup, and the
 //! topology is a tree, so no forwarding walk can revisit a segment: no
 //! loop is possible by construction.
 
 use crate::calib::Calib;
 use crate::hist::LatencyHistogram;
-use crate::host::{ArrivalStream, HostAction, HostSim};
+use crate::host::{ArrivalStream, HostSim};
 use crate::metrics::ProtocolMetrics;
 use crate::process::Workload;
-use mether_core::table::WaiterId;
 use mether_core::{HostMask, MetherConfig, Packet, PageId, SegmentLayout};
 use mether_net::{
-    BridgeStats, ControlOut, EtherConfig, EtherSim, Fabric, FabricConfig, FabricEvent, SimDuration,
-    SimTime,
+    BridgeStats, EtherConfig, EtherSim, Fabric, FabricConfig, FabricEvent, SimDuration, SimTime,
 };
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 mod observe;
@@ -313,13 +318,13 @@ enum EvKind {
 struct Ev {
     at: SimTime,
     /// Cross-queue tie class at one instant: control-plane events are
-    /// tier 0, segment-local events tier `1 + segment`. On a flat
-    /// topology every event is tier 1, so the order stays pure
-    /// `(time, sequence)`. On a segmented one this is the rule a
-    /// lane-parallel execution realizes *by construction* (the control
-    /// plane runs between windows; pickups replay in segment order), so
-    /// the serial oracle adopts it too — exact-instant cross-lane ties
-    /// then resolve identically under both schedules.
+    /// tier 0, segment-local events tier `1 + segment` (a flat network
+    /// is one segment, so its order stays pure `(time, sequence)`).
+    /// Per-segment lanes realize this rule *by construction* — the
+    /// control plane runs between windows, pickups replay in segment
+    /// order — so a lane spanning several segments sorts by it too, and
+    /// exact-instant cross-segment ties resolve identically however the
+    /// deployment is cut into lanes.
     tier: u16,
     seq: u64,
     kind: EvKind,
@@ -347,6 +352,79 @@ impl Ord for Ev {
     }
 }
 
+/// Immutable facts every event handler needs, fixed for one `run`.
+#[derive(Clone, Copy)]
+struct Env {
+    layout: Option<SegmentLayout>,
+    total_hosts: usize,
+    delivery: DeliveryMode,
+    /// The deployment is cut into per-segment lanes: a lane cannot
+    /// touch the shared fabric mid-window, so it records each bridge
+    /// pickup for the coordinator to replay at the barrier.
+    record: bool,
+    /// Whether the invariant observer is on: pops then assert that a
+    /// queue's time never regresses (invariant (e)).
+    observe: bool,
+}
+
+impl Env {
+    /// The segment `host` sits on (0 for every host of a flat network).
+    fn segment_of(&self, host: usize) -> usize {
+        self.layout.map_or(0, |l| l.segment_of(host))
+    }
+
+    /// The event's tie class at one instant (see [`Ev::tier`]).
+    fn tier_of(&self, kind: &EvKind) -> u16 {
+        let host = match kind {
+            EvKind::BridgeTick { .. } | EvKind::ControlDeliver { .. } | EvKind::Fabric(_) => {
+                return 0;
+            }
+            EvKind::BridgeForward { dst, .. } => return 1 + *dst as u16,
+            EvKind::BurstEnd { host }
+            | EvKind::Timer { host, .. }
+            | EvKind::Retry { host, .. }
+            | EvKind::Rebroadcast { host }
+            | EvKind::OpenArrival { host } => *host,
+            EvKind::Deliver { to, .. } => match to {
+                Recipients::One(h) => *h,
+                // A mask is always one segment's members.
+                Recipients::Subset(mask) => mask.into_iter().next().unwrap_or(0),
+                // Flat networks only: everyone is on segment 0.
+                Recipients::AllExcept(_) => 0,
+            },
+        };
+        1 + self.segment_of(host) as u16
+    }
+}
+
+/// One event heap with its insertion-sequence counter and traffic
+/// counters — what every lane and the control plane each own one of.
+#[derive(Default)]
+struct Queue {
+    heap: BinaryHeap<Ev>,
+    seq: u64,
+    stats: EventStats,
+}
+
+impl Queue {
+    fn push(&mut self, at: SimTime, kind: EvKind, env: &Env) {
+        let tier = env.tier_of(&kind);
+        let seq = self.seq;
+        self.seq += 1;
+        self.stats.heap_pushes += 1;
+        if matches!(kind, EvKind::Deliver { .. }) {
+            self.stats.delivery_pushes += 1;
+        }
+        self.heap.push(Ev {
+            at,
+            tier,
+            seq,
+            kind,
+        });
+        self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.heap.len());
+    }
+}
+
 /// Event-heap traffic counters (diagnostics; the broadcast-heap bench
 /// and the per-transit acceptance tests read these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -368,55 +446,57 @@ pub struct EventStats {
     /// pending deadline and a sorted deque replaces O(log n) heap
     /// traffic with O(1) appends.
     pub timer_ring_pushes: u64,
-    /// Worker-pool handoffs performed by the lane-parallel coordinator
-    /// (one per batched window dispatch, not one per lane; zero on
-    /// serial runs). The batching win `lane_event_counts` can't see.
+    /// Worker-pool handoffs performed by the coordinator of a
+    /// per-segment-lane run (one per batched window dispatch, not one
+    /// per lane; zero on one-lane runs). The batching win
+    /// `lane_event_counts` can't see.
     pub task_handoffs: u64,
     /// Packet transits that reached at least one recipient.
     pub transits: u64,
-    /// Peak heap depth observed.
+    /// Peak depth of any one event heap (each lane and the control
+    /// plane own one).
     pub max_heap_depth: usize,
+}
+
+impl EventStats {
+    /// Folds another queue's counters into these.
+    fn absorb(&mut self, other: &EventStats) {
+        self.heap_pushes += other.heap_pushes;
+        self.delivery_pushes += other.delivery_pushes;
+        self.bridge_pushes += other.bridge_pushes;
+        self.control_pushes += other.control_pushes;
+        self.timer_ring_pushes += other.timer_ring_pushes;
+        self.task_handoffs += other.task_handoffs;
+        self.transits += other.transits;
+        self.max_heap_depth = self.max_heap_depth.max(other.max_heap_depth);
+    }
 }
 
 /// A complete simulated deployment, ready to run.
 pub struct Simulation {
     hosts: Vec<HostSim>,
-    /// One delivery lane per segment: independent carrier state, loss
-    /// RNG, and traffic counters. Flat deployments have exactly one.
+    /// One medium per segment: independent carrier state, loss RNG, and
+    /// traffic counters. Flat deployments have exactly one.
     segments: Vec<EtherSim>,
     /// Host→segment blocks; `None` on [`Topology::Flat`].
     layout: Option<SegmentLayout>,
-    /// The routed bridge fabric; `None` on flat networks.
-    fabric: Option<Fabric>,
-    events: BinaryHeap<Ev>,
-    /// The fixed-cadence hello timer ring: pending `BridgeTick`s as
-    /// `(due, seq, device, epoch)`, kept sorted by construction — every
-    /// entry is pushed with `due = now + hello_interval` for the one
-    /// global interval, so a new deadline is never earlier than a
-    /// pending one and `push_back` suffices. Entries draw `seq` from
-    /// the same counter as heap pushes at the same code points, so the
-    /// merged pop order (by `(at, tier, seq)`; ticks are tier 0) is
-    /// bit-identical to the all-heap schedule while the recurring
-    /// O(devices) tick load stops paying heap sift costs.
-    hello_ring: VecDeque<(SimTime, u64, usize, u64)>,
-    seq: u64,
+    /// Host-side events pending between runs. A `run` deals them out to
+    /// its lanes and collects what is left when it stops.
+    events: Queue,
+    /// The routed bridge fabric (`None` inside on flat networks) and
+    /// the control-plane events that drive it.
+    ctrl: par::Ctrl,
     now: SimTime,
     delivery: DeliveryMode,
-    ev_stats: EventStats,
-    /// Events each lane executed during the last parallel run (empty
-    /// after a serial run) — the lane-balance diagnostic.
+    /// Events each lane executed during the last per-segment-lane run
+    /// (empty after a one-lane run) — the lane-balance diagnostic.
     lane_events: Vec<u64>,
-    /// Whether the per-device hello ticks have been seeded into the
-    /// heap (once, at the first `run`; live election only).
-    ticks_started: bool,
-    /// Per-device tick-chain epochs: a `BridgeDown` bumps the device's
-    /// epoch (orphaning its pending tick), a `BridgeUp` bumps it again
-    /// and seeds one fresh chain — so a device never ticks twice per
-    /// hello interval however failure and revival interleave with the
-    /// pending events.
-    tick_epochs: Vec<u64>,
-    /// Serial oracle schedule or conservative lane-parallel execution
-    /// (see [`ParallelMode`]).
+    /// Whether the self-rescheduling chains (hello ticks, holder
+    /// re-broadcasts, open-loop arrivals) have been seeded — once, at
+    /// the first `run`.
+    seeded: bool,
+    /// How many lanes a `run` may cut the deployment into (see
+    /// [`ParallelMode`]).
     parallel: ParallelMode,
     /// The cross-layer invariant checker (see [`observe`]): sweeps the
     /// deployment for contradictions after sampled event pops, under
@@ -450,21 +530,16 @@ impl Simulation {
                 (ethers, Some(layout), Some(Fabric::new(layout, *fabric)))
             }
         };
-        let tick_epochs = vec![0; fabric.as_ref().map_or(0, Fabric::device_count)];
         Simulation {
             hosts,
             segments,
             layout,
-            fabric,
-            events: BinaryHeap::new(),
-            hello_ring: VecDeque::new(),
-            seq: 0,
+            events: Queue::default(),
+            ctrl: par::Ctrl::new(fabric),
             now: SimTime::ZERO,
             delivery: DeliveryMode::default(),
-            ev_stats: EventStats::default(),
             lane_events: Vec::new(),
-            ticks_started: false,
-            tick_epochs,
+            seeded: false,
             parallel: ParallelMode::from_env(),
             observer: observe::Observer::from_env(cfg.hosts),
         }
@@ -484,7 +559,7 @@ impl Simulation {
     pub fn check_invariants(&mut self) {
         let mut hosts: Vec<&mut HostSim> = self.hosts.iter_mut().collect();
         self.observer
-            .sweep_full(&mut hosts, self.fabric.as_mut(), self.now);
+            .sweep_full(&mut hosts, self.ctrl.fabric.as_mut(), self.now);
     }
 
     /// Runs one *incremental* invariant sweep right now, regardless of
@@ -502,7 +577,7 @@ impl Simulation {
     pub fn sweep_dirty(&mut self) {
         let mut hosts: Vec<&mut HostSim> = self.hosts.iter_mut().collect();
         self.observer
-            .sweep_incremental_forced(&mut hosts, self.fabric.as_mut(), self.now);
+            .sweep_incremental_forced(&mut hosts, self.ctrl.fabric.as_mut(), self.now);
     }
 
     /// Observer coverage counters so far (sweeps run, entities checked,
@@ -518,13 +593,13 @@ impl Simulation {
     /// mutation paths and assert both observer modes flag it.
     #[doc(hidden)]
     pub fn fabric_mut_for_test(&mut self) -> Option<&mut Fabric> {
-        self.fabric.as_mut()
+        self.ctrl.fabric.as_mut()
     }
 
-    /// Selects serial or lane-parallel execution (see [`ParallelMode`]).
-    /// Call before [`Simulation::run`]. Deployments the parallel engine
-    /// cannot partition (flat, single-segment, compat delivery, or a
-    /// zero forward-delay fabric) silently run the serial schedule.
+    /// Selects one lane or one lane per segment (see [`ParallelMode`]).
+    /// Call before [`Simulation::run`]. A deployment that cannot be cut
+    /// along its segments (flat, single-segment, or a zero
+    /// forward-delay fabric) runs as one lane whatever the mode.
     pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
         self.parallel = mode;
     }
@@ -539,10 +614,13 @@ impl Simulation {
     /// Panics on a flat topology (there is no fabric to fail).
     pub fn schedule_fabric_event(&mut self, at: SimDuration, ev: FabricEvent) {
         assert!(
-            self.fabric.is_some(),
+            self.ctrl.fabric.is_some(),
             "fabric events need a segmented topology"
         );
-        self.push(SimTime::ZERO + at, EvKind::Fabric(ev));
+        let env = self.env(false);
+        self.ctrl
+            .q
+            .push(SimTime::ZERO + at, EvKind::Fabric(ev), &env);
     }
 
     /// Selects how transits are scheduled (see [`DeliveryMode`]). The
@@ -553,14 +631,28 @@ impl Simulation {
         self.delivery = mode;
     }
 
-    /// Event-heap traffic counters so far.
+    /// Event-heap traffic counters so far, summed over every queue.
     pub fn event_stats(&self) -> EventStats {
-        self.ev_stats
+        let mut stats = self.events.stats;
+        stats.absorb(&self.ctrl.q.stats);
+        stats
+    }
+
+    /// The handler context for a run cut (`record`) or not cut into
+    /// per-segment lanes.
+    fn env(&self, record: bool) -> Env {
+        Env {
+            layout: self.layout,
+            total_hosts: self.hosts.len(),
+            delivery: self.delivery,
+            record,
+            observe: self.observer.enabled(),
+        }
     }
 
     /// Events each per-segment lane executed during the last
     /// [`ParallelMode::Workers`] run, indexed by segment; empty after a
-    /// serial run. `sum / max` over this slice is the parallelism the
+    /// one-lane run. `sum / max` over this slice is the parallelism the
     /// deployment exposes to the worker pool (the critical-path bound a
     /// multi-core host can approach), independent of how many cores the
     /// measuring machine happens to have.
@@ -582,8 +674,8 @@ impl Simulation {
     }
 
     /// The deployment-wide open-loop fault-latency histogram: every
-    /// host's lane-local histogram merged (order-independent, so serial
-    /// and worker runs agree exactly).
+    /// host's own histogram merged (order-independent, so one-lane and
+    /// per-segment-lane runs agree exactly).
     pub fn open_loop_hist(&self) -> LatencyHistogram {
         let mut merged = LatencyHistogram::new();
         for h in &self.hosts {
@@ -698,13 +790,14 @@ impl Simulation {
     /// Fabric-wide bridge traffic counters (per-device counters summed);
     /// `None` on a flat topology.
     pub fn bridge_stats(&self) -> Option<BridgeStats> {
-        self.fabric.as_ref().map(Fabric::stats)
+        self.ctrl.fabric.as_ref().map(Fabric::stats)
     }
 
     /// Per-device bridge traffic counters, indexed by device; empty on a
     /// flat topology.
     pub fn bridge_device_stats(&self) -> Vec<BridgeStats> {
-        self.fabric
+        self.ctrl
+            .fabric
             .as_ref()
             .map(Fabric::device_stats)
             .unwrap_or_default()
@@ -713,14 +806,14 @@ impl Simulation {
     /// Active-tree changes across all bridge devices so far (0 on flat
     /// topologies, under static election, or on an undisturbed fabric).
     pub fn fabric_reconvergences(&self) -> u64 {
-        self.fabric.as_ref().map_or(0, Fabric::reconvergences)
+        self.ctrl.fabric.as_ref().map_or(0, Fabric::reconvergences)
     }
 
     /// The measured reconvergence stall: sim time from the most recent
     /// injected `BridgeDown` to the first `PageData` forwarded by a
     /// re-elected device. `None` until measured (or on flat topologies).
     pub fn fabric_stall(&self) -> Option<SimDuration> {
-        self.fabric.as_ref().and_then(Fabric::stall)
+        self.ctrl.fabric.as_ref().and_then(Fabric::stall)
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits at every
@@ -733,528 +826,11 @@ impl Simulation {
     ///
     /// Panics on a flat topology or an out-of-range segment.
     pub fn subscribe_segment(&mut self, page: PageId, seg: usize) {
-        self.fabric
+        self.ctrl
+            .fabric
             .as_mut()
             .expect("subscribe_segment needs a segmented topology")
             .subscribe(page, seg);
-    }
-
-    /// The event's tie class at one instant (see [`Ev::tier`]): 0 for
-    /// control-plane kinds, `1 + segment` for segment-local kinds, and
-    /// a single tier 1 on a flat topology (pure sequence order there).
-    fn tier_of(&self, kind: &EvKind) -> u16 {
-        let Some(layout) = self.layout else {
-            return match kind {
-                // Flat deployments have no fabric, but injected fabric
-                // events still sort ahead of host events for symmetry.
-                EvKind::BridgeTick { .. } | EvKind::ControlDeliver { .. } | EvKind::Fabric(_) => 0,
-                _ => 1,
-            };
-        };
-        let seg = match kind {
-            EvKind::BridgeTick { .. } | EvKind::ControlDeliver { .. } | EvKind::Fabric(_) => {
-                return 0;
-            }
-            EvKind::BurstEnd { host }
-            | EvKind::Timer { host, .. }
-            | EvKind::Retry { host, .. }
-            | EvKind::Rebroadcast { host }
-            | EvKind::OpenArrival { host } => layout.segment_of(*host),
-            EvKind::BridgeForward { dst, .. } => *dst,
-            EvKind::Deliver { to, .. } => match to {
-                Recipients::One(h) => layout.segment_of(*h),
-                Recipients::Subset(mask) => {
-                    mask.into_iter().next().map_or(0, |h| layout.segment_of(h))
-                }
-                // The compat schedule's flat broadcast spans segments;
-                // it only exists on per-recipient mode, which the
-                // parallel engine refuses anyway.
-                Recipients::AllExcept(_) => 0,
-            },
-        };
-        1 + seg as u16
-    }
-
-    fn push(&mut self, at: SimTime, kind: EvKind) {
-        let tier = self.tier_of(&kind);
-        let seq = self.seq;
-        self.seq += 1;
-        self.ev_stats.heap_pushes += 1;
-        if matches!(kind, EvKind::Deliver { .. }) {
-            self.ev_stats.delivery_pushes += 1;
-        }
-        self.events.push(Ev {
-            at,
-            tier,
-            seq,
-            kind,
-        });
-        self.ev_stats.max_heap_depth = self.ev_stats.max_heap_depth.max(self.events.len());
-    }
-
-    /// Schedules one hello tick on the timer ring (see
-    /// [`Simulation::hello_ring`]): same sequence counter and control
-    /// accounting as a heap push, no heap traffic.
-    fn ring_push(&mut self, at: SimTime, device: usize, epoch: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ev_stats.control_pushes += 1;
-        self.ev_stats.timer_ring_pushes += 1;
-        debug_assert!(self.hello_ring.back().is_none_or(|&(due, ..)| due <= at));
-        self.hello_ring.push_back((at, seq, device, epoch));
-    }
-
-    /// Dispatches `host` if its CPU is idle, scheduling the burst end,
-    /// any sleep timers it requested, and any fault-retry timers armed
-    /// while blocking.
-    fn kick(&mut self, host: usize) {
-        if let Some(end) = self.hosts[host].dispatch(self.now) {
-            self.push(end, EvKind::BurstEnd { host });
-        }
-        for (proc, wake_at) in self.hosts[host].take_sleeps() {
-            self.push(wake_at, EvKind::Timer { host, proc });
-        }
-        for (proc, fire_at, epoch) in self.hosts[host].take_retries() {
-            self.push(fire_at, EvKind::Retry { host, proc, epoch });
-        }
-    }
-
-    /// Transmits one bridge control frame on its segment's medium and
-    /// schedules its delivery to the other devices there. Hosts never
-    /// receive control frames (their NICs filter the bridge multicast
-    /// address), but the frame occupies the wire like any other and is
-    /// subject to the segment's loss process.
-    fn transmit_control(&mut self, out: ControlOut) {
-        let pkt = Arc::new(out.pkt);
-        let tx = self.segments[out.seg].transmit(self.now, &pkt);
-        if let Some(at) = tx.delivered_at {
-            self.ev_stats.control_pushes += 1;
-            self.push(
-                at,
-                EvKind::ControlDeliver {
-                    seg: out.seg,
-                    from: out.device,
-                    pkt,
-                },
-            );
-        }
-    }
-
-    /// Schedules the delivery of one completed transit to `recipients`
-    /// (a segment's members, or the whole flat network) at `at`,
-    /// honouring the delivery mode: one fanned-out event per transit, or
-    /// the compat one-event-per-recipient schedule in the same ascending
-    /// host order.
-    fn schedule_delivery(&mut self, at: SimTime, recipients: Recipients, pkt: &Arc<Packet>) {
-        match self.delivery {
-            DeliveryMode::PerTransit => {
-                // One heap event per transit, however many hosts snoop
-                // it: the network does the fan-out (at pop time), not
-                // the event queue.
-                self.push(
-                    at,
-                    EvKind::Deliver {
-                        to: recipients,
-                        pkt: Arc::clone(pkt),
-                    },
-                );
-            }
-            DeliveryMode::PerHostCompat => {
-                // Pre-overhaul schedule: one arrival event per recipient
-                // with consecutive sequence numbers. They pop
-                // contiguously in host order — exactly the order the
-                // per-transit fan-out walks.
-                match recipients {
-                    Recipients::AllExcept(from) => {
-                        for h in 0..self.hosts.len() {
-                            if h != from {
-                                self.push(
-                                    at,
-                                    EvKind::Deliver {
-                                        to: Recipients::One(h),
-                                        pkt: Arc::clone(pkt),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    Recipients::Subset(mask) => {
-                        for h in mask {
-                            self.push(
-                                at,
-                                EvKind::Deliver {
-                                    to: Recipients::One(h),
-                                    pkt: Arc::clone(pkt),
-                                },
-                            );
-                        }
-                    }
-                    Recipients::One(_) => self.push(
-                        at,
-                        EvKind::Deliver {
-                            to: recipients,
-                            pkt: Arc::clone(pkt),
-                        },
-                    ),
-                }
-            }
-        }
-    }
-
-    fn apply(&mut self, actions: Vec<HostAction>) {
-        for a in actions {
-            match a {
-                HostAction::Transmit(pkt) => {
-                    let from = pkt.from().0 as usize;
-                    let seg = self.layout.map_or(0, |l| l.segment_of(from));
-                    let tx = self.segments[seg].transmit(self.now, &pkt);
-                    if let Some(at) = tx.delivered_at {
-                        if self.hosts.len() <= 1 {
-                            continue; // nobody anywhere to snoop
-                        }
-                        self.ev_stats.transits += 1;
-                        let shared = Arc::new(pkt);
-                        let recipients = match self.layout {
-                            // Flat: the whole network snoops.
-                            None => Some(Recipients::AllExcept(from)),
-                            // Segmented: exactly this segment's members
-                            // (the sender alone on its segment has no
-                            // local snoopers, but the bridge below may
-                            // still carry the frame out).
-                            Some(l) => {
-                                let mask = l.members(seg).without(from);
-                                (!mask.is_empty()).then_some(Recipients::Subset(mask))
-                            }
-                        };
-                        if let Some(r) = recipients {
-                            self.schedule_delivery(at, r, &shared);
-                        }
-                        // Every bridge device on this segment heard the
-                        // frame too; schedule each forwarded copy's exit
-                        // from its device.
-                        if let Some(fabric) = self.fabric.as_mut() {
-                            for fw in fabric.pickup(&shared, seg, at) {
-                                self.ev_stats.bridge_pushes += 1;
-                                self.push(
-                                    fw.exit,
-                                    EvKind::BridgeForward {
-                                        from: fw.device,
-                                        dst: fw.dst,
-                                        pkt: Arc::clone(&shared),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs until every process is done or a limit trips.
-    ///
-    /// Under [`ParallelMode::Workers`] on an eligible segmented
-    /// deployment, the per-segment event lanes advance concurrently on
-    /// a worker pool (see [`ParallelMode`] for the synchronization
-    /// protocol and its divergence caveats); otherwise this is the
-    /// serial oracle schedule.
-    pub fn run(&mut self, limits: RunLimits) -> RunOutcome {
-        match self.parallel {
-            ParallelMode::Workers(n) if n >= 2 && self.parallel_eligible() => {
-                self.run_parallel(limits, n)
-            }
-            _ => self.run_serial(limits),
-        }
-    }
-
-    /// The serial schedule: one global heap, events strictly in
-    /// `(time, tier, insertion sequence)` order — the determinism
-    /// oracle the parallel engine is validated against.
-    fn run_serial(&mut self, limits: RunLimits) -> RunOutcome {
-        let deadline = SimTime::ZERO + limits.max_sim_time;
-        let mut processed: u64 = 0;
-        // Seed the per-device hello ticks once, at the first run: one
-        // self-rescheduling tick entry per live-election bridge device,
-        // on the timer ring rather than the heap.
-        if !self.ticks_started {
-            self.ticks_started = true;
-            if let Some(fabric) = self.fabric.as_ref() {
-                if let Some(interval) = fabric.election().hello_interval() {
-                    for device in 0..fabric.device_count() {
-                        let epoch = self.tick_epochs[device];
-                        self.ring_push(self.now + interval, device, epoch);
-                    }
-                }
-            }
-            // Seed the periodic holder re-broadcast chains (one
-            // self-rescheduling event per host) when the knob is on.
-            for host in 0..self.hosts.len() {
-                if let Some(interval) = self.hosts[host].holder_rebroadcast_interval() {
-                    self.push(self.now + interval, EvKind::Rebroadcast { host });
-                }
-            }
-            // Seed the open-loop arrival chains (one self-rescheduling
-            // event per host with an attached stream).
-            for host in 0..self.hosts.len() {
-                if let Some(at) = self.hosts[host].open_next_at() {
-                    self.push(at, EvKind::OpenArrival { host });
-                }
-            }
-        }
-        for h in 0..self.hosts.len() {
-            self.kick(h);
-        }
-        let observing = self.observer.enabled();
-        loop {
-            // The next event is the earlier of the heap top and the
-            // hello-ring front under the shared `(time, tier, seq)` key
-            // (ring entries are BridgeTicks: tier 0) — the schedule is
-            // bit-identical to keeping the ticks on the heap.
-            let ring_wins = match (self.events.peek(), self.hello_ring.front()) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(top), Some(&(due, seq, _, _))) => {
-                    (due, 0u16, seq) < (top.at, top.tier, top.seq)
-                }
-            };
-            let ev = if ring_wins {
-                let (at, seq, device, epoch) = self.hello_ring.pop_front().expect("peeked");
-                Ev {
-                    at,
-                    tier: 0,
-                    seq,
-                    kind: EvKind::BridgeTick { device, epoch },
-                }
-            } else {
-                self.events.pop().expect("peeked")
-            };
-            if ev.at > deadline || processed >= limits.max_events {
-                self.now = self.now.max(ev.at.max(deadline));
-                if observing {
-                    self.check_invariants();
-                }
-                return RunOutcome {
-                    finished: false,
-                    wall: self.now - SimTime::ZERO,
-                    events: processed,
-                };
-            }
-            // Invariant (e), serial side: the heap's `(time, tier, seq)`
-            // order means popped times never regress.
-            if observing {
-                assert!(
-                    ev.at >= self.now,
-                    "event popped at {} after time already advanced to {}",
-                    ev.at,
-                    self.now
-                );
-            }
-            processed += 1;
-            self.now = ev.at;
-            match ev.kind {
-                EvKind::BurstEnd { host } => {
-                    let actions = self.hosts[host].finish_burst(self.now);
-                    self.apply(actions);
-                    self.kick(host);
-                }
-                EvKind::Deliver { to, pkt } => match to {
-                    Recipients::One(h) => {
-                        self.hosts[h].deliver_packet(self.now, pkt);
-                        self.kick(h);
-                    }
-                    Recipients::AllExcept(from) => {
-                        // Fan out at pop time, in host order — the same
-                        // order the per-host schedule pops its
-                        // consecutive-sequence arrival events in. The
-                        // early exit mirrors the compat schedule too: it
-                        // stops consuming events the moment every
-                        // process is done, abandoning undelivered
-                        // arrivals just as run() would abandon them on
-                        // the heap.
-                        for h in 0..self.hosts.len() {
-                            if h == from {
-                                continue;
-                            }
-                            self.hosts[h].deliver_packet(self.now, Arc::clone(&pkt));
-                            self.kick(h);
-                            if self.hosts.iter().all(HostSim::all_done) {
-                                break;
-                            }
-                        }
-                    }
-                    Recipients::Subset(mask) => {
-                        // The segment-masked fan-out: ascending host
-                        // order and the same early exit as the flat
-                        // broadcast above.
-                        for h in mask {
-                            self.hosts[h].deliver_packet(self.now, Arc::clone(&pkt));
-                            self.kick(h);
-                            if self.hosts.iter().all(HostSim::all_done) {
-                                break;
-                            }
-                        }
-                    }
-                },
-                EvKind::BridgeForward { from, dst, pkt } => {
-                    // The forwarded copy exits its device now: clock it
-                    // out on the destination segment's own medium (it
-                    // queues there behind local traffic) and fan it out
-                    // to that segment's members. The original sender is
-                    // not on `dst`, so nobody is excluded. The *other*
-                    // devices on `dst` pick the copy up and carry it
-                    // further along the tree; the forwarding device is
-                    // excluded, and the topology is a tree, so the walk
-                    // cannot loop.
-                    let tx = self.segments[dst].transmit(self.now, &pkt);
-                    if let Some(at) = tx.delivered_at {
-                        let mask = self
-                            .layout
-                            .expect("bridge events only exist on segmented topologies")
-                            .members(dst);
-                        self.schedule_delivery(at, Recipients::Subset(mask), &pkt);
-                        if let Some(fabric) = self.fabric.as_mut() {
-                            for fw in fabric.pickup_forwarded(&pkt, dst, at, from) {
-                                self.ev_stats.bridge_pushes += 1;
-                                self.push(
-                                    fw.exit,
-                                    EvKind::BridgeForward {
-                                        from: fw.device,
-                                        dst: fw.dst,
-                                        pkt: Arc::clone(&pkt),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                EvKind::Timer { host, proc } => {
-                    self.hosts[host].timer_fired(proc);
-                    self.kick(host);
-                }
-                EvKind::Retry { host, proc, epoch } => {
-                    if (proc as WaiterId) >= crate::host::OPEN_WAITER_BASE {
-                        if let Some(actions) =
-                            self.hosts[host].open_retry_fired(self.now, proc as WaiterId)
-                        {
-                            self.apply(actions);
-                            self.kick(host);
-                        }
-                    } else if self.hosts[host].retry_fired(proc, epoch) {
-                        self.kick(host);
-                    }
-                }
-                EvKind::Rebroadcast { host } => {
-                    if self.hosts[host].queue_holder_rebroadcasts(self.now) > 0 {
-                        self.kick(host);
-                    }
-                    if let Some(interval) = self.hosts[host].holder_rebroadcast_interval() {
-                        self.push(self.now + interval, EvKind::Rebroadcast { host });
-                    }
-                }
-                EvKind::OpenArrival { host } => {
-                    let actions = self.hosts[host].open_arrival(self.now);
-                    self.apply(actions);
-                    self.kick(host);
-                    if let Some(at) = self.hosts[host].open_next_at() {
-                        self.push(at, EvKind::OpenArrival { host });
-                    }
-                }
-                EvKind::BridgeTick { device, epoch } => {
-                    if self.tick_epochs[device] != epoch {
-                        continue; // an orphaned chain (the device died)
-                    }
-                    let Some(fabric) = self.fabric.as_mut() else {
-                        continue;
-                    };
-                    if fabric.is_dead(device) {
-                        // A dead device stops ticking; BridgeUp reseeds.
-                        continue;
-                    }
-                    let outs = fabric.tick(device, self.now);
-                    for out in outs {
-                        self.transmit_control(out);
-                    }
-                    if let Some(interval) = self
-                        .fabric
-                        .as_ref()
-                        .and_then(|f| f.election().hello_interval())
-                    {
-                        self.ring_push(self.now + interval, device, epoch);
-                    }
-                }
-                EvKind::ControlDeliver { seg, from, pkt } => {
-                    let outs = self
-                        .fabric
-                        .as_mut()
-                        .map(|f| f.hear_control(&pkt, seg, self.now, from))
-                        .unwrap_or_default();
-                    // Triggered hellos (belief changes) go straight back
-                    // onto the wire — the TC-style fast propagation.
-                    for out in outs {
-                        self.transmit_control(out);
-                    }
-                }
-                EvKind::Fabric(ev) => {
-                    if let Some(fabric) = self.fabric.as_mut() {
-                        let was_dead = match ev {
-                            FabricEvent::BridgeDown(d) | FabricEvent::BridgeUp(d) => {
-                                fabric.is_dead(d)
-                            }
-                            FabricEvent::LinkDown { .. } | FabricEvent::LinkUp { .. } => false,
-                        };
-                        fabric.apply_event(ev, self.now);
-                        match ev {
-                            // A death orphans the device's pending tick
-                            // chain (belt and braces with the dead
-                            // check at tick time).
-                            FabricEvent::BridgeDown(d) if !was_dead => {
-                                self.tick_epochs[d] += 1;
-                            }
-                            // A genuine revival resumes the hello
-                            // cadence with exactly one fresh chain;
-                            // a BridgeUp for a device that was never
-                            // down stays a no-op.
-                            FabricEvent::BridgeUp(device) if was_dead => {
-                                self.tick_epochs[device] += 1;
-                                let epoch = self.tick_epochs[device];
-                                if let Some(interval) = self
-                                    .fabric
-                                    .as_ref()
-                                    .and_then(|f| f.election().hello_interval())
-                                {
-                                    self.ring_push(self.now + interval, device, epoch);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            if self.observer.on_event() {
-                let mut hosts: Vec<&mut HostSim> = self.hosts.iter_mut().collect();
-                self.observer
-                    .sweep_sampled(&mut hosts, self.fabric.as_mut(), self.now);
-            }
-            if self.hosts.iter().all(HostSim::all_done) {
-                if observing {
-                    self.check_invariants();
-                }
-                return RunOutcome {
-                    finished: true,
-                    wall: self.now - SimTime::ZERO,
-                    events: processed,
-                };
-            }
-        }
-        if observing {
-            self.check_invariants();
-        }
-        RunOutcome {
-            finished: self.hosts.iter().all(HostSim::all_done),
-            wall: self.now - SimTime::ZERO,
-            events: processed,
-        }
     }
 
     /// Aggregates a finished (or capped) run into the paper's table
@@ -1313,6 +889,7 @@ impl Simulation {
             bridge: self.bridge_stats().unwrap_or_default(),
             bridge_devices: self.bridge_device_stats(),
             fabric_events: self
+                .ctrl
                 .fabric
                 .as_ref()
                 .map(|f| {
@@ -1371,7 +948,7 @@ impl std::fmt::Debug for Simulation {
             self.hosts.len(),
             self.segments.len(),
             self.now,
-            self.events.len()
+            self.events.heap.len()
         )
     }
 }
@@ -1418,14 +995,13 @@ mod tests {
 
     #[test]
     fn sequence_numbers_are_monotonic_across_pushes() {
-        let mut sim = Simulation::new(SimConfig::paper(2));
-        sim.push(SimTime::ZERO, EvKind::BurstEnd { host: 0 });
-        sim.push(SimTime::ZERO, EvKind::BurstEnd { host: 1 });
-        sim.push(SimTime::ZERO, EvKind::Timer { host: 0, proc: 0 });
-        let seqs: Vec<u64> = std::iter::from_fn(|| sim.events.pop())
-            .map(|e| e.seq)
-            .collect();
+        let env = Simulation::new(SimConfig::paper(2)).env(false);
+        let mut q = Queue::default();
+        q.push(SimTime::ZERO, EvKind::BurstEnd { host: 0 }, &env);
+        q.push(SimTime::ZERO, EvKind::BurstEnd { host: 1 }, &env);
+        q.push(SimTime::ZERO, EvKind::Timer { host: 0, proc: 0 }, &env);
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.heap.pop()).map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(sim.event_stats().heap_pushes, 3);
+        assert_eq!(q.stats.heap_pushes, 3);
     }
 }

@@ -44,10 +44,10 @@
 //! the views, restricted to the electing device's partition — islands
 //! of a cut fabric each elect their own tree).
 //!
-//! **(e) Lane/window invariants** — the serial engine never pops time
-//! backwards, and under [`ParallelMode::Workers`](super::ParallelMode)
-//! no lane pops an event at or past its window horizon (the lookahead
-//! contract); those checks live inline in `sim.rs` / `par.rs`, gated on
+//! **(e) Lane/window invariants** — no lane ever pops time backwards,
+//! which under [`ParallelMode::Workers`](super::ParallelMode) is the
+//! lookahead contract (a forwarded copy pushed into a lane behind its
+//! clock would trip it); the check lives inline in `par.rs`, gated on
 //! the same switch as the sweeps here.
 //!
 //! # Gating and cost: the dirty-set model

@@ -1,12 +1,42 @@
-//! Conservative lane-parallel execution of the segmented event engine.
+//! The event engine: lanes, the control plane, and the coordinator
+//! that runs them.
 //!
-//! # Why this is safe: the lookahead argument
+//! # One executor
 //!
-//! PR 3 gave every bridged segment an independent *delivery lane*: its
-//! own medium state, loss RNG, and traffic counters. The only way one
-//! segment's events influence another segment is through the bridge
-//! fabric, and every forwarded frame copy exits its store-and-forward
-//! device at `arrival.max(free_at) + forward_delay` — never less than
+//! A [`Lane`] owns a contiguous run of segments — their hosts, their
+//! media, and the heap of events local to them — and is the only code
+//! that executes host-side events (burst ends, deliveries, timers,
+//! retries, re-broadcasts, open-loop arrivals, bridge-forward exits).
+//! [`Ctrl`] owns the bridge fabric and is the only code that executes
+//! the three control-plane kinds (hello ticks, control-frame
+//! deliveries, injected failures). [`Simulation::run`] cuts the
+//! deployment into lanes, lets the coordinator alternate control
+//! instants with lane *windows*, and puts the pieces back.
+//!
+//! How many lanes is decided from the deployment, not by a second code
+//! path:
+//!
+//! * **One lane spanning every segment** — the default, and the only
+//!   cut a flat network, a single segment or a zero-delay fabric
+//!   allows. The lane is run inline on the calling thread with the
+//!   fabric in hand: it offers each frame to the bridge devices the
+//!   moment it is transmitted, checks the event budget and samples the
+//!   invariant observer after every event, and a window is bounded
+//!   only by the next control instant and the run limits. Events pop
+//!   strictly in `(time, tier, insertion sequence)` order: the serial
+//!   schedule.
+//! * **One lane per segment** — under [`ParallelMode::Workers`] on a
+//!   fabric with a non-zero forward delay. Lanes advance concurrently
+//!   on a worker pool and *record* their bridge pickups; the
+//!   coordinator replays them at each window barrier.
+//!
+//! # Why per-segment lanes are safe: the lookahead argument
+//!
+//! Every segment has its own medium state, loss RNG, and traffic
+//! counters. The only way one segment's events influence another
+//! segment is through the bridge fabric, and every forwarded frame
+//! copy exits its store-and-forward device at
+//! `arrival.max(free_at) + forward_delay` — never less than
 //! `forward_delay` after the transmit that caused it. That bound is the
 //! *lookahead* of classic conservative parallel discrete-event
 //! simulation: all events in the window `[T, T + forward_delay)` can be
@@ -18,82 +48,82 @@
 //!
 //! The coordinator repeatedly:
 //!
-//! 1. finds the globally earliest pending event time `T` and opens the
-//!    window `[T, min(T + forward_delay, next control event))`;
-//! 2. dispatches each lane with pending events to a worker pool; lanes
-//!    process their local heaps (burst ends, deliveries, timers,
-//!    retries, and bridge-forward arrivals) strictly in `(time, lane
-//!    sequence)` order, *deferring* every bridge interaction as a
-//!    recorded pickup;
+//! 1. finds the globally earliest pending event time `T`; if it is a
+//!    control event, runs the control plane at that exact instant
+//!    (lane events never create control events, so the control queue
+//!    cannot change under a window);
+//! 2. otherwise opens the window `[T, min(T + forward_delay, next
+//!    control event, run deadline])` and dispatches each lane with
+//!    pending events — to the worker pool, or inline when there is one
+//!    lane; lanes process their heaps strictly in `(time, tier,
+//!    sequence)` order;
 //! 3. at the barrier, replays the recorded pickups against the shared
-//!    fabric in global `(time, lane)` order — reproducing the serial
-//!    engine's interleaving of interest learning, store-and-forward
-//!    queueing, and fault RNG draws — and schedules the resulting
-//!    forwarded copies into their destination lanes (always at or
-//!    beyond the window end, per the lookahead bound);
-//! 4. runs the fabric control plane (hello ticks, control-frame
-//!    deliveries, injected failures) inline between windows, at its
-//!    exact event times.
+//!    fabric in global `(time, lane)` order — the interleaving of
+//!    interest learning, store-and-forward queueing, and fault RNG
+//!    draws a single lane produces by calling the fabric directly —
+//!    and schedules the resulting forwarded copies into their
+//!    destination lanes (always at or beyond the window end, per the
+//!    lookahead bound).
 //!
 //! # Completion
 //!
-//! The serial engine stops the instant every application process is
-//! done — mid fan-out if need be — and abandons the rest of the heap.
-//! A lane cannot see the other lanes' processes, so it *pauses* at the
-//! first point where its own processes are all done (re-queueing an
-//! interrupted fan-out's remainder at its original heap position). At
-//! the barrier: if some lane is still unfinished, the run cannot have
-//! completed anywhere inside this window, so paused and already-done
-//! lanes simply catch up to the window end. If every lane is done, the
-//! completion moment is the *latest* pause `T*`; every other lane
-//! re-runs its remaining events strictly before `T*` (the events the
-//! serial schedule would still have processed) and the run finishes at
-//! `T*` exactly.
+//! A run stops the instant every application process is done — mid
+//! fan-out if need be — and leaves the rest queued. A lane sees only
+//! its own processes, so it *pauses* at the first point where those
+//! are all done (re-queueing an interrupted fan-out's remainder at its
+//! original heap position). At the barrier: if some lane is still
+//! unfinished, the run cannot have completed anywhere inside this
+//! window, so paused and already-done lanes simply catch up to the
+//! window end. If every lane is done, the completion moment is the
+//! *latest* pause `T*`; every other lane re-runs its remaining events
+//! strictly before `T*` and the run finishes at `T*` exactly. A lane
+//! that holds every host pauses exactly when the run is complete, so
+//! with one lane this rule *is* the stop rule.
 //!
-//! # Tie-breaking and the shared oracle order
+//! # Tie-breaking
 //!
-//! A parallel execution cannot reconstruct a global insertion sequence
-//! across lanes, so cross-queue ties at one instant follow a *fixed*
-//! rule instead: control-plane events first, then lane events in
-//! ascending segment order (each lane internally by its own insertion
-//! sequence). The serial oracle sorts its one heap by the same
-//! `(time, tier, sequence)` key — see [`Ev::tier`](super::Ev) — so
-//! exact-instant cross-lane collisions (mirror-image workloads, ticks
-//! landing on transmits) resolve identically under both schedules and
-//! the determinism suite pins them byte-for-byte.
+//! Per-segment lanes cannot reconstruct a global insertion sequence,
+//! so cross-queue ties at one instant follow a *fixed* rule instead:
+//! control-plane events first, then segment-local events in ascending
+//! segment order (each segment internally by insertion sequence). That
+//! is the `(time, tier, sequence)` key of [`Ev::tier`](super::Ev),
+//! which a lane spanning several segments sorts its one heap by — so
+//! exact-instant cross-segment collisions (mirror-image workloads,
+//! ticks landing on transmits) resolve identically however the
+//! deployment is cut, and the determinism suite pins one-lane and
+//! per-segment-lane runs to the same golden digests.
 //!
-//! Residual caveats: a forwarded copy is pushed into its destination
-//! lane at the window barrier rather than at its serial push point, so
-//! its *intra-lane* sequence can differ — observable only if the copy's
-//! exit collides with another event of the same lane at the exact same
-//! nanosecond. The `max_events` backstop is checked per window rather
-//! than per event, and [`EventStats`] (diagnostic only) reflects
-//! per-lane accounting.
+//! Two residual caveats of per-segment lanes: a forwarded copy enters
+//! its destination lane at the window barrier rather than at the pop
+//! that caused it, so its *intra-lane* sequence can differ —
+//! observable only if the copy's exit collides with another event of
+//! the same segment at the exact same nanosecond; and the `max_events`
+//! backstop is checked per window rather than per event.
 
-use super::{DeliveryMode, Ev, EvKind, EventStats, Recipients, RunLimits, RunOutcome, Simulation};
-use crate::host::{HostAction, HostSim};
-use mether_core::{HostMask, Packet, SegmentLayout};
-use mether_net::{ControlOut, EtherSim, Fabric, FabricEvent, SimDuration, SimTime};
-use parking_lot::Mutex;
-use std::collections::{BinaryHeap, VecDeque};
+use super::observe::Observer;
+use super::{DeliveryMode, Env, Ev, EvKind, Queue, Recipients, RunLimits, RunOutcome, Simulation};
+use crate::host::{HostAction, HostSim, OPEN_WAITER_BASE};
+use mether_core::table::WaiterId;
+use mether_core::{HostMask, Packet};
+use mether_net::{ControlOut, EtherSim, Fabric, FabricEvent, Forward, SimDuration, SimTime};
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How [`Simulation::run`] schedules its event processing.
+/// How many lanes [`Simulation::run`] may cut the deployment into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// One global event heap, one thread, events strictly in
-    /// `(time, tier, insertion sequence)` order — the determinism
-    /// oracle.
+    /// One lane spanning every segment, run on the calling thread:
+    /// events strictly in `(time, tier, insertion sequence)` order.
     #[default]
     Serial,
-    /// Per-segment event lanes advance concurrently on a pool of this
+    /// One lane per segment, advancing concurrently on a pool of this
     /// many worker threads, synchronized conservatively with lookahead
-    /// equal to the bridge forward delay (see the module docs).
-    /// Requires an eligible deployment (segmented, ≥ 2 segments,
-    /// non-zero forward delay, per-transit delivery); anything else
-    /// falls back to the serial schedule. `Workers(0)` and `Workers(1)`
-    /// are the serial schedule by definition.
+    /// equal to the bridge forward delay (see the module docs). A
+    /// deployment with nothing to cut along (flat, one segment, or a
+    /// zero forward delay) runs as one lane, as do `Workers(0)` and
+    /// `Workers(1)`.
     Workers(usize),
 }
 
@@ -101,10 +131,10 @@ impl ParallelMode {
     /// The *default* mode for freshly built simulations: `Serial`
     /// unless the `METHER_WORKERS` environment variable names a worker
     /// count ≥ 2 — the hook CI uses to sweep the whole test suite
-    /// through the lane-parallel engine (every eligible deployment goes
-    /// parallel; byte-identity with the serial oracle makes that
-    /// invisible). An explicit [`Simulation::set_parallel_mode`] always
-    /// wins over the environment.
+    /// through per-segment lanes (byte-identity with the one-lane
+    /// schedule makes that invisible). An explicit
+    /// [`Simulation::set_parallel_mode`] always wins over the
+    /// environment.
     pub(crate) fn from_env() -> ParallelMode {
         match std::env::var("METHER_WORKERS") {
             Ok(v) => match v.trim().parse::<usize>() {
@@ -116,330 +146,518 @@ impl ParallelMode {
     }
 }
 
-/// Immutable facts every lane needs while processing a window.
-#[derive(Clone, Copy)]
-struct Env {
-    layout: SegmentLayout,
-    total_hosts: usize,
-    has_fabric: bool,
-    /// Whether the invariant observer is on: lanes then assert the
-    /// lookahead contract on every pop (invariant (e)).
-    observe: bool,
-}
-
-/// A deferred bridge interaction: the fabric hears this frame at the
-/// barrier, in global time order, exactly as the serial engine would
-/// have fed it at event-pop time.
+/// One frame the bridge devices on a segment hear: offered to the
+/// fabric at once by a lane that has it in hand, or recorded and
+/// replayed at the barrier in global time order.
 struct Pickup {
-    /// The event-pop time the serial engine would have called the
-    /// fabric at (the replay sort key).
+    /// The event-pop time of the transmit (the replay sort key).
     t: SimTime,
     /// The segment the frame was transmitted on.
     seg: usize,
     /// When the frame lands on the wire (`delivered_at`).
     arrival: SimTime,
     pkt: Arc<Packet>,
-    kind: PickupKind,
+    /// `None` for a host transmit; the forwarding device for a
+    /// forwarded copy, which is offered onward to the *other* devices.
+    from: Option<usize>,
 }
 
-enum PickupKind {
-    /// A host transmit the segment's bridge devices snoop.
-    Fresh,
-    /// A forwarded copy offered onward to the other devices, excluding
-    /// the device that forwarded it.
-    Forwarded { from: usize },
-}
-
-/// A lane-local event; mirrors the serial [`EvKind`] variants that are
-/// local to one segment.
-enum LKind {
-    BurstEnd {
-        host: usize,
-    },
-    Deliver {
-        mask: HostMask,
-        pkt: Arc<Packet>,
-    },
-    /// A forwarded copy exits its device toward this lane's segment.
-    BridgeForward {
-        from: usize,
-        pkt: Arc<Packet>,
-    },
-    Timer {
-        host: usize,
-        proc: usize,
-    },
-    Retry {
-        host: usize,
-        proc: usize,
-        epoch: u64,
-    },
-    /// One cadence tick of the periodic holder re-broadcast; mirrors
-    /// the serial `EvKind::Rebroadcast` arm exactly (queue, kick,
-    /// reschedule — in that order, for push-sequence identity).
-    Rebroadcast {
-        host: usize,
-    },
-    /// An open-loop arrival is due on `host`; mirrors the serial
-    /// `EvKind::OpenArrival` arm exactly (inject, apply, kick,
-    /// reschedule — in that order, for push-sequence identity).
-    OpenArrival {
-        host: usize,
-    },
-}
-
-struct LEv {
-    at: SimTime,
-    seq: u64,
-    kind: LKind,
-}
-
-impl PartialEq for LEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for LEv {}
-impl PartialOrd for LEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: earliest-first out of std's max-heap.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
+impl Pickup {
+    fn offer(&self, fabric: &mut Fabric) -> Vec<Forward> {
+        match self.from {
+            None => fabric.pickup(&self.pkt, self.seg, self.arrival),
+            Some(device) => fabric.pickup_forwarded(&self.pkt, self.seg, self.arrival, device),
+        }
     }
 }
 
-/// How a lane left its last dispatched window.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WindowExit {
-    /// Processed everything below the window end.
-    Ran,
-    /// Paused at the instant its own processes all finished.
-    Paused(SimTime),
+/// What a lane that owns the whole deployment reaches directly instead
+/// of through the coordinator.
+struct Whole<'a> {
+    fabric: Option<&'a mut Fabric>,
+    observer: &'a mut Observer,
+    /// Events the lane may still process before `max_events` trips.
+    budget: u64,
 }
 
-/// One segment's share of the deployment: its hosts, its medium, and
-/// its event heap.
+/// A contiguous run of segments: their hosts, their media, and the
+/// heap of events local to them.
 struct Lane {
-    seg: usize,
-    /// Global index of the lane's first host (the layout's blocks are
-    /// contiguous).
+    /// The lane's first segment and first host (layout blocks are
+    /// contiguous and ascending).
+    seg_lo: usize,
     lo: usize,
     hosts: Vec<HostSim>,
-    ether: EtherSim,
-    heap: BinaryHeap<LEv>,
-    seq: u64,
+    ethers: Vec<EtherSim>,
+    q: Queue,
     now: SimTime,
     processed: u64,
-    stats: EventStats,
     /// Bridge interactions recorded this window, in processing order
     /// (time-nondecreasing within the lane).
     pickups: Vec<Pickup>,
-    exit: WindowExit,
+    /// Set when the last window stopped at the instant the lane's own
+    /// processes all finished.
+    paused: Option<SimTime>,
 }
 
 impl Lane {
-    fn push(&mut self, at: SimTime, kind: LKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.stats.heap_pushes += 1;
-        if matches!(kind, LKind::Deliver { .. }) {
-            self.stats.delivery_pushes += 1;
-        }
-        self.heap.push(LEv { at, seq, kind });
-        self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.heap.len());
-    }
-
     fn all_done(&self) -> bool {
         self.hosts.iter().all(HostSim::all_done)
     }
 
     fn next_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.q.heap.peek().map(|e| e.at)
     }
 
-    fn kick(&mut self, host: usize) {
-        let i = host - self.lo;
-        if let Some(end) = self.hosts[i].dispatch(self.now) {
-            self.push(end, LKind::BurstEnd { host });
+    fn host(&mut self, host: usize) -> &mut HostSim {
+        &mut self.hosts[host - self.lo]
+    }
+
+    fn ether(&mut self, seg: usize) -> &mut EtherSim {
+        &mut self.ethers[seg - self.seg_lo]
+    }
+
+    /// Dispatches `host` if its CPU is idle, scheduling the burst end,
+    /// any sleep timers it requested, and any fault-retry timers armed
+    /// while blocking.
+    fn kick(&mut self, host: usize, env: &Env) {
+        let now = self.now;
+        if let Some(end) = self.host(host).dispatch(now) {
+            self.q.push(end, EvKind::BurstEnd { host }, env);
         }
-        for (proc, wake_at) in self.hosts[i].take_sleeps() {
-            self.push(wake_at, LKind::Timer { host, proc });
+        for (proc, wake_at) in self.host(host).take_sleeps() {
+            self.q.push(wake_at, EvKind::Timer { host, proc }, env);
         }
-        for (proc, fire_at, epoch) in self.hosts[i].take_retries() {
-            self.push(fire_at, LKind::Retry { host, proc, epoch });
+        for (proc, fire_at, epoch) in self.host(host).take_retries() {
+            self.q
+                .push(fire_at, EvKind::Retry { host, proc, epoch }, env);
         }
     }
 
-    /// Mirrors [`Simulation::apply`] for this lane's segment: clock the
-    /// frame out on the lane's own medium, schedule the segment-masked
-    /// delivery, and record (not apply) the bridge pickup.
-    fn apply(&mut self, actions: Vec<HostAction>, env: &Env) {
-        for a in actions {
-            match a {
-                HostAction::Transmit(pkt) => {
-                    let from = pkt.from().0 as usize;
-                    let tx = self.ether.transmit(self.now, &pkt);
-                    if let Some(at) = tx.delivered_at {
-                        if env.total_hosts <= 1 {
-                            continue; // nobody anywhere to snoop
-                        }
-                        self.stats.transits += 1;
-                        let shared = Arc::new(pkt);
-                        let mask = env.layout.members(self.seg).without(from);
-                        if !mask.is_empty() {
-                            self.push(
-                                at,
-                                LKind::Deliver {
-                                    mask,
-                                    pkt: Arc::clone(&shared),
-                                },
-                            );
-                        }
-                        if env.has_fabric {
-                            self.pickups.push(Pickup {
-                                t: self.now,
-                                seg: self.seg,
-                                arrival: at,
-                                pkt: shared,
-                                kind: PickupKind::Fresh,
-                            });
-                        }
-                    }
+    /// Schedules the delivery of one completed transit to `to` (a
+    /// segment's members, or the whole flat network) at `at`: one event
+    /// fanned out at pop time — the network does the fan-out, not the
+    /// event queue — or, under [`DeliveryMode::PerHostCompat`], one
+    /// event per recipient with consecutive sequence numbers, which pop
+    /// contiguously in the same ascending host order.
+    fn schedule_delivery(&mut self, at: SimTime, to: Recipients, pkt: &Arc<Packet>, env: &Env) {
+        let deliver = |to| EvKind::Deliver {
+            to,
+            pkt: Arc::clone(pkt),
+        };
+        match env.delivery {
+            DeliveryMode::PerTransit => self.q.push(at, deliver(to), env),
+            DeliveryMode::PerHostCompat => {
+                for h in &to.to_mask(env.total_hosts) {
+                    self.q.push(at, deliver(Recipients::One(h)), env);
                 }
             }
         }
     }
 
+    /// Clocks each transmission out on its segment's medium, schedules
+    /// the delivery to that segment's snoopers (the whole network when
+    /// flat), and offers the frame to the segment's bridge devices.
+    fn apply(&mut self, actions: Vec<HostAction>, env: &Env, mut fabric: Option<&mut Fabric>) {
+        for HostAction::Transmit(pkt) in actions {
+            let from = pkt.from().0 as usize;
+            let seg = env.segment_of(from);
+            let now = self.now;
+            let Some(at) = self.ether(seg).transmit(now, &pkt).delivered_at else {
+                continue;
+            };
+            if env.total_hosts <= 1 {
+                continue; // nobody anywhere to snoop
+            }
+            self.q.stats.transits += 1;
+            let pkt = Arc::new(pkt);
+            let to = match env.layout {
+                None => Some(Recipients::AllExcept(from)),
+                // The sender alone on its segment has no local
+                // snoopers, but the bridge may still carry the frame
+                // out.
+                Some(l) => Some(l.members(seg).without(from))
+                    .filter(|mask| !mask.is_empty())
+                    .map(Recipients::Subset),
+            };
+            if let Some(to) = to {
+                self.schedule_delivery(at, to, &pkt, env);
+            }
+            let heard = Pickup {
+                t: now,
+                seg,
+                arrival: at,
+                pkt,
+                from: None,
+            };
+            self.pickup(heard, env, fabric.as_deref_mut());
+        }
+    }
+
+    /// The bridge devices on a segment hear a frame: schedule each
+    /// forwarded copy's exit from its device now if the fabric is in
+    /// hand, else leave the pickup for the barrier replay.
+    fn pickup(&mut self, heard: Pickup, env: &Env, fabric: Option<&mut Fabric>) {
+        if let Some(fabric) = fabric {
+            for fw in heard.offer(fabric) {
+                self.push_forward(fw, &heard.pkt, env);
+            }
+        } else if env.record {
+            self.pickups.push(heard);
+        }
+    }
+
+    fn push_forward(&mut self, fw: Forward, pkt: &Arc<Packet>, env: &Env) {
+        self.q.stats.bridge_pushes += 1;
+        let kind = EvKind::BridgeForward {
+            from: fw.device,
+            dst: fw.dst,
+            pkt: Arc::clone(pkt),
+        };
+        self.q.push(fw.exit, kind, env);
+    }
+
     /// Processes this lane's events strictly before `until`.
     ///
-    /// With `pausing` set (phase 1: the lane's own processes are not
-    /// yet all done), the lane stops at its own completion transition —
-    /// mid fan-out if that is where it happens, re-queueing the
-    /// remainder at the interrupted event's original heap position so a
-    /// later resume continues exactly there.
-    fn run_window(&mut self, until: SimTime, pausing: bool, env: &Env) {
-        self.exit = WindowExit::Ran;
-        while self.heap.peek().is_some_and(|e| e.at < until) {
-            let ev = self.heap.pop().expect("peeked");
-            // Invariant (e): no lane event is processed at or past the
-            // window horizon (the lookahead contract), and a lane's own
-            // time never regresses — a cross-lane push that violated
-            // the forward-delay bound would trip one of these.
+    /// With `pausing` set (the lane's own processes are not yet all
+    /// done), the lane stops at its own completion transition. A lane
+    /// that is the `whole` deployment also stops when the event budget
+    /// runs out, and samples the invariant observer after every event.
+    fn run_window(
+        &mut self,
+        until: SimTime,
+        pausing: bool,
+        env: &Env,
+        mut whole: Option<&mut Whole<'_>>,
+    ) {
+        while self.q.heap.peek().is_some_and(|e| e.at < until) {
+            if whole.as_ref().is_some_and(|w| self.processed >= w.budget) {
+                return;
+            }
+            let ev = self.q.heap.pop().expect("peeked");
+            // Invariant (e): a lane's time never regresses — a
+            // cross-lane push that violated the forward-delay bound
+            // would land behind the lane's clock and trip this.
             if env.observe {
                 assert!(
-                    ev.at < until,
-                    "lane {} popped an event at {} past its window horizon {until}",
-                    self.seg,
-                    ev.at
-                );
-                assert!(
                     ev.at >= self.now,
-                    "lane {} popped an event at {} after advancing to {}",
-                    self.seg,
+                    "lane at segment {} popped an event at {} after advancing to {}",
+                    self.seg_lo,
                     ev.at,
                     self.now
                 );
             }
             self.now = ev.at;
             self.processed += 1;
-            match ev.kind {
-                LKind::BurstEnd { host } => {
-                    let actions = self.hosts[host - self.lo].finish_burst(self.now);
-                    self.apply(actions, env);
-                    self.kick(host);
-                }
-                LKind::Deliver { mask, pkt } => {
-                    // Ascending host order, pausing at the lane's own
-                    // completion just as the serial fan-out breaks at
-                    // the global one.
-                    let mut remaining = mask.clone();
-                    for h in &mask {
-                        remaining.remove(h);
-                        self.hosts[h - self.lo].deliver_packet(self.now, Arc::clone(&pkt));
-                        self.kick(h);
-                        if pausing && self.all_done() {
-                            if !remaining.is_empty() {
-                                self.heap.push(LEv {
-                                    at: ev.at,
-                                    seq: ev.seq,
-                                    kind: LKind::Deliver {
-                                        mask: remaining,
-                                        pkt,
-                                    },
-                                });
-                            }
-                            self.exit = WindowExit::Paused(ev.at);
-                            return;
-                        }
-                    }
-                    continue; // completion already checked per recipient
-                }
-                LKind::BridgeForward { from, pkt } => {
-                    let tx = self.ether.transmit(self.now, &pkt);
-                    if let Some(at) = tx.delivered_at {
-                        let mask = env.layout.members(self.seg);
-                        self.push(
-                            at,
-                            LKind::Deliver {
-                                mask,
-                                pkt: Arc::clone(&pkt),
-                            },
-                        );
-                        if env.has_fabric {
-                            self.pickups.push(Pickup {
-                                t: self.now,
-                                seg: self.seg,
-                                arrival: at,
-                                pkt,
-                                kind: PickupKind::Forwarded { from },
-                            });
-                        }
-                    }
-                }
-                LKind::Timer { host, proc } => {
-                    self.hosts[host - self.lo].timer_fired(proc);
-                    self.kick(host);
-                }
-                LKind::Retry { host, proc, epoch } => {
-                    if (proc as u64) >= crate::host::OPEN_WAITER_BASE {
-                        let now = self.now;
-                        if let Some(actions) =
-                            self.hosts[host - self.lo].open_retry_fired(now, proc as u64)
-                        {
-                            self.apply(actions, env);
-                            self.kick(host);
-                        }
-                    } else if self.hosts[host - self.lo].retry_fired(proc, epoch) {
-                        self.kick(host);
-                    }
-                }
-                LKind::Rebroadcast { host } => {
-                    let now = self.now;
-                    if self.hosts[host - self.lo].queue_holder_rebroadcasts(now) > 0 {
-                        self.kick(host);
-                    }
-                    if let Some(interval) = self.hosts[host - self.lo].holder_rebroadcast_interval()
-                    {
-                        self.push(now + interval, LKind::Rebroadcast { host });
-                    }
-                }
-                LKind::OpenArrival { host } => {
-                    let now = self.now;
-                    let actions = self.hosts[host - self.lo].open_arrival(now);
-                    self.apply(actions, env);
-                    self.kick(host);
-                    if let Some(at) = self.hosts[host - self.lo].open_next_at() {
-                        self.push(at, LKind::OpenArrival { host });
-                    }
+            let fabric = whole.as_deref_mut().and_then(|w| w.fabric.as_deref_mut());
+            if self.handle(ev, pausing, env, fabric) {
+                return;
+            }
+            if let Some(w) = whole.as_deref_mut() {
+                if w.observer.on_event() {
+                    let mut hosts: Vec<&mut HostSim> = self.hosts.iter_mut().collect();
+                    w.observer
+                        .sweep_sampled(&mut hosts, w.fabric.as_deref_mut(), self.now);
                 }
             }
             if pausing && self.all_done() {
-                self.exit = WindowExit::Paused(self.now);
+                self.paused = Some(self.now);
                 return;
+            }
+        }
+    }
+
+    /// Executes one host-side event; true if the lane paused inside it.
+    fn handle(&mut self, ev: Ev, pausing: bool, env: &Env, fabric: Option<&mut Fabric>) -> bool {
+        let now = self.now;
+        match ev.kind {
+            EvKind::BurstEnd { host } => {
+                let actions = self.host(host).finish_burst(now);
+                self.apply(actions, env, fabric);
+                self.kick(host, env);
+            }
+            EvKind::Deliver { to, pkt } => {
+                // Fan out at pop time, in ascending host order. The run
+                // stops the moment the last process finishes — mid
+                // fan-out if that is where it happens — so the rest of
+                // the mask goes back at this event's own heap position
+                // for whoever resumes.
+                let mask = match to {
+                    Recipients::Subset(mask) => mask,
+                    other => other.to_mask(env.total_hosts),
+                };
+                for h in &mask {
+                    self.host(h).deliver_packet(now, Arc::clone(&pkt));
+                    self.kick(h, env);
+                    if pausing && self.all_done() {
+                        let rest = mask.difference(&HostMask::all_below(h + 1));
+                        if !rest.is_empty() {
+                            let to = Recipients::Subset(rest);
+                            self.q.heap.push(Ev {
+                                kind: EvKind::Deliver { to, pkt },
+                                ..ev
+                            });
+                        }
+                        self.paused = Some(now);
+                        return true;
+                    }
+                }
+            }
+            EvKind::BridgeForward { from, dst, pkt } => {
+                // The forwarded copy exits its device now: clock it out
+                // on the destination segment's own medium (it queues
+                // there behind local traffic) and fan it out to that
+                // segment's members — the original sender is not on
+                // `dst`, so nobody is excluded. The *other* devices on
+                // `dst` pick the copy up and carry it further along the
+                // tree; the forwarding device is excluded, and the
+                // topology is a tree, so the walk cannot loop.
+                if let Some(at) = self.ether(dst).transmit(now, &pkt).delivered_at {
+                    let members = env
+                        .layout
+                        .expect("bridge events only exist on segmented topologies")
+                        .members(dst);
+                    self.schedule_delivery(at, Recipients::Subset(members), &pkt, env);
+                    let heard = Pickup {
+                        t: now,
+                        seg: dst,
+                        arrival: at,
+                        pkt,
+                        from: Some(from),
+                    };
+                    self.pickup(heard, env, fabric);
+                }
+            }
+            EvKind::Timer { host, proc } => {
+                self.host(host).timer_fired(proc);
+                self.kick(host, env);
+            }
+            EvKind::Retry { host, proc, epoch } => {
+                if (proc as WaiterId) >= OPEN_WAITER_BASE {
+                    if let Some(actions) = self.host(host).open_retry_fired(now, proc as WaiterId) {
+                        self.apply(actions, env, fabric);
+                        self.kick(host, env);
+                    }
+                } else if self.host(host).retry_fired(proc, epoch) {
+                    self.kick(host, env);
+                }
+            }
+            EvKind::Rebroadcast { host } => {
+                if self.host(host).queue_holder_rebroadcasts(now) > 0 {
+                    self.kick(host, env);
+                }
+                if let Some(interval) = self.host(host).holder_rebroadcast_interval() {
+                    self.q
+                        .push(now + interval, EvKind::Rebroadcast { host }, env);
+                }
+            }
+            EvKind::OpenArrival { host } => {
+                let actions = self.host(host).open_arrival(now);
+                self.apply(actions, env, fabric);
+                self.kick(host, env);
+                if let Some(at) = self.host(host).open_next_at() {
+                    self.q.push(at, EvKind::OpenArrival { host }, env);
+                }
+            }
+            EvKind::BridgeTick { .. } | EvKind::ControlDeliver { .. } | EvKind::Fabric(_) => {
+                unreachable!("control event in a lane heap")
+            }
+        }
+        false
+    }
+}
+
+/// The lane that owns segment `seg`: the only lane, or the `seg`th of
+/// one per segment.
+fn lane_of(lanes: &[Mutex<Lane>], seg: usize) -> MutexGuard<'_, Lane> {
+    lanes[seg.min(lanes.len() - 1)].lock()
+}
+
+/// The bridge fabric and its control plane, run by the coordinator
+/// between lane windows.
+pub(super) struct Ctrl {
+    /// The routed bridge fabric; `None` on flat networks.
+    pub(super) fabric: Option<Fabric>,
+    pub(super) q: Queue,
+    /// The fixed-cadence hello timer ring: pending `BridgeTick`s, kept
+    /// sorted by construction — every entry is pushed with `at = now +
+    /// hello_interval` for the one global interval, so a new deadline
+    /// is never earlier than a pending one and `push_back` suffices.
+    /// Entries draw `seq` from the heap's counter, so the merged pop
+    /// order is bit-identical to keeping the ticks on the heap while
+    /// the recurring O(devices) tick load stops paying heap sift costs.
+    ring: VecDeque<Ev>,
+    /// Per-device tick-chain epochs: a `BridgeDown` bumps the device's
+    /// epoch (orphaning its pending tick), a `BridgeUp` bumps it again
+    /// and seeds one fresh chain — so a device never ticks twice per
+    /// hello interval however failure and revival interleave with the
+    /// pending events.
+    tick_epochs: Vec<u64>,
+    /// Control events executed during the current `run`.
+    processed: u64,
+}
+
+impl Ctrl {
+    pub(super) fn new(fabric: Option<Fabric>) -> Ctrl {
+        Ctrl {
+            tick_epochs: vec![0; fabric.as_ref().map_or(0, Fabric::device_count)],
+            fabric,
+            q: Queue::default(),
+            ring: VecDeque::new(),
+            processed: 0,
+        }
+    }
+
+    fn hello_interval(&self) -> Option<SimDuration> {
+        self.fabric
+            .as_ref()
+            .and_then(|f| f.election().hello_interval())
+    }
+
+    /// Schedules one hello tick of `device`'s current chain on the
+    /// timer ring: the heap's sequence counter and control accounting,
+    /// no heap traffic.
+    fn ring_push(&mut self, at: SimTime, device: usize) {
+        let seq = self.q.seq;
+        self.q.seq += 1;
+        self.q.stats.control_pushes += 1;
+        self.q.stats.timer_ring_pushes += 1;
+        debug_assert!(self.ring.back().is_none_or(|last| last.at <= at));
+        let epoch = self.tick_epochs[device];
+        self.ring.push_back(Ev {
+            at,
+            tier: 0,
+            seq,
+            kind: EvKind::BridgeTick { device, epoch },
+        });
+    }
+
+    /// The earliest pending control event time across the heap and the
+    /// timer ring.
+    fn next_at(&self) -> Option<SimTime> {
+        let heap = self.q.heap.peek().map(|e| e.at);
+        let ring = self.ring.front().map(|e| e.at);
+        heap.into_iter().chain(ring).min()
+    }
+
+    /// Pops the next control event queued at exactly `now`, heap and
+    /// timer ring merged by sequence.
+    fn pop_at(&mut self, now: SimTime) -> Option<Ev> {
+        let heap = self.q.heap.peek().filter(|e| e.at == now);
+        let ring = self.ring.front().filter(|e| e.at == now);
+        match (ring, heap) {
+            // `Ev` orders earliest-greatest (for std's max-heap).
+            (Some(tick), heap) if heap.is_none_or(|top| tick > top) => self.ring.pop_front(),
+            (_, Some(_)) => self.q.heap.pop(),
+            _ => None,
+        }
+    }
+
+    /// Transmits one bridge control frame on its segment's medium and
+    /// schedules its delivery to the other devices there. Hosts never
+    /// receive control frames (their NICs filter the bridge multicast
+    /// address), but the frame occupies the wire like any other and is
+    /// subject to the segment's loss process.
+    fn transmit_control(
+        &mut self,
+        now: SimTime,
+        out: ControlOut,
+        lanes: &[Mutex<Lane>],
+        env: &Env,
+    ) {
+        let pkt = Arc::new(out.pkt);
+        let tx = lane_of(lanes, out.seg).ether(out.seg).transmit(now, &pkt);
+        if let Some(at) = tx.delivered_at {
+            self.q.stats.control_pushes += 1;
+            let kind = EvKind::ControlDeliver {
+                seg: out.seg,
+                from: out.device,
+                pkt,
+            };
+            self.q.push(at, kind, env);
+        }
+    }
+
+    /// Executes every control event queued at exactly `now`. No lane is
+    /// mid-window, so the segments' media are free to transmit on.
+    fn run_instant(&mut self, now: SimTime, lanes: &[Mutex<Lane>], env: &Env) {
+        while let Some(ev) = self.pop_at(now) {
+            self.processed += 1;
+            let Some(fabric) = self.fabric.as_mut() else {
+                continue;
+            };
+            let mut retick = None;
+            let outs = match ev.kind {
+                // One hello-cadence tick: timeout checks plus this
+                // cadence's hellos, then the chain reschedules itself.
+                // An orphaned chain (stale epoch) or a dead device
+                // stops ticking; `BridgeUp` reseeds.
+                EvKind::BridgeTick { device, epoch } => {
+                    if self.tick_epochs[device] != epoch || fabric.is_dead(device) {
+                        continue;
+                    }
+                    retick = Some(device);
+                    fabric.tick(device, now)
+                }
+                // The other live devices on `seg` ingest the frame;
+                // triggered hellos (belief changes) go straight back
+                // onto the wire — the TC-style fast propagation.
+                EvKind::ControlDeliver { seg, from, pkt } => {
+                    fabric.hear_control(&pkt, seg, now, from)
+                }
+                EvKind::Fabric(fev) => {
+                    let was_dead = match fev {
+                        FabricEvent::BridgeDown(d) | FabricEvent::BridgeUp(d) => fabric.is_dead(d),
+                        FabricEvent::LinkDown { .. } | FabricEvent::LinkUp { .. } => false,
+                    };
+                    fabric.apply_event(fev, now);
+                    match fev {
+                        // A death orphans the device's pending tick
+                        // chain (belt and braces with the dead check at
+                        // tick time).
+                        FabricEvent::BridgeDown(d) if !was_dead => self.tick_epochs[d] += 1,
+                        // A genuine revival resumes the hello cadence
+                        // with exactly one fresh chain; a `BridgeUp`
+                        // for a device that was never down is a no-op.
+                        FabricEvent::BridgeUp(d) if was_dead => {
+                            self.tick_epochs[d] += 1;
+                            retick = Some(d);
+                        }
+                        _ => {}
+                    }
+                    Vec::new()
+                }
+                _ => unreachable!("host-side event in the control heap"),
+            };
+            for out in outs {
+                self.transmit_control(now, out, lanes, env);
+            }
+            if let (Some(device), Some(interval)) = (retick, self.hello_interval()) {
+                self.ring_push(now + interval, device);
+            }
+        }
+    }
+
+    /// Replays every bridge interaction the lanes recorded this window
+    /// against the shared fabric, in global `(time, lane)` order, and
+    /// schedules the resulting forwarded copies into their destination
+    /// lanes. The lookahead bound guarantees every scheduled exit lands
+    /// at or beyond the window end.
+    fn replay_pickups(&mut self, lanes: &[Mutex<Lane>], env: &Env) {
+        let Some(fabric) = self.fabric.as_mut() else {
+            return;
+        };
+        let mut all: Vec<(usize, Pickup)> = Vec::new();
+        for (i, lane) in lanes.iter().enumerate() {
+            all.extend(lane.lock().pickups.drain(..).map(|p| (i, p)));
+        }
+        // Stable: within a lane the recorded order is the processing
+        // (time) order, so (t, lane) reproduces the one-lane
+        // interleaving up to exact-instant cross-lane ties.
+        all.sort_by_key(|(lane, p)| (p.t, *lane));
+        for (_, heard) in all {
+            for fw in heard.offer(fabric) {
+                lane_of(lanes, fw.dst).push_forward(fw, &heard.pkt, env);
             }
         }
     }
@@ -456,459 +674,236 @@ struct Task {
 /// shared work list: workers claim tasks through the atomic cursor
 /// instead of the coordinator waking each lane individually, so a
 /// window costs `min(workers, lanes)` channel round-trips rather than
-/// one per dispatched lane (the ROADMAP batch-handoff follow-on;
-/// [`EventStats::task_handoffs`] counts the difference).
+/// one per dispatched lane ([`EventStats::task_handoffs`](super::EventStats)
+/// counts them).
 struct WindowBatch {
     tasks: Vec<Task>,
     next: AtomicUsize,
 }
 
-/// The control plane the coordinator runs between windows.
-struct Ctrl<'a> {
-    heap: BinaryHeap<Ev>,
-    /// The hello timer ring, mirroring the serial engine's (see
-    /// [`Simulation::hello_ring`] — sorted by construction, shared
-    /// `seq` counter, tier-0 merge with the heap).
-    ring: VecDeque<(SimTime, u64, usize, u64)>,
-    seq: u64,
-    stats: EventStats,
-    processed: u64,
-    fabric: Option<&'a mut Fabric>,
-    tick_epochs: &'a mut [u64],
+/// The coordinator's end of the worker pool.
+struct Pool<'a> {
+    lanes: &'a [Mutex<Lane>],
+    env: &'a Env,
+    size: usize,
+    task_tx: crossbeam::channel::Sender<Arc<WindowBatch>>,
+    done_rx: crossbeam::channel::Receiver<()>,
 }
 
-impl Ctrl<'_> {
-    fn push(&mut self, at: SimTime, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.stats.heap_pushes += 1;
-        // Control events are tier 0 by definition (see [`Ev::tier`]).
-        self.heap.push(Ev {
-            at,
-            tier: 0,
-            seq,
-            kind,
+impl Pool<'_> {
+    /// The lanes whose processes are (`done`) or are not all finished
+    /// and that have events before `until`, as one window's tasks.
+    fn pick(&self, done: bool, until: SimTime, pausing: bool) -> Vec<Task> {
+        let mut tasks = Vec::new();
+        for (lane, l) in self.lanes.iter().enumerate() {
+            let l = l.lock();
+            if l.all_done() == done && l.next_at().is_some_and(|t| t < until) {
+                tasks.push(Task {
+                    lane,
+                    until,
+                    pausing,
+                });
+            }
+        }
+        tasks
+    }
+
+    /// Runs one window's `batch` of lane tasks and waits for all of
+    /// them; returns the number of pool handoffs performed. A
+    /// single-task batch runs inline on the coordinator (the window has
+    /// no parallelism to exploit, so skip the channel round-trip) —
+    /// which is every batch of a one-lane run, the only kind that
+    /// passes `whole`. A larger batch is shared with `min(pool size,
+    /// tasks)` workers as one [`WindowBatch`] they drain through its
+    /// claim cursor.
+    fn run(&self, batch: Vec<Task>, whole: Option<&mut Whole<'_>>) -> u64 {
+        match &batch[..] {
+            [] => return 0,
+            [t] => {
+                let mut lane = self.lanes[t.lane].lock();
+                lane.run_window(t.until, t.pausing, self.env, whole);
+                // One handoff's worth of work, if there is a pool to
+                // have handed it to.
+                return self.size.min(1) as u64;
+            }
+            _ => {}
+        }
+        let wakeups = self.size.min(batch.len());
+        let shared = Arc::new(WindowBatch {
+            tasks: batch,
+            next: AtomicUsize::new(0),
         });
-        self.stats.max_heap_depth = self.stats.max_heap_depth.max(self.heap.len());
-    }
-
-    /// Schedules one hello tick on the control timer ring.
-    fn ring_push(&mut self, at: SimTime, device: usize, epoch: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.stats.control_pushes += 1;
-        self.stats.timer_ring_pushes += 1;
-        debug_assert!(self.ring.back().is_none_or(|&(due, ..)| due <= at));
-        self.ring.push_back((at, seq, device, epoch));
-    }
-
-    /// The earliest pending control event time across the heap and the
-    /// timer ring.
-    fn next_at(&self) -> Option<SimTime> {
-        let heap = self.heap.peek().map(|e| e.at);
-        let ring = self.ring.front().map(|&(at, ..)| at);
-        match (heap, ring) {
-            (Some(h), Some(r)) => Some(h.min(r)),
-            (h, r) => h.or(r),
+        for _ in 0..wakeups {
+            let _ = self.task_tx.send(Arc::clone(&shared));
         }
-    }
-
-    fn transmit_control(&mut self, now: SimTime, out: ControlOut, lanes: &[Mutex<Lane>]) {
-        let pkt = Arc::new(out.pkt);
-        let tx = lanes[out.seg].lock().ether.transmit(now, &pkt);
-        if let Some(at) = tx.delivered_at {
-            self.stats.control_pushes += 1;
-            self.push(
-                at,
-                EvKind::ControlDeliver {
-                    seg: out.seg,
-                    from: out.device,
-                    pkt,
-                },
-            );
+        // Every claimed task is finished before its claimer
+        // acknowledges, so `wakeups` acks mean the whole batch ran.
+        for _ in 0..wakeups {
+            let _ = self.done_rx.recv();
         }
-    }
-
-    /// Processes every control event queued at exactly `now` — heap and
-    /// timer ring merged by `(time, seq)` (all control events are tier
-    /// 0); mirrors the corresponding arms of the serial run loop.
-    fn run_instant(&mut self, now: SimTime, lanes: &[Mutex<Lane>]) {
-        loop {
-            let heap_due = self.heap.peek().filter(|e| e.at == now).map(|e| e.seq);
-            let ring_due = self
-                .ring
-                .front()
-                .filter(|&&(at, ..)| at == now)
-                .map(|&(_, seq, ..)| seq);
-            let ring_wins = match (heap_due, ring_due) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(h), Some(r)) => r < h,
-            };
-            let ev = if ring_wins {
-                let (at, seq, device, epoch) = self.ring.pop_front().expect("peeked");
-                Ev {
-                    at,
-                    tier: 0,
-                    seq,
-                    kind: EvKind::BridgeTick { device, epoch },
-                }
-            } else {
-                self.heap.pop().expect("peeked")
-            };
-            self.processed += 1;
-            match ev.kind {
-                EvKind::BridgeTick { device, epoch } => {
-                    if self.tick_epochs[device] != epoch {
-                        continue; // an orphaned chain (the device died)
-                    }
-                    let Some(fabric) = self.fabric.as_deref_mut() else {
-                        continue;
-                    };
-                    if fabric.is_dead(device) {
-                        continue; // BridgeUp reseeds
-                    }
-                    let outs = fabric.tick(device, now);
-                    let interval = fabric.election().hello_interval();
-                    for out in outs {
-                        self.transmit_control(now, out, lanes);
-                    }
-                    if let Some(interval) = interval {
-                        self.ring_push(now + interval, device, epoch);
-                    }
-                }
-                EvKind::ControlDeliver { seg, from, pkt } => {
-                    let outs = self
-                        .fabric
-                        .as_deref_mut()
-                        .map(|f| f.hear_control(&pkt, seg, now, from))
-                        .unwrap_or_default();
-                    for out in outs {
-                        self.transmit_control(now, out, lanes);
-                    }
-                }
-                EvKind::Fabric(fev) => {
-                    if let Some(fabric) = self.fabric.as_deref_mut() {
-                        let was_dead = match fev {
-                            FabricEvent::BridgeDown(d) | FabricEvent::BridgeUp(d) => {
-                                fabric.is_dead(d)
-                            }
-                            FabricEvent::LinkDown { .. } | FabricEvent::LinkUp { .. } => false,
-                        };
-                        fabric.apply_event(fev, now);
-                        match fev {
-                            FabricEvent::BridgeDown(d) if !was_dead => {
-                                self.tick_epochs[d] += 1;
-                            }
-                            FabricEvent::BridgeUp(device) if was_dead => {
-                                self.tick_epochs[device] += 1;
-                                let epoch = self.tick_epochs[device];
-                                if let Some(interval) = fabric.election().hello_interval() {
-                                    self.ring_push(now + interval, device, epoch);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                // Lane-local kinds never enter the control heap.
-                _ => unreachable!("lane event in the control heap"),
-            }
-        }
-    }
-
-    /// Replays every bridge interaction the lanes recorded this window
-    /// against the shared fabric, in global `(time, lane)` order, and
-    /// schedules the resulting forwarded copies into their destination
-    /// lanes. The lookahead bound guarantees every scheduled exit lands
-    /// at or beyond the window end.
-    fn replay_pickups(&mut self, lanes: &[Mutex<Lane>]) {
-        let mut all: Vec<(usize, Pickup)> = Vec::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            let mut lane = lane.lock();
-            all.extend(lane.pickups.drain(..).map(|p| (i, p)));
-        }
-        if all.is_empty() {
-            return;
-        }
-        // Stable: within a lane the recorded order is the processing
-        // (time) order, so (t, lane) reproduces the serial interleaving
-        // up to exact-instant cross-lane ties.
-        all.sort_by_key(|(lane, p)| (p.t, *lane));
-        let Some(fabric) = self.fabric.as_deref_mut() else {
-            return;
-        };
-        for (_, p) in all {
-            let fws = match p.kind {
-                PickupKind::Fresh => fabric.pickup(&p.pkt, p.seg, p.arrival),
-                PickupKind::Forwarded { from } => {
-                    fabric.pickup_forwarded(&p.pkt, p.seg, p.arrival, from)
-                }
-            };
-            for fw in fws {
-                self.stats.bridge_pushes += 1;
-                lanes[fw.dst].lock().push(
-                    fw.exit,
-                    LKind::BridgeForward {
-                        from: fw.device,
-                        pkt: Arc::clone(&p.pkt),
-                    },
-                );
-            }
-        }
+        wakeups as u64
     }
 }
 
-/// Runs one window's `batch` of lane tasks and waits for all of them;
-/// returns the number of pool handoffs performed. A single-task batch
-/// runs inline on the coordinator (the window has no parallelism to
-/// exploit, so skip the channel round-trip); a larger batch is shared
-/// with `min(pool_size, tasks)` workers as one [`WindowBatch`] they
-/// drain through its claim cursor — per-window handoff, not per-lane
-/// wakeups.
-fn run_batch(
+/// Samples the invariant observer at a point where no lane is
+/// mid-window, so the cross-layer state is globally consistent
+/// (invariants (a)–(d)).
+fn sweep(
+    observer: &mut Observer,
     lanes: &[Mutex<Lane>],
-    env: &Env,
-    task_tx: &crossbeam::channel::Sender<Arc<WindowBatch>>,
-    done_rx: &crossbeam::channel::Receiver<()>,
-    pool_size: usize,
-    batch: Vec<Task>,
-) -> u64 {
-    if batch.is_empty() {
-        return 0;
+    fabric: Option<&mut Fabric>,
+    now: SimTime,
+) {
+    if observer.on_event() {
+        let mut guards: Vec<_> = lanes.iter().map(|l| l.lock()).collect();
+        let mut hosts: Vec<&mut HostSim> =
+            guards.iter_mut().flat_map(|g| g.hosts.iter_mut()).collect();
+        observer.sweep_sampled(&mut hosts, fabric, now);
     }
-    if batch.len() == 1 {
-        let t = &batch[0];
-        lanes[t.lane].lock().run_window(t.until, t.pausing, env);
-        return 1;
-    }
-    let wakeups = pool_size.min(batch.len());
-    let shared = Arc::new(WindowBatch {
-        tasks: batch,
-        next: AtomicUsize::new(0),
-    });
-    for _ in 0..wakeups {
-        let _ = task_tx.send(Arc::clone(&shared));
-    }
-    // Every claimed task is finished before its claimer acknowledges,
-    // so `wakeups` acks mean the whole batch ran.
-    for _ in 0..wakeups {
-        let _ = done_rx.recv();
-    }
-    wakeups as u64
 }
 
 impl Simulation {
-    /// Whether this deployment can run the lane-parallel schedule: it
-    /// needs at least two segments (otherwise there is nothing to
-    /// partition), a fabric with non-zero forward delay (the lookahead),
-    /// per-transit delivery (the compat schedule exists only to pin the
-    /// serial oracle), and at least one unfinished process (the serial
-    /// loop's degenerate start-up semantics are not worth replicating).
-    pub(super) fn parallel_eligible(&self) -> bool {
-        self.layout.is_some()
-            && self.segments.len() >= 2
-            && self.delivery == DeliveryMode::PerTransit
-            && self
-                .fabric
-                .as_ref()
-                .is_some_and(|f| f.forward_delay() > SimDuration::ZERO)
-            && !self.hosts.iter().all(HostSim::all_done)
+    /// How many worker threads this run gets — and with them, one lane
+    /// per segment — or 0 for one lane on the calling thread. Cutting
+    /// the deployment along its segments needs the mode to ask for
+    /// workers, at least two segments, and a fabric whose non-zero
+    /// forward delay is the lookahead.
+    fn workers(&self) -> usize {
+        let lookahead = self.ctrl.fabric.as_ref().map(Fabric::forward_delay);
+        match self.parallel {
+            ParallelMode::Workers(n)
+                if n >= 2 && self.segments.len() >= 2 && lookahead > Some(SimDuration::ZERO) =>
+            {
+                n.min(self.segments.len())
+            }
+            _ => 0,
+        }
     }
 
-    /// The conservative lane-parallel run loop (see the module docs for
-    /// the protocol). Only called on an eligible deployment.
-    pub(super) fn run_parallel(&mut self, limits: RunLimits, workers: usize) -> RunOutcome {
-        let layout = self.layout.expect("eligibility checked");
-        let mut observer = std::mem::take(&mut self.observer);
-        let env = Env {
-            layout,
-            total_hosts: self.hosts.len(),
-            has_fabric: self.fabric.is_some(),
-            observe: observer.enabled(),
-        };
-        let lookahead = self
-            .fabric
-            .as_ref()
-            .map(Fabric::forward_delay)
-            .expect("eligibility checked");
-        let deadline = SimTime::ZERO + limits.max_sim_time;
-
-        // Seed the per-device hello ticks exactly as the serial engine
-        // would, then partition the queued events.
-        if !self.ticks_started {
-            self.ticks_started = true;
-            if let Some(fabric) = self.fabric.as_ref() {
-                if let Some(interval) = fabric.election().hello_interval() {
-                    for device in 0..fabric.device_count() {
-                        let epoch = self.tick_epochs[device];
-                        self.ring_push(self.now + interval, device, epoch);
-                    }
-                }
-            }
-            // Seed the periodic holder re-broadcast chains exactly as
-            // the serial engine would (pushed here, routed to lanes in
-            // the partition below).
-            for host in 0..self.hosts.len() {
-                if let Some(interval) = self.hosts[host].holder_rebroadcast_interval() {
-                    self.push(self.now + interval, EvKind::Rebroadcast { host });
-                }
-            }
-            // Seed the open-loop arrival chains exactly as the serial
-            // engine would.
-            for host in 0..self.hosts.len() {
-                if let Some(at) = self.hosts[host].open_next_at() {
-                    self.push(at, EvKind::OpenArrival { host });
-                }
+    /// Seeds the self-rescheduling event chains: one hello tick per
+    /// live-election bridge device (on the timer ring), one holder
+    /// re-broadcast per host when that knob is on, one open-loop
+    /// arrival per host with an attached stream.
+    fn seed(&mut self, env: &Env) {
+        if let Some(interval) = self.ctrl.hello_interval() {
+            for device in 0..self.ctrl.tick_epochs.len() {
+                self.ctrl.ring_push(self.now + interval, device);
             }
         }
-
-        // Partition hosts (contiguous layout blocks) and media into
-        // lanes.
-        let nseg = self.segments.len();
-        let mut host_pool = std::mem::take(&mut self.hosts);
-        let mut blocks: Vec<Vec<HostSim>> = Vec::with_capacity(nseg);
-        for seg in (0..nseg).rev() {
-            blocks.push(host_pool.split_off(layout.members_range(seg).start));
+        for (host, h) in self.hosts.iter().enumerate() {
+            if let Some(interval) = h.holder_rebroadcast_interval() {
+                let at = self.now + interval;
+                self.events.push(at, EvKind::Rebroadcast { host }, env);
+            }
         }
-        blocks.reverse();
-        let ethers = std::mem::take(&mut self.segments);
-        let lanes: Vec<Mutex<Lane>> = ethers
-            .into_iter()
-            .zip(blocks)
-            .enumerate()
-            .map(|(seg, (ether, hosts))| {
+        for (host, h) in self.hosts.iter().enumerate() {
+            if let Some(at) = h.open_next_at() {
+                self.events.push(at, EvKind::OpenArrival { host }, env);
+            }
+        }
+    }
+
+    /// Cuts the hosts, media and pending events into `count` lanes: one
+    /// spanning everything, or one per segment.
+    fn cut(&mut self, count: usize) -> Vec<Mutex<Lane>> {
+        let mut lanes: Vec<Mutex<Lane>> = (0..count)
+            .rev()
+            .map(|i| {
+                let (seg_lo, lo) = match self.layout {
+                    Some(layout) if count > 1 => (i, layout.members_range(i).start),
+                    _ => (0, 0),
+                };
                 Mutex::new(Lane {
-                    seg,
-                    lo: layout.members_range(seg).start,
-                    hosts,
-                    ether,
-                    heap: BinaryHeap::new(),
-                    seq: 0,
+                    seg_lo,
+                    lo,
+                    hosts: self.hosts.split_off(lo),
+                    ethers: self.segments.split_off(seg_lo),
+                    q: Queue {
+                        seq: self.events.seq,
+                        ..Queue::default()
+                    },
                     now: self.now,
                     processed: 0,
-                    stats: EventStats::default(),
                     pickups: Vec::new(),
-                    exit: WindowExit::Ran,
+                    paused: None,
                 })
             })
             .collect();
-
-        // Route queued events (fabric injections; a previous run's
-        // leftovers) to their owning queue, preserving order.
-        let mut fabric = self.fabric.take();
-        let mut tick_epochs = std::mem::take(&mut self.tick_epochs);
-        let mut ctrl = Ctrl {
-            heap: BinaryHeap::new(),
-            ring: VecDeque::new(),
-            seq: 0,
-            stats: EventStats::default(),
-            processed: 0,
-            fabric: fabric.as_mut(),
-            tick_epochs: &mut tick_epochs,
-        };
-        let mut queued: Vec<Ev> = std::mem::take(&mut self.events).drain().collect();
-        // Fold the serial hello ring into the routing pass: its entries
-        // carry seqs from the same counter as the heap's, so one sort
-        // restores the global `(time, tier, seq)` order and routing in
-        // that order keeps the control ring sorted.
-        for (at, seq, device, epoch) in std::mem::take(&mut self.hello_ring) {
-            queued.push(Ev {
-                at,
-                tier: 0,
-                seq,
-                kind: EvKind::BridgeTick { device, epoch },
-            });
+        lanes.reverse();
+        // An event's tier names its segment, and keys keep their order
+        // wherever they are queued: no renumbering either way.
+        for ev in self.events.heap.drain() {
+            let seg = usize::from(ev.tier).saturating_sub(1);
+            lane_of(&lanes, seg).q.heap.push(ev);
         }
-        queued.sort_by_key(|e| (e.at, e.tier, e.seq));
-        for ev in queued {
-            match ev.kind {
-                EvKind::BurstEnd { host } => {
-                    lanes[layout.segment_of(host)]
-                        .lock()
-                        .push(ev.at, LKind::BurstEnd { host });
-                }
-                EvKind::Timer { host, proc } => {
-                    lanes[layout.segment_of(host)]
-                        .lock()
-                        .push(ev.at, LKind::Timer { host, proc });
-                }
-                EvKind::Retry { host, proc, epoch } => {
-                    lanes[layout.segment_of(host)]
-                        .lock()
-                        .push(ev.at, LKind::Retry { host, proc, epoch });
-                }
-                EvKind::Rebroadcast { host } => {
-                    lanes[layout.segment_of(host)]
-                        .lock()
-                        .push(ev.at, LKind::Rebroadcast { host });
-                }
-                EvKind::OpenArrival { host } => {
-                    lanes[layout.segment_of(host)]
-                        .lock()
-                        .push(ev.at, LKind::OpenArrival { host });
-                }
-                EvKind::Deliver { to, pkt } => {
-                    // Leftover deliveries land as segment-local masks;
-                    // a mask from the serial engine is always one
-                    // segment's members.
-                    let mask = to.to_mask(env.total_hosts);
-                    for (seg, lane) in lanes.iter().enumerate().take(nseg) {
-                        let local = mask.intersection(&layout.members(seg));
-                        if !local.is_empty() {
-                            lane.lock().push(
-                                ev.at,
-                                LKind::Deliver {
-                                    mask: local,
-                                    pkt: Arc::clone(&pkt),
-                                },
-                            );
-                        }
-                    }
-                }
-                EvKind::BridgeForward { from, dst, pkt } => {
-                    lanes[dst]
-                        .lock()
-                        .push(ev.at, LKind::BridgeForward { from, pkt });
-                }
-                EvKind::BridgeTick { device, epoch } => {
-                    ctrl.ring_push(ev.at, device, epoch);
-                }
-                EvKind::ControlDeliver { .. } | EvKind::Fabric(_) => {
-                    ctrl.push(ev.at, ev.kind);
-                }
+        lanes
+    }
+
+    /// Puts the lanes' hosts, media and remaining events back.
+    fn join(&mut self, lanes: Vec<Mutex<Lane>>) {
+        self.lane_events.clear();
+        let per_segment = lanes.len() > 1;
+        for lane in lanes {
+            let mut lane = lane.into_inner();
+            if per_segment {
+                self.lane_events.push(lane.processed);
             }
+            self.hosts.append(&mut lane.hosts);
+            self.segments.append(&mut lane.ethers);
+            self.events.heap.append(&mut lane.q.heap);
+            self.events.seq = self.events.seq.max(lane.q.seq);
+            self.events.stats.absorb(&lane.q.stats);
         }
+    }
 
-        // Initial dispatch, same order as the serial loop: ascending
-        // host index (lanes are contiguous ascending blocks).
+    /// Runs until every process is done or a limit trips; a run cut
+    /// short by a limit can be continued with another `run`.
+    ///
+    /// Under [`ParallelMode::Workers`] on a deployment that can be cut
+    /// along its segments, one lane per segment advances concurrently
+    /// on a worker pool (see the module docs for the synchronization
+    /// protocol and its two divergence caveats); otherwise one lane
+    /// runs the whole deployment on this thread.
+    pub fn run(&mut self, limits: RunLimits) -> RunOutcome {
+        let workers = self.workers();
+        let env = self.env(workers > 0);
+        if !self.seeded {
+            self.seeded = true;
+            self.seed(&env);
+        }
+        let lanes = self.cut(if workers > 0 { self.segments.len() } else { 1 });
+        // Initial dispatch in ascending host order (lanes are
+        // contiguous ascending blocks).
         for lane in &lanes {
             let mut lane = lane.lock();
             for host in lane.lo..lane.lo + lane.hosts.len() {
-                lane.kick(host);
+                lane.kick(host, &env);
             }
         }
-
-        let mut finished = false;
-        let mut final_now = self.now;
-        let pool_size = workers.min(nseg).max(1);
+        // One lane has the fabric in hand and needs no lookahead.
+        let lookahead = self.ctrl.fabric.as_ref().map(Fabric::forward_delay);
+        let lookahead = lookahead.filter(|_| workers > 0);
+        let deadline = SimTime::ZERO + limits.max_sim_time;
+        let mut observer = std::mem::take(&mut self.observer);
+        let ctrl = &mut self.ctrl;
+        ctrl.processed = 0;
+        let mut now = self.now;
+        let mut finished = lanes.iter().all(|l| l.lock().all_done());
+        let processed =
+            |ctrl: &Ctrl| ctrl.processed + lanes.iter().map(|l| l.lock().processed).sum::<u64>();
         let (task_tx, task_rx) = crossbeam::channel::unbounded::<Arc<WindowBatch>>();
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
-        let lanes_ref = &lanes;
-        let env_ref = &env;
         std::thread::scope(|s| {
-            for _ in 0..pool_size {
-                let task_rx = &task_rx;
-                let done_tx = &done_tx;
+            for _ in 0..workers {
+                let (task_rx, done_tx, lanes, env) = (&task_rx, &done_tx, &lanes, &env);
                 s.spawn(move || {
                     while let Ok(batch) = task_rx.recv() {
                         loop {
                             let i = batch.next.fetch_add(1, Ordering::Relaxed);
                             let Some(t) = batch.tasks.get(i) else { break };
-                            lanes_ref[t.lane]
+                            lanes[t.lane]
                                 .lock()
-                                .run_window(t.until, t.pausing, env_ref);
+                                .run_window(t.until, t.pausing, env, None);
                         }
                         if done_tx.send(()).is_err() {
                             break;
@@ -916,218 +911,90 @@ impl Simulation {
                     }
                 });
             }
-            let task_tx = task_tx; // moved in: dropped on loop exit, stopping the pool
-            loop {
-                // The globally earliest pending event.
-                let mut next_lane: Option<SimTime> = None;
-                for lane in lanes_ref {
-                    if let Some(t) = lane.lock().next_at() {
-                        next_lane = Some(next_lane.map_or(t, |m| m.min(t)));
-                    }
-                }
+            // Moved in: dropping the sender on the way out stops the pool.
+            let pool = Pool {
+                lanes: &lanes,
+                env: &env,
+                size: workers,
+                task_tx,
+                done_rx,
+            };
+            while !finished {
+                let next_lane = lanes.iter().filter_map(|l| l.lock().next_at()).min();
                 let next_ctrl = ctrl.next_at();
-                let Some(next) = [next_lane, next_ctrl].into_iter().flatten().min() else {
-                    break; // both queues drained
+                let Some(next) = next_lane.into_iter().chain(next_ctrl).min() else {
+                    break; // every queue drained
                 };
-                if next > deadline {
-                    final_now = final_now.max(next);
+                // Peek, never pop: the event that trips a limit stays
+                // queued for the `run` that continues this one.
+                let spent = processed(ctrl);
+                if next > deadline || spent >= limits.max_events {
+                    now = now.max(next);
                     break;
                 }
-                let mut processed_total = ctrl.processed;
-                for lane in lanes_ref {
-                    processed_total += lane.lock().processed;
-                }
-                if processed_total >= limits.max_events {
-                    final_now = final_now.max(next);
-                    break;
-                }
-                // Control plane first at an equal instant (serial ties
-                // resolve by sequence; see the module docs).
-                if next_ctrl.is_some_and(|c| c <= next_lane.unwrap_or(c)) {
-                    let c = next_ctrl.expect("checked");
-                    ctrl.run_instant(c, lanes_ref);
-                    final_now = final_now.max(c);
+                // Control plane first at an equal instant (tier 0).
+                if next_ctrl == Some(next) {
+                    ctrl.run_instant(next, &lanes, &env);
+                    now = now.max(next);
+                    sweep(&mut observer, &lanes, ctrl.fabric.as_mut(), now);
                     continue;
                 }
                 // Open the window.
-                let mut t_end = next + lookahead;
+                let mut t_end = deadline + SimDuration::from_nanos(1);
+                if let Some(delay) = lookahead {
+                    t_end = t_end.min(next + delay);
+                }
                 if let Some(c) = next_ctrl {
                     t_end = t_end.min(c);
                 }
-                t_end = t_end.min(deadline + SimDuration::from_nanos(1));
+                let mut whole = (workers == 0).then(|| Whole {
+                    fabric: ctrl.fabric.as_mut(),
+                    observer: &mut observer,
+                    budget: limits.max_events - ctrl.processed,
+                });
                 // Phase 1: lanes with unfinished processes run ahead,
                 // pausing at their own completion transition.
-                let mut batch = Vec::new();
-                for (i, lane) in lanes_ref.iter().enumerate() {
-                    let lane = lane.lock();
-                    if !lane.all_done() && lane.next_at().is_some_and(|t| t < t_end) {
-                        batch.push(Task {
-                            lane: i,
-                            until: t_end,
-                            pausing: true,
-                        });
-                    }
-                }
-                ctrl.stats.task_handoffs +=
-                    run_batch(lanes_ref, env_ref, &task_tx, &done_rx, pool_size, batch);
-                let mut all_done = true;
-                let mut paused: Vec<(usize, SimTime)> = Vec::new();
-                for (i, lane) in lanes_ref.iter().enumerate() {
+                let mut handoffs = pool.run(pool.pick(false, t_end, true), whole.as_mut());
+                let mut t_star = None;
+                finished = true;
+                for lane in &lanes {
                     let mut lane = lane.lock();
-                    if let WindowExit::Paused(at) = lane.exit {
-                        paused.push((i, at));
-                        lane.exit = WindowExit::Ran;
-                    }
-                    if !lane.all_done() {
-                        all_done = false;
-                    }
-                    final_now = final_now.max(lane.now);
+                    t_star = t_star.max(lane.paused.take());
+                    finished &= lane.all_done();
                 }
-                if all_done {
-                    // The run completed inside this window, at the last
-                    // lane's transition. Other lanes re-run the events
-                    // the serial schedule would still have processed
-                    // (strictly before T*), then everything stops.
-                    let (completer, t_star) = paused
-                        .iter()
-                        .copied()
-                        .max_by_key(|&(i, at)| (at, i))
-                        .expect("an all-done barrier follows a completion transition");
-                    let mut batch = Vec::new();
-                    for (i, lane) in lanes_ref.iter().enumerate() {
-                        if i == completer {
-                            continue;
-                        }
-                        if lane.lock().next_at().is_some_and(|t| t < t_star) {
-                            batch.push(Task {
-                                lane: i,
-                                until: t_star,
-                                pausing: false,
-                            });
-                        }
-                    }
-                    ctrl.stats.task_handoffs +=
-                        run_batch(lanes_ref, env_ref, &task_tx, &done_rx, pool_size, batch);
-                    ctrl.replay_pickups(lanes_ref);
-                    final_now = t_star;
-                    finished = true;
-                    break;
-                }
-                // Phase 2: some lane is still unfinished, so nothing
-                // stops inside this window — paused and already-done
-                // lanes catch up to the window end.
-                let mut batch = Vec::new();
-                for (i, lane) in lanes_ref.iter().enumerate() {
-                    let lane = lane.lock();
-                    if lane.all_done() && lane.next_at().is_some_and(|t| t < t_end) {
-                        batch.push(Task {
-                            lane: i,
-                            until: t_end,
-                            pausing: false,
-                        });
-                    }
-                }
-                if !batch.is_empty() {
-                    ctrl.stats.task_handoffs +=
-                        run_batch(lanes_ref, env_ref, &task_tx, &done_rx, pool_size, batch);
-                    for lane in lanes_ref {
-                        final_now = final_now.max(lane.lock().now);
-                    }
-                }
-                ctrl.replay_pickups(lanes_ref);
-                // The window barrier is the one point where no lane is
-                // mid-flight, so the cross-layer state is globally
-                // consistent: run the sampled invariant sweep here
-                // (invariants (a)–(d); a full sweep also runs after the
-                // lanes reassemble at the end of the run).
-                if observer.on_event() {
-                    let mut guards: Vec<_> = lanes_ref.iter().map(|l| l.lock()).collect();
-                    let mut hosts: Vec<&mut HostSim> =
-                        guards.iter_mut().flat_map(|g| g.hosts.iter_mut()).collect();
-                    observer.sweep_sampled(&mut hosts, ctrl.fabric.as_deref_mut(), final_now);
-                }
+                // A window in which every lane is done is the last: the
+                // run completed at the latest transition `T*`, and the
+                // other lanes re-run what a single heap would still
+                // have popped before it. Otherwise nothing stops inside
+                // this window, and paused and already-done lanes catch
+                // up to its end.
+                let until = if finished {
+                    t_star.expect("an all-done barrier follows a completion transition")
+                } else {
+                    t_end
+                };
+                handoffs += pool.run(pool.pick(true, until, false), whole.as_mut());
+                ctrl.q.stats.task_handoffs += handoffs;
+                now = if finished {
+                    until
+                } else {
+                    lanes.iter().fold(now, |now, l| now.max(l.lock().now))
+                };
+                ctrl.replay_pickups(&lanes, &env);
+                sweep(&mut observer, &lanes, ctrl.fabric.as_mut(), now);
             }
         });
-
-        // Reassemble the deployment: hosts and media back in place,
-        // remaining events re-merged in `(time, tier, sequence)` order —
-        // the engine's cross-queue tie rule.
-        let mut processed_total = ctrl.processed;
-        let mut leftovers: Vec<(SimTime, u16, u64, usize, LKind)> = Vec::new();
-        self.lane_events.clear();
-        for (i, lane) in lanes.into_iter().enumerate() {
-            let mut lane = lane.into_inner();
-            processed_total += lane.processed;
-            self.lane_events.push(lane.processed);
-            self.ev_stats.heap_pushes += lane.stats.heap_pushes;
-            self.ev_stats.delivery_pushes += lane.stats.delivery_pushes;
-            self.ev_stats.bridge_pushes += lane.stats.bridge_pushes;
-            self.ev_stats.control_pushes += lane.stats.control_pushes;
-            self.ev_stats.transits += lane.stats.transits;
-            self.ev_stats.max_heap_depth =
-                self.ev_stats.max_heap_depth.max(lane.stats.max_heap_depth);
-            for ev in lane.heap.drain() {
-                leftovers.push((ev.at, 1 + i as u16, ev.seq, lane.seg, ev.kind));
-            }
-            self.hosts.append(&mut lane.hosts);
-            self.segments.push(lane.ether);
-        }
-        self.ev_stats.heap_pushes += ctrl.stats.heap_pushes;
-        self.ev_stats.bridge_pushes += ctrl.stats.bridge_pushes;
-        self.ev_stats.control_pushes += ctrl.stats.control_pushes;
-        self.ev_stats.timer_ring_pushes += ctrl.stats.timer_ring_pushes;
-        self.ev_stats.task_handoffs += ctrl.stats.task_handoffs;
-        self.ev_stats.max_heap_depth = self.ev_stats.max_heap_depth.max(ctrl.stats.max_heap_depth);
-        let mut merged: Vec<(SimTime, u16, u64, EvKind)> = Vec::new();
-        for ev in ctrl.heap.drain() {
-            merged.push((ev.at, 0, ev.seq, ev.kind));
-        }
-        for (at, seq, device, epoch) in ctrl.ring.drain(..) {
-            merged.push((at, 0, seq, EvKind::BridgeTick { device, epoch }));
-        }
-        for (at, tier, seq, seg, kind) in leftovers {
-            let kind = match kind {
-                LKind::BurstEnd { host } => EvKind::BurstEnd { host },
-                LKind::Deliver { mask, pkt } => EvKind::Deliver {
-                    to: Recipients::Subset(mask),
-                    pkt,
-                },
-                LKind::BridgeForward { from, pkt } => EvKind::BridgeForward {
-                    from,
-                    dst: seg,
-                    pkt,
-                },
-                LKind::Timer { host, proc } => EvKind::Timer { host, proc },
-                LKind::Retry { host, proc, epoch } => EvKind::Retry { host, proc, epoch },
-                LKind::Rebroadcast { host } => EvKind::Rebroadcast { host },
-                LKind::OpenArrival { host } => EvKind::OpenArrival { host },
-            };
-            merged.push((at, tier, seq, kind));
-        }
-        merged.sort_by_key(|&(at, tier, seq, _)| (at, tier, seq));
-        for (at, _, _, kind) in merged {
-            let tier = self.tier_of(&kind);
-            let seq = self.seq;
-            self.seq += 1;
-            self.events.push(Ev {
-                at,
-                tier,
-                seq,
-                kind,
-            });
-        }
-        drop(ctrl);
-        self.fabric = fabric;
-        self.tick_epochs = tick_epochs;
-        self.now = final_now;
+        let events = processed(&self.ctrl);
+        self.join(lanes);
+        self.now = now;
         self.observer = observer;
         if self.observer.enabled() {
             self.check_invariants();
         }
         RunOutcome {
             finished,
-            wall: final_now - SimTime::ZERO,
-            events: processed_total,
+            wall: now - SimTime::ZERO,
+            events,
         }
     }
 }

@@ -20,10 +20,10 @@ fn main() {
         .unwrap_or(1);
     let cfg = OpenLoopConfig::seeded(seed);
     for scenario in [
-        OpenLoopScenario::tree_4x8(cfg.clone()),
-        OpenLoopScenario::tree_4x8(cfg.clone()).with_piggyback(),
-        OpenLoopScenario::mesh_16x16(cfg.clone()),
-        OpenLoopScenario::mesh_16x16(cfg.clone()).with_piggyback(),
+        OpenLoopScenario::tree_4x8(cfg),
+        OpenLoopScenario::tree_4x8(cfg).with_piggyback(),
+        OpenLoopScenario::mesh_16x16(cfg),
+        OpenLoopScenario::mesh_16x16(cfg).with_piggyback(),
     ] {
         let report = scenario.run(None);
         println!("{report}");

@@ -386,7 +386,7 @@ impl SoakScenario {
         let mut base = SoakScenario::large_from_seed(seed);
         // Distinct stream from both the regular and the large draw:
         // "FAULT" spelled in ASCII.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4641_554c_54);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0046_4155_4c54);
         let topo = base.shape.build();
         let devices = topo.bridges();
         let mut faults: Vec<(SimDuration, FabricEvent)> = Vec::new();

@@ -295,8 +295,9 @@ fn ring_failover_identical_under_serial_and_workers() {
 }
 
 #[test]
-fn ineligible_deployments_fall_back_to_serial() {
-    // Flat topology: Workers(4) must be exactly the serial schedule.
+fn uncuttable_deployments_run_as_one_lane() {
+    // Flat topology: nothing to cut along, so `Workers(n)` runs the one
+    // lane `Serial` does.
     let cfg = CountingConfig {
         target: 64,
         processes: 2,
@@ -310,6 +311,53 @@ fn ineligible_deployments_fall_back_to_serial() {
     };
     let build = || build_counting(Protocol::P1, &cfg, sim_cfg.clone());
     assert_golden("flat P1, lossy", build, limits, 0x7231_6d93_ad46_9e9a);
+}
+
+#[test]
+fn cut_and_resumed_run_equals_uninterrupted() {
+    // A run cut by `max_sim_time` keeps the event that tripped the limit
+    // queued, so running again continues the same schedule: however
+    // often it is cut, and whichever way each leg is cut into lanes
+    // (switching exercises dealing the pending events out to lanes and
+    // collecting them again), the end state is the uninterrupted run's.
+    let leg = |ms: u64| RunLimits {
+        max_sim_time: SimDuration::from_millis(ms),
+        ..RunLimits::default()
+    };
+    use ParallelMode::{Serial, Workers};
+    for protocol in [Protocol::P1, Protocol::P5] {
+        let uninterrupted = run_and_print(counting_pair(protocol, 48), Serial, leg(120_000));
+        assert!(uninterrupted.contains("finished=true"));
+        for cuts in [&[50][..], &[20, 70, 200], &[333]] {
+            for modes in [
+                [Serial, Serial],
+                [Workers(2), Workers(2)],
+                [Serial, Workers(2)],
+                [Workers(2), Serial],
+            ] {
+                let mut sim = counting_pair(protocol, 48);
+                let mut events = 0;
+                for (i, &cut) in cuts.iter().enumerate() {
+                    sim.set_parallel_mode(modes[i % 2]);
+                    let outcome = sim.run(leg(cut));
+                    assert!(!outcome.finished, "{protocol:?} finished by {cut} ms");
+                    events += outcome.events;
+                }
+                sim.set_parallel_mode(modes[cuts.len() % 2]);
+                let last = sim.run(leg(120_000));
+                let outcome = RunOutcome {
+                    events: events + last.events,
+                    ..last
+                };
+                let m = sim.metrics("det", outcome.finished, 1);
+                assert_eq!(
+                    fingerprint(&sim, &m, outcome),
+                    uninterrupted,
+                    "{protocol:?} cut at {cuts:?} ms under {modes:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -4,8 +4,7 @@
 //! additions instead of 1024) so criterion can sample it; the measured
 //! quantity is simulator throughput for that protocol shape. The
 //! full-scale tables with paper-side-by-side numbers come from
-//! `cargo run --release -p mether-bench --bin repro` and are recorded in
-//! EXPERIMENTS.md.
+//! `cargo run --release -p mether-bench --bin repro`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memnet::{CountingParams, MemNetProtocol, RingConfig};

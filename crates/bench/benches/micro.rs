@@ -9,7 +9,9 @@ use mether_core::{
     Effect, Generation, HostId, HostMask, MapMode, MetherConfig, Packet, PageBuf, PageHomePolicy,
     PageId, PageLength, PageTable, SegmentLayout, VAddr, View, WakeSet, Want,
 };
-use mether_net::{Bridge, BridgeConfig, FabricConfig, RequestRouting, SimDuration, SimTime};
+use mether_net::{
+    Bridge, BridgeConfig, Fabric, FabricConfig, RequestRouting, SimDuration, SimTime,
+};
 use mether_sim::{DeliveryMode, RunLimits};
 use mether_workloads::{build_fabric_readers, build_publisher_sim, build_segmented_publisher};
 use std::hint::black_box;
@@ -494,6 +496,14 @@ fn bench_fabric(c: &mut Criterion) {
         let views = t.fresh_views();
         b.iter(|| black_box(t.elect(&[], &views, 0)))
     });
+    g.bench_function("build_mesh16x16", |b| {
+        // `Fabric::new` on the 480-device mesh `ol-mesh` builds: one
+        // boot election shared by every device (480 private ones
+        // before PR 13).
+        let layout = SegmentLayout::new(256, 256).unwrap();
+        let cfg = FabricConfig::new(BridgeTopology::mesh2d(16, 16));
+        b.iter(|| black_box(Fabric::new(layout, cfg.clone())))
+    });
     g.bench_function("reconverge_ring_4x8", |b| {
         // A shortened failover run (8 writes, root killed 40 ms in) so
         // the bench iterates in reasonable wall time; the full
@@ -556,7 +566,7 @@ fn bench_scale(c: &mut Criterion) {
 /// mesh: the full per-destination recompute every belief change used to
 /// pay, against the incremental `elect_from` fast path that recognises
 /// an unchanged (root, forwarding) pair — the hello-chatter steady
-/// state — and skips straight to the previous tree.
+/// state — and says "keep the tree you hold" without copying it.
 fn bench_election(c: &mut Criterion) {
     use mether_core::BridgeTopology;
 
@@ -568,7 +578,7 @@ fn bench_election(c: &mut Criterion) {
         b.iter(|| black_box(t.elect(&[], &views, 0)))
     });
     g.bench_function("incremental_recompute_mesh16x16", |b| {
-        b.iter(|| black_box(t.elect_from(&[], &views, 0, Some(&prev))))
+        b.iter(|| black_box(t.elect_from(&[], &views, 0, &prev)))
     });
     g.finish();
 }
@@ -609,6 +619,18 @@ fn bench_observer(c: &mut Criterion) {
         let page = PageId::new(0);
         b.iter(|| {
             sim.subscribe_segment(page, 255);
+            sim.sweep_dirty();
+        });
+    });
+    g.bench_function("tree_consistency_16x16", |b| {
+        // One structural mark (a self-version re-asserted at its
+        // current value changes nothing but the dirty flag), swept: one
+        // device's structure block plus the cross-device elected-tree
+        // consistency pass of invariant (d), which is all but the whole
+        // of it.
+        b.iter(|| {
+            let fabric = sim.fabric_mut_for_test().expect("mesh fabric");
+            fabric.device_mut(0).policy_mut().set_self_version(0);
             sim.sweep_dirty();
         });
     });

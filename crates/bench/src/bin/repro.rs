@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Experiment names: `baseline`, `fig4`..`fig9`, `speedup`, `memnet`,
-//! `ablations`. Output is the paper's figure layout plus paper-reported
-//! values for side-by-side comparison; `EXPERIMENTS.md` records a full
-//! run.
+//! `ablations` (or `all`); an unknown name lists them on stderr and
+//! exits 2. Output is the paper's figure layout plus paper-reported
+//! values for side-by-side comparison.
 
 use memnet::{run_counting as memnet_run, CountingParams, MemNetProtocol};
 use mether_workloads::{
@@ -125,9 +125,39 @@ fn run_and_print(p: Protocol) {
     }
 }
 
+/// Every experiment `main` knows, in the order it runs them.
+const EXPERIMENTS: [&str; 10] = [
+    "baseline",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "speedup",
+    "memnet",
+    "ablations",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| *a != "all" && !EXPERIMENTS.contains(&a.as_str()))
+    {
+        eprintln!(
+            "repro: unknown experiment `{unknown}`; valid names: {}, all",
+            EXPERIMENTS.join(", ")
+        );
+        std::process::exit(2);
+    }
+    let want = |name: &str| {
+        debug_assert!(
+            EXPERIMENTS.contains(&name),
+            "`{name}` missing from EXPERIMENTS"
+        );
+        args.is_empty() || args.iter().any(|a| a == name || a == "all")
+    };
 
     if want("baseline") {
         println!("== §4 calibration baselines ==\n");
@@ -239,7 +269,7 @@ fn main() {
              \x20  patience protecting the holder, the page is granted away between a\n\
              \x20  process's read-check and its write — the paper's protocols never\n\
              \x20  lock the page, so the aggressive server breaks their atomicity\n\
-             \x20  assumption. See EXPERIMENTS.md.)"
+             \x20  assumption.)"
         );
         println!();
     }

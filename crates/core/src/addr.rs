@@ -413,7 +413,17 @@ impl HostMask {
     /// Panics if `lo > hi`.
     pub fn range(lo: usize, hi: usize) -> HostMask {
         assert!(lo <= hi, "inverted range {lo}..{hi}");
-        Self::all_below(hi).difference(&Self::all_below(lo))
+        // The bits of word `w` whose indices lie below `n`.
+        let below = |n: usize, w: usize| match n.saturating_sub(w * WORD_BITS) {
+            0 => 0,
+            k if k >= WORD_BITS => u64::MAX,
+            k => (1u64 << k) - 1,
+        };
+        let word = |w: usize| below(hi, w) & !below(lo, w);
+        if hi <= Self::INLINE_CAPACITY {
+            return HostMask(Repr::Inline([word(0), word(1)]));
+        }
+        Self::from_words_vec((0..hi.div_ceil(WORD_BITS)).map(word).collect())
     }
 
     /// Adds `i` to the set (idempotent), growing the representation as

@@ -475,18 +475,21 @@ impl BridgeTopology {
     /// # Panics
     ///
     /// Panics if `observer` is out of range or `views` has the wrong
-    /// length.
+    /// length. (A topology without devices elects the empty tree for
+    /// any observer.)
     pub fn elect(&self, priorities: &[u64], views: &[DeviceView], observer: usize) -> ActiveTree {
-        self.elect_from(priorities, views, observer, None)
+        self.elect_unless_same(priorities, views, observer, None)
+            .expect("with no previous tree every election is a change")
     }
 
-    /// [`BridgeTopology::elect`] with an incremental fast path: when the
-    /// election over `views` produces the same root and the same
-    /// per-device forwarding masks as `prev`, the expensive next-hop
-    /// derivation (one tree walk per destination segment) is skipped and
-    /// `prev` is returned as-is — the tables are a pure function of the
+    /// [`BridgeTopology::elect`] with an incremental fast path: `None`
+    /// when the election over `views` produces the same root and the
+    /// same per-device forwarding masks as `prev` — the caller keeps the
+    /// tree it holds, untouched and uncopied — and `Some(new tree)`
+    /// otherwise. The next-hop tables are a pure function of the
     /// forwarding ports, so an unchanged port map means unchanged
-    /// tables.
+    /// tables, and the expensive derivation (one tree walk per
+    /// destination segment) is skipped.
     ///
     /// This is the common case by a wide margin: every hello merge that
     /// bumps a version (without changing anyone's liveness or ports)
@@ -496,19 +499,41 @@ impl BridgeTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `observer` is out of range or `views` has the wrong
-    /// length.
+    /// As [`BridgeTopology::elect`].
     pub fn elect_from(
         &self,
         priorities: &[u64],
         views: &[DeviceView],
         observer: usize,
+        prev: &ActiveTree,
+    ) -> Option<ActiveTree> {
+        self.elect_unless_same(priorities, views, observer, Some(prev))
+    }
+
+    /// The election proper: `None` exactly when `prev` is given and the
+    /// elected tree equals it.
+    fn elect_unless_same(
+        &self,
+        priorities: &[u64],
+        views: &[DeviceView],
+        observer: usize,
         prev: Option<&ActiveTree>,
-    ) -> ActiveTree {
+    ) -> Option<ActiveTree> {
         let nb = self.bridges();
         let ns = self.segments;
-        assert!(observer < nb, "observer {observer} out of range");
         assert_eq!(views.len(), nb, "one view per device");
+        let same_as_prev = |root: Option<usize>, forwarding: &[HostMask]| {
+            prev.is_some_and(|p| p.root == root && p.forwarding == forwarding)
+        };
+        if nb == 0 {
+            // Nobody to elect: the empty tree, whoever asks.
+            return (!same_as_prev(None, &[])).then(|| ActiveTree {
+                root: None,
+                forwarding: Vec::new(),
+                next: Vec::new(),
+            });
+        }
+        assert!(observer < nb, "observer {observer} out of range");
         let prio = |d: usize| priorities.get(d).copied().unwrap_or(0);
         // A device participates on its live ports only (physical ports
         // minus injected/believed link failures).
@@ -523,16 +548,15 @@ impl BridgeTopology {
             .collect();
         if !alive[observer] {
             // A dead observer forwards nothing.
-            if let Some(prev) = prev {
-                if prev.root.is_none() && prev.forwarding.iter().all(HostMask::is_empty) {
-                    return prev.clone();
-                }
+            let forwarding = vec![HostMask::EMPTY; nb];
+            if same_as_prev(None, &forwarding) {
+                return None;
             }
-            return ActiveTree {
+            return Some(ActiveTree {
                 root: None,
-                forwarding: vec![HostMask::EMPTY; nb],
+                forwarding,
                 next: vec![vec![NO_HOP; ns]; nb],
-            };
+            });
         }
         let mut tree = ActiveTree {
             root: None,
@@ -617,10 +641,8 @@ impl BridgeTopology {
         }
         // The incremental fast path: same root, same forwarding ports —
         // the next-hop tables cannot differ, so skip their derivation.
-        if let Some(prev) = prev {
-            if prev.root == tree.root && prev.forwarding == tree.forwarding {
-                return prev.clone();
-            }
+        if same_as_prev(tree.root, &tree.forwarding) {
+            return None;
         }
         // Next-hop tables, derived from the forwarding ports alone: for
         // each destination, walk the active tree outward from it; the
@@ -652,7 +674,7 @@ impl BridgeTopology {
                 }
             }
         }
-        tree
+        Some(tree)
     }
 }
 
@@ -688,13 +710,20 @@ pub struct DeviceView {
 }
 
 impl DeviceView {
-    /// Merges `theirs` into `self`; returns true if `self` changed.
-    /// Higher version wins; at equal versions a death assertion beats a
-    /// liveness one (so an obituary is not lost to reordering).
-    pub fn merge(&mut self, theirs: &DeviceView) -> bool {
-        if theirs.version > self.version
+    /// Whether [`DeviceView::merge`] would replace `self` with `theirs`:
+    /// higher version wins; at equal versions a death assertion beats a
+    /// liveness one (so an obituary is not lost to reordering). Asked
+    /// separately so a holder of a *shared* view table can find out
+    /// before it takes the table mutably.
+    pub fn superseded_by(&self, theirs: &DeviceView) -> bool {
+        theirs.version > self.version
             || (theirs.version == self.version && self.alive && !theirs.alive)
-        {
+    }
+
+    /// Merges `theirs` into `self`; returns true if `self` changed (see
+    /// [`DeviceView::superseded_by`] for the rule).
+    pub fn merge(&mut self, theirs: &DeviceView) -> bool {
+        if self.superseded_by(theirs) {
             self.clone_from(theirs);
             true
         } else {
@@ -1037,12 +1066,15 @@ mod tests {
         for observer in [0, 3, 7] {
             let full: Vec<ActiveTree> = states.iter().map(|v| t.elect(&[], v, observer)).collect();
             for (i, views) in states.iter().enumerate() {
-                // No previous tree: identical to the full election.
-                assert_eq!(t.elect_from(&[], views, observer, None), full[i]);
                 for prev in &full {
+                    // `None` means "keep `prev`": either way the caller
+                    // ends up holding the full election's tree, and the
+                    // unchanged signal fires exactly when it is `prev`.
+                    let next = t.elect_from(&[], views, observer, prev);
+                    assert_eq!(next.is_none(), *prev == full[i]);
                     assert_eq!(
-                        t.elect_from(&[], views, observer, Some(prev)),
-                        full[i],
+                        next.as_ref().unwrap_or(prev),
+                        &full[i],
                         "observer {observer}, state {i}: incremental diverged"
                     );
                 }
@@ -1053,7 +1085,22 @@ mod tests {
         let mut chatter = states[0].clone();
         chatter[1].version += 2;
         let prev = t.elect(&[], &states[0], 0);
-        assert_eq!(t.elect_from(&[], &chatter, 0, Some(&prev)), prev);
+        assert_eq!(t.elect_from(&[], &chatter, 0, &prev), None);
+        // A dead observer's empty tree is recognised as unchanged too.
+        let mut gone = states[0].clone();
+        gone[0].alive = false;
+        let empty = t.elect(&[], &gone, 0);
+        assert_eq!(empty.root(), None);
+        assert_eq!(t.elect_from(&[], &gone, 0, &empty), None);
+        assert_eq!(t.elect_from(&[], &gone, 0, &prev), Some(empty));
+    }
+
+    #[test]
+    fn a_topology_without_devices_elects_the_empty_tree() {
+        let t = BridgeTopology::from_links(1, vec![]).unwrap();
+        let a = t.elect(&[], &t.fresh_views(), 0);
+        assert_eq!(a.root(), None);
+        assert_eq!(t.elect_from(&[], &[], 0, &a), None);
     }
 
     #[test]

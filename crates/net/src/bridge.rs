@@ -117,6 +117,32 @@
 //! device; the destination segment's own medium model then queues the
 //! frame like any other transmission, and the remaining devices on that
 //! segment hear it there.
+//!
+//! # Per fabric, per device
+//!
+//! Fabric-wide facts are computed once per fabric and shared, not
+//! replicated per device:
+//!
+//! * **Per fabric, always shared** — the wiring
+//!   (`Arc<BridgeTopology>`) and the configured priorities.
+//! * **Per fabric until a device diverges** — the [`BootState`]: the
+//!   optimistic everybody-alive views and the one tree they elect
+//!   (every observer of a validated connected graph elects the same
+//!   one). [`Fabric::new`] computes it once, every device boots on it
+//!   by reference, and every cold revival boots on it again — no
+//!   constructor elects per device. A device's view table and its
+//!   active tree are held copy-on-write: the table is copied the first
+//!   time one of *this* device's beliefs really changes (a merged
+//!   hello is compared before anything is written), and the tree is
+//!   replaced — never edited — when a re-election lands on a different
+//!   one; a re-election that finds root and forwarding masks unchanged
+//!   keeps the tree it has. Under [`ElectionMode::Static`] nothing
+//!   ever diverges: a 480-device mesh carries one tree and one view
+//!   table, not 480.
+//! * **Per device, always private** — the page filters (learned
+//!   interest, pins, stamps, holder beliefs), neighbour liveness stamps
+//!   and hold-downs, the election epoch, gossip watermarks, counters,
+//!   and the engine's backlog and fault-injection RNG.
 
 use crate::time::{SimDuration, SimTime};
 use mether_core::{
@@ -694,16 +720,20 @@ pub struct BridgePolicy {
     reply_grace: Option<SimDuration>,
     election: ElectionMode,
     priorities: Arc<Vec<u64>>,
-    /// This device's beliefs about every device (itself included).
-    views: Vec<DeviceView>,
+    /// This device's beliefs about every device (itself included):
+    /// the fabric's one boot table until a belief of *this* device
+    /// really changes, its own copy from then on.
+    views: Arc<Vec<DeviceView>>,
     /// When each *neighbour* device (sharing ≥ 1 segment) was last
     /// heard from; the hello-timeout input.
     last_heard: Vec<SimTime>,
     /// Per own-port-index: data embargo until this time (the listening
     /// hold-down after a Blocked→Forwarding transition).
     hold_until: Vec<SimTime>,
-    /// The active forwarding tree this device currently routes on.
-    active: ActiveTree,
+    /// The active forwarding tree this device currently routes on —
+    /// shared with every device that elected the same one at boot,
+    /// replaced (never edited) when a re-election changes it.
+    active: Arc<ActiveTree>,
     /// Election generation: bumped every time the active tree changes.
     epoch: u64,
     /// Belief-quality counters (merged into [`BridgeStats`]).
@@ -742,10 +772,44 @@ pub struct BridgePolicy {
 /// Default anti-entropy window width (unchanged entries per delta hello).
 const GOSSIP_WINDOW: usize = 8;
 
+/// What every device of one fabric boots from, computed **once per
+/// fabric** and shared: the wiring, the configured priorities, the
+/// optimistic everybody-alive views ([`BridgeTopology::fresh_views`])
+/// and the one tree they elect. The wiring is a validated connected
+/// graph, so every observer of those views elects the identical tree —
+/// there is nothing per-device to compute at a cold boot or a cold
+/// revival, and nothing to copy until a device's beliefs diverge (see
+/// the module docs, "Per fabric, per device").
+#[derive(Debug)]
+pub struct BootState {
+    topology: Arc<BridgeTopology>,
+    priorities: Arc<Vec<u64>>,
+    views: Arc<Vec<DeviceView>>,
+    active: Arc<ActiveTree>,
+}
+
+impl BootState {
+    /// The boot state of a fabric wired as `topology` with per-device
+    /// bridge `priorities` (lower wins; missing entries default to 0):
+    /// the fabric's one cold election.
+    pub fn new(topology: Arc<BridgeTopology>, priorities: Vec<u64>) -> Self {
+        let views = topology.fresh_views();
+        let active = topology.elect(&priorities, &views, 0);
+        BootState {
+            topology,
+            priorities: Arc::new(priorities),
+            views: Arc::new(views),
+            active: Arc::new(active),
+        }
+    }
+}
+
 impl BridgePolicy {
     /// The filter of device `device` of `topology`, over `layout`, with
-    /// pages homed by `homes` — static election, the PR 4-compatible
-    /// default. Fabric construction paths use [`BridgePolicy::for_device`].
+    /// pages homed by `homes` — static election, uniform priorities, a
+    /// boot state of its own: the PR 4-compatible stand-alone device.
+    /// Fabrics share one [`BootState`] through
+    /// [`BridgePolicy::for_device`].
     ///
     /// # Panics
     ///
@@ -759,63 +823,31 @@ impl BridgePolicy {
         routing: RequestRouting,
         aging: AgeHorizon,
     ) -> Self {
-        assert_eq!(
-            topology.segments(),
-            layout.segments(),
-            "topology and layout disagree on the segment count"
-        );
-        assert!(device < topology.bridges(), "device {device} out of range");
-        let ports_mask = topology.ports(device).iter().copied().collect();
-        let nports = topology.ports(device).len();
-        let views = topology.fresh_views();
-        let priorities = Arc::new(Vec::new());
-        let active = topology.elect(&priorities, &views, device);
-        BridgePolicy {
-            layout,
-            topology,
-            device,
-            ports_mask,
-            homes,
-            routing,
-            aging,
-            reply_grace: None,
-            election: ElectionMode::Static,
-            priorities,
-            views,
-            last_heard: vec![SimTime::ZERO; 0],
-            hold_until: vec![SimTime::ZERO; nports],
-            active,
-            epoch: 0,
-            belief_hits: 0,
-            belief_fallback_floods: 0,
-            belief_repairs: 0,
-            pages: Vec::new(),
-            clock: 0,
-            dirty_pages: Vec::new(),
-            dirty_struct: false,
-            gossip_deltas: false,
-            last_gossiped: Vec::new(),
-            gossip_cursor: 0,
-            gossip_window: GOSSIP_WINDOW,
-        }
+        let cfg = FabricConfig::new(BridgeTopology::clone(&topology))
+            .with_homes(homes)
+            .with_routing(routing)
+            .with_aging(aging);
+        Self::for_device(layout, &BootState::new(topology, Vec::new()), device, &cfg)
     }
 
-    /// The filter of one device of a [`FabricConfig`]'s fabric: like
-    /// [`BridgePolicy::new`] but with the config's election mode and
-    /// the fabric's shared priorities, electing the initial active tree
-    /// exactly once. The constructor [`Fabric`] and the runtime's
-    /// bridge threads use.
+    /// The filter of one device of a fabric, booted from the fabric's
+    /// shared `boot` state with `cfg`'s homes, routing, aging, grace,
+    /// election mode and gossip settings. **The** constructor: a first
+    /// boot and a cold revival both come through here, and neither
+    /// elects — the device starts on the boot tree and the boot views,
+    /// by reference.
     ///
     /// # Panics
     ///
-    /// As [`BridgePolicy::new`].
+    /// Panics if `device` is out of range or the topology's segment
+    /// count differs from the layout's.
     pub fn for_device(
         layout: SegmentLayout,
-        topology: Arc<BridgeTopology>,
+        boot: &BootState,
         device: usize,
         cfg: &FabricConfig,
-        priorities: Arc<Vec<u64>>,
     ) -> Self {
+        let topology = &boot.topology;
         assert_eq!(
             topology.segments(),
             layout.segments(),
@@ -824,11 +856,9 @@ impl BridgePolicy {
         assert!(device < topology.bridges(), "device {device} out of range");
         let ports_mask = topology.ports(device).iter().copied().collect();
         let nports = topology.ports(device).len();
-        let views = topology.fresh_views();
-        let active = topology.elect(&priorities, &views, device);
         BridgePolicy {
             layout,
-            topology: Arc::clone(&topology),
+            topology: Arc::clone(topology),
             device,
             ports_mask,
             homes: cfg.homes.clone(),
@@ -836,11 +866,11 @@ impl BridgePolicy {
             aging: cfg.aging,
             reply_grace: cfg.reply_grace,
             election: cfg.election,
-            priorities,
-            views,
+            priorities: Arc::clone(&boot.priorities),
+            views: Arc::clone(&boot.views),
             last_heard: vec![SimTime::ZERO; topology.bridges()],
             hold_until: vec![SimTime::ZERO; nports],
-            active,
+            active: Arc::clone(&boot.active),
             epoch: 0,
             belief_hits: 0,
             belief_fallback_floods: 0,
@@ -931,6 +961,13 @@ impl BridgePolicy {
     /// its own self-view).
     pub fn self_live_ports(&self) -> HostMask {
         self.ports_mask.intersection(&self.views[self.device].ports)
+    }
+
+    /// Whether `seg` is one of [`BridgePolicy::self_live_ports`], by
+    /// borrow — the per-frame question the pickup loop asks of every
+    /// device on a segment, which must not build a mask to answer.
+    pub(crate) fn port_is_live(&self, seg: usize) -> bool {
+        self.ports_mask.contains(seg) && self.views[self.device].ports.contains(seg)
     }
 
     /// The home segment of `page`.
@@ -1383,7 +1420,7 @@ impl BridgePolicy {
         Packet::BridgePdu {
             from: HostId(BRIDGE_HOST_BASE + self.device as u16),
             device: self.device as u16,
-            views: self.views.clone(),
+            views: self.views.to_vec(),
         }
     }
 
@@ -1489,22 +1526,28 @@ impl BridgePolicy {
     }
 
     /// Merges one gossiped view into this device's belief table.
-    /// Returns whether anything changed.
+    /// Returns whether anything changed. Compares before it writes: the
+    /// table may be the fabric's shared one, and hearing nothing new
+    /// must not copy it.
     fn merge_gossiped(&mut self, d: usize, theirs: &DeviceView) -> bool {
+        let mine = &self.views[d];
         if d == self.device {
             // Self-defence: a circulating obituary (or stale port
             // set) about us is rebutted with a higher version — a
             // live device always out-versions its own death.
-            let mine = &mut self.views[d];
             if theirs.version >= mine.version && (!theirs.alive || theirs.ports != mine.ports) {
-                mine.version = theirs.version + 1;
+                Arc::make_mut(&mut self.views)[d].version = theirs.version + 1;
                 return true;
             }
             return false;
         }
         // The sender vouches for itself at least as strongly as its
         // own entry says; ordinary merge covers that too.
-        self.views[d].merge(theirs)
+        if !mine.superseded_by(theirs) {
+            return false;
+        }
+        Arc::make_mut(&mut self.views)[d].clone_from(theirs);
+        true
     }
 
     /// One hello-cadence tick at `now`: declares any neighbour silent
@@ -1533,7 +1576,7 @@ impl BridgePolicy {
                 continue;
             }
             if now.since(self.last_heard[d]) > hello_timeout {
-                let v = &mut self.views[d];
+                let v = &mut Arc::make_mut(&mut self.views)[d];
                 v.version += 1; // the odd obituary version
                 v.alive = false;
                 out.view_changed = true;
@@ -1559,7 +1602,7 @@ impl BridgePolicy {
             "device {} has no port on segment {segment}",
             self.device
         );
-        let v = &mut self.views[self.device];
+        let v = &mut Arc::make_mut(&mut self.views)[self.device];
         v.ports.remove(segment);
         v.version += 2;
         self.dirty_struct = true;
@@ -1585,7 +1628,7 @@ impl BridgePolicy {
             "device {} has no port on segment {segment}",
             self.device
         );
-        let v = &mut self.views[self.device];
+        let v = &mut Arc::make_mut(&mut self.views)[self.device];
         v.ports.insert(segment);
         v.version += 2;
         self.dirty_struct = true;
@@ -1600,7 +1643,11 @@ impl BridgePolicy {
     /// (`2 × restarts` keeps it even and strictly above the odd
     /// obituary of every previous life).
     pub fn set_self_version(&mut self, version: u64) {
-        self.views[self.device].version = version;
+        // A first boot asserts the version the shared boot views
+        // already carry; only a revival has something to write.
+        if self.views[self.device].version != version {
+            Arc::make_mut(&mut self.views)[self.device].version = version;
+        }
         self.dirty_struct = true;
     }
 
@@ -1610,18 +1657,16 @@ impl BridgePolicy {
     /// just started forwarding. Returns whether the tree changed.
     fn recompute(&mut self, now: SimTime) -> bool {
         // Incremental: hello chatter re-elects constantly, and almost
-        // always lands on the identical tree — elect_from skips the
-        // per-destination table derivation whenever the forwarding
-        // ports match the active tree's.
-        let new = self.topology.elect_from(
-            &self.priorities,
-            &self.views,
-            self.device,
-            Some(&self.active),
-        );
-        if new == self.active {
+        // always lands on the identical tree — elect_from then skips
+        // the per-destination table derivation and says so, and the
+        // tree this device holds (often still the fabric's shared one)
+        // stays where it is.
+        let Some(new) =
+            self.topology
+                .elect_from(&self.priorities, &self.views, self.device, &self.active)
+        else {
             return false;
-        }
+        };
         let old_fwd = self.active.forwarding(self.device);
         let new_fwd = new.forwarding(self.device);
         let changed_roles = old_fwd.symmetric_difference(&new_fwd);
@@ -1634,7 +1679,7 @@ impl BridgePolicy {
                 }
             }
         }
-        self.active = new;
+        self.active = Arc::new(new);
         self.epoch += 1;
         self.dirty_struct = true;
         true
@@ -1850,13 +1895,14 @@ pub struct ControlOut {
 #[derive(Debug)]
 pub struct Fabric {
     layout: SegmentLayout,
-    topology: Arc<BridgeTopology>,
     /// The construction config, kept whole so revivals rebuild devices
     /// from exactly what the fabric was built from. (Its `topology`
-    /// and `priorities` are also shared out through the `Arc`s below —
-    /// those are the copies the per-device policies hold.)
+    /// and `priorities` are also shared out through `boot` — those are
+    /// the copies the per-device policies hold.)
     cfg: FabricConfig,
-    priorities: Arc<Vec<u64>>,
+    /// What every device boots from, at construction and at every cold
+    /// revival: the fabric's one election, shared by reference.
+    boot: BootState,
     devices: Vec<Bridge>,
     /// Injected liveness, indexed by device. A dead device neither
     /// forwards nor speaks.
@@ -1890,20 +1936,19 @@ pub struct Fabric {
 impl Fabric {
     /// Builds the fabric over `layout` from `cfg`: one [`Bridge`] per
     /// device of the topology, each with its own filter, backlog, and
-    /// fault-injection RNG (seeded `cfg.bridge.seed + device`).
+    /// fault-injection RNG (seeded `cfg.bridge.seed + device`), all
+    /// booted from the one [`BootState`] elected here.
     ///
     /// # Panics
     ///
     /// Panics if the topology's segment count differs from the layout's.
     pub fn new(layout: SegmentLayout, cfg: FabricConfig) -> Self {
-        let topology = Arc::new(cfg.topology.clone());
-        let priorities = Arc::new(cfg.priorities.clone());
-        let n = topology.bridges();
+        let boot = BootState::new(Arc::new(cfg.topology.clone()), cfg.priorities.clone());
+        let n = boot.topology.bridges();
         let mut fabric = Fabric {
             layout,
-            topology,
             cfg,
-            priorities,
+            boot,
             devices: Vec::with_capacity(n),
             dead: vec![false; n],
             restarts: vec![0; n],
@@ -1926,13 +1971,7 @@ impl Fabric {
     /// its self-assertion (0 at first boot, `2 × restarts` on a
     /// revival), `lost_ports` re-applies injected link failures.
     fn build_device(&self, device: usize, self_version: u64, lost_ports: HostMask) -> Bridge {
-        let mut policy = BridgePolicy::for_device(
-            self.layout,
-            Arc::clone(&self.topology),
-            device,
-            &self.cfg,
-            Arc::clone(&self.priorities),
-        );
+        let mut policy = BridgePolicy::for_device(self.layout, &self.boot, device, &self.cfg);
         policy.set_self_version(self_version);
         for seg in lost_ports {
             let _ = policy.kill_port(seg, SimTime::ZERO);
@@ -1944,7 +1983,7 @@ impl Fabric {
 
     /// The graph the fabric is wired as.
     pub fn topology(&self) -> &BridgeTopology {
-        &self.topology
+        &self.boot.topology
     }
 
     /// The election mode the fabric runs.
@@ -2040,16 +2079,12 @@ impl Fabric {
         let mut out = Vec::new();
         // Incident-device order is ascending, so the event schedule is
         // deterministic.
-        for i in 0..self.topology.bridges_on(seg).len() {
-            let device = self.topology.bridges_on(seg)[i];
+        for i in 0..self.boot.topology.bridges_on(seg).len() {
+            let device = self.boot.topology.bridges_on(seg)[i];
             if Some(device) == exclude || self.dead[device] {
                 continue;
             }
-            if !self.devices[device]
-                .policy()
-                .self_live_ports()
-                .contains(seg)
-            {
+            if !self.devices[device].policy().port_is_live(seg) {
                 continue; // the attachment itself failed (LinkDown)
             }
             for (dst, exit) in self.devices[device].pickup(pkt, seg, arrival) {
@@ -2112,12 +2147,12 @@ impl Fabric {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for i in 0..self.topology.bridges_on(seg).len() {
-            let d = self.topology.bridges_on(seg)[i];
+        for i in 0..self.boot.topology.bridges_on(seg).len() {
+            let d = self.boot.topology.bridges_on(seg)[i];
             if d == from_device || self.dead[d] {
                 continue;
             }
-            if !self.devices[d].policy().self_live_ports().contains(seg) {
+            if !self.devices[d].policy().port_is_live(seg) {
                 continue;
             }
             let policy = self.devices[d].policy_mut();
@@ -2427,7 +2462,8 @@ mod tests {
         let cfg = FabricConfig::chain(segs)
             .with_gossip_deltas()
             .with_gossip_window(window);
-        let mut p = BridgePolicy::for_device(layout, topology, 0, &cfg, Arc::new(Vec::new()));
+        let mut p =
+            BridgePolicy::for_device(layout, &BootState::new(topology, Vec::new()), 0, &cfg);
         let mut covered = vec![false; n];
         for hello in 1..=n {
             let Packet::BridgePduDelta { entries, .. } = p.pdu_for_emission() else {

@@ -39,8 +39,9 @@ pub mod stats;
 pub mod time;
 
 pub use bridge::{
-    AgeHorizon, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ControlOut, ElectionMode, Fabric,
-    FabricConfig, FabricEvent, Forward, PduOutcome, RequestRouting, BRIDGE_HOST_BASE,
+    AgeHorizon, BootState, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ControlOut,
+    ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PduOutcome, RequestRouting,
+    BRIDGE_HOST_BASE,
 };
 pub use sim::{EtherConfig, EtherSim};
 pub use stats::NetStats;

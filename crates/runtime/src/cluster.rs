@@ -78,7 +78,7 @@
 
 use crate::node::Node;
 use mether_core::{HostId, MetherConfig, Packet, PageId, SegmentLayout};
-use mether_net::bridge::{BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
+use mether_net::bridge::{BootState, BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
 use mether_net::rt::{Endpoint, Lan, LanConfig};
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration, SimTime};
 use parking_lot::Mutex;
@@ -205,7 +205,9 @@ struct BridgeThreads {
     lans: Vec<Lan>,
     layout: SegmentLayout,
     fabric: FabricConfig,
-    priorities: Arc<Vec<u64>>,
+    /// What every bridge thread's policy boots from, first spawn and
+    /// every restart alike: one wiring, one election per cluster.
+    boot: BootState,
     /// Wall-clock epoch of the cluster: bridge threads translate
     /// `Instant` elapsed into `SimTime` for the shared, transport-free
     /// policy (1 wall-ns ≙ 1 sim-ns).
@@ -231,7 +233,7 @@ impl BridgeThreads {
             lans: lans.to_vec(),
             layout,
             fabric: fabric.clone(),
-            priorities: Arc::new(fabric.priorities.clone()),
+            boot: BootState::new(Arc::new(fabric.topology.clone()), fabric.priorities.clone()),
             start: Instant::now(),
             devices: Vec::new(),
             stats: (0..n)
@@ -269,14 +271,7 @@ impl BridgeThreads {
     /// revival stay lost: the fresh policy re-severs them before the
     /// first hello.
     fn spawn_device(&self, device: usize, restarts: u64) -> DeviceSlot {
-        let topology = Arc::new(self.fabric.topology.clone());
-        let mut p = BridgePolicy::for_device(
-            self.layout,
-            Arc::clone(&topology),
-            device,
-            &self.fabric,
-            Arc::clone(&self.priorities),
-        );
+        let mut p = BridgePolicy::for_device(self.layout, &self.boot, device, &self.fabric);
         p.set_self_version(2 * restarts);
         if restarts > 0 {
             p.rejoin(self.now());

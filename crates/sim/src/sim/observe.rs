@@ -42,7 +42,15 @@
 //! exactly *and* sit in the same view-induced component have elected
 //! identical active trees (the election is a deterministic function of
 //! the views, restricted to the electing device's partition — islands
-//! of a cut fabric each elect their own tree).
+//! of a cut fabric each elect their own tree). The sweep does that work
+//! once per group, not once per device: devices are sorted into classes
+//! of equal view tables, each class's components are labelled in one
+//! pass over the wiring, and every device is compared with the single
+//! representative of its (views, component) group. A fabric shares its
+//! boot views and boot tree by reference (`mether_net::bridge`, "Per
+//! fabric, per device"), so both comparisons try address identity
+//! before value equality — on a fabric that never diverged the whole
+//! check is two pointer tests per device and one labelling.
 //!
 //! **(e) Lane/window invariants** — no lane ever pops time backwards,
 //! which under [`ParallelMode::Workers`](super::ParallelMode) is the
@@ -96,7 +104,7 @@
 //! effective stride.
 
 use crate::host::HostSim;
-use mether_core::{BridgeTopology, DeviceView, Generation, HostMask, PageId};
+use mether_core::{BridgeTopology, DeviceView, Generation, PageId};
 use mether_net::{Fabric, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -127,9 +135,11 @@ pub struct ObserverStats {
     pub effective_stride: u64,
 }
 
-/// True when devices `a` and `b` sit in the same connected component of
-/// the fabric graph induced by `views` — alive devices joined through
-/// their live ports (physical ∩ view port set).
+/// Labels every device with the connected component it sits in on the
+/// fabric graph induced by `views` — alive devices joined through
+/// their live ports (physical ∩ view port set) — in one pass over the
+/// wiring. `None` for a device that is dead or portless in `views`: it
+/// shares a component with nobody.
 ///
 /// The election computes the spanning tree of the *electing device's*
 /// component, so two view-identical devices must agree on the tree only
@@ -137,39 +147,35 @@ pub struct ObserverStats {
 /// sides may hold byte-identical views (the same obituaries and port
 /// sets, gossiped before the cut or derived independently) yet each
 /// correctly elects the tree of its own island.
-fn same_component(topology: &BridgeTopology, views: &[DeviceView], a: usize, b: usize) -> bool {
-    let nb = topology.bridges();
-    let live: Vec<HostMask> = (0..nb)
-        .map(|d| {
-            let physical: HostMask = topology.ports(d).iter().copied().collect();
-            physical.intersection(&views[d].ports)
-        })
-        .collect();
-    let alive: Vec<bool> = (0..nb)
-        .map(|d| views[d].alive && !live[d].is_empty())
-        .collect();
-    if !alive[a] || !alive[b] {
-        return false;
-    }
-    let mut seen_b = vec![false; nb];
+fn component_labels(topology: &BridgeTopology, views: &[DeviceView]) -> Vec<Option<u32>> {
+    let live = |d: usize, s: usize| views[d].ports.contains(s);
+    let alive = |d: usize| views[d].alive && topology.ports(d).iter().any(|&s| live(d, s));
+    let mut labels = vec![None; topology.bridges()];
     let mut seen_s = vec![false; topology.segments()];
-    seen_b[a] = true;
-    let mut queue = vec![a];
-    while let Some(x) = queue.pop() {
-        for s in &live[x] {
-            if seen_s[s] {
-                continue;
-            }
-            seen_s[s] = true;
-            for (y, seen) in seen_b.iter_mut().enumerate() {
-                if !*seen && alive[y] && live[y].contains(s) {
-                    *seen = true;
-                    queue.push(y);
+    let mut components = 0u32;
+    for start in 0..topology.bridges() {
+        if labels[start].is_some() || !alive(start) {
+            continue;
+        }
+        labels[start] = Some(components);
+        let mut queue = vec![start];
+        while let Some(x) = queue.pop() {
+            for &s in topology.ports(x) {
+                if seen_s[s] || !live(x, s) {
+                    continue;
+                }
+                seen_s[s] = true;
+                for &y in topology.bridges_on(s) {
+                    if labels[y].is_none() && alive(y) && live(y, s) {
+                        labels[y] = Some(components);
+                        queue.push(y);
+                    }
                 }
             }
         }
+        components += 1;
     }
-    seen_b[b]
+    labels
 }
 
 /// Cross-layer invariant checker with monotonicity watermarks.
@@ -666,39 +672,93 @@ impl Observer {
 }
 
 /// Invariant (d) determinism: live devices with identical gossiped
-/// views *in the same component* must have elected identical trees.
-/// Compare each device against one representative per distinct
-/// (views, component) class — view-identical devices separated by a
-/// partition legitimately elect their own islands' trees. Returns the
-/// number of states scanned.
+/// views *in the same component* must have elected identical trees —
+/// view-identical devices separated by a partition legitimately elect
+/// their own islands' trees. Devices are first sorted into classes of
+/// equal view tables (the very same table, by address, before any
+/// element is compared: a fabric that never diverged is one class at
+/// one pointer test per device); a class is labelled by component
+/// **once**, when its second member turns up; and each device's tree is
+/// then held against the one representative of its (views, component)
+/// group, again by address before by value. Returns the number of
+/// states scanned.
 fn check_tree_consistency(fabric: &Fabric, now: SimTime) -> u64 {
+    /// The live devices holding one (value of the) view table.
+    struct ViewClass<'a> {
+        views: &'a [DeviceView],
+        /// The first member seen of each component so far.
+        reps: Vec<usize>,
+        /// `component_labels(views)`, from the second member on.
+        labels: Option<Vec<Option<u32>>>,
+    }
     let topology = fabric.topology();
-    let rep: Vec<usize> = (0..fabric.device_count())
-        .filter(|&d| !fabric.is_dead(d))
-        .collect();
-    let mut groups: Vec<usize> = Vec::new();
-    for &d in &rep {
+    let mut classes: Vec<ViewClass> = Vec::new();
+    let mut cost = 0u64;
+    for d in (0..fabric.device_count()).filter(|&d| !fabric.is_dead(d)) {
         let policy = fabric.device(d).policy();
-        if !policy.views()[d].alive {
+        let views = policy.views();
+        if !views[d].alive {
             continue; // a device dead in its own view elects nothing
         }
-        let mut matched = false;
-        for &g in &groups {
-            let gp = fabric.device(g).policy();
-            if gp.views() == policy.views() && same_component(topology, policy.views(), g, d) {
-                assert!(
-                    gp.active() == policy.active(),
-                    "invariant (d): devices {g} and {d} share identical \
-                     views and a component but elected different active \
-                     trees at {now}"
-                );
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            groups.push(d);
-        }
+        cost += 1 + classes.len() as u64;
+        let Some(class) = classes
+            .iter_mut()
+            .find(|c| std::ptr::eq(c.views, views) || c.views == views)
+        else {
+            classes.push(ViewClass {
+                views,
+                reps: vec![d],
+                labels: None,
+            });
+            continue;
+        };
+        let labels = class.labels.get_or_insert_with(|| {
+            cost += (topology.bridges() + topology.segments()) as u64;
+            component_labels(topology, views)
+        });
+        let peer = labels[d].and_then(|l| class.reps.iter().find(|&&g| labels[g] == Some(l)));
+        let Some(&g) = peer else {
+            class.reps.push(d);
+            continue;
+        };
+        let elected = fabric.device(g).policy().active();
+        assert!(
+            std::ptr::eq(elected, policy.active()) || elected == policy.active(),
+            "invariant (d): devices {g} and {d} share identical \
+             views and a component but elected different active \
+             trees at {now}"
+        );
     }
-    (rep.len() * groups.len().max(1) * fabric.device_count()) as u64
+    cost
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one-pass labelling against the definition it replaced a
+    /// per-pair search with: two devices share a label exactly when both
+    /// are alive with a live port and a walk over live ports joins them.
+    #[test]
+    fn component_labels_partition_a_cut_ring() {
+        // Ring of 4 (device i joins segments i and i+1 mod 4): device 0
+        // is dead and device 1 has lost its port on segment 2, so
+        // device 1 is an island on segment 1 while 2 and 3 still meet
+        // on segment 3.
+        let t = BridgeTopology::ring(4);
+        let mut views = t.fresh_views();
+        views[0].alive = false;
+        views[1].ports.remove(2);
+        let labels = component_labels(&t, &views);
+        assert_eq!(labels[0], None, "the dead share a component with nobody");
+        assert!(labels[1].is_some() && labels[2].is_some());
+        assert_ne!(labels[1], labels[2], "cut apart");
+        assert_eq!(labels[2], labels[3], "still joined on segment 3");
+        // A device with no live port left is as good as dead.
+        views[1].ports.remove(1);
+        assert_eq!(component_labels(&t, &views)[1], None);
+        // Healthy: one component.
+        let healthy = component_labels(&t, &t.fresh_views());
+        assert!(healthy.iter().all(|&l| l == Some(0)));
+    }
 }

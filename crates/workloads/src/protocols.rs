@@ -219,7 +219,7 @@ pub fn run_paper_protocol(protocol: Protocol) -> ProtocolMetrics {
         // completed the full count. (Left to run, it takes ~173 s — the
         // worst of all protocols; the paper's total divergence came from
         // UDP drops under the packet storm, which a loss-free closed-loop
-        // model bounds. See EXPERIMENTS.md.)
+        // model bounds; `repro fig6` prints the cut-off run.)
         Protocol::P3 => RunLimits {
             max_sim_time: SimDuration::from_secs(150),
             ..RunLimits::default()

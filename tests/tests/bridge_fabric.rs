@@ -23,10 +23,16 @@
 //!    while an active reader's keeps climbing.
 //!
 //! Plus the placement pin: the automatic write-graph placement
-//! reproduces the hand-placed solver byte for byte.
+//! reproduces the hand-placed solver byte for byte; the election
+//! properties on random connected graphs; and the boot-state sharing
+//! pins — a fresh fabric's devices hold one tree and one view table
+//! between them, equal to the per-device cold election, and diverge
+//! copy-on-write without ever aliasing.
 
 use mether_core::{BridgeTopology, HostMask, PageId, SegmentLayout};
-use mether_net::{AgeHorizon, BridgePolicy, FabricConfig, RequestRouting, SimDuration, SimTime};
+use mether_net::{
+    AgeHorizon, BridgePolicy, Fabric, FabricConfig, RequestRouting, SimDuration, SimTime,
+};
 use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_segmented_solver, build_segmented_solver_on, CountingConfig,
@@ -642,6 +648,212 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// One boot state per fabric, shared copy-on-write (PR 13): what
+// `Fabric::new` hands every device is the per-device election it
+// replaced, by reference; divergence is exact, lazy and never aliased.
+// ---------------------------------------------------------------------
+
+/// Do devices `a` and `b` hold the very same view table / active tree
+/// (one allocation, not merely equal values)?
+fn shares_views(f: &Fabric, a: usize, b: usize) -> bool {
+    std::ptr::eq(f.device(a).policy().views(), f.device(b).policy().views())
+}
+
+fn shares_tree(f: &Fabric, a: usize, b: usize) -> bool {
+    std::ptr::eq(f.device(a).policy().active(), f.device(b).policy().active())
+}
+
+/// Every device of a freshly built fabric routes on exactly the tree a
+/// per-device cold election would have given it, and all of them hold
+/// one tree and one view table between them.
+fn assert_fresh_fabric_shares_the_per_device_election(t: &BridgeTopology, priorities: &[u64]) {
+    let layout = SegmentLayout::new(t.segments(), t.segments()).unwrap();
+    let cfg = FabricConfig::new(t.clone()).with_priorities(priorities.to_vec());
+    let f = Fabric::new(layout, cfg);
+    let fresh = t.fresh_views();
+    for d in 0..t.bridges() {
+        let policy = f.device(d).policy();
+        assert_eq!(policy.views(), &fresh[..], "device {d} boot views");
+        assert_eq!(
+            policy.active(),
+            &t.elect(priorities, &fresh, d),
+            "device {d} boots on its own cold election"
+        );
+        assert!(
+            shares_views(&f, 0, d),
+            "device {d} holds a private view table"
+        );
+        assert!(shares_tree(&f, 0, d), "device {d} holds a private tree");
+    }
+}
+
+#[test]
+fn fresh_fabrics_share_one_election_on_the_named_topologies() {
+    for t in [
+        BridgeTopology::star(5),
+        BridgeTopology::chain(6),
+        BridgeTopology::balanced_tree(13, 3),
+        BridgeTopology::ring(7),
+        BridgeTopology::mesh2d(4, 5),
+    ] {
+        assert_fresh_fabric_shares_the_per_device_election(&t, &[]);
+        // Steer the root away from device 0 (entries past the vector
+        // default to 0, so the last listed device outranks the rest).
+        let steered: Vec<u64> = (0..t.bridges() / 2 + 1)
+            .map(|d| 9 - (d as u64 % 3))
+            .collect();
+        assert_fresh_fabric_shares_the_per_device_election(&t, &steered);
+    }
+}
+
+proptest! {
+    /// The same on the random connected graphs of the election
+    /// properties, with and without priorities.
+    #[test]
+    fn prop_fresh_fabric_shares_the_per_device_election(
+        parents in proptest::collection::vec(0usize..64, 1..10),
+        extra in proptest::collection::vec((0usize..16, 0usize..16), 0..5),
+        priorities in proptest::collection::vec(0u64..4, 0..12),
+    ) {
+        let t = graph_from(&parents, &extra);
+        assert_fresh_fabric_shares_the_per_device_election(&t, &[]);
+        assert_fresh_fabric_shares_the_per_device_election(&t, &priorities);
+    }
+}
+
+/// Copy-on-write is not aliasing. On the live 4×8 ring: hello chatter
+/// that teaches nothing copies nothing; a view merged into one device
+/// shows in no other device's table; a no-op re-election keeps the
+/// shared tree; a device that really re-elects holds its own tree while
+/// the untouched ones go on sharing; and a revived device boots on the
+/// shared boot tree — the cold election it used to run — with a view
+/// table of its own.
+#[test]
+fn divergence_is_copy_on_write_and_never_aliased() {
+    use mether_core::{DeviceView, HostId, Packet};
+    use mether_net::{ElectionMode, FabricEvent, BRIDGE_HOST_BASE};
+
+    let t = BridgeTopology::ring(4);
+    let layout = SegmentLayout::new(32, 4).unwrap();
+    let mut f = Fabric::new(
+        layout,
+        FabricConfig::new(t.clone()).with_election(ElectionMode::live()),
+    );
+    let ElectionMode::Live { hello_interval, .. } = f.election() else {
+        panic!("live fabric")
+    };
+    let boot = t.elect(&[], &t.fresh_views(), 0);
+    // Whatever has happened so far, every device routes on the election
+    // of the views it holds right now.
+    let assert_trees_follow_views = |f: &Fabric| {
+        for d in (0..4).filter(|&d| !f.is_dead(d)) {
+            let p = f.device(d).policy();
+            assert_eq!(p.active(), &t.elect(&[], p.views(), d), "device {d}");
+        }
+    };
+
+    // 1. A round of hellos among healthy devices changes no belief and
+    // so unshares nothing.
+    let t1 = SimTime::ZERO + hello_interval;
+    let hellos: Vec<_> = (0..4).flat_map(|d| f.tick(d, t1)).collect();
+    assert!(!hellos.is_empty());
+    for c in &hellos {
+        assert!(f.hear_control(&c.pkt, c.seg, t1, c.device).is_empty());
+    }
+    for d in 1..4 {
+        assert!(
+            shares_views(&f, 0, d) && shares_tree(&f, 0, d),
+            "device {d}"
+        );
+    }
+
+    // 2. News reaches device 1 alone (segment 1 joins devices 0 and 1
+    // only): device 2 re-asserted itself at version 2. Device 1 takes
+    // its own table to record it; nobody else sees the entry move, and
+    // the re-election it triggers lands on the same tree — kept, not
+    // copied.
+    let mut told = t.fresh_views();
+    told[2] = DeviceView {
+        version: 2,
+        ..told[2].clone()
+    };
+    let news = Packet::BridgePdu {
+        from: HostId(BRIDGE_HOST_BASE),
+        device: 0,
+        views: told,
+    };
+    let triggered = f.hear_control(&news, 1, t1, 0);
+    assert!(!triggered.is_empty(), "device 1 passes the news on");
+    assert_eq!(f.device(1).policy().views()[2].version, 2);
+    for d in [0, 2, 3] {
+        assert_eq!(f.device(d).policy().views()[2].version, 0, "device {d}");
+        assert!(shares_views(&f, 0, d), "device {d} was told nothing");
+        assert!(shares_tree(&f, 1, d), "a no-op re-election keeps the tree");
+    }
+    assert!(!shares_views(&f, 0, 1));
+    assert_eq!(f.reconvergences(), 0);
+
+    // 3. Device 1 loses its port on segment 2: segment 2 is now reached
+    // the long way round, so device 1 — and only device 1, until gossip
+    // spreads — elects a different tree and holds it alone.
+    let t2 = t1 + hello_interval;
+    f.apply_event(
+        FabricEvent::LinkDown {
+            device: 1,
+            segment: 2,
+        },
+        t2,
+    );
+    assert_eq!(f.reconvergences(), 1);
+    assert_ne!(f.device(1).policy().active(), &boot);
+    for d in [2, 3] {
+        assert!(
+            shares_tree(&f, 0, d) && shares_views(&f, 0, d),
+            "device {d}"
+        );
+        assert!(!shares_tree(&f, 1, d));
+        assert_eq!(f.device(d).policy().active(), &boot);
+    }
+    assert_trees_follow_views(&f);
+
+    // 4. Device 3 dies and restarts cold: it boots on the fabric's boot
+    // tree by reference — exactly the per-device election a revival
+    // used to run — and asserts itself at version 2 in a table no other
+    // device can see.
+    let t3 = t2 + hello_interval;
+    f.apply_event(FabricEvent::BridgeDown(3), t3);
+    f.apply_event(FabricEvent::BridgeUp(3), t3 + hello_interval);
+    let revived = f.device(3).policy();
+    assert_eq!(revived.active(), &t.elect(&[], &t.fresh_views(), 3));
+    assert!(shares_tree(&f, 0, 3), "a revival boots on the shared tree");
+    assert_eq!(revived.views()[3].version, 2);
+    assert!(!shares_views(&f, 0, 3));
+    for d in [0, 1, 2] {
+        assert_eq!(f.device(d).policy().views()[3].version, 0, "device {d}");
+    }
+    assert!(shares_views(&f, 0, 2), "the untouched devices still share");
+    assert_trees_follow_views(&f);
+
+    // 5. A device revived with a cable still cut re-severs it on the
+    // way up: its tree is the election over the views it then holds —
+    // what the per-device path produced, minus the cold election.
+    f.apply_event(FabricEvent::BridgeDown(1), t3 + hello_interval);
+    f.apply_event(
+        FabricEvent::BridgeUp(1),
+        t3 + hello_interval + hello_interval,
+    );
+    let p1 = f.device(1).policy();
+    assert_eq!(p1.self_live_ports().iter().collect::<Vec<_>>(), vec![1]);
+    assert_eq!(
+        p1.views()[1].version,
+        4,
+        "restart (2) + re-severed link (+2)"
+    );
+    assert_ne!(p1.active(), &boot);
+    assert_trees_follow_views(&f);
 }
 
 // ---------------------------------------------------------------------

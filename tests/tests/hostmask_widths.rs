@@ -2,7 +2,7 @@
 //! that matter: 1 (degenerate), 128 (the old `u128` ceiling), 129 (the
 //! first spilled index), and 1024 (the 16×64 scale deployment).
 //!
-//! Three contracts are pinned:
+//! Four contracts are pinned:
 //!
 //! * **set-algebra laws** — union / intersection / difference /
 //!   symmetric difference / insert / remove / iteration agree with a
@@ -12,6 +12,10 @@
 //!   [`Packet::BridgePdu`] device view (`word_count:u16` + big-endian
 //!   words, trailing zero words trimmed) and comes back equal, with
 //!   `encoded_len` matching the bytes actually produced;
+//! * **`range` in one pass** — `range(lo, hi)` is the set `lo..hi` on
+//!   either side of the 128 boundary and at `lo == hi`, in canonical
+//!   form: equal to, and hashing like, the `all_below` difference it
+//!   used to be built from;
 //! * **`u128` equivalence** — below 128 hosts the mask is
 //!   bit-for-bit the `u128` it replaced: every operation matches the
 //!   corresponding bitwise op through `bits`/`from_bits`.
@@ -124,6 +128,35 @@ proptest! {
         prop_assert_eq!(Packet::decode(&enc).unwrap(), p.clone());
         let frame = p.encode_vectored();
         prop_assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
+    }
+
+    #[test]
+    fn prop_range_is_the_contiguous_set_in_canonical_form(
+        wi in 0usize..WIDTHS.len(),
+        raw_lo in 0usize..1100,
+        raw_len in 0usize..1100,
+        empty in any::<bool>(),
+    ) {
+        use std::hash::{BuildHasher, RandomState};
+
+        // Ends on both sides of every width, `lo == hi` included.
+        let lo = raw_lo % (WIDTHS[wi] + 2);
+        let hi = lo + if empty { 0 } else { raw_len % 140 };
+        let r = HostMask::range(lo, hi);
+        prop_assert_eq!(
+            r.iter().collect::<Vec<_>>(),
+            (lo..hi).collect::<BTreeSet<_>>().into_iter().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(r.len(), hi - lo);
+        prop_assert_eq!(r.is_empty(), lo == hi);
+        // Canonical: indistinguishable from the old two-mask expression
+        // under `==` and `Hash`, and from its own words re-canonicalised.
+        let old = HostMask::all_below(hi).difference(&HostMask::all_below(lo));
+        prop_assert_eq!(&r, &old);
+        let hasher = RandomState::new();
+        prop_assert_eq!(hasher.hash_one(&r), hasher.hash_one(&old));
+        prop_assert_eq!(HostMask::from_words(r.words()), r.clone());
+        prop_assert_eq!(r.words().len() == 2, hi <= 128 || lo == hi);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use mether_core::{
     PageId, PageLength, PageTable, SegmentLayout, VAddr, View, WakeSet, Want,
 };
 use mether_net::{
-    Bridge, BridgeConfig, Fabric, FabricConfig, RequestRouting, SimDuration, SimTime,
+    BootState, Bridge, BridgeConfig, BridgePolicy, Fabric, FabricConfig, RequestRouting,
+    SimDuration, SimTime,
 };
 use mether_sim::{DeliveryMode, RunLimits};
 use mether_workloads::{build_fabric_readers, build_publisher_sim, build_segmented_publisher};
@@ -475,6 +476,81 @@ fn bench_bridge_routing(c: &mut Criterion) {
     g.bench_function("route_readers_4x8_tree", |b| {
         b.iter(|| black_box(run(RequestRouting::HolderDirected)))
     });
+    g.bench_function("pickup_mesh16x16_wide", |b| {
+        // The per-frame work `ol-mesh` pays and the 4-segment star of
+        // `segments/bridge_pickup_data` cannot see: a two-port device of
+        // the 480-device mesh whose ports are both segment ids ≥ 128 —
+        // past the inline width of a segment-id mask — forwarding on
+        // both, with 256 pages touched round-robin: each page's request
+        // heard on one port, then its data on the other.
+        let topology = std::sync::Arc::new(mether_core::BridgeTopology::mesh2d(16, 16));
+        let layout = SegmentLayout::new(256, 256).unwrap();
+        let boot = BootState::new(std::sync::Arc::clone(&topology), Vec::new());
+        let cfg = FabricConfig::new(mether_core::BridgeTopology::clone(&topology));
+        let wide = |d: &usize| topology.ports(*d)[0] >= 128;
+        let policy = (0..topology.bridges())
+            .rev()
+            .filter(wide)
+            .map(|d| BridgePolicy::for_device(layout, &boot, d, &cfg))
+            .find(|p| p.active().forwarding(p.device()).len() == 2)
+            .expect("a wide device forwarding on both ports");
+        let ports = topology.ports(policy.device()).to_vec();
+        let mut bridge = Bridge::new(
+            policy,
+            BridgeConfig::typical().with_queue_frames(usize::MAX),
+        );
+        let frames: Vec<(Packet, usize)> = (0..256u32)
+            .flat_map(|p| {
+                let page = PageId::new(p);
+                let (asks, answers) = (ports[p as usize % 2], ports[(p as usize + 1) % 2]);
+                let req = Packet::PageRequest {
+                    from: HostId(asks as u16),
+                    page,
+                    length: PageLength::Short,
+                    want: Want::ReadOnly,
+                };
+                let data = Packet::PageData {
+                    from: HostId(answers as u16),
+                    page,
+                    length: PageLength::Short,
+                    generation: Generation(1),
+                    transfer_to: None,
+                    data: Bytes::from(vec![7u8; 32]),
+                };
+                [(req, asks), (data, answers)]
+            })
+            .collect();
+        let mut now = SimTime::ZERO;
+        let mut i = 0;
+        b.iter(|| {
+            now += SimDuration::from_millis(1);
+            let (pkt, port) = &frames[i % frames.len()];
+            i += 1;
+            black_box(bridge.pickup(pkt, *port, now).len())
+        })
+    });
+    g.finish();
+}
+
+/// The engine's stop rule on a wide deployment: 256 hosts on one flat
+/// segment, the only process a publisher on the *last* host, so after
+/// every one of the ~255 deliveries and burst ends a broadcast causes
+/// the run asks "is everyone done?" with 255 idle hosts ahead of the
+/// one that is not.
+fn bench_engine(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.bench_function("lane_completion_256", |b| {
+        b.iter(|| {
+            let mut sim = mether_sim::Simulation::new(mether_sim::SimConfig::paper(256));
+            let page = PageId::new(0);
+            sim.create_owned(255, page);
+            sim.add_process(255, Box::new(mether_workloads::Publisher::new(page, 64)));
+            let outcome = sim.run(RunLimits::default());
+            assert!(outcome.finished);
+            black_box(outcome.events)
+        })
+    });
     g.finish();
 }
 
@@ -729,6 +805,7 @@ criterion_group!(
     bench_event_queue,
     bench_segments,
     bench_bridge_routing,
+    bench_engine,
     bench_fabric,
     bench_scale,
     bench_election,

@@ -993,6 +993,12 @@ impl PageTable {
         }
     }
 
+    /// Whether this table has a slot for `page` — one array index, where
+    /// searching [`PageTable::tracked_pages`] walks every slot.
+    pub fn tracks(&self, page: PageId) -> bool {
+        self.pages.get(page).is_some()
+    }
+
     /// Pages this table currently tracks (for diagnostics).
     pub fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.pages.ids()
@@ -1454,6 +1460,7 @@ mod tests {
             &mut fx,
         );
         assert_eq!(t.tracked_pages().count(), 0, "no slot materialised");
+        assert!(!t.tracks(far));
         assert!(fx.is_empty());
         // ...but a transfer addressed to this host still installs.
         t.handle_packet(
@@ -1901,6 +1908,9 @@ mod tests {
         assert_eq!(t.dirty_page_count(), 0);
         t.create_owned(p0());
         t.create_owned(PageId::new(3));
+        // Slots 1 and 2 exist in the index but hold no page.
+        let tracked: Vec<bool> = (0..5).map(|p| t.tracks(PageId::new(p))).collect();
+        assert_eq!(tracked, [true, false, false, true, false]);
         // A second mutation of an already-dirty page adds no entry.
         let mut fx = Vec::new();
         t.purge(p0(), MapMode::Writeable, 1, &mut fx).unwrap();

@@ -765,13 +765,24 @@ impl ActiveTree {
         self.forwarding[b].clone()
     }
 
+    /// Whether device `b`'s port on segment `s` is Forwarding — the
+    /// per-frame question, answered by reference where
+    /// [`ActiveTree::forwarding`] hands out a copy of the whole mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range.
+    pub fn forwards(&self, b: usize, s: usize) -> bool {
+        self.forwarding[b].contains(s)
+    }
+
     /// The state of device `b`'s port on segment `s`.
     ///
     /// # Panics
     ///
     /// Panics if `b` is out of range.
     pub fn port_state(&self, b: usize, s: usize) -> PortState {
-        if self.forwarding[b].contains(s) {
+        if self.forwards(b, s) {
             PortState::Forwarding
         } else {
             PortState::Blocked
@@ -1036,6 +1047,7 @@ mod tests {
         // between segments 0 and 1 reroutes the long way round the ring.
         let a = t.elect(&[], &views, 1);
         assert_eq!(a.forwarding(0), HostMask::single(0));
+        assert!(a.forwards(0, 0) && !a.forwards(0, 1));
         for b in 0..4 {
             assert!(a.fully_connected_from(b));
         }

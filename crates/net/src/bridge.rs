@@ -140,9 +140,33 @@
 //!   ever diverges: a 480-device mesh carries one tree and one view
 //!   table, not 480.
 //! * **Per device, always private** — the page filters (learned
-//!   interest, pins, stamps, holder beliefs), neighbour liveness stamps
-//!   and hold-downs, the election epoch, gossip watermarks, counters,
-//!   and the engine's backlog and fault-injection RNG.
+//!   interest, pins, holder beliefs) and the `pages × ports` slab of
+//!   demand stamps beside them, neighbour liveness stamps and
+//!   hold-downs, the election epoch, gossip watermarks, counters, and
+//!   the engine's backlog and fault-injection RNG.
+//!
+//! # Per frame
+//!
+//! One pickup is one walk over the device's own port list, and what it
+//! costs does not depend on how many segments, devices or pages the
+//! fabric has. It *reads* the shared tree by reference (is this port
+//! Forwarding; the next hop toward the page's home and toward a
+//! `transfer_to` target), the device's hold-downs, the page's filter
+//! and its row of the stamp slab; it *writes* that one filter (a
+//! learned bit, the holder belief, the newest generation) and the
+//! stamps of the ports that showed demand — one row, one or two
+//! entries. Every forwarding rule is a test applied to one port at a
+//! time, and the ports that pass are pushed, ascending, into a buffer
+//! the [`Bridge`] reuses, as is the egress schedule it returns and the
+//! combined one [`Fabric::pickup`] returns. No segment-id mask is
+//! built, copied or combined along the way, so nothing is allocated —
+//! with one exception: a page with pins ([`BridgePolicy::subscribe`])
+//! resolves them to ports through the tree into a small mask, once per
+//! frame. The mask-returning [`BridgePolicy::route`],
+//! [`BridgePolicy::targets`] and [`BridgePolicy::interest`] (the
+//! threaded runtime's bridge threads, the invariant observer, tests)
+//! collect the same walk's ports into a mask; there is no second copy
+//! of the rules.
 
 use crate::time::{SimDuration, SimTime};
 use mether_core::{
@@ -654,8 +678,9 @@ impl FabricConfig {
 }
 
 /// Per-page filter state of one device: which ports must hear the
-/// page's transits, when each last showed demand, and where the
-/// consistent holder is believed to be.
+/// page's transits and where the consistent holder is believed to be.
+/// When each port last showed demand lives beside it, in the device's
+/// stamp slab ([`BridgePolicy::stamps`]).
 #[derive(Debug, Clone, Default)]
 struct PageFilter {
     /// Learned interest (bit = segment id of a port).
@@ -664,14 +689,6 @@ struct PageFilter {
     /// the fabric, resolved to a port through the active tree at use
     /// time so pins survive reconvergence). Never aged.
     pinned_segs: HostMask,
-    /// Last demand evidence per port, parallel to the device's port
-    /// list: (device forwarded-transit clock, sim time).
-    stamps: Vec<(u64, SimTime)>,
-    /// When each port last showed *request* demand (a forwarded
-    /// `PageRequest`), parallel to the port list; `SimTime::ZERO` means
-    /// never. The reply-grace floor keys off these so a reply can get
-    /// back through even when the aging horizon has expired the stamp.
-    req_stamps: Vec<SimTime>,
     /// Port (segment id) toward the believed consistent holder.
     holder: Option<u16>,
     /// Newest generation seen in any data transit for the page. Holder
@@ -684,6 +701,63 @@ struct PageFilter {
     /// Already queued in the policy's dirty-page list since the last
     /// drain (dedup flag for the incremental invariant observer).
     dirty: bool,
+}
+
+impl PageFilter {
+    /// Repoints the holder belief to `port`; true when that overwrote
+    /// an existing, different belief (a repair).
+    fn point_holder(&mut self, port: usize) -> bool {
+        let before = self.holder.replace(port as u16);
+        before.is_some_and(|old| usize::from(old) != port)
+    }
+}
+
+/// The last demand evidence one port of a device showed for one page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortStamp {
+    /// The device's forwarded-transit clock at the last demand.
+    pub clock: u64,
+    /// Sim time of the last demand.
+    pub at: SimTime,
+    /// Sim time of the last *request* demand (a `PageRequest` heard on
+    /// the port); `SimTime::ZERO` means never. The reply-grace floor
+    /// keys off this so a reply can get back through even when the
+    /// aging horizon has expired the stamp.
+    pub requested_at: SimTime,
+}
+
+impl PortStamp {
+    const NEVER: PortStamp = PortStamp {
+        clock: 0,
+        at: SimTime::ZERO,
+        requested_at: SimTime::ZERO,
+    };
+}
+
+/// One page's interest at one instant, as a per-port test (see
+/// [`BridgePolicy::interest`] for the rules).
+struct Interest<'a> {
+    policy: &'a BridgePolicy,
+    now: SimTime,
+    /// The port toward the page's home segment.
+    home: Option<usize>,
+    /// The ports the page's pins resolve to; `None` without pins.
+    pins: Option<HostMask>,
+    /// The page's learned ports and its stamp row, once materialised.
+    learned: Option<(&'a HostMask, &'a [PortStamp])>,
+}
+
+impl Interest<'_> {
+    /// Does the device's `i`th port (segment `port`) want the page?
+    fn covers(&self, i: usize, port: usize) -> bool {
+        Some(port) == self.home
+            || self.pins.as_ref().is_some_and(|pins| pins.contains(port))
+            || self.learned.is_some_and(|(learned, row)| {
+                learned.contains(port)
+                    && (self.policy.fresh(&row[i], self.now)
+                        || self.policy.within_grace(row[i].requested_at, self.now))
+            })
+    }
 }
 
 /// What one control-plane step changed at a device.
@@ -742,6 +816,10 @@ pub struct BridgePolicy {
     belief_repairs: u64,
     /// Per-page filters, grown lazily.
     pages: Vec<PageFilter>,
+    /// Per-port demand stamps of every materialised page, one flat
+    /// `pages × ports` slab: page `p`'s row is
+    /// `stamps[p * nports..][..nports]`, parallel to the port list.
+    stamps: Vec<PortStamp>,
     /// Transits this device has forwarded — the aging clock.
     clock: u64,
     /// Pages whose filter state changed since the last
@@ -854,8 +932,10 @@ impl BridgePolicy {
             "topology and layout disagree on the segment count"
         );
         assert!(device < topology.bridges(), "device {device} out of range");
-        let ports_mask = topology.ports(device).iter().copied().collect();
-        let nports = topology.ports(device).len();
+        let ports = topology.ports(device);
+        debug_assert!(ports.windows(2).all(|w| w[0] < w[1]), "port lists ascend");
+        let ports_mask = ports.iter().copied().collect();
+        let nports = ports.len();
         BridgePolicy {
             layout,
             topology: Arc::clone(topology),
@@ -876,6 +956,7 @@ impl BridgePolicy {
             belief_fallback_floods: 0,
             belief_repairs: 0,
             pages: Vec::new(),
+            stamps: Vec::new(),
             clock: 0,
             dirty_pages: Vec::new(),
             dirty_struct: false,
@@ -982,41 +1063,50 @@ impl BridgePolicy {
         self.active.next_hop(self.device, self.home_of(page))
     }
 
+    /// This device's ports (segment ids), ascending.
+    fn ports(&self) -> &[usize] {
+        self.topology.ports(self.device)
+    }
+
     fn port_index(&self, port: usize) -> usize {
-        self.topology
-            .ports(self.device)
+        self.ports()
             .iter()
             .position(|&p| p == port)
             .unwrap_or_else(|| panic!("segment {port} is not a port of device {}", self.device))
     }
 
-    fn filter_mut(&mut self, page: PageId) -> &mut PageFilter {
+    /// `page`'s filter and its row of the stamp slab, materialised on
+    /// first touch and queued for the observer's next dirty drain.
+    /// Every mutation of a page's filter state flows through here, so
+    /// this is the one place page-level dirty marking has to happen.
+    fn row_mut(&mut self, page: PageId) -> (&mut PageFilter, &mut [PortStamp]) {
         let idx = page.index() as usize;
-        let nports = self.topology.ports(self.device).len();
-        while self.pages.len() <= idx {
-            self.pages.push(PageFilter {
-                stamps: vec![(0, SimTime::ZERO); nports],
-                req_stamps: vec![SimTime::ZERO; nports],
-                ..PageFilter::default()
-            });
+        let nports = self.ports().len();
+        if self.pages.len() <= idx {
+            self.pages.resize_with(idx + 1, PageFilter::default);
+            self.stamps.resize((idx + 1) * nports, PortStamp::NEVER);
         }
-        // Every mutation of a page filter flows through here, so this is
-        // the one place page-level dirty marking has to happen.
         let f = &mut self.pages[idx];
         if !f.dirty {
             f.dirty = true;
             self.dirty_pages.push(page);
         }
-        f
+        (f, &mut self.stamps[idx * nports..][..nports])
     }
 
-    /// Is the last demand evidence `(stamp_clock, stamp_time)` still
-    /// within the aging horizon at `now`?
-    fn fresh(&self, stamp: (u64, SimTime), now: SimTime) -> bool {
+    /// The stamp-slab row of the page with index `idx`.
+    fn row(&self, idx: usize) -> &[PortStamp] {
+        let nports = self.ports().len();
+        &self.stamps[idx * nports..][..nports]
+    }
+
+    /// Is the last demand evidence `stamp` still within the aging
+    /// horizon at `now`?
+    fn fresh(&self, stamp: &PortStamp, now: SimTime) -> bool {
         match self.aging {
             AgeHorizon::Sticky => true,
-            AgeHorizon::Transits(h) => self.clock.saturating_sub(stamp.0) <= h,
-            AgeHorizon::SimTime(d) => now.since(stamp.1) <= d,
+            AgeHorizon::Transits(h) => self.clock.saturating_sub(stamp.clock) <= h,
+            AgeHorizon::SimTime(d) => now.since(stamp.at) <= d,
         }
     }
 
@@ -1028,48 +1118,47 @@ impl BridgePolicy {
             .is_some_and(|g| t != SimTime::ZERO && now.since(t) <= g)
     }
 
-    /// The ports this device may carry data on right now: the active
-    /// tree's Forwarding ports minus any still in their post-election
-    /// hold-down.
-    fn effective_forwarding(&self, now: SimTime) -> HostMask {
-        let mut m = self.active.forwarding(self.device);
-        if self.election.is_live() {
-            for (i, &port) in self.topology.ports(self.device).iter().enumerate() {
-                if self.hold_until[i] > now {
-                    m.remove(port);
-                }
-            }
+    /// May this device carry data on its `i`th port (segment `port`)
+    /// right now? The active tree's Forwarding ports, minus any still
+    /// in their post-election hold-down.
+    fn carries(&self, i: usize, port: usize, now: SimTime) -> bool {
+        self.active.forwards(self.device, port)
+            && !(self.election.is_live() && self.hold_until[i] > now)
+    }
+
+    /// What decides, port by port, whether `page`'s data is wanted at
+    /// `now`: everything the forwarding rules read about the page,
+    /// looked up once per frame.
+    fn interest_in(&self, page: PageId, now: SimTime) -> Interest<'_> {
+        let idx = page.index() as usize;
+        let filter = self.pages.get(idx);
+        Interest {
+            policy: self,
+            now,
+            home: self.home_port(page),
+            // Pins name segments anywhere in the fabric; resolve them to
+            // own ports through the active tree — only when there are
+            // any, which on the data path there almost never are.
+            pins: filter.filter(|f| !f.pinned_segs.is_empty()).map(|f| {
+                (f.pinned_segs.iter())
+                    .filter_map(|seg| self.active.next_hop(self.device, seg))
+                    .collect()
+            }),
+            learned: filter.map(|f| (&f.learned, self.row(idx))),
         }
-        m
     }
 
     /// The effective interest mask of `page` at `now`: fresh learned
     /// ports, pins (resolved through the active tree), and the home
     /// port. (The believed-holder port is request routing state, not
     /// interest — data is not forwarded toward a holder nobody asked
-    /// from.)
+    /// from.) Collected from the per-port test data forwarding applies.
     pub fn interest(&self, page: PageId, now: SimTime) -> HostMask {
-        let mut m = HostMask::EMPTY;
-        if let Some(h) = self.home_port(page) {
-            m.insert(h);
-        }
-        let Some(f) = self.pages.get(page.index() as usize) else {
-            return m;
-        };
-        for seg in &f.pinned_segs {
-            if let Some(p) = self.active.next_hop(self.device, seg) {
-                m.insert(p);
-            }
-        }
-        let ports = self.topology.ports(self.device);
-        for (i, &port) in ports.iter().enumerate() {
-            if f.learned.contains(port)
-                && (self.fresh(f.stamps[i], now) || self.within_grace(f.req_stamps[i], now))
-            {
-                m.insert(port);
-            }
-        }
-        m
+        let interest = self.interest_in(page, now);
+        (self.ports().iter().enumerate())
+            .filter(|&(i, &port)| interest.covers(i, port))
+            .map(|(_, &port)| port)
+            .collect()
     }
 
     /// The port toward the believed consistent holder of `page`, if any
@@ -1133,12 +1222,11 @@ impl BridgePolicy {
     }
 
     /// Last demand evidence of `page` per port of this device, parallel
-    /// to `topology.ports(device)`: `(aging-clock stamp, sim-time
-    /// stamp)`. `None` while the page has no materialised filter.
-    pub fn stamps(&self, page: PageId) -> Option<&[(u64, SimTime)]> {
-        self.pages
-            .get(page.index() as usize)
-            .map(|f| f.stamps.as_slice())
+    /// to `topology.ports(device)`: the page's row of the stamp slab.
+    /// `None` while the page has no materialised filter.
+    pub fn stamps(&self, page: PageId) -> Option<&[PortStamp]> {
+        let idx = page.index() as usize;
+        (idx < self.pages.len()).then(|| self.row(idx))
     }
 
     /// The newest data generation any transit has shown this device for
@@ -1161,7 +1249,7 @@ impl BridgePolicy {
     pub fn held_ports(&self, now: SimTime) -> HostMask {
         let mut m = HostMask::EMPTY;
         if self.election.is_live() {
-            for (i, &port) in self.topology.ports(self.device).iter().enumerate() {
+            for (i, &port) in self.ports().iter().enumerate() {
                 if self.hold_until[i] > now {
                     m.insert(port);
                 }
@@ -1199,7 +1287,7 @@ impl BridgePolicy {
     /// code would.
     #[doc(hidden)]
     pub fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
-        self.filter_mut(page).learned.insert(segment);
+        self.row_mut(page).0.learned.insert(segment);
     }
 
     /// Test-only fault injection: forcibly points `page`'s holder
@@ -1207,7 +1295,7 @@ impl BridgePolicy {
     /// See [`BridgePolicy::corrupt_learned_for_test`].
     #[doc(hidden)]
     pub fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: usize) {
-        self.filter_mut(page).holder = Some(segment as u16);
+        self.row_mut(page).0.holder = Some(segment as u16);
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits: this
@@ -1229,7 +1317,7 @@ impl BridgePolicy {
             "segment {seg} >= {}",
             self.layout.segments()
         );
-        self.filter_mut(page).pinned_segs.insert(seg);
+        self.row_mut(page).0.pinned_segs.insert(seg);
     }
 
     /// The segment a transfer target host sits on, if the host id is in
@@ -1247,30 +1335,10 @@ impl BridgePolicy {
             .and_then(|seg| self.active.next_hop(self.device, seg))
     }
 
-    /// Stamps fresh demand evidence for `page` on `port` and marks the
-    /// port's learned interest.
-    fn stamp(&mut self, page: PageId, port: usize, now: SimTime) {
+    /// Updates the learning tables for one frame heard on the device's
+    /// `in_idx`th port (segment `in_port`) at `now`.
+    fn learn(&mut self, pkt: &Packet, in_idx: usize, in_port: usize, now: SimTime) {
         let clock = self.clock;
-        let i = self.port_index(port);
-        let f = self.filter_mut(page);
-        f.learned.insert(port);
-        f.stamps[i] = (clock, now);
-    }
-
-    /// Repoints the holder belief of `page` to `port`, counting a
-    /// repair when an existing, different belief is overwritten.
-    fn point_holder(&mut self, page: PageId, port: usize) {
-        let f = self.filter_mut(page);
-        let before = f.holder;
-        f.holder = Some(port as u16);
-        if matches!(before, Some(old) if usize::from(old) != port) {
-            self.belief_repairs += 1;
-        }
-    }
-
-    /// Updates the learning tables for one frame heard on `in_port` at
-    /// `now`.
-    fn learn(&mut self, pkt: &Packet, in_port: usize, now: SimTime) {
         match pkt {
             Packet::PageRequest { page, .. } => {
                 // The requester's side now wants this page's transits —
@@ -1278,9 +1346,13 @@ impl BridgePolicy {
                 // out this port. The request stamp additionally anchors
                 // the reply-grace floor: this is the one kind of demand
                 // whose answer must survive any aging horizon.
-                self.stamp(*page, in_port, now);
-                let i = self.port_index(in_port);
-                self.filter_mut(*page).req_stamps[i] = now;
+                let (f, row) = self.row_mut(*page);
+                f.learned.insert(in_port);
+                row[in_idx] = PortStamp {
+                    clock,
+                    at: now,
+                    requested_at: now,
+                };
             }
             Packet::PageData {
                 page,
@@ -1288,30 +1360,154 @@ impl BridgePolicy {
                 generation,
                 ..
             } => {
+                let transfer = self
+                    .transfer_port(transfer_to)
+                    .map(|port| (self.port_index(port), port));
+                let (f, row) = self.row_mut(*page);
+                let mut demand = |f: &mut PageFilter, i: usize, port: usize| {
+                    f.learned.insert(port);
+                    (row[i].clock, row[i].at) = (clock, now);
+                };
                 // The sending side holds copies (at least the sender's
                 // own); keep it refreshed once consistency moves on.
-                self.stamp(*page, in_port, now);
+                demand(f, in_idx, in_port);
+                let mut repairs = 0;
                 // The data also came *from* the holder's direction —
                 // the belief request routing follows — but only when it
                 // advances the page's generation: the holder's replies
                 // and purge broadcasts always do, while a stale echo (a
                 // non-holder's `Want::Superset` reply) must not repoint
                 // the belief away from the live holder.
-                let f = self.filter_mut(*page);
                 if f.newest_gen.is_none_or(|g| generation.newer_than(g)) {
                     f.newest_gen = Some(*generation);
-                    self.point_holder(*page, in_port);
+                    repairs += u64::from(f.point_holder(in_port));
                 }
                 // A consistency transfer must reach the new holder, that
                 // side stays interested from then on, and the belief
                 // follows the move unconditionally — `transfer_to`
                 // names the new holder explicitly.
-                if let Some(port) = self.transfer_port(transfer_to) {
-                    self.stamp(*page, port, now);
-                    self.point_holder(*page, port);
+                if let Some((i, port)) = transfer {
+                    demand(f, i, port);
+                    repairs += u64::from(f.point_holder(port));
                 }
+                self.belief_repairs += repairs;
             }
             Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => {}
+        }
+    }
+
+    /// The index of `in_port` among this device's ports, if a frame
+    /// heard on it at `now` enters the data plane at all: a frame heard
+    /// on a Blocked or held-down port is neither learned from nor
+    /// forwarded — the dormant redundancy stays invisible.
+    fn ingress(&self, in_port: usize, now: SimTime) -> Option<usize> {
+        let i = self.ports().iter().position(|&p| p == in_port)?;
+        self.carries(i, in_port, now).then_some(i)
+    }
+
+    /// Calls `emit` with each port a frame heard on `in_port` at `now`
+    /// may leave through and that `wanted(port index, port)` asks for,
+    /// ascending: **the** walk over the device's port list that every
+    /// forwarding decision is made by. Nothing leaves through the port
+    /// it came in on or through a port that is Blocked or held down.
+    fn egress(
+        &self,
+        in_port: usize,
+        now: SimTime,
+        wanted: impl Fn(usize, usize) -> bool,
+        mut emit: impl FnMut(usize),
+    ) {
+        for (i, &port) in self.ports().iter().enumerate() {
+            if port != in_port && self.carries(i, port, now) && wanted(i, port) {
+                emit(port);
+            }
+        }
+    }
+
+    /// The forwarding decision for one frame that entered through
+    /// `in_port` at `now` ([`BridgePolicy::ingress`] admitted it), with
+    /// no learning side effects: `emit` is called with each target
+    /// port, ascending.
+    fn each_target(&self, pkt: &Packet, in_port: usize, now: SimTime, emit: impl FnMut(usize)) {
+        match pkt {
+            Packet::PageRequest { page, want, .. } => {
+                // Flood mode, and Superset requests always: any host
+                // still holding a full copy may answer a Superset
+                // request, so no single holder direction covers it. No
+                // belief yet: scoped flooding; the reply repairs the
+                // table.
+                let holder = (self.routing == RequestRouting::HolderDirected
+                    && *want != Want::Superset)
+                    .then(|| self.holder_port(*page))
+                    .flatten();
+                let Some(holder) = holder else {
+                    return self.egress(in_port, now, |_, _| true, emit);
+                };
+                // Toward the believed holder, *anchored at the home
+                // port*: the home is where the consistent copy is
+                // seeded (and, under workload-derived placement, where
+                // the dominant writer keeps it), so a belief that has
+                // gone bad — taught by a frame the live holder's
+                // traffic never corrected — still lands the request
+                // where a holder is most likely to answer, and the
+                // reply repairs the belief. When the belief (and home)
+                // point back where the frame came from, the request is
+                // already travelling in the right direction and another
+                // device on that segment continues the chase —
+                // forwarding elsewhere cannot reach the holder sooner.
+                let home = self.home_port(*page);
+                self.egress(
+                    in_port,
+                    now,
+                    |_, port| port == holder || Some(port) == home,
+                    emit,
+                );
+            }
+            Packet::PageData {
+                page, transfer_to, ..
+            } => {
+                let interest = self.interest_in(*page, now);
+                let transfer = self.transfer_port(transfer_to);
+                self.egress(
+                    in_port,
+                    now,
+                    |i, port| Some(port) == transfer || interest.covers(i, port),
+                    emit,
+                );
+            }
+            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => {}
+        }
+    }
+
+    /// [`BridgePolicy::route`] with the target ports left in `out`,
+    /// ascending, instead of collected into a mask: what a [`Bridge`]
+    /// pickup calls, with a buffer it reuses.
+    fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
+        out.clear();
+        debug_assert!(
+            self.ports_mask.contains(in_port),
+            "device {} has no port on segment {in_port}",
+            self.device
+        );
+        if pkt.is_control() {
+            return; // control plane goes via hear_pdu
+        }
+        let Some(in_idx) = self.ingress(in_port, now) else {
+            return;
+        };
+        self.learn(pkt, in_idx, in_port, now);
+        if let Packet::PageRequest { page, want, .. } = pkt {
+            if self.routing == RequestRouting::HolderDirected && *want != Want::Superset {
+                if self.holder_port(*page).is_some() {
+                    self.belief_hits += 1;
+                } else {
+                    self.belief_fallback_floods += 1;
+                }
+            }
+        }
+        self.each_target(pkt, in_port, now, |port| out.push(port));
+        if !out.is_empty() {
+            self.clock += 1;
         }
     }
 
@@ -1325,89 +1521,20 @@ impl BridgePolicy {
     /// diagnostic mask can never drift from what the device actually
     /// forwards.
     pub fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
-        debug_assert!(
-            self.ports_mask.contains(in_port),
-            "device {} has no port on segment {in_port}",
-            self.device
-        );
-        if pkt.is_control() {
-            return HostMask::EMPTY; // control plane goes via hear_pdu
-        }
-        if !self.effective_forwarding(now).contains(in_port) {
-            return HostMask::EMPTY;
-        }
-        self.learn(pkt, in_port, now);
-        if let Packet::PageRequest { page, want, .. } = pkt {
-            if self.routing == RequestRouting::HolderDirected && *want != Want::Superset {
-                if self.holder_port(*page).is_some() {
-                    self.belief_hits += 1;
-                } else {
-                    self.belief_fallback_floods += 1;
-                }
-            }
-        }
-        let targets = self.targets(pkt, in_port, now);
-        if !targets.is_empty() {
-            self.clock += 1;
-        }
-        targets
+        let mut ports = Vec::new();
+        self.route_into(pkt, in_port, now, &mut ports);
+        ports.into_iter().collect()
     }
 
     /// The forwarding mask of one frame heard on `in_port` at `now`,
     /// with no learning side effects (diagnostics and tests; the
     /// `transfer_to` port is included even before learning records it).
     pub fn targets(&self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
-        let fwd = self.effective_forwarding(now);
-        if !fwd.contains(in_port) {
-            return HostMask::EMPTY;
+        let mut m = HostMask::EMPTY;
+        if self.ingress(in_port, now).is_some() {
+            self.each_target(pkt, in_port, now, |port| m.insert(port));
         }
-        match pkt {
-            Packet::PageRequest { page, want, .. } => {
-                let flood = fwd.clone().without(in_port);
-                if self.routing == RequestRouting::Flood || *want == Want::Superset {
-                    // Flood mode, and Superset requests always: any host
-                    // still holding a full copy may answer a Superset
-                    // request, so no single holder direction covers it.
-                    return flood;
-                }
-                match self.holder_port(*page) {
-                    Some(hp) => {
-                        // Toward the believed holder, *anchored at the
-                        // home port*: the home is where the consistent
-                        // copy is seeded (and, under workload-derived
-                        // placement, where the dominant writer keeps
-                        // it), so a belief that has gone bad — taught
-                        // by a frame the live holder's traffic never
-                        // corrected — still lands the request where a
-                        // holder is most likely to answer, and the
-                        // reply repairs the belief. When the belief
-                        // (and home) point back where the frame came
-                        // from, the request is already travelling in
-                        // the right direction and another device on
-                        // that segment continues the chase — forwarding
-                        // elsewhere cannot reach the holder sooner.
-                        let mut m = HostMask::single(hp);
-                        if let Some(home) = self.home_port(*page) {
-                            m.insert(home);
-                        }
-                        m.intersection(&fwd).without(in_port)
-                    }
-                    // No belief yet: scoped flooding; the reply repairs
-                    // the table.
-                    None => flood,
-                }
-            }
-            Packet::PageData {
-                page, transfer_to, ..
-            } => {
-                let mut m = self.interest(*page, now);
-                if let Some(port) = self.transfer_port(transfer_to) {
-                    m.insert(port);
-                }
-                m.intersection(&fwd).without(in_port)
-            }
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => HostMask::EMPTY,
-        }
+        m
     }
 
     // -----------------------------------------------------------------
@@ -1692,10 +1819,10 @@ impl BridgePolicy {
     /// requests into the dead part of the fabric.
     fn flush_port(&mut self, port: usize) {
         let i = self.port_index(port);
+        let nports = self.ports().len();
         for (idx, f) in self.pages.iter_mut().enumerate() {
             f.learned.remove(port);
-            f.stamps[i] = (0, SimTime::ZERO);
-            f.req_stamps[i] = SimTime::ZERO;
+            self.stamps[idx * nports + i] = PortStamp::NEVER;
             if f.holder == Some(port as u16) {
                 f.holder = None;
                 // Let the next reply re-teach the belief from scratch:
@@ -1726,6 +1853,10 @@ pub struct Bridge {
     /// Counters inherited from this device's previous life (a revival
     /// cold-resets the filter, not the run's accounting).
     carryover: BridgeStats,
+    /// The last pickup's target ports and egress schedule: buffers the
+    /// device reuses, so a pickup allocates nothing.
+    targets: Vec<usize>,
+    egress: Vec<(usize, SimTime)>,
 }
 
 impl Bridge {
@@ -1740,6 +1871,8 @@ impl Bridge {
             rng,
             stats: BridgeStats::default(),
             carryover: BridgeStats::default(),
+            targets: Vec::new(),
+            egress: Vec::new(),
         }
     }
 
@@ -1799,21 +1932,24 @@ impl Bridge {
     /// its exit time (where it queues like a locally-sent frame, and
     /// where the *other* devices on that segment pick it up to forward
     /// it further along the tree). Control frames never enter the data
-    /// engine; they are consumed by [`BridgePolicy::hear_pdu`].
+    /// engine; they are consumed by [`BridgePolicy::hear_pdu`]. The
+    /// schedule is lent from a buffer the next pickup overwrites.
     pub fn pickup(
         &mut self,
         pkt: &Packet,
         in_port: usize,
         arrival: SimTime,
-    ) -> Vec<(usize, SimTime)> {
+    ) -> &[(usize, SimTime)] {
+        self.egress.clear();
         if pkt.is_control() {
-            return Vec::new();
+            return &self.egress;
         }
         self.stats.heard += 1;
-        let targets = self.policy.route(pkt, in_port, arrival);
-        if targets.is_empty() {
+        self.policy
+            .route_into(pkt, in_port, arrival, &mut self.targets);
+        if self.targets.is_empty() {
             self.stats.filtered += 1;
-            return Vec::new();
+            return &self.egress;
         }
         // Store-and-forward queue: retire frames that have exited, then
         // tail-drop if the buffer is still full.
@@ -1822,11 +1958,11 @@ impl Bridge {
         }
         if self.backlog.len() >= self.cfg.queue_frames {
             self.stats.queue_drops += 1;
-            return Vec::new();
+            return &self.egress;
         }
         if self.cfg.drop > 0.0 && self.rng.gen::<f64>() < self.cfg.drop {
             self.stats.dropped += 1;
-            return Vec::new();
+            return &self.egress;
         }
         let copies = if self.cfg.duplicate > 0.0 && self.rng.gen::<f64>() < self.cfg.duplicate {
             2
@@ -1834,7 +1970,6 @@ impl Bridge {
             1
         };
         let is_request = matches!(pkt, Packet::PageRequest { .. });
-        let mut out = Vec::with_capacity(targets.len() * copies);
         for copy in 0..copies {
             // Each copy occupies its own queue slot; a duplicated
             // frame's second copy is tail-dropped like any other frame
@@ -1847,8 +1982,8 @@ impl Bridge {
             let exit = arrival.max(self.free_at) + self.cfg.forward_delay;
             self.free_at = exit;
             self.backlog.push_back(exit);
-            for dst in &targets {
-                out.push((dst, exit));
+            for &dst in &self.targets {
+                self.egress.push((dst, exit));
                 self.stats.forwarded += 1;
                 self.stats.bytes_forwarded += pkt.wire_size() as u64;
                 if is_request {
@@ -1859,7 +1994,7 @@ impl Bridge {
                 }
             }
         }
-        out
+        &self.egress
     }
 }
 
@@ -1931,6 +2066,8 @@ pub struct Fabric {
     /// [`Fabric::take_dirty`] drain — the fabric-wide structural flag
     /// for the incremental invariant observer.
     dirty_liveness: bool,
+    /// The last pickup's combined egress schedule (reused buffer).
+    out: Vec<Forward>,
 }
 
 impl Fabric {
@@ -1960,6 +2097,7 @@ impl Fabric {
             malformed_pdus: 0,
             timeline: Vec::new(),
             dirty_liveness: false,
+            out: Vec::new(),
         };
         fabric.devices = (0..n)
             .map(|device| fabric.build_device(device, 0, HostMask::EMPTY))
@@ -2050,8 +2188,9 @@ impl Fabric {
 
     /// A locally-transmitted frame was delivered on `seg` at `arrival`:
     /// every live device attached to `seg` picks it up. Returns the
-    /// combined egress schedule.
-    pub fn pickup(&mut self, pkt: &Packet, seg: usize, arrival: SimTime) -> Vec<Forward> {
+    /// combined egress schedule, lent from a buffer the next pickup
+    /// overwrites.
+    pub fn pickup(&mut self, pkt: &Packet, seg: usize, arrival: SimTime) -> &[Forward] {
         self.pickup_except(pkt, seg, arrival, None)
     }
 
@@ -2065,7 +2204,7 @@ impl Fabric {
         seg: usize,
         arrival: SimTime,
         from_device: usize,
-    ) -> Vec<Forward> {
+    ) -> &[Forward] {
         self.pickup_except(pkt, seg, arrival, Some(from_device))
     }
 
@@ -2075,8 +2214,8 @@ impl Fabric {
         seg: usize,
         arrival: SimTime,
         exclude: Option<usize>,
-    ) -> Vec<Forward> {
-        let mut out = Vec::new();
+    ) -> &[Forward] {
+        self.out.clear();
         // Incident-device order is ascending, so the event schedule is
         // deterministic.
         for i in 0..self.boot.topology.bridges_on(seg).len() {
@@ -2087,16 +2226,19 @@ impl Fabric {
             if !self.devices[device].policy().port_is_live(seg) {
                 continue; // the attachment itself failed (LinkDown)
             }
-            for (dst, exit) in self.devices[device].pickup(pkt, seg, arrival) {
-                out.push(Forward { device, dst, exit });
-            }
+            let egress = self.devices[device].pickup(pkt, seg, arrival);
+            self.out.extend(
+                egress
+                    .iter()
+                    .map(|&(dst, exit)| Forward { device, dst, exit }),
+            );
         }
         // The stall probe: the first data frame forwarded by a device
         // that has re-elected since the BridgeDown marks the fabric
         // carrying pages across again.
-        if pkt.is_data() && !out.is_empty() {
+        if pkt.is_data() && !self.out.is_empty() {
             if let Some(t0) = self.down_at {
-                if out.iter().any(|fw| {
+                if self.out.iter().any(|fw| {
                     self.devices[fw.device].policy().election_epoch()
                         > self.epochs_at_down[fw.device]
                 }) {
@@ -2105,7 +2247,7 @@ impl Fabric {
                 }
             }
         }
-        out
+        &self.out
     }
 
     /// One hello-cadence tick of `device` at `now`: timeout checks plus
@@ -2517,6 +2659,166 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
+    // The same rules on a wide fabric: a two-port device of the 16×16
+    // mesh with one port below segment 128 and one at or above it —
+    // where a segment-id mask stops fitting inline — forwarding on both.
+    // -----------------------------------------------------------------
+
+    /// The straddling device's policy, with its `(low, high)` ports.
+    /// Two hosts per segment: host `2s` sits on segment `s`.
+    fn wide_policy(cfg: impl FnOnce(FabricConfig) -> FabricConfig) -> (BridgePolicy, usize, usize) {
+        let topology = Arc::new(BridgeTopology::mesh2d(16, 16));
+        let layout = SegmentLayout::new(512, 256).unwrap();
+        let boot = BootState::new(Arc::clone(&topology), Vec::new());
+        let cfg = cfg(FabricConfig::new(BridgeTopology::clone(&topology)));
+        let device = (0..topology.bridges())
+            .find(|&d| {
+                let ports = topology.ports(d);
+                ports[0] < 128 && ports[1] >= 128 && boot.active.forwarding(d).len() == 2
+            })
+            .expect("the boot tree crosses the 128 boundary somewhere");
+        let (lo, hi) = (topology.ports(device)[0], topology.ports(device)[1]);
+        (
+            BridgePolicy::for_device(layout, &boot, device, &cfg),
+            lo,
+            hi,
+        )
+    }
+
+    fn host_on(seg: usize) -> u16 {
+        2 * seg as u16
+    }
+
+    #[test]
+    fn wide_route_equals_targets_and_targets_learns_nothing() {
+        for routing in [RequestRouting::Flood, RequestRouting::HolderDirected] {
+            for aging in [AgeHorizon::Sticky, AgeHorizon::Transits(3)] {
+                let (mut p, lo, hi) = wide_policy(|c| c.with_routing(routing).with_aging(aging));
+                // Pages homed toward either side, heard from either side.
+                let (near, far) = (lo as u32, hi as u32);
+                for (pkt, src) in [
+                    (req(host_on(hi), near), hi),
+                    (data(host_on(lo), near, Some(host_on(hi))), lo),
+                    (data(host_on(hi), near, None), hi),
+                    (req(host_on(lo), far), lo),
+                    (data(host_on(hi), far, Some(9999)), hi),
+                    (superset_req(host_on(lo), near), lo),
+                ] {
+                    let (Packet::PageRequest { page, .. } | Packet::PageData { page, .. }) = pkt
+                    else {
+                        unreachable!("data-plane frames only")
+                    };
+                    let before = (p.learned(page), p.holder_port(page));
+                    let dry = p.targets(&pkt, src, T0);
+                    let after = (p.learned(page), p.holder_port(page));
+                    assert_eq!(before, after, "targets() learned from {pkt:?}");
+                    assert!(!dry.contains(src), "{pkt:?} back out port {src}");
+                    let routed = p.route(&pkt, src, T0);
+                    assert_eq!(routed, p.targets(&pkt, src, T0), "{pkt:?} from {src}");
+                    assert!(set(routed).iter().all(|&t| t == lo || t == hi));
+                }
+                // What was learned sits on both sides of the boundary.
+                assert_eq!(set(p.learned(PageId::new(near))), vec![lo, hi]);
+                assert_eq!(p.holder_port(PageId::new(near)), Some(hi));
+            }
+        }
+    }
+
+    #[test]
+    fn wide_interest_ages_pins_and_grace_hold_on_either_side() {
+        // Aging: demand from one side, data from the page's home side.
+        for (asks, home) in [(0, 1), (1, 0)] {
+            let (mut p, lo, hi) = wide_policy(|c| c.with_aging(AgeHorizon::Transits(2)));
+            let (asks, home) = ([lo, hi][asks], [lo, hi][home]);
+            let page = home as u32; // striped: homed on the segment itself
+            let _ = p.route(&req(host_on(asks), page), asks, T0);
+            let refresh = data(host_on(home), page, None);
+            assert_eq!(set(p.route(&refresh, home, T0)), vec![asks]);
+            assert_eq!(set(p.route(&refresh, home, T0)), vec![asks]);
+            assert!(p.route(&refresh, home, T0).is_empty(), "aged out");
+            let _ = p.route(&req(host_on(asks), page), asks, T0);
+            assert_eq!(set(p.route(&refresh, home, T0)), vec![asks], "reinstated");
+        }
+        // Pins: resolved through the tree to the port on that side, and
+        // never aged, whichever side of 128 the pinned segment is on.
+        for side in 0..2 {
+            let (mut p, lo, hi) = wide_policy(|c| c.with_aging(AgeHorizon::Transits(0)));
+            let (pinned, other) = ([lo, hi][side], [hi, lo][side]);
+            let page = PageId::new(other as u32); // home on the other side
+            p.subscribe(page, pinned);
+            assert_eq!(set(p.interest(page, T0)), vec![lo, hi]);
+            for _ in 0..4 {
+                let heard = p.route(&data(host_on(other), other as u32, None), other, T0);
+                assert_eq!(set(heard), vec![pinned]);
+            }
+        }
+        // Reply grace: request-stamped interest outlives a horizon
+        // shorter than the round trip, then lapses.
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let (mut p, lo, hi) = wide_policy(|c| {
+            c.with_aging(AgeHorizon::SimTime(SimDuration::from_millis(1)))
+                .with_reply_grace(SimDuration::from_millis(10))
+        });
+        let page = lo as u32;
+        let _ = p.route(&req(host_on(hi), page), hi, ms(1));
+        let reply = data(host_on(lo), page, None);
+        assert_eq!(
+            set(p.targets(&reply, lo, ms(6))),
+            vec![hi],
+            "inside the grace"
+        );
+        assert!(p.targets(&reply, lo, ms(20)).is_empty(), "grace lapsed");
+        // Data demand alone stamps no request: no grace for it.
+        let _ = p.route(&data(host_on(hi), page, None), hi, ms(30));
+        assert!(
+            p.targets(&reply, lo, ms(36)).is_empty(),
+            "data earns no grace"
+        );
+    }
+
+    #[test]
+    fn flush_port_zeroes_exactly_that_ports_column() {
+        let (mut p, lo, hi) = wide_policy(|c| c);
+        let t = SimTime::ZERO + SimDuration::from_millis(3);
+        // Demand on both ports of pages 0..6, holder beliefs alternating.
+        for page in 0..6u32 {
+            let _ = p.route(&req(host_on(lo), page), lo, t);
+            let holder_side = [lo, hi][page as usize % 2];
+            let _ = p.route(&data(host_on(holder_side), page, None), holder_side, t);
+            let _ = p.route(&req(host_on(hi), page), hi, t);
+        }
+        let tracked: Vec<PageId> = p.tracked_pages().collect();
+        assert_eq!(tracked.len(), 6);
+        let before: Vec<Vec<PortStamp>> = tracked
+            .iter()
+            .map(|&page| p.stamps(page).expect("tracked").to_vec())
+            .collect();
+        assert!(
+            before.iter().all(|row| row.len() == 2),
+            "one stamp per port"
+        );
+        assert!(before.iter().flatten().all(|s| *s != PortStamp::NEVER));
+        assert_eq!(
+            p.stamps(PageId::new(6)),
+            None,
+            "untracked pages have no row"
+        );
+        p.flush_port(hi);
+        for (&page, was) in tracked.iter().zip(&before) {
+            let row = p.stamps(page).expect("still tracked");
+            assert_eq!(row[0], was[0], "page {page}: the other column is untouched");
+            assert_eq!(row[1], PortStamp::NEVER, "page {page}: flushed column");
+            assert_eq!(set(p.learned(page)), vec![lo]);
+            let keeps_belief = page.index() % 2 == 0;
+            assert_eq!(
+                p.holder_port(page),
+                keeps_belief.then_some(lo),
+                "page {page}"
+            );
+        }
+    }
+
+    // -----------------------------------------------------------------
     // Holder-directed request routing.
     // -----------------------------------------------------------------
 
@@ -2819,7 +3121,7 @@ mod tests {
         let at = SimTime::ZERO + SimDuration::from_millis(1);
         // Two simultaneous pickups of frames that must cross (page 1 is
         // homed on segment 1, heard on segment 0).
-        let first = b.pickup(&data(0, 1, None), 0, at);
+        let first = b.pickup(&data(0, 1, None), 0, at).to_vec();
         let second = b.pickup(&data(1, 1, None), 0, at);
         assert_eq!(first, vec![(1, at + delay)]);
         assert_eq!(
@@ -2966,10 +3268,12 @@ mod tests {
         // devices on segment 1 (device 1) and hops on to segment 2.
         let layout = SegmentLayout::new(6, 3).unwrap();
         let mut f = Fabric::new(layout, FabricConfig::chain(3));
-        let hop1 = f.pickup(&req(0, 5), 0, SimTime::ZERO);
+        let hop1 = f.pickup(&req(0, 5), 0, SimTime::ZERO).to_vec();
         assert_eq!(hop1.len(), 1);
         assert_eq!((hop1[0].device, hop1[0].dst), (0, 1));
-        let hop2 = f.pickup_forwarded(&req(0, 5), 1, hop1[0].exit, hop1[0].device);
+        let hop2 = f
+            .pickup_forwarded(&req(0, 5), 1, hop1[0].exit, hop1[0].device)
+            .to_vec();
         assert_eq!(hop2.len(), 1, "device 0 excluded, device 1 carries on");
         assert_eq!((hop2[0].device, hop2[0].dst), (1, 2));
         let hop3 = f.pickup_forwarded(&req(0, 5), 2, hop2[0].exit, hop2[0].device);
@@ -2983,7 +3287,7 @@ mod tests {
         f.subscribe(PageId::new(0), 3);
         // Data on segment 0 (the home) now crosses device 0 toward
         // segment 1 (the direction of 3)...
-        let out = f.pickup(&data(0, 0, None), 0, SimTime::ZERO);
+        let out = f.pickup(&data(0, 0, None), 0, SimTime::ZERO).to_vec();
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].device, out[0].dst), (0, 1));
         // ...and hops across device 1 to segment 3 itself.
@@ -3011,7 +3315,7 @@ mod tests {
             now += SimDuration::from_micros(200);
             let fab: Vec<(usize, SimTime)> = f
                 .pickup(&pkt, seg, now)
-                .into_iter()
+                .iter()
                 .map(|fw| {
                     assert_eq!(fw.device, 0);
                     (fw.dst, fw.exit)
@@ -3073,7 +3377,7 @@ mod tests {
         // crosses toward the holder without looping.
         let out = f.pickup(&req(4, 0), 2, SimTime::ZERO);
         assert!(!out.is_empty());
-        for fw in &out {
+        for fw in out {
             assert_ne!(fw.dst, 2, "never forwarded back out the incoming port");
         }
     }

@@ -40,8 +40,8 @@ pub mod time;
 
 pub use bridge::{
     AgeHorizon, BootState, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ControlOut,
-    ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PduOutcome, RequestRouting,
-    BRIDGE_HOST_BASE,
+    ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PduOutcome, PortStamp,
+    RequestRouting, BRIDGE_HOST_BASE,
 };
 pub use sim::{EtherConfig, EtherSim};
 pub use stats::NetStats;

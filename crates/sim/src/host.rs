@@ -691,9 +691,9 @@ impl HostSim {
                     transfer_to,
                     ..
                 } => {
+                    // (A page with a buffer has a slot.)
                     let interested = transfer_to == &Some(mether_core::HostId(self.index as u16))
-                        || self.table.page_buf(*page).is_some()
-                        || self.table.tracked_pages().any(|p| p == *page);
+                        || self.table.tracks(*page);
                     if interested {
                         self.calib.install_cost(data.len())
                     } else {

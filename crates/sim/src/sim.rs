@@ -353,9 +353,10 @@ impl Ord for Ev {
 }
 
 /// Immutable facts every event handler needs, fixed for one `run`.
-#[derive(Clone, Copy)]
 struct Env {
     layout: Option<SegmentLayout>,
+    /// Each segment's snoopers as a mask (see [`Simulation::members`]).
+    members: Arc<[HostMask]>,
     total_hosts: usize,
     delivery: DeliveryMode,
     /// The deployment is cut into per-segment lanes: a lane cannot
@@ -480,6 +481,10 @@ pub struct Simulation {
     segments: Vec<EtherSim>,
     /// Host→segment blocks; `None` on [`Topology::Flat`].
     layout: Option<SegmentLayout>,
+    /// Each segment's snoopers as a mask, indexed by segment (empty on
+    /// [`Topology::Flat`]): the blocks never change, so a transit clones
+    /// its segment's mask by reference count instead of building one.
+    members: Arc<[HostMask]>,
     /// Host-side events pending between runs. A `run` deals them out to
     /// its lanes and collects what is left when it stops.
     events: Queue,
@@ -530,10 +535,15 @@ impl Simulation {
                 (ethers, Some(layout), Some(Fabric::new(layout, *fabric)))
             }
         };
+        let members = layout
+            .iter()
+            .flat_map(|l| (0..l.segments()).map(move |s| l.members(s)))
+            .collect();
         Simulation {
             hosts,
             segments,
             layout,
+            members,
             events: Queue::default(),
             ctrl: par::Ctrl::new(fabric),
             now: SimTime::ZERO,
@@ -643,6 +653,7 @@ impl Simulation {
     fn env(&self, record: bool) -> Env {
         Env {
             layout: self.layout,
+            members: Arc::clone(&self.members),
             total_hosts: self.hosts.len(),
             delivery: self.delivery,
             record,

@@ -632,7 +632,7 @@ impl Observer {
         // a frame-flight ahead of the sweep instant — the policy
         // learns at arrival time when the pickup is scheduled —
         // so only the device-local clock is comparable here.)
-        for (i, &(sc, _st)) in stamps.iter().enumerate() {
+        for (i, sc) in stamps.iter().map(|s| s.clock).enumerate() {
             assert!(
                 sc <= clock,
                 "invariant (c): device {d} page {page} port-index {i} \

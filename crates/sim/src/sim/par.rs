@@ -80,6 +80,16 @@
 //! that holds every host pauses exactly when the run is complete, so
 //! with one lane this rule *is* the stop rule.
 //!
+//! "Are this lane's processes all done?" is asked after every event and
+//! after every recipient of a fan-out, so it must not cost a pass over
+//! the lane's hosts. A host that is done stays done for the rest of the
+//! run, so each lane keeps a *completion cursor* (`Lane::done_below`):
+//! every host below it is known to be done, the question is put to the
+//! one host at the cursor, and the cursor moves past it when the answer
+//! is yes — one host per question, at most `hosts` steps per run. A
+//! `run` cuts fresh lanes with the cursor at zero, so a process added
+//! (or a stream attached) between two runs is looked at again.
+//!
 //! # Tie-breaking
 //!
 //! Per-segment lanes cannot reconstruct a global insertion sequence,
@@ -163,7 +173,7 @@ struct Pickup {
 }
 
 impl Pickup {
-    fn offer(&self, fabric: &mut Fabric) -> Vec<Forward> {
+    fn offer<'f>(&self, fabric: &'f mut Fabric) -> &'f [Forward] {
         match self.from {
             None => fabric.pickup(&self.pkt, self.seg, self.arrival),
             Some(device) => fabric.pickup_forwarded(&self.pkt, self.seg, self.arrival, device),
@@ -198,11 +208,25 @@ struct Lane {
     /// Set when the last window stopped at the instant the lane's own
     /// processes all finished.
     paused: Option<SimTime>,
+    /// The completion cursor: every host below this index is done. A
+    /// finished host stays finished for the rest of the run, so the
+    /// cursor only moves forward and starts over at the next `cut`.
+    done_below: usize,
 }
 
 impl Lane {
-    fn all_done(&self) -> bool {
-        self.hosts.iter().all(HostSim::all_done)
+    /// Whether every host of the lane is done: asks the first host not
+    /// yet known to be, and moves the cursor past it when it is — one
+    /// host per call and `hosts` steps per run, whatever the width.
+    fn all_done(&mut self) -> bool {
+        while self
+            .hosts
+            .get(self.done_below)
+            .is_some_and(HostSim::all_done)
+        {
+            self.done_below += 1;
+        }
+        self.done_below == self.hosts.len()
     }
 
     fn next_at(&self) -> Option<SimTime> {
@@ -276,9 +300,8 @@ impl Lane {
                 // The sender alone on its segment has no local
                 // snoopers, but the bridge may still carry the frame
                 // out.
-                Some(l) => Some(l.members(seg).without(from))
-                    .filter(|mask| !mask.is_empty())
-                    .map(Recipients::Subset),
+                Some(l) => (l.members_range(seg).len() > 1)
+                    .then(|| Recipients::Subset(env.members[seg].clone().without(from))),
             };
             if let Some(to) = to {
                 self.schedule_delivery(at, to, &pkt, env);
@@ -299,7 +322,7 @@ impl Lane {
     /// hand, else leave the pickup for the barrier replay.
     fn pickup(&mut self, heard: Pickup, env: &Env, fabric: Option<&mut Fabric>) {
         if let Some(fabric) = fabric {
-            for fw in heard.offer(fabric) {
+            for &fw in heard.offer(fabric) {
                 self.push_forward(fw, &heard.pkt, env);
             }
         } else if env.record {
@@ -413,10 +436,7 @@ impl Lane {
                 // tree; the forwarding device is excluded, and the
                 // topology is a tree, so the walk cannot loop.
                 if let Some(at) = self.ether(dst).transmit(now, &pkt).delivered_at {
-                    let members = env
-                        .layout
-                        .expect("bridge events only exist on segmented topologies")
-                        .members(dst);
+                    let members = env.members[dst].clone();
                     self.schedule_delivery(at, Recipients::Subset(members), &pkt, env);
                     let heard = Pickup {
                         t: now,
@@ -656,7 +676,7 @@ impl Ctrl {
         // interleaving up to exact-instant cross-lane ties.
         all.sort_by_key(|(lane, p)| (p.t, *lane));
         for (_, heard) in all {
-            for fw in heard.offer(fabric) {
+            for &fw in heard.offer(fabric) {
                 lane_of(lanes, fw.dst).push_forward(fw, &heard.pkt, env);
             }
         }
@@ -696,7 +716,7 @@ impl Pool<'_> {
     fn pick(&self, done: bool, until: SimTime, pausing: bool) -> Vec<Task> {
         let mut tasks = Vec::new();
         for (lane, l) in self.lanes.iter().enumerate() {
-            let l = l.lock();
+            let mut l = l.lock();
             if l.all_done() == done && l.next_at().is_some_and(|t| t < until) {
                 tasks.push(Task {
                     lane,
@@ -826,6 +846,7 @@ impl Simulation {
                     processed: 0,
                     pickups: Vec::new(),
                     paused: None,
+                    done_below: 0,
                 })
             })
             .collect();

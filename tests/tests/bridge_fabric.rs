@@ -151,6 +151,68 @@ proptest! {
         }
     }
 
+    /// The port walk on wide fabrics, for any device, routing mode and
+    /// frame history: a pickup's egress ports come out strictly
+    /// ascending, never include the port the frame came in on, and stay
+    /// within the device's *forwarding* ports — on the 16×16 mesh, whose
+    /// boot tree blocks every redundant port and whose segment ids run
+    /// past the inline width of a mask, and on a 160-port star where one
+    /// flooded request fans out over both sides of that boundary.
+    #[test]
+    fn prop_routed_ports_ascend_within_the_forwarding_ports(
+        mesh in any::<bool>(),
+        device in 0usize..480,
+        history in proptest::collection::vec((0usize..300, 0u8..4, 0usize..160, 0usize..512), 1..40),
+        routed in any::<bool>(),
+    ) {
+        use bytes::Bytes;
+        use mether_core::{Generation, HostId, Packet, PageLength, Want};
+        use mether_net::{BootState, Bridge, BridgeConfig};
+
+        let topology = Arc::new(if mesh {
+            BridgeTopology::mesh2d(16, 16)
+        } else {
+            BridgeTopology::star(160)
+        });
+        let segments = topology.segments();
+        let layout = SegmentLayout::new(2 * segments, segments).unwrap();
+        let routing = if routed { RequestRouting::HolderDirected } else { RequestRouting::Flood };
+        let cfg = FabricConfig::new(BridgeTopology::clone(&topology)).with_routing(routing);
+        let boot = BootState::new(Arc::clone(&topology), Vec::new());
+        let device = device % topology.bridges();
+        let mut bridge = Bridge::new(
+            BridgePolicy::for_device(layout, &boot, device, &cfg),
+            BridgeConfig::typical().with_queue_frames(usize::MAX),
+        );
+        let ports = topology.ports(device).to_vec();
+        let forwarding = bridge.policy().active().forwarding(device);
+        let mut now = SimTime::ZERO;
+        for (page, kind, port, host) in history {
+            let page = PageId::new(page as u32);
+            let in_port = ports[port % ports.len()];
+            let from = HostId((2 * in_port) as u16);
+            let pkt = match kind {
+                0 => Packet::PageRequest { from, page, length: PageLength::Short, want: Want::ReadOnly },
+                1 => Packet::PageRequest { from, page, length: PageLength::Full, want: Want::Superset },
+                _ => Packet::PageData {
+                    from, page, length: PageLength::Short, generation: Generation(kind.into()),
+                    transfer_to: (kind == 3).then_some(HostId((host % (2 * segments)) as u16)),
+                    data: Bytes::from(vec![0u8; 32]),
+                },
+            };
+            now += SimDuration::from_micros(100);
+            let out: Vec<usize> = bridge.pickup(&pkt, in_port, now).iter().map(|&(dst, _)| dst).collect();
+            prop_assert!(out.windows(2).all(|w| w[0] < w[1]), "ascending: {:?}", out);
+            prop_assert!(!out.contains(&in_port), "never out the incoming port");
+            prop_assert!(out.iter().all(|&dst| forwarding.contains(dst)), "only forwarding ports");
+            if !forwarding.contains(in_port) {
+                prop_assert!(out.is_empty(), "a blocked port hears nothing");
+            }
+            let again = bridge.policy().targets(&pkt, in_port, now);
+            prop_assert_eq!(again.iter().collect::<Vec<_>>(), out, "targets() is the same walk");
+        }
+    }
+
     /// Aging invariants under arbitrary histories: the home port is in
     /// the interest mask after every step, pins never disappear, and a
     /// request on an evicted port reinstates it immediately.

@@ -377,3 +377,97 @@ fn parallel_run_completes_a_page_migration() {
         "someone must hold the counted page"
     );
 }
+
+// ---------------------------------------------------------------------
+// The stop rule on several hosts: a lane asks "is everyone done?" of
+// one host at a time, so the order hosts finish in must not matter and
+// nothing added between two `run`s may be missed.
+// ---------------------------------------------------------------------
+
+/// One publisher per host, each on a page of its own, with *fewer*
+/// cycles the higher the host: the last host finishes first and host 0
+/// last — the reverse of the order a lane learns completion in.
+fn reverse_finishers(sim_cfg: SimConfig) -> Simulation {
+    use mether_workloads::Publisher;
+    let hosts = sim_cfg.hosts;
+    let mut sim = Simulation::new(sim_cfg);
+    for h in 0..hosts {
+        let page = PageId::new(h as u32);
+        sim.create_owned(h, page);
+        let cycles = 3 * (hosts - h) as u32;
+        sim.add_process(h, Box::new(Publisher::new(page, cycles)));
+    }
+    sim
+}
+
+#[test]
+fn hosts_finishing_out_of_index_order_stop_the_run_at_the_same_event() {
+    // Goldens taken at the last commit that re-scanned every host after
+    // every event: the same instant, the same event count.
+    let limits = RunLimits::default();
+    assert_golden(
+        "flat, host 0 last",
+        || reverse_finishers(SimConfig::paper(6)),
+        limits,
+        0x5d08_2085_cf98_cb78,
+    );
+    assert_golden(
+        "4x2 star, host 0 last",
+        || reverse_finishers(SimConfig::paper_segmented(4, 2)),
+        limits,
+        0x9d2e_1339_b893_05d9,
+    );
+}
+
+#[test]
+fn a_run_sees_what_was_added_since_the_last_one() {
+    use mether_core::{MapMode, View};
+    use mether_sim::{ArrivalStream, OpenAccess};
+    use mether_workloads::Publisher;
+
+    /// One cold read of `page` at `at`.
+    struct OneAccess(Option<OpenAccess>);
+    impl ArrivalStream for OneAccess {
+        fn next_access(&mut self) -> Option<OpenAccess> {
+            self.0.take()
+        }
+    }
+
+    for mode in [ParallelMode::Serial, ParallelMode::Workers(2)] {
+        let mut sim = Simulation::new(SimConfig::paper_segmented(2, 2));
+        sim.set_parallel_mode(mode);
+        let (first, second) = (PageId::new(1), PageId::new(0));
+        sim.create_owned(3, first);
+        sim.create_owned(0, second);
+        // Only the last host has work: the run ends when it does, with
+        // every host known to be done.
+        sim.add_process(3, Box::new(Publisher::new(first, 4)));
+        let one = sim.run(RunLimits::default());
+        assert!(one.finished && one.events > 0, "{mode:?}: {one:?}");
+        // A process on the *first* host, added after that: the next run
+        // must look again, not remember that host 0 was done.
+        sim.add_process(0, Box::new(Publisher::new(second, 4)));
+        let two = sim.run(RunLimits::default());
+        assert!(two.finished && two.events > 0, "{mode:?}: {two:?}");
+        assert!(two.wall > one.wall, "{mode:?}: the second run took time");
+        assert!(
+            sim.host(0).all_done(),
+            "{mode:?}: and ran the publisher out"
+        );
+        // Likewise an open-loop stream: whatever the run makes of one
+        // attached this late, it is not "finished, nothing to do".
+        let access = OpenAccess {
+            at: sim.now() + SimDuration::from_millis(1),
+            page: first,
+            view: View::short_demand(),
+            mode: MapMode::ReadOnly,
+            cold: true,
+        };
+        sim.attach_open_loop(1, Box::new(OneAccess(Some(access))));
+        let three = sim.run(RunLimits::default());
+        assert!(
+            !(three.finished && three.events == 0),
+            "{mode:?}: an undrained stream is not completion: {three:?}"
+        );
+    }
+}

@@ -38,6 +38,24 @@ fn bench_node_ops(c: &mut Criterion) {
         })
     });
 
+    g.bench_function("bridged_purge_refetch", |b| {
+        // The same round trip with the home on the other segment: the
+        // request and the reply each cross the one bridge device.
+        let cluster = Cluster::new(ClusterConfig::segmented(2, 2)).unwrap();
+        let page = PageId::new(0);
+        cluster.node(0).create_owned(page);
+        let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+        cluster.node(0).write_u32(addr, 7).unwrap();
+        let _ = cluster.node(1).read_u32(addr, MapMode::ReadOnly).unwrap();
+        b.iter(|| {
+            cluster
+                .node(1)
+                .purge(page, MapMode::ReadOnly, PageLength::Short)
+                .unwrap();
+            black_box(cluster.node(1).read_u32(addr, MapMode::ReadOnly).unwrap())
+        })
+    });
+
     g.bench_function("purge_broadcast", |b| {
         // The final protocol's entire network cost: one writeable purge.
         let cluster = Cluster::new(ClusterConfig::fast(2)).unwrap();

@@ -9,9 +9,9 @@
 //!   loss, and full traffic accounting. The simulator asks it *when* a
 //!   packet transmitted "now" is delivered.
 //! * [`rt::Lan`] — a real, threaded in-process broadcast LAN for the
-//!   `mether-runtime` crate: a wire thread serialises broadcasts exactly
-//!   like a shared segment would, with configurable latency, bandwidth and
-//!   loss.
+//!   `mether-runtime` crate: transmitters take turns on one medium lock,
+//!   which serialises broadcasts exactly like a shared segment would,
+//!   with configurable latency, bandwidth and loss.
 //!
 //! Deployments larger than one broadcast domain instantiate *several* of
 //! either substrate — one per segment — joined by the routed bridge

@@ -23,9 +23,10 @@ pub struct NetStats {
     pub payload_bytes: u64,
     /// Packets dropped by loss injection.
     pub lost: u64,
-    /// Frames that failed to decode and were dropped by the wire thread
-    /// (cannot happen for frames produced by `Packet::encode`; counted
-    /// defensively rather than crashing the segment).
+    /// Frames that failed to decode and were dropped by their transmitter
+    /// on the threaded LAN (cannot happen for frames produced by
+    /// `Packet::encode`; counted defensively rather than crashing the
+    /// segment).
     pub decode_errors: u64,
     /// Packets refused at the sender because a field exceeded its wire
     /// length prefix (`Packet::try_encode` failed). Such a packet never

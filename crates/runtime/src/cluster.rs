@@ -12,7 +12,7 @@
 //! the same per-device policy the discrete-event simulator's fabric
 //! runs, so the two network models filter and route identically). A
 //! forwarded frame is emitted *from the forwarding device's own
-//! endpoint on the destination segment*, so that device never hears it
+//! port on the destination segment*, so that device never hears it
 //! back, while the *other* devices on the segment do — hop-by-hop
 //! forwarding along the fabric's **active tree**.
 //!
@@ -49,7 +49,7 @@
 //! - **`LinkDown` / `LinkUp`** — [`Cluster::link_down`] /
 //!   [`Cluster::link_up`]: one (device, segment) attachment fails while
 //!   the device keeps forwarding on its surviving ports. The lost port
-//!   is gated at the *endpoint level* in the device's thread (frames
+//!   is gated at the *port level* in the device's thread (frames
 //!   arriving on it are discarded, nothing is emitted onto it) and the
 //!   policy gossips the reduced port set exactly as the simulator's
 //!   `kill_port` does. Lost links are cluster state, not thread state:
@@ -79,10 +79,10 @@
 use crate::node::Node;
 use mether_core::{HostId, MetherConfig, Packet, PageId, SegmentLayout};
 use mether_net::bridge::{BootState, BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
-use mether_net::rt::{Endpoint, Lan, LanConfig};
+use mether_net::rt::{Inbox, Lan, LanConfig, Port};
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration, SimTime};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -170,10 +170,11 @@ impl ClusterConfig {
     }
 }
 
-/// One bridge device's thread slot: its stop flag, join handle (taken
-/// when stopped), filter, and restart count.
+/// One bridge device's thread slot: the inbox its thread waits on
+/// (closing it stops the thread), join handle (taken when stopped),
+/// filter, and restart count.
 struct DeviceSlot {
-    stop: Arc<AtomicBool>,
+    inbox: Inbox,
     handle: Option<JoinHandle<()>>,
     policy: Arc<Mutex<BridgePolicy>>,
     restarts: u64,
@@ -182,7 +183,10 @@ struct DeviceSlot {
 /// Fault-injection state shared by the cluster API and every bridge
 /// thread: the stall probe, the reconvergence counter, and the injected
 /// timeline. Lock order is slot → policy → stats → fault; no code path
-/// takes a policy (or slot) lock while holding this one.
+/// takes a policy (or slot) lock while holding this one. Transmitting
+/// takes a LAN's medium and then its listeners' inboxes, which take
+/// nothing further: a device thread may do it under its policy lock
+/// (a triggered hello does), never under stats or fault.
 struct FaultState {
     /// Armed by [`Cluster::stop_bridge`]: when the kill happened, until
     /// a data frame forwarded by an epoch-advanced device resolves it.
@@ -219,7 +223,7 @@ struct BridgeThreads {
     stats: Vec<Arc<Mutex<BridgeStats>>>,
     /// Per-device lost-port bitmask (bit = segment id). Cluster state,
     /// not thread state: `spawn_device` re-severs these on revival, and
-    /// the thread gates its endpoints against the current mask on every
+    /// the thread gates its ports against the current mask on every
     /// frame. Fault injection caps segments at 64 (the fabric itself
     /// has no such cap).
     lost: Vec<Arc<AtomicU64>>,
@@ -276,25 +280,27 @@ impl BridgeThreads {
         if restarts > 0 {
             p.rejoin(self.now());
         }
-        let ports: Vec<usize> = self.fabric.topology.ports(device).to_vec();
+        let segs = self.fabric.topology.ports(device);
         // Re-sever attachments lost in a previous life (LinkDown is
         // cluster state, surviving restart_bridge like the sim's).
         let lost0 = self.lost[device].load(Ordering::Relaxed);
-        for &seg in &ports {
+        for &seg in segs {
             if seg < 64 && lost0 & (1u64 << seg) != 0 {
                 let _ = p.kill_port(seg, self.now());
             }
         }
         let policy = Arc::new(Mutex::new(p));
-        let stop = Arc::new(AtomicBool::new(false));
-        // The device's endpoint on each of its port segments.
-        // Forwarding to port `p` transmits *from* this device's
-        // endpoint on `p`, so the device never hears its own forwards,
-        // while the other devices on `p` (distinct host ids) do — and
-        // carry the frame onward.
-        let endpoints: Vec<Endpoint> = ports
+        // The device's attachment to each of its port segments, all
+        // heard on one inbox, each frame tagged with the segment it
+        // arrived on. Forwarding to segment `s` transmits *from* this
+        // device's port on `s`, so the device never hears its own
+        // forwards, while the other devices on `s` (distinct host ids)
+        // do — and carry the frame onward.
+        let inbox = Inbox::new();
+        let host = HostId(BRIDGE_HOST_BASE + device as u16);
+        let ports: Vec<Port> = segs
             .iter()
-            .map(|&seg| self.lans[seg].endpoint(HostId(BRIDGE_HOST_BASE + device as u16)))
+            .map(|&seg| self.lans[seg].attach(host, &inbox, seg))
             .collect();
         let hello_every = self
             .fabric
@@ -303,7 +309,7 @@ impl BridgeThreads {
             .map(|d| Duration::from_nanos(d.as_nanos()));
         let epoch = self.start;
         let thread_policy = Arc::clone(&policy);
-        let thread_stop = Arc::clone(&stop);
+        let thread_inbox = inbox.clone();
         let thread_stats = Arc::clone(&self.stats[device]);
         let thread_lost = Arc::clone(&self.lost[device]);
         let thread_fault = Arc::clone(&self.fault);
@@ -311,7 +317,7 @@ impl BridgeThreads {
             .name(format!("mether-bridge-{device}"))
             .spawn(move || {
                 let policy = thread_policy;
-                let stop = thread_stop;
+                let inbox = thread_inbox;
                 let stats = thread_stats;
                 let lost = thread_lost;
                 let fault = thread_fault;
@@ -322,22 +328,23 @@ impl BridgeThreads {
                 let now =
                     || SimTime::ZERO + SimDuration::from_nanos(epoch.elapsed().as_nanos() as u64);
                 let gated = |mask: u64, seg: usize| seg < 64 && mask & (1u64 << seg) != 0;
+                let port_on = |seg: usize| ports.iter().find(|p| p.port() == seg);
                 let broadcast_hello = |p: &mut BridgePolicy, lost_now: u64| {
                     let pdu = p.pdu_for_emission();
                     for seg in p.self_live_ports() {
                         if gated(lost_now, seg) {
                             continue;
                         }
-                        if let Some(j) = ports.iter().position(|&q| q == seg) {
-                            let _ = endpoints[j].broadcast(&pdu);
+                        if let Some(port) = port_on(seg) {
+                            let _ = port.broadcast(&pdu);
                         }
                     }
                 };
-                let dispatch = |port_idx: usize, pkt: &Packet| {
+                let dispatch = |seg: usize, pkt: &Packet| {
                     let lost_now = lost.load(Ordering::Relaxed);
-                    if gated(lost_now, ports[port_idx]) {
+                    if gated(lost_now, seg) {
                         // The link is down: frames still draining out of
-                        // the endpoint queue fell on a dead wire.
+                        // the inbox fell on a dead wire.
                         return;
                     }
                     if pkt.is_control() {
@@ -347,12 +354,12 @@ impl BridgeThreads {
                                 device: from,
                                 views,
                                 ..
-                            } => p.hear_pdu(*from as usize, views, ports[port_idx], now()),
+                            } => p.hear_pdu(*from as usize, views, seg, now()),
                             Packet::BridgePduDelta {
                                 device: from,
                                 entries,
                                 ..
-                            } => p.hear_pdu_sparse(*from as usize, entries, ports[port_idx], now()),
+                            } => p.hear_pdu_sparse(*from as usize, entries, seg, now()),
                             _ => unreachable!("is_control covers exactly the PDU variants"),
                         };
                         if r.active_changed {
@@ -367,18 +374,13 @@ impl BridgeThreads {
                     }
                     let (targets, election_epoch) = {
                         let mut p = policy.lock();
-                        let t = p.route(pkt, ports[port_idx], now());
+                        let t = p.route(pkt, seg, now());
                         (t, p.election_epoch())
                     };
-                    let out: Vec<usize> = targets
+                    let out: Vec<&Port> = targets
                         .into_iter()
                         .filter(|&dst| !gated(lost_now, dst))
-                        .map(|dst| {
-                            ports
-                                .iter()
-                                .position(|&p| p == dst)
-                                .expect("targets are scoped to the ports")
-                        })
+                        .map(|dst| port_on(dst).expect("targets are scoped to the ports"))
                         .collect();
                     let forwarded = out.len() as u64;
                     // Count before transmitting: a receiver woken by the
@@ -397,10 +399,8 @@ impl BridgeThreads {
                             }
                         }
                     }
-                    for j in out {
-                        // A vanished destination LAN is a shutdown
-                        // race, not an error.
-                        let _ = endpoints[j].broadcast(pkt);
+                    for port in out {
+                        let _ = port.broadcast(pkt);
                     }
                     if forwarded > 0 && pkt.is_data() {
                         // Resolve the reconvergence stall probe: the
@@ -416,39 +416,40 @@ impl BridgeThreads {
                         }
                     }
                 };
-                // Block on one port (rotating) so an idle device sleeps
-                // in the kernel instead of spinning, then drain every
-                // port — a frame on any port is picked up at most one
-                // timeout after arrival, and under load the drain keeps
-                // all ports flowing with no sleeps at all. The block is
-                // capped at half the hello interval so the control
-                // plane keeps its cadence under silence.
+                // One blocking wait on all ports at once: an idle device
+                // sleeps in the kernel, a frame on any port wakes it, and
+                // closing the inbox ([`BridgeThreads::stop_device`]) ends
+                // the loop from whichever receive sees it first. Under
+                // live election the wait is capped at half the hello
+                // interval so the control plane keeps its cadence under
+                // silence.
                 let idle = hello_every
-                    .map(|h| (h / 2).max(Duration::from_micros(250)))
-                    .unwrap_or(Duration::from_millis(5))
-                    .min(Duration::from_millis(5));
+                    .map(|h| (h / 2).clamp(Duration::from_micros(250), Duration::from_millis(5)));
                 let mut last_hello = Instant::now();
-                let mut rot = 0usize;
-                'run: while !stop.load(Ordering::Relaxed) {
-                    match endpoints[rot].recv_timeout(idle) {
-                        Ok(pkt) => dispatch(rot, &pkt),
-                        Err(mether_core::Error::Timeout) => {}
-                        Err(_) => break 'run,
-                    }
-                    rot = (rot + 1) % endpoints.len();
-                    // The drain is capped per sweep: under a frame storm
-                    // (e.g. a transient forwarding loop on a redundant
-                    // fabric) the queues never go quiet, and an unbounded
-                    // drain would keep this thread from ever re-checking
-                    // `stop` or sending hellos again.
-                    for (i, ep) in endpoints.iter().enumerate() {
-                        for _ in 0..1024 {
-                            match ep.try_recv() {
-                                Ok(Some(pkt)) => dispatch(i, &pkt),
-                                Ok(None) => break,
-                                Err(_) => break 'run,
+                'run: loop {
+                    let heard = match idle {
+                        Some(idle) => inbox.recv_timeout(idle),
+                        None => inbox.recv(),
+                    };
+                    match heard {
+                        Ok((seg, pkt)) => {
+                            dispatch(seg, &pkt);
+                            // The burst behind it, capped per sweep:
+                            // under a frame storm (e.g. a transient
+                            // forwarding loop on a redundant fabric) the
+                            // inbox never goes quiet, and an unbounded
+                            // drain would keep this thread from ever
+                            // sending hellos again.
+                            for _ in 0..1024 {
+                                match inbox.try_recv() {
+                                    Ok(Some((seg, pkt))) => dispatch(seg, &pkt),
+                                    Ok(None) => break,
+                                    Err(_) => break 'run,
+                                }
                             }
                         }
+                        Err(mether_core::Error::Timeout) => {}
+                        Err(_) => break 'run,
                     }
                     if let Some(every) = hello_every {
                         if last_hello.elapsed() >= every {
@@ -465,15 +466,16 @@ impl BridgeThreads {
             })
             .expect("spawn bridge thread");
         DeviceSlot {
-            stop,
+            inbox,
             handle: Some(handle),
             policy,
             restarts,
         }
     }
 
-    /// Signals device `d`'s thread to stop and joins it. Returns true
-    /// if a running thread was stopped.
+    /// Signals device `d`'s thread to stop — closing its inbox wakes it
+    /// at once — and joins it. Returns true if a running thread was
+    /// stopped.
     fn stop_device(&self, d: usize) -> bool {
         // Holding the slot lock across the join is safe: bridge threads
         // never take slot locks (only policy/stats/fault).
@@ -481,7 +483,7 @@ impl BridgeThreads {
         let Some(handle) = slot.handle.take() else {
             return false;
         };
-        slot.stop.store(true, Ordering::Relaxed);
+        slot.inbox.close();
         let _ = handle.join();
         true
     }
@@ -498,7 +500,12 @@ impl BridgeThreads {
         true
     }
 
+    /// Stops every device thread: all are told first, then joined, so
+    /// they wind down side by side.
     fn stop(&self) {
+        for slot in &self.devices {
+            slot.lock().inbox.close();
+        }
         for d in 0..self.devices.len() {
             let _ = self.stop_device(d);
         }
@@ -664,7 +671,7 @@ impl Cluster {
     }
 
     /// Fails the (device, segment) attachment: the device stops hearing
-    /// and emitting frames on that port (endpoint-level gating in its
+    /// and emitting frames on that port (port-level gating in its
     /// thread) and gossips the reduced port set, exactly like the
     /// simulator's `LinkDown`. The loss is cluster state — it survives
     /// [`Cluster::restart_bridge`] until [`Cluster::link_up`] undoes
@@ -859,14 +866,25 @@ impl Cluster {
         }
     }
 
-    /// Stops the bridge threads and every node's receiver thread.
+    /// Stops the bridge threads and every node's receiver thread: all of
+    /// them are signalled first and joined afterwards, so they wind down
+    /// side by side. Called automatically on drop.
     pub fn shutdown(&mut self) {
+        for n in &self.nodes {
+            n.signal_shutdown();
+        }
         if let Some(b) = self.bridge.as_ref() {
             b.stop();
         }
         for n in &mut self.nodes {
             n.shutdown();
         }
+    }
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -949,6 +967,53 @@ mod tests {
     }
 
     #[test]
+    fn a_crossing_waits_on_no_timeout() {
+        // The device blocks on all its ports at once, so a cross-segment
+        // round trip costs thread hand-offs, not a wait for the device to
+        // come round to the right port (which made it milliseconds).
+        let mut c = Cluster::new(ClusterConfig::segmented(2, 2)).unwrap();
+        let page = PageId::new(0);
+        c.node(0).create_owned(page);
+        let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+        c.node(0).write_u32(addr, 7).unwrap();
+        let crossing = || {
+            let t = Instant::now();
+            c.node(1)
+                .purge(page, MapMode::ReadOnly, PageLength::Short)
+                .unwrap();
+            assert_eq!(c.node(1).read_u32(addr, MapMode::ReadOnly).unwrap(), 7);
+            t.elapsed()
+        };
+        for _ in 0..15 {
+            crossing();
+        }
+        let mut took: Vec<Duration> = (0..50).map(|_| crossing()).collect();
+        took.sort_unstable();
+        assert!(
+            took[25] < Duration::from_millis(1),
+            "median crossing took {:?}",
+            took[25]
+        );
+        let s = c.bridge_stats(0);
+        assert_eq!(s.heard, s.forwarded, "every frame heard was a crossing");
+        c.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_a_poll() {
+        // 16 receiver threads and a bridge device: each is woken by the
+        // close of its inbox, none sleeps out a receive timeout first.
+        let mut c = Cluster::new(ClusterConfig::segmented(16, 4)).unwrap();
+        let t = Instant::now();
+        c.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_millis(250),
+            "shutdown took {:?}",
+            t.elapsed()
+        );
+    }
+
+    #[test]
     fn cross_segment_fetch_works_on_a_routed_chain() {
         // 6 nodes over 3 chained segments ({0,1} {2,3} {4,5}), with
         // holder-directed request routing: node 4's demand fetch of a
@@ -984,16 +1049,18 @@ mod tests {
                 .purge(page, MapMode::Writeable, PageLength::Short)
                 .unwrap();
         }
-        // Wait for segment 0's wire thread to clock the frames out, so a
-        // hypothetical misrouted forward would have had time to appear.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while c.segment_stats(0).packets < 8 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert!(
-            c.segment_stats(0).packets >= 8,
+        assert_eq!(
+            c.segment_stats(0).packets,
+            8,
             "local broadcasts on segment 0"
         );
+        // Wait for the device to have looked at all eight, so a misrouted
+        // forward would have appeared by now.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while c.bridge_stats(0).heard < 8 && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(c.bridge_stats(0).filtered, 8, "the device filtered each");
         assert_eq!(
             c.segment_stats(1).packets,
             0,

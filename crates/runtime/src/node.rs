@@ -20,7 +20,7 @@ use mether_core::{
 };
 use mether_net::rt::Endpoint;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -29,8 +29,7 @@ pub(crate) struct NodeInner {
     host: HostId,
     pub(crate) driver: Mutex<PageTable>,
     wakeups: Condvar,
-    endpoint: Arc<Endpoint>,
-    shutdown: AtomicBool,
+    endpoint: Endpoint,
     next_waiter: AtomicU64,
     /// Page requests dropped because an identical one was already in
     /// the same drained receive burst (see [`Node::requests_coalesced`]).
@@ -61,7 +60,7 @@ fn duplicate_request(pkt: &Packet, earlier: &[Packet]) -> bool {
 }
 
 impl NodeInner {
-    fn apply_effects(&self, effects: Vec<Effect>) -> Result<()> {
+    fn apply_effects(&self, effects: impl IntoIterator<Item = Effect>) -> Result<()> {
         for fx in effects {
             match fx {
                 Effect::Send(pkt) => self.endpoint.broadcast(&pkt)?,
@@ -96,8 +95,7 @@ impl Node {
             host,
             driver: Mutex::new(PageTable::new(host, cfg)),
             wakeups: Condvar::new(),
-            endpoint: Arc::new(endpoint),
-            shutdown: AtomicBool::new(false),
+            endpoint,
             next_waiter: AtomicU64::new(0),
             requests_coalesced: AtomicU64::new(0),
         });
@@ -107,50 +105,43 @@ impl Node {
             .spawn(move || {
                 // The snooping receiver: every broadcast on the segment is
                 // fed to the driver; effects (replies, wakeups) happen here.
-                // Shutdown is checked every iteration (not only on a recv
-                // timeout) and the burst drain is capped, so a fabric
-                // melting down into a frame storm — a queue that never
-                // goes quiet — cannot wedge the join in [`Node::shutdown`]
-                // or grow an unbounded batch.
-                loop {
-                    if rx_inner.shutdown.load(Ordering::Relaxed) {
-                        break;
+                // It blocks until a frame arrives or [`Node::shutdown`]
+                // closes the endpoint, which every receive — the burst
+                // drain's too — reports at once; the drain is capped as
+                // well, so a fabric melting down into a frame storm — a
+                // queue that never goes quiet — can neither wedge the
+                // join nor grow an unbounded batch.
+                let endpoint = &rx_inner.endpoint;
+                let mut batch: Vec<Packet> = Vec::new();
+                let mut effects = Vec::new();
+                while let Ok(pkt) = endpoint.recv() {
+                    // Drain the burst queued behind this frame,
+                    // coalescing identical page requests within
+                    // it — the one broadcast reply satisfies
+                    // every requester the duplicates speak for.
+                    batch.push(pkt);
+                    for _ in 0..1024 {
+                        let Ok(Some(next)) = endpoint.try_recv() else {
+                            break;
+                        };
+                        if duplicate_request(&next, &batch) {
+                            rx_inner.requests_coalesced.fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
+                        batch.push(next);
                     }
-                    match rx_inner.endpoint.recv_timeout(Duration::from_millis(50)) {
-                        Ok(pkt) => {
-                            // Drain the burst queued behind this frame,
-                            // coalescing identical page requests within
-                            // it — the one broadcast reply satisfies
-                            // every requester the duplicates speak for.
-                            let mut batch: Vec<Packet> = vec![pkt];
-                            for _ in 0..1024 {
-                                let Ok(Some(next)) = rx_inner.endpoint.try_recv() else {
-                                    break;
-                                };
-                                if duplicate_request(&next, &batch) {
-                                    rx_inner.requests_coalesced.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                                batch.push(next);
-                            }
-                            let effects = {
-                                let mut driver = rx_inner.driver.lock();
-                                let mut fx = Vec::new();
-                                for pkt in &batch {
-                                    driver.handle_packet(pkt, &mut fx);
-                                }
-                                fx
-                            };
-                            if rx_inner.apply_effects(effects).is_err() {
-                                break;
-                            }
+                    {
+                        let mut driver = rx_inner.driver.lock();
+                        for pkt in &batch {
+                            driver.handle_packet(pkt, &mut effects);
                         }
-                        Err(Error::Timeout) => {
-                            if rx_inner.shutdown.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
+                    }
+                    // Not kept over the wait: a queued payload shares its
+                    // sender's page buffer, and would turn the sender's
+                    // next write into a copy.
+                    batch.clear();
+                    if rx_inner.apply_effects(effects.drain(..)).is_err() {
+                        break;
                     }
                 }
             })
@@ -437,9 +428,15 @@ impl Node {
         }
     }
 
+    /// Tells the receiver thread to stop, without waiting for it: closing
+    /// the endpoint wakes it at once.
+    pub(crate) fn signal_shutdown(&self) {
+        self.inner.endpoint.close();
+    }
+
     /// Stops the receiver thread. Called automatically on drop.
     pub fn shutdown(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        self.signal_shutdown();
         if let Some(h) = self.receiver.take() {
             let _ = h.join();
         }

@@ -12,7 +12,7 @@
 //! * the vectored payload segment is a zero-copy view of the packet's
 //!   own data buffer (no 8 KiB transmit copy);
 //! * malformed, truncated, or bit-flipped frames never panic the decoder
-//!   — they return `Err`, and the wire-thread policy of counting each
+//!   — they return `Err`, and the threaded LAN's policy of counting each
 //!   failure in [`NetStats::decode_errors`] keeps the segment alive.
 
 use bytes::Bytes;
@@ -146,7 +146,7 @@ proptest! {
         let p = mk_data(from, 0, short, generation, None, data);
         let enc = p.encode();
         // Any strict prefix must fail to decode with Err, never panic.
-        // (The wire thread's accounting of such failures —
+        // (The threaded LAN's accounting of such failures —
         // NetStats::decode_errors — is exercised for real against the
         // Lan in mether-net's `corrupt_frame_is_counted_and_dropped_not_fatal`;
         // here the property is the decoder's own behaviour.)
@@ -199,7 +199,7 @@ proptest! {
     }
 }
 
-/// The counter side of the wire-thread policy: `record_decode_error`
+/// The counter side of the threaded LAN's policy: `record_decode_error`
 /// accumulates one per bad frame and survives snapshot deltas. (The
 /// policy itself — a corrupt frame on the real LAN incrementing the
 /// counter, reaching no receiver, and leaving the segment alive — is

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mether_core::{
     Effect, Generation, HostId, HostMask, MapMode, MetherConfig, Packet, PageBuf, PageHomePolicy,
-    PageId, PageLength, PageTable, SegmentLayout, VAddr, View, WakeSet, Want,
+    PageId, PageLength, PageTable, RtoEstimator, SegmentLayout, VAddr, View, WakeSet, Want,
 };
 use mether_net::{
     BootState, Bridge, BridgeConfig, BridgePolicy, Fabric, FabricConfig, RequestRouting,
@@ -760,6 +760,32 @@ fn bench_hello_ring(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fault retransmission timer: what one fault costs it — a timeout
+/// asked for when the fault blocks, a round-trip sample when it is
+/// answered, and Karn's bookkeeping for the one in eight that had to
+/// re-send. On the path of every fault of every host, so it stays in
+/// the nanoseconds; five integers and no heap, so there is nothing to
+/// allocate.
+fn bench_rto(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rto");
+    g.bench_function("estimate", |b| {
+        let mut est = RtoEstimator::new(20_000_000, 29_262_500);
+        let mut rtt = 30_000_000u64;
+        b.iter(|| {
+            // A deterministic wobble between 30 and 94 ms.
+            rtt = 30_000_000 + (rtt.wrapping_mul(6_364_136_223_846_793_005) >> 58) * 1_000_000;
+            let timeout = est.timeout_ns(est.backoff());
+            if rtt.is_multiple_of(8_000_000) {
+                est.retransmitted(est.backoff() + 1);
+            } else {
+                est.sample(rtt);
+            }
+            black_box(timeout)
+        })
+    });
+    g.finish();
+}
+
 /// Open-loop traffic engine end-to-end: the seeded arrival schedule on
 /// the 4×8 tree, base and with serve-time reply piggybacking. The pair
 /// is the measured serving optimization — `_meta_pr10` records the
@@ -811,6 +837,7 @@ criterion_group!(
     bench_election,
     bench_observer,
     bench_hello_ring,
+    bench_rto,
     bench_openloop
 );
 criterion_main!(benches);

@@ -25,7 +25,8 @@
 //! The per-host protocol state machine lives in [`table::PageTable`]; the
 //! wire format in [`wire`]; the subset/superset rules of the paper's Figure 1
 //! in [`rules`]; the generation-counter handshake used by the paper's
-//! send/receive protocol in [`generation`].
+//! send/receive protocol in [`generation`]; the round-trip estimator
+//! that times fault retransmissions in [`rto`].
 //!
 //! # The zero-copy page-data path
 //!
@@ -70,6 +71,7 @@ pub mod config;
 pub mod error;
 pub mod generation;
 pub mod page;
+pub mod rto;
 pub mod rules;
 pub mod table;
 pub mod topology;
@@ -80,6 +82,7 @@ pub use config::{MetherConfig, SegmentLayout, PAGE_SIZE, SHORT_PAGE_SIZE};
 pub use error::{Error, Result};
 pub use generation::Generation;
 pub use page::PageBuf;
+pub use rto::RtoEstimator;
 pub use rules::PageHomePolicy;
 pub use table::{woken_waiters, AccessOutcome, Effect, FaultKind, PageTable, WakeSet};
 pub use topology::{ActiveTree, BridgeTopology, DeviceView, PortState};

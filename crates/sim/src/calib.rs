@@ -74,14 +74,30 @@ pub struct Calib {
     /// Server cost to inspect and discard a snooped packet it does not
     /// care about.
     pub server_snoop: SimDuration,
-    /// Demand-fault retry interval: a process blocked on a
-    /// request-bearing fault (demand or consistent fetch) for this long
-    /// abandons the wait (`PageTable::cancel_wait`) and re-issues the
-    /// faulting access, which retransmits the request — the recovery
-    /// path that lets a workload ride through a lost reply or a
-    /// partitioned fabric. `None` (the default, and the paper's
+    /// Fault retransmission: a waiter blocked on a request-bearing
+    /// fault (demand or consistent fetch) for one retransmission
+    /// timeout abandons the wait (`PageTable::cancel_wait`) and
+    /// re-issues the faulting access, which re-sends the request — the
+    /// recovery path that lets a workload ride through a lost reply, a
+    /// partitioned fabric, or a request that reached its holder after
+    /// the page had moved on. `None` (the default, and the paper's
     /// behaviour: the raw protocols have no retransmit timer) blocks
-    /// forever; the fault-tolerance experiments enable it.
+    /// forever; the fault-tolerance and open-loop experiments enable
+    /// it.
+    ///
+    /// `Some(floor)` turns the timer on; the value is the *least* the
+    /// timeout may be, not the timeout. Each host measures its own
+    /// (`mether_core::rto`): the smoothed round trip of the faults its
+    /// first request satisfied plus four mean deviations, doubled per
+    /// unanswered request of one fault up to 16 ×, and before any
+    /// sample three times [`Calib::no_load_round_trip`]. A constant
+    /// cannot do this job: an uncontended short-page fault on this
+    /// calibration takes 1 + 7 + 13 + 8 = 29 ms of trap and server legs
+    /// before wire and queueing, so a fixed 20 ms re-sends every
+    /// request at least once on an idle network — costing the requester
+    /// a second 7 ms send just as the reply lands, the fabric a second
+    /// crossing, and the holder a second serve — and under load the
+    /// duplicates feed the queue that delayed the reply.
     pub fault_retry: Option<SimDuration>,
     /// NIC-level request coalescing: an arriving `PageRequest` identical
     /// to one already queued for the server is dropped and counted,
@@ -143,10 +159,11 @@ impl Calib {
         }
     }
 
-    /// Enables the demand-fault retry timer (see [`Calib::fault_retry`]).
+    /// Enables the fault retransmission timer, never shorter than
+    /// `floor` (see [`Calib::fault_retry`]).
     #[must_use]
-    pub fn with_fault_retry(mut self, every: SimDuration) -> Self {
-        self.fault_retry = Some(every);
+    pub fn with_fault_retry(mut self, floor: SimDuration) -> Self {
+        self.fault_retry = Some(floor);
         self
     }
 
@@ -202,6 +219,18 @@ impl Calib {
         self.server_install_base
             + SimDuration::from_nanos(self.server_install_per_kb.as_nanos() * (bytes as u64) / 1024)
     }
+
+    /// What an uncontended demand fault moving `bytes` costs before
+    /// wire time: the kernel trap, the requester's server sending the
+    /// request, the holder's server answering it, the requester's
+    /// server installing the reply. The retransmission timer's guess
+    /// at a round trip until it has measured one.
+    pub fn no_load_round_trip(&self, bytes: usize) -> SimDuration {
+        self.fault_trap
+            + self.server_send_request
+            + self.reply_cost(bytes)
+            + self.install_cost(bytes)
+    }
 }
 
 impl Default for Calib {
@@ -241,6 +270,16 @@ mod tests {
         // Full page adds 8 KB × 4.2 ms/KB ≈ 33.5 ms over the base.
         let extra_ms = full.as_millis_f64() - short.as_millis_f64();
         assert!((33.0..35.0).contains(&extra_ms), "{extra_ms} ms");
+    }
+
+    #[test]
+    fn no_load_round_trip_is_above_the_retry_floors_in_use() {
+        // 1 + 7 + 13 + 8 ms of legs plus two 32-byte copies: every
+        // deployment's 20 ms floor is below it, which is why the floor
+        // cannot be the timeout.
+        let rtt = Calib::sun3_sunos4().no_load_round_trip(32);
+        assert_eq!(rtt, SimDuration::from_nanos(29_262_500));
+        assert!(Calib::kernel_server().no_load_round_trip(32) < rtt);
     }
 
     #[test]

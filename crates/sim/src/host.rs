@@ -17,6 +17,18 @@
 //! * all network I/O (requests, installs, purge broadcasts, snooping) is
 //!   the server's work, queued and charged per item.
 //!
+//! One thing here is not the paper's: when [`crate::Calib::fault_retry`]
+//! is set, a fault whose reply does not come is re-sent. The timeout is
+//! measured, not configured — every host keeps one
+//! [`mether_core::RtoEstimator`], fed the round trip of each fault its
+//! first request satisfied and asked for the timeout wherever a fault
+//! blocks (`block`, `open_arrival`, `open_retry_fired`). A fault that
+//! had to re-send gives no sample and doubles its own timer per
+//! attempt; a data wait sends nothing, so it arms the timer but is
+//! neither a sample nor a retransmission. What the timer did is counted
+//! beside the other serving counters: [`HostSim::fault_retransmits`],
+//! [`HostSim::spurious_retransmits`].
+//!
 //! The CPU executes *bursts*: a compute slice, a memory/trap cost for a
 //! DSM operation, one server work item, or a context switch. The
 //! simulation schedules one `BurstEnd` event per host at a time.
@@ -24,10 +36,11 @@
 use crate::calib::Calib;
 use crate::hist::LatencyHistogram;
 use crate::process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
+use mether_core::rto::MAX_BACKOFF;
 use mether_core::table::WaiterId;
 use mether_core::{
     AccessOutcome, DriveMode, Effect, FaultKind, MapMode, MetherConfig, Packet, PageId, PageLength,
-    PageTable, View, Want,
+    PageTable, RtoEstimator, View, Want,
 };
 use mether_net::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -81,7 +94,7 @@ struct OpenLoop {
 }
 
 /// One outstanding open-loop fault: enough to re-issue the access when
-/// its fault-retry timer fires (an unanswered request — a holder that
+/// its retransmission timer fires (an unanswered request — a holder that
 /// handed consistency off mid-flight, a reply lost to the wire — would
 /// otherwise strand the waiter forever, exactly the hazard
 /// [`Calib::fault_retry`] exists for on the process side).
@@ -91,6 +104,32 @@ struct OpenWait {
     page: PageId,
     view: View,
     mode: MapMode,
+    retry: FaultRetry,
+}
+
+/// Retransmission state of one outstanding fault.
+#[derive(Debug, Clone, Copy)]
+struct FaultRetry {
+    /// When the fault's latest request was queued for the server.
+    sent_at: SimTime,
+    /// Doublings on the timer now armed: the host's carried backoff
+    /// plus one per unanswered request of this fault.
+    backoff: u32,
+    /// The request has been sent more than once, so a reply cannot be
+    /// matched to a send time (Karn's rule: no sample).
+    retransmitted: bool,
+}
+
+impl FaultRetry {
+    /// The state after this fault's timer fired and its request was
+    /// re-sent at `now`.
+    fn resent(self, now: SimTime) -> FaultRetry {
+        FaultRetry {
+            sent_at: now,
+            backoff: (self.backoff + 1).min(MAX_BACKOFF),
+            retransmitted: true,
+        }
+    }
 }
 
 /// Are `a` and `b` page requests that one broadcast reply satisfies
@@ -153,6 +192,10 @@ struct Proc {
     /// epoch they were armed at, so a timer from an earlier block never
     /// fires against a later one.
     block_epoch: u64,
+    /// Retransmission state of the request-bearing fault the process is
+    /// blocked on, kept across the re-blocks of one fault; `None`
+    /// between faults and during a data wait.
+    retry: Option<FaultRetry>,
     label: String,
 }
 
@@ -242,13 +285,27 @@ pub struct HostSim {
     /// just broadcast for an identical request satisfies them too
     /// ([`Calib::piggyback_replies`]).
     pub requests_piggybacked: u64,
+    /// Requests re-sent because a fault's retransmission timer fired
+    /// before its reply came.
+    pub fault_retransmits: u64,
+    /// Retransmitted faults satisfied sooner after their last re-send
+    /// than an idle holder's serve plus the local install take, so the
+    /// reply cannot have been to it: the timer fired on a request that
+    /// was still being served.
+    pub spurious_retransmits: u64,
+    /// The retransmission timer of this host's faults, measured from
+    /// its own completed ones; `None` when [`Calib::fault_retry`] is.
+    rto: Option<RtoEstimator>,
+    /// The least time from a request leaving to its waiter being woken:
+    /// an idle holder's serve plus the local install of a short page.
+    reply_floor: SimDuration,
     /// Open-loop driver state, when a stream is attached.
     open: Option<OpenLoop>,
     /// Sleeps requested during dispatch (drained by `finish_burst`).
     pending_sleeps: Vec<(usize, SimTime)>,
-    /// Fault-retry timers armed when a process blocked on a
-    /// request-bearing fault: `(proc, fire_at, block_epoch)`. Drained
-    /// by the simulation into retry events; only armed when
+    /// Retransmission timers armed when a process or open-loop waiter
+    /// blocked on a fault: `(waiter, fire_at, block_epoch)`. Drained by
+    /// the simulation into retry events; only armed when
     /// [`Calib::fault_retry`] is set.
     pending_retries: Vec<(usize, SimTime, u64)>,
     /// Pending writeable-purge broadcast lengths, page → view length.
@@ -266,6 +323,12 @@ pub struct HostSim {
 impl HostSim {
     /// A host with no processes.
     pub fn new(index: usize, calib: Calib, cfg: MetherConfig) -> Self {
+        let short = cfg.transfer_len(PageLength::Short);
+        let reply_floor = calib.reply_cost(short) + calib.install_cost(short);
+        let no_load = calib.no_load_round_trip(short);
+        let rto = calib
+            .fault_retry
+            .map(|floor| RtoEstimator::new(floor.as_nanos(), no_load.as_nanos()));
         HostSim {
             index,
             calib,
@@ -285,6 +348,10 @@ impl HostSim {
             max_server_queue: 0,
             requests_coalesced: 0,
             requests_piggybacked: 0,
+            fault_retransmits: 0,
+            spurious_retransmits: 0,
+            rto,
+            reply_floor,
             open: None,
             pending_sleeps: Vec::new(),
             pending_retries: Vec::new(),
@@ -308,6 +375,7 @@ impl HostSim {
             blocked_at: SimTime::ZERO,
             blocked_kind: None,
             block_epoch: 0,
+            retry: None,
             label,
         });
         self.run_queue.push_back(idx);
@@ -383,6 +451,12 @@ impl HostSim {
                 ol.hits += 1;
             }
             Ok(AccessOutcome::Blocked(_)) => {
+                // Open faults arm the same recovery timer as blocked
+                // processes: their request's answerer can vanish
+                // mid-flight (consistency handed off between request and
+                // serve), and no process re-execution would ever re-send.
+                let retry = self.first_request(now);
+                self.arm_retry(waiter as usize, now, retry, 0);
                 let ol = self.open.as_mut().expect("attached");
                 ol.faults += 1;
                 ol.outstanding.push(OpenWait {
@@ -391,14 +465,8 @@ impl HostSim {
                     page: acc.page,
                     view: acc.view,
                     mode: acc.mode,
+                    retry,
                 });
-                // Open faults arm the same recovery timer as blocked
-                // processes: their request's answerer can vanish
-                // mid-flight (consistency handed off between request and
-                // serve), and no process re-execution would ever re-send.
-                if let Some(every) = self.calib.fault_retry {
-                    self.pending_retries.push((waiter as usize, now + every, 0));
-                }
             }
             Err(e) => panic!("open-loop access bug: {e}"),
         }
@@ -408,19 +476,22 @@ impl HostSim {
         actions
     }
 
-    /// A fault-retry timer fired for open-loop waiter `waiter`. Returns
-    /// `None` if the fault was already satisfied (a stale timer — waiter
-    /// ids are never reused, so presence in the outstanding list is the
-    /// whole liveness check). Otherwise abandons the wait, re-issues the
-    /// access under the *same* waiter id and issue timestamp (the
-    /// histogram must charge the retry's cost to the fault), re-arms the
-    /// timer if it blocks again, and returns the transmissions.
+    /// The retransmission timer of open-loop waiter `waiter` fired.
+    /// Returns `None` if the fault was already satisfied (a stale timer —
+    /// waiter ids are never reused, so presence in the outstanding list
+    /// is the whole liveness check). Otherwise abandons the wait,
+    /// re-issues the access under the *same* waiter id and issue
+    /// timestamp (the histogram must charge the retry's cost to the
+    /// fault), re-arms the timer at twice its last timeout if it blocks
+    /// again, and returns the transmissions.
     pub fn open_retry_fired(&mut self, now: SimTime, waiter: WaiterId) -> Option<Vec<HostAction>> {
-        let (page, view, mode) = {
-            let ol = self.open.as_mut()?;
-            let w = ol.outstanding.iter().find(|w| w.waiter == waiter)?;
-            (w.page, w.view, w.mode)
-        };
+        // The index holds to the end: nothing below touches the list
+        // before the effects are applied.
+        let ol = self.open.as_ref()?;
+        let pos = ol.outstanding.iter().position(|w| w.waiter == waiter)?;
+        let OpenWait {
+            page, view, mode, ..
+        } = ol.outstanding[pos];
         self.table.cancel_wait(page, waiter);
         if mode == MapMode::ReadOnly {
             // Same escalation as a process data-wait retry: shed any
@@ -436,15 +507,15 @@ impl HostSim {
                 // (e.g. the copy arrived without a waiting wake): stamp
                 // satisfaction now.
                 let ol = self.open.as_mut().expect("checked above");
-                if let Some(pos) = ol.outstanding.iter().position(|w| w.waiter == waiter) {
-                    let w = ol.outstanding.swap_remove(pos);
-                    ol.hist.record(now.since(w.issued_at).as_nanos());
-                }
+                let w = ol.outstanding.swap_remove(pos);
+                ol.hist.record(now.since(w.issued_at).as_nanos());
             }
             Ok(AccessOutcome::Blocked(_)) => {
-                if let Some(every) = self.calib.fault_retry {
-                    self.pending_retries.push((waiter as usize, now + every, 0));
-                }
+                let ol = self.open.as_mut().expect("checked above");
+                let retry = ol.outstanding[pos].retry.resent(now);
+                ol.outstanding[pos].retry = retry;
+                self.fault_retransmits += 1;
+                self.arm_retry(waiter as usize, now, retry, 0);
             }
             Err(e) => panic!("open-loop retry bug: {e}"),
         }
@@ -593,12 +664,14 @@ impl HostSim {
         std::mem::take(&mut self.pending_retries)
     }
 
-    /// A fault-retry timer fired for process `proc` (armed at
-    /// `epoch`). If the process is still blocked on that same fault,
-    /// the wait is abandoned ([`mether_core::PageTable::cancel_wait`],
+    /// The retransmission timer of process `proc` (armed at `epoch`)
+    /// fired. If the process is still blocked on that same fault, the
+    /// wait is abandoned ([`mether_core::PageTable::cancel_wait`],
     /// clearing the request-dedup latch) and the process re-issues the
     /// faulting access, which retransmits the request — the recovery
     /// path for a reply lost to a dead bridge or a partitioned fabric.
+    /// The re-block arms the timer at twice the timeout that just
+    /// expired.
     ///
     /// A data wait needs one extra step: the process blocked over a
     /// stale-but-present copy without transmitting anything, so
@@ -606,7 +679,9 @@ impl HostSim {
     /// the stale copy ([`mether_core::PageTable::drop_stale_copy`]),
     /// turning the re-execution into a demand fetch whose request also
     /// re-stamps the fabric's learned interest — the recovery path for
-    /// a waking broadcast filtered by an aged-out bridge.
+    /// a waking broadcast filtered by an aged-out bridge. That request
+    /// is the fault's first, not a retransmission: it is timed and
+    /// sampled like any other.
     ///
     /// Returns true if the process was unblocked for the retry.
     pub fn retry_fired(&mut self, proc: usize, epoch: u64) -> bool {
@@ -645,6 +720,50 @@ impl HostSim {
         }
         self.run_queue.push_back(proc);
         true
+    }
+
+    /// This host's retransmission-timeout estimator, when
+    /// [`Calib::fault_retry`] is set.
+    pub fn fault_rto(&self) -> Option<&RtoEstimator> {
+        self.rto.as_ref()
+    }
+
+    /// Retransmission state of a fault whose first request is queued at
+    /// `now`: it starts from whatever backoff the host's last
+    /// retransmitted fault left.
+    fn first_request(&self, now: SimTime) -> FaultRetry {
+        FaultRetry {
+            sent_at: now,
+            backoff: self.rto.as_ref().map_or(0, RtoEstimator::backoff),
+            retransmitted: false,
+        }
+    }
+
+    /// Arms the retransmission timer of `waiter`'s fault (when enabled):
+    /// the host's measured timeout, doubled `retry.backoff` times.
+    fn arm_retry(&mut self, waiter: usize, now: SimTime, retry: FaultRetry, epoch: u64) {
+        if let Some(rto) = &self.rto {
+            let timeout = SimDuration::from_nanos(rto.timeout_ns(retry.backoff));
+            self.pending_retries.push((waiter, now + timeout, epoch));
+        }
+    }
+
+    /// A request-bearing fault was satisfied at `now`. Sent once, its
+    /// round trip is a sample; retransmitted, it gives none and its
+    /// backoff carries to the host's next fault (Karn's rule).
+    fn request_answered(&mut self, now: SimTime, retry: FaultRetry) {
+        let Some(rto) = self.rto.as_mut() else {
+            return;
+        };
+        let since_sent = now.since(retry.sent_at);
+        if retry.retransmitted {
+            rto.retransmitted(retry.backoff);
+            if since_sent < self.reply_floor {
+                self.spurious_retransmits += 1;
+            }
+        } else {
+            rto.sample(since_sent.as_nanos());
+        }
     }
 
     fn push_server_work(&mut self, now: SimTime, work: ServerWork) {
@@ -1035,8 +1154,10 @@ impl HostSim {
             }
         };
         if let Some(res) = outcome {
-            self.procs[proc].last = res;
-            self.procs[proc].pending_op = None;
+            let p = &mut self.procs[proc];
+            p.last = res;
+            p.pending_op = None;
+            p.retry = None;
         }
         self.apply_effects(now, effects, actions);
     }
@@ -1048,20 +1169,32 @@ impl HostSim {
         p.blocked_at = now;
         p.blocked_kind = Some(kind);
         p.block_epoch += 1;
-        // Request-bearing faults arm the retry timer (when enabled):
-        // their reply can be lost to the network or a failed bridge, and
-        // nothing else would ever wake the waiter. Data waits arm it
-        // too: they transmit nothing, so the only wakeup is the fresh
-        // holder's broadcast — which a bridge whose learned interest has
-        // aged out under unrelated traffic filters forever.
+        let epoch = p.block_epoch;
+        // Request-bearing faults arm the retransmission timer (when
+        // enabled): their reply can be lost to the network or a failed
+        // bridge, and nothing else would ever wake the waiter. Data
+        // waits arm it too: they transmit nothing, so the only wakeup is
+        // the fresh holder's broadcast — which a bridge whose learned
+        // interest has aged out under unrelated traffic filters forever.
         if matches!(
             kind,
             FaultKind::DemandFetch | FaultKind::ConsistentFetch | FaultKind::DataWait
         ) {
-            if let Some(every) = self.calib.fault_retry {
-                self.pending_retries
-                    .push((proc, now + every, p.block_epoch));
+            // Retry state outlives a block only through `retry_fired`:
+            // this is the same fault re-sending its request.
+            let retry = match p.retry {
+                Some(retry) => {
+                    self.fault_retransmits += 1;
+                    retry.resent(now)
+                }
+                None => self.first_request(now),
+            };
+            // A data wait only borrows the timer: it sent nothing, so
+            // there is no round trip to sample and nothing to re-send.
+            if kind != FaultKind::DataWait {
+                self.procs[proc].retry = Some(retry);
             }
+            self.arm_retry(proc, now, retry, epoch);
         }
         self.current = None;
     }
@@ -1077,6 +1210,7 @@ impl HostSim {
                 if let Some(pos) = ol.outstanding.iter().position(|wait| wait.waiter == w) {
                     let wait = ol.outstanding.swap_remove(pos);
                     ol.hist.record(now.since(wait.issued_at).as_nanos());
+                    self.request_answered(now, wait.retry);
                 }
             }
             return;
@@ -1101,6 +1235,9 @@ impl HostSim {
             p.blocked_kind = None;
             self.run_queue.push_back(proc);
             self.wake_boost = true;
+            if let Some(retry) = self.procs[proc].retry.take() {
+                self.request_answered(now, retry);
+            }
         }
     }
 
@@ -1430,27 +1567,213 @@ mod tests {
         let HostAction::Transmit(req) = &actions[0];
 
         // ...a remote holder answers it...
-        let mut owner = HostSim::new(1, Calib::sun3_sunos4(), MetherConfig::default());
-        owner.table.create_owned(PageId::new(3));
-        let mut fx = Vec::new();
-        owner.table.handle_packet(req, &mut fx);
-        let reply = fx
-            .into_iter()
-            .find_map(|f| match f {
-                Effect::Send(p @ Packet::PageData { .. }) => Some(p),
-                _ => None,
-            })
-            .expect("holder answers");
+        let reply = holder_reply(req);
 
         // ...and installing the reply wakes the open waiter, stamping
         // the issue-to-satisfaction latency.
-        let later = t + SimDuration::from_millis(5);
-        h.deliver_packet(later, Arc::new(reply));
-        let t2 = h.dispatch(later).expect("install burst");
-        h.finish_burst(t2);
+        let t2 = install(&mut h, t + SimDuration::from_millis(5), reply);
         let hist = h.open_hist().expect("attached");
         assert_eq!(hist.count(), 1);
         assert_eq!(hist.max(), t2.since(SimTime::ZERO).as_nanos());
         assert!(h.all_done(), "stream drained, nothing outstanding");
+    }
+
+    /// The broadcast a remote consistent holder answers `req` with.
+    fn holder_reply(req: &Packet) -> Packet {
+        let Packet::PageRequest { page, .. } = req else {
+            panic!("not a request: {req:?}");
+        };
+        let mut owner = PageTable::new(HostId(1), MetherConfig::default());
+        owner.create_owned(*page);
+        let mut fx = Vec::new();
+        owner.handle_packet(req, &mut fx);
+        fx.into_iter()
+            .find_map(|f| match f {
+                Effect::Send(p @ Packet::PageData { .. }) => Some(p),
+                _ => None,
+            })
+            .expect("holder answers")
+    }
+
+    /// Runs the host from `now` until its server puts the queued
+    /// request on the wire and the CPU idles, as the simulation's
+    /// dispatch-after-every-burst would; returns when and what.
+    fn send_request(h: &mut HostSim, mut now: SimTime) -> (SimTime, Packet) {
+        loop {
+            now = h.dispatch(now).expect("a burst before the request is out");
+            if let Some(HostAction::Transmit(req)) = h.finish_burst(now).pop() {
+                assert!(matches!(req, Packet::PageRequest { .. }), "{req:?}");
+                assert!(h.dispatch(now).is_none(), "nothing else to run");
+                return (now, req);
+            }
+        }
+    }
+
+    /// Delivers `reply` at `now` and runs the install burst; returns
+    /// when the waiter was woken.
+    fn install(h: &mut HostSim, now: SimTime, reply: Packet) -> SimTime {
+        h.deliver_packet(now, Arc::new(reply));
+        let t = h.dispatch(now).expect("install burst");
+        h.finish_burst(t);
+        t
+    }
+
+    fn retrying_host() -> HostSim {
+        let calib = Calib::sun3_sunos4().with_fault_retry(SimDuration::from_millis(20));
+        HostSim::new(0, calib, MetherConfig::default())
+    }
+
+    fn open_read_fault(h: &mut HostSim) -> WaiterId {
+        h.attach_open_loop(Box::new(OneShot(Some(OpenAccess {
+            at: SimTime::ZERO,
+            page: PageId::new(3),
+            view: View::short_demand(),
+            mode: MapMode::ReadOnly,
+            cold: false,
+        }))));
+        h.open_arrival(SimTime::ZERO);
+        OPEN_WAITER_BASE
+    }
+
+    /// A reply that never comes is asked for again after one RTO, then
+    /// after two more, then four: each unanswered request doubles the
+    /// fault's timer. Before any sample the RTO is three idle round
+    /// trips of the calibration itself, not the 20 ms floor. And by
+    /// Karn's rule the fault that needed the retransmissions leaves no
+    /// sample, only its backoff for the host's next fault.
+    #[test]
+    fn unanswered_request_is_resent_after_one_rto_then_two_more() {
+        let c = Calib::sun3_sunos4();
+        let serve = c.reply_cost(32);
+        let rto = c.no_load_round_trip(32).saturating_mul(3);
+        assert_eq!(rto.as_nanos() / 1_000_000, 87);
+
+        let mut h = retrying_host();
+        let waiter = open_read_fault(&mut h);
+        let first = SimTime::ZERO + rto;
+        assert_eq!(h.take_retries(), [(waiter as usize, first, 0)]);
+        send_request(&mut h, SimTime::ZERO);
+
+        // The reply is lost: one RTO after the fault, the request goes
+        // out again and the timer is re-armed at twice the timeout.
+        assert!(h.open_retry_fired(first, waiter).is_some());
+        assert_eq!(h.fault_retransmits, 1);
+        let second = first + rto.saturating_mul(2);
+        assert_eq!(h.take_retries(), [(waiter as usize, second, 0)]);
+        send_request(&mut h, first);
+
+        // Lost again: RTO + 2 RTO after the fault, four on the timer.
+        assert!(h.open_retry_fired(second, waiter).is_some());
+        assert_eq!(h.fault_retransmits, 2);
+        let third = second + rto.saturating_mul(4);
+        assert_eq!(h.take_retries(), [(waiter as usize, third, 0)]);
+        let (sent, req) = send_request(&mut h, second);
+
+        // This one is answered after an honest serve time.
+        let woken = install(&mut h, sent + serve, holder_reply(&req));
+        assert_eq!(h.open_hist().expect("attached").count(), 1);
+        assert!(h.open_retry_fired(third, waiter).is_none(), "stale timer");
+        let est = h.fault_rto().expect("retry armed");
+        assert_eq!(est.srtt_ns(), None, "a retransmitted fault is no sample");
+        assert_eq!(est.backoff(), 2, "its backoff carries to the next fault");
+        assert_eq!(woken.since(sent), h.reply_floor);
+        assert_eq!(
+            h.spurious_retransmits, 0,
+            "the reply could be to the resend"
+        );
+    }
+
+    /// A timer that fires on a request still being served re-sends it
+    /// for nothing: the reply lands sooner after the re-send than any
+    /// reply to it could, and is counted as spurious.
+    #[test]
+    fn reply_sooner_than_a_round_trip_after_the_resend_is_spurious() {
+        let mut h = retrying_host();
+        let waiter = open_read_fault(&mut h);
+        let fire_at = h.take_retries()[0].1;
+        let (_, req) = send_request(&mut h, SimTime::ZERO);
+        assert!(h.open_retry_fired(fire_at, waiter).is_some());
+        // The late reply to the first request lands as the re-send
+        // leaves: no holder could have served that one yet.
+        let (resent, _) = send_request(&mut h, fire_at);
+        install(&mut h, resent, holder_reply(&req));
+        assert_eq!((h.fault_retransmits, h.spurious_retransmits), (1, 1));
+    }
+
+    /// A clean fault is a sample: the first sets the smoothed round
+    /// trip, and the timeout (three of them) replaces the calibration's
+    /// guess.
+    #[test]
+    fn fault_answered_by_its_first_request_is_sampled() {
+        let mut h = retrying_host();
+        open_read_fault(&mut h);
+        let (sent, req) = send_request(&mut h, SimTime::ZERO);
+        let woken = install(
+            &mut h,
+            sent + SimDuration::from_millis(13),
+            holder_reply(&req),
+        );
+        let rtt = woken.since(SimTime::ZERO).as_nanos();
+        let est = h.fault_rto().expect("retry armed");
+        assert_eq!(est.srtt_ns(), Some(rtt));
+        assert_eq!(est.rto_ns(), rtt + 4 * (rtt / 2));
+        assert_eq!((h.fault_retransmits, h.spurious_retransmits), (0, 0));
+        assert!(host().fault_rto().is_none(), "paper calibration: no timer");
+    }
+
+    /// Reads one page through a data-driven view, then exits.
+    struct OneDataRead(bool);
+
+    impl Workload for OneDataRead {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Step {
+            if std::mem::replace(&mut self.0, true) {
+                return Step::Done;
+            }
+            Step::Op(DsmOp::Read {
+                page: PageId::new(3),
+                view: View::short_data(),
+                mode: MapMode::ReadOnly,
+                offset: 0,
+            })
+        }
+    }
+
+    /// A data wait sends nothing, so its timer is not a retransmission:
+    /// when it fires the read is escalated to one demand fetch, whose
+    /// request is the fault's first — counted as no retransmission and
+    /// sampled like any other round trip.
+    #[test]
+    fn data_wait_timer_escalates_to_a_first_demand_request() {
+        let mut h = retrying_host();
+        h.add_process(Box::new(OneDataRead(false)));
+        let trapped = h.dispatch(SimTime::ZERO).expect("trap burst");
+        assert!(h.finish_burst(trapped).is_empty());
+        assert!(h.dispatch(trapped).is_none(), "a data wait sends nothing");
+        let (fire_at, epoch) = match h.take_retries()[..] {
+            [(0, at, epoch)] => (at, epoch),
+            ref other => panic!("one timer for proc 0, got {other:?}"),
+        };
+        let rto = h.fault_rto().expect("retry armed").rto_ns();
+        assert_eq!(fire_at.since(trapped).as_nanos(), rto);
+
+        assert!(h.retry_fired(0, epoch));
+        let retrapped = h.dispatch(fire_at).expect("re-executed read");
+        h.finish_burst(retrapped);
+        let (sent, req) = send_request(&mut h, retrapped);
+        assert!(matches!(
+            req,
+            Packet::PageRequest {
+                want: Want::ReadOnly,
+                ..
+            }
+        ));
+        assert_eq!(h.fault_retransmits, 0);
+        let woken = install(
+            &mut h,
+            sent + SimDuration::from_millis(13),
+            holder_reply(&req),
+        );
+        let est = h.fault_rto().expect("retry armed");
+        assert_eq!(est.srtt_ns(), Some(woken.since(retrapped).as_nanos()));
     }
 }

@@ -4,7 +4,7 @@
 
 use mether_core::{MapMode, PageId, View};
 use mether_net::SimDuration;
-use mether_sim::{DsmOp, RunLimits, SimConfig, Simulation, Step, StepCtx, Workload};
+use mether_sim::{Calib, DsmOp, RunLimits, SimConfig, Simulation, Step, StepCtx, Workload};
 
 /// Spins for `n` compute slices of `slice`, then exits.
 struct Spinner {
@@ -172,6 +172,41 @@ fn remote_fault_round_trip_latency_is_tens_of_ms() {
     // Exactly one request and one reply crossed the wire.
     assert_eq!(sim.net_stats().requests, 1);
     assert_eq!(sim.net_stats().data_packets, 1);
+}
+
+#[test]
+fn idle_fault_with_the_retry_timer_armed_sends_one_request() {
+    // The same uncontended fault with the retransmission timer on at a
+    // 20 ms floor — below the ~30 ms an idle round trip takes. The
+    // timeout is measured (three idle round trips before any sample),
+    // so the request is not re-sent and nothing about the run differs
+    // from the paper calibration's, which has no timer at all.
+    let run = |calib: Calib| {
+        let mut cfg = SimConfig::paper(2);
+        cfg.calib = calib;
+        let mut sim = Simulation::new(cfg);
+        sim.create_owned(0, PageId::new(0));
+        sim.add_process(
+            1,
+            Box::new(OneRead {
+                page: PageId::new(0),
+                done: false,
+            }),
+        );
+        let out = sim.run(RunLimits::default());
+        assert!(out.finished);
+        (out.wall, sim)
+    };
+    let (plain_wall, plain) = run(Calib::sun3_sunos4());
+    let (wall, sim) = run(Calib::sun3_sunos4().with_fault_retry(SimDuration::from_millis(20)));
+    assert_eq!(wall, plain_wall);
+    assert_eq!(sim.net_stats(), plain.net_stats());
+    assert_eq!(sim.net_stats().requests, 1, "re-sent on an idle network");
+    let reader = sim.host(1);
+    assert_eq!(reader.fault_retransmits, 0);
+    assert_eq!(reader.fault_latencies, plain.host(1).fault_latencies);
+    let rto = reader.fault_rto().expect("timer armed");
+    assert_eq!(rto.srtt_ns(), Some(reader.fault_latencies[0].as_nanos()));
 }
 
 #[test]

@@ -143,14 +143,17 @@ pub struct FailoverConfig {
     pub revive_at: Option<SimDuration>,
     /// Reader polling cadence.
     pub reader_spacing: SimDuration,
-    /// Demand-fault retry interval for every host — the recovery path
-    /// that re-sends requests the dead fabric swallowed.
+    /// Floor of every host's fault retransmission timeout
+    /// ([`mether_sim::Calib::fault_retry`]) — the recovery path that
+    /// re-sends requests the dead fabric swallowed. The timeout itself
+    /// is each host's measured round trip, doubling per unanswered
+    /// attempt while the fabric is down.
     pub fault_retry: SimDuration,
 }
 
 impl FailoverConfig {
     /// The acceptance configuration: 4×8 ring, 24 paced writes, root
-    /// killed 100 ms in, 50 ms fault retries.
+    /// killed 100 ms in, fault retransmission never sooner than 50 ms.
     pub fn ring_4x8() -> Self {
         FailoverConfig {
             hosts_per_segment: 8,

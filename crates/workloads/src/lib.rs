@@ -36,7 +36,7 @@ pub use fabric::{
     FailoverReport, PollUntilReader, ReturningReader,
 };
 pub use openloop::{
-    ArrivalProcess, OpenLoopConfig, OpenLoopReport, OpenLoopScenario, OpenLoopShape,
+    ArrivalProcess, BusiestTimer, OpenLoopConfig, OpenLoopReport, OpenLoopScenario, OpenLoopShape,
 };
 pub use protocols::{build_counting, run_counting, run_paper_protocol, Protocol};
 pub use publisher::{build_publisher_sim, Publisher};

@@ -32,7 +32,8 @@
 //!
 //! **SLO report.** [`OpenLoopScenario::run`] returns an
 //! [`OpenLoopReport`]: issue/hit/fault counts, fault-latency
-//! percentiles (p50/p99/p999/max), serve-time piggyback count, the
+//! percentiles (p50/p99/p999/max), serve-time piggyback count, what the
+//! fault retransmission timers did (re-sends, spurious ones), the
 //! per-home-segment queue high-water vector, and a deterministic digest
 //! ([`mether_sim::Simulation::open_loop_digest`]) the regression tests
 //! pin. Display prints one line per column so CI logs read as a table.
@@ -210,11 +211,11 @@ impl OpenLoopShape {
             OpenLoopShape::Tree4x8 => FabricConfig::tree(4, 2),
             OpenLoopShape::Mesh16x16 => {
                 // Holder-directed routing is mandatory at this scale: a
-                // flooded request visits all 480 devices, and the 20 ms
-                // fault retries of a deep queue re-flood it — the event
-                // budget drowns in transit fan-out before the streams
-                // finish. Directed requests grow with mesh distance
-                // instead.
+                // flooded request visits all 480 devices, and every
+                // retransmission a deep queue provokes re-floods it —
+                // the event budget drowns in transit fan-out before the
+                // streams finish. Directed requests grow with mesh
+                // distance instead.
                 FabricConfig::new(mether_core::BridgeTopology::mesh2d(16, 16))
                     .with_routing(RequestRouting::HolderDirected)
             }
@@ -283,10 +284,11 @@ impl OpenLoopScenario {
         // Spread the universe over all 256 homes and slow the per-host
         // pace. The rank-1 Zipf page draws ~18% of ALL demand; at the
         // paper's 13 ms per serve the hot home saturates near 75
-        // aggregate req/s, and past saturation the 20 ms fault retries
-        // compound the queue without bound. 256 drivers at a 2.5 s mean
-        // offer ~100 req/s total, ~19 req/s at the hot home (utilisation
-        // ~0.25): loaded enough to queue, far from collapse.
+        // aggregate req/s, and past saturation the queue grows without
+        // bound whatever the retransmission timer does. 256 drivers at
+        // a 2.5 s mean offer ~100 req/s total, ~19 req/s at the hot home
+        // (utilisation ~0.25): loaded enough to queue, far from
+        // collapse.
         cfg.pages = cfg.pages.max(256);
         cfg.arrivals = ArrivalProcess::Poisson(SimDuration::from_millis(2_500));
         cfg.accesses_per_host = cfg.accesses_per_host.min(30);
@@ -322,12 +324,14 @@ impl OpenLoopScenario {
         let mut cfg = SimConfig::paper(segments * hps);
         cfg.mether.num_pages = cfg.mether.num_pages.max(self.cfg.pages);
         cfg.ether.seed = self.cfg.seed;
-        // The soak deployments' recovery/mitigation pair: the 20 ms
-        // fault retry re-sends requests a converging fabric filtered,
-        // and NIC request coalescing keeps those retries from
-        // duplicating server work at enqueue time. Serve-time
-        // piggybacking (the measured optimization) additionally drops
-        // queued duplicates that arrived *during* a serve burst.
+        // The soak deployments' recovery/mitigation pair: the fault
+        // retransmission timer (each host's measured round trip, never
+        // under 20 ms) re-sends requests a converging fabric filtered
+        // or a migrating page left unanswered, and NIC request
+        // coalescing keeps those re-sends from duplicating server work
+        // at enqueue time. Serve-time piggybacking (the measured
+        // optimization) additionally drops queued duplicates that
+        // arrived *during* a serve burst.
         cfg.calib = cfg
             .calib
             .with_fault_retry(SimDuration::from_millis(20))
@@ -403,13 +407,26 @@ impl OpenLoopScenario {
         sim.check_invariants();
         let hist = sim.open_loop_hist();
         let (mut accesses, mut hits, mut faults, mut piggybacked) = (0u64, 0u64, 0u64, 0u64);
+        let (mut retransmits, mut spurious) = (0u64, 0u64);
+        let mut busiest = 0;
         for h in 0..sim.host_count() {
-            let (i, ht, f) = sim.host(h).open_counts();
+            let host = sim.host(h);
+            let (i, ht, f) = host.open_counts();
             accesses += i;
             hits += ht;
             faults += f;
-            piggybacked += sim.host(h).requests_piggybacked;
+            piggybacked += host.requests_piggybacked;
+            retransmits += host.fault_retransmits;
+            spurious += host.spurious_retransmits;
+            if host.fault_retransmits > sim.host(busiest).fault_retransmits {
+                busiest = h;
+            }
         }
+        let busiest_timer = sim.host(busiest).fault_rto().map(|rto| BusiestTimer {
+            host: busiest,
+            srtt: rto.srtt_ns().map(SimDuration::from_nanos),
+            rto: SimDuration::from_nanos(rto.rto_ns()),
+        });
         OpenLoopReport {
             label: self.label(),
             outcome,
@@ -417,6 +434,9 @@ impl OpenLoopScenario {
             hits,
             faults,
             piggybacked,
+            retransmits,
+            spurious,
+            busiest_timer,
             p50: SimDuration::from_nanos(hist.percentile(0.50)),
             p99: SimDuration::from_nanos(hist.percentile(0.99)),
             p999: SimDuration::from_nanos(hist.percentile(0.999)),
@@ -444,6 +464,16 @@ pub struct OpenLoopReport {
     /// Queued duplicate requests dropped at serve time
     /// (0 unless the scenario runs with piggybacking).
     pub piggybacked: u64,
+    /// Requests re-sent because a fault's retransmission timer fired
+    /// first (`HostSim::fault_retransmits`, summed).
+    pub retransmits: u64,
+    /// Retransmitted faults whose reply came too soon after the re-send
+    /// to have been caused by it (`HostSim::spurious_retransmits`,
+    /// summed): timer fires on requests that were merely still queued.
+    pub spurious: u64,
+    /// Where the retransmission timer of the host that re-sent most
+    /// ended the run.
+    pub busiest_timer: Option<BusiestTimer>,
     /// Median fault latency.
     pub p50: SimDuration,
     /// 99th-percentile fault latency.
@@ -457,6 +487,17 @@ pub struct OpenLoopReport {
     /// Deterministic digest of the whole run
     /// ([`mether_sim::Simulation::open_loop_digest`]).
     pub digest: u64,
+}
+
+/// The retransmission-timeout estimator of one host at the end of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BusiestTimer {
+    /// The host (lowest index among those that re-sent most).
+    pub host: usize,
+    /// Its smoothed fault round trip, if any fault gave a sample.
+    pub srtt: Option<SimDuration>,
+    /// Its timeout before backoff.
+    pub rto: SimDuration,
 }
 
 impl OpenLoopReport {
@@ -489,6 +530,20 @@ impl fmt::Display for OpenLoopReport {
             "  fault latency p50={} p99={} p999={} max={}",
             self.p50, self.p99, self.p999, self.max
         )?;
+        write!(
+            f,
+            "  retransmits={} spurious={}",
+            self.retransmits, self.spurious
+        )?;
+        if let Some(t) = self.busiest_timer {
+            write!(f, "; host {} re-sent most, ends at srtt=", t.host)?;
+            match t.srtt {
+                Some(srtt) => write!(f, "{srtt}")?,
+                None => write!(f, "unsampled")?,
+            }
+            write!(f, " rto={}", t.rto)?;
+        }
+        writeln!(f)?;
         write!(
             f,
             "  queue high-water: hottest segment {seg} depth {depth}; digest={:016x}",

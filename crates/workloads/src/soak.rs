@@ -472,7 +472,8 @@ impl SoakScenario {
     /// purge broadcast ~10ms, serving one request ~13ms — so a single
     /// P5 round trip across the fabric is ~35ms and a publisher cycle
     /// ~15ms plus serving its readers. Lossy runs get a 4× budget: a
-    /// lost waking broadcast costs a 20 ms retry or a 25 ms holder
+    /// lost waking broadcast costs a retransmission timeout (tens of
+    /// milliseconds, doubling per attempt) or a 25 ms holder
     /// re-broadcast wait per round, and those waits serialize across a
     /// mixed workload. Events stay sparse (thousands, not millions),
     /// so a long sim-time bound is still cheap to run.
@@ -564,15 +565,16 @@ impl SoakScenario {
             // Aging fabrics need it even on a clean wire — a bridge
             // whose learned interest expired under unrelated traffic
             // filters the broadcast a silent data-waiter depends on.
-            // The interval must exceed the paper-pace cost of serving
-            // one request (~13 ms): retrying faster than the home
-            // server can serve turns every blocked waiter into a
-            // steady request flood that backlogs the server queue for
-            // the rest of the run.
+            // 20 ms is the floor of the timeout, not the timeout: each
+            // host times its re-sends by the round trips it measures
+            // (three idle ones, ~88 ms, until it has a sample) and
+            // doubles per unanswered attempt, so a blocked waiter on a
+            // partitioned fabric probes it at a falling rate instead of
+            // flooding the home server at a fixed one.
             cfg.calib = cfg.calib.with_fault_retry(SimDuration::from_millis(20));
         }
-        // Even a 20 ms retry oversubscribes a 13 ms-per-request server
-        // once a handful of waiters retry in lockstep, so the soak
+        // A handful of waiters whose timers fire in lockstep still
+        // oversubscribe a 13 ms-per-request server, so the soak
         // deployments also run the NIC request-coalescing mitigation
         // (off in the paper calibration — its measured protocol
         // rankings include the duplicated server load).
@@ -584,8 +586,8 @@ impl SoakScenario {
             // it when the partner's one waking broadcast is lost.
             // Holders re-publish their pages on this cadence instead —
             // which is why lossy fault-free scenarios now assert
-            // completion. Slower than the 20 ms retry so the re-sends
-            // never become the dominant server load.
+            // completion. Slower than the retry timer's 20 ms floor so
+            // the re-sends never become the dominant server load.
             //
             // The cadence stretches on large fabrics: re-broadcasts
             // flood along sticky flood-learned interest forever (a

@@ -5,8 +5,9 @@
 //! stretched across a segment boundary, mirror-image counting pairs
 //! (the harshest tie workload: both pairs hit the bridge at identical
 //! nanoseconds), the distributed solver with one rank per segment (dry
-//! and lossy), and the ring-failover experiment (live election, an
-//! injected root death, fault retries) — [`ParallelMode::Workers`]`(4)`
+//! and lossy), the ring-failover experiment (live election, an
+//! injected root death, fault retries) and an open-loop tree run (the
+//! per-host retransmission timers) — [`ParallelMode::Workers`]`(4)`
 //! must produce **byte-identical final page states and metrics** to
 //! [`ParallelMode::Serial`]: same page bytes, generations and holders
 //! on every host, same virtual wall clock, CPU split, context switches,
@@ -28,7 +29,8 @@ use mether_sim::{
 };
 use mether_workloads::{
     build_counting, build_ring_failover, build_segmented_counting_pairs, build_segmented_solver,
-    CountingConfig, FailoverConfig, Protocol, SolverConfig, SolverWorker,
+    CountingConfig, FailoverConfig, OpenLoopConfig, OpenLoopScenario, Protocol, SolverConfig,
+    SolverWorker,
 };
 
 /// FNV-1a over a byte slice — cheap, deterministic content digest.
@@ -292,6 +294,42 @@ fn ring_failover_identical_under_serial_and_workers() {
         limits,
         0xbfdf_68e8_5eb3_1757,
     );
+}
+
+#[test]
+fn open_loop_tree_identical_under_serial_and_workers() {
+    // Open-loop arrivals on the 4×8 tree, every host's retransmission
+    // timer measuring its own round trips: the estimators are per-host
+    // state touched only in that host's handlers, so what they count
+    // must not depend on how hosts are dealt to lanes. Field by field,
+    // so a divergence names what moved.
+    let mut cfg = OpenLoopConfig::seeded(5);
+    cfg.accesses_per_host = 60;
+    let scenario = OpenLoopScenario::tree_4x8(cfg).with_piggyback();
+    let serial = scenario.run(None);
+    assert!(serial.outcome.finished);
+    assert!(serial.retransmits > 0, "no timer ever fired:\n{serial}");
+    for workers in [2, 4] {
+        let par = scenario.run(Some(workers));
+        macro_rules! same {
+            ($($field:ident),+) => {$(
+                assert_eq!(
+                    serial.$field, par.$field,
+                    "Workers({workers}): {}", stringify!($field)
+                );
+            )+};
+        }
+        same!(
+            outcome,
+            accesses,
+            hits,
+            faults,
+            piggybacked,
+            retransmits,
+            spurious
+        );
+        same!(busiest_timer, p50, p99, p999, max, queue_high_water, digest);
+    }
 }
 
 #[test]

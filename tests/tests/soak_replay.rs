@@ -236,7 +236,7 @@ fn lossy_p5_pair(ether_seed: u64, rebroadcast: Option<SimDuration>) -> bool {
     outcome.finished
 }
 
-/// Minimized hot-spin loss livelock (ether seed 0 of the pair above):
+/// Minimized hot-spin loss livelock (ether seed 15 of the pair above):
 /// the fault-retry escalation only reaches *blocked* waiters, but this
 /// loss pattern leaves a P5 waiter spinning on a present stale copy —
 /// its demand checks hit locally, it transmits nothing, and the
@@ -249,12 +249,12 @@ fn lossy_p5_pair(ether_seed: u64, rebroadcast: Option<SimDuration>) -> bool {
 #[test]
 fn hot_spin_loss_livelock_needs_holder_rebroadcast() {
     assert!(
-        !lossy_p5_pair(0, None),
-        "ether seed 0 must livelock without holder re-broadcast \
+        !lossy_p5_pair(15, None),
+        "ether seed 15 must livelock without holder re-broadcast \
          (if this starts finishing, the pinned loss pattern drifted)"
     );
     assert!(
-        lossy_p5_pair(0, Some(SimDuration::from_millis(25))),
+        lossy_p5_pair(15, Some(SimDuration::from_millis(25))),
         "holder re-broadcast must recover the hot-spinning waiter"
     );
 }
@@ -302,8 +302,8 @@ fn sub_round_trip_aging_run(grace: Option<SimDuration>) -> bool {
 /// Sub-round-trip aging horizons used to be a deterministic livelock
 /// (the soak generator floored its draw at 16 ms to avoid them): the
 /// reader's request stamps interest that expires before the ~13 ms
-/// reply arrives, the reply is filtered, and the 20 ms fault retry
-/// re-runs the same doomed exchange forever. The reply-grace floor
+/// reply arrives, the reply is filtered, and every fault
+/// retransmission re-runs the same doomed exchange. The reply-grace floor
 /// (`FabricConfig::with_reply_grace`) holds *request-stamped* interest
 /// through the round trip independent of the horizon, so the same
 /// deployment completes — pinned here because the generator now draws

@@ -311,9 +311,16 @@ fn segmented_delivery_modes_agree() {
     // The compat schedule expands a Subset mask into One events in the
     // same ascending order the per-transit fan-out walks — outcomes must
     // be identical through the bridge too.
+    let transit = segmented_run_digest(DeliveryMode::PerTransit);
+    assert_eq!(transit, segmented_run_digest(DeliveryMode::PerHostCompat));
+    // The per-transit digest as a golden FNV-1a literal, recorded while
+    // the per-host schedule is still here to agree with it.
+    let fnv = transit.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    });
     assert_eq!(
-        segmented_run_digest(DeliveryMode::PerTransit),
-        segmented_run_digest(DeliveryMode::PerHostCompat)
+        fnv, 0x3752_8f98_b333_77f2,
+        "cross-segment P5 moved off its golden digest (now {fnv:#018x}):\n{transit}"
     );
 }
 

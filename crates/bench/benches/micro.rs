@@ -13,7 +13,7 @@ use mether_net::{
     BootState, Bridge, BridgeConfig, BridgePolicy, Fabric, FabricConfig, RequestRouting,
     SimDuration, SimTime,
 };
-use mether_sim::{DeliveryMode, RunLimits};
+use mether_sim::RunLimits;
 use mether_workloads::{build_fabric_readers, build_publisher_sim, build_segmented_publisher};
 use std::hint::black_box;
 
@@ -355,30 +355,19 @@ fn bench_wake(c: &mut Criterion) {
     g.finish();
 }
 
-fn broadcast_heavy(mode: DeliveryMode) -> u64 {
-    // The same 16-host, 64-broadcast publisher harness the acceptance
-    // test (`tests/tests/event_engine_regression.rs`) pins, so these
-    // numbers measure exactly the pinned workload.
-    let mut sim = build_publisher_sim(16, 64);
-    sim.set_delivery_mode(mode);
-    let outcome = sim.run(RunLimits::default());
-    assert!(outcome.finished);
-    sim.event_stats().heap_pushes
-}
-
 /// The event heap under broadcast fan-out: 16 hosts, one publisher, 64
-/// broadcasts end to end. `broadcast_heap_16` is the per-transit engine
-/// (one `Deliver` event per broadcast); `broadcast_heap_16_perhost` is
-/// the compat schedule (15 arrival events per broadcast) — the ratio of
-/// their heap pushes is the acceptance criterion pinned in
-/// `tests/tests/event_engine_regression.rs`.
+/// broadcasts end to end, one `Deliver` event per broadcast — the same
+/// harness `tests/tests/event_engine_regression.rs` pins, so the number
+/// measures exactly the pinned workload.
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.bench_function("broadcast_heap_16", |b| {
-        b.iter(|| black_box(broadcast_heavy(DeliveryMode::PerTransit)))
-    });
-    g.bench_function("broadcast_heap_16_perhost", |b| {
-        b.iter(|| black_box(broadcast_heavy(DeliveryMode::PerHostCompat)))
+        b.iter(|| {
+            let mut sim = build_publisher_sim(16, 64);
+            let outcome = sim.run(RunLimits::default());
+            assert!(outcome.finished);
+            black_box(sim.event_stats().heap_pushes)
+        })
     });
     g.finish();
 }
@@ -599,12 +588,10 @@ fn bench_fabric(c: &mut Criterion) {
 }
 
 /// The past-the-wall deployment end to end: 1024 hosts (16 segments ×
-/// 64, every host a counting party) under the serial oracle and the
-/// lane-parallel engine. The wall numbers compare the schedules on
-/// whatever cores the measuring host has; `lane_balance` is the
-/// machine-independent number — events on the busiest lane over the
-/// total, whose inverse is the parallelism the deployment exposes to
-/// the worker pool (recorded in `BENCH_baseline.json` `_meta_pr6`).
+/// 64, every host a counting party) as one lane, and how evenly its
+/// events fall on the 16 per-segment lanes — events on the busiest
+/// lane over the total, a property of the deployment and not of the
+/// measuring host.
 fn bench_scale(c: &mut Criterion) {
     use mether_sim::ParallelMode;
     use mether_workloads::{build_scaled_fabric, ScaleConfig};
@@ -620,12 +607,6 @@ fn bench_scale(c: &mut Criterion) {
     };
     g.bench_function("16x64_serial", |b| {
         b.iter(|| black_box(run(ParallelMode::Serial).0))
-    });
-    g.bench_function("16x64_workers4", |b| {
-        b.iter(|| black_box(run(ParallelMode::Workers(4)).0))
-    });
-    g.bench_function("16x64_workers16", |b| {
-        b.iter(|| black_box(run(ParallelMode::Workers(16)).0))
     });
     // Not a timing: expose the lane balance as ns/iter-shaped output so
     // the baseline collector picks it up (busiest-lane share, in 1/1000

@@ -9,10 +9,11 @@
 //! allocated once at construction and never grows.
 //!
 //! Histograms are mergeable (bucket-wise addition plus max-of-maxes),
-//! which is what lets `ParallelMode::Workers(n)` lanes each keep a local
-//! histogram and still produce the exact same percentile report as a
-//! serial run: merging is associative and commutative, and the digest is
-//! computed over bucket counts, not insertion order.
+//! which is what lets every host keep its own histogram and a run cut
+//! into per-segment lanes (`ParallelMode::Workers`) still produce the
+//! exact same percentile report as a one-lane run: merging is
+//! associative and commutative, and the digest is computed over bucket
+//! counts, not insertion order.
 
 /// Sub-bucket resolution: each octave is split into `2^SUB_BITS` linear buckets.
 const SUB_BITS: u32 = 5;

@@ -47,6 +47,6 @@ pub use host::{ArrivalStream, HostSim, OpenAccess, ProcState, ProcTimes};
 pub use metrics::ProtocolMetrics;
 pub use process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
 pub use sim::{
-    DeliveryMode, EventStats, ObserverStats, ParallelMode, Recipients, RunLimits, RunOutcome,
-    SimConfig, Simulation, Topology,
+    EventStats, ObserverStats, ParallelMode, Recipients, RunLimits, RunOutcome, SimConfig,
+    Simulation, Topology,
 };

@@ -7,9 +7,10 @@
 //! (`EvKind`) and its ordering key (`Ev`), the per-queue counters —
 //! and what can be read off it after a run; the engine that executes
 //! the events is `sim/par.rs`, and [`Simulation::run`] lives there.
-//! There is one engine: a run is cut into one lane spanning the whole
-//! deployment or, under [`ParallelMode::Workers`], one lane per bridged
-//! segment, and the same handlers execute the events either way.
+//! There is one engine and it runs on the calling thread: a run is cut
+//! into one lane spanning the whole deployment or, under
+//! [`ParallelMode::Workers`], one lane per bridged segment, and the
+//! same handlers execute the events either way.
 //!
 //! Determinism: events at equal times are ordered by tie class and then
 //! by a monotonic insertion sequence (same-tick pops are
@@ -28,9 +29,7 @@
 //! O(transits × hosts) — on a 16-host broadcast-heavy run the heap (and
 //! the push/sift work feeding it) shrinks ~15×, which is exactly the
 //! steady-state O(1)-per-broadcast behaviour the paper claims for its
-//! hosts. [`DeliveryMode::PerHostCompat`] preserves the old
-//! one-event-per-recipient schedule solely so regression tests can pin
-//! the two orderings to identical outcomes.
+//! hosts.
 //!
 //! # Multi-segment topologies
 //!
@@ -38,9 +37,9 @@
 //! blocks ([`mether_core::SegmentLayout`]), one bridged Ethernet segment
 //! per block. Each segment has its own medium: an independent
 //! [`EtherSim`] instance (own carrier state, own loss RNG, own
-//! [`mether_net::NetStats`]) — so two segments clock frames out
-//! concurrently in simulated time instead of serialising on a single
-//! medium, while event ordering stays globally deterministic.
+//! [`mether_net::NetStats`]) — so two segments clock frames out at the
+//! same simulated time instead of serialising on a single medium,
+//! while event ordering stays globally deterministic.
 //!
 //! A transit on segment *s* becomes one `Deliver` event whose
 //! [`Recipients::Subset`] is *s*'s member bitmask (minus the sender):
@@ -196,17 +195,12 @@ pub struct RunOutcome {
 /// networks: exactly one segment's members) is a variable-length
 /// [`HostMask`] iterated in O(set bits) — clone-cheap inline up to 128
 /// hosts, a shared-buffer refcount bump beyond. Fan-out order is
-/// ascending host index for every variant, which is what lets the
-/// delivery-mode and topology regression tests pin them to identical
-/// outcomes.
+/// ascending host index for either variant, which is what lets the
+/// topology regression tests pin them to identical outcomes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Recipients {
     /// Every host on the (flat) network except the sender.
     AllExcept(usize),
-    /// Exactly one host. Used by [`DeliveryMode::PerHostCompat`] (one
-    /// event per recipient, the pre-overhaul schedule) and available for
-    /// future unicast transports.
-    One(usize),
     /// Exactly the masked hosts — one bridged segment's snoopers, the
     /// sender (if a member) already excluded by the scheduler.
     Subset(HostMask),
@@ -215,32 +209,15 @@ pub enum Recipients {
 impl Recipients {
     /// The recipient set as a bitmask, for an `n`-host deployment.
     ///
-    /// This is definitional for delivery: all three variants fan out in
-    /// the mask's ascending order, so `Subset(AllExcept's mask)` and
+    /// This is definitional for delivery: both variants fan out in the
+    /// mask's ascending order, so `Subset(AllExcept's mask)` and
     /// `AllExcept` are interchangeable (property-tested).
-    ///
     pub fn to_mask(&self, n: usize) -> HostMask {
         match self {
             Recipients::AllExcept(sender) => HostMask::all_except(n, *sender),
-            Recipients::One(h) => HostMask::single(*h).intersection(&HostMask::all_below(n)),
             Recipients::Subset(m) => m.intersection(&HostMask::all_below(n)),
         }
     }
-}
-
-/// How packet transits become host deliveries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// One `Deliver` event per transit; the recipient set fans out at pop
-    /// time. Heap growth per broadcast is O(1).
-    #[default]
-    PerTransit,
-    /// One `Deliver` event per recipient, reproducing the pre-overhaul
-    /// O(hosts)-events-per-broadcast schedule. Kept (and exercised by
-    /// the seed-regression tests) to pin the refactor to byte-identical
-    /// outcomes; delivery order is provably the same, so both modes must
-    /// produce identical page states and metrics for any seed.
-    PerHostCompat,
 }
 
 #[derive(Debug)]
@@ -251,7 +228,7 @@ enum EvKind {
     /// One transit finishing delivery: the packet (and its page payload)
     /// is materialised once, shared by reference with every recipient,
     /// and fanned out when the event pops — the heap never carries
-    /// per-recipient arrival events in [`DeliveryMode::PerTransit`].
+    /// per-recipient arrival events.
     Deliver {
         to: Recipients,
         pkt: Arc<Packet>,
@@ -358,7 +335,6 @@ struct Env {
     /// Each segment's snoopers as a mask (see [`Simulation::members`]).
     members: Arc<[HostMask]>,
     total_hosts: usize,
-    delivery: DeliveryMode,
     /// The deployment is cut into per-segment lanes: a lane cannot
     /// touch the shared fabric mid-window, so it records each bridge
     /// pickup for the coordinator to replay at the barrier.
@@ -387,7 +363,6 @@ impl Env {
             | EvKind::Rebroadcast { host }
             | EvKind::OpenArrival { host } => *host,
             EvKind::Deliver { to, .. } => match to {
-                Recipients::One(h) => *h,
                 // A mask is always one segment's members.
                 Recipients::Subset(mask) => mask.into_iter().next().unwrap_or(0),
                 // Flat networks only: everyone is on segment 0.
@@ -447,10 +422,11 @@ pub struct EventStats {
     /// pending deadline and a sorted deque replaces O(log n) heap
     /// traffic with O(1) appends.
     pub timer_ring_pushes: u64,
-    /// Worker-pool handoffs performed by the coordinator of a
-    /// per-segment-lane run (one per batched window dispatch, not one
-    /// per lane; zero on one-lane runs). The batching win
-    /// `lane_event_counts` can't see.
+    /// Lane-window dispatches: how many times the coordinator ran a
+    /// lane up to a window's end, summed over the run's windows — a
+    /// pure function of the schedule. Nothing is handed to anyone; the
+    /// name is kept for the frozen benchmark package, as
+    /// [`ParallelMode::Workers`]' is.
     pub task_handoffs: u64,
     /// Packet transits that reached at least one recipient.
     pub transits: u64,
@@ -492,7 +468,6 @@ pub struct Simulation {
     /// the control-plane events that drive it.
     ctrl: par::Ctrl,
     now: SimTime,
-    delivery: DeliveryMode,
     /// Events each lane executed during the last per-segment-lane run
     /// (empty after a one-lane run) — the lane-balance diagnostic.
     lane_events: Vec<u64>,
@@ -547,7 +522,6 @@ impl Simulation {
             events: Queue::default(),
             ctrl: par::Ctrl::new(fabric),
             now: SimTime::ZERO,
-            delivery: DeliveryMode::default(),
             lane_events: Vec::new(),
             seeded: false,
             parallel: ParallelMode::from_env(),
@@ -633,14 +607,6 @@ impl Simulation {
             .push(SimTime::ZERO + at, EvKind::Fabric(ev), &env);
     }
 
-    /// Selects how transits are scheduled (see [`DeliveryMode`]). The
-    /// default, [`DeliveryMode::PerTransit`], is what production runs
-    /// use; [`DeliveryMode::PerHostCompat`] exists for the seed-pinned
-    /// regression tests. Call before [`Simulation::run`].
-    pub fn set_delivery_mode(&mut self, mode: DeliveryMode) {
-        self.delivery = mode;
-    }
-
     /// Event-heap traffic counters so far, summed over every queue.
     pub fn event_stats(&self) -> EventStats {
         let mut stats = self.events.stats;
@@ -655,7 +621,6 @@ impl Simulation {
             layout: self.layout,
             members: Arc::clone(&self.members),
             total_hosts: self.hosts.len(),
-            delivery: self.delivery,
             record,
             observe: self.observer.enabled(),
         }
@@ -663,10 +628,9 @@ impl Simulation {
 
     /// Events each per-segment lane executed during the last
     /// [`ParallelMode::Workers`] run, indexed by segment; empty after a
-    /// one-lane run. `sum / max` over this slice is the parallelism the
-    /// deployment exposes to the worker pool (the critical-path bound a
-    /// multi-core host can approach), independent of how many cores the
-    /// measuring machine happens to have.
+    /// one-lane run. `max / sum` over this slice is how lopsided the
+    /// partition is: the share of the run's events on its busiest
+    /// segment.
     pub fn lane_event_counts(&self) -> &[u64] {
         &self.lane_events
     }

@@ -18,17 +18,24 @@
 //!
 //! * **One lane spanning every segment** — the default, and the only
 //!   cut a flat network, a single segment or a zero-delay fabric
-//!   allows. The lane is run inline on the calling thread with the
-//!   fabric in hand: it offers each frame to the bridge devices the
-//!   moment it is transmitted, checks the event budget and samples the
-//!   invariant observer after every event, and a window is bounded
-//!   only by the next control instant and the run limits. Events pop
-//!   strictly in `(time, tier, insertion sequence)` order: the serial
-//!   schedule.
+//!   allows. The lane runs with the fabric in hand: it offers each
+//!   frame to the bridge devices the moment it is transmitted, checks
+//!   the event budget and samples the invariant observer after every
+//!   event, and a window is bounded only by the next control instant
+//!   and the run limits. Events pop strictly in `(time, tier,
+//!   insertion sequence)` order: the serial schedule.
 //! * **One lane per segment** — under [`ParallelMode::Workers`] on a
-//!   fabric with a non-zero forward delay. Lanes advance concurrently
-//!   on a worker pool and *record* their bridge pickups; the
-//!   coordinator replays them at each window barrier.
+//!   fabric with a non-zero forward delay. Each window's lanes run one
+//!   after another in ascending lane order and *record* their bridge
+//!   pickups; the coordinator replays them at each window barrier.
+//!
+//! Everything runs on the calling thread: host threads buy none of
+//! the sim-time quantities a run reports. The per-segment cut is the
+//! deterministic partition the golden digests pin, so a lane of it is
+//! never handed the fabric just because nothing else is running. The
+//! `for lane in lanes` loops in [`Simulation::run`] are the one seam
+//! where threads could be put; a change that puts them there has this
+//! loop's wall time to beat.
 //!
 //! # Why per-segment lanes are safe: the lookahead argument
 //!
@@ -40,9 +47,9 @@
 //! `forward_delay` after the transmit that caused it. That bound is the
 //! *lookahead* of classic conservative parallel discrete-event
 //! simulation: all events in the window `[T, T + forward_delay)` can be
-//! processed lane-by-lane in parallel, because any cross-lane
-//! consequence of an event in the window lands at or after the
-//! window's end.
+//! processed lane by lane, each lane knowing nothing of the others,
+//! because any cross-lane consequence of an event in the window lands
+//! at or after the window's end.
 //!
 //! # The protocol
 //!
@@ -53,10 +60,9 @@
 //!    (lane events never create control events, so the control queue
 //!    cannot change under a window);
 //! 2. otherwise opens the window `[T, min(T + forward_delay, next
-//!    control event, run deadline])` and dispatches each lane with
-//!    pending events — to the worker pool, or inline when there is one
-//!    lane; lanes process their heaps strictly in `(time, tier,
-//!    sequence)` order;
+//!    control event, run deadline])` and runs each lane with pending
+//!    events, in ascending lane order; lanes process their heaps
+//!    strictly in `(time, tier, sequence)` order;
 //! 3. at the barrier, replays the recorded pickups against the shared
 //!    fabric in global `(time, lane)` order — the interleaving of
 //!    interest learning, store-and-forward queueing, and fault RNG
@@ -75,10 +81,14 @@
 //! unfinished, the run cannot have completed anywhere inside this
 //! window, so paused and already-done lanes simply catch up to the
 //! window end. If every lane is done, the completion moment is the
-//! *latest* pause `T*`; every other lane re-runs its remaining events
-//! strictly before `T*` and the run finishes at `T*` exactly. A lane
-//! that holds every host pauses exactly when the run is complete, so
-//! with one lane this rule *is* the stop rule.
+//! *latest* pause `T*`, in the highest lane that paused then — the
+//! last event one heap would have popped. Every other lane re-runs
+//! what that heap would have popped before it: its events before `T*`,
+//! and, in the lanes *below* the completing one, the events at `T*`
+//! too (their tier sorts first). The run finishes at `T*` exactly, with
+//! the event count of the one-lane run. A lane that holds every host
+//! pauses exactly when the run is complete, so with one lane this rule
+//! *is* the stop rule.
 //!
 //! "Are this lane's processes all done?" is asked after every event and
 //! after every recipient of a fan-out, so it must not cost a pass over
@@ -111,36 +121,39 @@
 //! backstop is checked per window rather than per event.
 
 use super::observe::Observer;
-use super::{DeliveryMode, Env, Ev, EvKind, Queue, Recipients, RunLimits, RunOutcome, Simulation};
+use super::{Env, Ev, EvKind, Queue, Recipients, RunLimits, RunOutcome, Simulation};
 use crate::host::{HostAction, HostSim, OPEN_WAITER_BASE};
 use mether_core::table::WaiterId;
 use mether_core::{HostMask, Packet};
 use mether_net::{ControlOut, EtherSim, Fabric, FabricEvent, Forward, SimDuration, SimTime};
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How many lanes [`Simulation::run`] may cut the deployment into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// One lane spanning every segment, run on the calling thread:
-    /// events strictly in `(time, tier, insertion sequence)` order.
+    /// One lane spanning every segment: events strictly in `(time,
+    /// tier, insertion sequence)` order.
     #[default]
     Serial,
-    /// One lane per segment, advancing concurrently on a pool of this
-    /// many worker threads, synchronized conservatively with lookahead
-    /// equal to the bridge forward delay (see the module docs). A
-    /// deployment with nothing to cut along (flat, one segment, or a
-    /// zero forward delay) runs as one lane, as do `Workers(0)` and
-    /// `Workers(1)`.
+    /// One lane per segment: each window's lanes run in ascending
+    /// order on the calling thread, synchronized conservatively with
+    /// lookahead equal to the bridge forward delay (see the module
+    /// docs). A deployment with nothing to cut along (flat, one
+    /// segment, or a zero forward delay) runs as one lane.
+    ///
+    /// There are no workers. The name and the `usize` are kept for the
+    /// frozen benchmark package (`e2e/`), which compiles against them;
+    /// the number only separates "below 2: one lane" from "2 or more:
+    /// one lane per segment", and ROADMAP item 1's `benchmark` PR may
+    /// rename both.
     Workers(usize),
 }
 
 impl ParallelMode {
     /// The *default* mode for freshly built simulations: `Serial`
-    /// unless the `METHER_WORKERS` environment variable names a worker
-    /// count ≥ 2 — the hook CI uses to sweep the whole test suite
+    /// unless the `METHER_WORKERS` environment variable names a number
+    /// ≥ 2 — the hook CI uses to sweep the whole test suite
     /// through per-segment lanes (byte-identity with the one-lane
     /// schedule makes that invisible). An explicit
     /// [`Simulation::set_parallel_mode`] always wins over the
@@ -261,22 +274,10 @@ impl Lane {
     /// Schedules the delivery of one completed transit to `to` (a
     /// segment's members, or the whole flat network) at `at`: one event
     /// fanned out at pop time — the network does the fan-out, not the
-    /// event queue — or, under [`DeliveryMode::PerHostCompat`], one
-    /// event per recipient with consecutive sequence numbers, which pop
-    /// contiguously in the same ascending host order.
+    /// event queue.
     fn schedule_delivery(&mut self, at: SimTime, to: Recipients, pkt: &Arc<Packet>, env: &Env) {
-        let deliver = |to| EvKind::Deliver {
-            to,
-            pkt: Arc::clone(pkt),
-        };
-        match env.delivery {
-            DeliveryMode::PerTransit => self.q.push(at, deliver(to), env),
-            DeliveryMode::PerHostCompat => {
-                for h in &to.to_mask(env.total_hosts) {
-                    self.q.push(at, deliver(Recipients::One(h)), env);
-                }
-            }
-        }
+        let pkt = Arc::clone(pkt);
+        self.q.push(at, EvKind::Deliver { to, pkt }, env);
     }
 
     /// Clocks each transmission out on its segment's medium, schedules
@@ -489,8 +490,9 @@ impl Lane {
 
 /// The lane that owns segment `seg`: the only lane, or the `seg`th of
 /// one per segment.
-fn lane_of(lanes: &[Mutex<Lane>], seg: usize) -> MutexGuard<'_, Lane> {
-    lanes[seg.min(lanes.len() - 1)].lock()
+fn lane_of(lanes: &mut [Lane], seg: usize) -> &mut Lane {
+    let last = lanes.len() - 1;
+    &mut lanes[seg.min(last)]
 }
 
 /// The bridge fabric and its control plane, run by the coordinator
@@ -578,13 +580,7 @@ impl Ctrl {
     /// receive control frames (their NICs filter the bridge multicast
     /// address), but the frame occupies the wire like any other and is
     /// subject to the segment's loss process.
-    fn transmit_control(
-        &mut self,
-        now: SimTime,
-        out: ControlOut,
-        lanes: &[Mutex<Lane>],
-        env: &Env,
-    ) {
+    fn transmit_control(&mut self, now: SimTime, out: ControlOut, lanes: &mut [Lane], env: &Env) {
         let pkt = Arc::new(out.pkt);
         let tx = lane_of(lanes, out.seg).ether(out.seg).transmit(now, &pkt);
         if let Some(at) = tx.delivered_at {
@@ -600,7 +596,7 @@ impl Ctrl {
 
     /// Executes every control event queued at exactly `now`. No lane is
     /// mid-window, so the segments' media are free to transmit on.
-    fn run_instant(&mut self, now: SimTime, lanes: &[Mutex<Lane>], env: &Env) {
+    fn run_instant(&mut self, now: SimTime, lanes: &mut [Lane], env: &Env) {
         while let Some(ev) = self.pop_at(now) {
             self.processed += 1;
             let Some(fabric) = self.fabric.as_mut() else {
@@ -663,13 +659,13 @@ impl Ctrl {
     /// schedules the resulting forwarded copies into their destination
     /// lanes. The lookahead bound guarantees every scheduled exit lands
     /// at or beyond the window end.
-    fn replay_pickups(&mut self, lanes: &[Mutex<Lane>], env: &Env) {
+    fn replay_pickups(&mut self, lanes: &mut [Lane], env: &Env) {
         let Some(fabric) = self.fabric.as_mut() else {
             return;
         };
         let mut all: Vec<(usize, Pickup)> = Vec::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            all.extend(lane.lock().pickups.drain(..).map(|p| (i, p)));
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            all.extend(lane.pickups.drain(..).map(|p| (i, p)));
         }
         // Stable: within a lane the recorded order is the processing
         // (time) order, so (t, lane) reproduces the one-lane
@@ -683,121 +679,27 @@ impl Ctrl {
     }
 }
 
-/// One unit of worker-pool work: run `lane`'s window up to `until`.
-struct Task {
-    lane: usize,
-    until: SimTime,
-    pausing: bool,
-}
-
-/// One window's worth of lane tasks, handed to the pool as a single
-/// shared work list: workers claim tasks through the atomic cursor
-/// instead of the coordinator waking each lane individually, so a
-/// window costs `min(workers, lanes)` channel round-trips rather than
-/// one per dispatched lane ([`EventStats::task_handoffs`](super::EventStats)
-/// counts them).
-struct WindowBatch {
-    tasks: Vec<Task>,
-    next: AtomicUsize,
-}
-
-/// The coordinator's end of the worker pool.
-struct Pool<'a> {
-    lanes: &'a [Mutex<Lane>],
-    env: &'a Env,
-    size: usize,
-    task_tx: crossbeam::channel::Sender<Arc<WindowBatch>>,
-    done_rx: crossbeam::channel::Receiver<()>,
-}
-
-impl Pool<'_> {
-    /// The lanes whose processes are (`done`) or are not all finished
-    /// and that have events before `until`, as one window's tasks.
-    fn pick(&self, done: bool, until: SimTime, pausing: bool) -> Vec<Task> {
-        let mut tasks = Vec::new();
-        for (lane, l) in self.lanes.iter().enumerate() {
-            let mut l = l.lock();
-            if l.all_done() == done && l.next_at().is_some_and(|t| t < until) {
-                tasks.push(Task {
-                    lane,
-                    until,
-                    pausing,
-                });
-            }
-        }
-        tasks
-    }
-
-    /// Runs one window's `batch` of lane tasks and waits for all of
-    /// them; returns the number of pool handoffs performed. A
-    /// single-task batch runs inline on the coordinator (the window has
-    /// no parallelism to exploit, so skip the channel round-trip) —
-    /// which is every batch of a one-lane run, the only kind that
-    /// passes `whole`. A larger batch is shared with `min(pool size,
-    /// tasks)` workers as one [`WindowBatch`] they drain through its
-    /// claim cursor.
-    fn run(&self, batch: Vec<Task>, whole: Option<&mut Whole<'_>>) -> u64 {
-        match &batch[..] {
-            [] => return 0,
-            [t] => {
-                let mut lane = self.lanes[t.lane].lock();
-                lane.run_window(t.until, t.pausing, self.env, whole);
-                // One handoff's worth of work, if there is a pool to
-                // have handed it to.
-                return self.size.min(1) as u64;
-            }
-            _ => {}
-        }
-        let wakeups = self.size.min(batch.len());
-        let shared = Arc::new(WindowBatch {
-            tasks: batch,
-            next: AtomicUsize::new(0),
-        });
-        for _ in 0..wakeups {
-            let _ = self.task_tx.send(Arc::clone(&shared));
-        }
-        // Every claimed task is finished before its claimer
-        // acknowledges, so `wakeups` acks mean the whole batch ran.
-        for _ in 0..wakeups {
-            let _ = self.done_rx.recv();
-        }
-        wakeups as u64
-    }
-}
-
 /// Samples the invariant observer at a point where no lane is
 /// mid-window, so the cross-layer state is globally consistent
 /// (invariants (a)–(d)).
-fn sweep(
-    observer: &mut Observer,
-    lanes: &[Mutex<Lane>],
-    fabric: Option<&mut Fabric>,
-    now: SimTime,
-) {
+fn sweep(observer: &mut Observer, lanes: &mut [Lane], fabric: Option<&mut Fabric>, now: SimTime) {
     if observer.on_event() {
-        let mut guards: Vec<_> = lanes.iter().map(|l| l.lock()).collect();
         let mut hosts: Vec<&mut HostSim> =
-            guards.iter_mut().flat_map(|g| g.hosts.iter_mut()).collect();
+            lanes.iter_mut().flat_map(|l| l.hosts.iter_mut()).collect();
         observer.sweep_sampled(&mut hosts, fabric, now);
     }
 }
 
 impl Simulation {
-    /// How many worker threads this run gets — and with them, one lane
-    /// per segment — or 0 for one lane on the calling thread. Cutting
-    /// the deployment along its segments needs the mode to ask for
-    /// workers, at least two segments, and a fabric whose non-zero
-    /// forward delay is the lookahead.
-    fn workers(&self) -> usize {
+    /// Whether this run is cut into one lane per segment rather than
+    /// one lane in all. Cutting the deployment along its segments needs
+    /// the mode to ask for it, at least two segments, and a fabric
+    /// whose non-zero forward delay is the lookahead.
+    fn per_segment(&self) -> bool {
         let lookahead = self.ctrl.fabric.as_ref().map(Fabric::forward_delay);
-        match self.parallel {
-            ParallelMode::Workers(n)
-                if n >= 2 && self.segments.len() >= 2 && lookahead > Some(SimDuration::ZERO) =>
-            {
-                n.min(self.segments.len())
-            }
-            _ => 0,
-        }
+        matches!(self.parallel, ParallelMode::Workers(n) if n >= 2)
+            && self.segments.len() >= 2
+            && lookahead > Some(SimDuration::ZERO)
     }
 
     /// Seeds the self-rescheduling event chains: one hello tick per
@@ -825,15 +727,15 @@ impl Simulation {
 
     /// Cuts the hosts, media and pending events into `count` lanes: one
     /// spanning everything, or one per segment.
-    fn cut(&mut self, count: usize) -> Vec<Mutex<Lane>> {
-        let mut lanes: Vec<Mutex<Lane>> = (0..count)
+    fn cut(&mut self, count: usize) -> Vec<Lane> {
+        let mut lanes: Vec<Lane> = (0..count)
             .rev()
             .map(|i| {
                 let (seg_lo, lo) = match self.layout {
                     Some(layout) if count > 1 => (i, layout.members_range(i).start),
                     _ => (0, 0),
                 };
-                Mutex::new(Lane {
+                Lane {
                     seg_lo,
                     lo,
                     hosts: self.hosts.split_off(lo),
@@ -847,7 +749,7 @@ impl Simulation {
                     pickups: Vec::new(),
                     paused: None,
                     done_below: 0,
-                })
+                }
             })
             .collect();
         lanes.reverse();
@@ -855,17 +757,16 @@ impl Simulation {
         // wherever they are queued: no renumbering either way.
         for ev in self.events.heap.drain() {
             let seg = usize::from(ev.tier).saturating_sub(1);
-            lane_of(&lanes, seg).q.heap.push(ev);
+            lane_of(&mut lanes, seg).q.heap.push(ev);
         }
         lanes
     }
 
     /// Puts the lanes' hosts, media and remaining events back.
-    fn join(&mut self, lanes: Vec<Mutex<Lane>>) {
+    fn join(&mut self, lanes: Vec<Lane>) {
         self.lane_events.clear();
         let per_segment = lanes.len() > 1;
-        for lane in lanes {
-            let mut lane = lane.into_inner();
+        for mut lane in lanes {
             if per_segment {
                 self.lane_events.push(lane.processed);
             }
@@ -881,131 +782,114 @@ impl Simulation {
     /// short by a limit can be continued with another `run`.
     ///
     /// Under [`ParallelMode::Workers`] on a deployment that can be cut
-    /// along its segments, one lane per segment advances concurrently
-    /// on a worker pool (see the module docs for the synchronization
-    /// protocol and its two divergence caveats); otherwise one lane
-    /// runs the whole deployment on this thread.
+    /// along its segments, the run is cut into one lane per segment
+    /// (see the module docs for the synchronization protocol and its
+    /// two divergence caveats); otherwise one lane runs the whole
+    /// deployment. Either way on the calling thread.
     pub fn run(&mut self, limits: RunLimits) -> RunOutcome {
-        let workers = self.workers();
-        let env = self.env(workers > 0);
+        let per_segment = self.per_segment();
+        let env = self.env(per_segment);
         if !self.seeded {
             self.seeded = true;
             self.seed(&env);
         }
-        let lanes = self.cut(if workers > 0 { self.segments.len() } else { 1 });
+        let mut lanes = self.cut(if per_segment { self.segments.len() } else { 1 });
         // Initial dispatch in ascending host order (lanes are
         // contiguous ascending blocks).
-        for lane in &lanes {
-            let mut lane = lane.lock();
+        for lane in &mut lanes {
             for host in lane.lo..lane.lo + lane.hosts.len() {
                 lane.kick(host, &env);
             }
         }
         // One lane has the fabric in hand and needs no lookahead.
         let lookahead = self.ctrl.fabric.as_ref().map(Fabric::forward_delay);
-        let lookahead = lookahead.filter(|_| workers > 0);
+        let lookahead = lookahead.filter(|_| per_segment);
         let deadline = SimTime::ZERO + limits.max_sim_time;
+        let tick = SimDuration::from_nanos(1);
         let mut observer = std::mem::take(&mut self.observer);
         let ctrl = &mut self.ctrl;
         ctrl.processed = 0;
         let mut now = self.now;
-        let mut finished = lanes.iter().all(|l| l.lock().all_done());
-        let processed =
-            |ctrl: &Ctrl| ctrl.processed + lanes.iter().map(|l| l.lock().processed).sum::<u64>();
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<Arc<WindowBatch>>();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (task_rx, done_tx, lanes, env) = (&task_rx, &done_tx, &lanes, &env);
-                s.spawn(move || {
-                    while let Ok(batch) = task_rx.recv() {
-                        loop {
-                            let i = batch.next.fetch_add(1, Ordering::Relaxed);
-                            let Some(t) = batch.tasks.get(i) else { break };
-                            lanes[t.lane]
-                                .lock()
-                                .run_window(t.until, t.pausing, env, None);
-                        }
-                        if done_tx.send(()).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            // Moved in: dropping the sender on the way out stops the pool.
-            let pool = Pool {
-                lanes: &lanes,
-                env: &env,
-                size: workers,
-                task_tx,
-                done_rx,
+        let mut finished = lanes.iter_mut().all(Lane::all_done);
+        let processed = |ctrl: &Ctrl, lanes: &[Lane]| {
+            ctrl.processed + lanes.iter().map(|l| l.processed).sum::<u64>()
+        };
+        while !finished {
+            let next_lane = lanes.iter().filter_map(Lane::next_at).min();
+            let next_ctrl = ctrl.next_at();
+            let Some(next) = next_lane.into_iter().chain(next_ctrl).min() else {
+                break; // every queue drained
             };
-            while !finished {
-                let next_lane = lanes.iter().filter_map(|l| l.lock().next_at()).min();
-                let next_ctrl = ctrl.next_at();
-                let Some(next) = next_lane.into_iter().chain(next_ctrl).min() else {
-                    break; // every queue drained
-                };
-                // Peek, never pop: the event that trips a limit stays
-                // queued for the `run` that continues this one.
-                let spent = processed(ctrl);
-                if next > deadline || spent >= limits.max_events {
-                    now = now.max(next);
-                    break;
-                }
-                // Control plane first at an equal instant (tier 0).
-                if next_ctrl == Some(next) {
-                    ctrl.run_instant(next, &lanes, &env);
-                    now = now.max(next);
-                    sweep(&mut observer, &lanes, ctrl.fabric.as_mut(), now);
-                    continue;
-                }
-                // Open the window.
-                let mut t_end = deadline + SimDuration::from_nanos(1);
-                if let Some(delay) = lookahead {
-                    t_end = t_end.min(next + delay);
-                }
-                if let Some(c) = next_ctrl {
-                    t_end = t_end.min(c);
-                }
-                let mut whole = (workers == 0).then(|| Whole {
-                    fabric: ctrl.fabric.as_mut(),
-                    observer: &mut observer,
-                    budget: limits.max_events - ctrl.processed,
-                });
-                // Phase 1: lanes with unfinished processes run ahead,
-                // pausing at their own completion transition.
-                let mut handoffs = pool.run(pool.pick(false, t_end, true), whole.as_mut());
-                let mut t_star = None;
-                finished = true;
-                for lane in &lanes {
-                    let mut lane = lane.lock();
-                    t_star = t_star.max(lane.paused.take());
-                    finished &= lane.all_done();
-                }
-                // A window in which every lane is done is the last: the
-                // run completed at the latest transition `T*`, and the
-                // other lanes re-run what a single heap would still
-                // have popped before it. Otherwise nothing stops inside
-                // this window, and paused and already-done lanes catch
-                // up to its end.
-                let until = if finished {
-                    t_star.expect("an all-done barrier follows a completion transition")
-                } else {
-                    t_end
-                };
-                handoffs += pool.run(pool.pick(true, until, false), whole.as_mut());
-                ctrl.q.stats.task_handoffs += handoffs;
-                now = if finished {
-                    until
-                } else {
-                    lanes.iter().fold(now, |now, l| now.max(l.lock().now))
-                };
-                ctrl.replay_pickups(&lanes, &env);
-                sweep(&mut observer, &lanes, ctrl.fabric.as_mut(), now);
+            // Peek, never pop: the event that trips a limit stays
+            // queued for the `run` that continues this one.
+            if next > deadline || processed(ctrl, &lanes) >= limits.max_events {
+                now = now.max(next);
+                break;
             }
-        });
-        let events = processed(&self.ctrl);
+            // Control plane first at an equal instant (tier 0).
+            if next_ctrl == Some(next) {
+                ctrl.run_instant(next, &mut lanes, &env);
+                now = now.max(next);
+                sweep(&mut observer, &mut lanes, ctrl.fabric.as_mut(), now);
+                continue;
+            }
+            // Open the window.
+            let mut t_end = deadline + tick;
+            if let Some(delay) = lookahead {
+                t_end = t_end.min(next + delay);
+            }
+            if let Some(c) = next_ctrl {
+                t_end = t_end.min(c);
+            }
+            let mut whole = (!per_segment).then(|| Whole {
+                fabric: ctrl.fabric.as_mut(),
+                observer: &mut observer,
+                budget: limits.max_events - ctrl.processed,
+            });
+            // Phase 1: lanes with unfinished processes run ahead,
+            // pausing at their own completion transition. The latest
+            // pause, in the highest lane that paused then, is the last
+            // event one heap would have popped.
+            let mut dispatched = 0;
+            let mut t_star = None;
+            finished = true;
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                if !lane.all_done() && lane.next_at().is_some_and(|t| t < t_end) {
+                    lane.run_window(t_end, true, &env, whole.as_mut());
+                    dispatched += 1;
+                }
+                t_star = t_star.max(lane.paused.take().map(|t| (t, i)));
+                finished &= lane.all_done();
+            }
+            // Phase 2. A window in which every lane is done is the
+            // last: the run completed at `T*` in lane `completing`, and
+            // the other lanes re-run what a single heap would still
+            // have popped before that event — theirs before `T*`, and
+            // in the lanes below `completing` (lower tiers) theirs at
+            // `T*` as well. Otherwise nothing stops inside this window,
+            // and paused and already-done lanes catch up to its end.
+            let (until, completing) = if finished {
+                t_star.expect("an all-done barrier follows a completion transition")
+            } else {
+                (t_end, 0)
+            };
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                let until = if i < completing { until + tick } else { until };
+                if lane.all_done() && lane.next_at().is_some_and(|t| t < until) {
+                    lane.run_window(until, false, &env, whole.as_mut());
+                    dispatched += 1;
+                }
+            }
+            ctrl.q.stats.task_handoffs += dispatched;
+            now = if finished {
+                until
+            } else {
+                lanes.iter().fold(now, |now, l| now.max(l.now))
+            };
+            ctrl.replay_pickups(&mut lanes, &env);
+            sweep(&mut observer, &mut lanes, ctrl.fabric.as_mut(), now);
+        }
+        let events = processed(&self.ctrl, &lanes);
         self.join(lanes);
         self.now = now;
         self.observer = observer;

@@ -447,8 +447,8 @@ impl OpenLoopScenario {
     }
 }
 
-/// What one open-loop run measured. Two runs of one scenario (serial or
-/// parallel) must produce equal digests and percentiles.
+/// What one open-loop run measured. Two runs of one scenario (one lane
+/// or one per segment) must produce equal reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpenLoopReport {
     /// Scenario label ([`OpenLoopScenario::label`]).

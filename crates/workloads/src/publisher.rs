@@ -90,7 +90,7 @@ impl Workload for Publisher {
 /// A paper-testbed deployment of `hosts` workstations with one
 /// [`Publisher`] of `cycles` broadcasts on host 0 — the shared
 /// broadcast-heavy harness behind the event-queue bench and its
-/// acceptance test. The caller picks the delivery mode and runs it.
+/// acceptance test. The caller runs it.
 pub fn build_publisher_sim(hosts: usize, cycles: u32) -> Simulation {
     let mut sim = Simulation::new(SimConfig::paper(hosts));
     let page = PageId::new(0);

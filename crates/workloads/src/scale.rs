@@ -8,11 +8,10 @@
 //!   (16 segments × 64 hosts on a fanout-4 bridge tree, see
 //!   [`ScaleConfig::fabric_16x64`]). Every segment runs its own set of
 //!   §4 P5 counting pairs on pages homed to itself, so the traffic is
-//!   segment-local by construction: exactly the deployment the
-//!   per-segment event lanes of
-//!   [`mether_sim::ParallelMode::Workers`] parallelize, and the
-//!   workload behind the `scale/16x64` bench and the Workers-vs-Serial
-//!   speedup number in `BENCH_baseline.json`.
+//!   segment-local by construction: the per-segment event lanes of
+//!   [`mether_sim::ParallelMode::Workers`] cut it into 16 balanced
+//!   lanes that never talk to each other. It is the workload behind
+//!   the `scale/16x64` bench.
 //! * [`build_migration_storm`] — the adversarial opposite: P1 counting
 //!   pairs *straddling* segment boundaries on a chain fabric, so every
 //!   pair's shared page ping-pongs between holders on different
@@ -90,7 +89,7 @@ impl ScaleConfig {
 /// cold-start request floods (the first demand fault per page floods
 /// the fabric before any interest is learned) the bridge filter keeps
 /// every data frame local and the segments advance independently — the
-/// workload the per-segment event lanes speed up.
+/// deployment that cuts most evenly into per-segment event lanes.
 ///
 /// Pair `k` of segment `s` occupies hosts `s·hps + 2k` and
 /// `s·hps + 2k + 1`; its pages are globally unique

@@ -2,26 +2,24 @@
 //! engine to the per-host schedule it replaced.
 //!
 //! The overhaul collapsed the N−1 per-host arrival events of a broadcast
-//! into one `Deliver` event that fans out at pop time
-//! ([`DeliveryMode::PerTransit`]). The old schedule survives as
-//! [`DeliveryMode::PerHostCompat`] precisely so these tests can assert
-//! the strongest possible property: for the paper's workloads, at fixed
-//! seeds (including lossy-network seeds), the two schedules produce
-//! **identical final page states and identical metrics** — same page
-//! bytes, generations and holders on every host, same virtual wall
-//! clock, CPU split, context switches, fault latencies, and traffic
-//! counters. Any divergence in same-tick delivery order, wake order, or
-//! loss-injection alignment would show up here as a fingerprint
-//! mismatch.
+//! into one `Deliver` event that fans out at pop time. For the paper's
+//! workloads, at fixed seeds (including lossy-network seeds), the two
+//! schedules produced **identical final page states and identical
+//! metrics** — same page bytes, generations and holders on every host,
+//! same virtual wall clock, CPU split, context switches, fault
+//! latencies, and traffic counters. The per-host schedule is gone; the
+//! fingerprints it agreed on stay here as golden FNV literals, recorded
+//! in the last commit that could still run both. Any change in
+//! same-tick delivery order, wake order, or loss-injection alignment
+//! shows up as a digest mismatch.
 //!
 //! The heap-shrink acceptance criterion rides along: on a 16-host
-//! broadcast-heavy run, per-transit delivery must push at least 4× fewer
-//! delivery events than the per-host schedule (it pushes hosts−1×
-//! fewer).
+//! broadcast-heavy run the heap carries one delivery event per
+//! broadcast, where the per-host schedule carried hosts−1.
 
 use mether_core::PageId;
 use mether_net::SimDuration;
-use mether_sim::{DeliveryMode, ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
+use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_publisher_sim, CountingConfig, Protocol, SolverConfig, SolverWorker,
 };
@@ -97,14 +95,9 @@ fn fingerprint(sim: &Simulation, hosts: usize, m: &ProtocolMetrics) -> String {
     out
 }
 
-/// Runs `protocol` at `seed` (lossy 10 Mbit Ethernet) under `mode` and
-/// `topology`, and returns the full fingerprint.
-fn counting_fingerprint_on(
-    protocol: Protocol,
-    seed: u64,
-    mode: DeliveryMode,
-    topology: Topology,
-) -> String {
+/// Runs `protocol` at `seed` (lossy 10 Mbit Ethernet) on `topology`,
+/// and returns the full fingerprint.
+fn counting_fingerprint_on(protocol: Protocol, seed: u64, topology: Topology) -> String {
     let cfg = CountingConfig {
         target: 192,
         processes: 2,
@@ -114,7 +107,6 @@ fn counting_fingerprint_on(
     sim_cfg.ether = sim_cfg.ether.with_loss(0.02, seed);
     sim_cfg.topology = topology;
     let mut sim = build_counting(protocol, &cfg, sim_cfg);
-    sim.set_delivery_mode(mode);
     let limits = RunLimits {
         max_sim_time: SimDuration::from_secs(120),
         ..RunLimits::default()
@@ -124,12 +116,12 @@ fn counting_fingerprint_on(
     fingerprint(&sim, 2, &m)
 }
 
-fn counting_fingerprint(protocol: Protocol, seed: u64, mode: DeliveryMode) -> String {
-    counting_fingerprint_on(protocol, seed, mode, Topology::Flat)
+fn counting_fingerprint(protocol: Protocol, seed: u64) -> String {
+    counting_fingerprint_on(protocol, seed, Topology::Flat)
 }
 
-/// Runs the distributed solver at `seed` under `mode` and `topology`.
-fn solver_fingerprint_on(seed: u64, mode: DeliveryMode, topology: Topology) -> String {
+/// Runs the distributed solver at `seed` on `topology`.
+fn solver_fingerprint_on(seed: u64, topology: Topology) -> String {
     const WORKERS: usize = 3;
     let cfg = SolverConfig {
         iterations: 6,
@@ -139,7 +131,6 @@ fn solver_fingerprint_on(seed: u64, mode: DeliveryMode, topology: Topology) -> S
     sim_cfg.ether = sim_cfg.ether.with_loss(0.01, seed);
     sim_cfg.topology = topology;
     let mut sim = Simulation::new(sim_cfg);
-    sim.set_delivery_mode(mode);
     for rank in 0..WORKERS {
         sim.create_owned(rank, PageId::new(rank as u32));
         sim.add_process(rank, Box::new(SolverWorker::new(cfg, rank, WORKERS)));
@@ -149,14 +140,10 @@ fn solver_fingerprint_on(seed: u64, mode: DeliveryMode, topology: Topology) -> S
     fingerprint(&sim, WORKERS, &m)
 }
 
-fn solver_fingerprint(seed: u64, mode: DeliveryMode) -> String {
-    solver_fingerprint_on(seed, mode, Topology::Flat)
-}
-
 /// Asserts `fingerprint` hashes to `golden`: the FNV of the fingerprint
-/// the per-transit schedule produces while the per-host schedule is
-/// still here to agree with it. The literal keeps that agreement alive
-/// as data.
+/// the per-transit schedule produced at the last commit where the
+/// per-host schedule was still there to agree with it. The literal
+/// keeps that agreement alive as data.
 fn assert_golden(label: &str, fingerprint: &str, golden: u64) {
     assert_eq!(
         fnv(fingerprint.as_bytes()),
@@ -180,23 +167,17 @@ fn counting_workloads_identical_across_delivery_modes_at_fixed_seeds() {
         (Protocol::P5, 42, 0xe1d3_507e_48fa_8bf7),
     ];
     for (protocol, seed, digest) in golden {
-        let compat = counting_fingerprint(protocol, seed, DeliveryMode::PerHostCompat);
-        let transit = counting_fingerprint(protocol, seed, DeliveryMode::PerTransit);
-        assert_eq!(
-            compat, transit,
-            "{protocol:?} seed {seed}: per-transit delivery diverged from the per-host schedule"
-        );
+        let transit = counting_fingerprint(protocol, seed);
         assert_golden(&format!("{protocol:?} seed {seed}"), &transit, digest);
     }
 }
 
 #[test]
 fn counting_runs_are_reproducible_at_a_fixed_seed() {
-    // Belt and braces for the comparison above: the same mode twice at
-    // the same seed is bit-identical (no hidden nondeterminism that the
-    // cross-mode assertion could be accidentally insensitive to).
-    let a = counting_fingerprint(Protocol::P5, SEEDS[0], DeliveryMode::PerTransit);
-    let b = counting_fingerprint(Protocol::P5, SEEDS[0], DeliveryMode::PerTransit);
+    // Belt and braces for the digests above: the same run twice at the
+    // same seed is bit-identical.
+    let a = counting_fingerprint(Protocol::P5, SEEDS[0]);
+    let b = counting_fingerprint(Protocol::P5, SEEDS[0]);
     assert_eq!(a, b);
 }
 
@@ -206,12 +187,7 @@ fn solver_workload_identical_across_delivery_modes_at_fixed_seeds() {
     // happens to lose no frame, and the fingerprint does not name the
     // seed.
     for seed in SEEDS {
-        let compat = solver_fingerprint(seed, DeliveryMode::PerHostCompat);
-        let transit = solver_fingerprint(seed, DeliveryMode::PerTransit);
-        assert_eq!(
-            compat, transit,
-            "solver seed {seed}: per-transit delivery diverged from the per-host schedule"
-        );
+        let transit = solver_fingerprint_on(seed, Topology::Flat);
         assert_golden(
             &format!("solver seed {seed}"),
             &transit,
@@ -233,14 +209,8 @@ fn solver_workload_identical_across_delivery_modes_at_fixed_seeds() {
 fn one_segment_bridged_topology_identical_to_flat_counting_at_fixed_seeds() {
     for protocol in [Protocol::P1, Protocol::P5] {
         for seed in SEEDS {
-            let flat =
-                counting_fingerprint_on(protocol, seed, DeliveryMode::PerTransit, Topology::Flat);
-            let bridged = counting_fingerprint_on(
-                protocol,
-                seed,
-                DeliveryMode::PerTransit,
-                Topology::segmented(1),
-            );
+            let flat = counting_fingerprint(protocol, seed);
+            let bridged = counting_fingerprint_on(protocol, seed, Topology::segmented(1));
             assert_eq!(
                 flat, bridged,
                 "{protocol:?} seed {seed}: 1-segment bridged topology diverged from flat"
@@ -252,8 +222,8 @@ fn one_segment_bridged_topology_identical_to_flat_counting_at_fixed_seeds() {
 #[test]
 fn one_segment_bridged_topology_identical_to_flat_solver_at_fixed_seeds() {
     for seed in SEEDS {
-        let flat = solver_fingerprint_on(seed, DeliveryMode::PerTransit, Topology::Flat);
-        let bridged = solver_fingerprint_on(seed, DeliveryMode::PerTransit, Topology::segmented(1));
+        let flat = solver_fingerprint_on(seed, Topology::Flat);
+        let bridged = solver_fingerprint_on(seed, Topology::segmented(1));
         assert_eq!(
             flat, bridged,
             "solver seed {seed}: 1-segment bridged topology diverged from flat"
@@ -268,47 +238,20 @@ fn one_segment_bridged_topology_identical_to_flat_solver_at_fixed_seeds() {
 // measure exactly what this test pins.
 // ---------------------------------------------------------------------
 
-fn broadcast_heavy_run(mode: DeliveryMode) -> (Simulation, ProtocolMetrics) {
+#[test]
+fn per_transit_delivery_shrinks_heap_pushes_at_least_4x_on_16_hosts() {
     let mut sim = build_publisher_sim(16, 64);
-    sim.set_delivery_mode(mode);
     let outcome = sim.run(RunLimits::default());
     assert!(outcome.finished, "publisher must complete its 64 cycles");
     let m = sim.metrics("broadcast-heavy", outcome.finished, 1);
-    (sim, m)
-}
+    let stats = sim.event_stats();
 
-#[test]
-fn per_transit_delivery_shrinks_heap_pushes_at_least_4x_on_16_hosts() {
-    let (compat_sim, compat_m) = broadcast_heavy_run(DeliveryMode::PerHostCompat);
-    let (transit_sim, transit_m) = broadcast_heavy_run(DeliveryMode::PerTransit);
-    let compat = compat_sim.event_stats();
-    let transit = transit_sim.event_stats();
+    // One delivery event per broadcast, where the per-host schedule
+    // pushed one per recipient: hosts−1 = 15× as many.
+    assert!(stats.transits >= 64, "every purge cycle broadcast");
+    assert_eq!(stats.delivery_pushes, stats.transits);
 
-    // Same traffic on the wire...
-    assert_eq!(compat.transits, transit.transits);
-    assert!(compat.transits >= 64, "every purge cycle broadcast");
-    // ...but the per-transit heap carries one delivery event per
-    // broadcast instead of hosts−1.
-    assert_eq!(compat.delivery_pushes, compat.transits * 15);
-    assert_eq!(transit.delivery_pushes, transit.transits);
-    let ratio = compat.delivery_pushes as f64 / transit.delivery_pushes as f64;
-    assert!(
-        ratio >= 4.0,
-        "delivery pushes per broadcast must shrink ≥4× (got {ratio:.1}×)"
-    );
-    assert!(
-        transit.heap_pushes < compat.heap_pushes,
-        "total heap traffic shrinks too ({} vs {})",
-        transit.heap_pushes,
-        compat.heap_pushes
-    );
-    assert!(
-        transit.max_heap_depth <= compat.max_heap_depth,
-        "peak heap depth never grows"
-    );
-
-    // And the outcome is still byte-identical.
-    let transit_print = fingerprint(&transit_sim, 16, &transit_m);
-    assert_eq!(fingerprint(&compat_sim, 16, &compat_m), transit_print);
-    assert_golden("16-host publisher", &transit_print, 0xb768_6fe7_a1d5_6e47);
+    // And the outcome is still the one both schedules produced.
+    let print = fingerprint(&sim, 16, &m);
+    assert_golden("16-host publisher", &print, 0xb768_6fe7_a1d5_6e47);
 }

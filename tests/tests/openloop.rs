@@ -35,8 +35,7 @@ fn open_loop_same_seed_same_digest() {
 #[test]
 fn open_loop_serial_matches_worker_lanes() {
     // The whole report — digest, percentiles, queue high-water — must
-    // be identical under the lane-parallel engine, piggybacking on or
-    // off.
+    // be identical under per-segment lanes, piggybacking on or off.
     for (piggyback, golden) in [
         (false, 0x2588_3a08_58f5_6fe2_u64),
         (true, 0x5d8c_5a7d_3704_89e8),
@@ -106,13 +105,7 @@ fn openloop_slo_ci_mesh() {
         report.digest, 0x416a_691f_4b19_5b35,
         "mesh seed 1 golden digest"
     );
-    // Digest only: the two schedules may count one exact-instant tie at
-    // the completion moment differently (`outcome.events` ± 1).
-    assert_eq!(
-        scenario.run(Some(2)).digest,
-        report.digest,
-        "mesh under Workers(2)"
-    );
+    assert_eq!(scenario.run(Some(2)), report, "mesh under Workers(2)");
     assert!(report.faults > 0, "no demand faults measured");
     // Measured p999 at this seed: 123.7 ms (transit-dominated; the
     // loaded-but-stable pace keeps the hot home far from saturation).

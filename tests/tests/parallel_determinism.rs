@@ -1,5 +1,5 @@
-//! Parallel-vs-serial determinism: the lane-parallel engine must be a
-//! drop-in replacement for the serial oracle schedule.
+//! Per-segment-lanes-vs-one-lane determinism: a run cut into one lane
+//! per segment must reproduce the serial oracle schedule exactly.
 //!
 //! For every segmented protocol workload here — counting P1/P5
 //! stretched across a segment boundary, mirror-image counting pairs
@@ -12,8 +12,8 @@
 //! [`ParallelMode::Serial`]: same page bytes, generations and holders
 //! on every host, same virtual wall clock, CPU split, context switches,
 //! fault latencies, traffic and bridge counters. The fingerprint is the
-//! same flattening the delivery-mode regression suite uses, extended
-//! with the per-segment and bridge counters the parallel engine
+//! same flattening the event-engine regression suite uses, extended
+//! with the per-segment and bridge counters the per-segment cut
 //! partitions.
 //!
 //! Schedule diversity comes from varied compute-spin lengths (which
@@ -226,6 +226,21 @@ fn mirror_counting_pairs_identical_under_serial_and_workers() {
         0xe623_4079_fd7e_ad9c,
     );
     assert!(serial.contains("finished=true"));
+    // The number in `Workers(n)` asks for the per-segment cut and says
+    // nothing else: past 2 it moves neither the outcome nor anything
+    // the engine counted on the way.
+    let counted = |n: usize| {
+        let mut sim = build_segmented_counting_pairs(4, 2, &cfg);
+        sim.set_parallel_mode(ParallelMode::Workers(n));
+        let outcome = sim.run(limits);
+        let m = sim.metrics("det", outcome.finished, 1);
+        (
+            fingerprint(&sim, &m, outcome),
+            sim.event_stats(),
+            sim.lane_event_counts().to_vec(),
+        )
+    };
+    assert_eq!(counted(2), counted(16), "Workers(2) vs Workers(16)");
 }
 
 #[test]

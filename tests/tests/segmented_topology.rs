@@ -9,12 +9,12 @@
 //! This file pins the headline number (≥3× fewer frames snooped per
 //! host on 4×8 segments vs 1×32 flat, publisher broadcast workload —
 //! the figures recorded in `BENCH_baseline.json`), the `HostMask`
-//! properties behind `Recipients::Subset`, and the delivery-mode
-//! equivalence of the masked fan-out path.
+//! properties behind `Recipients::Subset`, and the golden digest of
+//! the masked fan-out path.
 
 use mether_core::HostMask;
 use mether_net::{FabricConfig, RequestRouting, SimDuration};
-use mether_sim::{DeliveryMode, Recipients, RunLimits, SimConfig, Simulation, Topology};
+use mether_sim::{Recipients, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_cross_segment_counting, build_fabric_readers, build_publisher_sim,
     build_segmented_publisher, run_segmented, CountingConfig, Protocol,
@@ -280,17 +280,16 @@ fn bridge_queue_tail_drops_surface_in_protocol_metrics() {
 }
 
 // ---------------------------------------------------------------------
-// Delivery-mode equivalence through the masked (Subset) fan-out.
+// The masked (Subset) fan-out through the bridge, pinned by digest.
 // ---------------------------------------------------------------------
 
-fn segmented_run_digest(mode: DeliveryMode) -> String {
+fn segmented_run_digest() -> String {
     let cfg = CountingConfig {
         target: 96,
         processes: 2,
         spin: SimDuration::from_micros(48),
     };
     let mut sim = build_cross_segment_counting(Protocol::P5, &cfg);
-    sim.set_delivery_mode(mode);
     let outcome = sim.run(RunLimits::default());
     let m = sim.metrics("p5", outcome.finished, 2);
     format!(
@@ -308,13 +307,12 @@ fn segmented_run_digest(mode: DeliveryMode) -> String {
 
 #[test]
 fn segmented_delivery_modes_agree() {
-    // The compat schedule expands a Subset mask into One events in the
-    // same ascending order the per-transit fan-out walks — outcomes must
-    // be identical through the bridge too.
-    let transit = segmented_run_digest(DeliveryMode::PerTransit);
-    assert_eq!(transit, segmented_run_digest(DeliveryMode::PerHostCompat));
-    // The per-transit digest as a golden FNV-1a literal, recorded while
-    // the per-host schedule is still here to agree with it.
+    // The per-host schedule delivered a Subset mask one event per
+    // member, in the ascending order the per-transit fan-out walks, and
+    // the outcomes were identical through the bridge too. The literal is
+    // the FNV-1a of the digest both produced at the last commit that
+    // could run both.
+    let transit = segmented_run_digest();
     let fnv = transit.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
     });

@@ -1,8 +1,8 @@
 //! Soak-harness replay coverage: the randomized scenarios are pure
 //! functions of their seed, so every failure is a one-line reproducer.
-//! This file pins that property — same seed, same report, serial or
-//! lane-parallel — plus a regression test for each latent bug the first
-//! soak batches flushed out:
+//! This file pins that property — same seed, same report, one lane or
+//! one per segment — plus a regression test for each latent bug the
+//! first soak batches flushed out:
 //!
 //! * **Data-wait retry escalation** (`crates/sim/src/host.rs`): a
 //!   data-driven read blocked over a stale copy transmits nothing, so a
@@ -117,7 +117,7 @@ fn soak_seed_replays_identically() {
     assert_eq!(a, b, "seed {seed}");
 }
 
-/// The lane-parallel engine must produce the serial schedule exactly:
+/// Per-segment lanes must produce the serial schedule exactly:
 /// identical digests over the first eight seeds, faults and all.
 #[test]
 fn serial_and_workers_schedules_agree() {

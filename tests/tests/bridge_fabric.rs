@@ -491,6 +491,68 @@ fn runtime_routed_star_serves_every_value_flooding_serves() {
 }
 
 // ---------------------------------------------------------------------
+// A page created away from its home, before it has said anything.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_page_created_off_its_home_answers_its_first_request() {
+    // Chain 0-1-2, one host per segment, holder-directed routing at the
+    // paper calibration (no retransmission timer: a request that goes
+    // unanswered stays unanswered). Page 2 is homed on segment 2 but
+    // created on host 0, so its holder sits at the far end of the chain
+    // from its home and no frame has taught any device where it is.
+    // The reader's first request, from host 1, must still reach host 0:
+    // routing it toward the home alone would strand it on segment 2.
+    let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
+    let mut sim = Simulation::new(SimConfig {
+        topology: Topology::fabric(fabric),
+        ..SimConfig::paper(3)
+    });
+    let page = PageId::new(2);
+    sim.create_owned(0, page);
+    sim.add_process(
+        1,
+        Box::new(PollingReader::new(
+            page,
+            2,
+            SimDuration::from_millis(200),
+            SimDuration::ZERO,
+        )),
+    );
+    let outcome = sim.run(RunLimits {
+        max_sim_time: SimDuration::from_secs(5),
+        ..RunLimits::default()
+    });
+    assert!(outcome.finished, "{outcome:?}");
+    assert_eq!(sim.host(1).counters(0).operations, 2);
+    // Two 200 ms rounds and two ~37 ms round trips: no retransmission
+    // (there is no timer to send one) and no detour.
+    assert!(outcome.wall < SimDuration::from_millis(480), "{outcome:?}");
+}
+
+#[test]
+fn runtime_page_created_off_its_home_answers_its_first_request() {
+    use mether_core::{MapMode, VAddr, View};
+    use mether_runtime::{Cluster, ClusterConfig};
+
+    // The threaded twin: the page is created through
+    // `Node::create_owned`, the only step that can tell the fabric
+    // where a silent page lives.
+    let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
+    let mut c = Cluster::new(ClusterConfig::fabric(3, fabric)).unwrap();
+    let page = PageId::new(2);
+    c.node(0).create_owned(page);
+    let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+    c.node(0).write_u32(addr, 17).unwrap();
+    let v = c
+        .node(1)
+        .read_u32_timeout(addr, MapMode::ReadOnly, std::time::Duration::from_secs(5))
+        .expect("the request reaches the holder off the home segment");
+    assert_eq!(v, 17);
+    c.shutdown();
+}
+
+// ---------------------------------------------------------------------
 // Aging in anger: an idle segment's snoop count goes flat.
 // ---------------------------------------------------------------------
 
@@ -1069,6 +1131,52 @@ fn ring_failover_with_revival_heals_the_short_path() {
         "reconvergences: {}",
         report.reconvergences
     );
+}
+
+#[test]
+fn ring_failover_finds_a_holder_that_left_home_before_the_root_died() {
+    use mether_net::{ElectionMode, FabricEvent};
+    use mether_workloads::{PollUntilReader, Publisher};
+
+    // 4-segment ring, 2 hosts per segment, live election with device 0
+    // ({0,1}) the root: the boot tree is 3-0-1-2. Page 0 is homed and
+    // created on segment 0; one write from host 2 (segment 1) moves its
+    // consistent copy off home at once, and 100 ms later the root dies.
+    // The re-elected tree is 1-2-3-0, so the holder now sits *behind*
+    // a reader on segment 3 as seen from the home, and the device
+    // joining segments 2 and 3 never saw the move. The reader starts
+    // after the survivors have re-elected, alone: a second reader's
+    // reply would wake it by passing through.
+    let fabric = FabricConfig::ring(4)
+        .with_election(ElectionMode::live())
+        .with_routing(RequestRouting::HolderDirected)
+        .with_priorities(vec![0, 1, 2, 3]);
+    let mut cfg = SimConfig::paper(8);
+    cfg.calib = cfg.calib.with_fault_retry(SimDuration::from_millis(50));
+    cfg.topology = Topology::fabric(fabric);
+    let mut sim = Simulation::new(cfg);
+    let page = PageId::new(0);
+    sim.create_owned(0, page);
+    sim.add_process(2, Box::new(Publisher::new(page, 1)));
+    sim.add_process(
+        6,
+        Box::new(PollUntilReader::new(
+            page,
+            1,
+            SimDuration::from_millis(8),
+            SimDuration::from_millis(300),
+            200,
+        )),
+    );
+    sim.schedule_fabric_event(SimDuration::from_millis(100), FabricEvent::BridgeDown(0));
+    let outcome = sim.run(RunLimits {
+        max_sim_time: SimDuration::from_secs(10),
+        ..RunLimits::default()
+    });
+    assert!(outcome.finished, "{outcome:?}");
+    assert!(sim.fabric_reconvergences() >= 1);
+    assert!(sim.host(2).table.is_consistent_holder(page));
+    assert_eq!(sim.host(6).counters(0).wins, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -141,6 +141,44 @@ fn ci_soak_batch() {
     assert_eq!(reports.len(), count);
 }
 
+/// Fault-free [`SoakScenario::from_seed`] scenarios that hit their
+/// limits when seeds `0..2000` were scanned. All are lossy, and all
+/// overrun under either request routing (seed 122 holder-directed
+/// finishes only at 74.3 s of sim time against a 4.8 s budget; flooded,
+/// not within 120 s). CI's 50-seed batch draws none of them. The cause
+/// is an open liveness gap, not a budget; this list may only shrink.
+const CLEAN_OVERRUNS: [u64; 16] = [
+    122, 303, 333, 532, 661, 908, 1208, 1232, 1406, 1432, 1552, 1629, 1646, 1728, 1735, 1982,
+];
+
+/// The ratchet on [`CLEAN_OVERRUNS`]: scans `from_seed(0..N)` — `N` is
+/// `METHER_SOAK_SCENARIOS`, 200 by default, 2 000 in CI's release step
+/// — and asserts that every clean scenario that fails to finish is on
+/// the recorded list. A listed seed that now finishes is printed, so
+/// the list can shrink.
+#[test]
+fn clean_seeds_finish_except_the_recorded_overruns() {
+    let n = scenario_count_from_env(200) as u64;
+    let mut unexpected = Vec::new();
+    for seed in 0..n {
+        let sc = SoakScenario::from_seed(seed);
+        if !sc.must_finish() {
+            continue;
+        }
+        let finished = sc.build().run(sc.limits()).finished;
+        let recorded = CLEAN_OVERRUNS.contains(&seed);
+        if !finished && !recorded {
+            unexpected.push(seed);
+        } else if finished && recorded {
+            println!("recorded overrun seed {seed} now finishes: drop it from the list");
+        }
+    }
+    assert!(
+        unexpected.is_empty(),
+        "clean seeds hit their limits: {unexpected:?}"
+    );
+}
+
 /// Minimized data-wait liveness: a P5 pair across a two-segment fabric
 /// on a 10%-lossy ether. The pair's data-driven reads block without
 /// transmitting; whenever the partner's single waking broadcast is

@@ -111,7 +111,8 @@ pub struct Cluster {
     lans: Vec<Lan>,
     nodes: Vec<Node>,
     layout: Option<SegmentLayout>,
-    bridge: Option<BridgeThreads>,
+    /// Shared with every node, which announces the pages it creates.
+    bridge: Option<Arc<BridgeThreads>>,
 }
 
 /// Configuration of a [`Cluster`].
@@ -511,6 +512,17 @@ impl BridgeThreads {
         }
     }
 
+    /// `page` was just created on segment `seg`: the devices between
+    /// its home and `seg` learn where its holder is, as the simulator's
+    /// fabric does (`Fabric::seed_holder`).
+    fn seed_holder(&self, page: PageId, seg: usize) {
+        if self.fabric.seeds_holder(page, seg) {
+            for slot in &self.devices {
+                slot.lock().policy.lock().seed_holder(page, seg);
+            }
+        }
+    }
+
     fn record(&self, ev: FabricEvent) {
         let at = self.start.elapsed();
         self.fault.lock().timeline.push((at, ev));
@@ -547,7 +559,7 @@ impl Cluster {
             let nodes = (0..cfg.nodes)
                 .map(|i| {
                     let host = HostId(i as u16);
-                    Node::start(host, lan.endpoint(host), cfg.mether.clone())
+                    Node::start(host, lan.endpoint(host), cfg.mether.clone(), None)
                 })
                 .collect();
             return Ok(Cluster {
@@ -566,12 +578,19 @@ impl Cluster {
                 Lan::new(lan_cfg)
             })
             .collect();
-        let bridge = BridgeThreads::start(&lans, layout, &fabric);
+        let bridge = Arc::new(BridgeThreads::start(&lans, layout, &fabric));
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 let host = HostId(i as u16);
-                let lan = &lans[layout.segment_of(i)];
-                Node::start(host, lan.endpoint(host), cfg.mether.clone())
+                let seg = layout.segment_of(i);
+                let fabric = Arc::clone(&bridge);
+                let announce = Box::new(move |page| fabric.seed_holder(page, seg));
+                Node::start(
+                    host,
+                    lans[seg].endpoint(host),
+                    cfg.mether.clone(),
+                    Some(announce),
+                )
             })
             .collect();
         Ok(Cluster {
@@ -781,12 +800,8 @@ impl Cluster {
             .bridge
             .as_ref()
             .expect("bridge_stats needs a segmented cluster");
-        let mut s = *b.stats[device].lock();
-        let (hits, floods, repairs) = b.devices[device].lock().policy.lock().belief_counters();
-        s.belief_hits = hits;
-        s.belief_fallback_floods = floods;
-        s.belief_repairs = repairs;
-        s
+        let beliefs = b.devices[device].lock().policy.lock().belief_counters();
+        BridgeStats::sum([*b.stats[device].lock(), beliefs])
     }
 
     /// Active-tree changes summed across every bridge device since

@@ -82,15 +82,29 @@ impl NodeInner {
     }
 }
 
+/// Tells the bridge fabric a page was created on this node, so the
+/// devices between the page's home and this node's segment can route
+/// requests to it before it has transmitted anything
+/// ([`mether_net::BridgePolicy::seed_holder`]).
+pub(crate) type Announce = Box<dyn Fn(PageId) + Send + Sync>;
+
 /// One host of a threaded Mether deployment.
 pub struct Node {
     pub(crate) inner: Arc<NodeInner>,
     receiver: Option<JoinHandle<()>>,
+    /// `None` on a flat cluster: there is no fabric to tell.
+    announce: Option<Announce>,
 }
 
 impl Node {
-    /// Attaches a new node as `host` to `endpoint`'s LAN.
-    pub(crate) fn start(host: HostId, endpoint: Endpoint, cfg: MetherConfig) -> Node {
+    /// Attaches a new node as `host` to `endpoint`'s LAN; `announce`
+    /// reaches the bridge fabric, if there is one.
+    pub(crate) fn start(
+        host: HostId,
+        endpoint: Endpoint,
+        cfg: MetherConfig,
+        announce: Option<Announce>,
+    ) -> Node {
         let inner = Arc::new(NodeInner {
             host,
             driver: Mutex::new(PageTable::new(host, cfg)),
@@ -149,6 +163,7 @@ impl Node {
         Node {
             inner,
             receiver: Some(receiver),
+            announce,
         }
     }
 
@@ -167,7 +182,11 @@ impl Node {
     }
 
     /// Seeds `page` as created here: zero-filled, consistent copy local.
+    /// On a bridged cluster the fabric learns where, when it needs to.
     pub fn create_owned(&self, page: PageId) {
+        if let Some(announce) = &self.announce {
+            announce(page);
+        }
         self.inner.driver.lock().create_owned(page);
     }
 

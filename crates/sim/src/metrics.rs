@@ -242,14 +242,16 @@ impl fmt::Display for ProtocolMetrics {
                     )?;
                 }
             }
-            if self.bridge.belief_hits + self.bridge.belief_fallback_floods > 0 {
+            let b = &self.bridge;
+            if b.belief_hits + b.home_routed + b.belief_fallback_floods > 0 {
                 writeln!(
                     f,
-                    "  {:<24} {} hits / {} fallback floods / {} repairs",
+                    "  {:<24} {} hits / {} routed home / {} fallback floods / {} repairs",
                     "Holder beliefs",
-                    self.bridge.belief_hits,
-                    self.bridge.belief_fallback_floods,
-                    self.bridge.belief_repairs
+                    b.belief_hits,
+                    b.home_routed,
+                    b.belief_fallback_floods,
+                    b.belief_repairs
                 )?;
             }
             if !self.fabric_events.is_empty() {

@@ -711,9 +711,16 @@ impl Simulation {
         }
     }
 
-    /// Seeds `page` as created (consistent) on `host`.
+    /// Seeds `page` as created (consistent) on `host`. On a bridged
+    /// topology the fabric learns where, when it needs to
+    /// ([`Fabric::seed_holder`]): a holder-directed request for a page
+    /// nobody has transmitted yet finds it off its home segment too.
     pub fn create_owned(&mut self, host: usize, page: PageId) {
         self.hosts[host].table.create_owned(page);
+        let seg = self.segment_of(host);
+        if let Some(fabric) = self.ctrl.fabric.as_mut() {
+            fabric.seed_holder(page, seg);
+        }
     }
 
     /// Immutable access to a host (metrics, page table inspection).

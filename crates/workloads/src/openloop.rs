@@ -215,7 +215,9 @@ impl OpenLoopShape {
                 // retransmission a deep queue provokes re-floods it —
                 // the event budget drowns in transit fan-out before the
                 // streams finish. Directed requests grow with mesh
-                // distance instead.
+                // distance instead — a cold one too: with no belief it
+                // walks toward the page's home, where the static tree
+                // and the at-home creation below put its holder.
                 FabricConfig::new(mether_core::BridgeTopology::mesh2d(16, 16))
                     .with_routing(RequestRouting::HolderDirected)
             }

@@ -19,8 +19,9 @@
 //!   beliefs every bridge device keeps (see
 //!   [`mether_net::BridgeStats`]), so the belief tables are never at
 //!   rest: requests route on a belief when it is fresh
-//!   (`belief_hits`), fall back to scoped flooding when it is gone
-//!   (`belief_fallback_floods`), and every reply or snooped
+//!   (`belief_hits`), walk toward the page's home when there is none
+//!   (`home_routed`; flooded instead, `belief_fallback_floods`, on a
+//!   device whose tree changed), and every reply or snooped
 //!   `transfer_to` repoints them (`belief_repairs`).
 //!   [`run_migration_storm`] samples those counters over a ladder of
 //!   time horizons — the reconvergence-under-churn experiment.
@@ -239,7 +240,8 @@ pub struct StormPoint {
     pub forwarded: u64,
     /// Requests routed on a live holder belief.
     pub belief_hits: u64,
-    /// Requests that found no belief and fell back to scoped flooding.
+    /// Requests that found no belief and were flooded (see
+    /// [`mether_net::BridgeStats::belief_fallback_floods`]).
     pub belief_fallbacks: u64,
     /// Existing beliefs repointed by fresher evidence.
     pub belief_repairs: u64,

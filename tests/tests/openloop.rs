@@ -10,10 +10,13 @@
 //! changed).
 //!
 //! The digest literals are golden: both the one-lane schedule and
-//! `Workers(n)` must keep reproducing them. They were last re-recorded
-//! when the fault retransmission timer went from a fixed 20 ms to each
-//! host's measured round trip, which changed when requests are re-sent
-//! and nothing else.
+//! `Workers(n)` must keep reproducing them. The mesh's was last
+//! re-recorded when a holder-directed request with no holder belief
+//! stopped flooding and started walking toward its page's home, which
+//! changed which belief-less requests leave a bridge device and nothing
+//! else (the tree routes requests by flooding and kept its digests).
+//! Before that, all of them moved when the fault retransmission timer
+//! went from a fixed 20 ms to each host's measured round trip.
 
 use mether_net::SimDuration;
 use mether_workloads::{OpenLoopConfig, OpenLoopScenario};
@@ -102,7 +105,7 @@ fn openloop_slo_ci_mesh() {
     println!("{report}");
     assert!(report.outcome.finished, "mesh SLO run hit its limits");
     assert_eq!(
-        report.digest, 0x416a_691f_4b19_5b35,
+        report.digest, 0xd9b7_40ac_d15c_e6eb,
         "mesh seed 1 golden digest"
     );
     assert_eq!(scenario.run(Some(2)), report, "mesh under Workers(2)");

@@ -1523,6 +1523,13 @@ impl BridgePolicy {
     fn each_target(&self, pkt: &Packet, in_port: usize, now: SimTime, emit: impl FnMut(usize)) {
         match pkt {
             Packet::PageRequest { page, want, .. } => {
+                let holder = match self.request_route(*page, *want) {
+                    RequestRoute::Flood | RequestRoute::Fallback => {
+                        return self.egress(in_port, now, |_, _| true, emit);
+                    }
+                    RequestRoute::Holder(holder) => Some(holder),
+                    RequestRoute::Home => None,
+                };
                 // Toward the believed holder, *anchored at the home
                 // port*: the home is where the consistent copy is
                 // seeded (and, under workload-derived placement, where
@@ -1538,20 +1545,12 @@ impl BridgePolicy {
                 // With no belief the home alone is the direction, and
                 // nowhere is when the request came from there.
                 let home = self.home_port(*page);
-                match self.request_route(*page, *want) {
-                    RequestRoute::Flood | RequestRoute::Fallback => {
-                        self.egress(in_port, now, |_, _| true, emit);
-                    }
-                    RequestRoute::Holder(holder) => self.egress(
-                        in_port,
-                        now,
-                        |_, port| port == holder || Some(port) == home,
-                        emit,
-                    ),
-                    RequestRoute::Home => {
-                        self.egress(in_port, now, |_, port| Some(port) == home, emit);
-                    }
-                }
+                self.egress(
+                    in_port,
+                    now,
+                    |_, port| Some(port) == holder || Some(port) == home,
+                    emit,
+                );
             }
             Packet::PageData {
                 page, transfer_to, ..

@@ -583,8 +583,8 @@ impl Cluster {
             .map(|i| {
                 let host = HostId(i as u16);
                 let seg = layout.segment_of(i);
-                let fabric = Arc::clone(&bridge);
-                let announce = Box::new(move |page| fabric.seed_holder(page, seg));
+                let threads = Arc::clone(&bridge);
+                let announce = Box::new(move |page| threads.seed_holder(page, seg));
                 Node::start(
                     host,
                     lans[seg].endpoint(host),

@@ -1,7 +1,6 @@
 //! Microbenchmarks of the Mether building blocks: address encoding, the
-//! wire codec (contiguous and vectored), page-buffer operations, the
-//! page-table state machine, wake delivery, and the simulator's event
-//! queue under broadcast fan-out.
+//! wire codec, page-buffer operations, the page-table state machine, wake
+//! delivery, and the simulator's event queue under broadcast fan-out.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -53,20 +52,13 @@ fn bench_wire(c: &mut Criterion) {
         transfer_to: Some(HostId(2)),
         data: Bytes::from(vec![7u8; 8192]),
     };
-    g.bench_function("encode_request", |b| b.iter(|| black_box(req.encode())));
+    g.bench_function("encode_request", |b| {
+        b.iter(|| black_box(req.encode_vectored()))
+    });
     g.bench_function("encode_short_data", |b| {
-        b.iter(|| black_box(short_data.encode()))
+        b.iter(|| black_box(short_data.encode_vectored()))
     });
-    g.bench_function("encode_full_data", |b| {
-        b.iter(|| black_box(full_data.encode()))
-    });
-    let enc = full_data.encode();
-    g.bench_function("decode_full_data", |b| {
-        b.iter(|| black_box(Packet::decode(&enc).unwrap()))
-    });
-    // The vectored transmit path: header bytes are built, the 8 KiB
-    // payload is shared (no contiguous-datagram copy). Compare against
-    // `encode_full_data` above, which is the same packet flattened.
+    // A full page: header bytes are built, the 8 KiB payload is shared.
     g.bench_function("encode_vectored", |b| {
         b.iter(|| black_box(full_data.encode_vectored()))
     });
@@ -108,8 +100,8 @@ fn bench_pagebuf(c: &mut Criterion) {
 
 /// One full-page `PageData` broadcast delivered to N snooping hosts, the
 /// way the LAN delivery path does it. This is the end-to-end cost the
-/// zero-copy page-data path optimises: per-snooper datagram decode plus
-/// per-snooper page install/refresh.
+/// zero-copy page-data path optimises: one frame decode per broadcast
+/// plus per-snooper page install/refresh.
 fn bench_fanout(c: &mut Criterion) {
     const SNOOPERS: usize = 16;
     let mut g = c.benchmark_group("fanout");
@@ -126,7 +118,7 @@ fn bench_fanout(c: &mut Criterion) {
             transfer_to: None,
             data: Bytes::from(vec![9u8; len]),
         };
-        let frame = pkt.encode();
+        let frame = pkt.encode_vectored();
         // Snoopers in steady state: page mapped, copy installed.
         let mut tables: Vec<PageTable> = (1..=SNOOPERS as u16)
             .map(|i| {
@@ -148,8 +140,9 @@ fn bench_fanout(c: &mut Criterion) {
             let mut fx = Vec::new();
             b.iter(|| {
                 // One decode per broadcast; every snooper handles a shared
-                // view of the same datagram — the zero-copy delivery path.
-                let decoded = Packet::decode(&frame).unwrap();
+                // view of the same payload segment — the zero-copy
+                // delivery path.
+                let decoded = Packet::decode_frame(&frame).unwrap();
                 for t in tables.iter_mut() {
                     fx.clear();
                     t.handle_packet(&decoded, &mut fx);
@@ -587,38 +580,6 @@ fn bench_fabric(c: &mut Criterion) {
     g.finish();
 }
 
-/// The past-the-wall deployment end to end: 1024 hosts (16 segments ×
-/// 64, every host a counting party) as one lane, and how evenly its
-/// events fall on the 16 per-segment lanes — events on the busiest
-/// lane over the total, a property of the deployment and not of the
-/// measuring host.
-fn bench_scale(c: &mut Criterion) {
-    use mether_sim::ParallelMode;
-    use mether_workloads::{build_scaled_fabric, ScaleConfig};
-
-    let mut g = c.benchmark_group("scale");
-    let cfg = ScaleConfig::fabric_16x64();
-    let run = |mode: ParallelMode| {
-        let mut sim = build_scaled_fabric(&cfg);
-        sim.set_parallel_mode(mode);
-        let outcome = sim.run(RunLimits::default());
-        assert!(outcome.finished, "16x64 must run to completion");
-        (outcome.events, sim.lane_event_counts().to_vec())
-    };
-    g.bench_function("16x64_serial", |b| {
-        b.iter(|| black_box(run(ParallelMode::Serial).0))
-    });
-    // Not a timing: expose the lane balance as ns/iter-shaped output so
-    // the baseline collector picks it up (busiest-lane share, in 1/1000
-    // of the total — 63 on a perfectly balanced 16-lane deployment).
-    g.bench_function("16x64_busiest_lane_permille", |b| {
-        let (total, lanes) = run(ParallelMode::Workers(4));
-        let max = lanes.iter().copied().max().unwrap_or(0);
-        b.iter(|| black_box(max * 1000 / total.max(1)))
-    });
-    g.finish();
-}
-
 /// The spanning-tree election on the 256-segment, 480-device 16×16
 /// mesh: the full per-destination recompute every belief change used to
 /// pay, against the incremental `elect_from` fast path that recognises
@@ -814,7 +775,6 @@ criterion_group!(
     bench_bridge_routing,
     bench_engine,
     bench_fabric,
-    bench_scale,
     bench_election,
     bench_observer,
     bench_hello_ring,

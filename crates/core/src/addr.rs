@@ -27,7 +27,6 @@
 
 use crate::config::{MAX_PAGES, PAGE_BITS, PAGE_SHIFT, PAGE_SIZE, SHORT_PAGE_SIZE};
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,7 +36,7 @@ const OFFSET_MASK: u32 = (1 << PAGE_SHIFT) - 1;
 const PAGE_MASK: u32 = (MAX_PAGES - 1) << PAGE_SHIFT;
 
 /// Identifier of a Mether page (its page number in the shared address space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(u32);
 
 impl PageId {
@@ -79,7 +78,7 @@ impl fmt::Display for PageId {
 
 /// How much of a page a view transfers on a fault: the whole page, or only
 /// its first 32 bytes (a *short page*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageLength {
     /// The full 8192-byte page.
     Full,
@@ -112,7 +111,7 @@ impl PageLength {
 
 /// Whether a fault on the view actively requests the page over the network
 /// (demand) or passively waits for someone to broadcast it (data driven).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriveMode {
     /// A fault broadcasts a page request; the consistent holder answers.
     Demand,
@@ -122,7 +121,7 @@ pub enum DriveMode {
 }
 
 /// One of the four views of a page selected by the two address bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct View {
     /// Full or short.
     pub length: PageLength,
@@ -172,7 +171,7 @@ impl View {
 ///
 /// "A process indicates its desired access by mapping the memory read-only
 /// or writeable. There is only ever one consistent copy of a page."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapMode {
     /// Inconsistent, read-only mapping: cheap, possibly stale.
     ReadOnly,
@@ -181,7 +180,7 @@ pub enum MapMode {
 }
 
 /// A virtual address in the Mether space: page, view bits, and offset.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VAddr(u32);
 
 impl VAddr {
@@ -331,7 +330,7 @@ impl fmt::Display for VAddr {
 /// non-zero word beyond the inline two (mutations that shrink the set
 /// demote back to inline) — so derived equality and hashing agree with
 /// set equality whichever constructors built the operands.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct HostMask(Repr);
 
 #[derive(Clone, PartialEq, Eq, Hash)]

@@ -15,14 +15,11 @@
 //! [`ChannelHeader`] describing the on-page layout, so the simulator, the
 //! runtime, and `mether-lib`'s pipes all agree bit-for-bit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A page generation: incremented every time the consistent holder
 /// publishes a new version of the page.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Generation(pub u64);
 
 impl Generation {

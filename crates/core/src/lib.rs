@@ -37,8 +37,10 @@
 //!   copy-on-write. Publishing a full page ([`PageBuf::payload`]) hands
 //!   out a shared view instead of copying 8 KiB; a later local write
 //!   detaches a private copy first, so published bytes are immutable.
-//! * [`Packet::decode`] returns the page payload as a zero-copy slice of
-//!   the datagram. One decoded broadcast is cloned to every snooping host
+//! * [`Packet::encode_vectored`] carries the page payload as a segment of
+//!   its own, sharing the sender's storage, and [`Packet::decode_frame`]
+//!   adopts that segment as the decoded packet's payload — no copy on
+//!   either side. One decoded broadcast is cloned to every snooping host
 //!   for a reference-count bump; each interested host *adopts* the
 //!   payload as its page storage ([`PageBuf::from_payload`],
 //!   [`PageBuf::refresh_from_payload`]) — zero full-page copies per

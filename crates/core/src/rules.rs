@@ -16,10 +16,8 @@
 //! This module encodes that table declaratively (so tests can assert it
 //! verbatim) and exposes the predicates [`crate::table::PageTable`] uses.
 
-use serde::{Deserialize, Serialize};
-
 /// The driver operations governed by Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operation {
     /// A process maps the page into its address space.
     MapIn,
@@ -50,7 +48,7 @@ impl Operation {
 }
 
 /// What an operation demands of, or does to, the *subset* (short) pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubsetRule {
     /// All subsets must be present for the operation to proceed.
     MustBePresent,
@@ -66,7 +64,7 @@ pub enum SubsetRule {
 }
 
 /// What an operation demands of, or does to, the *superset* (full) pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SupersetRule {
     /// Supersets need not be present.
     NeedNotBePresent,
@@ -82,7 +80,7 @@ pub enum SupersetRule {
 }
 
 /// The Figure 1 row for one operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule {
     /// The operation the row describes.
     pub operation: Operation,
@@ -120,7 +118,7 @@ pub fn figure_1() -> Vec<Rule> {
 /// Presence state of a page's storage on one host, in subset/superset
 /// terms: invariant — a present superset implies a present subset, because
 /// the short page is the first 32 bytes of the full page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Presence {
     /// No bytes of the page are present.
     Absent,
@@ -183,7 +181,7 @@ impl Presence {
 /// consistent copy itself still migrates freely (the bridge learns
 /// moves by snooping `transfer_to`); the home is a *routing default*,
 /// not an ownership restriction.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PageHomePolicy {
     /// Page `p` is homed to segment `p mod segments` — spreads a shared
     /// working set evenly.

@@ -51,7 +51,6 @@
 //! well-defined); graph topologies must go through an [`ActiveTree`].
 
 use crate::addr::HostMask;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A connected graph of bridge devices joining Ethernet segments.
@@ -61,7 +60,7 @@ use std::collections::VecDeque;
 /// [`BridgeTopology::mesh2d`], or [`BridgeTopology::from_links`]; every
 /// constructor validates connectivity. Redundant links (cycles) are
 /// allowed; [`BridgeTopology::is_tree`] reports whether any exist.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BridgeTopology {
     segments: usize,
     /// `links[b]` = the segments bridge `b` attaches to (its ports),
@@ -679,7 +678,7 @@ impl BridgeTopology {
 }
 
 /// The state of one bridge port under the spanning-tree election.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortState {
     /// The port carries data frames (it is a root port or its segment's
     /// designated port).
@@ -698,7 +697,7 @@ pub enum PortState {
 /// asserts `version + 1` (odd). At equal versions, dead wins. A device
 /// that hears itself declared dead re-asserts with `that version + 1`,
 /// so a live device always out-versions its obituary within one hello.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceView {
     /// Monotonic per-device version; higher wins, dead wins ties.
     pub version: u64,

@@ -17,20 +17,19 @@
 //! broadcast.
 //!
 //! The encoding is a simple length-prefixed binary format over UDP-like
-//! datagrams. [`Packet::wire_size`] accounts for Ethernet + IP + UDP
-//! framing so the simulator's network-load numbers are comparable to the
-//! paper's.
+//! datagrams, in one framing: the two-segment [`WireFrame`] that
+//! [`Packet::encode_vectored`] builds and [`Packet::decode_frame`] parses.
+//! [`Packet::wire_size`] charges header + payload as one datagram and
+//! adds Ethernet + IP + UDP framing, so the simulator's network-load
+//! numbers are comparable to the paper's.
 
 use crate::topology::DeviceView;
 use crate::{Error, Generation, HostMask, PageId, PageLength, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a host (workstation) on the Mether network.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HostId(pub u16);
 
 impl fmt::Display for HostId {
@@ -40,7 +39,7 @@ impl fmt::Display for HostId {
 }
 
 /// What kind of copy a page request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Want {
     /// Any up-to-date copy; the requester maps it read-only (inconsistent).
     ReadOnly,
@@ -56,29 +55,28 @@ pub enum Want {
     Superset,
 }
 
-/// A two-segment scatter/gather view of an encoded [`Packet`].
+/// An encoded [`Packet`]: the one framing that crosses the wire.
 ///
-/// `header` carries the fixed protocol fields (magic, type, addressing,
-/// generation, payload length); `payload` is the page bytes — a
-/// **zero-copy view of the packet's own `data` buffer**, shared rather
-/// than copied. Concatenating the two segments yields exactly the
-/// contiguous datagram [`Packet::encode`] produces, so either framing
-/// can cross a byte-oriented wire and [`Packet::decode`] /
-/// [`Packet::decode_frame`] accept both.
+/// `header` carries every protocol field (magic, type, addressing,
+/// generation, payload length, bridge views); `payload` is the page
+/// bytes of a [`Packet::PageData`] — a **zero-copy view of the packet's
+/// own `data` buffer**, shared rather than copied — and is empty for
+/// every other packet type.
 ///
-/// This closes the last per-transit copy in the paper's cost model: the
-/// receive path has been zero-copy since the COW page-buffer work, but
-/// `encode` still materialised one contiguous 8 KiB datagram per
-/// transmit. With the vectored frame, a full-page broadcast moves from
-/// sender page buffer to every snooping host's page buffer without any
-/// intermediate payload copy at all — the network does the fan-out, and
-/// no host (sender included) does O(page) byte-shuffling for it.
+/// The two segments are one datagram: [`Packet::encoded_len`] and
+/// [`Packet::wire_size`] charge header + payload together, so the
+/// network-load accounting is that of one UDP datagram per packet. What
+/// the split buys is host load: a full-page broadcast moves from the
+/// sender's page buffer to every snooping host's page buffer without any
+/// intermediate payload copy — the network does the fan-out, and no host
+/// (sender included) does O(page) byte-shuffling for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFrame {
     /// Fixed-field segment (never empty).
     pub header: Bytes,
-    /// Page-payload segment; empty for [`Packet::PageRequest`]s. Shares
-    /// storage with the encoded packet's `data`.
+    /// Page-payload segment; empty unless the packet is
+    /// [`Packet::PageData`]. Shares storage with the encoded packet's
+    /// `data`.
     pub payload: Bytes,
 }
 
@@ -92,20 +90,6 @@ impl WireFrame {
     /// by [`Packet::encode_vectored`]).
     pub fn is_empty(&self) -> bool {
         self.header.is_empty() && self.payload.is_empty()
-    }
-
-    /// Flattens the two segments into one contiguous datagram — the
-    /// single payload copy a byte-stream transport needs. Wire formats
-    /// are identical: `decode(frame.to_contiguous())` equals
-    /// `decode_frame(&frame)`.
-    pub fn to_contiguous(&self) -> Bytes {
-        if self.payload.is_empty() {
-            return self.header.clone();
-        }
-        let mut b = BytesMut::with_capacity(self.len());
-        b.put_slice(&self.header);
-        b.put_slice(&self.payload);
-        b.freeze()
     }
 }
 
@@ -139,6 +123,73 @@ fn mask_wire_words(m: &crate::HostMask) -> &[u64] {
     let ws = m.words();
     let n = ws.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
     &ws[..n]
+}
+
+/// Encoded length of one bridge-PDU view (see [`put_view`]).
+fn view_len(v: &DeviceView) -> usize {
+    8 + 1 + 2 + mask_wire_words(&v.ports).len() * 8
+}
+
+/// Writes one bridge-PDU view: version, alive flag, then the
+/// variable-length port mask as a word count followed by that many
+/// big-endian u64 words, lowest-indexed word first, trailing zero words
+/// trimmed — a 16-segment device costs one word where a fixed 128-bit
+/// field would always pay for two.
+fn put_view(b: &mut BytesMut, v: &DeviceView) {
+    b.put_u64(v.version);
+    b.put_u8(u8::from(v.alive));
+    let words = mask_wire_words(&v.ports);
+    b.put_u16(words.len() as u16);
+    for w in words {
+        b.put_u64(*w);
+    }
+}
+
+/// Parses one view written by [`put_view`], advancing `buf` past it.
+fn decode_view(buf: &mut &[u8]) -> Result<DeviceView> {
+    need(buf, 8 + 1 + 2)?;
+    let version = buf.get_u64();
+    let alive = match buf.get_u8() {
+        0 => false,
+        1 => true,
+        a => return Err(Error::Decode(format!("bad alive flag {a}"))),
+    };
+    let nwords = buf.get_u16() as usize;
+    if nwords > MAX_MASK_WORDS {
+        return Err(Error::Decode(format!("port mask claims {nwords} words")));
+    }
+    need(buf, nwords * 8)?;
+    let words: Vec<u64> = (0..nwords).map(|_| buf.get_u64()).collect();
+    Ok(DeviceView {
+        version,
+        alive,
+        ports: HostMask::from_words(&words),
+    })
+}
+
+/// The PDU's view count, refused past [`MAX_PDU_VIEWS`] before anything
+/// is allocated for it.
+fn decode_count(buf: &mut &[u8]) -> Result<usize> {
+    let count = buf.get_u16() as usize;
+    if count > MAX_PDU_VIEWS {
+        return Err(Error::Decode(format!("pdu claims {count} views")));
+    }
+    Ok(count)
+}
+
+fn need(buf: &[u8], n: usize) -> Result<()> {
+    if buf.len() < n {
+        return Err(Error::Decode(format!("need {n} bytes, have {}", buf.len())));
+    }
+    Ok(())
+}
+
+fn decode_length(b: u8) -> Result<PageLength> {
+    match b {
+        0 => Ok(PageLength::Full),
+        1 => Ok(PageLength::Short),
+        l => Err(Error::Decode(format!("bad length tag {l}"))),
+    }
 }
 
 /// A Mether datagram.
@@ -242,30 +293,17 @@ impl Packet {
         )
     }
 
-    /// Serialized payload length in bytes (without link-layer framing).
+    /// Encoded length in bytes, header and payload segments together
+    /// (without link-layer framing).
     pub fn encoded_len(&self) -> usize {
         match self {
             Packet::PageRequest { .. } => 2 + 1 + 2 + 4 + 1 + 1,
             Packet::PageData { data, .. } => 2 + 1 + 2 + 4 + 1 + 8 + 3 + 4 + data.len(),
             Packet::BridgePdu { views, .. } => {
-                2 + 1
-                    + 2
-                    + 2
-                    + 2
-                    + views
-                        .iter()
-                        .map(|v| 8 + 1 + 2 + mask_wire_words(&v.ports).len() * 8)
-                        .sum::<usize>()
+                2 + 1 + 2 + 2 + 2 + views.iter().map(view_len).sum::<usize>()
             }
             Packet::BridgePduDelta { entries, .. } => {
-                2 + 1
-                    + 2
-                    + 2
-                    + 2
-                    + entries
-                        .iter()
-                        .map(|(_, v)| 2 + 8 + 1 + 2 + mask_wire_words(&v.ports).len() * 8)
-                        .sum::<usize>()
+                2 + 1 + 2 + 2 + 2 + entries.iter().map(|(_, v)| 2 + view_len(v)).sum::<usize>()
             }
         }
     }
@@ -277,10 +315,8 @@ impl Packet {
         (self.encoded_len() + FRAME_OVERHEAD).max(MIN_FRAME)
     }
 
-    /// Writes the fixed-field header bytes (everything up to, but not
-    /// including, the page payload) into `b`. Shared by [`Packet::encode`]
-    /// and [`Packet::encode_vectored`] so the two framings stay
-    /// byte-identical by construction.
+    /// Writes the header segment (every field up to, but not including,
+    /// the page payload) into `b`.
     fn put_header(&self, b: &mut BytesMut) {
         match self {
             Packet::PageRequest {
@@ -343,18 +379,7 @@ impl Packet {
                 b.put_u16(*device);
                 b.put_u16(views.len() as u16);
                 for v in views {
-                    b.put_u64(v.version);
-                    b.put_u8(u8::from(v.alive));
-                    // The variable-length port mask crosses as a word
-                    // count followed by that many big-endian u64 words,
-                    // lowest-indexed word first, trailing zero words
-                    // trimmed — a 16-segment device costs one word
-                    // where the old format always paid for 128 bits.
-                    let words = mask_wire_words(&v.ports);
-                    b.put_u16(words.len() as u16);
-                    for w in words {
-                        b.put_u64(*w);
-                    }
+                    put_view(b, v);
                 }
             }
             Packet::BridgePduDelta {
@@ -369,13 +394,7 @@ impl Packet {
                 b.put_u16(entries.len() as u16);
                 for (d, v) in entries {
                     b.put_u16(*d);
-                    b.put_u64(v.version);
-                    b.put_u8(u8::from(v.alive));
-                    let words = mask_wire_words(&v.ports);
-                    b.put_u16(words.len() as u16);
-                    for w in words {
-                        b.put_u64(*w);
-                    }
+                    put_view(b, v);
                 }
             }
         }
@@ -445,17 +464,6 @@ impl Packet {
         }
     }
 
-    /// [`Packet::encode`] behind the [`Packet::check_encodable`] guard.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Encode`] if a field exceeds its wire length prefix; no
-    /// bytes are produced.
-    pub fn try_encode(&self) -> Result<Bytes> {
-        self.check_encodable()?;
-        Ok(self.encode_unchecked())
-    }
-
     /// [`Packet::encode_vectored`] behind the [`Packet::check_encodable`]
     /// guard.
     ///
@@ -468,14 +476,10 @@ impl Packet {
         Ok(self.encode_vectored_unchecked())
     }
 
-    /// Encodes the packet into one contiguous byte buffer.
-    ///
-    /// The compatibility framing for byte-stream transports: header and
-    /// payload are built into a single buffer sized up front — one
-    /// allocation and one payload copy, never an intermediate frame.
-    /// (The payload copy is inherent to a contiguous datagram; transports
-    /// that can scatter/gather — or that stay in-process — should carry
-    /// [`Packet::encode_vectored`]'s [`WireFrame`] instead and skip it.)
+    /// Encodes the packet as a two-segment [`WireFrame`] without copying
+    /// the payload: the frame's `payload` segment is a zero-copy view of
+    /// this packet's `data` buffer (`Bytes::shares_storage_with` holds),
+    /// and its two segments together are [`Packet::encoded_len`] bytes.
     ///
     /// # Panics
     ///
@@ -483,32 +487,7 @@ impl Packet {
     /// [`Packet::check_encodable`]) — a silent `as u16` wrap here used to
     /// emit a corrupt frame instead. Fallible callers (anything encoding
     /// frames it did not construct from in-range protocol state) should
-    /// use [`Packet::try_encode`] and count the error.
-    pub fn encode(&self) -> Bytes {
-        self.check_encodable()
-            .expect("packet exceeds wire-format limits");
-        self.encode_unchecked()
-    }
-
-    fn encode_unchecked(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.put_header(&mut b);
-        if let Packet::PageData { data, .. } = self {
-            b.put_slice(data);
-        }
-        b.freeze()
-    }
-
-    /// Encodes the packet as a two-segment [`WireFrame`] without copying
-    /// the payload: the frame's `payload` segment is a zero-copy view of
-    /// this packet's `data` buffer (`Bytes::shares_storage_with` holds).
-    /// Byte-wise, `header ‖ payload` is exactly [`Packet::encode`]'s
-    /// output.
-    ///
-    /// # Panics
-    ///
-    /// If a field exceeds its wire length prefix, like [`Packet::encode`];
-    /// fallible callers should use [`Packet::try_encode_vectored`].
+    /// use [`Packet::try_encode_vectored`] and count the error.
     pub fn encode_vectored(&self) -> WireFrame {
         self.check_encodable()
             .expect("packet exceeds wire-format limits");
@@ -516,53 +495,44 @@ impl Packet {
     }
 
     fn encode_vectored_unchecked(&self) -> WireFrame {
-        let header_len = match self {
-            Packet::PageData { data, .. } => self.encoded_len() - data.len(),
-            _ => self.encoded_len(),
-        };
-        let mut b = BytesMut::with_capacity(header_len);
-        self.put_header(&mut b);
         let payload = match self {
             Packet::PageData { data, .. } => data.clone(),
             _ => Bytes::new(),
         };
+        let mut b = BytesMut::with_capacity(self.encoded_len() - payload.len());
+        self.put_header(&mut b);
         WireFrame {
             header: b.freeze(),
             payload,
         }
     }
 
-    /// Decodes a packet from a datagram produced by [`Packet::encode`].
+    /// Decodes a packet from a [`WireFrame`] built by
+    /// [`Packet::encode_vectored`].
     ///
-    /// **Zero-copy:** the payload of a `PageData` packet is returned as a
-    /// [`Bytes`] slice of the datagram itself — no bytes are copied out.
-    /// One decoded packet can therefore be cloned to every snooping host
-    /// for the cost of a reference-count bump, which is what makes the
-    /// broadcast fan-out path allocation-free.
+    /// The header segment is parsed once, whatever the packet type. A
+    /// `PageData` packet **adopts the payload segment zero-copy**: its
+    /// `data` shares the segment's storage, so on an in-process wire the
+    /// bytes the sender published are the very bytes every receiver
+    /// installs, and one decoded packet is cloned to every snooping host
+    /// for the cost of a reference-count bump.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Decode`] on truncation, a bad magic number, an
-    /// unknown type tag, or invalid field values.
-    pub fn decode(datagram: &Bytes) -> Result<Self> {
-        fn need(buf: &[u8], n: usize) -> Result<()> {
-            if buf.remaining() < n {
-                Err(Error::Decode(format!(
-                    "need {n} bytes, have {}",
-                    buf.remaining()
-                )))
-            } else {
-                Ok(())
-            }
-        }
-        let mut buf: &[u8] = datagram;
+    /// Returns [`Error::Decode`] on truncation, bad magic, an unknown type
+    /// tag, invalid field values, stray bytes after the header's last
+    /// field, a payload segment on a packet type that carries none, or a
+    /// payload segment whose length disagrees with the header's length
+    /// field — which refuses a data header that carries its payload
+    /// inline.
+    pub fn decode_frame(frame: &WireFrame) -> Result<Self> {
+        let mut buf: &[u8] = &frame.header;
         need(buf, 3)?;
         let magic = buf.get_u16();
         if magic != MAGIC {
             return Err(Error::Decode(format!("bad magic {magic:#x}")));
         }
-        let ty = buf.get_u8();
-        match ty {
+        let pkt = match buf.get_u8() {
             TYPE_REQUEST => {
                 need(buf, 8)?;
                 let from = HostId(buf.get_u16());
@@ -575,217 +545,89 @@ impl Packet {
                     2 => Want::Superset,
                     w => return Err(Error::Decode(format!("bad want {w}"))),
                 };
-                Ok(Packet::PageRequest {
+                Packet::PageRequest {
                     from,
                     page,
                     length,
                     want,
-                })
+                }
             }
             TYPE_DATA => {
-                let hdr = decode_data_header(&mut buf)?;
-                need(buf, hdr.payload_len)?;
-                let payload_start = datagram.len() - buf.remaining();
-                let data = datagram.slice(payload_start..payload_start + hdr.payload_len);
-                Ok(hdr.into_packet(data))
+                need(buf, 22)?;
+                let from = HostId(buf.get_u16());
+                let page =
+                    PageId::try_new(buf.get_u32()).map_err(|e| Error::Decode(e.to_string()))?;
+                let length = decode_length(buf.get_u8())?;
+                let generation = Generation(buf.get_u64());
+                let has_transfer = buf.get_u8();
+                let transfer_host = buf.get_u16();
+                let transfer_to = match has_transfer {
+                    0 => None,
+                    1 => Some(HostId(transfer_host)),
+                    t => return Err(Error::Decode(format!("bad transfer flag {t}"))),
+                };
+                let payload_len = buf.get_u32() as usize;
+                if payload_len != frame.payload.len() {
+                    return Err(Error::Decode(format!(
+                        "length field {payload_len} != payload segment {}",
+                        frame.payload.len()
+                    )));
+                }
+                Packet::PageData {
+                    from,
+                    page,
+                    length,
+                    generation,
+                    transfer_to,
+                    data: frame.payload.clone(),
+                }
             }
             TYPE_BRIDGE_PDU => {
                 need(buf, 6)?;
                 let from = HostId(buf.get_u16());
                 let device = buf.get_u16();
-                let count = buf.get_u16() as usize;
-                if count > MAX_PDU_VIEWS {
-                    return Err(Error::Decode(format!("pdu claims {count} views")));
-                }
-                let mut views = Vec::with_capacity(count);
-                for _ in 0..count {
-                    need(buf, 8 + 1 + 2)?;
-                    let version = buf.get_u64();
-                    let alive = match buf.get_u8() {
-                        0 => false,
-                        1 => true,
-                        a => return Err(Error::Decode(format!("bad alive flag {a}"))),
-                    };
-                    let nwords = buf.get_u16() as usize;
-                    if nwords > MAX_MASK_WORDS {
-                        return Err(Error::Decode(format!("port mask claims {nwords} words")));
-                    }
-                    need(buf, nwords * 8)?;
-                    let words: Vec<u64> = (0..nwords).map(|_| buf.get_u64()).collect();
-                    let ports = HostMask::from_words(&words);
-                    views.push(DeviceView {
-                        version,
-                        alive,
-                        ports,
-                    });
-                }
-                Ok(Packet::BridgePdu {
+                let count = decode_count(&mut buf)?;
+                let views = (0..count)
+                    .map(|_| decode_view(&mut buf))
+                    .collect::<Result<_>>()?;
+                Packet::BridgePdu {
                     from,
                     device,
                     views,
-                })
+                }
             }
             TYPE_BRIDGE_PDU_DELTA => {
                 need(buf, 6)?;
                 let from = HostId(buf.get_u16());
                 let device = buf.get_u16();
-                let count = buf.get_u16() as usize;
-                if count > MAX_PDU_VIEWS {
-                    return Err(Error::Decode(format!("delta pdu claims {count} entries")));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    need(buf, 2 + 8 + 1 + 2)?;
-                    let d = buf.get_u16();
-                    let version = buf.get_u64();
-                    let alive = match buf.get_u8() {
-                        0 => false,
-                        1 => true,
-                        a => return Err(Error::Decode(format!("bad alive flag {a}"))),
-                    };
-                    let nwords = buf.get_u16() as usize;
-                    if nwords > MAX_MASK_WORDS {
-                        return Err(Error::Decode(format!("port mask claims {nwords} words")));
-                    }
-                    need(buf, nwords * 8)?;
-                    let words: Vec<u64> = (0..nwords).map(|_| buf.get_u64()).collect();
-                    let ports = HostMask::from_words(&words);
-                    entries.push((
-                        d,
-                        DeviceView {
-                            version,
-                            alive,
-                            ports,
-                        },
-                    ));
-                }
-                Ok(Packet::BridgePduDelta {
+                let count = decode_count(&mut buf)?;
+                let entries = (0..count)
+                    .map(|_| {
+                        need(buf, 2)?;
+                        let d = buf.get_u16();
+                        Ok((d, decode_view(&mut buf)?))
+                    })
+                    .collect::<Result<_>>()?;
+                Packet::BridgePduDelta {
                     from,
                     device,
                     entries,
-                })
+                }
             }
-            t => Err(Error::Decode(format!("unknown packet type {t}"))),
-        }
-    }
-
-    /// Decodes a packet from a two-segment [`WireFrame`].
-    ///
-    /// Accepts both framings: a frame with an empty payload segment is
-    /// treated as a contiguous datagram (so request frames, and data
-    /// frames whose payload was flattened into the header segment, both
-    /// decode). For a genuinely vectored data frame the payload segment
-    /// is **adopted zero-copy** — the decoded packet's `data` shares the
-    /// segment's storage, so on an in-process wire the bytes the sender
-    /// published are the very bytes every receiver installs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Decode`] on truncation, bad magic, unknown type,
-    /// invalid field values, a non-empty payload segment on a request
-    /// frame, or a payload segment whose length disagrees with the
-    /// header's length field.
-    pub fn decode_frame(frame: &WireFrame) -> Result<Self> {
-        if frame.payload.is_empty() {
-            return Self::decode(&frame.header);
-        }
-        let mut buf: &[u8] = &frame.header;
-        if buf.remaining() < 3 {
+            t => return Err(Error::Decode(format!("unknown packet type {t}"))),
+        };
+        if !buf.is_empty() {
             return Err(Error::Decode(format!(
-                "header segment too short: {} bytes",
-                buf.remaining()
+                "{} stray bytes after the header",
+                buf.len()
             )));
         }
-        let magic = buf.get_u16();
-        if magic != MAGIC {
-            return Err(Error::Decode(format!("bad magic {magic:#x}")));
+        if !pkt.is_data() && !frame.payload.is_empty() {
+            return Err(Error::Decode(
+                "a payload segment on a packet type that carries none".into(),
+            ));
         }
-        let ty = buf.get_u8();
-        if ty != TYPE_DATA {
-            return Err(Error::Decode(format!(
-                "packet type {ty} cannot carry a payload segment"
-            )));
-        }
-        let hdr = decode_data_header(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(Error::Decode(format!(
-                "payload split across segments: {} stray header bytes",
-                buf.remaining()
-            )));
-        }
-        if hdr.payload_len != frame.payload.len() {
-            return Err(Error::Decode(format!(
-                "length field {} != payload segment {}",
-                hdr.payload_len,
-                frame.payload.len()
-            )));
-        }
-        Ok(hdr.into_packet(frame.payload.clone()))
-    }
-}
-
-/// The fixed fields of a `TYPE_DATA` header, as parsed off the wire.
-/// Shared by [`Packet::decode`] and [`Packet::decode_frame`] so the two
-/// framings can never drift apart field-by-field; only the payload
-/// handling (contiguous slice vs. adopted segment) differs per caller.
-struct DataHeader {
-    from: HostId,
-    page: PageId,
-    length: PageLength,
-    generation: Generation,
-    transfer_to: Option<HostId>,
-    payload_len: usize,
-}
-
-impl DataHeader {
-    fn into_packet(self, data: Bytes) -> Packet {
-        Packet::PageData {
-            from: self.from,
-            page: self.page,
-            length: self.length,
-            generation: self.generation,
-            transfer_to: self.transfer_to,
-            data,
-        }
-    }
-}
-
-/// Parses the fixed `TYPE_DATA` fields (everything between the type tag
-/// and the payload bytes), advancing `buf` past the length field.
-fn decode_data_header(buf: &mut &[u8]) -> Result<DataHeader> {
-    if buf.remaining() < 22 {
-        return Err(Error::Decode(format!(
-            "data header needs 22 more bytes, have {}",
-            buf.remaining()
-        )));
-    }
-    let from = HostId(buf.get_u16());
-    let page = PageId::try_new(buf.get_u32()).map_err(|e| Error::Decode(e.to_string()))?;
-    let length = decode_length(buf.get_u8())?;
-    let generation = Generation(buf.get_u64());
-    let has_transfer = buf.get_u8();
-    let transfer_host = buf.get_u16();
-    let transfer_to = match has_transfer {
-        0 => None,
-        1 => Some(HostId(transfer_host)),
-        t => return Err(Error::Decode(format!("bad transfer flag {t}"))),
-    };
-    let payload_len = buf.get_u32() as usize;
-    Ok(DataHeader {
-        from,
-        page,
-        length,
-        generation,
-        transfer_to,
-        payload_len,
-    })
-}
-
-fn decode_length(b: u8) -> Result<PageLength> {
-    match b {
-        0 => Ok(PageLength::Full),
-        1 => Ok(PageLength::Short),
-        l => Err(Error::Decode(format!("bad length tag {l}"))),
+        Ok(pkt)
     }
 }
 
@@ -818,17 +660,31 @@ mod tests {
         }
     }
 
+    fn round_trip(p: &Packet) -> Packet {
+        Packet::decode_frame(&p.encode_vectored()).unwrap()
+    }
+
+    /// A frame of a bare header segment: what every packet but
+    /// `PageData` encodes to, and what garbage looks like to the decoder.
+    fn header_only(header: impl Into<Bytes>) -> WireFrame {
+        WireFrame {
+            header: header.into(),
+            payload: Bytes::new(),
+        }
+    }
+
     #[test]
     fn request_round_trip() {
         let p = sample_request();
-        assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
+        assert_eq!(round_trip(&p), p);
     }
 
     #[test]
     fn data_round_trip() {
         for len in [0, 1, 32, 8192] {
             let p = sample_data(len);
-            assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
+            assert_eq!(p.encode_vectored().len(), p.encoded_len());
+            assert_eq!(round_trip(&p), p);
         }
     }
 
@@ -880,12 +736,10 @@ mod tests {
     fn bridge_pdu_round_trip() {
         for n in [0, 1, 4, 64] {
             let p = sample_pdu(n);
-            assert_eq!(p.encode().len(), p.encoded_len());
-            assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
-            // Vectored framing carries control frames too (empty payload
-            // segment).
+            // Control frames are all header (empty payload segment).
             let frame = p.encode_vectored();
             assert!(frame.payload.is_empty());
+            assert_eq!(frame.len(), p.encoded_len());
             assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
         }
     }
@@ -916,10 +770,9 @@ mod tests {
             let p = sample_delta(ids);
             assert!(p.is_control());
             assert!(!p.is_data());
-            assert_eq!(p.encode().len(), p.encoded_len());
-            assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
             let frame = p.encode_vectored();
             assert!(frame.payload.is_empty());
+            assert_eq!(frame.len(), p.encoded_len());
             assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
         }
     }
@@ -937,7 +790,7 @@ mod tests {
     fn oversize_delta_is_refused_not_truncated() {
         let ids: Vec<u16> = (0..=MAX_PDU_VIEWS as u16).collect();
         let over = sample_delta(&ids);
-        assert!(matches!(over.try_encode(), Err(Error::Encode(_))));
+        assert!(matches!(over.try_encode_vectored(), Err(Error::Encode(_))));
     }
 
     #[test]
@@ -947,11 +800,10 @@ mod tests {
         let at_cap = sample_pdu(MAX_PDU_VIEWS);
         assert!(at_cap.check_encodable().is_ok());
         assert_eq!(
-            Packet::decode(&at_cap.try_encode().unwrap()).unwrap(),
+            Packet::decode_frame(&at_cap.try_encode_vectored().unwrap()).unwrap(),
             at_cap
         );
         let over = sample_pdu(MAX_PDU_VIEWS + 1);
-        assert!(matches!(over.try_encode(), Err(Error::Encode(_))));
         assert!(matches!(over.try_encode_vectored(), Err(Error::Encode(_))));
     }
 
@@ -968,13 +820,13 @@ mod tests {
                 ports: crate::HostMask::single(MAX_MASK_WORDS * 64),
             }],
         };
-        assert!(matches!(p.try_encode(), Err(Error::Encode(_))));
+        assert!(matches!(p.try_encode_vectored(), Err(Error::Encode(_))));
     }
 
     #[test]
     #[should_panic(expected = "exceeds wire-format limits")]
     fn infallible_encode_panics_on_oversize_instead_of_corrupting() {
-        let _ = sample_pdu(MAX_PDU_VIEWS + 1).encode();
+        let _ = sample_pdu(MAX_PDU_VIEWS + 1).encode_vectored();
     }
 
     #[test]
@@ -988,59 +840,73 @@ mod tests {
 
     #[test]
     fn bridge_pdu_decode_rejects_malformed() {
-        let enc = sample_pdu(3).encode();
+        let enc = sample_pdu(3).encode_vectored().header;
         // Truncations anywhere in the view list.
         for cut in [3, 7, 9, enc.len() - 1] {
-            assert!(Packet::decode(&enc.slice(..cut)).is_err(), "cut {cut}");
+            assert!(
+                Packet::decode_frame(&header_only(enc.slice(..cut))).is_err(),
+                "cut {cut}"
+            );
         }
         // A corrupt alive flag.
         let mut bad = enc.to_vec();
         bad[9 + 8] = 7; // first view's alive byte
-        assert!(Packet::decode(&Bytes::from(bad)).is_err());
+        assert!(Packet::decode_frame(&header_only(bad)).is_err());
         // An absurd view count must not allocate gigabytes.
         let mut huge = enc.to_vec();
         huge[7] = 0xff;
         huge[8] = 0xff;
-        assert!(Packet::decode(&Bytes::from(huge)).is_err());
+        assert!(Packet::decode_frame(&header_only(huge)).is_err());
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Packet::decode(&Bytes::new()).is_err());
-        assert!(Packet::decode(&Bytes::from(vec![0, 0, 0])).is_err());
-        let mut good = sample_request().encode().to_vec();
+        assert!(Packet::decode_frame(&header_only(Bytes::new())).is_err());
+        assert!(Packet::decode_frame(&header_only(vec![0, 0, 0])).is_err());
+        let mut good = sample_request().encode_vectored().header.to_vec();
         good[2] = 99; // unknown type
-        assert!(Packet::decode(&Bytes::from(good)).is_err());
+        assert!(Packet::decode_frame(&header_only(good)).is_err());
     }
 
     #[test]
     fn decode_rejects_truncated_data() {
-        let enc = sample_data(32).encode();
-        for cut in [3, 10, enc.len() - 1] {
-            assert!(Packet::decode(&enc.slice(..cut)).is_err(), "cut at {cut}");
+        let frame = sample_data(32).encode_vectored();
+        // A header segment cut short anywhere.
+        for cut in [3, 10, frame.header.len() - 1] {
+            let res = Packet::decode_frame(&WireFrame {
+                header: frame.header.slice(..cut),
+                payload: frame.payload.clone(),
+            });
+            assert!(res.is_err(), "header cut at {cut}");
         }
+        // A payload segment one byte short of the length field.
+        let res = Packet::decode_frame(&WireFrame {
+            header: frame.header.clone(),
+            payload: frame.payload.slice(..frame.payload.len() - 1),
+        });
+        assert!(res.is_err(), "payload cut");
     }
 
     #[test]
     fn decode_rejects_bad_magic() {
-        let mut enc = sample_request().encode().to_vec();
+        let mut enc = sample_request().encode_vectored().header.to_vec();
         enc[0] = 0;
         assert!(matches!(
-            Packet::decode(&Bytes::from(enc)),
+            Packet::decode_frame(&header_only(enc)),
             Err(Error::Decode(_))
         ));
     }
 
     #[test]
     fn decoded_payload_is_a_zero_copy_slice_of_the_datagram() {
-        let enc = sample_data(8192).encode();
-        let decoded = Packet::decode(&enc).unwrap();
+        let frame = sample_data(8192).encode_vectored();
+        let decoded = Packet::decode_frame(&frame).unwrap();
         match &decoded {
             Packet::PageData { data, .. } => {
                 assert_eq!(data.len(), 8192);
                 assert!(
-                    data.shares_storage_with(&enc),
-                    "payload must be a view of the datagram, not a copy"
+                    data.shares_storage_with(&frame.payload),
+                    "payload must be a view of the payload segment, not a copy"
                 );
             }
             other => panic!("{other:?}"),
@@ -1053,22 +919,6 @@ mod tests {
                 assert!(a.shares_storage_with(b));
             }
             _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn vectored_frame_concatenation_matches_contiguous_encode() {
-        for p in [
-            sample_request(),
-            sample_data(0),
-            sample_data(32),
-            sample_data(8192),
-        ] {
-            let frame = p.encode_vectored();
-            let mut cat = frame.header.to_vec();
-            cat.extend_from_slice(&frame.payload);
-            assert_eq!(&cat[..], &p.encode()[..], "identical wire bytes");
-            assert_eq!(frame.len(), p.encoded_len());
         }
     }
 
@@ -1100,26 +950,11 @@ mod tests {
     }
 
     #[test]
-    fn decode_frame_accepts_both_framings() {
-        for p in [sample_request(), sample_data(32), sample_data(8192)] {
-            // Vectored framing.
-            assert_eq!(Packet::decode_frame(&p.encode_vectored()).unwrap(), p);
-            // Contiguous datagram presented as a frame with an empty
-            // payload segment.
-            let flat = WireFrame {
-                header: p.encode(),
-                payload: Bytes::new(),
-            };
-            assert_eq!(Packet::decode_frame(&flat).unwrap(), p);
-        }
-    }
-
-    #[test]
     fn decode_frame_rejects_malformed_frames() {
         let good = sample_data(32).encode_vectored();
         // Request header with a payload segment.
         assert!(Packet::decode_frame(&WireFrame {
-            header: sample_request().encode(),
+            header: sample_request().encode_vectored().header,
             payload: Bytes::from(vec![0u8; 4]),
         })
         .is_err());
@@ -1152,6 +987,27 @@ mod tests {
         assert!(Packet::decode_frame(&good).is_ok());
     }
 
+    #[test]
+    fn decode_frame_rejects_inline_payloads_and_stray_header_bytes() {
+        // A data header that carries its payload inline, with nothing in
+        // the payload segment: the length field claims 32 bytes the
+        // payload segment does not hold.
+        let data = sample_data(32).encode_vectored();
+        let mut inline = data.header.to_vec();
+        inline.extend_from_slice(&data.payload);
+        assert!(Packet::decode_frame(&header_only(inline)).is_err());
+        // A request or PDU header with one byte after its last field.
+        for p in [sample_request(), sample_pdu(2), sample_delta(&[3])] {
+            let mut fat = p.encode_vectored().header.to_vec();
+            assert_eq!(Packet::decode_frame(&header_only(fat.clone())).unwrap(), p);
+            fat.push(0);
+            assert!(
+                Packet::decode_frame(&header_only(fat)).is_err(),
+                "stray byte after {p:?}"
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_round_trip_any_data(
@@ -1169,18 +1025,26 @@ mod tests {
                 transfer_to: transfer.map(HostId),
                 data: Bytes::from(data),
             };
-            prop_assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
+            prop_assert_eq!(round_trip(&p), p);
         }
 
         #[test]
-        fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = Packet::decode(&Bytes::from(bytes.clone()));
+        fn prop_decode_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            split in any::<usize>(),
+        ) {
+            let b = Bytes::from(bytes);
+            let split = split % (b.len() + 1);
+            let _ = Packet::decode_frame(&WireFrame {
+                header: b.slice(..split),
+                payload: b.slice(split..),
+            });
         }
 
         #[test]
         fn prop_encoded_len_matches(len in 0usize..512) {
             let p = sample_data(len);
-            prop_assert_eq!(p.encode().len(), p.encoded_len());
+            prop_assert_eq!(p.encode_vectored().len(), p.encoded_len());
         }
     }
 }

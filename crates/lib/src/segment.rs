@@ -7,10 +7,10 @@
 //! granularity the Mether driver itself distinguishes.
 
 use mether_core::{Error, PageId, Result, VAddr, View};
-use parking_lot::Mutex;
+use mether_net::rt::lock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Access rights carried by a [`Capability`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,7 +144,7 @@ impl Registry {
     /// [`Error::InvalidConfig`] if the name exists or the address space
     /// is exhausted.
     pub fn create(&self, name: &str, pages: u32) -> Result<(Segment, Capability)> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.segments.contains_key(name) {
             return Err(Error::InvalidConfig(format!(
                 "segment {name} already exists"
@@ -185,7 +185,7 @@ impl Registry {
     /// [`Error::NotFound`] for an unknown name,
     /// [`Error::PermissionDenied`] for a stale or mismatched capability.
     pub fn open(&self, cap: &Capability) -> Result<Segment> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let meta = inner
             .segments
             .get(&cap.segment)
@@ -207,7 +207,7 @@ impl Registry {
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Registry(segments={})", self.inner.lock().segments.len())
+        write!(f, "Registry(segments={})", lock(&self.inner).segments.len())
     }
 }
 

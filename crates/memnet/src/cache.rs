@@ -16,15 +16,14 @@
 //! token), and the cost of invalidating is independent of the number of
 //! holders.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a 32-byte chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkId(pub u32);
 
 /// Cache state of a chunk in one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkState {
     /// No valid copy.
     Invalid,
@@ -35,7 +34,7 @@ pub enum ChunkState {
 }
 
 /// The write policy a chunk is managed under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WritePolicy {
     /// Writers invalidate remote copies.
     Invalidate,

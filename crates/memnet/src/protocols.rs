@@ -19,10 +19,9 @@
 //! passive-reader design. The ranking experiment verifies it.
 
 use crate::ring::RingStats;
-use serde::{Deserialize, Serialize};
 
 /// A counting-protocol shape on MemNet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemNetProtocol {
     /// Both hosts read and write one shared chunk; ownership ping-pongs
     /// (write-invalidate). The Mether P1/P2 analogue.
@@ -67,7 +66,7 @@ impl MemNetProtocol {
 }
 
 /// Result of one MemNet counting run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolReport {
     /// The shape that ran.
     pub protocol: MemNetProtocol,

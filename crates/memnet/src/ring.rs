@@ -9,10 +9,8 @@
 //! of magnitude below Mether's Ethernet path, exactly the regime gap the
 //! paper describes.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the ring.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingConfig {
     /// Devices on the ring.
     pub hosts: usize,
@@ -62,7 +60,7 @@ impl RingConfig {
 }
 
 /// Ring traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingStats {
     /// Fetch transactions (miss services).
     pub fetches: u64,

@@ -194,7 +194,6 @@ use mether_core::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -204,7 +203,7 @@ use std::sync::Arc;
 pub const BRIDGE_HOST_BASE: u16 = 0xFF00;
 
 /// Parameters of one store-and-forward bridge device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BridgeConfig {
     /// Store-and-forward latency per frame; also the device's service
     /// time, so back-to-back pickups serialise behind one another.
@@ -303,7 +302,7 @@ impl Default for BridgeConfig {
 
 /// Cumulative traffic counters of one bridge device (or, summed with
 /// [`BridgeStats::sum`], of a whole fabric).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BridgeStats {
     /// Frames the device heard (one per delivered transit on any of its
     /// ports).
@@ -375,7 +374,7 @@ impl BridgeStats {
 }
 
 /// How a device forwards `PageRequest` frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RequestRouting {
     /// Forward every request out every other forwarding port (PR 3's
     /// behaviour — the consistent copy migrates, so the holder may be
@@ -407,7 +406,7 @@ pub enum RequestRouting {
 /// transmit nothing at all — no request, no grace — so pin their
 /// segments with static subscriptions ([`BridgePolicy::subscribe`])
 /// instead of relying on learned interest under any finite horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AgeHorizon {
     /// Interest never expires (PR 3's behaviour): a segment that once
     /// requested a page receives its transits forever.
@@ -426,7 +425,7 @@ pub enum AgeHorizon {
 }
 
 /// How the fabric decides its active forwarding tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ElectionMode {
     /// Elect once at construction assuming every device alive, then
     /// freeze: no hello traffic, no timers, no failure handling. On a
@@ -500,7 +499,7 @@ impl ElectionMode {
 }
 
 /// A failure (or recovery) injected into the fabric in sim time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricEvent {
     /// Bridge device dies: stops forwarding, stops emitting hellos,
     /// loses its queue and all learned state. Neighbours detect the

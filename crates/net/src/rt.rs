@@ -25,15 +25,15 @@
 //! first leave it queued. An unshaped LAN ([`LanConfig::fast`]) runs the
 //! same path with a zero dwell.
 //!
-//! Frames cross the wire as the two-segment vectored encoding
-//! ([`mether_core::Packet::encode_vectored`]) so the runtime exercises
-//! the same codec the paper's UDP implementation would — but the
-//! transmit side never flattens the frame (the page payload segment is a
-//! zero-copy view of the sender's buffer), and each broadcast is
-//! **decoded exactly once**, by its transmitter, the decoded packet
-//! fanning out to the N−1 listeners as cheap clones whose page payload
-//! shares that same storage. Host load for a broadcast does not scale
-//! with `receivers × PAGE_SIZE`.
+//! Frames cross the wire in the codec's one framing: the transmitter
+//! encodes a [`WireFrame`] with [`Packet::try_encode_vectored`] and
+//! decodes it with [`Packet::decode_frame`], so the runtime exercises
+//! the same codec the paper's UDP implementation would. No frame is ever
+//! flattened (the page payload segment is a zero-copy view of the
+//! sender's buffer), and each broadcast is **decoded exactly once**, by
+//! its transmitter, the decoded packet fanning out to the N−1 listeners
+//! as cheap clones whose page payload shares that same storage. Host
+//! load for a broadcast does not scale with `receivers × PAGE_SIZE`.
 //!
 //! # Who wakes whom
 //!
@@ -47,15 +47,28 @@
 //! the medium the transmitter still holds. [`Inbox::close`] wakes the
 //! listener at once, so a receive loop needs no polling timeout to
 //! notice shutdown.
+//!
+//! The locks here, and in `mether-runtime` and `mether-lib` above, are
+//! plain `std::sync` ones, taken through [`lock`], which ignores
+//! poisoning.
 
 use crate::stats::NetStats;
 use mether_core::{Error, HostId, Packet, Result, WireFrame};
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Locks `m`, ignoring poisoning. A poisoned lock means another thread
+/// already panicked while holding it, and that panic is what gets
+/// reported (a failed test, a joined thread's `Err`). Taking the guard
+/// anyway lets the survivors finish — `Cluster::drop` joining its
+/// threads above all — instead of panicking a second time, which during
+/// an unwind aborts the process.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Parameters of the in-process LAN.
 #[derive(Debug, Clone)]
@@ -171,7 +184,7 @@ impl Inbox {
     /// Queues `d` in due order. True if the listener was asleep: the
     /// caller must then [`Inbox::wake`] it — after dropping its own locks.
     fn push(&self, d: Delivery) -> bool {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         if st.closed {
             return false;
         }
@@ -187,7 +200,7 @@ impl Inbox {
     }
 
     fn recv_by(&self, deadline: Option<Instant>) -> Result<(usize, Packet)> {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         loop {
             if st.closed {
                 return Err(Error::Disconnected);
@@ -202,10 +215,17 @@ impl Inbox {
             // whichever is first; a push or a close wakes us earlier.
             let due = st.queue.front().map(|d| d.due);
             st.asleep = true;
-            match due.into_iter().chain(deadline).min() {
-                Some(t) => drop(self.shared.ready.wait_until(&mut st, t)),
-                None => self.shared.ready.wait(&mut st),
-            }
+            let ready = &self.shared.ready;
+            st = match due.into_iter().chain(deadline).min() {
+                Some(t) => {
+                    let timeout = t.saturating_duration_since(Instant::now());
+                    ready
+                        .wait_timeout(st, timeout)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => ready.wait(st).unwrap_or_else(PoisonError::into_inner),
+            };
             st.asleep = false;
         }
     }
@@ -240,7 +260,7 @@ impl Inbox {
     ///
     /// [`Error::Disconnected`] once closed.
     pub fn try_recv(&self) -> Result<Option<(usize, Packet)>> {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         if st.closed {
             return Err(Error::Disconnected);
         }
@@ -251,7 +271,7 @@ impl Inbox {
     /// queued, and every receive — including one blocked right now —
     /// returns [`Error::Disconnected`] at once.
     pub fn close(&self) {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         st.closed = true;
         st.queue.clear();
         drop(st);
@@ -261,7 +281,7 @@ impl Inbox {
 
 impl std::fmt::Debug for Inbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Inbox(queued={})", self.shared.state.lock().queue.len())
+        write!(f, "Inbox(queued={})", lock(&self.shared.state).queue.len())
     }
 }
 
@@ -305,7 +325,7 @@ impl Inner {
         let decoded = Packet::decode_frame(frame);
         let mut wake = Vec::new();
         {
-            let mut m = self.medium.lock();
+            let mut m = lock(&self.medium);
             let due = m.free_at.max(Instant::now()) + dwell;
             m.free_at = due;
             let Ok(pkt) = decoded else {
@@ -369,7 +389,7 @@ impl Lan {
     ///
     /// Panics if `host` is already attached — one NIC per host.
     pub fn attach(&self, host: HostId, inbox: &Inbox, port: usize) -> Port {
-        let mut m = self.inner.medium.lock();
+        let mut m = lock(&self.inner.medium);
         assert!(
             m.taps.iter().all(|t| t.host != host),
             "host {host} already attached to this LAN"
@@ -401,7 +421,7 @@ impl Lan {
 
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.inner.medium.lock().stats
+        lock(&self.inner.medium).stats
     }
 
     /// Reconfigures the frame-loss probability on the live segment. Loss
@@ -416,18 +436,18 @@ impl Lan {
             (0.0..=1.0).contains(&p),
             "loss probability must be in [0,1]"
         );
-        self.inner.medium.lock().loss = p;
+        lock(&self.inner.medium).loss = p;
     }
 
     /// The current frame-loss probability.
     pub fn loss(&self) -> f64 {
-        self.inner.medium.lock().loss
+        lock(&self.inner.medium).loss
     }
 }
 
 impl std::fmt::Debug for Lan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Lan(listeners={})", self.inner.medium.lock().taps.len())
+        write!(f, "Lan(listeners={})", lock(&self.inner.medium).taps.len())
     }
 }
 
@@ -461,7 +481,7 @@ impl Port {
                 Ok(())
             }
             Err(e) => {
-                self.lan.medium.lock().stats.record_encode_error();
+                lock(&self.lan.medium).stats.record_encode_error();
                 Err(e)
             }
         }
@@ -470,7 +490,7 @@ impl Port {
 
 impl Drop for Port {
     fn drop(&mut self) {
-        self.lan.medium.lock().taps.retain(|t| t.host != self.host);
+        lock(&self.lan.medium).taps.retain(|t| t.host != self.host);
     }
 }
 
@@ -566,6 +586,22 @@ mod tests {
             latency,
             ..LanConfig::fast()
         })
+    }
+
+    #[test]
+    fn lock_still_locks_a_poisoned_mutex() {
+        let m = Mutex::new(1);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock(&m);
+                panic!("dies holding the lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 2);
     }
 
     #[test]
@@ -750,7 +786,7 @@ mod tests {
         std::thread::scope(|s| {
             let blocked = s.spawn(|| b.recv());
             // Only close once the listener really is blocked.
-            while !b.inbox.shared.state.lock().asleep {
+            while !lock(&b.inbox.shared.state).asleep {
                 std::thread::yield_now();
             }
             b.close();
@@ -759,7 +795,7 @@ mod tests {
         // A closed inbox takes no more frames and never delivers again.
         a.broadcast(&req(0)).unwrap();
         assert_eq!(b.try_recv(), Err(Error::Disconnected));
-        assert_eq!(b.inbox.shared.state.lock().queue.len(), 0);
+        assert_eq!(lock(&b.inbox.shared.state).queue.len(), 0);
     }
 
     #[test]

@@ -37,10 +37,9 @@ use crate::time::{SimDuration, SimTime};
 use mether_core::Packet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the simulated Ethernet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EtherConfig {
     /// Medium bit rate. The paper's LAN is 10 Mbit/s.
     pub bandwidth_bps: u64,

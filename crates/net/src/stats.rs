@@ -1,7 +1,6 @@
 //! Traffic accounting shared by the simulated and threaded networks.
 
 use mether_core::Packet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cumulative traffic counters for one network.
@@ -9,7 +8,7 @@ use std::fmt;
 /// `bytes` uses [`Packet::wire_size`], i.e. it includes Ethernet/IP/UDP
 /// framing and minimum-frame padding, matching how the paper reports
 /// network load ("66 kbytes/second" etc.).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Datagrams transmitted (including any later lost).
     pub packets: u64,
@@ -23,15 +22,15 @@ pub struct NetStats {
     pub payload_bytes: u64,
     /// Packets dropped by loss injection.
     pub lost: u64,
-    /// Frames that failed to decode and were dropped by their transmitter
-    /// on the threaded LAN (cannot happen for frames produced by
-    /// `Packet::encode`; counted defensively rather than crashing the
-    /// segment).
+    /// Frames that failed [`Packet::decode_frame`] and were dropped by
+    /// their transmitter on the threaded LAN (cannot happen for frames
+    /// produced by [`Packet::try_encode_vectored`]; counted defensively
+    /// rather than crashing the segment).
     pub decode_errors: u64,
     /// Packets refused at the sender because a field exceeded its wire
-    /// length prefix (`Packet::try_encode` failed). Such a packet never
-    /// reaches the wire — encoding it would have emitted a corrupt
-    /// frame — and is not counted in `packets`.
+    /// length prefix ([`Packet::try_encode_vectored`] failed). Such a
+    /// packet never reaches the wire — encoding it would have emitted a
+    /// corrupt frame — and is not counted in `packets`.
     pub encode_errors: u64,
     /// Bridge-to-bridge control frames (spanning-tree hellos): wire
     /// overhead of the live election, zero under `Static` election.

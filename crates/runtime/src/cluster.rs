@@ -79,11 +79,10 @@
 use crate::node::Node;
 use mether_core::{HostId, MetherConfig, Packet, PageId, SegmentLayout};
 use mether_net::bridge::{BootState, BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
-use mether_net::rt::{Inbox, Lan, LanConfig, Port};
+use mether_net::rt::{lock, Inbox, Lan, LanConfig, Port};
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration, SimTime};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -349,7 +348,7 @@ impl BridgeThreads {
                         return;
                     }
                     if pkt.is_control() {
-                        let mut p = policy.lock();
+                        let mut p = lock(&policy);
                         let r = match pkt {
                             Packet::BridgePdu {
                                 device: from,
@@ -364,7 +363,7 @@ impl BridgeThreads {
                             _ => unreachable!("is_control covers exactly the PDU variants"),
                         };
                         if r.active_changed {
-                            fault.lock().reconvergences += 1;
+                            lock(&fault).reconvergences += 1;
                         }
                         if r.view_changed {
                             // Triggered hello: propagate the news now,
@@ -374,7 +373,7 @@ impl BridgeThreads {
                         return;
                     }
                     let (targets, election_epoch) = {
-                        let mut p = policy.lock();
+                        let mut p = lock(&policy);
                         let t = p.route(pkt, seg, now());
                         (t, p.election_epoch())
                     };
@@ -388,7 +387,7 @@ impl BridgeThreads {
                     // forwarded frame may inspect `bridge_stats`
                     // immediately, and must see this crossing.
                     {
-                        let mut s = stats.lock();
+                        let mut s = lock(&stats);
                         s.heard += 1;
                         if forwarded == 0 {
                             s.filtered += 1;
@@ -408,7 +407,7 @@ impl BridgeThreads {
                         // first data frame carried cross-fabric by a
                         // device whose election moved past its pre-kill
                         // snapshot ends the unreachable window.
-                        let mut f = fault.lock();
+                        let mut f = lock(&fault);
                         if let Some(t0) = f.down_at {
                             if election_epoch > f.epochs_at_down[device] {
                                 f.stall = Some(t0.elapsed());
@@ -455,10 +454,10 @@ impl BridgeThreads {
                     if let Some(every) = hello_every {
                         if last_hello.elapsed() >= every {
                             last_hello = Instant::now();
-                            let mut p = policy.lock();
+                            let mut p = lock(&policy);
                             let r = p.on_tick(now());
                             if r.active_changed {
-                                fault.lock().reconvergences += 1;
+                                lock(&fault).reconvergences += 1;
                             }
                             broadcast_hello(&mut p, lost.load(Ordering::Relaxed));
                         }
@@ -480,7 +479,7 @@ impl BridgeThreads {
     fn stop_device(&self, d: usize) -> bool {
         // Holding the slot lock across the join is safe: bridge threads
         // never take slot locks (only policy/stats/fault).
-        let mut slot = self.devices[d].lock();
+        let mut slot = lock(&self.devices[d]);
         let Some(handle) = slot.handle.take() else {
             return false;
         };
@@ -492,7 +491,7 @@ impl BridgeThreads {
     /// Respawns device `d` cold (its thread must be stopped). Returns
     /// true if a stopped device was revived.
     fn restart_device(&self, d: usize) -> bool {
-        let mut slot = self.devices[d].lock();
+        let mut slot = lock(&self.devices[d]);
         if slot.handle.is_some() {
             return false;
         }
@@ -505,7 +504,7 @@ impl BridgeThreads {
     /// they wind down side by side.
     fn stop(&self) {
         for slot in &self.devices {
-            slot.lock().inbox.close();
+            lock(slot).inbox.close();
         }
         for d in 0..self.devices.len() {
             let _ = self.stop_device(d);
@@ -518,14 +517,14 @@ impl BridgeThreads {
     fn seed_holder(&self, page: PageId, seg: usize) {
         if self.fabric.seeds_holder(page, seg) {
             for slot in &self.devices {
-                slot.lock().policy.lock().seed_holder(page, seg);
+                lock(&lock(slot).policy).seed_holder(page, seg);
             }
         }
     }
 
     fn record(&self, ev: FabricEvent) {
         let at = self.start.elapsed();
-        self.fault.lock().timeline.push((at, ev));
+        lock(&self.fault).timeline.push((at, ev));
     }
 }
 
@@ -654,10 +653,10 @@ impl Cluster {
         let epochs: Vec<u64> = b
             .devices
             .iter()
-            .map(|slot| slot.lock().policy.lock().election_epoch())
+            .map(|slot| lock(&lock(slot).policy).election_epoch())
             .collect();
         {
-            let mut f = b.fault.lock();
+            let mut f = lock(&b.fault);
             f.down_at = Some(Instant::now());
             f.stall = None;
             f.epochs_at_down = epochs;
@@ -715,11 +714,11 @@ impl Cluster {
         if b.lost[device].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
             return false;
         }
-        let slot = b.devices[device].lock();
+        let slot = lock(&b.devices[device]);
         if slot.handle.is_some() {
-            let r = slot.policy.lock().kill_port(segment, b.now());
+            let r = lock(&slot.policy).kill_port(segment, b.now());
             if r.active_changed {
-                b.fault.lock().reconvergences += 1;
+                lock(&b.fault).reconvergences += 1;
             }
         }
         drop(slot);
@@ -748,11 +747,11 @@ impl Cluster {
         if b.lost[device].fetch_and(!bit, Ordering::Relaxed) & bit == 0 {
             return false;
         }
-        let slot = b.devices[device].lock();
+        let slot = lock(&b.devices[device]);
         if slot.handle.is_some() {
-            let r = slot.policy.lock().revive_port(segment, b.now());
+            let r = lock(&slot.policy).revive_port(segment, b.now());
             if r.active_changed {
-                b.fault.lock().reconvergences += 1;
+                lock(&b.fault).reconvergences += 1;
             }
         }
         drop(slot);
@@ -800,8 +799,8 @@ impl Cluster {
             .bridge
             .as_ref()
             .expect("bridge_stats needs a segmented cluster");
-        let beliefs = b.devices[device].lock().policy.lock().belief_counters();
-        BridgeStats::sum([*b.stats[device].lock(), beliefs])
+        let beliefs = lock(&lock(&b.devices[device]).policy).belief_counters();
+        BridgeStats::sum([*lock(&b.stats[device]), beliefs])
     }
 
     /// Active-tree changes summed across every bridge device since
@@ -810,7 +809,7 @@ impl Cluster {
     pub fn fabric_reconvergences(&self) -> u64 {
         self.bridge
             .as_ref()
-            .map_or(0, |b| b.fault.lock().reconvergences)
+            .map_or(0, |b| lock(&b.fault).reconvergences)
     }
 
     /// The measured reconvergence stall: wall time from the most recent
@@ -820,7 +819,7 @@ impl Cluster {
     /// unreachable. `None` when nothing was killed (or nothing crossed
     /// afterwards); the threaded twin of the simulator's probe.
     pub fn fabric_stall(&self) -> Option<Duration> {
-        self.bridge.as_ref().and_then(|b| b.fault.lock().stall)
+        self.bridge.as_ref().and_then(|b| lock(&b.fault).stall)
     }
 
     /// Every fault injected so far, with its wall-clock offset from
@@ -828,7 +827,7 @@ impl Cluster {
     pub fn fabric_timeline(&self) -> Vec<(Duration, FabricEvent)> {
         self.bridge
             .as_ref()
-            .map_or(Vec::new(), |b| b.fault.lock().timeline.clone())
+            .map_or(Vec::new(), |b| lock(&b.fault).timeline.clone())
     }
 
     /// Page requests dropped in node receive paths because an identical
@@ -877,7 +876,7 @@ impl Cluster {
             .as_ref()
             .expect("subscribe_segment needs a segmented cluster");
         for slot in &bridge.devices {
-            slot.lock().policy.lock().subscribe(page, seg);
+            lock(&lock(slot).policy).subscribe(page, seg);
         }
     }
 

@@ -18,10 +18,9 @@ use mether_core::{
     AccessOutcome, Effect, Error, HostId, MapMode, MetherConfig, Packet, PageId, PageLength,
     PageTable, Result, VAddr, Want,
 };
-use mether_net::rt::Endpoint;
-use parking_lot::{Condvar, Mutex};
+use mether_net::rt::{lock, Endpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,7 +144,7 @@ impl Node {
                         batch.push(next);
                     }
                     {
-                        let mut driver = rx_inner.driver.lock();
+                        let mut driver = lock(&rx_inner.driver);
                         for pkt in &batch {
                             driver.handle_packet(pkt, &mut effects);
                         }
@@ -187,12 +186,12 @@ impl Node {
         if let Some(announce) = &self.announce {
             announce(page);
         }
-        self.inner.driver.lock().create_owned(page);
+        lock(&self.inner.driver).create_owned(page);
     }
 
     /// Does this node currently hold the consistent copy of `page`?
     pub fn is_consistent_holder(&self, page: PageId) -> bool {
-        self.inner.driver.lock().is_consistent_holder(page)
+        lock(&self.inner.driver).is_consistent_holder(page)
     }
 
     /// Reads a little-endian `u32` at `addr` through a mapping of `mode`,
@@ -224,7 +223,7 @@ impl Node {
         deadline: Option<Instant>,
     ) -> Result<u32> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
-        let mut driver = self.inner.driver.lock();
+        let mut driver = lock(&self.inner.driver);
         loop {
             let mut effects = Vec::new();
             let outcome = driver.access(addr.page(), addr.view(), mode, waiter, &mut effects)?;
@@ -244,12 +243,14 @@ impl Node {
                     if !effects.is_empty() {
                         drop(driver);
                         self.inner.apply_effects(effects)?;
-                        driver = self.inner.driver.lock();
+                        driver = lock(&self.inner.driver);
                         // State may have changed while unlocked; re-check
                         // before sleeping.
                         continue;
                     }
-                    if !self.wait(&mut driver, deadline) {
+                    let (woken, in_time) = self.wait(driver, deadline);
+                    driver = woken;
+                    if !in_time {
                         // Abandon the fault so a retry retransmits the
                         // request (drop recovery on the lossy LAN).
                         driver.cancel_wait(addr.page(), waiter);
@@ -304,7 +305,7 @@ impl Node {
         deadline: Option<Instant>,
     ) -> Result<()> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
-        let mut driver = self.inner.driver.lock();
+        let mut driver = lock(&self.inner.driver);
         loop {
             let mut effects = Vec::new();
             let outcome = driver.access(addr.page(), addr.view(), mode, waiter, &mut effects)?;
@@ -322,10 +323,12 @@ impl Node {
                     if !effects.is_empty() {
                         drop(driver);
                         self.inner.apply_effects(effects)?;
-                        driver = self.inner.driver.lock();
+                        driver = lock(&self.inner.driver);
                         continue;
                     }
-                    if !self.wait(&mut driver, deadline) {
+                    let (woken, in_time) = self.wait(driver, deadline);
+                    driver = woken;
+                    if !in_time {
                         driver.cancel_wait(addr.page(), waiter);
                         return Err(Error::Timeout);
                     }
@@ -341,7 +344,7 @@ impl Node {
     /// As [`Node::write_u32`].
     pub fn write_bytes(&self, addr: VAddr, buf: &[u8]) -> Result<()> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
-        let mut driver = self.inner.driver.lock();
+        let mut driver = lock(&self.inner.driver);
         loop {
             let mut effects = Vec::new();
             let outcome = driver.access(
@@ -365,10 +368,10 @@ impl Node {
                     if !effects.is_empty() {
                         drop(driver);
                         self.inner.apply_effects(effects)?;
-                        driver = self.inner.driver.lock();
+                        driver = lock(&self.inner.driver);
                         continue;
                     }
-                    self.wait(&mut driver, None);
+                    driver = self.wait(driver, None).0;
                 }
             }
         }
@@ -387,7 +390,7 @@ impl Node {
     pub fn purge(&self, page: PageId, mode: MapMode, length: PageLength) -> Result<()> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
         let mut effects = Vec::new();
-        let mut driver = self.inner.driver.lock();
+        let mut driver = lock(&self.inner.driver);
         match driver.purge(page, mode, waiter, &mut effects)? {
             AccessOutcome::Ready => {
                 drop(driver);
@@ -414,7 +417,7 @@ impl Node {
     /// Returns [`Error::LockFailed`] if the consistent copy (with all
     /// subsets) is not present.
     pub fn lock(&self, page: PageId, length: PageLength) -> Result<()> {
-        self.inner.driver.lock().lock(page, length)
+        lock(&self.inner.driver).lock(page, length)
     }
 
     /// Unlocks `page`, releasing any deferred consistency transfers.
@@ -426,24 +429,32 @@ impl Node {
     pub fn unlock(&self, page: PageId) -> Result<()> {
         let mut effects = Vec::new();
         {
-            let mut driver = self.inner.driver.lock();
+            let mut driver = lock(&self.inner.driver);
             driver.unlock(page, &mut effects);
         }
         self.inner.apply_effects(effects)
     }
 
-    /// Waits on the node's wakeup condition. Returns false on deadline.
-    fn wait(
+    /// Waits on the node's wakeup condition, handing the guard back with
+    /// false if `deadline` passed first.
+    fn wait<'a>(
         &self,
-        driver: &mut parking_lot::MutexGuard<'_, PageTable>,
+        driver: MutexGuard<'a, PageTable>,
         deadline: Option<Instant>,
-    ) -> bool {
+    ) -> (MutexGuard<'a, PageTable>, bool) {
+        let wakeups = &self.inner.wakeups;
         match deadline {
-            None => {
-                self.inner.wakeups.wait(driver);
-                true
+            None => (
+                wakeups.wait(driver).unwrap_or_else(PoisonError::into_inner),
+                true,
+            ),
+            Some(d) => {
+                let timeout = d.saturating_duration_since(Instant::now());
+                let (driver, res) = wakeups
+                    .wait_timeout(driver, timeout)
+                    .unwrap_or_else(PoisonError::into_inner);
+                (driver, !res.timed_out())
             }
-            Some(d) => !self.inner.wakeups.wait_until(driver, d).timed_out(),
         }
     }
 

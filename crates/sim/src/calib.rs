@@ -29,10 +29,9 @@
 //! baseline measurements beside the paper's own values.
 
 use mether_net::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Host-side cost model for the simulator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Calib {
     /// One iteration of a user-level spin loop (load, compare, branch,
     /// loop overhead) — the paper's 50 µs per increment including

@@ -626,7 +626,7 @@ impl HostSim {
         self.calib.holder_rebroadcast
     }
 
-    /// Queues a [`ServerWork::HolderRebroadcast`] for every page this
+    /// Queues a `ServerWork::HolderRebroadcast` for every page this
     /// host published as the consistent holder and still holds, unless
     /// an identical retransmission is already waiting in the server
     /// queue (a saturated server must not accumulate them). Driven by

@@ -7,11 +7,10 @@
 
 use crate::sim::ObserverStats;
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Measured costs of one user protocol run (one paper figure).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolMetrics {
     /// Protocol name, e.g. `"P1: increment on full-size page"`.
     pub label: String,

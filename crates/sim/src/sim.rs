@@ -533,7 +533,7 @@ impl Simulation {
     /// regardless of the observer's gating — cross-checking page-table
     /// holder agreement, bridge belief sanity, interest/age-stamp
     /// coherence, and elected-tree consistency (the catalogue in
-    /// [`observe`]). The soak harness calls this in release builds; in
+    /// `observe`). The soak harness calls this in release builds; in
     /// debug builds the same sweep also runs automatically on sampled
     /// event pops during [`Simulation::run`].
     ///

@@ -106,7 +106,6 @@
 use crate::host::HostSim;
 use mether_core::{BridgeTopology, DeviceView, Generation, PageId};
 use mether_net::{Fabric, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Every `ORACLE_EVERY`th *sampled* sweep is a full-deployment oracle
@@ -119,7 +118,7 @@ const ORACLE_EVERY: u64 = 64;
 /// Observer coverage counters, surfaced through
 /// [`ProtocolMetrics`](crate::metrics::ProtocolMetrics) so soak reports
 /// show what the invariant observer actually looked at.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObserverStats {
     /// Sampled incremental sweeps run (oracle sweeps included).
     pub sweeps: u64,

@@ -12,6 +12,14 @@
 //! (star / chain / balanced tree) without hand-aligning pages and
 //! striping. [`PollingReader`] supplies the holder-stable request
 //! workload the fabric's holder-directed routing is measured with.
+//!
+//! The rest drive the same protocols under stress rather than at paper
+//! scale: [`fabric`] kills and revives bridge devices under readers,
+//! [`openloop`] offers seeded arrival-driven load and reports
+//! fault-latency percentiles against an SLO, [`publisher`] is the
+//! broadcast-heaviest host, and [`soak`] draws whole scenarios —
+//! topology, fault schedule, mix, loss — from one replayable seed and
+//! runs them on either engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +30,6 @@ pub mod fabric;
 pub mod openloop;
 pub mod protocols;
 pub mod publisher;
-pub mod scale;
 pub mod segments;
 pub mod soak;
 pub mod solver;
@@ -40,10 +47,6 @@ pub use openloop::{
 };
 pub use protocols::{build_counting, run_counting, run_paper_protocol, Protocol};
 pub use publisher::{build_publisher_sim, Publisher};
-pub use scale::{
-    build_migration_storm, build_scaled_fabric, run_migration_storm, ScaleConfig, StormConfig,
-    StormPoint,
-};
 pub use segments::{
     build_cross_segment_counting, build_fabric_readers, build_segmented_counting_pairs,
     build_segmented_publisher, build_segmented_solver, build_segmented_solver_on, run_segmented,

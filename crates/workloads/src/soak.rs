@@ -752,7 +752,7 @@ impl SoakScenario {
     /// recovery path is the protocols' own demand-retry loop. Faults
     /// are replayed by a [`FaultPlan`] at the sim schedule's offsets
     /// (1 sim-ms ≙ 1 wall-ms). `finished` means every worker hit its
-    /// target before [`SoakScenario::runtime_deadline`].
+    /// target before `SoakScenario::runtime_deadline`.
     pub fn run_runtime(&self) -> RuntimeSoakReport {
         let mut fabric = self.fabric_config();
         if self.election_live {

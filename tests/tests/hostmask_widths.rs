@@ -123,10 +123,8 @@ proptest! {
                 DeviceView { version: version ^ 1, alive: !alive, ports: mask_of(&members(wi, &raw_b)) },
             ],
         };
-        let enc = p.encode();
-        prop_assert_eq!(enc.len(), p.encoded_len(), "advertised length is the real one");
-        prop_assert_eq!(Packet::decode(&enc).unwrap(), p.clone());
         let frame = p.encode_vectored();
+        prop_assert_eq!(frame.len(), p.encoded_len(), "advertised length is the real one");
         prop_assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
     }
 
@@ -195,9 +193,9 @@ fn spill_boundary_round_trips_the_wire() {
                 ports: full.clone(),
             }],
         };
-        let enc = p.encode();
-        assert_eq!(enc.len(), p.encoded_len(), "width {width}");
-        assert_eq!(Packet::decode(&enc).unwrap(), p, "width {width}");
+        let frame = p.encode_vectored();
+        assert_eq!(frame.len(), p.encoded_len(), "width {width}");
+        assert_eq!(Packet::decode_frame(&frame).unwrap(), p, "width {width}");
         assert_eq!(full.len(), width);
     }
 }

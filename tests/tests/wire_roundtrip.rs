@@ -1,19 +1,18 @@
-//! Property tests locking down the wire codec across both framings.
+//! Property tests locking down the wire codec.
 //!
-//! The event-engine overhaul made the two-segment vectored frame
-//! ([`Packet::encode_vectored`]) the production transmit path, with the
-//! contiguous [`Packet::encode`] kept as a compatibility wrapper. These
-//! tests pin the contract that makes that safe to rely on:
+//! A packet crosses the wire as the two-segment [`WireFrame`] of
+//! [`Packet::encode_vectored`], and [`Packet::decode_frame`] is the one
+//! decoder. These tests pin the contract the runtime relies on:
 //!
-//! * the two framings are **byte-identical** on the wire — concatenating
-//!   the vectored segments yields exactly the contiguous datagram;
-//! * any packet survives encode → decode round-trips through either
-//!   framing, field-for-field and byte-for-byte;
-//! * the vectored payload segment is a zero-copy view of the packet's
-//!   own data buffer (no 8 KiB transmit copy);
-//! * malformed, truncated, or bit-flipped frames never panic the decoder
-//!   — they return `Err`, and the threaded LAN's policy of counting each
-//!   failure in [`NetStats::decode_errors`] keeps the segment alive.
+//! * any packet survives encode → decode field-for-field, and its frame
+//!   is exactly [`Packet::encoded_len`] bytes, the length the simulator
+//!   charges;
+//! * the payload segment is a zero-copy view of the packet's own data
+//!   buffer (no 8 KiB transmit copy), and the decoder adopts it;
+//! * malformed, truncated, or bit-flipped frames, split into header and
+//!   payload segments anywhere, never panic the decoder — they return
+//!   `Err`, and the threaded LAN's policy of counting each failure in
+//!   [`NetStats::decode_errors`] keeps the segment alive.
 
 use bytes::Bytes;
 use mether_core::{Generation, HostId, Packet, PageId, PageLength, Want, WireFrame};
@@ -61,6 +60,21 @@ fn mk_data(
     }
 }
 
+/// `wire` presented as a frame whose header segment ends at `at` (the
+/// rest is the payload segment) — a well-formed frame at the split its
+/// encoder chose, a malformed one anywhere else.
+fn split_frame(wire: &Bytes, at: usize) -> WireFrame {
+    WireFrame {
+        header: wire.slice(..at),
+        payload: wire.slice(at..),
+    }
+}
+
+/// Both segments of `frame`, back to back.
+fn concat(frame: &WireFrame) -> Bytes {
+    Bytes::from([&frame.header[..], &frame.payload[..]].concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -72,11 +86,9 @@ proptest! {
         want in any::<u8>(),
     ) {
         let p = mk_request(from, page, short, want);
-        let enc = p.encode();
-        prop_assert_eq!(Packet::decode(&enc).unwrap(), p.clone());
         let frame = p.encode_vectored();
         prop_assert!(frame.payload.is_empty(), "requests carry no payload segment");
-        prop_assert_eq!(&frame.header[..], &enc[..]);
+        prop_assert_eq!(frame.len(), p.encoded_len());
         prop_assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
     }
 
@@ -89,22 +101,16 @@ proptest! {
         transfer in proptest::option::of(any::<u16>()),
         data in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let p = mk_data(from, page, short, generation, transfer, data);
-        let enc = p.encode();
+        let p = mk_data(from, page, short, generation, transfer, data.clone());
         let frame = p.encode_vectored();
-
-        // Byte identity of the two framings.
-        let mut cat = frame.header.to_vec();
-        cat.extend_from_slice(&frame.payload);
-        prop_assert_eq!(&cat[..], &enc[..]);
         prop_assert_eq!(frame.len(), p.encoded_len());
+        prop_assert_eq!(&frame.payload[..], &data[..]);
 
-        // Round trips through either framing reproduce the packet.
-        prop_assert_eq!(Packet::decode(&enc).unwrap(), p.clone());
-        prop_assert_eq!(Packet::decode_frame(&frame).unwrap(), p.clone());
-        // And a contiguous datagram presented as a frame decodes too.
-        let flat = WireFrame { header: enc, payload: Bytes::new() };
-        prop_assert_eq!(Packet::decode_frame(&flat).unwrap(), p);
+        // The round trip reproduces the packet, and re-encoding it
+        // reproduces the frame byte for byte.
+        let decoded = Packet::decode_frame(&frame).unwrap();
+        prop_assert_eq!(&decoded, &p);
+        prop_assert_eq!(decoded.encode_vectored(), frame);
     }
 
     #[test]
@@ -142,20 +148,23 @@ proptest! {
         generation in any::<u64>(),
         data in proptest::collection::vec(any::<u8>(), 0..96),
         cut_seed in any::<u64>(),
+        split_seed in any::<u64>(),
     ) {
         let p = mk_data(from, 0, short, generation, None, data);
-        let enc = p.encode();
-        // Any strict prefix must fail to decode with Err, never panic.
-        // (The threaded LAN's accounting of such failures —
+        let frame = p.encode_vectored();
+        // Any strict prefix of the frame's bytes, split into segments
+        // anywhere, must fail to decode with Err, never panic. (The
+        // threaded LAN's accounting of such failures —
         // NetStats::decode_errors — is exercised for real against the
         // Lan in mether-net's `corrupt_frame_is_counted_and_dropped_not_fatal`;
         // here the property is the decoder's own behaviour.)
-        let cut = (cut_seed % enc.len() as u64) as usize;
-        let res = Packet::decode(&enc.slice(..cut));
-        prop_assert!(res.is_err(), "cut at {} of {}", cut, enc.len());
+        let wire = concat(&frame);
+        let cut = (cut_seed % wire.len() as u64) as usize;
+        let split = (split_seed % (cut as u64 + 1)) as usize;
+        let res = Packet::decode_frame(&split_frame(&wire.slice(..cut), split));
+        prop_assert!(res.is_err(), "cut at {} of {}, split at {}", cut, wire.len(), split);
 
-        // Same for the vectored framing: truncate the header segment.
-        let frame = p.encode_vectored();
+        // A header segment cut short in front of an intact payload.
         let hcut = (cut_seed % frame.header.len() as u64) as usize;
         let res = Packet::decode_frame(&WireFrame {
             header: frame.header.slice(..hcut),
@@ -169,15 +178,12 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..96),
         split_seed in any::<u64>(),
     ) {
-        // Arbitrary bytes through the contiguous decoder...
-        let b = Bytes::from(bytes.clone());
-        let _ = Packet::decode(&b);
-        // ...and through the frame decoder at an arbitrary segment split.
-        let split = if b.is_empty() { 0 } else { (split_seed % b.len() as u64) as usize };
-        let _ = Packet::decode_frame(&WireFrame {
-            header: b.slice(..split),
-            payload: b.slice(split..),
-        });
+        // Arbitrary bytes, all in the header segment...
+        let b = Bytes::from(bytes);
+        let _ = Packet::decode_frame(&split_frame(&b, b.len()));
+        // ...and split between the segments anywhere.
+        let split = (split_seed % (b.len() as u64 + 1)) as usize;
+        let _ = Packet::decode_frame(&split_frame(&b, split));
         // Reaching here without a panic is the property.
     }
 
@@ -188,14 +194,20 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..64),
         pos_seed in any::<u64>(),
         flip in 1u8..255,
+        split_seed in any::<u64>(),
     ) {
         let p = mk_data(from, 3, true, generation, Some(2), data);
-        let mut enc = p.encode().to_vec();
-        let pos = (pos_seed % enc.len() as u64) as usize;
-        enc[pos] ^= flip;
+        let frame = p.encode_vectored();
+        let mut wire = concat(&frame).to_vec();
+        let pos = (pos_seed % wire.len() as u64) as usize;
+        wire[pos] ^= flip;
+        let wire = Bytes::from(wire);
         // A flipped frame may still parse (e.g. a payload or generation
-        // bit); it must never panic, and if it fails it fails with Err.
-        let _ = Packet::decode(&Bytes::from(enc));
+        // bit); it must never panic, and if it fails it fails with Err —
+        // at the encoder's own split and at any other.
+        let _ = Packet::decode_frame(&split_frame(&wire, frame.header.len()));
+        let split = (split_seed % (wire.len() as u64 + 1)) as usize;
+        let _ = Packet::decode_frame(&split_frame(&wire, split));
     }
 }
 
@@ -213,7 +225,7 @@ fn decode_error_counter_accumulates() {
         Bytes::from(vec![0u8; 2]),
         Bytes::from(vec![0xffu8; 40]),
     ] {
-        assert!(Packet::decode(&garbage).is_err());
+        assert!(Packet::decode_frame(&split_frame(&garbage, garbage.len())).is_err());
         stats.record_decode_error();
     }
     assert_eq!(stats.decode_errors, 3);

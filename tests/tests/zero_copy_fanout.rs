@@ -1,11 +1,11 @@
-//! Zero-copy broadcast fan-out: one decoded datagram serves every
+//! Zero-copy broadcast fan-out: one decoded frame serves every
 //! snooping host without per-host payload copies, and copy-on-write keeps
 //! published payloads immutable.
 //!
 //! These tests pin the acceptance criteria of the zero-copy page-data
 //! path: (1) a full-page broadcast delivered to N snooping hosts performs
 //! zero full-page copies per host in steady state — every host's page
-//! buffer shares the decoded datagram's storage; (2) a snooped refresh or
+//! buffer shares the frame's payload segment; (2) a snooped refresh or
 //! a local write never mutates bytes already handed to the network.
 
 use bytes::Bytes;
@@ -47,13 +47,16 @@ fn snoopers() -> Vec<PageTable> {
 
 #[test]
 fn one_decode_serves_sixteen_snoopers_without_copies() {
-    let frame = full_page_broadcast(1, 0xab).encode();
-    let decoded = Packet::decode(&frame).unwrap();
+    let frame = full_page_broadcast(1, 0xab).encode_vectored();
+    let decoded = Packet::decode_frame(&frame).unwrap();
     let payload = match &decoded {
         Packet::PageData { data, .. } => data.clone(),
         other => panic!("{other:?}"),
     };
-    assert!(payload.shares_storage_with(&frame), "decode is zero-copy");
+    assert!(
+        payload.shares_storage_with(&frame.payload),
+        "decode is zero-copy"
+    );
 
     let mut tables = snoopers();
     for t in tables.iter_mut() {
@@ -69,8 +72,8 @@ fn one_decode_serves_sixteen_snoopers_without_copies() {
             "identical bytes on every host"
         );
         assert!(
-            buf.shares_storage_with(&payload),
-            "install adopted the datagram: zero full-page copies per host"
+            buf.shares_storage_with(&frame.payload),
+            "install adopted the payload segment: zero full-page copies per host"
         );
     }
 }
@@ -79,13 +82,9 @@ fn one_decode_serves_sixteen_snoopers_without_copies() {
 fn steady_state_refresh_stays_zero_copy() {
     let mut tables = snoopers();
     // Install generation 1 everywhere, then refresh with generation 2.
-    let first = Packet::decode(&full_page_broadcast(1, 0x11).encode()).unwrap();
-    let second_frame = full_page_broadcast(2, 0x22).encode();
-    let second = Packet::decode(&second_frame).unwrap();
-    let second_payload = match &second {
-        Packet::PageData { data, .. } => data.clone(),
-        other => panic!("{other:?}"),
-    };
+    let first = Packet::decode_frame(&full_page_broadcast(1, 0x11).encode_vectored()).unwrap();
+    let second_frame = full_page_broadcast(2, 0x22).encode_vectored();
+    let second = Packet::decode_frame(&second_frame).unwrap();
     for t in tables.iter_mut() {
         let mut fx = Vec::new();
         t.handle_packet(&first, &mut fx);
@@ -95,8 +94,8 @@ fn steady_state_refresh_stays_zero_copy() {
         let buf = t.page_buf(PageId::new(0)).unwrap();
         assert_eq!(buf.read_u32(0).unwrap(), 0x2222_2222);
         assert!(
-            buf.shares_storage_with(&second_payload),
-            "a full refresh adopts the new datagram instead of copying it"
+            buf.shares_storage_with(&second_frame.payload),
+            "a full refresh adopts the new payload segment instead of copying it"
         );
     }
 }
@@ -190,8 +189,8 @@ fn snooped_refresh_never_mutates_published_payload() {
 fn writes_on_adopted_storage_do_not_leak_between_hosts() {
     // Two hosts adopt the same datagram, then one becomes the consistent
     // holder and writes. The other host's copy must be unaffected.
-    let frame = full_page_broadcast(1, 0x33).encode();
-    let decoded = Packet::decode(&frame).unwrap();
+    let frame = full_page_broadcast(1, 0x33).encode_vectored();
+    let decoded = Packet::decode_frame(&frame).unwrap();
     let mut a = PageTable::new(HostId(1), MetherConfig::new());
     let mut b = PageTable::new(HostId(2), MetherConfig::new());
     let mut fx = Vec::new();

@@ -1347,12 +1347,22 @@ impl BridgePolicy {
         self.row_mut(page).0.learned.insert(segment);
     }
 
+    /// Whether a missing holder belief on this device still proves the
+    /// holder lies through the page's home port (see the module docs,
+    /// "The probable-owner trail"): under holder-directed routing, which
+    /// seeds beliefs for pages created off their home, from boot until
+    /// the device's active tree changes or it rejoins a running fabric.
+    pub fn trail_intact(&self) -> bool {
+        self.trail_intact && self.routing == RequestRouting::HolderDirected
+    }
+
     /// Test-only fault injection: forcibly points `page`'s holder
-    /// belief at `segment` — which need not be a port of this device.
-    /// See [`BridgePolicy::corrupt_learned_for_test`].
+    /// belief at `segment` — which need not be a port of this device —
+    /// or, with `None`, erases it. See
+    /// [`BridgePolicy::corrupt_learned_for_test`].
     #[doc(hidden)]
-    pub fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: usize) {
-        self.row_mut(page).0.holder = Some(segment as u16);
+    pub fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: Option<usize>) {
+        self.row_mut(page).0.holder = segment.map(|s| s as u16);
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits: this

@@ -58,6 +58,17 @@
 //! clock would trip it); the check lives inline in `par.rs`, gated on
 //! the same switch as the sweeps here.
 //!
+//! **(f) The probable-owner trail** — what (b) leaves unchecked: where a
+//! *missing* belief points. A live device whose missing belief still
+//! proves the holder homeward (`BridgePolicy::trail_intact`, see
+//! `mether_net::bridge`, "The probable-owner trail") and that holds no
+//! belief for a page with a consistent holder must have that holder
+//! beyond its home port for the page, or on a segment it bridges. A
+//! page with no holder is mid-transfer (the exemption (a) makes) and is
+//! not judged. The check is cross-layer, so it runs when either side
+//! moves: for every live device when a page's holder changes, and for
+//! a device when its filter state for the page does.
+//!
 //! # Gating and cost: the dirty-set model
 //!
 //! The observer is on under `debug_assertions` (so the whole test suite
@@ -418,7 +429,7 @@ impl Observer {
         }
         touched.sort_unstable();
         touched.dedup();
-        for idx in touched {
+        for &idx in &touched {
             if let Some(hs) = self.holders.get(&idx) {
                 assert!(
                     hs.len() <= 1,
@@ -446,10 +457,16 @@ impl Observer {
                 }
                 for page in pages {
                     cost += self.check_device_page(fabric, d, page, now);
+                    cost += self.check_trail(fabric, d, page, now);
                 }
             }
             if rerun_tree {
                 cost += check_tree_consistency(fabric, now);
+            }
+            // (f) from the holder side: a page whose holder moved is
+            // re-judged at every live device.
+            for idx in touched {
+                cost += self.check_trails(fabric, PageId::new(idx), now);
             }
         }
         self.stats.sweeps += 1;
@@ -521,8 +538,8 @@ impl Observer {
         cost
     }
 
-    /// Invariants (b)–(d) over every live bridge device, from scratch.
-    /// Returns the number of device/page/route states scanned.
+    /// Invariants (b)–(d) and (f) over every live bridge device, from
+    /// scratch. Returns the number of device/page/route states scanned.
     fn sweep_fabric_full(&mut self, fabric: &Fabric, now: SimTime) -> u64 {
         let mut cost = 0u64;
         for d in 0..fabric.device_count() {
@@ -534,7 +551,52 @@ impl Observer {
                 cost += self.check_device_page(fabric, d, page, now);
             }
         }
+        // (f) covers devices that never tracked the page too: no filter
+        // is no belief.
+        let mut held: Vec<u32> = self.holders.keys().copied().collect();
+        held.sort_unstable();
+        for idx in held {
+            cost += self.check_trails(fabric, PageId::new(idx), now);
+        }
         cost + check_tree_consistency(fabric, now)
+    }
+
+    /// Invariant (f) for `page` at every live device. Returns the number
+    /// of device states scanned.
+    fn check_trails(&self, fabric: &Fabric, page: PageId, now: SimTime) -> u64 {
+        (0..fabric.device_count())
+            .filter(|&d| !fabric.is_dead(d))
+            .map(|d| self.check_trail(fabric, d, page, now))
+            .sum()
+    }
+
+    /// Invariant (f) for one (device, page): a device whose silence
+    /// routes `page`'s requests homeward, holding no belief, must have
+    /// the page's consistent holder homeward too — or on one of its own
+    /// segments, where every request it forwards is heard anyway.
+    /// Returns the number of states scanned.
+    fn check_trail(&self, fabric: &Fabric, d: usize, page: PageId, now: SimTime) -> u64 {
+        let Some(&[holder]) = self.holders.get(&page.index()).map(Vec::as_slice) else {
+            return 1; // no holder: mid-transfer, not judged
+        };
+        let policy = fabric.device(d).policy();
+        if !policy.trail_intact() || policy.holder_port(page).is_some() {
+            return 1;
+        }
+        let seg = policy.layout().segment_of(holder);
+        if policy.ports_mask().contains(seg) {
+            return 1;
+        }
+        let home = policy.home_port(page);
+        let toward = policy.active().next_hop(d, seg);
+        assert!(
+            toward.is_some() && toward == home,
+            "invariant (f): device {d} holds no belief for page {page} on the \
+             tree it booted on, so it sends requests out its home port {home:?}, \
+             but the holder (host {holder}, segment {seg}) lies out port \
+             {toward:?} at {now}"
+        );
+        1
     }
 
     /// The per-device structural block of invariants (b)/(d): port-set

@@ -29,7 +29,7 @@
 //! printed before its run so a CI failure names its reproducer.
 
 use mether_core::{BridgeTopology, PageId};
-use mether_net::{AgeHorizon, FabricConfig, FabricEvent, SimDuration};
+use mether_net::{AgeHorizon, FabricConfig, FabricEvent, RequestRouting, SimDuration};
 use mether_sim::{RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     base_seed_from_env, run_cross_engine_soak, run_large_faulted_soak, run_large_soak, run_soak,
@@ -513,7 +513,7 @@ fn corruption_is_flagged_by_incremental_and_full_alike() {
                     let policy = fabric.device_mut(0).policy_mut();
                     let page = PageId::new(0);
                     if kind == 1 {
-                        policy.corrupt_holder_belief_for_test(page, bad);
+                        policy.corrupt_holder_belief_for_test(page, Some(bad));
                     } else {
                         policy.corrupt_learned_for_test(page, bad);
                     }
@@ -541,6 +541,48 @@ fn corruption_is_flagged_by_incremental_and_full_alike() {
         flagged += 1;
         seed += 1;
     }
+}
+
+/// Observer invariant (f), the probable-owner trail, flags a device
+/// that has lost the belief its silence depends on. Chain 0-1-2 with
+/// one host per segment: page 2 is homed on segment 2 but created on
+/// host 0, so creating it points devices 0 ({0,1}) and 1 ({1,2}) toward
+/// segment 0. With its belief erased, device 1 would send page 2's
+/// requests out its home port, away from the holder, and both observer
+/// modes must say so. Device 0 bridges the holder's own segment, so an
+/// erased belief there is harmless and must pass.
+#[test]
+fn an_erased_belief_between_home_and_holder_breaks_the_trail() {
+    let page = PageId::new(2);
+    let build = |erase: usize| {
+        let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
+        let mut sim = Simulation::new(SimConfig {
+            topology: Topology::fabric(fabric),
+            ..SimConfig::paper(3)
+        });
+        sim.create_owned(0, page);
+        sim.check_invariants();
+        let fabric = sim.fabric_mut_for_test().expect("fabric topology");
+        let policy = fabric.device_mut(erase).policy_mut();
+        policy.corrupt_holder_belief_for_test(page, None);
+        sim
+    };
+    let mut harmless = build(0);
+    harmless.sweep_dirty();
+    harmless.check_invariants();
+    let message = |r: std::thread::Result<()>| -> String {
+        let e = r.expect_err("the observer missed the broken trail");
+        e.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    let mut incremental = build(1);
+    let inc = message(catch_unwind(AssertUnwindSafe(|| incremental.sweep_dirty())));
+    assert!(
+        inc.contains("invariant (f): device 1"),
+        "incremental: {inc}"
+    );
+    let mut oracle = build(1);
+    let full = message(catch_unwind(AssertUnwindSafe(|| oracle.check_invariants())));
+    assert!(full.contains("invariant (f): device 1"), "full: {full}");
 }
 
 /// Regression for observer invariant (d): the exact scenario soak seed

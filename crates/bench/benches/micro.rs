@@ -9,8 +9,7 @@ use mether_core::{
     PageId, PageLength, PageTable, RtoEstimator, SegmentLayout, VAddr, View, WakeSet, Want,
 };
 use mether_net::{
-    BootState, Bridge, BridgeConfig, BridgePolicy, Fabric, FabricConfig, RequestRouting,
-    SimDuration, SimTime,
+    BootState, Bridge, BridgeConfig, BridgePolicy, Fabric, FabricConfig, SimDuration, SimTime,
 };
 use mether_sim::RunLimits;
 use mether_workloads::{build_fabric_readers, build_publisher_sim, build_segmented_publisher};
@@ -438,25 +437,20 @@ fn bench_segments(c: &mut Criterion) {
     g.finish();
 }
 
-/// Holder-directed request routing vs PR 3's flooding, end to end: the
-/// holder-stable polling-reader workload on the 4×8 balanced tree (the
-/// acceptance workload of `tests/tests/segmented_topology.rs`). The
-/// structural number is fabric-crossing request frames — the ≥2× drop
-/// pinned there and recorded in `BENCH_baseline.json` — with these wall
-/// numbers showing the run itself does not pay for the routing tables.
+/// Request routing end to end: the holder-stable polling-reader
+/// workload on the 4×8 balanced tree (the acceptance workload of
+/// `tests/tests/segmented_topology.rs`). The structural number is
+/// fabric-crossing request frames — the ≥2× drop against flooding
+/// pinned there — with this wall number showing the run itself does not
+/// pay for the routing tables.
 fn bench_bridge_routing(c: &mut Criterion) {
     let mut g = c.benchmark_group("bridge");
-    let run = |routing: RequestRouting| {
-        let fabric = FabricConfig::tree(4, 2).with_routing(routing);
-        let mut sim = build_fabric_readers(fabric, 8, 12);
-        sim.run(RunLimits::default());
-        sim.bridge_stats().expect("segmented").req_forwarded
-    };
-    g.bench_function("flood_readers_4x8_tree", |b| {
-        b.iter(|| black_box(run(RequestRouting::Flood)))
-    });
     g.bench_function("route_readers_4x8_tree", |b| {
-        b.iter(|| black_box(run(RequestRouting::HolderDirected)))
+        b.iter(|| {
+            let mut sim = build_fabric_readers(FabricConfig::tree(4, 2), 8, 12);
+            sim.run(RunLimits::default());
+            black_box(sim.bridge_stats().expect("segmented").req_forwarded)
+        })
     });
     g.bench_function("pickup_mesh16x16_wide", |b| {
         // The per-frame work `ol-mesh` pays and the 4-segment star of

@@ -85,16 +85,22 @@
 //!   page's generation, so a non-holder's stale `Want::Superset` reply
 //!   cannot repoint the belief away from the live holder) and from
 //!   snooped `transfer_to` moves (authoritative — they name the new
-//!   holder). Under [`RequestRouting::HolderDirected`] a `PageRequest`
-//!   is forwarded toward the believed holder, *anchored at the home
-//!   port*, instead of flooding the whole fabric; with no belief it
-//!   walks toward the home (below), and the reply repairs the table at
-//!   every hop it crosses. Belief quality is accounted per device in
-//!   [`BridgeStats`]: `belief_hits` (requests routed on a belief),
-//!   `home_routed` (no belief — toward home), `belief_fallback_floods`
-//!   (no belief on a device that cannot trust its silence — flooded),
-//!   and `belief_repairs` (an existing belief repointed by fresher
-//!   evidence).
+//!   holder).
+//!
+//! A `PageRequest` is forwarded toward the believed holder, *anchored at
+//! the home port*; with no belief it walks toward the home (below), and
+//! the reply repairs the table at every hop it crosses. So request
+//! traffic grows with the tree distance to the holder, not with the
+//! segment count, as it did when every request was flooded. Two kinds
+//! of request still leave through every other forwarding port: a
+//! `Want::Superset` request, which any host holding a full copy may
+//! answer, so no one holder direction covers it; and a belief-less
+//! request on a device that cannot trust its silence (below). Belief
+//! quality is accounted per device in [`BridgeStats`]: `belief_hits`
+//! (requests routed on a belief), `home_routed` (no belief — toward
+//! home), `belief_fallback_floods` (no belief on a device that cannot
+//! trust its silence — flooded), and `belief_repairs` (an existing
+//! belief repointed by fresher evidence).
 //!
 //! # The probable-owner trail
 //!
@@ -112,7 +118,10 @@
 //! creator ([`BridgePolicy::seed_holder`]). A device whose tree changed
 //! (a re-election flushes beliefs on the ports whose role changed) or
 //! that was revived cold may have missed moves, so it floods
-//! belief-less requests, as every device once did.
+//! belief-less requests until replies teach it beliefs again. The
+//! simulator's invariant observer checks the argument itself: on every
+//! device that trusts its silence, a page with no belief has its holder
+//! homeward.
 //!
 //! # Interest aging
 //!
@@ -312,7 +321,7 @@ pub struct BridgeStats {
     /// Wire bytes of those egress emissions — the cross-segment traffic.
     pub bytes_forwarded: u64,
     /// Egress emissions that carried a `PageRequest` — the component
-    /// holder-directed routing shrinks relative to flooding.
+    /// request routing keeps to the path toward the holder.
     pub req_forwarded: u64,
     /// Frames with no remote interest, kept local to their segment. The
     /// filter's win: each of these spared every off-segment host a snoop.
@@ -323,18 +332,17 @@ pub struct BridgeStats {
     pub queue_drops: u64,
     /// Extra emissions produced by the duplicate knob.
     pub duplicated: u64,
-    /// Holder-directed requests routed on a known belief (the routing
-    /// win; zero under [`RequestRouting::Flood`]).
+    /// Requests routed on a known holder belief.
     pub belief_hits: u64,
-    /// Holder-directed requests with no belief that were sent toward
-    /// the page's home only — or kept, when they arrived from the home
-    /// side: a device on the tree it booted on knows the holder is
-    /// homeward unless a move taught it otherwise.
+    /// Requests with no belief that were sent toward the page's home
+    /// only — or kept, when they arrived from the home side: a device on
+    /// the tree it booted on knows the holder is homeward unless a move
+    /// taught it otherwise.
     pub home_routed: u64,
-    /// Holder-directed requests with no belief that were flooded,
-    /// because the device's tree changed since boot or the device was
-    /// revived, so a missing belief no longer says where the holder is
-    /// (post-reconvergence repair traffic).
+    /// Requests with no belief that were flooded, because the device's
+    /// tree changed since boot or the device was revived, so a missing
+    /// belief no longer says where the holder is (post-reconvergence
+    /// repair traffic).
     pub belief_fallback_floods: u64,
     /// Times an *existing* holder belief was repointed by fresher
     /// evidence (a newer-generation transit from another direction, or
@@ -371,23 +379,6 @@ impl BridgeStats {
                 acc
             })
     }
-}
-
-/// How a device forwards `PageRequest` frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RequestRouting {
-    /// Forward every request out every other forwarding port (PR 3's
-    /// behaviour — the consistent copy migrates, so the holder may be
-    /// anywhere). Request traffic grows with the segment count.
-    #[default]
-    Flood,
-    /// Forward a request toward the *believed holder* only, learned from
-    /// the direction data transits arrive from and from snooped
-    /// `transfer_to` moves; with no belief, toward the page's home —
-    /// or, on a device whose tree changed or that was revived, out
-    /// every port — and let replies repair the tables. Request traffic
-    /// grows with tree depth, not segment count.
-    HolderDirected,
 }
 
 /// How long learned interest survives without fresh demand.
@@ -542,8 +533,6 @@ pub struct FabricConfig {
     pub bridge: BridgeConfig,
     /// Which segment each page is homed to.
     pub homes: PageHomePolicy,
-    /// Request forwarding: flood, or holder-directed.
-    pub routing: RequestRouting,
     /// Learned-interest lifetime.
     pub aging: AgeHorizon,
     /// Reply-grace floor: request-stamped interest survives at least
@@ -577,14 +566,12 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// A fabric over an explicit topology, with default engine knobs,
-    /// striped homes, flooding requests, sticky interest, and static
-    /// election — the PR 3 filter on any tree.
+    /// striped homes, sticky interest, and static election.
     pub fn new(topology: BridgeTopology) -> Self {
         FabricConfig {
             topology,
             bridge: BridgeConfig::typical(),
             homes: PageHomePolicy::Striped,
-            routing: RequestRouting::Flood,
             aging: AgeHorizon::Sticky,
             reply_grace: None,
             election: ElectionMode::Static,
@@ -645,13 +632,6 @@ impl FabricConfig {
         self
     }
 
-    /// Overrides the request-routing mode.
-    #[must_use]
-    pub fn with_routing(mut self, routing: RequestRouting) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// Overrides the interest-aging horizon.
     #[must_use]
     pub fn with_aging(mut self, aging: AgeHorizon) -> Self {
@@ -703,12 +683,10 @@ impl FabricConfig {
     }
 
     /// Whether creating `page` on segment `seg` must seed holder
-    /// beliefs ([`BridgePolicy::seed_holder`]): only under
-    /// holder-directed routing, and only off the page's home segment.
-    /// The one check a page created at home costs.
+    /// beliefs ([`BridgePolicy::seed_holder`]): only off the page's
+    /// home segment. The one check a page created at home costs.
     pub fn seeds_holder(&self, page: PageId, seg: usize) -> bool {
-        self.routing == RequestRouting::HolderDirected
-            && self.homes.home_of(page, self.topology.segments()) != seg
+        self.homes.home_of(page, self.topology.segments()) != seg
     }
 }
 
@@ -799,9 +777,9 @@ impl Interest<'_> {
 /// [`BridgePolicy::request_route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RequestRoute {
-    /// Every other forwarding port: flooded routing, or a `Superset`
-    /// request — not a belief event.
-    Flood,
+    /// A `Superset` request: every other forwarding port — not a belief
+    /// event.
+    Superset,
     /// The believed holder's port (a segment id), anchored at the home
     /// port.
     Holder(usize),
@@ -840,7 +818,6 @@ pub struct BridgePolicy {
     /// The device's physical ports as a segment-id bitmask.
     ports_mask: HostMask,
     homes: PageHomePolicy,
-    routing: RequestRouting,
     aging: AgeHorizon,
     /// Minimum survival of request-stamped interest, independent of
     /// `aging` (see [`FabricConfig::with_reply_grace`]).
@@ -955,19 +932,17 @@ impl BridgePolicy {
         topology: Arc<BridgeTopology>,
         device: usize,
         homes: PageHomePolicy,
-        routing: RequestRouting,
         aging: AgeHorizon,
     ) -> Self {
         let cfg = FabricConfig::new(BridgeTopology::clone(&topology))
             .with_homes(homes)
-            .with_routing(routing)
             .with_aging(aging);
         Self::for_device(layout, &BootState::new(topology, Vec::new()), device, &cfg)
     }
 
     /// The filter of one device of a fabric, booted from the fabric's
-    /// shared `boot` state with `cfg`'s homes, routing, aging, grace,
-    /// election mode and gossip settings. **The** constructor: a first
+    /// shared `boot` state with `cfg`'s homes, aging, grace, election
+    /// mode and gossip settings. **The** constructor: a first
     /// boot and a cold revival both come through here, and neither
     /// elects — the device starts on the boot tree and the boot views,
     /// by reference.
@@ -999,7 +974,6 @@ impl BridgePolicy {
             device,
             ports_mask,
             homes: cfg.homes.clone(),
-            routing: cfg.routing,
             aging: cfg.aging,
             reply_grace: cfg.reply_grace,
             election: cfg.election,
@@ -1047,19 +1021,11 @@ impl BridgePolicy {
         self.dirty_struct = true;
     }
 
-    /// The single device of a 1-bridge star with PR 3 semantics
-    /// (flooded requests, sticky interest) — the drop-in equivalent of
-    /// PR 3's `BridgePolicy`.
+    /// The single device of a 1-bridge star with sticky interest — the
+    /// device of [`FabricConfig::star`].
     pub fn star(layout: SegmentLayout, homes: PageHomePolicy) -> Self {
         let topology = Arc::new(BridgeTopology::star(layout.segments()));
-        Self::new(
-            layout,
-            topology,
-            0,
-            homes,
-            RequestRouting::Flood,
-            AgeHorizon::Sticky,
-        )
+        Self::new(layout, topology, 0, homes, AgeHorizon::Sticky)
     }
 
     /// The host layout the filter routes over.
@@ -1349,11 +1315,10 @@ impl BridgePolicy {
 
     /// Whether a missing holder belief on this device still proves the
     /// holder lies through the page's home port (see the module docs,
-    /// "The probable-owner trail"): under holder-directed routing, which
-    /// seeds beliefs for pages created off their home, from boot until
-    /// the device's active tree changes or it rejoins a running fabric.
+    /// "The probable-owner trail"): from boot until the device's active
+    /// tree changes or it rejoins a running fabric.
     pub fn trail_intact(&self) -> bool {
-        self.trail_intact && self.routing == RequestRouting::HolderDirected
+        self.trail_intact
     }
 
     /// Test-only fault injection: forcibly points `page`'s holder
@@ -1509,11 +1474,10 @@ impl BridgePolicy {
 
     /// How a request for `page` asking `want` leaves this device.
     fn request_route(&self, page: PageId, want: Want) -> RequestRoute {
-        // Flood mode, and Superset requests always: any host still
-        // holding a full copy may answer a Superset request, so no
-        // single holder direction covers it.
-        if self.routing != RequestRouting::HolderDirected || want == Want::Superset {
-            return RequestRoute::Flood;
+        // Any host still holding a full copy may answer a Superset
+        // request, so no single holder direction covers it.
+        if want == Want::Superset {
+            return RequestRoute::Superset;
         }
         match self.holder_port(page) {
             Some(holder) => RequestRoute::Holder(holder),
@@ -1533,7 +1497,7 @@ impl BridgePolicy {
         match pkt {
             Packet::PageRequest { page, want, .. } => {
                 let holder = match self.request_route(*page, *want) {
-                    RequestRoute::Flood | RequestRoute::Fallback => {
+                    RequestRoute::Superset | RequestRoute::Fallback => {
                         return self.egress(in_port, now, |_, _| true, emit);
                     }
                     RequestRoute::Holder(holder) => Some(holder),
@@ -1596,7 +1560,7 @@ impl BridgePolicy {
         self.learn(pkt, in_idx, in_port, now);
         if let Packet::PageRequest { page, want, .. } = pkt {
             match self.request_route(*page, *want) {
-                RequestRoute::Flood => {}
+                RequestRoute::Superset => {}
                 RequestRoute::Holder(_) => self.beliefs.belief_hits += 1,
                 RequestRoute::Home => self.beliefs.home_routed += 1,
                 RequestRoute::Fallback => self.beliefs.belief_fallback_floods += 1,
@@ -2628,14 +2592,15 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // PR 3 semantics, preserved on the star with flooding + sticky.
+    // PR 3's filter on the star, with sticky interest.
     // -----------------------------------------------------------------
 
     #[test]
     fn requests_flood_and_register_interest() {
         let mut p = star_policy();
-        // Host 6 (segment 3) requests page 0 (homed on segment 0).
-        let t = p.route(&req(6, 0), 3, T0);
+        // Host 6 (segment 3) asks for page 0 (homed on segment 0) with a
+        // Superset request, which any full copy may answer.
+        let t = p.route(&superset_req(6, 0), 3, T0);
         assert_eq!(set(t), vec![0, 1, 2], "flooded");
         // Page 0's interest now holds home (0) and the requester (3).
         assert_eq!(set(p.interest(PageId::new(0), T0)), vec![0, 3]);
@@ -2797,36 +2762,33 @@ mod tests {
 
     #[test]
     fn wide_route_equals_targets_and_targets_learns_nothing() {
-        for routing in [RequestRouting::Flood, RequestRouting::HolderDirected] {
-            for aging in [AgeHorizon::Sticky, AgeHorizon::Transits(3)] {
-                let (mut p, lo, hi) = wide_policy(|c| c.with_routing(routing).with_aging(aging));
-                // Pages homed toward either side, heard from either side.
-                let (near, far) = (lo as u32, hi as u32);
-                for (pkt, src) in [
-                    (req(host_on(hi), near), hi),
-                    (data(host_on(lo), near, Some(host_on(hi))), lo),
-                    (data(host_on(hi), near, None), hi),
-                    (req(host_on(lo), far), lo),
-                    (data(host_on(hi), far, Some(9999)), hi),
-                    (superset_req(host_on(lo), near), lo),
-                ] {
-                    let (Packet::PageRequest { page, .. } | Packet::PageData { page, .. }) = pkt
-                    else {
-                        unreachable!("data-plane frames only")
-                    };
-                    let before = (p.learned(page), p.holder_port(page));
-                    let dry = p.targets(&pkt, src, T0);
-                    let after = (p.learned(page), p.holder_port(page));
-                    assert_eq!(before, after, "targets() learned from {pkt:?}");
-                    assert!(!dry.contains(src), "{pkt:?} back out port {src}");
-                    let routed = p.route(&pkt, src, T0);
-                    assert_eq!(routed, p.targets(&pkt, src, T0), "{pkt:?} from {src}");
-                    assert!(set(routed).iter().all(|&t| t == lo || t == hi));
-                }
-                // What was learned sits on both sides of the boundary.
-                assert_eq!(set(p.learned(PageId::new(near))), vec![lo, hi]);
-                assert_eq!(p.holder_port(PageId::new(near)), Some(hi));
+        for aging in [AgeHorizon::Sticky, AgeHorizon::Transits(3)] {
+            let (mut p, lo, hi) = wide_policy(|c| c.with_aging(aging));
+            // Pages homed toward either side, heard from either side.
+            let (near, far) = (lo as u32, hi as u32);
+            for (pkt, src) in [
+                (req(host_on(hi), near), hi),
+                (data(host_on(lo), near, Some(host_on(hi))), lo),
+                (data(host_on(hi), near, None), hi),
+                (req(host_on(lo), far), lo),
+                (data(host_on(hi), far, Some(9999)), hi),
+                (superset_req(host_on(lo), near), lo),
+            ] {
+                let (Packet::PageRequest { page, .. } | Packet::PageData { page, .. }) = pkt else {
+                    unreachable!("data-plane frames only")
+                };
+                let before = (p.learned(page), p.holder_port(page));
+                let dry = p.targets(&pkt, src, T0);
+                let after = (p.learned(page), p.holder_port(page));
+                assert_eq!(before, after, "targets() learned from {pkt:?}");
+                assert!(!dry.contains(src), "{pkt:?} back out port {src}");
+                let routed = p.route(&pkt, src, T0);
+                assert_eq!(routed, p.targets(&pkt, src, T0), "{pkt:?} from {src}");
+                assert!(set(routed).iter().all(|&t| t == lo || t == hi));
             }
+            // What was learned sits on both sides of the boundary.
+            assert_eq!(set(p.learned(PageId::new(near))), vec![lo, hi]);
+            assert_eq!(p.holder_port(PageId::new(near)), Some(hi));
         }
     }
 
@@ -2925,23 +2887,12 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Holder-directed request routing.
+    // Request routing: toward the believed holder, anchored at home.
     // -----------------------------------------------------------------
-
-    fn routed_star() -> BridgePolicy {
-        BridgePolicy::new(
-            layout_4x2(),
-            Arc::new(BridgeTopology::star(4)),
-            0,
-            PageHomePolicy::Striped,
-            RequestRouting::HolderDirected,
-            AgeHorizon::Sticky,
-        )
-    }
 
     #[test]
     fn unknown_holder_on_the_boot_tree_walks_toward_home() {
-        let mut p = routed_star();
+        let mut p = star_policy();
         // No data seen for page 0 (homed on segment 0): no move passed
         // this device, so the holder is homeward — the request leaves
         // through the home port alone...
@@ -2960,11 +2911,11 @@ mod tests {
     fn unknown_holder_floods_after_a_tree_change_or_a_rejoin() {
         // A device whose tree changed may have missed a move — its
         // silence no longer says "homeward", so it floods what is left.
-        let mut p = routed_star();
+        let mut p = star_policy();
         assert!(p.kill_port(2, T0).active_changed);
         assert_eq!(set(p.route(&req(6, 0), 3, T0)), vec![0, 1]);
         // So does a device revived cold into a running fabric.
-        let mut p = routed_star();
+        let mut p = star_policy();
         p.rejoin(T0);
         assert_eq!(set(p.route(&req(6, 0), 3, T0)), vec![0, 1, 2]);
         let c = p.belief_counters();
@@ -2973,7 +2924,7 @@ mod tests {
 
     #[test]
     fn learned_holder_directs_requests_with_a_home_anchor() {
-        let mut p = routed_star();
+        let mut p = star_policy();
         // Data from segment 1 teaches the holder direction for page 0
         // (homed on segment 0).
         let _ = p.route(&data(2, 0, None), 1, T0);
@@ -2995,7 +2946,7 @@ mod tests {
 
     #[test]
     fn transfer_to_repoints_the_holder_belief() {
-        let mut p = routed_star();
+        let mut p = star_policy();
         let _ = p.route(&data(2, 0, None), 1, T0);
         // Consistency moves to host 7 (segment 3); requests from the
         // home segment itself need no anchor.
@@ -3011,7 +2962,7 @@ mod tests {
 
     #[test]
     fn request_from_the_holder_direction_is_not_bounced() {
-        let mut p = routed_star();
+        let mut p = star_policy();
         // Page 0 is homed on segment 0 and its holder broadcasts from
         // there: belief and home coincide.
         let _ = p.route(&data(0, 0, None), 0, T0);
@@ -3023,7 +2974,7 @@ mod tests {
 
     #[test]
     fn superset_requests_always_flood() {
-        let mut p = routed_star();
+        let mut p = star_policy();
         let _ = p.route(&data(2, 0, None), 1, T0);
         // Any host with a full copy may answer a Superset request, so
         // the holder belief must not narrow it.
@@ -3041,7 +2992,7 @@ mod tests {
         // Superset request, echoing a generation the holder has long
         // advanced past. That reply must not repoint the belief — the
         // next ordinary request still routes toward the live holder.
-        let mut p = routed_star();
+        let mut p = star_policy();
         let fresh = |from: u16, gen: u64, seg: usize, p: &mut BridgePolicy| {
             let pkt = Packet::PageData {
                 from: HostId(from),
@@ -3075,7 +3026,7 @@ mod tests {
         // Even when a stale echo is the *first* data a device ever sees
         // (nothing to gate against), the home anchor keeps requests
         // reaching the segment where the consistent copy is seeded.
-        let mut p = routed_star();
+        let mut p = star_policy();
         let _ = p.route(&data(4, 0, None), 2, T0); // first evidence: segment 2
         assert_eq!(p.holder_port(PageId::new(0)), Some(2));
         // Requests still reach home (segment 0) alongside the belief.
@@ -3092,7 +3043,6 @@ mod tests {
             Arc::new(BridgeTopology::star(4)),
             0,
             PageHomePolicy::Striped,
-            RequestRouting::Flood,
             horizon,
         )
     }
@@ -3153,7 +3103,7 @@ mod tests {
     // Multi-device trees: scoped ports, hop-by-hop interest.
     // -----------------------------------------------------------------
 
-    fn tree_4_policies(routing: RequestRouting) -> Vec<BridgePolicy> {
+    fn tree_4_policies() -> Vec<BridgePolicy> {
         // 4 segments, fanout 2: device 0 = {0,1,2}, device 1 = {1,3}.
         let topology = Arc::new(BridgeTopology::balanced_tree(4, 2));
         (0..topology.bridges())
@@ -3163,7 +3113,6 @@ mod tests {
                     Arc::clone(&topology),
                     d,
                     PageHomePolicy::Striped,
-                    routing,
                     AgeHorizon::Sticky,
                 )
             })
@@ -3172,16 +3121,17 @@ mod tests {
 
     #[test]
     fn tree_devices_flood_only_their_own_ports() {
-        let mut ps = tree_4_policies(RequestRouting::Flood);
-        // A request heard on segment 1 by device 0 ({0,1,2}) floods to
-        // {0,2}; the same frame heard by device 1 ({1,3}) floods to {3}.
-        assert_eq!(set(ps[0].route(&req(2, 0), 1, T0)), vec![0, 2]);
-        assert_eq!(set(ps[1].route(&req(2, 0), 1, T0)), vec![3]);
+        let mut ps = tree_4_policies();
+        // A Superset request heard on segment 1 by device 0 ({0,1,2})
+        // floods to {0,2}; the same frame heard by device 1 ({1,3})
+        // floods to {3}.
+        assert_eq!(set(ps[0].route(&superset_req(2, 0), 1, T0)), vec![0, 2]);
+        assert_eq!(set(ps[1].route(&superset_req(2, 0), 1, T0)), vec![3]);
     }
 
     #[test]
     fn tree_home_port_points_along_the_path() {
-        let ps = tree_4_policies(RequestRouting::Flood);
+        let ps = tree_4_policies();
         // Page 3 is homed on segment 3. Device 0 reaches it via port 1;
         // device 1 is adjacent.
         assert_eq!(ps[0].home_port(PageId::new(3)), Some(1));
@@ -3192,7 +3142,7 @@ mod tests {
 
     #[test]
     fn tree_subscription_pins_the_port_toward_the_segment() {
-        let mut ps = tree_4_policies(RequestRouting::Flood);
+        let mut ps = tree_4_policies();
         // Subscribe segment 3 to page 0 (homed on 0): device 0 pins its
         // port 1 (toward 3), device 1 pins port 3.
         for p in &mut ps {
@@ -3218,7 +3168,6 @@ mod tests {
                     Arc::clone(&topology),
                     d,
                     PageHomePolicy::Striped,
-                    RequestRouting::HolderDirected,
                     AgeHorizon::Sticky,
                 )
             })
@@ -3685,9 +3634,9 @@ mod tests {
         else {
             panic!("live fabric")
         };
-        // Pre-kill traffic: device 1 forwards a request (segment 1 →
-        // holder direction).
-        let _ = f.pickup(&req(2, 0), 1, SimTime::ZERO);
+        // Pre-kill traffic: device 1 ({1,2}) forwards a request from
+        // segment 2 toward page 0's home (segment 1 → device 0 → 0).
+        let _ = f.pickup(&req(4, 0), 2, SimTime::ZERO);
         let pre = f.device(1).stats();
         assert!(pre.forwarded > 0, "device 1 carried pre-kill traffic");
         // Kill late enough that a zeroed clock would look timed out.

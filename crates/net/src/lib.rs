@@ -18,8 +18,8 @@
 //! fabric in [`bridge`]: a tree of bridge devices
 //! ([`mether_core::BridgeTopology`]) forwarding hop by hop, each running
 //! a [`bridge::BridgePolicy`] filter (page homes, learned interest with
-//! optional aging, flooded or holder-directed requests) shared by both
-//! substrates; [`bridge::Bridge`] adds the simulator's per-device
+//! optional aging, requests routed toward the believed holder) shared by
+//! both substrates; [`bridge::Bridge`] adds the simulator's per-device
 //! store-and-forward timing, queueing, and fault-injection knobs, and
 //! [`bridge::Fabric`] wires every device of a topology together.
 //!
@@ -41,7 +41,7 @@ pub mod time;
 pub use bridge::{
     AgeHorizon, BootState, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ControlOut,
     ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PduOutcome, PortStamp,
-    RequestRouting, BRIDGE_HOST_BASE,
+    BRIDGE_HOST_BASE,
 };
 pub use sim::{EtherConfig, EtherSim};
 pub use stats::NetStats;

@@ -8,7 +8,7 @@
 //! [`mether_core::BridgeTopology`], each snooping the device's ports and
 //! re-broadcasting each frame onto exactly the ports the device's
 //! [`BridgePolicy`] filter says must hear it (page homes, learned
-//! interest with optional aging, flooded or holder-directed requests —
+//! interest with optional aging, requests routed toward the holder —
 //! the same per-device policy the discrete-event simulator's fabric
 //! runs, so the two network models filter and route identically). A
 //! forwarded frame is emitted *from the forwarding device's own
@@ -151,9 +151,9 @@ impl ClusterConfig {
     }
 
     /// `n` nodes split over `segments` bridged fast LANs joined by a
-    /// 1-bridge star (PR 3's wiring: flooded requests, sticky interest,
-    /// striped homes). `segments == 1` builds a flat cluster — no
-    /// bridge thread — exactly as it always has.
+    /// 1-bridge star (PR 3's wiring: sticky interest, striped homes).
+    /// `segments == 1` builds a flat cluster — no bridge thread —
+    /// exactly as it always has.
     pub fn segmented(n: usize, segments: usize) -> Self {
         ClusterConfig {
             fabric: (segments > 1).then(|| FabricConfig::star(segments)),
@@ -918,7 +918,6 @@ impl std::fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use mether_core::{MapMode, PageLength, VAddr, View};
-    use mether_net::RequestRouting;
 
     #[test]
     fn flat_cluster_has_one_segment() {
@@ -961,8 +960,9 @@ mod tests {
         c.node(0).create_owned(page);
         let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
         c.node(0).write_u32(addr, 7).unwrap();
-        // Node 2 sits on the other segment: its request floods across
-        // the bridge, the reply follows the learned interest back.
+        // Node 2 sits on the other segment: its request crosses the
+        // bridge toward the page's home, the reply follows the learned
+        // interest back.
         let v = c.node(2).read_u32(addr, MapMode::ReadOnly).unwrap();
         assert_eq!(v, 7);
         assert!(c.segment_stats(0).packets >= 1, "reply on segment 0");
@@ -1029,12 +1029,11 @@ mod tests {
 
     #[test]
     fn cross_segment_fetch_works_on_a_routed_chain() {
-        // 6 nodes over 3 chained segments ({0,1} {2,3} {4,5}), with
-        // holder-directed request routing: node 4's demand fetch of a
-        // page held on segment 0 crosses two devices hop by hop, and
-        // the reply retraces the learned interest.
-        let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
-        let mut c = Cluster::new(ClusterConfig::fabric(6, fabric)).unwrap();
+        // 6 nodes over 3 chained segments ({0,1} {2,3} {4,5}): node 4's
+        // demand fetch of a page held on segment 0 crosses two devices
+        // hop by hop toward the page's home, and the reply retraces the
+        // learned interest.
+        let mut c = Cluster::new(ClusterConfig::fabric(6, FabricConfig::chain(3))).unwrap();
         assert_eq!(c.segment_count(), 3);
         assert_eq!(c.bridge_count(), 2);
         let page = PageId::new(0);

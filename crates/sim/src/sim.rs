@@ -47,8 +47,8 @@
 //! frame is simultaneously picked up by every bridge device attached to
 //! *s* — the routed fabric of [`mether_net::bridge`], a tree of
 //! store-and-forward devices whose per-device filters (page homes,
-//! learned interest with optional aging, flooded or holder-directed
-//! requests) decide which of their ports must hear it. Each forwarded
+//! learned interest with optional aging, requests routed toward the
+//! holder) decide which of their ports must hear it. Each forwarded
 //! copy is a `BridgeForward` event carrying its device: at the device's
 //! exit time the copy is transmitted on the destination segment's own
 //! medium (queueing there like any local frame), fans out to that
@@ -101,8 +101,7 @@ pub enum Topology {
 
 impl Topology {
     /// PR 3's topology: a 1-bridge star over `segments` with default
-    /// engine knobs, striped page homes, flooded requests, and sticky
-    /// interest.
+    /// engine knobs, striped page homes, and sticky interest.
     pub fn segmented(segments: usize) -> Topology {
         Topology::Segmented {
             fabric: Box::new(FabricConfig::star(segments)),

@@ -24,9 +24,7 @@
 
 use crate::publisher::Publisher;
 use mether_core::{MapMode, PageId, PageLength, View};
-use mether_net::{
-    AgeHorizon, ElectionMode, FabricConfig, FabricEvent, RequestRouting, SimDuration,
-};
+use mether_net::{AgeHorizon, ElectionMode, FabricConfig, FabricEvent, SimDuration};
 use mether_sim::{
     DsmOp, ProtocolMetrics, RunLimits, RunOutcome, SimConfig, Simulation, Step, StepCtx, Topology,
     Workload,
@@ -186,16 +184,15 @@ pub struct FailoverReport {
 }
 
 /// Builds the ring-failover deployment: a 4-segment ring fabric (one
-/// redundant link) under live election and holder-directed routing,
-/// priorities pinned so **device 0 is the elected root**, a paced
-/// writer of page 0 on host 0, one [`PollUntilReader`] on the first
-/// host of every other segment, and the root's death (plus optional
-/// revival) scheduled into the event heap.
+/// redundant link) under live election, priorities pinned so **device 0
+/// is the elected root**, a paced writer of page 0 on host 0, one
+/// [`PollUntilReader`] on the first host of every other segment, and
+/// the root's death (plus optional revival) scheduled into the event
+/// heap.
 pub fn build_ring_failover(cfg: &FailoverConfig) -> Simulation {
     let segments = 4;
     let fabric = FabricConfig::ring(segments)
         .with_election(ElectionMode::live())
-        .with_routing(RequestRouting::HolderDirected)
         .with_priorities(vec![0, 1, 2, 3]);
     let mut sim_cfg = SimConfig::paper(segments * cfg.hosts_per_segment);
     sim_cfg.calib = sim_cfg.calib.with_fault_retry(cfg.fault_retry);
@@ -439,8 +436,8 @@ pub struct AgePoint {
 /// Sweeps the returning-reader workload over `gaps` × `horizons` to
 /// locate the refetch-vs-filter knee of [`AgeHorizon`] (ROADMAP "Aging
 /// policy sweep"): a paced writer of page 0 on segment 0, a
-/// [`ReturningReader`] alone on segment 1 (2-segment star,
-/// holder-directed requests so the only traffic reaching the reader's
+/// [`ReturningReader`] alone on segment 1 (2-segment star: requests
+/// walk toward the holder, so the only traffic reaching the reader's
 /// segment is interest-driven), one run per point.
 ///
 /// Horizons longer than the gap keep the idle copy fresh
@@ -463,9 +460,7 @@ pub fn sweep_age_horizons(
             // fault service times.
             let life = gap + SimDuration::from_millis(u64::from(rounds) * 2 * 60 + 500);
             let cycles = (life.as_nanos() / pace.as_nanos()).max(8) as u32;
-            let fabric = FabricConfig::star(2)
-                .with_routing(RequestRouting::HolderDirected)
-                .with_aging(horizon);
+            let fabric = FabricConfig::star(2).with_aging(horizon);
             let mut sim = Simulation::new(SimConfig {
                 topology: Topology::fabric(fabric),
                 ..SimConfig::paper(4)

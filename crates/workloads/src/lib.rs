@@ -11,7 +11,7 @@
 //! ([`sweep_segmented_solver`]) varies segment count × bridge topology
 //! (star / chain / balanced tree) without hand-aligning pages and
 //! striping. [`PollingReader`] supplies the holder-stable request
-//! workload the fabric's holder-directed routing is measured with.
+//! workload the fabric's request routing is measured with.
 //!
 //! The rest drive the same protocols under stress rather than at paper
 //! scale: [`fabric`] kills and revives bridge devices under readers,

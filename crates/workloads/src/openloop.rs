@@ -39,7 +39,7 @@
 //! pin. Display prints one line per column so CI logs read as a table.
 
 use mether_core::{MapMode, PageId, View};
-use mether_net::{FabricConfig, RequestRouting, SimDuration, SimTime};
+use mether_net::{FabricConfig, SimDuration, SimTime};
 use mether_sim::{
     ArrivalStream, OpenAccess, ParallelMode, RunLimits, RunOutcome, SimConfig, Simulation, Topology,
 };
@@ -209,17 +209,12 @@ impl OpenLoopShape {
     fn fabric(self) -> FabricConfig {
         match self {
             OpenLoopShape::Tree4x8 => FabricConfig::tree(4, 2),
+            // Requests grow with mesh distance, not with the 480
+            // devices — a cold one too: with no belief it walks toward
+            // the page's home, where the static tree and the at-home
+            // creation below put its holder.
             OpenLoopShape::Mesh16x16 => {
-                // Holder-directed routing is mandatory at this scale: a
-                // flooded request visits all 480 devices, and every
-                // retransmission a deep queue provokes re-floods it —
-                // the event budget drowns in transit fan-out before the
-                // streams finish. Directed requests grow with mesh
-                // distance instead — a cold one too: with no belief it
-                // walks toward the page's home, where the static tree
-                // and the at-home creation below put its holder.
                 FabricConfig::new(mether_core::BridgeTopology::mesh2d(16, 16))
-                    .with_routing(RequestRouting::HolderDirected)
             }
         }
     }

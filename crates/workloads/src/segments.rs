@@ -25,9 +25,8 @@
 //! (bridge bytes per request-bearing fault, forwarded request frames,
 //! per-host frames snooped) that makes the isolation measurable; the
 //! headline numbers — per-host frames heard on 4×8 segments vs 1×32
-//! flat, and fabric-crossing requests routed vs flooded — are pinned by
-//! `tests/tests/segmented_topology.rs` and recorded in
-//! `BENCH_baseline.json`.
+//! flat, and fabric-crossing requests routed vs the recorded flooded
+//! count — are pinned by `tests/tests/segmented_topology.rs`.
 
 use crate::counting::CountingConfig;
 use crate::publisher::Publisher;
@@ -137,9 +136,10 @@ pub fn build_segmented_counting_pairs(
 /// The §3 solver with one worker per segment: rank `r` sits on the
 /// first host of segment `r` and publishes its halo page `PageId(r)`
 /// (striped home = its own segment). Halo exchange with the neighbour
-/// ranks is exactly the cross-segment miss path: the demand check
-/// floods a request over the bridge, the reply and every later purge
-/// broadcast follow the learned interest back.
+/// ranks is exactly the cross-segment miss path: the demand check's
+/// request crosses the bridge toward the halo page's holder, and the
+/// reply and every later purge broadcast follow the learned interest
+/// back.
 ///
 /// # Panics
 ///
@@ -172,12 +172,12 @@ pub fn build_cross_segment_counting(protocol: Protocol, cfg: &CountingConfig) ->
 }
 
 /// A demand-polling reader: each round waits out `spacing`, purges its
-/// inconsistent copy, and demand-reads the page — so every round puts
-/// exactly one `PageRequest` on the wire while the consistent holder
-/// stays put. This is the *holder-stable* request workload: under a
-/// flooding fabric each of those requests sprays the whole tree; under
-/// holder-directed routing it walks the unique path to the holder's
-/// segment. The ≥2× request-traffic acceptance bound in
+/// inconsistent copy, and demand-reads the page — so every round takes
+/// one demand fault, and puts at most one `PageRequest` on the wire,
+/// while the consistent holder stays put. This is the *holder-stable*
+/// request workload: each request walks the unique path to the
+/// holder's segment, where flooding sprayed it over the whole tree. The
+/// ≥2× request-traffic acceptance bound in
 /// `tests/tests/segmented_topology.rs` is measured with it.
 pub struct PollingReader {
     page: PageId,
@@ -257,9 +257,8 @@ impl Workload for PollingReader {
 /// lives (consistent, never moving) on host 0 of segment 0, and the
 /// first host of every *other* segment runs a [`PollingReader`] of
 /// `rounds` rounds. Every round, every reader's demand fault crosses
-/// the fabric to the holder and the reply retraces it — request traffic
-/// is the knob [`mether_net::RequestRouting`] changes, and nothing else
-/// about the run differs between the modes.
+/// the fabric to the holder and the reply retraces it, so the run
+/// measures request routing and little else.
 ///
 /// # Panics
 ///
@@ -539,11 +538,8 @@ mod tests {
 
     #[test]
     fn polling_readers_put_one_request_per_round_on_the_wire() {
-        use mether_net::RequestRouting;
-
         let rounds = 6;
-        let fabric = FabricConfig::star(3).with_routing(RequestRouting::HolderDirected);
-        let mut sim = build_fabric_readers(fabric, 2, rounds);
+        let mut sim = build_fabric_readers(FabricConfig::star(3), 2, rounds);
         let report = run_segmented(&mut sim, "readers 3x2", 1, RunLimits::default());
         assert!(report.outcome.finished, "{:?}", report.outcome);
         // Two readers, exactly one request-bearing fault each per round

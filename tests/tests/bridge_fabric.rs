@@ -30,9 +30,7 @@
 //! copy-on-write without ever aliasing.
 
 use mether_core::{BridgeTopology, HostMask, PageId, SegmentLayout};
-use mether_net::{
-    AgeHorizon, BridgePolicy, Fabric, FabricConfig, RequestRouting, SimDuration, SimTime,
-};
+use mether_net::{AgeHorizon, BridgePolicy, Fabric, FabricConfig, SimDuration, SimTime};
 use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_segmented_solver, build_segmented_solver_on, CountingConfig,
@@ -95,13 +93,12 @@ proptest! {
     }
 
     /// A device's forwarding mask never contains the incoming port and
-    /// never leaves its own ports, for any frame kind, routing mode, and
-    /// holder/interest state reached by an arbitrary frame history.
+    /// never leaves its own ports, for any frame kind and holder/interest
+    /// state reached by an arbitrary frame history.
     #[test]
     fn prop_targets_stay_on_ports_and_never_reverse(
         parents in proptest::collection::vec(0usize..8, 1..6),
         history in proptest::collection::vec((0usize..6, 0u8..3, 0usize..48, 0usize..2), 0..24),
-        routed in any::<bool>(),
     ) {
         use bytes::Bytes;
         use mether_core::{Generation, HostId, Packet, PageLength, Want};
@@ -109,14 +106,12 @@ proptest! {
         let t = Arc::new(tree_from_parents(&parents));
         let n = t.segments();
         let layout = SegmentLayout::new(n * 2, n).unwrap();
-        let routing = if routed { RequestRouting::HolderDirected } else { RequestRouting::Flood };
         let mut policies: Vec<BridgePolicy> = (0..t.bridges())
             .map(|d| BridgePolicy::new(
                 layout,
                 Arc::clone(&t),
                 d,
                 mether_core::PageHomePolicy::Striped,
-                routing,
                 AgeHorizon::Transits(3),
             ))
             .collect();
@@ -151,8 +146,7 @@ proptest! {
         }
     }
 
-    /// The port walk on wide fabrics, for any device, routing mode and
-    /// frame history: a pickup's egress ports come out strictly
+    /// The port walk on wide fabrics, for any device and frame history: a pickup's egress ports come out strictly
     /// ascending, never include the port the frame came in on, and stay
     /// within the device's *forwarding* ports — on the 16×16 mesh, whose
     /// boot tree blocks every redundant port and whose segment ids run
@@ -163,7 +157,6 @@ proptest! {
         mesh in any::<bool>(),
         device in 0usize..480,
         history in proptest::collection::vec((0usize..300, 0u8..4, 0usize..160, 0usize..512), 1..40),
-        routed in any::<bool>(),
     ) {
         use bytes::Bytes;
         use mether_core::{Generation, HostId, Packet, PageLength, Want};
@@ -176,8 +169,7 @@ proptest! {
         });
         let segments = topology.segments();
         let layout = SegmentLayout::new(2 * segments, segments).unwrap();
-        let routing = if routed { RequestRouting::HolderDirected } else { RequestRouting::Flood };
-        let cfg = FabricConfig::new(BridgeTopology::clone(&topology)).with_routing(routing);
+        let cfg = FabricConfig::new(BridgeTopology::clone(&topology));
         let boot = BootState::new(Arc::clone(&topology), Vec::new());
         let device = device % topology.bridges();
         let mut bridge = Bridge::new(
@@ -236,7 +228,6 @@ proptest! {
             Arc::new(BridgeTopology::star(4)),
             0,
             mether_core::PageHomePolicy::Striped,
-            RequestRouting::Flood,
             AgeHorizon::Transits(horizon),
         );
         let page = PageId::new(0); // homed on segment 0
@@ -352,8 +343,7 @@ fn counting_run(protocol: Protocol, seed: u64) -> (Simulation, ProtocolMetrics) 
     };
     let mut sim_cfg = SimConfig::paper(2);
     sim_cfg.ether = sim_cfg.ether.with_loss(0.02, seed);
-    sim_cfg.topology =
-        Topology::fabric(FabricConfig::star(2).with_routing(RequestRouting::HolderDirected));
+    sim_cfg.topology = Topology::fabric(FabricConfig::star(2));
     let mut sim = build_counting(protocol, &cfg, sim_cfg);
     let limits = RunLimits {
         max_sim_time: SimDuration::from_secs(120),
@@ -434,9 +424,8 @@ fn solver_run(seed: u64) -> (Simulation, ProtocolMetrics) {
         work_per_iteration: SimDuration::from_millis(20),
     };
     let mut sim_cfg = SimConfig::paper(RANKS);
-    let fabric = FabricConfig::star(RANKS)
-        .with_routing(RequestRouting::HolderDirected)
-        .with_bridge(mether_net::BridgeConfig::typical().with_seed(seed));
+    let fabric =
+        FabricConfig::star(RANKS).with_bridge(mether_net::BridgeConfig::typical().with_seed(seed));
     sim_cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(sim_cfg);
     for rank in 0..RANKS {
@@ -488,7 +477,7 @@ fn runtime_routed_star_serves_every_value_flooding_serves() {
     // copy. The guarantee flooding gave, and routing keeps, is *eventual
     // freshness*: every written value becomes visible to every remote
     // reader — never a value from the future, never a wedge.
-    let fabric = FabricConfig::star(3).with_routing(RequestRouting::HolderDirected);
+    let fabric = FabricConfig::star(3);
     let mut c = Cluster::new(ClusterConfig::fabric(6, fabric)).unwrap();
     let page = PageId::new(0);
     c.node(0).create_owned(page);
@@ -526,14 +515,13 @@ fn runtime_routed_star_serves_every_value_flooding_serves() {
 
 #[test]
 fn a_page_created_off_its_home_answers_its_first_request() {
-    // Chain 0-1-2, one host per segment, holder-directed routing at the
-    // paper calibration (no retransmission timer: a request that goes
+    // Chain 0-1-2, one host per segment, at the paper calibration (no retransmission timer: a request that goes
     // unanswered stays unanswered). Page 2 is homed on segment 2 but
     // created on host 0, so its holder sits at the far end of the chain
     // from its home and no frame has taught any device where it is.
     // The reader's first request, from host 1, must still reach host 0:
     // routing it toward the home alone would strand it on segment 2.
-    let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
+    let fabric = FabricConfig::chain(3);
     let mut sim = Simulation::new(SimConfig {
         topology: Topology::fabric(fabric),
         ..SimConfig::paper(3)
@@ -568,7 +556,7 @@ fn runtime_page_created_off_its_home_answers_its_first_request() {
     // The threaded twin: the page is created through
     // `Node::create_owned`, the only step that can tell the fabric
     // where a silent page lives.
-    let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
+    let fabric = FabricConfig::chain(3);
     let mut c = Cluster::new(ClusterConfig::fabric(3, fabric)).unwrap();
     let page = PageId::new(2);
     c.node(0).create_owned(page);
@@ -590,17 +578,12 @@ fn aging_run(aging: AgeHorizon) -> (u64, u64) {
     // Star over 3 segments, one host each: the holder of page 0 sits on
     // segment 0 (host 0, no process — the server answers requests
     // without application help). Reader A (segment 1) polls 40 rounds;
-    // reader B (segment 2) polls 5 rounds and goes idle. Requests are
-    // holder-directed so the only traffic reaching B's segment is
-    // interest-driven data — the component aging governs (flooded
-    // requests would reach every segment regardless of interest).
+    // reader B (segment 2) polls 5 rounds and goes idle. Requests walk
+    // toward the holder, so the only traffic reaching B's segment is
+    // interest-driven data — the component aging governs.
     // Returns (frames A's host heard, frames B's host heard).
     let mut sim = Simulation::new(SimConfig {
-        topology: Topology::fabric(
-            FabricConfig::star(3)
-                .with_routing(RequestRouting::HolderDirected)
-                .with_aging(aging),
-        ),
+        topology: Topology::fabric(FabricConfig::star(3).with_aging(aging)),
         ..SimConfig::paper(3)
     });
     let page = PageId::new(0);
@@ -1024,9 +1007,7 @@ fn live_election_reproduces_the_tree_and_keeps_the_routing_win() {
     // The fabric-crossing requests flooding carried on this run, recorded
     // when flooding was still a request routing.
     const FLOODED: u64 = 261;
-    let fabric = FabricConfig::tree(4, 2)
-        .with_routing(RequestRouting::HolderDirected)
-        .with_election(ElectionMode::live());
+    let fabric = FabricConfig::tree(4, 2).with_election(ElectionMode::live());
     let mut sim = build_fabric_readers(fabric, 8, ROUNDS);
     let outcome = sim.run(RunLimits::default());
     assert!(outcome.finished, "{outcome:?}");
@@ -1058,8 +1039,7 @@ fn live_election_reproduces_the_tree_and_keeps_the_routing_win() {
 fn belief_counters_surface_through_protocol_metrics() {
     use mether_workloads::build_fabric_readers;
 
-    let fabric = FabricConfig::tree(4, 2).with_routing(RequestRouting::HolderDirected);
-    let mut sim = build_fabric_readers(fabric, 8, 24);
+    let mut sim = build_fabric_readers(FabricConfig::tree(4, 2), 8, 24);
     let outcome = sim.run(RunLimits::default());
     assert!(outcome.finished);
     let m = sim.metrics("readers", outcome.finished, 1);
@@ -1090,14 +1070,6 @@ fn belief_counters_surface_through_protocol_metrics() {
         m.bridge_devices.iter().any(|d| d.belief_hits > 0),
         "per-device rows carry the counters"
     );
-    // Flood mode never counts belief events.
-    let fabric = FabricConfig::tree(4, 2).with_routing(RequestRouting::Flood);
-    let mut flood_sim = build_fabric_readers(fabric, 8, 8);
-    let fo = flood_sim.run(RunLimits::default());
-    let fm = flood_sim.metrics("readers flood", fo.finished, 1);
-    assert_eq!(fm.bridge.belief_hits, 0);
-    assert_eq!(fm.bridge.home_routed, 0);
-    assert_eq!(fm.bridge.belief_fallback_floods, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -1183,7 +1155,6 @@ fn ring_failover_finds_a_holder_that_left_home_before_the_root_died() {
     // reply would wake it by passing through.
     let fabric = FabricConfig::ring(4)
         .with_election(ElectionMode::live())
-        .with_routing(RequestRouting::HolderDirected)
         .with_priorities(vec![0, 1, 2, 3]);
     let mut cfg = SimConfig::paper(8);
     cfg.calib = cfg.calib.with_fault_retry(SimDuration::from_millis(50));

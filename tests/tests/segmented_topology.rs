@@ -13,7 +13,7 @@
 //! the masked fan-out path.
 
 use mether_core::HostMask;
-use mether_net::{FabricConfig, RequestRouting, SimDuration};
+use mether_net::{FabricConfig, SimDuration};
 use mether_sim::{Recipients, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_cross_segment_counting, build_fabric_readers, build_publisher_sim,
@@ -103,8 +103,7 @@ fn routed_fabric_crosses_at_least_2x_fewer_request_frames_than_flooding() {
     // fabric forwarded, on the flooded run.
     const FLOODED_REQUESTS: u64 = 261;
     const FLOODED_BYTES: u64 = 41_355;
-    let fabric = FabricConfig::tree(4, 2).with_routing(RequestRouting::HolderDirected);
-    let mut sim = build_fabric_readers(fabric, 8, ROUNDS);
+    let mut sim = build_fabric_readers(FabricConfig::tree(4, 2), 8, ROUNDS);
     let routed = run_segmented(&mut sim, "readers 4x8 tree", 1, RunLimits::default());
     assert!(routed.outcome.finished, "{:?}", routed.outcome);
 

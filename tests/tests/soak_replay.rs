@@ -29,7 +29,7 @@
 //! printed before its run so a CI failure names its reproducer.
 
 use mether_core::{BridgeTopology, PageId};
-use mether_net::{AgeHorizon, FabricConfig, FabricEvent, RequestRouting, SimDuration};
+use mether_net::{AgeHorizon, FabricConfig, FabricEvent, SimDuration};
 use mether_sim::{RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     base_seed_from_env, run_cross_engine_soak, run_large_faulted_soak, run_large_soak, run_soak,
@@ -62,7 +62,6 @@ fn pinned_scenarios_that_flushed_bugs_stay_fixed() {
             shape: SoakShape::Star(3),
             hosts_per_segment: 2,
             election_live: false,
-            holder_directed: false,
             aging: AgeHorizon::Transits(115),
             loss: 0.0,
             faults: vec![],
@@ -74,7 +73,6 @@ fn pinned_scenarios_that_flushed_bugs_stay_fixed() {
             shape: SoakShape::Ring(6),
             hosts_per_segment: 4,
             election_live: false,
-            holder_directed: true,
             aging: AgeHorizon::SimTime(SimDuration::from_millis(33)),
             loss: 0.0,
             faults: vec![],
@@ -86,7 +84,6 @@ fn pinned_scenarios_that_flushed_bugs_stay_fixed() {
             shape: SoakShape::Ring(6),
             hosts_per_segment: 2,
             election_live: true,
-            holder_directed: true,
             aging: AgeHorizon::SimTime(SimDuration::from_millis(36)),
             loss: 0.0,
             faults: vec![],
@@ -143,11 +140,11 @@ fn ci_soak_batch() {
 
 /// Fault-free [`SoakScenario::from_seed`] scenarios that hit their
 /// limits when seeds `0..2000` were scanned. All are lossy, and all
-/// overrun under either request routing (seed 122 holder-directed
-/// finishes only at 74.3 s of sim time against a 4.8 s budget; flooded,
-/// not within 120 s). CI's 50-seed batch draws none of them. The cause
-/// is an open liveness gap, not a budget; this list may only shrink —
-/// 333, 1208 and 1232 left it when belief-less holder-directed requests
+/// overran with requests flooded too, while that was a routing (seed
+/// 122 finishes only at 74.3 s of sim time against a 4.8 s budget;
+/// flooded, not within 120 s). CI's 50-seed batch draws none of them.
+/// The cause is an open liveness gap, not a budget; this list may only
+/// shrink — 333, 1208 and 1232 left it when belief-less requests
 /// stopped flooding.
 const CLEAN_OVERRUNS: [u64; 13] = [
     122, 303, 532, 661, 908, 1406, 1432, 1552, 1629, 1646, 1728, 1735, 1982,
@@ -555,9 +552,8 @@ fn corruption_is_flagged_by_incremental_and_full_alike() {
 fn an_erased_belief_between_home_and_holder_breaks_the_trail() {
     let page = PageId::new(2);
     let build = |erase: usize| {
-        let fabric = FabricConfig::chain(3).with_routing(RequestRouting::HolderDirected);
         let mut sim = Simulation::new(SimConfig {
-            topology: Topology::fabric(fabric),
+            topology: Topology::fabric(FabricConfig::chain(3)),
             ..SimConfig::paper(3)
         });
         sim.create_owned(0, page);
@@ -600,7 +596,6 @@ fn observer_tolerates_identical_views_across_partitions() {
         shape: SoakShape::Ring(4),
         hosts_per_segment: 2,
         election_live: true,
-        holder_directed: false,
         aging: AgeHorizon::SimTime(SimDuration::from_millis(27)),
         loss: 0.0,
         faults: vec![

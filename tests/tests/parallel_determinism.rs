@@ -182,13 +182,17 @@ fn counting_protocols_identical_under_serial_and_workers() {
         max_sim_time: SimDuration::from_secs(120),
         ..RunLimits::default()
     };
+    // Last re-recorded when requests stopped being flooded: the one
+    // device forwards exactly what it forwarded before, and only the
+    // belief counters in `{:?}` of `BridgeStats` moved (P1: 191 hits
+    // and 1 routed home, P5: 1 and 1, where flooding counted none).
     let golden = [
-        (Protocol::P1, 48, 0x7580_a2f0_e7ae_eb1a_u64),
-        (Protocol::P1, 53, 0x5bfb_9b8c_07fb_fb20),
-        (Protocol::P1, 61, 0xbb45_5046_0873_d97d),
-        (Protocol::P5, 48, 0xb885_d37a_11f4_69be),
-        (Protocol::P5, 53, 0x3584_b84e_ffcf_57a1),
-        (Protocol::P5, 61, 0x7b32_49b7_b34c_f58e),
+        (Protocol::P1, 48, 0x2c99_c108_8df0_a2e2_u64),
+        (Protocol::P1, 53, 0xbb63_9a2a_b944_5280),
+        (Protocol::P1, 61, 0x27c5_09a4_f21e_1b15),
+        (Protocol::P5, 48, 0xff1e_bb2d_ca59_19ae),
+        (Protocol::P5, 53, 0x677d_c0fc_4f53_39e1),
+        (Protocol::P5, 61, 0x880b_79ec_3652_749e),
     ];
     for (protocol, spin_us, digest) in golden {
         let serial = assert_golden(
@@ -220,11 +224,14 @@ fn mirror_counting_pairs_identical_under_serial_and_workers() {
         max_sim_time: SimDuration::from_secs(120),
         ..RunLimits::default()
     };
+    // Last re-recorded when requests stopped being flooded: 8 request
+    // transits instead of 16 (the device forwards 198 frames, not 206),
+    // and the run ends 2 ms sooner.
     let serial = assert_golden(
         "4×2 mirror pairs",
         || build_segmented_counting_pairs(4, 2, &cfg),
         limits,
-        0xd74b_c46e_1f8a_9cee,
+        0x30cb_e6aa_e053_6023,
     );
     assert!(serial.contains("finished=true"));
     // The number in `Workers(n)` asks for the per-segment cut and says
@@ -250,7 +257,11 @@ fn segmented_solver_identical_under_serial_and_workers() {
         iterations: 6,
         work_per_iteration: SimDuration::from_millis(20),
     };
-    for (ranks, digest) in [(3, 0x8702_afb2_e8ea_d853_u64), (4, 0x464a_30f9_b878_9d7e)] {
+    // Last re-recorded when requests stopped being flooded: each halo
+    // request crosses to its holder's segment alone, so 3 and 8 fewer
+    // request transits (6 → 3 and 12 → 4 forwarded), 12 and 32 fewer
+    // events, and the 4-rank run ends 2 ms sooner.
+    for (ranks, digest) in [(3, 0xa235_f5e4_434b_16da_u64), (4, 0x1dd9_a0dc_35d0_ce18)] {
         let serial = assert_golden(
             &format!("{ranks}-rank solver"),
             || build_segmented_solver(ranks, 2, cfg),
@@ -281,10 +292,13 @@ fn lossy_segmented_solver_identical_under_serial_and_workers() {
         }
         sim
     };
+    // Last re-recorded when requests stopped being flooded: 3 fewer
+    // request transits at every seed (6 forwarded → 3), 9 fewer
+    // events; end times unchanged.
     for (seed, digest) in [
-        (1, 0xa848_c41f_0e4b_5621_u64),
-        (7, 0x2120_110a_e082_e04a),
-        (42, 0x5a08_2d73_ef71_1338),
+        (1, 0x156d_537b_1e8c_662c_u64),
+        (7, 0x8680_4f0c_83b8_6195),
+        (42, 0xc4a2_1022_19b8_8ed9),
     ] {
         assert_golden(
             &format!("lossy solver seed {seed}"),

@@ -185,16 +185,17 @@
 //! stamps of the ports that showed demand — one row, one or two
 //! entries. Every forwarding rule is a test applied to one port at a
 //! time, and the ports that pass are pushed, ascending, into a buffer
-//! the [`Bridge`] reuses, as is the egress schedule it returns and the
-//! combined one [`Fabric::pickup`] returns. No segment-id mask is
-//! built, copied or combined along the way, so nothing is allocated —
-//! with one exception: a page with pins ([`BridgePolicy::subscribe`])
-//! resolves them to ports through the tree into a small mask, once per
-//! frame. The mask-returning [`BridgePolicy::route`],
-//! [`BridgePolicy::targets`] and [`BridgePolicy::interest`] (the
-//! threaded runtime's bridge threads, the invariant observer, tests)
-//! collect the same walk's ports into a mask; there is no second copy
-//! of the rules.
+//! the caller reuses ([`BridgePolicy::route_into`]: the [`Bridge`]
+//! engine and each of the threaded runtime's bridge threads keep one),
+//! as is the egress schedule a [`Bridge`] returns and the combined one
+//! [`Fabric::pickup`] returns. No segment-id mask is built, copied or
+//! combined along the way, so nothing is allocated — with one
+//! exception: a page with pins ([`BridgePolicy::subscribe`]) resolves
+//! them to ports through the tree into a small mask, once per frame.
+//! The mask-returning [`BridgePolicy::targets`] and
+//! [`BridgePolicy::interest`] (the invariant observer, tests) collect
+//! the same walk's ports into a mask; there is no second copy of the
+//! rules.
 
 use crate::time::{SimDuration, SimTime};
 use mether_core::{
@@ -1541,10 +1542,16 @@ impl BridgePolicy {
         }
     }
 
-    /// [`BridgePolicy::route`] with the target ports left in `out`,
-    /// ascending, instead of collected into a mask: what a [`Bridge`]
-    /// pickup calls, with a buffer it reuses.
-    fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
+    /// Routes one frame heard on `in_port` at `now`: updates the
+    /// learning tables, leaves the ports the frame must be forwarded to
+    /// in `out`, ascending (never `in_port`), and ticks the aging clock
+    /// when the frame is forwarded. A frame heard on a Blocked (or
+    /// held-down) port is neither learned from nor forwarded — the
+    /// dormant redundancy stays invisible to the data plane. What a
+    /// [`Bridge`] pickup and the threaded runtime's bridge threads call,
+    /// each with a buffer it reuses, so routing a frame allocates
+    /// nothing.
+    pub fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
         out.clear();
         debug_assert!(
             self.ports_mask.contains(in_port),
@@ -1572,16 +1579,12 @@ impl BridgePolicy {
         }
     }
 
-    /// Routes one frame heard on `in_port` at `now`: updates the
-    /// learning tables, returns the mask of ports the frame must be
-    /// forwarded to (never including `in_port`), and ticks the aging
-    /// clock when the frame is forwarded. A frame heard on a Blocked
-    /// (or held-down) port is neither learned from nor forwarded — the
-    /// dormant redundancy stays invisible to the data plane.
-    /// Definitionally learn-then-[`BridgePolicy::targets`], so the
-    /// diagnostic mask can never drift from what the device actually
-    /// forwards.
-    pub fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
+    /// [`BridgePolicy::route_into`] collected into a mask, for the unit
+    /// tests. Definitionally learn-then-[`BridgePolicy::targets`], so
+    /// the diagnostic mask can never drift from what the device
+    /// actually forwards.
+    #[cfg(test)]
+    fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
         let mut ports = Vec::new();
         self.route_into(pkt, in_port, now, &mut ports);
         ports.into_iter().collect()

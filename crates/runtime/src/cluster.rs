@@ -340,7 +340,10 @@ impl BridgeThreads {
                         }
                     }
                 };
-                let dispatch = |seg: usize, pkt: &Packet| {
+                // The ports a frame leaves through: one buffer for the
+                // thread's life, so forwarding a frame allocates nothing.
+                let mut targets: Vec<usize> = Vec::new();
+                let mut dispatch = |seg: usize, pkt: &Packet| {
                     let lost_now = lost.load(Ordering::Relaxed);
                     if gated(lost_now, seg) {
                         // The link is down: frames still draining out of
@@ -372,17 +375,13 @@ impl BridgeThreads {
                         }
                         return;
                     }
-                    let (targets, election_epoch) = {
+                    let election_epoch = {
                         let mut p = lock(&policy);
-                        let t = p.route(pkt, seg, now());
-                        (t, p.election_epoch())
+                        p.route_into(pkt, seg, now(), &mut targets);
+                        p.election_epoch()
                     };
-                    let out: Vec<&Port> = targets
-                        .into_iter()
-                        .filter(|&dst| !gated(lost_now, dst))
-                        .map(|dst| port_on(dst).expect("targets are scoped to the ports"))
-                        .collect();
-                    let forwarded = out.len() as u64;
+                    targets.retain(|&dst| !gated(lost_now, dst));
+                    let forwarded = targets.len() as u64;
                     // Count before transmitting: a receiver woken by the
                     // forwarded frame may inspect `bridge_stats`
                     // immediately, and must see this crossing.
@@ -399,7 +398,8 @@ impl BridgeThreads {
                             }
                         }
                     }
-                    for port in out {
+                    for &dst in &targets {
+                        let port = port_on(dst).expect("targets are scoped to the ports");
                         let _ = port.broadcast(pkt);
                     }
                     if forwarded > 0 && pkt.is_data() {

@@ -116,6 +116,7 @@ proptest! {
             ))
             .collect();
         let now = SimTime::ZERO;
+        let mut targets = Vec::new();
         for (page, kind, host, transfer) in history {
             let page = PageId::new((page % 4) as u32);
             let from = HostId((host % (n * 2)) as u16);
@@ -138,10 +139,9 @@ proptest! {
                 if !t.ports(d).contains(&seg) {
                     continue;
                 }
-                let ports: HostMask = t.ports(d).iter().copied().collect();
-                let targets = policy.route(&pkt, seg, now);
-                prop_assert!(!targets.contains(seg), "never out the incoming port");
-                prop_assert!(targets.intersection(&ports) == targets, "only real ports");
+                policy.route_into(&pkt, seg, now, &mut targets);
+                prop_assert!(!targets.contains(&seg), "never out the incoming port");
+                prop_assert!(targets.iter().all(|p| t.ports(d).contains(p)), "only real ports");
             }
         }
     }
@@ -233,6 +233,7 @@ proptest! {
         let page = PageId::new(0); // homed on segment 0
         p.subscribe(page, pin_seg);
         let now = SimTime::ZERO;
+        let mut out = Vec::new();
         for (seg, from_seg, kind) in evts {
             let from = HostId((from_seg * 2) as u16);
             let pkt = if kind == 0 {
@@ -243,7 +244,7 @@ proptest! {
                     transfer_to: None, data: Bytes::from(vec![0u8; 32]),
                 }
             };
-            let _ = p.route(&pkt, seg, now);
+            p.route_into(&pkt, seg, now, &mut out);
             let interest = p.interest(page, now);
             prop_assert!(interest.contains(0), "home port never evicted");
             prop_assert!(interest.contains(pin_seg), "pins never evicted");
@@ -256,12 +257,12 @@ proptest! {
             data: Bytes::from(vec![0u8; 32]),
         };
         for _ in 0..=(horizon + 1) {
-            let _ = p.route(&data, 1, now);
+            p.route_into(&data, 1, now, &mut out);
         }
         let req = Packet::PageRequest {
             from: HostId(4), page, length: PageLength::Short, want: Want::ReadOnly,
         };
-        let _ = p.route(&req, 2, now);
+        p.route_into(&req, 2, now, &mut out);
         prop_assert!(
             p.interest(page, now).contains(2),
             "fresh demand reinstates an aged-out port"

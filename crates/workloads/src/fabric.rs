@@ -125,6 +125,77 @@ impl Workload for PollUntilReader {
     }
 }
 
+/// What request routing did after a run's last fabric event — the
+/// flooding the probable-owner trail still leaves once a fault has
+/// changed device trees: a device whose tree changed, or that was
+/// revived, floods every request it holds no belief for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PostRecovery {
+    /// When the last fabric event fired (run time).
+    pub since: SimDuration,
+    /// Belief-less requests flooded after it
+    /// ([`mether_net::BridgeStats::belief_fallback_floods`]).
+    pub fallback_floods: u64,
+    /// Belief-less requests sent toward home after it
+    /// ([`mether_net::BridgeStats::home_routed`]).
+    pub home_routed: u64,
+    /// Requests routed on a belief after it.
+    pub belief_hits: u64,
+}
+
+impl std::fmt::Display for PostRecovery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "after the last fabric event at {}: {} fallback floods, {} routed home, \
+             {} belief hits",
+            self.since, self.fallback_floods, self.home_routed, self.belief_hits
+        )
+    }
+}
+
+/// Runs `sim` to `limits` in two legs split at `last_event`, the time of
+/// its last scheduled fabric event, reading the fabric's belief counters
+/// at the split. A run continued after a limit replays the uninterrupted
+/// schedule exactly, so the outcome (its events summed over both legs)
+/// is the one a single `run` returns.
+///
+/// # Panics
+///
+/// Panics on a flat topology (there are no bridges to count).
+pub fn run_past_last_event(
+    sim: &mut Simulation,
+    last_event: SimDuration,
+    limits: RunLimits,
+) -> (RunOutcome, PostRecovery) {
+    let counters = |sim: &Simulation| sim.bridge_stats().expect("segmented topology");
+    let first = sim.run(RunLimits {
+        max_sim_time: last_event.min(limits.max_sim_time),
+        ..limits
+    });
+    let before = counters(sim);
+    let outcome = if first.finished {
+        first
+    } else {
+        let rest = sim.run(RunLimits {
+            max_events: limits.max_events.saturating_sub(first.events),
+            ..limits
+        });
+        RunOutcome {
+            events: first.events + rest.events,
+            ..rest
+        }
+    };
+    let after = counters(sim);
+    let post = PostRecovery {
+        since: last_event,
+        fallback_floods: after.belief_fallback_floods - before.belief_fallback_floods,
+        home_routed: after.home_routed - before.home_routed,
+        belief_hits: after.belief_hits - before.belief_hits,
+    };
+    (outcome, post)
+}
+
 /// Configuration of the ring-failover experiment.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
@@ -181,6 +252,9 @@ pub struct FailoverReport {
     /// True iff every reader terminated by observing the final value
     /// *and* ended holding the writer's final page generation.
     pub readers_saw_final: bool,
+    /// What request routing did after the last fabric event (the kill,
+    /// or the revival when there is one).
+    pub post_recovery: PostRecovery,
 }
 
 /// Builds the ring-failover deployment: a 4-segment ring fabric (one
@@ -231,7 +305,8 @@ pub fn build_ring_failover(cfg: &FailoverConfig) -> Simulation {
 /// report. See [`FailoverConfig::ring_4x8`] for the acceptance shape.
 pub fn run_ring_failover(cfg: &FailoverConfig, limits: RunLimits) -> (Simulation, FailoverReport) {
     let mut sim = build_ring_failover(cfg);
-    let outcome = sim.run(limits);
+    let last_event = cfg.revive_at.unwrap_or(cfg.kill_at);
+    let (outcome, post_recovery) = run_past_last_event(&mut sim, last_event, limits);
     let metrics = sim.metrics("ring failover", outcome.finished, 1);
     let page = PageId::new(0);
     let mut readers_saw_final = true;
@@ -258,6 +333,7 @@ pub fn run_ring_failover(cfg: &FailoverConfig, limits: RunLimits) -> (Simulation
         reconvergences: metrics.fabric_reconvergences,
         readers_saw_final,
         metrics,
+        post_recovery,
     };
     (sim, report)
 }

@@ -39,8 +39,8 @@ pub use ablations::{
 };
 pub use counting::{CountingConfig, DisjointPageCounter, LossPolicy, SharedPageCounter};
 pub use fabric::{
-    build_ring_failover, run_ring_failover, sweep_age_horizons, AgePoint, FailoverConfig,
-    FailoverReport, PollUntilReader, ReturningReader,
+    build_ring_failover, run_past_last_event, run_ring_failover, sweep_age_horizons, AgePoint,
+    FailoverConfig, FailoverReport, PollUntilReader, PostRecovery, ReturningReader,
 };
 pub use openloop::{
     ArrivalProcess, BusiestTimer, OpenLoopConfig, OpenLoopReport, OpenLoopScenario, OpenLoopShape,

@@ -50,6 +50,7 @@
 //! words, which [`run_cross_engine_soak`] asserts agree.
 
 use crate::counting::{CountingConfig, DisjointPageCounter};
+use crate::fabric::{run_past_last_event, PostRecovery};
 use crate::publisher::Publisher;
 use crate::segments::PollingReader;
 use mether_core::{BridgeTopology, MapMode, MetherConfig, PageId, PageLength, VAddr, View};
@@ -670,13 +671,21 @@ impl SoakScenario {
 
     /// Builds and runs the scenario (optionally under
     /// [`ParallelMode::Workers`]), forces a final invariant sweep, and
-    /// asserts completion when [`SoakScenario::must_finish`] holds.
+    /// asserts completion when [`SoakScenario::must_finish`] holds. A
+    /// faulted run pauses at its last fault event to count what request
+    /// routing does after it.
     pub fn run(&self, workers: Option<usize>) -> SoakReport {
         let mut sim = self.build();
         if let Some(w) = workers {
             sim.set_parallel_mode(ParallelMode::Workers(w));
         }
-        let outcome = sim.run(self.limits());
+        let (outcome, post_recovery) = match self.faults.last() {
+            Some(&(last, _)) => {
+                let (outcome, post) = run_past_last_event(&mut sim, last, self.limits());
+                (outcome, Some(post))
+            }
+            None => (sim.run(self.limits()), None),
+        };
         sim.check_invariants();
         if self.must_finish() {
             assert!(
@@ -689,6 +698,7 @@ impl SoakScenario {
         SoakReport {
             outcome,
             digest: state_digest(&sim),
+            post_recovery,
         }
     }
 
@@ -930,6 +940,7 @@ impl SoakScenario {
         let sim_report = SoakReport {
             outcome,
             digest: state_digest(&sim),
+            post_recovery: None,
         };
         let runtime = self.run_runtime();
         CrossEngineReport {
@@ -1072,6 +1083,9 @@ pub struct SoakReport {
     pub outcome: RunOutcome,
     /// [`state_digest`] of the finished simulation.
     pub digest: u64,
+    /// What request routing did after the last fault event, for a
+    /// faulted run.
+    pub post_recovery: Option<PostRecovery>,
 }
 
 /// What one scenario produced on the threaded runtime.
@@ -1283,7 +1297,8 @@ pub fn run_large_soak(
 /// ([`SoakScenario::large_faulted_from_seed`]): 100+ device shapes with
 /// mid-run bridge/link faults and paired recoveries. Completion is not
 /// asserted (reconvergence can outlast the budget); determinism is —
-/// the digest line prints after every run so CI can pin it.
+/// the digest line prints after every run so CI can pin it, followed by
+/// what request routing did after the last recovery.
 pub fn run_large_faulted_soak(
     base_seed: u64,
     count: usize,
@@ -1303,6 +1318,9 @@ pub fn run_large_faulted_soak(
                 "large-faulted-soak[{i}/{count}] seed={seed}: finished={} events={} wall={} digest={:016x}",
                 report.outcome.finished, report.outcome.events, report.outcome.wall, report.digest,
             );
+            if let Some(post) = report.post_recovery {
+                println!("large-faulted-soak[{i}/{count}] seed={seed}: {post}");
+            }
             (seed, report)
         })
         .collect()

@@ -1084,12 +1084,13 @@ fn ring_failover_reconverges_and_every_reader_sees_the_final_value() {
     let cfg = FailoverConfig::ring_4x8();
     let (sim, report) = run_ring_failover(&cfg, RunLimits::default());
     eprintln!(
-        "ring failover 4x8: finished={} wall={} reconvergences={} stall={:?} events={:?}",
+        "ring failover 4x8: finished={} wall={} reconvergences={} stall={:?} events={:?}; {}",
         report.outcome.finished,
         report.metrics.wall,
         report.reconvergences,
         report.stall,
         report.metrics.fabric_events,
+        report.post_recovery,
     );
     assert!(
         report.outcome.finished,
@@ -1128,6 +1129,7 @@ fn ring_failover_with_revival_heals_the_short_path() {
         ..FailoverConfig::ring_4x8()
     };
     let (_sim, report) = run_ring_failover(&cfg, RunLimits::default());
+    eprintln!("ring failover 4x8 with revival: {}", report.post_recovery);
     assert!(report.outcome.finished, "{:?}", report.outcome);
     assert!(report.readers_saw_final);
     assert_eq!(report.metrics.fabric_events.len(), 2, "down + up recorded");
@@ -1143,7 +1145,7 @@ fn ring_failover_with_revival_heals_the_short_path() {
 #[test]
 fn ring_failover_finds_a_holder_that_left_home_before_the_root_died() {
     use mether_net::{ElectionMode, FabricEvent};
-    use mether_workloads::{PollUntilReader, Publisher};
+    use mether_workloads::{run_past_last_event, PollUntilReader, Publisher};
 
     // 4-segment ring, 2 hosts per segment, live election with device 0
     // ({0,1}) the root: the boot tree is 3-0-1-2. Page 0 is homed and
@@ -1174,11 +1176,14 @@ fn ring_failover_finds_a_holder_that_left_home_before_the_root_died() {
             200,
         )),
     );
-    sim.schedule_fabric_event(SimDuration::from_millis(100), FabricEvent::BridgeDown(0));
-    let outcome = sim.run(RunLimits {
+    let kill = SimDuration::from_millis(100);
+    sim.schedule_fabric_event(kill, FabricEvent::BridgeDown(0));
+    let limits = RunLimits {
         max_sim_time: SimDuration::from_secs(10),
         ..RunLimits::default()
-    });
+    };
+    let (outcome, post) = run_past_last_event(&mut sim, kill, limits);
+    eprintln!("ring failover, holder off home: {post}");
     assert!(outcome.finished, "{outcome:?}");
     assert!(sim.fabric_reconvergences() >= 1);
     assert!(sim.host(2).table.is_consistent_holder(page));

@@ -65,9 +65,11 @@
 //! belief for a page with a consistent holder must have that holder
 //! beyond its home port for the page, or on a segment it bridges. A
 //! page with no holder is mid-transfer (the exemption (a) makes) and is
-//! not judged. The check is cross-layer, so it runs when either side
-//! moves: for every live device when a page's holder changes, and for
-//! a device when its filter state for the page does.
+//! not judged. The check is cross-layer, so a page is re-judged when
+//! either side moves: its holder, or any device's filter state for it.
+//! Such devices all route on the boot tree, where only the devices on
+//! the path between holder and home see the two through different
+//! ports, so one walk along that path judges the page.
 //!
 //! # Gating and cost: the dirty-set model
 //!
@@ -444,6 +446,9 @@ impl Observer {
         if let Some(fabric) = fabric {
             let (dirty_devices, liveness) = fabric.take_dirty();
             let mut rerun_tree = liveness;
+            // Invariant (f) is re-judged for every page whose holder or
+            // whose filter state on some device moved.
+            let mut trail_pages = touched;
             for (d, pages, structural) in dirty_devices {
                 dirty_total += pages.len() as u64 + u64::from(structural);
                 if structural {
@@ -457,17 +462,15 @@ impl Observer {
                 }
                 for page in pages {
                     cost += self.check_device_page(fabric, d, page, now);
-                    cost += self.check_trail(fabric, d, page, now);
+                    trail_pages.push(page.index());
                 }
             }
             if rerun_tree {
                 cost += check_tree_consistency(fabric, now);
             }
-            // (f) from the holder side: a page whose holder moved is
-            // re-judged at every live device.
-            for idx in touched {
-                cost += self.check_trails(fabric, PageId::new(idx), now);
-            }
+            trail_pages.sort_unstable();
+            trail_pages.dedup();
+            cost += self.check_trails(fabric, &trail_pages, now);
         }
         self.stats.sweeps += 1;
         self.stats.entities_checked += cost;
@@ -555,48 +558,73 @@ impl Observer {
         // is no belief.
         let mut held: Vec<u32> = self.holders.keys().copied().collect();
         held.sort_unstable();
-        for idx in held {
-            cost += self.check_trails(fabric, PageId::new(idx), now);
+        cost + self.check_trails(fabric, &held, now) + check_tree_consistency(fabric, now)
+    }
+
+    /// Invariant (f) for each of `pages` with a consistent holder: every
+    /// live device that trusts its silence (`trail_intact`) and holds no
+    /// belief for the page must see the holder through its home port for
+    /// the page, or bridge the holder's segment itself.
+    ///
+    /// Such a device routes on the boot tree — `trail_intact` is cleared
+    /// by the first election that changes its tree — and on a tree the
+    /// devices that see two segments through different ports are exactly
+    /// those on the path between them. So each page is judged by one walk
+    /// from the holder's segment toward the page's home, over the boot
+    /// tree, at the devices on that path. Returns the number of states
+    /// scanned.
+    fn check_trails(&self, fabric: &Fabric, pages: &[u32], now: SimTime) -> u64 {
+        if pages.is_empty() {
+            return 0;
         }
-        cost + check_tree_consistency(fabric, now)
-    }
-
-    /// Invariant (f) for `page` at every live device. Returns the number
-    /// of device states scanned.
-    fn check_trails(&self, fabric: &Fabric, page: PageId, now: SimTime) -> u64 {
-        (0..fabric.device_count())
-            .filter(|&d| !fabric.is_dead(d))
-            .map(|d| self.check_trail(fabric, d, page, now))
-            .sum()
-    }
-
-    /// Invariant (f) for one (device, page): a device whose silence
-    /// routes `page`'s requests homeward, holding no belief, must have
-    /// the page's consistent holder homeward too — or on one of its own
-    /// segments, where every request it forwards is heard anyway.
-    /// Returns the number of states scanned.
-    fn check_trail(&self, fabric: &Fabric, d: usize, page: PageId, now: SimTime) -> u64 {
-        let Some(&[holder]) = self.holders.get(&page.index()).map(Vec::as_slice) else {
-            return 1; // no holder: mid-transfer, not judged
+        let topology = fabric.topology();
+        let live = |d: usize| !fabric.is_dead(d);
+        // Any device that trusts its silence holds the boot tree; with
+        // none, there is nothing to judge.
+        let Some(r) = (0..fabric.device_count())
+            .find(|&d| live(d) && fabric.device(d).policy().trail_intact())
+        else {
+            return 1;
         };
-        let policy = fabric.device(d).policy();
-        if !policy.trail_intact() || policy.holder_port(page).is_some() {
-            return 1;
+        let boot = fabric.device(r).policy();
+        let tree = boot.active();
+        let mut cost = 1;
+        for &idx in pages {
+            let page = PageId::new(idx);
+            let Some(&[holder]) = self.holders.get(&idx).map(Vec::as_slice) else {
+                continue; // no holder: mid-transfer, not judged
+            };
+            let held_on = boot.layout().segment_of(holder);
+            let home = boot.home_of(page);
+            let mut seg = held_on;
+            // A tree path visits each segment at most once.
+            for _ in 0..topology.segments() {
+                if seg == home {
+                    break;
+                }
+                // The one device forwarding on `seg` that leads on home.
+                let Some((d, next)) = topology.bridges_on(seg).iter().find_map(|&d| {
+                    let next = tree.next_hop(d, home)?;
+                    (tree.forwards(d, seg) && next != seg).then_some((d, next))
+                }) else {
+                    break;
+                };
+                cost += 1;
+                let policy = fabric.device(d).policy();
+                assert!(
+                    !live(d)
+                        || !policy.trail_intact()
+                        || policy.holder_port(page).is_some()
+                        || policy.ports_mask().contains(held_on),
+                    "invariant (f): device {d} holds no belief for page {page} on the \
+                     tree it booted on, so it sends requests out its home port \
+                     {next}, away from the holder (host {holder}, segment \
+                     {held_on}) at {now}"
+                );
+                seg = next;
+            }
         }
-        let seg = policy.layout().segment_of(holder);
-        if policy.ports_mask().contains(seg) {
-            return 1;
-        }
-        let home = policy.home_port(page);
-        let toward = policy.active().next_hop(d, seg);
-        assert!(
-            toward.is_some() && toward == home,
-            "invariant (f): device {d} holds no belief for page {page} on the \
-             tree it booted on, so it sends requests out its home port {home:?}, \
-             but the holder (host {holder}, segment {seg}) lies out port \
-             {toward:?} at {now}"
-        );
-        1
+        cost
     }
 
     /// The per-device structural block of invariants (b)/(d): port-set

@@ -91,16 +91,15 @@
 //! the home port*; with no belief it walks toward the home (below), and
 //! the reply repairs the table at every hop it crosses. So request
 //! traffic grows with the tree distance to the holder, not with the
-//! segment count, as it did when every request was flooded. Two kinds
-//! of request still leave through every other forwarding port: a
-//! `Want::Superset` request, which any host holding a full copy may
-//! answer, so no one holder direction covers it; and a belief-less
-//! request on a device that cannot trust its silence (below). Belief
-//! quality is accounted per device in [`BridgeStats`]: `belief_hits`
-//! (requests routed on a belief), `home_routed` (no belief — toward
-//! home), `belief_fallback_floods` (no belief on a device that cannot
-//! trust its silence — flooded), and `belief_repairs` (an existing
-//! belief repointed by fresher evidence).
+//! segment count. Two kinds of request still leave through every other
+//! forwarding port: a `Want::Superset` request, which any host holding
+//! a full copy may answer, so no one holder direction covers it; and a
+//! belief-less request on a device that cannot trust its silence
+//! (below). Belief quality is accounted per device in [`BridgeStats`]:
+//! `belief_hits` (requests routed on a belief), `home_routed` (no
+//! belief — toward home), `belief_fallback_floods` (no belief on a
+//! device that cannot trust its silence — flooded), and
+//! `belief_repairs` (an existing belief repointed by fresher evidence).
 //!
 //! # The probable-owner trail
 //!

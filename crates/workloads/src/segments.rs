@@ -176,8 +176,7 @@ pub fn build_cross_segment_counting(protocol: Protocol, cfg: &CountingConfig) ->
 /// one demand fault, and puts at most one `PageRequest` on the wire,
 /// while the consistent holder stays put. This is the *holder-stable*
 /// request workload: each request walks the unique path to the
-/// holder's segment, where flooding sprayed it over the whole tree. The
-/// ≥2× request-traffic acceptance bound in
+/// holder's segment. The ≥2× request-traffic bound against flooding in
 /// `tests/tests/segmented_topology.rs` is measured with it.
 pub struct PollingReader {
     page: PageId,
@@ -553,10 +552,10 @@ mod tests {
         // 12 faults put a request on the wire. Each crosses the one
         // device once, toward the holder: 2 before any belief, toward
         // the page's home, where the holder sits, and 8 on the belief a
-        // reply taught. Flooding copied
-        // each of the 10 to both other segments — 20 forwarded, which
-        // is what once made "at least one forwarded request per fault"
-        // look like a property of the workload.
+        // reply taught. Flooding copied each of the 10 to both other
+        // segments — 20 forwarded, which is what once made "at least one
+        // forwarded request per fault" look like a property of the
+        // workload.
         let b = report.metrics.bridge;
         assert_eq!((b.belief_hits, b.home_routed), (8, 2), "{b:?}");
         assert_eq!(b.req_forwarded, 10);

@@ -585,9 +585,9 @@ impl SoakScenario {
             // the re-sends never become the dominant server load.
             //
             // The cadence stretches on large fabrics: re-broadcasts
-            // follow sticky learned interest forever (a
-            // holder can't see remote spinners, so it never stops), and
-            // the aggregate rate scales with the published-page count.
+            // follow sticky learned interest forever (a holder can't
+            // see remote spinners, so it never stops), and the
+            // aggregate rate scales with the published-page count.
             // At 25 ms the large pair population saturates the transit
             // core's 2 ms-per-snoop servers outright; 100 ms keeps the
             // steady-state snoop load a few percent of each CPU while a

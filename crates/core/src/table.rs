@@ -23,8 +23,12 @@
 //!   a writeable mapping sets *purge pending*; the server broadcasts a
 //!   read-only copy and then issues **DO-PURGE**, which clears the bit and
 //!   wakes the purger.
-//! * Every server **snoops**: any `PageData` on the wire refreshes the
-//!   local inconsistent copy and wakes data-driven waiters.
+//! * Every server **snoops**: any page copy on the wire refreshes the
+//!   local inconsistent copy and wakes data-driven waiters — a
+//!   [`Packet::PageReply`] (everything [`PageTable::handle_packet`] sends
+//!   in answer to a request: read replies, `Superset` replies, consistency
+//!   transfers) and a [`Packet::PageData`] publication (a purge broadcast
+//!   or a holder re-broadcast) alike.
 
 use crate::rules::Presence;
 use crate::{
@@ -700,6 +704,14 @@ impl PageTable {
                 generation,
                 transfer_to,
                 data,
+            }
+            | Packet::PageReply {
+                from,
+                page,
+                length,
+                generation,
+                transfer_to,
+                data,
             } => {
                 if *from == self.host {
                     return;
@@ -713,6 +725,11 @@ impl PageTable {
         }
     }
 
+    /// Answers a request snooped from `from`. Everything sent here — the
+    /// read reply, the `Superset` reply, and the consistency transfer
+    /// (deferred ones too, via [`PageTable::unlock`]) — is a
+    /// [`Packet::PageReply`]: bridges carry it back toward the pending
+    /// request alone.
     fn handle_request(
         &mut self,
         from: HostId,
@@ -743,7 +760,7 @@ impl PageTable {
                     .as_mut()
                     .expect("checked above")
                     .payload(crate::PAGE_SIZE);
-                effects.push(Effect::Send(Packet::PageData {
+                effects.push(Effect::Send(Packet::PageReply {
                     from: host,
                     page,
                     length: PageLength::Full,
@@ -770,7 +787,7 @@ impl PageTable {
                     .as_mut()
                     .expect("consistent holder has a buffer")
                     .payload(transfer_len);
-                effects.push(Effect::Send(Packet::PageData {
+                effects.push(Effect::Send(Packet::PageReply {
                     from: host,
                     page,
                     length,
@@ -821,7 +838,7 @@ impl PageTable {
             .payload(transfer_len);
         // We keep an inconsistent copy; consistency moves to `to`.
         e.consistent = false;
-        effects.push(Effect::Send(Packet::PageData {
+        effects.push(Effect::Send(Packet::PageReply {
             from: host,
             page,
             length,
@@ -1184,7 +1201,7 @@ mod tests {
         );
         assert_eq!(fx.len(), 1);
         match &fx[0] {
-            Effect::Send(Packet::PageData {
+            Effect::Send(Packet::PageReply {
                 transfer_to,
                 length,
                 data,
@@ -1276,7 +1293,7 @@ mod tests {
             &mut fx,
         );
         match &fx[0] {
-            Effect::Send(Packet::PageData { data, length, .. }) => {
+            Effect::Send(Packet::PageReply { data, length, .. }) => {
                 assert_eq!(*length, PageLength::Short);
                 assert_eq!(data.len(), 32);
             }
@@ -1296,7 +1313,7 @@ mod tests {
             &mut fx,
         );
         match &fx[0] {
-            Effect::Send(Packet::PageData { data, length, .. }) => {
+            Effect::Send(Packet::PageReply { data, length, .. }) => {
                 assert_eq!(*length, PageLength::Full);
                 assert_eq!(data.len(), crate::PAGE_SIZE);
             }
@@ -1326,6 +1343,7 @@ mod tests {
             Effect::Send(p) => p,
             other => panic!("{other:?}"),
         };
+        assert!(data.is_reply(), "a consistency transfer answers a request");
         t1.handle_packet(&data, &mut fx);
         assert!(t1.is_consistent_holder(p0()));
         let mut fx2 = Vec::new();
@@ -1359,6 +1377,7 @@ mod tests {
             Effect::Send(p) => p,
             other => panic!("{other:?}"),
         };
+        assert!(sup_data.is_reply(), "so does a Superset answer");
         let mut fx4 = Vec::new();
         t1.handle_packet(&sup_data, &mut fx4);
         assert!(woken_waiters(&fx4).contains(&2), "superset waiter woken");
@@ -1373,6 +1392,44 @@ mod tests {
             "merge kept the consistent short prefix"
         );
         assert!(t1.page_buf(p0()).unwrap().full_valid());
+    }
+
+    #[test]
+    fn purges_publish_and_hosts_snoop_replies_alike() {
+        // A purge broadcast and a holder re-broadcast are sent unasked:
+        // publications, not replies.
+        let mut t0 = table(0);
+        t0.create_owned(p0());
+        let mut fx = Vec::new();
+        t0.purge(p0(), MapMode::Writeable, 9, &mut fx).unwrap();
+        let purge = t0.server_purge_broadcast(p0(), PageLength::Short).unwrap();
+        assert!(purge.is_data() && !purge.is_reply());
+        t0.do_purge(p0(), &mut fx);
+        let again = t0.holder_rebroadcast(p0(), PageLength::Short).unwrap();
+        assert!(again.is_data() && !again.is_reply());
+        // A data-driven waiter wakes on a reply someone else asked for,
+        // exactly as on a publication.
+        let mut t2 = table(2);
+        t2.access(p0(), View::short_data(), MapMode::ReadOnly, 1, &mut fx)
+            .unwrap();
+        fx.clear();
+        t0.handle_packet(
+            &Packet::PageRequest {
+                from: HostId(1),
+                page: p0(),
+                length: PageLength::Short,
+                want: Want::ReadOnly,
+            },
+            &mut fx,
+        );
+        let Some(Effect::Send(reply)) = fx.pop() else {
+            panic!("the holder answers")
+        };
+        assert!(reply.is_reply());
+        let mut woke = Vec::new();
+        t2.handle_packet(&reply, &mut woke);
+        assert_eq!(woken_waiters(&woke), vec![1]);
+        assert!(t2.page_buf(p0()).is_some());
     }
 
     #[test]
@@ -1621,7 +1678,7 @@ mod tests {
         t.unlock(p0(), &mut fx);
         assert_eq!(fx.len(), 1);
         match &fx[0] {
-            Effect::Send(Packet::PageData { transfer_to, .. }) => {
+            Effect::Send(Packet::PageReply { transfer_to, .. }) => {
                 assert_eq!(*transfer_to, Some(HostId(1)));
             }
             other => panic!("{other:?}"),

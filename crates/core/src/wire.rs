@@ -1,16 +1,26 @@
 //! The Mether wire protocol.
 //!
 //! Mether is "a broadcast protocol": every packet is broadcast on the
-//! Ethernet and every Mether server snoops every packet. Only two packet
-//! types ever cross the network:
+//! Ethernet and every Mether server snoops every packet. Only two kinds
+//! of packet ever cross the network:
 //!
 //! * [`Packet::PageRequest`] — a demand-driven fault asking for a page
 //!   (read-only or consistent, full or short);
-//! * [`Packet::PageData`] — a copy of a page in flight, either answering a
-//!   request, transferring the consistent copy, or propagating a purge
-//!   broadcast. "Because Mether is a broadcast protocol, every time a page
-//!   transits the network all the inconsistent copies of that page are
-//!   updated."
+//! * a copy of a page in flight. "Because Mether is a broadcast protocol,
+//!   every time a page transits the network all the inconsistent copies
+//!   of that page are updated." A copy travels as one of two types with
+//!   the same fields and the same header layout:
+//!   - [`Packet::PageReply`] — a *reply*: sent because a request asked
+//!     for it (a read reply, a `Superset` reply, or a consistency
+//!     transfer naming `transfer_to`);
+//!   - [`Packet::PageData`] — a *publication*: sent unasked, by a purge
+//!     broadcast or a holder re-broadcast, for data-driven readers.
+//!
+//! On one segment the two are indistinguishable in effect: every host
+//! snoops both and handles them alike. They differ only to the bridges
+//! of a segmented fabric (`mether-net`'s `bridge` module), which carry a
+//! reply back toward the segments whose requests are pending and a
+//! publication to every segment that has shown interest in the page.
 //!
 //! `PURGE`/`DO-PURGE` are *local* kernel-driver operators, not packets; a
 //! purge of a writeable page manifests on the wire as a `PageData`
@@ -59,9 +69,9 @@ pub enum Want {
 ///
 /// `header` carries every protocol field (magic, type, addressing,
 /// generation, payload length, bridge views); `payload` is the page
-/// bytes of a [`Packet::PageData`] — a **zero-copy view of the packet's
-/// own `data` buffer**, shared rather than copied — and is empty for
-/// every other packet type.
+/// bytes of a [`Packet::PageData`] or [`Packet::PageReply`] — a
+/// **zero-copy view of the packet's own `data` buffer**, shared rather
+/// than copied — and is empty for every other packet type.
 ///
 /// The two segments are one datagram: [`Packet::encoded_len`] and
 /// [`Packet::wire_size`] charge header + payload together, so the
@@ -74,8 +84,8 @@ pub enum Want {
 pub struct WireFrame {
     /// Fixed-field segment (never empty).
     pub header: Bytes,
-    /// Page-payload segment; empty unless the packet is
-    /// [`Packet::PageData`]. Shares storage with the encoded packet's
+    /// Page-payload segment; empty unless the packet carries a page
+    /// ([`Packet::is_data`]). Shares storage with the encoded packet's
     /// `data`.
     pub payload: Bytes,
 }
@@ -104,6 +114,7 @@ const TYPE_REQUEST: u8 = 1;
 const TYPE_DATA: u8 = 2;
 const TYPE_BRIDGE_PDU: u8 = 3;
 const TYPE_BRIDGE_PDU_DELTA: u8 = 4;
+const TYPE_REPLY: u8 = 5;
 
 /// Upper bound on the per-device view entries a [`Packet::BridgePdu`]
 /// may carry — matches the largest fabric a `HostMask`-segmented
@@ -207,11 +218,31 @@ pub enum Packet {
         /// Read-only copy or the consistent copy itself.
         want: Want,
     },
-    /// Broadcast copy of a page. All servers snoop it and refresh their
+    /// Broadcast copy of a page, published unasked (a purge broadcast or
+    /// a holder re-broadcast). All servers snoop it and refresh their
     /// inconsistent copies; if `transfer_to` is set, that host becomes the
     /// new consistent holder.
     PageData {
         /// The sending host (the consistent holder at send time).
+        from: HostId,
+        /// The page carried.
+        page: PageId,
+        /// Full or short transfer.
+        length: PageLength,
+        /// Version of the page carried.
+        generation: Generation,
+        /// If set, consistency transfers to this host.
+        transfer_to: Option<HostId>,
+        /// The page bytes (a full page or a short-page prefix).
+        data: Bytes,
+    },
+    /// Broadcast copy of a page sent in answer to a [`Packet::PageRequest`]:
+    /// a read reply, a `Superset` reply, or a consistency transfer. The
+    /// fields, their meaning to a snooping server, and the header layout
+    /// are [`Packet::PageData`]'s; only the type byte differs, so a bridge
+    /// can carry a reply back toward the requests it answers alone.
+    PageReply {
+        /// The sending host.
         from: HostId,
         /// The page carried.
         page: PageId,
@@ -264,7 +295,9 @@ impl Packet {
     /// ([`Packet::BridgePdu`]) carry no page and report page 0.
     pub fn page(&self) -> PageId {
         match self {
-            Packet::PageRequest { page, .. } | Packet::PageData { page, .. } => *page,
+            Packet::PageRequest { page, .. }
+            | Packet::PageData { page, .. }
+            | Packet::PageReply { page, .. } => *page,
             Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => PageId::new(0),
         }
     }
@@ -274,14 +307,20 @@ impl Packet {
         match self {
             Packet::PageRequest { from, .. }
             | Packet::PageData { from, .. }
+            | Packet::PageReply { from, .. }
             | Packet::BridgePdu { from, .. }
             | Packet::BridgePduDelta { from, .. } => *from,
         }
     }
 
-    /// True for data-carrying packets.
+    /// True for data-carrying packets: publications and replies alike.
     pub fn is_data(&self) -> bool {
-        matches!(self, Packet::PageData { .. })
+        matches!(self, Packet::PageData { .. } | Packet::PageReply { .. })
+    }
+
+    /// True for a [`Packet::PageReply`]: data a request asked for.
+    pub fn is_reply(&self) -> bool {
+        matches!(self, Packet::PageReply { .. })
     }
 
     /// True for bridge-to-bridge control frames, which no Mether server
@@ -298,7 +337,9 @@ impl Packet {
     pub fn encoded_len(&self) -> usize {
         match self {
             Packet::PageRequest { .. } => 2 + 1 + 2 + 4 + 1 + 1,
-            Packet::PageData { data, .. } => 2 + 1 + 2 + 4 + 1 + 8 + 3 + 4 + data.len(),
+            Packet::PageData { data, .. } | Packet::PageReply { data, .. } => {
+                2 + 1 + 2 + 4 + 1 + 8 + 3 + 4 + data.len()
+            }
             Packet::BridgePdu { views, .. } => {
                 2 + 1 + 2 + 2 + 2 + views.iter().map(view_len).sum::<usize>()
             }
@@ -346,9 +387,21 @@ impl Packet {
                 generation,
                 transfer_to,
                 data,
+            }
+            | Packet::PageReply {
+                from,
+                page,
+                length,
+                generation,
+                transfer_to,
+                data,
             } => {
                 b.put_u16(MAGIC);
-                b.put_u8(TYPE_DATA);
+                b.put_u8(if self.is_reply() {
+                    TYPE_REPLY
+                } else {
+                    TYPE_DATA
+                });
                 b.put_u16(from.0);
                 b.put_u32(page.index());
                 b.put_u8(match length {
@@ -416,7 +469,7 @@ impl Packet {
     pub fn check_encodable(&self) -> Result<()> {
         match self {
             Packet::PageRequest { .. } => Ok(()),
-            Packet::PageData { data, .. } => {
+            Packet::PageData { data, .. } | Packet::PageReply { data, .. } => {
                 if data.len() > u32::MAX as usize {
                     return Err(Error::Encode(format!(
                         "payload of {} bytes exceeds the u32 length field",
@@ -496,7 +549,7 @@ impl Packet {
 
     fn encode_vectored_unchecked(&self) -> WireFrame {
         let payload = match self {
-            Packet::PageData { data, .. } => data.clone(),
+            Packet::PageData { data, .. } | Packet::PageReply { data, .. } => data.clone(),
             _ => Bytes::new(),
         };
         let mut b = BytesMut::with_capacity(self.encoded_len() - payload.len());
@@ -510,8 +563,9 @@ impl Packet {
     /// Decodes a packet from a [`WireFrame`] built by
     /// [`Packet::encode_vectored`].
     ///
-    /// The header segment is parsed once, whatever the packet type. A
-    /// `PageData` packet **adopts the payload segment zero-copy**: its
+    /// The header segment is parsed once, whatever the packet type; a
+    /// `PageData` and a `PageReply` share one parser. Either **adopts the
+    /// payload segment zero-copy**: its
     /// `data` shares the segment's storage, so on an in-process wire the
     /// bytes the sender published are the very bytes every receiver
     /// installs, and one decoded packet is cloned to every snooping host
@@ -552,7 +606,7 @@ impl Packet {
                     want,
                 }
             }
-            TYPE_DATA => {
+            tag @ (TYPE_DATA | TYPE_REPLY) => {
                 need(buf, 22)?;
                 let from = HostId(buf.get_u16());
                 let page =
@@ -573,13 +627,25 @@ impl Packet {
                         frame.payload.len()
                     )));
                 }
-                Packet::PageData {
-                    from,
-                    page,
-                    length,
-                    generation,
-                    transfer_to,
-                    data: frame.payload.clone(),
+                let data = frame.payload.clone();
+                if tag == TYPE_REPLY {
+                    Packet::PageReply {
+                        from,
+                        page,
+                        length,
+                        generation,
+                        transfer_to,
+                        data,
+                    }
+                } else {
+                    Packet::PageData {
+                        from,
+                        page,
+                        length,
+                        generation,
+                        transfer_to,
+                        data,
+                    }
                 }
             }
             TYPE_BRIDGE_PDU => {
@@ -660,6 +726,29 @@ mod tests {
         }
     }
 
+    /// `sample_data(len)` sent as a reply: the same six fields.
+    fn sample_reply(len: usize) -> Packet {
+        let Packet::PageData {
+            from,
+            page,
+            length,
+            generation,
+            transfer_to,
+            data,
+        } = sample_data(len)
+        else {
+            unreachable!()
+        };
+        Packet::PageReply {
+            from,
+            page,
+            length,
+            generation,
+            transfer_to,
+            data,
+        }
+    }
+
     fn round_trip(p: &Packet) -> Packet {
         Packet::decode_frame(&p.encode_vectored()).unwrap()
     }
@@ -685,6 +774,33 @@ mod tests {
             let p = sample_data(len);
             assert_eq!(p.encode_vectored().len(), p.encoded_len());
             assert_eq!(round_trip(&p), p);
+        }
+    }
+
+    #[test]
+    fn reply_round_trips_at_the_length_of_its_publication_twin() {
+        for len in [0, 1, 32, 8192] {
+            let (reply, publication) = (sample_reply(len), sample_data(len));
+            let frame = reply.encode_vectored();
+            assert_eq!(frame.len(), reply.encoded_len());
+            assert_eq!(reply.encoded_len(), publication.encoded_len());
+            assert_eq!(reply.wire_size(), publication.wire_size());
+            assert!(reply.is_data() && reply.is_reply());
+            assert!(publication.is_data() && !publication.is_reply());
+            // One byte tells them apart: the type tag.
+            let twin = publication.encode_vectored();
+            let differs: Vec<usize> = (0..frame.header.len())
+                .filter(|&i| frame.header[i] != twin.header[i])
+                .collect();
+            assert_eq!(differs, vec![2], "only the type byte differs");
+            let decoded = Packet::decode_frame(&frame).unwrap();
+            assert_eq!(decoded, reply);
+            match decoded {
+                Packet::PageReply { data, .. } => {
+                    assert!(data.shares_storage_with(&frame.payload), "zero-copy")
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 
@@ -870,21 +986,22 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_data() {
-        let frame = sample_data(32).encode_vectored();
-        // A header segment cut short anywhere.
-        for cut in [3, 10, frame.header.len() - 1] {
+        for frame in [sample_data(32), sample_reply(32)].map(|p| p.encode_vectored()) {
+            // A header segment cut short anywhere.
+            for cut in [3, 10, frame.header.len() - 1] {
+                let res = Packet::decode_frame(&WireFrame {
+                    header: frame.header.slice(..cut),
+                    payload: frame.payload.clone(),
+                });
+                assert!(res.is_err(), "header cut at {cut}");
+            }
+            // A payload segment one byte short of the length field.
             let res = Packet::decode_frame(&WireFrame {
-                header: frame.header.slice(..cut),
-                payload: frame.payload.clone(),
+                header: frame.header.clone(),
+                payload: frame.payload.slice(..frame.payload.len() - 1),
             });
-            assert!(res.is_err(), "header cut at {cut}");
+            assert!(res.is_err(), "payload cut");
         }
-        // A payload segment one byte short of the length field.
-        let res = Packet::decode_frame(&WireFrame {
-            header: frame.header.clone(),
-            payload: frame.payload.slice(..frame.payload.len() - 1),
-        });
-        assert!(res.is_err(), "payload cut");
     }
 
     #[test]
@@ -1016,14 +1133,20 @@ mod tests {
             generation in any::<u64>(),
             transfer in proptest::option::of(0u16..16),
             data in proptest::collection::vec(any::<u8>(), 0..256),
+            reply in any::<bool>(),
         ) {
-            let p = Packet::PageData {
-                from: HostId(from),
-                page: PageId::new(page),
-                length: PageLength::Short,
-                generation: Generation(generation),
-                transfer_to: transfer.map(HostId),
-                data: Bytes::from(data),
+            let (from, page, length, generation, transfer_to, data) = (
+                HostId(from),
+                PageId::new(page),
+                PageLength::Short,
+                Generation(generation),
+                transfer.map(HostId),
+                Bytes::from(data),
+            );
+            let p = if reply {
+                Packet::PageReply { from, page, length, generation, transfer_to, data }
+            } else {
+                Packet::PageData { from, page, length, generation, transfer_to, data }
             };
             prop_assert_eq!(round_trip(&p), p);
         }
@@ -1043,8 +1166,9 @@ mod tests {
 
         #[test]
         fn prop_encoded_len_matches(len in 0usize..512) {
-            let p = sample_data(len);
-            prop_assert_eq!(p.encode_vectored().len(), p.encoded_len());
+            for p in [sample_data(len), sample_reply(len)] {
+                prop_assert_eq!(p.encode_vectored().len(), p.encoded_len());
+            }
         }
     }
 }

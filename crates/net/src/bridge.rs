@@ -57,9 +57,9 @@
 //! `version + 1`; self-assertions advance by 2 so a live device always
 //! out-versions its own obituary), and the fabric reconverges around the
 //! redundancy. [`Fabric`] measures the **reconvergence stall**: the sim
-//! time from a `BridgeDown` to the first `PageData` forwarded by a
-//! re-elected device — the window during which cross-fabric pages were
-//! unreachable.
+//! time from a `BridgeDown` to the first page copy (publication or
+//! reply) forwarded by a re-elected device — the window during which
+//! cross-fabric pages were unreachable.
 //!
 //! # Filtering and routing
 //!
@@ -68,10 +68,14 @@
 //! the threaded runtime. Per page it keeps, per port:
 //!
 //! * **learned interest** — a port is interested when a `PageRequest`
-//!   arrived on it, a `PageData` transit arrived on it (that side holds
-//!   copies the snoopy protocol must keep refreshed), or a
-//!   `transfer_to` moved the consistent copy toward it. Data transits
-//!   are forwarded to interested ports only.
+//!   arrived on it, a page copy arrived on it (that side holds copies
+//!   the snoopy protocol must keep refreshed), or a `transfer_to` moved
+//!   the consistent copy toward it. Publications are forwarded to
+//!   interested ports only.
+//! * **pending requests** — a `PageRequest` heard on a port marks it
+//!   pending for the page ([`PortStamp::requested_at`]) until a reply
+//!   is forwarded back out through it. Replies follow these marks
+//!   (below), and no aging horizon expires them.
 //! * the **home port** — the port toward the page's home segment
 //!   ([`mether_core::PageHomePolicy`]) *on the active tree*, permanently
 //!   interested so the home always holds fresh copies for cross-segment
@@ -80,8 +84,8 @@
 //! * **pins** ([`BridgePolicy::subscribe`]) — explicit subscriptions for
 //!   purely data-driven readers, stored as *segments* and resolved to
 //!   ports through the active tree, so they survive reconvergence.
-//! * the **believed holder port** — learned from the direction
-//!   `PageData` transits arrive from (only when they *advance* the
+//! * the **believed holder port** — learned from the direction page
+//!   copies arrive from (only when they *advance* the
 //!   page's generation, so a non-holder's stale `Want::Superset` reply
 //!   cannot repoint the belief away from the live holder) and from
 //!   snooped `transfer_to` moves (authoritative — they name the new
@@ -100,6 +104,32 @@
 //! belief — toward home), `belief_fallback_floods` (no belief on a
 //! device that cannot trust its silence — flooded), and
 //! `belief_repairs` (an existing belief repointed by fresher evidence).
+//!
+//! # Replies and publications
+//!
+//! A page copy crosses the wire as one of two types with one header
+//! layout ([`mether_core::Packet`]). A **publication**
+//! ([`Packet::PageData`]: a purge broadcast, a holder re-broadcast) is
+//! sent unasked, for data-driven readers that send no request; it leaves
+//! a device through every port with fresh learned interest, the home
+//! port, and the pins — the snoopy protocol's fan-out. A **reply**
+//! ([`Packet::PageReply`]: a read reply, a `Superset` reply, a
+//! consistency transfer) answers requests; it leaves only through
+//!
+//! * the ports whose requests are still pending,
+//! * the next hop toward its `transfer_to` target, and
+//! * the pins,
+//!
+//! and clears the pending mark of each port it leaves through. So a
+//! demand reader fetches its own data, and a bystander segment no longer
+//! snoops every reply to a page it once asked for: the paper's split
+//! between demand-driven and data-driven faults, carried onto the
+//! fabric. Two requesters pending on different ports (a holder that
+//! coalesced or piggybacked the second request onto its answer to the
+//! first) both get the one reply. A reply teaches everything a
+//! publication does — ingress interest, holder beliefs — and a grant
+//! still walks the whole old holder → new holder path, which is what the
+//! trail below rests on.
 //!
 //! # The probable-owner trail
 //!
@@ -127,7 +157,7 @@
 //! Learned interest carries a last-use stamp; an [`AgeHorizon`] (in
 //! device-forwarded transits, or in sim time) evicts entries whose port
 //! has shown no demand for that long, so a reader segment that stops
-//! touching a page stops receiving its transits. Re-use reinstates the
+//! touching a page stops receiving its publications. Re-use reinstates the
 //! entry via the ordinary learning path; home ports and pins never age.
 //! The default, [`AgeHorizon::Sticky`], never evicts.
 //!
@@ -383,20 +413,14 @@ impl BridgeStats {
 
 /// How long learned interest survives without fresh demand.
 ///
-/// Reply-grace semantics: the interest a forwarded `PageRequest` stamps
-/// exists precisely to let the reply back through, so a fabric built
-/// with [`FabricConfig::with_reply_grace`] holds *request-stamped*
-/// interest for at least that grace regardless of how short the
-/// configured horizon is — a sub-round-trip horizon ages background
-/// interest aggressively without filtering the very replies the
-/// requests asked for. Without a grace configured, the horizon must
-/// comfortably exceed the fabric's worst-case request → reply latency
-/// (at the paper's calibration, ~13 ms of server time per request,
-/// plus bridge hops), or the reply is filtered deterministically on
-/// every retry and the requester livelocks. Data-driven consumers
-/// transmit nothing at all — no request, no grace — so pin their
-/// segments with static subscriptions ([`BridgePolicy::subscribe`])
-/// instead of relying on learned interest under any finite horizon.
+/// Aging governs publications only. A reply travels on the pending
+/// marks its request left ([`PortStamp::requested_at`]), which no
+/// horizon expires, so a horizon shorter than the request → reply round
+/// trip ages background interest without ever filtering the reply a
+/// request asked for. Data-driven consumers transmit nothing at all — no
+/// request, no learned interest once it ages — so pin their segments
+/// with static subscriptions ([`BridgePolicy::subscribe`]) instead of
+/// relying on learned interest under any finite horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AgeHorizon {
     /// Interest never expires (PR 3's behaviour): a segment that once
@@ -535,11 +559,6 @@ pub struct FabricConfig {
     pub homes: PageHomePolicy,
     /// Learned-interest lifetime.
     pub aging: AgeHorizon,
-    /// Reply-grace floor: request-stamped interest survives at least
-    /// this long (in sim time) regardless of `aging`, so a horizon
-    /// below the request→reply round trip no longer filters the reply
-    /// itself. `None` (the default) preserves pre-grace behaviour.
-    pub reply_grace: Option<SimDuration>,
     /// Static snapshot or live spanning-tree election.
     pub election: ElectionMode,
     /// Per-device bridge priorities (lower wins the root election;
@@ -573,7 +592,6 @@ impl FabricConfig {
             bridge: BridgeConfig::typical(),
             homes: PageHomePolicy::Striped,
             aging: AgeHorizon::Sticky,
-            reply_grace: None,
             election: ElectionMode::Static,
             priorities: Vec::new(),
             gossip_deltas: false,
@@ -636,14 +654,6 @@ impl FabricConfig {
     #[must_use]
     pub fn with_aging(mut self, aging: AgeHorizon) -> Self {
         self.aging = aging;
-        self
-    }
-
-    /// Sets the reply-grace floor: request-stamped interest survives at
-    /// least `grace` regardless of the aging horizon.
-    #[must_use]
-    pub fn with_reply_grace(mut self, grace: SimDuration) -> Self {
-        self.reply_grace = Some(grace);
         self
     }
 
@@ -732,10 +742,13 @@ pub struct PortStamp {
     pub clock: u64,
     /// Sim time of the last demand.
     pub at: SimTime,
-    /// Sim time of the last *request* demand (a `PageRequest` heard on
-    /// the port); `SimTime::ZERO` means never. The reply-grace floor
-    /// keys off this so a reply can get back through even when the
-    /// aging horizon has expired the stamp.
+    /// The port's **pending marker**: the sim time of the last
+    /// `PageRequest` heard on the port that no reply has been carried
+    /// back through it since, or `SimTime::ZERO` when none is pending
+    /// (real arrivals are strictly later than the epoch). A
+    /// [`Packet::PageReply`] leaves a device through its pending ports,
+    /// whatever the aging horizon, and clears each one it leaves
+    /// through.
     pub requested_at: SimTime,
 }
 
@@ -761,15 +774,27 @@ struct Interest<'a> {
 }
 
 impl Interest<'_> {
-    /// Does the device's `i`th port (segment `port`) want the page?
+    /// Does the device's `i`th port (segment `port`) want the page's
+    /// publications?
     fn covers(&self, i: usize, port: usize) -> bool {
         Some(port) == self.home
-            || self.pins.as_ref().is_some_and(|pins| pins.contains(port))
+            || self.pinned(port)
             || self.learned.is_some_and(|(learned, row)| {
-                learned.contains(port)
-                    && (self.policy.fresh(&row[i], self.now)
-                        || self.policy.within_grace(row[i].requested_at, self.now))
+                learned.contains(port) && self.policy.fresh(&row[i], self.now)
             })
+    }
+
+    /// Does the device's `i`th port (segment `port`) want a reply: is a
+    /// request heard on it still pending, or is the page pinned there?
+    fn asked(&self, i: usize, port: usize) -> bool {
+        self.pinned(port)
+            || self
+                .learned
+                .is_some_and(|(_, row)| row[i].requested_at != SimTime::ZERO)
+    }
+
+    fn pinned(&self, port: usize) -> bool {
+        self.pins.as_ref().is_some_and(|pins| pins.contains(port))
     }
 }
 
@@ -819,9 +844,6 @@ pub struct BridgePolicy {
     ports_mask: HostMask,
     homes: PageHomePolicy,
     aging: AgeHorizon,
-    /// Minimum survival of request-stamped interest, independent of
-    /// `aging` (see [`FabricConfig::with_reply_grace`]).
-    reply_grace: Option<SimDuration>,
     election: ElectionMode,
     priorities: Arc<Vec<u64>>,
     /// This device's beliefs about every device (itself included):
@@ -941,8 +963,8 @@ impl BridgePolicy {
     }
 
     /// The filter of one device of a fabric, booted from the fabric's
-    /// shared `boot` state with `cfg`'s homes, aging, grace, election
-    /// mode and gossip settings. **The** constructor: a first
+    /// shared `boot` state with `cfg`'s homes, aging, election mode and
+    /// gossip settings. **The** constructor: a first
     /// boot and a cold revival both come through here, and neither
     /// elects — the device starts on the boot tree and the boot views,
     /// by reference.
@@ -975,7 +997,6 @@ impl BridgePolicy {
             ports_mask,
             homes: cfg.homes.clone(),
             aging: cfg.aging,
-            reply_grace: cfg.reply_grace,
             election: cfg.election,
             priorities: Arc::clone(&boot.priorities),
             views: Arc::clone(&boot.views),
@@ -1131,14 +1152,6 @@ impl BridgePolicy {
             AgeHorizon::Transits(h) => self.clock.saturating_sub(stamp.clock) <= h,
             AgeHorizon::SimTime(d) => now.since(stamp.at) <= d,
         }
-    }
-
-    /// Is a request stamp taken at `t` still inside the reply-grace
-    /// floor at `now`? `SimTime::ZERO` is the never-requested sentinel
-    /// (real arrivals are strictly later than the epoch).
-    fn within_grace(&self, t: SimTime, now: SimTime) -> bool {
-        self.reply_grace
-            .is_some_and(|g| t != SimTime::ZERO && now.since(t) <= g)
     }
 
     /// May this device carry data on its `i`th port (segment `port`)
@@ -1389,11 +1402,10 @@ impl BridgePolicy {
         let clock = self.clock;
         match pkt {
             Packet::PageRequest { page, .. } => {
-                // The requester's side now wants this page's transits —
-                // the reply (and later snoopy refreshes) must route back
-                // out this port. The request stamp additionally anchors
-                // the reply-grace floor: this is the one kind of demand
-                // whose answer must survive any aging horizon.
+                // The requester's side now wants this page's transits:
+                // the reply must route back out this port (the pending
+                // marker, which no aging horizon expires), and later
+                // publications too (learned interest).
                 let (f, row) = self.row_mut(*page);
                 f.learned.insert(in_port);
                 row[in_idx] = PortStamp {
@@ -1403,6 +1415,12 @@ impl BridgePolicy {
                 };
             }
             Packet::PageData {
+                page,
+                transfer_to,
+                generation,
+                ..
+            }
+            | Packet::PageReply {
                 page,
                 transfer_to,
                 generation,
@@ -1527,13 +1545,27 @@ impl BridgePolicy {
             }
             Packet::PageData {
                 page, transfer_to, ..
+            }
+            | Packet::PageReply {
+                page, transfer_to, ..
             } => {
+                // A publication goes wherever the page has interest; a
+                // reply only back toward the requests it answers. Both
+                // follow a consistency move to its new holder.
                 let interest = self.interest_in(*page, now);
                 let transfer = self.transfer_port(transfer_to);
+                let reply = pkt.is_reply();
                 self.egress(
                     in_port,
                     now,
-                    |i, port| Some(port) == transfer || interest.covers(i, port),
+                    |i, port| {
+                        Some(port) == transfer
+                            || if reply {
+                                interest.asked(i, port)
+                            } else {
+                                interest.covers(i, port)
+                            }
+                    },
                     emit,
                 );
             }
@@ -1573,15 +1605,32 @@ impl BridgePolicy {
             }
         }
         self.each_target(pkt, in_port, now, |port| out.push(port));
+        if let Packet::PageReply { page, .. } = pkt {
+            self.answer_pending(*page, out);
+        }
         if !out.is_empty() {
             self.clock += 1;
         }
     }
 
+    /// A reply for `page` leaves through `out`: the requests pending on
+    /// those ports are answered, so their markers clear. (Learning has
+    /// already materialised the page's stamp row.)
+    fn answer_pending(&mut self, page: PageId, out: &[usize]) {
+        let ports = self.topology.ports(self.device);
+        let row = &mut self.stamps[page.index() as usize * ports.len()..][..ports.len()];
+        for (stamp, port) in row.iter_mut().zip(ports) {
+            if out.contains(port) {
+                stamp.requested_at = SimTime::ZERO;
+            }
+        }
+    }
+
     /// [`BridgePolicy::route_into`] collected into a mask, for the unit
-    /// tests. Definitionally learn-then-[`BridgePolicy::targets`], so
-    /// the diagnostic mask can never drift from what the device
-    /// actually forwards.
+    /// tests. Definitionally learn-then-[`BridgePolicy::targets`] (and,
+    /// for a reply, clear the pending marks it answered), so the
+    /// diagnostic mask can never drift from what the device actually
+    /// forwards.
     #[cfg(test)]
     fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
         let mut ports = Vec::new();
@@ -2583,6 +2632,35 @@ mod tests {
         }
     }
 
+    /// `data(..)` sent as a reply to a request.
+    fn reply(from: u16, page: u32, transfer_to: Option<u16>) -> Packet {
+        let Packet::PageData {
+            from,
+            page,
+            length,
+            generation,
+            transfer_to,
+            data,
+        } = data(from, page, transfer_to)
+        else {
+            unreachable!()
+        };
+        Packet::PageReply {
+            from,
+            page,
+            length,
+            generation,
+            transfer_to,
+            data,
+        }
+    }
+
+    /// `n` ms into a run: pending markers need a request heard after the
+    /// epoch (`SimTime::ZERO` means none pending).
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
     fn star_policy() -> BridgePolicy {
         BridgePolicy::star(layout_4x2(), PageHomePolicy::Striped)
     }
@@ -2795,7 +2873,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_interest_ages_pins_and_grace_hold_on_either_side() {
+    fn wide_interest_ages_and_pins_hold_on_either_side() {
         // Aging: demand from one side, data from the page's home side.
         for (asks, home) in [(0, 1), (1, 0)] {
             let (mut p, lo, hi) = wide_policy(|c| c.with_aging(AgeHorizon::Transits(2)));
@@ -2822,27 +2900,95 @@ mod tests {
                 assert_eq!(set(heard), vec![pinned]);
             }
         }
-        // Reply grace: request-stamped interest outlives a horizon
-        // shorter than the round trip, then lapses.
-        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
-        let (mut p, lo, hi) = wide_policy(|c| {
-            c.with_aging(AgeHorizon::SimTime(SimDuration::from_millis(1)))
-                .with_reply_grace(SimDuration::from_millis(10))
-        });
-        let page = lo as u32;
+    }
+
+    // -----------------------------------------------------------------
+    // Replies: back along the pending requests only.
+    // -----------------------------------------------------------------
+
+    /// Whether port `i` of `p` holds a pending request for `page`.
+    fn pending(p: &BridgePolicy, page: u32, i: usize) -> bool {
+        p.stamps(PageId::new(page))
+            .is_some_and(|row| row[i].requested_at != SimTime::ZERO)
+    }
+
+    #[test]
+    fn a_reply_leaves_only_through_pending_ports_and_clears_them() {
+        let mut p = star_policy();
+        // Page 0 is homed on segment 0. Segment 2 once published it
+        // (learned interest); segment 3 asks for it now.
+        let _ = p.route(&data(4, 0, None), 2, ms(1));
+        let _ = p.route(&req(6, 0), 3, ms(2));
+        assert!(pending(&p, 0, 3) && !pending(&p, 0, 2));
+        // The holder answers from home: the reply goes to the asker
+        // alone — not to the interested segment 2 a publication reaches.
+        let answer = reply(0, 0, None);
+        assert_eq!(set(p.targets(&answer, 0, ms(3))), vec![3]);
+        assert_eq!(set(p.route(&answer, 0, ms(3))), vec![3]);
+        assert!(!pending(&p, 0, 3), "forwarding the reply answered it");
+        // Answered: a second reply has nowhere to go.
+        assert!(p.route(&answer, 0, ms(4)).is_empty());
+    }
+
+    #[test]
+    fn one_reply_reaches_every_port_a_request_is_pending_on() {
+        // Two requesters on two segments, one reply: the holder coalesced
+        // or piggybacked the second request onto its answer to the first.
+        let mut p = star_policy();
+        let _ = p.route(&req(4, 0), 2, ms(1));
+        let _ = p.route(&req(6, 0), 3, ms(2));
+        assert_eq!(set(p.route(&reply(0, 0, None), 0, ms(3))), vec![2, 3]);
+        assert!(!pending(&p, 0, 2) && !pending(&p, 0, 3));
+    }
+
+    #[test]
+    fn a_purge_still_reaches_a_learned_but_idle_port() {
+        // Segment 3 asked once and was answered; its reader is now
+        // data-driven and asks no more. The publication still reaches it.
+        let mut p = star_policy();
+        let _ = p.route(&req(6, 0), 3, ms(1));
+        assert_eq!(set(p.route(&reply(0, 0, None), 0, ms(2))), vec![3]);
+        assert!(!pending(&p, 0, 3));
+        assert_eq!(set(p.route(&data(0, 0, None), 0, ms(3))), vec![3]);
+    }
+
+    #[test]
+    fn a_grant_follows_transfer_to_when_nothing_is_pending() {
+        // Consistency of page 0 moves from host 0 (segment 0) to host 5
+        // (segment 2) with no request pending here: the grant still
+        // walks to the new holder, and the belief follows it.
+        let mut p = star_policy();
+        assert_eq!(set(p.route(&reply(0, 0, Some(5)), 0, ms(1))), vec![2]);
+        assert_eq!(p.holder_port(PageId::new(0)), Some(2));
+    }
+
+    #[test]
+    fn a_reply_with_nothing_pending_and_no_pin_goes_nowhere() {
+        let mut p = star_policy();
+        // Page 0 homed on segment 0, answered from segment 1: its
+        // publication twin would go home, the reply goes nowhere...
+        assert_eq!(set(p.targets(&data(2, 0, None), 1, ms(1))), vec![0]);
+        assert!(p.route(&reply(2, 0, None), 1, ms(1)).is_empty());
+        // ...except to a pinned segment.
+        p.subscribe(PageId::new(0), 3);
+        assert_eq!(set(p.route(&reply(2, 0, None), 1, ms(2))), vec![3]);
+    }
+
+    #[test]
+    fn a_pending_request_outlives_any_aging_horizon() {
+        // A horizon far shorter than the round trip ages the requester's
+        // learned interest, so publications stop — but the request's
+        // pending marker still lets its reply back through.
+        let (mut p, lo, hi) =
+            wide_policy(|c| c.with_aging(AgeHorizon::SimTime(SimDuration::from_millis(1))));
+        let page = lo as u32; // striped: homed on `lo`
         let _ = p.route(&req(host_on(hi), page), hi, ms(1));
-        let reply = data(host_on(lo), page, None);
+        assert!(p
+            .targets(&data(host_on(lo), page, None), lo, ms(20))
+            .is_empty());
         assert_eq!(
-            set(p.targets(&reply, lo, ms(6))),
-            vec![hi],
-            "inside the grace"
-        );
-        assert!(p.targets(&reply, lo, ms(20)).is_empty(), "grace lapsed");
-        // Data demand alone stamps no request: no grace for it.
-        let _ = p.route(&data(host_on(hi), page, None), hi, ms(30));
-        assert!(
-            p.targets(&reply, lo, ms(36)).is_empty(),
-            "data earns no grace"
+            set(p.route(&reply(host_on(lo), page, None), lo, ms(20))),
+            vec![hi]
         );
     }
 

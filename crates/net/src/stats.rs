@@ -16,7 +16,7 @@ pub struct NetStats {
     pub bytes: u64,
     /// Request packets.
     pub requests: u64,
-    /// Data-carrying packets.
+    /// Data-carrying packets: publications and replies alike.
     pub data_packets: u64,
     /// Data payload bytes (page contents only, no framing).
     pub payload_bytes: u64,
@@ -49,7 +49,7 @@ impl NetStats {
         self.bytes += pkt.wire_size() as u64;
         match pkt {
             Packet::PageRequest { .. } => self.requests += 1,
-            Packet::PageData { data, .. } => {
+            Packet::PageData { data, .. } | Packet::PageReply { data, .. } => {
                 self.data_packets += 1;
                 self.payload_bytes += data.len() as u64;
             }

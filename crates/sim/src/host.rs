@@ -809,6 +809,12 @@ impl HostSim {
                     data,
                     transfer_to,
                     ..
+                }
+                | Packet::PageReply {
+                    page,
+                    data,
+                    transfer_to,
+                    ..
                 } => {
                     // (A page with a buffer has a slot.)
                     let interested = transfer_to == &Some(mether_core::HostId(self.index as u16))
@@ -1286,7 +1292,7 @@ impl HostSim {
     }
 
     /// Serve-time reply piggybacking ([`Calib::piggyback_replies`]): the
-    /// server just answered `served` with a broadcast `PageData` reply;
+    /// server just answered `served` with a broadcast `PageReply`;
     /// any queued requests that same reply satisfies are dropped now
     /// instead of each costing a full serve leg. NIC-level coalescing
     /// cannot catch these — they arrived while `served` was already
@@ -1297,7 +1303,7 @@ impl HostSim {
         }
         let replied = effects
             .iter()
-            .any(|fx| matches!(fx, Effect::Send(Packet::PageData { .. })));
+            .any(|fx| matches!(fx, Effect::Send(Packet::PageReply { .. })));
         if !replied {
             return;
         }
@@ -1506,7 +1512,10 @@ mod tests {
         let t = h.dispatch(SimTime::ZERO).expect("server burst");
         let actions = h.finish_burst(t);
         assert!(
-            matches!(actions[..], [HostAction::Transmit(Packet::PageData { .. })]),
+            matches!(
+                actions[..],
+                [HostAction::Transmit(Packet::PageReply { .. })]
+            ),
             "holder answers with a broadcast reply"
         );
         assert_eq!(h.requests_piggybacked, 2);
@@ -1589,7 +1598,7 @@ mod tests {
         owner.handle_packet(req, &mut fx);
         fx.into_iter()
             .find_map(|f| match f {
-                Effect::Send(p @ Packet::PageData { .. }) => Some(p),
+                Effect::Send(p @ Packet::PageReply { .. }) => Some(p),
                 _ => None,
             })
             .expect("holder answers")

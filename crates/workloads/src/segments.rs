@@ -176,8 +176,9 @@ pub fn build_cross_segment_counting(protocol: Protocol, cfg: &CountingConfig) ->
 /// one demand fault, and puts at most one `PageRequest` on the wire,
 /// while the consistent holder stays put. This is the *holder-stable*
 /// request workload: each request walks the unique path to the
-/// holder's segment. The ≥2× request-traffic bound against flooding in
-/// `tests/tests/segmented_topology.rs` is measured with it.
+/// holder's segment, and its reply retraces it. The request and
+/// forwarded-byte bounds against flooding in
+/// `tests/tests/segmented_topology.rs` are measured with it.
 pub struct PollingReader {
     page: PageId,
     left: u32,
@@ -546,20 +547,18 @@ mod tests {
         // holder-stable page never moves off segment 0.
         assert_eq!(report.faults, 2 * u64::from(rounds));
         assert_eq!(report.metrics.additions, 2 * u64::from(rounds));
-        // One request per round is the most the readers send, not what
-        // they send: twice, a fault is satisfied by the reply to the
-        // other reader's request before its own goes out, so 10 of the
-        // 12 faults put a request on the wire. Each crosses the one
-        // device once, toward the holder: 2 before any belief, toward
-        // the page's home, where the holder sits, and 8 on the belief a
-        // reply taught. Flooding copied each of the 10 to both other
-        // segments — 20 forwarded, which is what once made "at least one
-        // forwarded request per fault" look like a property of the
-        // workload.
+        // Every fault puts its own request on the wire: the holder's
+        // reply crosses the device only toward the reader that asked, so
+        // the other reader never snoops it. Each of the 12 crosses the
+        // one device once, toward the holder: 2 before any belief, toward
+        // the page's home, where the holder sits, and 10 on the belief a
+        // reply taught. Flooding copied each request to both other
+        // segments, which is what once made "at least one forwarded
+        // request per fault" look like a property of the workload.
         let b = report.metrics.bridge;
-        assert_eq!((b.belief_hits, b.home_routed), (8, 2), "{b:?}");
-        assert_eq!(b.req_forwarded, 10);
-        assert_eq!(report.metrics.net.requests, 10 + b.req_forwarded);
+        assert_eq!((b.belief_hits, b.home_routed), (10, 2), "{b:?}");
+        assert_eq!(b.req_forwarded, 12);
+        assert_eq!(report.metrics.net.requests, 12 + b.req_forwarded);
         assert!(report.cross_segment_bytes > 0);
     }
 

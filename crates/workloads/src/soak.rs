@@ -37,9 +37,8 @@
 //! ([`mether_sim::Calib::with_holder_rebroadcast`]), which breaks the
 //! hot-spin loss livelock (a waiter spinning on a present stale copy
 //! transmits nothing, so a lost waking broadcast once stranded it for
-//! good), and the fabric's reply-grace floor
-//! ([`FabricConfig::with_reply_grace`]) keeps sub-round-trip aging
-//! horizons from expiring a request's interest before its reply. Only
+//! good), and a reply crosses the fabric on its request's pending
+//! marks, which sub-round-trip aging horizons cannot expire. Only
 //! a faulted run may legitimately end at the limits (a `LinkDown` can
 //! partition the fabric for good).
 //!
@@ -239,11 +238,9 @@ impl SoakScenario {
             0 => AgeHorizon::Sticky,
             1 => AgeHorizon::Transits(rng.gen_range(64..512)),
             // Horizons down to 2 ms — *below* one request → reply round
-            // trip (~13 ms of paper-pace server time). The fabric's
-            // reply-grace floor (`with_reply_grace`, always on in soak
-            // deployments) holds request-stamped interest through the
-            // round trip, so a sub-round-trip horizon ages aggressively
-            // without expiring the interest a request exists to stamp.
+            // trip (~13 ms of paper-pace server time). Aging governs
+            // publications only: a reply returns on the pending marks
+            // its request left, which no horizon expires.
             _ => AgeHorizon::SimTime(SimDuration::from_millis(rng.gen_range(2..50))),
         };
         let loss = if rng.gen_range(0..2) == 0 {
@@ -502,13 +499,9 @@ impl SoakScenario {
     }
 
     /// The fabric configuration both engines deploy: the drawn shape
-    /// and aging, with the reply-grace floor always on (the generator
-    /// draws sub-round-trip horizons) and live election when the
-    /// scenario wants it.
+    /// and aging, and live election when the scenario wants it.
     pub fn fabric_config(&self) -> FabricConfig {
-        let mut fabric = FabricConfig::new(self.shape.build())
-            .with_aging(self.aging)
-            .with_reply_grace(SimDuration::from_millis(16));
+        let mut fabric = FabricConfig::new(self.shape.build()).with_aging(self.aging);
         if self.election_live {
             if self.segments() >= 64 {
                 // Large fabrics can't afford the small-fabric gossip: a

@@ -34,7 +34,7 @@ use mether_net::{AgeHorizon, BridgePolicy, Fabric, FabricConfig, SimDuration, Si
 use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_segmented_solver, build_segmented_solver_on, CountingConfig,
-    PollingReader, Protocol, SolverConfig, SolverWorker,
+    PollingReader, Protocol, Publisher, SolverConfig, SolverWorker,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -571,17 +571,56 @@ fn runtime_page_created_off_its_home_answers_its_first_request() {
     c.shutdown();
 }
 
+#[test]
+fn runtime_read_reply_skips_a_segment_with_no_pending_request() {
+    use mether_core::{MapMode, VAddr, View};
+    use mether_runtime::{Cluster, ClusterConfig};
+    use std::time::Duration;
+
+    // One node per segment of a star; page 0 is homed on, and held at,
+    // segment 0. Segment 2 reads first, so the device learns its
+    // interest; then segment 1 reads. Its reply answers segment 1's
+    // pending request alone: segment 2, interested but not asking, must
+    // not carry it.
+    let mut c = Cluster::new(ClusterConfig::fabric(3, FabricConfig::star(3))).unwrap();
+    let page = PageId::new(0);
+    c.node(0).create_owned(page);
+    let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+    c.node(0).write_u32(addr, 23).unwrap();
+    let timeout = Duration::from_secs(5);
+    assert_eq!(
+        c.node(2).read_u32_timeout(addr, MapMode::ReadOnly, timeout),
+        Ok(23)
+    );
+    let seen_by_2 = c.segment_stats(2).data_packets;
+    assert_eq!(seen_by_2, 1, "segment 2's own reply");
+    assert_eq!(
+        c.node(1).read_u32_timeout(addr, MapMode::ReadOnly, timeout),
+        Ok(23)
+    );
+    // Give the bridge thread time to forward anything it was going to.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(c.segment_stats(1).data_packets, 1, "segment 1's reply");
+    assert_eq!(
+        c.segment_stats(2).data_packets,
+        seen_by_2,
+        "the reply to segment 1 crossed to segment 2"
+    );
+    c.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Aging in anger: an idle segment's snoop count goes flat.
 // ---------------------------------------------------------------------
 
 fn aging_run(aging: AgeHorizon) -> (u64, u64) {
     // Star over 3 segments, one host each: the holder of page 0 sits on
-    // segment 0 (host 0, no process — the server answers requests
-    // without application help). Reader A (segment 1) polls 40 rounds;
-    // reader B (segment 2) polls 5 rounds and goes idle. Requests walk
-    // toward the holder, so the only traffic reaching B's segment is
-    // interest-driven data — the component aging governs.
+    // segment 0 (host 0) and publishes it every few milliseconds. Reader
+    // A (segment 1) polls 40 rounds; reader B (segment 2) polls 5 rounds
+    // and goes idle. Requests walk toward the holder and replies retrace
+    // them, so the only traffic reaching B's segment once it is idle is
+    // the publications its learned interest draws — the component aging
+    // governs.
     // Returns (frames A's host heard, frames B's host heard).
     let mut sim = Simulation::new(SimConfig {
         topology: Topology::fabric(FabricConfig::star(3).with_aging(aging)),
@@ -589,6 +628,10 @@ fn aging_run(aging: AgeHorizon) -> (u64, u64) {
     });
     let page = PageId::new(0);
     sim.create_owned(0, page);
+    sim.add_process(
+        0,
+        Box::new(Publisher::paced(page, 40, SimDuration::from_millis(4))),
+    );
     let pace = SimDuration::from_millis(4);
     sim.add_process(
         1,
@@ -614,7 +657,7 @@ fn idle_segment_stops_hearing_transits_under_aging() {
     let (aged_a, aged_b) = aging_run(AgeHorizon::Transits(8));
     eprintln!("frames heard: sticky A={sticky_a} B={sticky_b}, aged A={aged_a} B={aged_b}");
     // Sticky (PR 3): B's segment stays interested forever — it keeps
-    // hearing A's replies long after its own last fault.
+    // hearing the holder's publications long after its own last fault.
     assert!(
         sticky_b > 25,
         "sticky interest keeps feeding the idle segment ({sticky_b} frames)"
@@ -996,7 +1039,8 @@ fn divergence_is_copy_on_write_and_never_aliased() {
 
 // ---------------------------------------------------------------------
 // PR 4's acceptance workload under LIVE election: same active tree,
-// same ≥2× request shrink against flooding (PR 5 acceptance).
+// same win against flooding (PR 5 acceptance, restated for scoped
+// replies as in `segmented_topology.rs`).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -1005,9 +1049,11 @@ fn live_election_reproduces_the_tree_and_keeps_the_routing_win() {
     use mether_workloads::build_fabric_readers;
 
     const ROUNDS: u32 = 48;
-    // The fabric-crossing requests flooding carried on this run, recorded
-    // when flooding was still a request routing.
-    const FLOODED: u64 = 261;
+    // The fabric-crossing requests and forwarded bytes flooding carried
+    // on this workload, recorded when flooding was still a request
+    // routing.
+    const FLOODED_REQUESTS: u64 = 261;
+    const FLOODED_BYTES: u64 = 41_355;
     let fabric = FabricConfig::tree(4, 2).with_election(ElectionMode::live());
     let mut sim = build_fabric_readers(fabric, 8, ROUNDS);
     let outcome = sim.run(RunLimits::default());
@@ -1021,14 +1067,22 @@ fn live_election_reproduces_the_tree_and_keeps_the_routing_win() {
     // wires.
     assert_eq!(m.additions, 3 * u64::from(ROUNDS));
     assert!(m.net.control_packets > 0, "hellos rode the wire");
-    let r = m.bridge.req_forwarded;
+    let (r, bytes) = (m.bridge.req_forwarded, m.bridge.bytes_forwarded);
     eprintln!(
         "live election, readers x{ROUNDS} on 4x8 tree: fabric-crossing requests \
-         {r}, flooding carried {FLOODED}"
+         {r} (flooding {FLOODED_REQUESTS}), forwarded bytes {bytes} (flooding {FLOODED_BYTES})"
+    );
+    // Every reader fetches its own reply, so requests only stay under
+    // the flood's; the bytes carry the win.
+    assert!(
+        r <= FLOODED_REQUESTS,
+        "routed requests must not exceed the flood's under live election \
+         (routed {r}, flooded {FLOODED_REQUESTS})"
     );
     assert!(
-        2 * r <= FLOODED,
-        "the PR 4 routing pin must survive live election (routed {r}, flooded {FLOODED})"
+        3 * bytes <= 2 * FLOODED_BYTES,
+        "the routing win must survive live election (routed {bytes} bytes, \
+         flooded {FLOODED_BYTES})"
     );
 }
 
@@ -1145,7 +1199,7 @@ fn ring_failover_with_revival_heals_the_short_path() {
 #[test]
 fn ring_failover_finds_a_holder_that_left_home_before_the_root_died() {
     use mether_net::{ElectionMode, FabricEvent};
-    use mether_workloads::{run_past_last_event, PollUntilReader, Publisher};
+    use mether_workloads::{run_past_last_event, PollUntilReader};
 
     // 4-segment ring, 2 hosts per segment, live election with device 0
     // ({0,1}) the root: the boot tree is 3-0-1-2. Page 0 is homed and

@@ -38,7 +38,10 @@ fn mk_request(from: u16, page: u32, short: bool, want: u8) -> Packet {
     }
 }
 
+/// A page copy on the wire: a reply to a request when `reply`, else a
+/// publication. Both share one header layout.
 fn mk_data(
+    reply: bool,
     from: u16,
     page: u32,
     short: bool,
@@ -46,17 +49,36 @@ fn mk_data(
     transfer: Option<u16>,
     data: Vec<u8>,
 ) -> Packet {
-    Packet::PageData {
-        from: HostId(from),
-        page: PageId::new(page),
-        length: if short {
-            PageLength::Short
-        } else {
-            PageLength::Full
-        },
-        generation: Generation(generation),
-        transfer_to: transfer.map(HostId),
-        data: Bytes::from(data),
+    let (from, page, generation, transfer_to, data) = (
+        HostId(from),
+        PageId::new(page),
+        Generation(generation),
+        transfer.map(HostId),
+        Bytes::from(data),
+    );
+    let length = if short {
+        PageLength::Short
+    } else {
+        PageLength::Full
+    };
+    if reply {
+        Packet::PageReply {
+            from,
+            page,
+            length,
+            generation,
+            transfer_to,
+            data,
+        }
+    } else {
+        Packet::PageData {
+            from,
+            page,
+            length,
+            generation,
+            transfer_to,
+            data,
+        }
     }
 }
 
@@ -100,8 +122,9 @@ proptest! {
         generation in any::<u64>(),
         transfer in proptest::option::of(any::<u16>()),
         data in proptest::collection::vec(any::<u8>(), 0..512),
+        reply in any::<bool>(),
     ) {
-        let p = mk_data(from, page, short, generation, transfer, data.clone());
+        let p = mk_data(reply, from, page, short, generation, transfer, data.clone());
         let frame = p.encode_vectored();
         prop_assert_eq!(frame.len(), p.encoded_len());
         prop_assert_eq!(&frame.payload[..], &data[..]);
@@ -149,8 +172,9 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..96),
         cut_seed in any::<u64>(),
         split_seed in any::<u64>(),
+        reply in any::<bool>(),
     ) {
-        let p = mk_data(from, 0, short, generation, None, data);
+        let p = mk_data(reply, from, 0, short, generation, None, data);
         let frame = p.encode_vectored();
         // Any strict prefix of the frame's bytes, split into segments
         // anywhere, must fail to decode with Err, never panic. (The
@@ -177,9 +201,17 @@ proptest! {
     fn prop_garbage_never_panics(
         bytes in proptest::collection::vec(any::<u8>(), 0..96),
         split_seed in any::<u64>(),
+        typed in 0u8..3,
     ) {
-        // Arbitrary bytes, all in the header segment...
-        let b = Bytes::from(bytes);
+        // Arbitrary bytes — or arbitrary bytes behind a valid magic and a
+        // publication or reply type tag, so the data parser sees garbage
+        // too — all in the header segment...
+        let prefix: &[u8] = match typed {
+            0 => &[],
+            1 => &[0x4D, 0x45, 2],
+            _ => &[0x4D, 0x45, 5],
+        };
+        let b = Bytes::from([prefix, &bytes[..]].concat());
         let _ = Packet::decode_frame(&split_frame(&b, b.len()));
         // ...and split between the segments anywhere.
         let split = (split_seed % (b.len() as u64 + 1)) as usize;
@@ -195,8 +227,9 @@ proptest! {
         pos_seed in any::<u64>(),
         flip in 1u8..255,
         split_seed in any::<u64>(),
+        reply in any::<bool>(),
     ) {
-        let p = mk_data(from, 3, true, generation, Some(2), data);
+        let p = mk_data(reply, from, 3, true, generation, Some(2), data);
         let frame = p.encode_vectored();
         let mut wire = concat(&frame).to_vec();
         let pos = (pos_seed % wire.len() as u64) as usize;

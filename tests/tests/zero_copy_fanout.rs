@@ -113,7 +113,7 @@ fn snooped_refresh_never_mutates_published_payload() {
         .write_u32(0, 0xfeed_f00d)
         .unwrap();
 
-    // The holder answers a read-only full-view request — this publishes a
+    // The holder answers a read-only full-view request — its reply carries a
     // zero-copy payload of its page.
     let mut fx = Vec::new();
     holder.handle_packet(
@@ -126,7 +126,7 @@ fn snooped_refresh_never_mutates_published_payload() {
         &mut fx,
     );
     let published = match fx.remove(0) {
-        mether_core::Effect::Send(Packet::PageData { data, .. }) => data,
+        mether_core::Effect::Send(Packet::PageReply { data, .. }) => data,
         other => panic!("{other:?}"),
     };
     assert_eq!(&published[..4], &0xfeed_f00du32.to_le_bytes());

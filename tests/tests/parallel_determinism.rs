@@ -260,8 +260,11 @@ fn segmented_solver_identical_under_serial_and_workers() {
     // Last re-recorded when requests stopped being flooded: each halo
     // request crosses to its holder's segment alone, so 3 and 8 fewer
     // request transits (6 → 3 and 12 → 4 forwarded), 12 and 32 fewer
-    // events, and the 4-rank run ends 2 ms sooner.
-    for (ranks, digest) in [(3, 0xa235_f5e4_434b_16da_u64), (4, 0x1dd9_a0dc_35d0_ce18)] {
+    // events, and the 4-rank run ends 2 ms sooner. Re-recorded again
+    // when replies went back along pending requests only: 2 fewer
+    // forwarded data frames in both runs (41 → 39 and 54 → 52 data
+    // transmissions), 8 fewer events, end times unchanged.
+    for (ranks, digest) in [(3, 0x8c99_6dd0_65a9_5e25_u64), (4, 0xd098_0600_876f_d502)] {
         let serial = assert_golden(
             &format!("{ranks}-rank solver"),
             || build_segmented_solver(ranks, 2, cfg),
@@ -292,12 +295,16 @@ fn lossy_segmented_solver_identical_under_serial_and_workers() {
         }
         sim
     };
-    // Last re-recorded when requests stopped being flooded: 3 fewer
+    // Re-recorded when requests stopped being flooded: 3 fewer
     // request transits at every seed (6 forwarded → 3), 9 fewer
-    // events; end times unchanged.
+    // events; end times unchanged. Seeds 1 and 7 re-recorded again when
+    // replies went back along pending requests only: 2 fewer forwarded
+    // data frames and 6 fewer events each, end times unchanged (seed 7
+    // still ends at its limit, as before); seed 42's schedule did not
+    // move.
     for (seed, digest) in [
-        (1, 0x156d_537b_1e8c_662c_u64),
-        (7, 0x8680_4f0c_83b8_6195),
+        (1, 0x7431_e9f6_9e0f_703f_u64),
+        (7, 0x2429_2580_fe8c_8562),
         (42, 0xc4a2_1022_19b8_8ed9),
     ] {
         assert_golden(
@@ -313,6 +320,12 @@ fn lossy_segmented_solver_identical_under_serial_and_workers() {
 fn ring_failover_identical_under_serial_and_workers() {
     // The hard case: live election hellos on every segment, an injected
     // root death mid-run, fault retries, holder-directed routing.
+    // Re-recorded when replies went back along pending requests only:
+    // the run used to finish at 3.567 s and now ends at the 10 s limit
+    // (it finishes at 11.49 s under the default limits). Each reader
+    // now fetches its own data, and this workload runs without request
+    // coalescing, so the writer's server queues the reads a publication
+    // already satisfied and its purges wait behind them.
     let cfg = FailoverConfig::ring_4x8();
     let limits = RunLimits {
         max_sim_time: SimDuration::from_secs(10),
@@ -322,7 +335,7 @@ fn ring_failover_identical_under_serial_and_workers() {
         "ring failover",
         || build_ring_failover(&cfg),
         limits,
-        0xfbfa_4f8f_97b7_4b66,
+        0xe7ed_8f66_8894_1bb9,
     );
 }
 

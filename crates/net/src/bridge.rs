@@ -2158,7 +2158,7 @@ pub struct Fabric {
     /// revived (a revival does not magically repair its cables).
     lost_ports: Vec<HostMask>,
     /// Reconvergence-stall probe: armed at a `BridgeDown`, resolved at
-    /// the first `PageData` forwarded by a device that has re-elected
+    /// the first page copy forwarded by a device that has re-elected
     /// since.
     down_at: Option<SimTime>,
     epochs_at_down: Vec<u64>,
@@ -2284,7 +2284,7 @@ impl Fabric {
     }
 
     /// The measured reconvergence stall: sim time from the most recent
-    /// [`FabricEvent::BridgeDown`] to the first `PageData` forwarded by
+    /// [`FabricEvent::BridgeDown`] to the first page copy forwarded by
     /// a device that re-elected after it. `None` until measured.
     pub fn stall(&self) -> Option<SimDuration> {
         self.stall

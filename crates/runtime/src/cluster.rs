@@ -41,7 +41,7 @@
 //! - **`BridgeDown` / `BridgeUp`** — [`Cluster::stop_bridge`] /
 //!   [`Cluster::restart_bridge`]. Stopping a device also arms the
 //!   *reconvergence stall probe*: the wall-clock window from the kill
-//!   to the first `PageData` frame forwarded by a device whose election
+//!   to the first page-copy frame forwarded by a device whose election
 //!   epoch has advanced past its pre-failure snapshot — the period
 //!   during which cross-fabric pages were unreachable
 //!   ([`Cluster::fabric_stall`], the threaded twin of the simulator's
@@ -813,7 +813,7 @@ impl Cluster {
     }
 
     /// The measured reconvergence stall: wall time from the most recent
-    /// [`Cluster::stop_bridge`] to the first `PageData` frame forwarded
+    /// [`Cluster::stop_bridge`] to the first page-copy frame forwarded
     /// by a device whose election epoch advanced past its pre-kill
     /// snapshot — the window during which cross-fabric pages were
     /// unreachable. `None` when nothing was killed (or nothing crossed

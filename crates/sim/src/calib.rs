@@ -122,7 +122,7 @@ pub struct Calib {
     /// eventually gets a fresh copy through.
     pub holder_rebroadcast: Option<SimDuration>,
     /// Serve-time reply piggybacking: when the server answers a
-    /// `PageRequest` with a `PageData` reply, any *queued* requests for
+    /// `PageRequest` with a `PageReply`, any *queued* requests for
     /// the same page that the reply also satisfies are dropped from the
     /// server queue and counted. This complements NIC-level coalescing
     /// ([`Calib::coalesce_requests`]), which only drops duplicates at

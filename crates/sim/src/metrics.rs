@@ -47,7 +47,7 @@ pub struct ProtocolMetrics {
     /// all bridge devices (0 under static election).
     pub fabric_reconvergences: u64,
     /// The measured reconvergence stall: sim time from the most recent
-    /// `BridgeDown` to the first `PageData` forwarded by a re-elected
+    /// `BridgeDown` to the first page copy forwarded by a re-elected
     /// device — the window during which cross-fabric pages were
     /// unreachable. `None` when nothing was killed (or nothing crossed
     /// afterwards).

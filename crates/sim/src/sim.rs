@@ -791,7 +791,7 @@ impl Simulation {
     }
 
     /// The measured reconvergence stall: sim time from the most recent
-    /// injected `BridgeDown` to the first `PageData` forwarded by a
+    /// injected `BridgeDown` to the first page copy forwarded by a
     /// re-elected device. `None` until measured (or on flat topologies).
     pub fn fabric_stall(&self) -> Option<SimDuration> {
         self.ctrl.fabric.as_ref().and_then(Fabric::stall)

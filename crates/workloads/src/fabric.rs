@@ -10,7 +10,7 @@
 //!   over the redundant link, and the readers — riding the demand-fault
 //!   retry path — finish having observed the writer's final value. The
 //!   report carries the measured **reconvergence stall** (sim time from
-//!   the `BridgeDown` to the first cross-fabric `PageData` forwarded by
+//!   the `BridgeDown` to the first cross-fabric page copy forwarded by
 //!   a re-elected device).
 //! * [`sweep_age_horizons`] — the aging-policy ablation: a
 //!   **returning reader** polls, goes idle for a configurable gap, then
@@ -245,7 +245,7 @@ pub struct FailoverReport {
     /// The paper-shaped metrics table, fabric events and stall included.
     pub metrics: ProtocolMetrics,
     /// The measured reconvergence stall: `BridgeDown` → first
-    /// cross-fabric `PageData` forwarded by a re-elected device.
+    /// cross-fabric page copy forwarded by a re-elected device.
     pub stall: Option<SimDuration>,
     /// Spanning-tree reconvergences across all devices.
     pub reconvergences: u64,

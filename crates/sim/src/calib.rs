@@ -130,8 +130,16 @@ pub struct Calib {
     /// landing during the 13–46 ms serve burst *after* the served
     /// request was already popped, and each such straggler would
     /// otherwise cost a full `server_handle_request` + per-KB reply
-    /// build for a page the snoopers just installed. `false` is the
-    /// paper's behaviour (every datagram is processed individually).
+    /// build for a page the snoopers just installed. The same pass
+    /// re-sends what a consistency transfer strands: when the reply
+    /// grants the page to one host, every queued `Want::Consistent`
+    /// request for it from another host goes back on the wire as it
+    /// stands (a send leg instead of a snoop), and the bridges carry
+    /// it along the holder beliefs the grant just repointed — instead
+    /// of its requester waiting out a retransmission timeout. `false`
+    /// is the paper's behaviour (every datagram is processed
+    /// individually, and a request for a page that moved on is only
+    /// snooped).
     pub piggyback_replies: bool,
 }
 
@@ -174,7 +182,8 @@ impl Calib {
         self
     }
 
-    /// Enables serve-time reply piggybacking (see
+    /// Enables serve-time reply piggybacking and the re-send of the
+    /// consistent requests a grant strands (see
     /// [`Calib::piggyback_replies`]).
     #[must_use]
     pub fn with_reply_piggyback(mut self) -> Self {

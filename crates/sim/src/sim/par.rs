@@ -280,13 +280,22 @@ impl Lane {
         self.q.push(at, EvKind::Deliver { to, pkt }, env);
     }
 
-    /// Clocks each transmission out on its segment's medium, schedules
-    /// the delivery to that segment's snoopers (the whole network when
-    /// flat), and offers the frame to the segment's bridge devices.
-    fn apply(&mut self, actions: Vec<HostAction>, env: &Env, mut fabric: Option<&mut Fabric>) {
+    /// Clocks each of `host`'s transmissions out on its segment's
+    /// medium, schedules the delivery to that segment's other snoopers
+    /// (the whole network when flat), and offers the frame to the
+    /// segment's bridge devices. The sender is `host`, not
+    /// `pkt.from()`: a request a server re-sends for its requester
+    /// keeps the requester's `from` but leaves from the server's
+    /// segment.
+    fn apply(
+        &mut self,
+        host: usize,
+        actions: Vec<HostAction>,
+        env: &Env,
+        mut fabric: Option<&mut Fabric>,
+    ) {
+        let seg = env.segment_of(host);
         for HostAction::Transmit(pkt) in actions {
-            let from = pkt.from().0 as usize;
-            let seg = env.segment_of(from);
             let now = self.now;
             let Some(at) = self.ether(seg).transmit(now, &pkt).delivered_at else {
                 continue;
@@ -297,12 +306,12 @@ impl Lane {
             self.q.stats.transits += 1;
             let pkt = Arc::new(pkt);
             let to = match env.layout {
-                None => Some(Recipients::AllExcept(from)),
+                None => Some(Recipients::AllExcept(host)),
                 // The sender alone on its segment has no local
                 // snoopers, but the bridge may still carry the frame
                 // out.
                 Some(l) => (l.members_range(seg).len() > 1)
-                    .then(|| Recipients::Subset(env.members[seg].clone().without(from))),
+                    .then(|| Recipients::Subset(env.members[seg].clone().without(host))),
             };
             if let Some(to) = to {
                 self.schedule_delivery(at, to, &pkt, env);
@@ -397,7 +406,7 @@ impl Lane {
         match ev.kind {
             EvKind::BurstEnd { host } => {
                 let actions = self.host(host).finish_burst(now);
-                self.apply(actions, env, fabric);
+                self.apply(host, actions, env, fabric);
                 self.kick(host, env);
             }
             EvKind::Deliver { to, pkt } => {
@@ -456,7 +465,7 @@ impl Lane {
             EvKind::Retry { host, proc, epoch } => {
                 if (proc as WaiterId) >= OPEN_WAITER_BASE {
                     if let Some(actions) = self.host(host).open_retry_fired(now, proc as WaiterId) {
-                        self.apply(actions, env, fabric);
+                        self.apply(host, actions, env, fabric);
                         self.kick(host, env);
                     }
                 } else if self.host(host).retry_fired(proc, epoch) {
@@ -474,7 +483,7 @@ impl Lane {
             }
             EvKind::OpenArrival { host } => {
                 let actions = self.host(host).open_arrival(now);
-                self.apply(actions, env, fabric);
+                self.apply(host, actions, env, fabric);
                 self.kick(host, env);
                 if let Some(at) = self.host(host).open_next_at() {
                     self.q.push(at, EvKind::OpenArrival { host }, env);

@@ -3,8 +3,11 @@
 //! mechanisms behind every number in the paper's figures.
 
 use mether_core::{MapMode, PageId, View};
-use mether_net::SimDuration;
-use mether_sim::{Calib, DsmOp, RunLimits, SimConfig, Simulation, Step, StepCtx, Workload};
+use mether_net::{SimDuration, SimTime};
+use mether_sim::{
+    ArrivalStream, Calib, DsmOp, OpenAccess, ParallelMode, RunLimits, SimConfig, Simulation, Step,
+    StepCtx, Workload,
+};
 
 /// Spins for `n` compute slices of `slice`, then exits.
 struct Spinner {
@@ -296,4 +299,85 @@ fn run_limits_cap_infinite_workloads() {
     });
     assert!(!out.finished);
     assert!(out.wall >= SimDuration::from_millis(100));
+}
+
+/// One access, issued at a fixed time.
+struct OneAccess(Option<OpenAccess>);
+
+impl ArrivalStream for OneAccess {
+    fn next_access(&mut self) -> Option<OpenAccess> {
+        self.0.take()
+    }
+}
+
+/// Host 0 owns page 0; hosts 1 and 2 write it at 1 ms and 2 ms, so
+/// both consistent requests queue at host 0 and the first is granted
+/// with the second still queued behind it.
+fn write_race(sim_cfg: SimConfig, piggyback: bool) -> Simulation {
+    let mut calib = Calib::sun3_sunos4()
+        .with_fault_retry(SimDuration::from_millis(20))
+        .with_request_coalescing();
+    if piggyback {
+        calib = calib.with_reply_piggyback();
+    }
+    let mut sim = Simulation::new(SimConfig { calib, ..sim_cfg });
+    let page = PageId::new(0);
+    sim.create_owned(0, page);
+    for (host, ms) in [(1, 1), (2, 2)] {
+        let access = OpenAccess {
+            at: SimTime::ZERO + SimDuration::from_millis(ms),
+            page,
+            view: View::short_demand(),
+            mode: MapMode::Writeable,
+            cold: false,
+        };
+        sim.attach_open_loop(host, Box::new(OneAccess(Some(access))));
+    }
+    sim
+}
+
+/// Host 2's one write fault: (retransmissions, latency in µs).
+fn second_writer(sim: &mut Simulation) -> (u64, u64) {
+    assert!(sim.run(RunLimits::default()).finished);
+    let h = sim.host(2);
+    let hist = h.open_hist().expect("attached");
+    assert_eq!(hist.count(), 1);
+    (h.fault_retransmits, hist.max() / 1_000)
+}
+
+#[test]
+fn a_consistent_request_stranded_by_a_grant_is_resent_not_timed_out() {
+    // The holder grants host 1 with host 2's request still queued. With
+    // the serve-time pass on, the holder re-sends that request and host
+    // 1 — the new holder — answers it. Without it (the paper's servers
+    // and every deployment without piggybacking) the holder snoops it,
+    // nobody answers, and host 2 waits out one timeout.
+    let mut resent = write_race(SimConfig::paper(3), true);
+    assert_eq!(second_writer(&mut resent), (0, 48_749));
+    assert_eq!(resent.host(0).requests_forwarded, 1);
+    let mut snooped = write_race(SimConfig::paper(3), false);
+    assert_eq!(second_writer(&mut snooped), (1, 116_190));
+    assert_eq!(snooped.host(0).requests_forwarded, 0);
+}
+
+#[test]
+fn a_resent_request_leaves_from_the_holders_segment() {
+    // The same race on two bridged segments: holder 0 and the first
+    // writer on segment 0, the second writer on segment 1. The re-send
+    // keeps host 2's `from` but is host 0's frame, so it is clocked on
+    // segment 0, where host 1 hears it. Segment 1 carries host 2's own
+    // request and nothing else.
+    let run = |mode: ParallelMode| {
+        let mut sim = write_race(SimConfig::paper_segmented(2, 2), true);
+        sim.set_parallel_mode(mode);
+        let fault = second_writer(&mut sim);
+        assert_eq!(sim.host(0).requests_forwarded, 1);
+        let requests: Vec<_> = (0..2).map(|s| sim.segment_stats(s).requests).collect();
+        (fault, requests, sim.net_stats(), sim.now())
+    };
+    let serial = run(ParallelMode::Serial);
+    // Segment 0: host 1's request, host 2's forwarded by the bridge,
+    // and the re-send.
+    assert_eq!((serial.0, &serial.1[..]), ((0, 48_883), &[3, 1][..]));
+    assert_eq!(run(ParallelMode::Workers(2)), serial);
 }

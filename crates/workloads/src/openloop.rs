@@ -404,7 +404,7 @@ impl OpenLoopScenario {
         sim.check_invariants();
         let hist = sim.open_loop_hist();
         let (mut accesses, mut hits, mut faults, mut piggybacked) = (0u64, 0u64, 0u64, 0u64);
-        let (mut retransmits, mut spurious) = (0u64, 0u64);
+        let (mut forwarded, mut retransmits, mut spurious) = (0u64, 0u64, 0u64);
         let mut busiest = 0;
         for h in 0..sim.host_count() {
             let host = sim.host(h);
@@ -413,6 +413,7 @@ impl OpenLoopScenario {
             hits += ht;
             faults += f;
             piggybacked += host.requests_piggybacked;
+            forwarded += host.requests_forwarded;
             retransmits += host.fault_retransmits;
             spurious += host.spurious_retransmits;
             if host.fault_retransmits > sim.host(busiest).fault_retransmits {
@@ -431,6 +432,7 @@ impl OpenLoopScenario {
             hits,
             faults,
             piggybacked,
+            forwarded,
             retransmits,
             spurious,
             busiest_timer,
@@ -461,6 +463,10 @@ pub struct OpenLoopReport {
     /// Queued duplicate requests dropped at serve time
     /// (0 unless the scenario runs with piggybacking).
     pub piggybacked: u64,
+    /// Queued consistent requests a holder re-sent toward the host it
+    /// had just granted the page to (`HostSim::requests_forwarded`,
+    /// summed; 0 unless the scenario runs with piggybacking).
+    pub forwarded: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// first (`HostSim::fault_retransmits`, summed).
     pub retransmits: u64,
@@ -519,8 +525,8 @@ impl fmt::Display for OpenLoopReport {
         )?;
         writeln!(
             f,
-            "  accesses={} hits={} faults={} piggybacked={}",
-            self.accesses, self.hits, self.faults, self.piggybacked
+            "  accesses={} hits={} faults={} piggybacked={} forwarded={}",
+            self.accesses, self.hits, self.faults, self.piggybacked, self.forwarded
         )?;
         writeln!(
             f,

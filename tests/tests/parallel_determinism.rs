@@ -368,6 +368,7 @@ fn open_loop_tree_identical_under_serial_and_workers() {
             hits,
             faults,
             piggybacked,
+            forwarded,
             retransmits,
             spurious
         );

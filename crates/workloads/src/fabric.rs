@@ -262,14 +262,21 @@ pub struct FailoverReport {
 /// is the elected root**, a paced writer of page 0 on host 0, one
 /// [`PollUntilReader`] on the first host of every other segment, and
 /// the root's death (plus optional revival) scheduled into the event
-/// heap.
+/// heap. Every host re-sends unanswered faults and coalesces identical
+/// queued requests at its NIC (`Calib::with_request_coalescing`): the
+/// readers each fetch their own data, so without coalescing the
+/// writer's server would serve reads a publication already satisfied
+/// and its purges would wait behind them.
 pub fn build_ring_failover(cfg: &FailoverConfig) -> Simulation {
     let segments = 4;
     let fabric = FabricConfig::ring(segments)
         .with_election(ElectionMode::live())
         .with_priorities(vec![0, 1, 2, 3]);
     let mut sim_cfg = SimConfig::paper(segments * cfg.hosts_per_segment);
-    sim_cfg.calib = sim_cfg.calib.with_fault_retry(cfg.fault_retry);
+    sim_cfg.calib = sim_cfg
+        .calib
+        .with_fault_retry(cfg.fault_retry)
+        .with_request_coalescing();
     sim_cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(sim_cfg);
     let page = PageId::new(0);

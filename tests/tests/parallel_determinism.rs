@@ -320,22 +320,27 @@ fn lossy_segmented_solver_identical_under_serial_and_workers() {
 fn ring_failover_identical_under_serial_and_workers() {
     // The hard case: live election hellos on every segment, an injected
     // root death mid-run, fault retries, holder-directed routing.
-    // Re-recorded when replies went back along pending requests only:
-    // the run used to finish at 3.567 s and now ends at the 10 s limit
-    // (it finishes at 11.49 s under the default limits). Each reader
-    // now fetches its own data, and this workload runs without request
-    // coalescing, so the writer's server queues the reads a publication
-    // already satisfied and its purges wait behind them.
+    // Re-recorded when the workload went on request coalescing: each
+    // reader fetches its own data since replies go back along pending
+    // requests only, and without coalescing the writer's server queued
+    // the reads a publication already satisfied, so its purges waited
+    // behind them and the run ended at the 10 s limit (11.49 s under
+    // the default limits). With coalescing it finishes at 1.654 s, inside
+    // the limit again.
     let cfg = FailoverConfig::ring_4x8();
     let limits = RunLimits {
         max_sim_time: SimDuration::from_secs(10),
         ..RunLimits::default()
     };
-    assert_golden(
+    let serial = assert_golden(
         "ring failover",
         || build_ring_failover(&cfg),
         limits,
-        0xe7ed_8f66_8894_1bb9,
+        0xe92b_c63b_a599_a460,
+    );
+    assert!(
+        serial.contains("finished=true"),
+        "ring failover hit its 10 s limit:\n{serial}"
     );
 }
 

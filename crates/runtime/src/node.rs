@@ -38,9 +38,12 @@ pub(crate) struct NodeInner {
 /// Is `pkt` a page request identical (same page, length, and want —
 /// plus same requester for directed consistency transfers) to one
 /// already in `earlier`? The runtime's counterpart of the simulator's
-/// NIC-level request coalescing: every reply is a broadcast the whole
-/// wire snoops, so one request per distinct ask satisfies every waiter
-/// a duplicate could.
+/// NIC-level request coalescing (`Calib::nic_filter`): every reply is a
+/// broadcast the whole wire snoops, so one request per distinct ask
+/// satisfies every waiter a duplicate could. The simulator's other NIC
+/// rule, dropping frames about untracked pages, has no counterpart
+/// here: the runtime charges no server cost, and
+/// `PageTable::handle_packet` already returns at once for such a page.
 fn duplicate_request(pkt: &Packet, earlier: &[Packet]) -> bool {
     let Packet::PageRequest {
         from,
@@ -174,7 +177,7 @@ impl Node {
     /// Page requests this node's receiver dropped because an identical
     /// request was already in the same drained burst — the runtime's
     /// counterpart of the simulator's NIC-level coalescing counter
-    /// (`Calib::with_request_coalescing`), so the engines' reports
+    /// (`Calib::with_nic_filter`), so the engines' reports
     /// line up.
     pub fn requests_coalesced(&self) -> u64 {
         self.inner.requests_coalesced.load(Ordering::Relaxed)

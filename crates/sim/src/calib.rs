@@ -98,18 +98,32 @@ pub struct Calib {
     /// crossing, and the holder a second serve — and under load the
     /// duplicates feed the queue that delayed the reply.
     pub fault_retry: Option<SimDuration>,
-    /// NIC-level request coalescing: an arriving `PageRequest` identical
-    /// to one already queued for the server is dropped and counted,
-    /// since the queued request's broadcast reply satisfies every
-    /// snooper a duplicate could (consistency transfers are directed,
-    /// so those coalesce per requesting host only). `false` is the
-    /// paper's behaviour — its servers process every datagram
-    /// individually, and protocol 3's measured divergence on the
-    /// counting benchmark depends on that duplicated server load.
-    /// Deployments with retry timers enable it: clients retrying faster
-    /// than the ~13 ms per-request serve cost otherwise grow the server
-    /// queue without bound.
-    pub coalesce_requests: bool,
+    /// The hardened NIC: what the host's network interface keeps away
+    /// from its user-level server. `false` is the paper's behaviour —
+    /// its servers received every UDP broadcast and processed each
+    /// datagram individually, and its host-load figures (and protocol
+    /// 3's measured divergence on the counting benchmark) include that
+    /// load. `true` does two things at the NIC, before any server time
+    /// is charged or any burst queued:
+    ///
+    /// * **Group filter.** A frame about a page this host's table does
+    ///   not track is dropped (`HostSim::frames_filtered`), unless it
+    ///   is a data frame whose `transfer_to` names this host. The host
+    ///   is a member of one multicast group per page it tracks, and the
+    ///   NIC drops frames for groups it has not joined (Deering, "Host
+    ///   Extensions for IP Multicasting", RFC 1112, 1989). The server
+    ///   would have discarded each such frame after a `server_snoop`.
+    /// * **Request coalescing.** An arriving `PageRequest` identical to
+    ///   one already queued for the server is dropped and counted
+    ///   (`HostSim::requests_coalesced`), since the queued request's
+    ///   broadcast reply satisfies every snooper a duplicate could
+    ///   (consistency transfers are directed, so those coalesce per
+    ///   requesting host only). Clients retrying faster than the
+    ///   ~13 ms per-request serve cost otherwise grow the server queue
+    ///   without bound.
+    ///
+    /// Deployments with retry timers enable it.
+    pub nic_filter: bool,
     /// Periodic holder re-broadcast: every `interval`, a host re-sends
     /// the `PageData` broadcast for each page whose consistent copy it
     /// still holds, at the page's *current* generation (no consistency
@@ -125,7 +139,7 @@ pub struct Calib {
     /// `PageRequest` with a `PageReply`, any *queued* requests for
     /// the same page that the reply also satisfies are dropped from the
     /// server queue and counted. This complements NIC-level coalescing
-    /// ([`Calib::coalesce_requests`]), which only drops duplicates at
+    /// ([`Calib::nic_filter`]), which only drops duplicates at
     /// enqueue time: under open-loop arrivals, identical requests keep
     /// landing during the 13–46 ms serve burst *after* the served
     /// request was already popped, and each such straggler would
@@ -160,7 +174,7 @@ impl Calib {
             server_purge_broadcast: SimDuration::from_millis(10),
             server_snoop: SimDuration::from_millis(2),
             fault_retry: None,
-            coalesce_requests: false,
+            nic_filter: false,
             holder_rebroadcast: None,
             piggyback_replies: false,
         }
@@ -174,11 +188,11 @@ impl Calib {
         self
     }
 
-    /// Enables NIC-level request coalescing (see
-    /// [`Calib::coalesce_requests`]).
+    /// Enables the hardened NIC: the untracked-page filter and request
+    /// coalescing (see [`Calib::nic_filter`]).
     #[must_use]
-    pub fn with_request_coalescing(mut self) -> Self {
-        self.coalesce_requests = true;
+    pub fn with_nic_filter(mut self) -> Self {
+        self.nic_filter = true;
         self
     }
 

@@ -17,7 +17,15 @@
 //! * all network I/O (requests, installs, purge broadcasts, snooping) is
 //!   the server's work, queued and charged per item.
 //!
-//! Two things here are not the paper's. First, when
+//! Three things here are not the paper's. First, when
+//! [`crate::Calib::nic_filter`] is set, the NIC keeps two kinds of frame
+//! from the server: frames about pages this host's table does not track
+//! ([`HostSim::frames_filtered`]; a data frame that transfers the page
+//! to this host still gets through), and page requests identical to one
+//! already queued ([`HostSim::requests_coalesced`]). The paper's server
+//! received every broadcast and paid to inspect each one.
+//!
+//! Second, when
 //! [`crate::Calib::piggyback_replies`] is set, the server settles its
 //! queue each time it answers a request: queued requests the reply
 //! satisfied are dropped ([`HostSim::requests_piggybacked`]), and if the
@@ -26,7 +34,7 @@
 //! that no longer holds ([`HostSim::requests_forwarded`]). Without that
 //! re-send nobody answers them and each waits out a timeout.
 //!
-//! Second, when [`crate::Calib::fault_retry`]
+//! Third, when [`crate::Calib::fault_retry`]
 //! is set, a fault whose reply does not come is re-sent. The timeout is
 //! measured, not configured — every host keeps one
 //! [`mether_core::RtoEstimator`], fed the round trip of each fault its
@@ -284,6 +292,7 @@ pub struct HostSim {
     pub server_time: SimDuration,
     /// Frames this host's NIC snooped off its segment — the per-host
     /// share of network load that segment filtering is meant to shrink.
+    /// Counts every frame that reaches the NIC, filtered ones included.
     pub frames_heard: u64,
     /// Peak depth of the server work queue (degeneration diagnostic).
     pub max_server_queue: usize,
@@ -298,6 +307,10 @@ pub struct HostSim {
     /// the reply just sent granted the page to another host
     /// ([`Calib::piggyback_replies`]).
     pub requests_forwarded: u64,
+    /// Frames dropped at the NIC because this host's table does not
+    /// track their page ([`Calib::nic_filter`]): each would have cost
+    /// the server a `server_snoop` to discard.
+    pub frames_filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// before its reply came.
     pub fault_retransmits: u64,
@@ -362,6 +375,7 @@ impl HostSim {
             requests_coalesced: 0,
             requests_piggybacked: 0,
             requests_forwarded: 0,
+            frames_filtered: 0,
             fault_retransmits: 0,
             spurious_retransmits: 0,
             rto,
@@ -581,26 +595,53 @@ impl HostSim {
     }
 
     /// A packet arrived from the network: queue it for the server.
+    /// Returns whether it queued work — a frame the NIC drops changes
+    /// nothing the dispatcher reads, so the caller need not kick.
     ///
-    /// Under [`Calib::coalesce_requests`], page requests coalesce
-    /// against the queue: every reply is a broadcast the whole wire
-    /// snoops, so one queued request per distinct (page, length, want)
-    /// already satisfies every waiter a duplicate could. Without this,
-    /// blocked clients retrying faster than the server's per-request
-    /// cost (13 ms at paper pace) grow the queue without bound and
-    /// starve the server's own purge broadcasts behind hundreds of
-    /// identical replies. Consistency transfers are directed at one
-    /// requester, so those only coalesce with a retry from the same
-    /// host. Off by default: the paper's servers processed every
-    /// datagram individually, and its measured protocol rankings
-    /// (notably P3's divergence) include that duplicated load.
-    pub fn deliver_packet(&mut self, now: SimTime, pkt: Arc<Packet>) {
+    /// Under [`Calib::nic_filter`] the NIC drops two kinds of frame
+    /// first, at no server cost. A frame about a page this host's table
+    /// does not track is filtered ([`HostSim::frames_filtered`]): the
+    /// server would only snoop and discard it. The one exception is a
+    /// data frame that transfers the page to this host. Then page
+    /// requests coalesce against the queue: every reply is a broadcast
+    /// the whole wire snoops, so one queued request per distinct (page,
+    /// length, want) already satisfies every waiter a duplicate could.
+    /// Without this, blocked clients retrying faster than the server's
+    /// per-request cost (13 ms at paper pace) grow the queue without
+    /// bound and starve the server's own purge broadcasts behind
+    /// hundreds of identical replies. Consistency transfers are
+    /// directed at one requester, so those only coalesce with a retry
+    /// from the same host. Off by default: the paper's servers
+    /// processed every datagram individually, and its measured protocol
+    /// rankings (notably P3's divergence) include that load.
+    ///
+    /// A filtered frame is one the table would have discarded at serve
+    /// time, unless the host starts tracking the page while the frame
+    /// waits in the queue; its own request then fetches the page.
+    pub fn deliver_packet(&mut self, now: SimTime, pkt: Arc<Packet>) -> bool {
         self.frames_heard += 1;
-        if self.calib.coalesce_requests && self.is_duplicate_request(pkt.as_ref()) {
-            self.requests_coalesced += 1;
-            return;
+        if self.calib.nic_filter {
+            if !self.table.tracks(pkt.page()) && !self.transferred_here(pkt.as_ref()) {
+                self.frames_filtered += 1;
+                return false;
+            }
+            if self.is_duplicate_request(pkt.as_ref()) {
+                self.requests_coalesced += 1;
+                return false;
+            }
         }
         self.push_server_work(now, ServerWork::Packet(pkt));
+        true
+    }
+
+    /// Is `pkt` a data frame that hands consistency to this host?
+    fn transferred_here(&self, pkt: &Packet) -> bool {
+        matches!(
+            pkt,
+            Packet::PageData { transfer_to: Some(to), .. }
+                | Packet::PageReply { transfer_to: Some(to), .. }
+                if *to == mether_core::HostId(self.index as u16)
+        )
     }
 
     /// Is `pkt` a page request identical (same page, length, and want —
@@ -818,22 +859,9 @@ impl HostSim {
                         self.calib.server_snoop
                     }
                 }
-                Packet::PageData {
-                    page,
-                    data,
-                    transfer_to,
-                    ..
-                }
-                | Packet::PageReply {
-                    page,
-                    data,
-                    transfer_to,
-                    ..
-                } => {
+                Packet::PageData { page, data, .. } | Packet::PageReply { page, data, .. } => {
                     // (A page with a buffer has a slot.)
-                    let interested = transfer_to == &Some(mether_core::HostId(self.index as u16))
-                        || self.table.tracks(*page);
-                    if interested {
+                    if self.transferred_here(pkt) || self.table.tracks(*page) {
                         self.calib.install_cost(data.len())
                     } else {
                         self.calib.server_snoop
@@ -1441,10 +1469,10 @@ mod tests {
         HostSim::new(0, Calib::sun3_sunos4(), MetherConfig::default())
     }
 
-    fn coalescing_host() -> HostSim {
+    fn filtering_host() -> HostSim {
         HostSim::new(
             0,
-            Calib::sun3_sunos4().with_request_coalescing(),
+            Calib::sun3_sunos4().with_nic_filter(),
             MetherConfig::default(),
         )
     }
@@ -1492,18 +1520,21 @@ mod tests {
     }
 
     /// Identical queued page requests coalesce at the NIC (when
-    /// [`Calib::coalesce_requests`] is on): the one broadcast reply
-    /// satisfies every requester on the wire. Flushed by soak seed 24:
-    /// five readers retrying a 13 ms-per-reply server every 20 ms
-    /// backlogged its queue without bound.
+    /// [`Calib::nic_filter`] is on): the one broadcast reply satisfies
+    /// every requester on the wire. Flushed by soak seed 24: five
+    /// readers retrying a 13 ms-per-reply server every 20 ms backlogged
+    /// its queue without bound. The host tracks page 7; the request for
+    /// untracked page 8 is filtered before it could coalesce.
     #[test]
     fn identical_requests_coalesce_in_server_queue() {
-        let mut h = coalescing_host();
+        let mut h = filtering_host();
+        h.table.create_owned(PageId::new(7));
         h.deliver_packet(SimTime::ZERO, request(1, 7));
         h.deliver_packet(SimTime::ZERO, request(1, 7));
         h.deliver_packet(SimTime::ZERO, request(2, 7)); // other host, same ask
         h.deliver_packet(SimTime::ZERO, request(1, 8)); // different page
         assert_eq!(h.requests_coalesced, 2);
+        assert_eq!(h.frames_filtered, 1);
         assert_eq!(h.frames_heard, 4);
     }
 
@@ -1512,7 +1543,8 @@ mod tests {
     /// coalesces.
     #[test]
     fn consistent_requests_coalesce_per_host_only() {
-        let mut h = coalescing_host();
+        let mut h = filtering_host();
+        h.table.create_owned(PageId::new(3));
         let consistent = |from: u16| {
             Arc::new(Packet::PageRequest {
                 from: HostId(from),
@@ -1526,6 +1558,49 @@ mod tests {
         assert_eq!(h.requests_coalesced, 0);
         h.deliver_packet(SimTime::ZERO, consistent(1));
         assert_eq!(h.requests_coalesced, 1);
+    }
+
+    /// The NIC filter drops frames about a page the host has no slot
+    /// for — a request and a snooped publication — at no server cost,
+    /// and queues nothing for them. A reply that transfers the page to
+    /// this host still gets through: it is how the slot is made. The
+    /// paper's calibration queues all three for the server to snoop.
+    #[test]
+    fn nic_drops_frames_about_untracked_pages() {
+        let page = PageId::new(9);
+        let snooped = Packet::PageData {
+            from: HostId(1),
+            page,
+            length: PageLength::Short,
+            generation: mether_core::Generation(1),
+            transfer_to: None,
+            data: bytes::Bytes::from(vec![0u8; 32]),
+        };
+        let grant = Packet::PageReply {
+            from: HostId(1),
+            page,
+            length: PageLength::Short,
+            generation: mether_core::Generation(1),
+            transfer_to: Some(HostId(0)),
+            data: bytes::Bytes::from(vec![0u8; 32]),
+        };
+
+        let mut h = filtering_host();
+        assert!(!h.deliver_packet(SimTime::ZERO, request(1, 9)));
+        assert!(!h.deliver_packet(SimTime::ZERO, Arc::new(snooped.clone())));
+        assert_eq!((h.frames_filtered, h.frames_heard), (2, 2));
+        assert!(h.dispatch(SimTime::ZERO).is_none(), "nothing queued");
+        assert!(h.deliver_packet(SimTime::ZERO, Arc::new(grant.clone())));
+        assert_eq!((h.frames_filtered, h.frames_heard), (2, 3));
+        let t = h.dispatch(SimTime::ZERO).expect("install the grant");
+        h.finish_burst(t);
+        assert!(h.table.is_consistent_holder(page));
+
+        let mut paper = host();
+        assert!(paper.deliver_packet(SimTime::ZERO, request(1, 9)));
+        assert!(paper.deliver_packet(SimTime::ZERO, Arc::new(snooped)));
+        assert!(paper.deliver_packet(SimTime::ZERO, Arc::new(grant)));
+        assert_eq!((paper.frames_filtered, paper.server_queue.len()), (0, 3));
     }
 
     /// The default calibration is the paper's: every datagram reaches

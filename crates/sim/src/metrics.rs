@@ -78,9 +78,9 @@ pub struct ProtocolMetrics {
     /// Peak server work-queue depth across hosts (degeneration marker).
     pub max_server_queue: usize,
     /// Page requests dropped at host NICs because an identical request
-    /// was already queued (`Calib::with_request_coalescing`; the
-    /// runtime counts the same condition in its node receive path).
-    /// 0 when coalescing is off.
+    /// was already queued (`Calib::with_nic_filter`; the runtime counts
+    /// the same condition in its node receive path). 0 when the NIC
+    /// filter is off.
     pub requests_coalesced: u64,
     /// Queued page requests dropped at serve time because the reply
     /// just broadcast for an identical request satisfies them too

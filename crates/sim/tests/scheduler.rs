@@ -316,7 +316,7 @@ impl ArrivalStream for OneAccess {
 fn write_race(sim_cfg: SimConfig, piggyback: bool) -> Simulation {
     let mut calib = Calib::sun3_sunos4()
         .with_fault_retry(SimDuration::from_millis(20))
-        .with_request_coalescing();
+        .with_nic_filter();
     if piggyback {
         calib = calib.with_reply_piggyback();
     }

@@ -262,8 +262,9 @@ pub struct FailoverReport {
 /// is the elected root**, a paced writer of page 0 on host 0, one
 /// [`PollUntilReader`] on the first host of every other segment, and
 /// the root's death (plus optional revival) scheduled into the event
-/// heap. Every host re-sends unanswered faults and coalesces identical
-/// queued requests at its NIC (`Calib::with_request_coalescing`): the
+/// heap. Every host re-sends unanswered faults and runs the hardened
+/// NIC (`Calib::with_nic_filter`), which coalesces identical queued
+/// requests and drops frames about pages the host does not track: the
 /// readers each fetch their own data, so without coalescing the
 /// writer's server would serve reads a publication already satisfied
 /// and its purges would wait behind them.
@@ -276,7 +277,7 @@ pub fn build_ring_failover(cfg: &FailoverConfig) -> Simulation {
     sim_cfg.calib = sim_cfg
         .calib
         .with_fault_retry(cfg.fault_retry)
-        .with_request_coalescing();
+        .with_nic_filter();
     sim_cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(sim_cfg);
     let page = PageId::new(0);

@@ -324,15 +324,15 @@ impl OpenLoopScenario {
         // The soak deployments' recovery/mitigation pair: the fault
         // retransmission timer (each host's measured round trip, never
         // under 20 ms) re-sends requests a converging fabric filtered
-        // or a migrating page left unanswered, and NIC request
-        // coalescing keeps those re-sends from duplicating server work
-        // at enqueue time. Serve-time piggybacking (the measured
+        // or a migrating page left unanswered, and the hardened NIC
+        // keeps those re-sends from duplicating server work at enqueue
+        // time and drops frames about pages a host does not track. Serve-time piggybacking (the measured
         // optimization) additionally drops queued duplicates that
         // arrived *during* a serve burst.
         cfg.calib = cfg
             .calib
             .with_fault_retry(SimDuration::from_millis(20))
-            .with_request_coalescing();
+            .with_nic_filter();
         if self.piggyback {
             cfg.calib = cfg.calib.with_reply_piggyback();
         }
@@ -404,7 +404,7 @@ impl OpenLoopScenario {
         sim.check_invariants();
         let hist = sim.open_loop_hist();
         let (mut accesses, mut hits, mut faults, mut piggybacked) = (0u64, 0u64, 0u64, 0u64);
-        let (mut forwarded, mut retransmits, mut spurious) = (0u64, 0u64, 0u64);
+        let (mut forwarded, mut filtered, mut retransmits, mut spurious) = (0u64, 0u64, 0u64, 0u64);
         let mut busiest = 0;
         for h in 0..sim.host_count() {
             let host = sim.host(h);
@@ -414,6 +414,7 @@ impl OpenLoopScenario {
             faults += f;
             piggybacked += host.requests_piggybacked;
             forwarded += host.requests_forwarded;
+            filtered += host.frames_filtered;
             retransmits += host.fault_retransmits;
             spurious += host.spurious_retransmits;
             if host.fault_retransmits > sim.host(busiest).fault_retransmits {
@@ -433,6 +434,7 @@ impl OpenLoopScenario {
             faults,
             piggybacked,
             forwarded,
+            filtered,
             retransmits,
             spurious,
             busiest_timer,
@@ -467,6 +469,9 @@ pub struct OpenLoopReport {
     /// had just granted the page to (`HostSim::requests_forwarded`,
     /// summed; 0 unless the scenario runs with piggybacking).
     pub forwarded: u64,
+    /// Frames host NICs dropped because their table does not track the
+    /// page (`HostSim::frames_filtered`, summed).
+    pub filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// first (`HostSim::fault_retransmits`, summed).
     pub retransmits: u64,
@@ -525,8 +530,8 @@ impl fmt::Display for OpenLoopReport {
         )?;
         writeln!(
             f,
-            "  accesses={} hits={} faults={} piggybacked={} forwarded={}",
-            self.accesses, self.hits, self.faults, self.piggybacked, self.forwarded
+            "  accesses={} hits={} faults={} piggybacked={} forwarded={} filtered={}",
+            self.accesses, self.hits, self.faults, self.piggybacked, self.forwarded, self.filtered
         )?;
         writeln!(
             f,

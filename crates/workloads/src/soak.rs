@@ -563,10 +563,12 @@ impl SoakScenario {
         }
         // A handful of waiters whose timers fire in lockstep still
         // oversubscribe a 13 ms-per-request server, so the soak
-        // deployments also run the NIC request-coalescing mitigation
-        // (off in the paper calibration — its measured protocol
-        // rankings include the duplicated server load).
-        cfg.calib = cfg.calib.with_request_coalescing();
+        // deployments also run the hardened NIC: it coalesces identical
+        // queued requests and drops frames about pages the host does
+        // not track, which keeps holder re-broadcasts from saturating
+        // every server they cross (off in the paper calibration — its
+        // measured protocol rankings include that server load).
+        cfg.calib = cfg.calib.with_nic_filter();
         if self.loss > 0.0 {
             // The hot-spin half of loss recovery: a waiter spinning on
             // a present stale copy transmits nothing, so the fault

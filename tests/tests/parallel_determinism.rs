@@ -374,6 +374,7 @@ fn open_loop_tree_identical_under_serial_and_workers() {
             faults,
             piggybacked,
             forwarded,
+            filtered,
             retransmits,
             spurious
         );

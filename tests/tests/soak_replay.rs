@@ -138,42 +138,23 @@ fn ci_soak_batch() {
     assert_eq!(reports.len(), count);
 }
 
-/// Fault-free [`SoakScenario::from_seed`] scenarios that hit their
-/// limits when seeds `0..2000` were scanned. All are lossy, and all
-/// overran with requests flooded too, while that was a routing (seed
-/// 122 finishes only at 74.3 s of sim time against a 4.8 s budget;
-/// flooded, not within 120 s). CI's 50-seed batch draws none of them.
-/// The cause is an open liveness gap, not a budget; this list may only
-/// shrink — 333, 1208 and 1232 left it when belief-less requests
-/// stopped flooding, 1432 and 1735 when replies stopped following
-/// learned interest and went back along pending requests only.
-const CLEAN_OVERRUNS: [u64; 11] = [122, 303, 532, 661, 908, 1406, 1552, 1629, 1646, 1728, 1982];
-
-/// The ratchet on [`CLEAN_OVERRUNS`]: scans `from_seed(0..N)` — `N` is
+/// The ratchet on clean soak seeds: scans `from_seed(0..N)` — `N` is
 /// `METHER_SOAK_SCENARIOS`, 200 by default, 2 000 in CI's release step
-/// — and asserts that every clean scenario that fails to finish is on
-/// the recorded list. A listed seed that now finishes is printed, so
-/// the list can shrink.
+/// — and asserts that every scenario [`SoakScenario::must_finish`]
+/// finishes inside its limits. No overrun is recorded, so any seed
+/// this reports is new.
 #[test]
-fn clean_seeds_finish_except_the_recorded_overruns() {
+fn every_clean_seed_finishes() {
     let n = scenario_count_from_env(200) as u64;
-    let mut unexpected = Vec::new();
-    for seed in 0..n {
-        let sc = SoakScenario::from_seed(seed);
-        if !sc.must_finish() {
-            continue;
-        }
-        let finished = sc.build().run(sc.limits()).finished;
-        let recorded = CLEAN_OVERRUNS.contains(&seed);
-        if !finished && !recorded {
-            unexpected.push(seed);
-        } else if finished && recorded {
-            println!("recorded overrun seed {seed} now finishes: drop it from the list");
-        }
-    }
+    let overruns: Vec<u64> = (0..n)
+        .filter(|&seed| {
+            let sc = SoakScenario::from_seed(seed);
+            sc.must_finish() && !sc.build().run(sc.limits()).finished
+        })
+        .collect();
     assert!(
-        unexpected.is_empty(),
-        "clean seeds hit their limits: {unexpected:?}"
+        overruns.is_empty(),
+        "clean seeds hit their limits: {overruns:?}"
     );
 }
 

@@ -618,7 +618,7 @@ impl HostSim {
     /// A filtered frame is one the table would have discarded at serve
     /// time, unless the host starts tracking the page while the frame
     /// waits in the queue; its own request then fetches the page.
-    pub fn deliver_packet(&mut self, now: SimTime, pkt: Arc<Packet>) -> bool {
+    pub fn deliver_packet(&mut self, now: SimTime, pkt: &Arc<Packet>) -> bool {
         self.frames_heard += 1;
         if self.calib.nic_filter {
             if !self.table.tracks(pkt.page()) && !self.transferred_here(pkt.as_ref()) {
@@ -630,7 +630,7 @@ impl HostSim {
                 return false;
             }
         }
-        self.push_server_work(now, ServerWork::Packet(pkt));
+        self.push_server_work(now, ServerWork::Packet(Arc::clone(pkt)));
         true
     }
 
@@ -1507,7 +1507,7 @@ mod tests {
         // Saturate the server queue with distinct foreign requests.
         let now = sleeps[0].1;
         for p in 0..8 {
-            h.deliver_packet(now, request(1, p));
+            h.deliver_packet(now, &request(1, p));
         }
         // The timer fires; the woken sleeper must get the CPU ahead of
         // the backlog, discover it is done, and exit.
@@ -1529,10 +1529,10 @@ mod tests {
     fn identical_requests_coalesce_in_server_queue() {
         let mut h = filtering_host();
         h.table.create_owned(PageId::new(7));
-        h.deliver_packet(SimTime::ZERO, request(1, 7));
-        h.deliver_packet(SimTime::ZERO, request(1, 7));
-        h.deliver_packet(SimTime::ZERO, request(2, 7)); // other host, same ask
-        h.deliver_packet(SimTime::ZERO, request(1, 8)); // different page
+        h.deliver_packet(SimTime::ZERO, &request(1, 7));
+        h.deliver_packet(SimTime::ZERO, &request(1, 7));
+        h.deliver_packet(SimTime::ZERO, &request(2, 7)); // other host, same ask
+        h.deliver_packet(SimTime::ZERO, &request(1, 8)); // different page
         assert_eq!(h.requests_coalesced, 2);
         assert_eq!(h.frames_filtered, 1);
         assert_eq!(h.frames_heard, 4);
@@ -1553,10 +1553,10 @@ mod tests {
                 want: Want::Consistent,
             })
         };
-        h.deliver_packet(SimTime::ZERO, consistent(1));
-        h.deliver_packet(SimTime::ZERO, consistent(2));
+        h.deliver_packet(SimTime::ZERO, &consistent(1));
+        h.deliver_packet(SimTime::ZERO, &consistent(2));
         assert_eq!(h.requests_coalesced, 0);
-        h.deliver_packet(SimTime::ZERO, consistent(1));
+        h.deliver_packet(SimTime::ZERO, &consistent(1));
         assert_eq!(h.requests_coalesced, 1);
     }
 
@@ -1586,20 +1586,20 @@ mod tests {
         };
 
         let mut h = filtering_host();
-        assert!(!h.deliver_packet(SimTime::ZERO, request(1, 9)));
-        assert!(!h.deliver_packet(SimTime::ZERO, Arc::new(snooped.clone())));
+        assert!(!h.deliver_packet(SimTime::ZERO, &request(1, 9)));
+        assert!(!h.deliver_packet(SimTime::ZERO, &Arc::new(snooped.clone())));
         assert_eq!((h.frames_filtered, h.frames_heard), (2, 2));
         assert!(h.dispatch(SimTime::ZERO).is_none(), "nothing queued");
-        assert!(h.deliver_packet(SimTime::ZERO, Arc::new(grant.clone())));
+        assert!(h.deliver_packet(SimTime::ZERO, &Arc::new(grant.clone())));
         assert_eq!((h.frames_filtered, h.frames_heard), (2, 3));
         let t = h.dispatch(SimTime::ZERO).expect("install the grant");
         h.finish_burst(t);
         assert!(h.table.is_consistent_holder(page));
 
         let mut paper = host();
-        assert!(paper.deliver_packet(SimTime::ZERO, request(1, 9)));
-        assert!(paper.deliver_packet(SimTime::ZERO, Arc::new(snooped)));
-        assert!(paper.deliver_packet(SimTime::ZERO, Arc::new(grant)));
+        assert!(paper.deliver_packet(SimTime::ZERO, &request(1, 9)));
+        assert!(paper.deliver_packet(SimTime::ZERO, &Arc::new(snooped)));
+        assert!(paper.deliver_packet(SimTime::ZERO, &Arc::new(grant)));
         assert_eq!((paper.frames_filtered, paper.server_queue.len()), (0, 3));
     }
 
@@ -1609,9 +1609,9 @@ mod tests {
     #[test]
     fn paper_calibration_serves_every_duplicate() {
         let mut h = host();
-        h.deliver_packet(SimTime::ZERO, request(1, 7));
-        h.deliver_packet(SimTime::ZERO, request(1, 7));
-        h.deliver_packet(SimTime::ZERO, request(2, 7));
+        h.deliver_packet(SimTime::ZERO, &request(1, 7));
+        h.deliver_packet(SimTime::ZERO, &request(1, 7));
+        h.deliver_packet(SimTime::ZERO, &request(2, 7));
         assert_eq!(h.requests_coalesced, 0);
         assert_eq!(h.frames_heard, 3);
     }
@@ -1629,10 +1629,10 @@ mod tests {
             MetherConfig::default(),
         );
         h.table.create_owned(PageId::new(7));
-        h.deliver_packet(SimTime::ZERO, request(1, 7));
-        h.deliver_packet(SimTime::ZERO, request(2, 7));
-        h.deliver_packet(SimTime::ZERO, request(3, 7));
-        h.deliver_packet(SimTime::ZERO, request(1, 8)); // different page
+        h.deliver_packet(SimTime::ZERO, &request(1, 7));
+        h.deliver_packet(SimTime::ZERO, &request(2, 7));
+        h.deliver_packet(SimTime::ZERO, &request(3, 7));
+        h.deliver_packet(SimTime::ZERO, &request(1, 8)); // different page
         assert_eq!(h.requests_coalesced, 0, "coalescing is off");
         let t = h.dispatch(SimTime::ZERO).expect("server burst");
         let actions = h.finish_burst(t);
@@ -1676,7 +1676,7 @@ mod tests {
         let b = consistent(2, PageLength::Short);
         let a_full = consistent(1, PageLength::Full);
         for pkt in [a, b.clone(), (*request(3, 7)).clone(), a_full.clone()] {
-            h.deliver_packet(SimTime::ZERO, Arc::new(pkt));
+            h.deliver_packet(SimTime::ZERO, &Arc::new(pkt));
         }
         let t = h.dispatch(SimTime::ZERO).expect("serve A");
         let actions = h.finish_burst(t);
@@ -1715,8 +1715,8 @@ mod tests {
     fn default_serves_queued_duplicates_individually() {
         let mut h = host();
         h.table.create_owned(PageId::new(7));
-        h.deliver_packet(SimTime::ZERO, request(1, 7));
-        h.deliver_packet(SimTime::ZERO, request(2, 7));
+        h.deliver_packet(SimTime::ZERO, &request(1, 7));
+        h.deliver_packet(SimTime::ZERO, &request(2, 7));
         let t = h.dispatch(SimTime::ZERO).expect("server burst");
         h.finish_burst(t);
         assert_eq!(h.requests_piggybacked, 0);
@@ -1804,7 +1804,7 @@ mod tests {
     /// Delivers `reply` at `now` and runs the install burst; returns
     /// when the waiter was woken.
     fn install(h: &mut HostSim, now: SimTime, reply: Packet) -> SimTime {
-        h.deliver_packet(now, Arc::new(reply));
+        h.deliver_packet(now, &Arc::new(reply));
         let t = h.dispatch(now).expect("install burst");
         h.finish_burst(t);
         t

@@ -420,10 +420,12 @@ impl Lane {
                     other => other.to_mask(env.total_hosts),
                 };
                 for h in &mask {
-                    // A frame the NIC dropped queued nothing to dispatch.
-                    if self.host(h).deliver_packet(now, Arc::clone(&pkt)) {
-                        self.kick(h, env);
+                    // A frame the NIC dropped queued nothing to dispatch,
+                    // so it cannot have finished the lane either.
+                    if !self.host(h).deliver_packet(now, &pkt) {
+                        continue;
                     }
+                    self.kick(h, env);
                     if pausing && self.all_done() {
                         let rest = mask.difference(&HostMask::all_below(h + 1));
                         if !rest.is_empty() {

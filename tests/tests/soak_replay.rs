@@ -159,14 +159,15 @@ fn every_clean_seed_finishes() {
 }
 
 /// Soak seed 122 (28 hosts on 7 segments, lossy, so holders re-broadcast
-/// every 25 ms) used to overrun: every host on every segment a
-/// re-broadcast crossed paid a `server_snoop` to discard it, and the
-/// servers of hosts that tracked none of those pages still ran out of
-/// time. Its busiest server read 0.999 busy and the run did not finish
-/// in 200 s of sim time. The hardened NIC drops frames about pages a
-/// host does not track before they cost the server anything, so the
-/// run must finish inside its own 4.8 s budget with its busiest server
-/// well short of saturated.
+/// every 25 ms) used to overrun. Every host on every segment a
+/// re-broadcast crossed paid a `server_snoop` to discard it, whether or
+/// not it tracked the page, until the busiest servers left their
+/// processes no CPU. At its 4.8 s budget the busiest server read 0.964
+/// busy, and the run had still not finished after 200 s of sim time
+/// (0.999 busy). The hardened NIC drops frames about pages a host does
+/// not track before they cost the server anything, so the run must
+/// finish inside its own budget with its busiest server well short of
+/// saturated.
 #[test]
 fn untracked_rebroadcasts_do_not_saturate_the_servers() {
     let sc = SoakScenario::from_seed(122);

@@ -326,9 +326,10 @@ impl OpenLoopScenario {
         // under 20 ms) re-sends requests a converging fabric filtered
         // or a migrating page left unanswered, and the hardened NIC
         // keeps those re-sends from duplicating server work at enqueue
-        // time and drops frames about pages a host does not track. Serve-time piggybacking (the measured
-        // optimization) additionally drops queued duplicates that
-        // arrived *during* a serve burst.
+        // time and drops frames about pages a host does not track.
+        // Serve-time piggybacking (the measured optimization)
+        // additionally drops queued duplicates that arrived *during* a
+        // serve burst.
         cfg.calib = cfg
             .calib
             .with_fault_retry(SimDuration::from_millis(20))

@@ -27,8 +27,8 @@
 //!   local inconsistent copy and wakes data-driven waiters — a
 //!   [`Packet::PageReply`] (everything [`PageTable::handle_packet`] sends
 //!   in answer to a request: read replies, `Superset` replies, consistency
-//!   transfers) and a [`Packet::PageData`] publication (a purge broadcast
-//!   or a holder re-broadcast) alike.
+//!   transfers) and a [`Packet::PageData`] publication (a purge
+//!   broadcast) alike.
 
 use crate::rules::Presence;
 use crate::{
@@ -589,44 +589,6 @@ impl PageTable {
         };
         self.pages.mark_dirty(page);
         Ok(pkt)
-    }
-
-    /// Builds a *holder re-broadcast* of `page`: the same `PageData`
-    /// broadcast a purge would send, but at the page's **current**
-    /// generation and with no consistency state change — a pure
-    /// retransmission for loss recovery (see
-    /// `Calib::holder_rebroadcast` in `mether-sim`). Snoopers holding
-    /// an older generation refresh and wake their data-waiters; bridges
-    /// ignore it for holder beliefs (equal generations never repoint a
-    /// belief); everyone already current discards it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotConsistentHolder`] if the page is not held
-    /// consistent here with its copy present, or a purge is pending (the
-    /// purge broadcast itself — at the next generation — is already
-    /// queued and supersedes any retransmission).
-    pub fn holder_rebroadcast(&mut self, page: PageId, length: PageLength) -> Result<Packet> {
-        let short_len = self.cfg.short_len;
-        let host = self.host;
-        let e = self.pages.slot(page);
-        if !e.consistent || e.purge_pending {
-            return Err(Error::NotConsistentHolder { page });
-        }
-        let generation = e.generation;
-        let buf = e.buf.as_mut().ok_or(Error::NotConsistentHolder { page })?;
-        let transfer_len = match length {
-            PageLength::Full => crate::PAGE_SIZE,
-            PageLength::Short => short_len,
-        };
-        Ok(Packet::PageData {
-            from: host,
-            page,
-            length,
-            generation,
-            transfer_to: None,
-            data: buf.payload(transfer_len),
-        })
     }
 
     /// DO-PURGE: the server acknowledges that the purge broadcast went
@@ -1396,8 +1358,7 @@ mod tests {
 
     #[test]
     fn purges_publish_and_hosts_snoop_replies_alike() {
-        // A purge broadcast and a holder re-broadcast are sent unasked:
-        // publications, not replies.
+        // A purge broadcast is sent unasked: a publication, not a reply.
         let mut t0 = table(0);
         t0.create_owned(p0());
         let mut fx = Vec::new();
@@ -1405,8 +1366,6 @@ mod tests {
         let purge = t0.server_purge_broadcast(p0(), PageLength::Short).unwrap();
         assert!(purge.is_data() && !purge.is_reply());
         t0.do_purge(p0(), &mut fx);
-        let again = t0.holder_rebroadcast(p0(), PageLength::Short).unwrap();
-        assert!(again.is_data() && !again.is_reply());
         // A data-driven waiter wakes on a reply someone else asked for,
         // exactly as on a publication.
         let mut t2 = table(2);

@@ -14,7 +14,7 @@
 //!     for it (a read reply, a `Superset` reply, or a consistency
 //!     transfer naming `transfer_to`);
 //!   - [`Packet::PageData`] — a *publication*: sent unasked, by a purge
-//!     broadcast or a holder re-broadcast, for data-driven readers.
+//!     broadcast, for data-driven readers.
 //!
 //! On one segment the two are indistinguishable in effect: every host
 //! snoops both and handles them alike. They differ only to the bridges
@@ -218,10 +218,9 @@ pub enum Packet {
         /// Read-only copy or the consistent copy itself.
         want: Want,
     },
-    /// Broadcast copy of a page, published unasked (a purge broadcast or
-    /// a holder re-broadcast). All servers snoop it and refresh their
-    /// inconsistent copies; if `transfer_to` is set, that host becomes the
-    /// new consistent holder.
+    /// Broadcast copy of a page, published unasked (a purge broadcast).
+    /// All servers snoop it and refresh their inconsistent copies; if
+    /// `transfer_to` is set, that host becomes the new consistent holder.
     PageData {
         /// The sending host (the consistent holder at send time).
         from: HostId,

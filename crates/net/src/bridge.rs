@@ -109,10 +109,10 @@
 //!
 //! A page copy crosses the wire as one of two types with one header
 //! layout ([`mether_core::Packet`]). A **publication**
-//! ([`Packet::PageData`]: a purge broadcast, a holder re-broadcast) is
-//! sent unasked, for data-driven readers that send no request; it leaves
-//! a device through every port with fresh learned interest, the home
-//! port, and the pins — the snoopy protocol's fan-out. A **reply**
+//! ([`Packet::PageData`]: a purge broadcast) is sent unasked, for
+//! data-driven readers that send no request; it leaves a device through
+//! every port with fresh learned interest, the home port, and the pins
+//! — the snoopy protocol's fan-out. A **reply**
 //! ([`Packet::PageReply`]: a read reply, a `Superset` reply, a
 //! consistency transfer) answers requests; it leaves only through
 //!

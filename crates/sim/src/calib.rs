@@ -87,16 +87,24 @@ pub struct Calib {
     /// `Some(floor)` turns the timer on; the value is the *least* the
     /// timeout may be, not the timeout. Each host measures its own
     /// (`mether_core::rto`): the smoothed round trip of the faults its
-    /// first request satisfied plus four mean deviations, doubled per
-    /// unanswered request of one fault up to 16 ×, and before any
-    /// sample three times [`Calib::no_load_round_trip`]. A constant
-    /// cannot do this job: an uncontended short-page fault on this
-    /// calibration takes 1 + 7 + 13 + 8 = 29 ms of trap and server legs
-    /// before wire and queueing, so a fixed 20 ms re-sends every
+    /// first request satisfied plus four mean deviations, and before
+    /// any sample three times [`Calib::no_load_round_trip`]. A write
+    /// fault's timer (and an open-loop fault's) doubles per unanswered
+    /// request up to 16 ×; a process read's stays at one timeout. A
+    /// constant cannot do this job: an uncontended short-page fault on
+    /// this calibration takes 1 + 7 + 13 + 8 = 29 ms of trap and server
+    /// legs before wire and queueing, so a fixed 20 ms re-sends every
     /// request at least once on an idle network — costing the requester
     /// a second 7 ms send just as the reply lands, the fabric a second
     /// crossing, and the holder a second serve — and under load the
     /// duplicates feed the queue that delayed the reply.
+    ///
+    /// The same timeout is the processes' read lease: a process that
+    /// has read an unchanged, non-consistent copy for longer than one
+    /// timeout drops it and asks the holder again (Gray & Cheriton,
+    /// "Leases", SOSP 1989). A reader spinning on a present stale copy
+    /// sends nothing and never blocks, so without the lease a lost
+    /// waking broadcast strands it for good.
     pub fault_retry: Option<SimDuration>,
     /// The hardened NIC: what the host's network interface keeps away
     /// from its user-level server. `false` is the paper's behaviour —
@@ -124,17 +132,6 @@ pub struct Calib {
     ///
     /// Deployments with retry timers enable it.
     pub nic_filter: bool,
-    /// Periodic holder re-broadcast: every `interval`, a host re-sends
-    /// the `PageData` broadcast for each page whose consistent copy it
-    /// still holds, at the page's *current* generation (no consistency
-    /// state changes). `None` (the default, and the paper's behaviour —
-    /// no retransmit of any kind) sends nothing. This is the recovery
-    /// path for the hot-spin loss livelock: a data-driven reader
-    /// spinning on a *present* stale copy transmits nothing and never
-    /// blocks, so the fault-retry escalation cannot reach it and a lost
-    /// waking broadcast strands it forever; the periodic re-broadcast
-    /// eventually gets a fresh copy through.
-    pub holder_rebroadcast: Option<SimDuration>,
     /// Serve-time reply piggybacking: when the server answers a
     /// `PageRequest` with a `PageReply`, any *queued* requests for
     /// the same page that the reply also satisfies are dropped from the
@@ -175,7 +172,6 @@ impl Calib {
             server_snoop: SimDuration::from_millis(2),
             fault_retry: None,
             nic_filter: false,
-            holder_rebroadcast: None,
             piggyback_replies: false,
         }
     }
@@ -202,14 +198,6 @@ impl Calib {
     #[must_use]
     pub fn with_reply_piggyback(mut self) -> Self {
         self.piggyback_replies = true;
-        self
-    }
-
-    /// Enables periodic holder re-broadcast (see
-    /// [`Calib::holder_rebroadcast`]).
-    #[must_use]
-    pub fn with_holder_rebroadcast(mut self, interval: SimDuration) -> Self {
-        self.holder_rebroadcast = Some(interval);
         self
     }
 

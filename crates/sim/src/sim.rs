@@ -274,14 +274,6 @@ enum EvKind {
     },
     /// An injected fabric failure or recovery fires.
     Fabric(FabricEvent),
-    /// One cadence tick of the periodic holder re-broadcast
-    /// ([`Calib::holder_rebroadcast`]): the host queues a
-    /// current-generation retransmission for every page it still holds
-    /// consistent and has published. Self-rescheduling while the run
-    /// lives; seeded once per host when the knob is on.
-    Rebroadcast {
-        host: usize,
-    },
     /// The next open-loop arrival on `host` is due: inject the buffered
     /// access ([`HostSim::open_arrival`]) and schedule the following
     /// one. Self-rescheduling while the host's stream has arrivals
@@ -359,7 +351,6 @@ impl Env {
             EvKind::BurstEnd { host }
             | EvKind::Timer { host, .. }
             | EvKind::Retry { host, .. }
-            | EvKind::Rebroadcast { host }
             | EvKind::OpenArrival { host } => *host,
             EvKind::Deliver { to, .. } => match to {
                 // A mask is always one segment's members.
@@ -470,9 +461,8 @@ pub struct Simulation {
     /// Events each lane executed during the last per-segment-lane run
     /// (empty after a one-lane run) — the lane-balance diagnostic.
     lane_events: Vec<u64>,
-    /// Whether the self-rescheduling chains (hello ticks, holder
-    /// re-broadcasts, open-loop arrivals) have been seeded — once, at
-    /// the first `run`.
+    /// Whether the self-rescheduling chains (hello ticks, open-loop
+    /// arrivals) have been seeded — once, at the first `run`.
     seeded: bool,
     /// How many lanes a `run` may cut the deployment into (see
     /// [`ParallelMode`]).

@@ -6,7 +6,7 @@
 //! A [`Lane`] owns a contiguous run of segments — their hosts, their
 //! media, and the heap of events local to them — and is the only code
 //! that executes host-side events (burst ends, deliveries, timers,
-//! retries, re-broadcasts, open-loop arrivals, bridge-forward exits).
+//! retries, open-loop arrivals, bridge-forward exits).
 //! [`Ctrl`] owns the bridge fabric and is the only code that executes
 //! the three control-plane kinds (hello ticks, control-frame
 //! deliveries, injected failures). [`Simulation::run`] cuts the
@@ -476,15 +476,6 @@ impl Lane {
                     self.kick(host, env);
                 }
             }
-            EvKind::Rebroadcast { host } => {
-                if self.host(host).queue_holder_rebroadcasts(now) > 0 {
-                    self.kick(host, env);
-                }
-                if let Some(interval) = self.host(host).holder_rebroadcast_interval() {
-                    self.q
-                        .push(now + interval, EvKind::Rebroadcast { host }, env);
-                }
-            }
             EvKind::OpenArrival { host } => {
                 let actions = self.host(host).open_arrival(now);
                 self.apply(host, actions, env, fabric);
@@ -716,19 +707,12 @@ impl Simulation {
     }
 
     /// Seeds the self-rescheduling event chains: one hello tick per
-    /// live-election bridge device (on the timer ring), one holder
-    /// re-broadcast per host when that knob is on, one open-loop
+    /// live-election bridge device (on the timer ring) and one open-loop
     /// arrival per host with an attached stream.
     fn seed(&mut self, env: &Env) {
         if let Some(interval) = self.ctrl.hello_interval() {
             for device in 0..self.ctrl.tick_epochs.len() {
                 self.ctrl.ring_push(self.now + interval, device);
-            }
-        }
-        for (host, h) in self.hosts.iter().enumerate() {
-            if let Some(interval) = h.holder_rebroadcast_interval() {
-                let at = self.now + interval;
-                self.events.push(at, EvKind::Rebroadcast { host }, env);
             }
         }
         for (host, h) in self.hosts.iter().enumerate() {

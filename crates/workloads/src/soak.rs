@@ -33,14 +33,16 @@
 //! bytes, and traffic counters — the equality the replay tests pin.
 //!
 //! Completion is asserted for every fault-free scenario, **lossy ones
-//! included**: soak deployments run the holder re-broadcast mitigation
-//! ([`mether_sim::Calib::with_holder_rebroadcast`]), which breaks the
-//! hot-spin loss livelock (a waiter spinning on a present stale copy
-//! transmits nothing, so a lost waking broadcast once stranded it for
-//! good), and a reply crosses the fabric on its request's pending
-//! marks, which sub-round-trip aging horizons cannot expire. Only
-//! a faulted run may legitimately end at the limits (a `LinkDown` can
-//! partition the fabric for good).
+//! included**: lossy deployments arm the fault-retry timer
+//! ([`mether_sim::Calib::with_fault_retry`]), whose timeout is also
+//! each process's read lease. The lease breaks the hot-spin loss
+//! livelock: a waiter spinning on a present stale copy transmits
+//! nothing, so a lost waking broadcast would strand it for good; after
+//! one timeout on an unchanged copy it asks the holder again. A reply
+//! crosses the fabric on its request's pending marks, which
+//! sub-round-trip aging horizons cannot expire. Only a faulted run may
+//! legitimately end at the limits (a `LinkDown` can partition the
+//! fabric for good).
 //!
 //! [`SoakScenario::run_cross_engine`] executes the same scenario on the
 //! threaded runtime (`mether_runtime::Cluster`) as well — same fabric
@@ -428,15 +430,11 @@ impl SoakScenario {
     /// bounded process population (every regular-size scenario is far
     /// below either cap — its digests are untouched).
     ///
-    /// Large fabrics take the lower cap because every published pair
-    /// page adds a periodic holder re-broadcast under loss, and those
-    /// broadcasts concentrate on the fabric's transit core: 24 lossy
-    /// pairs re-publishing 48 pages every 25 ms put ~460 frames/s
-    /// through the root-adjacent segments, and at the paper's 2 ms
-    /// per-snoop server cost that saturates every core host's CPU —
-    /// the server slot always outranks the workload slot, so the core
-    /// pairs' own counters never run again (congestion collapse, not
-    /// slowness; doubling the budget does not finish the run).
+    /// Large fabrics take the lower cap. It was sized for holder
+    /// re-broadcast, whose load grew with the published-page count and
+    /// which read leases have replaced; it stays because it fixes the
+    /// page space and the deployed pairs, so changing it would redraw
+    /// every large-fabric scenario and its digest.
     pub fn pair_count(&self) -> usize {
         let cap = if self.segments() >= 64 { 12 } else { 24 };
         (self.segments() / 2).min(cap)
@@ -452,10 +450,9 @@ impl SoakScenario {
 
     /// True when the run must complete within [`SoakScenario::limits`]:
     /// no faults, so nothing can legitimately stall it. Lossy runs
-    /// *must* finish too — soak deployments pair the fault-retry timer
-    /// with holder re-broadcast, so neither a blocked nor a hot-spinning
-    /// waiter can be stranded by a lost frame for more than one
-    /// re-broadcast interval.
+    /// *must* finish too — they arm the fault-retry timer, whose
+    /// timeout re-sends a blocked waiter's request and is a spinning
+    /// reader's lease, so no waiter is stranded by a lost frame.
     pub fn must_finish(&self) -> bool {
         self.faults.is_empty()
     }
@@ -469,10 +466,10 @@ impl SoakScenario {
     /// purge broadcast ~10ms, serving one request ~13ms — so a single
     /// P5 round trip across the fabric is ~35ms and a publisher cycle
     /// ~15ms plus serving its readers. Lossy runs get a 4× budget: a
-    /// lost waking broadcast costs a retransmission timeout (tens of
-    /// milliseconds, doubling per attempt) or a 25 ms holder
-    /// re-broadcast wait per round, and those waits serialize across a
-    /// mixed workload. Events stay sparse (thousands, not millions),
+    /// lost waking broadcast costs a retransmission timeout or a read
+    /// lease (tens of milliseconds each; a write's timeout doubles per
+    /// attempt) per round, and those waits serialize across a mixed
+    /// workload. Events stay sparse (thousands, not millions),
     /// so a long sim-time bound is still cheap to run.
     pub fn limits(&self) -> RunLimits {
         // Large fabrics get a bigger budget per unit of work: a request
@@ -549,50 +546,29 @@ impl SoakScenario {
             || self.segments() >= 64
         {
             // The recovery path: requests the dead fabric or the lossy
-            // wire swallowed are re-sent instead of waited on forever.
-            // Aging fabrics need it even on a clean wire — a bridge
-            // whose learned interest expired under unrelated traffic
-            // filters the broadcast a silent data-waiter depends on.
-            // 20 ms is the floor of the timeout, not the timeout: each
-            // host times its re-sends by the round trips it measures
-            // (three idle ones, ~88 ms, until it has a sample) and
-            // doubles per unanswered attempt, so a blocked waiter on a
-            // partitioned fabric probes it at a falling rate instead of
-            // flooding the home server at a fixed one.
+            // wire swallowed are re-sent instead of waited on forever,
+            // and a reader spinning on a copy whose waking broadcast
+            // was lost asks again once its lease (one timeout) runs
+            // out. Aging fabrics need it even on a clean wire — a
+            // bridge whose learned interest expired under unrelated
+            // traffic filters the broadcast a silent data-waiter
+            // depends on. 20 ms is the floor of the timeout, not the
+            // timeout: each host times its re-sends by the round trips
+            // it measures (three idle ones, ~88 ms, until it has a
+            // sample), and a write doubles its timer per unanswered
+            // attempt, so a blocked writer on a partitioned fabric
+            // probes it at a falling rate instead of flooding the home
+            // server at a fixed one.
             cfg.calib = cfg.calib.with_fault_retry(SimDuration::from_millis(20));
         }
         // A handful of waiters whose timers fire in lockstep still
         // oversubscribe a 13 ms-per-request server, so the soak
         // deployments also run the hardened NIC: it coalesces identical
         // queued requests and drops frames about pages the host does
-        // not track, which keeps holder re-broadcasts from saturating
-        // every server they cross (off in the paper calibration — its
+        // not track, which keeps publications from saturating every
+        // server they cross (off in the paper calibration — its
         // measured protocol rankings include that server load).
         cfg.calib = cfg.calib.with_nic_filter();
-        if self.loss > 0.0 {
-            // The hot-spin half of loss recovery: a waiter spinning on
-            // a present stale copy transmits nothing, so the fault
-            // retry (which only reaches *blocked* waiters) cannot save
-            // it when the partner's one waking broadcast is lost.
-            // Holders re-publish their pages on this cadence instead —
-            // which is why lossy fault-free scenarios now assert
-            // completion. Slower than the retry timer's 20 ms floor so
-            // the re-sends never become the dominant server load.
-            //
-            // The cadence stretches on large fabrics: re-broadcasts
-            // follow sticky learned interest forever (a holder can't
-            // see remote spinners, so it never stops), and the
-            // aggregate rate scales with the published-page count.
-            // At 25 ms the large pair population saturates the transit
-            // core's 2 ms-per-snoop servers outright; 100 ms keeps the
-            // steady-state snoop load a few percent of each CPU while a
-            // lost waking broadcast still recovers well inside the
-            // multi-second large-run budget.
-            let rebroadcast = if self.segments() >= 64 { 100 } else { 25 };
-            cfg.calib = cfg
-                .calib
-                .with_holder_rebroadcast(SimDuration::from_millis(rebroadcast));
-        }
         cfg.topology = Topology::fabric(fabric);
         let mut sim = Simulation::new(cfg);
         let first_host = |seg: usize| seg * hps;
@@ -1341,7 +1317,7 @@ mod tests {
         // The derivation must cover the space: across a small seed
         // range, all six shapes, all three mixes, faulted and clean,
         // lossy and lossless scenarios all appear — including lossy
-        // must-finish ones (the holder re-broadcast coverage) and
+        // must-finish ones (the read-lease coverage) and
         // graphs with redundant ties.
         let scenarios: Vec<_> = (0..128).map(SoakScenario::from_seed).collect();
         for probe in [

@@ -30,7 +30,7 @@
 
 use mether_core::{BridgeTopology, PageId};
 use mether_net::{AgeHorizon, FabricConfig, FabricEvent, SimDuration};
-use mether_sim::{RunLimits, SimConfig, Simulation, Topology};
+use mether_sim::{RunLimits, RunOutcome, SimConfig, Simulation, Topology};
 use mether_workloads::{
     base_seed_from_env, run_cross_engine_soak, run_large_faulted_soak, run_large_soak, run_soak,
     scenario_count_from_env, CountingConfig, DisjointPageCounter, PollingReader, Publisher,
@@ -138,15 +138,17 @@ fn ci_soak_batch() {
     assert_eq!(reports.len(), count);
 }
 
-/// The ratchet on clean soak seeds: scans `from_seed(0..N)` — `N` is
-/// `METHER_SOAK_SCENARIOS`, 200 by default, 2 000 in CI's release step
-/// — and asserts that every scenario [`SoakScenario::must_finish`]
-/// finishes inside its limits. No overrun is recorded, so any seed
-/// this reports is new.
+/// The ratchet on clean soak seeds: scans `from_seed(base..base + N)`
+/// — `N` is `METHER_SOAK_SCENARIOS`, 200 by default, 10 000 in CI's
+/// release step; `base` is `METHER_SOAK_SEED`, 0 by default — and
+/// asserts that every scenario [`SoakScenario::must_finish`] finishes
+/// inside its limits. No overrun is recorded, so any seed this reports
+/// is new.
 #[test]
 fn every_clean_seed_finishes() {
     let n = scenario_count_from_env(200) as u64;
-    let overruns: Vec<u64> = (0..n)
+    let base = base_seed_from_env(0);
+    let overruns: Vec<u64> = (base..base + n)
         .filter(|&seed| {
             let sc = SoakScenario::from_seed(seed);
             sc.must_finish() && !sc.build().run(sc.limits()).finished
@@ -158,18 +160,20 @@ fn every_clean_seed_finishes() {
     );
 }
 
-/// Soak seed 122 (28 hosts on 7 segments, lossy, so holders re-broadcast
-/// every 25 ms) used to overrun. Every host on every segment a
-/// re-broadcast crossed paid a `server_snoop` to discard it, whether or
-/// not it tracked the page, until the busiest servers left their
-/// processes no CPU. At its 4.8 s budget the busiest server read 0.964
-/// busy, and the run had still not finished after 200 s of sim time
-/// (0.999 busy). The hardened NIC drops frames about pages a host does
-/// not track before they cost the server anything, so the run must
-/// finish inside its own budget with its busiest server well short of
-/// saturated.
+/// Soak seed 122 (28 hosts on 7 segments, lossy) used to overrun.
+/// Holders then re-broadcast every page every 25 ms, and every host on
+/// every segment a re-broadcast crossed paid a `server_snoop` to
+/// discard it, whether or not it tracked the page, until the busiest
+/// servers left their processes no CPU. At its 4.8 s budget the busiest
+/// server read 0.964 busy, and the run had still not finished after
+/// 200 s of sim time (0.999 busy). The hardened NIC drops frames about
+/// pages a host does not track before they cost the server anything,
+/// so the run must finish inside its own budget with its busiest server
+/// well short of saturated. With re-broadcast and the NIC filter it
+/// finished at 0.475 s, busiest server 0.636 busy; with read leases in
+/// re-broadcast's place, at 0.299 s and 0.371 busy.
 #[test]
-fn untracked_rebroadcasts_do_not_saturate_the_servers() {
+fn untracked_frames_do_not_saturate_the_servers() {
     let sc = SoakScenario::from_seed(122);
     assert!(sc.must_finish() && sc.loss > 0.0, "seed 122 redrew: [{sc}]");
     let mut sim = sc.build();
@@ -188,63 +192,11 @@ fn untracked_rebroadcasts_do_not_saturate_the_servers() {
     assert!(busiest < 0.75, "busiest server {busiest:.3} busy");
 }
 
-/// Minimized data-wait liveness: a P5 pair across a two-segment fabric
-/// on a 10%-lossy ether. The pair's data-driven reads block without
-/// transmitting; whenever the partner's single waking broadcast is
-/// lost, only the fault-retry escalation (drop the stale copy, re-issue
-/// as a demand fetch) can recover a *blocked* waiter. Without it this
-/// exact run (ether seed 5) livelocks at its limits; with it, it must
-/// finish. (Seeds where the loss pattern instead leaves a waiter
-/// hot-spinning on a present stale copy never block at all and stay
-/// out of the retry timer's reach — that livelock is the protocols'
-/// documented loss behaviour, which is why the soak generator never
-/// asserts completion for lossy scenarios.)
-#[test]
-fn lossy_data_wait_recovers_via_retry_escalation() {
-    let fabric = FabricConfig::new(BridgeTopology::star(2));
-    let mut cfg = SimConfig::paper(4);
-    cfg.ether.loss = 0.10;
-    cfg.ether.seed = 5;
-    cfg.calib = cfg
-        .calib
-        .with_fault_retry(SimDuration::from_millis(20))
-        .with_nic_filter();
-    cfg.topology = Topology::fabric(fabric);
-    let mut sim = Simulation::new(cfg);
-    let counting = CountingConfig {
-        target: 10,
-        processes: 2,
-        spin: SimDuration::from_micros(48),
-    };
-    // Striped homes: page 2 → segment 0, page 3 → segment 1.
-    let (page_a, page_b) = (PageId::new(2), PageId::new(3));
-    sim.create_owned(1, page_a);
-    sim.create_owned(3, page_b);
-    sim.add_process(
-        1,
-        Box::new(DisjointPageCounter::protocol5(counting, 0, page_a, page_b)),
-    );
-    sim.add_process(
-        3,
-        Box::new(DisjointPageCounter::protocol5(counting, 1, page_b, page_a)),
-    );
-    let outcome = sim.run(RunLimits {
-        max_sim_time: SimDuration::from_millis(5_000),
-        max_events: 2_000_000,
-    });
-    sim.check_invariants();
-    assert!(
-        outcome.finished,
-        "lossy P5 pair livelocked: events={} wall={}",
-        outcome.events, outcome.wall
-    );
-}
-
-/// One lossy P5 pair across a two-segment star: the shared minimized
-/// deployment behind the loss-resilience regressions below. `ether_seed`
-/// picks the loss pattern; `rebroadcast` optionally arms the holder
-/// re-broadcast mitigation.
-fn lossy_p5_pair(ether_seed: u64, rebroadcast: Option<SimDuration>) -> bool {
+/// One lossy P5 pair across a two-segment star, with the retry timer
+/// and the hardened NIC: the shared minimized deployment behind the
+/// loss-resilience regressions below. `ether_seed` picks the loss
+/// pattern.
+fn lossy_p5_pair(ether_seed: u64) -> RunOutcome {
     let fabric = FabricConfig::new(BridgeTopology::star(2));
     let mut cfg = SimConfig::paper(4);
     cfg.ether.loss = 0.10;
@@ -253,9 +205,6 @@ fn lossy_p5_pair(ether_seed: u64, rebroadcast: Option<SimDuration>) -> bool {
         .calib
         .with_fault_retry(SimDuration::from_millis(20))
         .with_nic_filter();
-    if let Some(every) = rebroadcast {
-        cfg.calib = cfg.calib.with_holder_rebroadcast(every);
-    }
     cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(cfg);
     let counting = CountingConfig {
@@ -280,29 +229,36 @@ fn lossy_p5_pair(ether_seed: u64, rebroadcast: Option<SimDuration>) -> bool {
         max_events: 2_000_000,
     });
     sim.check_invariants();
-    outcome.finished
+    outcome
 }
 
-/// Minimized hot-spin loss livelock (ether seed 15 of the pair above):
-/// the fault-retry escalation only reaches *blocked* waiters, but this
-/// loss pattern leaves a P5 waiter spinning on a present stale copy —
-/// its demand checks hit locally, it transmits nothing, and the
-/// partner's single waking broadcast is gone, so the run is stranded
-/// with the retry mitigation fully armed. Holder re-broadcast
-/// ([`mether_sim::Calib::with_holder_rebroadcast`]) breaks exactly
-/// this: the holder re-publishes on a cadence, the spinner's next check
-/// sees the transit, and the run completes — which is why the soak
-/// harness now asserts completion for lossy fault-free scenarios.
+/// Minimized data-wait liveness (ether seed 5 of the pair above). The
+/// pair's data-driven reads block without transmitting; whenever the
+/// partner's single waking broadcast is lost, only the fault-retry
+/// escalation (drop the stale copy, re-issue as a demand fetch) can
+/// recover a *blocked* waiter. Without it this exact run livelocks at
+/// its limits; with it, it must finish.
 #[test]
-fn hot_spin_loss_livelock_needs_holder_rebroadcast() {
+fn lossy_data_wait_recovers_via_retry_escalation() {
+    let outcome = lossy_p5_pair(5);
+    assert!(outcome.finished, "lossy P5 pair livelocked: {outcome:?}");
+}
+
+/// Minimized hot-spin loss livelock (ether seed 15 of the pair above).
+/// The fault-retry escalation only reaches *blocked* waiters, but this
+/// loss pattern leaves a P5 waiter spinning on a present stale copy:
+/// its checks hit locally, it transmits nothing, and the partner's
+/// single waking broadcast is gone. The read lease breaks exactly
+/// this. Once the spinner has read the same generation for one
+/// retransmission timeout, it drops the copy and demand-fetches the
+/// holder's current one. Without the lease the run is stranded at its
+/// limits, with the retry timer armed.
+#[test]
+fn hot_spin_loss_livelock_recovers_via_read_lease() {
+    let outcome = lossy_p5_pair(15);
     assert!(
-        !lossy_p5_pair(15, None),
-        "ether seed 15 must livelock without holder re-broadcast \
-         (if this starts finishing, the pinned loss pattern drifted)"
-    );
-    assert!(
-        lossy_p5_pair(15, Some(SimDuration::from_millis(25))),
-        "holder re-broadcast must recover the hot-spinning waiter"
+        outcome.finished,
+        "the hot-spinning waiter was not recovered: {outcome:?}"
     );
 }
 

@@ -1496,11 +1496,16 @@ mod tests {
     }
 
     fn request(from: u16, page: u32) -> Arc<Packet> {
+        asking(from, page, Want::ReadOnly)
+    }
+
+    /// A short request from host `from` for `page`, wanting `want`.
+    fn asking(from: u16, page: u32, want: Want) -> Arc<Packet> {
         Arc::new(Packet::PageRequest {
             from: HostId(from),
             page: PageId::new(page),
             length: PageLength::Short,
-            want: Want::ReadOnly,
+            want,
         })
     }
 
@@ -1619,6 +1624,148 @@ mod tests {
         assert!(paper.deliver_packet(SimTime::ZERO, &Arc::new(snooped)));
         assert!(paper.deliver_packet(SimTime::ZERO, &Arc::new(grant)));
         assert_eq!((paper.frames_filtered, paper.server_queue.len()), (0, 3));
+    }
+
+    /// Host 0 takes a write fault on page 3 and puts its consistent
+    /// request on the wire: the page is tracked but not held. Returns
+    /// when the request left and the grant its holder answers with.
+    fn awaiting_a_grant(h: &mut HostSim) -> (SimTime, Packet) {
+        h.attach_open_loop(Box::new(OneShot(Some(OpenAccess {
+            at: SimTime::ZERO,
+            page: PageId::new(3),
+            view: View::short_demand(),
+            mode: MapMode::Writeable,
+            cold: false,
+        }))));
+        h.open_arrival(SimTime::ZERO);
+        let (sent, req) = send_request(h, SimTime::ZERO);
+        let grant = holder_reply(&req);
+        assert!(
+            matches!(
+                grant,
+                Packet::PageReply {
+                    transfer_to: Some(HostId(0)),
+                    ..
+                }
+            ),
+            "{grant:?}"
+        );
+        assert!(h.table.tracks(PageId::new(3)) && !h.table.is_consistent_holder(PageId::new(3)));
+        (sent, grant)
+    }
+
+    /// The new holder's next server burst answers host 2's consistent
+    /// request by granting it the page.
+    fn grants_to_host_2(h: &mut HostSim, now: SimTime) {
+        let served = h.dispatch(now).expect("serve host 2");
+        let actions = h.finish_burst(served);
+        assert!(
+            matches!(
+                actions[..],
+                [HostAction::Transmit(Packet::PageReply {
+                    transfer_to: Some(HostId(2)),
+                    ..
+                })]
+            ),
+            "{actions:?}"
+        );
+    }
+
+    /// The trap of the request group: a request that arrives while the
+    /// grant making this host the holder is being installed must reach
+    /// the server, which holds by the time it gets there. Checking only
+    /// the queue drops it, and its requester waits out a timeout.
+    #[test]
+    fn a_request_heard_during_a_grant_install_is_queued() {
+        let mut h = filtering_host();
+        let (sent, grant) = awaiting_a_grant(&mut h);
+        assert!(h.deliver_packet(sent, &Arc::new(grant)));
+        let installed = h.dispatch(sent).expect("install burst");
+        assert!(
+            h.deliver_packet(sent, &asking(2, 3, Want::Consistent)),
+            "dropped while the grant is in service"
+        );
+        assert_eq!(h.frames_filtered, 0);
+        h.finish_burst(installed);
+        assert!(h.table.is_consistent_holder(PageId::new(3)));
+        grants_to_host_2(&mut h, installed);
+    }
+
+    /// The same while the grant still waits in the server queue.
+    #[test]
+    fn a_request_heard_behind_a_queued_grant_is_queued() {
+        let mut h = filtering_host();
+        let (sent, grant) = awaiting_a_grant(&mut h);
+        assert!(h.deliver_packet(sent, &Arc::new(grant)));
+        assert!(h.deliver_packet(sent, &asking(2, 3, Want::Consistent)));
+        assert_eq!(h.frames_filtered, 0);
+        let installed = h.dispatch(sent).expect("install burst");
+        h.finish_burst(installed);
+        grants_to_host_2(&mut h, installed);
+    }
+
+    /// Only the holder answers a `ReadOnly` or `Consistent` request, so
+    /// a host that tracks the page without holding it, with no grant on
+    /// its way in, drops both at the NIC: counted as filtered, nothing
+    /// queued, no server time.
+    #[test]
+    fn requests_for_a_tracked_page_held_elsewhere_are_dropped() {
+        let mut h = filtering_host();
+        let (sent, _) = awaiting_a_grant(&mut h);
+        let busy = h.server_time;
+        for want in [Want::ReadOnly, Want::Consistent] {
+            assert!(!h.deliver_packet(sent, &asking(1, 3, want)), "{want:?}");
+        }
+        assert_eq!((h.frames_filtered, h.frames_heard), (2, 2));
+        assert!(h.dispatch(sent).is_none(), "nothing queued");
+        assert_eq!(h.server_time, busy);
+    }
+
+    /// A `Superset` request is answered by a full copy that is not the
+    /// holder's, so it passes the NIC where a read of the same page
+    /// from the same host does not.
+    #[test]
+    fn a_superset_request_reaches_a_full_copy_that_does_not_hold() {
+        let mut h = filtering_host();
+        let page = PageId::new(3);
+        h.table.create_owned(page);
+        assert!(h.deliver_packet(SimTime::ZERO, &asking(1, 3, Want::Consistent)));
+        let granted = h.dispatch(SimTime::ZERO).expect("grant to host 1");
+        h.finish_burst(granted);
+        assert!(!h.table.is_consistent_holder(page));
+        assert!(h
+            .table
+            .page_buf(page)
+            .is_some_and(mether_core::PageBuf::full_valid));
+
+        assert!(!h.deliver_packet(granted, &asking(2, 3, Want::ReadOnly)));
+        assert!(h.deliver_packet(granted, &asking(2, 3, Want::Superset)));
+        assert_eq!(h.frames_filtered, 1);
+        let served = h.dispatch(granted).expect("serve the superset");
+        let actions = h.finish_burst(served);
+        assert!(
+            matches!(
+                actions[..],
+                [HostAction::Transmit(Packet::PageReply {
+                    length: PageLength::Full,
+                    transfer_to: None,
+                    ..
+                })]
+            ),
+            "{actions:?}"
+        );
+    }
+
+    /// Without the hardened NIC every request reaches the server, the
+    /// holder's or not.
+    #[test]
+    fn without_the_nic_filter_every_request_is_queued() {
+        let mut h = host();
+        let (sent, _) = awaiting_a_grant(&mut h);
+        for want in [Want::ReadOnly, Want::Consistent, Want::Superset] {
+            assert!(h.deliver_packet(sent, &asking(1, 3, want)), "{want:?}");
+        }
+        assert_eq!((h.frames_filtered, h.server_queue.len()), (0, 3));
     }
 
     /// The default calibration is the paper's: every datagram reaches

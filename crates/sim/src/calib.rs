@@ -111,7 +111,7 @@ pub struct Calib {
     /// its servers received every UDP broadcast and processed each
     /// datagram individually, and its host-load figures (and protocol
     /// 3's measured divergence on the counting benchmark) include that
-    /// load. `true` does two things at the NIC, before any server time
+    /// load. `true` does three things at the NIC, before any server time
     /// is charged or any burst queued:
     ///
     /// * **Group filter.** A frame about a page this host's table does
@@ -121,6 +121,14 @@ pub struct Calib {
     ///   NIC drops frames for groups it has not joined (Deering, "Host
     ///   Extensions for IP Multicasting", RFC 1112, 1989). The server
     ///   would have discarded each such frame after a `server_snoop`.
+    /// * **Request group.** A `ReadOnly` or `Consistent` `PageRequest`
+    ///   is dropped too (also `HostSim::frames_filtered`) unless this
+    ///   host holds the page consistently, or a data frame granting it
+    ///   the page is queued for its server or being installed. Only the
+    ///   holder answers those requests, so each page's request group is
+    ///   the one host that can: the holder, or the host the page is on
+    ///   its way into. `Superset` requests, which any full copy that
+    ///   does not hold answers, always pass.
     /// * **Request coalescing.** An arriving `PageRequest` identical to
     ///   one already queued for the server is dropped and counted
     ///   (`HostSim::requests_coalesced`), since the queued request's
@@ -184,8 +192,8 @@ impl Calib {
         self
     }
 
-    /// Enables the hardened NIC: the untracked-page filter and request
-    /// coalescing (see [`Calib::nic_filter`]).
+    /// Enables the hardened NIC: the untracked-page filter, the request
+    /// group and request coalescing (see [`Calib::nic_filter`]).
     #[must_use]
     pub fn with_nic_filter(mut self) -> Self {
         self.nic_filter = true;

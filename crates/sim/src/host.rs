@@ -18,12 +18,15 @@
 //!   the server's work, queued and charged per item.
 //!
 //! Three things here are not the paper's. First, when
-//! [`crate::Calib::nic_filter`] is set, the NIC keeps two kinds of frame
-//! from the server: frames about pages this host's table does not track
-//! ([`HostSim::frames_filtered`]; a data frame that transfers the page
-//! to this host still gets through), and page requests identical to one
-//! already queued ([`HostSim::requests_coalesced`]). The paper's server
-//! received every broadcast and paid to inspect each one.
+//! [`crate::Calib::nic_filter`] is set, the NIC keeps three kinds of
+//! frame from the server: frames about pages this host's table does not
+//! track (a data frame that transfers the page to this host still gets
+//! through); `ReadOnly` and `Consistent` requests for a page this host
+//! neither holds nor has a grant of on its way in, which only the
+//! holder answers; and page requests identical to one already queued
+//! ([`HostSim::requests_coalesced`]). The first two count in
+//! [`HostSim::frames_filtered`]. The paper's server received every
+//! broadcast and paid to inspect each one.
 //!
 //! Second, when
 //! [`crate::Calib::piggyback_replies`] is set, the server settles its
@@ -312,8 +315,10 @@ pub struct HostSim {
     /// ([`Calib::piggyback_replies`]).
     pub requests_forwarded: u64,
     /// Frames dropped at the NIC because this host's table does not
-    /// track their page ([`Calib::nic_filter`]): each would have cost
-    /// the server a `server_snoop` to discard.
+    /// track their page, or because they are `ReadOnly` or `Consistent`
+    /// requests for a page this host neither holds nor is being granted
+    /// ([`Calib::nic_filter`]): each would have cost the server a
+    /// `server_snoop` to discard.
     pub frames_filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// before its reply came.
@@ -597,14 +602,21 @@ impl HostSim {
     /// Returns whether it queued work — a frame the NIC drops changes
     /// nothing the dispatcher reads, so the caller need not kick.
     ///
-    /// Under [`Calib::nic_filter`] the NIC drops two kinds of frame
+    /// Under [`Calib::nic_filter`] the NIC drops three kinds of frame
     /// first, at no server cost. A frame about a page this host's table
     /// does not track is filtered ([`HostSim::frames_filtered`]): the
     /// server would only snoop and discard it. The one exception is a
-    /// data frame that transfers the page to this host. Then page
-    /// requests coalesce against the queue: every reply is a broadcast
-    /// the whole wire snoops, so one queued request per distinct (page,
-    /// length, want) already satisfies every waiter a duplicate could.
+    /// data frame that transfers the page to this host. So is a
+    /// `ReadOnly` or `Consistent` request outside this host's request
+    /// group (`in_request_group`): the page is not held here, and no
+    /// grant of it is queued for the server or being installed. The
+    /// host is in a page's data group while it tracks the page, and in
+    /// its request group only while it holds the page or is about to
+    /// (RFC 1112 twice over). `Superset` requests are answered by full
+    /// copies that do not hold, so they pass. Then page requests
+    /// coalesce against the queue: every reply is a broadcast the whole
+    /// wire snoops, so one queued request per distinct (page, length,
+    /// want) already satisfies every waiter a duplicate could.
     /// Without this, blocked clients retrying faster than the server's
     /// per-request cost (13 ms at paper pace) grow the queue without
     /// bound and starve the server's own purge broadcasts behind
@@ -616,11 +628,16 @@ impl HostSim {
     ///
     /// A filtered frame is one the table would have discarded at serve
     /// time, unless the host starts tracking the page while the frame
-    /// waits in the queue; its own request then fetches the page.
+    /// waits in the queue; its own request then fetches the page. A
+    /// request outside the group is one the server would not have
+    /// answered when it got to it: a grant already queued or in service
+    /// would have let it in, and one that arrives after it is installed
+    /// after it is served.
     pub fn deliver_packet(&mut self, now: SimTime, pkt: &Arc<Packet>) -> bool {
         self.frames_heard += 1;
         if self.calib.nic_filter {
-            if !self.table.tracks(pkt.page()) && !self.transferred_here(pkt.as_ref()) {
+            let untracked = !self.table.tracks(pkt.page()) && !self.transferred_here(pkt.as_ref());
+            if untracked || !self.in_request_group(pkt.as_ref()) {
                 self.frames_filtered += 1;
                 return false;
             }
@@ -641,6 +658,33 @@ impl HostSim {
                 | Packet::PageReply { transfer_to: Some(to), .. }
                 if *to == mether_core::HostId(self.index as u16)
         )
+    }
+
+    /// Is this host in `pkt`'s request group? Only the consistent
+    /// holder answers a `ReadOnly` or `Consistent` request, so the
+    /// group of such a request is the holder, plus a host that a grant
+    /// of the page is on its way into: one queued for the server or
+    /// being installed now. A request that reaches either is served
+    /// after the grant, by a holder. Consistency arrives no other way
+    /// once the page exists (`create_owned` seeds it; a data frame
+    /// addressed here moves it), so the server of any other host would
+    /// only snoop the request. Every other frame is in the group.
+    fn in_request_group(&self, pkt: &Packet) -> bool {
+        let Packet::PageRequest {
+            page,
+            want: Want::ReadOnly | Want::Consistent,
+            ..
+        } = *pkt
+        else {
+            return true;
+        };
+        let grant = |w: &ServerWork| match w {
+            ServerWork::Packet(q) => q.page() == page && self.transferred_here(q),
+            _ => false,
+        };
+        self.table.is_consistent_holder(page)
+            || matches!(&self.current_burst, Some(Burst::ServerItem { work, .. }) if grant(work))
+            || self.server_queue.iter().any(grant)
     }
 
     /// Is `pkt` a page request identical (same page, length, and want —

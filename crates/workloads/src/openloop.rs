@@ -471,7 +471,9 @@ pub struct OpenLoopReport {
     /// summed; 0 unless the scenario runs with piggybacking).
     pub forwarded: u64,
     /// Frames host NICs dropped because their table does not track the
-    /// page (`HostSim::frames_filtered`, summed).
+    /// page, or because they are `ReadOnly` or `Consistent` requests
+    /// for a page the host neither holds nor is being granted
+    /// (`HostSim::frames_filtered`, summed).
     pub filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// first (`HostSim::fault_retransmits`, summed).

@@ -241,6 +241,15 @@ enum ServerWork {
     PurgeBroadcast { page: PageId, length: PageLength },
 }
 
+/// A request the NIC dropped, shadowed for invariant (g).
+struct NicDrop {
+    /// Its place in the server queue: items queued before it have a
+    /// smaller one.
+    place: u64,
+    pkt: Arc<Packet>,
+    heard: SimTime,
+}
+
 /// Who the CPU is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
@@ -285,7 +294,15 @@ pub struct HostSim {
     pub table: PageTable,
     procs: Vec<Proc>,
     run_queue: VecDeque<usize>,
-    server_queue: VecDeque<ServerWork>,
+    /// Work for the server, each item with its place in arrival order:
+    /// the value of `server_pushed` when it was queued.
+    server_queue: VecDeque<(u64, ServerWork)>,
+    /// Items ever queued for the server.
+    server_pushed: u64,
+    /// Invariant (g)'s shadow list: the requests the NIC dropped, each
+    /// at the place it would have taken in the server queue, until the
+    /// server gets there. `None` unless the observer is on.
+    nic_drops: Option<VecDeque<NicDrop>>,
     server_ready_since: Option<SimTime>,
     current: Option<Slot>,
     current_burst: Option<Burst>,
@@ -366,6 +383,8 @@ impl HostSim {
             procs: Vec::new(),
             run_queue: VecDeque::new(),
             server_queue: VecDeque::new(),
+            server_pushed: 0,
+            nic_drops: None,
             server_ready_since: None,
             current: None,
             current_burst: None,
@@ -639,6 +658,7 @@ impl HostSim {
             let untracked = !self.table.tracks(pkt.page()) && !self.transferred_here(pkt.as_ref());
             if untracked || !self.in_request_group(pkt.as_ref()) {
                 self.frames_filtered += 1;
+                self.shadow_nic_drop(now, pkt);
                 return false;
             }
             if self.is_duplicate_request(pkt.as_ref()) {
@@ -684,7 +704,65 @@ impl HostSim {
         };
         self.table.is_consistent_holder(page)
             || matches!(&self.current_burst, Some(Burst::ServerItem { work, .. }) if grant(work))
-            || self.server_queue.iter().any(grant)
+            || self.server_queue.iter().any(|(_, w)| grant(w))
+    }
+
+    /// Turns on invariant (g) for this host: the observer is on.
+    pub(crate) fn observe_nic_drops(&mut self) {
+        self.nic_drops = Some(VecDeque::new());
+    }
+
+    /// The NIC just dropped `pkt`. Under the observer a request is
+    /// shadowed at the place it would have taken in the server queue,
+    /// and judged at once if nothing is ahead of it.
+    fn shadow_nic_drop(&mut self, now: SimTime, pkt: &Arc<Packet>) {
+        let Some(drops) = self.nic_drops.as_mut() else {
+            return;
+        };
+        if matches!(**pkt, Packet::PageRequest { .. }) {
+            drops.push_back(NicDrop {
+                place: self.server_pushed,
+                pkt: Arc::clone(pkt),
+                heard: now,
+            });
+            self.judge_nic_drops(now);
+        }
+    }
+
+    /// Invariant (g): every request the NIC dropped is one the server
+    /// would not have answered. A drop is judged once the server has
+    /// passed its place: every item queued ahead of it is served or
+    /// settled, and none is in service. Only a server item makes this
+    /// host the holder, or a full copy, so the table is then as the
+    /// server would have found the request.
+    ///
+    /// # Panics
+    ///
+    /// If the table would answer a dropped request.
+    fn judge_nic_drops(&mut self, now: SimTime) {
+        let Some(mut drops) = self.nic_drops.take() else {
+            return;
+        };
+        if !matches!(self.current_burst, Some(Burst::ServerItem { .. })) {
+            let next = self
+                .server_queue
+                .front()
+                .map_or(u64::MAX, |(place, _)| *place);
+            while let Some(dropped) = drops.pop_front_if(|d| d.place <= next) {
+                let Packet::PageRequest { page, want, .. } = *dropped.pkt else {
+                    unreachable!("only requests are shadowed");
+                };
+                assert!(
+                    !self.answers(page, want),
+                    "invariant (g): host {} dropped {:?} at its NIC at {}, but its \
+                     server, reaching it at {now}, would have answered it",
+                    self.index,
+                    dropped.pkt,
+                    dropped.heard,
+                );
+            }
+        }
+        self.nic_drops = Some(drops);
     }
 
     /// Is `pkt` a page request identical (same page, length, and want —
@@ -696,7 +774,7 @@ impl HostSim {
         }
         self.server_queue
             .iter()
-            .any(|w| matches!(w, ServerWork::Packet(q) if same_request(pkt, q.as_ref())))
+            .any(|(_, w)| matches!(w, ServerWork::Packet(q) if same_request(pkt, q.as_ref())))
     }
 
     /// A sleep timer fired for process `proc`.
@@ -837,8 +915,26 @@ impl HostSim {
         if self.server_queue.is_empty() {
             self.server_ready_since = Some(now);
         }
-        self.server_queue.push_back(work);
+        self.server_queue.push_back((self.server_pushed, work));
+        self.server_pushed += 1;
         self.max_server_queue = self.max_server_queue.max(self.server_queue.len());
+    }
+
+    /// Would the server answer a request for `page` wanting `want` now?
+    /// Only the consistent holder answers `ReadOnly` and `Consistent`,
+    /// and only a full copy that does not hold answers `Superset`. The
+    /// cost model and invariant (g) share it.
+    fn answers(&self, page: PageId, want: Want) -> bool {
+        match want {
+            Want::ReadOnly | Want::Consistent => self.table.is_consistent_holder(page),
+            Want::Superset => {
+                !self.table.is_consistent_holder(page)
+                    && self
+                        .table
+                        .page_buf(page)
+                        .is_some_and(mether_core::PageBuf::full_valid)
+            }
+        }
     }
 
     fn server_cost(&self, work: &ServerWork) -> SimDuration {
@@ -849,17 +945,7 @@ impl HostSim {
                 Packet::PageRequest {
                     page, want, length, ..
                 } => {
-                    let answers = match want {
-                        Want::ReadOnly | Want::Consistent => self.table.is_consistent_holder(*page),
-                        Want::Superset => {
-                            !self.table.is_consistent_holder(*page)
-                                && self
-                                    .table
-                                    .page_buf(*page)
-                                    .is_some_and(mether_core::PageBuf::full_valid)
-                        }
-                    };
-                    if answers {
+                    if self.answers(*page, *want) {
                         let bytes = match want {
                             Want::Superset => mether_core::PAGE_SIZE,
                             _ => self.table.config().transfer_len(*length),
@@ -907,9 +993,9 @@ impl HostSim {
             self.last_ran = Some(next);
             match next {
                 Slot::Server => {
-                    let work = self.server_queue.front().expect("chose server with work");
+                    let (_, work) = self.server_queue.front().expect("chose server with work");
                     let d = self.server_cost(work);
-                    let work = self.server_queue.pop_front().expect("non-empty");
+                    let (_, work) = self.server_queue.pop_front().expect("non-empty");
                     if self.server_queue.is_empty() {
                         self.server_ready_since = None;
                     } else {
@@ -1135,6 +1221,7 @@ impl HostSim {
             Burst::ServerItem { work, d } => {
                 self.server_time += d;
                 self.exec_server(now, work, &mut actions);
+                self.judge_nic_drops(now);
             }
         }
         actions
@@ -1440,7 +1527,7 @@ impl HostSim {
         };
         let before = self.server_queue.len();
         let mut forwarded = 0;
-        self.server_queue.retain_mut(|w| {
+        self.server_queue.retain_mut(|(_, w)| {
             let ServerWork::Packet(q) = w else {
                 return true;
             };
@@ -1531,12 +1618,20 @@ mod tests {
         HostSim::new(0, Calib::sun3_sunos4(), MetherConfig::default())
     }
 
+    /// A host with the hardened NIC, and invariant (g) watching it.
     fn filtering_host() -> HostSim {
-        HostSim::new(
+        let mut h = HostSim::new(
             0,
             Calib::sun3_sunos4().with_nic_filter(),
             MetherConfig::default(),
-        )
+        );
+        h.observe_nic_drops();
+        h
+    }
+
+    /// Requests the NIC dropped that invariant (g) has yet to judge.
+    fn unjudged(h: &HostSim) -> usize {
+        h.nic_drops.as_ref().map_or(0, VecDeque::len)
     }
 
     fn request(from: u16, page: u32) -> Arc<Packet> {
@@ -1800,6 +1895,49 @@ mod tests {
         );
     }
 
+    /// Invariant (g) judges a dropped request where the server would
+    /// have reached it: after the burst in service and before anything
+    /// queued later, not when it was heard.
+    #[test]
+    fn nic_drops_are_judged_where_the_server_would_have_reached_them() {
+        let mut h = filtering_host();
+        let (sent, _) = awaiting_a_grant(&mut h);
+        h.table.create_owned(PageId::new(4));
+        assert!(h.deliver_packet(sent, &request(1, 4)));
+        let served = h.dispatch(sent).expect("serve the page-4 read");
+        assert!(!h.deliver_packet(sent, &request(2, 3)));
+        assert!(h.deliver_packet(sent, &request(2, 4)));
+        assert_eq!(unjudged(&h), 1, "judged while the server was busy");
+        h.finish_burst(served);
+        assert_eq!(unjudged(&h), 0, "not judged when the server passed it");
+        assert!(!h.deliver_packet(served, &request(1, 3)));
+        assert_eq!(unjudged(&h), 1, "the page-4 read is still ahead of it");
+    }
+
+    /// Invariant (g) catches a dropped request that the server would
+    /// have answered. No protocol path grants a page to a host that
+    /// never asked for it (asking makes the slot), so the untracked
+    /// filter never makes this drop in a run. Made here by hand, the
+    /// request is dropped behind the grant that makes this host the
+    /// holder.
+    #[test]
+    #[should_panic(expected = "invariant (g): host 0 dropped")]
+    fn invariant_g_catches_a_drop_the_server_would_have_answered() {
+        let mut h = filtering_host();
+        let grant = Packet::PageReply {
+            from: HostId(1),
+            page: PageId::new(3),
+            length: PageLength::Short,
+            generation: mether_core::Generation(1),
+            transfer_to: Some(HostId(0)),
+            data: bytes::Bytes::from(vec![0u8; 32]),
+        };
+        assert!(h.deliver_packet(SimTime::ZERO, &Arc::new(grant)));
+        assert!(!h.deliver_packet(SimTime::ZERO, &asking(2, 3, Want::Consistent)));
+        let installed = h.dispatch(SimTime::ZERO).expect("install burst");
+        h.finish_burst(installed);
+    }
+
     /// Without the hardened NIC every request reaches the server, the
     /// holder's or not.
     #[test]
@@ -1900,7 +2038,11 @@ mod tests {
             "A is granted the page: {actions:?}"
         );
         assert_eq!((h.requests_forwarded, h.requests_piggybacked), (1, 0));
-        let queued: Vec<_> = h.server_queue.iter().map(|w| format!("{w:?}")).collect();
+        let queued: Vec<_> = h
+            .server_queue
+            .iter()
+            .map(|(_, w)| format!("{w:?}"))
+            .collect();
         assert_eq!(
             queued,
             [
@@ -2264,10 +2406,13 @@ mod tests {
         assert!(
             matches!(
                 h.server_queue.front(),
-                Some(ServerWork::SendPacket(Packet::PageRequest {
-                    want: Want::ReadOnly,
-                    ..
-                }))
+                Some((
+                    _,
+                    ServerWork::SendPacket(Packet::PageRequest {
+                        want: Want::ReadOnly,
+                        ..
+                    })
+                ))
             ),
             "{:?}",
             h.server_queue

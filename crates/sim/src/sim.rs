@@ -482,9 +482,15 @@ impl Simulation {
     /// layout is invalid (zero segments, or more segments than hosts).
     pub fn new(cfg: SimConfig) -> Self {
         assert!(cfg.hosts > 0, "a simulation needs at least one host");
-        let hosts: Vec<HostSim> = (0..cfg.hosts)
+        let observer = observe::Observer::from_env(cfg.hosts);
+        let mut hosts: Vec<HostSim> = (0..cfg.hosts)
             .map(|i| HostSim::new(i, cfg.calib.clone(), cfg.mether.clone()))
             .collect();
+        if observer.enabled() {
+            // Invariant (g) lives in the hosts: only a host sees where
+            // its server gets to.
+            hosts.iter_mut().for_each(HostSim::observe_nic_drops);
+        }
         let (segments, layout, fabric) = match cfg.topology {
             Topology::Flat => (vec![EtherSim::new(cfg.ether)], None, None),
             Topology::Segmented { fabric } => {
@@ -514,7 +520,7 @@ impl Simulation {
             lane_events: Vec::new(),
             seeded: false,
             parallel: ParallelMode::from_env(),
-            observer: observe::Observer::from_env(cfg.hosts),
+            observer,
         }
     }
 

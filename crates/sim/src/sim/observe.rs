@@ -71,6 +71,21 @@
 //! the path between holder and home see the two through different
 //! ports, so one walk along that path judges the page.
 //!
+//! **(g) Every NIC drop of a request is a no-op** — a request that the
+//! hardened NIC (`Calib::nic_filter`) dropped, as being about an
+//! untracked page or outside the page's request group, is one the
+//! server would not have answered. Each such request goes into a
+//! per-host shadow list at the place it would have taken in the server
+//! queue, and when the server passes that place the host asserts that
+//! its table would not have answered it, by the predicate its cost
+//! model uses. The check lives in `host.rs` (`judge_nic_drops`), since
+//! only a host sees where its server gets to, and is turned on with the
+//! observer. It is observation only: no digest or sim-time value moves
+//! with it. Coalesced duplicates are out of scope (a duplicate would
+//! have been answered, by the queued request's reply), and so are
+//! filtered data frames (one may be installed legitimately if the host
+//! starts tracking the page while the frame would have waited).
+//!
 //! # Gating and cost: the dirty-set model
 //!
 //! The observer is on under `debug_assertions` (so the whole test suite

@@ -665,14 +665,11 @@ fn bench_hello_ring(c: &mut Criterion) {
     g.bench_function("hello_ring", |b| {
         b.iter(|| {
             // The large-fabric control plane as the soak harness deploys
-            // it: device-scaled hello cadence and sparse delta gossip.
-            // (Stock `live()` full-view hellos on this shape allocate a
-            // 480-entry view vector per PDU per port — gigabytes of
-            // churn per simulated second, the O(devices) wire cost the
-            // delta format exists to kill.)
+            // it: device-scaled hello cadence. Each hello carries the
+            // sender's own view, its news and an 8-entry anti-entropy
+            // window, not all 480 views.
             let fabric = FabricConfig::new(BridgeTopology::mesh2d(16, 16))
-                .with_election(ElectionMode::live_scaled(480))
-                .with_gossip_deltas();
+                .with_election(ElectionMode::live_scaled(480));
             let mut cfg = SimConfig::paper(256);
             cfg.topology = Topology::fabric(fabric);
             let mut sim = Simulation::new(cfg);

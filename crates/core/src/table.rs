@@ -683,7 +683,7 @@ impl PageTable {
             // Bridge-to-bridge spanning-tree control traffic: no Mether
             // server consumes it (a real NIC would filter the BPDU
             // multicast address before the driver ever saw the frame).
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => {}
+            Packet::BridgePdu { .. } => {}
         }
     }
 

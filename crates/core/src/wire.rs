@@ -112,8 +112,8 @@ pub const MIN_FRAME: usize = 64;
 const MAGIC: u16 = 0x4D45; // "ME"
 const TYPE_REQUEST: u8 = 1;
 const TYPE_DATA: u8 = 2;
-const TYPE_BRIDGE_PDU: u8 = 3;
-const TYPE_BRIDGE_PDU_DELTA: u8 = 4;
+// Type 3 was a full-view hello, retired: it now decodes as unknown.
+const TYPE_BRIDGE_PDU: u8 = 4;
 const TYPE_REPLY: u8 = 5;
 
 /// Upper bound on the per-device view entries a [`Packet::BridgePdu`]
@@ -178,12 +178,12 @@ fn decode_view(buf: &mut &[u8]) -> Result<DeviceView> {
     })
 }
 
-/// The PDU's view count, refused past [`MAX_PDU_VIEWS`] before anything
-/// is allocated for it.
+/// The hello's entry count, refused past [`MAX_PDU_VIEWS`] before
+/// anything is allocated for it.
 fn decode_count(buf: &mut &[u8]) -> Result<usize> {
     let count = buf.get_u16() as usize;
     if count > MAX_PDU_VIEWS {
-        return Err(Error::Decode(format!("pdu claims {count} views")));
+        return Err(Error::Decode(format!("hello claims {count} entries")));
     }
     Ok(count)
 }
@@ -254,37 +254,24 @@ pub enum Packet {
         /// The page bytes (a full page or a short-page prefix).
         data: Bytes,
     },
-    /// A bridge-to-bridge spanning-tree control frame (hello/TC): one
-    /// bridge device's gossiped liveness beliefs about every device of
-    /// the fabric, broadcast on each of its ports at the hello cadence
-    /// and immediately on change. Mether servers never consume these —
-    /// a host NIC filters them the way real NICs filter BPDU multicasts
-    /// — but they ride the same wire, occupy the same medium, and cross
-    /// the same codec as page traffic.
+    /// A bridge-to-bridge spanning-tree control frame (hello/TC),
+    /// broadcast on each of a bridge device's ports at the hello cadence
+    /// and immediately on change. It is sparse: only the entries worth
+    /// announcing (the sender's own view, views that changed since its
+    /// last hello, and a small rotating anti-entropy window), each
+    /// tagged with its device id, so a hello's wire cost stays O(1) in
+    /// fabric size; absent entries simply carry no news. Mether servers
+    /// never consume these — a host NIC filters them the way real NICs
+    /// filter BPDU multicasts — but they ride the same wire, occupy the
+    /// same medium, and cross the same codec as page traffic.
     BridgePdu {
         /// The emitting device's fabric endpoint id
         /// (`BRIDGE_HOST_BASE + device` in the runtime).
         from: HostId,
         /// The emitting bridge device's index in the topology.
         device: u16,
-        /// The sender's current belief about every device, indexed by
-        /// device id ([`crate::DeviceView`] versioned-gossip entries).
-        views: Vec<DeviceView>,
-    },
-    /// A sparse bridge hello: only the entries worth announcing (the
-    /// sender's own view, views that changed since the sender's last
-    /// hello, and a small rotating anti-entropy window), each tagged
-    /// with its device id. A full-view [`Packet::BridgePdu`] costs
-    /// O(fabric) wire bytes per hello, which oversubscribes a 10 Mbit/s
-    /// segment once ~50 devices gossip at a 1 ms cadence; delta hellos
-    /// keep the steady-state cost O(1). Semantically equivalent on the
-    /// receive side — absent entries simply carry no news.
-    BridgePduDelta {
-        /// The emitting device's fabric endpoint id.
-        from: HostId,
-        /// The emitting bridge device's index in the topology.
-        device: u16,
-        /// `(device id, view)` gossip entries, ids strictly ascending.
+        /// `(device id, view)` gossip entries ([`crate::DeviceView`]
+        /// versioned-gossip beliefs), ids strictly ascending.
         entries: Vec<(u16, DeviceView)>,
     },
 }
@@ -297,7 +284,7 @@ impl Packet {
             Packet::PageRequest { page, .. }
             | Packet::PageData { page, .. }
             | Packet::PageReply { page, .. } => *page,
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => PageId::new(0),
+            Packet::BridgePdu { .. } => PageId::new(0),
         }
     }
 
@@ -307,8 +294,7 @@ impl Packet {
             Packet::PageRequest { from, .. }
             | Packet::PageData { from, .. }
             | Packet::PageReply { from, .. }
-            | Packet::BridgePdu { from, .. }
-            | Packet::BridgePduDelta { from, .. } => *from,
+            | Packet::BridgePdu { from, .. } => *from,
         }
     }
 
@@ -325,10 +311,32 @@ impl Packet {
     /// True for bridge-to-bridge control frames, which no Mether server
     /// consumes.
     pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. }
-        )
+        matches!(self, Packet::BridgePdu { .. })
+    }
+
+    /// Are `self` and `other` page requests that one broadcast reply
+    /// satisfies both of? Same page, length, and want — plus the same
+    /// requester for directed consistency transfers. The one rule every
+    /// request coalescer applies.
+    pub fn same_request(&self, other: &Packet) -> bool {
+        let (
+            Packet::PageRequest {
+                from: af,
+                page: ap,
+                length: al,
+                want: aw,
+            },
+            Packet::PageRequest {
+                from: bf,
+                page: bp,
+                length: bl,
+                want: bw,
+            },
+        ) = (self, other)
+        else {
+            return false;
+        };
+        ap == bp && al == bl && aw == bw && (*aw != Want::Consistent || af == bf)
     }
 
     /// Encoded length in bytes, header and payload segments together
@@ -339,10 +347,7 @@ impl Packet {
             Packet::PageData { data, .. } | Packet::PageReply { data, .. } => {
                 2 + 1 + 2 + 4 + 1 + 8 + 3 + 4 + data.len()
             }
-            Packet::BridgePdu { views, .. } => {
-                2 + 1 + 2 + 2 + 2 + views.iter().map(view_len).sum::<usize>()
-            }
-            Packet::BridgePduDelta { entries, .. } => {
+            Packet::BridgePdu { entries, .. } => {
                 2 + 1 + 2 + 2 + 2 + entries.iter().map(|(_, v)| 2 + view_len(v)).sum::<usize>()
             }
         }
@@ -423,24 +428,10 @@ impl Packet {
             Packet::BridgePdu {
                 from,
                 device,
-                views,
-            } => {
-                b.put_u16(MAGIC);
-                b.put_u8(TYPE_BRIDGE_PDU);
-                b.put_u16(from.0);
-                b.put_u16(*device);
-                b.put_u16(views.len() as u16);
-                for v in views {
-                    put_view(b, v);
-                }
-            }
-            Packet::BridgePduDelta {
-                from,
-                device,
                 entries,
             } => {
                 b.put_u16(MAGIC);
-                b.put_u8(TYPE_BRIDGE_PDU_DELTA);
+                b.put_u8(TYPE_BRIDGE_PDU);
                 b.put_u16(from.0);
                 b.put_u16(*device);
                 b.put_u16(entries.len() as u16);
@@ -454,7 +445,7 @@ impl Packet {
 
     /// Checks that every variable-length field fits its wire-format
     /// length prefix. The u16/u32 length fields would otherwise wrap
-    /// silently (`views.len() as u16` past 65 535) and emit a frame
+    /// silently (`entries.len() as u16` past 65 535) and emit a frame
     /// whose advertised counts disagree with its contents — corrupt on
     /// the wire, not an error at the source.
     ///
@@ -477,28 +468,10 @@ impl Packet {
                 }
                 Ok(())
             }
-            Packet::BridgePdu { views, .. } => {
-                if views.len() > MAX_PDU_VIEWS {
-                    return Err(Error::Encode(format!(
-                        "{} device views exceed the {MAX_PDU_VIEWS}-view limit",
-                        views.len()
-                    )));
-                }
-                for (d, v) in views.iter().enumerate() {
-                    let words = mask_wire_words(&v.ports).len();
-                    if words > MAX_MASK_WORDS {
-                        return Err(Error::Encode(format!(
-                            "device {d} port mask of {words} words exceeds \
-                             the {MAX_MASK_WORDS}-word limit"
-                        )));
-                    }
-                }
-                Ok(())
-            }
-            Packet::BridgePduDelta { entries, .. } => {
+            Packet::BridgePdu { entries, .. } => {
                 if entries.len() > MAX_PDU_VIEWS {
                     return Err(Error::Encode(format!(
-                        "{} delta entries exceed the {MAX_PDU_VIEWS}-view limit",
+                        "{} hello entries exceed the {MAX_PDU_VIEWS}-view limit",
                         entries.len()
                     )));
                 }
@@ -652,20 +625,6 @@ impl Packet {
                 let from = HostId(buf.get_u16());
                 let device = buf.get_u16();
                 let count = decode_count(&mut buf)?;
-                let views = (0..count)
-                    .map(|_| decode_view(&mut buf))
-                    .collect::<Result<_>>()?;
-                Packet::BridgePdu {
-                    from,
-                    device,
-                    views,
-                }
-            }
-            TYPE_BRIDGE_PDU_DELTA => {
-                need(buf, 6)?;
-                let from = HostId(buf.get_u16());
-                let device = buf.get_u16();
-                let count = decode_count(&mut buf)?;
                 let entries = (0..count)
                     .map(|_| {
                         need(buf, 2)?;
@@ -673,7 +632,7 @@ impl Packet {
                         Ok((d, decode_view(&mut buf)?))
                     })
                     .collect::<Result<_>>()?;
-                Packet::BridgePduDelta {
+                Packet::BridgePdu {
                     from,
                     device,
                     entries,
@@ -833,39 +792,14 @@ mod tests {
         assert!(p.wire_size() < 8192 + 128);
     }
 
-    fn sample_pdu(n: usize) -> Packet {
+    /// A hello from device 5 carrying one entry per id of `ids`.
+    fn sample_pdu(ids: impl IntoIterator<Item = u16>) -> Packet {
         Packet::BridgePdu {
-            from: HostId(0xFF02),
-            device: 2,
-            views: (0..n)
-                .map(|d| crate::DeviceView {
-                    version: d as u64 * 3,
-                    alive: d % 2 == 0,
-                    ports: crate::HostMask::range(d, d + 3),
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn bridge_pdu_round_trip() {
-        for n in [0, 1, 4, 64] {
-            let p = sample_pdu(n);
-            // Control frames are all header (empty payload segment).
-            let frame = p.encode_vectored();
-            assert!(frame.payload.is_empty());
-            assert_eq!(frame.len(), p.encoded_len());
-            assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
-        }
-    }
-
-    fn sample_delta(ids: &[u16]) -> Packet {
-        Packet::BridgePduDelta {
             from: HostId(0xFF05),
             device: 5,
             entries: ids
-                .iter()
-                .map(|&d| {
+                .into_iter()
+                .map(|d| {
                     (
                         d,
                         crate::DeviceView {
@@ -880,11 +814,10 @@ mod tests {
     }
 
     #[test]
-    fn bridge_pdu_delta_round_trip() {
-        for ids in [&[] as &[u16], &[5], &[0, 7, 63, 901]] {
-            let p = sample_delta(ids);
-            assert!(p.is_control());
-            assert!(!p.is_data());
+    fn bridge_pdu_round_trip() {
+        for ids in [vec![], vec![5], vec![0, 7, 63, 901], (0..64).collect()] {
+            let p = sample_pdu(ids);
+            // Control frames are all header (empty payload segment).
             let frame = p.encode_vectored();
             assert!(frame.payload.is_empty());
             assert_eq!(frame.len(), p.encoded_len());
@@ -894,31 +827,31 @@ mod tests {
 
     #[test]
     fn bridge_pdu_delta_is_sparse_on_the_wire() {
-        // The point of the delta format: a one-entry hello from a large
-        // fabric costs about a minimum frame, not O(devices) bytes.
-        let delta = sample_delta(&[17]);
-        assert!(delta.wire_size() <= MIN_FRAME + 16, "{}", delta.wire_size());
-        assert!(sample_pdu(256).wire_size() > 16 * delta.wire_size());
-    }
-
-    #[test]
-    fn oversize_delta_is_refused_not_truncated() {
-        let ids: Vec<u16> = (0..=MAX_PDU_VIEWS as u16).collect();
-        let over = sample_delta(&ids);
-        assert!(matches!(over.try_encode_vectored(), Err(Error::Encode(_))));
+        // A hello pays for the entries it carries, not for the fabric:
+        // a one-entry hello costs about a minimum frame, and each
+        // further entry adds its own bytes and nothing else.
+        let one = sample_pdu([17]);
+        assert!(one.wire_size() <= MIN_FRAME + 16, "{}", one.wire_size());
+        let Packet::BridgePdu { entries, .. } = sample_pdu([18]) else {
+            unreachable!()
+        };
+        assert_eq!(
+            sample_pdu([17, 18]).encoded_len(),
+            one.encoded_len() + 2 + view_len(&entries[0].1)
+        );
     }
 
     #[test]
     fn oversize_pdu_is_refused_not_truncated() {
-        // views.len() used to cross the wire as a silent `as u16`; a
-        // PDU past the decoder cap must now fail loudly at the encoder.
-        let at_cap = sample_pdu(MAX_PDU_VIEWS);
+        // entries.len() used to cross the wire as a silent `as u16`; a
+        // hello past the decoder cap must now fail loudly at the encoder.
+        let at_cap = sample_pdu(0..MAX_PDU_VIEWS as u16);
         assert!(at_cap.check_encodable().is_ok());
         assert_eq!(
             Packet::decode_frame(&at_cap.try_encode_vectored().unwrap()).unwrap(),
             at_cap
         );
-        let over = sample_pdu(MAX_PDU_VIEWS + 1);
+        let over = sample_pdu(0..=MAX_PDU_VIEWS as u16);
         assert!(matches!(over.try_encode_vectored(), Err(Error::Encode(_))));
     }
 
@@ -929,11 +862,14 @@ mod tests {
         let p = Packet::BridgePdu {
             from: HostId(0xFF00),
             device: 0,
-            views: vec![crate::DeviceView {
-                version: 1,
-                alive: true,
-                ports: crate::HostMask::single(MAX_MASK_WORDS * 64),
-            }],
+            entries: vec![(
+                0,
+                crate::DeviceView {
+                    version: 1,
+                    alive: true,
+                    ports: crate::HostMask::single(MAX_MASK_WORDS * 64),
+                },
+            )],
         };
         assert!(matches!(p.try_encode_vectored(), Err(Error::Encode(_))));
     }
@@ -941,23 +877,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds wire-format limits")]
     fn infallible_encode_panics_on_oversize_instead_of_corrupting() {
-        let _ = sample_pdu(MAX_PDU_VIEWS + 1).encode_vectored();
+        let _ = sample_pdu(0..=MAX_PDU_VIEWS as u16).encode_vectored();
     }
 
     #[test]
     fn bridge_pdu_is_control_not_data() {
-        let p = sample_pdu(2);
+        let p = sample_pdu([0, 1]);
         assert!(p.is_control());
         assert!(!p.is_data());
-        assert_eq!(p.from(), HostId(0xFF02));
+        assert_eq!(p.from(), HostId(0xFF05));
         assert!(p.wire_size() >= MIN_FRAME);
     }
 
     #[test]
     fn bridge_pdu_decode_rejects_malformed() {
-        let enc = sample_pdu(3).encode_vectored().header;
-        // Truncations anywhere in the view list.
-        for cut in [3, 7, 9, enc.len() - 1] {
+        // magic 2, type 1, from 2, device 2, count 2 = a 9-byte head,
+        // then per entry: id 2, version 8, alive 1, word count 2, words.
+        let enc = sample_pdu([0, 1, 2]).encode_vectored().header;
+        // Truncations in the head, inside the first entry's id and
+        // view, and at the very end.
+        for cut in [3, 7, 9, 10, 12, enc.len() - 1] {
             assert!(
                 Packet::decode_frame(&header_only(enc.slice(..cut))).is_err(),
                 "cut {cut}"
@@ -965,9 +904,9 @@ mod tests {
         }
         // A corrupt alive flag.
         let mut bad = enc.to_vec();
-        bad[9 + 8] = 7; // first view's alive byte
+        bad[9 + 2 + 8] = 7; // first entry's alive byte
         assert!(Packet::decode_frame(&header_only(bad)).is_err());
-        // An absurd view count must not allocate gigabytes.
+        // An absurd entry count must not allocate gigabytes.
         let mut huge = enc.to_vec();
         huge[7] = 0xff;
         huge[8] = 0xff;
@@ -981,6 +920,10 @@ mod tests {
         let mut good = sample_request().encode_vectored().header.to_vec();
         good[2] = 99; // unknown type
         assert!(Packet::decode_frame(&header_only(good)).is_err());
+        // Type 3, the retired full-view hello, is unknown too.
+        let mut retired = sample_pdu([0, 1]).encode_vectored().header.to_vec();
+        retired[2] = 3;
+        assert!(Packet::decode_frame(&header_only(retired)).is_err());
     }
 
     #[test]
@@ -1113,7 +1056,7 @@ mod tests {
         inline.extend_from_slice(&data.payload);
         assert!(Packet::decode_frame(&header_only(inline)).is_err());
         // A request or PDU header with one byte after its last field.
-        for p in [sample_request(), sample_pdu(2), sample_delta(&[3])] {
+        for p in [sample_request(), sample_pdu([3]), sample_pdu([0, 1])] {
             let mut fat = p.encode_vectored().header.to_vec();
             assert_eq!(Packet::decode_frame(&header_only(fat.clone())).unwrap(), p);
             fat.push(0);

@@ -29,6 +29,14 @@
 //! forwarding ports only; blocked ports neither forward nor learn, so
 //! the redundancy stays dormant until a failure needs it.
 //!
+//! The hello is one sparse format: the sender's own view, the views
+//! that changed since its last hello, and a rotating window of
+//! `GOSSIP_WINDOW` unchanged entries — epidemic anti-entropy in the
+//! style of Demers et al. (PODC 1987), so a device that missed history
+//! resyncs within `devices / GOSSIP_WINDOW` hellos while a hello's wire
+//! cost stays O(1) in fabric size. A fabric of at most
+//! `GOSSIP_WINDOW` devices hears every view in every hello.
+//!
 //! Two election modes ([`ElectionMode`]):
 //!
 //! * [`ElectionMode::Static`] — elect once at construction assuming
@@ -481,9 +489,10 @@ impl ElectionMode {
 
     /// Live election with the cadence widened for a fabric of `devices`
     /// devices: the [`ElectionMode::live`] 1 ms / 4 ms / 2 ms timings
-    /// stretched by `ceil(devices / 32)`. Even with sparse delta hellos
-    /// ([`FabricConfig::with_gossip_deltas`]) the per-hello wire cost
-    /// grows with the anti-entropy window's mask words, and several
+    /// stretched by `ceil(devices / 32)`, so identical to
+    /// [`ElectionMode::live`] up to 32 devices. Even though hellos are
+    /// sparse, the per-hello wire cost grows with the anti-entropy
+    /// window's mask words, and several
     /// devices share each segment — at a fixed 1 ms cadence a
     /// 100+ device fabric spends a large fraction of every segment's
     /// 10 Mbit/s on control traffic. Scaling the cadence keeps the
@@ -564,23 +573,6 @@ pub struct FabricConfig {
     /// Per-device bridge priorities (lower wins the root election;
     /// missing entries default to 0, ties break on device id).
     pub priorities: Vec<u64>,
-    /// Emit sparse [`mether_core::Packet::BridgePduDelta`] hellos
-    /// instead of full-view [`mether_core::Packet::BridgePdu`]s: each
-    /// hello carries the sender's own view, any views changed since its
-    /// last hello, and a small rotating anti-entropy window. Keeps the
-    /// steady-state hello wire cost O(1) in fabric size — a full view
-    /// costs O(devices) bytes, which oversubscribes a 10 Mbit/s segment
-    /// once ~50 devices gossip at a millisecond cadence. Off by
-    /// default: small fabrics keep the validated byte-identical
-    /// full-view schedule.
-    pub gossip_deltas: bool,
-    /// Anti-entropy window width for delta hellos: each
-    /// [`mether_core::Packet::BridgePduDelta`] also carries this many
-    /// rotating unchanged entries, so a peer that missed history (a
-    /// revived device) resyncs within `devices / gossip_window` hellos.
-    /// Wider windows resync faster at a linear per-hello wire-cost
-    /// premium. Ignored unless `gossip_deltas` is set.
-    pub gossip_window: usize,
 }
 
 impl FabricConfig {
@@ -594,8 +586,6 @@ impl FabricConfig {
             aging: AgeHorizon::Sticky,
             election: ElectionMode::Static,
             priorities: Vec::new(),
-            gossip_deltas: false,
-            gossip_window: GOSSIP_WINDOW,
         }
     }
 
@@ -668,27 +658,6 @@ impl FabricConfig {
     #[must_use]
     pub fn with_priorities(mut self, priorities: Vec<u64>) -> Self {
         self.priorities = priorities;
-        self
-    }
-
-    /// Turns on sparse delta hellos (see [`FabricConfig::gossip_deltas`]).
-    #[must_use]
-    pub fn with_gossip_deltas(mut self) -> Self {
-        self.gossip_deltas = true;
-        self
-    }
-
-    /// Sets the delta-hello anti-entropy window width (see
-    /// [`FabricConfig::gossip_window`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero — a zero window would never resync a
-    /// revived device.
-    #[must_use]
-    pub fn with_gossip_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "gossip window must be positive");
-        self.gossip_window = window;
         self
     }
 
@@ -827,6 +796,22 @@ pub struct PduOutcome {
     pub active_changed: bool,
 }
 
+/// The gossip entries of hello `pkt`, heard from device `emitter` of a
+/// fabric of `devices` devices — or `None` when `pkt` is no hello, or its
+/// `device` field contradicts the emitter or names no device of the
+/// fabric. That field is wire-decoded, so on a real transport it is
+/// untrusted input: ingesting such a frame would refresh the wrong
+/// neighbour's liveness stamp. Both engines count a `None` in
+/// [`BridgeStats::malformed_pdus`] and ignore the frame.
+pub fn checked_hello(pkt: &Packet, emitter: usize, devices: usize) -> Option<&[(u16, DeviceView)]> {
+    match pkt {
+        Packet::BridgePdu {
+            device, entries, ..
+        } if *device as usize == emitter && emitter < devices => Some(entries),
+        _ => None,
+    }
+}
+
 /// One device's forwarding filter: which of its ports must hear a frame.
 ///
 /// Time-free and transport-free, so the simulator's [`Bridge`] engine
@@ -886,24 +871,21 @@ pub struct BridgePolicy {
     /// last drain: views, port liveness, active tree, election epoch,
     /// or hold-downs.
     dirty_struct: bool,
-    /// Emit sparse delta hellos instead of full views (see
-    /// [`FabricConfig::gossip_deltas`]).
-    gossip_deltas: bool,
     /// Per device: the view version as of this device's last hello —
     /// a hello needs to re-announce only entries newer than this. One
     /// global watermark (not per-port) suffices because every hello
     /// goes out on all live ports at once.
     last_gossiped: Vec<u64>,
-    /// Round-robin anti-entropy cursor: each delta hello also carries
-    /// the next `gossip_window` unchanged entries, so a peer that
-    /// missed history (a revived device) resyncs within
-    /// `devices / gossip_window` hellos.
+    /// Round-robin anti-entropy cursor: each hello also carries the
+    /// next `GOSSIP_WINDOW` unchanged entries, so a peer that missed
+    /// history (a revived device) resyncs within
+    /// `devices / GOSSIP_WINDOW` hellos.
     gossip_cursor: usize,
-    /// Anti-entropy window width (see [`FabricConfig::gossip_window`]).
-    gossip_window: usize,
 }
 
-/// Default anti-entropy window width (unchanged entries per delta hello).
+/// Anti-entropy window width: the unchanged entries each hello carries
+/// on top of its own view and its news. A fabric of at most this many
+/// devices hears every view in every hello.
 const GOSSIP_WINDOW: usize = 8;
 
 /// What every device of one fabric boots from, computed **once per
@@ -963,8 +945,8 @@ impl BridgePolicy {
     }
 
     /// The filter of one device of a fabric, booted from the fabric's
-    /// shared `boot` state with `cfg`'s homes, aging, election mode and
-    /// gossip settings. **The** constructor: a first
+    /// shared `boot` state with `cfg`'s homes, aging and election
+    /// mode. **The** constructor: a first
     /// boot and a cold revival both come through here, and neither
     /// elects — the device starts on the boot tree and the boot views,
     /// by reference.
@@ -1011,10 +993,8 @@ impl BridgePolicy {
             clock: 0,
             dirty_pages: Vec::new(),
             dirty_struct: false,
-            gossip_deltas: cfg.gossip_deltas,
             last_gossiped: vec![0; topology.bridges()],
             gossip_cursor: 0,
-            gossip_window: cfg.gossip_window,
         }
     }
 
@@ -1458,7 +1438,7 @@ impl BridgePolicy {
                 }
                 self.beliefs.belief_repairs += repairs;
             }
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => {}
+            Packet::BridgePdu { .. } => {}
         }
     }
 
@@ -1569,7 +1549,7 @@ impl BridgePolicy {
                     emit,
                 );
             }
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => {}
+            Packet::BridgePdu { .. } => {}
         }
     }
 
@@ -1653,28 +1633,13 @@ impl BridgePolicy {
     // The control plane: gossip, timeouts, re-election.
     // -----------------------------------------------------------------
 
-    /// This device's hello frame: its current beliefs about every
-    /// device, spoken as its fabric endpoint id.
-    pub fn pdu(&self) -> Packet {
-        Packet::BridgePdu {
-            from: HostId(BRIDGE_HOST_BASE + self.device as u16),
-            device: self.device as u16,
-            views: self.views.to_vec(),
-        }
-    }
-
-    /// The hello this device actually emits right now. Full-view mode
-    /// returns [`BridgePolicy::pdu`] unchanged; delta mode
-    /// ([`FabricConfig::gossip_deltas`]) returns a sparse
-    /// [`Packet::BridgePduDelta`] carrying the device's own view, every
-    /// view whose version advanced since the previous emission, and the
-    /// next [`FabricConfig::gossip_window`] entries of a rotating
+    /// The hello this device emits right now, spoken as its fabric
+    /// endpoint id: a sparse [`Packet::BridgePdu`] carrying the device's
+    /// own view, every view whose version advanced since the previous
+    /// emission, and the next `GOSSIP_WINDOW` entries of a rotating
     /// anti-entropy window; the announcement watermarks advance as a
     /// side effect.
     pub fn pdu_for_emission(&mut self) -> Packet {
-        if !self.gossip_deltas {
-            return self.pdu();
-        }
         let n = self.views.len();
         let mut include = vec![false; n];
         include[self.device] = true;
@@ -1683,7 +1648,7 @@ impl BridgePolicy {
                 *inc = true;
             }
         }
-        let window = self.gossip_window.min(n);
+        let window = GOSSIP_WINDOW.min(n);
         for k in 0..window {
             include[(self.gossip_cursor + k) % n] = true;
         }
@@ -1695,53 +1660,23 @@ impl BridgePolicy {
                 (d as u16, self.views[d].clone())
             })
             .collect();
-        Packet::BridgePduDelta {
+        Packet::BridgePdu {
             from: HostId(BRIDGE_HOST_BASE + self.device as u16),
             device: self.device as u16,
             entries,
         }
     }
 
-    /// Ingests a hello heard on `in_port` at `now`: refreshes the
-    /// sender's liveness stamp, merges its gossiped views (higher
+    /// Ingests a hello from device `from_device` at `now`: refreshes the
+    /// sender's liveness stamp, merges its gossiped entries (higher
     /// version wins, dead wins ties), rebuts any obituary of *this*
-    /// device, and re-elects when anything changed.
+    /// device, and re-elects when anything changed. Entries naming no
+    /// device of the fabric are ignored. The caller vouches for
+    /// `from_device` ([`checked_hello`]).
     pub fn hear_pdu(
         &mut self,
         from_device: usize,
-        views: &[DeviceView],
-        _in_port: usize,
-        now: SimTime,
-    ) -> PduOutcome {
-        let mut out = PduOutcome::default();
-        if from_device < self.last_heard.len() {
-            self.last_heard[from_device] = now;
-        }
-        for (d, theirs) in views.iter().enumerate() {
-            if d >= self.views.len() {
-                break;
-            }
-            if self.merge_gossiped(d, theirs) {
-                out.view_changed = true;
-            }
-        }
-        if out.view_changed {
-            self.dirty_struct = true;
-            out.active_changed = self.recompute(now);
-        }
-        out
-    }
-
-    /// Ingests a sparse delta hello (see [`Packet::BridgePduDelta`]):
-    /// same liveness refresh and versioned merge as
-    /// [`BridgePolicy::hear_pdu`], over explicitly-tagged entries.
-    /// Out-of-range device ids are ignored, like the dense form's
-    /// excess trailing views.
-    pub fn hear_pdu_sparse(
-        &mut self,
-        from_device: usize,
         entries: &[(u16, DeviceView)],
-        _in_port: usize,
         now: SimTime,
     ) -> PduOutcome {
         let mut out = PduOutcome::default();
@@ -2376,7 +2311,8 @@ impl Fabric {
     /// A control frame from `from_device` was delivered on `seg` at
     /// `arrival`: every other live device attached to `seg` ingests it,
     /// and any device whose beliefs changed emits a triggered hello on
-    /// all its live ports (the TC-style fast propagation).
+    /// all its live ports (the TC-style fast propagation). A frame that
+    /// fails [`checked_hello`] is counted and ignored.
     pub fn hear_control(
         &mut self,
         pkt: &Packet,
@@ -2384,19 +2320,10 @@ impl Fabric {
         arrival: SimTime,
         from_device: usize,
     ) -> Vec<ControlOut> {
-        let device = match pkt {
-            Packet::BridgePdu { device, .. } | Packet::BridgePduDelta { device, .. } => device,
-            _ => return Vec::new(),
-        };
-        // `device` is a wire-decoded field, so on a real transport it is
-        // untrusted input: a frame whose embedded id contradicts the
-        // segment's actual emitter (or names no device of this fabric)
-        // is counted and ignored, never asserted on — ingesting it
-        // would refresh the wrong neighbour's liveness stamp.
-        if *device as usize != from_device || *device as usize >= self.devices.len() {
+        let Some(entries) = checked_hello(pkt, from_device, self.devices.len()) else {
             self.malformed_pdus += 1;
             return Vec::new();
-        }
+        };
         let mut out = Vec::new();
         for i in 0..self.boot.topology.bridges_on(seg).len() {
             let d = self.boot.topology.bridges_on(seg)[i];
@@ -2406,16 +2333,9 @@ impl Fabric {
             if !self.devices[d].policy().port_is_live(seg) {
                 continue;
             }
-            let policy = self.devices[d].policy_mut();
-            let r = match pkt {
-                Packet::BridgePdu { views, .. } => {
-                    policy.hear_pdu(from_device, views, seg, arrival)
-                }
-                Packet::BridgePduDelta { entries, .. } => {
-                    policy.hear_pdu_sparse(from_device, entries, seg, arrival)
-                }
-                _ => unreachable!("matched above"),
-            };
+            let r = self.devices[d]
+                .policy_mut()
+                .hear_pdu(from_device, entries, arrival);
             if r.active_changed {
                 self.reconvergences += 1;
             }
@@ -2428,7 +2348,7 @@ impl Fabric {
 
     /// The hellos device `device` would emit right now: one per live
     /// port. One [`BridgePolicy::pdu_for_emission`] call per emission —
-    /// the same hello goes out on every live port, so delta-mode
+    /// the same hello goes out on every live port, so the gossip
     /// watermarks advance once per emission, not once per port.
     fn emissions(&mut self, device: usize) -> Vec<ControlOut> {
         let pkt = self.devices[device].policy_mut().pdu_for_emission();
@@ -2744,51 +2664,61 @@ mod tests {
         assert_eq!(set(p.interest(PageId::new(2), T0)), vec![2]);
     }
 
-    /// Hellos until the rotating anti-entropy window has announced every
-    /// device's view at least once — the resync horizon a revived device
-    /// faces when nothing else is changing.
-    fn hellos_to_full_coverage(window: usize) -> usize {
+    /// 32 quiescent devices take `32 / GOSSIP_WINDOW` hellos to
+    /// re-announce every view in full — the resync horizon a revived
+    /// device faces when nothing else is changing.
+    #[test]
+    fn anti_entropy_covers_32_devices_in_4_hellos() {
         let segs = 33; // chain(33) = 32 two-port devices
         let layout = SegmentLayout::new(segs, segs).unwrap();
         let topology = Arc::new(BridgeTopology::chain(segs));
         let n = topology.bridges();
-        let cfg = FabricConfig::chain(segs)
-            .with_gossip_deltas()
-            .with_gossip_window(window);
+        let cfg = FabricConfig::chain(segs);
         let mut p =
             BridgePolicy::for_device(layout, &BootState::new(topology, Vec::new()), 0, &cfg);
         let mut covered = vec![false; n];
-        for hello in 1..=n {
-            let Packet::BridgePduDelta { entries, .. } = p.pdu_for_emission() else {
-                panic!("delta mode must emit delta hellos");
-            };
-            for (d, _) in entries {
-                covered[d as usize] = true;
-            }
-            if covered.iter().all(|c| *c) {
-                return hello;
+        let hellos = (1..=n)
+            .find(|_| {
+                let Packet::BridgePdu { entries, .. } = p.pdu_for_emission() else {
+                    panic!("hellos are bridge PDUs");
+                };
+                for (d, _) in entries {
+                    covered[d as usize] = true;
+                }
+                covered.iter().all(|c| *c)
+            })
+            .expect("anti-entropy window never covered the fabric");
+        assert_eq!(GOSSIP_WINDOW, 8);
+        assert_eq!(hellos, 4, "32 devices / 8 per hello");
+    }
+
+    /// A fabric of at most `GOSSIP_WINDOW` devices hears every view in
+    /// every hello, whatever the news and wherever the cursor stands.
+    #[test]
+    fn small_fabrics_hear_every_view_in_every_hello() {
+        for segs in [2, 5, GOSSIP_WINDOW] {
+            let mut f = live_ring_fabric(segs, segs);
+            let n = f.device(0).policy().views().len();
+            assert!(n <= GOSSIP_WINDOW, "ring({segs}) has {n} devices");
+            // No hello is delivered, so the first round's devices
+            // declare their silent neighbours dead: a hello of news,
+            // then hellos of unchanged entries.
+            for round in 1..=3u64 {
+                let t = SimTime::ZERO + SimDuration::from_millis(5 * round);
+                for d in 0..n {
+                    for out in f.tick(d, t) {
+                        let Packet::BridgePdu { entries, .. } = &out.pkt else {
+                            panic!("hellos are bridge PDUs");
+                        };
+                        let views = f.device(d).policy().views();
+                        let expect: Vec<(u16, DeviceView)> = (0..n as u16)
+                            .map(|i| (i, views[i as usize].clone()))
+                            .collect();
+                        assert_eq!(entries, &expect, "ring({segs}) device {d} round {round}");
+                    }
+                }
             }
         }
-        panic!("anti-entropy window never covered the fabric");
-    }
-
-    /// The anti-entropy window is configurable, and a wider window
-    /// shortens resync proportionally: 32 quiescent devices take
-    /// `32 / window` hellos to re-announce in full.
-    #[test]
-    fn wider_gossip_window_shortens_resync() {
-        let narrow = hellos_to_full_coverage(8);
-        let wide = hellos_to_full_coverage(16);
-        assert_eq!(narrow, 4, "32 devices / 8 per hello");
-        assert_eq!(wide, 2, "32 devices / 16 per hello");
-        assert!(wide < narrow);
-    }
-
-    /// The default window matches the historical fixed constant, so
-    /// existing delta-gossip deployments keep their pinned schedules.
-    #[test]
-    fn default_gossip_window_is_eight() {
-        assert_eq!(FabricConfig::chain(4).gossip_window, 8);
     }
 
     #[test]
@@ -3382,7 +3312,7 @@ mod tests {
     #[test]
     fn control_frames_never_enter_the_data_engine() {
         let mut b = star_bridge(BridgeConfig::typical());
-        let pdu = b.policy().pdu();
+        let pdu = b.policy_mut().pdu_for_emission();
         let out = b.pickup(&pdu, 0, SimTime::ZERO);
         assert!(out.is_empty());
         assert_eq!(b.stats().heard, 0, "not even counted as heard");
@@ -3672,7 +3602,7 @@ mod tests {
         let t1 = SimTime::ZERO + hello_interval;
         let frames = f.tick(0, t1);
         let c = &frames[0];
-        let Packet::BridgePdu { from, views, .. } = c.pkt.clone() else {
+        let Packet::BridgePdu { from, entries, .. } = c.pkt.clone() else {
             panic!("hellos are bridge PDUs")
         };
         // A genuine hello from device 0, but the wire claims device 1
@@ -3680,7 +3610,7 @@ mod tests {
         let lying = Packet::BridgePdu {
             from,
             device: 1,
-            views: views.clone(),
+            entries: entries.clone(),
         };
         assert!(f.hear_control(&lying, c.seg, t1, c.device).is_empty());
         assert_eq!(f.stats().malformed_pdus, 1);
@@ -3689,7 +3619,7 @@ mod tests {
         let alien = Packet::BridgePdu {
             from,
             device: 99,
-            views,
+            entries,
         };
         assert!(f.hear_control(&alien, c.seg, t1, 99).is_empty());
         assert_eq!(f.stats().malformed_pdus, 2);
@@ -3753,14 +3683,16 @@ mod tests {
         let t2 = t + SimDuration::from_millis(10);
         f.apply_event(FabricEvent::BridgeUp(1), t2);
         assert!(!f.is_dead(1));
-        // The revived device asserts itself at version 2 — above the
-        // version-1 obituary any neighbour may still be gossiping.
-        let pdu = f.device(1).policy().pdu();
-        let Packet::BridgePdu { views, .. } = &pdu else {
-            panic!()
+        // The revived device's hello asserts itself at version 2 —
+        // above the version-1 obituary any neighbour may still be
+        // gossiping.
+        let outs = f.tick(1, t2 + SimDuration::from_millis(1));
+        let Packet::BridgePdu { entries, .. } = &outs[0].pkt else {
+            panic!("hellos are bridge PDUs")
         };
-        assert_eq!(views[1].version, 2);
-        assert!(views[1].alive);
+        let (_, own) = entries.iter().find(|(d, _)| *d == 1).expect("own view");
+        assert_eq!(own.version, 2);
+        assert!(own.alive);
         assert_eq!(f.timeline().len(), 2, "both events on the timeline");
     }
 
@@ -3813,10 +3745,10 @@ mod tests {
         // neighbour stamps were reset to the revival time.
         let outs = f.tick(1, t_up + hello_interval);
         assert!(!outs.is_empty(), "the revived device hellos");
-        let Packet::BridgePdu { views, .. } = &outs[0].pkt else {
+        let Packet::BridgePdu { entries, .. } = &outs[0].pkt else {
             panic!()
         };
-        for (d, v) in views.iter().enumerate() {
+        for (d, v) in entries {
             assert!(v.alive, "device {d} wrongly declared dead at revival");
         }
         // (c) The pre-kill counters carried over into the new life.

@@ -881,17 +881,17 @@ mod tests {
         let lan = Lan::new(LanConfig::fast());
         let a = lan.endpoint(HostId(0));
         let b = lan.endpoint(HostId(1));
+        let view = mether_core::DeviceView {
+            version: 1,
+            alive: true,
+            ports: mether_core::HostMask::single(0),
+        };
         let over = Packet::BridgePdu {
             from: HostId(0xFF00),
             device: 0,
-            views: vec![
-                mether_core::DeviceView {
-                    version: 1,
-                    alive: true,
-                    ports: mether_core::HostMask::single(0),
-                };
-                mether_core::wire::MAX_PDU_VIEWS + 1
-            ],
+            entries: (0..=mether_core::wire::MAX_PDU_VIEWS as u16)
+                .map(|d| (d, view.clone()))
+                .collect(),
         };
         assert!(matches!(a.broadcast(&over), Err(Error::Encode(_))));
         assert_eq!(lan.stats().encode_errors, 1, "refusal counted");

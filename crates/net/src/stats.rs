@@ -53,7 +53,7 @@ impl NetStats {
                 self.data_packets += 1;
                 self.payload_bytes += data.len() as u64;
             }
-            Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => self.control_packets += 1,
+            Packet::BridgePdu { .. } => self.control_packets += 1,
         }
     }
 

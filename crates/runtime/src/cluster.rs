@@ -17,12 +17,16 @@
 //! forwarding along the fabric's **active tree**.
 //!
 //! Under [`mether_net::ElectionMode::Live`] the bridge threads also run
-//! the spanning-tree control plane in real time: each thread emits
-//! [`mether_core::Packet::BridgePdu`] hellos on its ports at the hello
-//! cadence (1 sim-ms ≙ 1 wall-ms here), ingests its peers' hellos,
-//! times out silent neighbours, and re-elects — so a redundant wiring
-//! (ring, mesh) stays loop-free and **recovers from a killed bridge
-//! thread**. [`Cluster::stop_bridge`] kills one device's thread (and
+//! the spanning-tree control plane in real time: each thread emits the
+//! same sparse [`mether_core::Packet::BridgePdu`] hellos as the
+//! simulator's devices on its ports at the hello cadence (1 sim-ms ≙
+//! 1 wall-ms here), ingests its peers' hellos, times out silent
+//! neighbours, and re-elects — so a redundant wiring (ring, mesh) stays
+//! loop-free and **recovers from a killed bridge thread**. A hello
+//! whose `device` field contradicts its sender fails the simulator's
+//! own check ([`mether_net::bridge::checked_hello`]) and is counted in
+//! [`BridgeStats::malformed_pdus`], not ingested.
+//! [`Cluster::stop_bridge`] kills one device's thread (and
 //! joins it — failure injection must not leak threads; shutdown used to
 //! be join-on-drop only), [`Cluster::restart_bridge`] revives it cold:
 //! fresh filter tables, fresh optimistic views, a self-version above
@@ -78,7 +82,7 @@
 
 use crate::node::Node;
 use mether_core::{HostId, MetherConfig, Packet, PageId, SegmentLayout};
-use mether_net::bridge::{BootState, BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
+use mether_net::bridge::{checked_hello, BootState, BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
 use mether_net::rt::{lock, Inbox, Lan, LanConfig, Port};
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -308,6 +312,7 @@ impl BridgeThreads {
             .hello_interval()
             .map(|d| Duration::from_nanos(d.as_nanos()));
         let epoch = self.start;
+        let bridges = self.fabric.topology.bridges();
         let thread_policy = Arc::clone(&policy);
         let thread_inbox = inbox.clone();
         let thread_stats = Arc::clone(&self.stats[device]);
@@ -351,20 +356,15 @@ impl BridgeThreads {
                         return;
                     }
                     if pkt.is_control() {
-                        let mut p = lock(&policy);
-                        let r = match pkt {
-                            Packet::BridgePdu {
-                                device: from,
-                                views,
-                                ..
-                            } => p.hear_pdu(*from as usize, views, seg, now()),
-                            Packet::BridgePduDelta {
-                                device: from,
-                                entries,
-                                ..
-                            } => p.hear_pdu_sparse(*from as usize, entries, seg, now()),
-                            _ => unreachable!("is_control covers exactly the PDU variants"),
+                        // The emitter is the frame's fabric endpoint id,
+                        // the one sender identity a LAN frame carries.
+                        let emitter = usize::from(pkt.from().0.wrapping_sub(BRIDGE_HOST_BASE));
+                        let Some(entries) = checked_hello(pkt, emitter, bridges) else {
+                            lock(&stats).malformed_pdus += 1;
+                            return;
                         };
+                        let mut p = lock(&policy);
+                        let r = p.hear_pdu(emitter, entries, now());
                         if r.active_changed {
                             lock(&fault).reconvergences += 1;
                         }
@@ -1207,6 +1207,56 @@ mod tests {
         c.node(0).write_u32(addr, 13).unwrap();
         read_fresh(&c, 2, 13);
         read_fresh(&c, 4, 13);
+        c.shutdown();
+    }
+
+    #[test]
+    fn a_lying_hello_is_counted_and_ignored() {
+        use mether_core::{DeviceView, HostMask};
+
+        // Segment 1 of a 4-segment ring joins devices 0 and 1. A hello
+        // that speaks as device 0's endpoint but names device 1 in its
+        // `device` field contradicts its emitter: both devices count it
+        // and neither ingests its obituary of device 3.
+        let mut c = Cluster::new(ClusterConfig::fabric(8, FabricConfig::ring(4))).unwrap();
+        let b = Arc::clone(c.bridge.as_ref().unwrap());
+        let views = |d: usize| lock(&lock(&b.devices[d]).policy).views().to_vec();
+        let boot: Vec<_> = (0..4).map(views).collect();
+        let wire = c.lans[1].endpoint(HostId(0xFFF0));
+        let hello = |device| Packet::BridgePdu {
+            from: HostId(BRIDGE_HOST_BASE),
+            device,
+            entries: vec![(
+                3,
+                DeviceView {
+                    version: 99,
+                    alive: false,
+                    ports: HostMask::EMPTY,
+                },
+            )],
+        };
+        wire.broadcast(&hello(1)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while (0..2).any(|d| c.bridge_stats(d).malformed_pdus == 0) {
+            assert!(
+                Instant::now() < deadline,
+                "the lying hello was never counted"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        for (d, boot) in boot.iter().enumerate() {
+            assert_eq!(&views(d), boot, "device {d}'s views moved");
+        }
+        // The same news told truthfully is ingested.
+        wire.broadcast(&hello(0)).unwrap();
+        while views(1)[3].version < 99 {
+            assert!(
+                Instant::now() < deadline,
+                "the honest hello was never heard"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(c.bridge_stats(1).malformed_pdus, 1);
         c.shutdown();
     }
 

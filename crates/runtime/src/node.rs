@@ -16,7 +16,7 @@
 
 use mether_core::{
     AccessOutcome, Effect, Error, HostId, MapMode, MetherConfig, Packet, PageId, PageLength,
-    PageTable, Result, VAddr, Want,
+    PageTable, Result, VAddr,
 };
 use mether_net::rt::{lock, Endpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,9 +35,9 @@ pub(crate) struct NodeInner {
     requests_coalesced: AtomicU64,
 }
 
-/// Is `pkt` a page request identical (same page, length, and want —
-/// plus same requester for directed consistency transfers) to one
-/// already in `earlier`? The runtime's counterpart of the simulator's
+/// Is `pkt` a page request one already in `earlier` makes redundant
+/// ([`Packet::same_request`], the rule the simulator's coalescer
+/// applies too)? The runtime's counterpart of the simulator's
 /// NIC-level request coalescing (`Calib::nic_filter`): every reply is a
 /// broadcast the whole wire snoops, so one request per distinct ask
 /// satisfies every waiter a duplicate could. The simulator's other NIC
@@ -45,20 +45,7 @@ pub(crate) struct NodeInner {
 /// here: the runtime charges no server cost, and
 /// `PageTable::handle_packet` already returns at once for such a page.
 fn duplicate_request(pkt: &Packet, earlier: &[Packet]) -> bool {
-    let Packet::PageRequest {
-        from,
-        page,
-        length,
-        want,
-    } = pkt
-    else {
-        return false;
-    };
-    earlier.iter().any(|e| {
-        matches!(e, Packet::PageRequest { from: f2, page: p2, length: l2, want: w2 }
-            if p2 == page && l2 == length && w2 == want
-                && (*want != Want::Consistent || f2 == from))
-    })
+    earlier.iter().any(|e| pkt.same_request(e))
 }
 
 impl NodeInner {

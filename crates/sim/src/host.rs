@@ -156,30 +156,6 @@ impl FaultRetry {
     }
 }
 
-/// Are `a` and `b` page requests that one broadcast reply satisfies
-/// both of? Same page, length, and want — plus same requester for
-/// directed consistency transfers.
-fn same_request(a: &Packet, b: &Packet) -> bool {
-    let (
-        Packet::PageRequest {
-            from: af,
-            page: ap,
-            length: al,
-            want: aw,
-        },
-        Packet::PageRequest {
-            from: bf,
-            page: bp,
-            length: bl,
-            want: bw,
-        },
-    ) = (a, b)
-    else {
-        return false;
-    };
-    ap == bp && al == bl && aw == bw && (*aw != Want::Consistent || af == bf)
-}
-
 /// Scheduler state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcState {
@@ -774,7 +750,7 @@ impl HostSim {
         }
         self.server_queue
             .iter()
-            .any(|(_, w)| matches!(w, ServerWork::Packet(q) if same_request(pkt, q.as_ref())))
+            .any(|(_, w)| matches!(w, ServerWork::Packet(q) if pkt.same_request(q)))
     }
 
     /// A sleep timer fired for process `proc`.
@@ -966,7 +942,7 @@ impl HostSim {
                 // Control frames are NIC-filtered before the server ever
                 // sees them; the simulator never delivers them to hosts,
                 // so this arm only keeps the cost model total.
-                Packet::BridgePdu { .. } | Packet::BridgePduDelta { .. } => self.calib.server_snoop,
+                Packet::BridgePdu { .. } => self.calib.server_snoop,
             },
         }
     }
@@ -1531,7 +1507,7 @@ impl HostSim {
             let ServerWork::Packet(q) = w else {
                 return true;
             };
-            if same_request(served, q.as_ref()) {
+            if served.same_request(q) {
                 return false;
             }
             if stranded(q.as_ref()) {

@@ -500,21 +500,11 @@ impl SoakScenario {
     pub fn fabric_config(&self) -> FabricConfig {
         let mut fabric = FabricConfig::new(self.shape.build()).with_aging(self.aging);
         if self.election_live {
-            if self.segments() >= 64 {
-                // Large fabrics can't afford the small-fabric gossip: a
-                // full-view hello costs O(devices) wire bytes, and at
-                // the stock 1 ms cadence ~50 devices oversubscribe
-                // every 10 Mbit/s segment with control traffic alone —
-                // data frames then queue behind an unbounded hello
-                // backlog and the whole run livelocks. Sparse delta
-                // hellos plus a device-scaled cadence keep the control
-                // plane a few percent of the wire at any size.
-                fabric = fabric
-                    .with_election(ElectionMode::live_scaled(self.devices()))
-                    .with_gossip_deltas();
-            } else {
-                fabric = fabric.with_election(ElectionMode::live());
-            }
+            // Sparse hellos keep each hello's wire cost O(1) in fabric
+            // size; the device-scaled cadence keeps large fabrics from
+            // spending their 10 Mbit/s segments on control traffic
+            // (at ≤ 32 devices it is the stock 1 ms `live()`).
+            fabric = fabric.with_election(ElectionMode::live_scaled(self.devices()));
         }
         fabric
     }

@@ -957,15 +957,14 @@ fn divergence_is_copy_on_write_and_never_aliased() {
     // its own table to record it; nobody else sees the entry move, and
     // the re-election it triggers lands on the same tree — kept, not
     // copied.
-    let mut told = t.fresh_views();
-    told[2] = DeviceView {
+    let told = DeviceView {
         version: 2,
-        ..told[2].clone()
+        ..t.fresh_views()[2].clone()
     };
     let news = Packet::BridgePdu {
         from: HostId(BRIDGE_HOST_BASE),
         device: 0,
-        views: told,
+        entries: vec![(2, told)],
     };
     let triggered = f.hear_control(&news, 1, t1, 0);
     assert!(!triggered.is_empty(), "device 1 passes the news on");

@@ -9,7 +9,7 @@
 //!   reference `BTreeSet` at every width, on either side of the
 //!   inline-to-spilled representation boundary;
 //! * **wire round-trip** — a mask crosses the codec inside a
-//!   [`Packet::BridgePdu`] device view (`word_count:u16` + big-endian
+//!   [`Packet::BridgePdu`] hello entry (`word_count:u16` + big-endian
 //!   words, trailing zero words trimmed) and comes back equal, with
 //!   `encoded_len` matching the bytes actually produced;
 //! * **`range` in one pass** — `range(lo, hi)` is the set `lo..hi` on
@@ -118,9 +118,9 @@ proptest! {
         let p = Packet::BridgePdu {
             from: HostId(7),
             device: 3,
-            views: vec![
-                DeviceView { version, alive, ports: mask_of(&members(wi, &raw_a)) },
-                DeviceView { version: version ^ 1, alive: !alive, ports: mask_of(&members(wi, &raw_b)) },
+            entries: vec![
+                (0, DeviceView { version, alive, ports: mask_of(&members(wi, &raw_a)) }),
+                (1, DeviceView { version: version ^ 1, alive: !alive, ports: mask_of(&members(wi, &raw_b)) }),
             ],
         };
         let frame = p.encode_vectored();
@@ -187,11 +187,14 @@ fn spill_boundary_round_trips_the_wire() {
         let p = Packet::BridgePdu {
             from: HostId(1),
             device: 0,
-            views: vec![DeviceView {
-                version: 9,
-                alive: true,
-                ports: full.clone(),
-            }],
+            entries: vec![(
+                0,
+                DeviceView {
+                    version: 9,
+                    alive: true,
+                    ports: full.clone(),
+                },
+            )],
         };
         let frame = p.encode_vectored();
         assert_eq!(frame.len(), p.encoded_len(), "width {width}");

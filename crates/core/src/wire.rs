@@ -815,9 +815,24 @@ mod tests {
 
     #[test]
     fn bridge_pdu_round_trip() {
-        for ids in [vec![], vec![5], vec![0, 7, 63, 901], (0..64).collect()] {
-            let p = sample_pdu(ids);
+        for n in [0, 1, 4, 64] {
+            let p = sample_pdu(0..n);
             // Control frames are all header (empty payload segment).
+            let frame = p.encode_vectored();
+            assert!(frame.payload.is_empty());
+            assert_eq!(frame.len(), p.encoded_len());
+            assert_eq!(Packet::decode_frame(&frame).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn bridge_pdu_delta_round_trip() {
+        // Sparse id sets: gaps between ids survive the round trip, and
+        // a hello that skips most of the fabric is still a control frame.
+        for ids in [vec![5], vec![0, 7, 63, 901], vec![2, 40_000]] {
+            let p = sample_pdu(ids);
+            assert!(p.is_control());
+            assert!(!p.is_data());
             let frame = p.encode_vectored();
             assert!(frame.payload.is_empty());
             assert_eq!(frame.len(), p.encoded_len());
@@ -839,6 +854,17 @@ mod tests {
             sample_pdu([17, 18]).encoded_len(),
             one.encoded_len() + 2 + view_len(&entries[0].1)
         );
+    }
+
+    #[test]
+    fn oversize_delta_is_refused_not_truncated() {
+        // The entry cap counts entries, not the span of their ids: a
+        // sparse hello with one entry too many is refused even though
+        // its ids are spread across the whole id space.
+        let over = sample_pdu((0..=MAX_PDU_VIEWS as u16).map(|d| d * 3));
+        assert!(matches!(over.try_encode_vectored(), Err(Error::Encode(_))));
+        let at_cap = sample_pdu((0..MAX_PDU_VIEWS as u16).map(|d| d * 3));
+        assert!(at_cap.check_encodable().is_ok());
     }
 
     #[test]

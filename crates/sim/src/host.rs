@@ -2463,4 +2463,188 @@ mod tests {
         let write = timeouts_of_two_resends(retrying_host(), write);
         assert_eq!(write, [rto, rto.saturating_mul(2), rto.saturating_mul(4)]);
     }
+
+    /// Host 1's purge broadcast of page 3 at `generation`, every byte
+    /// `fill`: it refreshes whatever copy host 0 keeps.
+    fn refresh(generation: u64, fill: u8) -> Arc<Packet> {
+        Arc::new(Packet::PageData {
+            from: HostId(1),
+            page: PageId::new(3),
+            length: PageLength::Short,
+            generation: mether_core::Generation(generation),
+            transfer_to: None,
+            data: bytes::Bytes::from(vec![fill; 32]),
+        })
+    }
+
+    /// Delivers `pkt` at `now` and runs the server until it idles.
+    /// Returns whether the NIC queued the frame, and the clock.
+    fn snoop(h: &mut HostSim, mut now: SimTime, pkt: &Arc<Packet>) -> (bool, SimTime) {
+        let queued = h.deliver_packet(now, pkt);
+        while let Some(t) = h.dispatch(now) {
+            h.finish_burst(t);
+            now = t;
+        }
+        (queued, now)
+    }
+
+    /// Host 0 read-faults page 3 through `view` and installs the
+    /// holder's reply, which wakes the fault: a copy it does not hold,
+    /// with nobody waiting. Returns when the reply was installed.
+    fn a_read_copy(h: &mut HostSim, view: View) -> SimTime {
+        h.attach_open_loop(Box::new(OneShot(Some(OpenAccess {
+            at: SimTime::ZERO,
+            page: PageId::new(3),
+            view,
+            mode: MapMode::ReadOnly,
+            cold: false,
+        }))));
+        h.open_arrival(SimTime::ZERO);
+        let (sent, req) = send_request(h, SimTime::ZERO);
+        let installed = install(h, sent, holder_reply(&req));
+        assert_eq!(h.open_counts(), (1, 0, 1), "the reply woke the fault");
+        installed
+    }
+
+    /// [`a_read_copy`] through `view`, then one refresh that nobody
+    /// reads: the next data frame is the copy's second unread refresh.
+    fn an_unread_refreshed_copy(h: &mut HostSim, view: View) -> SimTime {
+        let installed = a_read_copy(h, view);
+        let (queued, now) = snoop(h, installed, &refresh(2, 2));
+        assert!(queued, "the first refresh of a copy is installed");
+        now
+    }
+
+    /// Reads page 3 on host 0's table through `view`, as a process or
+    /// an open-loop arrival would.
+    fn read_page_3(h: &mut HostSim, view: View) -> AccessOutcome {
+        h.table
+            .access(PageId::new(3), view, MapMode::ReadOnly, 7, &mut Vec::new())
+            .expect("a read")
+    }
+
+    /// The data group: a copy that nobody here has read takes exactly
+    /// one refresh. The next data frame for it is dropped at the NIC,
+    /// counted as filtered, at no server time, and the copy keeps the
+    /// bytes and the generation the first refresh left.
+    #[test]
+    fn an_unread_copy_takes_one_refresh_then_leaves_the_data_group() {
+        let mut h = filtering_host();
+        let now = an_unread_refreshed_copy(&mut h, View::short_demand());
+        let (busy, filtered) = (h.server_time, h.frames_filtered);
+        assert!(
+            !h.deliver_packet(now, &refresh(3, 3)),
+            "a second unread refresh reached the server"
+        );
+        assert_eq!(h.frames_filtered, filtered + 1);
+        assert!(h.dispatch(now).is_none(), "nothing queued");
+        assert_eq!(h.server_time, busy);
+        let page = PageId::new(3);
+        assert_eq!(h.table.generation(page), mether_core::Generation(2));
+        let word = h.table.page_buf(page).map(|b| b.read_u32(0));
+        assert_eq!(word, Some(Ok(0x0202_0202)), "the copy kept its bytes");
+    }
+
+    /// A read that hits the copy between two frames keeps it in the
+    /// data group: every frame is installed.
+    #[test]
+    fn a_read_between_refreshes_keeps_the_copy_refreshed() {
+        let mut h = filtering_host();
+        let mut now = a_read_copy(&mut h, View::short_demand());
+        for generation in 2..6 {
+            assert_eq!(
+                read_page_3(&mut h, View::short_demand()),
+                AccessOutcome::Ready
+            );
+            let (queued, t) = snoop(&mut h, now, &refresh(generation, generation as u8));
+            assert!(queued, "refresh {generation} of a copy read since the last");
+            now = t;
+        }
+        assert_eq!(
+            h.table.generation(PageId::new(3)),
+            mether_core::Generation(5)
+        );
+    }
+
+    /// What keeps a copy in the data group however long it goes
+    /// unread: a demand waiter, a data waiter, a grant to this host, a
+    /// purged but mapped slot (the purge → data-read window), a full
+    /// copy (the only one that answers `Superset`) and the holder
+    /// (which merges superset bytes). Each one's next frame reaches
+    /// the server.
+    #[test]
+    fn waiters_grants_purged_slots_full_copies_and_the_holder_keep_their_refresh() {
+        let page = PageId::new(3);
+        let unread = |view: View| {
+            let mut h = filtering_host();
+            let now = an_unread_refreshed_copy(&mut h, view);
+            (h, now)
+        };
+
+        let (mut h, now) = unread(View::short_demand());
+        let outcome = read_page_3(&mut h, View::full_demand());
+        assert_eq!(outcome, AccessOutcome::Blocked(FaultKind::DemandFetch));
+        assert!(h.deliver_packet(now, &refresh(3, 3)), "a demand waiter");
+
+        let (mut h, now) = unread(View::short_demand());
+        let outcome = read_page_3(&mut h, View::full_data());
+        assert_eq!(outcome, AccessOutcome::Blocked(FaultKind::DataWait));
+        assert!(h.deliver_packet(now, &refresh(3, 3)), "a data waiter");
+
+        let (mut h, now) = unread(View::short_demand());
+        let grant = Packet::PageReply {
+            from: HostId(1),
+            page,
+            length: PageLength::Short,
+            generation: mether_core::Generation(3),
+            transfer_to: Some(HostId(0)),
+            data: bytes::Bytes::from(vec![3u8; 32]),
+        };
+        assert!(h.deliver_packet(now, &Arc::new(grant)), "a grant here");
+
+        let (mut h, now) = unread(View::short_demand());
+        let purged = h.table.purge(page, MapMode::ReadOnly, 7, &mut Vec::new());
+        assert_eq!(purged, Ok(AccessOutcome::Ready));
+        assert!(h.table.page_buf(page).is_none());
+        assert!(
+            h.deliver_packet(now, &refresh(3, 3)),
+            "a purged mapped slot"
+        );
+
+        let (mut h, now) = unread(View::full_demand());
+        assert!(h
+            .table
+            .page_buf(page)
+            .is_some_and(mether_core::PageBuf::full_valid));
+        assert!(h.deliver_packet(now, &refresh(3, 3)), "a full copy");
+
+        let mut h = filtering_host();
+        let (sent, grant) = awaiting_a_grant(&mut h);
+        let mut now = install(&mut h, sent, grant);
+        assert!(h.table.is_consistent_holder(page));
+        for generation in [2, 3, 4] {
+            let (queued, t) = snoop(&mut h, now, &refresh(generation, 9));
+            assert!(queued, "the holder, frame {generation}");
+            now = t;
+        }
+        assert_eq!(h.frames_filtered, 0);
+    }
+
+    /// Without the hardened NIC every data frame reaches the server,
+    /// read or not.
+    #[test]
+    fn without_the_nic_filter_every_refresh_is_queued() {
+        let mut h = host();
+        let mut now = an_unread_refreshed_copy(&mut h, View::short_demand());
+        for generation in [3, 4] {
+            let (queued, t) = snoop(&mut h, now, &refresh(generation, 9));
+            assert!(queued, "refresh {generation}");
+            now = t;
+        }
+        assert_eq!(h.frames_filtered, 0);
+        assert_eq!(
+            h.table.generation(PageId::new(3)),
+            mether_core::Generation(4)
+        );
+    }
 }

@@ -220,7 +220,13 @@ struct PageEntry {
     /// with no copy and no waiter — this closes the purge → data-block
     /// window: a broadcast that transits in between still lands, so the
     /// subsequent data-driven access hits instead of sleeping forever.
+    /// It never clears; what ends a copy's refreshes is `referenced`
+    /// (see [`PageTable::wants_refresh`]).
     mapped: bool,
+    /// Somebody here has used the copy since its last refresh: a
+    /// `ReadOnly` access hit it, or the data frame that last reached it
+    /// woke a waiter. A data frame that wakes nobody clears it.
+    referenced: bool,
     /// Already queued in the table's dirty list since the last drain
     /// (dedup flag so a hot page costs one list entry per observer
     /// sweep, not one per mutation).
@@ -241,6 +247,7 @@ impl PageEntry {
             requested: None,
             deferred_transfers: Vec::new(),
             mapped: false,
+            referenced: false,
             dirty: false,
         }
     }
@@ -482,6 +489,7 @@ impl PageTable {
                 // Inconsistent space: any present copy satisfies, however
                 // stale.
                 if e.presence(short_len).satisfies_fault(view.length) {
+                    e.referenced = true;
                     return Ok(AccessOutcome::Ready);
                 }
                 match view.drive {
@@ -917,6 +925,7 @@ impl PageTable {
         for w in e.data_waiters.drain(..) {
             wakes.insert(w);
         }
+        e.referenced = !wakes.is_empty();
         if !wakes.is_empty() {
             effects.push(Effect::WakeAll(wakes));
         }
@@ -976,6 +985,36 @@ impl PageTable {
     /// searching [`PageTable::tracked_pages`] walks every slot.
     pub fn tracks(&self, page: PageId) -> bool {
         self.pages.get(page).is_some()
+    }
+
+    /// Is this host in `page`'s data group: would a snooped data frame
+    /// for it be used here? One slot lookup, no allocation. False for a
+    /// page with no slot, and for a copy that nobody here has read
+    /// since its last refresh when nothing else needs the frame. A read
+    /// hit marks a copy read, and so does a data frame that wakes a
+    /// waiter; a data frame that wakes nobody clears the mark. Four
+    /// things need the frame however long the copy goes unread:
+    /// * a full copy, the only thing that answers a `Superset` request;
+    /// * the consistent holder, which merges superset bytes;
+    /// * a slot with no copy (a mapped page purged, or dropped as
+    ///   stale), where the frame closes the purge → data-read window;
+    /// * a demand or data waiter.
+    ///
+    /// A copy that leaves the group keeps its bytes; the next read hit
+    /// or fault on the page brings it back. This is the invalidate half
+    /// of an update/invalidate hybrid (Karlin, Manasse, Rudolph and
+    /// Sleator's competitive snoopy caching): an unread copy takes one
+    /// refresh, then stops paying for updates nobody uses. Not the
+    /// paper's rule, whose servers installed every frame for every page
+    /// they had mapped.
+    pub fn wants_refresh(&self, page: PageId) -> bool {
+        self.pages.get(page).is_some_and(|e| {
+            e.referenced
+                || e.consistent
+                || e.buf.as_ref().is_none_or(PageBuf::full_valid)
+                || !e.demand_waiters.is_empty()
+                || !e.data_waiters.is_empty()
+        })
     }
 
     /// Pages this table currently tracks (for diagnostics).
@@ -1145,6 +1184,42 @@ mod tests {
             AccessOutcome::Blocked(FaultKind::DemandFetch),
             "Figure 1: a full-view fault needs the superset present"
         );
+    }
+
+    /// The mark behind [`PageTable::wants_refresh`]: a data frame that
+    /// wakes a waiter sets it, one that wakes nobody clears it, and a
+    /// read hit sets it again. A page with no slot is in no data group.
+    #[test]
+    fn reads_and_waking_frames_keep_a_copy_in_the_data_group() {
+        let mut t = table(1);
+        let frame = |generation| Packet::PageData {
+            from: HostId(0),
+            page: p0(),
+            length: PageLength::Short,
+            generation: Generation(generation),
+            transfer_to: None,
+            data: Bytes::from(vec![1u8; 32]),
+        };
+        let mut fx = Vec::new();
+        assert!(!t.wants_refresh(p0()), "no slot");
+        t.access(p0(), View::short_data(), MapMode::ReadOnly, 7, &mut fx)
+            .unwrap();
+        assert!(t.wants_refresh(p0()), "a data waiter");
+        t.handle_packet(&frame(1), &mut fx);
+        assert_eq!(woken_waiters(&fx), [7]);
+        assert!(t.wants_refresh(p0()), "the frame woke a waiter");
+        fx.clear();
+        t.handle_packet(&frame(2), &mut fx);
+        assert!(woken_waiters(&fx).is_empty());
+        assert!(!t.wants_refresh(p0()), "the frame woke nobody");
+        let out = t
+            .access(p0(), View::short_demand(), MapMode::ReadOnly, 8, &mut fx)
+            .unwrap();
+        assert_eq!(out, AccessOutcome::Ready);
+        assert!(t.wants_refresh(p0()), "a read hit");
+        t.handle_packet(&frame(3), &mut fx);
+        assert!(!t.wants_refresh(p0()), "unread again");
+        assert_eq!(t.generation(p0()), Generation(3));
     }
 
     #[test]

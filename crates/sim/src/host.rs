@@ -18,13 +18,16 @@
 //!   the server's work, queued and charged per item.
 //!
 //! Three things here are not the paper's. First, when
-//! [`crate::Calib::nic_filter`] is set, the NIC keeps three kinds of
+//! [`crate::Calib::nic_filter`] is set, the NIC keeps four kinds of
 //! frame from the server: frames about pages this host's table does not
 //! track (a data frame that transfers the page to this host still gets
-//! through); `ReadOnly` and `Consistent` requests for a page this host
-//! neither holds nor has a grant of on its way in, which only the
-//! holder answers; and page requests identical to one already queued
-//! ([`HostSim::requests_coalesced`]). The first two count in
+//! through); data frames that would refresh a copy nobody here has
+//! read since its last refresh
+//! ([`mether_core::PageTable::wants_refresh`]); `ReadOnly` and
+//! `Consistent` requests for a page this host neither holds nor has a
+//! grant of on its way in, which only the holder answers; and page
+//! requests identical to one already queued
+//! ([`HostSim::requests_coalesced`]). The first three count in
 //! [`HostSim::frames_filtered`]. The paper's server received every
 //! broadcast and paid to inspect each one.
 //!
@@ -55,7 +58,9 @@
 //!
 //! The CPU executes *bursts*: a compute slice, a memory/trap cost for a
 //! DSM operation, one server work item, or a context switch. The
-//! simulation schedules one `BurstEnd` event per host at a time.
+//! simulation schedules one `BurstEnd` event per host at a time. What
+//! each server item was, and the time it took, is tallied by
+//! [`ServerKind`] in [`HostSim::server_work`].
 
 use crate::calib::Calib;
 use crate::hist::LatencyHistogram;
@@ -217,6 +222,82 @@ enum ServerWork {
     PurgeBroadcast { page: PageId, length: PageLength },
 }
 
+/// What one server item turned out to be, for [`HostSim::server_work`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServerKind {
+    /// Transmitting a request the kernel driver built.
+    Send,
+    /// A writeable purge's broadcast and DO-PURGE.
+    Purge,
+    /// A request this host answered.
+    Answer,
+    /// A frame the server only inspected and discarded: a request it
+    /// does not answer, or a data frame about a page it does not track.
+    Snoop,
+    /// A data frame installed that woke a waiter.
+    Wake,
+    /// A data frame installed that woke nobody: a refresh.
+    Refresh,
+}
+
+impl ServerKind {
+    /// Every kind, in [`ServerTally`] order.
+    pub const ALL: [ServerKind; 6] = [
+        ServerKind::Send,
+        ServerKind::Purge,
+        ServerKind::Answer,
+        ServerKind::Snoop,
+        ServerKind::Wake,
+        ServerKind::Refresh,
+    ];
+
+    /// A short lower-case name, for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            ServerKind::Send => "send",
+            ServerKind::Purge => "purge",
+            ServerKind::Answer => "answer",
+            ServerKind::Snoop => "snoop",
+            ServerKind::Wake => "wake",
+            ServerKind::Refresh => "refresh",
+        }
+    }
+}
+
+/// Server items and the CPU time they took, per [`ServerKind`]. The
+/// times sum to [`HostSim::server_time`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerTally {
+    items: [u64; 6],
+    time: [SimDuration; 6],
+}
+
+impl ServerTally {
+    /// Counts one item of `kind` that took `d`.
+    pub fn add(&mut self, kind: ServerKind, d: SimDuration) {
+        self.items[kind as usize] += 1;
+        self.time[kind as usize] += d;
+    }
+
+    /// Adds every count and time of `other` to this tally.
+    pub fn merge(&mut self, other: &ServerTally) {
+        for kind in ServerKind::ALL {
+            self.items[kind as usize] += other.items(kind);
+            self.time[kind as usize] += other.time(kind);
+        }
+    }
+
+    /// Items of `kind` served.
+    pub fn items(&self, kind: ServerKind) -> u64 {
+        self.items[kind as usize]
+    }
+
+    /// Server time items of `kind` took.
+    pub fn time(&self, kind: ServerKind) -> SimDuration {
+        self.time[kind as usize]
+    }
+}
+
 /// A request the NIC dropped, shadowed for invariant (g).
 struct NicDrop {
     /// Its place in the server queue: items queued before it have a
@@ -248,6 +329,7 @@ enum Burst {
     ServerItem {
         work: ServerWork,
         d: SimDuration,
+        kind: ServerKind,
     },
     CtxSwitch {
         to: Slot,
@@ -290,6 +372,8 @@ pub struct HostSim {
     pub fault_latencies: Vec<SimDuration>,
     /// CPU time consumed by the server (reported as system time).
     pub server_time: SimDuration,
+    /// The same time, and the items that took it, by kind of work.
+    pub server_work: ServerTally,
     /// Frames this host's NIC snooped off its segment — the per-host
     /// share of network load that segment filtering is meant to shrink.
     /// Counts every frame that reaches the NIC, filtered ones included.
@@ -307,11 +391,12 @@ pub struct HostSim {
     /// the reply just sent granted the page to another host
     /// ([`Calib::piggyback_replies`]).
     pub requests_forwarded: u64,
-    /// Frames dropped at the NIC because this host's table does not
-    /// track their page, or because they are `ReadOnly` or `Consistent`
-    /// requests for a page this host neither holds nor is being granted
-    /// ([`Calib::nic_filter`]): each would have cost the server a
-    /// `server_snoop` to discard.
+    /// Frames dropped at the NIC ([`Calib::nic_filter`]): frames about
+    /// a page this host's table does not track, data frames that would
+    /// refresh a copy nobody here has read since its last refresh, and
+    /// `ReadOnly` or `Consistent` requests for a page this host neither
+    /// holds nor is being granted. Each would have cost the server a
+    /// `server_snoop` to discard, or an install nobody used.
     pub frames_filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// before its reply came.
@@ -369,6 +454,7 @@ impl HostSim {
             ctx_switches: 0,
             fault_latencies: Vec::new(),
             server_time: SimDuration::ZERO,
+            server_work: ServerTally::default(),
             frames_heard: 0,
             max_server_queue: 0,
             requests_coalesced: 0,
@@ -597,15 +683,20 @@ impl HostSim {
     /// Returns whether it queued work — a frame the NIC drops changes
     /// nothing the dispatcher reads, so the caller need not kick.
     ///
-    /// Under [`Calib::nic_filter`] the NIC drops three kinds of frame
-    /// first, at no server cost. A frame about a page this host's table
-    /// does not track is filtered ([`HostSim::frames_filtered`]): the
-    /// server would only snoop and discard it. The one exception is a
-    /// data frame that transfers the page to this host. So is a
-    /// `ReadOnly` or `Consistent` request outside this host's request
+    /// Under [`Calib::nic_filter`] the NIC drops four kinds of frame
+    /// first, at no server cost. A request about a page this host's
+    /// table does not track is filtered ([`HostSim::frames_filtered`]):
+    /// the server would only snoop and discard it. So is a data frame
+    /// outside the page's data group
+    /// ([`mether_core::PageTable::wants_refresh`]): the page is not
+    /// tracked, or its copy has gone unread since its last refresh and
+    /// is not full, held or waited for. The copy keeps its bytes, and
+    /// the next read or fault on the page rejoins the group. A data
+    /// frame that transfers the page to this host always passes. So is
+    /// a `ReadOnly` or `Consistent` request outside this host's request
     /// group (`in_request_group`): the page is not held here, and no
     /// grant of it is queued for the server or being installed. The
-    /// host is in a page's data group while it tracks the page, and in
+    /// host is in a page's data group while it uses its copy, and in
     /// its request group only while it holds the page or is about to
     /// (RFC 1112 twice over). `Superset` requests are answered by full
     /// copies that do not hold, so they pass. Then page requests
@@ -621,9 +712,11 @@ impl HostSim {
     /// processed every datagram individually, and its measured protocol
     /// rankings (notably P3's divergence) include that load.
     ///
-    /// A filtered frame is one the table would have discarded at serve
-    /// time, unless the host starts tracking the page while the frame
-    /// waits in the queue; its own request then fetches the page. A
+    /// A filtered request is one the table would have discarded at
+    /// serve time, unless the host starts tracking the page while the
+    /// frame waits in the queue; its own request then fetches the page.
+    /// A filtered data frame is a refresh nobody would have read before
+    /// the next one, unless a read comes while it waits. A
     /// request outside the group is one the server would not have
     /// answered when it got to it: a grant already queued or in service
     /// would have let it in, and one that arrives after it is installed
@@ -631,8 +724,14 @@ impl HostSim {
     pub fn deliver_packet(&mut self, now: SimTime, pkt: &Arc<Packet>) -> bool {
         self.frames_heard += 1;
         if self.calib.nic_filter {
-            let untracked = !self.table.tracks(pkt.page()) && !self.transferred_here(pkt.as_ref());
-            if untracked || !self.in_request_group(pkt.as_ref()) {
+            let page = pkt.page();
+            let kept = match pkt.as_ref() {
+                Packet::PageRequest { .. } => {
+                    self.table.tracks(page) && self.in_request_group(pkt.as_ref())
+                }
+                data => self.transferred_here(data) || self.table.wants_refresh(page),
+            };
+            if !kept {
                 self.frames_filtered += 1;
                 self.shadow_nic_drop(now, pkt);
                 return false;
@@ -664,7 +763,7 @@ impl HostSim {
     /// after the grant, by a holder. Consistency arrives no other way
     /// once the page exists (`create_owned` seeds it; a data frame
     /// addressed here moves it), so the server of any other host would
-    /// only snoop the request. Every other frame is in the group.
+    /// only snoop the request. Every other request is in the group.
     fn in_request_group(&self, pkt: &Packet) -> bool {
         let Packet::PageRequest {
             page,
@@ -913,10 +1012,16 @@ impl HostSim {
         }
     }
 
-    fn server_cost(&self, work: &ServerWork) -> SimDuration {
+    /// What serving `work` costs, and what kind of item it is. An
+    /// install is counted a [`ServerKind::Refresh`] here; `finish_burst`
+    /// makes it a [`ServerKind::Wake`] if it woke someone.
+    fn server_cost(&self, work: &ServerWork) -> (ServerKind, SimDuration) {
+        let snoop = (ServerKind::Snoop, self.calib.server_snoop);
         match work {
-            ServerWork::SendPacket(_) => self.calib.server_send_request,
-            ServerWork::PurgeBroadcast { .. } => self.calib.server_purge_broadcast,
+            ServerWork::SendPacket(_) => (ServerKind::Send, self.calib.server_send_request),
+            ServerWork::PurgeBroadcast { .. } => {
+                (ServerKind::Purge, self.calib.server_purge_broadcast)
+            }
             ServerWork::Packet(pkt) => match pkt.as_ref() {
                 Packet::PageRequest {
                     page, want, length, ..
@@ -926,23 +1031,23 @@ impl HostSim {
                             Want::Superset => mether_core::PAGE_SIZE,
                             _ => self.table.config().transfer_len(*length),
                         };
-                        self.calib.reply_cost(bytes)
+                        (ServerKind::Answer, self.calib.reply_cost(bytes))
                     } else {
-                        self.calib.server_snoop
+                        snoop
                     }
                 }
                 Packet::PageData { page, data, .. } | Packet::PageReply { page, data, .. } => {
                     // (A page with a buffer has a slot.)
                     if self.transferred_here(pkt) || self.table.tracks(*page) {
-                        self.calib.install_cost(data.len())
+                        (ServerKind::Refresh, self.calib.install_cost(data.len()))
                     } else {
-                        self.calib.server_snoop
+                        snoop
                     }
                 }
                 // Control frames are NIC-filtered before the server ever
                 // sees them; the simulator never delivers them to hosts,
                 // so this arm only keeps the cost model total.
-                Packet::BridgePdu { .. } => self.calib.server_snoop,
+                Packet::BridgePdu { .. } => snoop,
             },
         }
     }
@@ -970,14 +1075,14 @@ impl HostSim {
             match next {
                 Slot::Server => {
                     let (_, work) = self.server_queue.front().expect("chose server with work");
-                    let d = self.server_cost(work);
+                    let (kind, d) = self.server_cost(work);
                     let (_, work) = self.server_queue.pop_front().expect("non-empty");
                     if self.server_queue.is_empty() {
                         self.server_ready_since = None;
                     } else {
                         self.server_ready_since = Some(now);
                     }
-                    self.current_burst = Some(Burst::ServerItem { work, d });
+                    self.current_burst = Some(Burst::ServerItem { work, d, kind });
                     return Some(now + d);
                 }
                 Slot::App(i) => {
@@ -1194,9 +1299,14 @@ impl HostSim {
                 }
                 self.exec_op(now, proc, op, &mut actions);
             }
-            Burst::ServerItem { work, d } => {
+            Burst::ServerItem { work, d, kind } => {
                 self.server_time += d;
-                self.exec_server(now, work, &mut actions);
+                let woke = self.exec_server(now, work, &mut actions);
+                let kind = match kind {
+                    ServerKind::Refresh if woke => ServerKind::Wake,
+                    kind => kind,
+                };
+                self.server_work.add(kind, d);
                 self.judge_nic_drops(now);
             }
         }
@@ -1434,9 +1544,19 @@ impl HostSim {
         }
     }
 
-    fn exec_server(&mut self, now: SimTime, work: ServerWork, actions: &mut Vec<HostAction>) {
+    /// Serves one item. Returns whether it was a frame that woke a
+    /// waiter.
+    fn exec_server(
+        &mut self,
+        now: SimTime,
+        work: ServerWork,
+        actions: &mut Vec<HostAction>,
+    ) -> bool {
         match work {
-            ServerWork::SendPacket(pkt) => actions.push(HostAction::Transmit(pkt)),
+            ServerWork::SendPacket(pkt) => {
+                actions.push(HostAction::Transmit(pkt));
+                false
+            }
             ServerWork::PurgeBroadcast { page, length } => {
                 let mut effects = Vec::new();
                 // An error means consistency moved away before the
@@ -1446,6 +1566,7 @@ impl HostSim {
                 }
                 self.table.do_purge(page, &mut effects);
                 self.apply_effects(now, effects, actions);
+                false
             }
             ServerWork::Packet(pkt) => {
                 let mut effects = Vec::new();
@@ -1453,7 +1574,9 @@ impl HostSim {
                 if self.calib.piggyback_replies {
                     self.settle_queued(pkt.as_ref(), &effects);
                 }
+                let woke = effects.iter().any(|fx| matches!(fx, Effect::WakeAll(_)));
                 self.apply_effects(now, effects, actions);
+                woke
             }
         }
     }
@@ -2543,6 +2666,29 @@ mod tests {
         assert_eq!(h.table.generation(page), mether_core::Generation(2));
         let word = h.table.page_buf(page).map(|b| b.read_u32(0));
         assert_eq!(word, Some(Ok(0x0202_0202)), "the copy kept its bytes");
+    }
+
+    /// Every server item is tallied by kind, and the kinds' times add
+    /// up to the server's time: the request sent, the reply that woke
+    /// the fault, and the refresh that woke nobody.
+    #[test]
+    fn server_time_is_tallied_by_kind_of_work() {
+        let mut h = filtering_host();
+        an_unread_refreshed_copy(&mut h, View::short_demand());
+        let tally = h.server_work;
+        let items = ServerKind::ALL.map(|kind| tally.items(kind));
+        assert_eq!(
+            items,
+            [1, 0, 0, 0, 1, 1],
+            "send, purge, answer, snoop, wake, refresh"
+        );
+        let short = MetherConfig::default().transfer_len(PageLength::Short);
+        let install = h.calib.install_cost(short);
+        assert_eq!(tally.time(ServerKind::Send), h.calib.server_send_request);
+        assert_eq!(tally.time(ServerKind::Wake), install);
+        assert_eq!(tally.time(ServerKind::Refresh), install);
+        let total: SimDuration = ServerKind::ALL.iter().map(|&kind| tally.time(kind)).sum();
+        assert_eq!(total, h.server_time);
     }
 
     /// A read that hits the copy between two frames keeps it in the

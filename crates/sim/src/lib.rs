@@ -43,7 +43,7 @@ mod sim;
 
 pub use calib::Calib;
 pub use hist::LatencyHistogram;
-pub use host::{ArrivalStream, HostSim, OpenAccess, ProcState, ProcTimes};
+pub use host::{ArrivalStream, HostSim, OpenAccess, ProcState, ProcTimes, ServerKind, ServerTally};
 pub use metrics::ProtocolMetrics;
 pub use process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
 pub use sim::{

@@ -33,7 +33,8 @@
 //! **SLO report.** [`OpenLoopScenario::run`] returns an
 //! [`OpenLoopReport`]: issue/hit/fault counts, fault-latency
 //! percentiles (p50/p99/p999/max), serve-time piggyback count, what the
-//! fault retransmission timers did (re-sends, spurious ones), the
+//! fault retransmission timers did (re-sends, spurious ones), server
+//! time per access by kind of work, the
 //! per-home-segment queue high-water vector, and a deterministic digest
 //! ([`mether_sim::Simulation::open_loop_digest`]) the regression tests
 //! pin. Display prints one line per column so CI logs read as a table.
@@ -41,7 +42,8 @@
 use mether_core::{MapMode, PageId, View};
 use mether_net::{FabricConfig, SimDuration, SimTime};
 use mether_sim::{
-    ArrivalStream, OpenAccess, ParallelMode, RunLimits, RunOutcome, SimConfig, Simulation, Topology,
+    ArrivalStream, OpenAccess, ParallelMode, RunLimits, RunOutcome, ServerKind, ServerTally,
+    SimConfig, Simulation, Topology,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -406,6 +408,7 @@ impl OpenLoopScenario {
         let hist = sim.open_loop_hist();
         let (mut accesses, mut hits, mut faults, mut piggybacked) = (0u64, 0u64, 0u64, 0u64);
         let (mut forwarded, mut filtered, mut retransmits, mut spurious) = (0u64, 0u64, 0u64, 0u64);
+        let mut server = ServerTally::default();
         let mut busiest = 0;
         for h in 0..sim.host_count() {
             let host = sim.host(h);
@@ -418,6 +421,7 @@ impl OpenLoopScenario {
             filtered += host.frames_filtered;
             retransmits += host.fault_retransmits;
             spurious += host.spurious_retransmits;
+            server.merge(&host.server_work);
             if host.fault_retransmits > sim.host(busiest).fault_retransmits {
                 busiest = h;
             }
@@ -439,6 +443,7 @@ impl OpenLoopScenario {
             retransmits,
             spurious,
             busiest_timer,
+            server,
             p50: SimDuration::from_nanos(hist.percentile(0.50)),
             p99: SimDuration::from_nanos(hist.percentile(0.99)),
             p999: SimDuration::from_nanos(hist.percentile(0.999)),
@@ -471,9 +476,10 @@ pub struct OpenLoopReport {
     /// summed; 0 unless the scenario runs with piggybacking).
     pub forwarded: u64,
     /// Frames host NICs dropped because their table does not track the
-    /// page, or because they are `ReadOnly` or `Consistent` requests
-    /// for a page the host neither holds nor is being granted
-    /// (`HostSim::frames_filtered`, summed).
+    /// page, because they are data frames refreshing a copy nobody on
+    /// the host has read since its last refresh, or because they are
+    /// `ReadOnly` or `Consistent` requests for a page the host neither
+    /// holds nor is being granted (`HostSim::frames_filtered`, summed).
     pub filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// first (`HostSim::fault_retransmits`, summed).
@@ -485,6 +491,9 @@ pub struct OpenLoopReport {
     /// Where the retransmission timer of the host that re-sent most
     /// ended the run.
     pub busiest_timer: Option<BusiestTimer>,
+    /// Server items and time by kind of work (`HostSim::server_work`,
+    /// summed); [`OpenLoopReport::server_time_per_access`] divides it.
+    pub server: ServerTally,
     /// Median fault latency.
     pub p50: SimDuration,
     /// 99th-percentile fault latency.
@@ -512,6 +521,11 @@ pub struct BusiestTimer {
 }
 
 impl OpenLoopReport {
+    /// Server time spent on `kind` of work per access, over all hosts.
+    pub fn server_time_per_access(&self, kind: ServerKind) -> SimDuration {
+        SimDuration::from_nanos(self.server.time(kind).as_nanos() / self.accesses.max(1))
+    }
+
     /// The deepest home-segment queue seen, with its segment index.
     pub fn hottest_segment(&self) -> (usize, u64) {
         self.queue_high_water
@@ -553,6 +567,17 @@ impl fmt::Display for OpenLoopReport {
                 None => write!(f, "unsampled")?,
             }
             write!(f, " rto={}", t.rto)?;
+        }
+        writeln!(f)?;
+        write!(f, "  server per access (items, ms):")?;
+        for kind in ServerKind::ALL {
+            write!(
+                f,
+                " {} {:.2} {:.2};",
+                kind.label(),
+                self.server.items(kind) as f64 / self.accesses.max(1) as f64,
+                self.server_time_per_access(kind).as_millis_f64()
+            )?;
         }
         writeln!(f)?;
         write!(

@@ -111,7 +111,7 @@ pub struct Calib {
     /// its servers received every UDP broadcast and processed each
     /// datagram individually, and its host-load figures (and protocol
     /// 3's measured divergence on the counting benchmark) include that
-    /// load. `true` does three things at the NIC, before any server time
+    /// load. `true` does four things at the NIC, before any server time
     /// is charged or any burst queued:
     ///
     /// * **Group filter.** A frame about a page this host's table does
@@ -121,6 +121,17 @@ pub struct Calib {
     ///   NIC drops frames for groups it has not joined (Deering, "Host
     ///   Extensions for IP Multicasting", RFC 1112, 1989). The server
     ///   would have discarded each such frame after a `server_snoop`.
+    /// * **Data group.** A data frame (`PageData` or `PageReply`) that
+    ///   would refresh a copy nobody on this host has read since its
+    ///   last refresh is dropped too (also `HostSim::frames_filtered`),
+    ///   unless its `transfer_to` names this host: a copy that goes
+    ///   unread takes one refresh, then leaves the page's data group
+    ///   until the next read or fault on it
+    ///   (`mether_core::PageTable::wants_refresh`, which also keeps
+    ///   full copies, the holder, slots with no copy and waiters in the
+    ///   group). The copy keeps its bytes. The paper's servers
+    ///   installed every frame for every page they had mapped, for an
+    ///   install cost each.
     /// * **Request group.** A `ReadOnly` or `Consistent` `PageRequest`
     ///   is dropped too (also `HostSim::frames_filtered`) unless this
     ///   host holds the page consistently, or a data frame granting it
@@ -192,8 +203,9 @@ impl Calib {
         self
     }
 
-    /// Enables the hardened NIC: the untracked-page filter, the request
-    /// group and request coalescing (see [`Calib::nic_filter`]).
+    /// Enables the hardened NIC: the untracked-page filter, the data
+    /// group, the request group and request coalescing (see
+    /// [`Calib::nic_filter`]).
     #[must_use]
     pub fn with_nic_filter(mut self) -> Self {
         self.nic_filter = true;

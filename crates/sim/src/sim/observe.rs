@@ -84,7 +84,8 @@
 //! with it. Coalesced duplicates are out of scope (a duplicate would
 //! have been answered, by the queued request's reply), and so are
 //! filtered data frames (one may be installed legitimately if the host
-//! starts tracking the page while the frame would have waited).
+//! starts tracking the page, or reads its copy, while the frame would
+//! have waited).
 //!
 //! # Gating and cost: the dirty-set model
 //!

@@ -328,8 +328,9 @@ impl OpenLoopScenario {
         // under 20 ms) re-sends requests a converging fabric filtered
         // or a migrating page left unanswered, and the hardened NIC
         // keeps those re-sends from duplicating server work at enqueue
-        // time and drops frames about pages a host does not track.
-        // Serve-time piggybacking (the measured optimization)
+        // time, drops frames about pages a host does not track, and
+        // drops refreshes of copies nobody on the host reads: open-loop
+        // reads are cold, so none is read. Serve-time piggybacking (the measured optimization)
         // additionally drops queued duplicates that arrived *during* a
         // serve burst.
         cfg.calib = cfg

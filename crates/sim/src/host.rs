@@ -268,8 +268,8 @@ impl ServerKind {
 /// times sum to [`HostSim::server_time`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerTally {
-    items: [u64; 6],
-    time: [SimDuration; 6],
+    items: [u64; ServerKind::ALL.len()],
+    time: [SimDuration; ServerKind::ALL.len()],
 }
 
 impl ServerTally {
@@ -2444,15 +2444,7 @@ mod tests {
         let trapped = h.dispatch(SimTime::ZERO).expect("trap burst");
         h.finish_burst(trapped);
         h.take_retries();
-        let publication = Packet::PageData {
-            from: HostId(1),
-            page: PageId::new(3),
-            length: PageLength::Short,
-            generation: mether_core::Generation(1),
-            transfer_to: None,
-            data: bytes::Bytes::from(vec![0u8; 32]),
-        };
-        h.deliver_packet(trapped, &Arc::new(publication));
+        h.deliver_packet(trapped, &refresh(1, 0));
         let mut now = trapped;
         while h.procs[0].state == ProcState::Blocked {
             now = h.dispatch(now).expect("the server installs the copy");

@@ -2704,6 +2704,82 @@ mod tests {
         );
     }
 
+    /// No free refresh: the reply that woke the fault leaves a copy
+    /// nobody has read yet, so the very next data frame for it is
+    /// dropped at the NIC, counted as filtered, at no server time, and
+    /// the copy keeps the bytes and the generation the reply installed.
+    #[test]
+    fn a_copy_nobody_reads_takes_no_refresh() {
+        let mut h = filtering_host();
+        let now = a_read_copy(&mut h, View::short_demand());
+        let page = PageId::new(3);
+        let copy = |h: &HostSim| {
+            let word = h.table.page_buf(page).map(|b| b.read_u32(0));
+            (h.table.generation(page), word)
+        };
+        let installed = copy(&h);
+        let (busy, filtered) = (h.server_time, h.frames_filtered);
+        assert!(
+            !h.deliver_packet(now, &refresh(2, 2)),
+            "the first frame after an unread install reached the server"
+        );
+        assert_eq!(h.frames_filtered, filtered + 1);
+        assert!(h.dispatch(now).is_none(), "nothing queued");
+        assert_eq!(h.server_time, busy);
+        assert_eq!(copy(&h), installed, "the copy kept its bytes");
+    }
+
+    /// Runs `h`'s woken process 0 from `now` until its re-executed read
+    /// returns; returns the clock.
+    fn re_read(h: &mut HostSim, mut now: SimTime) -> SimTime {
+        while h.procs[0].last == OpResult::None {
+            now = h.dispatch(now).expect("the woken process runs");
+            h.finish_burst(now);
+        }
+        now
+    }
+
+    /// The one window a process can see: woken by a frame but not yet
+    /// re-read, its copy is unread, so the next frame is dropped at the
+    /// NIC and the re-executed read returns the bytes that woke it.
+    #[test]
+    fn a_frame_before_the_woken_process_re_reads_is_dropped() {
+        let mut h = filtering_host();
+        let woken = spinner_on_a_snooped_copy(&mut h);
+        assert_eq!(h.procs[0].last, OpResult::None, "not yet re-read");
+        assert!(
+            !h.deliver_packet(woken, &refresh(2, 2)),
+            "a frame in the window reached the server"
+        );
+        re_read(&mut h, woken);
+        assert_eq!(h.procs[0].last, OpResult::Value(0));
+        assert_eq!(
+            h.table.generation(PageId::new(3)),
+            mether_core::Generation(1)
+        );
+    }
+
+    /// A process woken by a frame that re-reads (a hit) before the next
+    /// frame arrives keeps its copy in the data group: the next frame
+    /// is installed.
+    #[test]
+    fn a_woken_process_that_re_reads_still_gets_the_next_frame() {
+        let mut h = filtering_host();
+        let woken = spinner_on_a_snooped_copy(&mut h);
+        let mut now = re_read(&mut h, woken);
+        assert_eq!(h.procs[0].last, OpResult::Value(0));
+        assert!(h.deliver_packet(now, &refresh(2, 2)), "the re-read kept it");
+        while !h.server_queue.is_empty() {
+            now = h.dispatch(now).expect("the server installs the frame");
+            h.finish_burst(now);
+        }
+        assert_eq!(
+            h.table.generation(PageId::new(3)),
+            mether_core::Generation(2)
+        );
+        assert_eq!(h.frames_filtered, 0);
+    }
+
     /// What keeps a copy in the data group however long it goes
     /// unread: a demand waiter, a data waiter, a grant to this host, a
     /// purged but mapped slot (the purge → data-read window), a full

@@ -223,9 +223,9 @@ struct PageEntry {
     /// It never clears; what ends a copy's refreshes is `referenced`
     /// (see [`PageTable::wants_refresh`]).
     mapped: bool,
-    /// Somebody here has used the copy since its last refresh: a
-    /// `ReadOnly` access hit it, or the data frame that last reached it
-    /// woke a waiter. A data frame that wakes nobody clears it.
+    /// Somebody here has read the copy since it was last installed or
+    /// refreshed: a `ReadOnly` access hit it. Every data frame that
+    /// reaches the slot clears it, including one that wakes a waiter.
     referenced: bool,
     /// Already queued in the table's dirty list since the last drain
     /// (dedup flag so a hot page costs one list entry per observer
@@ -925,7 +925,10 @@ impl PageTable {
         for w in e.data_waiters.drain(..) {
             wakes.insert(w);
         }
-        e.referenced = !wakes.is_empty();
+        // Only a read marks a copy read: a woken process re-executes its
+        // access, whose hit sets the mark, and an open-loop waiter is
+        // done once woken.
+        e.referenced = false;
         if !wakes.is_empty() {
             effects.push(Effect::WakeAll(wakes));
         }
@@ -990,10 +993,12 @@ impl PageTable {
     /// Is this host in `page`'s data group: would a snooped data frame
     /// for it be used here? One slot lookup, no allocation. False for a
     /// page with no slot, and for a copy that nobody here has read
-    /// since its last refresh when nothing else needs the frame. A read
-    /// hit marks a copy read, and so does a data frame that wakes a
-    /// waiter; a data frame that wakes nobody clears the mark. Four
-    /// things need the frame however long the copy goes unread:
+    /// since it was last installed or refreshed when nothing else needs
+    /// the frame. Only a read hit marks a copy read; every data frame
+    /// clears the mark, including the one that installs a fault's copy
+    /// and wakes its waiter (a woken process re-executes its read, and
+    /// that hit marks it). Four things need the frame however long the
+    /// copy goes unread:
     /// * a full copy, the only thing that answers a `Superset` request;
     /// * the consistent holder, which merges superset bytes;
     /// * a slot with no copy (a mapped page purged, or dropped as
@@ -1003,10 +1008,10 @@ impl PageTable {
     /// A copy that leaves the group keeps its bytes; the next read hit
     /// or fault on the page brings it back. This is the invalidate half
     /// of an update/invalidate hybrid (Karlin, Manasse, Rudolph and
-    /// Sleator's competitive snoopy caching): an unread copy takes one
-    /// refresh, then stops paying for updates nobody uses. Not the
-    /// paper's rule, whose servers installed every frame for every page
-    /// they had mapped.
+    /// Sleator's competitive snoopy caching, with no free updates): an
+    /// unread copy takes no refresh, so nobody pays for updates nobody
+    /// uses. Not the paper's rule, whose servers installed every frame
+    /// for every page they had mapped.
     pub fn wants_refresh(&self, page: PageId) -> bool {
         self.pages.get(page).is_some_and(|e| {
             e.referenced
@@ -1186,11 +1191,13 @@ mod tests {
         );
     }
 
-    /// The mark behind [`PageTable::wants_refresh`]: a data frame that
-    /// wakes a waiter sets it, one that wakes nobody clears it, and a
-    /// read hit sets it again. A page with no slot is in no data group.
+    /// The mark behind [`PageTable::wants_refresh`]: only a read hit
+    /// sets it. Every data frame clears it, the one that wakes a waiter
+    /// too (the wake itself still goes out), so a woken waiter's copy
+    /// rejoins the data group only when the waiter re-reads. A page
+    /// with no slot is in no data group.
     #[test]
-    fn reads_and_waking_frames_keep_a_copy_in_the_data_group() {
+    fn only_a_read_keeps_a_copy_in_the_data_group() {
         let mut t = table(1);
         let frame = |generation| Packet::PageData {
             from: HostId(0),
@@ -1200,26 +1207,37 @@ mod tests {
             transfer_to: None,
             data: Bytes::from(vec![1u8; 32]),
         };
-        let mut fx = Vec::new();
+        let read = |t: &mut PageTable| {
+            let out = t.access(
+                p0(),
+                View::short_demand(),
+                MapMode::ReadOnly,
+                7,
+                &mut Vec::new(),
+            );
+            assert_eq!(out, Ok(AccessOutcome::Ready));
+        };
         assert!(!t.wants_refresh(p0()), "no slot");
-        t.access(p0(), View::short_data(), MapMode::ReadOnly, 7, &mut fx)
-            .unwrap();
+        t.access(
+            p0(),
+            View::short_data(),
+            MapMode::ReadOnly,
+            7,
+            &mut Vec::new(),
+        )
+        .unwrap();
         assert!(t.wants_refresh(p0()), "a data waiter");
-        t.handle_packet(&frame(1), &mut fx);
-        assert_eq!(woken_waiters(&fx), [7]);
-        assert!(t.wants_refresh(p0()), "the frame woke a waiter");
-        fx.clear();
-        t.handle_packet(&frame(2), &mut fx);
-        assert!(woken_waiters(&fx).is_empty());
-        assert!(!t.wants_refresh(p0()), "the frame woke nobody");
-        let out = t
-            .access(p0(), View::short_demand(), MapMode::ReadOnly, 8, &mut fx)
-            .unwrap();
-        assert_eq!(out, AccessOutcome::Ready);
-        assert!(t.wants_refresh(p0()), "a read hit");
-        t.handle_packet(&frame(3), &mut fx);
+        let mut woke = Vec::new();
+        t.handle_packet(&frame(1), &mut woke);
+        assert_eq!(woken_waiters(&woke), [7]);
+        assert!(!t.wants_refresh(p0()), "a wake is not a read");
+        read(&mut t);
+        assert!(t.wants_refresh(p0()), "the woken waiter re-read");
+        t.handle_packet(&frame(2), &mut Vec::new());
         assert!(!t.wants_refresh(p0()), "unread again");
-        assert_eq!(t.generation(p0()), Generation(3));
+        read(&mut t);
+        assert!(t.wants_refresh(p0()), "a read hit");
+        assert_eq!(t.generation(p0()), Generation(2));
     }
 
     #[test]

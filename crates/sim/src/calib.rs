@@ -122,14 +122,17 @@ pub struct Calib {
     ///   Extensions for IP Multicasting", RFC 1112, 1989). The server
     ///   would have discarded each such frame after a `server_snoop`.
     /// * **Data group.** A data frame (`PageData` or `PageReply`) that
-    ///   would refresh a copy nobody on this host has read since its
-    ///   last refresh is dropped too (also `HostSim::frames_filtered`),
-    ///   unless its `transfer_to` names this host: a copy that goes
-    ///   unread takes one refresh, then leaves the page's data group
+    ///   would refresh a copy nobody on this host has read since it was
+    ///   last installed or refreshed is dropped too (also
+    ///   `HostSim::frames_filtered`), unless its `transfer_to` names
+    ///   this host: a copy stays in the page's data group only while
+    ///   something here reads it, and an unread copy takes no refresh
     ///   until the next read or fault on it
     ///   (`mether_core::PageTable::wants_refresh`, which also keeps
     ///   full copies, the holder, slots with no copy and waiters in the
-    ///   group). The copy keeps its bytes. The paper's servers
+    ///   group). Waking a waiter is not a read: a woken process is back
+    ///   in the group when its re-executed access hits. The copy keeps
+    ///   its bytes. The paper's servers
     ///   installed every frame for every page they had mapped, for an
     ///   install cost each.
     /// * **Request group.** A `ReadOnly` or `Consistent` `PageRequest`

@@ -22,7 +22,7 @@
 //! frame from the server: frames about pages this host's table does not
 //! track (a data frame that transfers the page to this host still gets
 //! through); data frames that would refresh a copy nobody here has
-//! read since its last refresh
+//! read since it was last installed or refreshed
 //! ([`mether_core::PageTable::wants_refresh`]); `ReadOnly` and
 //! `Consistent` requests for a page this host neither holds nor has a
 //! grant of on its way in, which only the holder answers; and page
@@ -393,7 +393,7 @@ pub struct HostSim {
     pub requests_forwarded: u64,
     /// Frames dropped at the NIC ([`Calib::nic_filter`]): frames about
     /// a page this host's table does not track, data frames that would
-    /// refresh a copy nobody here has read since its last refresh, and
+    /// refresh a copy nobody here has read since its last install, and
     /// `ReadOnly` or `Consistent` requests for a page this host neither
     /// holds nor is being granted. Each would have cost the server a
     /// `server_snoop` to discard, or an install nobody used.
@@ -689,14 +689,14 @@ impl HostSim {
     /// the server would only snoop and discard it. So is a data frame
     /// outside the page's data group
     /// ([`mether_core::PageTable::wants_refresh`]): the page is not
-    /// tracked, or its copy has gone unread since its last refresh and
+    /// tracked, or its copy has gone unread since its last install and
     /// is not full, held or waited for. The copy keeps its bytes, and
     /// the next read or fault on the page rejoins the group. A data
     /// frame that transfers the page to this host always passes. So is
     /// a `ReadOnly` or `Consistent` request outside this host's request
     /// group (`in_request_group`): the page is not held here, and no
     /// grant of it is queued for the server or being installed. The
-    /// host is in a page's data group while it uses its copy, and in
+    /// host is in a page's data group while it reads its copy, and in
     /// its request group only while it holds the page or is about to
     /// (RFC 1112 twice over). `Superset` requests are answered by full
     /// copies that do not hold, so they pass. Then page requests
@@ -2621,15 +2621,6 @@ mod tests {
         installed
     }
 
-    /// [`a_read_copy`] through `view`, then one refresh that nobody
-    /// reads: the next data frame is the copy's second unread refresh.
-    fn an_unread_refreshed_copy(h: &mut HostSim, view: View) -> SimTime {
-        let installed = a_read_copy(h, view);
-        let (queued, now) = snoop(h, installed, &refresh(2, 2));
-        assert!(queued, "the first refresh of a copy is installed");
-        now
-    }
-
     /// Reads page 3 on host 0's table through `view`, as a process or
     /// an open-loop arrival would.
     fn read_page_3(h: &mut HostSim, view: View) -> AccessOutcome {
@@ -2638,35 +2629,41 @@ mod tests {
             .expect("a read")
     }
 
-    /// The data group: a copy that nobody here has read takes exactly
-    /// one refresh. The next data frame for it is dropped at the NIC,
-    /// counted as filtered, at no server time, and the copy keeps the
-    /// bytes and the generation the first refresh left.
+    /// The data group: a copy that nobody here has read takes no
+    /// refresh, however many frames come, until a read hit brings it
+    /// back for the next frame. That frame leaves it unread again.
     #[test]
-    fn an_unread_copy_takes_one_refresh_then_leaves_the_data_group() {
+    fn an_unread_copy_stays_out_of_the_data_group_until_it_is_read() {
         let mut h = filtering_host();
-        let now = an_unread_refreshed_copy(&mut h, View::short_demand());
-        let (busy, filtered) = (h.server_time, h.frames_filtered);
-        assert!(
-            !h.deliver_packet(now, &refresh(3, 3)),
-            "a second unread refresh reached the server"
+        let now = a_read_copy(&mut h, View::short_demand());
+        for generation in [2, 3] {
+            let (queued, _) = snoop(&mut h, now, &refresh(generation, generation as u8));
+            assert!(!queued, "unread refresh {generation} reached the server");
+        }
+        assert_eq!(h.frames_filtered, 2);
+        assert_eq!(
+            read_page_3(&mut h, View::short_demand()),
+            AccessOutcome::Ready
         );
-        assert_eq!(h.frames_filtered, filtered + 1);
-        assert!(h.dispatch(now).is_none(), "nothing queued");
-        assert_eq!(h.server_time, busy);
+        let (queued, now) = snoop(&mut h, now, &refresh(4, 4));
+        assert!(queued, "the read brought the copy back");
+        assert!(!h.deliver_packet(now, &refresh(5, 5)), "unread again");
         let page = PageId::new(3);
-        assert_eq!(h.table.generation(page), mether_core::Generation(2));
+        assert_eq!(h.table.generation(page), mether_core::Generation(4));
         let word = h.table.page_buf(page).map(|b| b.read_u32(0));
-        assert_eq!(word, Some(Ok(0x0202_0202)), "the copy kept its bytes");
+        assert_eq!(word, Some(Ok(0x0404_0404)), "the copy kept its bytes");
     }
 
     /// Every server item is tallied by kind, and the kinds' times add
     /// up to the server's time: the request sent, the reply that woke
-    /// the fault, and the refresh that woke nobody.
+    /// the fault, and a refresh of the copy read since.
     #[test]
     fn server_time_is_tallied_by_kind_of_work() {
         let mut h = filtering_host();
-        an_unread_refreshed_copy(&mut h, View::short_demand());
+        let installed = a_read_copy(&mut h, View::short_demand());
+        read_page_3(&mut h, View::short_demand());
+        let (queued, _) = snoop(&mut h, installed, &refresh(2, 2));
+        assert!(queued, "a read copy is refreshed");
         let tally = h.server_work;
         let items = ServerKind::ALL.map(|kind| tally.items(kind));
         assert_eq!(
@@ -2785,13 +2782,13 @@ mod tests {
     /// purged but mapped slot (the purge → data-read window), a full
     /// copy (the only one that answers `Superset`) and the holder
     /// (which merges superset bytes). Each one's next frame reaches
-    /// the server.
+    /// the server, though nobody read the copy its fault installed.
     #[test]
-    fn waiters_grants_purged_slots_full_copies_and_the_holder_keep_their_refresh() {
+    fn waiters_grants_purged_slots_full_copies_and_the_holder_are_refreshed_unread() {
         let page = PageId::new(3);
         let unread = |view: View| {
             let mut h = filtering_host();
-            let now = an_unread_refreshed_copy(&mut h, view);
+            let now = a_read_copy(&mut h, view);
             (h, now)
         };
 
@@ -2849,8 +2846,8 @@ mod tests {
     #[test]
     fn without_the_nic_filter_every_refresh_is_queued() {
         let mut h = host();
-        let mut now = an_unread_refreshed_copy(&mut h, View::short_demand());
-        for generation in [3, 4] {
+        let mut now = a_read_copy(&mut h, View::short_demand());
+        for generation in [2, 3, 4] {
             let (queued, t) = snoop(&mut h, now, &refresh(generation, 9));
             assert!(queued, "refresh {generation}");
             now = t;

@@ -47,6 +47,6 @@ pub use host::{ArrivalStream, HostSim, OpenAccess, ProcState, ProcTimes, ServerK
 pub use metrics::ProtocolMetrics;
 pub use process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
 pub use sim::{
-    EventStats, ObserverStats, ParallelMode, Recipients, RunLimits, RunOutcome, SimConfig,
-    Simulation, Topology,
+    EventKind, EventPops, EventStats, ObserverStats, ParallelMode, Recipients, RunLimits,
+    RunOutcome, SimConfig, Simulation, Topology,
 };

@@ -283,6 +283,23 @@ enum EvKind {
     },
 }
 
+impl EvKind {
+    /// What this event is, for [`EventStats::pops`].
+    fn kind(&self) -> EventKind {
+        match self {
+            EvKind::BurstEnd { .. } => EventKind::BurstEnd,
+            EvKind::Deliver { .. } => EventKind::Deliver,
+            EvKind::BridgeForward { .. } => EventKind::BridgeForward,
+            EvKind::Timer { .. } => EventKind::Timer,
+            EvKind::Retry { .. } => EventKind::Retry,
+            EvKind::BridgeTick { .. } => EventKind::BridgeTick,
+            EvKind::ControlDeliver { .. } => EventKind::ControlDeliver,
+            EvKind::Fabric(_) => EventKind::Fabric,
+            EvKind::OpenArrival { .. } => EventKind::OpenArrival,
+        }
+    }
+}
+
 struct Ev {
     at: SimTime,
     /// Cross-queue tie class at one instant: control-plane events are
@@ -391,6 +408,86 @@ impl Queue {
     }
 }
 
+/// What a popped event was, for [`EventStats::pops`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// A host's CPU burst ended.
+    BurstEnd,
+    /// A transit reached its segment's hosts.
+    Deliver,
+    /// A bridge device put a forwarded frame copy on a segment.
+    BridgeForward,
+    /// A process's sleep ended.
+    Timer,
+    /// A fault-retry timer fired.
+    Retry,
+    /// A live-election bridge device's hello tick.
+    BridgeTick,
+    /// A bridge control frame reached a segment's devices.
+    ControlDeliver,
+    /// An injected fabric failure or recovery.
+    Fabric,
+    /// An open-loop arrival was due.
+    OpenArrival,
+}
+
+impl EventKind {
+    /// Every kind, in [`EventPops`] order.
+    pub const ALL: [EventKind; 9] = [
+        EventKind::BurstEnd,
+        EventKind::Deliver,
+        EventKind::BridgeForward,
+        EventKind::Timer,
+        EventKind::Retry,
+        EventKind::BridgeTick,
+        EventKind::ControlDeliver,
+        EventKind::Fabric,
+        EventKind::OpenArrival,
+    ];
+
+    /// A short lower-case name, for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            EventKind::BurstEnd => "burst",
+            EventKind::Deliver => "deliver",
+            EventKind::BridgeForward => "forward",
+            EventKind::Timer => "timer",
+            EventKind::Retry => "retry",
+            EventKind::BridgeTick => "tick",
+            EventKind::ControlDeliver => "control",
+            EventKind::Fabric => "fabric",
+            EventKind::OpenArrival => "arrival",
+        }
+    }
+}
+
+/// Events popped, per [`EventKind`]. They sum to
+/// [`RunOutcome::events`] over the runs that counted them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventPops([u64; EventKind::ALL.len()]);
+
+impl EventPops {
+    /// Events of `kind` popped.
+    pub fn get(&self, kind: EventKind) -> u64 {
+        self.0[kind as usize]
+    }
+
+    /// Every kind's count summed.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    fn count(&mut self, kind: EventKind) {
+        self.0[kind as usize] += 1;
+    }
+
+    fn merge(&mut self, other: &EventPops) {
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+    }
+}
+
 /// Event-heap traffic counters (diagnostics; the broadcast-heap bench
 /// and the per-transit acceptance tests read these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -423,6 +520,9 @@ pub struct EventStats {
     /// Peak depth of any one event heap (each lane and the control
     /// plane own one).
     pub max_heap_depth: usize,
+    /// Events popped, by kind: where the run's events went. Counted
+    /// as each event is popped, with no handler timing.
+    pub pops: EventPops,
 }
 
 impl EventStats {
@@ -436,6 +536,7 @@ impl EventStats {
         self.task_handoffs += other.task_handoffs;
         self.transits += other.transits;
         self.max_heap_depth = self.max_heap_depth.max(other.max_heap_depth);
+        self.pops.merge(&other.pops);
     }
 }
 

@@ -403,6 +403,7 @@ impl Lane {
     /// Executes one host-side event; true if the lane paused inside it.
     fn handle(&mut self, ev: Ev, pausing: bool, env: &Env, fabric: Option<&mut Fabric>) -> bool {
         let now = self.now;
+        self.q.stats.pops.count(ev.kind.kind());
         match ev.kind {
             EvKind::BurstEnd { host } => {
                 let actions = self.host(host).finish_burst(now);
@@ -603,6 +604,7 @@ impl Ctrl {
     fn run_instant(&mut self, now: SimTime, lanes: &mut [Lane], env: &Env) {
         while let Some(ev) = self.pop_at(now) {
             self.processed += 1;
+            self.q.stats.pops.count(ev.kind.kind());
             let Some(fabric) = self.fabric.as_mut() else {
                 continue;
             };

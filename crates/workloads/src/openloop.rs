@@ -34,16 +34,16 @@
 //! [`OpenLoopReport`]: issue/hit/fault counts, fault-latency
 //! percentiles (p50/p99/p999/max), serve-time piggyback count, what the
 //! fault retransmission timers did (re-sends, spurious ones), server
-//! time per access by kind of work, the
-//! per-home-segment queue high-water vector, and a deterministic digest
+//! time per access by kind of work, events popped per access by kind,
+//! the per-home-segment queue high-water vector, and a deterministic digest
 //! ([`mether_sim::Simulation::open_loop_digest`]) the regression tests
 //! pin. Display prints one line per column so CI logs read as a table.
 
 use mether_core::{MapMode, PageId, View};
 use mether_net::{FabricConfig, SimDuration, SimTime};
 use mether_sim::{
-    ArrivalStream, OpenAccess, ParallelMode, RunLimits, RunOutcome, ServerKind, ServerTally,
-    SimConfig, Simulation, Topology,
+    ArrivalStream, EventKind, EventPops, OpenAccess, ParallelMode, RunLimits, RunOutcome,
+    ServerKind, ServerTally, SimConfig, Simulation, Topology,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -445,6 +445,7 @@ impl OpenLoopScenario {
             spurious,
             busiest_timer,
             server,
+            pops: sim.event_stats().pops,
             p50: SimDuration::from_nanos(hist.percentile(0.50)),
             p99: SimDuration::from_nanos(hist.percentile(0.99)),
             p999: SimDuration::from_nanos(hist.percentile(0.999)),
@@ -478,9 +479,10 @@ pub struct OpenLoopReport {
     pub forwarded: u64,
     /// Frames host NICs dropped because their table does not track the
     /// page, because they are data frames refreshing a copy nobody on
-    /// the host has read since its last refresh, or because they are
-    /// `ReadOnly` or `Consistent` requests for a page the host neither
-    /// holds nor is being granted (`HostSim::frames_filtered`, summed).
+    /// the host has read since it was installed or last refreshed, or
+    /// because they are `ReadOnly` or `Consistent` requests for a page
+    /// the host neither holds nor is being granted
+    /// (`HostSim::frames_filtered`, summed).
     pub filtered: u64,
     /// Requests re-sent because a fault's retransmission timer fired
     /// first (`HostSim::fault_retransmits`, summed).
@@ -495,6 +497,9 @@ pub struct OpenLoopReport {
     /// Server items and time by kind of work (`HostSim::server_work`,
     /// summed); [`OpenLoopReport::server_time_per_access`] divides it.
     pub server: ServerTally,
+    /// Events the run popped, by kind (`EventStats::pops`); they sum to
+    /// `outcome.events`.
+    pub pops: EventPops,
     /// Median fault latency.
     pub p50: SimDuration,
     /// 99th-percentile fault latency.
@@ -579,6 +584,15 @@ impl fmt::Display for OpenLoopReport {
                 self.server.items(kind) as f64 / self.accesses.max(1) as f64,
                 self.server_time_per_access(kind).as_millis_f64()
             )?;
+        }
+        writeln!(f)?;
+        write!(f, "  events per access:")?;
+        for kind in EventKind::ALL {
+            let pops = self.pops.get(kind);
+            if pops > 0 {
+                let per_access = pops as f64 / self.accesses.max(1) as f64;
+                write!(f, " {} {per_access:.2};", kind.label())?;
+            }
         }
         writeln!(f)?;
         write!(

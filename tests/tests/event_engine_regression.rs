@@ -19,7 +19,7 @@
 
 use mether_core::PageId;
 use mether_net::SimDuration;
-use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
+use mether_sim::{EventKind, ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_publisher_sim, CountingConfig, Protocol, SolverConfig, SolverWorker,
 };
@@ -254,4 +254,22 @@ fn per_transit_delivery_shrinks_heap_pushes_at_least_4x_on_16_hosts() {
     // And the outcome is still the one both schedules produced.
     let print = fingerprint(&sim, 16, &m);
     assert_golden("16-host publisher", &print, 0xb768_6fe7_a1d5_6e47);
+}
+
+/// Every popped event is counted once, by kind: the kinds sum to the
+/// run's events, and a flat publisher pops only bursts and
+/// deliveries.
+#[test]
+fn event_pops_by_kind_sum_to_the_events_run() {
+    let mut sim = build_publisher_sim(16, 64);
+    let outcome = sim.run(RunLimits::default());
+    let pops = sim.event_stats().pops;
+    assert_eq!(pops.total(), outcome.events);
+    let popped: Vec<&str> = EventKind::ALL
+        .into_iter()
+        .filter(|&kind| pops.get(kind) > 0)
+        .map(EventKind::label)
+        .collect();
+    assert_eq!(popped, ["burst", "deliver"]);
+    assert!(pops.get(EventKind::Deliver) >= 64, "one per broadcast");
 }

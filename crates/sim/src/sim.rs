@@ -472,11 +472,6 @@ impl EventPops {
         self.0[kind as usize]
     }
 
-    /// Every kind's count summed.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
-
     fn count(&mut self, kind: EventKind) {
         self.0[kind as usize] += 1;
     }

@@ -329,10 +329,12 @@ impl OpenLoopScenario {
         // or a migrating page left unanswered, and the hardened NIC
         // keeps those re-sends from duplicating server work at enqueue
         // time, drops frames about pages a host does not track, and
-        // drops refreshes of copies nobody on the host reads: open-loop
-        // reads are cold, so none is read. Serve-time piggybacking (the measured optimization)
-        // additionally drops queued duplicates that arrived *during* a
-        // serve burst.
+        // drops every data frame for a copy nobody on the host has read
+        // since it was installed: open-loop reads are cold and a woken
+        // open-loop waiter is done, so no copy is read and none is
+        // refreshed. Serve-time piggybacking (the measured
+        // optimization) additionally drops queued duplicates that
+        // arrived *during* a serve burst.
         cfg.calib = cfg
             .calib
             .with_fault_retry(SimDuration::from_millis(20))
@@ -497,8 +499,7 @@ pub struct OpenLoopReport {
     /// Server items and time by kind of work (`HostSim::server_work`,
     /// summed); [`OpenLoopReport::server_time_per_access`] divides it.
     pub server: ServerTally,
-    /// Events the run popped, by kind (`EventStats::pops`); they sum to
-    /// `outcome.events`.
+    /// Events the run popped, by kind (`EventStats::pops`).
     pub pops: EventPops,
     /// Median fault latency.
     pub p50: SimDuration,

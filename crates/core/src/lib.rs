@@ -23,10 +23,11 @@
 //! chosen when the space is mapped ([`MapMode`]).
 //!
 //! The per-host protocol state machine lives in [`table::PageTable`]; the
-//! wire format in [`wire`]; the subset/superset rules of the paper's Figure 1
-//! in [`rules`]; the generation-counter handshake used by the paper's
-//! send/receive protocol in [`generation`]; the round-trip estimator
-//! that times fault retransmissions in [`rto`].
+//! hardened NIC's admission rule in [`nic`]; the wire format in [`wire`];
+//! the subset/superset rules of the paper's Figure 1 in [`rules`]; the
+//! generation-counter handshake used by the paper's send/receive
+//! protocol in [`generation`]; the round-trip estimator that times
+//! fault retransmissions in [`rto`].
 //!
 //! # The zero-copy page-data path
 //!
@@ -72,6 +73,7 @@ pub mod addr;
 pub mod config;
 pub mod error;
 pub mod generation;
+pub mod nic;
 pub mod page;
 pub mod rto;
 pub mod rules;
@@ -83,6 +85,7 @@ pub use addr::{DriveMode, HostMask, HostMaskIter, MapMode, PageId, PageLength, V
 pub use config::{MetherConfig, SegmentLayout, PAGE_SIZE, SHORT_PAGE_SIZE};
 pub use error::{Error, Result};
 pub use generation::Generation;
+pub use nic::{Admit, NicDrop};
 pub use page::PageBuf;
 pub use rto::RtoEstimator;
 pub use rules::PageHomePolicy;

@@ -1053,7 +1053,7 @@ impl fmt::Debug for PageTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::Bytes;
 
@@ -1063,6 +1063,27 @@ mod tests {
 
     fn p0() -> PageId {
         PageId::new(0)
+    }
+
+    /// A `PageData` frame from host 0, full if `data` is a whole page.
+    pub(crate) fn frame(
+        page: PageId,
+        generation: u64,
+        transfer_to: Option<u16>,
+        data: Vec<u8>,
+    ) -> Packet {
+        Packet::PageData {
+            from: HostId(0),
+            page,
+            length: if data.len() == crate::PAGE_SIZE {
+                PageLength::Full
+            } else {
+                PageLength::Short
+            },
+            generation: Generation(generation),
+            transfer_to: transfer_to.map(HostId),
+            data: Bytes::from(data),
+        }
     }
 
     #[test]
@@ -1146,14 +1167,7 @@ mod tests {
         // point of the inconsistent space.
         let mut t = table(1);
         let mut fx = Vec::new();
-        let pkt = Packet::PageData {
-            from: HostId(0),
-            page: p0(),
-            length: PageLength::Short,
-            generation: Generation(1),
-            transfer_to: None,
-            data: Bytes::from(vec![1u8; 32]),
-        };
+        let pkt = frame(p0(), 1, None, vec![1u8; 32]);
         // Fault first so the snoop installs the copy.
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 7, &mut fx)
             .unwrap();
@@ -1170,17 +1184,7 @@ mod tests {
         let mut fx = Vec::new();
         t.access(p0(), View::short_demand(), MapMode::ReadOnly, 1, &mut fx)
             .unwrap();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![1u8; 32]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, vec![1u8; 32]), &mut fx);
         let out = t
             .access(p0(), View::full_demand(), MapMode::ReadOnly, 2, &mut fx)
             .unwrap();
@@ -1199,14 +1203,7 @@ mod tests {
     #[test]
     fn only_a_read_keeps_a_copy_in_the_data_group() {
         let mut t = table(1);
-        let frame = |generation| Packet::PageData {
-            from: HostId(0),
-            page: p0(),
-            length: PageLength::Short,
-            generation: Generation(generation),
-            transfer_to: None,
-            data: Bytes::from(vec![1u8; 32]),
-        };
+        let frame = |generation| frame(p0(), generation, None, vec![1u8; 32]);
         let read = |t: &mut PageTable| {
             let out = t.access(
                 p0(),
@@ -1491,30 +1488,10 @@ mod tests {
         // Install via a data-driven wait + broadcast.
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 1, &mut fx)
             .unwrap();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(7u32.to_le_bytes().to_vec()),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, 7u32.to_le_bytes().to_vec()), &mut fx);
         assert_eq!(t.page_buf(p0()).unwrap().read_u32(0).unwrap(), 7);
         // A later broadcast refreshes in place.
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(2),
-                transfer_to: None,
-                data: Bytes::from(8u32.to_le_bytes().to_vec()),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 2, None, 8u32.to_le_bytes().to_vec()), &mut fx);
         assert_eq!(t.page_buf(p0()).unwrap().read_u32(0).unwrap(), 8);
         assert_eq!(t.generation(p0()), Generation(2));
     }
@@ -1523,17 +1500,7 @@ mod tests {
     fn snoop_does_not_install_on_uninterested_host() {
         let mut t = table(3);
         let mut fx = Vec::new();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Full,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 8192]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, vec![0u8; 8192]), &mut fx);
         assert!(
             t.page_buf(p0()).is_none(),
             "no waiters, no copy: no install"
@@ -1548,17 +1515,7 @@ mod tests {
         let mut t = table(3);
         let mut fx = Vec::new();
         let far = PageId::new(crate::config::MAX_PAGES - 1);
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: far,
-                length: PageLength::Full,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 8192]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(far, 1, None, vec![0u8; 8192]), &mut fx);
         t.handle_packet(
             &Packet::PageRequest {
                 from: HostId(1),
@@ -1572,17 +1529,7 @@ mod tests {
         assert!(!t.tracks(far));
         assert!(fx.is_empty());
         // ...but a transfer addressed to this host still installs.
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: far,
-                length: PageLength::Full,
-                generation: Generation(2),
-                transfer_to: Some(HostId(3)),
-                data: Bytes::from(vec![9u8; 8192]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(far, 2, Some(3), vec![9u8; 8192]), &mut fx);
         assert!(t.is_consistent_holder(far));
     }
 
@@ -1595,17 +1542,7 @@ mod tests {
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 12, &mut fx)
             .unwrap();
         assert!(fx.is_empty());
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 32]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, vec![0u8; 32]), &mut fx);
         let woken = woken_waiters(&fx);
         assert!(woken.contains(&11));
         assert!(woken.contains(&12));
@@ -1624,17 +1561,7 @@ mod tests {
         let mut fx = Vec::new();
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 1, &mut fx)
             .unwrap();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 32]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, vec![0u8; 32]), &mut fx);
         assert!(t.page_buf(p0()).is_some());
         let out = t.purge(p0(), MapMode::ReadOnly, 1, &mut fx).unwrap();
         assert_eq!(out, AccessOutcome::Ready);
@@ -1787,14 +1714,7 @@ mod tests {
         let mut fx = Vec::new();
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 1, &mut fx)
             .unwrap();
-        let mk = |g: u64, v: u32| Packet::PageData {
-            from: HostId(0),
-            page: p0(),
-            length: PageLength::Short,
-            generation: Generation(g),
-            transfer_to: None,
-            data: Bytes::from(v.to_le_bytes().to_vec().repeat(8)),
-        };
+        let mk = |g: u64, v: u32| frame(p0(), g, None, v.to_le_bytes().to_vec().repeat(8));
         t.handle_packet(&mk(5, 0x0505_0505), &mut fx);
         assert_eq!(t.page_buf(p0()).unwrap().read_u32(0).unwrap(), 0x0505_0505);
         // An older generation arrives late: rejected.
@@ -1893,17 +1813,7 @@ mod tests {
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 4, &mut fx)
             .unwrap();
         fx.clear();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 32]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, vec![0u8; 32]), &mut fx);
         assert_eq!(
             woken_waiters(&fx),
             vec![1, 2, 3, 4],
@@ -1929,17 +1839,7 @@ mod tests {
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 7, &mut fx)
             .unwrap();
         fx.clear();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Short,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 32]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, None, vec![0u8; 32]), &mut fx);
         assert_eq!(woken_waiters(&fx), vec![7], "woken exactly once");
     }
 
@@ -1956,17 +1856,7 @@ mod tests {
         t.access(p0(), View::full_demand(), MapMode::Writeable, 9, &mut fx)
             .unwrap();
         fx.clear();
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: p0(),
-                length: PageLength::Full,
-                generation: Generation(1),
-                transfer_to: Some(HostId(1)),
-                data: Bytes::from(vec![0u8; 8192]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(p0(), 1, Some(1), vec![0u8; 8192]), &mut fx);
         let arrived_pos = fx
             .iter()
             .position(|e| matches!(e, Effect::ConsistentArrived(_)))
@@ -1992,17 +1882,7 @@ mod tests {
         t.access(p0(), View::short_data(), MapMode::ReadOnly, 1, &mut fx)
             .unwrap();
         for g in [3u64, 1, 5, 2] {
-            t.handle_packet(
-                &Packet::PageData {
-                    from: HostId(0),
-                    page: p0(),
-                    length: PageLength::Short,
-                    generation: Generation(g),
-                    transfer_to: None,
-                    data: Bytes::from(vec![0u8; 32]),
-                },
-                &mut fx,
-            );
+            t.handle_packet(&frame(p0(), g, None, vec![0u8; 32]), &mut fx);
         }
         assert_eq!(
             t.generation(p0()),
@@ -2049,17 +1929,7 @@ mod tests {
         let mut t = table(3);
         let mut fx = Vec::new();
         let far = PageId::new(crate::config::MAX_PAGES - 1);
-        t.handle_packet(
-            &Packet::PageData {
-                from: HostId(0),
-                page: far,
-                length: PageLength::Full,
-                generation: Generation(1),
-                transfer_to: None,
-                data: Bytes::from(vec![0u8; 8192]),
-            },
-            &mut fx,
-        );
+        t.handle_packet(&frame(far, 1, None, vec![0u8; 8192]), &mut fx);
         assert_eq!(
             t.dirty_page_count(),
             0,

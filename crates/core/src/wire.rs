@@ -314,6 +314,17 @@ impl Packet {
         matches!(self, Packet::BridgePdu { .. })
     }
 
+    /// True for a data frame that hands the page's consistency to `host`.
+    #[inline]
+    pub fn transfers_to(&self, host: HostId) -> bool {
+        matches!(
+            self,
+            Packet::PageData { transfer_to: Some(to), .. }
+                | Packet::PageReply { transfer_to: Some(to), .. }
+                if *to == host
+        )
+    }
+
     /// Are `self` and `other` page requests that one broadcast reply
     /// satisfies both of? Same page, length, and want — plus the same
     /// requester for directed consistency transfers. The one rule every

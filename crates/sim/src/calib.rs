@@ -111,46 +111,11 @@ pub struct Calib {
     /// its servers received every UDP broadcast and processed each
     /// datagram individually, and its host-load figures (and protocol
     /// 3's measured divergence on the counting benchmark) include that
-    /// load. `true` does four things at the NIC, before any server time
-    /// is charged or any burst queued:
-    ///
-    /// * **Group filter.** A frame about a page this host's table does
-    ///   not track is dropped (`HostSim::frames_filtered`), unless it
-    ///   is a data frame whose `transfer_to` names this host. The host
-    ///   is a member of one multicast group per page it tracks, and the
-    ///   NIC drops frames for groups it has not joined (Deering, "Host
-    ///   Extensions for IP Multicasting", RFC 1112, 1989). The server
-    ///   would have discarded each such frame after a `server_snoop`.
-    /// * **Data group.** A data frame (`PageData` or `PageReply`) that
-    ///   would refresh a copy nobody on this host has read since it was
-    ///   last installed or refreshed is dropped too (also
-    ///   `HostSim::frames_filtered`), unless its `transfer_to` names
-    ///   this host: a copy stays in the page's data group only while
-    ///   something here reads it, and an unread copy takes no refresh
-    ///   until the next read or fault on it
-    ///   (`mether_core::PageTable::wants_refresh`, which also keeps
-    ///   full copies, the holder, slots with no copy and waiters in the
-    ///   group). Waking a waiter is not a read: a woken process is back
-    ///   in the group when its re-executed access hits. The copy keeps
-    ///   its bytes. The paper's servers
-    ///   installed every frame for every page they had mapped, for an
-    ///   install cost each.
-    /// * **Request group.** A `ReadOnly` or `Consistent` `PageRequest`
-    ///   is dropped too (also `HostSim::frames_filtered`) unless this
-    ///   host holds the page consistently, or a data frame granting it
-    ///   the page is queued for its server or being installed. Only the
-    ///   holder answers those requests, so each page's request group is
-    ///   the one host that can: the holder, or the host the page is on
-    ///   its way into. `Superset` requests, which any full copy that
-    ///   does not hold answers, always pass.
-    /// * **Request coalescing.** An arriving `PageRequest` identical to
-    ///   one already queued for the server is dropped and counted
-    ///   (`HostSim::requests_coalesced`), since the queued request's
-    ///   broadcast reply satisfies every snooper a duplicate could
-    ///   (consistency transfers are directed, so those coalesce per
-    ///   requesting host only). Clients retrying faster than the
-    ///   ~13 ms per-request serve cost otherwise grow the server queue
-    ///   without bound.
+    /// load. `true` asks [`mether_core::PageTable::admit`] about every
+    /// frame the host hears, before any server time is charged or any
+    /// burst queued, and drops what it does not keep: by reason in
+    /// `HostSim::frames_filtered`, duplicates in
+    /// `HostSim::requests_coalesced`.
     ///
     /// Deployments with retry timers enable it.
     pub nic_filter: bool,
@@ -206,9 +171,7 @@ impl Calib {
         self
     }
 
-    /// Enables the hardened NIC: the untracked-page filter, the data
-    /// group, the request group and request coalescing (see
-    /// [`Calib::nic_filter`]).
+    /// Enables the hardened NIC ([`Calib::nic_filter`]).
     #[must_use]
     pub fn with_nic_filter(mut self) -> Self {
         self.nic_filter = true;

@@ -18,18 +18,10 @@
 //!   the server's work, queued and charged per item.
 //!
 //! Three things here are not the paper's. First, when
-//! [`crate::Calib::nic_filter`] is set, the NIC keeps four kinds of
-//! frame from the server: frames about pages this host's table does not
-//! track (a data frame that transfers the page to this host still gets
-//! through); data frames that would refresh a copy nobody here has
-//! read since it was last installed or refreshed
-//! ([`mether_core::PageTable::wants_refresh`]); `ReadOnly` and
-//! `Consistent` requests for a page this host neither holds nor has a
-//! grant of on its way in, which only the holder answers; and page
-//! requests identical to one already queued
-//! ([`HostSim::requests_coalesced`]). The first three count in
-//! [`HostSim::frames_filtered`]. The paper's server received every
-//! broadcast and paid to inspect each one.
+//! [`crate::Calib::nic_filter`] is set, the NIC keeps from the server
+//! what [`mether_core::PageTable::admit`] drops, counted by reason in
+//! [`HostSim::frames_filtered`] and [`HostSim::requests_coalesced`]. The
+//! paper's server received every broadcast and paid to inspect each one.
 //!
 //! Second, when
 //! [`crate::Calib::piggyback_replies`] is set, the server settles its
@@ -68,8 +60,8 @@ use crate::process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters}
 use mether_core::rto::MAX_BACKOFF;
 use mether_core::table::WaiterId;
 use mether_core::{
-    AccessOutcome, DriveMode, Effect, FaultKind, Generation, MapMode, MetherConfig, Packet, PageId,
-    PageLength, PageTable, RtoEstimator, View, Want,
+    AccessOutcome, Admit, DriveMode, Effect, FaultKind, Generation, MapMode, MetherConfig, NicDrop,
+    Packet, PageId, PageLength, PageTable, RtoEstimator, View, Want,
 };
 use mether_net::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -299,7 +291,7 @@ impl ServerTally {
 }
 
 /// A request the NIC dropped, shadowed for invariant (g).
-struct NicDrop {
+struct DroppedRequest {
     /// Its place in the server queue: items queued before it have a
     /// smaller one.
     place: u64,
@@ -360,7 +352,7 @@ pub struct HostSim {
     /// Invariant (g)'s shadow list: the requests the NIC dropped, each
     /// at the place it would have taken in the server queue, until the
     /// server gets there. `None` unless the observer is on.
-    nic_drops: Option<VecDeque<NicDrop>>,
+    nic_drops: Option<VecDeque<DroppedRequest>>,
     server_ready_since: Option<SimTime>,
     current: Option<Slot>,
     current_burst: Option<Burst>,
@@ -391,13 +383,11 @@ pub struct HostSim {
     /// the reply just sent granted the page to another host
     /// ([`Calib::piggyback_replies`]).
     pub requests_forwarded: u64,
-    /// Frames dropped at the NIC ([`Calib::nic_filter`]): frames about
-    /// a page this host's table does not track, data frames that would
-    /// refresh a copy nobody here has read since its last install, and
-    /// `ReadOnly` or `Consistent` requests for a page this host neither
-    /// holds nor is being granted. Each would have cost the server a
-    /// `server_snoop` to discard, or an install nobody used.
-    pub frames_filtered: u64,
+    /// Frames dropped at the NIC ([`Calib::nic_filter`]), indexed by
+    /// `NicDrop as usize` ([`mether_core::PageTable::admit`]). Each would
+    /// have cost the server a `server_snoop` to discard, or an install
+    /// nobody used.
+    pub frames_filtered: [u64; NicDrop::ALL.len()],
     /// Requests re-sent because a fault's retransmission timer fired
     /// before its reply came.
     pub fault_retransmits: u64,
@@ -460,7 +450,7 @@ impl HostSim {
             requests_coalesced: 0,
             requests_piggybacked: 0,
             requests_forwarded: 0,
-            frames_filtered: 0,
+            frames_filtered: [0; NicDrop::ALL.len()],
             fault_retransmits: 0,
             spurious_retransmits: 0,
             rto,
@@ -683,103 +673,41 @@ impl HostSim {
     /// Returns whether it queued work — a frame the NIC drops changes
     /// nothing the dispatcher reads, so the caller need not kick.
     ///
-    /// Under [`Calib::nic_filter`] the NIC drops four kinds of frame
-    /// first, at no server cost. A request about a page this host's
-    /// table does not track is filtered ([`HostSim::frames_filtered`]):
-    /// the server would only snoop and discard it. So is a data frame
-    /// outside the page's data group
-    /// ([`mether_core::PageTable::wants_refresh`]): the page is not
-    /// tracked, or its copy has gone unread since its last install and
-    /// is not full, held or waited for. The copy keeps its bytes, and
-    /// the next read or fault on the page rejoins the group. A data
-    /// frame that transfers the page to this host always passes. So is
-    /// a `ReadOnly` or `Consistent` request outside this host's request
-    /// group (`in_request_group`): the page is not held here, and no
-    /// grant of it is queued for the server or being installed. The
-    /// host is in a page's data group while it reads its copy, and in
-    /// its request group only while it holds the page or is about to
-    /// (RFC 1112 twice over). `Superset` requests are answered by full
-    /// copies that do not hold, so they pass. Then page requests
-    /// coalesce against the queue: every reply is a broadcast the whole
-    /// wire snoops, so one queued request per distinct (page, length,
-    /// want) already satisfies every waiter a duplicate could.
-    /// Without this, blocked clients retrying faster than the server's
-    /// per-request cost (13 ms at paper pace) grow the queue without
-    /// bound and starve the server's own purge broadcasts behind
-    /// hundreds of identical replies. Consistency transfers are
-    /// directed at one requester, so those only coalesce with a retry
-    /// from the same host. Off by default: the paper's servers
-    /// processed every datagram individually, and its measured protocol
-    /// rankings (notably P3's divergence) include that load.
-    ///
-    /// A filtered request is one the table would have discarded at
-    /// serve time, unless the host starts tracking the page while the
-    /// frame waits in the queue; its own request then fetches the page.
-    /// A filtered data frame is a refresh nobody would have read before
-    /// the next one, unless a read comes while it waits. A
-    /// request outside the group is one the server would not have
-    /// answered when it got to it: a grant already queued or in service
-    /// would have let it in, and one that arrives after it is installed
-    /// after it is served.
+    /// Under [`Calib::nic_filter`] the NIC first asks
+    /// [`mether_core::PageTable::admit`], against the server's unfinished
+    /// frames, and drops what it does not keep at no server cost. Off by
+    /// default: the paper's servers processed every datagram
+    /// individually, and its measured protocol rankings (notably P3's
+    /// divergence) include that load.
     pub fn deliver_packet(&mut self, now: SimTime, pkt: &Arc<Packet>) -> bool {
         self.frames_heard += 1;
         if self.calib.nic_filter {
-            let page = pkt.page();
-            let kept = match pkt.as_ref() {
-                Packet::PageRequest { .. } => {
-                    self.table.tracks(page) && self.in_request_group(pkt.as_ref())
-                }
-                data => self.transferred_here(data) || self.table.wants_refresh(page),
+            let in_service = match &self.current_burst {
+                Some(Burst::ServerItem {
+                    work: ServerWork::Packet(q),
+                    ..
+                }) => Some(q.as_ref()),
+                _ => None,
             };
-            if !kept {
-                self.frames_filtered += 1;
-                self.shadow_nic_drop(now, pkt);
-                return false;
-            }
-            if self.is_duplicate_request(pkt.as_ref()) {
-                self.requests_coalesced += 1;
-                return false;
+            let queued = self.server_queue.iter().filter_map(|(_, w)| match w {
+                ServerWork::Packet(q) => Some(q.as_ref()),
+                _ => None,
+            });
+            match self.table.admit(pkt, in_service, queued) {
+                Admit::Keep => {}
+                Admit::Coalesced => {
+                    self.requests_coalesced += 1;
+                    return false;
+                }
+                Admit::Drop(why) => {
+                    self.frames_filtered[why as usize] += 1;
+                    self.shadow_nic_drop(now, pkt);
+                    return false;
+                }
             }
         }
         self.push_server_work(now, ServerWork::Packet(Arc::clone(pkt)));
         true
-    }
-
-    /// Is `pkt` a data frame that hands consistency to this host?
-    fn transferred_here(&self, pkt: &Packet) -> bool {
-        matches!(
-            pkt,
-            Packet::PageData { transfer_to: Some(to), .. }
-                | Packet::PageReply { transfer_to: Some(to), .. }
-                if *to == mether_core::HostId(self.index as u16)
-        )
-    }
-
-    /// Is this host in `pkt`'s request group? Only the consistent
-    /// holder answers a `ReadOnly` or `Consistent` request, so the
-    /// group of such a request is the holder, plus a host that a grant
-    /// of the page is on its way into: one queued for the server or
-    /// being installed now. A request that reaches either is served
-    /// after the grant, by a holder. Consistency arrives no other way
-    /// once the page exists (`create_owned` seeds it; a data frame
-    /// addressed here moves it), so the server of any other host would
-    /// only snoop the request. Every other request is in the group.
-    fn in_request_group(&self, pkt: &Packet) -> bool {
-        let Packet::PageRequest {
-            page,
-            want: Want::ReadOnly | Want::Consistent,
-            ..
-        } = *pkt
-        else {
-            return true;
-        };
-        let grant = |w: &ServerWork| match w {
-            ServerWork::Packet(q) => q.page() == page && self.transferred_here(q),
-            _ => false,
-        };
-        self.table.is_consistent_holder(page)
-            || matches!(&self.current_burst, Some(Burst::ServerItem { work, .. }) if grant(work))
-            || self.server_queue.iter().any(|(_, w)| grant(w))
     }
 
     /// Turns on invariant (g) for this host: the observer is on.
@@ -795,7 +723,7 @@ impl HostSim {
             return;
         };
         if matches!(**pkt, Packet::PageRequest { .. }) {
-            drops.push_back(NicDrop {
+            drops.push_back(DroppedRequest {
                 place: self.server_pushed,
                 pkt: Arc::clone(pkt),
                 heard: now,
@@ -828,7 +756,7 @@ impl HostSim {
                     unreachable!("only requests are shadowed");
                 };
                 assert!(
-                    !self.answers(page, want),
+                    !self.table.answers(page, want),
                     "invariant (g): host {} dropped {:?} at its NIC at {}, but its \
                      server, reaching it at {now}, would have answered it",
                     self.index,
@@ -838,18 +766,6 @@ impl HostSim {
             }
         }
         self.nic_drops = Some(drops);
-    }
-
-    /// Is `pkt` a page request identical (same page, length, and want —
-    /// plus same requester for directed consistency transfers) to one
-    /// already sitting in the server queue?
-    fn is_duplicate_request(&self, pkt: &Packet) -> bool {
-        if !matches!(pkt, Packet::PageRequest { .. }) {
-            return false;
-        }
-        self.server_queue
-            .iter()
-            .any(|(_, w)| matches!(w, ServerWork::Packet(q) if pkt.same_request(q)))
     }
 
     /// A sleep timer fired for process `proc`.
@@ -995,23 +911,6 @@ impl HostSim {
         self.max_server_queue = self.max_server_queue.max(self.server_queue.len());
     }
 
-    /// Would the server answer a request for `page` wanting `want` now?
-    /// Only the consistent holder answers `ReadOnly` and `Consistent`,
-    /// and only a full copy that does not hold answers `Superset`. The
-    /// cost model and invariant (g) share it.
-    fn answers(&self, page: PageId, want: Want) -> bool {
-        match want {
-            Want::ReadOnly | Want::Consistent => self.table.is_consistent_holder(page),
-            Want::Superset => {
-                !self.table.is_consistent_holder(page)
-                    && self
-                        .table
-                        .page_buf(page)
-                        .is_some_and(mether_core::PageBuf::full_valid)
-            }
-        }
-    }
-
     /// What serving `work` costs, and what kind of item it is. An
     /// install is counted a [`ServerKind::Refresh`] here; `finish_burst`
     /// makes it a [`ServerKind::Wake`] if it woke someone.
@@ -1026,7 +925,7 @@ impl HostSim {
                 Packet::PageRequest {
                     page, want, length, ..
                 } => {
-                    if self.answers(*page, *want) {
+                    if self.table.answers(*page, *want) {
                         let bytes = match want {
                             Want::Superset => mether_core::PAGE_SIZE,
                             _ => self.table.config().transfer_len(*length),
@@ -1038,14 +937,13 @@ impl HostSim {
                 }
                 Packet::PageData { page, data, .. } | Packet::PageReply { page, data, .. } => {
                     // (A page with a buffer has a slot.)
-                    if self.transferred_here(pkt) || self.table.tracks(*page) {
+                    if pkt.transfers_to(self.table.host()) || self.table.tracks(*page) {
                         (ServerKind::Refresh, self.calib.install_cost(data.len()))
                     } else {
                         snoop
                     }
                 }
-                // Control frames are NIC-filtered before the server ever
-                // sees them; the simulator never delivers them to hosts,
+                // The simulator never delivers control frames to hosts,
                 // so this arm only keeps the cost model total.
                 Packet::BridgePdu { .. } => snoop,
             },
@@ -1795,7 +1693,7 @@ mod tests {
         h.deliver_packet(SimTime::ZERO, &request(2, 7)); // other host, same ask
         h.deliver_packet(SimTime::ZERO, &request(1, 8)); // different page
         assert_eq!(h.requests_coalesced, 2);
-        assert_eq!(h.frames_filtered, 1);
+        assert_eq!(h.frames_filtered, [1, 0, 0]);
         assert_eq!(h.frames_heard, 4);
     }
 
@@ -1849,10 +1747,10 @@ mod tests {
         let mut h = filtering_host();
         assert!(!h.deliver_packet(SimTime::ZERO, &request(1, 9)));
         assert!(!h.deliver_packet(SimTime::ZERO, &Arc::new(snooped.clone())));
-        assert_eq!((h.frames_filtered, h.frames_heard), (2, 2));
+        assert_eq!((h.frames_filtered, h.frames_heard), ([2, 0, 0], 2));
         assert!(h.dispatch(SimTime::ZERO).is_none(), "nothing queued");
         assert!(h.deliver_packet(SimTime::ZERO, &Arc::new(grant.clone())));
-        assert_eq!((h.frames_filtered, h.frames_heard), (2, 3));
+        assert_eq!((h.frames_filtered, h.frames_heard), ([2, 0, 0], 3));
         let t = h.dispatch(SimTime::ZERO).expect("install the grant");
         h.finish_burst(t);
         assert!(h.table.is_consistent_holder(page));
@@ -1861,7 +1759,10 @@ mod tests {
         assert!(paper.deliver_packet(SimTime::ZERO, &request(1, 9)));
         assert!(paper.deliver_packet(SimTime::ZERO, &Arc::new(snooped)));
         assert!(paper.deliver_packet(SimTime::ZERO, &Arc::new(grant)));
-        assert_eq!((paper.frames_filtered, paper.server_queue.len()), (0, 3));
+        assert_eq!(
+            (paper.frames_filtered, paper.server_queue.len()),
+            ([0; 3], 3)
+        );
     }
 
     /// Host 0 takes a write fault on page 3 and puts its consistent
@@ -1923,7 +1824,7 @@ mod tests {
             h.deliver_packet(sent, &asking(2, 3, Want::Consistent)),
             "dropped while the grant is in service"
         );
-        assert_eq!(h.frames_filtered, 0);
+        assert_eq!(h.frames_filtered, [0; 3]);
         h.finish_burst(installed);
         assert!(h.table.is_consistent_holder(PageId::new(3)));
         grants_to_host_2(&mut h, installed);
@@ -1936,7 +1837,7 @@ mod tests {
         let (sent, grant) = awaiting_a_grant(&mut h);
         assert!(h.deliver_packet(sent, &Arc::new(grant)));
         assert!(h.deliver_packet(sent, &asking(2, 3, Want::Consistent)));
-        assert_eq!(h.frames_filtered, 0);
+        assert_eq!(h.frames_filtered, [0; 3]);
         let installed = h.dispatch(sent).expect("install burst");
         h.finish_burst(installed);
         grants_to_host_2(&mut h, installed);
@@ -1954,7 +1855,7 @@ mod tests {
         for want in [Want::ReadOnly, Want::Consistent] {
             assert!(!h.deliver_packet(sent, &asking(1, 3, want)), "{want:?}");
         }
-        assert_eq!((h.frames_filtered, h.frames_heard), (2, 2));
+        assert_eq!((h.frames_filtered, h.frames_heard), ([0, 2, 0], 2));
         assert!(h.dispatch(sent).is_none(), "nothing queued");
         assert_eq!(h.server_time, busy);
     }
@@ -1978,7 +1879,7 @@ mod tests {
 
         assert!(!h.deliver_packet(granted, &asking(2, 3, Want::ReadOnly)));
         assert!(h.deliver_packet(granted, &asking(2, 3, Want::Superset)));
-        assert_eq!(h.frames_filtered, 1);
+        assert_eq!(h.frames_filtered, [0, 1, 0]);
         let served = h.dispatch(granted).expect("serve the superset");
         let actions = h.finish_burst(served);
         assert!(
@@ -2046,7 +1947,7 @@ mod tests {
         for want in [Want::ReadOnly, Want::Consistent, Want::Superset] {
             assert!(h.deliver_packet(sent, &asking(1, 3, want)), "{want:?}");
         }
-        assert_eq!((h.frames_filtered, h.server_queue.len()), (0, 3));
+        assert_eq!((h.frames_filtered, h.server_queue.len()), ([0; 3], 3));
     }
 
     /// The default calibration is the paper's: every datagram reaches
@@ -2640,7 +2541,7 @@ mod tests {
             let (queued, _) = snoop(&mut h, now, &refresh(generation, generation as u8));
             assert!(!queued, "unread refresh {generation} reached the server");
         }
-        assert_eq!(h.frames_filtered, 2);
+        assert_eq!(h.frames_filtered, [0, 0, 2]);
         assert_eq!(
             read_page_3(&mut h, View::short_demand()),
             AccessOutcome::Ready
@@ -2715,12 +2616,13 @@ mod tests {
             (h.table.generation(page), word)
         };
         let installed = copy(&h);
-        let (busy, filtered) = (h.server_time, h.frames_filtered);
+        let (busy, mut filtered) = (h.server_time, h.frames_filtered);
         assert!(
             !h.deliver_packet(now, &refresh(2, 2)),
             "the first frame after an unread install reached the server"
         );
-        assert_eq!(h.frames_filtered, filtered + 1);
+        filtered[NicDrop::Unread as usize] += 1;
+        assert_eq!(h.frames_filtered, filtered);
         assert!(h.dispatch(now).is_none(), "nothing queued");
         assert_eq!(h.server_time, busy);
         assert_eq!(copy(&h), installed, "the copy kept its bytes");
@@ -2774,7 +2676,7 @@ mod tests {
             h.table.generation(PageId::new(3)),
             mether_core::Generation(2)
         );
-        assert_eq!(h.frames_filtered, 0);
+        assert_eq!(h.frames_filtered, [0; 3]);
     }
 
     /// What keeps a copy in the data group however long it goes
@@ -2838,7 +2740,7 @@ mod tests {
             assert!(queued, "the holder, frame {generation}");
             now = t;
         }
-        assert_eq!(h.frames_filtered, 0);
+        assert_eq!(h.frames_filtered, [0; 3]);
     }
 
     /// Without the hardened NIC every data frame reaches the server,
@@ -2852,7 +2754,7 @@ mod tests {
             assert!(queued, "refresh {generation}");
             now = t;
         }
-        assert_eq!(h.frames_filtered, 0);
+        assert_eq!(h.frames_filtered, [0; 3]);
         assert_eq!(
             h.table.generation(PageId::new(3)),
             mether_core::Generation(4)

@@ -39,7 +39,7 @@
 //! ([`mether_sim::Simulation::open_loop_digest`]) the regression tests
 //! pin. Display prints one line per column so CI logs read as a table.
 
-use mether_core::{MapMode, PageId, View};
+use mether_core::{MapMode, NicDrop, PageId, View};
 use mether_net::{FabricConfig, SimDuration, SimTime};
 use mether_sim::{
     ArrivalStream, EventKind, EventPops, OpenAccess, ParallelMode, RunLimits, RunOutcome,
@@ -327,12 +327,10 @@ impl OpenLoopScenario {
         // retransmission timer (each host's measured round trip, never
         // under 20 ms) re-sends requests a converging fabric filtered
         // or a migrating page left unanswered, and the hardened NIC
-        // keeps those re-sends from duplicating server work at enqueue
-        // time, drops frames about pages a host does not track, and
-        // drops every data frame for a copy nobody on the host has read
-        // since it was installed: open-loop reads are cold and a woken
-        // open-loop waiter is done, so no copy is read and none is
-        // refreshed. Serve-time piggybacking (the measured
+        // (`PageTable::admit`) keeps those re-sends from duplicating
+        // server work at enqueue time. Open-loop reads are cold and a
+        // woken open-loop waiter is done, so no copy is read and the NIC
+        // lets no refresh in. Serve-time piggybacking (the measured
         // optimization) additionally drops queued duplicates that
         // arrived *during* a serve burst.
         cfg.calib = cfg
@@ -410,7 +408,8 @@ impl OpenLoopScenario {
         sim.check_invariants();
         let hist = sim.open_loop_hist();
         let (mut accesses, mut hits, mut faults, mut piggybacked) = (0u64, 0u64, 0u64, 0u64);
-        let (mut forwarded, mut filtered, mut retransmits, mut spurious) = (0u64, 0u64, 0u64, 0u64);
+        let (mut forwarded, mut retransmits, mut spurious) = (0u64, 0u64, 0u64);
+        let mut filtered = [0u64; NicDrop::ALL.len()];
         let mut server = ServerTally::default();
         let mut busiest = 0;
         for h in 0..sim.host_count() {
@@ -421,7 +420,9 @@ impl OpenLoopScenario {
             faults += f;
             piggybacked += host.requests_piggybacked;
             forwarded += host.requests_forwarded;
-            filtered += host.frames_filtered;
+            for (sum, n) in filtered.iter_mut().zip(host.frames_filtered) {
+                *sum += n;
+            }
             retransmits += host.fault_retransmits;
             spurious += host.spurious_retransmits;
             server.merge(&host.server_work);
@@ -479,13 +480,9 @@ pub struct OpenLoopReport {
     /// had just granted the page to (`HostSim::requests_forwarded`,
     /// summed; 0 unless the scenario runs with piggybacking).
     pub forwarded: u64,
-    /// Frames host NICs dropped because their table does not track the
-    /// page, because they are data frames refreshing a copy nobody on
-    /// the host has read since it was installed or last refreshed, or
-    /// because they are `ReadOnly` or `Consistent` requests for a page
-    /// the host neither holds nor is being granted
+    /// Frames host NICs dropped, indexed by `NicDrop as usize`
     /// (`HostSim::frames_filtered`, summed).
-    pub filtered: u64,
+    pub filtered: [u64; NicDrop::ALL.len()],
     /// Requests re-sent because a fault's retransmission timer fired
     /// first (`HostSim::fault_retransmits`, summed).
     pub retransmits: u64,
@@ -554,8 +551,8 @@ impl fmt::Display for OpenLoopReport {
         )?;
         writeln!(
             f,
-            "  accesses={} hits={} faults={} piggybacked={} forwarded={} filtered={}",
-            self.accesses, self.hits, self.faults, self.piggybacked, self.forwarded, self.filtered
+            "  accesses={} hits={} faults={} piggybacked={} forwarded={}",
+            self.accesses, self.hits, self.faults, self.piggybacked, self.forwarded
         )?;
         writeln!(
             f,
@@ -594,6 +591,12 @@ impl fmt::Display for OpenLoopReport {
                 let per_access = pops as f64 / self.accesses.max(1) as f64;
                 write!(f, " {} {per_access:.2};", kind.label())?;
             }
+        }
+        writeln!(f)?;
+        write!(f, "  NIC drops per access:")?;
+        for why in NicDrop::ALL {
+            let per_access = self.filtered[why as usize] as f64 / self.accesses.max(1) as f64;
+            write!(f, " {why:?} {per_access:.2};")?;
         }
         writeln!(f)?;
         write!(

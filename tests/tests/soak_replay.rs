@@ -183,7 +183,7 @@ fn untracked_frames_do_not_saturate_the_servers() {
         .map(|h| sim.host(h).server_time.as_nanos() as f64 / outcome.wall.as_nanos() as f64)
         .fold(0.0, f64::max);
     let filtered: u64 = (0..sim.host_count())
-        .map(|h| sim.host(h).frames_filtered)
+        .flat_map(|h| sim.host(h).frames_filtered)
         .sum();
     println!(
         "seed 122: finished at {}, busiest server {busiest:.3} busy, {filtered} frames filtered",

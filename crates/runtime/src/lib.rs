@@ -26,7 +26,8 @@ pub use node::Node;
 mod tests {
     use super::*;
     use mether_core::{MapMode, PageId, PageLength, VAddr, View};
-    use std::time::Duration;
+    use mether_net::rt::lock;
+    use std::time::{Duration, Instant};
 
     fn two() -> Cluster {
         Cluster::new(ClusterConfig::fast(2)).unwrap()
@@ -141,6 +142,36 @@ mod tests {
         c.node(0).unlock(page).unwrap();
         writer.join().unwrap().unwrap();
         assert!(c.node(1).is_consistent_holder(page));
+    }
+
+    /// A copy nobody reads between two refreshes still takes the
+    /// second: the receiver installs what the NIC rule drops as
+    /// `NicDrop::Unread` (see `Node::start`). Node 1 reads page 0 once,
+    /// then only watches its table under the driver lock, which marks
+    /// nothing read, while node 0 writes and purges twice.
+    #[test]
+    fn an_unread_copy_still_takes_every_refresh() {
+        let c = two();
+        let page = PageId::new(0);
+        c.node(0).create_owned(page);
+        let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+        let read = c
+            .node(1)
+            .read_u32_timeout(addr, MapMode::ReadOnly, Duration::from_secs(5));
+        assert_eq!(read, Ok(0));
+        for word in [1, 2] {
+            c.node(0).write_u32(addr, word).unwrap();
+            c.node(0)
+                .purge(page, MapMode::Writeable, PageLength::Short)
+                .unwrap();
+        }
+        let generation = |n: usize| lock(&c.node(n).inner.driver).generation(page);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while generation(1) != generation(0) {
+            assert!(Instant::now() < deadline, "node 1 missed a refresh");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(c.node(1).read_u32(addr, MapMode::ReadOnly), Ok(2));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! so the handshake collapses without changing what reaches the wire.
 
 use mether_core::{
-    AccessOutcome, Effect, Error, HostId, MapMode, MetherConfig, Packet, PageId, PageLength,
-    PageTable, Result, VAddr,
+    AccessOutcome, Admit, Effect, Error, HostId, MapMode, MetherConfig, NicDrop, Packet, PageId,
+    PageLength, PageTable, Result, VAddr,
 };
 use mether_net::rt::{lock, Endpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,22 +30,9 @@ pub(crate) struct NodeInner {
     wakeups: Condvar,
     endpoint: Endpoint,
     next_waiter: AtomicU64,
-    /// Page requests dropped because an identical one was already in
-    /// the same drained receive burst (see [`Node::requests_coalesced`]).
+    /// Page requests [`Admit::Coalesced`] within a drained receive burst
+    /// (see [`Node::requests_coalesced`]).
     requests_coalesced: AtomicU64,
-}
-
-/// Is `pkt` a page request one already in `earlier` makes redundant
-/// ([`Packet::same_request`], the rule the simulator's coalescer
-/// applies too)? The runtime's counterpart of the simulator's
-/// NIC-level request coalescing (`Calib::nic_filter`): every reply is a
-/// broadcast the whole wire snoops, so one request per distinct ask
-/// satisfies every waiter a duplicate could. The simulator's other NIC
-/// rule, dropping frames about untracked pages, has no counterpart
-/// here: the runtime charges no server cost, and
-/// `PageTable::handle_packet` already returns at once for such a page.
-fn duplicate_request(pkt: &Packet, earlier: &[Packet]) -> bool {
-    earlier.iter().any(|e| pkt.same_request(e))
 }
 
 impl NodeInner {
@@ -118,25 +105,37 @@ impl Node {
                 let mut batch: Vec<Packet> = Vec::new();
                 let mut effects = Vec::new();
                 while let Ok(pkt) = endpoint.recv() {
-                    // Drain the burst queued behind this frame,
-                    // coalescing identical page requests within
-                    // it — the one broadcast reply satisfies
-                    // every requester the duplicates speak for.
+                    // Drain the burst queued behind this frame.
                     batch.push(pkt);
                     for _ in 0..1024 {
                         let Ok(Some(next)) = endpoint.try_recv() else {
                             break;
                         };
-                        if duplicate_request(&next, &batch) {
-                            rx_inner.requests_coalesced.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
                         batch.push(next);
                     }
                     {
                         let mut driver = lock(&rx_inner.driver);
-                        for pkt in &batch {
-                            driver.handle_packet(pkt, &mut effects);
+                        for (i, pkt) in batch.iter().enumerate() {
+                            // The NIC's rule, with the frames ahead of
+                            // this one in the burst as the queue. Its
+                            // drops skip only frames `handle_packet`
+                            // would ignore, but for one: a refresh of a
+                            // copy nobody has read since the last one is
+                            // installed anyway. Nothing here re-fetches
+                            // a present copy (the simulator's read
+                            // lease), so a reader that misses the last
+                            // refresh of a page would read it stale for
+                            // good; dropping these hung the 64-count
+                            // counting run in half its runs on 2 cores.
+                            match driver.admit(pkt, None, &batch[..i]) {
+                                Admit::Coalesced => {
+                                    rx_inner.requests_coalesced.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Admit::Drop(NicDrop::Untracked | NicDrop::NotInRequestGroup) => {}
+                                Admit::Keep | Admit::Drop(NicDrop::Unread) => {
+                                    driver.handle_packet(pkt, &mut effects);
+                                }
+                            }
                         }
                     }
                     // Not kept over the wait: a queued payload shares its
@@ -161,11 +160,10 @@ impl Node {
         self.inner.host
     }
 
-    /// Page requests this node's receiver dropped because an identical
-    /// request was already in the same drained burst — the runtime's
-    /// counterpart of the simulator's NIC-level coalescing counter
-    /// (`Calib::with_nic_filter`), so the engines' reports
-    /// line up.
+    /// Page requests this node's receiver dropped as
+    /// [`Admit::Coalesced`]: an identical one was earlier in the same
+    /// drained burst. The simulator's NIC counts the same verdict, so
+    /// the engines' reports line up.
     pub fn requests_coalesced(&self) -> u64 {
         self.inner.requests_coalesced.load(Ordering::Relaxed)
     }
@@ -212,43 +210,9 @@ impl Node {
         mode: MapMode,
         deadline: Option<Instant>,
     ) -> Result<u32> {
-        let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
-        let mut driver = lock(&self.inner.driver);
-        loop {
-            let mut effects = Vec::new();
-            let outcome = driver.access(addr.page(), addr.view(), mode, waiter, &mut effects)?;
-            match outcome {
-                AccessOutcome::Ready => {
-                    let v = driver
-                        .page_buf(addr.page())
-                        .expect("ready implies present")
-                        .read_u32(addr.offset() as usize)?;
-                    drop(driver);
-                    self.inner.apply_effects(effects)?;
-                    return Ok(v);
-                }
-                AccessOutcome::Blocked(_) => {
-                    // Transmit the fault request (if any) without holding
-                    // the driver lock, then wait for the receiver thread.
-                    if !effects.is_empty() {
-                        drop(driver);
-                        self.inner.apply_effects(effects)?;
-                        driver = lock(&self.inner.driver);
-                        // State may have changed while unlocked; re-check
-                        // before sleeping.
-                        continue;
-                    }
-                    let (woken, in_time) = self.wait(driver, deadline);
-                    driver = woken;
-                    if !in_time {
-                        // Abandon the fault so a retry retransmits the
-                        // request (drop recovery on the lossy LAN).
-                        driver.cancel_wait(addr.page(), waiter);
-                        return Err(Error::Timeout);
-                    }
-                }
-            }
-        }
+        let mut b = [0u8; 4];
+        self.read_bytes_deadline(addr, mode, &mut b, deadline)?;
+        Ok(u32::from_le_bytes(b))
     }
 
     /// Writes a little-endian `u32` at `addr` through the consistent
@@ -294,37 +258,12 @@ impl Node {
         buf: &mut [u8],
         deadline: Option<Instant>,
     ) -> Result<()> {
-        let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
-        let mut driver = lock(&self.inner.driver);
-        loop {
-            let mut effects = Vec::new();
-            let outcome = driver.access(addr.page(), addr.view(), mode, waiter, &mut effects)?;
-            match outcome {
-                AccessOutcome::Ready => {
-                    driver
-                        .page_buf(addr.page())
-                        .expect("ready implies present")
-                        .read(addr.offset() as usize, buf)?;
-                    drop(driver);
-                    self.inner.apply_effects(effects)?;
-                    return Ok(());
-                }
-                AccessOutcome::Blocked(_) => {
-                    if !effects.is_empty() {
-                        drop(driver);
-                        self.inner.apply_effects(effects)?;
-                        driver = lock(&self.inner.driver);
-                        continue;
-                    }
-                    let (woken, in_time) = self.wait(driver, deadline);
-                    driver = woken;
-                    if !in_time {
-                        driver.cancel_wait(addr.page(), waiter);
-                        return Err(Error::Timeout);
-                    }
-                }
-            }
-        }
+        self.when_ready(addr, mode, deadline, |driver| {
+            driver
+                .page_buf(addr.page())
+                .expect("ready implies present")
+                .read(addr.offset() as usize, buf)
+        })
     }
 
     /// Writes `buf` at `addr` through the consistent mapping.
@@ -333,35 +272,55 @@ impl Node {
     ///
     /// As [`Node::write_u32`].
     pub fn write_bytes(&self, addr: VAddr, buf: &[u8]) -> Result<()> {
+        self.when_ready(addr, MapMode::Writeable, None, |driver| {
+            driver
+                .page_buf_mut(addr.page())
+                .expect("ready implies present")
+                .write(addr.offset() as usize, buf)
+        })
+    }
+
+    /// Runs `op` on the driver once an access to `addr` through `mode`
+    /// is ready, faulting the page in first; gives the fault up at
+    /// `deadline` with [`Error::Timeout`].
+    fn when_ready<T>(
+        &self,
+        addr: VAddr,
+        mode: MapMode,
+        deadline: Option<Instant>,
+        op: impl FnOnce(&mut PageTable) -> Result<T>,
+    ) -> Result<T> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
         let mut driver = lock(&self.inner.driver);
         loop {
             let mut effects = Vec::new();
-            let outcome = driver.access(
-                addr.page(),
-                addr.view(),
-                MapMode::Writeable,
-                waiter,
-                &mut effects,
-            )?;
+            let outcome = driver.access(addr.page(), addr.view(), mode, waiter, &mut effects)?;
             match outcome {
                 AccessOutcome::Ready => {
-                    driver
-                        .page_buf_mut(addr.page())
-                        .expect("ready implies present")
-                        .write(addr.offset() as usize, buf)?;
+                    let out = op(&mut driver)?;
                     drop(driver);
                     self.inner.apply_effects(effects)?;
-                    return Ok(());
+                    return Ok(out);
                 }
                 AccessOutcome::Blocked(_) => {
+                    // Transmit the fault request (if any) without holding
+                    // the driver lock, then wait for the receiver thread.
                     if !effects.is_empty() {
                         drop(driver);
                         self.inner.apply_effects(effects)?;
                         driver = lock(&self.inner.driver);
+                        // State may have changed while unlocked; re-check
+                        // before sleeping.
                         continue;
                     }
-                    driver = self.wait(driver, None).0;
+                    let (woken, in_time) = self.wait(driver, deadline);
+                    driver = woken;
+                    if !in_time {
+                        // Abandon the fault so a retry retransmits the
+                        // request (drop recovery on the lossy LAN).
+                        driver.cancel_wait(addr.page(), waiter);
+                        return Err(Error::Timeout);
+                    }
                 }
             }
         }

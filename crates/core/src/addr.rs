@@ -516,6 +516,12 @@ impl HostMask {
         self.zip_words(other, |a, b| a & b)
     }
 
+    /// Is every member of `self` also in `other`? Word by word, so it
+    /// allocates nothing whatever the widths.
+    pub fn is_subset(&self, other: &HostMask) -> bool {
+        (0..self.word_count()).all(|w| self.word(w) & !other.word(w) == 0)
+    }
+
     /// Members of `self` not in `other`.
     #[must_use]
     pub fn difference(&self, other: &HostMask) -> HostMask {

@@ -205,10 +205,16 @@
 //!   ever diverges: a 480-device mesh carries one tree and one view
 //!   table, not 480.
 //! * **Per device, always private** — the page filters (learned
-//!   interest, pins, holder beliefs) and the `pages × ports` slab of
-//!   demand stamps beside them, neighbour liveness stamps and
-//!   hold-downs, the election epoch, gossip watermarks, counters, and
-//!   the engine's backlog and fault-injection RNG.
+//!   interest, pins, holder beliefs) and the slab of demand stamps
+//!   beside them, one row of ports per filter, neighbour liveness
+//!   stamps and hold-downs, the election epoch, gossip watermarks,
+//!   counters, and the engine's backlog and fault-injection RNG. A
+//!   device keeps a filter only for the pages it has heard of: a
+//!   page → slot index (4 bytes per page id) leads to compact filters
+//!   and stamp rows, and a page without a slot answers every query as
+//!   a default filter would. On the 480-device mesh most devices hear
+//!   of a small share of the pages, so most would-be filters never
+//!   exist.
 //!
 //! # Per frame
 //!
@@ -217,7 +223,8 @@
 //! fabric has. It *reads* the shared tree by reference (is this port
 //! Forwarding; the next hop toward the page's home and toward a
 //! `transfer_to` target), the device's hold-downs, the page's filter
-//! and its row of the stamp slab; it *writes* that one filter (a
+//! and its row of the stamp slab, both found through one load from the
+//! slot index; it *writes* that one filter (a
 //! learned bit, the holder belief, the newest generation) and the
 //! stamps of the ports that showed demand — one row, one or two
 //! entries. Every forwarding rule is a test applied to one port at a
@@ -230,8 +237,9 @@
 //! exception: a page with pins ([`BridgePolicy::subscribe`]) resolves
 //! them to ports through the tree into a small mask, once per frame.
 //! The mask-returning [`BridgePolicy::targets`] and
-//! [`BridgePolicy::interest`] (the invariant observer, tests) collect
-//! the same walk's ports into a mask; there is no second copy of the
+//! [`BridgePolicy::interest`] (tests) collect the same walk's ports
+//! into a mask, and the invariant observer asks the walk's test of one
+//! port ([`BridgePolicy::interested`]); there is no second copy of the
 //! rules.
 
 use crate::time::{SimDuration, SimTime};
@@ -855,11 +863,17 @@ pub struct BridgePolicy {
     /// Belief-quality counters: only the `belief_*` and `home_routed`
     /// fields are kept here (merged into the device's [`BridgeStats`]).
     beliefs: BridgeStats,
-    /// Per-page filters, grown lazily.
+    /// Page id → slot of the page's filter in `pages`, or [`UNTRACKED`]
+    /// while the device has heard nothing of the page: 4 bytes per page
+    /// id up to the highest one heard, the only per-page cost an
+    /// untouched page has.
+    slots: Vec<u32>,
+    /// The filters of the pages this device has heard of, one per slot,
+    /// in first-touch order.
     pages: Vec<PageFilter>,
     /// Per-port demand stamps of every materialised page, one flat
-    /// `pages × ports` slab: page `p`'s row is
-    /// `stamps[p * nports..][..nports]`, parallel to the port list.
+    /// `slots × ports` slab: slot `s`'s row is
+    /// `stamps[s * nports..][..nports]`, parallel to the port list.
     stamps: Vec<PortStamp>,
     /// Transits this device has forwarded — the aging clock.
     clock: u64,
@@ -882,6 +896,13 @@ pub struct BridgePolicy {
     /// `devices / GOSSIP_WINDOW` hellos.
     gossip_cursor: usize,
 }
+
+/// The slot-index entry of a page a device has not heard of.
+const UNTRACKED: u32 = u32::MAX;
+
+/// The mask [`BridgePolicy::learned`] and [`BridgePolicy::pinned_segs`]
+/// lend for a page without a filter.
+static NO_PORTS: HostMask = HostMask::EMPTY;
 
 /// Anti-entropy window width: the unchanged entries each hello carries
 /// on top of its own view and its news. A fabric of at most this many
@@ -988,6 +1009,7 @@ impl BridgePolicy {
             epoch: 0,
             trail_intact: true,
             beliefs: BridgeStats::default(),
+            slots: Vec::new(),
             pages: Vec::new(),
             stamps: Vec::new(),
             clock: 0,
@@ -1099,29 +1121,72 @@ impl BridgePolicy {
             .unwrap_or_else(|| panic!("segment {port} is not a port of device {}", self.device))
     }
 
-    /// `page`'s filter and its row of the stamp slab, materialised on
-    /// first touch and queued for the observer's next dirty drain.
-    /// Every mutation of a page's filter state flows through here, so
-    /// this is the one place page-level dirty marking has to happen.
-    fn row_mut(&mut self, page: PageId) -> (&mut PageFilter, &mut [PortStamp]) {
-        let idx = page.index() as usize;
-        let nports = self.ports().len();
-        if self.pages.len() <= idx {
-            self.pages.resize_with(idx + 1, PageFilter::default);
-            self.stamps.resize((idx + 1) * nports, PortStamp::NEVER);
-        }
-        let f = &mut self.pages[idx];
+    /// The slot of `page`'s filter, materialised on first touch, with
+    /// the page queued for the observer's next dirty drain. Every
+    /// mutation of a page's filter state goes through here, so this is
+    /// the one place page-level dirty marking has to happen.
+    fn slot_mut(&mut self, page: PageId) -> usize {
+        let slot = match self.slot(page) {
+            Some(slot) => slot,
+            None => self.materialise(page),
+        };
+        let f = &mut self.pages[slot];
         if !f.dirty {
             f.dirty = true;
             self.dirty_pages.push(page);
         }
-        (f, &mut self.stamps[idx * nports..][..nports])
+        slot
     }
 
-    /// The stamp-slab row of the page with index `idx`.
-    fn row(&self, idx: usize) -> &[PortStamp] {
+    /// Slot `slot`'s filter and its row of the stamp slab, for a slot
+    /// [`BridgePolicy::slot_mut`] handed out (and dirty-marked) for the
+    /// same change.
+    fn row_mut(&mut self, slot: usize) -> (&mut PageFilter, &mut [PortStamp]) {
         let nports = self.ports().len();
-        &self.stamps[idx * nports..][..nports]
+        (
+            &mut self.pages[slot],
+            &mut self.stamps[slot * nports..][..nports],
+        )
+    }
+
+    /// `page`'s filter, materialised and dirty-marked by
+    /// [`BridgePolicy::slot_mut`].
+    fn filter_mut(&mut self, page: PageId) -> &mut PageFilter {
+        let slot = self.slot_mut(page);
+        &mut self.pages[slot]
+    }
+
+    /// Gives `page`, which the device has not heard of before, a slot:
+    /// a default filter and a row of never-stamped ports.
+    #[cold]
+    fn materialise(&mut self, page: PageId) -> usize {
+        let idx = page.index() as usize;
+        if self.slots.len() <= idx {
+            self.slots.resize(idx + 1, UNTRACKED);
+        }
+        let slot = self.pages.len();
+        self.slots[idx] = slot as u32;
+        self.pages.push(PageFilter::default());
+        let nports = self.ports().len();
+        self.stamps.resize((slot + 1) * nports, PortStamp::NEVER);
+        slot
+    }
+
+    /// The slot of `page`'s filter, if the device has heard of the page.
+    fn slot(&self, page: PageId) -> Option<usize> {
+        let slot = *self.slots.get(page.index() as usize)?;
+        (slot != UNTRACKED).then_some(slot as usize)
+    }
+
+    /// `page`'s filter, if the device has heard of the page.
+    fn filter(&self, page: PageId) -> Option<&PageFilter> {
+        self.slot(page).map(|slot| &self.pages[slot])
+    }
+
+    /// The stamp-slab row of slot `slot`.
+    fn row(&self, slot: usize) -> &[PortStamp] {
+        let nports = self.ports().len();
+        &self.stamps[slot * nports..][..nports]
     }
 
     /// Is the last demand evidence `stamp` still within the aging
@@ -1142,12 +1207,12 @@ impl BridgePolicy {
             && !(self.election.is_live() && self.hold_until[i] > now)
     }
 
-    /// What decides, port by port, whether `page`'s data is wanted at
-    /// `now`: everything the forwarding rules read about the page,
-    /// looked up once per frame.
-    fn interest_in(&self, page: PageId, now: SimTime) -> Interest<'_> {
-        let idx = page.index() as usize;
-        let filter = self.pages.get(idx);
+    /// What decides, port by port, whether `page` (whose filter sits in
+    /// `slot`, if it has one) has its data wanted at `now`: everything
+    /// the forwarding rules read about the page, looked up once per
+    /// frame.
+    fn interest_in(&self, page: PageId, slot: Option<usize>, now: SimTime) -> Interest<'_> {
+        let filter = slot.map(|slot| (&self.pages[slot], self.row(slot)));
         Interest {
             policy: self,
             now,
@@ -1155,12 +1220,14 @@ impl BridgePolicy {
             // Pins name segments anywhere in the fabric; resolve them to
             // own ports through the active tree — only when there are
             // any, which on the data path there almost never are.
-            pins: filter.filter(|f| !f.pinned_segs.is_empty()).map(|f| {
-                (f.pinned_segs.iter())
-                    .filter_map(|seg| self.active.next_hop(self.device, seg))
-                    .collect()
-            }),
-            learned: filter.map(|f| (&f.learned, self.row(idx))),
+            pins: filter
+                .filter(|(f, _)| !f.pinned_segs.is_empty())
+                .map(|(f, _)| {
+                    (f.pinned_segs.iter())
+                        .filter_map(|seg| self.active.next_hop(self.device, seg))
+                        .collect()
+                }),
+            learned: filter.map(|(f, row)| (&f.learned, row)),
         }
     }
 
@@ -1170,19 +1237,29 @@ impl BridgePolicy {
     /// interest — data is not forwarded toward a holder nobody asked
     /// from.) Collected from the per-port test data forwarding applies.
     pub fn interest(&self, page: PageId, now: SimTime) -> HostMask {
-        let interest = self.interest_in(page, now);
+        let interest = self.interest_in(page, self.slot(page), now);
         (self.ports().iter().enumerate())
             .filter(|&(i, &port)| interest.covers(i, port))
             .map(|(_, &port)| port)
             .collect()
     }
 
+    /// Does `page`'s interest mask at `now` ([`BridgePolicy::interest`])
+    /// hold port `port`? The same per-port test, without collecting the
+    /// mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not a port of this device.
+    pub fn interested(&self, page: PageId, port: usize, now: SimTime) -> bool {
+        let interest = self.interest_in(page, self.slot(page), now);
+        interest.covers(self.port_index(port), port)
+    }
+
     /// The port toward the believed consistent holder of `page`, if any
     /// data transit or `transfer_to` has taught this device one.
     pub fn holder_port(&self, page: PageId) -> Option<usize> {
-        self.pages
-            .get(page.index() as usize)
-            .and_then(|f| f.holder.map(usize::from))
+        self.filter(page).and_then(|f| f.holder.map(usize::from))
     }
 
     // -----------------------------------------------------------------
@@ -1211,47 +1288,42 @@ impl BridgePolicy {
         self.clock
     }
 
-    /// Page ids with materialised filter state on this device (learned
-    /// interest, pins, demand stamps, or a holder belief), in ascending
-    /// id order.
+    /// The ids of the pages this device has heard of — those with a
+    /// materialised filter (learned interest, pins, demand stamps, a
+    /// holder belief, or all of them still at their defaults) — in
+    /// ascending id order. A page the device never heard of has no
+    /// filter and answers every query as a default one would.
     pub fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        (0..self.pages.len()).map(|i| PageId::new(i as u32))
+        (self.slots.iter().enumerate())
+            .filter(|&(_, &slot)| slot != UNTRACKED)
+            .map(|(i, _)| PageId::new(i as u32))
     }
 
     /// The raw learned-interest port mask of `page` — unaged; the
     /// effective, freshness-filtered view is [`BridgePolicy::interest`].
-    pub fn learned(&self, page: PageId) -> HostMask {
-        self.pages
-            .get(page.index() as usize)
-            .map(|f| f.learned.clone())
-            .unwrap_or(HostMask::EMPTY)
+    pub fn learned(&self, page: PageId) -> &HostMask {
+        self.filter(page).map_or(&NO_PORTS, |f| &f.learned)
     }
 
     /// The segments explicitly pinned to `page` via
     /// [`BridgePolicy::subscribe`]. Pins name segments, not ports; they
     /// resolve through the active tree at use time.
-    pub fn pinned_segs(&self, page: PageId) -> HostMask {
-        self.pages
-            .get(page.index() as usize)
-            .map(|f| f.pinned_segs.clone())
-            .unwrap_or(HostMask::EMPTY)
+    pub fn pinned_segs(&self, page: PageId) -> &HostMask {
+        self.filter(page).map_or(&NO_PORTS, |f| &f.pinned_segs)
     }
 
     /// Last demand evidence of `page` per port of this device, parallel
     /// to `topology.ports(device)`: the page's row of the stamp slab.
     /// `None` while the page has no materialised filter.
     pub fn stamps(&self, page: PageId) -> Option<&[PortStamp]> {
-        let idx = page.index() as usize;
-        (idx < self.pages.len()).then(|| self.row(idx))
+        self.slot(page).map(|slot| self.row(slot))
     }
 
     /// The newest data generation any transit has shown this device for
     /// `page` — the gate that keeps stale `Want::Superset` echoes from
     /// repointing the holder belief.
     pub fn newest_gen(&self, page: PageId) -> Option<mether_core::Generation> {
-        self.pages
-            .get(page.index() as usize)
-            .and_then(|f| f.newest_gen)
+        self.filter(page).and_then(|f| f.newest_gen)
     }
 
     /// This device's gossiped liveness beliefs, indexed by device (its
@@ -1281,9 +1353,9 @@ impl BridgePolicy {
     pub fn take_dirty(&mut self) -> (Vec<PageId>, bool) {
         let structural = std::mem::take(&mut self.dirty_struct);
         let pages = std::mem::take(&mut self.dirty_pages);
-        for p in &pages {
-            if let Some(f) = self.pages.get_mut(p.index() as usize) {
-                f.dirty = false;
+        for &p in &pages {
+            if let Some(slot) = self.slot(p) {
+                self.pages[slot].dirty = false;
             }
         }
         (pages, structural)
@@ -1303,7 +1375,7 @@ impl BridgePolicy {
     /// code would.
     #[doc(hidden)]
     pub fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
-        self.row_mut(page).0.learned.insert(segment);
+        self.filter_mut(page).learned.insert(segment);
     }
 
     /// Whether a missing holder belief on this device still proves the
@@ -1320,7 +1392,7 @@ impl BridgePolicy {
     /// [`BridgePolicy::corrupt_learned_for_test`].
     #[doc(hidden)]
     pub fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: Option<usize>) {
-        self.row_mut(page).0.holder = segment.map(|s| s as u16);
+        self.filter_mut(page).holder = segment.map(|s| s as u16);
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits: this
@@ -1342,7 +1414,7 @@ impl BridgePolicy {
             "segment {seg} >= {}",
             self.layout.segments()
         );
-        self.row_mut(page).0.pinned_segs.insert(seg);
+        self.filter_mut(page).pinned_segs.insert(seg);
     }
 
     /// The consistent copy of `page` was just created on segment `seg`,
@@ -1356,7 +1428,7 @@ impl BridgePolicy {
         let home = self.home_port(page);
         if let Some(port) = self.active.next_hop(self.device, seg) {
             if Some(port) != home {
-                self.row_mut(page).0.holder = Some(port as u16);
+                self.filter_mut(page).holder = Some(port as u16);
             }
         }
     }
@@ -1376,17 +1448,18 @@ impl BridgePolicy {
             .and_then(|seg| self.active.next_hop(self.device, seg))
     }
 
-    /// Updates the learning tables for one frame heard on the device's
-    /// `in_idx`th port (segment `in_port`) at `now`.
-    fn learn(&mut self, pkt: &Packet, in_idx: usize, in_port: usize, now: SimTime) {
+    /// Updates the learning tables (the filter in `slot`) for one frame
+    /// heard on the device's `in_idx`th port (segment `in_port`) at
+    /// `now`.
+    fn learn(&mut self, pkt: &Packet, slot: usize, in_idx: usize, in_port: usize, now: SimTime) {
         let clock = self.clock;
         match pkt {
-            Packet::PageRequest { page, .. } => {
+            Packet::PageRequest { .. } => {
                 // The requester's side now wants this page's transits:
                 // the reply must route back out this port (the pending
                 // marker, which no aging horizon expires), and later
                 // publications too (learned interest).
-                let (f, row) = self.row_mut(*page);
+                let (f, row) = self.row_mut(slot);
                 f.learned.insert(in_port);
                 row[in_idx] = PortStamp {
                     clock,
@@ -1395,13 +1468,11 @@ impl BridgePolicy {
                 };
             }
             Packet::PageData {
-                page,
                 transfer_to,
                 generation,
                 ..
             }
             | Packet::PageReply {
-                page,
                 transfer_to,
                 generation,
                 ..
@@ -1409,7 +1480,7 @@ impl BridgePolicy {
                 let transfer = self
                     .transfer_port(transfer_to)
                     .map(|port| (self.port_index(port), port));
-                let (f, row) = self.row_mut(*page);
+                let (f, row) = self.row_mut(slot);
                 let mut demand = |f: &mut PageFilter, i: usize, port: usize| {
                     f.learned.insert(port);
                     (row[i].clock, row[i].at) = (clock, now);
@@ -1470,15 +1541,16 @@ impl BridgePolicy {
         }
     }
 
-    /// How a request for `page` asking `want` leaves this device.
-    fn request_route(&self, page: PageId, want: Want) -> RequestRoute {
+    /// How a request asking `want`, for the page whose filter sits in
+    /// `slot` (if it has one), leaves this device.
+    fn request_route(&self, slot: Option<usize>, want: Want) -> RequestRoute {
         // Any host still holding a full copy may answer a Superset
         // request, so no single holder direction covers it.
         if want == Want::Superset {
             return RequestRoute::Superset;
         }
-        match self.holder_port(page) {
-            Some(holder) => RequestRoute::Holder(holder),
+        match slot.and_then(|slot| self.pages[slot].holder) {
+            Some(holder) => RequestRoute::Holder(holder.into()),
             // No belief: the holder is homeward (the module docs' "The
             // probable-owner trail") — unless this device may have
             // missed the moves that would have taught it otherwise.
@@ -1488,13 +1560,20 @@ impl BridgePolicy {
     }
 
     /// The forwarding decision for one frame that entered through
-    /// `in_port` at `now` ([`BridgePolicy::ingress`] admitted it), with
-    /// no learning side effects: `emit` is called with each target
-    /// port, ascending.
-    fn each_target(&self, pkt: &Packet, in_port: usize, now: SimTime, emit: impl FnMut(usize)) {
+    /// `in_port` at `now` ([`BridgePolicy::ingress`] admitted it), its
+    /// page's filter in `slot` (if it has one), with no learning side
+    /// effects: `emit` is called with each target port, ascending.
+    fn each_target(
+        &self,
+        pkt: &Packet,
+        slot: Option<usize>,
+        in_port: usize,
+        now: SimTime,
+        emit: impl FnMut(usize),
+    ) {
         match pkt {
             Packet::PageRequest { page, want, .. } => {
-                let holder = match self.request_route(*page, *want) {
+                let holder = match self.request_route(slot, *want) {
                     RequestRoute::Superset | RequestRoute::Fallback => {
                         return self.egress(in_port, now, |_, _| true, emit);
                     }
@@ -1532,7 +1611,7 @@ impl BridgePolicy {
                 // A publication goes wherever the page has interest; a
                 // reply only back toward the requests it answers. Both
                 // follow a consistency move to its new holder.
-                let interest = self.interest_in(*page, now);
+                let interest = self.interest_in(*page, slot, now);
                 let transfer = self.transfer_port(transfer_to);
                 let reply = pkt.is_reply();
                 self.egress(
@@ -1575,30 +1654,31 @@ impl BridgePolicy {
         let Some(in_idx) = self.ingress(in_port, now) else {
             return;
         };
-        self.learn(pkt, in_idx, in_port, now);
-        if let Packet::PageRequest { page, want, .. } = pkt {
-            match self.request_route(*page, *want) {
+        let slot = self.slot_mut(pkt.page());
+        self.learn(pkt, slot, in_idx, in_port, now);
+        if let Packet::PageRequest { want, .. } = pkt {
+            match self.request_route(Some(slot), *want) {
                 RequestRoute::Superset => {}
                 RequestRoute::Holder(_) => self.beliefs.belief_hits += 1,
                 RequestRoute::Home => self.beliefs.home_routed += 1,
                 RequestRoute::Fallback => self.beliefs.belief_fallback_floods += 1,
             }
         }
-        self.each_target(pkt, in_port, now, |port| out.push(port));
-        if let Packet::PageReply { page, .. } = pkt {
-            self.answer_pending(*page, out);
+        self.each_target(pkt, Some(slot), in_port, now, |port| out.push(port));
+        if pkt.is_reply() {
+            self.answer_pending(slot, out);
         }
         if !out.is_empty() {
             self.clock += 1;
         }
     }
 
-    /// A reply for `page` leaves through `out`: the requests pending on
-    /// those ports are answered, so their markers clear. (Learning has
-    /// already materialised the page's stamp row.)
-    fn answer_pending(&mut self, page: PageId, out: &[usize]) {
+    /// A reply for the page in `slot` leaves through `out`: the
+    /// requests pending on those ports are answered, so their markers
+    /// clear.
+    fn answer_pending(&mut self, slot: usize, out: &[usize]) {
         let ports = self.topology.ports(self.device);
-        let row = &mut self.stamps[page.index() as usize * ports.len()..][..ports.len()];
+        let row = &mut self.stamps[slot * ports.len()..][..ports.len()];
         for (stamp, port) in row.iter_mut().zip(ports) {
             if out.contains(port) {
                 stamp.requested_at = SimTime::ZERO;
@@ -1624,7 +1704,8 @@ impl BridgePolicy {
     pub fn targets(&self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
         let mut m = HostMask::EMPTY;
         if self.ingress(in_port, now).is_some() {
-            self.each_target(pkt, in_port, now, |port| m.insert(port));
+            let slot = self.slot(pkt.page());
+            self.each_target(pkt, slot, in_port, now, |port| m.insert(port));
         }
         m
     }
@@ -1869,9 +1950,15 @@ impl BridgePolicy {
     fn flush_port(&mut self, port: usize) {
         let i = self.port_index(port);
         let nports = self.ports().len();
-        for (idx, f) in self.pages.iter_mut().enumerate() {
+        // Walked through the index, so the dirty pushes keep page order.
+        for (idx, &slot) in self.slots.iter().enumerate() {
+            if slot == UNTRACKED {
+                continue;
+            }
+            let slot = slot as usize;
+            let f = &mut self.pages[slot];
             f.learned.remove(port);
-            self.stamps[idx * nports + i] = PortStamp::NEVER;
+            self.stamps[slot * nports + i] = PortStamp::NEVER;
             if f.holder == Some(port as u16) {
                 f.holder = None;
                 // Let the next reply re-teach the belief from scratch:
@@ -2587,8 +2674,8 @@ mod tests {
 
     const T0: SimTime = SimTime::ZERO;
 
-    fn set(m: HostMask) -> Vec<usize> {
-        m.iter().collect()
+    fn set(m: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        m.into_iter().collect()
     }
 
     // -----------------------------------------------------------------
@@ -2962,6 +3049,29 @@ mod tests {
                 "page {page}"
             );
         }
+    }
+
+    #[test]
+    fn a_device_keeps_filters_only_for_pages_it_heard_of() {
+        let (mut p, lo, hi) = wide_policy(|c| c);
+        let t = SimTime::ZERO + SimDuration::from_millis(3);
+        let page = PageId::new(200);
+        let _ = p.route(&req(host_on(lo), 200), lo, t);
+        assert_eq!(p.tracked_pages().collect::<Vec<_>>(), vec![page]);
+        assert_eq!(p.stamps(PageId::new(199)), None, "never heard of");
+        assert_eq!(set(p.learned(PageId::new(199))), Vec::<usize>::new());
+        let _ = p.take_dirty();
+        let row = p.stamps(page).expect("tracked").to_vec();
+        assert_ne!(row[0], PortStamp::NEVER, "the request's port");
+        assert_eq!(row[1], PortStamp::NEVER);
+        p.flush_port(hi);
+        assert_eq!(p.stamps(page), Some(&row[..]), "port {lo}'s column stays");
+        assert_eq!(set(p.learned(page)), vec![lo]);
+        assert_eq!(p.take_dirty().0, vec![page], "only tracked pages dirty");
+        p.flush_port(lo);
+        assert_eq!(p.stamps(page), Some(&[PortStamp::NEVER; 2][..]));
+        assert_eq!(set(p.learned(page)), Vec::<usize>::new());
+        assert_eq!(p.tracked_pages().collect::<Vec<_>>(), vec![page]);
     }
 
     // -----------------------------------------------------------------

@@ -655,12 +655,12 @@ impl Observer {
         let fwd = policy.active().forwarding(d);
         // (d) structural: live ⊆ physical, forwarding ⊆ live.
         assert!(
-            live.intersection(ports_mask) == live,
+            live.is_subset(ports_mask),
             "invariant (d): device {d} live ports {live:?} exceed its \
              physical ports at {now}"
         );
         assert!(
-            fwd.intersection(&live) == fwd,
+            fwd.is_subset(&live),
             "invariant (d): device {d} forwards on {fwd:?} beyond its \
              live ports {live:?} at {now}"
         );
@@ -688,7 +688,7 @@ impl Observer {
         // (b) hold-downs only cover physical ports.
         let held = policy.held_ports(now);
         assert!(
-            held.intersection(ports_mask) == held,
+            held.is_subset(ports_mask),
             "invariant (b): device {d} holds down {held:?} beyond its \
              physical ports at {now}"
         );
@@ -708,7 +708,7 @@ impl Observer {
         let clock = policy.aging_clock();
         let learned = policy.learned(page);
         assert!(
-            learned.intersection(ports_mask) == learned,
+            learned.is_subset(ports_mask),
             "invariant (b): device {d} learned interest for page \
              {page} on {learned:?}, beyond its physical ports, at {now}"
         );
@@ -719,7 +719,7 @@ impl Observer {
                  holder is out port {hp}, which it does not have, at {now}"
             );
         }
-        for seg in &policy.pinned_segs(page) {
+        for seg in policy.pinned_segs(page) {
             assert!(
                 seg < segments,
                 "invariant (b): device {d} pins page {page} to \
@@ -748,7 +748,7 @@ impl Observer {
         // (c) the home port never ages out of the interest mask.
         if let Some(home) = policy.home_port(page) {
             assert!(
-                policy.interest(page, now).contains(home),
+                policy.interested(page, home, now),
                 "invariant (c): device {d} aged page {page}'s home \
                  port {home} out of its interest mask at {now}"
             );

@@ -5,8 +5,8 @@
 //! Four contracts are pinned:
 //!
 //! * **set-algebra laws** — union / intersection / difference /
-//!   symmetric difference / insert / remove / iteration agree with a
-//!   reference `BTreeSet` at every width, on either side of the
+//!   symmetric difference / subset / insert / remove / iteration agree
+//!   with a reference `BTreeSet` at every width, on either side of the
 //!   inline-to-spilled representation boundary;
 //! * **wire round-trip** — a mask crosses the codec inside a
 //!   [`Packet::BridgePdu`] hello entry (`word_count:u16` + big-endian
@@ -70,6 +70,8 @@ proptest! {
             a.symmetric_difference(&b).iter().collect::<Vec<_>>(),
             sa.symmetric_difference(&sb).copied().collect::<Vec<_>>()
         );
+        prop_assert_eq!(a.is_subset(&b), sa.is_subset(&sb));
+        prop_assert!(a.intersection(&b).is_subset(&a) && a.is_subset(&a.union(&b)));
         prop_assert_eq!(a.len(), sa.len());
         for &x in &xs {
             prop_assert!(a.contains(x));

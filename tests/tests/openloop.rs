@@ -187,6 +187,17 @@ fn openloop_slo_ci_mesh() {
     );
     assert_eq!(scenario.run(Some(2)), report, "mesh under Workers(2)");
     assert!(report.faults > 0, "no demand faults measured");
+    // A bridge device keeps a page filter only for the pages it has
+    // heard of. Measured at this seed: 37 113 filters over the 480
+    // devices, where a table grown densely up to each device's highest
+    // page id held 117 516.
+    let mut sim = scenario.build();
+    assert!(sim.run(scenario.limits()).finished);
+    let fabric = sim.fabric_mut_for_test().expect("a mesh fabric");
+    let filters: usize = (0..fabric.device_count())
+        .map(|d| fabric.device(d).policy().tracked_pages().count())
+        .sum();
+    assert!(filters <= 40_000, "{filters} bridge page filters");
     // Measured p999 at this seed: 60.8 ms (transit-dominated; the
     // loaded-but-stable pace keeps the hot home far from saturation).
     // A consistent request queued behind a grant is re-sent toward the

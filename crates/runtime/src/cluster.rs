@@ -1159,6 +1159,46 @@ mod tests {
     }
 
     #[test]
+    fn belief_counters_survive_a_revival() {
+        // A revival cold-resets the device's filter, not the run's
+        // accounting: the belief counters a device ran up before a
+        // kill are still in its stats after the restart, as the
+        // simulator's engine carries them.
+        let mut c = Cluster::new(ClusterConfig::segmented(4, 2)).unwrap();
+        let page = PageId::new(0);
+        c.node(0).create_owned(page);
+        let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+        c.node(0).write_u32(addr, 3).unwrap();
+        let beliefs = |s: BridgeStats| {
+            [
+                s.belief_hits,
+                s.home_routed,
+                s.belief_fallback_floods,
+                s.belief_repairs,
+            ]
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while beliefs(c.bridge_stats(0)).iter().all(|&n| n == 0) {
+            assert!(Instant::now() < deadline, "no request was ever routed");
+            c.node(2)
+                .purge(page, MapMode::ReadOnly, PageLength::Short)
+                .unwrap();
+            assert_eq!(c.node(2).read_u32(addr, MapMode::ReadOnly).unwrap(), 3);
+        }
+        let before = beliefs(c.bridge_stats(0));
+        assert!(c.stop_bridge(0));
+        assert!(c.restart_bridge(0));
+        let after = beliefs(c.bridge_stats(0));
+        for (name, (a, b)) in ["belief_hits", "home_routed", "fallback_floods", "repairs"]
+            .iter()
+            .zip(after.iter().zip(&before))
+        {
+            assert!(a >= b, "{name} ran backwards over the revival: {b} -> {a}");
+        }
+        c.shutdown();
+    }
+
+    #[test]
     fn live_ring_survives_killing_the_root_bridge() {
         use mether_net::ElectionMode;
 

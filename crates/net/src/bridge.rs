@@ -175,13 +175,29 @@
 //! store-and-forward timing: a forwarding delay, a bounded frame queue
 //! that tail-drops under overload, and drop/duplicate fault-injection
 //! knobs ([`BridgeConfig`]), accounted per device in [`BridgeStats`].
-//! [`Fabric`] owns every device of a topology, fans pickups out to the
-//! live devices attached to the transmitting segment, runs the control
-//! plane (hello ticks, control-frame gossip, failure events), and
-//! tracks reconvergence. Egress timing is the *exit* time from a
-//! device; the destination segment's own medium model then queues the
-//! frame like any other transmission, and the remaining devices on that
-//! segment hear it there.
+//! [`Fabric`] owns every device of a topology: their liveness, their
+//! lost links, the control plane (hello ticks, control-frame gossip,
+//! failure events), reconvergence and the stall probe. It is the one
+//! fault plane, and two engines drive it:
+//!
+//! * the simulator hands it each delivered frame once
+//!   ([`Fabric::pickup`], [`Fabric::hear_control`]) and it fans the
+//!   frame out to the live devices attached to the segment. Egress
+//!   timing is the *exit* time from a device; the destination segment's
+//!   own medium model then queues the frame like any other
+//!   transmission, and the remaining devices on that segment hear it
+//!   there;
+//! * a threaded runtime runs one thread per device, and each thread
+//!   asks about its own device only ([`Fabric::forward`],
+//!   [`Fabric::hear_hello`], [`Fabric::tick`]). Its forward is
+//!   untimed: the frame leaves as soon as the thread has routed it, with
+//!   no forward delay, queue bound or drop/duplicate injection.
+//!
+//! The per-device steps are carved out of the same loops the
+//! simulator's fan-out runs (is the device alive and its port live,
+//! route, count, probe the stall), and both engines inject faults
+//! through [`Fabric::apply_event`], so a fault script means the same in
+//! both.
 //!
 //! # Per fabric, per device
 //!
@@ -229,18 +245,17 @@
 //! stamps of the ports that showed demand — one row, one or two
 //! entries. Every forwarding rule is a test applied to one port at a
 //! time, and the ports that pass are pushed, ascending, into a buffer
-//! the caller reuses ([`BridgePolicy::route_into`]: the [`Bridge`]
-//! engine and each of the threaded runtime's bridge threads keep one),
-//! as is the egress schedule a [`Bridge`] returns and the combined one
-//! [`Fabric::pickup`] returns. No segment-id mask is built, copied or
+//! the caller reuses ([`BridgePolicy::route_into`]: each [`Bridge`]
+//! keeps one, which [`Bridge::forward`] lends out), as is the egress
+//! schedule a [`Bridge`] returns and the combined one [`Fabric::pickup`]
+//! returns. No segment-id mask is built, copied or
 //! combined along the way, so nothing is allocated — with one
 //! exception: a page with pins ([`BridgePolicy::subscribe`]) resolves
 //! them to ports through the tree into a small mask, once per frame.
-//! The mask-returning [`BridgePolicy::targets`] and
-//! [`BridgePolicy::interest`] (tests) collect the same walk's ports
-//! into a mask, and the invariant observer asks the walk's test of one
-//! port ([`BridgePolicy::interested`]); there is no second copy of the
-//! rules.
+//! The unit tests' mask-returning `targets` and `interest` collect the
+//! same walk's ports into a mask, and the invariant observer asks the
+//! walk's test of one port ([`BridgePolicy::interested`]); there is no
+//! second copy of the rules.
 
 use crate::time::{SimDuration, SimTime};
 use mether_core::{
@@ -561,10 +576,9 @@ pub enum FabricEvent {
     },
 }
 
-/// Everything needed to instantiate the bridge fabric of a segmented
-/// deployment — shared between [`Fabric`] (the simulator's engine) and
-/// the threaded runtime's bridge threads, so both network models filter
-/// and route identically.
+/// Everything needed to instantiate the bridge [`Fabric`] of a
+/// segmented deployment, which the simulator and the threaded runtime
+/// both build from it.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// The graph of bridge devices over the segments.
@@ -738,7 +752,7 @@ impl PortStamp {
 }
 
 /// One page's interest at one instant, as a per-port test (see
-/// [`BridgePolicy::interest`] for the rules).
+/// [`BridgePolicy::interested`] for the rules).
 struct Interest<'a> {
     policy: &'a BridgePolicy,
     now: SimTime,
@@ -811,7 +825,7 @@ pub struct PduOutcome {
 /// untrusted input: ingesting such a frame would refresh the wrong
 /// neighbour's liveness stamp. Both engines count a `None` in
 /// [`BridgeStats::malformed_pdus`] and ignore the frame.
-pub fn checked_hello(pkt: &Packet, emitter: usize, devices: usize) -> Option<&[(u16, DeviceView)]> {
+fn checked_hello(pkt: &Packet, emitter: usize, devices: usize) -> Option<&[(u16, DeviceView)]> {
     match pkt {
         Packet::BridgePdu {
             device, entries, ..
@@ -822,9 +836,9 @@ pub fn checked_hello(pkt: &Packet, emitter: usize, devices: usize) -> Option<&[(
 
 /// One device's forwarding filter: which of its ports must hear a frame.
 ///
-/// Time-free and transport-free, so the simulator's [`Bridge`] engine
-/// and the threaded runtime's bridge threads share the exact same
-/// routing logic (see the module docs for the rules). The policy also
+/// Time-free and transport-free: the [`Bridge`] engine wraps it in
+/// the simulator's timing or forwards untimed for a threaded runtime
+/// (see the module docs for the rules). The policy also
 /// holds the device's slice of the election state: its gossiped views,
 /// neighbour liveness stamps, and the [`ActiveTree`] it currently
 /// forwards on.
@@ -1231,12 +1245,10 @@ impl BridgePolicy {
         }
     }
 
-    /// The effective interest mask of `page` at `now`: fresh learned
-    /// ports, pins (resolved through the active tree), and the home
-    /// port. (The believed-holder port is request routing state, not
-    /// interest — data is not forwarded toward a holder nobody asked
-    /// from.) Collected from the per-port test data forwarding applies.
-    pub fn interest(&self, page: PageId, now: SimTime) -> HostMask {
+    /// [`BridgePolicy::interested`] collected over every port, for the
+    /// unit tests.
+    #[cfg(test)]
+    fn interest(&self, page: PageId, now: SimTime) -> HostMask {
         let interest = self.interest_in(page, self.slot(page), now);
         (self.ports().iter().enumerate())
             .filter(|&(i, &port)| interest.covers(i, port))
@@ -1244,9 +1256,12 @@ impl BridgePolicy {
             .collect()
     }
 
-    /// Does `page`'s interest mask at `now` ([`BridgePolicy::interest`])
-    /// hold port `port`? The same per-port test, without collecting the
-    /// mask.
+    /// Does port `port` want `page`'s publications at `now`? It does
+    /// when it is a fresh learned port, a pin (resolved through the
+    /// active tree) or the home port. (The believed-holder port is
+    /// request routing state, not interest — data is not forwarded
+    /// toward a holder nobody asked from.) The per-port test data
+    /// forwarding applies.
     ///
     /// # Panics
     ///
@@ -1300,7 +1315,8 @@ impl BridgePolicy {
     }
 
     /// The raw learned-interest port mask of `page` — unaged; the
-    /// effective, freshness-filtered view is [`BridgePolicy::interest`].
+    /// effective, freshness-filtered view is
+    /// [`BridgePolicy::interested`].
     pub fn learned(&self, page: PageId) -> &HostMask {
         self.filter(page).map_or(&NO_PORTS, |f| &f.learned)
     }
@@ -1638,9 +1654,8 @@ impl BridgePolicy {
     /// when the frame is forwarded. A frame heard on a Blocked (or
     /// held-down) port is neither learned from nor forwarded — the
     /// dormant redundancy stays invisible to the data plane. What a
-    /// [`Bridge`] pickup and the threaded runtime's bridge threads call,
-    /// each with a buffer it reuses, so routing a frame allocates
-    /// nothing.
+    /// [`Bridge`] pickup or forward calls, with a buffer the device
+    /// reuses, so routing a frame allocates nothing.
     pub fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
         out.clear();
         debug_assert!(
@@ -1687,7 +1702,7 @@ impl BridgePolicy {
     }
 
     /// [`BridgePolicy::route_into`] collected into a mask, for the unit
-    /// tests. Definitionally learn-then-[`BridgePolicy::targets`] (and,
+    /// tests. Definitionally learn-then-`targets` (and,
     /// for a reply, clear the pending marks it answered), so the
     /// diagnostic mask can never drift from what the device actually
     /// forwards.
@@ -1699,9 +1714,10 @@ impl BridgePolicy {
     }
 
     /// The forwarding mask of one frame heard on `in_port` at `now`,
-    /// with no learning side effects (diagnostics and tests; the
+    /// with no learning side effects, for the unit tests (the
     /// `transfer_to` port is included even before learning records it).
-    pub fn targets(&self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
+    #[cfg(test)]
+    fn targets(&self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
         let mut m = HostMask::EMPTY;
         if self.ingress(in_port, now).is_some() {
             let slot = self.slot(pkt.page());
@@ -1753,7 +1769,8 @@ impl BridgePolicy {
     /// version wins, dead wins ties), rebuts any obituary of *this*
     /// device, and re-elects when anything changed. Entries naming no
     /// device of the fabric are ignored. The caller vouches for
-    /// `from_device` ([`checked_hello`]).
+    /// `from_device`: its fabric checks each hello's `device` field
+    /// against the frame's emitter before it gets here.
     pub fn hear_pdu(
         &mut self,
         from_device: usize,
@@ -2072,14 +2089,7 @@ impl Bridge {
         arrival: SimTime,
     ) -> &[(usize, SimTime)] {
         self.egress.clear();
-        if pkt.is_control() {
-            return &self.egress;
-        }
-        self.stats.heard += 1;
-        self.policy
-            .route_into(pkt, in_port, arrival, &mut self.targets);
-        if self.targets.is_empty() {
-            self.stats.filtered += 1;
+        if pkt.is_control() || !self.route(pkt, in_port, arrival) {
             return &self.egress;
         }
         // Store-and-forward queue: retire frames that have exited, then
@@ -2100,7 +2110,6 @@ impl Bridge {
         } else {
             1
         };
-        let is_request = matches!(pkt, Packet::PageRequest { .. });
         for copy in 0..copies {
             // Each copy occupies its own queue slot; a duplicated
             // frame's second copy is tail-dropped like any other frame
@@ -2113,19 +2122,48 @@ impl Bridge {
             let exit = arrival.max(self.free_at) + self.cfg.forward_delay;
             self.free_at = exit;
             self.backlog.push_back(exit);
-            for &dst in &self.targets {
-                self.egress.push((dst, exit));
-                self.stats.forwarded += 1;
-                self.stats.bytes_forwarded += pkt.wire_size() as u64;
-                if is_request {
-                    self.stats.req_forwarded += 1;
-                }
-                if copy > 0 {
-                    self.stats.duplicated += 1;
-                }
-            }
+            self.egress
+                .extend(self.targets.iter().map(|&dst| (dst, exit)));
+            self.count_emissions(pkt, copy > 0);
         }
         &self.egress
+    }
+
+    /// The untimed pickup: routes data frame `pkt`, heard on `in_port`
+    /// at `now`, and counts it as forwarded at once, with no forward
+    /// delay, queue bound or drop/duplicate injection — how a threaded
+    /// runtime's bridge thread forwards. Returns the destination
+    /// segments, lent from a buffer the next pickup overwrites.
+    pub fn forward(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> &[usize] {
+        if self.route(pkt, in_port, now) {
+            self.count_emissions(pkt, false);
+        }
+        &self.targets
+    }
+
+    /// Counts `pkt` heard on `in_port` at `now` and routes it into the
+    /// target buffer. False (counted as filtered) when it goes nowhere.
+    fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> bool {
+        self.stats.heard += 1;
+        self.policy.route_into(pkt, in_port, now, &mut self.targets);
+        if self.targets.is_empty() {
+            self.stats.filtered += 1;
+        }
+        !self.targets.is_empty()
+    }
+
+    /// Counts one copy of `pkt` leaving through every target port;
+    /// `duplicate` marks the duplicate knob's extra copy.
+    fn count_emissions(&mut self, pkt: &Packet, duplicate: bool) {
+        let n = self.targets.len() as u64;
+        self.stats.forwarded += n;
+        self.stats.bytes_forwarded += n * pkt.wire_size() as u64;
+        if matches!(pkt, Packet::PageRequest { .. }) {
+            self.stats.req_forwarded += n;
+        }
+        if duplicate {
+            self.stats.duplicated += n;
+        }
     }
 }
 
@@ -2156,8 +2194,9 @@ pub struct ControlOut {
 }
 
 /// Every bridge device of a segmented deployment, wired per the
-/// topology: the simulator's fabric engine, data plane and control
-/// plane both.
+/// topology: data plane, control plane and fault plane, driven by the
+/// simulator's event loop and by a threaded runtime's bridge threads
+/// alike (see the module docs, "Engine").
 #[derive(Debug)]
 pub struct Fabric {
     layout: SegmentLayout,
@@ -2351,34 +2390,59 @@ impl Fabric {
         // deterministic.
         for i in 0..self.boot.topology.bridges_on(seg).len() {
             let device = self.boot.topology.bridges_on(seg)[i];
-            if Some(device) == exclude || self.dead[device] {
+            if Some(device) == exclude || !self.hears(device, seg) {
                 continue;
             }
-            if !self.devices[device].policy().port_is_live(seg) {
-                continue; // the attachment itself failed (LinkDown)
-            }
             let egress = self.devices[device].pickup(pkt, seg, arrival);
+            let emitted = !egress.is_empty();
             self.out.extend(
                 egress
                     .iter()
                     .map(|&(dst, exit)| Forward { device, dst, exit }),
             );
-        }
-        // The stall probe: the first data frame forwarded by a device
-        // that has re-elected since the BridgeDown marks the fabric
-        // carrying pages across again.
-        if pkt.is_data() && !self.out.is_empty() {
-            if let Some(t0) = self.down_at {
-                if self.out.iter().any(|fw| {
-                    self.devices[fw.device].policy().election_epoch()
-                        > self.epochs_at_down[fw.device]
-                }) {
-                    self.stall = Some(arrival.since(t0));
-                    self.down_at = None;
-                }
+            if emitted {
+                self.probe_stall(device, pkt, arrival);
             }
         }
         &self.out
+    }
+
+    /// Device `device` heard data frame `pkt` on its port `seg` at
+    /// `now` and forwards it at once ([`Bridge::forward`]: no forward
+    /// delay, queue bound or drop/duplicate injection) — the step a
+    /// threaded runtime's bridge thread takes per frame. A dead device,
+    /// or one whose attachment to `seg` failed, hears nothing. Returns
+    /// the segments to transmit the frame on, lent from a buffer the
+    /// device's next pickup overwrites.
+    pub fn forward(&mut self, device: usize, pkt: &Packet, seg: usize, now: SimTime) -> &[usize] {
+        if !self.hears(device, seg) {
+            return &[];
+        }
+        if !self.devices[device].forward(pkt, seg, now).is_empty() {
+            self.probe_stall(device, pkt, now);
+        }
+        &self.devices[device].targets
+    }
+
+    /// Is device `device` alive and its attachment to `seg` intact (no
+    /// `LinkDown`)? Nothing else hears a frame on `seg`.
+    fn hears(&self, device: usize, seg: usize) -> bool {
+        !self.dead[device] && self.devices[device].policy().port_is_live(seg)
+    }
+
+    /// The stall probe: the first data frame forwarded by a device that
+    /// has re-elected since the `BridgeDown` marks the fabric carrying
+    /// pages across again, at `at`.
+    fn probe_stall(&mut self, device: usize, pkt: &Packet, at: SimTime) {
+        if !pkt.is_data() {
+            return;
+        }
+        if let Some(t0) = self.down_at {
+            if self.devices[device].policy().election_epoch() > self.epochs_at_down[device] {
+                self.stall = Some(at.since(t0));
+                self.down_at = None;
+            }
+        }
     }
 
     /// One hello-cadence tick of `device` at `now`: timeout checks plus
@@ -2398,8 +2462,9 @@ impl Fabric {
     /// A control frame from `from_device` was delivered on `seg` at
     /// `arrival`: every other live device attached to `seg` ingests it,
     /// and any device whose beliefs changed emits a triggered hello on
-    /// all its live ports (the TC-style fast propagation). A frame that
-    /// fails [`checked_hello`] is counted and ignored.
+    /// all its live ports (the TC-style fast propagation). A frame whose
+    /// `device` field contradicts `from_device` or names no device of
+    /// the fabric is counted once, fabric-wide, and ignored.
     pub fn hear_control(
         &mut self,
         pkt: &Packet,
@@ -2414,23 +2479,60 @@ impl Fabric {
         let mut out = Vec::new();
         for i in 0..self.boot.topology.bridges_on(seg).len() {
             let d = self.boot.topology.bridges_on(seg)[i];
-            if d == from_device || self.dead[d] {
-                continue;
-            }
-            if !self.devices[d].policy().port_is_live(seg) {
-                continue;
-            }
-            let r = self.devices[d]
-                .policy_mut()
-                .hear_pdu(from_device, entries, arrival);
-            if r.active_changed {
-                self.reconvergences += 1;
-            }
-            if r.view_changed {
-                out.extend(self.emissions(d));
+            if d != from_device {
+                self.hear_entries(d, from_device, entries, seg, arrival, &mut out);
             }
         }
         out
+    }
+
+    /// Device `device` heard control frame `pkt`, emitted by device
+    /// `emitter`, on its port `seg` at `now` — the step a threaded
+    /// runtime's bridge thread takes per hello, where each device hears
+    /// the frame on its own. Returns the triggered hellos the device
+    /// emits in answer (empty unless its beliefs changed). A frame whose
+    /// `device` field contradicts `emitter` or names no device of the
+    /// fabric is counted in this device's
+    /// [`BridgeStats::malformed_pdus`] and ignored.
+    pub fn hear_hello(
+        &mut self,
+        device: usize,
+        pkt: &Packet,
+        seg: usize,
+        emitter: usize,
+        now: SimTime,
+    ) -> Vec<ControlOut> {
+        let mut out = Vec::new();
+        match checked_hello(pkt, emitter, self.devices.len()) {
+            Some(entries) => self.hear_entries(device, emitter, entries, seg, now, &mut out),
+            None if self.hears(device, seg) => self.devices[device].stats.malformed_pdus += 1,
+            None => {}
+        }
+        out
+    }
+
+    /// Device `d` ingests hello `entries` from `from_device` on `seg` at
+    /// `now`, if it hears `seg` at all, and pushes its triggered hellos
+    /// onto `out`.
+    fn hear_entries(
+        &mut self,
+        d: usize,
+        from_device: usize,
+        entries: &[(u16, DeviceView)],
+        seg: usize,
+        now: SimTime,
+        out: &mut Vec<ControlOut>,
+    ) {
+        if !self.hears(d, seg) {
+            return;
+        }
+        let r = self.devices[d].policy.hear_pdu(from_device, entries, now);
+        if r.active_changed {
+            self.reconvergences += 1;
+        }
+        if r.view_changed {
+            out.extend(self.emissions(d));
+        }
     }
 
     /// The hellos device `device` would emit right now: one per live
@@ -2452,14 +2554,31 @@ impl Fabric {
     }
 
     /// Injects one failure/recovery event at `now`. The caller (the
-    /// simulator's event loop, or a test driving the fabric directly)
-    /// decides *when*; the fabric records the timeline and adjusts its
-    /// liveness.
-    pub fn apply_event(&mut self, ev: FabricEvent, now: SimTime) {
-        self.timeline.push((now, ev));
-        match ev {
+    /// simulator's event loop, a threaded runtime's fault injection, or
+    /// a test driving the fabric directly) decides *when*; the fabric
+    /// adjusts its liveness and records the event in its timeline.
+    /// Returns whether the event changed anything: a `BridgeDown` of a
+    /// dead device, a `BridgeUp` of a live one, a `LinkDown` of a lost
+    /// link and a `LinkUp` of a live one are no-ops, and leave no
+    /// timeline entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link event names a segment that is not a physical
+    /// port of its device.
+    pub fn apply_event(&mut self, ev: FabricEvent, now: SimTime) -> bool {
+        if let FabricEvent::LinkDown { device, segment } | FabricEvent::LinkUp { device, segment } =
+            ev
+        {
+            assert!(
+                self.topology().ports(device).contains(&segment),
+                "device {device} has no port on segment {segment}"
+            );
+        }
+        let changed = match ev {
             FabricEvent::BridgeDown(d) => {
-                if !self.dead[d] {
+                let alive = !self.dead[d];
+                if alive {
                     self.dead[d] = true;
                     self.dirty_liveness = true;
                     // Arm the stall probe against the pre-failure
@@ -2472,9 +2591,11 @@ impl Fabric {
                         .map(|b| b.policy().election_epoch())
                         .collect();
                 }
+                alive
             }
             FabricEvent::BridgeUp(d) => {
-                if self.dead[d] {
+                let dead = self.dead[d];
+                if dead {
                     self.dead[d] = false;
                     self.restarts[d] += 1;
                     self.dirty_liveness = true;
@@ -2496,28 +2617,35 @@ impl Fabric {
                     bridge.policy_mut().rejoin(now);
                     self.devices[d] = bridge;
                 }
+                dead
             }
             FabricEvent::LinkDown { device, segment } => {
-                self.lost_ports[device].insert(segment);
-                if !self.dead[device] {
-                    let r = self.devices[device].policy_mut().kill_port(segment, now);
-                    if r.active_changed {
-                        self.reconvergences += 1;
+                let live = !self.lost_ports[device].contains(segment);
+                if live {
+                    self.lost_ports[device].insert(segment);
+                    if !self.dead[device] {
+                        let r = self.devices[device].policy.kill_port(segment, now);
+                        self.reconvergences += u64::from(r.active_changed);
                     }
                 }
+                live
             }
             FabricEvent::LinkUp { device, segment } => {
-                if self.lost_ports[device].contains(segment) {
+                let lost = self.lost_ports[device].contains(segment);
+                if lost {
                     self.lost_ports[device].remove(segment);
                     if !self.dead[device] {
-                        let r = self.devices[device].policy_mut().revive_port(segment, now);
-                        if r.active_changed {
-                            self.reconvergences += 1;
-                        }
+                        let r = self.devices[device].policy.revive_port(segment, now);
+                        self.reconvergences += u64::from(r.active_changed);
                     }
                 }
+                lost
             }
+        };
+        if changed {
+            self.timeline.push((now, ev));
         }
+        changed
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits at every
@@ -3886,6 +4014,156 @@ mod tests {
         f.apply_event(FabricEvent::BridgeDown(1), t + SimDuration::from_millis(1));
         f.apply_event(FabricEvent::BridgeUp(1), t + SimDuration::from_millis(2));
         assert_eq!(set(f.device(1).policy().self_live_ports()), vec![1]);
+    }
+
+    #[test]
+    fn repeated_and_no_op_events_change_nothing() {
+        let mut f = live_ring_fabric(4, 8);
+        let down = FabricEvent::LinkDown {
+            device: 1,
+            segment: 2,
+        };
+        assert!(f.apply_event(down, ms(1)));
+        let version = f.device(1).policy().views()[1].version;
+        let epoch = f.device(1).policy().election_epoch();
+        let timeline = f.timeline().to_vec();
+        // The link is already lost: the second LinkDown neither bumps
+        // the self-version nor re-elects nor leaves a timeline entry.
+        assert!(!f.apply_event(down, ms(2)));
+        assert_eq!(f.device(1).policy().views()[1].version, version);
+        assert_eq!(f.device(1).policy().election_epoch(), epoch);
+        assert_eq!(f.timeline(), timeline);
+        // The same for a BridgeDown of a dead device and a BridgeUp of
+        // a live one.
+        assert!(f.apply_event(FabricEvent::BridgeDown(3), ms(3)));
+        let timeline = f.timeline().to_vec();
+        assert!(!f.apply_event(FabricEvent::BridgeDown(3), ms(4)));
+        assert!(!f.apply_event(FabricEvent::BridgeUp(0), ms(4)));
+        assert_eq!(f.timeline(), timeline);
+        assert_eq!(f.restarts(0), 0);
+    }
+
+    #[test]
+    fn an_untimed_forward_routes_and_counts_like_a_pickup() {
+        // Two copies of one fabric hear the same frames: one through the
+        // timed pickup (no drop or duplicate knob), one device at a
+        // time through the untimed forward. Both send each frame to the
+        // same segments and count the same.
+        let layout = SegmentLayout::new(8, 4).unwrap();
+        let mut timed = Fabric::new(layout, FabricConfig::tree(4, 2));
+        let mut untimed = Fabric::new(layout, FabricConfig::tree(4, 2));
+        let frames = [
+            (req(6, 0), 3),
+            (reply(0, 0, None), 0),
+            (req(2, 1), 1),
+            (data(2, 1, Some(6)), 1),
+            (req(4, 1), 2),
+            (superset_req(0, 2), 0),
+        ];
+        for (n, (pkt, seg)) in frames.iter().enumerate() {
+            let now = ms(n as u64 + 1);
+            let mut want: Vec<(usize, usize)> = (timed.pickup(pkt, *seg, now).iter())
+                .map(|fw| (fw.device, fw.dst))
+                .collect();
+            let mut got = Vec::new();
+            for d in untimed.topology().bridges_on(*seg).to_vec() {
+                got.extend(
+                    untimed
+                        .forward(d, pkt, *seg, now)
+                        .iter()
+                        .map(|&dst| (d, dst)),
+                );
+            }
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{pkt:?} on {seg}");
+        }
+        assert_eq!(untimed.device_stats(), timed.device_stats());
+        // A severed attachment hears nothing, and the lost port is never
+        // a destination: the election leaves it out.
+        let lost = FabricEvent::LinkDown {
+            device: 0,
+            segment: 1,
+        };
+        untimed.apply_event(lost, ms(10));
+        assert!(untimed.forward(0, &req(2, 0), 1, ms(11)).is_empty());
+        for seg in [0, 2] {
+            let out = untimed.forward(0, &superset_req(2 * seg as u16, 3), seg, ms(12));
+            assert!(!out.contains(&1), "forwarded onto the lost port: {out:?}");
+        }
+    }
+
+    #[test]
+    fn each_device_counts_the_lying_hellos_it_hears() {
+        // The per-device hearing a threaded runtime runs: each device
+        // that hears a contradictory hello counts it in its own stats.
+        let mut f = live_ring_fabric(4, 8);
+        let frames = f.tick(0, ms(1));
+        let Packet::BridgePdu { from, entries, .. } = frames[0].pkt.clone() else {
+            panic!("hellos are bridge PDUs")
+        };
+        let seg = frames[0].seg;
+        let lying = Packet::BridgePdu {
+            from,
+            device: 1,
+            entries,
+        };
+        let hearer = *(f.topology().bridges_on(seg).iter())
+            .find(|&&d| d != 0)
+            .unwrap();
+        assert!(f.hear_hello(hearer, &lying, seg, 0, ms(1)).is_empty());
+        assert_eq!(f.device(hearer).stats().malformed_pdus, 1);
+        assert_eq!(f.stats().malformed_pdus, 1);
+        // The honest hello is heard: a fresh device's first news of its
+        // neighbour changes nothing, so nothing is triggered either.
+        let honest = frames[0].pkt.clone();
+        assert!(f.hear_hello(hearer, &honest, seg, 0, ms(1)).is_empty());
+        assert_eq!(f.stats().malformed_pdus, 1);
+    }
+
+    #[test]
+    fn targets_is_the_same_walk_as_route_on_wide_devices() {
+        // After a frame is routed, targets() of the same frame at the
+        // same instant names exactly the ports route_into chose — on
+        // the 16×16 mesh, whose segment ids run past a mask's inline
+        // width, and on a 160-port star.
+        let mut rng = StdRng::seed_from_u64(7);
+        for topology in [BridgeTopology::mesh2d(16, 16), BridgeTopology::star(160)] {
+            let topology = Arc::new(topology);
+            let segments = topology.segments();
+            let layout = SegmentLayout::new(2 * segments, segments).unwrap();
+            let cfg = FabricConfig::new(BridgeTopology::clone(&topology));
+            let boot = BootState::new(Arc::clone(&topology), Vec::new());
+            let last = topology.bridges() - 1;
+            for device in [0, last / 2, last] {
+                let mut p = BridgePolicy::for_device(layout, &boot, device, &cfg);
+                let ports = topology.ports(device);
+                for step in 1..=200 {
+                    let in_port = ports[rng.gen_range(0..ports.len() as u64) as usize];
+                    let (from, page) = (host_on(in_port), rng.gen_range(0..300) as u32);
+                    let pkt = match rng.gen_range(0..4) {
+                        0 => req(from, page),
+                        1 => superset_req(from, page),
+                        kind => Packet::PageData {
+                            from: HostId(from),
+                            page: PageId::new(page),
+                            length: PageLength::Short,
+                            generation: Generation(kind),
+                            transfer_to: (kind == 3)
+                                .then(|| HostId(rng.gen_range(0..2 * segments as u64) as u16)),
+                            data: Bytes::from(vec![0u8; 32]),
+                        },
+                    };
+                    let now = ms(step);
+                    let routed = p.route(&pkt, in_port, now);
+                    assert_eq!(
+                        routed,
+                        p.targets(&pkt, in_port, now),
+                        "{pkt:?} on {in_port}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! ([`SegmentLayout`]), one `Lan` per block, joined by *bridge threads*:
 //! one thread per bridge device of the fabric's
 //! [`mether_core::BridgeTopology`], each snooping the device's ports and
-//! re-broadcasting each frame onto exactly the ports the device's
-//! [`BridgePolicy`] filter says must hear it (page homes, learned
-//! interest with optional aging, requests routed toward the holder —
-//! the same per-device policy the discrete-event simulator's fabric
-//! runs, so the two network models filter and route identically). A
-//! forwarded frame is emitted *from the forwarding device's own
-//! port on the destination segment*, so that device never hears it
-//! back, while the *other* devices on the segment do — hop-by-hop
-//! forwarding along the fabric's **active tree**.
+//! re-broadcasting each frame onto exactly the ports the device's filter
+//! says must hear it (page homes, learned interest with optional aging,
+//! requests routed toward the holder). The threads drive the one
+//! [`Fabric`] the discrete-event simulator runs, so the two network
+//! models filter, route, elect and fail the same way: each thread asks
+//! the fabric about its own device. A forwarded frame is emitted *from
+//! the forwarding device's own port on the destination segment*, so
+//! that device never hears it back, while the *other* devices on the
+//! segment do — hop-by-hop forwarding along the fabric's **active
+//! tree**.
 //!
 //! Under [`mether_net::ElectionMode::Live`] the bridge threads also run
 //! the spanning-tree control plane in real time: each thread emits the
@@ -23,58 +24,55 @@
 //! 1 wall-ms here), ingests its peers' hellos, times out silent
 //! neighbours, and re-elects — so a redundant wiring (ring, mesh) stays
 //! loop-free and **recovers from a killed bridge thread**. A hello
-//! whose `device` field contradicts its sender fails the simulator's
-//! own check ([`mether_net::bridge::checked_hello`]) and is counted in
-//! [`BridgeStats::malformed_pdus`], not ingested.
-//! [`Cluster::stop_bridge`] kills one device's thread (and
-//! joins it — failure injection must not leak threads; shutdown used to
-//! be join-on-drop only), [`Cluster::restart_bridge`] revives it cold:
-//! fresh filter tables, fresh optimistic views, a self-version above
-//! any obituary its neighbours still gossip — exactly the simulator's
-//! `BridgeUp` semantics. Nodes never see control frames' content: the
-//! Mether page table ignores [`mether_core::Packet::BridgePdu`] the way
-//! a real NIC filters BPDU multicasts.
+//! whose `device` field contradicts its sender is counted in the
+//! hearing device's [`BridgeStats::malformed_pdus`], not ingested
+//! ([`Fabric::hear_hello`]). Nodes never see control frames' content:
+//! the Mether page table ignores [`mether_core::Packet::BridgePdu`] the
+//! way a real NIC filters BPDU multicasts.
 //!
 //! # The runtime fault plane
 //!
 //! Every fault the simulator's fabric can inject is injectable here, on
 //! live threads, through the same [`FabricEvent`] vocabulary
 //! ([`Cluster::apply_fabric_event`], or scripted via
-//! `mether_runtime::FaultPlan`):
+//! `mether_runtime::FaultPlan`), and means what it means there: each
+//! event is [`Fabric::apply_event`] at the cluster's wall clock, which
+//! also says whether the event changed anything (a repeated event is a
+//! no-op and leaves no timeline entry).
 //!
 //! - **`BridgeDown` / `BridgeUp`** — [`Cluster::stop_bridge`] /
-//!   [`Cluster::restart_bridge`]. Stopping a device also arms the
-//!   *reconvergence stall probe*: the wall-clock window from the kill
-//!   to the first page-copy frame forwarded by a device whose election
-//!   epoch has advanced past its pre-failure snapshot — the period
-//!   during which cross-fabric pages were unreachable
-//!   ([`Cluster::fabric_stall`], the threaded twin of the simulator's
-//!   probe).
+//!   [`Cluster::restart_bridge`]. Stopping a device marks it dead in the
+//!   fabric, then stops **and joins** its thread (failure injection must
+//!   not leak threads). The fabric arms its *reconvergence stall
+//!   probe*: the window from the kill to the first page-copy frame
+//!   forwarded by a device whose election epoch has advanced past its
+//!   pre-failure snapshot ([`Cluster::fabric_stall`]). Restarting
+//!   revives the device cold — fresh filter tables, fresh optimistic
+//!   views, a self-version above any obituary its neighbours still
+//!   gossip, its counters carried over — and spawns a fresh thread.
 //! - **`LinkDown` / `LinkUp`** — [`Cluster::link_down`] /
 //!   [`Cluster::link_up`]: one (device, segment) attachment fails while
-//!   the device keeps forwarding on its surviving ports. The lost port
-//!   is gated at the *port level* in the device's thread (frames
-//!   arriving on it are discarded, nothing is emitted onto it) and the
-//!   policy gossips the reduced port set exactly as the simulator's
-//!   `kill_port` does. Lost links are cluster state, not thread state:
-//!   they **survive [`Cluster::restart_bridge`]** — a revived device
-//!   re-severs its dead attachments before it says hello, matching the
-//!   sim's "LinkDowns survive revival" semantics.
+//!   the device keeps forwarding on its surviving ports. The device
+//!   gossips the reduced port set and re-elects; the fabric hears
+//!   nothing on the lost port, and the election leaves it out of every
+//!   forward and hello, so the thread needs no gate of its own. There
+//!   is no cap on the segment id. Lost links are fabric state: they
+//!   **survive [`Cluster::restart_bridge`]**.
 //! - **Frame loss** — [`Cluster::set_loss`] retargets a segment's
 //!   Bernoulli loss rate at runtime (the `LanConfig::loss` knob made
 //!   live), so a soak can run phases of clean and lossy wire.
 //!
-//! Telemetry that previously existed only inside the policy is
-//! surfaced: [`Cluster::bridge_stats`] (per-device [`BridgeStats`]
-//! persisting across restarts), [`Cluster::fabric_reconvergences`]
-//! (active-tree changes summed over all devices), and
-//! [`Cluster::fabric_timeline`] (every injected event with its
-//! wall-clock offset).
+//! The fabric's telemetry is surfaced: [`Cluster::bridge_stats`]
+//! (per-device [`BridgeStats`], persisting across restarts),
+//! [`Cluster::fabric_reconvergences`] (active-tree changes summed over
+//! all devices), and [`Cluster::fabric_timeline`] (every event that
+//! changed the fabric, with its wall-clock offset).
 //!
-//! The fabric's engine knobs ([`mether_net::BridgeConfig`] — forward
-//! delay, queue bound, fault injection) model the simulator's
-//! store-and-forward device and are not applied here: a bridge thread
-//! forwards as fast as it runs, like PR 3's.
+//! A bridge thread forwards a frame the moment it hears it
+//! ([`Fabric::forward`]): the fabric's engine knobs
+//! ([`mether_net::BridgeConfig`] — forward delay, queue bound, fault
+//! injection) model the simulator's store-and-forward device and are
+//! not applied here.
 //!
 //! Traffic counters stay per segment ([`Cluster::segment_stats`]), so
 //! losses and decode errors are attributable to the wire they happened
@@ -82,10 +80,9 @@
 
 use crate::node::Node;
 use mether_core::{HostId, MetherConfig, Packet, PageId, SegmentLayout};
-use mether_net::bridge::{checked_hello, BootState, BridgePolicy, FabricConfig, BRIDGE_HOST_BASE};
+use mether_net::bridge::{ControlOut, Fabric, FabricConfig, BRIDGE_HOST_BASE};
 use mether_net::rt::{lock, Inbox, Lan, LanConfig, Port};
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -175,254 +172,131 @@ impl ClusterConfig {
 }
 
 /// One bridge device's thread slot: the inbox its thread waits on
-/// (closing it stops the thread), join handle (taken when stopped),
-/// filter, and restart count.
+/// (closing it stops the thread) and its join handle (taken when the
+/// thread is stopped).
 struct DeviceSlot {
     inbox: Inbox,
     handle: Option<JoinHandle<()>>,
-    policy: Arc<Mutex<BridgePolicy>>,
-    restarts: u64,
 }
 
-/// Fault-injection state shared by the cluster API and every bridge
-/// thread: the stall probe, the reconvergence counter, and the injected
-/// timeline. Lock order is slot → policy → stats → fault; no code path
-/// takes a policy (or slot) lock while holding this one. Transmitting
-/// takes a LAN's medium and then its listeners' inboxes, which take
-/// nothing further: a device thread may do it under its policy lock
-/// (a triggered hello does), never under stats or fault.
-struct FaultState {
-    /// Armed by [`Cluster::stop_bridge`]: when the kill happened, until
-    /// a data frame forwarded by an epoch-advanced device resolves it.
-    down_at: Option<Instant>,
-    /// Per-device election epochs snapshotted at the kill.
-    epochs_at_down: Vec<u64>,
-    /// The measured reconvergence stall of the most recent kill.
-    stall: Option<Duration>,
-    /// Active-tree changes summed across devices (0 under static
-    /// election or an undisturbed fabric).
-    reconvergences: u64,
-    /// Every injected fault, with its wall-clock offset from cluster
-    /// start.
-    timeline: Vec<(Duration, FabricEvent)>,
+impl DeviceSlot {
+    /// Stops the slot's thread, if it runs, and joins it.
+    fn stop(&mut self) {
+        self.inbox.close();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
 }
 
-/// The fabric's bridge threads — one per device — plus everything
-/// needed to respawn one (the kill/restart failure-injection path).
+/// The fabric's bridge threads — one per device — and the one [`Fabric`]
+/// they drive. The fabric holds every device's filter, election state,
+/// liveness, lost links and counters; a thread holds nothing but its
+/// ports. Lock order is slot → fabric. A device thread takes the fabric
+/// lock once per frame: it counts the frame under the lock and
+/// transmits after releasing it. No device thread is joined while the
+/// fabric lock is held, since the thread may be waiting for it.
 struct BridgeThreads {
     lans: Vec<Lan>,
-    layout: SegmentLayout,
-    fabric: FabricConfig,
-    /// What every bridge thread's policy boots from, first spawn and
-    /// every restart alike: one wiring, one election per cluster.
-    boot: BootState,
-    /// Wall-clock epoch of the cluster: bridge threads translate
-    /// `Instant` elapsed into `SimTime` for the shared, transport-free
-    /// policy (1 wall-ns ≙ 1 sim-ns).
+    /// Wall-clock epoch of the cluster: the fabric runs on the wall time
+    /// since, as `SimTime` (1 wall-ns ≙ 1 sim-ns).
     start: Instant,
     devices: Vec<Mutex<DeviceSlot>>,
-    /// Per-device forwarding counters, **persisting across restarts**
-    /// (a revival cold-resets the filter, not the run's accounting —
-    /// the same carryover the simulator's engine keeps).
-    stats: Vec<Arc<Mutex<BridgeStats>>>,
-    /// Per-device lost-port bitmask (bit = segment id). Cluster state,
-    /// not thread state: `spawn_device` re-severs these on revival, and
-    /// the thread gates its ports against the current mask on every
-    /// frame. Fault injection caps segments at 64 (the fabric itself
-    /// has no such cap).
-    lost: Vec<Arc<AtomicU64>>,
-    fault: Arc<Mutex<FaultState>>,
+    fabric: Arc<Mutex<Fabric>>,
+}
+
+/// The wall time since `start` as the fabric's `SimTime`.
+fn sim_time(start: Instant) -> SimTime {
+    SimTime::ZERO + SimDuration::from_nanos(start.elapsed().as_nanos() as u64)
 }
 
 impl BridgeThreads {
     fn start(lans: &[Lan], layout: SegmentLayout, fabric: &FabricConfig) -> BridgeThreads {
-        let n = fabric.topology.bridges();
         let mut this = BridgeThreads {
             lans: lans.to_vec(),
-            layout,
-            fabric: fabric.clone(),
-            boot: BootState::new(Arc::new(fabric.topology.clone()), fabric.priorities.clone()),
             start: Instant::now(),
             devices: Vec::new(),
-            stats: (0..n)
-                .map(|_| Arc::new(Mutex::new(BridgeStats::default())))
-                .collect(),
-            lost: (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-            fault: Arc::new(Mutex::new(FaultState {
-                down_at: None,
-                epochs_at_down: vec![0; n],
-                stall: None,
-                reconvergences: 0,
-                timeline: Vec::new(),
-            })),
+            fabric: Arc::new(Mutex::new(Fabric::new(layout, fabric.clone()))),
         };
-        for device in 0..n {
-            let slot = this.spawn_device(device, 0);
-            this.devices.push(Mutex::new(slot));
-        }
+        this.devices = (0..fabric.topology.bridges())
+            .map(|device| Mutex::new(this.spawn_device(device)))
+            .collect();
         this
     }
 
-    /// The cluster's wall clock as the policies' SimTime.
-    fn now(&self) -> SimTime {
-        SimTime::ZERO + SimDuration::from_nanos(self.start.elapsed().as_nanos() as u64)
-    }
-
-    /// Builds a fresh policy and spawns the device's thread. A non-zero
-    /// `restarts` makes this a cold revival: empty filter tables,
-    /// optimistic views, a self-version (`2 × restarts`) above the
-    /// obituary of every previous life, and a *rejoin* at the current
-    /// wall clock — neighbour stamps start now (no spurious obituaries
-    /// from a zeroed clock) and every port boots in its hold-down so
-    /// the optimistic construction tree cannot close a transient loop
-    /// against the converged fabric around it. Links lost before the
-    /// revival stay lost: the fresh policy re-severs them before the
-    /// first hello.
-    fn spawn_device(&self, device: usize, restarts: u64) -> DeviceSlot {
-        let mut p = BridgePolicy::for_device(self.layout, &self.boot, device, &self.fabric);
-        p.set_self_version(2 * restarts);
-        if restarts > 0 {
-            p.rejoin(self.now());
-        }
-        let segs = self.fabric.topology.ports(device);
-        // Re-sever attachments lost in a previous life (LinkDown is
-        // cluster state, surviving restart_bridge like the sim's).
-        let lost0 = self.lost[device].load(Ordering::Relaxed);
-        for &seg in segs {
-            if seg < 64 && lost0 & (1u64 << seg) != 0 {
-                let _ = p.kill_port(seg, self.now());
-            }
-        }
-        let policy = Arc::new(Mutex::new(p));
-        // The device's attachment to each of its port segments, all
-        // heard on one inbox, each frame tagged with the segment it
-        // arrived on. Forwarding to segment `s` transmits *from* this
-        // device's port on `s`, so the device never hears its own
-        // forwards, while the other devices on `s` (distinct host ids)
-        // do — and carry the frame onward.
+    /// Spawns device `device`'s thread, attached to each of its port
+    /// segments, all heard on one inbox, each frame tagged with the
+    /// segment it arrived on. Forwarding to segment `s` transmits *from*
+    /// this device's port on `s`, so the device never hears its own
+    /// forwards, while the other devices on `s` (distinct host ids) do
+    /// — and carry the frame onward.
+    fn spawn_device(&self, device: usize) -> DeviceSlot {
+        let (segs, hello_every) = {
+            let f = lock(&self.fabric);
+            (
+                f.topology().ports(device).to_vec(),
+                f.election().hello_interval(),
+            )
+        };
         let inbox = Inbox::new();
         let host = HostId(BRIDGE_HOST_BASE + device as u16);
         let ports: Vec<Port> = segs
             .iter()
             .map(|&seg| self.lans[seg].attach(host, &inbox, seg))
             .collect();
-        let hello_every = self
-            .fabric
-            .election
-            .hello_interval()
-            .map(|d| Duration::from_nanos(d.as_nanos()));
-        let epoch = self.start;
-        let bridges = self.fabric.topology.bridges();
-        let thread_policy = Arc::clone(&policy);
+        let hello_every = hello_every.map(|d| Duration::from_nanos(d.as_nanos()));
+        let start = self.start;
+        let fabric = Arc::clone(&self.fabric);
         let thread_inbox = inbox.clone();
-        let thread_stats = Arc::clone(&self.stats[device]);
-        let thread_lost = Arc::clone(&self.lost[device]);
-        let thread_fault = Arc::clone(&self.fault);
         let handle = thread::Builder::new()
             .name(format!("mether-bridge-{device}"))
             .spawn(move || {
-                let policy = thread_policy;
                 let inbox = thread_inbox;
-                let stats = thread_stats;
-                let lost = thread_lost;
-                let fault = thread_fault;
-                // The threaded fabric's clock: wall time since cluster
-                // start, as SimTime — so the shared policy's hello
-                // timeouts and SimTime aging horizons tick in real
-                // milliseconds here and simulated ones in mether-sim.
-                let now =
-                    || SimTime::ZERO + SimDuration::from_nanos(epoch.elapsed().as_nanos() as u64);
-                let gated = |mask: u64, seg: usize| seg < 64 && mask & (1u64 << seg) != 0;
-                let port_on = |seg: usize| ports.iter().find(|p| p.port() == seg);
-                let broadcast_hello = |p: &mut BridgePolicy, lost_now: u64| {
-                    let pdu = p.pdu_for_emission();
-                    for seg in p.self_live_ports() {
-                        if gated(lost_now, seg) {
-                            continue;
-                        }
-                        if let Some(port) = port_on(seg) {
-                            let _ = port.broadcast(&pdu);
-                        }
+                let port_on = |seg: usize| {
+                    (ports.iter().find(|p| p.port() == seg))
+                        .expect("the fabric names only the device's own ports")
+                };
+                let transmit = |hellos: Vec<ControlOut>| {
+                    for hello in hellos {
+                        let _ = port_on(hello.seg).broadcast(&hello.pkt);
                     }
                 };
                 // The ports a frame leaves through: one buffer for the
                 // thread's life, so forwarding a frame allocates nothing.
                 let mut targets: Vec<usize> = Vec::new();
+                // Each fabric step reads the clock under the fabric lock
+                // (the receiver is evaluated before the arguments), so
+                // the fabric sees time run forward.
                 let mut dispatch = |seg: usize, pkt: &Packet| {
-                    let lost_now = lost.load(Ordering::Relaxed);
-                    if gated(lost_now, seg) {
-                        // The link is down: frames still draining out of
-                        // the inbox fell on a dead wire.
-                        return;
-                    }
                     if pkt.is_control() {
                         // The emitter is the frame's fabric endpoint id,
                         // the one sender identity a LAN frame carries.
                         let emitter = usize::from(pkt.from().0.wrapping_sub(BRIDGE_HOST_BASE));
-                        let Some(entries) = checked_hello(pkt, emitter, bridges) else {
-                            lock(&stats).malformed_pdus += 1;
-                            return;
-                        };
-                        let mut p = lock(&policy);
-                        let r = p.hear_pdu(emitter, entries, now());
-                        if r.active_changed {
-                            lock(&fault).reconvergences += 1;
-                        }
-                        if r.view_changed {
-                            // Triggered hello: propagate the news now,
-                            // not a cadence later.
-                            broadcast_hello(&mut p, lost_now);
-                        }
+                        let hellos =
+                            lock(&fabric).hear_hello(device, pkt, seg, emitter, sim_time(start));
+                        transmit(hellos);
                         return;
                     }
-                    let election_epoch = {
-                        let mut p = lock(&policy);
-                        p.route_into(pkt, seg, now(), &mut targets);
-                        p.election_epoch()
-                    };
-                    targets.retain(|&dst| !gated(lost_now, dst));
-                    let forwarded = targets.len() as u64;
-                    // Count before transmitting: a receiver woken by the
-                    // forwarded frame may inspect `bridge_stats`
+                    // Counted before transmitting: a receiver woken by
+                    // the forwarded frame may inspect `bridge_stats`
                     // immediately, and must see this crossing.
-                    {
-                        let mut s = lock(&stats);
-                        s.heard += 1;
-                        if forwarded == 0 {
-                            s.filtered += 1;
-                        } else {
-                            s.forwarded += forwarded;
-                            s.bytes_forwarded += forwarded * pkt.wire_size() as u64;
-                            if matches!(pkt, Packet::PageRequest { .. }) {
-                                s.req_forwarded += forwarded;
-                            }
-                        }
-                    }
+                    targets.clear();
+                    targets.extend_from_slice(lock(&fabric).forward(
+                        device,
+                        pkt,
+                        seg,
+                        sim_time(start),
+                    ));
                     for &dst in &targets {
-                        let port = port_on(dst).expect("targets are scoped to the ports");
-                        let _ = port.broadcast(pkt);
-                    }
-                    if forwarded > 0 && pkt.is_data() {
-                        // Resolve the reconvergence stall probe: the
-                        // first data frame carried cross-fabric by a
-                        // device whose election moved past its pre-kill
-                        // snapshot ends the unreachable window.
-                        let mut f = lock(&fault);
-                        if let Some(t0) = f.down_at {
-                            if election_epoch > f.epochs_at_down[device] {
-                                f.stall = Some(t0.elapsed());
-                                f.down_at = None;
-                            }
-                        }
+                        let _ = port_on(dst).broadcast(pkt);
                     }
                 };
                 // One blocking wait on all ports at once: an idle device
                 // sleeps in the kernel, a frame on any port wakes it, and
-                // closing the inbox ([`BridgeThreads::stop_device`]) ends
-                // the loop from whichever receive sees it first. Under
-                // live election the wait is capped at half the hello
-                // interval so the control plane keeps its cadence under
-                // silence.
+                // closing the inbox ([`DeviceSlot::stop`]) ends the loop
+                // from whichever receive sees it first. Under live
+                // election the wait is capped at half the hello interval
+                // so the control plane keeps its cadence under silence.
                 let idle = hello_every
                     .map(|h| (h / 2).clamp(Duration::from_micros(250), Duration::from_millis(5)));
                 let mut last_hello = Instant::now();
@@ -454,12 +328,8 @@ impl BridgeThreads {
                     if let Some(every) = hello_every {
                         if last_hello.elapsed() >= every {
                             last_hello = Instant::now();
-                            let mut p = lock(&policy);
-                            let r = p.on_tick(now());
-                            if r.active_changed {
-                                lock(&fault).reconvergences += 1;
-                            }
-                            broadcast_hello(&mut p, lost.load(Ordering::Relaxed));
+                            let hellos = lock(&fabric).tick(device, sim_time(start));
+                            transmit(hellos);
                         }
                     }
                 }
@@ -468,63 +338,46 @@ impl BridgeThreads {
         DeviceSlot {
             inbox,
             handle: Some(handle),
-            policy,
-            restarts,
         }
     }
 
-    /// Signals device `d`'s thread to stop — closing its inbox wakes it
-    /// at once — and joins it. Returns true if a running thread was
-    /// stopped.
-    fn stop_device(&self, d: usize) -> bool {
-        // Holding the slot lock across the join is safe: bridge threads
-        // never take slot locks (only policy/stats/fault).
-        let mut slot = lock(&self.devices[d]);
-        let Some(handle) = slot.handle.take() else {
-            return false;
-        };
-        slot.inbox.close();
-        let _ = handle.join();
-        true
+    /// Applies `ev` to the fabric at the cluster's wall clock. Returns
+    /// whether it changed anything.
+    fn apply(&self, ev: FabricEvent) -> bool {
+        lock(&self.fabric).apply_event(ev, sim_time(self.start))
     }
 
-    /// Respawns device `d` cold (its thread must be stopped). Returns
-    /// true if a stopped device was revived.
-    fn restart_device(&self, d: usize) -> bool {
+    /// Kills device `d`: the fabric marks it dead, then its thread is
+    /// stopped and joined. Returns true if a live device was killed.
+    fn kill(&self, d: usize) -> bool {
         let mut slot = lock(&self.devices[d]);
-        if slot.handle.is_some() {
-            return false;
+        let killed = self.apply(FabricEvent::BridgeDown(d));
+        if killed {
+            slot.stop();
         }
-        let restarts = slot.restarts + 1;
-        *slot = self.spawn_device(d, restarts);
-        true
+        killed
+    }
+
+    /// Revives device `d` cold in the fabric and spawns its thread
+    /// afresh. Returns true if a dead device was revived.
+    fn revive(&self, d: usize) -> bool {
+        let mut slot = lock(&self.devices[d]);
+        let revived = self.apply(FabricEvent::BridgeUp(d));
+        if revived {
+            *slot = self.spawn_device(d);
+        }
+        revived
     }
 
     /// Stops every device thread: all are told first, then joined, so
-    /// they wind down side by side.
+    /// they wind down side by side. The fabric is left as it is.
     fn stop(&self) {
         for slot in &self.devices {
             lock(slot).inbox.close();
         }
-        for d in 0..self.devices.len() {
-            let _ = self.stop_device(d);
+        for slot in &self.devices {
+            lock(slot).stop();
         }
-    }
-
-    /// `page` was just created on segment `seg`: the devices between
-    /// its home and `seg` learn where its holder is, as the simulator's
-    /// fabric does (`Fabric::seed_holder`).
-    fn seed_holder(&self, page: PageId, seg: usize) {
-        if self.fabric.seeds_holder(page, seg) {
-            for slot in &self.devices {
-                lock(&lock(slot).policy).seed_holder(page, seg);
-            }
-        }
-    }
-
-    fn record(&self, ev: FabricEvent) {
-        let at = self.start.elapsed();
-        lock(&self.fault).timeline.push((at, ev));
     }
 }
 
@@ -583,7 +436,7 @@ impl Cluster {
                 let host = HostId(i as u16);
                 let seg = layout.segment_of(i);
                 let threads = Arc::clone(&bridge);
-                let announce = Box::new(move |page| threads.seed_holder(page, seg));
+                let announce = Box::new(move |page| lock(&threads.fabric).seed_holder(page, seg));
                 Node::start(
                     host,
                     lans[seg].endpoint(host),
@@ -629,101 +482,51 @@ impl Cluster {
         self.bridge.as_ref().map_or(0, |b| b.devices.len())
     }
 
-    /// Kills bridge device `device`'s thread — the fabric-failure
-    /// injection path. The thread is signalled **and joined** (not
-    /// leaked to a join-on-drop); under live election its neighbours
-    /// hello-timeout the silence, gossip the obituary, and re-elect
-    /// around the hole. Arms the reconvergence stall probe
-    /// ([`Cluster::fabric_stall`]) against every device's pre-failure
-    /// election epoch. Returns true if a running device was stopped.
+    /// Kills bridge device `device` — the fabric-failure injection
+    /// path. The fabric marks the device dead, and its thread is
+    /// signalled **and joined** (not leaked to a join-on-drop); under
+    /// live election its neighbours hello-timeout the silence, gossip
+    /// the obituary, and re-elect around the hole. Arms the
+    /// reconvergence stall probe ([`Cluster::fabric_stall`]) against
+    /// every device's pre-failure election epoch. Returns true if a
+    /// running device was stopped.
     ///
     /// # Panics
     ///
     /// Panics if `device` is out of range on a bridged cluster; returns
     /// false on a flat cluster.
     pub fn stop_bridge(&self, device: usize) -> bool {
-        let Some(b) = self.bridge.as_ref() else {
-            return false;
-        };
-        if !b.stop_device(device) {
-            return false;
-        }
-        // Snapshot epochs first (slot → policy), then write the fault
-        // state — never the fault lock while reaching for a policy.
-        let epochs: Vec<u64> = b
-            .devices
-            .iter()
-            .map(|slot| lock(&lock(slot).policy).election_epoch())
-            .collect();
-        {
-            let mut f = lock(&b.fault);
-            f.down_at = Some(Instant::now());
-            f.stall = None;
-            f.epochs_at_down = epochs;
-        }
-        b.record(FabricEvent::BridgeDown(device));
-        true
+        self.bridge.as_ref().is_some_and(|b| b.kill(device))
     }
 
     /// Revives a stopped bridge device cold: fresh filter tables (pins
     /// and learned interest are gone, like a power-cycled bridge),
     /// fresh optimistic views, and a self-assertion version above any
-    /// obituary its neighbours still gossip — the threaded counterpart
-    /// of the simulator's `BridgeUp`. Links taken down with
-    /// [`Cluster::link_down`] stay down across the revival. Returns
-    /// true if a stopped device was revived.
+    /// obituary its neighbours still gossip — the fabric's `BridgeUp`.
+    /// Its counters carry over, and links taken down with
+    /// [`Cluster::link_down`] stay down. Returns true if a stopped
+    /// device was revived.
     ///
     /// # Panics
     ///
     /// Panics if `device` is out of range on a bridged cluster; returns
     /// false on a flat cluster.
     pub fn restart_bridge(&self, device: usize) -> bool {
-        let Some(b) = self.bridge.as_ref() else {
-            return false;
-        };
-        if !b.restart_device(device) {
-            return false;
-        }
-        b.record(FabricEvent::BridgeUp(device));
-        true
+        self.bridge.as_ref().is_some_and(|b| b.revive(device))
     }
 
     /// Fails the (device, segment) attachment: the device stops hearing
-    /// and emitting frames on that port (port-level gating in its
-    /// thread) and gossips the reduced port set, exactly like the
-    /// simulator's `LinkDown`. The loss is cluster state — it survives
-    /// [`Cluster::restart_bridge`] until [`Cluster::link_up`] undoes
-    /// it. Returns true if a live link was severed (false when already
-    /// down, or on a flat cluster).
+    /// and emitting frames on that port and gossips the reduced port
+    /// set — the fabric's `LinkDown`. The loss survives
+    /// [`Cluster::restart_bridge`] until [`Cluster::link_up`] undoes it.
+    /// Returns true if a live link was severed (false when already down,
+    /// or on a flat cluster).
     ///
     /// # Panics
     ///
-    /// Panics if `segment` is not a physical port of `device`, or if
-    /// `segment >= 64` (fault injection's mask cap; the fabric itself
-    /// has no such limit).
+    /// Panics if `segment` is not a physical port of `device`.
     pub fn link_down(&self, device: usize, segment: usize) -> bool {
-        let Some(b) = self.bridge.as_ref() else {
-            return false;
-        };
-        assert!(
-            b.fabric.topology.ports(device).contains(&segment),
-            "device {device} has no port on segment {segment}"
-        );
-        assert!(segment < 64, "link fault injection caps segments at 64");
-        let bit = 1u64 << segment;
-        if b.lost[device].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
-            return false;
-        }
-        let slot = lock(&b.devices[device]);
-        if slot.handle.is_some() {
-            let r = lock(&slot.policy).kill_port(segment, b.now());
-            if r.active_changed {
-                lock(&b.fault).reconvergences += 1;
-            }
-        }
-        drop(slot);
-        b.record(FabricEvent::LinkDown { device, segment });
-        true
+        self.apply_fabric_event(FabricEvent::LinkDown { device, segment })
     }
 
     /// Restores a failed (device, segment) attachment: the port rejoins
@@ -735,41 +538,22 @@ impl Cluster {
     ///
     /// As [`Cluster::link_down`].
     pub fn link_up(&self, device: usize, segment: usize) -> bool {
+        self.apply_fabric_event(FabricEvent::LinkUp { device, segment })
+    }
+
+    /// Applies one [`FabricEvent`] to the live cluster — the fabric's
+    /// [`Fabric::apply_event`] at the cluster's wall clock, and the unit
+    /// [`crate::FaultPlan`] scripts are made of. Returns whether the
+    /// event changed anything (a `BridgeDown` of an already-dead
+    /// device, say, is a no-op). Always false on a flat cluster.
+    pub fn apply_fabric_event(&self, ev: FabricEvent) -> bool {
         let Some(b) = self.bridge.as_ref() else {
             return false;
         };
-        assert!(
-            b.fabric.topology.ports(device).contains(&segment),
-            "device {device} has no port on segment {segment}"
-        );
-        assert!(segment < 64, "link fault injection caps segments at 64");
-        let bit = 1u64 << segment;
-        if b.lost[device].fetch_and(!bit, Ordering::Relaxed) & bit == 0 {
-            return false;
-        }
-        let slot = lock(&b.devices[device]);
-        if slot.handle.is_some() {
-            let r = lock(&slot.policy).revive_port(segment, b.now());
-            if r.active_changed {
-                lock(&b.fault).reconvergences += 1;
-            }
-        }
-        drop(slot);
-        b.record(FabricEvent::LinkUp { device, segment });
-        true
-    }
-
-    /// Applies one [`FabricEvent`] to the live cluster — the runtime
-    /// twin of the simulator's scripted fault injection, and the unit
-    /// [`crate::FaultPlan`] scripts are made of. Returns whether the
-    /// event changed anything (a `BridgeDown` of an already-dead
-    /// device, say, is a no-op).
-    pub fn apply_fabric_event(&self, ev: FabricEvent) -> bool {
         match ev {
-            FabricEvent::BridgeDown(d) => self.stop_bridge(d),
-            FabricEvent::BridgeUp(d) => self.restart_bridge(d),
-            FabricEvent::LinkDown { device, segment } => self.link_down(device, segment),
-            FabricEvent::LinkUp { device, segment } => self.link_up(device, segment),
+            FabricEvent::BridgeDown(d) => b.kill(d),
+            FabricEvent::BridgeUp(d) => b.revive(d),
+            FabricEvent::LinkDown { .. } | FabricEvent::LinkUp { .. } => b.apply(ev),
         }
     }
 
@@ -786,10 +570,8 @@ impl Cluster {
     }
 
     /// Per-device forwarding counters, **persisting across restarts**:
-    /// frames heard/forwarded/filtered plus the policy's live belief
-    /// counters — the telemetry that previously existed only inside
-    /// the policy, surfaced for parity with the simulator's per-device
-    /// [`BridgeStats`].
+    /// frames heard/forwarded/filtered and the belief counters, as the
+    /// fabric keeps them ([`mether_net::Bridge::stats`]).
     ///
     /// # Panics
     ///
@@ -799,17 +581,14 @@ impl Cluster {
             .bridge
             .as_ref()
             .expect("bridge_stats needs a segmented cluster");
-        let beliefs = lock(&lock(&b.devices[device]).policy).belief_counters();
-        BridgeStats::sum([*lock(&b.stats[device]), beliefs])
+        lock(&b.fabric).device(device).stats()
     }
 
     /// Active-tree changes summed across every bridge device since
     /// cluster start (0 under static election, an undisturbed fabric,
     /// or a flat cluster).
     pub fn fabric_reconvergences(&self) -> u64 {
-        self.bridge
-            .as_ref()
-            .map_or(0, |b| lock(&b.fault).reconvergences)
+        (self.bridge.as_ref()).map_or(0, |b| lock(&b.fabric).reconvergences())
     }
 
     /// The measured reconvergence stall: wall time from the most recent
@@ -817,17 +596,22 @@ impl Cluster {
     /// by a device whose election epoch advanced past its pre-kill
     /// snapshot — the window during which cross-fabric pages were
     /// unreachable. `None` when nothing was killed (or nothing crossed
-    /// afterwards); the threaded twin of the simulator's probe.
+    /// afterwards); the fabric's own probe ([`Fabric::stall`]).
     pub fn fabric_stall(&self) -> Option<Duration> {
-        self.bridge.as_ref().and_then(|b| lock(&b.fault).stall)
+        let b = self.bridge.as_ref()?;
+        let stall = lock(&b.fabric).stall()?;
+        Some(Duration::from_nanos(stall.as_nanos()))
     }
 
-    /// Every fault injected so far, with its wall-clock offset from
-    /// cluster start (empty on a flat or undisturbed cluster).
+    /// Every fault injected so far that changed the fabric, with its
+    /// wall-clock offset from cluster start (empty on a flat or
+    /// undisturbed cluster).
     pub fn fabric_timeline(&self) -> Vec<(Duration, FabricEvent)> {
-        self.bridge
-            .as_ref()
-            .map_or(Vec::new(), |b| lock(&b.fault).timeline.clone())
+        self.bridge.as_ref().map_or(Vec::new(), |b| {
+            (lock(&b.fabric).timeline().iter())
+                .map(|&(at, ev)| (Duration::from_nanos(at.as_nanos()), ev))
+                .collect()
+        })
     }
 
     /// Page requests dropped in node receive paths because an identical
@@ -864,8 +648,8 @@ impl Cluster {
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits at every
-    /// bridge device (see [`BridgePolicy::subscribe`]); needed for
-    /// segments whose only consumers of the page are data-driven readers.
+    /// bridge device (see [`Fabric::subscribe`]); needed for segments
+    /// whose only consumers of the page are data-driven readers.
     ///
     /// # Panics
     ///
@@ -875,9 +659,7 @@ impl Cluster {
             .bridge
             .as_ref()
             .expect("subscribe_segment needs a segmented cluster");
-        for slot in &bridge.devices {
-            lock(&lock(slot).policy).subscribe(page, seg);
-        }
+        lock(&bridge.fabric).subscribe(page, seg);
     }
 
     /// Stops the bridge threads and every node's receiver thread: all of
@@ -1260,7 +1042,7 @@ mod tests {
         // and neither ingests its obituary of device 3.
         let mut c = Cluster::new(ClusterConfig::fabric(8, FabricConfig::ring(4))).unwrap();
         let b = Arc::clone(c.bridge.as_ref().unwrap());
-        let views = |d: usize| lock(&lock(&b.devices[d]).policy).views().to_vec();
+        let views = |d: usize| lock(&b.fabric).device(d).policy().views().to_vec();
         let boot: Vec<_> = (0..4).map(views).collect();
         let wire = c.lans[1].endpoint(HostId(0xFFF0));
         let hello = |device| Packet::BridgePdu {

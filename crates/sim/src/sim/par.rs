@@ -628,20 +628,16 @@ impl Ctrl {
                     fabric.hear_control(&pkt, seg, now, from)
                 }
                 EvKind::Fabric(fev) => {
-                    let was_dead = match fev {
-                        FabricEvent::BridgeDown(d) | FabricEvent::BridgeUp(d) => fabric.is_dead(d),
-                        FabricEvent::LinkDown { .. } | FabricEvent::LinkUp { .. } => false,
-                    };
-                    fabric.apply_event(fev, now);
+                    let changed = fabric.apply_event(fev, now);
                     match fev {
                         // A death orphans the device's pending tick
                         // chain (belt and braces with the dead check at
                         // tick time).
-                        FabricEvent::BridgeDown(d) if !was_dead => self.tick_epochs[d] += 1,
+                        FabricEvent::BridgeDown(d) if changed => self.tick_epochs[d] += 1,
                         // A genuine revival resumes the hello cadence
                         // with exactly one fresh chain; a `BridgeUp`
                         // for a device that was never down is a no-op.
-                        FabricEvent::BridgeUp(d) if was_dead => {
+                        FabricEvent::BridgeUp(d) if changed => {
                             self.tick_epochs[d] += 1;
                             retick = Some(d);
                         }

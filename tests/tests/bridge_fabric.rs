@@ -200,8 +200,6 @@ proptest! {
             if !forwarding.contains(in_port) {
                 prop_assert!(out.is_empty(), "a blocked port hears nothing");
             }
-            let again = bridge.policy().targets(&pkt, in_port, now);
-            prop_assert_eq!(again.iter().collect::<Vec<_>>(), out, "targets() is the same walk");
         }
     }
 
@@ -245,9 +243,8 @@ proptest! {
                 }
             };
             p.route_into(&pkt, seg, now, &mut out);
-            let interest = p.interest(page, now);
-            prop_assert!(interest.contains(0), "home port never evicted");
-            prop_assert!(interest.contains(pin_seg), "pins never evicted");
+            prop_assert!(p.interested(page, 0, now), "home port never evicted");
+            prop_assert!(p.interested(page, pin_seg, now), "pins never evicted");
         }
         // Age everything learned out (each forwarded transit ticks the
         // clock; home keeps every frame forwardable), then reinstate.
@@ -264,7 +261,7 @@ proptest! {
         };
         p.route_into(&req, 2, now, &mut out);
         prop_assert!(
-            p.interest(page, now).contains(2),
+            p.interested(page, 2, now),
             "fresh demand reinstates an aged-out port"
         );
     }

@@ -246,7 +246,7 @@
 //! entries. Every forwarding rule is a test applied to one port at a
 //! time, and the ports that pass are pushed, ascending, into a buffer
 //! the caller reuses ([`BridgePolicy::route_into`]: each [`Bridge`]
-//! keeps one, which [`Bridge::forward`] lends out), as is the egress
+//! keeps one, which [`Fabric::forward`] lends out), as is the egress
 //! schedule a [`Bridge`] returns and the combined one [`Fabric::pickup`]
 //! returns. No segment-id mask is built, copied or
 //! combined along the way, so nothing is allocated — with one
@@ -1654,7 +1654,7 @@ impl BridgePolicy {
     /// when the frame is forwarded. A frame heard on a Blocked (or
     /// held-down) port is neither learned from nor forwarded — the
     /// dormant redundancy stays invisible to the data plane. What a
-    /// [`Bridge`] pickup or forward calls, with a buffer the device
+    /// [`Bridge`] calls for every frame it hears, with a buffer it
     /// reuses, so routing a frame allocates nothing.
     pub fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
         out.clear();
@@ -2129,18 +2129,6 @@ impl Bridge {
         &self.egress
     }
 
-    /// The untimed pickup: routes data frame `pkt`, heard on `in_port`
-    /// at `now`, and counts it as forwarded at once, with no forward
-    /// delay, queue bound or drop/duplicate injection — how a threaded
-    /// runtime's bridge thread forwards. Returns the destination
-    /// segments, lent from a buffer the next pickup overwrites.
-    pub fn forward(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> &[usize] {
-        if self.route(pkt, in_port, now) {
-            self.count_emissions(pkt, false);
-        }
-        &self.targets
-    }
-
     /// Counts `pkt` heard on `in_port` at `now` and routes it into the
     /// target buffer. False (counted as filtered) when it goes nowhere.
     fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> bool {
@@ -2408,17 +2396,19 @@ impl Fabric {
     }
 
     /// Device `device` heard data frame `pkt` on its port `seg` at
-    /// `now` and forwards it at once ([`Bridge::forward`]: no forward
-    /// delay, queue bound or drop/duplicate injection) — the step a
-    /// threaded runtime's bridge thread takes per frame. A dead device,
-    /// or one whose attachment to `seg` failed, hears nothing. Returns
-    /// the segments to transmit the frame on, lent from a buffer the
-    /// device's next pickup overwrites.
+    /// `now` and forwards it at once, with no forward delay, queue bound
+    /// or drop/duplicate injection — the step a threaded runtime's
+    /// bridge thread takes per frame. A dead device, or one whose
+    /// attachment to `seg` failed, hears nothing. Returns the segments
+    /// to transmit the frame on, lent from a buffer the device's next
+    /// pickup overwrites.
     pub fn forward(&mut self, device: usize, pkt: &Packet, seg: usize, now: SimTime) -> &[usize] {
         if !self.hears(device, seg) {
             return &[];
         }
-        if !self.devices[device].forward(pkt, seg, now).is_empty() {
+        let bridge = &mut self.devices[device];
+        if bridge.route(pkt, seg, now) {
+            bridge.count_emissions(pkt, false);
             self.probe_stall(device, pkt, now);
         }
         &self.devices[device].targets

@@ -257,17 +257,23 @@ impl PageEntry {
     }
 }
 
-/// Dense per-page slot index.
+/// Per-page state, sized by the pages this host has touched.
 ///
 /// `PageId`s are small integers (the page number in the shared address
-/// space), so the per-page state lives in a plain `Vec` indexed by page
-/// number instead of a hash map: lookup on every access, snoop, and wake
-/// path is an array index, not a SipHash of the key. Slots materialise
-/// lazily — the vector only grows to the highest page this host has ever
-/// touched, and untouched pages cost nothing but a `None`.
+/// space), so lookup on every access, snoop, and wake path is two array
+/// indexes, not a SipHash of the key: `slots` maps a page id to the
+/// position of its entry in `entries`, and only a touched page has an
+/// entry. An untouched page id below the highest touched one costs its
+/// 4-byte [`UNTOUCHED`] index word, never a [`PageEntry`]. Entries are
+/// never removed, so positions are stable and need no free list.
 #[derive(Default)]
 struct PageSlots {
-    slots: Vec<Option<PageEntry>>,
+    /// Page id → position in `entries`, or [`UNTOUCHED`]; grown to the
+    /// highest page id touched. Walking it in order yields the touched
+    /// pages in ascending page order.
+    slots: Vec<u32>,
+    /// The state of every touched page, in first-touch order.
+    entries: Vec<PageEntry>,
     /// Pages whose observable consistency state (holder bit, buffer
     /// presence, generation) changed since the last
     /// [`PageTable::take_dirty_pages`] drain. Deduplicated via
@@ -276,49 +282,58 @@ struct PageSlots {
     dirty: Vec<PageId>,
 }
 
+/// The [`PageSlots::slots`] word of a page this host has not touched.
+const UNTOUCHED: u32 = u32::MAX;
+
 impl PageSlots {
+    /// Position of `page`'s entry, if the page has been touched.
+    fn position(&self, page: PageId) -> Option<usize> {
+        match self.slots.get(page.index() as usize) {
+            Some(&s) if s != UNTOUCHED => Some(s as usize),
+            _ => None,
+        }
+    }
+
     fn get(&self, page: PageId) -> Option<&PageEntry> {
-        self.slots
-            .get(page.index() as usize)
-            .and_then(Option::as_ref)
+        self.position(page).map(|s| &self.entries[s])
     }
 
     fn get_mut(&mut self, page: PageId) -> Option<&mut PageEntry> {
-        self.slots
-            .get_mut(page.index() as usize)
-            .and_then(Option::as_mut)
+        self.position(page).map(|s| &mut self.entries[s])
     }
 
     /// The entry for `page`, created (and the index grown) on first touch.
     fn slot(&mut self, page: PageId) -> &mut PageEntry {
         let i = page.index() as usize;
         if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+            self.slots.resize(i + 1, UNTOUCHED);
         }
-        self.slots[i].get_or_insert_with(PageEntry::new)
+        if self.slots[i] == UNTOUCHED {
+            self.slots[i] = u32::try_from(self.entries.len()).expect("fewer than 2^32 pages");
+            self.entries.push(PageEntry::new());
+        }
+        &mut self.entries[self.slots[i] as usize]
     }
 
+    /// The touched pages, in ascending page order.
     fn ids(&self) -> impl Iterator<Item = PageId> + '_ {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.is_some())
+            .filter(|&(_, &s)| s != UNTOUCHED)
             .map(|(i, _)| PageId::new(i as u32))
     }
 
     fn tracked(&self) -> usize {
-        self.slots.iter().filter(|e| e.is_some()).count()
+        self.entries.len()
     }
 
     /// Queues `page` for the next dirty drain. A no-op when the slot
     /// does not exist (mutations that never materialise a slot have no
     /// observable state to re-check) or is already queued.
     fn mark_dirty(&mut self, page: PageId) {
-        if let Some(e) = self
-            .slots
-            .get_mut(page.index() as usize)
-            .and_then(Option::as_mut)
-        {
+        if let Some(s) = self.position(page) {
+            let e = &mut self.entries[s];
             if !e.dirty {
                 e.dirty = true;
                 self.dirty.push(page);
@@ -328,12 +343,8 @@ impl PageSlots {
 
     fn take_dirty(&mut self) -> Vec<PageId> {
         let drained = std::mem::take(&mut self.dirty);
-        for p in &drained {
-            if let Some(e) = self
-                .slots
-                .get_mut(p.index() as usize)
-                .and_then(Option::as_mut)
-            {
+        for &p in &drained {
+            if let Some(e) = self.get_mut(p) {
                 e.dirty = false;
             }
         }
@@ -984,7 +995,7 @@ impl PageTable {
         }
     }
 
-    /// Whether this table has a slot for `page` — one array index, where
+    /// Whether this table has a slot for `page` — one index lookup, where
     /// searching [`PageTable::tracked_pages`] walks every slot.
     pub fn tracks(&self, page: PageId) -> bool {
         self.pages.get(page).is_some()
@@ -1935,5 +1946,26 @@ pub(crate) mod tests {
             0,
             "no slot, no observable state, no dirty entry"
         );
+    }
+
+    #[test]
+    fn a_far_page_costs_one_entry() {
+        let mut t = table(3);
+        t.create_owned(PageId::new(10_000));
+        assert_eq!(t.pages.entries.len(), 1, "one entry, however high the id");
+        assert_eq!(t.tracked_pages().collect::<Vec<_>>(), [PageId::new(10_000)]);
+        assert!(t.tracks(PageId::new(10_000)));
+        assert!(!t.tracks(PageId::new(9_999)));
+    }
+
+    #[test]
+    fn tracked_pages_ascend_whatever_the_touch_order() {
+        let mut t = table(3);
+        for p in [9, 2, 5] {
+            t.create_owned(PageId::new(p));
+        }
+        let ids: Vec<u32> = t.tracked_pages().map(|p| p.index()).collect();
+        assert_eq!(ids, [2, 5, 9]);
+        assert!(t.is_consistent_holder(PageId::new(5)));
     }
 }

@@ -412,7 +412,8 @@ pub struct BridgeStats {
     pub belief_repairs: u64,
     /// Control frames whose wire-decoded `device` field contradicted the
     /// frame's actual emitter or named no device of the fabric — ignored
-    /// rather than ingested (decoded fields are untrusted input).
+    /// rather than ingested (decoded fields are untrusted input). Each
+    /// device that hears such a frame counts it once, in both engines.
     pub malformed_pdus: u64,
 }
 
@@ -857,9 +858,12 @@ pub struct BridgePolicy {
     /// the fabric's one boot table until a belief of *this* device
     /// really changes, its own copy from then on.
     views: Arc<Vec<DeviceView>>,
-    /// When each *neighbour* device (sharing ≥ 1 segment) was last
-    /// heard from; the hello-timeout input.
-    last_heard: Vec<SimTime>,
+    /// One `(device, stamp)` per *neighbour* — a device sharing a
+    /// segment with this one, taken from the topology — ascending by
+    /// device: when it was last heard from, the hello-timeout input.
+    /// Only a neighbour's hellos reach this device, so on the 16 × 16
+    /// mesh's 480 devices each holds at most 6 stamps, not 480.
+    last_heard: Vec<(usize, SimTime)>,
     /// Per own-port-index: data embargo until this time (the listening
     /// hold-down after a Blocked→Forwarding transition).
     hold_until: Vec<SimTime>,
@@ -902,7 +906,9 @@ pub struct BridgePolicy {
     /// Per device: the view version as of this device's last hello —
     /// a hello needs to re-announce only entries newer than this. One
     /// global watermark (not per-port) suffices because every hello
-    /// goes out on all live ports at once.
+    /// goes out on all live ports at once. Empty until the device's
+    /// first [`BridgePolicy::pdu_for_emission`], so a device that never
+    /// speaks (static election) holds no watermark.
     last_gossiped: Vec<u64>,
     /// Round-robin anti-entropy cursor: each hello also carries the
     /// next `GOSSIP_WINDOW` unchanged entries, so a peer that missed
@@ -1007,6 +1013,14 @@ impl BridgePolicy {
         debug_assert!(ports.windows(2).all(|w| w[0] < w[1]), "port lists ascend");
         let ports_mask = ports.iter().copied().collect();
         let nports = ports.len();
+        let mut neighbours: Vec<usize> = ports
+            .iter()
+            .flat_map(|&seg| topology.bridges_on(seg))
+            .copied()
+            .filter(|&d| d != device)
+            .collect();
+        neighbours.sort_unstable();
+        neighbours.dedup();
         BridgePolicy {
             layout,
             topology: Arc::clone(topology),
@@ -1017,7 +1031,7 @@ impl BridgePolicy {
             election: cfg.election,
             priorities: Arc::clone(&boot.priorities),
             views: Arc::clone(&boot.views),
-            last_heard: vec![SimTime::ZERO; topology.bridges()],
+            last_heard: neighbours.into_iter().map(|d| (d, SimTime::ZERO)).collect(),
             hold_until: vec![SimTime::ZERO; nports],
             active: Arc::clone(&boot.active),
             epoch: 0,
@@ -1029,7 +1043,7 @@ impl BridgePolicy {
             clock: 0,
             dirty_pages: Vec::new(),
             dirty_struct: false,
-            last_gossiped: vec![0; topology.bridges()],
+            last_gossiped: Vec::new(),
             gossip_cursor: 0,
         }
     }
@@ -1047,7 +1061,7 @@ impl BridgePolicy {
     /// holds no belief for: the moves it slept through taught it none.
     pub fn rejoin(&mut self, now: SimTime) {
         self.trail_intact = false;
-        for t in &mut self.last_heard {
+        for (_, t) in &mut self.last_heard {
             *t = now;
         }
         if let ElectionMode::Live { hold_down, .. } = self.election {
@@ -1738,6 +1752,9 @@ impl BridgePolicy {
     /// side effect.
     pub fn pdu_for_emission(&mut self) -> Packet {
         let n = self.views.len();
+        if self.last_gossiped.is_empty() {
+            self.last_gossiped = vec![0; n];
+        }
         let mut include = vec![false; n];
         include[self.device] = true;
         for (d, inc) in include.iter_mut().enumerate() {
@@ -1778,8 +1795,11 @@ impl BridgePolicy {
         now: SimTime,
     ) -> PduOutcome {
         let mut out = PduOutcome::default();
-        if from_device < self.last_heard.len() {
-            self.last_heard[from_device] = now;
+        if let Ok(i) = self
+            .last_heard
+            .binary_search_by_key(&from_device, |&(d, _)| d)
+        {
+            self.last_heard[i].1 = now;
         }
         for (d, theirs) in entries {
             let d = *d as usize;
@@ -1832,13 +1852,15 @@ impl BridgePolicy {
             return out;
         };
         let my_live = self.self_live_ports();
-        for d in 0..self.topology.bridges() {
-            if d == self.device || !self.views[d].alive {
+        // Only neighbours — devices we'd hear hellos from directly — are
+        // subject to *our* timeout; everyone else's liveness is gossip.
+        for i in 0..self.last_heard.len() {
+            let (d, heard) = self.last_heard[i];
+            if !self.views[d].alive {
                 continue;
             }
-            // Only neighbours — devices we'd hear hellos from directly —
-            // are subject to *our* timeout; everyone else's liveness is
-            // gossip.
+            // A neighbour that shares no segment with us over ports
+            // both of us still have live is not ours to time out.
             let shares: HostMask = self.topology.ports(d).iter().copied().collect();
             if shares
                 .intersection(&self.views[d].ports)
@@ -1847,7 +1869,7 @@ impl BridgePolicy {
             {
                 continue;
             }
-            if now.since(self.last_heard[d]) > hello_timeout {
+            if now.since(heard) > hello_timeout {
                 let v = &mut Arc::make_mut(&mut self.views)[d];
                 v.version += 1; // the odd obituary version
                 v.alive = false;
@@ -2215,9 +2237,6 @@ pub struct Fabric {
     /// Active-tree changes across all devices (0 under static election
     /// or an undisturbed fabric).
     reconvergences: u64,
-    /// Control frames rejected for a contradictory or out-of-range
-    /// wire-decoded `device` field (merged into [`Fabric::stats`]).
-    malformed_pdus: u64,
     /// Every injected fabric event, in injection order.
     timeline: Vec<(SimTime, FabricEvent)>,
     /// Device liveness changed (a down or a revival) since the last
@@ -2252,7 +2271,6 @@ impl Fabric {
             epochs_at_down: vec![0; n],
             stall: None,
             reconvergences: 0,
-            malformed_pdus: 0,
             timeline: Vec::new(),
             dirty_liveness: false,
             out: Vec::new(),
@@ -2450,11 +2468,12 @@ impl Fabric {
     }
 
     /// A control frame from `from_device` was delivered on `seg` at
-    /// `arrival`: every other live device attached to `seg` ingests it,
-    /// and any device whose beliefs changed emits a triggered hello on
-    /// all its live ports (the TC-style fast propagation). A frame whose
-    /// `device` field contradicts `from_device` or names no device of
-    /// the fabric is counted once, fabric-wide, and ignored.
+    /// `arrival`: every device attached to `seg` hears it through the
+    /// step of [`Fabric::hear_hello`], and any device whose beliefs
+    /// changed emits a triggered hello on all its live ports (the
+    /// TC-style fast propagation). A frame whose `device` field
+    /// contradicts `from_device` or names no device of the fabric is
+    /// counted by each device that hears it, and ignored.
     pub fn hear_control(
         &mut self,
         pkt: &Packet,
@@ -2462,16 +2481,10 @@ impl Fabric {
         arrival: SimTime,
         from_device: usize,
     ) -> Vec<ControlOut> {
-        let Some(entries) = checked_hello(pkt, from_device, self.devices.len()) else {
-            self.malformed_pdus += 1;
-            return Vec::new();
-        };
         let mut out = Vec::new();
         for i in 0..self.boot.topology.bridges_on(seg).len() {
             let d = self.boot.topology.bridges_on(seg)[i];
-            if d != from_device {
-                self.hear_entries(d, from_device, entries, seg, arrival, &mut out);
-            }
+            self.hear_into(d, pkt, seg, from_device, arrival, &mut out);
         }
         out
     }
@@ -2480,10 +2493,10 @@ impl Fabric {
     /// `emitter`, on its port `seg` at `now` — the step a threaded
     /// runtime's bridge thread takes per hello, where each device hears
     /// the frame on its own. Returns the triggered hellos the device
-    /// emits in answer (empty unless its beliefs changed). A frame whose
-    /// `device` field contradicts `emitter` or names no device of the
-    /// fabric is counted in this device's
-    /// [`BridgeStats::malformed_pdus`] and ignored.
+    /// emits in answer (empty unless its beliefs changed). A device
+    /// ignores its own hellos. A frame whose `device` field contradicts
+    /// `emitter` or names no device of the fabric is counted in this
+    /// device's [`BridgeStats::malformed_pdus`] and ignored.
     pub fn hear_hello(
         &mut self,
         device: usize,
@@ -2493,30 +2506,32 @@ impl Fabric {
         now: SimTime,
     ) -> Vec<ControlOut> {
         let mut out = Vec::new();
-        match checked_hello(pkt, emitter, self.devices.len()) {
-            Some(entries) => self.hear_entries(device, emitter, entries, seg, now, &mut out),
-            None if self.hears(device, seg) => self.devices[device].stats.malformed_pdus += 1,
-            None => {}
-        }
+        self.hear_into(device, pkt, seg, emitter, now, &mut out);
         out
     }
 
-    /// Device `d` ingests hello `entries` from `from_device` on `seg` at
-    /// `now`, if it hears `seg` at all, and pushes its triggered hellos
-    /// onto `out`.
-    fn hear_entries(
+    /// The one per-device hearing step of both engines: device `d`
+    /// hears control frame `pkt` from `emitter` on `seg` at `now` —
+    /// nothing if it is the emitter or does not hear `seg` — counts it
+    /// if malformed, ingests it otherwise, and pushes its triggered
+    /// hellos onto `out`.
+    fn hear_into(
         &mut self,
         d: usize,
-        from_device: usize,
-        entries: &[(u16, DeviceView)],
+        pkt: &Packet,
         seg: usize,
+        emitter: usize,
         now: SimTime,
         out: &mut Vec<ControlOut>,
     ) {
-        if !self.hears(d, seg) {
+        if d == emitter || !self.hears(d, seg) {
             return;
         }
-        let r = self.devices[d].policy.hear_pdu(from_device, entries, now);
+        let Some(entries) = checked_hello(pkt, emitter, self.devices.len()) else {
+            self.devices[d].stats.malformed_pdus += 1;
+            return;
+        };
+        let r = self.devices[d].policy.hear_pdu(emitter, entries, now);
         if r.active_changed {
             self.reconvergences += 1;
         }
@@ -2663,12 +2678,9 @@ impl Fabric {
         }
     }
 
-    /// Fabric-wide traffic counters (per-device counters summed, plus
-    /// fabric-level malformed-control accounting).
+    /// Fabric-wide traffic counters: the per-device counters summed.
     pub fn stats(&self) -> BridgeStats {
-        let mut s = BridgeStats::sum(self.devices.iter().map(Bridge::stats));
-        s.malformed_pdus += self.malformed_pdus;
-        s
+        BridgeStats::sum(self.devices.iter().map(Bridge::stats))
     }
 
     /// Per-device traffic counters, indexed by device.
@@ -3840,17 +3852,20 @@ mod tests {
             device: 1,
             entries: entries.clone(),
         };
+        // Each device that hears it counts it: on the ring that is the
+        // one other device on the segment.
         assert!(f.hear_control(&lying, c.seg, t1, c.device).is_empty());
         assert_eq!(f.stats().malformed_pdus, 1);
         // An id naming no device of this fabric is rejected the same
-        // way, even when it matches the claimed emitter.
+        // way, even when it matches the claimed emitter — and both of
+        // the segment's devices hear it, since neither emitted it.
         let alien = Packet::BridgePdu {
             from,
             device: 99,
             entries,
         };
         assert!(f.hear_control(&alien, c.seg, t1, 99).is_empty());
-        assert_eq!(f.stats().malformed_pdus, 2);
+        assert_eq!(f.stats().malformed_pdus, 3);
         // Neither frame refreshed a neighbour's liveness stamp, so the
         // healthy fabric still has nothing to re-elect over.
         assert_eq!(f.reconvergences(), 0);
@@ -4103,6 +4118,9 @@ mod tests {
             .unwrap();
         assert!(f.hear_hello(hearer, &lying, seg, 0, ms(1)).is_empty());
         assert_eq!(f.device(hearer).stats().malformed_pdus, 1);
+        assert_eq!(f.stats().malformed_pdus, 1);
+        // The emitter does not hear its own frame, lying or not.
+        assert!(f.hear_hello(0, &lying, seg, 0, ms(1)).is_empty());
         assert_eq!(f.stats().malformed_pdus, 1);
         // The honest hello is heard: a fresh device's first news of its
         // neighbour changes nothing, so nothing is triggered either.

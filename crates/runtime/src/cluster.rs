@@ -1038,8 +1038,9 @@ mod tests {
 
         // Segment 1 of a 4-segment ring joins devices 0 and 1. A hello
         // that speaks as device 0's endpoint but names device 1 in its
-        // `device` field contradicts its emitter: both devices count it
-        // and neither ingests its obituary of device 3.
+        // `device` field contradicts its emitter: device 1 counts it,
+        // device 0 ignores it as its own, and neither ingests its
+        // obituary of device 3.
         let mut c = Cluster::new(ClusterConfig::fabric(8, FabricConfig::ring(4))).unwrap();
         let b = Arc::clone(c.bridge.as_ref().unwrap());
         let views = |d: usize| lock(&b.fabric).device(d).policy().views().to_vec();
@@ -1059,7 +1060,7 @@ mod tests {
         };
         wire.broadcast(&hello(1)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while (0..2).any(|d| c.bridge_stats(d).malformed_pdus == 0) {
+        while c.bridge_stats(1).malformed_pdus == 0 {
             assert!(
                 Instant::now() < deadline,
                 "the lying hello was never counted"
@@ -1079,6 +1080,7 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(c.bridge_stats(1).malformed_pdus, 1);
+        assert_eq!(c.bridge_stats(0).malformed_pdus, 0);
         c.shutdown();
     }
 

@@ -5,8 +5,11 @@
 //! the allocator on the hot path. This histogram is an HDR-lite design:
 //! values below 32 ns land in exact unit buckets; above that, each
 //! power-of-two octave is split into 32 linear sub-buckets, so relative
-//! resolution is bounded by 1/32 (~3%) everywhere. The bucket array is
-//! allocated once at construction and never grows.
+//! resolution is bounded by 1/32 (~3%) everywhere. Only the window of
+//! buckets from the lowest to the highest one touched is stored: a
+//! driver whose samples span a few octaves holds a few hundred counters,
+//! not all 1 920. A sample inside the window touches no allocator; one
+//! outside it grows the window, which happens at most once per bucket.
 //!
 //! Histograms are mergeable (bucket-wise addition plus max-of-maxes),
 //! which is what lets every host keep its own histogram and a run cut
@@ -21,6 +24,7 @@ const SUB_BITS: u32 = 5;
 const SUB: u64 = 1 << SUB_BITS;
 /// Total bucket count: exact region plus one octave row per possible
 /// shift `k` in `0..=63 - SUB_BITS` (the top row ends at 2^64 - 1).
+#[cfg(test)]
 const BUCKETS: usize = (SUB as usize) * (65 - SUB_BITS as usize);
 
 /// Log-scale latency histogram with exact counts and bounded relative error.
@@ -31,7 +35,11 @@ const BUCKETS: usize = (SUB as usize) * (65 - SUB_BITS as usize);
 /// recorded maximum, so reported tails never exceed reality.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    counts: Box<[u64; BUCKETS]>,
+    /// Counts of buckets `lo..lo + counts.len()`; empty until the first
+    /// sample.
+    counts: Vec<u64>,
+    /// The bucket `counts[0]` counts.
+    lo: usize,
     total: u64,
     max: u64,
 }
@@ -43,10 +51,11 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Creates an empty histogram. Allocates the bucket array once.
+    /// Creates an empty histogram. Allocates nothing.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: Box::new([0u64; BUCKETS]),
+            counts: Vec::new(),
+            lo: 0,
             total: 0,
             max: 0,
         }
@@ -77,13 +86,42 @@ impl LatencyHistogram {
         }
     }
 
-    /// Records one sample. No allocation; O(1).
+    /// Records one sample. O(1); allocates only when the sample lands
+    /// outside the window of buckets touched so far.
     pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket_of(v)] += 1;
+        let b = Self::bucket_of(v);
+        match self.counts.get_mut(b.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => {
+                self.widen(b, b);
+                self.counts[b - self.lo] += 1;
+            }
+        }
         self.total += 1;
         if v > self.max {
             self.max = v;
         }
+    }
+
+    /// Grows the window to cover buckets `first..=last` as well.
+    #[cold]
+    fn widen(&mut self, first: usize, last: usize) {
+        if self.counts.is_empty() {
+            self.lo = first;
+        }
+        if first < self.lo {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.lo - first));
+            self.lo = first;
+        }
+        if last >= self.lo + self.counts.len() {
+            self.counts.resize(last - self.lo + 1, 0);
+        }
+    }
+
+    /// The touched window as `(bucket, count)` pairs, ascending.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (self.lo..).zip(self.counts.iter().copied())
     }
 
     /// Number of samples recorded.
@@ -99,8 +137,12 @@ impl LatencyHistogram {
     /// Folds another histogram into this one. Associative and commutative,
     /// so lane-local histograms can merge in any order with identical results.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
+        if !other.counts.is_empty() {
+            self.widen(other.lo, other.lo + other.counts.len() - 1);
+            let at = other.lo - self.lo;
+            for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *a += *b;
+            }
         }
         self.total += other.total;
         if other.max > self.max {
@@ -117,7 +159,7 @@ impl LatencyHistogram {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut cum = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
+        for (b, c) in self.buckets() {
             cum += c;
             if cum >= rank {
                 return Self::upper_bound(b).min(self.max);
@@ -139,7 +181,7 @@ impl LatencyHistogram {
         };
         mix(self.total);
         mix(self.max);
-        for (b, &c) in self.counts.iter().enumerate() {
+        for (b, c) in self.buckets() {
             if c != 0 {
                 mix(b as u64);
                 mix(c);
@@ -311,5 +353,84 @@ mod tests {
         // And sensitive to content.
         b.record(6);
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn window_grows_downward_and_upward() {
+        let mut h = LatencyHistogram::new();
+        assert!(h.counts.is_empty(), "an empty histogram stores no bucket");
+        h.record(1_000);
+        let b = LatencyHistogram::bucket_of(1_000);
+        assert_eq!((h.lo, h.counts.len()), (b, 1));
+        // Inside the window: no growth.
+        h.record(1_000);
+        assert_eq!(h.counts.len(), 1);
+        // Below it: the window grows downward to the new bucket.
+        h.record(5);
+        assert_eq!((h.lo, h.counts.len()), (5, b - 5 + 1));
+        // Above it: upward.
+        let top = LatencyHistogram::bucket_of(1 << 30);
+        h.record(1 << 30);
+        assert_eq!((h.lo, h.counts.len()), (5, top - 5 + 1));
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.percentile(0.25), 5);
+        assert_eq!(h.percentile(0.75), LatencyHistogram::upper_bound(b));
+        assert_eq!(h.percentile(1.0), 1 << 30);
+    }
+
+    #[test]
+    fn disjoint_windows_merge() {
+        let fill = |s: &[u64]| {
+            let mut h = LatencyHistogram::new();
+            for &v in s {
+                h.record(v);
+            }
+            h
+        };
+        let low = fill(&[3, 7, 7]);
+        let high = fill(&[1 << 20, 1 << 24]);
+        let mut both = fill(&[3, 7, 7, 1 << 20, 1 << 24]);
+        let mut lh = low.clone();
+        lh.merge(&high);
+        let mut hl = high.clone();
+        hl.merge(&low);
+        assert_eq!(lh.digest(), both.digest());
+        assert_eq!(hl.digest(), both.digest());
+        assert_eq!((lh.lo, lh.counts.len()), (hl.lo, hl.counts.len()));
+        assert_eq!(hl.percentile(0.5), 7);
+        assert_eq!(hl.max(), 1 << 24);
+        // Merging an empty histogram either way changes nothing.
+        let before = both.digest();
+        both.merge(&LatencyHistogram::new());
+        assert_eq!(both.digest(), before);
+        let mut empty = LatencyHistogram::new();
+        empty.merge(&both);
+        assert_eq!(empty.digest(), before);
+    }
+
+    #[test]
+    fn fixed_sample_digest_is_pinned() {
+        // The digest and percentiles are functions of the samples alone,
+        // whichever buckets are stored: this literal was recorded with
+        // all 1 920 buckets stored.
+        let mut h = LatencyHistogram::new();
+        let samples = [
+            0,
+            3,
+            31,
+            32,
+            1_000,
+            1_000,
+            65_535,
+            4_200_000,
+            1 << 40,
+            u64::MAX,
+        ];
+        for v in samples {
+            h.record(v);
+        }
+        assert_eq!(h.digest(), 0x7614_a8be_b94c_141f);
+        assert_eq!(h.percentile(0.5), 1_007);
+        assert_eq!(h.percentile(0.99), u64::MAX);
     }
 }

@@ -198,6 +198,14 @@ fn openloop_slo_ci_mesh() {
         .map(|d| fabric.device(d).policy().tracked_pages().count())
         .sum();
     assert!(filters <= 40_000, "{filters} bridge page filters");
+    // Likewise a host keeps page-table state only for the pages it has
+    // touched. Measured at this seed: 4 980 entries over the 256 hosts,
+    // where tables grown densely up to each host's highest page id held
+    // 85 116.
+    let pages: usize = (0..sim.host_count())
+        .map(|h| sim.host(h).table.tracked_pages().count())
+        .sum();
+    assert!(pages <= 5_500, "{pages} page-table entries");
     // Measured p999 at this seed: 60.8 ms (transit-dominated; the
     // loaded-but-stable pace keeps the hot home far from saturation).
     // A consistent request queued behind a grant is re-sent toward the

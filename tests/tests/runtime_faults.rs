@@ -4,11 +4,14 @@
 //! Each test exercises one leg of the runtime fault plane
 //! (`mether_runtime::Cluster`):
 //!
-//! * `LinkDown` severs one (device, segment) attachment at the endpoint
-//!   level — and, being *cluster* state rather than thread state,
-//!   survives a `restart_bridge` of the device, exactly like the
-//!   simulator's semantics (a revived device re-severs its dead
-//!   attachments before its first hello).
+//! * `LinkDown` fails one (device, segment) attachment in the cluster's
+//!   one `Fabric`: the device drops the lost port from its gossiped view
+//!   and re-elects over its surviving ports, and the fabric hears
+//!   nothing that reaches the device on the lost port. The lost port is
+//!   fabric state rather than thread state, so it survives a
+//!   `restart_bridge` of the device, exactly as in the simulator: the
+//!   fabric rebuilds the revived device with the port already out of
+//!   its election.
 //! * Killing the elected root of a redundant ring leaves a measurable,
 //!   **finite** reconvergence stall ([`Cluster::fabric_stall`]): the
 //!   wall-clock window from the kill to the first data frame forwarded

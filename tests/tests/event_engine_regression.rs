@@ -18,11 +18,15 @@
 //! broadcast, where the per-host schedule carried hosts−1.
 
 use mether_core::PageId;
-use mether_net::SimDuration;
-use mether_sim::{EventKind, ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
+use mether_net::{SimDuration, SimTime};
+use mether_sim::{
+    EventKind, ProtocolMetrics, RunLimits, RunOutcome, SimConfig, Simulation, Step, StepCtx,
+    Topology, Workload,
+};
 use mether_workloads::{
     build_counting, build_publisher_sim, CountingConfig, Protocol, SolverConfig, SolverWorker,
 };
+use std::sync::{Arc, Mutex};
 
 const SEEDS: [u64; 3] = [1, 7, 42];
 
@@ -95,9 +99,13 @@ fn fingerprint(sim: &Simulation, hosts: usize, m: &ProtocolMetrics) -> String {
     out
 }
 
-/// Runs `protocol` at `seed` (lossy 10 Mbit Ethernet) on `topology`,
-/// and returns the full fingerprint.
-fn counting_fingerprint_on(protocol: Protocol, seed: u64, topology: Topology) -> String {
+/// Runs `protocol` at `seed` (lossy 10 Mbit Ethernet) on `topology`:
+/// the finished simulation, its outcome and its full fingerprint.
+fn counting_run(
+    protocol: Protocol,
+    seed: u64,
+    topology: Topology,
+) -> (Simulation, RunOutcome, String) {
     let cfg = CountingConfig {
         target: 192,
         processes: 2,
@@ -113,7 +121,12 @@ fn counting_fingerprint_on(protocol: Protocol, seed: u64, topology: Topology) ->
     };
     let outcome = sim.run(limits);
     let m = sim.metrics(&protocol.label(), outcome.finished, protocol.space_pages());
-    fingerprint(&sim, 2, &m)
+    let print = fingerprint(&sim, 2, &m);
+    (sim, outcome, print)
+}
+
+fn counting_fingerprint_on(protocol: Protocol, seed: u64, topology: Topology) -> String {
+    counting_run(protocol, seed, topology).2
 }
 
 fn counting_fingerprint(protocol: Protocol, seed: u64) -> String {
@@ -273,4 +286,98 @@ fn event_pops_by_kind_sum_to_the_events_run() {
         .collect();
     assert_eq!(popped, ["burst", "deliver"]);
     assert!(pops.get(EventKind::Deliver) >= 64, "one per broadcast");
+}
+
+// ---------------------------------------------------------------------
+// Burst run-ahead. Under P4 each host's one process spins on the short
+// page, so most of the run's events are CPU bursts that end with
+// nothing else due before them. Such a burst is still one event, in
+// `outcome.events` and in `pops`, but it need not go through the heap.
+// The digest, the event count and every kind's pops were recorded
+// before the engine learned to run bursts ahead.
+// ---------------------------------------------------------------------
+
+#[test]
+fn spinning_bursts_run_ahead_of_the_heap_on_the_same_schedule() {
+    let golden = [
+        (
+            1,
+            0xc47b_345a_c751_7102_u64,
+            4_799_185_u64,
+            [4_799_087_u64, 98, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            7,
+            0x3888_144f_da3b_e0a7,
+            4_799_333,
+            [4_799_332, 1, 0, 0, 0, 0, 0, 0, 0],
+        ),
+    ];
+    for (seed, digest, events, pops) in golden {
+        let (sim, outcome, print) = counting_run(Protocol::P4, seed, Topology::Flat);
+        let stats = sim.event_stats();
+        let by_kind = EventKind::ALL.map(|kind| stats.pops.get(kind));
+        assert_golden(&format!("P4 seed {seed}"), &print, digest);
+        assert_eq!(outcome.events, events, "P4 seed {seed}: events");
+        assert_eq!(by_kind, pops, "P4 seed {seed}: pops by kind");
+        assert!(
+            stats.heap_pushes <= outcome.events / 2,
+            "P4 seed {seed}: {} heap pushes for {} events",
+            stats.heap_pushes,
+            outcome.events
+        );
+    }
+}
+
+/// Logs `(host, now)` at each of its steps, then does the next of its
+/// `steps`, then exits.
+struct Logged {
+    host: usize,
+    steps: Vec<Step>,
+    log: Arc<Mutex<Vec<(usize, SimTime)>>>,
+}
+
+impl Workload for Logged {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step {
+        self.log
+            .lock()
+            .expect("no step panicked")
+            .push((self.host, ctx.now));
+        if self.steps.is_empty() {
+            Step::Done
+        } else {
+            self.steps.remove(0)
+        }
+    }
+}
+
+/// A burst that ends at the same instant as a queued event is not run
+/// ahead of it: host 0's second 10 µs burst ends at 20 µs, where host
+/// 1's sleep timer, queued first, is due too. The timer pops first, so
+/// host 1 steps before host 0 does.
+#[test]
+fn a_burst_tied_with_a_queued_timer_pops_after_it() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let us = SimDuration::from_micros;
+    let mut sim = Simulation::new(SimConfig::paper(2));
+    let programs = [
+        vec![Step::Compute(us(10)), Step::Compute(us(10))],
+        vec![Step::Sleep(us(20))],
+    ];
+    for (host, steps) in programs.into_iter().enumerate() {
+        let log = Arc::clone(&log);
+        sim.add_process(host, Box::new(Logged { host, steps, log }));
+    }
+    assert!(sim.run(RunLimits::default()).finished);
+    let at = |micros| SimTime::ZERO + us(micros);
+    assert_eq!(
+        *log.lock().expect("no step panicked"),
+        [
+            (0, at(0)),
+            (1, at(0)),
+            (0, at(10)),
+            (1, at(20)),
+            (0, at(20))
+        ]
+    );
 }

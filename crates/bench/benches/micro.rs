@@ -513,6 +513,11 @@ fn bench_bridge_routing(c: &mut Criterion) {
 /// every one of the ~255 deliveries and burst ends a broadcast causes
 /// the run asks "is everyone done?" with 255 idle hosts ahead of the
 /// one that is not.
+///
+/// And the spin path: P4 at the target-192 counting config of
+/// `tests/tests/event_engine_regression.rs` (seed 1), where about 4.8 M
+/// of the run's events are burst ends of one process spinning alone on
+/// its CPU, nearly all of them run ahead of the heap.
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
@@ -525,6 +530,24 @@ fn bench_engine(c: &mut Criterion) {
             let outcome = sim.run(RunLimits::default());
             assert!(outcome.finished);
             black_box(outcome.events)
+        })
+    });
+    g.bench_function("spin_counting_p4_192", |b| {
+        use mether_workloads::{build_counting, CountingConfig, Protocol};
+        let cfg = CountingConfig {
+            target: 192,
+            processes: 2,
+            spin: SimDuration::from_micros(48),
+        };
+        let limits = RunLimits {
+            max_sim_time: SimDuration::from_secs(120),
+            ..RunLimits::default()
+        };
+        b.iter(|| {
+            let mut sim_cfg = mether_sim::SimConfig::paper(2);
+            sim_cfg.ether = sim_cfg.ether.with_loss(0.02, 1);
+            let mut sim = build_counting(Protocol::P4, &cfg, sim_cfg);
+            black_box(sim.run(limits).events)
         })
     });
     g.finish();

@@ -50,7 +50,9 @@
 //!
 //! The CPU executes *bursts*: a compute slice, a memory/trap cost for a
 //! DSM operation, one server work item, or a context switch. The
-//! simulation schedules one `BurstEnd` event per host at a time. What
+//! simulation schedules one `BurstEnd` event per host at a time (one
+//! that is strictly the next event runs without entering the event
+//! heap; see `sim/par.rs`). What
 //! each server item was, and the time it took, is tallied by
 //! [`ServerKind`] in [`HostSim::server_work`].
 

@@ -487,7 +487,10 @@ impl EventPops {
 /// and the per-transit acceptance tests read these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventStats {
-    /// Total events pushed onto the heap.
+    /// Total events pushed onto the heap. A burst end run ahead of the
+    /// heap (the run-ahead rule of `sim/par.rs`) is an event, counted
+    /// in [`RunOutcome::events`] and `pops`, but not a push: on a run
+    /// of spinning processes this is far below the events run.
     pub heap_pushes: u64,
     /// Events pushed specifically to deliver packet transits (the
     /// component the per-transit overhaul shrinks by ~hosts×).

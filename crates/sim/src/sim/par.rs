@@ -113,6 +113,38 @@
 //! deployment is cut, and the determinism suite pins one-lane and
 //! per-segment-lane runs to the same golden digests.
 //!
+//! # Burst run-ahead
+//!
+//! Most events of a closed-loop run are the burst ends of one process
+//! spinning alone on its CPU: a burst end dispatches the host's next
+//! burst, and nothing else is due before that one ends either. So a
+//! burst end is not always pushed. [`Lane::run_window`] holds the one
+//! the last burst-end handler dispatched outside the heap and runs it
+//! next, with no heap push or pop, only when all of these hold:
+//!
+//! * its time is **strictly** earlier than the heap's top;
+//! * it is strictly before the window's end;
+//! * the event budget allows one more event.
+//!
+//! Otherwise it is queued as any event is: on a tie at one instant,
+//! at the window end, at a budget stop, at a pause, and on every
+//! return from the window.
+//!
+//! This keeps the `(time, tier, sequence)` order exactly. A held burst
+//! runs only when it is earlier than every queued event, which is when
+//! the heap would have popped it next whatever its tier and sequence;
+//! at a tie it goes to the heap, whose key decides. The handler holds a
+//! burst end only when it is the last event the handler queues (one
+//! followed by sleep or retry timers is queued before them, as always),
+//! and nothing is queued between the handler and the moment the held
+//! burst is run or queued. So a queued burst takes the very sequence
+//! number it always took, and one run ahead takes none, which shifts
+//! the numbers of later events by one without changing their order. A
+//! run-ahead burst is still an event: it counts in the lane's
+//! `processed`, in [`EventStats::pops`](super::EventStats::pops) and against
+//! the budget, and the observer samples after it as after any event.
+//! One lane and per-segment lanes run the same rule.
+//!
 //! Two residual caveats of per-segment lanes: a forwarded copy enters
 //! its destination lane at the window barrier rather than at the pop
 //! that caused it, so its *intra-lane* sequence can differ —
@@ -121,12 +153,13 @@
 //! backstop is checked per window rather than per event.
 
 use super::observe::Observer;
-use super::{Env, Ev, EvKind, Queue, Recipients, RunLimits, RunOutcome, Simulation};
+use super::{Env, Ev, EvKind, EventKind, Queue, Recipients, RunLimits, RunOutcome, Simulation};
 use crate::host::{HostAction, HostSim, OPEN_WAITER_BASE};
 use mether_core::table::WaiterId;
 use mether_core::{HostMask, Packet};
 use mether_net::{ControlOut, EtherSim, Fabric, FabricEvent, Forward, SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// How many lanes [`Simulation::run`] may cut the deployment into.
@@ -194,6 +227,17 @@ impl Pickup {
     }
 }
 
+/// A burst end dispatched but not yet queued: its time and host.
+type Held = Option<(SimTime, usize)>;
+
+/// The event a lane window runs next.
+enum Next {
+    /// A held burst end, strictly earlier than the heap's top.
+    Ahead(SimTime, usize),
+    /// The heap's top.
+    Popped(Ev),
+}
+
 /// What a lane that owns the whole deployment reaches directly instead
 /// of through the coordinator.
 struct Whole<'a> {
@@ -258,17 +302,44 @@ impl Lane {
     /// any sleep timers it requested, and any fault-retry timers armed
     /// while blocking.
     fn kick(&mut self, host: usize, env: &Env) {
-        let now = self.now;
-        if let Some(end) = self.host(host).dispatch(now) {
+        if let Some(end) = self.dispatch(host, env) {
             self.q.push(end, EvKind::BurstEnd { host }, env);
         }
-        for (proc, wake_at) in self.host(host).take_sleeps() {
+    }
+
+    /// [`Lane::kick`], but a burst end that would be the last event
+    /// queued is returned unqueued instead: pushed at once, it takes the
+    /// sequence number it would have taken here. A burst end followed by
+    /// timers is queued before them, as `kick` queues it.
+    fn dispatch(&mut self, host: usize, env: &Env) -> Option<SimTime> {
+        let now = self.now;
+        let end = self.host(host).dispatch(now);
+        let sleeps = self.host(host).take_sleeps();
+        let retries = self.host(host).take_retries();
+        if sleeps.is_empty() && retries.is_empty() {
+            return end;
+        }
+        if let Some(end) = end {
+            self.q.push(end, EvKind::BurstEnd { host }, env);
+        }
+        for (proc, wake_at) in sleeps {
             self.q.push(wake_at, EvKind::Timer { host, proc }, env);
         }
-        for (proc, fire_at, epoch) in self.host(host).take_retries() {
+        for (proc, fire_at, epoch) in retries {
             self.q
                 .push(fire_at, EvKind::Retry { host, proc, epoch }, env);
         }
+        None
+    }
+
+    /// `host`'s CPU burst ends: clock out what it transmitted and
+    /// dispatch its next burst, whose end comes back unqueued when it is
+    /// the last event this queued (see [`Lane::dispatch`]).
+    fn burst_end(&mut self, host: usize, env: &Env, fabric: Option<&mut Fabric>) -> Held {
+        let now = self.now;
+        let actions = self.host(host).finish_burst(now);
+        self.apply(host, actions, env, fabric);
+        self.dispatch(host, env).map(|end| (end, host))
     }
 
     /// Schedules the delivery of one completed transit to `to` (a
@@ -356,6 +427,11 @@ impl Lane {
     /// done), the lane stops at its own completion transition. A lane
     /// that is the `whole` deployment also stops when the event budget
     /// runs out, and samples the invariant observer after every event.
+    ///
+    /// A burst end the last event dispatched is held off the heap and
+    /// run next while it is strictly the earliest event (the run-ahead
+    /// rule of the module docs); on any other outcome, including every
+    /// return, it is queued before anything else is.
     fn run_window(
         &mut self,
         until: SimTime,
@@ -363,29 +439,52 @@ impl Lane {
         env: &Env,
         mut whole: Option<&mut Whole<'_>>,
     ) {
-        while self.q.heap.peek().is_some_and(|e| e.at < until) {
+        let mut held: Held = None;
+        loop {
             if whole.as_ref().is_some_and(|w| self.processed >= w.budget) {
-                return;
+                break;
             }
-            let ev = self.q.heap.pop().expect("peeked");
+            let next = match held.take() {
+                Some((at, host)) if at < until && self.next_at().is_none_or(|top| at < top) => {
+                    Next::Ahead(at, host)
+                }
+                held => {
+                    if let Some((at, host)) = held {
+                        self.q.push(at, EvKind::BurstEnd { host }, env);
+                    }
+                    match self.next_at() {
+                        Some(at) if at < until => Next::Popped(self.q.heap.pop().expect("peeked")),
+                        _ => break,
+                    }
+                }
+            };
+            let (at, kind) = match &next {
+                Next::Ahead(at, _) => (*at, EventKind::BurstEnd),
+                Next::Popped(ev) => (ev.at, ev.kind.kind()),
+            };
             // Invariant (e): a lane's time never regresses — a
             // cross-lane push that violated the forward-delay bound
             // would land behind the lane's clock and trip this.
             if env.observe {
                 assert!(
-                    ev.at >= self.now,
+                    at >= self.now,
                     "lane at segment {} popped an event at {} after advancing to {}",
                     self.seg_lo,
-                    ev.at,
+                    at,
                     self.now
                 );
             }
-            self.now = ev.at;
+            self.now = at;
             self.processed += 1;
+            self.q.stats.pops.count(kind);
             let fabric = whole.as_deref_mut().and_then(|w| w.fabric.as_deref_mut());
-            if self.handle(ev, pausing, env, fabric) {
-                return;
-            }
+            held = match next {
+                Next::Ahead(_, host) => self.burst_end(host, env, fabric),
+                Next::Popped(ev) => match self.handle(ev, pausing, env, fabric) {
+                    ControlFlow::Continue(held) => held,
+                    ControlFlow::Break(()) => break,
+                },
+            };
             if let Some(w) = whole.as_deref_mut() {
                 if w.observer.on_event() {
                     let mut hosts: Vec<&mut HostSim> = self.hosts.iter_mut().collect();
@@ -395,20 +494,27 @@ impl Lane {
             }
             if pausing && self.all_done() {
                 self.paused = Some(self.now);
-                return;
+                break;
             }
+        }
+        if let Some((at, host)) = held {
+            self.q.push(at, EvKind::BurstEnd { host }, env);
         }
     }
 
-    /// Executes one host-side event; true if the lane paused inside it.
-    fn handle(&mut self, ev: Ev, pausing: bool, env: &Env, fabric: Option<&mut Fabric>) -> bool {
+    /// Executes one host-side event: breaks if the lane paused inside
+    /// it, and otherwise continues with a burst end it held back.
+    fn handle(
+        &mut self,
+        ev: Ev,
+        pausing: bool,
+        env: &Env,
+        fabric: Option<&mut Fabric>,
+    ) -> ControlFlow<(), Held> {
         let now = self.now;
-        self.q.stats.pops.count(ev.kind.kind());
         match ev.kind {
             EvKind::BurstEnd { host } => {
-                let actions = self.host(host).finish_burst(now);
-                self.apply(host, actions, env, fabric);
-                self.kick(host, env);
+                return ControlFlow::Continue(self.burst_end(host, env, fabric));
             }
             EvKind::Deliver { to, pkt } => {
                 // Fan out at pop time, in ascending host order. The run
@@ -437,7 +543,7 @@ impl Lane {
                             });
                         }
                         self.paused = Some(now);
-                        return true;
+                        return ControlFlow::Break(());
                     }
                 }
             }
@@ -489,7 +595,7 @@ impl Lane {
                 unreachable!("control event in a lane heap")
             }
         }
-        false
+        ControlFlow::Continue(None)
     }
 }
 

@@ -139,11 +139,12 @@
 //! and nothing is queued between the handler and the moment the held
 //! burst is run or queued. So a queued burst takes the very sequence
 //! number it always took, and one run ahead takes none, which shifts
-//! the numbers of later events by one without changing their order. A
-//! run-ahead burst is still an event: it counts in the lane's
-//! `processed`, in [`EventStats::pops`](super::EventStats::pops) and against
-//! the budget, and the observer samples after it as after any event.
-//! One lane and per-segment lanes run the same rule.
+//! the numbers of later events by one without changing their order.
+//!
+//! A run-ahead burst is still an event: it counts in the lane's
+//! `processed`, in [`EventStats::pops`](super::EventStats::pops) and
+//! against the budget, and the observer samples after it as after any
+//! event. One lane and per-segment lanes run the same rule.
 //!
 //! Two residual caveats of per-segment lanes: a forwarded copy enters
 //! its destination lane at the window barrier rather than at the pop

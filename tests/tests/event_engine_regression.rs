@@ -329,10 +329,10 @@ fn spinning_bursts_run_ahead_of_the_heap_on_the_same_schedule() {
     }
 }
 
-/// Logs `(host, now)` at each of its steps, then does the next of its
+/// Logs `(id, now)` at each of its steps, then does the next of its
 /// `steps`, then exits.
 struct Logged {
-    host: usize,
+    id: usize,
     steps: Vec<Step>,
     log: Arc<Mutex<Vec<(usize, SimTime)>>>,
 }
@@ -342,7 +342,7 @@ impl Workload for Logged {
         self.log
             .lock()
             .expect("no step panicked")
-            .push((self.host, ctx.now));
+            .push((self.id, ctx.now));
         if self.steps.is_empty() {
             Step::Done
         } else {
@@ -351,33 +351,74 @@ impl Workload for Logged {
     }
 }
 
+/// Runs one [`Logged`] process per `(host, steps)` entry on a
+/// 2-host paper deployment, the entry's index its id, and returns the
+/// shared log.
+fn logged_run(programs: Vec<(usize, Vec<Step>)>) -> Vec<(usize, SimTime)> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::new(SimConfig::paper(2));
+    for (id, (host, steps)) in programs.into_iter().enumerate() {
+        let log = Arc::clone(&log);
+        sim.add_process(host, Box::new(Logged { id, steps, log }));
+    }
+    assert!(sim.run(RunLimits::default()).finished);
+    let log = log.lock().expect("no step panicked");
+    log.clone()
+}
+
 /// A burst that ends at the same instant as a queued event is not run
 /// ahead of it: host 0's second 10 µs burst ends at 20 µs, where host
 /// 1's sleep timer, queued first, is due too. The timer pops first, so
 /// host 1 steps before host 0 does.
 #[test]
 fn a_burst_tied_with_a_queued_timer_pops_after_it() {
-    let log = Arc::new(Mutex::new(Vec::new()));
     let us = SimDuration::from_micros;
-    let mut sim = Simulation::new(SimConfig::paper(2));
-    let programs = [
-        vec![Step::Compute(us(10)), Step::Compute(us(10))],
-        vec![Step::Sleep(us(20))],
-    ];
-    for (host, steps) in programs.into_iter().enumerate() {
-        let log = Arc::clone(&log);
-        sim.add_process(host, Box::new(Logged { host, steps, log }));
-    }
-    assert!(sim.run(RunLimits::default()).finished);
+    let log = logged_run(vec![
+        (0, vec![Step::Compute(us(10)), Step::Compute(us(10))]),
+        (1, vec![Step::Sleep(us(20))]),
+    ]);
     let at = |micros| SimTime::ZERO + us(micros);
     assert_eq!(
-        *log.lock().expect("no step panicked"),
+        log,
         [
             (0, at(0)),
             (1, at(0)),
             (0, at(10)),
             (1, at(20)),
             (0, at(20))
+        ]
+    );
+}
+
+/// A burst end dispatched together with a timer due at the same
+/// instant is queued before it, as it always was. On host 0, process 0
+/// computes, then sleeps for exactly one context switch; the CPU
+/// switches to process 1, so the switch and the sleep end together. The
+/// switch pops first and process 1 runs; had the timer popped first,
+/// the woken process 0 would have taken the CPU back.
+#[test]
+fn a_burst_tied_with_its_own_hosts_new_timer_pops_before_it() {
+    let ctx = SimConfig::paper(2).calib.ctx_switch;
+    let log = logged_run(vec![
+        (
+            0,
+            vec![
+                Step::Compute(SimDuration::from_micros(10)),
+                Step::Sleep(ctx),
+            ],
+        ),
+        (0, vec![]),
+    ]);
+    let (ctx, at) = (ctx.as_nanos(), |ns| {
+        SimTime::ZERO + SimDuration::from_nanos(ns)
+    });
+    assert_eq!(
+        log,
+        [
+            (0, at(0)),
+            (0, at(10_000)),
+            (1, at(10_000 + ctx)),
+            (0, at(10_000 + 2 * ctx))
         ]
     );
 }

@@ -1,11 +1,12 @@
 //! One bridge device: its policy and its store-and-forward engine.
 
-use super::election::BootState;
-use super::policy::{PageFilter, PortStamp};
+use super::election::{BootState, Election, PduOutcome};
+use super::policy::{Filters, PortStamp};
 use super::{AgeHorizon, BridgeConfig, BridgeStats, ElectionMode, FabricConfig};
 use crate::time::SimTime;
 use mether_core::{
-    ActiveTree, BridgeTopology, DeviceView, HostMask, Packet, PageHomePolicy, PageId, SegmentLayout,
+    ActiveTree, BridgeTopology, DeviceView, Generation, HostMask, Packet, PageHomePolicy, PageId,
+    SegmentLayout,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,82 +17,17 @@ use std::sync::Arc;
 ///
 /// Time-free and transport-free: the [`Bridge`] engine wraps it in
 /// the simulator's timing or forwards untimed for a threaded runtime
-/// (see the module docs for the rules). The policy also
-/// holds the device's slice of the election state: its gossiped views,
-/// neighbour liveness stamps, and the [`ActiveTree`] it currently
-/// forwards on.
+/// (see the module docs for the rules). It pairs the device's per-page
+/// filters (`policy.rs`) with its slice of the election state
+/// (`election.rs`): its gossiped views, neighbour liveness stamps, and
+/// the [`ActiveTree`] it currently forwards on. Routing reads the
+/// election through a lent view; an election step that changes the
+/// tree names the ports whose role changed, and the filters forget what
+/// they learned through them.
 #[derive(Debug, Clone)]
 pub struct BridgePolicy {
-    pub(super) layout: SegmentLayout,
-    pub(super) topology: Arc<BridgeTopology>,
-    pub(super) device: usize,
-    /// The device's physical ports as a segment-id bitmask.
-    pub(super) ports_mask: HostMask,
-    pub(super) homes: PageHomePolicy,
-    pub(super) aging: AgeHorizon,
-    pub(super) election: ElectionMode,
-    pub(super) priorities: Arc<Vec<u64>>,
-    /// This device's beliefs about every device (itself included):
-    /// the fabric's one boot table until a belief of *this* device
-    /// really changes, its own copy from then on.
-    pub(super) views: Arc<Vec<DeviceView>>,
-    /// One `(device, stamp)` per *neighbour* — a device sharing a
-    /// segment with this one, taken from the topology — ascending by
-    /// device: when it was last heard from, the hello-timeout input.
-    /// Only a neighbour's hellos reach this device, so on the 16 × 16
-    /// mesh's 480 devices each holds at most 6 stamps, not 480.
-    pub(super) last_heard: Vec<(usize, SimTime)>,
-    /// Per own-port-index: data embargo until this time (the listening
-    /// hold-down after a Blocked→Forwarding transition).
-    pub(super) hold_until: Vec<SimTime>,
-    /// The active forwarding tree this device currently routes on —
-    /// shared with every device that elected the same one at boot,
-    /// replaced (never edited) when a re-election changes it.
-    pub(super) active: Arc<ActiveTree>,
-    /// Election generation: bumped every time the active tree changes.
-    pub(super) epoch: u64,
-    /// Whether a missing holder belief still proves the holder lies
-    /// through the home port: true from boot until the active tree
-    /// changes or the device rejoins a running fabric — either way it
-    /// may have missed the moves that would have taught it a belief.
-    pub(super) trail_intact: bool,
-    /// Belief-quality counters: only the `belief_*` and `home_routed`
-    /// fields are kept here (merged into the device's [`BridgeStats`]).
-    pub(super) beliefs: BridgeStats,
-    /// Page id → slot of the page's filter in `pages`, or [`UNTRACKED`]
-    /// while the device has heard nothing of the page: 4 bytes per page
-    /// id up to the highest one heard, the only per-page cost an
-    /// untouched page has.
-    pub(super) slots: Vec<u32>,
-    /// The filters of the pages this device has heard of, one per slot,
-    /// in first-touch order.
-    pub(super) pages: Vec<PageFilter>,
-    /// Per-port demand stamps of every materialised page, one flat
-    /// `slots × ports` slab: slot `s`'s row is
-    /// `stamps[s * nports..][..nports]`, parallel to the port list.
-    pub(super) stamps: Vec<PortStamp>,
-    /// Transits this device has forwarded — the aging clock.
-    pub(super) clock: u64,
-    /// Pages whose filter state changed since the last
-    /// [`BridgePolicy::take_dirty`] drain (dedup via
-    /// `PageFilter::dirty`).
-    pub(super) dirty_pages: Vec<PageId>,
-    /// Structural (non-per-page) observable state changed since the
-    /// last drain: views, port liveness, active tree, election epoch,
-    /// or hold-downs.
-    pub(super) dirty_struct: bool,
-    /// Per device: the view version as of this device's last hello —
-    /// a hello needs to re-announce only entries newer than this. One
-    /// global watermark (not per-port) suffices because every hello
-    /// goes out on all live ports at once. Empty until the device's
-    /// first [`BridgePolicy::pdu_for_emission`], so a device that never
-    /// speaks (static election) holds no watermark.
-    pub(super) last_gossiped: Vec<u64>,
-    /// Round-robin anti-entropy cursor: each hello also carries the
-    /// next `GOSSIP_WINDOW` unchanged entries, so a peer that missed
-    /// history (a revived device) resyncs within
-    /// `devices / GOSSIP_WINDOW` hellos.
-    pub(super) gossip_cursor: usize,
+    filters: Filters,
+    election: Election,
 }
 
 impl BridgePolicy {
@@ -141,68 +77,25 @@ impl BridgePolicy {
             layout.segments(),
             "topology and layout disagree on the segment count"
         );
-        assert!(device < topology.bridges(), "device {device} out of range");
+        let election = Election::new(boot, device, cfg.election);
         let ports = topology.ports(device);
         debug_assert!(ports.windows(2).all(|w| w[0] < w[1]), "port lists ascend");
-        let ports_mask = ports.iter().copied().collect();
-        let nports = ports.len();
-        let mut neighbours: Vec<usize> = ports
-            .iter()
-            .flat_map(|&seg| topology.bridges_on(seg))
-            .copied()
-            .filter(|&d| d != device)
-            .collect();
-        neighbours.sort_unstable();
-        neighbours.dedup();
         BridgePolicy {
-            layout,
-            topology: Arc::clone(topology),
-            device,
-            ports_mask,
-            homes: cfg.homes.clone(),
-            aging: cfg.aging,
-            election: cfg.election,
-            priorities: Arc::clone(&boot.priorities),
-            views: Arc::clone(&boot.views),
-            last_heard: neighbours.into_iter().map(|d| (d, SimTime::ZERO)).collect(),
-            hold_until: vec![SimTime::ZERO; nports],
-            active: Arc::clone(&boot.active),
-            epoch: 0,
-            trail_intact: true,
-            beliefs: BridgeStats::default(),
-            slots: Vec::new(),
-            pages: Vec::new(),
-            stamps: Vec::new(),
-            clock: 0,
-            dirty_pages: Vec::new(),
-            dirty_struct: false,
-            last_gossiped: Vec::new(),
-            gossip_cursor: 0,
+            filters: Filters::new(
+                layout,
+                Arc::clone(topology),
+                device,
+                cfg.homes.clone(),
+                cfg.aging,
+            ),
+            election,
         }
     }
 
     /// Marks this device as (re)joining an already-running fabric at
-    /// `now`: every neighbour's liveness stamp is reset to `now` (a
-    /// freshly-booted device has heard nobody *yet* — without this, a
-    /// revival at `now ≫ hello_timeout` would declare every neighbour
-    /// dead on its first tick), and, under live election, **every port
-    /// boots in its hold-down** the way 802.1D boots ports in
-    /// Listening: the device's optimistic construction-time tree may
-    /// disagree with the converged fabric around it, and forwarding on
-    /// it before the first hello exchange could close a transient loop
-    /// on a redundant wiring. A rejoined device also floods requests it
-    /// holds no belief for: the moves it slept through taught it none.
-    pub fn rejoin(&mut self, now: SimTime) {
-        self.trail_intact = false;
-        for (_, t) in &mut self.last_heard {
-            *t = now;
-        }
-        if let ElectionMode::Live { hold_down, .. } = self.election {
-            for h in &mut self.hold_until {
-                *h = now + hold_down;
-            }
-        }
-        self.dirty_struct = true;
+    /// `now` (see [`Election::rejoin`]).
+    pub(crate) fn rejoin(&mut self, now: SimTime) {
+        self.election.rejoin(now);
     }
 
     /// The single device of a 1-bridge star with sticky interest — the
@@ -214,27 +107,27 @@ impl BridgePolicy {
 
     /// The host layout the filter routes over.
     pub fn layout(&self) -> &SegmentLayout {
-        &self.layout
+        self.filters.layout()
     }
 
     /// Which device of the topology this filter belongs to.
     pub fn device(&self) -> usize {
-        self.device
+        self.filters.device()
     }
 
     /// The election mode this policy runs.
     pub fn election(&self) -> ElectionMode {
-        self.election
+        self.election.mode()
     }
 
     /// The active forwarding tree currently routed on.
     pub fn active(&self) -> &ActiveTree {
-        &self.active
+        self.election.active()
     }
 
     /// How many times the active tree has changed since construction.
     pub fn election_epoch(&self) -> u64 {
-        self.epoch
+        self.election.epoch()
     }
 
     /// Belief-quality counters: a [`BridgeStats`] with only
@@ -242,20 +135,124 @@ impl BridgePolicy {
     /// `belief_repairs` set, ready to [`BridgeStats::sum`] with the
     /// engine's traffic counters.
     pub fn belief_counters(&self) -> BridgeStats {
-        self.beliefs
+        self.filters.belief_counters()
     }
 
     /// The device's live ports: physical ports minus failed links (per
     /// its own self-view).
     pub fn self_live_ports(&self) -> HostMask {
-        self.ports_mask.intersection(&self.views[self.device].ports)
+        self.election.self_live_ports()
     }
 
     /// Whether `seg` is one of [`BridgePolicy::self_live_ports`], by
     /// borrow — the per-frame question the pickup loop asks of every
     /// device on a segment, which must not build a mask to answer.
     pub(crate) fn port_is_live(&self, seg: usize) -> bool {
-        self.ports_mask.contains(seg) && self.views[self.device].ports.contains(seg)
+        self.election.port_is_live(seg)
+    }
+
+    /// The home segment of `page`.
+    pub fn home_of(&self, page: PageId) -> usize {
+        self.filters.home_of(page)
+    }
+
+    /// The port of this device toward `page`'s home segment on the
+    /// active tree — always interested, never aged. `None` while the
+    /// home segment is partitioned away (no forwarding path exists).
+    pub fn home_port(&self, page: PageId) -> Option<usize> {
+        self.filters.home_port(page, self.election.tree())
+    }
+
+    /// Does port `port` want `page`'s publications at `now`? It does
+    /// when it is a fresh learned port, a pin (resolved through the
+    /// active tree) or the home port: the per-port test data forwarding
+    /// applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not a port of this device.
+    pub fn interested(&self, page: PageId, port: usize, now: SimTime) -> bool {
+        (self.filters).interested(page, port, now, self.election.tree())
+    }
+
+    /// The port toward the believed consistent holder of `page`, if any
+    /// data transit or `transfer_to` has taught this device one.
+    pub fn holder_port(&self, page: PageId) -> Option<usize> {
+        self.filters.holder_port(page)
+    }
+
+    // -----------------------------------------------------------------
+    // Introspection: the read-only surface the invariant observer
+    // (`mether_sim::Simulation::check_invariants`) cross-checks device
+    // state through. Everything here reads existing fields; none of it
+    // is on the forwarding path.
+    // -----------------------------------------------------------------
+
+    /// The device's *physical* ports as a segment-id bitmask — failed
+    /// links included (see [`BridgePolicy::self_live_ports`] for the
+    /// live subset).
+    pub fn ports_mask(&self) -> &HostMask {
+        self.election.ports_mask()
+    }
+
+    /// The interest-aging horizon this policy runs.
+    pub fn aging(&self) -> AgeHorizon {
+        self.filters.aging()
+    }
+
+    /// Transits this device has forwarded so far — the clock
+    /// [`AgeHorizon::Transits`] freshness is measured against. Every
+    /// per-port demand stamp was taken at or below this value.
+    pub fn aging_clock(&self) -> u64 {
+        self.filters.aging_clock()
+    }
+
+    /// The ids of the pages this device has heard of — those with a
+    /// materialised filter — in ascending id order. A page the device
+    /// never heard of has no filter and answers every query as a
+    /// default one would.
+    pub fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.filters.tracked_pages()
+    }
+
+    /// The raw learned-interest port mask of `page` — unaged; the
+    /// effective, freshness-filtered view is
+    /// [`BridgePolicy::interested`].
+    pub fn learned(&self, page: PageId) -> &HostMask {
+        self.filters.learned(page)
+    }
+
+    /// The segments explicitly pinned to `page` via
+    /// [`BridgePolicy::subscribe`]. Pins name segments, not ports; they
+    /// resolve through the active tree at use time.
+    pub fn pinned_segs(&self, page: PageId) -> &HostMask {
+        self.filters.pinned_segs(page)
+    }
+
+    /// Last demand evidence of `page` per port of this device, parallel
+    /// to `topology.ports(device)`. `None` while the page has no
+    /// materialised filter.
+    pub fn stamps(&self, page: PageId) -> Option<&[PortStamp]> {
+        self.filters.stamps(page)
+    }
+
+    /// The newest data generation any transit has shown this device for
+    /// `page` — the gate that keeps stale `Want::Superset` echoes from
+    /// repointing the holder belief.
+    pub fn newest_gen(&self, page: PageId) -> Option<Generation> {
+        self.filters.newest_gen(page)
+    }
+
+    /// This device's gossiped liveness beliefs, indexed by device (its
+    /// own entry included).
+    pub fn views(&self) -> &[DeviceView] {
+        self.election.views()
+    }
+
+    /// The ports still inside their post-election listening hold-down
+    /// at `now` — forwarding-role ports the data plane must not use yet.
+    pub fn held_ports(&self, now: SimTime) -> HostMask {
+        self.election.held_ports(now)
     }
 
     /// Drains this device's dirty state for the incremental invariant
@@ -263,20 +260,159 @@ impl BridgePolicy {
     /// drain (deduplicated), and whether structural state (views, port
     /// liveness, active tree, election epoch, hold-downs) changed.
     pub fn take_dirty(&mut self) -> (Vec<PageId>, bool) {
-        let structural = std::mem::take(&mut self.dirty_struct);
-        let pages = std::mem::take(&mut self.dirty_pages);
-        for &p in &pages {
-            if let Some(slot) = self.slot(p) {
-                self.pages[slot].dirty = false;
-            }
-        }
-        (pages, structural)
+        let structural = self.election.take_dirty();
+        (self.filters.take_dirty(), structural)
     }
 
-    /// Pending dirty state without draining it: `(dirty page count,
-    /// structural flag)`.
-    pub fn dirty_counts(&self) -> (usize, bool) {
-        (self.dirty_pages.len(), self.dirty_struct)
+    /// Test-only fault injection: forcibly records learned interest for
+    /// `page` on `segment` — which need not be a port of this device,
+    /// deliberately violating the learned ⊆ physical-ports invariant
+    /// the observer checks. Goes through the ordinary mutation path, so
+    /// it registers in the dirty set like a real bug in the learning
+    /// code would.
+    #[doc(hidden)]
+    pub fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
+        self.filters.corrupt_learned_for_test(page, segment);
+    }
+
+    /// Whether a missing holder belief on this device still proves the
+    /// holder lies through the page's home port (see the module docs,
+    /// "The probable-owner trail"): from boot until the device's active
+    /// tree changes or it rejoins a running fabric.
+    pub fn trail_intact(&self) -> bool {
+        self.election.trail_intact()
+    }
+
+    /// Test-only fault injection: forcibly points `page`'s holder
+    /// belief at `segment` — which need not be a port of this device —
+    /// or, with `None`, erases it. See
+    /// [`BridgePolicy::corrupt_learned_for_test`].
+    #[doc(hidden)]
+    pub fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: Option<usize>) {
+        self.filters.corrupt_holder_belief_for_test(page, segment);
+    }
+
+    /// Statically subscribes segment `seg` to `page`'s transits: this
+    /// device pins `seg`, resolved to its port toward `seg` through
+    /// whatever active tree is current. Pins never age out and survive
+    /// reconvergence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` is out of range.
+    pub fn subscribe(&mut self, page: PageId, seg: usize) {
+        self.filters.subscribe(page, seg);
+    }
+
+    /// The consistent copy of `page` was just created on segment `seg`,
+    /// before any frame of it has crossed the fabric: if this device
+    /// lies between the page's home and `seg`, its holder belief now
+    /// points toward `seg` (see the module docs, "The probable-owner
+    /// trail").
+    pub fn seed_holder(&mut self, page: PageId, seg: usize) {
+        (self.filters).seed_holder(page, seg, self.election.tree());
+    }
+
+    /// Routes one frame heard on `in_port` at `now`: updates the
+    /// learning tables, leaves the ports the frame must be forwarded to
+    /// in `out`, ascending (never `in_port`), and ticks the aging clock
+    /// when the frame is forwarded. A frame heard on a Blocked (or
+    /// held-down) port is neither learned from nor forwarded. What a
+    /// [`Bridge`] calls for every frame it hears, with a buffer it
+    /// reuses, so routing a frame allocates nothing.
+    pub fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
+        (self.filters).route_into(pkt, in_port, now, self.election.tree(), out);
+    }
+
+    /// The hello this device emits right now (see
+    /// [`Election::pdu_for_emission`]).
+    pub(crate) fn pdu_for_emission(&mut self) -> Packet {
+        self.election.pdu_for_emission()
+    }
+
+    /// Ingests a hello from device `from_device` at `now` (see
+    /// [`Election::hear_pdu`]), flushing what was learned through any
+    /// port whose role the re-election changed.
+    pub(crate) fn hear_pdu(
+        &mut self,
+        from_device: usize,
+        entries: &[(u16, DeviceView)],
+        now: SimTime,
+    ) -> PduOutcome {
+        let out = self.election.hear_pdu(from_device, entries, now);
+        self.flush(out)
+    }
+
+    /// One hello-cadence tick at `now` (see [`Election::on_tick`]).
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> PduOutcome {
+        let out = self.election.on_tick(now);
+        self.flush(out)
+    }
+
+    /// Fails this device's attachment to `segment` (see
+    /// [`Election::kill_port`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment` is not a physical port of this device.
+    pub(crate) fn kill_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
+        let out = self.election.kill_port(segment, now);
+        self.flush(out)
+    }
+
+    /// Restores this device's attachment to `segment` (see
+    /// [`Election::revive_port`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment` is not a physical port of this device.
+    pub(crate) fn revive_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
+        let out = self.election.revive_port(segment, now);
+        self.flush(out)
+    }
+
+    /// Sets this device's self-assertion version — used when a device
+    /// restarts, to start above any obituary still in circulation
+    /// (`2 × restarts` keeps it even and strictly above the odd
+    /// obituary of every previous life).
+    pub fn set_self_version(&mut self, version: u64) {
+        self.election.set_self_version(version);
+    }
+
+    /// [`Filters::route_into`] collected into a mask, for the unit tests.
+    #[cfg(test)]
+    pub(super) fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
+        (self.filters).route(pkt, in_port, now, self.election.tree())
+    }
+
+    /// The forwarding mask of one frame, with no learning side effects,
+    /// for the unit tests.
+    #[cfg(test)]
+    pub(super) fn targets(&self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
+        (self.filters).targets(pkt, in_port, now, self.election.tree())
+    }
+
+    /// [`BridgePolicy::interested`] collected over every port, for the
+    /// unit tests.
+    #[cfg(test)]
+    pub(super) fn interest(&self, page: PageId, now: SimTime) -> HostMask {
+        (self.filters).interest(page, now, self.election.tree())
+    }
+
+    /// [`Filters::flush_port`], for the unit tests.
+    #[cfg(test)]
+    pub(super) fn flush_port(&mut self, port: usize) {
+        self.filters.flush_port(port);
+    }
+
+    /// Forgets what was learned through every port whose role `out`'s
+    /// re-election changed: on the new tree those directions are
+    /// meaningless.
+    fn flush(&mut self, out: PduOutcome) -> PduOutcome {
+        for port in out.changed_roles.iter() {
+            self.filters.flush_port(port);
+        }
+        out
     }
 }
 
@@ -369,7 +505,7 @@ impl Bridge {
     /// its exit time (where it queues like a locally-sent frame, and
     /// where the *other* devices on that segment pick it up to forward
     /// it further along the tree). Control frames never enter the data
-    /// engine; they are consumed by [`BridgePolicy::hear_pdu`]. The
+    /// engine; they are consumed by the control plane. The
     /// schedule is lent from a buffer the next pickup overwrites.
     pub fn pickup(
         &mut self,

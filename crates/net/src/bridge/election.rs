@@ -1,19 +1,24 @@
 //! The device's control plane: gossip, timeouts, re-election.
 
-use super::{BridgePolicy, ElectionMode, BRIDGE_HOST_BASE};
+use super::policy::Tree;
+use super::{ElectionMode, BRIDGE_HOST_BASE};
 use crate::time::SimTime;
 use mether_core::{ActiveTree, BridgeTopology, DeviceView, HostId, HostMask, Packet};
 use std::sync::Arc;
 
 /// What one control-plane step changed at a device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PduOutcome {
     /// The device's gossiped beliefs changed (propagate: emit a
     /// triggered hello).
     pub view_changed: bool,
     /// The re-election actually changed the active tree (count a
-    /// reconvergence; interest/beliefs on changed ports were flushed).
+    /// reconvergence).
     pub active_changed: bool,
+    /// The device's own ports whose role the re-election changed: what
+    /// was learned through them is meaningless on the new tree, and the
+    /// device flushes it.
+    pub changed_roles: HostMask,
 }
 
 /// The gossip entries of hello `pkt`, heard from device `emitter` of a
@@ -22,7 +27,7 @@ pub struct PduOutcome {
 /// fabric. That field is wire-decoded, so on a real transport it is
 /// untrusted input: ingesting such a frame would refresh the wrong
 /// neighbour's liveness stamp. Both engines count a `None` in
-/// [`BridgeStats::malformed_pdus`] and ignore the frame.
+/// [`BridgeStats::malformed_pdus`](super::BridgeStats::malformed_pdus) and ignore the frame.
 pub(super) fn checked_hello(
     pkt: &Packet,
     emitter: usize,
@@ -73,19 +78,184 @@ impl BootState {
     }
 }
 
-impl BridgePolicy {
+/// One device's slice of the spanning-tree election: its gossiped
+/// views, neighbour liveness stamps, hold-downs and the [`ActiveTree`]
+/// it forwards on. Routing reads it through [`Election::tree`]; a step
+/// that changes the tree reports the ports whose role changed, and the
+/// device flushes what its filters learned through them.
+#[derive(Debug, Clone)]
+pub(crate) struct Election {
+    topology: Arc<BridgeTopology>,
+    device: usize,
+    /// The device's physical ports as a segment-id bitmask.
+    ports_mask: HostMask,
+    mode: ElectionMode,
+    priorities: Arc<Vec<u64>>,
+    /// This device's beliefs about every device (itself included):
+    /// the fabric's one boot table until a belief of *this* device
+    /// really changes, its own copy from then on.
+    views: Arc<Vec<DeviceView>>,
+    /// One `(device, stamp)` per *neighbour* — a device sharing a
+    /// segment with this one, taken from the topology — ascending by
+    /// device: when it was last heard from, the hello-timeout input.
+    /// Only a neighbour's hellos reach this device, so on the 16 × 16
+    /// mesh's 480 devices each holds at most 6 stamps, not 480.
+    last_heard: Vec<(usize, SimTime)>,
+    /// Per own-port-index: data embargo until this time (the listening
+    /// hold-down after a Blocked→Forwarding transition).
+    hold_until: Vec<SimTime>,
+    /// The active forwarding tree this device currently routes on —
+    /// shared with every device that elected the same one at boot,
+    /// replaced (never edited) when a re-election changes it.
+    active: Arc<ActiveTree>,
+    /// Election generation: bumped every time the active tree changes.
+    epoch: u64,
+    /// Whether a missing holder belief still proves the holder lies
+    /// through the home port: true from boot until the active tree
+    /// changes or the device rejoins a running fabric — either way it
+    /// may have missed the moves that would have taught it a belief.
+    trail_intact: bool,
+    /// Observable state changed since the last [`Election::take_dirty`]
+    /// drain: views, port liveness, active tree, election epoch, or
+    /// hold-downs.
+    dirty: bool,
+    /// Per device: the view version as of this device's last hello —
+    /// a hello needs to re-announce only entries newer than this. One
+    /// global watermark (not per-port) suffices because every hello
+    /// goes out on all live ports at once. Empty until the device's
+    /// first [`Election::pdu_for_emission`], so a device that never
+    /// speaks (static election) holds no watermark.
+    last_gossiped: Vec<u64>,
+    /// Round-robin anti-entropy cursor: each hello also carries the
+    /// next `GOSSIP_WINDOW` unchanged entries, so a peer that missed
+    /// history (a revived device) resyncs within
+    /// `devices / GOSSIP_WINDOW` hellos.
+    gossip_cursor: usize,
+}
+
+impl Election {
+    /// Device `device`'s election under `mode`, booted on the fabric's
+    /// shared `boot` tree and views, by reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is out of range.
+    pub(crate) fn new(boot: &BootState, device: usize, mode: ElectionMode) -> Self {
+        let topology = &boot.topology;
+        assert!(device < topology.bridges(), "device {device} out of range");
+        let ports = topology.ports(device);
+        let mut neighbours: Vec<usize> = ports
+            .iter()
+            .flat_map(|&seg| topology.bridges_on(seg))
+            .copied()
+            .filter(|&d| d != device)
+            .collect();
+        neighbours.sort_unstable();
+        neighbours.dedup();
+        Election {
+            topology: Arc::clone(topology),
+            device,
+            ports_mask: ports.iter().copied().collect(),
+            mode,
+            priorities: Arc::clone(&boot.priorities),
+            views: Arc::clone(&boot.views),
+            last_heard: neighbours.into_iter().map(|d| (d, SimTime::ZERO)).collect(),
+            hold_until: vec![SimTime::ZERO; ports.len()],
+            active: Arc::clone(&boot.active),
+            epoch: 0,
+            trail_intact: true,
+            dirty: false,
+            last_gossiped: Vec::new(),
+            gossip_cursor: 0,
+        }
+    }
+
+    /// What routing reads of this election right now.
+    pub(crate) fn tree(&self) -> Tree<'_> {
+        Tree {
+            active: &self.active,
+            hold_until: &self.hold_until,
+            trail_intact: self.trail_intact,
+        }
+    }
+
+    /// Marks this device as (re)joining an already-running fabric at
+    /// `now`: every neighbour's liveness stamp is reset to `now` (a
+    /// freshly-booted device has heard nobody *yet* — without this, a
+    /// revival at `now ≫ hello_timeout` would declare every neighbour
+    /// dead on its first tick), and, under live election, **every port
+    /// boots in its hold-down** the way 802.1D boots ports in
+    /// Listening: the device's optimistic construction-time tree may
+    /// disagree with the converged fabric around it, and forwarding on
+    /// it before the first hello exchange could close a transient loop
+    /// on a redundant wiring. A rejoined device also floods requests it
+    /// holds no belief for: the moves it slept through taught it none.
+    pub(crate) fn rejoin(&mut self, now: SimTime) {
+        self.trail_intact = false;
+        for (_, t) in &mut self.last_heard {
+            *t = now;
+        }
+        if let ElectionMode::Live { hold_down, .. } = self.mode {
+            for h in &mut self.hold_until {
+                *h = now + hold_down;
+            }
+        }
+        self.dirty = true;
+    }
+
+    /// The election mode this device runs.
+    pub(crate) fn mode(&self) -> ElectionMode {
+        self.mode
+    }
+
+    /// The active forwarding tree currently routed on.
+    pub(crate) fn active(&self) -> &ActiveTree {
+        &self.active
+    }
+
+    /// How many times the active tree has changed since construction.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The device's *physical* ports as a segment-id bitmask — failed
+    /// links included.
+    pub(crate) fn ports_mask(&self) -> &HostMask {
+        &self.ports_mask
+    }
+
+    /// The device's live ports: physical ports minus failed links (per
+    /// its own self-view).
+    pub(crate) fn self_live_ports(&self) -> HostMask {
+        self.ports_mask.intersection(&self.views[self.device].ports)
+    }
+
+    /// Whether `seg` is one of [`Election::self_live_ports`], by borrow
+    /// — the per-frame question the pickup loop asks of every device on
+    /// a segment, which must not build a mask to answer.
+    pub(crate) fn port_is_live(&self, seg: usize) -> bool {
+        self.ports_mask.contains(seg) && self.views[self.device].ports.contains(seg)
+    }
+
+    /// Drains the dirty flag: whether views, port liveness, the active
+    /// tree, the election epoch or hold-downs changed since the last
+    /// drain.
+    pub(crate) fn take_dirty(&mut self) -> bool {
+        std::mem::take(&mut self.dirty)
+    }
+
     /// This device's gossiped liveness beliefs, indexed by device (its
     /// own entry included).
-    pub fn views(&self) -> &[DeviceView] {
+    pub(crate) fn views(&self) -> &[DeviceView] {
         &self.views
     }
 
     /// The ports still inside their post-election listening hold-down
     /// at `now` — forwarding-role ports the data plane must not use yet.
-    pub fn held_ports(&self, now: SimTime) -> HostMask {
+    pub(crate) fn held_ports(&self, now: SimTime) -> HostMask {
         let mut m = HostMask::EMPTY;
-        if self.election.is_live() {
-            for (i, &port) in self.ports().iter().enumerate() {
+        if self.mode.is_live() {
+            for (i, &port) in self.topology.ports(self.device).iter().enumerate() {
                 if self.hold_until[i] > now {
                     m.insert(port);
                 }
@@ -98,13 +268,9 @@ impl BridgePolicy {
     /// holder lies through the page's home port (see the module docs,
     /// "The probable-owner trail"): from boot until the device's active
     /// tree changes or it rejoins a running fabric.
-    pub fn trail_intact(&self) -> bool {
+    pub(crate) fn trail_intact(&self) -> bool {
         self.trail_intact
     }
-
-    // -----------------------------------------------------------------
-    // The control plane: gossip, timeouts, re-election.
-    // -----------------------------------------------------------------
 
     /// The hello this device emits right now, spoken as its fabric
     /// endpoint id: a sparse [`Packet::BridgePdu`] carrying the device's
@@ -112,7 +278,7 @@ impl BridgePolicy {
     /// emission, and the next `GOSSIP_WINDOW` entries of a rotating
     /// anti-entropy window; the announcement watermarks advance as a
     /// side effect.
-    pub fn pdu_for_emission(&mut self) -> Packet {
+    pub(crate) fn pdu_for_emission(&mut self) -> Packet {
         let n = self.views.len();
         if self.last_gossiped.is_empty() {
             self.last_gossiped = vec![0; n];
@@ -150,13 +316,13 @@ impl BridgePolicy {
     /// device of the fabric are ignored. The caller vouches for
     /// `from_device`: its fabric checks each hello's `device` field
     /// against the frame's emitter before it gets here.
-    pub fn hear_pdu(
+    pub(crate) fn hear_pdu(
         &mut self,
         from_device: usize,
         entries: &[(u16, DeviceView)],
         now: SimTime,
     ) -> PduOutcome {
-        let mut out = PduOutcome::default();
+        let mut view_changed = false;
         if let Ok(i) = self
             .last_heard
             .binary_search_by_key(&from_device, |&(d, _)| d)
@@ -168,15 +334,9 @@ impl BridgePolicy {
             if d >= self.views.len() {
                 continue;
             }
-            if self.merge_gossiped(d, theirs) {
-                out.view_changed = true;
-            }
+            view_changed |= self.merge_gossiped(d, theirs);
         }
-        if out.view_changed {
-            self.dirty_struct = true;
-            out.active_changed = self.recompute(now);
-        }
-        out
+        self.settle(view_changed, now)
     }
 
     /// Merges one gossiped view into this device's belief table.
@@ -208,11 +368,11 @@ impl BridgePolicy {
     /// past the hello timeout dead (versioned obituary, gossiped from
     /// here on), and re-elects if that changed anything. No-op under
     /// static election.
-    pub fn on_tick(&mut self, now: SimTime) -> PduOutcome {
-        let mut out = PduOutcome::default();
-        let ElectionMode::Live { hello_timeout, .. } = self.election else {
-            return out;
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> PduOutcome {
+        let ElectionMode::Live { hello_timeout, .. } = self.mode else {
+            return PduOutcome::default();
         };
+        let mut view_changed = false;
         let my_live = self.self_live_ports();
         // Only neighbours — devices we'd hear hellos from directly — are
         // subject to *our* timeout; everyone else's liveness is gossip.
@@ -235,14 +395,10 @@ impl BridgePolicy {
                 let v = &mut Arc::make_mut(&mut self.views)[d];
                 v.version += 1; // the odd obituary version
                 v.alive = false;
-                out.view_changed = true;
+                view_changed = true;
             }
         }
-        if out.view_changed {
-            self.dirty_struct = true;
-            out.active_changed = self.recompute(now);
-        }
-        out
+        self.settle(view_changed, now)
     }
 
     /// Fails this device's attachment to `segment`: the port drops out
@@ -252,7 +408,7 @@ impl BridgePolicy {
     /// # Panics
     ///
     /// Panics if `segment` is not a physical port of this device.
-    pub fn kill_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
+    pub(crate) fn kill_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
         assert!(
             self.ports_mask.contains(segment),
             "device {} has no port on segment {segment}",
@@ -261,15 +417,11 @@ impl BridgePolicy {
         let v = &mut Arc::make_mut(&mut self.views)[self.device];
         v.ports.remove(segment);
         v.version += 2;
-        self.dirty_struct = true;
-        PduOutcome {
-            view_changed: true,
-            active_changed: self.recompute(now),
-        }
+        self.settle(true, now)
     }
 
     /// Restores this device's attachment to `segment` after a
-    /// [`BridgePolicy::kill_port`]: the port rejoins its live set
+    /// [`Election::kill_port`]: the port rejoins its live set
     /// (self-version advances by 2, staying even) and the device
     /// re-elects over the restored wiring — any port whose role changes
     /// arms its hold-down exactly as after a hello-driven re-election.
@@ -278,7 +430,7 @@ impl BridgePolicy {
     /// # Panics
     ///
     /// Panics if `segment` is not a physical port of this device.
-    pub fn revive_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
+    pub(crate) fn revive_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
         assert!(
             self.ports_mask.contains(segment),
             "device {} has no port on segment {segment}",
@@ -287,51 +439,61 @@ impl BridgePolicy {
         let v = &mut Arc::make_mut(&mut self.views)[self.device];
         v.ports.insert(segment);
         v.version += 2;
-        self.dirty_struct = true;
-        PduOutcome {
-            view_changed: true,
-            active_changed: self.recompute(now),
-        }
+        self.settle(true, now)
     }
 
     /// Sets this device's self-assertion version — used when a device
     /// restarts, to start above any obituary still in circulation
     /// (`2 × restarts` keeps it even and strictly above the odd
     /// obituary of every previous life).
-    pub fn set_self_version(&mut self, version: u64) {
+    pub(crate) fn set_self_version(&mut self, version: u64) {
         // A first boot asserts the version the shared boot views
         // already carry; only a revival has something to write.
         if self.views[self.device].version != version {
             Arc::make_mut(&mut self.views)[self.device].version = version;
         }
-        self.dirty_struct = true;
+        self.dirty = true;
+    }
+
+    /// Ends a step that may have changed this device's views: when it
+    /// did, marks the state dirty and re-elects.
+    fn settle(&mut self, view_changed: bool, now: SimTime) -> PduOutcome {
+        let mut out = PduOutcome {
+            view_changed,
+            ..PduOutcome::default()
+        };
+        if view_changed {
+            self.dirty = true;
+            if let Some(changed_roles) = self.recompute(now) {
+                out.active_changed = true;
+                out.changed_roles = changed_roles;
+            }
+        }
+        out
     }
 
     /// Re-runs the election over the current views; on an active-tree
-    /// change, flushes learned interest and holder beliefs on every own
-    /// port whose role changed, arms the hold-down on ports that just
-    /// started forwarding, and from then on floods requests it holds no
-    /// belief for. Returns whether the tree changed.
-    fn recompute(&mut self, now: SimTime) -> bool {
+    /// change, arms the hold-down on ports that just started
+    /// forwarding, and from then on floods requests it holds no belief
+    /// for. Returns the own ports whose role changed (the caller
+    /// flushes what was learned through them), or `None` when the tree
+    /// did not change.
+    fn recompute(&mut self, now: SimTime) -> Option<HostMask> {
         // Incremental: hello chatter re-elects constantly, and almost
         // always lands on the identical tree — elect_from then skips
         // the per-destination table derivation and says so, and the
         // tree this device holds (often still the fabric's shared one)
         // stays where it is.
-        let Some(new) =
+        let new =
             self.topology
-                .elect_from(&self.priorities, &self.views, self.device, &self.active)
-        else {
-            return false;
-        };
+                .elect_from(&self.priorities, &self.views, self.device, &self.active)?;
         let old_fwd = self.active.forwarding(self.device);
         let new_fwd = new.forwarding(self.device);
         let changed_roles = old_fwd.symmetric_difference(&new_fwd);
-        for port in changed_roles {
-            self.flush_port(port);
-            if new_fwd.contains(port) {
-                if let ElectionMode::Live { hold_down, .. } = self.election {
-                    let i = self.port_index(port);
+        if let ElectionMode::Live { hold_down, .. } = self.mode {
+            let ports = self.topology.ports(self.device);
+            for (i, &port) in ports.iter().enumerate() {
+                if changed_roles.contains(port) && new_fwd.contains(port) {
                     self.hold_until[i] = now + hold_down;
                 }
             }
@@ -339,7 +501,7 @@ impl BridgePolicy {
         self.active = Arc::new(new);
         self.epoch += 1;
         self.trail_intact = false;
-        self.dirty_struct = true;
-        true
+        self.dirty = true;
+        Some(changed_roles)
     }
 }

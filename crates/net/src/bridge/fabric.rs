@@ -543,17 +543,4 @@ impl Fabric {
         }
         (out, liveness)
     }
-
-    /// Pending dirty totals without draining: `(dirty page entries
-    /// across devices, any structural or liveness change)`.
-    pub fn dirty_counts(&self) -> (usize, bool) {
-        let mut pages = 0;
-        let mut structural = self.dirty_liveness;
-        for b in &self.devices {
-            let (p, s) = b.policy().dirty_counts();
-            pages += p;
-            structural |= s;
-        }
-        (pages, structural)
-    }
 }

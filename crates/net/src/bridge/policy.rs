@@ -1,13 +1,17 @@
 //! Per-page filtering and routing.
 
-use super::{AgeHorizon, BridgePolicy};
+use super::{AgeHorizon, BridgeStats};
 use crate::time::SimTime;
-use mether_core::{HostId, HostMask, Packet, PageId, Want};
+use mether_core::{
+    ActiveTree, BridgeTopology, HostId, HostMask, Packet, PageHomePolicy, PageId, SegmentLayout,
+    Want,
+};
+use std::sync::Arc;
 
 /// Per-page filter state of one device: which ports must hear the
 /// page's transits and where the consistent holder is believed to be.
 /// When each port last showed demand lives beside it, in the device's
-/// stamp slab ([`BridgePolicy::stamps`]).
+/// stamp slab ([`Filters::stamps`]).
 #[derive(Debug, Clone, Default)]
 pub(super) struct PageFilter {
     /// Learned interest (bit = segment id of a port).
@@ -65,9 +69,9 @@ impl PortStamp {
 }
 
 /// One page's interest at one instant, as a per-port test (see
-/// [`BridgePolicy::interested`] for the rules).
+/// [`Filters::interested`] for the rules).
 struct Interest<'a> {
-    policy: &'a BridgePolicy,
+    filters: &'a Filters,
     now: SimTime,
     /// The port toward the page's home segment.
     home: Option<usize>,
@@ -84,7 +88,7 @@ impl Interest<'_> {
         Some(port) == self.home
             || self.pinned(port)
             || self.learned.is_some_and(|(learned, row)| {
-                learned.contains(port) && self.policy.fresh(&row[i], self.now)
+                learned.contains(port) && self.filters.fresh(&row[i], self.now)
             })
     }
 
@@ -103,7 +107,7 @@ impl Interest<'_> {
 }
 
 /// Which ports a `PageRequest` leaves a device through (see
-/// [`BridgePolicy::request_route`]).
+/// [`Filters::request_route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RequestRoute {
     /// A `Superset` request: every other forwarding port — not a belief
@@ -120,32 +124,114 @@ enum RequestRoute {
     Fallback,
 }
 
+/// What routing reads of the device's election, lent for one call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tree<'a> {
+    /// The active forwarding tree the device routes on.
+    pub(crate) active: &'a ActiveTree,
+    /// Per own-port index: no data before this time (the listening
+    /// hold-down after a Blocked→Forwarding transition).
+    pub(crate) hold_until: &'a [SimTime],
+    /// Whether a missing holder belief still proves the holder lies
+    /// through the home port (see the module docs, "The probable-owner
+    /// trail").
+    pub(crate) trail_intact: bool,
+}
+
+/// One device's per-page filters: which of its ports must hear a frame
+/// about a page, and where the page's holder is believed to be. It
+/// reads the election only through a lent [`Tree`], so it is driven
+/// without a fabric.
+#[derive(Debug, Clone)]
+pub(crate) struct Filters {
+    layout: SegmentLayout,
+    topology: Arc<BridgeTopology>,
+    device: usize,
+    homes: PageHomePolicy,
+    aging: AgeHorizon,
+    /// Belief-quality counters: only the `belief_*` and `home_routed`
+    /// fields are kept here (merged into the device's [`BridgeStats`]).
+    beliefs: BridgeStats,
+    /// Page id → slot of the page's filter in `pages`, or [`UNTRACKED`]
+    /// while the device has heard nothing of the page: 4 bytes per page
+    /// id up to the highest one heard, the only per-page cost an
+    /// untouched page has.
+    slots: Vec<u32>,
+    /// The filters of the pages this device has heard of, one per slot,
+    /// in first-touch order.
+    pages: Vec<PageFilter>,
+    /// Per-port demand stamps of every materialised page, one flat
+    /// `slots × ports` slab: slot `s`'s row is
+    /// `stamps[s * nports..][..nports]`, parallel to the port list.
+    stamps: Vec<PortStamp>,
+    /// Transits this device has forwarded — the aging clock.
+    clock: u64,
+    /// Pages whose filter state changed since the last
+    /// [`Filters::take_dirty`] drain (dedup via `PageFilter::dirty`).
+    dirty_pages: Vec<PageId>,
+}
+
 /// The slot-index entry of a page a device has not heard of.
 const UNTRACKED: u32 = u32::MAX;
 
-/// The mask [`BridgePolicy::learned`] and [`BridgePolicy::pinned_segs`]
+/// The mask [`Filters::learned`] and [`Filters::pinned_segs`]
 /// lend for a page without a filter.
 static NO_PORTS: HostMask = HostMask::EMPTY;
 
-impl BridgePolicy {
+impl Filters {
+    /// The empty filters of device `device` of `topology`, over
+    /// `layout`, with pages homed by `homes` and interest aged by
+    /// `aging`.
+    pub(crate) fn new(
+        layout: SegmentLayout,
+        topology: Arc<BridgeTopology>,
+        device: usize,
+        homes: PageHomePolicy,
+        aging: AgeHorizon,
+    ) -> Self {
+        Filters {
+            layout,
+            topology,
+            device,
+            homes,
+            aging,
+            beliefs: BridgeStats::default(),
+            slots: Vec::new(),
+            pages: Vec::new(),
+            stamps: Vec::new(),
+            clock: 0,
+            dirty_pages: Vec::new(),
+        }
+    }
+
+    /// The host layout the filters route over.
+    pub(crate) fn layout(&self) -> &SegmentLayout {
+        &self.layout
+    }
+
+    /// Which device of the topology these filters belong to.
+    pub(crate) fn device(&self) -> usize {
+        self.device
+    }
+
     /// The home segment of `page`.
-    pub fn home_of(&self, page: PageId) -> usize {
+    pub(crate) fn home_of(&self, page: PageId) -> usize {
         self.homes.home_of(page, self.layout.segments())
     }
 
     /// The port of this device toward `page`'s home segment on the
     /// active tree — always interested, never aged. `None` while the
     /// home segment is partitioned away (no forwarding path exists).
-    pub fn home_port(&self, page: PageId) -> Option<usize> {
-        self.active.next_hop(self.device, self.home_of(page))
+    pub(crate) fn home_port(&self, page: PageId, tree: Tree) -> Option<usize> {
+        tree.active.next_hop(self.device, self.home_of(page))
     }
 
     /// This device's ports (segment ids), ascending.
-    pub(super) fn ports(&self) -> &[usize] {
+    fn ports(&self) -> &[usize] {
         self.topology.ports(self.device)
     }
 
-    pub(super) fn port_index(&self, port: usize) -> usize {
+    fn port_index(&self, port: usize) -> usize {
         self.ports()
             .iter()
             .position(|&p| p == port)
@@ -170,7 +256,7 @@ impl BridgePolicy {
     }
 
     /// Slot `slot`'s filter and its row of the stamp slab, for a slot
-    /// [`BridgePolicy::slot_mut`] handed out (and dirty-marked) for the
+    /// [`Filters::slot_mut`] handed out (and dirty-marked) for the
     /// same change.
     fn row_mut(&mut self, slot: usize) -> (&mut PageFilter, &mut [PortStamp]) {
         let nports = self.ports().len();
@@ -181,7 +267,7 @@ impl BridgePolicy {
     }
 
     /// `page`'s filter, materialised and dirty-marked by
-    /// [`BridgePolicy::slot_mut`].
+    /// [`Filters::slot_mut`].
     fn filter_mut(&mut self, page: PageId) -> &mut PageFilter {
         let slot = self.slot_mut(page);
         &mut self.pages[slot]
@@ -204,7 +290,7 @@ impl BridgePolicy {
     }
 
     /// The slot of `page`'s filter, if the device has heard of the page.
-    pub(super) fn slot(&self, page: PageId) -> Option<usize> {
+    fn slot(&self, page: PageId) -> Option<usize> {
         let slot = *self.slots.get(page.index() as usize)?;
         (slot != UNTRACKED).then_some(slot as usize)
     }
@@ -233,21 +319,26 @@ impl BridgePolicy {
     /// May this device carry data on its `i`th port (segment `port`)
     /// right now? The active tree's Forwarding ports, minus any still
     /// in their post-election hold-down.
-    fn carries(&self, i: usize, port: usize, now: SimTime) -> bool {
-        self.active.forwards(self.device, port)
-            && !(self.election.is_live() && self.hold_until[i] > now)
+    fn carries(&self, i: usize, port: usize, now: SimTime, tree: Tree) -> bool {
+        tree.active.forwards(self.device, port) && tree.hold_until[i] <= now
     }
 
     /// What decides, port by port, whether `page` (whose filter sits in
     /// `slot`, if it has one) has its data wanted at `now`: everything
     /// the forwarding rules read about the page, looked up once per
     /// frame.
-    fn interest_in(&self, page: PageId, slot: Option<usize>, now: SimTime) -> Interest<'_> {
+    fn interest_in(
+        &self,
+        page: PageId,
+        slot: Option<usize>,
+        now: SimTime,
+        tree: Tree,
+    ) -> Interest<'_> {
         let filter = slot.map(|slot| (&self.pages[slot], self.row(slot)));
         Interest {
-            policy: self,
+            filters: self,
             now,
-            home: self.home_port(page),
+            home: self.home_port(page, tree),
             // Pins name segments anywhere in the fabric; resolve them to
             // own ports through the active tree — only when there are
             // any, which on the data path there almost never are.
@@ -255,18 +346,18 @@ impl BridgePolicy {
                 .filter(|(f, _)| !f.pinned_segs.is_empty())
                 .map(|(f, _)| {
                     (f.pinned_segs.iter())
-                        .filter_map(|seg| self.active.next_hop(self.device, seg))
+                        .filter_map(|seg| tree.active.next_hop(self.device, seg))
                         .collect()
                 }),
             learned: filter.map(|(f, row)| (&f.learned, row)),
         }
     }
 
-    /// [`BridgePolicy::interested`] collected over every port, for the
-    /// unit tests.
+    /// [`Filters::interested`] collected over every port, for the unit
+    /// tests.
     #[cfg(test)]
-    pub(super) fn interest(&self, page: PageId, now: SimTime) -> HostMask {
-        let interest = self.interest_in(page, self.slot(page), now);
+    pub(super) fn interest(&self, page: PageId, now: SimTime, tree: Tree) -> HostMask {
+        let interest = self.interest_in(page, self.slot(page), now, tree);
         (self.ports().iter().enumerate())
             .filter(|&(i, &port)| interest.covers(i, port))
             .map(|(_, &port)| port)
@@ -283,14 +374,34 @@ impl BridgePolicy {
     /// # Panics
     ///
     /// Panics if `port` is not a port of this device.
-    pub fn interested(&self, page: PageId, port: usize, now: SimTime) -> bool {
-        let interest = self.interest_in(page, self.slot(page), now);
+    pub(crate) fn interested(&self, page: PageId, port: usize, now: SimTime, tree: Tree) -> bool {
+        let interest = self.interest_in(page, self.slot(page), now, tree);
         interest.covers(self.port_index(port), port)
+    }
+
+    /// Belief-quality counters: a [`BridgeStats`] with only
+    /// `belief_hits`, `home_routed`, `belief_fallback_floods` and
+    /// `belief_repairs` set, ready to [`BridgeStats::sum`] with the
+    /// engine's traffic counters.
+    pub(crate) fn belief_counters(&self) -> BridgeStats {
+        self.beliefs
+    }
+
+    /// Drains the pages whose filter state changed since the last drain,
+    /// deduplicated, for the incremental invariant observer.
+    pub(crate) fn take_dirty(&mut self) -> Vec<PageId> {
+        let pages = std::mem::take(&mut self.dirty_pages);
+        for &p in &pages {
+            if let Some(slot) = self.slot(p) {
+                self.pages[slot].dirty = false;
+            }
+        }
+        pages
     }
 
     /// The port toward the believed consistent holder of `page`, if any
     /// data transit or `transfer_to` has taught this device one.
-    pub fn holder_port(&self, page: PageId) -> Option<usize> {
+    pub(crate) fn holder_port(&self, page: PageId) -> Option<usize> {
         self.filter(page).and_then(|f| f.holder.map(usize::from))
     }
 
@@ -301,22 +412,15 @@ impl BridgePolicy {
     // is on the forwarding path.
     // -----------------------------------------------------------------
 
-    /// The device's *physical* ports as a segment-id bitmask — failed
-    /// links included (see [`BridgePolicy::self_live_ports`] for the
-    /// live subset).
-    pub fn ports_mask(&self) -> &HostMask {
-        &self.ports_mask
-    }
-
     /// The interest-aging horizon this policy runs.
-    pub fn aging(&self) -> AgeHorizon {
+    pub(crate) fn aging(&self) -> AgeHorizon {
         self.aging
     }
 
     /// Transits this device has forwarded so far — the clock
     /// [`AgeHorizon::Transits`] freshness is measured against. Every
     /// per-port demand stamp was taken at or below this value.
-    pub fn aging_clock(&self) -> u64 {
+    pub(crate) fn aging_clock(&self) -> u64 {
         self.clock
     }
 
@@ -325,7 +429,7 @@ impl BridgePolicy {
     /// holder belief, or all of them still at their defaults) — in
     /// ascending id order. A page the device never heard of has no
     /// filter and answers every query as a default one would.
-    pub fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+    pub(crate) fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         (self.slots.iter().enumerate())
             .filter(|&(_, &slot)| slot != UNTRACKED)
             .map(|(i, _)| PageId::new(i as u32))
@@ -333,29 +437,29 @@ impl BridgePolicy {
 
     /// The raw learned-interest port mask of `page` — unaged; the
     /// effective, freshness-filtered view is
-    /// [`BridgePolicy::interested`].
-    pub fn learned(&self, page: PageId) -> &HostMask {
+    /// [`Filters::interested`].
+    pub(crate) fn learned(&self, page: PageId) -> &HostMask {
         self.filter(page).map_or(&NO_PORTS, |f| &f.learned)
     }
 
     /// The segments explicitly pinned to `page` via
-    /// [`BridgePolicy::subscribe`]. Pins name segments, not ports; they
+    /// [`Filters::subscribe`]. Pins name segments, not ports; they
     /// resolve through the active tree at use time.
-    pub fn pinned_segs(&self, page: PageId) -> &HostMask {
+    pub(crate) fn pinned_segs(&self, page: PageId) -> &HostMask {
         self.filter(page).map_or(&NO_PORTS, |f| &f.pinned_segs)
     }
 
     /// Last demand evidence of `page` per port of this device, parallel
     /// to `topology.ports(device)`: the page's row of the stamp slab.
     /// `None` while the page has no materialised filter.
-    pub fn stamps(&self, page: PageId) -> Option<&[PortStamp]> {
+    pub(crate) fn stamps(&self, page: PageId) -> Option<&[PortStamp]> {
         self.slot(page).map(|slot| self.row(slot))
     }
 
     /// The newest data generation any transit has shown this device for
     /// `page` — the gate that keeps stale `Want::Superset` echoes from
     /// repointing the holder belief.
-    pub fn newest_gen(&self, page: PageId) -> Option<mether_core::Generation> {
+    pub(crate) fn newest_gen(&self, page: PageId) -> Option<mether_core::Generation> {
         self.filter(page).and_then(|f| f.newest_gen)
     }
 
@@ -366,16 +470,16 @@ impl BridgePolicy {
     /// it registers in the dirty set like a real bug in the learning
     /// code would.
     #[doc(hidden)]
-    pub fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
+    pub(crate) fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
         self.filter_mut(page).learned.insert(segment);
     }
 
     /// Test-only fault injection: forcibly points `page`'s holder
     /// belief at `segment` — which need not be a port of this device —
     /// or, with `None`, erases it. See
-    /// [`BridgePolicy::corrupt_learned_for_test`].
+    /// [`Filters::corrupt_learned_for_test`].
     #[doc(hidden)]
-    pub fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: Option<usize>) {
+    pub(crate) fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: Option<usize>) {
         self.filter_mut(page).holder = segment.map(|s| s as u16);
     }
 
@@ -392,7 +496,7 @@ impl BridgePolicy {
     /// # Panics
     ///
     /// Panics if `seg` is out of range.
-    pub fn subscribe(&mut self, page: PageId, seg: usize) {
+    pub(crate) fn subscribe(&mut self, page: PageId, seg: usize) {
         assert!(
             seg < self.layout.segments(),
             "segment {seg} >= {}",
@@ -405,12 +509,12 @@ impl BridgePolicy {
     /// before any frame of it has crossed the fabric: if this device
     /// lies between the page's home and `seg`, its holder belief now
     /// points toward `seg`. A management-plane step like
-    /// [`BridgePolicy::subscribe`], and the one case where a device's
+    /// [`Filters::subscribe`], and the one case where a device's
     /// missing belief would not mean "homeward" (see the module docs,
     /// "The probable-owner trail").
-    pub fn seed_holder(&mut self, page: PageId, seg: usize) {
-        let home = self.home_port(page);
-        if let Some(port) = self.active.next_hop(self.device, seg) {
+    pub(crate) fn seed_holder(&mut self, page: PageId, seg: usize, tree: Tree) {
+        let home = self.home_port(page, tree);
+        if let Some(port) = tree.active.next_hop(self.device, seg) {
             if Some(port) != home {
                 self.filter_mut(page).holder = Some(port as u16);
             }
@@ -427,15 +531,23 @@ impl BridgePolicy {
 
     /// This device's port toward the segment of a transfer target, if
     /// the target is valid and its segment reachable.
-    fn transfer_port(&self, transfer_to: &Option<HostId>) -> Option<usize> {
+    fn transfer_port(&self, transfer_to: &Option<HostId>, tree: Tree) -> Option<usize> {
         self.transfer_segment(transfer_to)
-            .and_then(|seg| self.active.next_hop(self.device, seg))
+            .and_then(|seg| tree.active.next_hop(self.device, seg))
     }
 
     /// Updates the learning tables (the filter in `slot`) for one frame
     /// heard on the device's `in_idx`th port (segment `in_port`) at
     /// `now`.
-    fn learn(&mut self, pkt: &Packet, slot: usize, in_idx: usize, in_port: usize, now: SimTime) {
+    fn learn(
+        &mut self,
+        pkt: &Packet,
+        slot: usize,
+        in_idx: usize,
+        in_port: usize,
+        now: SimTime,
+        tree: Tree,
+    ) {
         let clock = self.clock;
         match pkt {
             Packet::PageRequest { .. } => {
@@ -462,7 +574,7 @@ impl BridgePolicy {
                 ..
             } => {
                 let transfer = self
-                    .transfer_port(transfer_to)
+                    .transfer_port(transfer_to, tree)
                     .map(|port| (self.port_index(port), port));
                 let (f, row) = self.row_mut(slot);
                 let mut demand = |f: &mut PageFilter, i: usize, port: usize| {
@@ -501,9 +613,9 @@ impl BridgePolicy {
     /// heard on it at `now` enters the data plane at all: a frame heard
     /// on a Blocked or held-down port is neither learned from nor
     /// forwarded — the dormant redundancy stays invisible.
-    fn ingress(&self, in_port: usize, now: SimTime) -> Option<usize> {
+    fn ingress(&self, in_port: usize, now: SimTime, tree: Tree) -> Option<usize> {
         let i = self.ports().iter().position(|&p| p == in_port)?;
-        self.carries(i, in_port, now).then_some(i)
+        self.carries(i, in_port, now, tree).then_some(i)
     }
 
     /// Calls `emit` with each port a frame heard on `in_port` at `now`
@@ -515,11 +627,12 @@ impl BridgePolicy {
         &self,
         in_port: usize,
         now: SimTime,
+        tree: Tree,
         wanted: impl Fn(usize, usize) -> bool,
         mut emit: impl FnMut(usize),
     ) {
         for (i, &port) in self.ports().iter().enumerate() {
-            if port != in_port && self.carries(i, port, now) && wanted(i, port) {
+            if port != in_port && self.carries(i, port, now, tree) && wanted(i, port) {
                 emit(port);
             }
         }
@@ -527,7 +640,7 @@ impl BridgePolicy {
 
     /// How a request asking `want`, for the page whose filter sits in
     /// `slot` (if it has one), leaves this device.
-    fn request_route(&self, slot: Option<usize>, want: Want) -> RequestRoute {
+    fn request_route(&self, slot: Option<usize>, want: Want, tree: Tree) -> RequestRoute {
         // Any host still holding a full copy may answer a Superset
         // request, so no single holder direction covers it.
         if want == Want::Superset {
@@ -538,13 +651,13 @@ impl BridgePolicy {
             // No belief: the holder is homeward (the module docs' "The
             // probable-owner trail") — unless this device may have
             // missed the moves that would have taught it otherwise.
-            None if self.trail_intact => RequestRoute::Home,
+            None if tree.trail_intact => RequestRoute::Home,
             None => RequestRoute::Fallback,
         }
     }
 
     /// The forwarding decision for one frame that entered through
-    /// `in_port` at `now` ([`BridgePolicy::ingress`] admitted it), its
+    /// `in_port` at `now` ([`Filters::ingress`] admitted it), its
     /// page's filter in `slot` (if it has one), with no learning side
     /// effects: `emit` is called with each target port, ascending.
     fn each_target(
@@ -553,13 +666,14 @@ impl BridgePolicy {
         slot: Option<usize>,
         in_port: usize,
         now: SimTime,
+        tree: Tree,
         emit: impl FnMut(usize),
     ) {
         match pkt {
             Packet::PageRequest { page, want, .. } => {
-                let holder = match self.request_route(slot, *want) {
+                let holder = match self.request_route(slot, *want, tree) {
                     RequestRoute::Superset | RequestRoute::Fallback => {
-                        return self.egress(in_port, now, |_, _| true, emit);
+                        return self.egress(in_port, now, tree, |_, _| true, emit);
                     }
                     RequestRoute::Holder(holder) => Some(holder),
                     RequestRoute::Home => None,
@@ -578,10 +692,11 @@ impl BridgePolicy {
                 // forwarding elsewhere cannot reach the holder sooner.
                 // With no belief the home alone is the direction, and
                 // nowhere is when the request came from there.
-                let home = self.home_port(*page);
+                let home = self.home_port(*page, tree);
                 self.egress(
                     in_port,
                     now,
+                    tree,
                     |_, port| Some(port) == holder || Some(port) == home,
                     emit,
                 );
@@ -595,12 +710,13 @@ impl BridgePolicy {
                 // A publication goes wherever the page has interest; a
                 // reply only back toward the requests it answers. Both
                 // follow a consistency move to its new holder.
-                let interest = self.interest_in(*page, slot, now);
-                let transfer = self.transfer_port(transfer_to);
+                let interest = self.interest_in(*page, slot, now, tree);
+                let transfer = self.transfer_port(transfer_to, tree);
                 let reply = pkt.is_reply();
                 self.egress(
                     in_port,
                     now,
+                    tree,
                     |i, port| {
                         Some(port) == transfer
                             || if reply {
@@ -621,33 +737,40 @@ impl BridgePolicy {
     /// in `out`, ascending (never `in_port`), and ticks the aging clock
     /// when the frame is forwarded. A frame heard on a Blocked (or
     /// held-down) port is neither learned from nor forwarded — the
-    /// dormant redundancy stays invisible to the data plane. What a
-    /// [`Bridge`](super::Bridge) calls for every frame it hears, with a buffer it
-    /// reuses, so routing a frame allocates nothing.
-    pub fn route_into(&mut self, pkt: &Packet, in_port: usize, now: SimTime, out: &mut Vec<usize>) {
+    /// dormant redundancy stays invisible to the data plane. The device
+    /// calls it for every frame it hears, with a buffer it reuses, so
+    /// routing a frame allocates nothing.
+    pub(crate) fn route_into(
+        &mut self,
+        pkt: &Packet,
+        in_port: usize,
+        now: SimTime,
+        tree: Tree,
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
         debug_assert!(
-            self.ports_mask.contains(in_port),
+            self.ports().contains(&in_port),
             "device {} has no port on segment {in_port}",
             self.device
         );
         if pkt.is_control() {
-            return; // control plane goes via hear_pdu
+            return; // the election consumes control frames
         }
-        let Some(in_idx) = self.ingress(in_port, now) else {
+        let Some(in_idx) = self.ingress(in_port, now, tree) else {
             return;
         };
         let slot = self.slot_mut(pkt.page());
-        self.learn(pkt, slot, in_idx, in_port, now);
+        self.learn(pkt, slot, in_idx, in_port, now, tree);
         if let Packet::PageRequest { want, .. } = pkt {
-            match self.request_route(Some(slot), *want) {
+            match self.request_route(Some(slot), *want, tree) {
                 RequestRoute::Superset => {}
                 RequestRoute::Holder(_) => self.beliefs.belief_hits += 1,
                 RequestRoute::Home => self.beliefs.home_routed += 1,
                 RequestRoute::Fallback => self.beliefs.belief_fallback_floods += 1,
             }
         }
-        self.each_target(pkt, Some(slot), in_port, now, |port| out.push(port));
+        self.each_target(pkt, Some(slot), in_port, now, tree, |port| out.push(port));
         if pkt.is_reply() {
             self.answer_pending(slot, out);
         }
@@ -669,15 +792,21 @@ impl BridgePolicy {
         }
     }
 
-    /// [`BridgePolicy::route_into`] collected into a mask, for the unit
+    /// [`Filters::route_into`] collected into a mask, for the unit
     /// tests. Definitionally learn-then-`targets` (and,
     /// for a reply, clear the pending marks it answered), so the
     /// diagnostic mask can never drift from what the device actually
     /// forwards.
     #[cfg(test)]
-    pub(super) fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
+    pub(super) fn route(
+        &mut self,
+        pkt: &Packet,
+        in_port: usize,
+        now: SimTime,
+        tree: Tree,
+    ) -> HostMask {
         let mut ports = Vec::new();
-        self.route_into(pkt, in_port, now, &mut ports);
+        self.route_into(pkt, in_port, now, tree, &mut ports);
         ports.into_iter().collect()
     }
 
@@ -685,11 +814,17 @@ impl BridgePolicy {
     /// with no learning side effects, for the unit tests (the
     /// `transfer_to` port is included even before learning records it).
     #[cfg(test)]
-    pub(super) fn targets(&self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
+    pub(super) fn targets(
+        &self,
+        pkt: &Packet,
+        in_port: usize,
+        now: SimTime,
+        tree: Tree,
+    ) -> HostMask {
         let mut m = HostMask::EMPTY;
-        if self.ingress(in_port, now).is_some() {
+        if self.ingress(in_port, now, tree).is_some() {
             let slot = self.slot(pkt.page());
-            self.each_target(pkt, slot, in_port, now, |port| m.insert(port));
+            self.each_target(pkt, slot, in_port, now, tree, |port| m.insert(port));
         }
         m
     }
@@ -699,7 +834,7 @@ impl BridgePolicy {
     /// Called when the port's role changed — on the new tree those
     /// directions are meaningless, and a stale belief would bounce
     /// requests into the dead part of the fabric.
-    pub(super) fn flush_port(&mut self, port: usize) {
+    pub(crate) fn flush_port(&mut self, port: usize) {
         let i = self.port_index(port);
         let nports = self.ports().len();
         // Walked through the index, so the dirty pushes keep page order.

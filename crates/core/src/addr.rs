@@ -265,20 +265,6 @@ impl VAddr {
     pub fn offset(self) -> u32 {
         self.0 & OFFSET_MASK
     }
-
-    /// The same location seen through a different view.
-    ///
-    /// "The address space for short pages completely overlays the address
-    /// space for full pages, which is how the short pages can share
-    /// variables with full pages."
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::OffsetOutsideView`] if the offset does not fit in
-    /// the new view.
-    pub fn with_view(self, view: View) -> Result<Self> {
-        VAddr::new(self.page(), view, self.offset())
-    }
 }
 
 impl fmt::Debug for VAddr {
@@ -692,7 +678,7 @@ mod tests {
     #[test]
     fn short_and_full_views_overlay_same_page() {
         let full = VAddr::new(PageId::new(3), View::full_demand(), 4).unwrap();
-        let short = full.with_view(View::short_demand()).unwrap();
+        let short = VAddr::new(PageId::new(3), View::short_demand(), 4).unwrap();
         assert_eq!(full.page(), short.page());
         assert_eq!(full.offset(), short.offset());
         assert_ne!(full.raw(), short.raw(), "views differ only in address bits");

@@ -64,22 +64,6 @@ impl MetherConfig {
         Ok(self)
     }
 
-    /// Override the number of pages in the address space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::InvalidConfig`] if `n` is zero or exceeds
-    /// [`MAX_PAGES`].
-    pub fn with_num_pages(mut self, n: u32) -> crate::Result<Self> {
-        if n == 0 || n > MAX_PAGES {
-            return Err(crate::Error::InvalidConfig(format!(
-                "page count {n} must be in 1..={MAX_PAGES}"
-            )));
-        }
-        self.num_pages = n;
-        Ok(self)
-    }
-
     /// Disables snoopy refresh (ablation only).
     #[must_use]
     pub fn without_snooping(mut self) -> Self {
@@ -241,15 +225,6 @@ mod tests {
     fn snoop_ablation_flag() {
         assert!(MetherConfig::new().snoopy);
         assert!(!MetherConfig::new().without_snooping().snoopy);
-    }
-
-    #[test]
-    fn num_pages_validation() {
-        let c = MetherConfig::new();
-        assert!(c.clone().with_num_pages(1).is_ok());
-        assert!(c.clone().with_num_pages(0).is_err());
-        assert!(c.clone().with_num_pages(MAX_PAGES).is_ok());
-        assert!(c.clone().with_num_pages(MAX_PAGES + 1).is_err());
     }
 
     #[test]

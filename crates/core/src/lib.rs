@@ -90,5 +90,5 @@ pub use page::PageBuf;
 pub use rto::RtoEstimator;
 pub use rules::PageHomePolicy;
 pub use table::{woken_waiters, AccessOutcome, Effect, FaultKind, PageTable, WakeSet};
-pub use topology::{ActiveTree, BridgeTopology, DeviceView, PortState};
+pub use topology::{ActiveTree, BridgeTopology, DeviceView};
 pub use wire::{HostId, Packet, Want, WireFrame};

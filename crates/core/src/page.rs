@@ -13,7 +13,7 @@
 //!   hosts snooping one broadcast share one allocation.
 //! * **Publishing is copy-free.** [`PageBuf::payload`] hands the page's
 //!   storage to the network as a shared view instead of copying it out
-//!   (short transfers below [`ZERO_COPY_MIN`] are copied — a 32-byte
+//!   (short transfers below `ZERO_COPY_MIN`, 1 KiB, are copied — a 32-byte
 //!   memcpy is cheaper than freezing 8 KiB of storage).
 //! * **Writes are isolated.** Any mutation of shared storage first
 //!   materialises a private owned copy, so a payload already handed to
@@ -34,7 +34,7 @@ use std::fmt;
 
 /// Transfers at least this long are published as zero-copy shared views;
 /// shorter ones are copied out (cheaper than freezing the whole page).
-pub const ZERO_COPY_MIN: usize = 1024;
+pub(crate) const ZERO_COPY_MIN: usize = 1024;
 
 /// The backing store for one page on one host. See the module docs for
 /// the owned/shared copy-on-write model.
@@ -282,7 +282,7 @@ impl PageBuf {
     /// The transfer payload for a view of `len`: the prefix of the page
     /// that a `PageData` broadcast of that length carries.
     ///
-    /// Full-page transfers (anything ≥ [`ZERO_COPY_MIN`]) are **zero
+    /// Full-page transfers (anything ≥ `ZERO_COPY_MIN`, 1 KiB) are **zero
     /// copy**: the returned [`Bytes`] shares this buffer's storage, and a
     /// subsequent local write copy-on-writes rather than mutating what
     /// was handed to the network. Short transfers are copied out — a

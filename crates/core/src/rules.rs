@@ -1,123 +1,26 @@
-//! The subset/superset rules for subspace operations (the paper's Figure 1).
-//!
-//! With two page lengths, the short page is the *subset* and the full page
-//! the *superset* of the same storage. Every driver operation has a rule
-//! for each side:
-//!
-//! | Operation | Rule for subsets | Rule for supersets |
-//! |---|---|---|
-//! | mapping a page in | all subsets must be present | supersets need not be present |
-//! | pagein from the network | all subsets paged in | no supersets paged in |
-//! | pageout | all subsets paged out | supersets left paged in but unmapped |
-//! | lock | all subsets must be present; if all present, all locked; otherwise the lock fails and non-present subsets are marked wanted | no supersets locked but must be present; all unmapped; supersets not present marked wanted |
-//! | page fault | all subsets must be present | supersets need not be present |
-//! | purge | all consistent subsets purged | supersets not affected |
-//!
-//! This module encodes that table declaratively (so tests can assert it
-//! verbatim) and exposes the predicates [`crate::table::PageTable`] uses.
-
-/// The driver operations governed by Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Operation {
-    /// A process maps the page into its address space.
-    MapIn,
-    /// The page arrives from the network.
-    PageIn,
-    /// The page is evicted.
-    PageOut,
-    /// A process locks the page into its address space.
-    Lock,
-    /// A process faults on the page.
-    PageFault,
-    /// A process purges the page.
-    Purge,
-}
-
-impl Operation {
-    /// All operations, in Figure 1 order.
-    pub fn all() -> [Operation; 6] {
-        [
-            Operation::MapIn,
-            Operation::PageIn,
-            Operation::PageOut,
-            Operation::Lock,
-            Operation::PageFault,
-            Operation::Purge,
-        ]
-    }
-}
-
-/// What an operation demands of, or does to, the *subset* (short) pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubsetRule {
-    /// All subsets must be present for the operation to proceed.
-    MustBePresent,
-    /// All subsets are brought in by the operation.
-    AllPagedIn,
-    /// All subsets are evicted by the operation.
-    AllPagedOut,
-    /// All subsets must be present; if so all are locked, otherwise the
-    /// lock fails and missing subsets are marked wanted.
-    AllLockedOrWanted,
-    /// All consistent subsets are purged.
-    ConsistentPurged,
-}
-
-/// What an operation demands of, or does to, the *superset* (full) pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupersetRule {
-    /// Supersets need not be present.
-    NeedNotBePresent,
-    /// The operation does not bring supersets in.
-    NonePagedIn,
-    /// Supersets stay paged in but are unmapped from processes.
-    LeftPagedInUnmapped,
-    /// Supersets are not locked but must be present; all are unmapped;
-    /// missing supersets are marked wanted.
-    PresentUnmappedOrWanted,
-    /// Supersets are unaffected.
-    NotAffected,
-}
-
-/// The Figure 1 row for one operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rule {
-    /// The operation the row describes.
-    pub operation: Operation,
-    /// The subset-side rule.
-    pub subset: SubsetRule,
-    /// The superset-side rule.
-    pub superset: SupersetRule,
-}
-
-/// Looks up the Figure 1 row for `op`.
-pub fn rule_for(op: Operation) -> Rule {
-    let (subset, superset) = match op {
-        Operation::MapIn => (SubsetRule::MustBePresent, SupersetRule::NeedNotBePresent),
-        Operation::PageIn => (SubsetRule::AllPagedIn, SupersetRule::NonePagedIn),
-        Operation::PageOut => (SubsetRule::AllPagedOut, SupersetRule::LeftPagedInUnmapped),
-        Operation::Lock => (
-            SubsetRule::AllLockedOrWanted,
-            SupersetRule::PresentUnmappedOrWanted,
-        ),
-        Operation::PageFault => (SubsetRule::MustBePresent, SupersetRule::NeedNotBePresent),
-        Operation::Purge => (SubsetRule::ConsistentPurged, SupersetRule::NotAffected),
-    };
-    Rule {
-        operation: op,
-        subset,
-        superset,
-    }
-}
-
-/// The full Figure 1 table, row by row.
-pub fn figure_1() -> Vec<Rule> {
-    Operation::all().iter().map(|&op| rule_for(op)).collect()
-}
+//! Page presence under the subset/superset rules of the paper's Figure 1,
+//! and the segment each page is homed to on a bridged network.
 
 /// Presence state of a page's storage on one host, in subset/superset
 /// terms: invariant — a present superset implies a present subset, because
 /// the short page is the first 32 bytes of the full page.
+///
+/// With two page lengths, the short page is the *subset* and the full
+/// page the *superset* of the same storage. Every driver operation has a
+/// rule for each side (the paper's Figure 1):
+///
+/// | Operation | Rule for subsets | Rule for supersets |
+/// |---|---|---|
+/// | mapping a page in | all subsets must be present | supersets need not be present |
+/// | pagein from the network | all subsets paged in | no supersets paged in |
+/// | pageout | all subsets paged out | supersets left paged in but unmapped |
+/// | lock | all subsets must be present; if all present, all locked; otherwise the lock fails and non-present subsets are marked wanted | no supersets locked but must be present; all unmapped; supersets not present marked wanted |
+/// | page fault | all subsets must be present | supersets need not be present |
+/// | purge | all consistent subsets purged | supersets not affected |
+///
+/// [`crate::table::PageTable`] asks [`Presence::satisfies_fault`] and
+/// [`Presence::satisfies_lock`] for the page fault and lock rows. It has
+/// no map-in or page-out path, so those two rows have no code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Presence {
     /// No bytes of the page are present.
@@ -140,12 +43,12 @@ impl Presence {
     }
 
     /// Is the subset present?
-    pub fn subset_present(self) -> bool {
+    pub(crate) fn subset_present(self) -> bool {
         !matches!(self, Presence::Absent)
     }
 
     /// Is the superset present?
-    pub fn superset_present(self) -> bool {
+    pub(crate) fn superset_present(self) -> bool {
         matches!(self, Presence::Whole)
     }
 
@@ -200,7 +103,7 @@ pub enum PageHomePolicy {
     /// segment. Build with [`PageHomePolicy::from_writes`]. Pages the
     /// graph never saw fall back to striping.
     FromWorkload {
-        /// `homes[p]` = home segment of page `p`; [`NO_HOME`] (and any
+        /// `homes[p]` = home segment of page `p`; `u16::MAX` (and any
         /// page past the end) falls back to [`PageHomePolicy::Striped`].
         homes: std::sync::Arc<[u16]>,
     },
@@ -208,7 +111,7 @@ pub enum PageHomePolicy {
 
 /// Sentinel in a [`PageHomePolicy::FromWorkload`] table for pages the
 /// write graph never saw; they fall back to striped homing.
-pub const NO_HOME: u16 = u16::MAX;
+pub(crate) const NO_HOME: u16 = u16::MAX;
 
 impl PageHomePolicy {
     /// Derives a [`PageHomePolicy::FromWorkload`] from a workload's write
@@ -283,61 +186,6 @@ impl PageHomePolicy {
 mod tests {
     use super::*;
     use crate::PageLength;
-
-    /// Asserts the encoded table matches Figure 1 of the paper verbatim.
-    #[test]
-    fn figure_1_table_matches_paper() {
-        let t = figure_1();
-        assert_eq!(t.len(), 6);
-        assert_eq!(
-            t[0],
-            Rule {
-                operation: Operation::MapIn,
-                subset: SubsetRule::MustBePresent,
-                superset: SupersetRule::NeedNotBePresent,
-            }
-        );
-        assert_eq!(
-            t[1],
-            Rule {
-                operation: Operation::PageIn,
-                subset: SubsetRule::AllPagedIn,
-                superset: SupersetRule::NonePagedIn,
-            }
-        );
-        assert_eq!(
-            t[2],
-            Rule {
-                operation: Operation::PageOut,
-                subset: SubsetRule::AllPagedOut,
-                superset: SupersetRule::LeftPagedInUnmapped,
-            }
-        );
-        assert_eq!(
-            t[3],
-            Rule {
-                operation: Operation::Lock,
-                subset: SubsetRule::AllLockedOrWanted,
-                superset: SupersetRule::PresentUnmappedOrWanted,
-            }
-        );
-        assert_eq!(
-            t[4],
-            Rule {
-                operation: Operation::PageFault,
-                subset: SubsetRule::MustBePresent,
-                superset: SupersetRule::NeedNotBePresent,
-            }
-        );
-        assert_eq!(
-            t[5],
-            Rule {
-                operation: Operation::Purge,
-                subset: SubsetRule::ConsistentPurged,
-                superset: SupersetRule::NotAffected,
-            }
-        );
-    }
 
     #[test]
     fn presence_from_valid_len() {

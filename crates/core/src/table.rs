@@ -1047,7 +1047,8 @@ impl PageTable {
     }
 
     /// Number of pages currently queued for the next dirty drain.
-    pub fn dirty_page_count(&self) -> usize {
+    #[cfg(test)]
+    fn dirty_page_count(&self) -> usize {
         self.pages.dirty.len()
     }
 }

@@ -23,7 +23,7 @@
 //!   [`BridgeTopology::ring`], [`BridgeTopology::mesh2d`], and
 //!   [`BridgeTopology::add_redundant_links`].
 //! * [`ActiveTree`] is the **active forwarding tree**: per-device
-//!   [`PortState::Forwarding`] / [`PortState::Blocked`] port states plus
+//!   forwarding or blocked port states ([`ActiveTree::forwards`]) plus
 //!   next-hop tables *derived from the forwarding ports at election
 //!   time*, not precomputed from the wiring. It is produced by
 //!   [`BridgeTopology::elect`] — a deterministic spanning-tree election
@@ -57,9 +57,8 @@ use std::collections::VecDeque;
 ///
 /// Construct with [`BridgeTopology::star`], [`BridgeTopology::chain`],
 /// [`BridgeTopology::balanced_tree`], [`BridgeTopology::ring`],
-/// [`BridgeTopology::mesh2d`], or [`BridgeTopology::from_links`]; every
-/// constructor validates connectivity. Redundant links (cycles) are
-/// allowed; [`BridgeTopology::is_tree`] reports whether any exist.
+/// or [`BridgeTopology::mesh2d`]; every constructor validates
+/// connectivity. Redundant links (cycles) are allowed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BridgeTopology {
     segments: usize,
@@ -241,7 +240,7 @@ impl BridgeTopology {
     /// (redundant links) are allowed; the forwarding layer runs a
     /// spanning-tree election ([`BridgeTopology::elect`]) to stay
     /// loop-free.
-    pub fn from_links(segments: usize, links: Vec<Vec<usize>>) -> crate::Result<Self> {
+    pub(crate) fn from_links(segments: usize, links: Vec<Vec<usize>>) -> crate::Result<Self> {
         if segments == 0 {
             return Err(crate::Error::InvalidConfig(
                 "a topology needs at least one segment".into(),
@@ -383,7 +382,7 @@ impl BridgeTopology {
     }
 
     /// True when the incidence graph is a tree (no redundant links).
-    pub fn is_tree(&self) -> bool {
+    pub(crate) fn is_tree(&self) -> bool {
         !self.next.is_empty() || self.links.is_empty()
     }
 
@@ -405,11 +404,6 @@ impl BridgeTopology {
             "next_hop is tree-only; elect() an ActiveTree on graph topologies"
         );
         self.next[b][dst] as usize
-    }
-
-    /// True for a single-device topology (every segment on one bridge).
-    pub fn is_star(&self) -> bool {
-        self.links.len() == 1
     }
 
     /// The unique bridge path from segment `src` to segment `dst`, as
@@ -677,17 +671,6 @@ impl BridgeTopology {
     }
 }
 
-/// The state of one bridge port under the spanning-tree election.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortState {
-    /// The port carries data frames (it is a root port or its segment's
-    /// designated port).
-    Forwarding,
-    /// The port is blocked: it neither forwards nor learns — the
-    /// redundancy it represents stays dormant until a failure re-elects.
-    Blocked,
-}
-
 /// One device's gossiped liveness belief about a bridge: carried in
 /// hello frames, merged monotonically by version.
 ///
@@ -775,19 +758,6 @@ impl ActiveTree {
         self.forwarding[b].contains(s)
     }
 
-    /// The state of device `b`'s port on segment `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of range.
-    pub fn port_state(&self, b: usize, s: usize) -> PortState {
-        if self.forwards(b, s) {
-            PortState::Forwarding
-        } else {
-            PortState::Blocked
-        }
-    }
-
     /// The port of device `b` toward segment `dst` over the active tree,
     /// or `None` when `dst` is unreachable (partitioned away).
     ///
@@ -814,7 +784,6 @@ mod tests {
     fn star_is_one_bridge_over_all_segments() {
         let t = BridgeTopology::star(4);
         assert_eq!(t.bridges(), 1);
-        assert!(t.is_star());
         assert!(t.is_tree());
         assert_eq!(t.ports(0), &[0, 1, 2, 3]);
         assert_eq!(t.bridges_on(2), &[0]);

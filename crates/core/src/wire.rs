@@ -104,10 +104,10 @@ impl WireFrame {
 }
 
 /// Ethernet (14) + IPv4 (20) + UDP (8) header bytes charged per datagram.
-pub const FRAME_OVERHEAD: usize = 42;
+pub(crate) const FRAME_OVERHEAD: usize = 42;
 
 /// Minimum Ethernet frame size; small datagrams are padded up to this.
-pub const MIN_FRAME: usize = 64;
+pub(crate) const MIN_FRAME: usize = 64;
 
 const MAGIC: u16 = 0x4D45; // "ME"
 const TYPE_REQUEST: u8 = 1;
@@ -125,7 +125,7 @@ pub const MAX_PDU_VIEWS: usize = 1024;
 /// Upper bound on the mask words one encoded [`HostMask`] may claim
 /// (65 536 indices) — like [`MAX_PDU_VIEWS`], a decoder allocation cap
 /// against corrupt or hostile frames, far above any simulated fabric.
-pub const MAX_MASK_WORDS: usize = 1024;
+pub(crate) const MAX_MASK_WORDS: usize = 1024;
 
 /// The words of `m` as they cross the wire: trailing zero words
 /// trimmed (an inline mask always carries two words in memory, but a
@@ -467,7 +467,7 @@ impl Packet {
     /// # Errors
     ///
     /// [`Error::Encode`] naming the offending field and its limit.
-    pub fn check_encodable(&self) -> Result<()> {
+    pub(crate) fn check_encodable(&self) -> Result<()> {
         match self {
             Packet::PageRequest { .. } => Ok(()),
             Packet::PageData { data, .. } | Packet::PageReply { data, .. } => {
@@ -500,8 +500,7 @@ impl Packet {
         }
     }
 
-    /// [`Packet::encode_vectored`] behind the [`Packet::check_encodable`]
-    /// guard.
+    /// [`Packet::encode_vectored`] behind the `check_encodable` guard.
     ///
     /// # Errors
     ///
@@ -520,7 +519,7 @@ impl Packet {
     /// # Panics
     ///
     /// If a field exceeds its wire length prefix (see
-    /// [`Packet::check_encodable`]) — a silent `as u16` wrap here used to
+    /// `check_encodable`) — a silent `as u16` wrap here used to
     /// emit a corrupt frame instead. Fallible callers (anything encoding
     /// frames it did not construct from in-range protocol state) should
     /// use [`Packet::try_encode_vectored`] and count the error.

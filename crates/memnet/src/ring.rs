@@ -34,7 +34,7 @@ impl RingConfig {
     }
 
     /// Nanoseconds for one full circulation carrying `bytes` of payload.
-    pub fn circulation_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn circulation_ns(&self, bytes: usize) -> u64 {
         let hop = self.hop_delay_ns * self.hosts as u64;
         let serialise = (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.link_bps;
         hop + serialise

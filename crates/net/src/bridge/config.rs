@@ -1,7 +1,7 @@
 //! Configuration of the bridge fabric and its counters.
 
 use crate::time::SimDuration;
-use mether_core::{BridgeTopology, PageHomePolicy, PageId};
+use mether_core::{BridgeTopology, PageHomePolicy};
 
 /// Host-id base for bridge endpoints on the threaded runtime's LANs and
 /// in control frames (far above any node id, which the segment layout
@@ -268,11 +268,6 @@ impl ElectionMode {
         }
     }
 
-    /// True for [`ElectionMode::Live`].
-    pub fn is_live(&self) -> bool {
-        matches!(self, ElectionMode::Live { .. })
-    }
-
     /// The hello cadence, when live.
     pub fn hello_interval(&self) -> Option<SimDuration> {
         match self {
@@ -418,12 +413,5 @@ impl FabricConfig {
     pub fn with_priorities(mut self, priorities: Vec<u64>) -> Self {
         self.priorities = priorities;
         self
-    }
-
-    /// Whether creating `page` on segment `seg` must seed holder
-    /// beliefs ([`BridgePolicy::seed_holder`](super::BridgePolicy::seed_holder)): only off the page's
-    /// home segment. The one check a page created at home costs.
-    pub fn seeds_holder(&self, page: PageId, seg: usize) -> bool {
-        self.homes.home_of(page, self.topology.segments()) != seg
     }
 }

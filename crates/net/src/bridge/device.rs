@@ -1,12 +1,51 @@
 //! One bridge device: its policy and its store-and-forward engine.
+//!
+//! # Engine
+//!
+//! [`Bridge`] wraps one device's policy in the simulator's
+//! store-and-forward timing: a forwarding delay, a bounded frame queue
+//! that tail-drops under overload, and drop/duplicate fault-injection
+//! knobs ([`BridgeConfig`]), accounted per device in [`BridgeStats`].
+//!
+//! # Per fabric, per device
+//!
+//! Fabric-wide facts are computed once per fabric and shared, not
+//! replicated per device:
+//!
+//! * **Per fabric, always shared** — the wiring
+//!   (`Arc<BridgeTopology>`) and the configured priorities.
+//! * **Per fabric until a device diverges** — the [`BootState`]: the
+//!   optimistic everybody-alive views and the one tree they elect
+//!   (every observer of a validated connected graph elects the same
+//!   one). [`Fabric::new`](super::Fabric::new) computes it once, every device boots on it
+//!   by reference, and every cold revival boots on it again — no
+//!   constructor elects per device. A device's view table and its
+//!   active tree are held copy-on-write: the table is copied the first
+//!   time one of *this* device's beliefs really changes (a merged
+//!   hello is compared before anything is written), and the tree is
+//!   replaced — never edited — when a re-election lands on a different
+//!   one; a re-election that finds root and forwarding masks unchanged
+//!   keeps the tree it has. Under [`ElectionMode::Static`](super::ElectionMode::Static) nothing
+//!   ever diverges: a 480-device mesh carries one tree and one view
+//!   table, not 480.
+//! * **Per device, always private** — the page filters (learned
+//!   interest, pins, holder beliefs) and the slab of demand stamps
+//!   beside them, one row of ports per filter, neighbour liveness
+//!   stamps and hold-downs, the election epoch, gossip watermarks,
+//!   counters, and the engine's backlog and fault-injection RNG. A
+//!   device keeps a filter only for the pages it has heard of: a
+//!   page → slot index (4 bytes per page id) leads to compact filters
+//!   and stamp rows, and a page without a slot answers every query as
+//!   a default filter would. On the 480-device mesh most devices hear
+//!   of a small share of the pages, so most would-be filters never
+//!   exist.
 
 use super::election::{BootState, Election, PduOutcome};
 use super::policy::{Filters, PortStamp};
-use super::{AgeHorizon, BridgeConfig, BridgeStats, ElectionMode, FabricConfig};
+use super::{BridgeConfig, BridgeStats, FabricConfig};
 use crate::time::SimTime;
 use mether_core::{
-    ActiveTree, BridgeTopology, DeviceView, Generation, HostMask, Packet, PageHomePolicy, PageId,
-    SegmentLayout,
+    ActiveTree, DeviceView, Generation, HostMask, Packet, PageHomePolicy, PageId, SegmentLayout,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,15 +54,15 @@ use std::sync::Arc;
 
 /// One device's forwarding filter: which of its ports must hear a frame.
 ///
-/// Time-free and transport-free: the [`Bridge`] engine wraps it in
-/// the simulator's timing or forwards untimed for a threaded runtime
-/// (see the module docs for the rules). It pairs the device's per-page
-/// filters (`policy.rs`) with its slice of the election state
-/// (`election.rs`): its gossiped views, neighbour liveness stamps, and
-/// the [`ActiveTree`] it currently forwards on. Routing reads the
-/// election through a lent view; an election step that changes the
-/// tree names the ports whose role changed, and the filters forget what
-/// they learned through them.
+/// Time-free and transport-free: the [`Bridge`] engine wraps it in the
+/// simulator's timing or forwards untimed for a threaded runtime. It
+/// pairs the device's per-page filters (the bridge's `policy` module,
+/// which holds the rules) with its slice of the election state (its
+/// `election` module): its gossiped views, neighbour liveness stamps,
+/// and the [`ActiveTree`] it currently forwards on. Routing reads the
+/// election through a lent view; an election step that changes the tree
+/// names the ports whose role changed, and the filters forget what they
+/// learned through them.
 #[derive(Debug, Clone)]
 pub struct BridgePolicy {
     filters: Filters,
@@ -31,29 +70,6 @@ pub struct BridgePolicy {
 }
 
 impl BridgePolicy {
-    /// The filter of device `device` of `topology`, over `layout`, with
-    /// pages homed by `homes` — static election, uniform priorities, a
-    /// boot state of its own: the PR 4-compatible stand-alone device.
-    /// Fabrics share one [`BootState`] through
-    /// [`BridgePolicy::for_device`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range or the topology's segment
-    /// count differs from the layout's.
-    pub fn new(
-        layout: SegmentLayout,
-        topology: Arc<BridgeTopology>,
-        device: usize,
-        homes: PageHomePolicy,
-        aging: AgeHorizon,
-    ) -> Self {
-        let cfg = FabricConfig::new(BridgeTopology::clone(&topology))
-            .with_homes(homes)
-            .with_aging(aging);
-        Self::for_device(layout, &BootState::new(topology, Vec::new()), device, &cfg)
-    }
-
     /// The filter of one device of a fabric, booted from the fabric's
     /// shared `boot` state with `cfg`'s homes, aging and election
     /// mode. **The** constructor: a first
@@ -100,9 +116,10 @@ impl BridgePolicy {
 
     /// The single device of a 1-bridge star with sticky interest — the
     /// device of [`FabricConfig::star`].
-    pub fn star(layout: SegmentLayout, homes: PageHomePolicy) -> Self {
-        let topology = Arc::new(BridgeTopology::star(layout.segments()));
-        Self::new(layout, topology, 0, homes, AgeHorizon::Sticky)
+    pub(crate) fn star(layout: SegmentLayout, homes: PageHomePolicy) -> Self {
+        let cfg = FabricConfig::star(layout.segments()).with_homes(homes);
+        let boot = BootState::new(Arc::new(cfg.topology.clone()), Vec::new());
+        Self::for_device(layout, &boot, 0, &cfg)
     }
 
     /// The host layout the filter routes over.
@@ -113,11 +130,6 @@ impl BridgePolicy {
     /// Which device of the topology this filter belongs to.
     pub fn device(&self) -> usize {
         self.filters.device()
-    }
-
-    /// The election mode this policy runs.
-    pub fn election(&self) -> ElectionMode {
-        self.election.mode()
     }
 
     /// The active forwarding tree currently routed on.
@@ -134,7 +146,7 @@ impl BridgePolicy {
     /// `belief_hits`, `home_routed`, `belief_fallback_floods` and
     /// `belief_repairs` set, ready to [`BridgeStats::sum`] with the
     /// engine's traffic counters.
-    pub fn belief_counters(&self) -> BridgeStats {
+    pub(crate) fn belief_counters(&self) -> BridgeStats {
         self.filters.belief_counters()
     }
 
@@ -195,14 +207,10 @@ impl BridgePolicy {
         self.election.ports_mask()
     }
 
-    /// The interest-aging horizon this policy runs.
-    pub fn aging(&self) -> AgeHorizon {
-        self.filters.aging()
-    }
-
     /// Transits this device has forwarded so far — the clock
-    /// [`AgeHorizon::Transits`] freshness is measured against. Every
-    /// per-port demand stamp was taken at or below this value.
+    /// [`AgeHorizon::Transits`](super::AgeHorizon::Transits) freshness is
+    /// measured against. Every per-port demand stamp was taken at or
+    /// below this value.
     pub fn aging_clock(&self) -> u64 {
         self.filters.aging_clock()
     }
@@ -276,9 +284,9 @@ impl BridgePolicy {
     }
 
     /// Whether a missing holder belief on this device still proves the
-    /// holder lies through the page's home port (see the module docs,
-    /// "The probable-owner trail"): from boot until the device's active
-    /// tree changes or it rejoins a running fabric.
+    /// holder lies through the page's home port (the bridge's `policy`
+    /// module, "The probable-owner trail"): from boot until the device's
+    /// active tree changes or it rejoins a running fabric.
     pub fn trail_intact(&self) -> bool {
         self.election.trail_intact()
     }
@@ -297,6 +305,11 @@ impl BridgePolicy {
     /// whatever active tree is current. Pins never age out and survive
     /// reconvergence.
     ///
+    /// Needed when a segment's only consumers of a page are *data-driven*
+    /// readers: a data-driven fault "does not send out a request" (the
+    /// paper's completely passive fault), so there is no frame for the
+    /// fabric to learn that segment's interest from.
+    ///
     /// # Panics
     ///
     /// Panics if `seg` is out of range.
@@ -307,8 +320,8 @@ impl BridgePolicy {
     /// The consistent copy of `page` was just created on segment `seg`,
     /// before any frame of it has crossed the fabric: if this device
     /// lies between the page's home and `seg`, its holder belief now
-    /// points toward `seg` (see the module docs, "The probable-owner
-    /// trail").
+    /// points toward `seg` (the bridge's `policy` module,
+    /// "The probable-owner trail").
     pub fn seed_holder(&mut self, page: PageId, seg: usize) {
         (self.filters).seed_holder(page, seg, self.election.tree());
     }
@@ -351,10 +364,6 @@ impl BridgePolicy {
 
     /// Fails this device's attachment to `segment` (see
     /// [`Election::kill_port`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is not a physical port of this device.
     pub(crate) fn kill_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
         let out = self.election.kill_port(segment, now);
         self.flush(out)
@@ -362,10 +371,6 @@ impl BridgePolicy {
 
     /// Restores this device's attachment to `segment` (see
     /// [`Election::revive_port`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is not a physical port of this device.
     pub(crate) fn revive_port(&mut self, segment: usize, now: SimTime) -> PduOutcome {
         let out = self.election.revive_port(segment, now);
         self.flush(out)
@@ -379,10 +384,15 @@ impl BridgePolicy {
         self.election.set_self_version(version);
     }
 
-    /// [`Filters::route_into`] collected into a mask, for the unit tests.
+    /// [`BridgePolicy::route_into`] collected into a mask, for the unit
+    /// tests: definitionally learn-then-`targets` (and, for a reply,
+    /// clear the pending marks it answered), so the diagnostic mask can
+    /// never drift from what the device actually forwards.
     #[cfg(test)]
     pub(super) fn route(&mut self, pkt: &Packet, in_port: usize, now: SimTime) -> HostMask {
-        (self.filters).route(pkt, in_port, now, self.election.tree())
+        let mut ports = Vec::new();
+        self.route_into(pkt, in_port, now, &mut ports);
+        ports.into_iter().collect()
     }
 
     /// The forwarding mask of one frame, with no learning side effects,
@@ -396,7 +406,9 @@ impl BridgePolicy {
     /// unit tests.
     #[cfg(test)]
     pub(super) fn interest(&self, page: PageId, now: SimTime) -> HostMask {
-        (self.filters).interest(page, now, self.election.tree())
+        (self.ports_mask().iter())
+            .filter(|&port| self.interested(page, port, now))
+            .collect()
     }
 
     /// [`Filters::flush_port`], for the unit tests.
@@ -420,21 +432,21 @@ impl BridgePolicy {
 /// the simulator's timing, queueing, and fault-injection engine.
 #[derive(Debug)]
 pub struct Bridge {
-    pub(super) cfg: BridgeConfig,
+    cfg: BridgeConfig,
     pub(super) policy: BridgePolicy,
     /// When the forwarding engine next falls idle.
-    pub(super) free_at: SimTime,
+    free_at: SimTime,
     /// Exit times of frames currently queued in the device.
-    pub(super) backlog: VecDeque<SimTime>,
-    pub(super) rng: StdRng,
+    backlog: VecDeque<SimTime>,
+    rng: StdRng,
     pub(super) stats: BridgeStats,
     /// Counters inherited from this device's previous life (a revival
     /// cold-resets the filter, not the run's accounting).
-    pub(super) carryover: BridgeStats,
+    carryover: BridgeStats,
     /// The last pickup's target ports and egress schedule: buffers the
     /// device reuses, so a pickup allocates nothing.
     pub(super) targets: Vec<usize>,
-    pub(super) egress: Vec<(usize, SimTime)>,
+    egress: Vec<(usize, SimTime)>,
 }
 
 impl Bridge {
@@ -458,7 +470,7 @@ impl Bridge {
     /// previous life across a kill/revive cycle, so end-of-run metrics
     /// never under-count (or appear to run backwards over) a revival.
     #[must_use]
-    pub fn with_stats_base(mut self, base: BridgeStats) -> Self {
+    pub(crate) fn with_stats_base(mut self, base: BridgeStats) -> Self {
         self.carryover = base;
         self
     }
@@ -479,16 +491,6 @@ impl Bridge {
     /// gossip, failure injection) goes through here.
     pub fn policy_mut(&mut self) -> &mut BridgePolicy {
         &mut self.policy
-    }
-
-    /// Statically subscribes segment `seg` to `page` (see
-    /// [`BridgePolicy::subscribe`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is out of range.
-    pub fn subscribe(&mut self, page: PageId, seg: usize) {
-        self.policy.subscribe(page, seg);
     }
 
     /// Cumulative traffic counters of this device: engine counters,

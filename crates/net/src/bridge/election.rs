@@ -1,4 +1,64 @@
 //! The device's control plane: gossip, timeouts, re-election.
+//!
+//! # Physical links vs. the active forwarding tree
+//!
+//! A [`mether_core::BridgeTopology`] describes the **physical wiring**:
+//! each bridge device attaches to a subset of segments (its *ports*) and
+//! only ever sees traffic on those segments. The wiring is a validated
+//! *connected graph* — redundant links (rings, meshes, tie bridges) are
+//! welcome, because loop freedom does not come from the wiring. It comes
+//! from a **spanning-tree election** in the style of Perlman's 802.1D:
+//! each device holds gossiped liveness beliefs about its peers
+//! ([`mether_core::DeviceView`], carried in
+//! [`mether_core::Packet::BridgePdu`] hello frames on the ordinary
+//! wire), and deterministically elects an active tree from them
+//! ([`mether_core::BridgeTopology::elect`]) — a root bridge
+//! (configurable priorities, device-id tie-break), per-port
+//! forwarding or blocked port states, and next-hop tables
+//! *derived from the forwarding ports at election time* rather than
+//! precomputed from the wiring. Frames travel **hop by hop** along
+//! forwarding ports only; blocked ports neither forward nor learn, so
+//! the redundancy stays dormant until a failure needs it.
+//!
+//! The hello is one sparse format: the sender's own view, the views
+//! that changed since its last hello, and a rotating window of
+//! `GOSSIP_WINDOW` unchanged entries — epidemic anti-entropy in the
+//! style of Demers et al. (PODC 1987), so a device that missed history
+//! resyncs within `devices / GOSSIP_WINDOW` hellos while a hello's wire
+//! cost stays O(1) in fabric size. A fabric of at most
+//! `GOSSIP_WINDOW` devices hears every view in every hello.
+//!
+//! Two election modes ([`ElectionMode`]):
+//!
+//! * [`ElectionMode::Static`] — elect once at construction assuming
+//!   everything alive, then never again: no hello traffic, no timers.
+//!   On a tree topology this reproduces the PR 4 tree fabric *exactly*
+//!   (every port forwards, identical next hops — regression-pinned
+//!   byte-identical), and on a graph it simply freezes one spanning
+//!   tree.
+//! * [`ElectionMode::Live`] — each device emits a hello on every live
+//!   port at the hello cadence (and immediately when its beliefs
+//!   change), times out silent neighbours, gossips deaths and
+//!   revivals, and re-elects on every belief change. Ports that turn
+//!   from Blocked to Forwarding hold down for a listening delay before
+//!   carrying data, so a transient disagreement between devices cannot
+//!   close a forwarding loop the way real STP's listening state
+//!   prevents. Reconvergence **flushes learned interest and holder
+//!   beliefs on every port whose role changed** — the cached directions
+//!   are meaningless on the new tree — and the DSM layer rides through
+//!   on its request-retry path while the fabric heals.
+//!
+//! Failures are injected as [`FabricEvent`](super::FabricEvent)s ([`FabricEvent::BridgeDown`](super::FabricEvent::BridgeDown),
+//! [`FabricEvent::BridgeUp`](super::FabricEvent::BridgeUp), [`FabricEvent::LinkDown`](super::FabricEvent::LinkDown),
+//! [`FabricEvent::LinkUp`](super::FabricEvent::LinkUp)): a dead device
+//! stops emitting hellos and stops forwarding, its neighbours notice the
+//! silence, declare it dead (versioned gossip: a neighbour's obituary is
+//! `version + 1`; self-assertions advance by 2 so a live device always
+//! out-versions its own obituary), and the fabric reconverges around the
+//! redundancy. [`Fabric`](super::Fabric) measures the **reconvergence stall**: the sim
+//! time from a `BridgeDown` to the first page copy (publication or
+//! reply) forwarded by a re-elected device — the window during which
+//! cross-fabric pages were unreachable.
 
 use super::policy::Tree;
 use super::{ElectionMode, BRIDGE_HOST_BASE};
@@ -8,17 +68,17 @@ use std::sync::Arc;
 
 /// What one control-plane step changed at a device.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PduOutcome {
+pub(crate) struct PduOutcome {
     /// The device's gossiped beliefs changed (propagate: emit a
     /// triggered hello).
-    pub view_changed: bool,
+    pub(crate) view_changed: bool,
     /// The re-election actually changed the active tree (count a
     /// reconvergence).
-    pub active_changed: bool,
+    pub(crate) active_changed: bool,
     /// The device's own ports whose role the re-election changed: what
     /// was learned through them is meaningless on the new tree, and the
     /// device flushes it.
-    pub changed_roles: HostMask,
+    pub(crate) changed_roles: HostMask,
 }
 
 /// The gossip entries of hello `pkt`, heard from device `emitter` of a
@@ -27,7 +87,8 @@ pub struct PduOutcome {
 /// fabric. That field is wire-decoded, so on a real transport it is
 /// untrusted input: ingesting such a frame would refresh the wrong
 /// neighbour's liveness stamp. Both engines count a `None` in
-/// [`BridgeStats::malformed_pdus`](super::BridgeStats::malformed_pdus) and ignore the frame.
+/// [`BridgeStats::malformed_pdus`](super::BridgeStats::malformed_pdus)
+/// and ignore the frame.
 pub(super) fn checked_hello(
     pkt: &Packet,
     emitter: usize,
@@ -53,12 +114,12 @@ pub(super) const GOSSIP_WINDOW: usize = 8;
 /// graph, so every observer of those views elects the identical tree —
 /// there is nothing per-device to compute at a cold boot or a cold
 /// revival, and nothing to copy until a device's beliefs diverge (see
-/// the module docs, "Per fabric, per device").
+/// the bridge's `device` module, "Per fabric, per device").
 #[derive(Debug)]
 pub struct BootState {
     pub(super) topology: Arc<BridgeTopology>,
-    pub(super) priorities: Arc<Vec<u64>>,
-    pub(super) views: Arc<Vec<DeviceView>>,
+    priorities: Arc<Vec<u64>>,
+    views: Arc<Vec<DeviceView>>,
     pub(super) active: Arc<ActiveTree>,
 }
 
@@ -203,11 +264,6 @@ impl Election {
         self.dirty = true;
     }
 
-    /// The election mode this device runs.
-    pub(crate) fn mode(&self) -> ElectionMode {
-        self.mode
-    }
-
     /// The active forwarding tree currently routed on.
     pub(crate) fn active(&self) -> &ActiveTree {
         &self.active
@@ -218,21 +274,17 @@ impl Election {
         self.epoch
     }
 
-    /// The device's *physical* ports as a segment-id bitmask — failed
-    /// links included.
+    /// The device's physical ports, failed links included.
     pub(crate) fn ports_mask(&self) -> &HostMask {
         &self.ports_mask
     }
 
-    /// The device's live ports: physical ports minus failed links (per
-    /// its own self-view).
+    /// The device's live ports: physical ports minus failed links.
     pub(crate) fn self_live_ports(&self) -> HostMask {
         self.ports_mask.intersection(&self.views[self.device].ports)
     }
 
-    /// Whether `seg` is one of [`Election::self_live_ports`], by borrow
-    /// — the per-frame question the pickup loop asks of every device on
-    /// a segment, which must not build a mask to answer.
+    /// Whether `seg` is one of [`Election::self_live_ports`], by borrow.
     pub(crate) fn port_is_live(&self, seg: usize) -> bool {
         self.ports_mask.contains(seg) && self.views[self.device].ports.contains(seg)
     }
@@ -244,30 +296,24 @@ impl Election {
         std::mem::take(&mut self.dirty)
     }
 
-    /// This device's gossiped liveness beliefs, indexed by device (its
-    /// own entry included).
+    /// This device's gossiped liveness beliefs, indexed by device.
     pub(crate) fn views(&self) -> &[DeviceView] {
         &self.views
     }
 
-    /// The ports still inside their post-election listening hold-down
-    /// at `now` — forwarding-role ports the data plane must not use yet.
+    /// The ports still inside their listening hold-down at `now`.
     pub(crate) fn held_ports(&self, now: SimTime) -> HostMask {
-        let mut m = HostMask::EMPTY;
-        if self.mode.is_live() {
-            for (i, &port) in self.topology.ports(self.device).iter().enumerate() {
-                if self.hold_until[i] > now {
-                    m.insert(port);
-                }
-            }
-        }
-        m
+        (self
+            .topology
+            .ports(self.device)
+            .iter()
+            .zip(&self.hold_until))
+        .filter(|&(_, &until)| until > now)
+        .map(|(&port, _)| port)
+        .collect()
     }
 
-    /// Whether a missing holder belief on this device still proves the
-    /// holder lies through the page's home port (see the module docs,
-    /// "The probable-owner trail"): from boot until the device's active
-    /// tree changes or it rejoins a running fabric.
+    /// Whether a missing holder belief still proves the holder homeward.
     pub(crate) fn trail_intact(&self) -> bool {
         self.trail_intact
     }
@@ -442,10 +488,8 @@ impl Election {
         self.settle(true, now)
     }
 
-    /// Sets this device's self-assertion version — used when a device
-    /// restarts, to start above any obituary still in circulation
-    /// (`2 × restarts` keeps it even and strictly above the odd
-    /// obituary of every previous life).
+    /// Sets this device's self-assertion version (see
+    /// `BridgePolicy::set_self_version`).
     pub(crate) fn set_self_version(&mut self, version: u64) {
         // A first boot asserts the version the shared boot views
         // already carry; only a revival has something to write.

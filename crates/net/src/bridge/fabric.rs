@@ -1,4 +1,30 @@
 //! Every device of a topology, wired together.
+//!
+//! # Engine
+//!
+//! [`Fabric`] owns every device of a topology: their liveness, their
+//! lost links, the control plane (hello ticks, control-frame gossip,
+//! failure events), reconvergence and the stall probe. It is the one
+//! fault plane, and two engines drive it:
+//!
+//! * the simulator hands it each delivered frame once
+//!   ([`Fabric::pickup`], [`Fabric::hear_control`]) and it fans the
+//!   frame out to the live devices attached to the segment. Egress
+//!   timing is the *exit* time from a device; the destination segment's
+//!   own medium model then queues the frame like any other
+//!   transmission, and the remaining devices on that segment hear it
+//!   there;
+//! * a threaded runtime runs one thread per device, and each thread
+//!   asks about its own device only ([`Fabric::forward`],
+//!   [`Fabric::hear_hello`], [`Fabric::tick`]). Its forward is
+//!   untimed: the frame leaves as soon as the thread has routed it, with
+//!   no forward delay, queue bound or drop/duplicate injection.
+//!
+//! The per-device steps are carved out of the same loops the
+//! simulator's fan-out runs (is the device alive and its port live,
+//! route, count, probe the stall), and both engines inject faults
+//! through [`Fabric::apply_event`], so a fault script means the same in
+//! both.
 
 use super::election::{checked_hello, BootState};
 use super::{Bridge, BridgePolicy, BridgeStats, ElectionMode, FabricConfig, FabricEvent};
@@ -286,7 +312,7 @@ impl Fabric {
     /// this cadence's hello on every live port. Empty for dead devices
     /// and under static election.
     pub fn tick(&mut self, device: usize, now: SimTime) -> Vec<ControlOut> {
-        if self.dead[device] || !self.cfg.election.is_live() {
+        if self.dead[device] || self.cfg.election == ElectionMode::Static {
             return Vec::new();
         }
         let outcome = self.devices[device].policy_mut().on_tick(now);
@@ -491,16 +517,17 @@ impl Fabric {
     /// Panics if `seg` is out of range.
     pub fn subscribe(&mut self, page: PageId, seg: usize) {
         for d in &mut self.devices {
-            d.subscribe(page, seg);
+            d.policy.subscribe(page, seg);
         }
     }
 
     /// `page` was just created on segment `seg`: every device between
     /// the page's home and `seg` points its holder belief toward `seg`
-    /// (see [`BridgePolicy::seed_holder`]). One check and nothing else
-    /// when [`FabricConfig::seeds_holder`] says no device needs telling.
+    /// (see [`BridgePolicy::seed_holder`]). A page created on its home
+    /// segment costs one check and nothing else: no device needs
+    /// telling.
     pub fn seed_holder(&mut self, page: PageId, seg: usize) {
-        if self.cfg.seeds_holder(page, seg) {
+        if self.cfg.homes.home_of(page, self.layout.segments()) != seg {
             for d in &mut self.devices {
                 d.policy_mut().seed_holder(page, seg);
             }

@@ -8,254 +8,24 @@
 //! the bottleneck — as a fabric of multi-port devices, the way real
 //! segmented Ethernets of the era scaled. This module is that fabric.
 //!
-//! # Physical links vs. the active forwarding tree
+//! # Modules
 //!
-//! A [`mether_core::BridgeTopology`] describes the **physical wiring**:
-//! each bridge device attaches to a subset of segments (its *ports*) and
-//! only ever sees traffic on those segments. The wiring is a validated
-//! *connected graph* — redundant links (rings, meshes, tie bridges) are
-//! welcome, because loop freedom does not come from the wiring. It comes
-//! from a **spanning-tree election** in the style of Perlman's 802.1D:
-//! each device holds gossiped liveness beliefs about its peers
-//! ([`mether_core::DeviceView`], carried in
-//! [`mether_core::Packet::BridgePdu`] hello frames on the ordinary
-//! wire), and deterministically elects an active tree from them
-//! ([`mether_core::BridgeTopology::elect`]) — a root bridge
-//! (configurable priorities, device-id tie-break), per-port
-//! [`mether_core::PortState::Forwarding`] /
-//! [`mether_core::PortState::Blocked`] states, and next-hop tables
-//! *derived from the forwarding ports at election time* rather than
-//! precomputed from the wiring. Frames travel **hop by hop** along
-//! forwarding ports only; blocked ports neither forward nor learn, so
-//! the redundancy stays dormant until a failure needs it.
-//!
-//! The hello is one sparse format: the sender's own view, the views
-//! that changed since its last hello, and a rotating window of
-//! `GOSSIP_WINDOW` unchanged entries — epidemic anti-entropy in the
-//! style of Demers et al. (PODC 1987), so a device that missed history
-//! resyncs within `devices / GOSSIP_WINDOW` hellos while a hello's wire
-//! cost stays O(1) in fabric size. A fabric of at most
-//! `GOSSIP_WINDOW` devices hears every view in every hello.
-//!
-//! Two election modes ([`ElectionMode`]):
-//!
-//! * [`ElectionMode::Static`] — elect once at construction assuming
-//!   everything alive, then never again: no hello traffic, no timers.
-//!   On a tree topology this reproduces the PR 4 tree fabric *exactly*
-//!   (every port forwards, identical next hops — regression-pinned
-//!   byte-identical), and on a graph it simply freezes one spanning
-//!   tree.
-//! * [`ElectionMode::Live`] — each device emits a hello on every live
-//!   port at the hello cadence (and immediately when its beliefs
-//!   change), times out silent neighbours, gossips deaths and
-//!   revivals, and re-elects on every belief change. Ports that turn
-//!   from Blocked to Forwarding hold down for a listening delay before
-//!   carrying data, so a transient disagreement between devices cannot
-//!   close a forwarding loop the way real STP's listening state
-//!   prevents. Reconvergence **flushes learned interest and holder
-//!   beliefs on every port whose role changed** — the cached directions
-//!   are meaningless on the new tree — and the DSM layer rides through
-//!   on its request-retry path while the fabric heals.
-//!
-//! Failures are injected as [`FabricEvent`]s ([`FabricEvent::BridgeDown`],
-//! [`FabricEvent::BridgeUp`], [`FabricEvent::LinkDown`],
-//! [`FabricEvent::LinkUp`]): a dead device
-//! stops emitting hellos and stops forwarding, its neighbours notice the
-//! silence, declare it dead (versioned gossip: a neighbour's obituary is
-//! `version + 1`; self-assertions advance by 2 so a live device always
-//! out-versions its own obituary), and the fabric reconverges around the
-//! redundancy. [`Fabric`] measures the **reconvergence stall**: the sim
-//! time from a `BridgeDown` to the first page copy (publication or
-//! reply) forwarded by a re-elected device — the window during which
-//! cross-fabric pages were unreachable.
-//!
-//! # Filtering and routing
-//!
-//! [`BridgePolicy`] is one device's forwarding filter — time-free and
-//! transport-free, shared verbatim by the discrete-event simulator and
-//! the threaded runtime. Per page it keeps, per port:
-//!
-//! * **learned interest** — a port is interested when a `PageRequest`
-//!   arrived on it, a page copy arrived on it (that side holds copies
-//!   the snoopy protocol must keep refreshed), or a `transfer_to` moved
-//!   the consistent copy toward it. Publications are forwarded to
-//!   interested ports only.
-//! * **pending requests** — a `PageRequest` heard on a port marks it
-//!   pending for the page ([`PortStamp::requested_at`]) until a reply
-//!   is forwarded back out through it. Replies follow these marks
-//!   (below), and no aging horizon expires them.
-//! * the **home port** — the port toward the page's home segment
-//!   ([`mether_core::PageHomePolicy`]) *on the active tree*, permanently
-//!   interested so the home always holds fresh copies for cross-segment
-//!   misses to find. Never aged out; re-derived automatically when the
-//!   tree changes; absent while the home segment is partitioned away.
-//! * **pins** ([`BridgePolicy::subscribe`]) — explicit subscriptions for
-//!   purely data-driven readers, stored as *segments* and resolved to
-//!   ports through the active tree, so they survive reconvergence.
-//! * the **believed holder port** — learned from the direction page
-//!   copies arrive from (only when they *advance* the
-//!   page's generation, so a non-holder's stale `Want::Superset` reply
-//!   cannot repoint the belief away from the live holder) and from
-//!   snooped `transfer_to` moves (authoritative — they name the new
-//!   holder).
-//!
-//! A `PageRequest` is forwarded toward the believed holder, *anchored at
-//! the home port*; with no belief it walks toward the home (below), and
-//! the reply repairs the table at every hop it crosses. So request
-//! traffic grows with the tree distance to the holder, not with the
-//! segment count. Two kinds of request still leave through every other
-//! forwarding port: a `Want::Superset` request, which any host holding
-//! a full copy may answer, so no one holder direction covers it; and a
-//! belief-less request on a device that cannot trust its silence
-//! (below). Belief quality is accounted per device in [`BridgeStats`]:
-//! `belief_hits` (requests routed on a belief), `home_routed` (no
-//! belief — toward home), `belief_fallback_floods` (no belief on a
-//! device that cannot trust its silence — flooded), and
-//! `belief_repairs` (an existing belief repointed by fresher evidence).
-//!
-//! # Replies and publications
-//!
-//! A page copy crosses the wire as one of two types with one header
-//! layout ([`mether_core::Packet`]). A **publication**
-//! ([`Packet::PageData`](mether_core::Packet::PageData): a purge broadcast) is sent unasked, for
-//! data-driven readers that send no request; it leaves a device through
-//! every port with fresh learned interest, the home port, and the pins
-//! — the snoopy protocol's fan-out. A **reply**
-//! ([`Packet::PageReply`](mether_core::Packet::PageReply): a read reply, a `Superset` reply, a
-//! consistency transfer) answers requests; it leaves only through
-//!
-//! * the ports whose requests are still pending,
-//! * the next hop toward its `transfer_to` target, and
-//! * the pins,
-//!
-//! and clears the pending mark of each port it leaves through. So a
-//! demand reader fetches its own data, and a bystander segment no longer
-//! snoops every reply to a page it once asked for: the paper's split
-//! between demand-driven and data-driven faults, carried onto the
-//! fabric. Two requesters pending on different ports (a holder that
-//! coalesced or piggybacked the second request onto its answer to the
-//! first) both get the one reply. A reply teaches everything a
-//! publication does — ingress interest, holder beliefs — and a grant
-//! still walks the whole old holder → new holder path, which is what the
-//! trail below rests on.
-//!
-//! # The probable-owner trail
-//!
-//! A missing belief is evidence too. A page's consistent copy starts at
-//! its creator and moves only by `transfer_to` data, which every device
-//! on the old holder → new holder path forwards and follows; a device
-//! off that path has both holders on the same side of itself. So a
-//! device still on the tree it booted on, holding no belief for a page,
-//! knows the holder is on the home side — the probable-owner trail of
-//! Li and Hudak's dynamic distributed manager, kept by the bridges —
-//! and sends the request out its home port alone (nowhere, when it came
-//! in through it). Two cases break the argument, and both are covered.
-//! A page created off its home segment has crossed nothing yet, so
-//! creating it seeds the belief on the devices between home and
-//! creator ([`BridgePolicy::seed_holder`]). A device whose tree changed
-//! (a re-election flushes beliefs on the ports whose role changed) or
-//! that was revived cold may have missed moves, so it floods
-//! belief-less requests until replies teach it beliefs again. The
-//! simulator's invariant observer checks the argument itself: on every
-//! device that trusts its silence, a page with no belief has its holder
-//! homeward.
-//!
-//! # Interest aging
-//!
-//! Learned interest carries a last-use stamp; an [`AgeHorizon`] (in
-//! device-forwarded transits, or in sim time) evicts entries whose port
-//! has shown no demand for that long, so a reader segment that stops
-//! touching a page stops receiving its publications. Re-use reinstates the
-//! entry via the ordinary learning path; home ports and pins never age.
-//! The default, [`AgeHorizon::Sticky`], never evicts.
-//!
-//! # Engine
-//!
-//! [`Bridge`] wraps one device's policy in the simulator's
-//! store-and-forward timing: a forwarding delay, a bounded frame queue
-//! that tail-drops under overload, and drop/duplicate fault-injection
-//! knobs ([`BridgeConfig`]), accounted per device in [`BridgeStats`].
-//! [`Fabric`] owns every device of a topology: their liveness, their
-//! lost links, the control plane (hello ticks, control-frame gossip,
-//! failure events), reconvergence and the stall probe. It is the one
-//! fault plane, and two engines drive it:
-//!
-//! * the simulator hands it each delivered frame once
-//!   ([`Fabric::pickup`], [`Fabric::hear_control`]) and it fans the
-//!   frame out to the live devices attached to the segment. Egress
-//!   timing is the *exit* time from a device; the destination segment's
-//!   own medium model then queues the frame like any other
-//!   transmission, and the remaining devices on that segment hear it
-//!   there;
-//! * a threaded runtime runs one thread per device, and each thread
-//!   asks about its own device only ([`Fabric::forward`],
-//!   [`Fabric::hear_hello`], [`Fabric::tick`]). Its forward is
-//!   untimed: the frame leaves as soon as the thread has routed it, with
-//!   no forward delay, queue bound or drop/duplicate injection.
-//!
-//! The per-device steps are carved out of the same loops the
-//! simulator's fan-out runs (is the device alive and its port live,
-//! route, count, probe the stall), and both engines inject faults
-//! through [`Fabric::apply_event`], so a fault script means the same in
-//! both.
-//!
-//! # Per fabric, per device
-//!
-//! Fabric-wide facts are computed once per fabric and shared, not
-//! replicated per device:
-//!
-//! * **Per fabric, always shared** — the wiring
-//!   (`Arc<BridgeTopology>`) and the configured priorities.
-//! * **Per fabric until a device diverges** — the [`BootState`]: the
-//!   optimistic everybody-alive views and the one tree they elect
-//!   (every observer of a validated connected graph elects the same
-//!   one). [`Fabric::new`] computes it once, every device boots on it
-//!   by reference, and every cold revival boots on it again — no
-//!   constructor elects per device. A device's view table and its
-//!   active tree are held copy-on-write: the table is copied the first
-//!   time one of *this* device's beliefs really changes (a merged
-//!   hello is compared before anything is written), and the tree is
-//!   replaced — never edited — when a re-election lands on a different
-//!   one; a re-election that finds root and forwarding masks unchanged
-//!   keeps the tree it has. Under [`ElectionMode::Static`] nothing
-//!   ever diverges: a 480-device mesh carries one tree and one view
-//!   table, not 480.
-//! * **Per device, always private** — the page filters (learned
-//!   interest, pins, holder beliefs) and the slab of demand stamps
-//!   beside them, one row of ports per filter, neighbour liveness
-//!   stamps and hold-downs, the election epoch, gossip watermarks,
-//!   counters, and the engine's backlog and fault-injection RNG. A
-//!   device keeps a filter only for the pages it has heard of: a
-//!   page → slot index (4 bytes per page id) leads to compact filters
-//!   and stamp rows, and a page without a slot answers every query as
-//!   a default filter would. On the 480-device mesh most devices hear
-//!   of a small share of the pages, so most would-be filters never
-//!   exist.
-//!
-//! # Per frame
-//!
-//! One pickup is one walk over the device's own port list, and what it
-//! costs does not depend on how many segments, devices or pages the
-//! fabric has. It *reads* the shared tree by reference (is this port
-//! Forwarding; the next hop toward the page's home and toward a
-//! `transfer_to` target), the device's hold-downs, the page's filter
-//! and its row of the stamp slab, both found through one load from the
-//! slot index; it *writes* that one filter (a
-//! learned bit, the holder belief, the newest generation) and the
-//! stamps of the ports that showed demand — one row, one or two
-//! entries. Every forwarding rule is a test applied to one port at a
-//! time, and the ports that pass are pushed, ascending, into a buffer
-//! the caller reuses ([`BridgePolicy::route_into`]: each [`Bridge`]
-//! keeps one, which [`Fabric::forward`] lends out), as is the egress
-//! schedule a [`Bridge`] returns and the combined one [`Fabric::pickup`]
-//! returns. No segment-id mask is built, copied or
-//! combined along the way, so nothing is allocated — with one
-//! exception: a page with pins ([`BridgePolicy::subscribe`]) resolves
-//! them to ports through the tree into a small mask, once per frame.
-//! The unit tests' mask-returning `targets` and `interest` collect the
-//! same walk's ports into a mask, and the invariant observer asks the
-//! walk's test of one port ([`BridgePolicy::interested`]); there is no
-//! second copy of the rules.
+//! * `config`: the knobs a fabric is built from ([`FabricConfig`],
+//!   [`BridgeConfig`], [`AgeHorizon`], [`ElectionMode`]), the failures
+//!   it is driven by ([`FabricEvent`]) and the counters it keeps
+//!   ([`BridgeStats`]).
+//! * `policy`: one device's per-page filters and forwarding rules —
+//!   learned interest, pending requests, pins, holder beliefs and the
+//!   probable-owner trail. It reads the election through a lent view of
+//!   the active tree, so it is driven without a fabric.
+//! * `election`: one device's slice of the spanning-tree election —
+//!   gossiped views, liveness stamps, hold-downs, the active tree — and
+//!   the [`BootState`] a fabric's devices share.
+//! * `device`: [`BridgePolicy`], which pairs a device's filters with its
+//!   election, and [`Bridge`], its store-and-forward engine.
+//! * `fabric`: [`Fabric`], every device of a topology with its control
+//!   and fault planes, driven by the simulator and by a threaded
+//!   runtime alike.
 
 mod config;
 mod device;
@@ -268,7 +38,7 @@ pub use config::{
     BRIDGE_HOST_BASE,
 };
 pub use device::{Bridge, BridgePolicy};
-pub use election::{BootState, PduOutcome};
+pub use election::BootState;
 pub use fabric::{ControlOut, Fabric, Forward};
 pub use policy::PortStamp;
 

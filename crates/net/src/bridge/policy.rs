@@ -1,4 +1,129 @@
 //! Per-page filtering and routing.
+//!
+//! # Filtering and routing
+//!
+//! [`BridgePolicy`](super::BridgePolicy) is one device's forwarding filter — time-free and
+//! transport-free, shared verbatim by the discrete-event simulator and
+//! the threaded runtime. Per page it keeps, per port:
+//!
+//! * **learned interest** — a port is interested when a `PageRequest`
+//!   arrived on it, a page copy arrived on it (that side holds copies
+//!   the snoopy protocol must keep refreshed), or a `transfer_to` moved
+//!   the consistent copy toward it. Publications are forwarded to
+//!   interested ports only.
+//! * **pending requests** — a `PageRequest` heard on a port marks it
+//!   pending for the page ([`PortStamp::requested_at`]) until a reply
+//!   is forwarded back out through it. Replies follow these marks
+//!   (below), and no aging horizon expires them.
+//! * the **home port** — the port toward the page's home segment
+//!   ([`mether_core::PageHomePolicy`]) *on the active tree*, permanently
+//!   interested so the home always holds fresh copies for cross-segment
+//!   misses to find. Never aged out; re-derived automatically when the
+//!   tree changes; absent while the home segment is partitioned away.
+//! * **pins** ([`BridgePolicy::subscribe`](super::BridgePolicy::subscribe)) — explicit subscriptions for
+//!   purely data-driven readers, stored as *segments* and resolved to
+//!   ports through the active tree, so they survive reconvergence.
+//! * the **believed holder port** — learned from the direction page
+//!   copies arrive from (only when they *advance* the
+//!   page's generation, so a non-holder's stale `Want::Superset` reply
+//!   cannot repoint the belief away from the live holder) and from
+//!   snooped `transfer_to` moves (authoritative — they name the new
+//!   holder).
+//!
+//! A `PageRequest` is forwarded toward the believed holder, *anchored at
+//! the home port*; with no belief it walks toward the home (below), and
+//! the reply repairs the table at every hop it crosses. So request
+//! traffic grows with the tree distance to the holder, not with the
+//! segment count. Two kinds of request still leave through every other
+//! forwarding port: a `Want::Superset` request, which any host holding
+//! a full copy may answer, so no one holder direction covers it; and a
+//! belief-less request on a device that cannot trust its silence
+//! (below). Belief quality is accounted per device in [`BridgeStats`]:
+//! `belief_hits` (requests routed on a belief), `home_routed` (no
+//! belief — toward home), `belief_fallback_floods` (no belief on a
+//! device that cannot trust its silence — flooded), and
+//! `belief_repairs` (an existing belief repointed by fresher evidence).
+//!
+//! # Replies and publications
+//!
+//! A page copy crosses the wire as one of two types with one header
+//! layout ([`mether_core::Packet`]). A **publication**
+//! ([`Packet::PageData`]: a purge broadcast) is sent unasked, for
+//! data-driven readers that send no request; it leaves a device through
+//! every port with fresh learned interest, the home port, and the pins
+//! — the snoopy protocol's fan-out. A **reply**
+//! ([`Packet::PageReply`]: a read reply, a `Superset` reply, a
+//! consistency transfer) answers requests; it leaves only through
+//!
+//! * the ports whose requests are still pending,
+//! * the next hop toward its `transfer_to` target, and
+//! * the pins,
+//!
+//! and clears the pending mark of each port it leaves through. So a
+//! demand reader fetches its own data, and a bystander segment no longer
+//! snoops every reply to a page it once asked for: the paper's split
+//! between demand-driven and data-driven faults, carried onto the
+//! fabric. Two requesters pending on different ports (a holder that
+//! coalesced or piggybacked the second request onto its answer to the
+//! first) both get the one reply. A reply teaches everything a
+//! publication does — ingress interest, holder beliefs — and a grant
+//! still walks the whole old holder → new holder path, which is what the
+//! trail below rests on.
+//!
+//! # The probable-owner trail
+//!
+//! A missing belief is evidence too. A page's consistent copy starts at
+//! its creator and moves only by `transfer_to` data, which every device
+//! on the old holder → new holder path forwards and follows; a device
+//! off that path has both holders on the same side of itself. So a
+//! device still on the tree it booted on, holding no belief for a page,
+//! knows the holder is on the home side — the probable-owner trail of
+//! Li and Hudak's dynamic distributed manager, kept by the bridges —
+//! and sends the request out its home port alone (nowhere, when it came
+//! in through it). Two cases break the argument, and both are covered.
+//! A page created off its home segment has crossed nothing yet, so
+//! creating it seeds the belief on the devices between home and
+//! creator ([`BridgePolicy::seed_holder`](super::BridgePolicy::seed_holder)). A device whose tree changed
+//! (a re-election flushes beliefs on the ports whose role changed) or
+//! that was revived cold may have missed moves, so it floods
+//! belief-less requests until replies teach it beliefs again. The
+//! simulator's invariant observer checks the argument itself: on every
+//! device that trusts its silence, a page with no belief has its holder
+//! homeward.
+//!
+//! # Interest aging
+//!
+//! Learned interest carries a last-use stamp; an [`AgeHorizon`] (in
+//! device-forwarded transits, or in sim time) evicts entries whose port
+//! has shown no demand for that long, so a reader segment that stops
+//! touching a page stops receiving its publications. Re-use reinstates the
+//! entry via the ordinary learning path; home ports and pins never age.
+//! The default, [`AgeHorizon::Sticky`], never evicts.
+//!
+//! # Per frame
+//!
+//! One pickup is one walk over the device's own port list, and what it
+//! costs does not depend on how many segments, devices or pages the
+//! fabric has. It *reads* the shared tree by reference (is this port
+//! Forwarding; the next hop toward the page's home and toward a
+//! `transfer_to` target), the device's hold-downs, the page's filter
+//! and its row of the stamp slab, both found through one load from the
+//! slot index; it *writes* that one filter (a
+//! learned bit, the holder belief, the newest generation) and the
+//! stamps of the ports that showed demand — one row, one or two
+//! entries. Every forwarding rule is a test applied to one port at a
+//! time, and the ports that pass are pushed, ascending, into a buffer
+//! the caller reuses ([`BridgePolicy::route_into`](super::BridgePolicy::route_into): each device's
+//! engine keeps one, and lends it out for an untimed forward), as are
+//! the egress schedules a device and a fabric pickup return. No
+//! segment-id mask is built, copied or
+//! combined along the way, so nothing is allocated — with one
+//! exception: a page with pins ([`BridgePolicy::subscribe`](super::BridgePolicy::subscribe)) resolves
+//! them to ports through the tree into a small mask, once per frame.
+//! The unit tests' mask-returning `targets` and `interest` collect the
+//! same walk's ports into a mask, and the invariant observer asks the
+//! walk's test of one port ([`BridgePolicy::interested`](super::BridgePolicy::interested)); there is no
+//! second copy of the rules.
 
 use super::{AgeHorizon, BridgeStats};
 use crate::time::SimTime;
@@ -13,25 +138,25 @@ use std::sync::Arc;
 /// When each port last showed demand lives beside it, in the device's
 /// stamp slab ([`Filters::stamps`]).
 #[derive(Debug, Clone, Default)]
-pub(super) struct PageFilter {
+struct PageFilter {
     /// Learned interest (bit = segment id of a port).
-    pub(super) learned: HostMask,
+    learned: HostMask,
     /// Explicitly subscribed *segments* (bit = segment id anywhere in
     /// the fabric, resolved to a port through the active tree at use
     /// time so pins survive reconvergence). Never aged.
-    pub(super) pinned_segs: HostMask,
+    pinned_segs: HostMask,
     /// Port (segment id) toward the believed consistent holder.
-    pub(super) holder: Option<u16>,
+    holder: Option<u16>,
     /// Newest generation seen in any data transit for the page. Holder
     /// beliefs only follow data that *advances* it: `Want::Superset`
     /// replies come from non-holders by definition (`table.rs`: "never
     /// the holder itself") and echo a stale generation, so without this
     /// gate one superset reply would repoint every device on its path
     /// at a segment that cannot answer ordinary requests.
-    pub(super) newest_gen: Option<mether_core::Generation>,
+    newest_gen: Option<mether_core::Generation>,
     /// Already queued in the policy's dirty-page list since the last
     /// drain (dedup flag for the incremental invariant observer).
-    pub(super) dirty: bool,
+    dirty: bool,
 }
 
 impl PageFilter {
@@ -219,9 +344,7 @@ impl Filters {
         self.homes.home_of(page, self.layout.segments())
     }
 
-    /// The port of this device toward `page`'s home segment on the
-    /// active tree — always interested, never aged. `None` while the
-    /// home segment is partitioned away (no forwarding path exists).
+    /// The port toward `page`'s home segment on `tree`.
     pub(crate) fn home_port(&self, page: PageId, tree: Tree) -> Option<usize> {
         tree.active.next_hop(self.device, self.home_of(page))
     }
@@ -353,36 +476,15 @@ impl Filters {
         }
     }
 
-    /// [`Filters::interested`] collected over every port, for the unit
-    /// tests.
-    #[cfg(test)]
-    pub(super) fn interest(&self, page: PageId, now: SimTime, tree: Tree) -> HostMask {
-        let interest = self.interest_in(page, self.slot(page), now, tree);
-        (self.ports().iter().enumerate())
-            .filter(|&(i, &port)| interest.covers(i, port))
-            .map(|(_, &port)| port)
-            .collect()
-    }
-
-    /// Does port `port` want `page`'s publications at `now`? It does
-    /// when it is a fresh learned port, a pin (resolved through the
-    /// active tree) or the home port. (The believed-holder port is
-    /// request routing state, not interest — data is not forwarded
-    /// toward a holder nobody asked from.) The per-port test data
-    /// forwarding applies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is not a port of this device.
+    /// Does port `port` want `page`'s publications at `now`? The per-port
+    /// test data forwarding applies: a fresh learned port, a pin or the
+    /// home port.
     pub(crate) fn interested(&self, page: PageId, port: usize, now: SimTime, tree: Tree) -> bool {
         let interest = self.interest_in(page, self.slot(page), now, tree);
         interest.covers(self.port_index(port), port)
     }
 
-    /// Belief-quality counters: a [`BridgeStats`] with only
-    /// `belief_hits`, `home_routed`, `belief_fallback_floods` and
-    /// `belief_repairs` set, ready to [`BridgeStats::sum`] with the
-    /// engine's traffic counters.
+    /// Belief-quality counters (the `belief_*` and `home_routed` fields).
     pub(crate) fn belief_counters(&self) -> BridgeStats {
         self.beliefs
     }
@@ -399,103 +501,59 @@ impl Filters {
         pages
     }
 
-    /// The port toward the believed consistent holder of `page`, if any
-    /// data transit or `transfer_to` has taught this device one.
+    /// The port toward the believed consistent holder of `page`.
     pub(crate) fn holder_port(&self, page: PageId) -> Option<usize> {
         self.filter(page).and_then(|f| f.holder.map(usize::from))
     }
 
-    // -----------------------------------------------------------------
-    // Introspection: the read-only surface the invariant observer
-    // (`mether_sim::Simulation::check_invariants`) cross-checks device
-    // state through. Everything here reads existing fields; none of it
-    // is on the forwarding path.
-    // -----------------------------------------------------------------
-
-    /// The interest-aging horizon this policy runs.
-    pub(crate) fn aging(&self) -> AgeHorizon {
-        self.aging
-    }
-
-    /// Transits this device has forwarded so far — the clock
-    /// [`AgeHorizon::Transits`] freshness is measured against. Every
-    /// per-port demand stamp was taken at or below this value.
+    /// Transits this device has forwarded so far: the aging clock.
     pub(crate) fn aging_clock(&self) -> u64 {
         self.clock
     }
 
-    /// The ids of the pages this device has heard of — those with a
-    /// materialised filter (learned interest, pins, demand stamps, a
-    /// holder belief, or all of them still at their defaults) — in
-    /// ascending id order. A page the device never heard of has no
-    /// filter and answers every query as a default one would.
+    /// The ids of the pages with a materialised filter, ascending.
     pub(crate) fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         (self.slots.iter().enumerate())
             .filter(|&(_, &slot)| slot != UNTRACKED)
             .map(|(i, _)| PageId::new(i as u32))
     }
 
-    /// The raw learned-interest port mask of `page` — unaged; the
-    /// effective, freshness-filtered view is
-    /// [`Filters::interested`].
+    /// `page`'s raw, unaged learned-interest ports.
     pub(crate) fn learned(&self, page: PageId) -> &HostMask {
         self.filter(page).map_or(&NO_PORTS, |f| &f.learned)
     }
 
-    /// The segments explicitly pinned to `page` via
-    /// [`Filters::subscribe`]. Pins name segments, not ports; they
-    /// resolve through the active tree at use time.
+    /// The segments pinned to `page`.
     pub(crate) fn pinned_segs(&self, page: PageId) -> &HostMask {
         self.filter(page).map_or(&NO_PORTS, |f| &f.pinned_segs)
     }
 
-    /// Last demand evidence of `page` per port of this device, parallel
-    /// to `topology.ports(device)`: the page's row of the stamp slab.
-    /// `None` while the page has no materialised filter.
+    /// `page`'s row of the stamp slab, if it has a filter.
     pub(crate) fn stamps(&self, page: PageId) -> Option<&[PortStamp]> {
         self.slot(page).map(|slot| self.row(slot))
     }
 
-    /// The newest data generation any transit has shown this device for
-    /// `page` — the gate that keeps stale `Want::Superset` echoes from
-    /// repointing the holder belief.
+    /// The newest data generation seen for `page`.
     pub(crate) fn newest_gen(&self, page: PageId) -> Option<mether_core::Generation> {
         self.filter(page).and_then(|f| f.newest_gen)
     }
 
-    /// Test-only fault injection: forcibly records learned interest for
-    /// `page` on `segment` — which need not be a port of this device,
-    /// deliberately violating the learned ⊆ physical-ports invariant
-    /// the observer checks. Goes through the ordinary mutation path, so
-    /// it registers in the dirty set like a real bug in the learning
-    /// code would.
+    /// Test-only fault injection: records learned interest for `page`
+    /// on `segment`, through the ordinary mutation path.
     #[doc(hidden)]
     pub(crate) fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
         self.filter_mut(page).learned.insert(segment);
     }
 
-    /// Test-only fault injection: forcibly points `page`'s holder
-    /// belief at `segment` — which need not be a port of this device —
-    /// or, with `None`, erases it. See
-    /// [`Filters::corrupt_learned_for_test`].
+    /// Test-only fault injection: points (or, with `None`, erases)
+    /// `page`'s holder belief, through the ordinary mutation path.
     #[doc(hidden)]
     pub(crate) fn corrupt_holder_belief_for_test(&mut self, page: PageId, segment: Option<usize>) {
         self.filter_mut(page).holder = segment.map(|s| s as u16);
     }
 
-    /// Statically subscribes segment `seg` to `page`'s transits: this
-    /// device pins `seg`, resolved to its port toward `seg` through
-    /// whatever active tree is current. Pins never age out and survive
-    /// reconvergence.
-    ///
-    /// Needed when a segment's only consumers of a page are *data-driven*
-    /// readers: a data-driven fault "does not send out a request" (the
-    /// paper's completely passive fault), so there is no frame for the
-    /// fabric to learn that segment's interest from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` is out of range.
+    /// Pins segment `seg` to `page`'s transits; panics if `seg` is out
+    /// of range.
     pub(crate) fn subscribe(&mut self, page: PageId, seg: usize) {
         assert!(
             seg < self.layout.segments(),
@@ -505,13 +563,8 @@ impl Filters {
         self.filter_mut(page).pinned_segs.insert(seg);
     }
 
-    /// The consistent copy of `page` was just created on segment `seg`,
-    /// before any frame of it has crossed the fabric: if this device
-    /// lies between the page's home and `seg`, its holder belief now
-    /// points toward `seg`. A management-plane step like
-    /// [`Filters::subscribe`], and the one case where a device's
-    /// missing belief would not mean "homeward" (see the module docs,
-    /// "The probable-owner trail").
+    /// `page` was just created on segment `seg`: points the holder belief
+    /// toward `seg` when this device lies between it and the page's home.
     pub(crate) fn seed_holder(&mut self, page: PageId, seg: usize, tree: Tree) {
         let home = self.home_port(page, tree);
         if let Some(port) = tree.active.next_hop(self.device, seg) {
@@ -732,14 +785,9 @@ impl Filters {
         }
     }
 
-    /// Routes one frame heard on `in_port` at `now`: updates the
-    /// learning tables, leaves the ports the frame must be forwarded to
-    /// in `out`, ascending (never `in_port`), and ticks the aging clock
-    /// when the frame is forwarded. A frame heard on a Blocked (or
-    /// held-down) port is neither learned from nor forwarded — the
-    /// dormant redundancy stays invisible to the data plane. The device
-    /// calls it for every frame it hears, with a buffer it reuses, so
-    /// routing a frame allocates nothing.
+    /// Routes one frame heard on `in_port` at `now`: learns from it and
+    /// leaves its target ports in `out`, ascending (see
+    /// [`BridgePolicy::route_into`](super::BridgePolicy::route_into)).
     pub(crate) fn route_into(
         &mut self,
         pkt: &Packet,
@@ -790,24 +838,6 @@ impl Filters {
                 stamp.requested_at = SimTime::ZERO;
             }
         }
-    }
-
-    /// [`Filters::route_into`] collected into a mask, for the unit
-    /// tests. Definitionally learn-then-`targets` (and,
-    /// for a reply, clear the pending marks it answered), so the
-    /// diagnostic mask can never drift from what the device actually
-    /// forwards.
-    #[cfg(test)]
-    pub(super) fn route(
-        &mut self,
-        pkt: &Packet,
-        in_port: usize,
-        now: SimTime,
-        tree: Tree,
-    ) -> HostMask {
-        let mut ports = Vec::new();
-        self.route_into(pkt, in_port, now, tree, &mut ports);
-        ports.into_iter().collect()
     }
 
     /// The forwarding mask of one frame heard on `in_port` at `now`,

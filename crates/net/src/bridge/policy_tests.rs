@@ -489,13 +489,9 @@ fn home_anchor_rescues_a_cold_poisoned_belief() {
 // -----------------------------------------------------------------
 
 fn aging_star(horizon: AgeHorizon) -> BridgePolicy {
-    BridgePolicy::new(
-        layout_4x2(),
-        Arc::new(BridgeTopology::star(4)),
-        0,
-        PageHomePolicy::Striped,
-        horizon,
-    )
+    let cfg = FabricConfig::star(4).with_aging(horizon);
+    let boot = BootState::new(Arc::new(cfg.topology.clone()), Vec::new());
+    BridgePolicy::for_device(layout_4x2(), &boot, 0, &cfg)
 }
 
 #[test]
@@ -556,17 +552,10 @@ fn sim_time_horizon_ages_by_the_clock() {
 
 fn tree_4_policies() -> Vec<BridgePolicy> {
     // 4 segments, fanout 2: device 0 = {0,1,2}, device 1 = {1,3}.
-    let topology = Arc::new(BridgeTopology::balanced_tree(4, 2));
-    (0..topology.bridges())
-        .map(|d| {
-            BridgePolicy::new(
-                layout_4x2(),
-                Arc::clone(&topology),
-                d,
-                PageHomePolicy::Striped,
-                AgeHorizon::Sticky,
-            )
-        })
+    let cfg = FabricConfig::tree(4, 2);
+    let boot = BootState::new(Arc::new(cfg.topology.clone()), Vec::new());
+    (0..cfg.topology.bridges())
+        .map(|d| BridgePolicy::for_device(layout_4x2(), &boot, d, &cfg))
         .collect()
 }
 
@@ -611,17 +600,10 @@ fn tree_holder_chase_turns_at_fresher_beliefs() {
     // hear the transfer. A request from segment 0 must still arrive:
     // devices 0 and 1 forward on their stale beliefs, device 2 turns
     // nothing — segment 2 *is* where the frame lands.
-    let topology = Arc::new(BridgeTopology::chain(4));
+    let cfg = FabricConfig::chain(4);
+    let boot = BootState::new(Arc::new(cfg.topology.clone()), Vec::new());
     let mut ps: Vec<BridgePolicy> = (0..3)
-        .map(|d| {
-            BridgePolicy::new(
-                layout_4x2(),
-                Arc::clone(&topology),
-                d,
-                PageHomePolicy::Striped,
-                AgeHorizon::Sticky,
-            )
-        })
+        .map(|d| BridgePolicy::for_device(layout_4x2(), &boot, d, &cfg))
         .collect();
     // Reply data 3 → 0 teaches every device holder-toward-3.
     let _ = ps[2].route(&data(6, 0, None), 3, T0);

@@ -15,13 +15,16 @@
 //!
 //! Deployments larger than one broadcast domain instantiate *several* of
 //! either substrate — one per segment — joined by the routed bridge
-//! fabric in [`bridge`]: a tree of bridge devices
-//! ([`mether_core::BridgeTopology`]) forwarding hop by hop, each running
-//! a [`bridge::BridgePolicy`] filter (page homes, learned interest with
-//! optional aging, requests routed toward the believed holder) shared by
-//! both substrates; [`bridge::Bridge`] adds the simulator's per-device
+//! fabric in [`bridge`]: a connected graph of bridge devices
+//! ([`mether_core::BridgeTopology`]) that elects a spanning tree and
+//! forwards hop by hop along it. Each device runs a
+//! [`bridge::BridgePolicy`], shared by both substrates: its per-page
+//! filters (page homes, learned interest with optional aging, requests
+//! routed toward the believed holder) paired with its slice of the
+//! election. [`bridge::Bridge`] adds the simulator's per-device
 //! store-and-forward timing, queueing, and fault-injection knobs, and
-//! [`bridge::Fabric`] wires every device of a topology together.
+//! [`bridge::Fabric`] wires every device of a topology together and runs
+//! its control and fault planes, for both substrates.
 //!
 //! All of them charge traffic using [`mether_core::Packet::wire_size`], so
 //! the network-load numbers produced by the simulator and the runtime are
@@ -40,8 +43,7 @@ pub mod time;
 
 pub use bridge::{
     AgeHorizon, BootState, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ControlOut,
-    ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PduOutcome, PortStamp,
-    BRIDGE_HOST_BASE,
+    ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PortStamp, BRIDGE_HOST_BASE,
 };
 pub use sim::{EtherConfig, EtherSim};
 pub use stats::NetStats;

@@ -142,7 +142,7 @@ impl EtherSim {
     }
 
     /// Time the wire takes to clock out `bytes`.
-    pub fn transmission_time(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn transmission_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_nanos(
             (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.cfg.bandwidth_bps,
         )
@@ -168,11 +168,6 @@ impl EtherSim {
             delivered_at: (!lost).then_some(end + self.cfg.propagation),
             sender_free_at: end,
         }
-    }
-
-    /// True if the medium is currently clocking a frame out at `now`.
-    pub fn busy_at(&self, now: SimTime) -> bool {
-        now < self.medium_free_at
     }
 }
 
@@ -287,14 +282,5 @@ mod tests {
     #[should_panic(expected = "loss probability")]
     fn invalid_loss_rejected() {
         let _ = EtherConfig::ten_megabit().with_loss(1.5, 0);
-    }
-
-    #[test]
-    fn busy_at_reflects_medium_state() {
-        let mut e = EtherSim::new(EtherConfig::ten_megabit());
-        assert!(!e.busy_at(SimTime::ZERO));
-        e.transmit(SimTime::ZERO, &data(8192));
-        assert!(e.busy_at(SimTime::ZERO + SimDuration::from_millis(1)));
-        assert!(!e.busy_at(SimTime::ZERO + SimDuration::from_secs(1)));
     }
 }

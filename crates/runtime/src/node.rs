@@ -226,21 +226,13 @@ impl Node {
         self.write_bytes(addr, &value.to_le_bytes())
     }
 
-    /// Reads `buf.len()` bytes at `addr` (see [`Node::read_u32`]).
+    /// Reads `buf.len()` bytes at `addr` (see [`Node::read_u32`]),
+    /// waiting at most `timeout`.
     ///
     /// # Errors
     ///
-    /// As [`Node::read_u32`]; additionally
-    /// [`Error::OffsetOutsideView`] if the range crosses the view bound.
-    pub fn read_bytes(&self, addr: VAddr, mode: MapMode, buf: &mut [u8]) -> Result<()> {
-        self.read_bytes_deadline(addr, mode, buf, None)
-    }
-
-    /// [`Node::read_bytes`] with a timeout.
-    ///
-    /// # Errors
-    ///
-    /// As [`Node::read_bytes`], plus [`Error::Timeout`].
+    /// As [`Node::read_u32`], plus [`Error::OffsetOutsideView`] if the
+    /// range crosses the view bound and [`Error::Timeout`].
     pub fn read_bytes_timeout(
         &self,
         addr: VAddr,

@@ -200,7 +200,6 @@ struct Proc {
     /// read at that generation. Kept only when [`Calib::fault_retry`]
     /// is set; see [`HostSim::lease_expired`].
     lease: Option<(PageId, Generation, SimTime)>,
-    label: String,
 }
 
 /// Work items for the user-level Mether server.
@@ -467,7 +466,6 @@ impl HostSim {
 
     /// Adds an application process; returns its index.
     pub fn add_process(&mut self, workload: Box<dyn Workload>) -> usize {
-        let label = workload.label().to_string();
         let idx = self.procs.len();
         self.procs.push(Proc {
             workload,
@@ -481,7 +479,6 @@ impl HostSim {
             block_epoch: 0,
             retry: None,
             lease: None,
-            label,
         });
         self.run_queue.push_back(idx);
         idx
@@ -633,21 +630,6 @@ impl HostSim {
         self.open.as_ref().map(|ol| &ol.hist)
     }
 
-    /// Unsatisfied open-loop faults: `(waiter, page, mode)` per entry.
-    /// Empty after a healthy drain; the soak/debug harnesses print it
-    /// when a run ends unfinished.
-    pub fn open_outstanding(&self) -> Vec<(WaiterId, PageId, MapMode)> {
-        self.open
-            .as_ref()
-            .map(|ol| {
-                ol.outstanding
-                    .iter()
-                    .map(|w| (w.waiter, w.page, w.mode))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Open-loop accounting: `(issued, hits, faults)` accesses so far.
     pub fn open_counts(&self) -> (u64, u64, u64) {
         self.open
@@ -664,11 +646,6 @@ impl HostSim {
     /// CPU accounting of process `i`.
     pub fn times(&self, i: usize) -> ProcTimes {
         self.procs[i].times
-    }
-
-    /// Label of process `i`.
-    pub fn proc_label(&self, i: usize) -> &str {
-        &self.procs[i].label
     }
 
     /// A packet arrived from the network: queue it for the server.
@@ -783,11 +760,6 @@ impl HostSim {
             self.run_queue.push_back(proc);
             self.wake_boost = true;
         }
-    }
-
-    /// Is the CPU idle (no burst outstanding)?
-    pub fn cpu_idle(&self) -> bool {
-        self.current_burst.is_none()
     }
 
     /// Drains sleep requests made during dispatch; the simulation turns

@@ -658,13 +658,6 @@ impl Simulation {
             .sweep_incremental_forced(&mut hosts, self.ctrl.fabric.as_mut(), self.now);
     }
 
-    /// Observer coverage counters so far (sweeps run, entities checked,
-    /// dirty-set high-water mark, effective stride); all zero when the
-    /// observer never ran.
-    pub fn observer_stats(&self) -> ObserverStats {
-        self.observer.stats()
-    }
-
     /// Mutable fabric access for corruption-injection tests (`None` on
     /// flat topologies): lets a differential test plant a bad holder
     /// belief or learned-interest entry through the devices' ordinary

@@ -531,7 +531,7 @@ impl OpenLoopReport {
     }
 
     /// The deepest home-segment queue seen, with its segment index.
-    pub fn hottest_segment(&self) -> (usize, u64) {
+    pub(crate) fn hottest_segment(&self) -> (usize, u64) {
         self.queue_high_water
             .iter()
             .copied()

@@ -57,21 +57,6 @@ impl Protocol {
             _ => 1,
         }
     }
-
-    /// All protocols in paper order, with the paper's two hysteresis
-    /// settings.
-    pub fn paper_sequence() -> Vec<Protocol> {
-        vec![
-            Protocol::BaselineSingle,
-            Protocol::BaselineLocal,
-            Protocol::P1,
-            Protocol::P2,
-            Protocol::P3,
-            Protocol::P3Hysteresis(10_000),
-            Protocol::P4,
-            Protocol::P5,
-        ]
-    }
 }
 
 /// Builds the simulation for `protocol` (hosts, pages, processes) without

@@ -44,7 +44,7 @@
 //! legitimately end at the limits (a `LinkDown` can partition the
 //! fabric for good).
 //!
-//! [`SoakScenario::run_cross_engine`] executes the same scenario on the
+//! `SoakScenario::run_cross_engine` executes the same scenario on the
 //! threaded runtime (`mether_runtime::Cluster`) as well — same fabric
 //! config, same loss rate, same workload shape on real blocking threads
 //! — and reports both engines' completion outcomes and final page
@@ -300,8 +300,8 @@ impl SoakScenario {
     /// trees past 100 devices, and random parent-vector graphs with
     /// 200+ segments. The observer's dirty-set sweeps and the hello
     /// timer ring are what make these shapes affordable to soak; the
-    /// workload caps ([`SoakScenario::pair_count`],
-    /// [`SoakScenario::reader_count`]) keep the process population
+    /// workload caps (`SoakScenario::pair_count`,
+    /// `SoakScenario::reader_count`) keep the process population
     /// bounded while traffic still crosses the whole fabric.
     ///
     /// Large scenarios are fault-free by construction, so every one
@@ -435,16 +435,16 @@ impl SoakScenario {
     /// which read leases have replaced; it stays because it fixes the
     /// page space and the deployed pairs, so changing it would redraw
     /// every large-fabric scenario and its digest.
-    pub fn pair_count(&self) -> usize {
+    pub(crate) fn pair_count(&self) -> usize {
         let cap = if self.segments() >= 64 { 12 } else { 24 };
         (self.segments() / 2).min(cap)
     }
 
     /// Polling readers the `PublisherReaders`/`Mixed` mixes deploy,
-    /// capped like [`SoakScenario::pair_count`]; readers land on the
+    /// capped like `SoakScenario::pair_count`; readers land on the
     /// first remote segments, so on a mesh the publisher's page still
     /// crosses many devices.
-    pub fn reader_count(&self) -> usize {
+    pub(crate) fn reader_count(&self) -> usize {
         self.segments().saturating_sub(1).min(24)
     }
 
@@ -497,7 +497,7 @@ impl SoakScenario {
 
     /// The fabric configuration both engines deploy: the drawn shape
     /// and aging, and live election when the scenario wants it.
-    pub fn fabric_config(&self) -> FabricConfig {
+    pub(crate) fn fabric_config(&self) -> FabricConfig {
         let mut fabric = FabricConfig::new(self.shape.build()).with_aging(self.aging);
         if self.election_live {
             // Sparse hellos keep each hello's wire cost O(1) in fabric
@@ -665,7 +665,7 @@ impl SoakScenario {
 
     /// The pages the scenario's workloads write, in a fixed order —
     /// the cross-engine comparison reads each one's first word.
-    pub fn workload_pages(&self) -> Vec<PageId> {
+    pub(crate) fn workload_pages(&self) -> Vec<PageId> {
         let segments = self.segments();
         let mut pages = Vec::new();
         if matches!(self.mix, SoakMix::PublisherReaders | SoakMix::Mixed) {
@@ -718,7 +718,7 @@ impl SoakScenario {
     /// are replayed by a [`FaultPlan`] at the sim schedule's offsets
     /// (1 sim-ms ≙ 1 wall-ms). `finished` means every worker hit its
     /// target before `SoakScenario::runtime_deadline`.
-    pub fn run_runtime(&self) -> RuntimeSoakReport {
+    pub(crate) fn run_runtime(&self) -> RuntimeSoakReport {
         let mut fabric = self.fabric_config();
         if self.election_live {
             // The simulator's default live-election cadence (hello every
@@ -854,7 +854,7 @@ impl SoakScenario {
         }
     }
 
-    /// [`SoakScenario::workload_pages`] read back from the cluster's
+    /// `SoakScenario::workload_pages` read back from the cluster's
     /// consistent holders.
     fn runtime_final_pages(&self, cluster: &Cluster) -> Vec<(PageId, u32)> {
         self.workload_pages()
@@ -882,7 +882,7 @@ impl SoakScenario {
     /// [`SoakScenario::must_finish`]) and the threaded runtime — and
     /// returns both outcomes plus each engine's final workload-page
     /// words. [`run_cross_engine_soak`] asserts the two agree.
-    pub fn run_cross_engine(&self, workers: Option<usize>) -> CrossEngineReport {
+    pub(crate) fn run_cross_engine(&self, workers: Option<usize>) -> CrossEngineReport {
         let mut sim = self.build();
         if let Some(w) = workers {
             sim.set_parallel_mode(ParallelMode::Workers(w));
@@ -1064,7 +1064,7 @@ pub struct RuntimeSoakReport {
 }
 
 /// One scenario's results on both engines
-/// ([`SoakScenario::run_cross_engine`]).
+/// (`SoakScenario::run_cross_engine`).
 #[derive(Debug)]
 pub struct CrossEngineReport {
     /// The simulator run (outcome + state digest).
@@ -1077,13 +1077,13 @@ pub struct CrossEngineReport {
 
 impl CrossEngineReport {
     /// Both engines agree on whether the workload completed.
-    pub fn outcomes_agree(&self) -> bool {
+    pub(crate) fn outcomes_agree(&self) -> bool {
         self.sim.outcome.finished == self.runtime.finished
     }
 
     /// Both engines agree on every workload page's final word
     /// (vacuously true only when compared — callers gate on completion).
-    pub fn pages_agree(&self) -> bool {
+    pub(crate) fn pages_agree(&self) -> bool {
         self.sim_pages == self.runtime.pages
     }
 }

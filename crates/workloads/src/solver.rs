@@ -15,9 +15,8 @@
 //!   protocol (stationary writer, data-driven reader);
 //! * [`run_solver_speedup`] — the speedup experiment over 1–4 hosts.
 
-use crate::counting::CountingConfig;
 use mether_core::{MapMode, PageId, PageLength, View};
-use mether_net::{SimDuration, SimTime};
+use mether_net::SimDuration;
 use mether_sim::{
     DsmOp, ProtocolMetrics, RunLimits, SimConfig, Simulation, Step, StepCtx, Workload,
 };
@@ -340,17 +339,6 @@ pub fn run_solver_speedup(cfg: SolverConfig, worker_counts: &[usize]) -> Vec<Spe
         });
     }
     out
-}
-
-/// Convenience used by tests/benches: the counting config is irrelevant
-/// to the solver but part of the shared experiment surface.
-pub fn default_counting() -> CountingConfig {
-    CountingConfig::paper()
-}
-
-/// Current virtual time helper for workloads needing timestamps.
-pub fn epoch() -> SimTime {
-    SimTime::ZERO
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 //! copy-on-write without ever aliasing.
 
 use mether_core::{BridgeTopology, HostMask, PageId, SegmentLayout};
-use mether_net::{AgeHorizon, BridgePolicy, Fabric, FabricConfig, SimDuration, SimTime};
+use mether_net::{AgeHorizon, BootState, BridgePolicy, Fabric, FabricConfig, SimDuration, SimTime};
 use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_segmented_solver, build_segmented_solver_on, CountingConfig,
@@ -106,14 +106,10 @@ proptest! {
         let t = Arc::new(tree_from_parents(&parents));
         let n = t.segments();
         let layout = SegmentLayout::new(n * 2, n).unwrap();
+        let cfg = FabricConfig::new(BridgeTopology::clone(&t)).with_aging(AgeHorizon::Transits(3));
+        let boot = BootState::new(Arc::clone(&t), Vec::new());
         let mut policies: Vec<BridgePolicy> = (0..t.bridges())
-            .map(|d| BridgePolicy::new(
-                layout,
-                Arc::clone(&t),
-                d,
-                mether_core::PageHomePolicy::Striped,
-                AgeHorizon::Transits(3),
-            ))
+            .map(|d| BridgePolicy::for_device(layout, &boot, d, &cfg))
             .collect();
         let now = SimTime::ZERO;
         let mut targets = Vec::new();
@@ -160,7 +156,7 @@ proptest! {
     ) {
         use bytes::Bytes;
         use mether_core::{Generation, HostId, Packet, PageLength, Want};
-        use mether_net::{BootState, Bridge, BridgeConfig};
+        use mether_net::{Bridge, BridgeConfig};
 
         let topology = Arc::new(if mesh {
             BridgeTopology::mesh2d(16, 16)
@@ -221,13 +217,9 @@ proptest! {
         use mether_core::{Generation, HostId, Packet, PageLength, Want};
 
         let layout = SegmentLayout::new(8, 4).unwrap();
-        let mut p = BridgePolicy::new(
-            layout,
-            Arc::new(BridgeTopology::star(4)),
-            0,
-            mether_core::PageHomePolicy::Striped,
-            AgeHorizon::Transits(horizon),
-        );
+        let cfg = FabricConfig::star(4).with_aging(AgeHorizon::Transits(horizon));
+        let boot = BootState::new(Arc::new(cfg.topology.clone()), Vec::new());
+        let mut p = BridgePolicy::for_device(layout, &boot, 0, &cfg);
         let page = PageId::new(0); // homed on segment 0
         p.subscribe(page, pin_seg);
         let now = SimTime::ZERO;

@@ -72,12 +72,10 @@ pub(crate) struct PduOutcome {
     /// The device's gossiped beliefs changed (propagate: emit a
     /// triggered hello).
     pub(crate) view_changed: bool,
-    /// The re-election actually changed the active tree (count a
-    /// reconvergence).
+    /// The re-election changed the active tree (count a reconvergence).
     pub(crate) active_changed: bool,
-    /// The device's own ports whose role the re-election changed: what
-    /// was learned through them is meaningless on the new tree, and the
-    /// device flushes it.
+    /// Own ports whose role the re-election changed: the device
+    /// flushes what was learned through them.
     pub(crate) changed_roles: HostMask,
 }
 
@@ -163,7 +161,8 @@ pub(crate) struct Election {
     /// mesh's 480 devices each holds at most 6 stamps, not 480.
     last_heard: Vec<(usize, SimTime)>,
     /// Per own-port-index: data embargo until this time (the listening
-    /// hold-down after a Blocked→Forwarding transition).
+    /// hold-down after a Blocked→Forwarding transition). Empty under
+    /// static election, which never holds a port down.
     hold_until: Vec<SimTime>,
     /// The active forwarding tree this device currently routes on —
     /// shared with every device that elected the same one at boot,
@@ -221,7 +220,10 @@ impl Election {
             priorities: Arc::clone(&boot.priorities),
             views: Arc::clone(&boot.views),
             last_heard: neighbours.into_iter().map(|d| (d, SimTime::ZERO)).collect(),
-            hold_until: vec![SimTime::ZERO; ports.len()],
+            hold_until: match mode {
+                ElectionMode::Static => Vec::new(),
+                ElectionMode::Live { .. } => vec![SimTime::ZERO; ports.len()],
+            },
             active: Arc::clone(&boot.active),
             epoch: 0,
             trail_intact: true,

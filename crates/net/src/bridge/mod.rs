@@ -10,22 +10,17 @@
 //!
 //! # Modules
 //!
-//! * `config`: the knobs a fabric is built from ([`FabricConfig`],
-//!   [`BridgeConfig`], [`AgeHorizon`], [`ElectionMode`]), the failures
-//!   it is driven by ([`FabricEvent`]) and the counters it keeps
-//!   ([`BridgeStats`]).
-//! * `policy`: one device's per-page filters and forwarding rules —
-//!   learned interest, pending requests, pins, holder beliefs and the
-//!   probable-owner trail. It reads the election through a lent view of
-//!   the active tree, so it is driven without a fabric.
-//! * `election`: one device's slice of the spanning-tree election —
-//!   gossiped views, liveness stamps, hold-downs, the active tree — and
+//! * `config`: what a fabric is built from ([`FabricConfig`],
+//!   [`BridgeConfig`], [`AgeHorizon`], [`ElectionMode`]), driven by
+//!   ([`FabricEvent`]) and counts ([`BridgeStats`]).
+//! * `policy`: one device's per-page filters and forwarding rules. It
+//!   reads the election through a lent view, so it runs without one.
+//! * `election`: one device's slice of the spanning-tree election, and
 //!   the [`BootState`] a fabric's devices share.
-//! * `device`: [`BridgePolicy`], which pairs a device's filters with its
+//! * `device`: [`BridgePolicy`], a device's filters paired with its
 //!   election, and [`Bridge`], its store-and-forward engine.
 //! * `fabric`: [`Fabric`], every device of a topology with its control
-//!   and fault planes, driven by the simulator and by a threaded
-//!   runtime alike.
+//!   and fault planes, for the simulator and a threaded runtime alike.
 
 mod config;
 mod device;

@@ -254,12 +254,11 @@ enum RequestRoute {
 pub(crate) struct Tree<'a> {
     /// The active forwarding tree the device routes on.
     pub(crate) active: &'a ActiveTree,
-    /// Per own-port index: no data before this time (the listening
-    /// hold-down after a Blocked→Forwarding transition).
+    /// Per own-port index: no data before this time (the hold-down).
+    /// Empty under static election, which never holds a port down.
     pub(crate) hold_until: &'a [SimTime],
-    /// Whether a missing holder belief still proves the holder lies
-    /// through the home port (see the module docs, "The probable-owner
-    /// trail").
+    /// Whether a missing holder belief still proves the holder homeward
+    /// (see the module docs, "The probable-owner trail").
     pub(crate) trail_intact: bool,
 }
 
@@ -443,7 +442,8 @@ impl Filters {
     /// right now? The active tree's Forwarding ports, minus any still
     /// in their post-election hold-down.
     fn carries(&self, i: usize, port: usize, now: SimTime, tree: Tree) -> bool {
-        tree.active.forwards(self.device, port) && tree.hold_until[i] <= now
+        tree.active.forwards(self.device, port)
+            && tree.hold_until.get(i).is_none_or(|&until| until <= now)
     }
 
     /// What decides, port by port, whether `page` (whose filter sits in

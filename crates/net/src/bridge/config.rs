@@ -191,8 +191,8 @@ impl BridgeStats {
 /// relying on learned interest under any finite horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AgeHorizon {
-    /// Interest never expires (PR 3's behaviour): a segment that once
-    /// requested a page receives its transits forever.
+    /// Interest never expires: a segment that once requested a page
+    /// receives its transits forever.
     #[default]
     Sticky,
     /// An entry expires after the device has forwarded this many
@@ -212,9 +212,9 @@ pub enum AgeHorizon {
 pub enum ElectionMode {
     /// Elect once at construction assuming every device alive, then
     /// freeze: no hello traffic, no timers, no failure handling. On a
-    /// tree topology this is byte-identical to the PR 4 tree-only
-    /// fabric (regression-pinned); on a graph it freezes one spanning
-    /// tree and a failure partitions the fabric permanently.
+    /// tree topology this is byte-identical to routing by the tree's own
+    /// next-hop tables (regression-pinned); on a graph it freezes one
+    /// spanning tree and a failure partitions the fabric permanently.
     #[default]
     Static,
     /// Run the distributed election live: hellos at `hello_interval` on
@@ -343,7 +343,7 @@ impl FabricConfig {
         }
     }
 
-    /// The 1-bridge star over `segments` — PR 3's topology.
+    /// The 1-bridge star over `segments`: one device on every segment.
     ///
     /// # Panics
     ///

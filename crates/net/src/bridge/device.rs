@@ -475,8 +475,7 @@ impl Bridge {
         self
     }
 
-    /// The single device of a 1-bridge star over `layout` — PR 3's
-    /// bridge.
+    /// The single device of a 1-bridge star over `layout`.
     pub fn star(layout: SegmentLayout, homes: PageHomePolicy, cfg: BridgeConfig) -> Self {
         Self::new(BridgePolicy::star(layout, homes), cfg)
     }

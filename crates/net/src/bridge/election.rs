@@ -32,10 +32,10 @@
 //!
 //! * [`ElectionMode::Static`] — elect once at construction assuming
 //!   everything alive, then never again: no hello traffic, no timers.
-//!   On a tree topology this reproduces the PR 4 tree fabric *exactly*
-//!   (every port forwards, identical next hops — regression-pinned
-//!   byte-identical), and on a graph it simply freezes one spanning
-//!   tree.
+//!   On a tree topology this reproduces a fabric routed by the tree's
+//!   own next-hop tables *exactly* (every port forwards, identical next
+//!   hops — regression-pinned byte-identical), and on a graph it simply
+//!   freezes one spanning tree.
 //! * [`ElectionMode::Live`] — each device emits a hello on every live
 //!   port at the hello cadence (and immediately when its beliefs
 //!   change), times out silent neighbours, gossips deaths and

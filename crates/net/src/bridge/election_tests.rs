@@ -70,8 +70,8 @@ fn live_ring_fabric(segments: usize, hosts: usize) -> Fabric {
 fn live_election_on_a_tree_is_the_static_tree() {
     // On a tree, the live election with optimistic views must
     // produce exactly the static forwarding state: every port
-    // forwarding, identical next hops — the base case the PR 4
-    // byte-identical pins ride on.
+    // forwarding, identical next hops — the base case the tree
+    // fabric's byte-identical pins ride on.
     let layout = SegmentLayout::new(8, 4).unwrap();
     let topo = BridgeTopology::balanced_tree(4, 2);
     let static_f = Fabric::new(layout, FabricConfig::new(topo.clone()));

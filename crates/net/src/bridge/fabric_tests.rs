@@ -54,8 +54,8 @@ fn fabric_subscribe_pins_every_device_toward_the_segment() {
 
 #[test]
 fn fabric_star_matches_single_bridge_byte_for_byte() {
-    // The 1-device fabric must reproduce PR 3's single bridge
-    // exactly: same egress schedule, same counters.
+    // The 1-device fabric must reproduce the single bridge exactly:
+    // same egress schedule, same counters.
     let layout = layout_4x2();
     let mut f = Fabric::new(layout, FabricConfig::star(4));
     let mut b = star_bridge(BridgeConfig::typical());

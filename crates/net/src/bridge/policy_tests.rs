@@ -1,5 +1,5 @@
 // -----------------------------------------------------------------
-// PR 3's filter on the star, with sticky interest.
+// The filter on the star, with sticky interest.
 // -----------------------------------------------------------------
 
 #[test]

@@ -743,12 +743,11 @@ fn bench_rto(c: &mut Criterion) {
 }
 
 /// Open-loop traffic engine end-to-end: the seeded arrival schedule on
-/// the 4×8 tree, base and with serve-time reply piggybacking. The pair
-/// is the measured serving optimization — `_meta_pr10` records the
-/// percentile deltas; this bench tracks the engine's wall-clock cost
-/// per simulated access (stream draws, histogram records, retry
-/// traffic) so arrival-path regressions show up even when percentiles
-/// don't move.
+/// the 4×8 tree, on the hardened profile every open-loop scenario runs.
+/// This bench tracks the engine's wall-clock cost per simulated access
+/// (stream draws, histogram records, retry traffic, serve-time
+/// piggybacking) so arrival-path regressions show up even when
+/// percentiles don't move.
 fn bench_openloop(c: &mut Criterion) {
     use mether_workloads::{OpenLoopConfig, OpenLoopScenario};
 
@@ -764,13 +763,7 @@ fn bench_openloop(c: &mut Criterion) {
     g.bench_function("tree_4x8", |b| {
         b.iter(|| {
             let report = OpenLoopScenario::tree_4x8(cfg).run(None);
-            black_box((report.faults, report.digest))
-        })
-    });
-    g.bench_function("tree_4x8_piggyback", |b| {
-        b.iter(|| {
-            let report = OpenLoopScenario::tree_4x8(cfg).with_piggyback().run(None);
-            black_box((report.piggybacked, report.digest))
+            black_box((report.faults, report.piggybacked, report.digest))
         })
     });
     g.finish();

@@ -1,7 +1,7 @@
 //! The hardened NIC: which of the frames a host hears reach its server.
 //!
 //! [`PageTable::admit`] is the one statement of the rule. The simulator
-//! asks it under `Calib::nic_filter` before it charges any server time;
+//! asks it under `Calib::hardened` before it charges any server time;
 //! the threaded runtime asks it over each drained receive burst.
 
 use crate::{Packet, PageBuf, PageId, PageTable, Want};

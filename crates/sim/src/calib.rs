@@ -22,6 +22,15 @@
 //!   datagram) cost milliseconds each on this hardware
 //!   → the `server_*` fields.
 //!
+//! Every deployment runs one of two profiles. [`Calib::sun3_sunos4`] is
+//! the paper's: its raw protocols have no timers and no
+//! acknowledgements, and every figure and ablation runs it
+//! ([`Calib::kernel_server`] is its cost variant). [`Calib::hardened`]
+//! keeps the same costs and adds the liveness mechanisms every other
+//! deployment runs: the fault retransmission timer with its read
+//! leases, the NIC filter, and serve-time piggybacking. There is no
+//! third mix.
+//!
 //! The reproduction targets the *shape* of the paper's tables (orderings,
 //! ratios, who degenerates), not absolute equality; `repro baseline`
 //! (`crates/bench/src/bin/repro.rs`) prints what the default
@@ -30,7 +39,13 @@
 
 use mether_net::SimDuration;
 
-/// Host-side cost model for the simulator.
+/// The least a fault retransmission timeout may be under
+/// [`Calib::hardened`]. It is a floor, not the timeout: each host
+/// measures its own, and the no-load round trip alone is 29 ms.
+pub(crate) const RETRY_FLOOR: SimDuration = SimDuration::from_millis(20);
+
+/// Host-side cost model for the simulator, in one of two profiles:
+/// [`Calib::sun3_sunos4`] (the paper's) or [`Calib::hardened`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Calib {
     /// One iteration of a user-level spin loop (load, compare, branch,
@@ -73,76 +88,15 @@ pub struct Calib {
     /// Server cost to inspect and discard a snooped packet it does not
     /// care about.
     pub server_snoop: SimDuration,
-    /// Fault retransmission: a waiter blocked on a request-bearing
-    /// fault (demand or consistent fetch) for one retransmission
-    /// timeout abandons the wait (`PageTable::cancel_wait`) and
-    /// re-issues the faulting access, which re-sends the request — the
-    /// recovery path that lets a workload ride through a lost reply, a
-    /// partitioned fabric, or a request that reached its holder after
-    /// the page had moved on. `None` (the default, and the paper's
-    /// behaviour: the raw protocols have no retransmit timer) blocks
-    /// forever; the fault-tolerance and open-loop experiments enable
-    /// it.
-    ///
-    /// `Some(floor)` turns the timer on; the value is the *least* the
-    /// timeout may be, not the timeout. Each host measures its own
-    /// (`mether_core::rto`): the smoothed round trip of the faults its
-    /// first request satisfied plus four mean deviations, and before
-    /// any sample three times [`Calib::no_load_round_trip`]. A write
-    /// fault's timer (and an open-loop fault's) doubles per unanswered
-    /// request up to 16 ×; a process read's stays at one timeout. A
-    /// constant cannot do this job: an uncontended short-page fault on
-    /// this calibration takes 1 + 7 + 13 + 8 = 29 ms of trap and server
-    /// legs before wire and queueing, so a fixed 20 ms re-sends every
-    /// request at least once on an idle network — costing the requester
-    /// a second 7 ms send just as the reply lands, the fabric a second
-    /// crossing, and the holder a second serve — and under load the
-    /// duplicates feed the queue that delayed the reply.
-    ///
-    /// The same timeout is the processes' read lease: a process that
-    /// has read an unchanged, non-consistent copy for longer than one
-    /// timeout drops it and asks the holder again (Gray & Cheriton,
-    /// "Leases", SOSP 1989). A reader spinning on a present stale copy
-    /// sends nothing and never blocks, so without the lease a lost
-    /// waking broadcast strands it for good.
-    pub fault_retry: Option<SimDuration>,
-    /// The hardened NIC: what the host's network interface keeps away
-    /// from its user-level server. `false` is the paper's behaviour —
-    /// its servers received every UDP broadcast and processed each
-    /// datagram individually, and its host-load figures (and protocol
-    /// 3's measured divergence on the counting benchmark) include that
-    /// load. `true` asks [`mether_core::PageTable::admit`] about every
-    /// frame the host hears, before any server time is charged or any
-    /// burst queued, and drops what it does not keep: by reason in
-    /// `HostSim::frames_filtered`, duplicates in
-    /// `HostSim::requests_coalesced`.
-    ///
-    /// Deployments with retry timers enable it.
-    pub nic_filter: bool,
-    /// Serve-time reply piggybacking: when the server answers a
-    /// `PageRequest` with a `PageReply`, any *queued* requests for
-    /// the same page that the reply also satisfies are dropped from the
-    /// server queue and counted. This complements NIC-level coalescing
-    /// ([`Calib::nic_filter`]), which only drops duplicates at
-    /// enqueue time: under open-loop arrivals, identical requests keep
-    /// landing during the 13–46 ms serve burst *after* the served
-    /// request was already popped, and each such straggler would
-    /// otherwise cost a full `server_handle_request` + per-KB reply
-    /// build for a page the snoopers just installed. The same pass
-    /// re-sends what a consistency transfer strands: when the reply
-    /// grants the page to one host, every queued `Want::Consistent`
-    /// request for it from another host goes back on the wire as it
-    /// stands (a send leg instead of a snoop), and the bridges carry
-    /// it along the holder beliefs the grant just repointed — instead
-    /// of its requester waiting out a retransmission timeout. `false`
-    /// is the paper's behaviour (every datagram is processed
-    /// individually, and a request for a page that moved on is only
-    /// snooped).
-    pub piggyback_replies: bool,
+    /// Whether this is [`Calib::hardened`]'s profile rather than the
+    /// paper's. Set only by that constructor.
+    pub(crate) hardened: bool,
 }
 
 impl Calib {
-    /// The Sun-3/50 + SunOS 4.0 model used for all paper reproductions.
+    /// The paper's profile: the Sun-3/50 + SunOS 4.0 model every paper
+    /// reproduction uses, with no retransmission timer, no NIC filter
+    /// and no serve-time piggybacking.
     pub fn sun3_sunos4() -> Self {
         Calib {
             spin_iteration: SimDuration::from_micros(48),
@@ -157,34 +111,71 @@ impl Calib {
             server_install_per_kb: SimDuration::from_micros(4200),
             server_purge_broadcast: SimDuration::from_millis(10),
             server_snoop: SimDuration::from_millis(2),
-            fault_retry: None,
-            nic_filter: false,
-            piggyback_replies: false,
+            hardened: false,
         }
     }
 
-    /// Enables the fault retransmission timer, never shorter than
-    /// `floor` (see [`Calib::fault_retry`]).
-    #[must_use]
-    pub fn with_fault_retry(mut self, floor: SimDuration) -> Self {
-        self.fault_retry = Some(floor);
-        self
-    }
-
-    /// Enables the hardened NIC ([`Calib::nic_filter`]).
-    #[must_use]
-    pub fn with_nic_filter(mut self) -> Self {
-        self.nic_filter = true;
-        self
-    }
-
-    /// Enables serve-time reply piggybacking and the re-send of the
-    /// consistent requests a grant strands (see
-    /// [`Calib::piggyback_replies`]).
-    #[must_use]
-    pub fn with_reply_piggyback(mut self) -> Self {
-        self.piggyback_replies = true;
-        self
+    /// The hardened profile: the paper's costs, plus the three liveness
+    /// mechanisms every deployment outside the paper's figures runs.
+    /// The paper's raw protocols have no timers and no
+    /// acknowledgements, so [`Calib::sun3_sunos4`] keeps all three off.
+    ///
+    /// * **Fault retransmission.** A waiter blocked on a
+    ///   request-bearing fault (demand or consistent fetch) for one
+    ///   retransmission timeout abandons the wait
+    ///   (`PageTable::cancel_wait`) and re-issues the faulting access,
+    ///   which re-sends the request — the recovery path that lets a
+    ///   workload ride through a lost reply, a partitioned fabric, or a
+    ///   request that reached its holder after the page had moved on.
+    ///   The timeout is never under 20 ms (`RETRY_FLOOR`), but it is
+    ///   not a constant: each host measures its own
+    ///   (`mether_core::rto`), the smoothed round trip of the faults its
+    ///   first request satisfied plus four mean deviations, and before
+    ///   any sample three times the no-load round trip. A write fault's timer (and an
+    ///   open-loop fault's) doubles per unanswered request up to 16 ×; a
+    ///   process read's stays at one timeout. A constant cannot do this
+    ///   job: an uncontended short-page fault on this calibration takes
+    ///   1 + 7 + 13 + 8 = 29 ms of trap and server legs before wire and
+    ///   queueing, so a fixed 20 ms re-sends every request at least
+    ///   once on an idle network — costing the requester a second 7 ms
+    ///   send just as the reply lands, the fabric a second crossing, and
+    ///   the holder a second serve — and under load the duplicates feed
+    ///   the queue that delayed the reply.
+    /// * **Read leases.** The same timeout is the processes' read lease:
+    ///   a process that has read an unchanged, non-consistent copy for
+    ///   longer than one timeout drops it and asks the holder again
+    ///   (Gray & Cheriton, "Leases", SOSP 1989). A reader spinning on a
+    ///   present stale copy sends nothing and never blocks, so without
+    ///   the lease a lost waking broadcast strands it for good.
+    /// * **The NIC filter.** The host's network interface asks
+    ///   [`mether_core::PageTable::admit`] about every frame the host
+    ///   hears, before any server time is charged or any burst queued,
+    ///   and drops what it does not keep: by reason in
+    ///   `HostSim::frames_filtered`, duplicates of a queued request in
+    ///   `HostSim::requests_coalesced`. The paper's servers received
+    ///   every UDP broadcast and processed each datagram individually,
+    ///   and its host-load figures (and protocol 3's measured divergence
+    ///   on the counting benchmark) include that load.
+    /// * **Serve-time piggybacking.** When the server answers a
+    ///   `PageRequest` with a `PageReply`, the queued requests for the
+    ///   same page that the reply also satisfies are dropped from the
+    ///   server queue and counted (`HostSim::requests_piggybacked`). The
+    ///   NIC drops duplicates only at enqueue time; under load,
+    ///   identical requests keep landing during the 13–46 ms serve
+    ///   burst *after* the served request was popped, and each would
+    ///   otherwise cost a full `server_handle_request` plus per-KB reply
+    ///   build for a page the snoopers just installed. The same pass
+    ///   re-sends what a consistency transfer strands: when the reply
+    ///   grants the page to one host, every queued `Want::Consistent`
+    ///   request for it from another host goes back on the wire as it
+    ///   stands (a send leg instead of a snoop), and the bridges carry
+    ///   it along the holder beliefs the grant just repointed — instead
+    ///   of its requester waiting out a retransmission timeout.
+    pub fn hardened() -> Self {
+        Calib {
+            hardened: true,
+            ..Self::sun3_sunos4()
+        }
     }
 
     /// An idealised kernel-resident server (the paper's proposed future
@@ -205,13 +196,13 @@ impl Calib {
 
     /// Cost for the server to answer a request with a reply of `bytes`
     /// (lookup + datagram build + per-byte copy).
-    pub fn reply_cost(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn reply_cost(&self, bytes: usize) -> SimDuration {
         self.server_handle_request
             + SimDuration::from_nanos(self.server_install_per_kb.as_nanos() * (bytes as u64) / 1024)
     }
 
     /// Install cost for a transfer of `bytes`.
-    pub fn install_cost(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn install_cost(&self, bytes: usize) -> SimDuration {
         self.server_install_base
             + SimDuration::from_nanos(self.server_install_per_kb.as_nanos() * (bytes as u64) / 1024)
     }
@@ -221,7 +212,7 @@ impl Calib {
     /// request, the holder's server answering it, the requester's
     /// server installing the reply. The retransmission timer's guess
     /// at a round trip until it has measured one.
-    pub fn no_load_round_trip(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn no_load_round_trip(&self, bytes: usize) -> SimDuration {
         self.fault_trap
             + self.server_send_request
             + self.reply_cost(bytes)
@@ -270,11 +261,12 @@ mod tests {
 
     #[test]
     fn no_load_round_trip_is_above_the_retry_floors_in_use() {
-        // 1 + 7 + 13 + 8 ms of legs plus two 32-byte copies: every
-        // deployment's 20 ms floor is below it, which is why the floor
-        // cannot be the timeout.
-        let rtt = Calib::sun3_sunos4().no_load_round_trip(32);
+        // 1 + 7 + 13 + 8 ms of legs plus two 32-byte copies: the
+        // hardened profile's 20 ms floor is below it, which is why the
+        // floor cannot be the timeout.
+        let rtt = Calib::hardened().no_load_round_trip(32);
         assert_eq!(rtt, SimDuration::from_nanos(29_262_500));
+        assert!(RETRY_FLOOR < rtt);
         assert!(Calib::kernel_server().no_load_round_trip(32) < rtt);
     }
 

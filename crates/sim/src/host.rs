@@ -17,23 +17,23 @@
 //! * all network I/O (requests, installs, purge broadcasts, snooping) is
 //!   the server's work, queued and charged per item.
 //!
-//! Three things here are not the paper's. First, when
-//! [`crate::Calib::nic_filter`] is set, the NIC keeps from the server
-//! what [`mether_core::PageTable::admit`] drops, counted by reason in
-//! [`HostSim::frames_filtered`] and [`HostSim::requests_coalesced`]. The
-//! paper's server received every broadcast and paid to inspect each one.
+//! Three things here are not the paper's, and the hardened profile
+//! ([`crate::Calib::hardened`]) turns on all three; the paper's
+//! ([`crate::Calib::sun3_sunos4`]) turns on none. First, the NIC keeps
+//! from the server what [`mether_core::PageTable::admit`] drops,
+//! counted by reason in [`HostSim::frames_filtered`] and
+//! [`HostSim::requests_coalesced`]. The paper's server received every
+//! broadcast and paid to inspect each one.
 //!
-//! Second, when
-//! [`crate::Calib::piggyback_replies`] is set, the server settles its
-//! queue each time it answers a request: queued requests the reply
-//! satisfied are dropped ([`HostSim::requests_piggybacked`]), and if the
-//! reply granted the page to one host, the consistent requests queued
-//! from other hosts are re-sent toward it rather than snooped by a host
-//! that no longer holds ([`HostSim::requests_forwarded`]). Without that
-//! re-send nobody answers them and each waits out a timeout.
+//! Second, the server settles its queue each time it answers a
+//! request: queued requests the reply satisfied are dropped
+//! ([`HostSim::requests_piggybacked`]), and if the reply granted the
+//! page to one host, the consistent requests queued from other hosts
+//! are re-sent toward it rather than snooped by a host that no longer
+//! holds ([`HostSim::requests_forwarded`]). Without that re-send nobody
+//! answers them and each waits out a timeout.
 //!
-//! Third, when [`crate::Calib::fault_retry`]
-//! is set, a fault whose reply does not come is re-sent. The timeout is
+//! Third, a fault whose reply does not come is re-sent. The timeout is
 //! measured, not configured — every host keeps one
 //! [`mether_core::RtoEstimator`], fed the round trip of each fault its
 //! first request satisfied and asked for the timeout wherever a fault
@@ -56,7 +56,7 @@
 //! each server item was, and the time it took, is tallied by
 //! [`ServerKind`] in [`HostSim::server_work`].
 
-use crate::calib::Calib;
+use crate::calib::{Calib, RETRY_FLOOR};
 use crate::hist::LatencyHistogram;
 use crate::process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
 use mether_core::rto::MAX_BACKOFF;
@@ -120,7 +120,7 @@ struct OpenLoop {
 /// its retransmission timer fires (an unanswered request — a holder that
 /// handed consistency off mid-flight, a reply lost to the wire — would
 /// otherwise strand the waiter forever, exactly the hazard
-/// [`Calib::fault_retry`] exists for on the process side).
+/// the retransmission timer exists for on the process side).
 struct OpenWait {
     waiter: WaiterId,
     issued_at: SimTime,
@@ -197,8 +197,8 @@ struct Proc {
     retry: Option<FaultRetry>,
     /// The read lease: `(page, generation, since)` of the last read
     /// that hit a non-consistent copy, `since` being the first such
-    /// read at that generation. Kept only when [`Calib::fault_retry`]
-    /// is set; see [`HostSim::lease_expired`].
+    /// read at that generation. Kept only under [`Calib::hardened`];
+    /// see [`HostSim::lease_expired`].
     lease: Option<(PageId, Generation, SimTime)>,
 }
 
@@ -331,7 +331,7 @@ enum Burst {
 
 /// Things the host asks the simulation to do after a burst.
 #[derive(Debug)]
-pub enum HostAction {
+pub(crate) enum HostAction {
     /// Broadcast this packet on the Ethernet.
     Transmit(Packet),
 }
@@ -378,13 +378,13 @@ pub struct HostSim {
     pub requests_coalesced: u64,
     /// Queued page requests dropped at serve time because the reply
     /// just broadcast for an identical request satisfies them too
-    /// ([`Calib::piggyback_replies`]).
+    /// ([`Calib::hardened`]).
     pub requests_piggybacked: u64,
     /// Queued `Want::Consistent` requests re-sent at serve time because
     /// the reply just sent granted the page to another host
-    /// ([`Calib::piggyback_replies`]).
+    /// ([`Calib::hardened`]).
     pub requests_forwarded: u64,
-    /// Frames dropped at the NIC ([`Calib::nic_filter`]), indexed by
+    /// Frames dropped at the NIC ([`Calib::hardened`]), indexed by
     /// `NicDrop as usize` ([`mether_core::PageTable::admit`]). Each would
     /// have cost the server a `server_snoop` to discard, or an install
     /// nobody used.
@@ -398,7 +398,7 @@ pub struct HostSim {
     /// was still being served.
     pub spurious_retransmits: u64,
     /// The retransmission timer of this host's faults, measured from
-    /// its own completed ones; `None` when [`Calib::fault_retry`] is.
+    /// its own completed ones; `None` under the paper's profile.
     rto: Option<RtoEstimator>,
     /// The least time from a request leaving to its waiter being woken:
     /// an idle holder's serve plus the local install of a short page.
@@ -409,8 +409,8 @@ pub struct HostSim {
     pending_sleeps: Vec<(usize, SimTime)>,
     /// Retransmission timers armed when a process or open-loop waiter
     /// blocked on a fault: `(waiter, fire_at, block_epoch)`. Drained by
-    /// the simulation into retry events; only armed when
-    /// [`Calib::fault_retry`] is set.
+    /// the simulation into retry events; only armed under
+    /// [`Calib::hardened`].
     pending_retries: Vec<(usize, SimTime, u64)>,
     /// Pending writeable-purge broadcast lengths, page → view length.
     purge_lengths: Vec<(PageId, PageLength)>,
@@ -426,8 +426,8 @@ impl HostSim {
         let reply_floor = calib.reply_cost(short) + calib.install_cost(short);
         let no_load = calib.no_load_round_trip(short);
         let rto = calib
-            .fault_retry
-            .map(|floor| RtoEstimator::new(floor.as_nanos(), no_load.as_nanos()));
+            .hardened
+            .then(|| RtoEstimator::new(RETRY_FLOOR.as_nanos(), no_load.as_nanos()));
         HostSim {
             index,
             calib,
@@ -515,7 +515,7 @@ impl HostSim {
     }
 
     /// Arrival time of the next buffered open-loop access, if any.
-    pub fn open_next_at(&self) -> Option<SimTime> {
+    pub(crate) fn open_next_at(&self) -> Option<SimTime> {
         self.open
             .as_ref()
             .and_then(|ol| ol.next.as_ref().map(|a| a.at))
@@ -526,7 +526,7 @@ impl HostSim {
     /// usually queues a request for the server), and buffers the next
     /// arrival from the stream. Returns transmissions exactly like
     /// `finish_burst`.
-    pub fn open_arrival(&mut self, now: SimTime) -> Vec<HostAction> {
+    pub(crate) fn open_arrival(&mut self, now: SimTime) -> Vec<HostAction> {
         let mut actions = Vec::new();
         let Some(acc) = self.open.as_mut().and_then(|ol| ol.next.take()) else {
             return actions;
@@ -586,7 +586,11 @@ impl HostSim {
     /// timestamp (the histogram must charge the retry's cost to the
     /// fault), re-arms the timer at twice its last timeout if it blocks
     /// again, and returns the transmissions.
-    pub fn open_retry_fired(&mut self, now: SimTime, waiter: WaiterId) -> Option<Vec<HostAction>> {
+    pub(crate) fn open_retry_fired(
+        &mut self,
+        now: SimTime,
+        waiter: WaiterId,
+    ) -> Option<Vec<HostAction>> {
         // The index holds to the end: nothing below touches the list
         // before the effects are applied.
         let ol = self.open.as_ref()?;
@@ -652,15 +656,15 @@ impl HostSim {
     /// Returns whether it queued work — a frame the NIC drops changes
     /// nothing the dispatcher reads, so the caller need not kick.
     ///
-    /// Under [`Calib::nic_filter`] the NIC first asks
+    /// Under [`Calib::hardened`] the NIC first asks
     /// [`mether_core::PageTable::admit`], against the server's unfinished
-    /// frames, and drops what it does not keep at no server cost. Off by
-    /// default: the paper's servers processed every datagram
+    /// frames, and drops what it does not keep at no server cost. Off in
+    /// the paper's profile: its servers processed every datagram
     /// individually, and its measured protocol rankings (notably P3's
     /// divergence) include that load.
-    pub fn deliver_packet(&mut self, now: SimTime, pkt: &Arc<Packet>) -> bool {
+    pub(crate) fn deliver_packet(&mut self, now: SimTime, pkt: &Arc<Packet>) -> bool {
         self.frames_heard += 1;
-        if self.calib.nic_filter {
+        if self.calib.hardened {
             let in_service = match &self.current_burst {
                 Some(Burst::ServerItem {
                     work: ServerWork::Packet(q),
@@ -754,7 +758,7 @@ impl HostSim {
     /// drains — e.g. a page's home segment under a steady request load —
     /// starves the ready process indefinitely, because the idle branch
     /// of the scheduler always prefers pending server work.
-    pub fn timer_fired(&mut self, proc: usize) {
+    pub(crate) fn timer_fired(&mut self, proc: usize) {
         if self.procs[proc].state == ProcState::Sleeping {
             self.procs[proc].state = ProcState::Ready;
             self.run_queue.push_back(proc);
@@ -764,13 +768,13 @@ impl HostSim {
 
     /// Drains sleep requests made during dispatch; the simulation turns
     /// them into timer events.
-    pub fn take_sleeps(&mut self) -> Vec<(usize, SimTime)> {
+    pub(crate) fn take_sleeps(&mut self) -> Vec<(usize, SimTime)> {
         std::mem::take(&mut self.pending_sleeps)
     }
 
     /// Drains fault-retry timers armed while blocking; the simulation
     /// turns them into retry events.
-    pub fn take_retries(&mut self) -> Vec<(usize, SimTime, u64)> {
+    pub(crate) fn take_retries(&mut self) -> Vec<(usize, SimTime, u64)> {
         std::mem::take(&mut self.pending_retries)
     }
 
@@ -794,7 +798,7 @@ impl HostSim {
     /// sampled like any other.
     ///
     /// Returns true if the process was unblocked for the retry.
-    pub fn retry_fired(&mut self, proc: usize, epoch: u64) -> bool {
+    pub(crate) fn retry_fired(&mut self, proc: usize, epoch: u64) -> bool {
         let p = &mut self.procs[proc];
         if p.state != ProcState::Blocked
             || p.block_epoch != epoch
@@ -832,8 +836,8 @@ impl HostSim {
         true
     }
 
-    /// This host's retransmission-timeout estimator, when
-    /// [`Calib::fault_retry`] is set.
+    /// This host's retransmission-timeout estimator, under
+    /// [`Calib::hardened`].
     pub fn fault_rto(&self) -> Option<&RtoEstimator> {
         self.rto.as_ref()
     }
@@ -926,7 +930,7 @@ impl HostSim {
 
     /// Picks and starts the next burst if the CPU is idle. Returns the
     /// burst completion time to schedule, if any.
-    pub fn dispatch(&mut self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn dispatch(&mut self, now: SimTime) -> Option<SimTime> {
         if self.current_burst.is_some() {
             return None;
         }
@@ -1136,7 +1140,7 @@ impl HostSim {
 
     /// Completes the current burst at `now`, returning follow-up actions
     /// for the simulation (transmissions, sleeps).
-    pub fn finish_burst(&mut self, now: SimTime) -> Vec<HostAction> {
+    pub(crate) fn finish_burst(&mut self, now: SimTime) -> Vec<HostAction> {
         let mut actions: Vec<HostAction> = Vec::new();
         let burst = self.current_burst.take().expect("finish without burst");
         // Read once per process: this is the hottest handler of every
@@ -1443,7 +1447,7 @@ impl HostSim {
             ServerWork::Packet(pkt) => {
                 let mut effects = Vec::new();
                 self.table.handle_packet(&pkt, &mut effects);
-                if self.calib.piggyback_replies {
+                if self.calib.hardened {
                     self.settle_queued(pkt.as_ref(), &effects);
                 }
                 let woke = effects.iter().any(|fx| matches!(fx, Effect::WakeAll(_)));
@@ -1453,7 +1457,7 @@ impl HostSim {
         }
     }
 
-    /// The serve-time pass of [`Calib::piggyback_replies`]: the server
+    /// The serve-time pass of [`Calib::hardened`]: the server
     /// just answered `served` with a broadcast `PageReply`, and one
     /// walk over the queue settles what that reply decided.
     ///
@@ -1589,13 +1593,10 @@ mod tests {
         HostSim::new(0, Calib::sun3_sunos4(), MetherConfig::default())
     }
 
-    /// A host with the hardened NIC, and invariant (g) watching it.
-    fn filtering_host() -> HostSim {
-        let mut h = HostSim::new(
-            0,
-            Calib::sun3_sunos4().with_nic_filter(),
-            MetherConfig::default(),
-        );
+    /// A host on the hardened profile, with invariant (g) watching its
+    /// NIC.
+    fn hardened_host() -> HostSim {
+        let mut h = HostSim::new(0, Calib::hardened(), MetherConfig::default());
         h.observe_nic_drops();
         h
     }
@@ -1652,15 +1653,15 @@ mod tests {
         );
     }
 
-    /// Identical queued page requests coalesce at the NIC (when
-    /// [`Calib::nic_filter`] is on): the one broadcast reply satisfies
+    /// Identical queued page requests coalesce at the NIC (under
+    /// [`Calib::hardened`]): the one broadcast reply satisfies
     /// every requester on the wire. Flushed by soak seed 24: five
     /// readers retrying a 13 ms-per-reply server every 20 ms backlogged
     /// its queue without bound. The host tracks page 7; the request for
     /// untracked page 8 is filtered before it could coalesce.
     #[test]
     fn identical_requests_coalesce_in_server_queue() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         h.table.create_owned(PageId::new(7));
         h.deliver_packet(SimTime::ZERO, &request(1, 7));
         h.deliver_packet(SimTime::ZERO, &request(1, 7));
@@ -1676,7 +1677,7 @@ mod tests {
     /// coalesces.
     #[test]
     fn consistent_requests_coalesce_per_host_only() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         h.table.create_owned(PageId::new(3));
         let consistent = |from: u16| {
             Arc::new(Packet::PageRequest {
@@ -1718,7 +1719,7 @@ mod tests {
             data: bytes::Bytes::from(vec![0u8; 32]),
         };
 
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         assert!(!h.deliver_packet(SimTime::ZERO, &request(1, 9)));
         assert!(!h.deliver_packet(SimTime::ZERO, &Arc::new(snooped.clone())));
         assert_eq!((h.frames_filtered, h.frames_heard), ([2, 0, 0], 2));
@@ -1790,7 +1791,7 @@ mod tests {
     /// the queue drops it, and its requester waits out a timeout.
     #[test]
     fn a_request_heard_during_a_grant_install_is_queued() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let (sent, grant) = awaiting_a_grant(&mut h);
         assert!(h.deliver_packet(sent, &Arc::new(grant)));
         let installed = h.dispatch(sent).expect("install burst");
@@ -1807,7 +1808,7 @@ mod tests {
     /// The same while the grant still waits in the server queue.
     #[test]
     fn a_request_heard_behind_a_queued_grant_is_queued() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let (sent, grant) = awaiting_a_grant(&mut h);
         assert!(h.deliver_packet(sent, &Arc::new(grant)));
         assert!(h.deliver_packet(sent, &asking(2, 3, Want::Consistent)));
@@ -1823,7 +1824,7 @@ mod tests {
     /// queued, no server time.
     #[test]
     fn requests_for_a_tracked_page_held_elsewhere_are_dropped() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let (sent, _) = awaiting_a_grant(&mut h);
         let busy = h.server_time;
         for want in [Want::ReadOnly, Want::Consistent] {
@@ -1839,7 +1840,7 @@ mod tests {
     /// from the same host does not.
     #[test]
     fn a_superset_request_reaches_a_full_copy_that_does_not_hold() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let page = PageId::new(3);
         h.table.create_owned(page);
         assert!(h.deliver_packet(SimTime::ZERO, &asking(1, 3, Want::Consistent)));
@@ -1874,18 +1875,19 @@ mod tests {
     /// queued later, not when it was heard.
     #[test]
     fn nic_drops_are_judged_where_the_server_would_have_reached_them() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let (sent, _) = awaiting_a_grant(&mut h);
         h.table.create_owned(PageId::new(4));
+        h.table.create_owned(PageId::new(5));
         assert!(h.deliver_packet(sent, &request(1, 4)));
         let served = h.dispatch(sent).expect("serve the page-4 read");
         assert!(!h.deliver_packet(sent, &request(2, 3)));
-        assert!(h.deliver_packet(sent, &request(2, 4)));
+        assert!(h.deliver_packet(sent, &request(2, 5)));
         assert_eq!(unjudged(&h), 1, "judged while the server was busy");
         h.finish_burst(served);
         assert_eq!(unjudged(&h), 0, "not judged when the server passed it");
         assert!(!h.deliver_packet(served, &request(1, 3)));
-        assert_eq!(unjudged(&h), 1, "the page-4 read is still ahead of it");
+        assert_eq!(unjudged(&h), 1, "the page-5 read is still ahead of it");
     }
 
     /// Invariant (g) catches a dropped request that the server would
@@ -1897,7 +1899,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invariant (g): host 0 dropped")]
     fn invariant_g_catches_a_drop_the_server_would_have_answered() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let grant = Packet::PageReply {
             from: HostId(1),
             page: PageId::new(3),
@@ -1938,24 +1940,21 @@ mod tests {
     }
 
     /// Serve-time piggybacking: the broadcast reply for one request
-    /// also satisfies identical requests that queued while it was being
-    /// served, so they are dropped instead of each costing a full
-    /// 13 ms+ serve leg. NIC-level coalescing cannot catch these — the
-    /// served request was already popped when they arrived.
+    /// also satisfies an identical request that queued while it was
+    /// being served, so it is dropped instead of costing a full 13 ms+
+    /// serve leg. NIC-level coalescing cannot catch it — the served
+    /// request was already popped when it arrived. A request for
+    /// another page stays queued.
     #[test]
     fn serve_time_piggyback_drops_identical_queued_requests() {
-        let mut h = HostSim::new(
-            0,
-            Calib::sun3_sunos4().with_reply_piggyback(),
-            MetherConfig::default(),
-        );
+        let mut h = hardened_host();
         h.table.create_owned(PageId::new(7));
+        h.table.create_owned(PageId::new(8));
         h.deliver_packet(SimTime::ZERO, &request(1, 7));
-        h.deliver_packet(SimTime::ZERO, &request(2, 7));
-        h.deliver_packet(SimTime::ZERO, &request(3, 7));
-        h.deliver_packet(SimTime::ZERO, &request(1, 8)); // different page
-        assert_eq!(h.requests_coalesced, 0, "coalescing is off");
         let t = h.dispatch(SimTime::ZERO).expect("server burst");
+        h.deliver_packet(SimTime::ZERO, &request(2, 7));
+        h.deliver_packet(SimTime::ZERO, &request(1, 8)); // different page
+        assert_eq!(h.requests_coalesced, 0, "nothing identical was queued");
         let actions = h.finish_burst(t);
         assert!(
             matches!(
@@ -1964,12 +1963,43 @@ mod tests {
             ),
             "holder answers with a broadcast reply"
         );
-        assert_eq!(h.requests_piggybacked, 2);
+        assert_eq!(h.requests_piggybacked, 1);
         // Only the different-page request is left to serve.
         let t2 = h.dispatch(t).expect("one more burst");
         h.finish_burst(t2);
-        assert_eq!(h.requests_piggybacked, 2);
+        assert_eq!(h.requests_piggybacked, 1);
         assert!(h.dispatch(t2).is_none(), "queue drained");
+    }
+
+    /// The hardened profile's two duplicate filters split the work by
+    /// where the original is. A duplicate of a *queued* request is
+    /// coalesced at the NIC and never queued; a duplicate of the
+    /// request *in service* gets past the NIC, which does not count the
+    /// one in service, and is piggybacked on its reply at serve time.
+    /// Either way the server answers the page once.
+    #[test]
+    fn duplicates_coalesce_behind_a_queued_request_and_piggyback_on_a_served_one() {
+        let mut h = hardened_host();
+        h.table.create_owned(PageId::new(7));
+        assert!(h.deliver_packet(SimTime::ZERO, &request(1, 7)));
+        let t = h.dispatch(SimTime::ZERO).expect("serve the first request");
+        // Heard during the serve: a duplicate of the request in service
+        // is queued, and duplicates of that queued one are coalesced.
+        assert!(h.deliver_packet(SimTime::ZERO, &request(2, 7)));
+        assert!(!h.deliver_packet(SimTime::ZERO, &request(3, 7)));
+        assert!(!h.deliver_packet(SimTime::ZERO, &request(2, 7)));
+        assert_eq!((h.requests_coalesced, h.server_queue.len()), (2, 1));
+        let actions = h.finish_burst(t);
+        assert!(
+            matches!(
+                actions[..],
+                [HostAction::Transmit(Packet::PageReply { .. })]
+            ),
+            "one broadcast reply: {actions:?}"
+        );
+        assert_eq!(h.requests_piggybacked, 1);
+        assert!(h.dispatch(t).is_none(), "the server answered once");
+        assert_eq!(h.server_work.items(ServerKind::Answer), 1);
     }
 
     /// A grant strands the consistent requests queued behind it: the
@@ -1980,11 +2010,7 @@ mod tests {
     /// the page just went to.
     #[test]
     fn a_grant_resends_the_consistent_requests_it_stranded() {
-        let mut h = HostSim::new(
-            0,
-            Calib::sun3_sunos4().with_reply_piggyback(),
-            MetherConfig::default(),
-        );
+        let mut h = hardened_host();
         let page = PageId::new(7);
         h.table.create_owned(page);
         let consistent = |from: u16, length: PageLength| Packet::PageRequest {
@@ -2135,11 +2161,6 @@ mod tests {
         t
     }
 
-    fn retrying_host() -> HostSim {
-        let calib = Calib::sun3_sunos4().with_fault_retry(SimDuration::from_millis(20));
-        HostSim::new(0, calib, MetherConfig::default())
-    }
-
     fn open_read_fault(h: &mut HostSim) -> WaiterId {
         h.attach_open_loop(Box::new(OneShot(Some(OpenAccess {
             at: SimTime::ZERO,
@@ -2165,7 +2186,7 @@ mod tests {
         let rto = c.no_load_round_trip(32).saturating_mul(3);
         assert_eq!(rto.as_nanos() / 1_000_000, 87);
 
-        let mut h = retrying_host();
+        let mut h = hardened_host();
         let waiter = open_read_fault(&mut h);
         let first = SimTime::ZERO + rto;
         assert_eq!(h.take_retries(), [(waiter as usize, first, 0)]);
@@ -2205,7 +2226,7 @@ mod tests {
     /// reply to it could, and is counted as spurious.
     #[test]
     fn reply_sooner_than_a_round_trip_after_the_resend_is_spurious() {
-        let mut h = retrying_host();
+        let mut h = hardened_host();
         let waiter = open_read_fault(&mut h);
         let fire_at = h.take_retries()[0].1;
         let (_, req) = send_request(&mut h, SimTime::ZERO);
@@ -2222,7 +2243,7 @@ mod tests {
     /// guess.
     #[test]
     fn fault_answered_by_its_first_request_is_sampled() {
-        let mut h = retrying_host();
+        let mut h = hardened_host();
         open_read_fault(&mut h);
         let (sent, req) = send_request(&mut h, SimTime::ZERO);
         let woken = install(
@@ -2263,7 +2284,7 @@ mod tests {
     /// sampled like any other round trip.
     #[test]
     fn data_wait_timer_escalates_to_a_first_demand_request() {
-        let mut h = retrying_host();
+        let mut h = hardened_host();
         h.add_process(Box::new(OneOp(Some(read_op(View::short_data())))));
         let trapped = h.dispatch(SimTime::ZERO).expect("trap burst");
         assert!(h.finish_burst(trapped).is_empty());
@@ -2345,7 +2366,7 @@ mod tests {
     /// keeps the demand view.
     #[test]
     fn read_lease_runs_out_after_one_rto_and_not_before() {
-        let mut h = retrying_host();
+        let mut h = hardened_host();
         let installed = spinner_on_a_snooped_copy(&mut h);
         let rto = SimDuration::from_nanos(h.fault_rto().expect("retry armed").rto_ns());
         let now =
@@ -2401,7 +2422,7 @@ mod tests {
         assert!(paper.server_queue.is_empty());
         assert_eq!(paper.procs[0].lease, None);
 
-        let mut holder = retrying_host();
+        let mut holder = hardened_host();
         holder.table.create_owned(PageId::new(3));
         holder.add_process(Box::new(Spinner(false)));
         run_until_server_work(&mut holder, SimTime::ZERO, second);
@@ -2441,8 +2462,8 @@ mod tests {
     #[test]
     fn read_faults_rearm_at_one_rto_and_write_faults_double() {
         let rto =
-            SimDuration::from_nanos(retrying_host().fault_rto().expect("retry armed").rto_ns());
-        let read = timeouts_of_two_resends(retrying_host(), read_op(View::short_demand()));
+            SimDuration::from_nanos(hardened_host().fault_rto().expect("retry armed").rto_ns());
+        let read = timeouts_of_two_resends(hardened_host(), read_op(View::short_demand()));
         assert_eq!(read, [rto; 3]);
         let write = DsmOp::Write {
             page: PageId::new(3),
@@ -2450,7 +2471,7 @@ mod tests {
             offset: 0,
             value: 1,
         };
-        let write = timeouts_of_two_resends(retrying_host(), write);
+        let write = timeouts_of_two_resends(hardened_host(), write);
         assert_eq!(write, [rto, rto.saturating_mul(2), rto.saturating_mul(4)]);
     }
 
@@ -2509,7 +2530,7 @@ mod tests {
     /// back for the next frame. That frame leaves it unread again.
     #[test]
     fn an_unread_copy_stays_out_of_the_data_group_until_it_is_read() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let now = a_read_copy(&mut h, View::short_demand());
         for generation in [2, 3] {
             let (queued, _) = snoop(&mut h, now, &refresh(generation, generation as u8));
@@ -2534,7 +2555,7 @@ mod tests {
     /// the fault, and a refresh of the copy read since.
     #[test]
     fn server_time_is_tallied_by_kind_of_work() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let installed = a_read_copy(&mut h, View::short_demand());
         read_page_3(&mut h, View::short_demand());
         let (queued, _) = snoop(&mut h, installed, &refresh(2, 2));
@@ -2559,7 +2580,7 @@ mod tests {
     /// data group: every frame is installed.
     #[test]
     fn a_read_between_refreshes_keeps_the_copy_refreshed() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let mut now = a_read_copy(&mut h, View::short_demand());
         for generation in 2..6 {
             assert_eq!(
@@ -2582,7 +2603,7 @@ mod tests {
     /// the copy keeps the bytes and the generation the reply installed.
     #[test]
     fn a_copy_nobody_reads_takes_no_refresh() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let now = a_read_copy(&mut h, View::short_demand());
         let page = PageId::new(3);
         let copy = |h: &HostSim| {
@@ -2617,7 +2638,7 @@ mod tests {
     /// NIC and the re-executed read returns the bytes that woke it.
     #[test]
     fn a_frame_before_the_woken_process_re_reads_is_dropped() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let woken = spinner_on_a_snooped_copy(&mut h);
         assert_eq!(h.procs[0].last, OpResult::None, "not yet re-read");
         assert!(
@@ -2637,7 +2658,7 @@ mod tests {
     /// is installed.
     #[test]
     fn a_woken_process_that_re_reads_still_gets_the_next_frame() {
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let woken = spinner_on_a_snooped_copy(&mut h);
         let mut now = re_read(&mut h, woken);
         assert_eq!(h.procs[0].last, OpResult::Value(0));
@@ -2663,7 +2684,7 @@ mod tests {
     fn waiters_grants_purged_slots_full_copies_and_the_holder_are_refreshed_unread() {
         let page = PageId::new(3);
         let unread = |view: View| {
-            let mut h = filtering_host();
+            let mut h = hardened_host();
             let now = a_read_copy(&mut h, view);
             (h, now)
         };
@@ -2705,7 +2726,7 @@ mod tests {
             .is_some_and(mether_core::PageBuf::full_valid));
         assert!(h.deliver_packet(now, &refresh(3, 3)), "a full copy");
 
-        let mut h = filtering_host();
+        let mut h = hardened_host();
         let (sent, grant) = awaiting_a_grant(&mut h);
         let mut now = install(&mut h, sent, grant);
         assert!(h.table.is_consistent_holder(page));

@@ -3,7 +3,9 @@
 //! Every counting-protocol run produces a [`ProtocolMetrics`], whose
 //! `Display` impl prints a table in the same shape as the paper's figures
 //! (operation → cost), plus reproduction-specific extras (bytes per
-//! addition, server queue depth).
+//! addition, server queue depth). The counters of the hardened
+//! profile's mechanisms (coalesced and piggybacked requests) read 0
+//! under the paper's profile, which every figure runs.
 
 use crate::sim::ObserverStats;
 use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration};
@@ -78,13 +80,14 @@ pub struct ProtocolMetrics {
     /// Peak server work-queue depth across hosts (degeneration marker).
     pub max_server_queue: usize,
     /// Page requests dropped at host NICs because an identical request
-    /// was already queued (`Calib::with_nic_filter`; the runtime counts
-    /// the same condition in its node receive path). 0 when the NIC
-    /// filter is off.
+    /// was already queued (the NIC filter of `Calib::hardened`; the
+    /// runtime counts the same condition in its node receive path). 0
+    /// under the paper's profile.
     pub requests_coalesced: u64,
     /// Queued page requests dropped at serve time because the reply
     /// just broadcast for an identical request satisfies them too
-    /// (`Calib::with_reply_piggyback`). 0 when piggybacking is off.
+    /// (serve-time piggybacking, `Calib::hardened`). 0 under the
+    /// paper's profile.
     pub requests_piggybacked: u64,
     /// Open-loop accesses issued across all hosts (0 when no open-loop
     /// stream was attached).

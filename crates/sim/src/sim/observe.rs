@@ -72,7 +72,7 @@
 //! ports, so one walk along that path judges the page.
 //!
 //! **(g) Every NIC drop of a request is a no-op** — a request that the
-//! hardened NIC (`Calib::nic_filter`) dropped, as being about an
+//! hardened NIC (`Calib::hardened`) dropped, as being about an
 //! untracked page or outside the page's request group, is one the
 //! server would not have answered. Each such request goes into a
 //! per-host shadow list at the place it would have taken in the server

@@ -179,11 +179,12 @@ fn remote_fault_round_trip_latency_is_tens_of_ms() {
 
 #[test]
 fn idle_fault_with_the_retry_timer_armed_sends_one_request() {
-    // The same uncontended fault with the retransmission timer on at a
-    // 20 ms floor — below the ~30 ms an idle round trip takes. The
-    // timeout is measured (three idle round trips before any sample),
-    // so the request is not re-sent and nothing about the run differs
-    // from the paper calibration's, which has no timer at all.
+    // The same uncontended fault under the hardened profile, whose
+    // retransmission timer has a 20 ms floor — below the ~30 ms an idle
+    // round trip takes. The timeout is measured (three idle round trips
+    // before any sample), so the request is not re-sent, and the NIC
+    // filter drops nothing here, so nothing about the run differs from
+    // the paper profile's, which has no timer at all.
     let run = |calib: Calib| {
         let mut cfg = SimConfig::paper(2);
         cfg.calib = calib;
@@ -201,7 +202,7 @@ fn idle_fault_with_the_retry_timer_armed_sends_one_request() {
         (out.wall, sim)
     };
     let (plain_wall, plain) = run(Calib::sun3_sunos4());
-    let (wall, sim) = run(Calib::sun3_sunos4().with_fault_retry(SimDuration::from_millis(20)));
+    let (wall, sim) = run(Calib::hardened());
     assert_eq!(wall, plain_wall);
     assert_eq!(sim.net_stats(), plain.net_stats());
     assert_eq!(sim.net_stats().requests, 1, "re-sent on an idle network");
@@ -313,13 +314,7 @@ impl ArrivalStream for OneAccess {
 /// Host 0 owns page 0; hosts 1 and 2 write it at 1 ms and 2 ms, so
 /// both consistent requests queue at host 0 and the first is granted
 /// with the second still queued behind it.
-fn write_race(sim_cfg: SimConfig, piggyback: bool) -> Simulation {
-    let mut calib = Calib::sun3_sunos4()
-        .with_fault_retry(SimDuration::from_millis(20))
-        .with_nic_filter();
-    if piggyback {
-        calib = calib.with_reply_piggyback();
-    }
+fn write_race(sim_cfg: SimConfig, calib: Calib) -> Simulation {
     let mut sim = Simulation::new(SimConfig { calib, ..sim_cfg });
     let page = PageId::new(0);
     sim.create_owned(0, page);
@@ -347,17 +342,18 @@ fn second_writer(sim: &mut Simulation) -> (u64, u64) {
 
 #[test]
 fn a_consistent_request_stranded_by_a_grant_is_resent_not_timed_out() {
-    // The holder grants host 1 with host 2's request still queued. With
-    // the serve-time pass on, the holder re-sends that request and host
-    // 1 — the new holder — answers it. Without it (the paper's servers
-    // and every deployment without piggybacking) the holder snoops it,
-    // nobody answers, and host 2 waits out one timeout.
-    let mut resent = write_race(SimConfig::paper(3), true);
+    // The holder grants host 1 with host 2's request still queued.
+    // Under the hardened profile the holder's serve-time pass re-sends
+    // that request and host 1 — the new holder — answers it, with no
+    // retransmission. The paper's servers snoop it, nobody answers, and
+    // with no retransmission timer host 2 waits for good.
+    let mut resent = write_race(SimConfig::paper(3), Calib::hardened());
     assert_eq!(second_writer(&mut resent), (0, 48_749));
     assert_eq!(resent.host(0).requests_forwarded, 1);
-    let mut snooped = write_race(SimConfig::paper(3), false);
-    assert_eq!(second_writer(&mut snooped), (1, 116_190));
+    let mut snooped = write_race(SimConfig::paper(3), Calib::sun3_sunos4());
+    assert!(!snooped.run(RunLimits::default()).finished);
     assert_eq!(snooped.host(0).requests_forwarded, 0);
+    assert_eq!(snooped.host(2).open_hist().expect("attached").count(), 0);
 }
 
 #[test]
@@ -368,7 +364,7 @@ fn a_resent_request_leaves_from_the_holders_segment() {
     // segment 0, where host 1 hears it. Segment 1 carries host 2's own
     // request and nothing else.
     let run = |mode: ParallelMode| {
-        let mut sim = write_race(SimConfig::paper_segmented(2, 2), true);
+        let mut sim = write_race(SimConfig::paper_segmented(2, 2), Calib::hardened());
         sim.set_parallel_mode(mode);
         let fault = second_writer(&mut sim);
         assert_eq!(sim.host(0).requests_forwarded, 1);

@@ -1,6 +1,6 @@
-//! Prints the open-loop SLO report pairs (serving optimization off,
-//! then on) for both topology classes — the measurement run behind
-//! `_meta_pr10` in `BENCH_baseline.json`.
+//! Prints the open-loop SLO report of both topology classes, the 4×8
+//! tree and the 16×16 mesh, each on the hardened profile every
+//! open-loop scenario runs.
 //!
 //! ```text
 //! cargo run --release -p mether-workloads --example openloop_report
@@ -21,9 +21,7 @@ fn main() {
     let cfg = OpenLoopConfig::seeded(seed);
     for scenario in [
         OpenLoopScenario::tree_4x8(cfg),
-        OpenLoopScenario::tree_4x8(cfg).with_piggyback(),
         OpenLoopScenario::mesh_16x16(cfg),
-        OpenLoopScenario::mesh_16x16(cfg).with_piggyback(),
     ] {
         let report = scenario.run(None);
         println!("{report}");

@@ -21,13 +21,17 @@
 //!   longer than the gap keep the copy fresh but feed the idle segment
 //!   forever; shorter ones go quiet (cheap) and pay one catch-up fetch
 //!   on return.
+//!
+//! The failover runs the hardened profile ([`mether_sim::Calib::hardened`]):
+//! its readers recover through the retransmission timer. The sweep runs
+//! the paper's, so what an idle segment snoops is every frame it hears.
 
 use crate::publisher::Publisher;
 use mether_core::{MapMode, PageId, PageLength, View};
 use mether_net::{AgeHorizon, ElectionMode, FabricConfig, FabricEvent, SimDuration};
 use mether_sim::{
-    DsmOp, ProtocolMetrics, RunLimits, RunOutcome, SimConfig, Simulation, Step, StepCtx, Topology,
-    Workload,
+    Calib, DsmOp, ProtocolMetrics, RunLimits, RunOutcome, SimConfig, Simulation, Step, StepCtx,
+    Topology, Workload,
 };
 
 /// A demand-polling reader that runs **until it observes a target
@@ -212,17 +216,11 @@ pub struct FailoverConfig {
     pub revive_at: Option<SimDuration>,
     /// Reader polling cadence.
     pub reader_spacing: SimDuration,
-    /// Floor of every host's fault retransmission timeout
-    /// ([`mether_sim::Calib::fault_retry`]) — the recovery path that
-    /// re-sends requests the dead fabric swallowed. The timeout itself
-    /// is each host's measured round trip, doubling per unanswered
-    /// attempt while the fabric is down.
-    pub fault_retry: SimDuration,
 }
 
 impl FailoverConfig {
     /// The acceptance configuration: 4×8 ring, 24 paced writes, root
-    /// killed 100 ms in, fault retransmission never sooner than 50 ms.
+    /// killed 100 ms in.
     pub fn ring_4x8() -> Self {
         FailoverConfig {
             hosts_per_segment: 8,
@@ -231,7 +229,6 @@ impl FailoverConfig {
             kill_at: SimDuration::from_millis(100),
             revive_at: None,
             reader_spacing: SimDuration::from_millis(8),
-            fault_retry: SimDuration::from_millis(50),
         }
     }
 }
@@ -262,22 +259,22 @@ pub struct FailoverReport {
 /// is the elected root**, a paced writer of page 0 on host 0, one
 /// [`PollUntilReader`] on the first host of every other segment, and
 /// the root's death (plus optional revival) scheduled into the event
-/// heap. Every host re-sends unanswered faults and runs the hardened
-/// NIC (`Calib::with_nic_filter`), which coalesces identical queued
-/// requests and drops frames about pages the host does not track: the
-/// readers each fetch their own data, so without coalescing the
-/// writer's server would serve reads a publication already satisfied
-/// and its purges would wait behind them.
+/// heap. Every host runs the hardened profile
+/// ([`mether_sim::Calib::hardened`]). Its retransmission timer re-sends
+/// the requests the dead fabric swallowed, each host timing its
+/// re-sends by its measured round trip and doubling them per
+/// unanswered attempt while the fabric is down. Its NIC coalesces
+/// identical queued requests and drops frames about pages the host
+/// does not track: the readers each fetch their own data, so without
+/// coalescing the writer's server would serve reads a publication
+/// already satisfied and its purges would wait behind them.
 pub fn build_ring_failover(cfg: &FailoverConfig) -> Simulation {
     let segments = 4;
     let fabric = FabricConfig::ring(segments)
         .with_election(ElectionMode::live())
         .with_priorities(vec![0, 1, 2, 3]);
     let mut sim_cfg = SimConfig::paper(segments * cfg.hosts_per_segment);
-    sim_cfg.calib = sim_cfg
-        .calib
-        .with_fault_retry(cfg.fault_retry)
-        .with_nic_filter();
+    sim_cfg.calib = Calib::hardened();
     sim_cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(sim_cfg);
     let page = PageId::new(0);

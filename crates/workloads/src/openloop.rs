@@ -26,9 +26,12 @@
 //! search). Pages are striped across home segments at creation, so a
 //! skewed exponent concentrates demand on a few *hot home segments* —
 //! exactly the hotspot whose server queue depth the report's
-//! per-segment high-water column makes visible, and whose serving path
-//! the reply-piggyback optimization ([`mether_sim::Calib::
-//! with_reply_piggyback`]) shortens.
+//! per-segment high-water column makes visible.
+//!
+//! **Profile.** Every scenario runs the hardened calibration
+//! ([`mether_sim::Calib::hardened`]): the fault retransmission timer,
+//! the NIC filter, and serve-time piggybacking, which shortens the hot
+//! home's serving path. There is no per-scenario switch.
 //!
 //! **SLO report.** [`OpenLoopScenario::run`] returns an
 //! [`OpenLoopReport`]: issue/hit/fault counts, fault-latency
@@ -42,7 +45,7 @@
 use mether_core::{MapMode, NicDrop, PageId, View};
 use mether_net::{FabricConfig, SimDuration, SimTime};
 use mether_sim::{
-    ArrivalStream, EventKind, EventPops, OpenAccess, ParallelMode, RunLimits, RunOutcome,
+    ArrivalStream, Calib, EventKind, EventPops, OpenAccess, ParallelMode, RunLimits, RunOutcome,
     ServerKind, ServerTally, SimConfig, Simulation, Topology,
 };
 use rand::rngs::StdRng;
@@ -246,17 +249,14 @@ impl OpenLoopShape {
     }
 }
 
-/// An open-loop deployment: shape × config × serving optimizations.
+/// An open-loop deployment: shape × config, on the hardened profile
+/// ([`mether_sim::Calib::hardened`]).
 #[derive(Debug, Clone)]
 pub struct OpenLoopScenario {
     /// Topology class.
     pub shape: OpenLoopShape,
     /// Arrival/popularity knobs.
     pub cfg: OpenLoopConfig,
-    /// Serve-time reply piggybacking
-    /// ([`mether_sim::Calib::with_reply_piggyback`]) on the home
-    /// servers — the measured optimization, off by default.
-    pub piggyback: bool,
 }
 
 impl OpenLoopScenario {
@@ -269,7 +269,6 @@ impl OpenLoopScenario {
         OpenLoopScenario {
             shape: OpenLoopShape::Tree4x8,
             cfg,
-            piggyback: false,
         }
     }
 
@@ -294,24 +293,21 @@ impl OpenLoopScenario {
         OpenLoopScenario {
             shape: OpenLoopShape::Mesh16x16,
             cfg,
-            piggyback: false,
         }
     }
 
-    /// Turns on serve-time reply piggybacking on every host.
+    /// The scenario unchanged: serve-time piggybacking is part of the
+    /// hardened profile every scenario runs. Kept only because the
+    /// frozen benchmark (`e2e/src/simwl.rs`) calls it on every
+    /// open-loop scenario; ROADMAP item 12's probe deletes it.
     #[must_use]
-    pub fn with_piggyback(mut self) -> OpenLoopScenario {
-        self.piggyback = true;
+    pub fn with_piggyback(self) -> OpenLoopScenario {
         self
     }
 
-    /// Scenario label for reports: shape plus optimization suffix.
+    /// Scenario label for reports: the shape.
     pub fn label(&self) -> String {
-        if self.piggyback {
-            format!("{}+piggyback", self.shape.label())
-        } else {
-            self.shape.label().to_string()
-        }
+        self.shape.label().to_string()
     }
 
     /// Builds the deployment: fabric, striped pages owned at their home
@@ -323,23 +319,16 @@ impl OpenLoopScenario {
         let mut cfg = SimConfig::paper(segments * hps);
         cfg.mether.num_pages = cfg.mether.num_pages.max(self.cfg.pages);
         cfg.ether.seed = self.cfg.seed;
-        // The soak deployments' recovery/mitigation pair: the fault
-        // retransmission timer (each host's measured round trip, never
-        // under 20 ms) re-sends requests a converging fabric filtered
-        // or a migrating page left unanswered, and the hardened NIC
-        // (`PageTable::admit`) keeps those re-sends from duplicating
-        // server work at enqueue time. Open-loop reads are cold and a
+        // The hardened profile: the fault retransmission timer (each
+        // host's measured round trip, never under 20 ms) re-sends
+        // requests a converging fabric filtered or a migrating page
+        // left unanswered, the NIC (`PageTable::admit`) keeps those
+        // re-sends from duplicating server work at enqueue time, and
+        // serve-time piggybacking drops the queued duplicates that
+        // arrived *during* a serve burst. Open-loop reads are cold and a
         // woken open-loop waiter is done, so no copy is read and the NIC
-        // lets no refresh in. Serve-time piggybacking (the measured
-        // optimization) additionally drops queued duplicates that
-        // arrived *during* a serve burst.
-        cfg.calib = cfg
-            .calib
-            .with_fault_retry(SimDuration::from_millis(20))
-            .with_nic_filter();
-        if self.piggyback {
-            cfg.calib = cfg.calib.with_reply_piggyback();
-        }
+        // lets no refresh in.
+        cfg.calib = Calib::hardened();
         cfg.topology = Topology::fabric(fabric);
         let mut sim = Simulation::new(cfg);
         for p in 0..self.cfg.pages {
@@ -473,12 +462,11 @@ pub struct OpenLoopReport {
     pub hits: u64,
     /// Demand faults stamped into the histogram.
     pub faults: u64,
-    /// Queued duplicate requests dropped at serve time
-    /// (0 unless the scenario runs with piggybacking).
+    /// Queued duplicate requests dropped at serve time.
     pub piggybacked: u64,
     /// Queued consistent requests a holder re-sent toward the host it
     /// had just granted the page to (`HostSim::requests_forwarded`,
-    /// summed; 0 unless the scenario runs with piggybacking).
+    /// summed).
     pub forwarded: u64,
     /// Frames host NICs dropped, indexed by `NicDrop as usize`
     /// (`HostSim::frames_filtered`, summed).

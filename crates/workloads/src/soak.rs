@@ -33,12 +33,13 @@
 //! bytes, and traffic counters — the equality the replay tests pin.
 //!
 //! Completion is asserted for every fault-free scenario, **lossy ones
-//! included**: lossy deployments arm the fault-retry timer
-//! ([`mether_sim::Calib::with_fault_retry`]), whose timeout is also
-//! each process's read lease. The lease breaks the hot-spin loss
-//! livelock: a waiter spinning on a present stale copy transmits
-//! nothing, so a lost waking broadcast would strand it for good; after
-//! one timeout on an unchanged copy it asks the holder again. A reply
+//! included**: every deployment runs the hardened profile
+//! ([`mether_sim::Calib::hardened`]), whose fault retransmission
+//! timeout is also each process's read lease. The lease breaks the
+//! hot-spin loss livelock: a waiter spinning on a present stale copy
+//! transmits nothing, so a lost waking broadcast would strand it for
+//! good; after one timeout on an unchanged copy it asks the holder
+//! again. A reply
 //! crosses the fabric on its request's pending marks, which
 //! sub-round-trip aging horizons cannot expire. Only a faulted run may
 //! legitimately end at the limits (a `LinkDown` can partition the
@@ -61,8 +62,8 @@ use mether_net::{
 };
 use mether_runtime::{Cluster, ClusterConfig, FaultPlan};
 use mether_sim::{
-    ObserverStats, ParallelMode, ProtocolMetrics, RunLimits, RunOutcome, SimConfig, Simulation,
-    Topology,
+    Calib, ObserverStats, ParallelMode, ProtocolMetrics, RunLimits, RunOutcome, SimConfig,
+    Simulation, Topology,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -525,40 +526,15 @@ impl SoakScenario {
             .max((segments + 2 * self.pair_count()) as u32);
         cfg.ether.loss = self.loss;
         cfg.ether.seed = self.seed;
-        // Large fabrics arm the retry unconditionally: a request sent
-        // while a 100+ device live election is still converging can be
-        // filtered at a held-down port and is otherwise never re-sent
-        // (small fabrics converge inside the first hello round, so only
-        // loss, faults, or aging can swallow frames there).
-        if self.loss > 0.0
-            || !self.faults.is_empty()
-            || self.aging != AgeHorizon::Sticky
-            || self.segments() >= 64
-        {
-            // The recovery path: requests the dead fabric or the lossy
-            // wire swallowed are re-sent instead of waited on forever,
-            // and a reader spinning on a copy whose waking broadcast
-            // was lost asks again once its lease (one timeout) runs
-            // out. Aging fabrics need it even on a clean wire — a
-            // bridge whose learned interest expired under unrelated
-            // traffic filters the broadcast a silent data-waiter
-            // depends on. 20 ms is the floor of the timeout, not the
-            // timeout: each host times its re-sends by the round trips
-            // it measures (three idle ones, ~88 ms, until it has a
-            // sample), and a write doubles its timer per unanswered
-            // attempt, so a blocked writer on a partitioned fabric
-            // probes it at a falling rate instead of flooding the home
-            // server at a fixed one.
-            cfg.calib = cfg.calib.with_fault_retry(SimDuration::from_millis(20));
-        }
-        // A handful of waiters whose timers fire in lockstep still
-        // oversubscribe a 13 ms-per-request server, so the soak
-        // deployments also run the hardened NIC: it coalesces identical
+        // The hardened profile. Its retransmission timer re-sends the
+        // requests a dead fabric, a lossy wire, a converging election
+        // or an expired interest swallowed, and a reader spinning on a
+        // copy whose waking broadcast was lost asks again once its
+        // lease (one timeout) runs out. Its NIC coalesces identical
         // queued requests and drops frames about pages the host does
-        // not track, which keeps publications from saturating every
-        // server they cross (off in the paper calibration — its
-        // measured protocol rankings include that server load).
-        cfg.calib = cfg.calib.with_nic_filter();
+        // not track, so waiters whose timers fire in lockstep and
+        // publications do not saturate every server they cross.
+        cfg.calib = Calib::hardened();
         cfg.topology = Topology::fabric(fabric);
         let mut sim = Simulation::new(cfg);
         let first_host = |seg: usize| seg * hps;

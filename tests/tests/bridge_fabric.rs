@@ -31,7 +31,7 @@
 
 use mether_core::{BridgeTopology, HostMask, PageId, SegmentLayout};
 use mether_net::{AgeHorizon, BootState, BridgePolicy, Fabric, FabricConfig, SimDuration, SimTime};
-use mether_sim::{ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
+use mether_sim::{Calib, ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
     build_counting, build_segmented_solver, build_segmented_solver_on, CountingConfig,
     PollingReader, Protocol, Publisher, SolverConfig, SolverWorker,
@@ -1203,7 +1203,7 @@ fn ring_failover_finds_a_holder_that_left_home_before_the_root_died() {
         .with_election(ElectionMode::live())
         .with_priorities(vec![0, 1, 2, 3]);
     let mut cfg = SimConfig::paper(8);
-    cfg.calib = cfg.calib.with_fault_retry(SimDuration::from_millis(50));
+    cfg.calib = Calib::hardened();
     cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(cfg);
     let page = PageId::new(0);

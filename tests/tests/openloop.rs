@@ -1,7 +1,8 @@
 //! Open-loop traffic engine regressions: determinism of the seeded
-//! arrival schedule (same seed ≡ same digest; serial ≡ worker lanes),
-//! the measured serve-time reply-piggyback win on the hot home
-//! segment, and the CI fault-latency SLO ceilings per topology class.
+//! arrival schedule (same seed ≡ same digest; serial ≡ worker lanes)
+//! and the CI fault-latency SLO ceilings per topology class. Every
+//! scenario runs the hardened profile (`Calib::hardened`), serve-time
+//! piggybacking included.
 //!
 //! The SLO ceilings are deliberately loose multiples of the measured
 //! tails (they catch a mechanism regression — a lost optimization, a
@@ -21,8 +22,8 @@
 //! access and their server time 7.80 → 0.67 ms per access; the mesh
 //! went 655 412 → 651 297 events, p99 40.9 → 39.8 ms and refresh time
 //! 6.02 → 1.54 ms per access, with p50 and p999 unmoved. Before that,
-//! all of them moved when the hardened NIC (`Calib::nic_filter`, on in
-//! every open-loop scenario) started dropping the data frames that
+//! all of them moved when the hardened NIC (on in every open-loop
+//! scenario) started dropping the data frames that
 //! would refresh a copy nobody on the host had read since its last
 //! refresh, beyond the first. Open-loop reads are cold, so nobody
 //! reads a refreshed copy, and every host that ever touched a page
@@ -86,52 +87,21 @@ fn open_loop_same_seed_same_digest() {
 #[test]
 fn open_loop_serial_matches_worker_lanes() {
     // The whole report — digest, percentiles, queue high-water — must
-    // be identical under per-segment lanes, piggybacking on or off.
-    for (piggyback, golden) in [
-        (false, 0x74df_c1de_c33e_2f5c_u64),
-        (true, 0x4cf4_48fe_8387_e617),
-    ] {
-        let mut scenario = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(23));
-        if piggyback {
-            scenario = scenario.with_piggyback();
-        }
-        let serial = scenario.run(None);
-        let parallel = scenario.run(Some(2));
-        assert!(serial.outcome.finished);
-        assert_eq!(serial, parallel, "piggyback={piggyback}");
-        assert_eq!(serial.digest, golden, "piggyback={piggyback} golden digest");
-    }
-}
-
-#[test]
-fn serve_time_piggyback_improves_hot_segment_tail() {
-    // The measured optimization: on the skewed tree workload the hot
-    // home's serve bursts accumulate identical queued requests, and
-    // answering them with the in-flight reply must both fire (the
-    // counter) and shorten the fault-latency tail.
-    let base = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(3)).run(None);
-    let opt = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(3))
-        .with_piggyback()
-        .run(None);
-    assert!(base.outcome.finished && opt.outcome.finished);
-    assert_eq!(base.piggybacked, 0, "piggybacking fired while disabled");
-    assert!(
-        opt.piggybacked > 0,
-        "hot-segment serve bursts produced no piggybacked replies:\n{opt}"
+    // be identical under per-segment lanes.
+    let scenario = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(23));
+    let serial = scenario.run(None);
+    let parallel = scenario.run(Some(2));
+    assert!(serial.outcome.finished);
+    assert_eq!(serial, parallel);
+    assert_eq!(
+        serial.digest, 0x4cf4_48fe_8387_e617,
+        "seed 23 golden digest"
     );
-    assert!(
-        opt.p999 < base.p999,
-        "piggybacking did not improve the p999 tail:\nbase {base}\nopt  {opt}"
-    );
-    println!("base: {base}");
-    println!("opt:  {opt}");
 }
 
 #[test]
 fn openloop_slo_ci_tree() {
-    let report = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(1))
-        .with_piggyback()
-        .run(None);
+    let report = OpenLoopScenario::tree_4x8(OpenLoopConfig::seeded(1)).run(None);
     println!("{report}");
     assert!(report.outcome.finished, "tree SLO run hit its limits");
     assert_eq!(
@@ -177,7 +147,7 @@ fn openloop_slo_ci_tree() {
 #[test]
 #[ignore = "~10M events; seconds in release, minutes in debug — CI runs it release via --include-ignored"]
 fn openloop_slo_ci_mesh() {
-    let scenario = OpenLoopScenario::mesh_16x16(OpenLoopConfig::seeded(1)).with_piggyback();
+    let scenario = OpenLoopScenario::mesh_16x16(OpenLoopConfig::seeded(1));
     let report = scenario.run(None);
     println!("{report}");
     assert!(report.outcome.finished, "mesh SLO run hit its limits");

@@ -373,7 +373,7 @@ fn open_loop_tree_identical_under_serial_and_workers() {
     // so a divergence names what moved.
     let mut cfg = OpenLoopConfig::seeded(5);
     cfg.accesses_per_host = 60;
-    let scenario = OpenLoopScenario::tree_4x8(cfg).with_piggyback();
+    let scenario = OpenLoopScenario::tree_4x8(cfg);
     let serial = scenario.run(None);
     assert!(serial.outcome.finished);
     assert!(serial.retransmits > 0, "no timer ever fired:\n{serial}");

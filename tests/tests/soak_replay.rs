@@ -15,10 +15,11 @@
 //! * **NIC request coalescing** (`crates/sim/src/host.rs`): identical
 //!   queued page requests each cost the server a full reply, letting
 //!   retrying clients backlog the home server without bound. The
-//!   mitigation is opt-in (`Calib::with_nic_filter`, on for
-//!   every soak deployment): the paper's servers processed each
-//!   datagram individually, and its measured protocol rankings —
-//!   notably P3's divergence — include that duplicated load.
+//!   mitigation is part of the hardened profile (`Calib::hardened`,
+//!   which every soak deployment runs), not the paper's: the paper's
+//!   servers processed each datagram individually, and its measured
+//!   protocol rankings — notably P3's divergence — include that
+//!   duplicated load.
 //! * **Partition-aware observer grouping**
 //!   (`crates/sim/src/sim/observe.rs`): two devices with byte-identical
 //!   views in *different* connected components legitimately elect
@@ -30,7 +31,7 @@
 
 use mether_core::{BridgeTopology, PageId};
 use mether_net::{AgeHorizon, FabricConfig, FabricEvent, SimDuration};
-use mether_sim::{RunLimits, RunOutcome, SimConfig, Simulation, Topology};
+use mether_sim::{Calib, RunLimits, RunOutcome, SimConfig, Simulation, Topology};
 use mether_workloads::{
     base_seed_from_env, run_cross_engine_soak, run_large_faulted_soak, run_large_soak, run_soak,
     scenario_count_from_env, CountingConfig, DisjointPageCounter, PollingReader, Publisher,
@@ -192,8 +193,8 @@ fn untracked_frames_do_not_saturate_the_servers() {
     assert!(busiest < 0.75, "busiest server {busiest:.3} busy");
 }
 
-/// One lossy P5 pair across a two-segment star, with the retry timer
-/// and the hardened NIC: the shared minimized deployment behind the
+/// One lossy P5 pair across a two-segment star, on the hardened
+/// profile: the shared minimized deployment behind the
 /// loss-resilience regressions below. `ether_seed` picks the loss
 /// pattern.
 fn lossy_p5_pair(ether_seed: u64) -> RunOutcome {
@@ -201,10 +202,7 @@ fn lossy_p5_pair(ether_seed: u64) -> RunOutcome {
     let mut cfg = SimConfig::paper(4);
     cfg.ether.loss = 0.10;
     cfg.ether.seed = ether_seed;
-    cfg.calib = cfg
-        .calib
-        .with_fault_retry(SimDuration::from_millis(20))
-        .with_nic_filter();
+    cfg.calib = Calib::hardened();
     cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(cfg);
     let counting = CountingConfig {
@@ -277,10 +275,7 @@ fn sub_round_trip_aging_finishes_without_a_floor() {
     let fabric = FabricConfig::new(BridgeTopology::star(2))
         .with_aging(AgeHorizon::SimTime(SimDuration::from_millis(4)));
     let mut cfg = SimConfig::paper(4);
-    cfg.calib = cfg
-        .calib
-        .with_fault_retry(SimDuration::from_millis(20))
-        .with_nic_filter();
+    cfg.calib = Calib::hardened();
     cfg.topology = Topology::fabric(fabric);
     let mut sim = Simulation::new(cfg);
     let page = PageId::new(0);

@@ -131,10 +131,10 @@ impl Calib {
     ///   not a constant: each host measures its own
     ///   (`mether_core::rto`), the smoothed round trip of the faults its
     ///   first request satisfied plus four mean deviations, and before
-    ///   any sample three times the no-load round trip. A write fault's timer (and an
-    ///   open-loop fault's) doubles per unanswered request up to 16 ×; a
-    ///   process read's stays at one timeout. A constant cannot do this
-    ///   job: an uncontended short-page fault on this calibration takes
+    ///   any sample three times the no-load round trip. A write fault's
+    ///   timer (and an open-loop fault's) doubles per unanswered request
+    ///   up to 16 ×; a process read's stays at one timeout. A constant
+    ///   cannot do this job: an uncontended short-page fault on this calibration takes
     ///   1 + 7 + 13 + 8 = 29 ms of trap and server legs before wire and
     ///   queueing, so a fixed 20 ms re-sends every request at least
     ///   once on an idle network — costing the requester a second 7 ms

@@ -22,9 +22,10 @@
 //!   forever; shorter ones go quiet (cheap) and pay one catch-up fetch
 //!   on return.
 //!
-//! The failover runs the hardened profile ([`mether_sim::Calib::hardened`]):
-//! its readers recover through the retransmission timer. The sweep runs
-//! the paper's, so what an idle segment snoops is every frame it hears.
+//! The failover runs the hardened profile
+//! ([`mether_sim::Calib::hardened`]): its readers recover through the
+//! retransmission timer. The sweep runs the paper's, so what an idle
+//! segment snoops is every frame it hears.
 
 use crate::publisher::Publisher;
 use mether_core::{MapMode, PageId, PageLength, View};

@@ -451,9 +451,9 @@ impl SoakScenario {
 
     /// True when the run must complete within [`SoakScenario::limits`]:
     /// no faults, so nothing can legitimately stall it. Lossy runs
-    /// *must* finish too — they arm the fault-retry timer, whose
-    /// timeout re-sends a blocked waiter's request and is a spinning
-    /// reader's lease, so no waiter is stranded by a lost frame.
+    /// *must* finish too — the hardened profile's retransmission timer
+    /// re-sends a blocked waiter's request and is a spinning reader's
+    /// lease, so no waiter is stranded by a lost frame.
     pub fn must_finish(&self) -> bool {
         self.faults.is_empty()
     }

@@ -116,6 +116,13 @@ fn openloop_slo_ci_tree() {
         "tree seed 1 golden digest"
     );
     assert!(report.faults > 0, "no demand faults measured");
+    // The hot home's serve bursts collect identical requests, and the
+    // hardened profile answers them with the reply in flight: 717 at
+    // this seed.
+    assert!(
+        report.piggybacked > 0,
+        "hot-segment serve bursts produced no piggybacked replies: {report}"
+    );
     // Measured p999 at this seed: 58.7 ms, queue-dominated at the hot
     // home.
     assert!(

@@ -598,10 +598,13 @@ fn bench_fabric(c: &mut Criterion) {
 }
 
 /// The spanning-tree election on the 256-segment, 480-device 16×16
-/// mesh: the full per-destination recompute every belief change used to
-/// pay, against the incremental `elect_from` fast path that recognises
-/// an unchanged (root, forwarding) pair — the hello-chatter steady
-/// state — and says "keep the tree you hold" without copying it.
+/// mesh: a full election (the tree plus its next-hop tables, what a
+/// mesh build pays once at boot), the incremental `elect_from` fast path
+/// that recognises an unchanged (root, forwarding) pair — the
+/// hello-chatter steady state — and says "keep the tree you hold"
+/// without copying it, and `elect_from` after one `LinkDown`, where the
+/// tree changes and the tables are re-derived (what a live-election
+/// device pays after every fault).
 fn bench_election(c: &mut Criterion) {
     use mether_core::BridgeTopology;
 
@@ -614,6 +617,21 @@ fn bench_election(c: &mut Criterion) {
     });
     g.bench_function("incremental_recompute_mesh16x16", |b| {
         b.iter(|| black_box(t.elect_from(&[], &views, 0, &prev)))
+    });
+    // A mid-mesh device loses its port on its higher segment, as
+    // `LinkDown` records it in the views: the port leaves the live set
+    // and the self-version advances by 2.
+    let mut cut = views.clone();
+    let d = t.bridges() / 2;
+    let port = *t.ports(d).last().unwrap();
+    cut[d].ports.remove(port);
+    cut[d].version += 2;
+    assert!(
+        t.elect_from(&[], &cut, 0, &prev).is_some(),
+        "the cut port forwards, so the tree changes"
+    );
+    g.bench_function("link_down_mesh16x16", |b| {
+        b.iter(|| black_box(t.elect_from(&[], &cut, 0, &prev)))
     });
     g.finish();
 }

@@ -67,15 +67,21 @@ pub struct BridgeTopology {
     links: Vec<Vec<usize>>,
     /// `incident[s]` = the bridges attached to segment `s`, ascending.
     incident: Vec<Vec<usize>>,
-    /// `next[b][dst]` = the port of bridge `b` on the unique tree path
-    /// toward segment `dst` — populated **only when the graph is a
-    /// tree** (unique paths exist); empty otherwise.
-    next: Vec<Vec<u16>>,
+    /// `next[b * segments + dst]` = the port of bridge `b` on the unique
+    /// tree path toward segment `dst` — populated **only when the graph
+    /// is a tree** (unique paths exist); empty otherwise.
+    next: Vec<u16>,
 }
 
 /// Sentinel for "no hop": the destination is unreachable through the
-/// active tree (a partitioned segment).
+/// active tree (a partitioned segment). Segment ids stay below it
+/// because [`BridgeTopology::from_links`] refuses more than
+/// [`MAX_SEGMENTS`] segments.
 const NO_HOP: u16 = u16::MAX;
+
+/// The most segments a topology may wire: every segment id must fit a
+/// `u16` next-hop entry without colliding with [`NO_HOP`].
+const MAX_SEGMENTS: usize = NO_HOP as usize;
 
 impl BridgeTopology {
     /// One bridge attached to every segment — PR 3's star, and the
@@ -239,12 +245,18 @@ impl BridgeTopology {
     /// `segments == 1`), every segment and bridge reachable. Cycles
     /// (redundant links) are allowed; the forwarding layer runs a
     /// spanning-tree election ([`BridgeTopology::elect`]) to stay
-    /// loop-free.
+    /// loop-free. More than 65 535 segments are refused too: next-hop
+    /// entries are `u16`, and `u16::MAX` means "no hop".
     pub(crate) fn from_links(segments: usize, links: Vec<Vec<usize>>) -> crate::Result<Self> {
         if segments == 0 {
             return Err(crate::Error::InvalidConfig(
                 "a topology needs at least one segment".into(),
             ));
+        }
+        if segments > MAX_SEGMENTS {
+            return Err(crate::Error::InvalidConfig(format!(
+                "{segments} segments; next-hop ports hold at most {MAX_SEGMENTS}"
+            )));
         }
         if segments > 1 && links.is_empty() {
             return Err(crate::Error::InvalidConfig(
@@ -313,36 +325,19 @@ impl BridgeTopology {
             ));
         }
         // Next-hop tables exist only for trees, where the unique-path
-        // guarantee makes them canonical: for each destination segment,
-        // walk the tree outward from it; the port a bridge was first
-        // reached through is its (unique) port toward that destination.
-        // Graphs leave `next` empty — forwarding tables are derived from
-        // the elected ActiveTree at runtime instead.
+        // guarantee makes them canonical: the wiring is its own spanning
+        // tree, every port on it, so the election's derivation fills the
+        // table (rooted anywhere; bridge 0 will do). Graphs leave `next`
+        // empty — forwarding tables are derived from the elected
+        // ActiveTree at runtime instead.
         let is_tree = edges == segments + bridges - 1;
-        let mut next: Vec<Vec<u16>> = Vec::new();
-        if is_tree {
-            next = vec![vec![0; segments]; bridges];
-            for dst in 0..segments {
-                let mut seg_done = vec![false; segments];
-                let mut br_done = vec![false; bridges];
-                seg_done[dst] = true;
-                let mut frontier = vec![dst];
-                while let Some(s) = frontier.pop() {
-                    for &b in &incident[s] {
-                        if br_done[b] {
-                            continue;
-                        }
-                        br_done[b] = true;
-                        next[b][dst] = s as u16;
-                        for &t in &links[b] {
-                            if !seg_done[t] {
-                                seg_done[t] = true;
-                                frontier.push(t);
-                            }
-                        }
-                    }
-                }
-            }
+        let mut next = Vec::new();
+        if is_tree && bridges > 0 {
+            let ports: Vec<HostMask> = links
+                .iter()
+                .map(|p| p.iter().copied().collect())
+                .collect();
+            next = next_hops(segments, &incident, &ports, 0);
         }
         links.iter_mut().for_each(|p| p.shrink_to_fit());
         Ok(BridgeTopology {
@@ -403,7 +398,7 @@ impl BridgeTopology {
             self.is_tree(),
             "next_hop is tree-only; elect() an ActiveTree on graph topologies"
         );
-        self.next[b][dst] as usize
+        self.next[b * self.segments + dst] as usize
     }
 
     /// The unique bridge path from segment `src` to segment `dst`, as
@@ -481,14 +476,13 @@ impl BridgeTopology {
     /// tree it holds, untouched and uncopied — and `Some(new tree)`
     /// otherwise. The next-hop tables are a pure function of the
     /// forwarding ports, so an unchanged port map means unchanged
-    /// tables, and the expensive derivation (one tree walk per
-    /// destination segment) is skipped.
+    /// tables: the fast path skips filling a fresh `devices × segments`
+    /// table and allocating it.
     ///
     /// This is the common case by a wide margin: every hello merge that
     /// bumps a version (without changing anyone's liveness or ports)
     /// triggers a re-election, and on a 256-device mesh nearly all of
-    /// them re-elect the identical tree. The fast path turns those from
-    /// `O(segments × graph)` into `O(graph)`.
+    /// them re-elect the identical tree.
     ///
     /// # Panics
     ///
@@ -523,6 +517,7 @@ impl BridgeTopology {
             return (!same_as_prev(None, &[])).then(|| ActiveTree {
                 root: None,
                 forwarding: Vec::new(),
+                segments: ns,
                 next: Vec::new(),
             });
         }
@@ -548,12 +543,14 @@ impl BridgeTopology {
             return Some(ActiveTree {
                 root: None,
                 forwarding,
-                next: vec![vec![NO_HOP; ns]; nb],
+                segments: ns,
+                next: vec![NO_HOP; nb * ns],
             });
         }
         let mut tree = ActiveTree {
             root: None,
             forwarding: vec![HostMask::EMPTY; nb],
+            segments: ns,
             next: Vec::new(),
         };
         // The observer's component over alive devices and live links.
@@ -637,38 +634,89 @@ impl BridgeTopology {
         if same_as_prev(tree.root, &tree.forwarding) {
             return None;
         }
-        // Next-hop tables, derived from the forwarding ports alone: for
-        // each destination, walk the active tree outward from it; the
-        // forwarding port a bridge is first reached through is its port
-        // toward that destination. (On the active tree the walk order
-        // is irrelevant — paths are unique.)
-        tree.next = vec![vec![NO_HOP; ns]; nb];
-        for dst in 0..ns {
-            if dist_s[dst].is_none() {
-                continue;
-            }
-            let mut seg_done = vec![false; ns];
-            let mut br_done = vec![false; nb];
-            seg_done[dst] = true;
-            let mut frontier = vec![dst];
-            while let Some(s) = frontier.pop() {
-                for &b in &self.incident[s] {
-                    if br_done[b] || !tree.forwarding[b].contains(s) {
-                        continue;
-                    }
-                    br_done[b] = true;
-                    tree.next[b][dst] = s as u16;
-                    for t in &tree.forwarding[b] {
-                        if !seg_done[t] {
-                            seg_done[t] = true;
-                            frontier.push(t);
-                        }
+        // Next-hop tables, derived from the forwarding ports alone.
+        tree.next = next_hops(ns, &self.incident, &tree.forwarding, root);
+        Some(tree)
+    }
+}
+
+/// One step of [`next_hops`]' walk.
+enum Step {
+    /// Enter bridge `b`, reached through its port `up` (`NO_HOP` at the
+    /// root).
+    Bridge { b: usize, up: u16 },
+    /// Enter segment `s`, reached from bridge `from`.
+    Segment { s: usize, from: usize },
+    /// Every segment behind `s` has been visited.
+    Leave(usize),
+}
+
+/// The next-hop table of a spanning tree, row-major: entry
+/// `b * segments + dst` is bridge `b`'s port toward segment `dst`, or
+/// `NO_HOP` when `b` or `dst` is off the tree.
+///
+/// The tree is the bridges reachable from `root` over the ports in
+/// `forwarding` (`incident` says which bridges attach to each segment);
+/// its edges must form a tree. One pre-order walk from `root` lays the
+/// tree's segments out so that the subtree behind any port leading away
+/// from the root is one contiguous run of the visit order. A bridge's
+/// row is then its root port (the one it was reached through) on every
+/// tree segment, overwritten on each other port's run by that port: one
+/// walk plus one write per table entry, where a walk per destination
+/// would cost `segments` walks.
+fn next_hops(
+    segments: usize,
+    incident: &[Vec<usize>],
+    forwarding: &[HostMask],
+    root: usize,
+) -> Vec<u16> {
+    // `order` holds the tree's segments in visit order; `run[s]` is the
+    // span of `order` behind segment `s`; `reached` the tree's bridges
+    // with their root ports.
+    let mut order: Vec<usize> = Vec::with_capacity(segments);
+    let mut run = vec![0..0; segments];
+    let mut reached: Vec<(usize, u16)> = Vec::new();
+    let mut stack = vec![Step::Bridge { b: root, up: NO_HOP }];
+    while let Some(step) = stack.pop() {
+        match step {
+            Step::Bridge { b, up } => {
+                reached.push((b, up));
+                for s in &forwarding[b] {
+                    if s != up as usize {
+                        stack.push(Step::Segment { s, from: b });
                     }
                 }
             }
+            Step::Segment { s, from } => {
+                run[s].start = order.len();
+                order.push(s);
+                stack.push(Step::Leave(s));
+                for &b in &incident[s] {
+                    if b != from && forwarding[b].contains(s) {
+                        stack.push(Step::Bridge { b, up: s as u16 });
+                    }
+                }
+            }
+            Step::Leave(s) => run[s].end = order.len(),
         }
-        Some(tree)
     }
+    let mut next = vec![NO_HOP; forwarding.len() * segments];
+    for (b, up) in reached {
+        let row = &mut next[b * segments..][..segments];
+        if up != NO_HOP {
+            for &s in &order {
+                row[s] = up;
+            }
+        }
+        for s in &forwarding[b] {
+            if s != up as usize {
+                for &t in &order[run[s].clone()] {
+                    row[t] = s as u16;
+                }
+            }
+        }
+    }
+    next
 }
 
 /// One device's gossiped liveness belief about a bridge: carried in
@@ -727,9 +775,12 @@ pub struct ActiveTree {
     root: Option<usize>,
     /// Per device: mask of Forwarding ports (segment ids).
     forwarding: Vec<HostMask>,
-    /// `next[b][dst]` = port of `b` toward `dst` over Forwarding ports;
-    /// `NO_HOP` when unreachable (partition).
-    next: Vec<Vec<u16>>,
+    /// Segments in the wiring: the length of one `next` row.
+    segments: usize,
+    /// One row per device, flat: `next[b * segments + dst]` = port of
+    /// `b` toward `dst` over Forwarding ports; `NO_HOP` when unreachable
+    /// (partition) or when `b` is off the observer's tree.
+    next: Vec<u16>,
 }
 
 impl ActiveTree {
@@ -765,20 +816,157 @@ impl ActiveTree {
     ///
     /// Panics if `b` or `dst` is out of range.
     pub fn next_hop(&self, b: usize, dst: usize) -> Option<usize> {
-        let hop = self.next[b][dst];
+        let hop = self.row(b)[dst];
         (hop != NO_HOP).then_some(hop as usize)
     }
 
     /// True when every segment is reachable from device `b` — the
     /// healthy, unpartitioned state.
     pub fn fully_connected_from(&self, b: usize) -> bool {
-        self.next[b].iter().all(|&h| h != NO_HOP)
+        self.row(b).iter().all(|&h| h != NO_HOP)
+    }
+
+    /// Device `b`'s next-hop row, one entry per segment.
+    fn row(&self, b: usize) -> &[u16] {
+        &self.next[b * self.segments..][..self.segments]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-destination derivation [`next_hops`] replaced, kept as its
+    /// oracle: for each destination, walk the tree outward from it; the
+    /// forwarding port a bridge is first reached through is its port
+    /// toward that destination.
+    fn next_hops_per_destination(
+        segments: usize,
+        incident: &[Vec<usize>],
+        forwarding: &[HostMask],
+    ) -> Vec<u16> {
+        let nb = forwarding.len();
+        let mut next = vec![NO_HOP; nb * segments];
+        for dst in 0..segments {
+            let mut seg_done = vec![false; segments];
+            let mut br_done = vec![false; nb];
+            seg_done[dst] = true;
+            let mut frontier = vec![dst];
+            while let Some(s) = frontier.pop() {
+                for &b in &incident[s] {
+                    if br_done[b] || !forwarding[b].contains(s) {
+                        continue;
+                    }
+                    br_done[b] = true;
+                    next[b * segments + dst] = s as u16;
+                    for t in &forwarding[b] {
+                        if !seg_done[t] {
+                            seg_done[t] = true;
+                            frontier.push(t);
+                        }
+                    }
+                }
+            }
+        }
+        next
+    }
+
+    /// A wiring drawn from `shape`: 0 ring, 1 mesh, 2 balanced tree,
+    /// 3 parent-vector tree, 4 parent-vector tree plus redundant links.
+    fn wiring(shape: u8, a: usize, b: usize, parents: &[usize], extra: &[usize]) -> BridgeTopology {
+        match shape {
+            0 => BridgeTopology::ring(a + 2),
+            1 => BridgeTopology::mesh2d(a % 6 + 1, b % 6 + 2),
+            2 => BridgeTopology::balanced_tree(a + 1, b % 4 + 1),
+            3 => BridgeTopology::from_parents(parents),
+            _ => {
+                let t = BridgeTopology::from_parents(parents);
+                let n = t.segments();
+                let links: Vec<Vec<usize>> = extra
+                    .chunks_exact(2)
+                    .map(|p| (p[0] % n, p[1] % n))
+                    .filter(|(x, y)| x != y)
+                    .map(|(x, y)| vec![x, y])
+                    .collect();
+                t.add_redundant_links(links).unwrap()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn one_walk_tables_match_the_per_destination_walk(
+            shape in 0u8..5,
+            a in 0usize..40,
+            b in 0usize..40,
+            parents in proptest::collection::vec(0usize..64, 0..40),
+            extra in proptest::collection::vec(0usize..64, 0..8),
+            faults in proptest::collection::vec((0u8..6, 0usize..8, 0u64..4), 0..48),
+        ) {
+            let t = wiring(shape, a, b, &parents, &extra);
+            let (nb, ns) = (t.bridges(), t.segments());
+            if t.is_tree() && nb > 0 {
+                let all: Vec<HostMask> =
+                    (0..nb).map(|d| t.ports(d).iter().copied().collect()).collect();
+                prop_assert_eq!(
+                    &t.next,
+                    &next_hops_per_destination(ns, &t.incident, &all),
+                    "static tree table"
+                );
+            }
+            // Per device: 0 kills it, 1 cuts one of its ports, the rest
+            // leave it healthy; every device draws a priority.
+            let mut views = t.fresh_views();
+            let mut priorities = vec![0u64; nb];
+            for (d, &(fault, port, prio)) in faults.iter().take(nb).enumerate() {
+                priorities[d] = prio;
+                match fault {
+                    0 => {
+                        views[d].alive = false;
+                        views[d].version = 1;
+                    }
+                    1 => {
+                        let p = t.ports(d)[port % t.ports(d).len()];
+                        views[d].ports.remove(p);
+                        views[d].version = 2;
+                    }
+                    _ => {}
+                }
+            }
+            let trees: Vec<ActiveTree> =
+                (0..nb).map(|o| t.elect(&priorities, &views, o)).collect();
+            for (o, tree) in trees.iter().enumerate() {
+                prop_assert_eq!(
+                    &tree.next,
+                    &next_hops_per_destination(ns, &t.incident, &tree.forwarding),
+                    "observer {}", o
+                );
+            }
+            // Partitions: two observers reach the same segments and hold
+            // the same tree, or reach disjoint segment sets — each side
+            // reads NO_HOP for the other's segments.
+            let reach = |tree: &ActiveTree, o: usize| -> Vec<bool> {
+                (0..ns).map(|s| tree.next_hop(o, s).is_some()).collect()
+            };
+            for o1 in 0..nb {
+                let r1 = reach(&trees[o1], o1);
+                for o2 in o1 + 1..nb {
+                    let r2 = reach(&trees[o2], o2);
+                    if r1 == r2 && r1.contains(&true) {
+                        prop_assert_eq!(&trees[o1], &trees[o2], "observers {} and {}", o1, o2);
+                    } else {
+                        prop_assert!(
+                            (0..ns).all(|s| !(r1[s] && r2[s])),
+                            "observers {} and {} overlap without agreeing", o1, o2
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn star_is_one_bridge_over_all_segments() {
@@ -847,6 +1035,18 @@ mod tests {
         // No bridge at all over two segments.
         assert!(BridgeTopology::from_links(2, vec![]).is_err());
         assert!(BridgeTopology::from_links(0, vec![]).is_err());
+    }
+
+    #[test]
+    fn from_links_refuses_more_segments_than_a_next_hop_can_name() {
+        // mesh2d(256, 256) wires 65 536 segments: segment 65 535 would
+        // read as NO_HOP. Refused before anything is built.
+        let err = BridgeTopology::from_links(MAX_SEGMENTS + 1, vec![vec![0, 1]]).unwrap_err();
+        assert!(matches!(err, crate::Error::InvalidConfig(_)), "{err:?}");
+        // The largest allowed count still builds: a star's one-row tree
+        // table names segment 65 534 as a port.
+        let t = BridgeTopology::star(MAX_SEGMENTS);
+        assert_eq!(t.next_hop(0, MAX_SEGMENTS - 1), MAX_SEGMENTS - 1);
     }
 
     #[test]

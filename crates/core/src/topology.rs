@@ -333,10 +333,7 @@ impl BridgeTopology {
         let is_tree = edges == segments + bridges - 1;
         let mut next = Vec::new();
         if is_tree && bridges > 0 {
-            let ports: Vec<HostMask> = links
-                .iter()
-                .map(|p| p.iter().copied().collect())
-                .collect();
+            let ports: Vec<HostMask> = links.iter().map(|p| p.iter().copied().collect()).collect();
             next = next_hops(segments, &incident, &ports, 0);
         }
         links.iter_mut().for_each(|p| p.shrink_to_fit());
@@ -662,8 +659,7 @@ enum Step {
 /// from the root is one contiguous run of the visit order. A bridge's
 /// row is then its root port (the one it was reached through) on every
 /// tree segment, overwritten on each other port's run by that port: one
-/// walk plus one write per table entry, where a walk per destination
-/// would cost `segments` walks.
+/// walk, then at most two writes per table entry.
 fn next_hops(
     segments: usize,
     incident: &[Vec<usize>],
@@ -676,7 +672,10 @@ fn next_hops(
     let mut order: Vec<usize> = Vec::with_capacity(segments);
     let mut run = vec![0..0; segments];
     let mut reached: Vec<(usize, u16)> = Vec::new();
-    let mut stack = vec![Step::Bridge { b: root, up: NO_HOP }];
+    let mut stack = vec![Step::Bridge {
+        b: root,
+        up: NO_HOP,
+    }];
     while let Some(step) = stack.pop() {
         match step {
             Step::Bridge { b, up } => {
@@ -837,10 +836,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The per-destination derivation [`next_hops`] replaced, kept as its
-    /// oracle: for each destination, walk the tree outward from it; the
-    /// forwarding port a bridge is first reached through is its port
-    /// toward that destination.
+    /// The oracle [`next_hops`] is checked against: for each destination,
+    /// walk the tree outward from it; the forwarding port a bridge is
+    /// first reached through is its port toward that destination.
     fn next_hops_per_destination(
         segments: usize,
         incident: &[Vec<usize>],

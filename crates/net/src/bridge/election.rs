@@ -527,7 +527,7 @@ impl Election {
     fn recompute(&mut self, now: SimTime) -> Option<HostMask> {
         // Incremental: hello chatter re-elects constantly, and almost
         // always lands on the identical tree — elect_from then skips
-        // the per-destination table derivation and says so, and the
+        // filling a fresh next-hop table and says so, and the
         // tree this device holds (often still the fabric's shared one)
         // stays where it is.
         let new =

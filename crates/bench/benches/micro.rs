@@ -94,6 +94,15 @@ fn bench_pagebuf(c: &mut Criterion) {
         let mut buf = PageBuf::new_zeroed();
         b.iter(|| black_box(buf.payload(8192).len()))
     });
+    g.bench_function("create_then_short_write", |b| {
+        // A created page shares the zero page; its first write pays
+        // the private copy.
+        b.iter(|| {
+            let mut buf = PageBuf::new_zeroed();
+            buf.write_u32(0, 7).unwrap();
+            black_box(buf.valid_len())
+        })
+    });
     g.finish();
 }
 
@@ -783,6 +792,12 @@ fn bench_openloop(c: &mut Criterion) {
             let report = OpenLoopScenario::tree_4x8(cfg).run(None);
             black_box((report.faults, report.piggybacked, report.digest))
         })
+    });
+    g.bench_function("build_tree_4x8", |b| {
+        // The build alone, beside `fabric/build_mesh16x16`: 32 hosts,
+        // 64 created pages that share one zero page until written.
+        let cfg = OpenLoopConfig::seeded(1);
+        b.iter(|| black_box(OpenLoopScenario::tree_4x8(cfg).build()))
     });
     g.finish();
 }

@@ -35,9 +35,13 @@
 //! page-data path is therefore allocation-free in steady state:
 //!
 //! * [`PageBuf`] is backed by shared, reference-counted storage with
-//!   copy-on-write. Publishing a full page ([`PageBuf::payload`]) hands
-//!   out a shared view instead of copying 8 KiB; a later local write
-//!   detaches a private copy first, so published bytes are immutable.
+//!   copy-on-write, and holds exactly its valid prefix: a 32-byte short
+//!   copy is 32 bytes. Created pages ([`PageBuf::new_zeroed`]) share
+//!   one process-wide zero page until their first write, so a page
+//!   nobody writes costs no bytes of its own. Publishing a full page
+//!   ([`PageBuf::payload`]) hands out a shared view instead of copying
+//!   8 KiB; a later local write detaches a private copy first, so
+//!   published bytes are immutable.
 //! * [`Packet::encode_vectored`] carries the page payload as a segment of
 //!   its own, sharing the sender's storage, and [`Packet::decode_frame`]
 //!   adopts that segment as the decoded packet's payload — no copy on

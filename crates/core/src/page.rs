@@ -2,11 +2,17 @@
 //!
 //! # The zero-copy buffer model
 //!
-//! A [`PageBuf`] is backed by either *owned* storage (a private, full
-//! 8192-byte extent) or *shared* storage (a reference-counted [`Bytes`]
-//! view — typically a slice of the decoded datagram the page arrived in).
-//! The two states convert lazily, copy-on-write:
+//! A [`PageBuf`] is backed by either *owned* storage (a private `Vec`)
+//! or *shared* storage (a reference-counted [`Bytes`] view — typically a
+//! slice of the decoded datagram the page arrived in). Either way the
+//! storage is exactly the valid prefix: a 32-byte short copy holds 32
+//! bytes, not an 8 KiB extent. Created pages share one zero page. The
+//! two states convert lazily, copy-on-write:
 //!
+//! * **Creation is copy-free.** [`PageBuf::new_zeroed`] hands out a view
+//!   of one process-wide page of zeros (Mach's copy-on-write zero-fill
+//!   page); the page's first write copies it, and a page that is never
+//!   written never holds bytes of its own.
 //! * **Install/refresh from the network is copy-free.** A snooping host
 //!   adopts the broadcast's payload by reference
 //!   ([`PageBuf::from_payload`], [`PageBuf::refresh_from_payload`]); N
@@ -20,31 +26,34 @@
 //!   the network (or a datagram other hosts still share) can never be
 //!   mutated retroactively.
 //!
-//! A `PageBuf` always *represents* the full 8192 bytes, but tracks how
-//! many of them are *valid*: after a short-page fault only the first
-//! `short_len` bytes hold data from the network; the remainder is stale
-//! or zero. The Figure 1 rules call the short page the *subset* and the
-//! full page the *superset*; "pagein from the network: all subsets paged
-//! in, no supersets paged in" is expressed here as `valid_len`.
+//! A `PageBuf` stands for the whole 8192-byte page but holds only the
+//! bytes that are *valid*: after a short-page fault only the first
+//! `short_len` bytes hold data from the network. The Figure 1 rules
+//! call the short page the *subset* and the full page the *superset*;
+//! "pagein from the network: all subsets paged in, no supersets paged
+//! in" is expressed here as `valid_len`. Bytes past it read as zeros
+//! wherever a transfer reaches them ([`PageBuf::payload`]).
 
 use crate::config::PAGE_SIZE;
 use crate::{Error, PageLength, Result};
 use bytes::Bytes;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Transfers at least this long are published as zero-copy shared views;
 /// shorter ones are copied out (cheaper than freezing the whole page).
 pub(crate) const ZERO_COPY_MIN: usize = 1024;
 
 /// The backing store for one page on one host. See the module docs for
-/// the owned/shared copy-on-write model.
+/// the owned/shared copy-on-write model. Either variant holds exactly
+/// the page's valid prefix.
 #[derive(Clone)]
 enum Storage {
-    /// Private storage, always the full [`PAGE_SIZE`] extent, never
-    /// aliased (sharing converts to `Shared` first).
+    /// Private storage, never aliased (sharing converts to `Shared`
+    /// first).
     Owned(Vec<u8>),
-    /// Reference-counted storage, possibly aliased by the network layer
-    /// or by other hosts; extent is `bytes.len()` (≤ [`PAGE_SIZE`]).
+    /// Reference-counted storage, possibly aliased by the network layer,
+    /// by other hosts, or by every created page (the zero page).
     Shared(Bytes),
 }
 
@@ -64,7 +73,7 @@ pub struct PageBuf {
 }
 
 /// A `len`-byte vector holding as much of `src` as fits, zero-padded —
-/// the single definition of the "prefix plus zero tail" storage shape.
+/// the single definition of the "prefix plus zero tail" transfer shape.
 fn padded_vec(src: &[u8], len: usize) -> Vec<u8> {
     let keep = src.len().min(len);
     let mut v = Vec::with_capacity(len);
@@ -73,24 +82,34 @@ fn padded_vec(src: &[u8], len: usize) -> Vec<u8> {
     v
 }
 
+/// The one process-wide page of zeros that created pages share. The
+/// static keeps a reference of its own, so [`Bytes::try_unique`] never
+/// reclaims it.
+fn zero_page() -> &'static Bytes {
+    static ZERO: OnceLock<Bytes> = OnceLock::new();
+    ZERO.get_or_init(|| Bytes::from(vec![0; PAGE_SIZE]))
+}
+
 impl PageBuf {
     /// A zero-filled page with the full extent valid (a freshly created
-    /// page owned by its creator).
+    /// page owned by its creator). It shares the process-wide zero page
+    /// until its first write.
     pub fn new_zeroed() -> Self {
         Self {
-            storage: Storage::Owned(vec![0; PAGE_SIZE]),
+            storage: Storage::Shared(zero_page().clone()),
             valid_len: PAGE_SIZE,
         }
     }
 
     /// A page installed from `bytes` received off the network; only the
-    /// received prefix is valid. Copies once into private storage — use
-    /// [`PageBuf::from_payload`] on the snoop path to install without
-    /// copying at all.
+    /// received prefix is valid. Copies the prefix once into private
+    /// storage — use [`PageBuf::from_payload`] on the snoop path to
+    /// install without copying at all.
     pub fn from_network(bytes: &[u8]) -> Self {
+        let n = bytes.len().min(PAGE_SIZE);
         Self {
-            storage: Storage::Owned(padded_vec(bytes, PAGE_SIZE)),
-            valid_len: bytes.len().min(PAGE_SIZE),
+            storage: Storage::Owned(bytes[..n].to_vec()),
+            valid_len: n,
         }
     }
 
@@ -130,21 +149,29 @@ impl PageBuf {
         }
     }
 
-    /// Materialises private full-extent storage, preserving the valid
-    /// prefix and zero-filling the tail — the copy-on-write step.
+    /// Materialises private storage holding the valid prefix — the
+    /// copy-on-write step — and returns it.
     ///
-    /// When the shared allocation is a full-extent page that nobody else
-    /// references any more (every network view was dropped), it is
-    /// reclaimed in place instead of copied, so a single-writer
+    /// When the shared allocation is exactly the valid prefix and nobody
+    /// else references it any more (every network view was dropped), it
+    /// is reclaimed in place instead of copied, so a single-writer
     /// publish → write cycle stays copy-free once the published payload
-    /// has been consumed.
-    fn ensure_owned(&mut self) {
+    /// has been consumed. A view of the zero page is never reclaimed; it
+    /// becomes freshly zeroed memory, which costs less than copying it.
+    fn ensure_owned(&mut self) -> &mut Vec<u8> {
         if let Storage::Shared(b) = &mut self.storage {
-            self.storage = match std::mem::take(b).try_unique() {
-                Ok(v) if v.len() == PAGE_SIZE => Storage::Owned(v),
-                Ok(v) => Storage::Owned(padded_vec(&v, PAGE_SIZE)),
-                Err(shared) => Storage::Owned(padded_vec(&shared, PAGE_SIZE)),
+            let owned = if b.shares_storage_with(zero_page()) {
+                vec![0; b.len()]
+            } else {
+                std::mem::take(b)
+                    .try_unique()
+                    .unwrap_or_else(|shared| shared.to_vec())
             };
+            self.storage = Storage::Owned(owned);
+        }
+        match &mut self.storage {
+            Storage::Owned(v) => v,
+            Storage::Shared(_) => unreachable!("materialised above"),
         }
     }
 
@@ -157,11 +184,10 @@ impl PageBuf {
     /// [`PageBuf::refresh_from_payload`] instead.
     pub fn refresh_from_network(&mut self, bytes: &[u8]) {
         let n = bytes.len().min(PAGE_SIZE);
-        self.ensure_owned();
-        match &mut self.storage {
-            Storage::Owned(v) => v[..n].copy_from_slice(&bytes[..n]),
-            Storage::Shared(_) => unreachable!("ensure_owned materialised"),
-        }
+        let v = self.ensure_owned();
+        let keep = v.len().min(n);
+        v[..keep].copy_from_slice(&bytes[..keep]);
+        v.extend_from_slice(&bytes[keep..n]);
         self.valid_len = self.valid_len.max(n);
     }
 
@@ -194,16 +220,11 @@ impl PageBuf {
     pub fn extend_from_network(&mut self, bytes: &[u8]) {
         let n = bytes.len().min(PAGE_SIZE);
         if n > self.valid_len {
-            self.ensure_owned();
             let start = self.valid_len;
-            match &mut self.storage {
-                Storage::Owned(v) => v[start..n].copy_from_slice(&bytes[start..n]),
-                Storage::Shared(_) => unreachable!("ensure_owned materialised"),
-            }
+            self.ensure_owned().extend_from_slice(&bytes[start..n]);
             self.valid_len = n;
         }
     }
-
     /// Reads `buf.len()` bytes starting at `offset`.
     ///
     /// # Errors
@@ -251,11 +272,7 @@ impl PageBuf {
                 view_len: self.valid_len,
             });
         }
-        self.ensure_owned();
-        match &mut self.storage {
-            Storage::Owned(v) => v[offset..end].copy_from_slice(buf),
-            Storage::Shared(_) => unreachable!("ensure_owned materialised"),
-        }
+        self.ensure_owned()[offset..end].copy_from_slice(buf);
         Ok(())
     }
 
@@ -289,27 +306,31 @@ impl PageBuf {
     /// 32-byte memcpy beats freezing 8 KiB of storage.
     pub fn payload(&mut self, transfer_len: usize) -> Bytes {
         let n = transfer_len.min(PAGE_SIZE);
-        if n >= ZERO_COPY_MIN {
+        if n >= ZERO_COPY_MIN && self.valid_len >= n {
             // Freeze owned storage into a shared allocation (a pointer
             // move, not a copy), then hand out a view of it.
             if let Storage::Owned(v) = &mut self.storage {
                 self.storage = Storage::Shared(Bytes::from(std::mem::take(v)));
             }
             if let Storage::Shared(b) = &self.storage {
-                if b.len() >= n {
-                    return b.slice(..n);
-                }
+                return b.slice(..n);
             }
         }
-        // Copy path: short transfers, or shared storage whose extent is
-        // shorter than the requested transfer (pad the tail with zeros,
-        // as the full-extent storage would have held).
+        // Copy path: short transfers, or a transfer longer than the
+        // valid prefix (the tail past it reads as zeros).
         Bytes::from(padded_vec(self.storage.as_slice(), n))
     }
 
     /// The valid prefix as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.storage.as_slice()[..self.valid_len]
+        self.storage.as_slice()
+    }
+
+    /// How many bytes the storage holds: the model tests pin that it
+    /// never exceeds [`PageBuf::valid_len`].
+    #[cfg(test)]
+    fn extent(&self) -> usize {
+        self.storage.as_slice().len()
     }
 
     /// Whether this buffer satisfies a fault of the given `length` view
@@ -595,6 +616,136 @@ mod tests {
         let owned = PageBuf::from_network(&[3u8; 32]);
         let shared = PageBuf::from_payload(&bytes::Bytes::from(vec![3u8; 32]));
         assert_eq!(owned, shared);
+    }
+
+    #[test]
+    fn created_pages_share_one_zero_page() {
+        let mut a = PageBuf::new_zeroed();
+        let b = PageBuf::new_zeroed();
+        let zeros = a.payload(PAGE_SIZE);
+        assert!(zeros.iter().all(|&x| x == 0));
+        assert!(a.shares_storage_with(&zeros));
+        assert!(b.shares_storage_with(&zeros), "one zero page for both");
+        // The first write copies the zero page; the other page and the
+        // payload still read zeros.
+        a.write_u32(0, 9).unwrap();
+        assert!(!a.shares_storage_with(&zeros));
+        assert_eq!(a.extent(), PAGE_SIZE);
+        assert_eq!(b.read_u32(0).unwrap(), 0);
+        assert_eq!(&zeros[..4], &[0u8; 4]);
+    }
+
+    #[test]
+    fn written_short_copy_holds_its_valid_bytes() {
+        let mut owned = PageBuf::from_network(&[1u8; 32]);
+        owned.write_u32(0, 2).unwrap();
+        assert_eq!(owned.extent(), 32);
+        let datagram = bytes::Bytes::from(vec![1u8; 64]);
+        let mut shared = PageBuf::from_payload(&datagram.slice(16..48));
+        shared.write_u32(28, 2).unwrap();
+        assert_eq!(shared.extent(), 32);
+        assert_eq!(datagram[44], 1, "the datagram is untouched");
+    }
+
+    /// Install lengths worth hitting: empty, short, odd, the zero-copy
+    /// threshold, the full page, or anything.
+    fn model_len(a: usize, b: usize) -> usize {
+        [0, 32, 33, ZERO_COPY_MIN, PAGE_SIZE, a + 1][b % 6]
+    }
+
+    fn model_bytes(n: usize, fill: u8) -> Vec<u8> {
+        (0..n).map(|i| fill.wrapping_add(i as u8)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random op sequences (each an op kind, two size/offset draws
+        /// and a fill byte) against a plain 8192-byte page with a valid
+        /// length: every read, slice and payload byte agrees, the
+        /// storage never holds more than the valid prefix, and a payload
+        /// once handed out never changes.
+        #[test]
+        fn prop_pagebuf_matches_a_flat_page_model(
+            ops in proptest::collection::vec((0u8..9, 0usize..PAGE_SIZE, 0usize..PAGE_SIZE, any::<u8>()), 1..40),
+        ) {
+            let mut page = PageBuf::new_zeroed();
+            let mut model = vec![0u8; PAGE_SIZE];
+            let mut valid = PAGE_SIZE;
+            let mut published: Vec<(Bytes, Vec<u8>)> = Vec::new();
+            for &(kind, a, b, fill) in &ops {
+                let n = model_len(a, b);
+                let data = model_bytes(n, fill);
+                // A datagram whose payload sits at an offset, as a
+                // decoded frame's does, so reclaiming it must fail.
+                let datagram = || {
+                    let pad = usize::from(fill & 1) * 8;
+                    Bytes::from([vec![0xee; pad], data.clone()].concat()).slice(pad..)
+                };
+                match kind {
+                    0..=2 => {
+                        let created = kind == 0 && fill & 1 == 0;
+                        valid = if created { PAGE_SIZE } else { n };
+                        page = match kind {
+                            _ if created => PageBuf::new_zeroed(),
+                            // A view of the zero page, as a snooper
+                            // adopts a created page's published payload.
+                            0 => PageBuf::from_payload(&zero_page().slice(..n)),
+                            1 => PageBuf::from_network(&data),
+                            _ => PageBuf::from_payload(&datagram()),
+                        };
+                        model = if kind == 0 { vec![0; valid] } else { data.clone() };
+                        model.resize(PAGE_SIZE, 0);
+                    }
+                    3 => {
+                        // Mostly inside the valid prefix, sometimes past it.
+                        let (off, len) = (a % (valid + 8), b % 64 + 1);
+                        let buf = model_bytes(len, fill);
+                        let fits = off + len <= valid;
+                        prop_assert_eq!(page.write(off, &buf).is_ok(), fits);
+                        if fits {
+                            model[off..off + len].copy_from_slice(&buf);
+                        }
+                    }
+                    4 | 5 => {
+                        if kind == 4 {
+                            page.refresh_from_network(&data);
+                        } else {
+                            page.refresh_from_payload(&datagram());
+                        }
+                        model[..n].copy_from_slice(&data);
+                        valid = valid.max(n);
+                    }
+                    6 => {
+                        page.extend_from_network(&data);
+                        if n > valid {
+                            model[valid..n].copy_from_slice(&data[valid..]);
+                            valid = n;
+                        }
+                    }
+                    7 => {
+                        let len = [32, ZERO_COPY_MIN, PAGE_SIZE][b % 3];
+                        let p = page.payload(len);
+                        prop_assert_eq!(&p[..], &model[..len]);
+                        published.push((p, model[..len].to_vec()));
+                    }
+                    _ => published.clear(),
+                }
+                prop_assert_eq!(page.valid_len(), valid);
+                prop_assert!(page.extent() <= page.valid_len(), "storage past the valid prefix");
+                prop_assert_eq!(page.as_slice(), &model[..valid]);
+                let mut word = [0u8; 4];
+                let at = b % (valid + 8);
+                let in_range = at + 4 <= valid;
+                prop_assert_eq!(page.read(at, &mut word).is_ok(), in_range);
+                if in_range {
+                    prop_assert_eq!(&word[..], &model[at..at + 4]);
+                }
+                for (p, bytes) in &published {
+                    prop_assert_eq!(&p[..], &bytes[..], "a published payload changed");
+                }
+            }
+        }
     }
 
     proptest! {

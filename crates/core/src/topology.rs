@@ -46,9 +46,8 @@
 //! keeps the `Static` election mode byte-identical to the PR 4
 //! tree-only fabric).
 //!
-//! [`BridgeTopology::next_hop`] and [`BridgeTopology::path`] remain for
-//! tree topologies (where the unique-path guarantee makes them
-//! well-defined); graph topologies must go through an [`ActiveTree`].
+//! Forwarding directions come only from an [`ActiveTree`], on tree and
+//! graph wirings alike: the wiring holds no next-hop table of its own.
 
 use crate::addr::HostMask;
 use std::collections::VecDeque;
@@ -67,10 +66,6 @@ pub struct BridgeTopology {
     links: Vec<Vec<usize>>,
     /// `incident[s]` = the bridges attached to segment `s`, ascending.
     incident: Vec<Vec<usize>>,
-    /// `next[b * segments + dst]` = the port of bridge `b` on the unique
-    /// tree path toward segment `dst` — populated **only when the graph
-    /// is a tree** (unique paths exist); empty otherwise.
-    next: Vec<u16>,
 }
 
 /// Sentinel for "no hop": the destination is unreachable through the
@@ -271,7 +266,6 @@ impl BridgeTopology {
                 ports
             })
             .collect();
-        let mut edges = 0usize;
         let mut incident: Vec<Vec<usize>> = vec![Vec::new(); segments];
         for (b, ports) in links.iter().enumerate() {
             if ports.len() < min_ports {
@@ -295,12 +289,10 @@ impl BridgeTopology {
                     )));
                 }
                 incident[s].push(b);
-                edges += 1;
             }
         }
         // Connectivity check over the bipartite incidence graph: BFS from
-        // segment 0 must reach every segment and bridge. (A connected
-        // graph has ≥ |vertices| − 1 edges; equality makes it a tree.)
+        // segment 0 must reach every segment and bridge.
         let bridges = links.len();
         let mut seg_seen = vec![false; segments];
         let mut br_seen = vec![false; bridges];
@@ -324,24 +316,11 @@ impl BridgeTopology {
                 "bridge topology is not connected".into(),
             ));
         }
-        // Next-hop tables exist only for trees, where the unique-path
-        // guarantee makes them canonical: the wiring is its own spanning
-        // tree, every port on it, so the election's derivation fills the
-        // table (rooted anywhere; bridge 0 will do). Graphs leave `next`
-        // empty — forwarding tables are derived from the elected
-        // ActiveTree at runtime instead.
-        let is_tree = edges == segments + bridges - 1;
-        let mut next = Vec::new();
-        if is_tree && bridges > 0 {
-            let ports: Vec<HostMask> = links.iter().map(|p| p.iter().copied().collect()).collect();
-            next = next_hops(segments, &incident, &ports, 0);
-        }
         links.iter_mut().for_each(|p| p.shrink_to_fit());
         Ok(BridgeTopology {
             segments,
             links,
             incident,
-            next,
         })
     }
 
@@ -373,62 +352,13 @@ impl BridgeTopology {
         &self.incident[seg]
     }
 
-    /// True when the incidence graph is a tree (no redundant links).
-    pub(crate) fn is_tree(&self) -> bool {
-        !self.next.is_empty() || self.links.is_empty()
-    }
-
-    /// The port of bridge `b` on the unique tree path toward segment
-    /// `dst` (the segment itself when `dst` is incident to `b`).
-    ///
-    /// Tree topologies only — on a graph there is no *unique* path and
-    /// the forwarding direction is election state, not wiring; use
-    /// [`BridgeTopology::elect`] and [`ActiveTree::next_hop`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` or `dst` is out of range, or if the topology has
-    /// redundant links.
-    pub fn next_hop(&self, b: usize, dst: usize) -> usize {
-        assert!(dst < self.segments, "segment {dst} >= {}", self.segments);
-        assert!(
-            self.is_tree(),
-            "next_hop is tree-only; elect() an ActiveTree on graph topologies"
-        );
-        self.next[b * self.segments + dst] as usize
-    }
-
-    /// The unique bridge path from segment `src` to segment `dst`, as
-    /// `(bridge, egress segment)` hops. Empty when `src == dst`.
-    /// Simulates hop-by-hop next-hop forwarding, so tests can pin that
-    /// the derived tables walk exactly the tree path. Tree-only, like
-    /// [`BridgeTopology::next_hop`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either segment is out of range, or on a non-tree
-    /// topology.
-    pub fn path(&self, src: usize, dst: usize) -> Vec<(usize, usize)> {
-        assert!(src < self.segments, "segment {src} >= {}", self.segments);
-        assert!(dst < self.segments, "segment {dst} >= {}", self.segments);
-        let mut hops = Vec::new();
-        let mut here = src;
-        while here != dst {
-            // The bridge incident to `here` whose next hop toward dst is
-            // not `here` itself carries the frame onward; the tree
-            // property makes it unique.
-            let (b, out) = self.incident[here]
-                .iter()
-                .filter_map(|&b| {
-                    let out = self.next_hop(b, dst);
-                    (out != here).then_some((b, out))
-                })
-                .next()
-                .expect("tree is connected, so some incident bridge leads onward");
-            hops.push((b, out));
-            here = out;
-        }
-        hops
+    /// True when the incidence graph is a tree (no redundant links): a
+    /// connected graph has at least |vertices| − 1 edges, one per port,
+    /// and exactly that many when it is a tree.
+    #[cfg(test)]
+    fn is_tree(&self) -> bool {
+        let edges: usize = self.links.iter().map(Vec::len).sum();
+        edges + 1 == self.segments + self.bridges()
     }
 
     /// The optimistic initial beliefs: every device alive on all its
@@ -870,6 +800,35 @@ mod tests {
         next
     }
 
+    /// The tree a wiring elects with every device alive and uniform
+    /// priorities; on a tree wiring, the wiring itself.
+    fn wiring_tree(t: &BridgeTopology) -> ActiveTree {
+        t.elect(&[], &t.fresh_views(), 0)
+    }
+
+    /// The bridge path from segment `src` to segment `dst` over `tree`,
+    /// as `(bridge, egress segment)` hops: hop-by-hop next-hop
+    /// forwarding. Empty when `src == dst`.
+    fn path(t: &BridgeTopology, tree: &ActiveTree, src: usize, dst: usize) -> Vec<(usize, usize)> {
+        let mut hops = Vec::new();
+        let mut here = src;
+        while here != dst {
+            // The bridge on `here` whose next hop toward dst is not
+            // `here` itself carries the frame onward; the tree makes it
+            // unique.
+            let (b, out) = t.incident[here]
+                .iter()
+                .find_map(|&b| {
+                    let out = tree.next_hop(b, dst)?;
+                    (out != here).then_some((b, out))
+                })
+                .expect("the tree spans every segment");
+            hops.push((b, out));
+            here = out;
+        }
+        hops
+    }
+
     /// A wiring drawn from `shape`: 0 ring, 1 mesh, 2 balanced tree,
     /// 3 parent-vector tree, 4 parent-vector tree plus redundant links.
     fn wiring(shape: u8, a: usize, b: usize, parents: &[usize], extra: &[usize]) -> BridgeTopology {
@@ -906,15 +865,6 @@ mod tests {
         ) {
             let t = wiring(shape, a, b, &parents, &extra);
             let (nb, ns) = (t.bridges(), t.segments());
-            if t.is_tree() && nb > 0 {
-                let all: Vec<HostMask> =
-                    (0..nb).map(|d| t.ports(d).iter().copied().collect()).collect();
-                prop_assert_eq!(
-                    &t.next,
-                    &next_hops_per_destination(ns, &t.incident, &all),
-                    "static tree table"
-                );
-            }
             // Per device: 0 kills it, 1 cuts one of its ports, the rest
             // leave it healthy; every device draws a priority.
             let mut views = t.fresh_views();
@@ -973,8 +923,9 @@ mod tests {
         assert!(t.is_tree());
         assert_eq!(t.ports(0), &[0, 1, 2, 3]);
         assert_eq!(t.bridges_on(2), &[0]);
+        let a = wiring_tree(&t);
         for dst in 0..4 {
-            assert_eq!(t.next_hop(0, dst), dst, "every port is one hop away");
+            assert_eq!(a.next_hop(0, dst), Some(dst), "every port is one hop away");
         }
     }
 
@@ -983,7 +934,7 @@ mod tests {
         let t = BridgeTopology::star(1);
         assert_eq!(t.bridges(), 1);
         assert_eq!(t.ports(0), &[0]);
-        assert_eq!(t.next_hop(0, 0), 0);
+        assert_eq!(wiring_tree(&t).next_hop(0, 0), Some(0));
     }
 
     #[test]
@@ -991,12 +942,13 @@ mod tests {
         let t = BridgeTopology::chain(4);
         assert_eq!(t.bridges(), 3);
         assert_eq!(t.ports(1), &[1, 2]);
+        let a = wiring_tree(&t);
         // From bridge 0 (segments 0|1), everything rightward exits port 1.
-        assert_eq!(t.next_hop(0, 3), 1);
-        assert_eq!(t.next_hop(0, 0), 0);
+        assert_eq!(a.next_hop(0, 3), Some(1));
+        assert_eq!(a.next_hop(0, 0), Some(0));
         // The 0→3 path crosses all three bridges in order.
-        assert_eq!(t.path(0, 3), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(t.path(3, 0), vec![(2, 2), (1, 1), (0, 0)]);
+        assert_eq!(path(&t, &a, 0, 3), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(path(&t, &a, 3, 0), vec![(2, 2), (1, 1), (0, 0)]);
     }
 
     #[test]
@@ -1006,9 +958,10 @@ mod tests {
         assert_eq!(t.bridges(), 2);
         assert_eq!(t.ports(0), &[0, 1, 2]);
         assert_eq!(t.ports(1), &[1, 3]);
-        assert_eq!(t.next_hop(0, 3), 1, "toward 3 via the subtree at 1");
-        assert_eq!(t.next_hop(1, 0), 1, "toward the root via the parent");
-        assert_eq!(t.path(2, 3), vec![(0, 1), (1, 3)]);
+        let a = wiring_tree(&t);
+        assert_eq!(a.next_hop(0, 3), Some(1), "toward 3 via the subtree at 1");
+        assert_eq!(a.next_hop(1, 0), Some(1), "toward the root via the parent");
+        assert_eq!(path(&t, &a, 2, 3), vec![(0, 1), (1, 3)]);
     }
 
     #[test]
@@ -1041,10 +994,13 @@ mod tests {
         // read as NO_HOP. Refused before anything is built.
         let err = BridgeTopology::from_links(MAX_SEGMENTS + 1, vec![vec![0, 1]]).unwrap_err();
         assert!(matches!(err, crate::Error::InvalidConfig(_)), "{err:?}");
-        // The largest allowed count still builds: a star's one-row tree
-        // table names segment 65 534 as a port.
+        // The largest allowed count still builds: a star's elected
+        // one-row table names segment 65 534 as a port.
         let t = BridgeTopology::star(MAX_SEGMENTS);
-        assert_eq!(t.next_hop(0, MAX_SEGMENTS - 1), MAX_SEGMENTS - 1);
+        assert_eq!(
+            wiring_tree(&t).next_hop(0, MAX_SEGMENTS - 1),
+            Some(MAX_SEGMENTS - 1)
+        );
     }
 
     #[test]
@@ -1064,12 +1020,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tree-only")]
-    fn next_hop_panics_on_graphs() {
-        let _ = BridgeTopology::ring(3).next_hop(0, 2);
-    }
-
-    #[test]
     fn add_redundant_links_extends_a_tree() {
         let t = BridgeTopology::balanced_tree(4, 2);
         let g = t.add_redundant_links(vec![vec![2, 3]]).unwrap();
@@ -1084,9 +1034,10 @@ mod tests {
     #[test]
     fn path_endpoints_and_uniqueness() {
         let t = BridgeTopology::balanced_tree(7, 2);
+        let a = wiring_tree(&t);
         for src in 0..7 {
             for dst in 0..7 {
-                let p = t.path(src, dst);
+                let p = path(&t, &a, src, dst);
                 if src == dst {
                     assert!(p.is_empty());
                 } else {
@@ -1109,8 +1060,9 @@ mod tests {
     #[test]
     fn election_on_a_tree_reproduces_the_wiring() {
         // On a tree with uniform priorities, every port must forward and
-        // the derived next hops must equal the tree-unique tables — the
-        // property that keeps Static mode byte-identical to PR 4.
+        // the derived next hops must equal the tree-unique ones (the
+        // per-destination walk over every port) — the property that
+        // keeps Static mode byte-identical to PR 4.
         for t in [
             BridgeTopology::star(4),
             BridgeTopology::chain(5),
@@ -1118,16 +1070,20 @@ mod tests {
             BridgeTopology::star(1),
         ] {
             let views = t.fresh_views();
+            let ns = t.segments();
+            let all: Vec<HostMask> = (0..t.bridges())
+                .map(|b| t.ports(b).iter().copied().collect())
+                .collect();
+            let unique = next_hops_per_destination(ns, &t.incident, &all);
             for observer in 0..t.bridges() {
                 let a = t.elect(&[], &views, observer);
                 for b in 0..t.bridges() {
-                    let all: HostMask = t.ports(b).iter().copied().collect();
-                    assert_eq!(a.forwarding(b), all, "tree ports all forward");
-                    for dst in 0..t.segments() {
+                    assert_eq!(a.forwarding(b), all[b], "tree ports all forward");
+                    for dst in 0..ns {
                         assert_eq!(
                             a.next_hop(b, dst),
-                            Some(t.next_hop(b, dst)),
-                            "next hops match the tree tables"
+                            Some(unique[b * ns + dst] as usize),
+                            "next hops match the tree-unique ones"
                         );
                     }
                 }

@@ -29,7 +29,7 @@
 //! between them, equal to the per-device cold election, and diverge
 //! copy-on-write without ever aliasing.
 
-use mether_core::{BridgeTopology, HostMask, PageId, SegmentLayout};
+use mether_core::{ActiveTree, BridgeTopology, HostMask, PageId, SegmentLayout};
 use mether_net::{AgeHorizon, BootState, BridgePolicy, Fabric, FabricConfig, SimDuration, SimTime};
 use mether_sim::{Calib, ProtocolMetrics, RunLimits, SimConfig, Simulation, Topology};
 use mether_workloads::{
@@ -50,6 +50,52 @@ fn tree_from_parents(parents: &[usize]) -> BridgeTopology {
     BridgeTopology::from_parents(parents)
 }
 
+/// The bridge path from segment `src` to segment `dst` over `tree`, an
+/// election on `t`, as `(bridge, egress segment)` hops: hop-by-hop
+/// next-hop forwarding. Empty when `src == dst`.
+fn tree_path(t: &BridgeTopology, tree: &ActiveTree, src: usize, dst: usize) -> Vec<(usize, usize)> {
+    let mut hops = Vec::new();
+    let mut here = src;
+    while here != dst {
+        // The bridge on `here` whose next hop toward dst is not `here`
+        // itself carries the frame onward; the tree makes it unique.
+        let (b, out) = t
+            .bridges_on(here)
+            .iter()
+            .find_map(|&b| {
+                let out = tree.next_hop(b, dst)?;
+                (out != here).then_some((b, out))
+            })
+            .expect("the tree spans every segment");
+        hops.push((b, out));
+        here = out;
+    }
+    hops
+}
+
+/// The port of bridge `b` on the unique path toward segment `dst` of the
+/// tree wiring `t`, found without any next-hop table: the one port of
+/// `b` a search from `dst` reaches without crossing `b`.
+fn tree_port_toward(t: &BridgeTopology, b: usize, dst: usize) -> usize {
+    let mut seen = vec![false; t.segments()];
+    seen[dst] = true;
+    let mut stack = vec![dst];
+    while let Some(s) = stack.pop() {
+        if t.ports(b).contains(&s) {
+            return s;
+        }
+        for &c in t.bridges_on(s).iter().filter(|&&c| c != b) {
+            for &u in t.ports(c) {
+                if !seen[u] {
+                    seen[u] = true;
+                    stack.push(u);
+                }
+            }
+        }
+    }
+    unreachable!("a tree wiring reaches every segment")
+}
+
 proptest! {
     /// Every segment pair routes along the unique tree path: the
     /// next-hop walk ends at the destination, never revisits a segment,
@@ -60,10 +106,11 @@ proptest! {
         parents in proptest::collection::vec(0usize..64, 1..12)
     ) {
         let t = tree_from_parents(&parents);
+        let tree = t.elect(&[], &t.fresh_views(), 0);
         let n = t.segments();
         for src in 0..n {
             for dst in 0..n {
-                let path = t.path(src, dst);
+                let path = tree_path(&t, &tree, src, dst);
                 if src == dst {
                     prop_assert!(path.is_empty());
                     continue;
@@ -82,7 +129,7 @@ proptest! {
                     here = out;
                 }
                 // Symmetric: the reverse walk is the same path backwards.
-                let back = t.path(dst, src);
+                let back = tree_path(&t, &tree, dst, src);
                 prop_assert_eq!(back.len(), path.len());
                 let fwd_bridges: Vec<usize> = path.iter().map(|&(b, _)| b).collect();
                 let mut back_bridges: Vec<usize> = back.iter().map(|&(b, _)| b).collect();
@@ -802,8 +849,8 @@ proptest! {
     }
 
     /// On trees with uniform priorities the election reproduces the
-    /// wiring: every port Forwarding, next hops equal to the tree-only
-    /// tables — the base case that keeps `Static` election
+    /// wiring: every port Forwarding, next hops equal to the tree-unique
+    /// ports — the base case that keeps `Static` election
     /// byte-identical to the PR 4 fabric.
     #[test]
     fn prop_tree_election_matches_static_tables(
@@ -815,7 +862,7 @@ proptest! {
             let all: HostMask = t.ports(b).iter().copied().collect();
             prop_assert_eq!(a.forwarding(b), all);
             for dst in 0..t.segments() {
-                prop_assert_eq!(a.next_hop(b, dst), Some(t.next_hop(b, dst)));
+                prop_assert_eq!(a.next_hop(b, dst), Some(tree_port_toward(&t, b, dst)));
             }
         }
     }

@@ -1062,7 +1062,7 @@ mod tests {
         // On a tree with uniform priorities, every port must forward and
         // the derived next hops must equal the tree-unique ones (the
         // per-destination walk over every port) — the property that
-        // keeps Static mode byte-identical to PR 4.
+        // keeps Static mode byte-identical to the tree-only fabric.
         for t in [
             BridgeTopology::star(4),
             BridgeTopology::chain(5),

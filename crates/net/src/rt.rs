@@ -37,16 +37,36 @@
 //!
 //! # Who wakes whom
 //!
-//! A listener that finds nothing deliverable marks its inbox *asleep* and
-//! blocks on the inbox's condition variable. A transmitter that pushes
-//! into an asleep inbox takes the mark and owes that inbox one wake-up —
-//! which it pays **after releasing the medium**, and only to inboxes that
-//! were asleep. Waking under the lock is what a channel's `send` does,
-//! and on one CPU it costs a round trip its whole gain: the woken
-//! listener pre-empts the transmitter, handles the frame, and blocks on
-//! the medium the transmitter still holds. [`Inbox::close`] wakes the
-//! listener at once, so a receive loop needs no polling timeout to
-//! notice shutdown.
+//! An inbox has up to two kinds of listener. The *background* listener
+//! (a node's receiver thread, a bridge device's thread) drains it with
+//! [`Inbox::recv`], or waits with [`Inbox::wait_background`] and drains
+//! with [`Inbox::try_recv`]. A *foreground* waiter is a thread blocked on
+//! something a frame will bring — a node's accessor waiting for its
+//! page — that registers with [`Inbox::fg_enter`] and handles what
+//! arrives itself, so the reply it waits for reaches it without a hop
+//! through the background listener.
+//!
+//! A listener that finds nothing deliverable marks that it sleeps and
+//! blocks on its kind's condition variable. Every push moves the inbox's
+//! *epoch*. While any foreground waiter is registered, a push wakes the
+//! sleeping foreground waiters and leaves the background listener
+//! asleep; the last foreground waiter to leave wakes it if frames are
+//! still queued. Otherwise a push into an inbox whose background
+//! listener sleeps takes the mark and owes it one wake-up. A foreground
+//! waiter reads the epoch before it checks its condition and sleeps only
+//! while the epoch still reads the same ([`Foreground::wait`]); whoever
+//! satisfies the condition without a frame of its own — a thread that
+//! handled the frame on the waiter's behalf — moves the epoch with
+//! [`Inbox::kick`]. No wake-up is lost between the check and the sleep.
+//!
+//! A transmitter pays what it owes **after releasing the medium**, and
+//! only to listeners that sleep. Waking under the lock is what a
+//! channel's `send` does, and on one CPU it costs a round trip its whole
+//! gain: the woken listener pre-empts the transmitter, handles the
+//! frame, and blocks on the medium the transmitter still holds.
+//! [`Inbox::close`] wakes every listener and waiter at once, each then
+//! reporting [`Error::Disconnected`], so a receive loop needs no polling
+//! timeout to notice shutdown.
 //!
 //! The locks here, and in `mether-runtime` and `mether-lib` above, are
 //! plain `std::sync` ones, taken through [`lock`], which ignores
@@ -142,25 +162,71 @@ struct Delivery {
 struct InboxState {
     /// Ordered by `due`; frames of one LAN keep their transmit order.
     queue: VecDeque<Delivery>,
-    /// A listener is blocked on `ready` and nobody owes it a wake-up yet.
+    /// A background listener is blocked on `ready` and nobody owes it a
+    /// wake-up yet.
     asleep: bool,
+    /// Registered foreground waiters ([`Inbox::fg_enter`]); while there
+    /// is one, pushes wake it and leave the background listener asleep.
+    fg_waiters: usize,
+    /// Foreground waiters blocked on `fg_ready` right now.
+    fg_asleep: usize,
+    /// Bumped by every push and every [`Inbox::kick`].
+    epoch: u64,
     closed: bool,
 }
 
 impl InboxState {
     /// Takes the head frame if the wire has finished carrying it.
     fn pop_due(&mut self) -> Option<(usize, Packet)> {
-        if self.queue.front()?.due > Instant::now() {
+        if !self.head_due(Instant::now()) {
             return None;
         }
         self.queue.pop_front().map(|d| (d.port, d.pkt))
     }
+
+    /// Has the wire finished carrying the head frame by `now`?
+    fn head_due(&self, now: Instant) -> bool {
+        self.queue.front().is_some_and(|d| d.due <= now)
+    }
+
+    fn head_due_at(&self) -> Option<Instant> {
+        self.queue.front().map(|d| d.due)
+    }
+}
+
+/// Who a push or a kick owes a wake-up, paid after the caller's locks
+/// are released.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    Nobody,
+    Background,
+    Foreground,
 }
 
 #[derive(Default)]
 struct InboxShared {
     state: Mutex<InboxState>,
+    /// The background listener waits here.
     ready: Condvar,
+    /// Foreground waiters wait here.
+    fg_ready: Condvar,
+}
+
+/// Waits on `cv` until `until`, or for good without one.
+fn wait_until<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    until: Option<Instant>,
+) -> MutexGuard<'a, T> {
+    match until {
+        Some(t) => {
+            let timeout = t.saturating_duration_since(Instant::now());
+            cv.wait_timeout(guard, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        }
+        None => cv.wait(guard).unwrap_or_else(PoisonError::into_inner),
+    }
 }
 
 /// A listener's receive queue. Cloning shares the same queue.
@@ -168,8 +234,12 @@ struct InboxShared {
 /// An inbox can be attached to several LANs ([`Lan::attach`]); every
 /// frame comes out tagged with the port it arrived on, so a bridge
 /// device waits on all its segments with one blocking call. It is built
-/// for one listening thread; more are safe (every wake-up wakes all of
-/// them) but each frame still goes to exactly one.
+/// for one background listening thread; more are safe (every wake-up
+/// wakes all of them) but each frame still goes to exactly one.
+///
+/// Threads that block for a reply can take the frames over from the
+/// background listener while they wait ([`Inbox::fg_enter`]; see the
+/// module docs, "Who wakes whom").
 #[derive(Clone, Default)]
 pub struct Inbox {
     shared: Arc<InboxShared>,
@@ -181,22 +251,39 @@ impl Inbox {
         Self::default()
     }
 
-    /// Queues `d` in due order. True if the listener was asleep: the
-    /// caller must then [`Inbox::wake`] it — after dropping its own locks.
-    fn push(&self, d: Delivery) -> bool {
+    /// Queues `d` in due order and says whom the caller must wake
+    /// ([`Inbox::wake`]) — after dropping its own locks.
+    fn push(&self, d: Delivery) -> Wake {
         let mut st = lock(&self.shared.state);
         if st.closed {
-            return false;
+            return Wake::Nobody;
         }
         // One LAN's frames are pushed in due order already; only a frame
         // from another port can belong ahead of the tail.
         let at = st.queue.iter().rposition(|q| q.due <= d.due);
         st.queue.insert(at.map_or(0, |i| i + 1), d);
-        std::mem::take(&mut st.asleep)
+        st.epoch += 1;
+        if st.fg_waiters > 0 {
+            // A foreground waiter takes this frame; the background
+            // listener sleeps on.
+            if st.fg_asleep > 0 {
+                Wake::Foreground
+            } else {
+                Wake::Nobody
+            }
+        } else if std::mem::take(&mut st.asleep) {
+            Wake::Background
+        } else {
+            Wake::Nobody
+        }
     }
 
-    fn wake(&self) {
-        self.shared.ready.notify_all();
+    fn wake(&self, whom: Wake) {
+        match whom {
+            Wake::Nobody => {}
+            Wake::Background => self.shared.ready.notify_all(),
+            Wake::Foreground => self.shared.fg_ready.notify_all(),
+        }
     }
 
     fn recv_by(&self, deadline: Option<Instant>) -> Result<(usize, Packet)> {
@@ -213,19 +300,9 @@ impl Inbox {
             }
             // Sleep until the head frame is due or the deadline passes,
             // whichever is first; a push or a close wakes us earlier.
-            let due = st.queue.front().map(|d| d.due);
+            let until = st.head_due_at().into_iter().chain(deadline).min();
             st.asleep = true;
-            let ready = &self.shared.ready;
-            st = match due.into_iter().chain(deadline).min() {
-                Some(t) => {
-                    let timeout = t.saturating_duration_since(Instant::now());
-                    ready
-                        .wait_timeout(st, timeout)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-                None => ready.wait(st).unwrap_or_else(PoisonError::into_inner),
-            };
+            st = wait_until(&self.shared.ready, st, until);
             st.asleep = false;
         }
     }
@@ -267,15 +344,128 @@ impl Inbox {
         Ok(st.pop_due())
     }
 
+    /// The background listener's wait: blocks, popping nothing, until a
+    /// frame is due and no foreground waiter is registered, then returns
+    /// so the caller can drain with [`Inbox::try_recv`]. While a
+    /// foreground waiter is registered the frames are its to take, and
+    /// this sleeps until the last one leaves ([`Inbox::fg_enter`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Disconnected`] once the inbox is closed.
+    pub fn wait_background(&self) -> Result<()> {
+        let mut st = lock(&self.shared.state);
+        loop {
+            if st.closed {
+                return Err(Error::Disconnected);
+            }
+            let mine = st.fg_waiters == 0;
+            if mine && st.head_due(Instant::now()) {
+                return Ok(());
+            }
+            let until = st.head_due_at().filter(|_| mine);
+            st.asleep = true;
+            st = wait_until(&self.shared.ready, st, until);
+            st.asleep = false;
+        }
+    }
+
+    /// Registers the calling thread as a foreground waiter until the
+    /// returned guard drops. While any is registered, a push wakes the
+    /// foreground waiters and not the background listener; the last to
+    /// leave wakes the background listener if frames are still queued.
+    pub fn fg_enter(&self) -> Foreground<'_> {
+        lock(&self.shared.state).fg_waiters += 1;
+        Foreground { inbox: self }
+    }
+
+    fn fg_leave(&self) {
+        let mut st = lock(&self.shared.state);
+        st.fg_waiters -= 1;
+        let wake = if st.fg_waiters == 0 && !st.queue.is_empty() && std::mem::take(&mut st.asleep) {
+            Wake::Background
+        } else {
+            Wake::Nobody
+        };
+        drop(st);
+        self.wake(wake);
+    }
+
+    /// Moves the epoch without a frame, waking every foreground waiter
+    /// blocked in [`Foreground::wait`]: something they wait for other
+    /// than a frame (a page another thread installed) has happened.
+    pub fn kick(&self) {
+        let mut st = lock(&self.shared.state);
+        st.epoch += 1;
+        let wake = if st.fg_asleep > 0 {
+            Wake::Foreground
+        } else {
+            Wake::Nobody
+        };
+        drop(st);
+        self.wake(wake);
+    }
+
     /// Closes the inbox: queued frames are discarded, later ones are not
-    /// queued, and every receive — including one blocked right now —
-    /// returns [`Error::Disconnected`] at once.
+    /// queued, and every receive or wait — including one blocked right
+    /// now — returns [`Error::Disconnected`] at once.
     pub fn close(&self) {
         let mut st = lock(&self.shared.state);
         st.closed = true;
         st.queue.clear();
         drop(st);
-        self.wake();
+        self.wake(Wake::Background);
+        self.wake(Wake::Foreground);
+    }
+}
+
+/// A registered foreground waiter of an [`Inbox`] ([`Inbox::fg_enter`]);
+/// dropping it leaves.
+#[must_use = "dropping the guard leaves at once"]
+pub struct Foreground<'a> {
+    inbox: &'a Inbox,
+}
+
+impl Foreground<'_> {
+    /// The inbox's epoch now: read it before checking what to wait for,
+    /// then hand it to [`Foreground::wait`].
+    pub fn epoch(&self) -> u64 {
+        lock(&self.inbox.shared.state).epoch
+    }
+
+    /// Blocks until the epoch is no longer `seen` (a push or a kick came
+    /// after the read), or the head frame is due; drain with
+    /// [`Inbox::try_recv`] after it returns.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Timeout`] once `deadline` passes, [`Error::Disconnected`]
+    /// once the inbox is closed.
+    pub fn wait(&self, seen: u64, deadline: Option<Instant>) -> Result<()> {
+        let shared = &self.inbox.shared;
+        let mut st = lock(&shared.state);
+        loop {
+            if st.closed {
+                return Err(Error::Disconnected);
+            }
+            let now = Instant::now();
+            if st.epoch != seen || st.head_due(now) {
+                return Ok(());
+            }
+            if deadline.is_some_and(|deadline| deadline <= now) {
+                return Err(Error::Timeout);
+            }
+            let until = st.head_due_at().into_iter().chain(deadline).min();
+            st.fg_asleep += 1;
+            st = wait_until(&shared.fg_ready, st, until);
+            st.fg_asleep -= 1;
+        }
+    }
+}
+
+impl Drop for Foreground<'_> {
+    fn drop(&mut self) {
+        self.inbox.fg_leave();
     }
 }
 
@@ -346,13 +536,14 @@ impl Inner {
                     port: tap.port,
                     pkt: pkt.clone(),
                 };
-                if tap.inbox.push(d) {
-                    wake.push(tap.inbox.clone());
+                let whom = tap.inbox.push(d);
+                if whom != Wake::Nobody {
+                    wake.push((tap.inbox.clone(), whom));
                 }
             }
         }
-        for inbox in wake {
-            inbox.wake();
+        for (inbox, whom) in wake {
+            inbox.wake(whom);
         }
     }
 }
@@ -548,6 +739,11 @@ impl Endpoint {
     /// [`Error::Disconnected`] once closed.
     pub fn try_recv(&self) -> Result<Option<Packet>> {
         Ok(self.inbox.try_recv()?.map(|(_, pkt)| pkt))
+    }
+
+    /// The inbox this endpoint hears on.
+    pub fn inbox(&self) -> &Inbox {
+        &self.inbox
     }
 
     /// Stops listening ([`Inbox::close`]): a blocked [`Endpoint::recv`]
@@ -796,6 +992,111 @@ mod tests {
         a.broadcast(&req(0)).unwrap();
         assert_eq!(b.try_recv(), Err(Error::Disconnected));
         assert_eq!(lock(&b.inbox.shared.state).queue.len(), 0);
+    }
+
+    /// Spins until `inbox`'s state says `asleep` (the background
+    /// listener sleeps) and `fg_asleep` foreground waiters sleep.
+    fn until_asleep(inbox: &Inbox, background: bool, fg_asleep: usize) {
+        loop {
+            let st = lock(&inbox.shared.state);
+            if st.asleep == background && st.fg_asleep == fg_asleep {
+                return;
+            }
+            drop(st);
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_push_wakes_the_foreground_waiter_not_the_background_listener() {
+        let lan = Lan::new(LanConfig::fast());
+        let a = lan.endpoint(HostId(0));
+        let b = lan.endpoint(HostId(1));
+        let inbox = b.inbox();
+        let deadline = Some(Instant::now() + Duration::from_secs(5));
+        let woke = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let background = s.spawn(|| {
+                let r = inbox.wait_background();
+                woke.store(true, std::sync::atomic::Ordering::SeqCst);
+                r
+            });
+            until_asleep(inbox, true, 0);
+            let fg = inbox.fg_enter();
+            let seen = fg.epoch();
+            s.spawn(|| {
+                until_asleep(inbox, true, 1);
+                a.broadcast(&req(0)).unwrap();
+            });
+            assert_eq!(fg.wait(seen, deadline), Ok(()));
+            assert_eq!(inbox.try_recv().unwrap(), Some((0, req(0))));
+            assert!(lock(&inbox.shared.state).asleep, "background was woken");
+            assert!(!woke.load(std::sync::atomic::Ordering::SeqCst));
+            // Nothing is queued: leaving wakes nobody.
+            drop(fg);
+            assert!(lock(&inbox.shared.state).asleep);
+            b.close();
+            assert_eq!(background.join().unwrap(), Err(Error::Disconnected));
+        });
+    }
+
+    #[test]
+    fn the_last_fg_leave_hands_a_queued_frame_to_the_background_listener() {
+        let lan = Lan::new(LanConfig::fast());
+        let a = lan.endpoint(HostId(0));
+        let b = lan.endpoint(HostId(1));
+        let inbox = b.inbox();
+        let first = inbox.fg_enter();
+        let second = inbox.fg_enter();
+        std::thread::scope(|s| {
+            let background = s.spawn(|| inbox.wait_background().and_then(|()| inbox.try_recv()));
+            until_asleep(inbox, true, 0);
+            // Registered but not sleeping: the push owes nobody.
+            a.broadcast(&req(0)).unwrap();
+            drop(first);
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!background.is_finished(), "one waiter is still in");
+            assert!(lock(&inbox.shared.state).asleep);
+            drop(second);
+            assert_eq!(background.join().unwrap(), Ok(Some((0, req(0)))));
+        });
+    }
+
+    #[test]
+    fn close_ends_a_foreground_wait() {
+        let lan = Lan::new(LanConfig::fast());
+        let b = lan.endpoint(HostId(1));
+        let inbox = b.inbox();
+        let fg = inbox.fg_enter();
+        let seen = fg.epoch();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                until_asleep(inbox, false, 1);
+                b.close();
+            });
+            assert_eq!(fg.wait(seen, None), Err(Error::Disconnected));
+        });
+    }
+
+    #[test]
+    fn a_kick_ends_a_foreground_wait_and_a_stale_epoch_does_not_sleep() {
+        let inbox = Inbox::new();
+        let fg = inbox.fg_enter();
+        let seen = fg.epoch();
+        inbox.kick();
+        assert_eq!(fg.wait(seen, None), Ok(()), "kicked before the wait");
+        let seen = fg.epoch();
+        assert_eq!(
+            fg.wait(seen, Some(Instant::now() + Duration::from_millis(5))),
+            Err(Error::Timeout)
+        );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                until_asleep(&inbox, false, 1);
+                inbox.kick();
+            });
+            assert_eq!(fg.wait(seen, None), Ok(()));
+        });
     }
 
     #[test]

@@ -16,12 +16,14 @@ TableStats
 Transmission
 from_secs_f64
 read_addr
+Foreground
 '
 # from_raw:      VAddr::from_raw decodes the address word VAddr::raw encodes.
 # TableStats:    the type PageTable::stats returns.
 # Transmission:  the type EtherSim::transmit returns.
 # from_secs_f64: SimDuration's float constructor, beside as_secs_f64.
 # read_addr:     DsmOp's constructor from an encoded address.
+# Foreground:    the guard Inbox::fg_enter returns.
 
 lonely=$(
     grep -rnoE '^\s*pub (fn|struct|enum|trait|const|type|static) [A-Za-z_][A-Za-z0-9_]*' \

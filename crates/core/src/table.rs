@@ -51,7 +51,7 @@ pub type WaiterId = u64;
 /// every snooping host. A `WakeSet` coalesces all waiters woken by one
 /// `handle_packet` call into a single [`Effect::WakeAll`], so the
 /// simulator schedules one wake batch per host per transit and the
-/// threaded runtime drains the whole set under one pass of its condvar.
+/// threaded runtime wakes the whole set with one kick of its inbox.
 ///
 /// Invariants (pinned by unit tests below):
 /// * order-preserving — waiters wake in the order the per-waiter

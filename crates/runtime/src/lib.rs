@@ -174,6 +174,122 @@ mod tests {
         assert_eq!(c.node(1).read_u32(addr, MapMode::ReadOnly), Ok(2));
     }
 
+    /// Runs `f(thread)` on `threads` threads that start each of `rounds`
+    /// rounds together, so their faults are in flight at once.
+    fn in_lockstep(threads: usize, rounds: u32, f: impl Fn(usize) + Sync) {
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (start, f) = (&start, &f);
+                s.spawn(move || {
+                    for _ in 0..rounds {
+                        start.wait();
+                        f(t);
+                    }
+                });
+            }
+        });
+    }
+
+    /// Each node's only application thread blocks on a page homed at the
+    /// other node. While a thread is blocked it receives for its node, so
+    /// each one must serve the other's request for its reply to come.
+    #[test]
+    fn crossed_faults_are_served_by_the_blocked_accessors() {
+        let c = two();
+        let pages = [PageId::new(0), PageId::new(1)];
+        let addr = |n: usize| VAddr::new(pages[n], View::short_demand(), 0).unwrap();
+        for (n, &page) in pages.iter().enumerate() {
+            c.node(n).create_owned(page);
+            c.node(n).write_u32(addr(n), 100 + n as u32).unwrap();
+        }
+        in_lockstep(2, 200, |me| {
+            let other = 1 - me;
+            let read =
+                c.node(me)
+                    .read_u32_timeout(addr(other), MapMode::ReadOnly, Duration::from_secs(5));
+            assert_eq!(read, Ok(100 + other as u32));
+            c.node(me)
+                .purge(pages[other], MapMode::ReadOnly, PageLength::Short)
+                .unwrap();
+        });
+    }
+
+    /// Two accessor threads of one node block on two different remote
+    /// pages: whichever receives the other's reply hands it over.
+    #[test]
+    fn two_blocked_accessors_of_one_node_each_read_their_page() {
+        let c = two();
+        let pages = [PageId::new(0), PageId::new(1)];
+        let addr = |t: usize| VAddr::new(pages[t], View::short_demand(), 8).unwrap();
+        for (t, &page) in pages.iter().enumerate() {
+            c.node(0).create_owned(page);
+            c.node(0).write_u32(addr(t), 7_000 + t as u32).unwrap();
+        }
+        in_lockstep(2, 200, |t| {
+            let read =
+                c.node(1)
+                    .read_u32_timeout(addr(t), MapMode::ReadOnly, Duration::from_secs(5));
+            assert_eq!(read, Ok(7_000 + t as u32));
+            c.node(1)
+                .purge(pages[t], MapMode::ReadOnly, PageLength::Short)
+                .unwrap();
+        });
+    }
+
+    /// Node 0 rewrites a counter and purge-broadcasts every value; on node
+    /// 1 the receiver thread and two blocked readers all drain the same
+    /// inbox. However they share the frames, no reader may see the
+    /// counter go back. (The table's generation check would also refuse
+    /// a stale frame; `node.rs`'s reply-order test is the one that fails
+    /// without the receive lock.)
+    #[test]
+    fn readers_sharing_one_inbox_never_see_the_counter_go_back() {
+        const LAST: u32 = 2_000;
+        let c = two();
+        let page = PageId::new(0);
+        c.node(0).create_owned(page);
+        let demand = VAddr::new(page, View::short_demand(), 0).unwrap();
+        let data = VAddr::new(page, View::short_data(), 0).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for word in 1..=LAST {
+                    c.node(0).write_u32(demand, word).unwrap();
+                    c.node(0)
+                        .purge(page, MapMode::Writeable, PageLength::Short)
+                        .unwrap();
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut last = 0;
+                    while last < LAST {
+                        // Block for the next broadcast; if it has already
+                        // gone by, fetch the current word on demand.
+                        let timeout = Duration::from_millis(20);
+                        let word =
+                            match c.node(1).read_u32_timeout(data, MapMode::ReadOnly, timeout) {
+                                Err(mether_core::Error::Timeout) => c
+                                    .node(1)
+                                    .read_u32_timeout(
+                                        demand,
+                                        MapMode::ReadOnly,
+                                        Duration::from_secs(5),
+                                    )
+                                    .unwrap(),
+                                read => read.unwrap(),
+                            };
+                        assert!(word >= last, "counter went back from {last} to {word}");
+                        last = word;
+                        c.node(1)
+                            .purge(page, MapMode::ReadOnly, PageLength::Short)
+                            .unwrap();
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn counting_to_64_over_the_final_protocol() {
         // The paper's final protocol, on real threads: two nodes, two

@@ -1,12 +1,30 @@
 //! A Mether node: one "workstation" of the threaded runtime.
 //!
 //! Each [`Node`] owns a kernel-driver state ([`mether_core::PageTable`] —
-//! the *same* protocol logic the simulator runs), an endpoint on the
-//! in-process LAN, and a receiver thread that snoops every broadcast.
-//! Application threads access the Mether address space through blocking
-//! typed accessors; a faulting access blocks the calling thread on a
-//! condition variable until the receiver thread installs the page and
-//! wakes it, exactly mirroring the paper's fault → server → wakeup path.
+//! the *same* protocol logic the simulator runs) and an endpoint on the
+//! in-process LAN. Application threads access the Mether address space
+//! through blocking typed accessors.
+//!
+//! # Who receives
+//!
+//! Every frame the node hears is handled by one `pump`: drain the burst
+//! that is due, run the NIC rule and the driver over it under the driver
+//! lock, then transmit the replies and wake whom it unblocked. Two kinds
+//! of thread run it, one at a time under the node's *receive lock*, so
+//! the node still handles its frames one burst at a time, in arrival
+//! order:
+//!
+//! * a thread blocked in an access — a fault waiting for its page —
+//!   registers as a foreground waiter on the endpoint's inbox and pumps
+//!   whatever arrives until its access is ready, its own reply and
+//!   anyone else's requests alike. A remote fault thus costs the client
+//!   one thread hop each way: client → home → client;
+//! * the receiver thread, which snoops every broadcast while no access
+//!   is blocked, and sleeps while one is.
+//!
+//! Lock order is receive lock, then driver. The simulator's cost model,
+//! not this thread structure, is what models the paper's user-level
+//! server process.
 //!
 //! One deliberate simplification versus SunOS: the PURGE → server →
 //! DO-PURGE handshake is performed inline by the purging thread. In the
@@ -20,19 +38,38 @@ use mether_core::{
 };
 use mether_net::rt::{lock, Endpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Frames drained in one burst at most: a fabric melting down into a
+/// frame storm — a queue that never goes quiet — cannot grow an
+/// unbounded batch, nor keep a pump from returning.
+const BURST_CAP: usize = 1024;
 
 pub(crate) struct NodeInner {
     host: HostId,
     pub(crate) driver: Mutex<PageTable>,
-    wakeups: Condvar,
+    /// The receive lock: whoever pumps holds it, with the buffers the
+    /// burst is drained into (see the module docs, "Who receives").
+    receive: Mutex<Burst>,
     endpoint: Endpoint,
     next_waiter: AtomicU64,
+    /// Wake effects applied so far, each counted before its kick: a
+    /// blocked access re-checks only once this moved, since every check
+    /// that stays blocked queues its waiter in the table once more.
+    wakes: AtomicU64,
     /// Page requests [`Admit::Coalesced`] within a drained receive burst
     /// (see [`Node::requests_coalesced`]).
     requests_coalesced: AtomicU64,
+}
+
+/// A drained burst and the effects it produced; kept between pumps so
+/// neither allocates per frame.
+#[derive(Default)]
+struct Burst {
+    frames: Vec<Packet>,
+    effects: Vec<Effect>,
 }
 
 impl NodeInner {
@@ -43,11 +80,10 @@ impl NodeInner {
                 Effect::Wake(_) | Effect::WakeAll(_) | Effect::ConsistentArrived(_) => {
                     // Individual waiter identities are not tracked in the
                     // threaded runtime: every blocked accessor re-checks
-                    // its own condition on wakeup. A coalesced `WakeAll`
-                    // batch drains in this single `notify_all` — one
-                    // condvar storm per transit, however many accessors
-                    // the packet unblocked (previously one per waiter).
-                    self.wakeups.notify_all();
+                    // its own condition once the epoch moves. A coalesced
+                    // `WakeAll` batch drains in this single kick.
+                    self.wakes.fetch_add(1, Ordering::SeqCst);
+                    self.endpoint.inbox().kick();
                 }
                 Effect::ServerPurge(_) => {
                     unreachable!("writeable purges are handled inline by Node::purge")
@@ -55,6 +91,50 @@ impl NodeInner {
             }
         }
         Ok(())
+    }
+
+    /// Handles the burst of frames due now, if any: the one receive path
+    /// of the node (see the module docs, "Who receives").
+    fn pump(&self) -> Result<()> {
+        let mut burst = lock(&self.receive);
+        let Burst { frames, effects } = &mut *burst;
+        while frames.len() < BURST_CAP {
+            let Some(pkt) = self.endpoint.try_recv()? else {
+                break;
+            };
+            frames.push(pkt);
+        }
+        if frames.is_empty() {
+            return Ok(());
+        }
+        {
+            let mut driver = lock(&self.driver);
+            for (i, pkt) in frames.iter().enumerate() {
+                // The NIC's rule, with the frames ahead of this one in
+                // the burst as the queue. Its drops skip only frames
+                // `handle_packet` would ignore, but for one: a refresh
+                // of a copy nobody has read since the last one is
+                // installed anyway. Nothing here re-fetches a present
+                // copy (the simulator's read lease), so a reader that
+                // misses the last refresh of a page would read it stale
+                // for good; dropping these hung the 64-count counting
+                // run in half its runs on 2 cores.
+                match driver.admit(pkt, None, &frames[..i]) {
+                    Admit::Coalesced => {
+                        self.requests_coalesced.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Admit::Drop(NicDrop::Untracked | NicDrop::NotInRequestGroup) => {}
+                    Admit::Keep | Admit::Drop(NicDrop::Unread) => {
+                        driver.handle_packet(pkt, effects);
+                    }
+                }
+            }
+        }
+        // Not kept past the pump: a queued payload shares its sender's
+        // page buffer, and would turn the sender's next write into a
+        // copy.
+        frames.clear();
+        self.apply_effects(effects.drain(..))
     }
 }
 
@@ -84,65 +164,22 @@ impl Node {
         let inner = Arc::new(NodeInner {
             host,
             driver: Mutex::new(PageTable::new(host, cfg)),
-            wakeups: Condvar::new(),
+            receive: Mutex::new(Burst::default()),
             endpoint,
             next_waiter: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
             requests_coalesced: AtomicU64::new(0),
         });
         let rx_inner = Arc::clone(&inner);
         let receiver = std::thread::Builder::new()
             .name(format!("mether-node-{host}"))
             .spawn(move || {
-                // The snooping receiver: every broadcast on the segment is
-                // fed to the driver; effects (replies, wakeups) happen here.
-                // It blocks until a frame arrives or [`Node::shutdown`]
-                // closes the endpoint, which every receive — the burst
-                // drain's too — reports at once; the drain is capped as
-                // well, so a fabric melting down into a frame storm — a
-                // queue that never goes quiet — can neither wedge the
-                // join nor grow an unbounded batch.
-                let endpoint = &rx_inner.endpoint;
-                let mut batch: Vec<Packet> = Vec::new();
-                let mut effects = Vec::new();
-                while let Ok(pkt) = endpoint.recv() {
-                    // Drain the burst queued behind this frame.
-                    batch.push(pkt);
-                    for _ in 0..1024 {
-                        let Ok(Some(next)) = endpoint.try_recv() else {
-                            break;
-                        };
-                        batch.push(next);
-                    }
-                    {
-                        let mut driver = lock(&rx_inner.driver);
-                        for (i, pkt) in batch.iter().enumerate() {
-                            // The NIC's rule, with the frames ahead of
-                            // this one in the burst as the queue. Its
-                            // drops skip only frames `handle_packet`
-                            // would ignore, but for one: a refresh of a
-                            // copy nobody has read since the last one is
-                            // installed anyway. Nothing here re-fetches
-                            // a present copy (the simulator's read
-                            // lease), so a reader that misses the last
-                            // refresh of a page would read it stale for
-                            // good; dropping these hung the 64-count
-                            // counting run in half its runs on 2 cores.
-                            match driver.admit(pkt, None, &batch[..i]) {
-                                Admit::Coalesced => {
-                                    rx_inner.requests_coalesced.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Admit::Drop(NicDrop::Untracked | NicDrop::NotInRequestGroup) => {}
-                                Admit::Keep | Admit::Drop(NicDrop::Unread) => {
-                                    driver.handle_packet(pkt, &mut effects);
-                                }
-                            }
-                        }
-                    }
-                    // Not kept over the wait: a queued payload shares its
-                    // sender's page buffer, and would turn the sender's
-                    // next write into a copy.
-                    batch.clear();
-                    if rx_inner.apply_effects(effects.drain(..)).is_err() {
+                // The background listener: pumps while no access is
+                // blocked. It sleeps until a frame is due or
+                // [`Node::shutdown`] closes the endpoint, which every
+                // wait and drain reports at once.
+                while rx_inner.endpoint.inbox().wait_background().is_ok() {
+                    if rx_inner.pump().is_err() {
                         break;
                     }
                 }
@@ -274,7 +311,8 @@ impl Node {
 
     /// Runs `op` on the driver once an access to `addr` through `mode`
     /// is ready, faulting the page in first; gives the fault up at
-    /// `deadline` with [`Error::Timeout`].
+    /// `deadline` with [`Error::Timeout`]. While blocked, the calling
+    /// thread receives for the node (see the module docs).
     fn when_ready<T>(
         &self,
         addr: VAddr,
@@ -283,39 +321,61 @@ impl Node {
         op: impl FnOnce(&mut PageTable) -> Result<T>,
     ) -> Result<T> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
+        let page = addr.page();
+        let ready = |driver: &mut PageTable, effects: &mut Vec<Effect>| {
+            let outcome = driver.access(page, addr.view(), mode, waiter, effects)?;
+            Ok::<_, Error>(matches!(outcome, AccessOutcome::Ready))
+        };
+        let finish = |mut driver: MutexGuard<'_, PageTable>, effects: Vec<Effect>| {
+            let out = op(&mut driver)?;
+            drop(driver);
+            self.inner.apply_effects(effects)?;
+            Ok(out)
+        };
+        let mut effects = Vec::new();
+        // Read before every check, so whatever readies the access after
+        // it moves `wakes` past `checked` (and the epoch past `seen`).
+        let mut checked = self.inner.wakes.load(Ordering::SeqCst);
         let mut driver = lock(&self.inner.driver);
+        if ready(&mut driver, &mut effects)? {
+            return finish(driver, effects);
+        }
+        drop(driver);
+        // A miss: from here until it returns this thread receives for
+        // the node, registered before the fault request goes out so the
+        // reply wakes it.
+        let fg = self.inner.endpoint.inbox().fg_enter();
         loop {
-            let mut effects = Vec::new();
-            let outcome = driver.access(addr.page(), addr.view(), mode, waiter, &mut effects)?;
-            match outcome {
-                AccessOutcome::Ready => {
-                    let out = op(&mut driver)?;
-                    drop(driver);
-                    self.inner.apply_effects(effects)?;
-                    return Ok(out);
+            self.inner.apply_effects(effects.drain(..))?;
+            let seen = fg.epoch();
+            let wakes = self.inner.wakes.load(Ordering::SeqCst);
+            if wakes != checked {
+                checked = wakes;
+                let mut driver = lock(&self.inner.driver);
+                if ready(&mut driver, &mut effects)? {
+                    return finish(driver, effects);
                 }
-                AccessOutcome::Blocked(_) => {
-                    // Transmit the fault request (if any) without holding
-                    // the driver lock, then wait for the receiver thread.
-                    if !effects.is_empty() {
-                        drop(driver);
-                        self.inner.apply_effects(effects)?;
-                        driver = lock(&self.inner.driver);
-                        // State may have changed while unlocked; re-check
-                        // before sleeping.
-                        continue;
-                    }
-                    let (woken, in_time) = self.wait(driver, deadline);
-                    driver = woken;
-                    if !in_time {
-                        // Abandon the fault so a retry retransmits the
-                        // request (drop recovery on the lossy LAN).
-                        driver.cancel_wait(addr.page(), waiter);
-                        return Err(Error::Timeout);
-                    }
+                drop(driver);
+                if !effects.is_empty() {
+                    continue;
                 }
             }
+            if deadline.is_some_and(|d| d <= Instant::now()) {
+                return Err(self.give_up(page, waiter));
+            }
+            self.inner.pump()?;
+            match fg.wait(seen, deadline) {
+                Err(Error::Timeout) => return Err(self.give_up(page, waiter)),
+                other => other?,
+            }
         }
+    }
+
+    /// Abandons a fault at its deadline so a retry retransmits the
+    /// request (drop recovery on the lossy LAN).
+    fn give_up(&self, page: PageId, waiter: u64) -> Error {
+        lock(&self.inner.driver).cancel_wait(page, waiter);
+        Error::Timeout
     }
 
     /// PURGEs `page` through a mapping of `mode`.
@@ -376,31 +436,9 @@ impl Node {
         self.inner.apply_effects(effects)
     }
 
-    /// Waits on the node's wakeup condition, handing the guard back with
-    /// false if `deadline` passed first.
-    fn wait<'a>(
-        &self,
-        driver: MutexGuard<'a, PageTable>,
-        deadline: Option<Instant>,
-    ) -> (MutexGuard<'a, PageTable>, bool) {
-        let wakeups = &self.inner.wakeups;
-        match deadline {
-            None => (
-                wakeups.wait(driver).unwrap_or_else(PoisonError::into_inner),
-                true,
-            ),
-            Some(d) => {
-                let timeout = d.saturating_duration_since(Instant::now());
-                let (driver, res) = wakeups
-                    .wait_timeout(driver, timeout)
-                    .unwrap_or_else(PoisonError::into_inner);
-                (driver, !res.timed_out())
-            }
-        }
-    }
-
-    /// Tells the receiver thread to stop, without waiting for it: closing
-    /// the endpoint wakes it at once.
+    /// Tells the receiver thread and every blocked accessor to stop,
+    /// without waiting for them: closing the endpoint wakes them at once,
+    /// and a blocked access returns [`Error::Disconnected`].
     pub(crate) fn signal_shutdown(&self) {
         self.inner.endpoint.close();
     }
@@ -423,5 +461,98 @@ impl Drop for Node {
 impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Node({})", self.inner.host)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Node;
+    use crate::{Cluster, ClusterConfig};
+    use mether_core::{
+        Error, HostId, MapMode, MetherConfig, Packet, PageId, PageLength, VAddr, View, Want,
+    };
+    use mether_net::rt::{lock, Lan, LanConfig};
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    #[test]
+    fn a_read_without_deadline_ends_when_the_endpoint_closes() {
+        // Page 5 is homed nowhere: the request goes unanswered and the
+        // read blocks with no deadline until the endpoint closes.
+        let c = Arc::new(Cluster::new(ClusterConfig::fast(2)).unwrap());
+        let addr = VAddr::new(PageId::new(5), View::short_demand(), 0).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let reader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                tx.send(c.node(1).read_u32(addr, MapMode::ReadOnly))
+                    .unwrap();
+            })
+        };
+        while lock(&c.node(1).inner.driver).stats().demand_faults == 0 {
+            std::thread::yield_now();
+        }
+        c.node(1).signal_shutdown();
+        let read = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(read, Ok(Err(Error::Disconnected)));
+        reader.join().unwrap();
+    }
+
+    /// A node whose two accessor threads block (and so pump) beside its
+    /// receiver thread still answers requests in the order they arrived:
+    /// one receive lock covers a burst from its drain to its replies.
+    #[test]
+    fn pumping_threads_answer_requests_in_arrival_order() {
+        const PAGES: u32 = 64;
+        let lan = Lan::new(LanConfig::fast());
+        let node = Node::start(
+            HostId(1),
+            lan.endpoint(HostId(1)),
+            MetherConfig::new(),
+            None,
+        );
+        let asker = lan.endpoint(HostId(0));
+        for p in 0..PAGES {
+            node.create_owned(PageId::new(p));
+        }
+        // Nobody publishes this page: its data-driven readers block
+        // until the endpoint closes (or, should the test fail first,
+        // their timeout ends the scope).
+        let unpublished = VAddr::new(PageId::new(PAGES), View::short_data(), 0).unwrap();
+        let blocked =
+            || node.read_u32_timeout(unpublished, MapMode::ReadOnly, Duration::from_secs(20));
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2).map(|_| s.spawn(blocked)).collect();
+            while lock(&node.inner.driver).stats().data_faults < 2 {
+                std::thread::yield_now();
+            }
+            for round in 0..50 {
+                for p in 0..PAGES {
+                    let ask = Packet::PageRequest {
+                        from: HostId(0),
+                        page: PageId::new(p),
+                        length: PageLength::Short,
+                        want: Want::ReadOnly,
+                    };
+                    asker.broadcast(&ask).unwrap();
+                }
+                let answered: Vec<u32> = (0..PAGES)
+                    .map(|_| {
+                        let reply = asker.recv_timeout(Duration::from_secs(5)).unwrap();
+                        reply.page().index()
+                    })
+                    .collect();
+                assert_eq!(
+                    answered,
+                    (0..PAGES).collect::<Vec<_>>(),
+                    "round {round}: replies out of request order"
+                );
+            }
+            node.signal_shutdown();
+            for r in readers {
+                assert_eq!(r.join().unwrap(), Err(Error::Disconnected));
+            }
+        });
     }
 }

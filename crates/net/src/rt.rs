@@ -192,6 +192,15 @@ impl InboxState {
     fn head_due_at(&self) -> Option<Instant> {
         self.queue.front().map(|d| d.due)
     }
+
+    /// The wake-up a moved epoch owes the foreground waiters.
+    fn fg_wake(&self) -> Wake {
+        if self.fg_asleep > 0 {
+            Wake::Foreground
+        } else {
+            Wake::Nobody
+        }
+    }
 }
 
 /// Who a push or a kick owes a wake-up, paid after the caller's locks
@@ -266,11 +275,7 @@ impl Inbox {
         if st.fg_waiters > 0 {
             // A foreground waiter takes this frame; the background
             // listener sleeps on.
-            if st.fg_asleep > 0 {
-                Wake::Foreground
-            } else {
-                Wake::Nobody
-            }
+            st.fg_wake()
         } else if std::mem::take(&mut st.asleep) {
             Wake::Background
         } else {
@@ -397,11 +402,7 @@ impl Inbox {
     pub fn kick(&self) {
         let mut st = lock(&self.shared.state);
         st.epoch += 1;
-        let wake = if st.fg_asleep > 0 {
-            Wake::Foreground
-        } else {
-            Wake::Nobody
-        };
+        let wake = st.fg_wake();
         drop(st);
         self.wake(wake);
     }

@@ -1,12 +1,14 @@
 //! Benchmarks of the threaded runtime: fault round trips, purge
 //! broadcast latency, and channel (csend/crecv) throughput.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Bencher, Criterion, Throughput};
 use mether_core::{MapMode, PageId, PageLength, VAddr, View};
 use mether_lib::channel_pair;
 use mether_runtime::{Cluster, ClusterConfig};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn bench_node_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("runtime_node");
@@ -37,6 +39,17 @@ fn bench_node_ops(c: &mut Criterion) {
             black_box(cluster.node(1).read_u32(addr, MapMode::ReadOnly).unwrap())
         })
     });
+
+    // The same round trip while eight threads of one node block on a
+    // page nobody publishes: on the home, each request it serves is a
+    // frame heard with its accessors blocked; on the client, so is each
+    // reply, and the wake-up it brings is for all nine.
+    for (name, blocked) in [
+        ("remote_purge_refetch_home_8_blocked", 0),
+        ("remote_purge_refetch_client_8_blocked", 1),
+    ] {
+        g.bench_function(name, |b| purge_refetch_beside_8_blocked(b, blocked));
+    }
 
     g.bench_function("bridged_purge_refetch", |b| {
         // The same round trip with the home on the other segment: the
@@ -74,6 +87,41 @@ fn bench_node_ops(c: &mut Criterion) {
     });
 
     g.finish();
+}
+
+/// `remote_purge_refetch` from node 1 to node 0 while eight threads of
+/// node `blocked` wait on a page nobody publishes.
+fn purge_refetch_beside_8_blocked(b: &mut Bencher, blocked: usize) {
+    let cluster = Cluster::new(ClusterConfig::fast(2)).unwrap();
+    let page = PageId::new(0);
+    cluster.node(0).create_owned(page);
+    let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+    cluster.node(0).write_u32(addr, 7).unwrap();
+    let _ = cluster.node(1).read_u32(addr, MapMode::ReadOnly).unwrap();
+    let unpublished = VAddr::new(PageId::new(1), View::short_data(), 0).unwrap();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let wait = Duration::from_millis(20);
+                    let _ = cluster.node(blocked).read_u32_timeout(
+                        unpublished,
+                        MapMode::ReadOnly,
+                        wait,
+                    );
+                }
+            });
+        }
+        b.iter(|| {
+            cluster
+                .node(1)
+                .purge(page, MapMode::ReadOnly, PageLength::Short)
+                .unwrap();
+            black_box(cluster.node(1).read_u32(addr, MapMode::ReadOnly).unwrap())
+        });
+        stop.store(true, Ordering::Relaxed);
+    });
 }
 
 fn bench_channel(c: &mut Criterion) {

@@ -48,16 +48,20 @@
 //!
 //! A listener that finds nothing deliverable marks that it sleeps and
 //! blocks on its kind's condition variable. Every push moves the inbox's
-//! *epoch*. While any foreground waiter is registered, a push wakes the
-//! sleeping foreground waiters and leaves the background listener
-//! asleep; the last foreground waiter to leave wakes it if frames are
-//! still queued. Otherwise a push into an inbox whose background
-//! listener sleeps takes the mark and owes it one wake-up. A foreground
-//! waiter reads the epoch before it checks its condition and sleeps only
-//! while the epoch still reads the same ([`Foreground::wait`]); whoever
-//! satisfies the condition without a frame of its own — a thread that
-//! handled the frame on the waiter's behalf — moves the epoch with
-//! [`Inbox::kick`]. No wake-up is lost between the check and the sleep.
+//! *epoch*. While any foreground waiter is registered, a push wakes one
+//! sleeping foreground waiter — one thread is all a frame needs — and
+//! leaves the others and the background listener asleep. A waiter that
+//! leaves while frames are still queued (it may have been woken for
+//! them and returned without draining) wakes another sleeping one, or,
+//! if it was the last, the background listener. Otherwise a push into
+//! an inbox whose background listener sleeps takes the mark and owes it
+//! one wake-up. A foreground waiter reads the epoch before it checks its
+//! condition and sleeps only while the epoch still reads the same and no
+//! frame is due ([`Foreground::wait`]); whoever satisfies the condition
+//! without a frame of its own — a thread that handled the frame on the
+//! waiter's behalf — moves the epoch with [`Inbox::kick`], which wakes
+//! every sleeping foreground waiter. No wake-up is lost between the
+//! check and the sleep.
 //!
 //! A transmitter pays what it owes **after releasing the medium**, and
 //! only to listeners that sleep. Waking under the lock is what a
@@ -166,7 +170,7 @@ struct InboxState {
     /// wake-up yet.
     asleep: bool,
     /// Registered foreground waiters ([`Inbox::fg_enter`]); while there
-    /// is one, pushes wake it and leave the background listener asleep.
+    /// is one, a push wakes one of them and not the background listener.
     fg_waiters: usize,
     /// Foreground waiters blocked on `fg_ready` right now.
     fg_asleep: usize,
@@ -193,10 +197,10 @@ impl InboxState {
         self.queue.front().map(|d| d.due)
     }
 
-    /// The wake-up a moved epoch owes the foreground waiters.
-    fn fg_wake(&self) -> Wake {
+    /// `whom`, a wake-up of the foreground waiters, if any of them sleeps.
+    fn fg_wake(&self, whom: Wake) -> Wake {
         if self.fg_asleep > 0 {
-            Wake::Foreground
+            whom
         } else {
             Wake::Nobody
         }
@@ -209,7 +213,10 @@ impl InboxState {
 enum Wake {
     Nobody,
     Background,
-    Foreground,
+    /// One sleeping foreground waiter: a frame needs one thread to take it.
+    OneForeground,
+    /// Every sleeping foreground waiter: each re-checks its own condition.
+    AllForeground,
 }
 
 #[derive(Default)]
@@ -273,9 +280,9 @@ impl Inbox {
         st.queue.insert(at.map_or(0, |i| i + 1), d);
         st.epoch += 1;
         if st.fg_waiters > 0 {
-            // A foreground waiter takes this frame; the background
-            // listener sleeps on.
-            st.fg_wake()
+            // One foreground waiter takes this frame; the others and the
+            // background listener sleep on.
+            st.fg_wake(Wake::OneForeground)
         } else if std::mem::take(&mut st.asleep) {
             Wake::Background
         } else {
@@ -287,7 +294,8 @@ impl Inbox {
         match whom {
             Wake::Nobody => {}
             Wake::Background => self.shared.ready.notify_all(),
-            Wake::Foreground => self.shared.fg_ready.notify_all(),
+            Wake::OneForeground => self.shared.fg_ready.notify_one(),
+            Wake::AllForeground => self.shared.fg_ready.notify_all(),
         }
     }
 
@@ -376,9 +384,10 @@ impl Inbox {
     }
 
     /// Registers the calling thread as a foreground waiter until the
-    /// returned guard drops. While any is registered, a push wakes the
-    /// foreground waiters and not the background listener; the last to
-    /// leave wakes the background listener if frames are still queued.
+    /// returned guard drops. While any is registered, a push wakes one
+    /// sleeping foreground waiter and not the background listener; one
+    /// that leaves while frames are still queued wakes another, or, if
+    /// it was the last, the background listener.
     pub fn fg_enter(&self) -> Foreground<'_> {
         lock(&self.shared.state).fg_waiters += 1;
         Foreground { inbox: self }
@@ -387,7 +396,14 @@ impl Inbox {
     fn fg_leave(&self) {
         let mut st = lock(&self.shared.state);
         st.fg_waiters -= 1;
-        let wake = if st.fg_waiters == 0 && !st.queue.is_empty() && std::mem::take(&mut st.asleep) {
+        // A waiter can leave woken by a push it did not drain: the queued
+        // frames pass to another waiter, or from the last to the
+        // background listener.
+        let wake = if st.queue.is_empty() {
+            Wake::Nobody
+        } else if st.fg_waiters > 0 {
+            st.fg_wake(Wake::OneForeground)
+        } else if std::mem::take(&mut st.asleep) {
             Wake::Background
         } else {
             Wake::Nobody
@@ -402,7 +418,7 @@ impl Inbox {
     pub fn kick(&self) {
         let mut st = lock(&self.shared.state);
         st.epoch += 1;
-        let wake = st.fg_wake();
+        let wake = st.fg_wake(Wake::AllForeground);
         drop(st);
         self.wake(wake);
     }
@@ -416,7 +432,7 @@ impl Inbox {
         st.queue.clear();
         drop(st);
         self.wake(Wake::Background);
-        self.wake(Wake::Foreground);
+        self.wake(Wake::AllForeground);
     }
 }
 
@@ -1060,6 +1076,87 @@ mod tests {
             assert!(lock(&inbox.shared.state).asleep);
             drop(second);
             assert_eq!(background.join().unwrap(), Ok(Some((0, req(0)))));
+        });
+    }
+
+    /// Two foreground waiters sleep on `inbox`, each returning its wait's
+    /// result with its guard, so it stays registered after it wakes.
+    fn two_sleeping_waiters<'s, 'a: 's>(
+        s: &'s std::thread::Scope<'s, 'a>,
+        inbox: &'a Inbox,
+    ) -> Vec<std::thread::ScopedJoinHandle<'s, (Result<()>, Foreground<'a>)>> {
+        let deadline = Some(Instant::now() + Duration::from_secs(5));
+        let waiters = (0..2)
+            .map(|_| {
+                s.spawn(move || {
+                    let fg = inbox.fg_enter();
+                    let seen = fg.epoch();
+                    (fg.wait(seen, deadline), fg)
+                })
+            })
+            .collect();
+        until_asleep(inbox, false, 2);
+        // Counted asleep just before the condvar wait: let both get in.
+        std::thread::sleep(Duration::from_millis(20));
+        waiters
+    }
+
+    #[test]
+    fn a_push_wakes_one_of_two_sleeping_foreground_waiters() {
+        let lan = Lan::new(LanConfig::fast());
+        let a = lan.endpoint(HostId(0));
+        let b = lan.endpoint(HostId(1));
+        let inbox = b.inbox();
+        std::thread::scope(|s| {
+            let waiters = two_sleeping_waiters(s, inbox);
+            a.broadcast(&req(0)).unwrap();
+            while !waiters.iter().any(|w| w.is_finished()) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                !waiters.iter().all(|w| w.is_finished()),
+                "one frame woke both waiters"
+            );
+            // A kick is for every waiter.
+            inbox.kick();
+            for w in waiters {
+                assert_eq!(w.join().unwrap().0, Ok(()));
+            }
+        });
+    }
+
+    #[test]
+    fn a_waiter_leaving_a_frame_queued_wakes_another() {
+        let lan = Lan::new(LanConfig::fast());
+        let a = lan.endpoint(HostId(0));
+        let b = lan.endpoint(HostId(1));
+        let inbox = b.inbox();
+        std::thread::scope(|s| {
+            let mut waiters = two_sleeping_waiters(s, inbox);
+            a.broadcast(&req(0)).unwrap();
+            while !waiters.iter().any(|w| w.is_finished()) {
+                std::thread::yield_now();
+            }
+            // The woken waiter leaves without draining; its guard's drop
+            // hands the frame to the other.
+            let woken = waiters.iter().position(|w| w.is_finished()).unwrap();
+            let (r, fg) = waiters.swap_remove(woken).join().unwrap();
+            assert_eq!(r, Ok(()));
+            drop(fg);
+            // Well before the other's deadline, which would end its wait
+            // too.
+            let handed = Instant::now() + Duration::from_secs(2);
+            while !waiters[0].is_finished() {
+                assert!(
+                    Instant::now() < handed,
+                    "the queued frame was left to nobody"
+                );
+                std::thread::yield_now();
+            }
+            let (r, _fg) = waiters.pop().unwrap().join().unwrap();
+            assert_eq!(r, Ok(()));
+            assert_eq!(inbox.try_recv().unwrap(), Some((0, req(0))));
         });
     }
 

@@ -474,7 +474,7 @@ mod tests {
     use mether_net::rt::{lock, Lan, LanConfig};
     use std::sync::mpsc;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn a_read_without_deadline_ends_when_the_endpoint_closes() {
@@ -499,9 +499,9 @@ mod tests {
         reader.join().unwrap();
     }
 
-    /// A node whose two accessor threads block (and so pump) beside its
-    /// receiver thread still answers requests in the order they arrived:
-    /// one receive lock covers a burst from its drain to its replies.
+    /// A node whose receiver thread and two accessor threads all drain
+    /// its inbox still answers requests in the order they arrived: one
+    /// receive lock covers a burst from its drain to its replies.
     #[test]
     fn pumping_threads_answer_requests_in_arrival_order() {
         const PAGES: u32 = 64;
@@ -516,12 +516,19 @@ mod tests {
         for p in 0..PAGES {
             node.create_owned(PageId::new(p));
         }
-        // Nobody publishes this page: its data-driven readers block
-        // until the endpoint closes (or, should the test fail first,
-        // their timeout ends the scope).
+        // Nobody publishes this page: its data-driven readers block for
+        // a millisecond, step aside for one — while both are aside, the
+        // receiver thread pumps — and block again until the endpoint
+        // closes (or, should the test fail first, `give_up` passes).
         let unpublished = VAddr::new(PageId::new(PAGES), View::short_data(), 0).unwrap();
-        let blocked =
-            || node.read_u32_timeout(unpublished, MapMode::ReadOnly, Duration::from_secs(20));
+        let give_up = Instant::now() + Duration::from_secs(20);
+        let blocked = || loop {
+            let wait = Duration::from_millis(1);
+            match node.read_u32_timeout(unpublished, MapMode::ReadOnly, wait) {
+                Err(Error::Timeout) if Instant::now() < give_up => std::thread::sleep(wait),
+                other => return other,
+            }
+        };
         std::thread::scope(|s| {
             let readers: Vec<_> = (0..2).map(|_| s.spawn(blocked)).collect();
             while lock(&node.inner.driver).stats().data_faults < 2 {

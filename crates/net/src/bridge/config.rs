@@ -3,9 +3,10 @@
 use crate::time::SimDuration;
 use mether_core::{BridgeTopology, PageHomePolicy};
 
-/// Host-id base for bridge endpoints on the threaded runtime's LANs and
-/// in control frames (far above any node id, which the segment layout
-/// caps at 127). Device `d` speaks as `HostId(BRIDGE_HOST_BASE + d)`.
+/// Host-id base for bridge devices as senders on the threaded
+/// runtime's LANs and in control frames (far above any node id, which
+/// the segment layout caps at 127). Device `d` speaks as
+/// `HostId(BRIDGE_HOST_BASE + d)`.
 pub const BRIDGE_HOST_BASE: u16 = 0xFF00;
 
 /// Parameters of one store-and-forward bridge device.
@@ -123,7 +124,11 @@ pub struct BridgeStats {
     /// Frames with no remote interest, kept local to their segment. The
     /// filter's win: each of these spared every off-segment host a snoop.
     pub filtered: u64,
-    /// Frames discarded by the drop knob.
+    /// Frames discarded: by the drop knob of the simulator's engine, or,
+    /// in the runtime's untimed step, which has no such knob, because
+    /// they had already crossed as many devices as the fabric has
+    /// segments ([`Fabric::carry`](super::Fabric::carry)) — a forwarding
+    /// loop, which a loop-free active tree never closes.
     pub dropped: u64,
     /// Frames tail-dropped at a full queue.
     pub queue_drops: u64,
@@ -201,9 +206,9 @@ pub enum AgeHorizon {
     /// ages exactly like the simulator.
     Transits(u64),
     /// An entry expires this long (in sim time) after the port last
-    /// showed demand. The threaded runtime's bridge threads derive a
-    /// monotonic [`SimTime`](crate::SimTime) from the wall clock (1 ns ≙ 1 ns), so this
-    /// ages there too, on wall time.
+    /// showed demand. The threaded runtime derives a monotonic
+    /// [`SimTime`](crate::SimTime) from the wall clock (1 ns ≙ 1 ns), so
+    /// this ages there too, on wall time.
     SimTime(SimDuration),
 }
 

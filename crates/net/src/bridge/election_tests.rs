@@ -123,7 +123,7 @@ fn hello_timeout_declares_a_dead_neighbour_and_reconverges() {
     };
     // Warm-up: everyone hellos at t = interval, hearing each other.
     let t1 = SimTime::ZERO + hello_interval;
-    let mut frames: Vec<ControlOut> = Vec::new();
+    let mut frames: Vec<Emission> = Vec::new();
     for d in 0..4 {
         frames.extend(f.tick(d, t1));
     }
@@ -376,8 +376,8 @@ fn repeated_and_no_op_events_change_nothing() {
 
 #[test]
 fn each_device_counts_the_lying_hellos_it_hears() {
-    // The per-device hearing a threaded runtime runs: each device
-    // that hears a contradictory hello counts it in its own stats.
+    // Each device that hears a contradictory hello counts it in its
+    // own stats; the emitter does not hear its own frame.
     let mut f = live_ring_fabric(4, 8);
     let frames = f.tick(0, ms(1));
     let Packet::BridgePdu { from, entries, .. } = frames[0].pkt.clone() else {
@@ -392,16 +392,14 @@ fn each_device_counts_the_lying_hellos_it_hears() {
     let hearer = *(f.topology().bridges_on(seg).iter())
         .find(|&&d| d != 0)
         .unwrap();
-    assert!(f.hear_hello(hearer, &lying, seg, 0, ms(1)).is_empty());
+    assert!(f.hear_control(&lying, seg, ms(1), 0).is_empty());
     assert_eq!(f.device(hearer).stats().malformed_pdus, 1);
-    assert_eq!(f.stats().malformed_pdus, 1);
-    // The emitter does not hear its own frame, lying or not.
-    assert!(f.hear_hello(0, &lying, seg, 0, ms(1)).is_empty());
+    assert_eq!(f.device(0).stats().malformed_pdus, 0);
     assert_eq!(f.stats().malformed_pdus, 1);
     // The honest hello is heard: a fresh device's first news of its
     // neighbour changes nothing, so nothing is triggered either.
     let honest = frames[0].pkt.clone();
-    assert!(f.hear_hello(hearer, &honest, seg, 0, ms(1)).is_empty());
+    assert!(f.hear_control(&honest, seg, ms(1), 0).is_empty());
     assert_eq!(f.stats().malformed_pdus, 1);
 }
 

@@ -5,20 +5,23 @@
 //! [`Fabric`] owns every device of a topology: their liveness, their
 //! lost links, the control plane (hello ticks, control-frame gossip,
 //! failure events), reconvergence and the stall probe. It is the one
-//! fault plane, and two engines drive it:
+//! fault plane, and two engines drive it. Both hand it each frame a
+//! segment carried once, as one segment-level step, and it offers the
+//! frame to every live device attached to the segment but the one that
+//! emitted it there:
 //!
-//! * the simulator hands it each delivered frame once
-//!   ([`Fabric::pickup`], [`Fabric::hear_control`]) and it fans the
-//!   frame out to the live devices attached to the segment. Egress
+//! * the simulator's step is timed ([`Fabric::pickup`],
+//!   [`Fabric::pickup_forwarded`], [`Fabric::hear_control`]). Egress
 //!   timing is the *exit* time from a device; the destination segment's
 //!   own medium model then queues the frame like any other
 //!   transmission, and the remaining devices on that segment hear it
 //!   there;
-//! * a threaded runtime runs one thread per device, and each thread
-//!   asks about its own device only ([`Fabric::forward`],
-//!   [`Fabric::hear_hello`], [`Fabric::tick`]). Its forward is
-//!   untimed: the frame leaves as soon as the thread has routed it, with
-//!   no forward delay, queue bound or drop/duplicate injection.
+//! * a threaded runtime's step is untimed ([`Fabric::carry`]): a data
+//!   frame leaves as soon as it is routed, with no forward delay, queue
+//!   bound or drop/duplicate injection, and a control frame is heard
+//!   through [`Fabric::hear_control`]. The runtime puts what the step
+//!   emits on the destination segments' media and steps again, in the
+//!   transmitting thread.
 //!
 //! The per-device steps are carved out of the same loops the
 //! simulator's fan-out runs (is the device alive and its port live,
@@ -27,7 +30,9 @@
 //! both.
 
 use super::election::{checked_hello, BootState};
-use super::{Bridge, BridgePolicy, BridgeStats, ElectionMode, FabricConfig, FabricEvent};
+use super::{
+    Bridge, BridgePolicy, BridgeStats, ElectionMode, FabricConfig, FabricEvent, BRIDGE_HOST_BASE,
+};
 use crate::time::{SimDuration, SimTime};
 use mether_core::{BridgeTopology, HostMask, Packet, PageId, SegmentLayout};
 use std::sync::Arc;
@@ -45,23 +50,24 @@ pub struct Forward {
     pub exit: SimTime,
 }
 
-/// One control frame a device wants transmitted on one of its segments
-/// (a hello, periodic or triggered). The caller clocks it out on the
-/// segment's medium; bridge devices — not hosts — pick it up there.
+/// One frame a device wants transmitted on one of its segments: a
+/// hello, periodic or triggered, or a data frame the runtime's untimed
+/// step forwards ([`Fabric::carry`]). The caller clocks it out on the
+/// segment's medium, and the other devices there hear it.
 #[derive(Debug, Clone)]
-pub struct ControlOut {
+pub struct Emission {
     /// The emitting device.
     pub device: usize,
     /// The segment to transmit on.
     pub seg: usize,
-    /// The hello frame itself.
+    /// The frame itself.
     pub pkt: Packet,
 }
 
 /// Every bridge device of a segmented deployment, wired per the
 /// topology: data plane, control plane and fault plane, driven by the
-/// simulator's event loop and by a threaded runtime's bridge threads
-/// alike (see the module docs, "Engine").
+/// simulator's event loop and by a threaded runtime's transmitting
+/// threads alike (see the module docs, "Engine").
 #[derive(Debug)]
 pub struct Fabric {
     layout: SegmentLayout,
@@ -268,23 +274,58 @@ impl Fabric {
         &self.out
     }
 
-    /// Device `device` heard data frame `pkt` on its port `seg` at
-    /// `now` and forwards it at once, with no forward delay, queue bound
-    /// or drop/duplicate injection — the step a threaded runtime's
-    /// bridge thread takes per frame. A dead device, or one whose
-    /// attachment to `seg` failed, hears nothing. Returns the segments
-    /// to transmit the frame on, lent from a buffer the device's next
-    /// pickup overwrites.
-    pub fn forward(&mut self, device: usize, pkt: &Packet, seg: usize, now: SimTime) -> &[usize] {
-        if !self.hears(device, seg) {
-            return &[];
+    /// The runtime's untimed step: frame `pkt`, emitted by device
+    /// `emitter` (`None`: by a host) after crossing `hops` devices, was
+    /// carried by segment `seg` at `now`. Every live device attached to
+    /// `seg` but the emitter hears it, and `out` gets what they emit: a
+    /// data frame goes at once onto each segment a device routes it to,
+    /// with no forward delay, queue bound or drop/duplicate injection; a
+    /// control frame is heard through [`Fabric::hear_control`], and its
+    /// triggered hellos go out.
+    ///
+    /// A data frame that has already crossed as many devices as the
+    /// fabric has segments goes no further: each device that would
+    /// forward it counts it in [`BridgeStats::dropped`] instead. A
+    /// loop-free active tree never reaches that bound; a transient loop
+    /// under a live election can.
+    pub fn carry(
+        &mut self,
+        pkt: &Packet,
+        seg: usize,
+        now: SimTime,
+        emitter: Option<usize>,
+        hops: usize,
+        out: &mut Vec<Emission>,
+    ) {
+        if pkt.is_control() {
+            // The emitter is the frame's fabric endpoint id, the one
+            // sender identity a LAN frame carries.
+            let from = usize::from(pkt.from().0.wrapping_sub(BRIDGE_HOST_BASE));
+            out.extend(self.hear_control(pkt, seg, now, from));
+            return;
         }
-        let bridge = &mut self.devices[device];
-        if bridge.route(pkt, seg, now) {
+        let spent = hops >= self.layout.segments();
+        for i in 0..self.boot.topology.bridges_on(seg).len() {
+            let device = self.boot.topology.bridges_on(seg)[i];
+            if Some(device) == emitter || !self.hears(device, seg) {
+                continue;
+            }
+            let bridge = &mut self.devices[device];
+            if !bridge.route(pkt, seg, now) {
+                continue;
+            }
+            if spent {
+                bridge.stats.dropped += 1;
+                continue;
+            }
             bridge.count_emissions(pkt, false);
+            out.extend(bridge.targets.iter().map(|&dst| Emission {
+                device,
+                seg: dst,
+                pkt: pkt.clone(),
+            }));
             self.probe_stall(device, pkt, now);
         }
-        &self.devices[device].targets
     }
 
     /// Is device `device` alive and its attachment to `seg` intact (no
@@ -311,7 +352,7 @@ impl Fabric {
     /// One hello-cadence tick of `device` at `now`: timeout checks plus
     /// this cadence's hello on every live port. Empty for dead devices
     /// and under static election.
-    pub fn tick(&mut self, device: usize, now: SimTime) -> Vec<ControlOut> {
+    pub fn tick(&mut self, device: usize, now: SimTime) -> Vec<Emission> {
         if self.dead[device] || self.cfg.election == ElectionMode::Static {
             return Vec::new();
         }
@@ -323,8 +364,8 @@ impl Fabric {
     }
 
     /// A control frame from `from_device` was delivered on `seg` at
-    /// `arrival`: every device attached to `seg` hears it through the
-    /// step of [`Fabric::hear_hello`], and any device whose beliefs
+    /// `arrival`: every device attached to `seg` but the emitter hears
+    /// it and ingests what it tells, and any device whose beliefs
     /// changed emits a triggered hello on all its live ports (the
     /// TC-style fast propagation). A frame whose `device` field
     /// contradicts `from_device` or names no device of the fabric is
@@ -335,77 +376,39 @@ impl Fabric {
         seg: usize,
         arrival: SimTime,
         from_device: usize,
-    ) -> Vec<ControlOut> {
+    ) -> Vec<Emission> {
         let mut out = Vec::new();
         for i in 0..self.boot.topology.bridges_on(seg).len() {
             let d = self.boot.topology.bridges_on(seg)[i];
-            self.hear_into(d, pkt, seg, from_device, arrival, &mut out);
+            if d == from_device || !self.hears(d, seg) {
+                continue;
+            }
+            let Some(entries) = checked_hello(pkt, from_device, self.devices.len()) else {
+                self.devices[d].stats.malformed_pdus += 1;
+                continue;
+            };
+            let r = self.devices[d]
+                .policy
+                .hear_pdu(from_device, entries, arrival);
+            self.reconvergences += u64::from(r.active_changed);
+            if r.view_changed {
+                out.extend(self.emissions(d));
+            }
         }
         out
-    }
-
-    /// Device `device` heard control frame `pkt`, emitted by device
-    /// `emitter`, on its port `seg` at `now` — the step a threaded
-    /// runtime's bridge thread takes per hello, where each device hears
-    /// the frame on its own. Returns the triggered hellos the device
-    /// emits in answer (empty unless its beliefs changed). A device
-    /// ignores its own hellos. A frame whose `device` field contradicts
-    /// `emitter` or names no device of the fabric is counted in this
-    /// device's [`BridgeStats::malformed_pdus`] and ignored.
-    pub fn hear_hello(
-        &mut self,
-        device: usize,
-        pkt: &Packet,
-        seg: usize,
-        emitter: usize,
-        now: SimTime,
-    ) -> Vec<ControlOut> {
-        let mut out = Vec::new();
-        self.hear_into(device, pkt, seg, emitter, now, &mut out);
-        out
-    }
-
-    /// The one per-device hearing step of both engines: device `d`
-    /// hears control frame `pkt` from `emitter` on `seg` at `now` —
-    /// nothing if it is the emitter or does not hear `seg` — counts it
-    /// if malformed, ingests it otherwise, and pushes its triggered
-    /// hellos onto `out`.
-    fn hear_into(
-        &mut self,
-        d: usize,
-        pkt: &Packet,
-        seg: usize,
-        emitter: usize,
-        now: SimTime,
-        out: &mut Vec<ControlOut>,
-    ) {
-        if d == emitter || !self.hears(d, seg) {
-            return;
-        }
-        let Some(entries) = checked_hello(pkt, emitter, self.devices.len()) else {
-            self.devices[d].stats.malformed_pdus += 1;
-            return;
-        };
-        let r = self.devices[d].policy.hear_pdu(emitter, entries, now);
-        if r.active_changed {
-            self.reconvergences += 1;
-        }
-        if r.view_changed {
-            out.extend(self.emissions(d));
-        }
     }
 
     /// The hellos device `device` would emit right now: one per live
     /// port. One [`BridgePolicy::pdu_for_emission`] call per emission —
     /// the same hello goes out on every live port, so the gossip
     /// watermarks advance once per emission, not once per port.
-    fn emissions(&mut self, device: usize) -> Vec<ControlOut> {
+    fn emissions(&mut self, device: usize) -> Vec<Emission> {
         let pkt = self.devices[device].policy_mut().pdu_for_emission();
         self.devices[device]
             .policy()
             .self_live_ports()
             .iter()
-            .map(|seg| ControlOut {
+            .map(|seg| Emission {
                 device,
                 seg,
                 pkt: pkt.clone(),

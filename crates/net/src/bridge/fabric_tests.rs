@@ -85,9 +85,9 @@ fn fabric_star_matches_single_bridge_byte_for_byte() {
 #[test]
 fn an_untimed_forward_routes_and_counts_like_a_pickup() {
     // Two copies of one fabric hear the same frames: one through the
-    // timed pickup (no drop or duplicate knob), one device at a
-    // time through the untimed forward. Both send each frame to the
-    // same segments and count the same.
+    // timed pickup (no drop or duplicate knob), one through the
+    // runtime's untimed step. Both send each frame to the same segments
+    // and count the same.
     let layout = SegmentLayout::new(8, 4).unwrap();
     let mut timed = Fabric::new(layout, FabricConfig::tree(4, 2));
     let mut untimed = Fabric::new(layout, FabricConfig::tree(4, 2));
@@ -99,20 +99,20 @@ fn an_untimed_forward_routes_and_counts_like_a_pickup() {
         (req(4, 1), 2),
         (superset_req(0, 2), 0),
     ];
+    let carried = |f: &mut Fabric, pkt: &Packet, seg: usize, now: SimTime| {
+        let mut out = Vec::new();
+        f.carry(pkt, seg, now, None, 0, &mut out);
+        for e in &out {
+            assert_eq!(&e.pkt, pkt, "a data frame leaves as it came");
+        }
+        out.iter().map(|e| (e.device, e.seg)).collect::<Vec<_>>()
+    };
     for (n, (pkt, seg)) in frames.iter().enumerate() {
         let now = ms(n as u64 + 1);
         let mut want: Vec<(usize, usize)> = (timed.pickup(pkt, *seg, now).iter())
             .map(|fw| (fw.device, fw.dst))
             .collect();
-        let mut got = Vec::new();
-        for d in untimed.topology().bridges_on(*seg).to_vec() {
-            got.extend(
-                untimed
-                    .forward(d, pkt, *seg, now)
-                    .iter()
-                    .map(|&dst| (d, dst)),
-            );
-        }
+        let mut got = carried(&mut untimed, pkt, *seg, now);
         want.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, want, "{pkt:?} on {seg}");
@@ -125,9 +125,31 @@ fn an_untimed_forward_routes_and_counts_like_a_pickup() {
         segment: 1,
     };
     untimed.apply_event(lost, ms(10));
-    assert!(untimed.forward(0, &req(2, 0), 1, ms(11)).is_empty());
+    let heard = untimed.device(0).stats().heard;
+    carried(&mut untimed, &req(2, 0), 1, ms(11));
+    assert_eq!(untimed.device(0).stats().heard, heard);
     for seg in [0, 2] {
-        let out = untimed.forward(0, &superset_req(2 * seg as u16, 3), seg, ms(12));
-        assert!(!out.contains(&1), "forwarded onto the lost port: {out:?}");
+        let out = carried(&mut untimed, &superset_req(2 * seg as u16, 3), seg, ms(12));
+        assert!(
+            !out.contains(&(0, 1)),
+            "forwarded onto the lost port: {out:?}"
+        );
     }
+}
+
+#[test]
+fn a_frame_at_the_hop_bound_is_counted_not_forwarded() {
+    // Chain 0-1-2: a flooded request on segment 0 crosses device 0 —
+    // unless it has already crossed as many devices as there are
+    // segments, which only a forwarding loop can make it do.
+    let layout = SegmentLayout::new(6, 3).unwrap();
+    let mut f = Fabric::new(layout, FabricConfig::chain(3));
+    let mut out = Vec::new();
+    f.carry(&superset_req(0, 5), 0, ms(1), None, 2, &mut out);
+    assert_eq!(out.len(), 1, "two crossings in, one more is allowed");
+    out.clear();
+    f.carry(&superset_req(0, 5), 0, ms(2), None, 3, &mut out);
+    assert!(out.is_empty(), "three crossings in, the walk ends");
+    let s = f.device(0).stats();
+    assert_eq!((s.heard, s.forwarded, s.dropped), (2, 1, 1));
 }

@@ -34,7 +34,7 @@ pub use config::{
 };
 pub use device::{Bridge, BridgePolicy};
 pub use election::BootState;
-pub use fabric::{ControlOut, Fabric, Forward};
+pub use fabric::{Emission, Fabric, Forward};
 pub use policy::PortStamp;
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //! election. [`bridge::Bridge`] adds the simulator's per-device
 //! store-and-forward timing, queueing, and fault-injection knobs, and
 //! [`bridge::Fabric`] wires every device of a topology together and runs
-//! its control and fault planes, for both substrates.
+//! its control and fault planes, for both substrates. On the threaded
+//! one, [`rt::Bridges`] joins the LANs through it, and the thread that
+//! transmits a frame carries it across.
 //!
 //! All of them charge traffic using [`mether_core::Packet::wire_size`], so
 //! the network-load numbers produced by the simulator and the runtime are
@@ -42,8 +44,8 @@ pub mod stats;
 pub mod time;
 
 pub use bridge::{
-    AgeHorizon, BootState, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ControlOut,
-    ElectionMode, Fabric, FabricConfig, FabricEvent, Forward, PortStamp, BRIDGE_HOST_BASE,
+    AgeHorizon, BootState, Bridge, BridgeConfig, BridgePolicy, BridgeStats, ElectionMode, Emission,
+    Fabric, FabricConfig, FabricEvent, Forward, PortStamp, BRIDGE_HOST_BASE,
 };
 pub use sim::{EtherConfig, EtherSim};
 pub use stats::NetStats;

@@ -1,12 +1,10 @@
 //! A real, threaded in-process broadcast LAN.
 //!
-//! `mether-runtime` nodes attach [`Endpoint`]s to a [`Lan`]; a bridge
-//! device attaches one [`Inbox`] to each of its port segments
-//! ([`Lan::attach`]). There is no thread behind a `Lan`: **the
-//! transmitter delivers its own frame**. [`Port::broadcast`] encodes the
-//! packet, takes the segment's *medium* — one mutex holding the wire's
-//! `free_at` instant, the loss RNG, the traffic counters and the
-//! listener list — and, under it,
+//! `mether-runtime` nodes attach [`Endpoint`]s to a [`Lan`]. There is no
+//! thread behind a `Lan`: **the transmitter delivers its own frame**.
+//! [`Endpoint::broadcast`] encodes the packet, takes the segment's
+//! *medium* — one mutex holding the wire's `free_at` instant, the loss
+//! RNG, the traffic counters and the listener list — and, under it,
 //!
 //! 1. occupies the wire: `due = max(now, free_at) + dwell`, `free_at =
 //!    due`, with `dwell = latency + wire_size × 8 / bandwidth` — the
@@ -35,16 +33,41 @@
 //! as cheap clones whose page payload shares that same storage. Host
 //! load for a broadcast does not scale with `receivers × PAGE_SIZE`.
 //!
+//! # Bridged segments
+//!
+//! The LANs of a segmented deployment come up together with the one
+//! [`Fabric`] joining them ([`Bridges::new`]), and a broadcast on one of
+//! them **carries its own crossings** as well: no bridge device has a
+//! thread. The transmitting thread takes the fabric's lock and runs one
+//! work list of `(segment, frame, emitting device, not-before instant)`
+//! entries, its own frame first. Each entry goes through its segment's
+//! medium like any transmission (steps 1–3 above, due no earlier than
+//! the frame finished arriving on the segment before), then every live
+//! device on the segment but the emitter routes it ([`Fabric::carry`]),
+//! and each copy a device emits is a new entry. A data frame that would
+//! cross more devices than the fabric has segments is dropped and
+//! counted ([`crate::BridgeStats::dropped`]): a loop-free active
+//! tree never reaches that bound, but a transient loop under a live
+//! election can. Holding the lock from the first push to the last, the
+//! walk keeps the frames crossing a device in their wire order, and a
+//! broadcast returns with every crossing delivered. Fault injection is
+//! [`Fabric::apply_event`] alone: there is no thread to stop or start.
+//! Under a live election [`Bridges::tick`] runs the devices' hello
+//! cadence, and their hellos take the same walk.
+//!
+//! Locks are taken fabric, then medium, then inbox. Each fabric step
+//! reads the wall clock under the fabric lock ([`Bridges::now`]), so the
+//! fabric sees time run forward.
+//!
 //! # Who wakes whom
 //!
-//! An inbox has up to two kinds of listener. The *background* listener
-//! (a node's receiver thread, a bridge device's thread) drains it with
-//! [`Inbox::recv`], or waits with [`Inbox::wait_background`] and drains
-//! with [`Inbox::try_recv`]. A *foreground* waiter is a thread blocked on
-//! something a frame will bring — a node's accessor waiting for its
-//! page — that registers with [`Inbox::fg_enter`] and handles what
-//! arrives itself, so the reply it waits for reaches it without a hop
-//! through the background listener.
+//! An inbox has up to two kinds of listener. The *background* listener,
+//! a node's receiver thread, waits with [`Inbox::wait_background`] and
+//! drains with [`Inbox::try_recv`]. A *foreground* waiter is a thread
+//! blocked on something a frame will bring — a node's accessor waiting
+//! for its page — that registers with [`Inbox::fg_enter`] and handles
+//! what arrives itself, so the reply it waits for reaches it without a
+//! hop through the background listener.
 //!
 //! A listener that finds nothing deliverable marks that it sleeps and
 //! blocks on its kind's condition variable. Every push moves the inbox's
@@ -63,21 +86,23 @@
 //! every sleeping foreground waiter. No wake-up is lost between the
 //! check and the sleep.
 //!
-//! A transmitter pays what it owes **after releasing the medium**, and
-//! only to listeners that sleep. Waking under the lock is what a
-//! channel's `send` does, and on one CPU it costs a round trip its whole
-//! gain: the woken listener pre-empts the transmitter, handles the
-//! frame, and blocks on the medium the transmitter still holds.
-//! [`Inbox::close`] wakes every listener and waiter at once, each then
-//! reporting [`Error::Disconnected`], so a receive loop needs no polling
-//! timeout to notice shutdown.
+//! A transmitter pays what it owes **after releasing its locks** — the
+//! medium, and on a bridged segment the fabric — and only to listeners
+//! that sleep. Waking under a lock is what a channel's `send` does, and
+//! on one CPU it costs a round trip its whole gain: the woken listener
+//! pre-empts the transmitter, handles the frame, and blocks on the lock
+//! the transmitter still holds. [`Inbox::close`] wakes every listener
+//! and waiter at once, each then reporting [`Error::Disconnected`], so a
+//! receive loop needs no polling timeout to notice shutdown.
 //!
 //! The locks here, and in `mether-runtime` and `mether-lib` above, are
 //! plain `std::sync` ones, taken through [`lock`], which ignores
 //! poisoning.
 
+use crate::bridge::{Emission, Fabric, FabricConfig, BRIDGE_HOST_BASE};
 use crate::stats::NetStats;
-use mether_core::{Error, HostId, Packet, Result, WireFrame};
+use crate::time::{SimDuration, SimTime};
+use mether_core::{Error, HostId, Packet, Result, SegmentLayout, WireFrame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -157,14 +182,13 @@ impl Default for LanConfig {
 struct Delivery {
     /// When the frame finishes arriving: the listener gets it no earlier.
     due: Instant,
-    /// The tag of the attachment it arrived on.
-    port: usize,
     pkt: Packet,
 }
 
 #[derive(Default)]
 struct InboxState {
-    /// Ordered by `due`; frames of one LAN keep their transmit order.
+    /// In due order: an inbox hears one medium, whose frames fall due in
+    /// the order they were pushed.
     queue: VecDeque<Delivery>,
     /// A background listener is blocked on `ready` and nobody owes it a
     /// wake-up yet.
@@ -181,11 +205,11 @@ struct InboxState {
 
 impl InboxState {
     /// Takes the head frame if the wire has finished carrying it.
-    fn pop_due(&mut self) -> Option<(usize, Packet)> {
+    fn pop_due(&mut self) -> Option<Packet> {
         if !self.head_due(Instant::now()) {
             return None;
         }
-        self.queue.pop_front().map(|d| (d.port, d.pkt))
+        self.queue.pop_front().map(|d| d.pkt)
     }
 
     /// Has the wire finished carrying the head frame by `now`?
@@ -245,41 +269,40 @@ fn wait_until<'a, T>(
     }
 }
 
-/// A listener's receive queue. Cloning shares the same queue.
+/// An endpoint's receive queue. Cloning shares the same queue.
 ///
-/// An inbox can be attached to several LANs ([`Lan::attach`]); every
-/// frame comes out tagged with the port it arrived on, so a bridge
-/// device waits on all its segments with one blocking call. It is built
-/// for one background listening thread; more are safe (every wake-up
-/// wakes all of them) but each frame still goes to exactly one.
-///
-/// Threads that block for a reply can take the frames over from the
-/// background listener while they wait ([`Inbox::fg_enter`]; see the
-/// module docs, "Who wakes whom").
+/// It is built for one background listening thread; more are safe
+/// (every wake-up wakes all of them) but each frame still goes to
+/// exactly one. Threads that block for a reply can take the frames over
+/// from the background listener while they wait ([`Inbox::fg_enter`];
+/// see the module docs, "Who wakes whom").
 #[derive(Clone, Default)]
 pub struct Inbox {
     shared: Arc<InboxShared>,
 }
 
-impl Inbox {
-    /// An empty inbox, attached to nothing yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Frames pushed under a transmitter's locks, and whom each push owes a
+/// wake-up once they are released.
+type Wakes = Vec<(Inbox, Wake)>;
 
-    /// Queues `d` in due order and says whom the caller must wake
-    /// ([`Inbox::wake`]) — after dropping its own locks.
-    fn push(&self, d: Delivery) -> Wake {
+/// Pays what the pushes owe, once the transmitter's locks are released.
+fn wake(wakes: Wakes) {
+    for (inbox, whom) in wakes {
+        inbox.wake(whom);
+    }
+}
+
+impl Inbox {
+    /// Queues `d` and notes on `wakes` whom the caller must wake
+    /// ([`Inbox::wake`]) after dropping its own locks.
+    fn push(&self, d: Delivery, wakes: &mut Wakes) {
         let mut st = lock(&self.shared.state);
         if st.closed {
-            return Wake::Nobody;
+            return;
         }
-        // One LAN's frames are pushed in due order already; only a frame
-        // from another port can belong ahead of the tail.
-        let at = st.queue.iter().rposition(|q| q.due <= d.due);
-        st.queue.insert(at.map_or(0, |i| i + 1), d);
+        st.queue.push_back(d);
         st.epoch += 1;
-        if st.fg_waiters > 0 {
+        let whom = if st.fg_waiters > 0 {
             // One foreground waiter takes this frame; the others and the
             // background listener sleep on.
             st.fg_wake(Wake::OneForeground)
@@ -287,6 +310,10 @@ impl Inbox {
             Wake::Background
         } else {
             Wake::Nobody
+        };
+        drop(st);
+        if whom != Wake::Nobody {
+            wakes.push((self.clone(), whom));
         }
     }
 
@@ -299,14 +326,14 @@ impl Inbox {
         }
     }
 
-    fn recv_by(&self, deadline: Option<Instant>) -> Result<(usize, Packet)> {
+    fn recv_by(&self, deadline: Option<Instant>) -> Result<Packet> {
         let mut st = lock(&self.shared.state);
         loop {
             if st.closed {
                 return Err(Error::Disconnected);
             }
-            if let Some(heard) = st.pop_due() {
-                return Ok(heard);
+            if let Some(pkt) = st.pop_due() {
+                return Ok(pkt);
             }
             if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
                 return Err(Error::Timeout);
@@ -320,8 +347,7 @@ impl Inbox {
         }
     }
 
-    /// Blocks until the next frame is due and returns it with the port
-    /// it arrived on.
+    /// Blocks until the next frame is due and returns it.
     ///
     /// The packet was decoded once, by its transmitter; receiving it here
     /// costs a queue pop, and its page payload is a zero-copy view shared
@@ -330,7 +356,7 @@ impl Inbox {
     /// # Errors
     ///
     /// Returns [`Error::Disconnected`] once the inbox is closed.
-    pub fn recv(&self) -> Result<(usize, Packet)> {
+    pub fn recv(&self) -> Result<Packet> {
         self.recv_by(None)
     }
 
@@ -340,7 +366,7 @@ impl Inbox {
     /// # Errors
     ///
     /// [`Error::Timeout`] on expiry, [`Error::Disconnected`] once closed.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<(usize, Packet)> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet> {
         self.recv_by(Some(Instant::now() + timeout))
     }
 
@@ -349,7 +375,7 @@ impl Inbox {
     /// # Errors
     ///
     /// [`Error::Disconnected`] once closed.
-    pub fn try_recv(&self) -> Result<Option<(usize, Packet)>> {
+    pub fn try_recv(&self) -> Result<Option<Packet>> {
         let mut st = lock(&self.shared.state);
         if st.closed {
             return Err(Error::Disconnected);
@@ -492,10 +518,9 @@ impl std::fmt::Debug for Inbox {
     }
 }
 
-/// One attachment to the segment: who listens, under which tag.
+/// One attachment to the segment: who listens.
 struct Tap {
     host: HostId,
-    port: usize,
     inbox: Inbox,
 }
 
@@ -511,125 +536,108 @@ struct Medium {
     taps: Vec<Tap>,
 }
 
-struct Inner {
+/// One segment's wire.
+struct Wire {
     latency: Duration,
     bandwidth_bps: Option<u64>,
     medium: Mutex<Medium>,
 }
 
-impl Inner {
-    /// Puts one encoded frame on the wire: the entry point of every
-    /// transmission (see the module docs for the steps).
-    fn transmit(&self, from: HostId, frame: &WireFrame, wire_size: usize) {
+impl Wire {
+    fn new(cfg: LanConfig) -> Arc<Wire> {
+        Arc::new(Wire {
+            latency: cfg.latency,
+            bandwidth_bps: cfg.bandwidth_bps,
+            medium: Mutex::new(Medium {
+                free_at: Instant::now(),
+                loss: cfg.loss,
+                rng: StdRng::seed_from_u64(cfg.seed),
+                stats: NetStats::new(),
+                taps: Vec::new(),
+            }),
+        })
+    }
+
+    /// Puts `pkt` on the wire as `from`, no earlier than `not_before`
+    /// (see the module docs for the steps), noting on `wakes` whom it
+    /// owes a wake-up. Returns when the frame has finished arriving, or
+    /// `None` if it was lost.
+    fn deliver(
+        &self,
+        from: HostId,
+        pkt: &Packet,
+        not_before: Instant,
+        wakes: &mut Wakes,
+    ) -> Option<Instant> {
         let mut dwell = self.latency;
         if let Some(bw) = self.bandwidth_bps {
-            dwell +=
-                Duration::from_nanos((wire_size as u64 * 8).saturating_mul(1_000_000_000) / bw);
+            let bits = pkt.wire_size() as u64 * 8;
+            dwell += Duration::from_nanos(bits.saturating_mul(1_000_000_000) / bw);
         }
-        // Decode once per broadcast; every listener gets a cheap clone
-        // whose payload is a zero-copy view of the sender's own buffer
-        // (vectored framing end to end).
-        let decoded = Packet::decode_frame(frame);
-        let mut wake = Vec::new();
-        {
-            let mut m = lock(&self.medium);
-            let due = m.free_at.max(Instant::now()) + dwell;
-            m.free_at = due;
-            let Ok(pkt) = decoded else {
-                // `Packet::encode_vectored` cannot produce such a frame;
-                // it is dropped and counted rather than crashing the
-                // segment.
-                m.stats.record_decode_error();
-                return;
+        let mut m = lock(&self.medium);
+        let due = m.free_at.max(not_before).max(Instant::now()) + dwell;
+        m.free_at = due;
+        m.stats.record(pkt);
+        if m.loss > 0.0 && m.rng.gen::<f64>() < m.loss {
+            m.stats.record_loss();
+            return None;
+        }
+        for tap in m.taps.iter().filter(|t| t.host != from) {
+            let d = Delivery {
+                due,
+                pkt: pkt.clone(),
             };
-            m.stats.record(&pkt);
-            if m.loss > 0.0 && m.rng.gen::<f64>() < m.loss {
-                m.stats.record_loss();
-                return;
-            }
-            for tap in m.taps.iter().filter(|t| t.host != from) {
-                let d = Delivery {
-                    due,
-                    port: tap.port,
-                    pkt: pkt.clone(),
-                };
-                let whom = tap.inbox.push(d);
-                if whom != Wake::Nobody {
-                    wake.push((tap.inbox.clone(), whom));
-                }
-            }
+            tap.inbox.push(d, wakes);
         }
-        for (inbox, whom) in wake {
-            inbox.wake(whom);
-        }
+        Some(due)
     }
 }
 
 /// An in-process broadcast LAN. Cloning shares the same segment.
 #[derive(Clone)]
 pub struct Lan {
-    inner: Arc<Inner>,
+    wire: Arc<Wire>,
+    /// The fabric this LAN is segment `.1` of, if it is bridged.
+    bridges: Option<(Arc<Bridges>, usize)>,
 }
 
 impl Lan {
     /// Brings up a quiet segment.
     pub fn new(cfg: LanConfig) -> Self {
         Lan {
-            inner: Arc::new(Inner {
-                latency: cfg.latency,
-                bandwidth_bps: cfg.bandwidth_bps,
-                medium: Mutex::new(Medium {
-                    free_at: Instant::now(),
-                    loss: cfg.loss,
-                    rng: StdRng::seed_from_u64(cfg.seed),
-                    stats: NetStats::new(),
-                    taps: Vec::new(),
-                }),
-            }),
+            wire: Wire::new(cfg),
+            bridges: None,
         }
     }
 
-    /// Attaches `host` to the segment, listening on `inbox`: every frame
-    /// another host broadcasts here is queued there tagged `port`. The
-    /// returned [`Port`] transmits as `host` and detaches when dropped.
+    /// Attaches `host` to the segment with an inbox of its own: every
+    /// frame another host broadcasts here is queued there.
     ///
     /// # Panics
     ///
     /// Panics if `host` is already attached — one NIC per host.
-    pub fn attach(&self, host: HostId, inbox: &Inbox, port: usize) -> Port {
-        let mut m = lock(&self.inner.medium);
+    pub fn endpoint(&self, host: HostId) -> Endpoint {
+        let inbox = Inbox::default();
+        let mut m = lock(&self.wire.medium);
         assert!(
             m.taps.iter().all(|t| t.host != host),
             "host {host} already attached to this LAN"
         );
         m.taps.push(Tap {
             host,
-            port,
             inbox: inbox.clone(),
         });
-        Port {
-            host,
-            port,
-            lan: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Attaches `host` with an inbox of its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is already attached — one NIC per host.
-    pub fn endpoint(&self, host: HostId) -> Endpoint {
-        let inbox = Inbox::new();
+        drop(m);
         Endpoint {
-            port: self.attach(host, &inbox, 0),
+            host,
+            lan: self.clone(),
             inbox,
         }
     }
 
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
-        lock(&self.inner.medium).stats
+        lock(&self.wire.medium).stats
     }
 
     /// Reconfigures the frame-loss probability on the live segment. Loss
@@ -644,36 +652,198 @@ impl Lan {
             (0.0..=1.0).contains(&p),
             "loss probability must be in [0,1]"
         );
-        lock(&self.inner.medium).loss = p;
+        lock(&self.wire.medium).loss = p;
     }
 
     /// The current frame-loss probability.
     pub fn loss(&self) -> f64 {
-        lock(&self.inner.medium).loss
+        lock(&self.wire.medium).loss
+    }
+
+    /// Transmits one encoded frame as `from`: the entry point of every
+    /// broadcast, which carries it across the fabric too on a bridged
+    /// segment, and wakes whom it owes once its locks are released.
+    fn transmit(&self, from: HostId, frame: &WireFrame) {
+        // Decode once per broadcast; every listener gets a cheap clone
+        // whose payload is a zero-copy view of the sender's own buffer
+        // (vectored framing end to end).
+        let Ok(pkt) = Packet::decode_frame(frame) else {
+            // `Packet::encode_vectored` cannot produce such a frame; it
+            // is dropped and counted rather than crashing the segment.
+            lock(&self.wire.medium).stats.record_decode_error();
+            return;
+        };
+        match &self.bridges {
+            None => {
+                let mut wakes = Vec::new();
+                self.wire.deliver(from, &pkt, Instant::now(), &mut wakes);
+                wake(wakes);
+            }
+            Some((bridges, seg)) => bridges.carry(VecDeque::from([Hop {
+                seg: *seg,
+                pkt,
+                from,
+                emitter: None,
+                not_before: Instant::now(),
+                hops: 0,
+            }])),
+        }
     }
 }
 
 impl std::fmt::Debug for Lan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Lan(listeners={})", lock(&self.inner.medium).taps.len())
+        write!(f, "Lan(listeners={})", lock(&self.wire.medium).taps.len())
     }
 }
 
-/// One host's transmit side of an attachment to a [`Lan`]
-/// ([`Lan::attach`]); what it hears arrives in the attached [`Inbox`].
-pub struct Port {
+/// The bridge devices of a segmented deployment: the one [`Fabric`]
+/// both engines drive, behind one lock, and the wires of the segments
+/// it joins, which every crossing walks in the transmitting thread (see
+/// the module docs, "Bridged segments").
+pub struct Bridges {
+    fabric: Mutex<Fabric>,
+    wires: Vec<Arc<Wire>>,
+    /// The wall-clock epoch the fabric's `SimTime` counts from
+    /// (1 wall-ns ≙ 1 sim-ns).
+    start: Instant,
+}
+
+/// One entry of a crossing's work list: `pkt` goes on segment `seg`'s
+/// wire, sent by `from` — a host, or device `emitter` — no earlier than
+/// `not_before`, having crossed `hops` devices.
+struct Hop {
+    seg: usize,
+    pkt: Packet,
+    from: HostId,
+    emitter: Option<usize>,
+    not_before: Instant,
+    hops: usize,
+}
+
+impl Hop {
+    /// `e` leaving its device `hops` crossings in, no earlier than
+    /// `not_before`.
+    fn emitted(e: Emission, not_before: Instant, hops: usize) -> Hop {
+        Hop {
+            seg: e.seg,
+            pkt: e.pkt,
+            from: HostId(BRIDGE_HOST_BASE + e.device as u16),
+            emitter: Some(e.device),
+            not_before,
+            hops,
+        }
+    }
+}
+
+impl Bridges {
+    /// Brings up one quiet segment per entry of `lans`, laid out as
+    /// `layout`, and the fabric `cfg` joining them. Returns the fabric
+    /// and the segments' LANs, in segment order; a broadcast on any of
+    /// them crosses the fabric before it returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology's segment count differs from the layout's
+    /// or from the number of `lans`.
+    pub fn new(
+        lans: impl IntoIterator<Item = LanConfig>,
+        layout: SegmentLayout,
+        cfg: FabricConfig,
+    ) -> (Arc<Bridges>, Vec<Lan>) {
+        let wires: Vec<Arc<Wire>> = lans.into_iter().map(Wire::new).collect();
+        assert_eq!(wires.len(), layout.segments(), "one LAN per segment");
+        let bridges = Arc::new(Bridges {
+            fabric: Mutex::new(Fabric::new(layout, cfg)),
+            wires: wires.clone(),
+            start: Instant::now(),
+        });
+        let lans = (wires.into_iter().enumerate())
+            .map(|(seg, wire)| Lan {
+                wire,
+                bridges: Some((Arc::clone(&bridges), seg)),
+            })
+            .collect();
+        (bridges, lans)
+    }
+
+    /// Locks the fabric.
+    pub fn fabric(&self) -> MutexGuard<'_, Fabric> {
+        lock(&self.fabric)
+    }
+
+    /// The wall time since the fabric came up, as its `SimTime`. Read it
+    /// under the fabric lock, so the fabric sees time run forward.
+    pub fn now(&self) -> SimTime {
+        SimTime::ZERO + SimDuration::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// One hello-cadence tick of every device ([`Fabric::tick`]), their
+    /// hellos transmitted and carried like any frame. Nothing happens
+    /// under a static election.
+    pub fn tick(&self) {
+        let hellos: VecDeque<Hop> = {
+            let mut fabric = self.fabric();
+            (0..fabric.device_count())
+                .flat_map(|device| fabric.tick(device, self.now()))
+                .map(|e| Hop::emitted(e, Instant::now(), 0))
+                .collect()
+        };
+        self.carry(hellos);
+    }
+
+    /// Runs the work list `work` with the devices' own step: the
+    /// fabric's untimed one, at the wall clock.
+    fn carry(&self, work: VecDeque<Hop>) {
+        self.walk(work, |fabric, hop, out| {
+            fabric.carry(&hop.pkt, hop.seg, self.now(), hop.emitter, hop.hops, out);
+        });
+    }
+
+    /// Runs the work list `work` under the fabric lock: each entry goes
+    /// on its segment's wire, then `step` hands what the wire carried to
+    /// the devices there, and what they emit joins the list one crossing
+    /// on, due no earlier than the entry finished arriving. Wakes whom
+    /// the pushes owe once the lock is released.
+    fn walk(
+        &self,
+        mut work: VecDeque<Hop>,
+        mut step: impl FnMut(&mut Fabric, &Hop, &mut Vec<Emission>),
+    ) {
+        let mut wakes = Vec::new();
+        {
+            let mut fabric = self.fabric();
+            let mut out = Vec::new();
+            while let Some(hop) = work.pop_front() {
+                let wire = &self.wires[hop.seg];
+                let Some(due) = wire.deliver(hop.from, &hop.pkt, hop.not_before, &mut wakes) else {
+                    continue;
+                };
+                step(&mut fabric, &hop, &mut out);
+                work.extend(out.drain(..).map(|e| Hop::emitted(e, due, hop.hops + 1)));
+            }
+        }
+        wake(wakes);
+    }
+}
+
+/// One host's attachment to one [`Lan`] ([`Lan::endpoint`]): it
+/// transmits as the host and hears on an [`Inbox`] of its own. Dropping
+/// it detaches.
+pub struct Endpoint {
     host: HostId,
-    port: usize,
-    lan: Arc<Inner>,
+    lan: Lan,
+    inbox: Inbox,
 }
 
-impl Port {
-    /// The tag frames heard on this attachment carry.
-    pub fn port(&self) -> usize {
-        self.port
+impl Endpoint {
+    /// The host this endpoint belongs to.
+    pub fn host(&self) -> HostId {
+        self.host
     }
 
-    /// Broadcasts `pkt` to every other listener on the segment. On
+    /// Broadcasts `pkt` to every other listener on the segment, and on a
+    /// bridged segment across the fabric too (see the module docs). On
     /// return the frame is in their inboxes, due once the wire has
     /// carried it.
     ///
@@ -683,52 +853,11 @@ impl Port {
     /// [`NetStats::encode_errors`] without transmitting anything — if a
     /// field of `pkt` exceeds its wire length prefix.
     pub fn broadcast(&self, pkt: &Packet) -> Result<()> {
-        match pkt.try_encode_vectored() {
-            Ok(frame) => {
-                self.lan.transmit(self.host, &frame, pkt.wire_size());
-                Ok(())
-            }
-            Err(e) => {
-                lock(&self.lan.medium).stats.record_encode_error();
-                Err(e)
-            }
-        }
-    }
-}
-
-impl Drop for Port {
-    fn drop(&mut self) {
-        lock(&self.lan.medium).taps.retain(|t| t.host != self.host);
-    }
-}
-
-impl std::fmt::Debug for Port {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Port({} #{})", self.host, self.port)
-    }
-}
-
-/// One host's attachment to one [`Lan`]: a [`Port`] and an [`Inbox`] of
-/// its own.
-pub struct Endpoint {
-    port: Port,
-    inbox: Inbox,
-}
-
-impl Endpoint {
-    /// The host this endpoint belongs to.
-    pub fn host(&self) -> HostId {
-        self.port.host
-    }
-
-    /// Broadcasts `pkt` to every other endpoint on the segment
-    /// ([`Port::broadcast`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Port::broadcast`].
-    pub fn broadcast(&self, pkt: &Packet) -> Result<()> {
-        self.port.broadcast(pkt)
+        let frame = pkt.try_encode_vectored().inspect_err(|_| {
+            lock(&self.lan.wire.medium).stats.record_encode_error();
+        })?;
+        self.lan.transmit(self.host, &frame);
+        Ok(())
     }
 
     /// Blocks until the next broadcast arrives ([`Inbox::recv`]).
@@ -737,7 +866,7 @@ impl Endpoint {
     ///
     /// Returns [`Error::Disconnected`] once the endpoint is closed.
     pub fn recv(&self) -> Result<Packet> {
-        self.inbox.recv().map(|(_, pkt)| pkt)
+        self.inbox.recv()
     }
 
     /// Receives with a timeout ([`Inbox::recv_timeout`]).
@@ -746,7 +875,7 @@ impl Endpoint {
     ///
     /// [`Error::Timeout`] on expiry, [`Error::Disconnected`] once closed.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Packet> {
-        self.inbox.recv_timeout(timeout).map(|(_, pkt)| pkt)
+        self.inbox.recv_timeout(timeout)
     }
 
     /// Non-blocking receive; `Ok(None)` when no frame is due yet.
@@ -755,7 +884,7 @@ impl Endpoint {
     ///
     /// [`Error::Disconnected`] once closed.
     pub fn try_recv(&self) -> Result<Option<Packet>> {
-        Ok(self.inbox.try_recv()?.map(|(_, pkt)| pkt))
+        self.inbox.try_recv()
     }
 
     /// The inbox this endpoint hears on.
@@ -770,9 +899,17 @@ impl Endpoint {
     }
 }
 
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        lock(&self.lan.wire.medium)
+            .taps
+            .retain(|t| t.host != self.host);
+    }
+}
+
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Endpoint({})", self.port.host)
+        write!(f, "Endpoint({})", self.host)
     }
 }
 
@@ -856,8 +993,8 @@ mod tests {
 
     #[test]
     fn two_transmitters_two_listeners_one_total_order() {
-        // What the wire thread gave by construction: however two
-        // transmitters interleave, every listener sees the same sequence.
+        // However two transmitters interleave, every listener sees the
+        // same sequence.
         const FRAMES: u32 = 1_000;
         let lan = Lan::new(LanConfig::fast());
         let senders = [lan.endpoint(HostId(0)), lan.endpoint(HostId(1))];
@@ -956,39 +1093,65 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_micros(51_200));
     }
 
-    #[test]
-    fn one_inbox_on_two_lans_tags_frames_by_port() {
-        let (left, right) = (Lan::new(LanConfig::fast()), Lan::new(LanConfig::fast()));
-        let inbox = Inbox::new();
-        let device = HostId(9);
-        let on_left = left.attach(device, &inbox, 7);
-        let _on_right = right.attach(device, &inbox, 8);
-        let l = left.endpoint(HostId(0));
-        let r = right.endpoint(HostId(1));
-        r.broadcast(&req(1)).unwrap();
-        l.broadcast(&req(0)).unwrap();
-        assert_eq!(inbox.recv().unwrap(), (8, req(1)));
-        assert_eq!(inbox.recv().unwrap(), (7, req(0)));
-        // Transmitting on one port reaches that segment only, and comes
-        // back on neither.
-        on_left.broadcast(&req(9)).unwrap();
-        assert_eq!(l.try_recv().unwrap(), Some(req(9)));
-        assert_eq!(r.try_recv().unwrap(), None);
-        assert_eq!(inbox.try_recv().unwrap(), None);
+    /// Two segments joined by one device (a star of 2), with a host
+    /// endpoint on each.
+    fn bridged_pair() -> (Arc<Bridges>, Vec<Lan>, Endpoint, Endpoint) {
+        let layout = SegmentLayout::new(4, 2).unwrap();
+        let fast = [LanConfig::fast(), LanConfig::fast()];
+        let (bridges, lans) = Bridges::new(fast, layout, FabricConfig::star(2));
+        let (a, b) = (lans[0].endpoint(HostId(0)), lans[1].endpoint(HostId(2)));
+        (bridges, lans, a, b)
+    }
+
+    /// A request every device floods onto all its other ports.
+    fn flooded(from: u16) -> Packet {
+        Packet::PageRequest {
+            from: HostId(from),
+            page: PageId::new(1),
+            length: PageLength::Full,
+            want: Want::Superset,
+        }
     }
 
     #[test]
-    fn a_slow_port_does_not_hold_back_a_fast_one() {
-        // Frames leave a shared inbox in due order, not push order.
-        let slow = shaped(Duration::from_millis(40));
-        let fast = Lan::new(LanConfig::fast());
-        let inbox = Inbox::new();
-        let _a = slow.attach(HostId(9), &inbox, 0);
-        let _b = fast.attach(HostId(9), &inbox, 1);
-        slow.endpoint(HostId(0)).broadcast(&req(0)).unwrap();
-        fast.endpoint(HostId(1)).broadcast(&req(1)).unwrap();
-        assert_eq!(inbox.try_recv().unwrap(), Some((1, req(1))));
-        assert_eq!(inbox.recv().unwrap(), (0, req(0)));
+    fn a_broadcast_crosses_the_fabric_before_it_returns() {
+        let (bridges, lans, a, b) = bridged_pair();
+        a.broadcast(&flooded(0)).unwrap();
+        assert_eq!(b.try_recv().unwrap(), Some(flooded(0)));
+        assert_eq!(a.try_recv().unwrap(), None, "the crossing came back");
+        assert_eq!(bridges.fabric().device(0).stats().forwarded, 1);
+        assert_eq!(lans[1].stats().packets, 1);
+    }
+
+    #[test]
+    fn a_forwarding_loop_ends_at_the_hop_bound() {
+        // A step that forgets who emitted each copy lets the device hear
+        // its own forwards, so every copy comes back across: a loop no
+        // active tree closes. The walk still ends once the frame has
+        // crossed as many devices as there are segments, and the
+        // crossing it refused is counted.
+        let (bridges, lans, a, b) = bridged_pair();
+        let first = Hop {
+            seg: 0,
+            pkt: flooded(0),
+            from: HostId(0),
+            emitter: None,
+            not_before: Instant::now(),
+            hops: 0,
+        };
+        let forgetful = |f: &mut Fabric, hop: &Hop, out: &mut Vec<Emission>| {
+            f.carry(&hop.pkt, hop.seg, bridges.now(), None, hop.hops, out);
+        };
+        bridges.walk(VecDeque::from([first]), forgetful);
+        let s = bridges.fabric().device(0).stats();
+        assert_eq!((s.forwarded, s.dropped), (2, 1), "0 → 1 → 0, then no more");
+        assert_eq!((lans[0].stats().packets, lans[1].stats().packets), (2, 1));
+        assert_eq!(
+            a.try_recv().unwrap(),
+            Some(flooded(0)),
+            "the copy that came back"
+        );
+        assert_eq!(b.try_recv().unwrap(), Some(flooded(0)));
     }
 
     #[test]
@@ -1046,7 +1209,7 @@ mod tests {
                 a.broadcast(&req(0)).unwrap();
             });
             assert_eq!(fg.wait(seen, deadline), Ok(()));
-            assert_eq!(inbox.try_recv().unwrap(), Some((0, req(0))));
+            assert_eq!(inbox.try_recv().unwrap(), Some(req(0)));
             assert!(lock(&inbox.shared.state).asleep, "background was woken");
             assert!(!woke.load(std::sync::atomic::Ordering::SeqCst));
             // Nothing is queued: leaving wakes nobody.
@@ -1075,7 +1238,7 @@ mod tests {
             assert!(!background.is_finished(), "one waiter is still in");
             assert!(lock(&inbox.shared.state).asleep);
             drop(second);
-            assert_eq!(background.join().unwrap(), Ok(Some((0, req(0)))));
+            assert_eq!(background.join().unwrap(), Ok(Some(req(0))));
         });
     }
 
@@ -1156,7 +1319,7 @@ mod tests {
             }
             let (r, _fg) = waiters.pop().unwrap().join().unwrap();
             assert_eq!(r, Ok(()));
-            assert_eq!(inbox.try_recv().unwrap(), Some((0, req(0))));
+            assert_eq!(inbox.try_recv().unwrap(), Some(req(0)));
         });
     }
 
@@ -1178,7 +1341,7 @@ mod tests {
 
     #[test]
     fn a_kick_ends_a_foreground_wait_and_a_stale_epoch_does_not_sleep() {
-        let inbox = Inbox::new();
+        let inbox = Inbox::default();
         let fg = inbox.fg_enter();
         let seen = fg.epoch();
         inbox.kick();
@@ -1259,7 +1422,7 @@ mod tests {
             header: bytes::Bytes::from(vec![0xffu8; 10]),
             payload: bytes::Bytes::from(vec![0u8; 4]),
         };
-        lan.inner.transmit(HostId(0), &corrupt, 64);
+        lan.transmit(HostId(0), &corrupt);
         assert_eq!(
             b.try_recv().unwrap(),
             None,

@@ -58,7 +58,7 @@ impl NetStats {
     }
 
     /// Records a loss-injected drop of an already-recorded packet.
-    pub fn record_loss(&mut self) {
+    pub(crate) fn record_loss(&mut self) {
         self.lost += 1;
     }
 
@@ -69,7 +69,7 @@ impl NetStats {
 
     /// Records a packet refused at the sender because it could not be
     /// encoded without corrupting a length field.
-    pub fn record_encode_error(&mut self) {
+    pub(crate) fn record_encode_error(&mut self) {
         self.encode_errors += 1;
     }
 

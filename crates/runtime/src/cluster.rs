@@ -3,61 +3,62 @@
 //! With no fabric (the default of every named constructor) the cluster
 //! is the paper's testbed — all nodes on one broadcast [`Lan`]. With a
 //! [`FabricConfig`] the nodes are split into contiguous blocks
-//! ([`SegmentLayout`]), one `Lan` per block, joined by *bridge threads*:
-//! one thread per bridge device of the fabric's
-//! [`mether_core::BridgeTopology`], each snooping the device's ports and
-//! re-broadcasting each frame onto exactly the ports the device's filter
+//! ([`SegmentLayout`]), one `Lan` per block, joined by the bridge
+//! devices of the fabric's [`mether_core::BridgeTopology`], each
+//! re-broadcasting a frame it hears onto exactly the ports its filter
 //! says must hear it (page homes, learned interest with optional aging,
-//! requests routed toward the holder). The threads drive the one
+//! requests routed toward the holder). The devices are the one
 //! [`Fabric`] the discrete-event simulator runs, so the two network
-//! models filter, route, elect and fail the same way: each thread asks
-//! the fabric about its own device. A forwarded frame is emitted *from
-//! the forwarding device's own port on the destination segment*, so
-//! that device never hears it back, while the *other* devices on the
-//! segment do — hop-by-hop forwarding along the fabric's **active
-//! tree**.
+//! models filter, route, elect and fail the same way. No device has a
+//! thread: the thread that broadcasts a frame carries every crossing of
+//! it through the fabric before its broadcast returns ([`Bridges`]). A
+//! forwarded frame is emitted *from the forwarding device's own port on
+//! the destination segment*, so that device never hears it back, while
+//! the *other* devices on the segment do — hop-by-hop forwarding along
+//! the fabric's **active tree**.
 //!
-//! Under [`mether_net::ElectionMode::Live`] the bridge threads also run
-//! the spanning-tree control plane in real time: each thread emits the
-//! same sparse [`mether_core::Packet::BridgePdu`] hellos as the
-//! simulator's devices on its ports at the hello cadence (1 sim-ms ≙
-//! 1 wall-ms here), ingests its peers' hellos, times out silent
-//! neighbours, and re-elects — so a redundant wiring (ring, mesh) stays
-//! loop-free and **recovers from a killed bridge thread**. A hello
-//! whose `device` field contradicts its sender is counted in the
-//! hearing device's [`BridgeStats::malformed_pdus`], not ingested
-//! ([`Fabric::hear_hello`]). Nodes never see control frames' content:
+//! Under [`mether_net::ElectionMode::Live`] one timer thread runs the
+//! spanning-tree control plane in real time for every device
+//! ([`Bridges::tick`]): at the hello cadence (1 sim-ms ≙ 1 wall-ms here)
+//! each device emits the same sparse [`mether_core::Packet::BridgePdu`]
+//! hellos as the simulator's devices and times out silent neighbours;
+//! the hellos cross the wire like any frame, and each device that hears
+//! one ingests it and re-elects — so a redundant wiring (ring, mesh)
+//! stays loop-free and **recovers from a killed device**. A hello whose
+//! `device` field contradicts its sender is counted in the hearing
+//! device's [`BridgeStats::malformed_pdus`], not ingested
+//! ([`Fabric::hear_control`]). Nodes never see control frames' content:
 //! the Mether page table ignores [`mether_core::Packet::BridgePdu`] the
-//! way a real NIC filters BPDU multicasts.
+//! way a real NIC filters BPDU multicasts. A static election runs no
+//! thread of the fabric's own.
 //!
 //! # The runtime fault plane
 //!
 //! Every fault the simulator's fabric can inject is injectable here, on
-//! live threads, through the same [`FabricEvent`] vocabulary
+//! a live cluster, through the same [`FabricEvent`] vocabulary
 //! ([`Cluster::apply_fabric_event`], or scripted via
 //! `mether_runtime::FaultPlan`), and means what it means there: each
-//! event is [`Fabric::apply_event`] at the cluster's wall clock, which
-//! also says whether the event changed anything (a repeated event is a
-//! no-op and leaves no timeline entry).
+//! event is [`Fabric::apply_event`] at the cluster's wall clock, and
+//! nothing else, which also says whether the event changed anything (a
+//! repeated event is a no-op and leaves no timeline entry).
 //!
 //! - **`BridgeDown` / `BridgeUp`** — [`Cluster::stop_bridge`] /
 //!   [`Cluster::restart_bridge`]. Stopping a device marks it dead in the
-//!   fabric, then stops **and joins** its thread (failure injection must
-//!   not leak threads). The fabric arms its *reconvergence stall
-//!   probe*: the window from the kill to the first page-copy frame
-//!   forwarded by a device whose election epoch has advanced past its
-//!   pre-failure snapshot ([`Cluster::fabric_stall`]). Restarting
-//!   revives the device cold — fresh filter tables, fresh optimistic
-//!   views, a self-version above any obituary its neighbours still
-//!   gossip, its counters carried over — and spawns a fresh thread.
+//!   fabric: from the next frame on it hears and emits nothing. The
+//!   fabric arms its *reconvergence stall probe*: the window from the
+//!   kill to the first page-copy frame forwarded by a device whose
+//!   election epoch has advanced past its pre-failure snapshot
+//!   ([`Cluster::fabric_stall`]). Restarting revives the device cold —
+//!   fresh filter tables, fresh optimistic views, a self-version above
+//!   any obituary its neighbours still gossip, its counters carried
+//!   over.
 //! - **`LinkDown` / `LinkUp`** — [`Cluster::link_down`] /
 //!   [`Cluster::link_up`]: one (device, segment) attachment fails while
 //!   the device keeps forwarding on its surviving ports. The device
 //!   gossips the reduced port set and re-elects; the fabric hears
 //!   nothing on the lost port, and the election leaves it out of every
-//!   forward and hello, so the thread needs no gate of its own. There
-//!   is no cap on the segment id. Lost links are fabric state: they
-//!   **survive [`Cluster::restart_bridge`]**.
+//!   forward and hello. There is no cap on the segment id. Lost links
+//!   are fabric state: they **survive [`Cluster::restart_bridge`]**.
 //! - **Frame loss** — [`Cluster::set_loss`] retargets a segment's
 //!   Bernoulli loss rate at runtime (the `LanConfig::loss` knob made
 //!   live), so a soak can run phases of clean and lossy wire.
@@ -68,24 +69,31 @@
 //! all devices), and [`Cluster::fabric_timeline`] (every event that
 //! changed the fabric, with its wall-clock offset).
 //!
-//! A bridge thread forwards a frame the moment it hears it
-//! ([`Fabric::forward`]): the fabric's engine knobs
+//! A device forwards a frame in the step that hears it
+//! ([`Fabric::carry`]): the fabric's engine knobs
 //! ([`mether_net::BridgeConfig`] — forward delay, queue bound, fault
-//! injection) model the simulator's store-and-forward device and are
-//! not applied here.
+//! injection) model the simulator's store-and-forward device, and the
+//! runtime, whose devices have no queue or clock of their own, leaves
+//! them unused.
 //!
 //! Traffic counters stay per segment ([`Cluster::segment_stats`]), so
 //! losses and decode errors are attributable to the wire they happened
 //! on; [`Cluster::net_stats`] sums them for the old whole-network view.
+//!
+//! [`Fabric`]: mether_net::Fabric
+//! [`Fabric::apply_event`]: mether_net::Fabric::apply_event
+//! [`Fabric::carry`]: mether_net::Fabric::carry
+//! [`Fabric::hear_control`]: mether_net::Fabric::hear_control
 
 use crate::node::Node;
-use mether_core::{HostId, MetherConfig, Packet, PageId, SegmentLayout};
-use mether_net::bridge::{ControlOut, Fabric, FabricConfig, BRIDGE_HOST_BASE};
-use mether_net::rt::{lock, Inbox, Lan, LanConfig, Port};
-use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration, SimTime};
-use std::sync::{Arc, Mutex};
+use mether_core::{HostId, MetherConfig, PageId, SegmentLayout};
+use mether_net::bridge::FabricConfig;
+use mether_net::rt::{Bridges, Lan, LanConfig};
+use mether_net::{BridgeStats, FabricEvent, NetStats, SimDuration};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A set of Mether nodes sharing a broadcast segment (or several bridged
 /// ones).
@@ -112,7 +120,10 @@ pub struct Cluster {
     nodes: Vec<Node>,
     layout: Option<SegmentLayout>,
     /// Shared with every node, which announces the pages it creates.
-    bridge: Option<Arc<BridgeThreads>>,
+    bridges: Option<Arc<Bridges>>,
+    /// Under a live election, the fabric's hello timer; dropping the
+    /// sender stops it.
+    hello_timer: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
 
 /// Configuration of a [`Cluster`].
@@ -153,7 +164,7 @@ impl ClusterConfig {
 
     /// `n` nodes split over `segments` bridged fast LANs joined by a
     /// 1-bridge star (PR 3's wiring: sticky interest, striped homes).
-    /// `segments == 1` builds a flat cluster — no bridge thread —
+    /// `segments == 1` builds a flat cluster — no bridge device —
     /// exactly as it always has.
     pub fn segmented(n: usize, segments: usize) -> Self {
         ClusterConfig {
@@ -171,220 +182,24 @@ impl ClusterConfig {
     }
 }
 
-/// One bridge device's thread slot: the inbox its thread waits on
-/// (closing it stops the thread) and its join handle (taken when the
-/// thread is stopped).
-struct DeviceSlot {
-    inbox: Inbox,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl DeviceSlot {
-    /// Stops the slot's thread, if it runs, and joins it.
-    fn stop(&mut self) {
-        self.inbox.close();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The fabric's bridge threads — one per device — and the one [`Fabric`]
-/// they drive. The fabric holds every device's filter, election state,
-/// liveness, lost links and counters; a thread holds nothing but its
-/// ports. Lock order is slot → fabric. A device thread takes the fabric
-/// lock once per frame: it counts the frame under the lock and
-/// transmits after releasing it. No device thread is joined while the
-/// fabric lock is held, since the thread may be waiting for it.
-struct BridgeThreads {
-    lans: Vec<Lan>,
-    /// Wall-clock epoch of the cluster: the fabric runs on the wall time
-    /// since, as `SimTime` (1 wall-ns ≙ 1 sim-ns).
-    start: Instant,
-    devices: Vec<Mutex<DeviceSlot>>,
-    fabric: Arc<Mutex<Fabric>>,
-}
-
-/// The wall time since `start` as the fabric's `SimTime`.
-fn sim_time(start: Instant) -> SimTime {
-    SimTime::ZERO + SimDuration::from_nanos(start.elapsed().as_nanos() as u64)
-}
-
-impl BridgeThreads {
-    fn start(lans: &[Lan], layout: SegmentLayout, fabric: &FabricConfig) -> BridgeThreads {
-        let mut this = BridgeThreads {
-            lans: lans.to_vec(),
-            start: Instant::now(),
-            devices: Vec::new(),
-            fabric: Arc::new(Mutex::new(Fabric::new(layout, fabric.clone()))),
-        };
-        this.devices = (0..fabric.topology.bridges())
-            .map(|device| Mutex::new(this.spawn_device(device)))
-            .collect();
-        this
-    }
-
-    /// Spawns device `device`'s thread, attached to each of its port
-    /// segments, all heard on one inbox, each frame tagged with the
-    /// segment it arrived on. Forwarding to segment `s` transmits *from*
-    /// this device's port on `s`, so the device never hears its own
-    /// forwards, while the other devices on `s` (distinct host ids) do
-    /// — and carry the frame onward.
-    fn spawn_device(&self, device: usize) -> DeviceSlot {
-        let (segs, hello_every) = {
-            let f = lock(&self.fabric);
-            (
-                f.topology().ports(device).to_vec(),
-                f.election().hello_interval(),
-            )
-        };
-        let inbox = Inbox::new();
-        let host = HostId(BRIDGE_HOST_BASE + device as u16);
-        let ports: Vec<Port> = segs
-            .iter()
-            .map(|&seg| self.lans[seg].attach(host, &inbox, seg))
-            .collect();
-        let hello_every = hello_every.map(|d| Duration::from_nanos(d.as_nanos()));
-        let start = self.start;
-        let fabric = Arc::clone(&self.fabric);
-        let thread_inbox = inbox.clone();
-        let handle = thread::Builder::new()
-            .name(format!("mether-bridge-{device}"))
-            .spawn(move || {
-                let inbox = thread_inbox;
-                let port_on = |seg: usize| {
-                    (ports.iter().find(|p| p.port() == seg))
-                        .expect("the fabric names only the device's own ports")
-                };
-                let transmit = |hellos: Vec<ControlOut>| {
-                    for hello in hellos {
-                        let _ = port_on(hello.seg).broadcast(&hello.pkt);
-                    }
-                };
-                // The ports a frame leaves through: one buffer for the
-                // thread's life, so forwarding a frame allocates nothing.
-                let mut targets: Vec<usize> = Vec::new();
-                // Each fabric step reads the clock under the fabric lock
-                // (the receiver is evaluated before the arguments), so
-                // the fabric sees time run forward.
-                let mut dispatch = |seg: usize, pkt: &Packet| {
-                    if pkt.is_control() {
-                        // The emitter is the frame's fabric endpoint id,
-                        // the one sender identity a LAN frame carries.
-                        let emitter = usize::from(pkt.from().0.wrapping_sub(BRIDGE_HOST_BASE));
-                        let hellos =
-                            lock(&fabric).hear_hello(device, pkt, seg, emitter, sim_time(start));
-                        transmit(hellos);
-                        return;
-                    }
-                    // Counted before transmitting: a receiver woken by
-                    // the forwarded frame may inspect `bridge_stats`
-                    // immediately, and must see this crossing.
-                    targets.clear();
-                    targets.extend_from_slice(lock(&fabric).forward(
-                        device,
-                        pkt,
-                        seg,
-                        sim_time(start),
-                    ));
-                    for &dst in &targets {
-                        let _ = port_on(dst).broadcast(pkt);
-                    }
-                };
-                // One blocking wait on all ports at once: an idle device
-                // sleeps in the kernel, a frame on any port wakes it, and
-                // closing the inbox ([`DeviceSlot::stop`]) ends the loop
-                // from whichever receive sees it first. Under live
-                // election the wait is capped at half the hello interval
-                // so the control plane keeps its cadence under silence.
-                let idle = hello_every
-                    .map(|h| (h / 2).clamp(Duration::from_micros(250), Duration::from_millis(5)));
-                let mut last_hello = Instant::now();
-                'run: loop {
-                    let heard = match idle {
-                        Some(idle) => inbox.recv_timeout(idle),
-                        None => inbox.recv(),
-                    };
-                    match heard {
-                        Ok((seg, pkt)) => {
-                            dispatch(seg, &pkt);
-                            // The burst behind it, capped per sweep:
-                            // under a frame storm (e.g. a transient
-                            // forwarding loop on a redundant fabric) the
-                            // inbox never goes quiet, and an unbounded
-                            // drain would keep this thread from ever
-                            // sending hellos again.
-                            for _ in 0..1024 {
-                                match inbox.try_recv() {
-                                    Ok(Some((seg, pkt))) => dispatch(seg, &pkt),
-                                    Ok(None) => break,
-                                    Err(_) => break 'run,
-                                }
-                            }
-                        }
-                        Err(mether_core::Error::Timeout) => {}
-                        Err(_) => break 'run,
-                    }
-                    if let Some(every) = hello_every {
-                        if last_hello.elapsed() >= every {
-                            last_hello = Instant::now();
-                            let hellos = lock(&fabric).tick(device, sim_time(start));
-                            transmit(hellos);
-                        }
-                    }
-                }
-            })
-            .expect("spawn bridge thread");
-        DeviceSlot {
-            inbox,
-            handle: Some(handle),
-        }
-    }
-
-    /// Applies `ev` to the fabric at the cluster's wall clock. Returns
-    /// whether it changed anything.
-    fn apply(&self, ev: FabricEvent) -> bool {
-        lock(&self.fabric).apply_event(ev, sim_time(self.start))
-    }
-
-    /// Kills device `d`: the fabric marks it dead, then its thread is
-    /// stopped and joined. Returns true if a live device was killed.
-    fn kill(&self, d: usize) -> bool {
-        let mut slot = lock(&self.devices[d]);
-        let killed = self.apply(FabricEvent::BridgeDown(d));
-        if killed {
-            slot.stop();
-        }
-        killed
-    }
-
-    /// Revives device `d` cold in the fabric and spawns its thread
-    /// afresh. Returns true if a dead device was revived.
-    fn revive(&self, d: usize) -> bool {
-        let mut slot = lock(&self.devices[d]);
-        let revived = self.apply(FabricEvent::BridgeUp(d));
-        if revived {
-            *slot = self.spawn_device(d);
-        }
-        revived
-    }
-
-    /// Stops every device thread: all are told first, then joined, so
-    /// they wind down side by side. The fabric is left as it is.
-    fn stop(&self) {
-        for slot in &self.devices {
-            lock(slot).inbox.close();
-        }
-        for slot in &self.devices {
-            lock(slot).stop();
-        }
-    }
-}
-
-impl Drop for BridgeThreads {
-    fn drop(&mut self) {
-        self.stop();
-    }
+/// Starts the fabric's one hello timer: every `every`, one tick of
+/// every device ([`Bridges::tick`]), until the returned sender drops.
+fn start_hello_timer(
+    bridges: &Arc<Bridges>,
+    every: SimDuration,
+) -> (mpsc::Sender<()>, JoinHandle<()>) {
+    let (stop, stopped) = mpsc::channel::<()>();
+    let bridges = Arc::clone(bridges);
+    let every = Duration::from_nanos(every.as_nanos());
+    let timer = thread::Builder::new()
+        .name("mether-hello-timer".into())
+        .spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(every) {
+                bridges.tick();
+            }
+        })
+        .expect("spawn the hello timer");
+    (stop, timer)
 }
 
 impl Cluster {
@@ -398,7 +213,7 @@ impl Cluster {
     /// masks, so 1024-node fabrics lay out fine.
     ///
     /// A 1-segment fabric is normalised to the flat wiring: one LAN, no
-    /// bridge thread (a single-port device could only ever filter) — so
+    /// bridge device (a single-port device could only ever filter) — so
     /// `segmented(n, 1)` keeps meaning what it always has.
     pub fn new(cfg: ClusterConfig) -> mether_core::Result<Cluster> {
         if cfg.nodes == 0 {
@@ -418,25 +233,25 @@ impl Cluster {
                 lans: vec![lan],
                 nodes,
                 layout: None,
-                bridge: None,
+                bridges: None,
+                hello_timer: None,
             });
         };
         let segments = fabric.topology.segments();
         let layout = SegmentLayout::new(cfg.nodes, segments)?;
-        let lans: Vec<Lan> = (0..segments)
-            .map(|s| {
-                let mut lan_cfg = cfg.lan.clone();
-                lan_cfg.seed = lan_cfg.seed.wrapping_add(s as u64);
-                Lan::new(lan_cfg)
-            })
-            .collect();
-        let bridge = Arc::new(BridgeThreads::start(&lans, layout, &fabric));
+        let lan_cfgs = (0..segments).map(|s| {
+            let mut lan_cfg = cfg.lan.clone();
+            lan_cfg.seed = lan_cfg.seed.wrapping_add(s as u64);
+            lan_cfg
+        });
+        let hello_every = fabric.election.hello_interval();
+        let (bridges, lans) = Bridges::new(lan_cfgs, layout, fabric);
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 let host = HostId(i as u16);
                 let seg = layout.segment_of(i);
-                let threads = Arc::clone(&bridge);
-                let announce = Box::new(move |page| lock(&threads.fabric).seed_holder(page, seg));
+                let fabric = Arc::clone(&bridges);
+                let announce = Box::new(move |page| fabric.fabric().seed_holder(page, seg));
                 Node::start(
                     host,
                     lans[seg].endpoint(host),
@@ -446,10 +261,11 @@ impl Cluster {
             })
             .collect();
         Ok(Cluster {
+            hello_timer: hello_every.map(|every| start_hello_timer(&bridges, every)),
             lans,
             nodes,
             layout: Some(layout),
-            bridge: Some(bridge),
+            bridges: Some(bridges),
         })
     }
 
@@ -479,12 +295,12 @@ impl Cluster {
 
     /// Number of bridge devices in the fabric (0 for a flat cluster).
     pub fn bridge_count(&self) -> usize {
-        self.bridge.as_ref().map_or(0, |b| b.devices.len())
+        (self.bridges.as_ref()).map_or(0, |b| b.fabric().device_count())
     }
 
     /// Kills bridge device `device` — the fabric-failure injection
-    /// path. The fabric marks the device dead, and its thread is
-    /// signalled **and joined** (not leaked to a join-on-drop); under
+    /// path. The fabric marks the device dead, so it hears and emits
+    /// nothing from the next frame on; under
     /// live election its neighbours hello-timeout the silence, gossip
     /// the obituary, and re-elect around the hole. Arms the
     /// reconvergence stall probe ([`Cluster::fabric_stall`]) against
@@ -496,7 +312,7 @@ impl Cluster {
     /// Panics if `device` is out of range on a bridged cluster; returns
     /// false on a flat cluster.
     pub fn stop_bridge(&self, device: usize) -> bool {
-        self.bridge.as_ref().is_some_and(|b| b.kill(device))
+        self.apply_fabric_event(FabricEvent::BridgeDown(device))
     }
 
     /// Revives a stopped bridge device cold: fresh filter tables (pins
@@ -512,7 +328,7 @@ impl Cluster {
     /// Panics if `device` is out of range on a bridged cluster; returns
     /// false on a flat cluster.
     pub fn restart_bridge(&self, device: usize) -> bool {
-        self.bridge.as_ref().is_some_and(|b| b.revive(device))
+        self.apply_fabric_event(FabricEvent::BridgeUp(device))
     }
 
     /// Fails the (device, segment) attachment: the device stops hearing
@@ -542,19 +358,14 @@ impl Cluster {
     }
 
     /// Applies one [`FabricEvent`] to the live cluster — the fabric's
-    /// [`Fabric::apply_event`] at the cluster's wall clock, and the unit
-    /// [`crate::FaultPlan`] scripts are made of. Returns whether the
+    /// [`apply_event`](mether_net::Fabric::apply_event) at the cluster's
+    /// wall clock, and the unit [`crate::FaultPlan`] scripts are made of. Returns whether the
     /// event changed anything (a `BridgeDown` of an already-dead
     /// device, say, is a no-op). Always false on a flat cluster.
     pub fn apply_fabric_event(&self, ev: FabricEvent) -> bool {
-        let Some(b) = self.bridge.as_ref() else {
-            return false;
-        };
-        match ev {
-            FabricEvent::BridgeDown(d) => b.kill(d),
-            FabricEvent::BridgeUp(d) => b.revive(d),
-            FabricEvent::LinkDown { .. } | FabricEvent::LinkUp { .. } => b.apply(ev),
-        }
+        // The receiver is evaluated first: the clock is read under the
+        // fabric lock.
+        (self.bridges.as_ref()).is_some_and(|b| b.fabric().apply_event(ev, b.now()))
     }
 
     /// Retargets segment `seg`'s Bernoulli frame-loss rate, effective
@@ -577,18 +388,15 @@ impl Cluster {
     ///
     /// Panics on a flat cluster or an out-of-range device.
     pub fn bridge_stats(&self, device: usize) -> BridgeStats {
-        let b = self
-            .bridge
-            .as_ref()
-            .expect("bridge_stats needs a segmented cluster");
-        lock(&b.fabric).device(device).stats()
+        let b = (self.bridges.as_ref()).expect("bridge_stats needs a segmented cluster");
+        b.fabric().device(device).stats()
     }
 
     /// Active-tree changes summed across every bridge device since
     /// cluster start (0 under static election, an undisturbed fabric,
     /// or a flat cluster).
     pub fn fabric_reconvergences(&self) -> u64 {
-        (self.bridge.as_ref()).map_or(0, |b| lock(&b.fabric).reconvergences())
+        (self.bridges.as_ref()).map_or(0, |b| b.fabric().reconvergences())
     }
 
     /// The measured reconvergence stall: wall time from the most recent
@@ -596,10 +404,10 @@ impl Cluster {
     /// by a device whose election epoch advanced past its pre-kill
     /// snapshot — the window during which cross-fabric pages were
     /// unreachable. `None` when nothing was killed (or nothing crossed
-    /// afterwards); the fabric's own probe ([`Fabric::stall`]).
+    /// afterwards); the fabric's own probe
+    /// ([`Fabric::stall`](mether_net::Fabric::stall)).
     pub fn fabric_stall(&self) -> Option<Duration> {
-        let b = self.bridge.as_ref()?;
-        let stall = lock(&b.fabric).stall()?;
+        let stall = self.bridges.as_ref()?.fabric().stall()?;
         Some(Duration::from_nanos(stall.as_nanos()))
     }
 
@@ -607,8 +415,8 @@ impl Cluster {
     /// wall-clock offset from cluster start (empty on a flat or
     /// undisturbed cluster).
     pub fn fabric_timeline(&self) -> Vec<(Duration, FabricEvent)> {
-        self.bridge.as_ref().map_or(Vec::new(), |b| {
-            (lock(&b.fabric).timeline().iter())
+        self.bridges.as_ref().map_or(Vec::new(), |b| {
+            (b.fabric().timeline().iter())
                 .map(|&(at, ev)| (Duration::from_nanos(at.as_nanos()), ev))
                 .collect()
         })
@@ -648,29 +456,28 @@ impl Cluster {
     }
 
     /// Statically subscribes segment `seg` to `page`'s transits at every
-    /// bridge device (see [`Fabric::subscribe`]); needed for segments
-    /// whose only consumers of the page are data-driven readers.
+    /// bridge device (see
+    /// [`Fabric::subscribe`](mether_net::Fabric::subscribe)); needed for
+    /// segments whose only consumers of the page are data-driven readers.
     ///
     /// # Panics
     ///
     /// Panics on a flat cluster or an out-of-range segment.
     pub fn subscribe_segment(&self, page: PageId, seg: usize) {
-        let bridge = self
-            .bridge
-            .as_ref()
-            .expect("subscribe_segment needs a segmented cluster");
-        lock(&bridge.fabric).subscribe(page, seg);
+        let b = (self.bridges.as_ref()).expect("subscribe_segment needs a segmented cluster");
+        b.fabric().subscribe(page, seg);
     }
 
-    /// Stops the bridge threads and every node's receiver thread: all of
-    /// them are signalled first and joined afterwards, so they wind down
-    /// side by side. Called automatically on drop.
+    /// Stops the hello timer, if it runs, and every node's receiver
+    /// thread: all of them are signalled first and joined afterwards, so
+    /// they wind down side by side. Called automatically on drop.
     pub fn shutdown(&mut self) {
         for n in &self.nodes {
             n.signal_shutdown();
         }
-        if let Some(b) = self.bridge.as_ref() {
-            b.stop();
+        if let Some((stop, timer)) = self.hello_timer.take() {
+            drop(stop);
+            let _ = timer.join();
         }
         for n in &mut self.nodes {
             n.shutdown();
@@ -699,7 +506,9 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mether_core::{MapMode, PageLength, VAddr, View};
+    use mether_core::{MapMode, Packet, PageLength, VAddr, View};
+    use mether_net::BRIDGE_HOST_BASE;
+    use std::time::Instant;
 
     #[test]
     fn flat_cluster_has_one_segment() {
@@ -764,9 +573,9 @@ mod tests {
 
     #[test]
     fn a_crossing_waits_on_no_timeout() {
-        // The device blocks on all its ports at once, so a cross-segment
-        // round trip costs thread hand-offs, not a wait for the device to
-        // come round to the right port (which made it milliseconds).
+        // The transmitting thread carries each crossing, so a
+        // cross-segment round trip waits on no device to come round to
+        // the right port.
         let mut c = Cluster::new(ClusterConfig::segmented(2, 2)).unwrap();
         let page = PageId::new(0);
         c.node(0).create_owned(page);
@@ -797,8 +606,9 @@ mod tests {
 
     #[test]
     fn shutdown_does_not_wait_out_a_poll() {
-        // 16 receiver threads and a bridge device: each is woken by the
-        // close of its inbox, none sleeps out a receive timeout first.
+        // 16 receiver threads over a bridged fabric: each is woken by
+        // the close of its inbox, none sleeps out a receive timeout
+        // first, and the fabric has no thread to stop.
         let mut c = Cluster::new(ClusterConfig::segmented(16, 4)).unwrap();
         let t = Instant::now();
         c.shutdown();
@@ -849,12 +659,8 @@ mod tests {
             8,
             "local broadcasts on segment 0"
         );
-        // Wait for the device to have looked at all eight, so a misrouted
-        // forward would have appeared by now.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while c.bridge_stats(0).heard < 8 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(1));
-        }
+        // Each purge returned after the device had looked at it, so a
+        // misrouted forward would have appeared by now.
         assert_eq!(c.bridge_stats(0).filtered, 8, "the device filtered each");
         assert_eq!(
             c.segment_stats(1).packets,
@@ -878,12 +684,9 @@ mod tests {
         // Nobody on segment 1 ever transmitted a thing, yet the purge
         // broadcast crosses the bridge purely because of the static
         // subscription — the hook purely-data-driven readers rely on.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while c.segment_stats(1).data_packets == 0 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert!(
-            c.segment_stats(1).data_packets >= 1,
+        assert_eq!(
+            c.segment_stats(1).data_packets,
+            1,
             "subscribed segment hears the data transit"
         );
         c.shutdown();
@@ -892,16 +695,15 @@ mod tests {
     #[test]
     fn stop_bridge_partitions_and_restart_heals_static_fabrics() {
         // Static election on the 2-segment star: killing the one bridge
-        // thread partitions the cluster (no election to save it); a
-        // restart resumes forwarding. stop_bridge joins the thread —
-        // failure injection must not leak it to join-on-drop.
+        // device partitions the cluster (no election to save it); a
+        // restart resumes forwarding.
         let mut c = Cluster::new(ClusterConfig::segmented(4, 2)).unwrap();
         let page = PageId::new(0);
         c.node(0).create_owned(page);
         let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
         c.node(0).write_u32(addr, 5).unwrap();
         assert_eq!(c.node(2).read_u32(addr, MapMode::ReadOnly).unwrap(), 5);
-        assert!(c.stop_bridge(0), "running device stopped and joined");
+        assert!(c.stop_bridge(0), "running device stopped");
         assert!(!c.stop_bridge(0), "second stop is a no-op");
         // The fabric is down: a cross-segment fetch times out (the
         // reader purges first so the read must fault).
@@ -1042,8 +844,8 @@ mod tests {
         // device 0 ignores it as its own, and neither ingests its
         // obituary of device 3.
         let mut c = Cluster::new(ClusterConfig::fabric(8, FabricConfig::ring(4))).unwrap();
-        let b = Arc::clone(c.bridge.as_ref().unwrap());
-        let views = |d: usize| lock(&b.fabric).device(d).policy().views().to_vec();
+        let b = Arc::clone(c.bridges.as_ref().unwrap());
+        let views = |d: usize| b.fabric().device(d).policy().views().to_vec();
         let boot: Vec<_> = (0..4).map(views).collect();
         let wire = c.lans[1].endpoint(HostId(0xFFF0));
         let hello = |device| Packet::BridgePdu {
@@ -1059,26 +861,15 @@ mod tests {
             )],
         };
         wire.broadcast(&hello(1)).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while c.bridge_stats(1).malformed_pdus == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "the lying hello was never counted"
-            );
-            thread::sleep(Duration::from_millis(1));
-        }
+        assert_eq!(c.bridge_stats(1).malformed_pdus, 1);
         for (d, boot) in boot.iter().enumerate() {
             assert_eq!(&views(d), boot, "device {d}'s views moved");
         }
         // The same news told truthfully is ingested.
         wire.broadcast(&hello(0)).unwrap();
-        while views(1)[3].version < 99 {
-            assert!(
-                Instant::now() < deadline,
-                "the honest hello was never heard"
-            );
-            thread::sleep(Duration::from_millis(1));
-        }
+        // (Its gossip may already have reached device 3, whose answer
+        // to its own obituary is a newer self-assertion.)
+        assert!(views(1)[3].version >= 99, "the honest hello was not heard");
         assert_eq!(c.bridge_stats(1).malformed_pdus, 1);
         assert_eq!(c.bridge_stats(0).malformed_pdus, 0);
         c.shutdown();
@@ -1098,16 +889,46 @@ mod tests {
         c.node(0)
             .purge(page, MapMode::Writeable, PageLength::Short)
             .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while c.segment_stats(3).data_packets == 0 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert!(
-            c.segment_stats(3).data_packets >= 1,
+        assert_eq!(
+            c.segment_stats(3).data_packets,
+            1,
             "leaf segment hears the transit through two devices"
         );
         // Segment 2 never asked and is off the path to 3: silent.
         assert_eq!(c.segment_stats(2).packets, 0, "segment 2 stays silent");
         c.shutdown();
+    }
+
+    #[test]
+    fn a_broadcast_returns_with_every_crossing_delivered() {
+        // Chain 0-1-2 with segment 2 subscribed to page 0 (homed on
+        // segment 0): a purge broadcast on segment 0 crosses two devices,
+        // and both crossings are done by the time the broadcast returns.
+        let c = Cluster::new(ClusterConfig::fabric(6, FabricConfig::chain(3))).unwrap();
+        let page = PageId::new(0);
+        c.subscribe_segment(page, 2);
+        let raw = c.lans[0].endpoint(HostId(0xFFF0));
+        let purge = Packet::PageData {
+            from: HostId(0xFFF0),
+            page,
+            length: PageLength::Short,
+            generation: mether_core::Generation(1),
+            transfer_to: None,
+            data: vec![7u8; 32].into(),
+        };
+        raw.broadcast(&purge).unwrap();
+        assert_eq!(c.segment_stats(2).data_packets, 1, "not carried to 2");
+        assert_eq!(c.bridge_stats(1).forwarded, 1);
+    }
+
+    #[test]
+    fn pumping_threads_answer_bridged_requests_in_arrival_order() {
+        // The bridged twin of the node's ordering test: a raw endpoint on
+        // segment 1 asks node 0, on segment 0, for 64 pages a round; the
+        // requests cross the device one way and the replies the other,
+        // and they still come back in request order.
+        let c = Cluster::new(ClusterConfig::segmented(2, 2)).unwrap();
+        let asker = c.lans[1].endpoint(HostId(2));
+        crate::node::tests::answers_in_arrival_order(c.node(0), &asker);
     }
 }

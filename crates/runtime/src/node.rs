@@ -465,13 +465,13 @@ impl std::fmt::Debug for Node {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::Node;
     use crate::{Cluster, ClusterConfig};
     use mether_core::{
         Error, HostId, MapMode, MetherConfig, Packet, PageId, PageLength, VAddr, View, Want,
     };
-    use mether_net::rt::{lock, Lan, LanConfig};
+    use mether_net::rt::{lock, Endpoint, Lan, LanConfig};
     use std::sync::mpsc;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -504,7 +504,6 @@ mod tests {
     /// receive lock covers a burst from its drain to its replies.
     #[test]
     fn pumping_threads_answer_requests_in_arrival_order() {
-        const PAGES: u32 = 64;
         let lan = Lan::new(LanConfig::fast());
         let node = Node::start(
             HostId(1),
@@ -512,7 +511,14 @@ mod tests {
             MetherConfig::new(),
             None,
         );
-        let asker = lan.endpoint(HostId(0));
+        answers_in_arrival_order(&node, &lan.endpoint(HostId(0)));
+    }
+
+    /// `asker` asks `node` for 64 pages a round, 50 rounds, while two
+    /// of the node's threads block on a page nobody publishes and pump
+    /// whatever arrives; the replies must come back in request order.
+    pub(crate) fn answers_in_arrival_order(node: &Node, asker: &Endpoint) {
+        const PAGES: u32 = 64;
         for p in 0..PAGES {
             node.create_owned(PageId::new(p));
         }
@@ -537,7 +543,7 @@ mod tests {
             for round in 0..50 {
                 for p in 0..PAGES {
                     let ask = Packet::PageRequest {
-                        from: HostId(0),
+                        from: asker.host(),
                         page: PageId::new(p),
                         length: PageLength::Short,
                         want: Want::ReadOnly,

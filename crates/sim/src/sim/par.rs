@@ -158,7 +158,7 @@ use super::{Env, Ev, EvKind, EventKind, Queue, Recipients, RunLimits, RunOutcome
 use crate::host::{HostAction, HostSim, OPEN_WAITER_BASE};
 use mether_core::table::WaiterId;
 use mether_core::{HostMask, Packet};
-use mether_net::{ControlOut, EtherSim, Fabric, FabricEvent, Forward, SimDuration, SimTime};
+use mether_net::{Emission, EtherSim, Fabric, FabricEvent, Forward, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -692,7 +692,7 @@ impl Ctrl {
     /// receive control frames (their NICs filter the bridge multicast
     /// address), but the frame occupies the wire like any other and is
     /// subject to the segment's loss process.
-    fn transmit_control(&mut self, now: SimTime, out: ControlOut, lanes: &mut [Lane], env: &Env) {
+    fn transmit_control(&mut self, now: SimTime, out: Emission, lanes: &mut [Lane], env: &Env) {
         let pkt = Arc::new(out.pkt);
         let tx = lane_of(lanes, out.seg).ether(out.seg).transmit(now, &pkt);
         if let Some(at) = tx.delivered_at {

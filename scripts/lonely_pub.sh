@@ -17,6 +17,7 @@ Transmission
 from_secs_f64
 read_addr
 Foreground
+Inbox
 '
 # from_raw:      VAddr::from_raw decodes the address word VAddr::raw encodes.
 # TableStats:    the type PageTable::stats returns.
@@ -24,6 +25,7 @@ Foreground
 # from_secs_f64: SimDuration's float constructor, beside as_secs_f64.
 # read_addr:     DsmOp's constructor from an encoded address.
 # Foreground:    the guard Inbox::fg_enter returns.
+# Inbox:         the type Endpoint::inbox returns.
 
 lonely=$(
     grep -rnoE '^\s*pub (fn|struct|enum|trait|const|type|static) [A-Za-z_][A-Za-z0-9_]*' \

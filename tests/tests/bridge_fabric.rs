@@ -633,9 +633,9 @@ fn runtime_read_reply_skips_a_segment_with_no_pending_request() {
     let seen_by_2 = c.segment_stats(2).data_packets;
     assert_eq!(seen_by_2, 1, "segment 2's own reply");
     assert_eq!(read(1, 0), Ok(23));
-    // The device's one thread routes frames in arrival order, so once a
-    // later round trip through it is back, it has emitted every copy of
-    // the first reply it was going to.
+    // The reply's broadcast returned with every copy of it carried; a
+    // second round trip adds one more reply on segment 1, and on
+    // segment 2 none.
     assert_eq!(read(1, 3), Ok(23));
     assert_eq!(c.segment_stats(1).data_packets, 2, "segment 1's replies");
     assert_eq!(

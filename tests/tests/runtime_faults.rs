@@ -1,5 +1,7 @@
 //! Runtime fault-injection parity: the simulator's scripted
-//! [`FabricEvent`] vocabulary driven against live bridge threads.
+//! [`FabricEvent`] vocabulary driven against a live threaded cluster,
+//! whose bridge devices are the simulator's own `Fabric`, carried by
+//! the threads that transmit.
 //!
 //! Each test exercises one leg of the runtime fault plane
 //! (`mether_runtime::Cluster`):
@@ -8,10 +10,9 @@
 //!   one `Fabric`: the device drops the lost port from its gossiped view
 //!   and re-elects over its surviving ports, and the fabric hears
 //!   nothing that reaches the device on the lost port. The lost port is
-//!   fabric state rather than thread state, so it survives a
-//!   `restart_bridge` of the device, exactly as in the simulator: the
-//!   fabric rebuilds the revived device with the port already out of
-//!   its election.
+//!   fabric state, so it survives a `restart_bridge` of the device,
+//!   exactly as in the simulator: the fabric rebuilds the revived
+//!   device with the port already out of its election.
 //! * Killing the elected root of a redundant ring leaves a measurable,
 //!   **finite** reconvergence stall ([`Cluster::fabric_stall`]): the
 //!   wall-clock window from the kill to the first data frame forwarded
@@ -82,8 +83,8 @@ fn link_down_survives_bridge_restart() {
     // dead attachment before its first hello.
     assert!(c.stop_bridge(0));
     assert!(c.restart_bridge(0));
-    // Give the revived thread time to (wrongly) start forwarding.
-    std::thread::sleep(Duration::from_millis(150));
+    // The revived device forwards from the next frame on: the first
+    // fetch would cross if it (wrongly) had the link back.
     assert!(
         is_partitioned(&c, 2, page, addr),
         "LinkDown must survive restart_bridge"

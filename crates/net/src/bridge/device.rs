@@ -28,17 +28,17 @@
 //!   keeps the tree it has. Under [`ElectionMode::Static`](super::ElectionMode::Static) nothing
 //!   ever diverges: a 480-device mesh carries one tree and one view
 //!   table, not 480.
-//! * **Per device, always private** — the page filters (learned
-//!   interest, pins, holder beliefs) and the slab of demand stamps
-//!   beside them, one row of ports per filter, neighbour liveness
-//!   stamps and hold-downs, the election epoch, gossip watermarks,
-//!   counters, and the engine's backlog and fault-injection RNG. A
-//!   device keeps a filter only for the pages it has heard of: a
-//!   page → slot index (4 bytes per page id) leads to compact filters
-//!   and stamp rows, and a page without a slot answers every query as
-//!   a default filter would. On the 480-device mesh most devices hear
-//!   of a small share of the pages, so most would-be filters never
-//!   exist.
+//! * **Per device, always private** — the page filters (holder
+//!   beliefs) and the slab of demand stamps beside them, one row of
+//!   ports per filter, whose written stamps are the learned interest;
+//!   the pins, apart; neighbour liveness stamps and hold-downs, the
+//!   election epoch, gossip watermarks, counters, and the engine's
+//!   backlog and fault-injection RNG. A device keeps a filter only for
+//!   the pages it has heard of: a sorted `(page, slot)` index (8 bytes
+//!   per page heard) leads to compact filters and stamp rows, and a
+//!   page without a slot answers every query as a default filter
+//!   would. On the 480-device mesh most devices hear of a small share
+//!   of the pages, so most would-be filters never exist.
 
 use super::election::{BootState, Election, PduOutcome};
 use super::policy::{Filters, PortStamp};
@@ -223,10 +223,11 @@ impl BridgePolicy {
         self.filters.tracked_pages()
     }
 
-    /// The raw learned-interest port mask of `page` — unaged; the
-    /// effective, freshness-filtered view is
-    /// [`BridgePolicy::interested`].
-    pub fn learned(&self, page: PageId) -> &HostMask {
+    /// The raw learned-interest port mask of `page` — the ports whose
+    /// stamp is written, unaged; the effective, freshness-filtered view
+    /// is [`BridgePolicy::interested`]. Built from the stamp row on each
+    /// call, for the invariant observer and tests.
+    pub fn learned(&self, page: PageId) -> HostMask {
         self.filters.learned(page)
     }
 
@@ -272,15 +273,16 @@ impl BridgePolicy {
         (self.filters.take_dirty(), structural)
     }
 
-    /// Test-only fault injection: forcibly records learned interest for
-    /// `page` on `segment` — which need not be a port of this device,
-    /// deliberately violating the learned ⊆ physical-ports invariant
-    /// the observer checks. Goes through the ordinary mutation path, so
-    /// it registers in the dirty set like a real bug in the learning
-    /// code would.
+    /// Test-only fault injection: forcibly stamps demand for `page` on
+    /// this device's first port with a clock one transit ahead of the
+    /// device's aging clock — learned interest no forwarded frame can
+    /// have recorded, deliberately violating the stamp-clock bound the
+    /// observer checks. Goes through the ordinary mutation path, so it
+    /// registers in the dirty set like a real bug in the learning code
+    /// would.
     #[doc(hidden)]
-    pub fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
-        self.filters.corrupt_learned_for_test(page, segment);
+    pub fn corrupt_learned_for_test(&mut self, page: PageId) {
+        self.filters.corrupt_learned_for_test(page);
     }
 
     /// Whether a missing holder belief on this device still proves the

@@ -136,9 +136,10 @@ impl Fabric {
             dirty_liveness: false,
             out: Vec::new(),
         };
-        fabric.devices = (0..n)
-            .map(|device| fabric.build_device(device, 0, HostMask::EMPTY))
-            .collect();
+        for device in 0..n {
+            let bridge = fabric.build_device(device, 0, HostMask::EMPTY);
+            fabric.devices.push(bridge);
+        }
         fabric
     }
 

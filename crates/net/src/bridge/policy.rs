@@ -9,8 +9,11 @@
 //! * **learned interest** — a port is interested when a `PageRequest`
 //!   arrived on it, a page copy arrived on it (that side holds copies
 //!   the snoopy protocol must keep refreshed), or a `transfer_to` moved
-//!   the consistent copy toward it. Publications are forwarded to
-//!   interested ports only.
+//!   the consistent copy toward it. Each of these writes the port's
+//!   [`PortStamp`], and nothing else records interest: a port has
+//!   learned interest exactly when its stamp is written (not
+//!   [`PortStamp::NEVER`]). Publications are forwarded to interested
+//!   ports only.
 //! * **pending requests** — a `PageRequest` heard on a port marks it
 //!   pending for the page ([`PortStamp::requested_at`]) until a reply
 //!   is forwarded back out through it. Replies follow these marks
@@ -22,7 +25,9 @@
 //!   tree changes; absent while the home segment is partitioned away.
 //! * **pins** ([`BridgePolicy::subscribe`](super::BridgePolicy::subscribe)) — explicit subscriptions for
 //!   purely data-driven readers, stored as *segments* and resolved to
-//!   ports through the active tree, so they survive reconvergence.
+//!   ports through the active tree, so they survive reconvergence. Few
+//!   pages have any, so they are kept apart from the filters, in a
+//!   list of their own.
 //! * the **believed holder port** — learned from the direction page
 //!   copies arrive from (only when they *advance* the
 //!   page's generation, so a non-holder's stale `Want::Superset` reply
@@ -103,15 +108,16 @@
 //! # Per frame
 //!
 //! One pickup is one walk over the device's own port list, and what it
-//! costs does not depend on how many segments, devices or pages the
-//! fabric has. It *reads* the shared tree by reference (is this port
+//! costs does not depend on how many segments or devices the fabric
+//! has, and only logarithmically on how many pages the device heard
+//! of. It *reads* the shared tree by reference (is this port
 //! Forwarding; the next hop toward the page's home and toward a
 //! `transfer_to` target), the device's hold-downs, the page's filter
-//! and its row of the stamp slab, both found through one load from the
-//! slot index; it *writes* that one filter (a
-//! learned bit, the holder belief, the newest generation) and the
-//! stamps of the ports that showed demand — one row, one or two
-//! entries. Every forwarding rule is a test applied to one port at a
+//! and its row of the stamp slab, both found through one binary search
+//! of the page index; it *writes* that one filter (the holder belief,
+//! the newest generation) and the stamps of the ports that showed
+//! demand — one row, one or two entries. Every forwarding rule is a
+//! test applied to one port at a
 //! time, and the ports that pass are pushed, ascending, into a buffer
 //! the caller reuses ([`BridgePolicy::route_into`](super::BridgePolicy::route_into): each device's
 //! engine keeps one, and lends it out for an untimed forward), as are
@@ -133,18 +139,12 @@ use mether_core::{
 };
 use std::sync::Arc;
 
-/// Per-page filter state of one device: which ports must hear the
-/// page's transits and where the consistent holder is believed to be.
-/// When each port last showed demand lives beside it, in the device's
-/// stamp slab ([`Filters::stamps`]).
+/// Per-page filter state of one device: where the consistent holder
+/// is believed to be. Which ports learned interest in the page, and
+/// when each last showed demand, lives beside it in the device's stamp
+/// slab ([`Filters::stamps`]); its pins, if any, in [`Filters::pins`].
 #[derive(Debug, Clone, Default)]
 struct PageFilter {
-    /// Learned interest (bit = segment id of a port).
-    learned: HostMask,
-    /// Explicitly subscribed *segments* (bit = segment id anywhere in
-    /// the fabric, resolved to a port through the active tree at use
-    /// time so pins survive reconvergence). Never aged.
-    pinned_segs: HostMask,
     /// Port (segment id) toward the believed consistent holder.
     holder: Option<u16>,
     /// Newest generation seen in any data transit for the page. Holder
@@ -169,6 +169,8 @@ impl PageFilter {
 }
 
 /// The last demand evidence one port of a device showed for one page.
+/// A written stamp is the port's learned interest in the page; a port
+/// without it holds [`PortStamp::NEVER`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortStamp {
     /// The device's forwarded-transit clock at the last demand.
@@ -186,11 +188,21 @@ pub struct PortStamp {
 }
 
 impl PortStamp {
+    /// The stamp of a port that has shown no demand for the page since
+    /// the filter was made or the port flushed: no learned interest.
+    /// Its `at` is [`SimTime::MAX`], which no demand is heard at; every
+    /// other field may be anything a written stamp holds (a frame heard
+    /// at the epoch on a fresh device is stamped clock 0, time zero).
     pub(super) const NEVER: PortStamp = PortStamp {
         clock: 0,
-        at: SimTime::ZERO,
+        at: SimTime::MAX,
         requested_at: SimTime::ZERO,
     };
+
+    /// Is this stamp written — does its port have learned interest?
+    pub(crate) fn is_learned(&self) -> bool {
+        self.at != SimTime::MAX
+    }
 }
 
 /// One page's interest at one instant, as a per-port test (see
@@ -202,8 +214,8 @@ struct Interest<'a> {
     home: Option<usize>,
     /// The ports the page's pins resolve to; `None` without pins.
     pins: Option<HostMask>,
-    /// The page's learned ports and its stamp row, once materialised.
-    learned: Option<(&'a HostMask, &'a [PortStamp])>,
+    /// The page's stamp row, once materialised.
+    row: Option<&'a [PortStamp]>,
 }
 
 impl Interest<'_> {
@@ -212,9 +224,9 @@ impl Interest<'_> {
     fn covers(&self, i: usize, port: usize) -> bool {
         Some(port) == self.home
             || self.pinned(port)
-            || self.learned.is_some_and(|(learned, row)| {
-                learned.contains(port) && self.filters.fresh(&row[i], self.now)
-            })
+            || self
+                .row
+                .is_some_and(|row| row[i].is_learned() && self.filters.fresh(&row[i], self.now))
     }
 
     /// Does the device's `i`th port (segment `port`) want a reply: is a
@@ -222,8 +234,8 @@ impl Interest<'_> {
     fn asked(&self, i: usize, port: usize) -> bool {
         self.pinned(port)
             || self
-                .learned
-                .is_some_and(|(_, row)| row[i].requested_at != SimTime::ZERO)
+                .row
+                .is_some_and(|row| row[i].requested_at != SimTime::ZERO)
     }
 
     fn pinned(&self, port: usize) -> bool {
@@ -276,11 +288,10 @@ pub(crate) struct Filters {
     /// Belief-quality counters: only the `belief_*` and `home_routed`
     /// fields are kept here (merged into the device's [`BridgeStats`]).
     beliefs: BridgeStats,
-    /// Page id → slot of the page's filter in `pages`, or [`UNTRACKED`]
-    /// while the device has heard nothing of the page: 4 bytes per page
-    /// id up to the highest one heard, the only per-page cost an
-    /// untouched page has.
-    slots: Vec<u32>,
+    /// `(page, slot of its filter in pages)` for every page the device
+    /// has heard of, ascending by page: 8 bytes per page heard, none
+    /// for a page never heard of.
+    index: Vec<(PageId, u32)>,
     /// The filters of the pages this device has heard of, one per slot,
     /// in first-touch order.
     pages: Vec<PageFilter>,
@@ -288,6 +299,11 @@ pub(crate) struct Filters {
     /// `slots × ports` slab: slot `s`'s row is
     /// `stamps[s * nports..][..nports]`, parallel to the port list.
     stamps: Vec<PortStamp>,
+    /// `(page, pinned segments)` for every page with pins, ascending by
+    /// page. A pinned segment is any segment of the fabric, resolved to
+    /// a port through the active tree at use time so pins survive
+    /// reconvergence. Never aged; only [`Filters::subscribe`] adds one.
+    pins: Vec<(PageId, HostMask)>,
     /// Transits this device has forwarded — the aging clock.
     clock: u64,
     /// Pages whose filter state changed since the last
@@ -295,11 +311,7 @@ pub(crate) struct Filters {
     dirty_pages: Vec<PageId>,
 }
 
-/// The slot-index entry of a page a device has not heard of.
-const UNTRACKED: u32 = u32::MAX;
-
-/// The mask [`Filters::learned`] and [`Filters::pinned_segs`]
-/// lend for a page without a filter.
+/// The mask [`Filters::pinned_segs`] lends for a page without pins.
 static NO_PORTS: HostMask = HostMask::EMPTY;
 
 impl Filters {
@@ -320,9 +332,10 @@ impl Filters {
             homes,
             aging,
             beliefs: BridgeStats::default(),
-            slots: Vec::new(),
+            index: Vec::new(),
             pages: Vec::new(),
             stamps: Vec::new(),
+            pins: Vec::new(),
             clock: 0,
             dirty_pages: Vec::new(),
         }
@@ -399,12 +412,9 @@ impl Filters {
     /// a default filter and a row of never-stamped ports.
     #[cold]
     fn materialise(&mut self, page: PageId) -> usize {
-        let idx = page.index() as usize;
-        if self.slots.len() <= idx {
-            self.slots.resize(idx + 1, UNTRACKED);
-        }
+        let at = self.index.partition_point(|&(p, _)| p < page);
         let slot = self.pages.len();
-        self.slots[idx] = slot as u32;
+        self.index.insert(at, (page, slot as u32));
         self.pages.push(PageFilter::default());
         let nports = self.ports().len();
         self.stamps.resize((slot + 1) * nports, PortStamp::NEVER);
@@ -413,8 +423,8 @@ impl Filters {
 
     /// The slot of `page`'s filter, if the device has heard of the page.
     fn slot(&self, page: PageId) -> Option<usize> {
-        let slot = *self.slots.get(page.index() as usize)?;
-        (slot != UNTRACKED).then_some(slot as usize)
+        let at = self.index.binary_search_by_key(&page, |&(p, _)| p).ok()?;
+        Some(self.index[at].1 as usize)
     }
 
     /// `page`'s filter, if the device has heard of the page.
@@ -457,7 +467,6 @@ impl Filters {
         now: SimTime,
         tree: Tree,
     ) -> Interest<'_> {
-        let filter = slot.map(|slot| (&self.pages[slot], self.row(slot)));
         Interest {
             filters: self,
             now,
@@ -465,14 +474,12 @@ impl Filters {
             // Pins name segments anywhere in the fabric; resolve them to
             // own ports through the active tree — only when there are
             // any, which on the data path there almost never are.
-            pins: filter
-                .filter(|(f, _)| !f.pinned_segs.is_empty())
-                .map(|(f, _)| {
-                    (f.pinned_segs.iter())
-                        .filter_map(|seg| tree.active.next_hop(self.device, seg))
-                        .collect()
-                }),
-            learned: filter.map(|(f, row)| (&f.learned, row)),
+            pins: self.pins_of(page).map(|segs| {
+                segs.iter()
+                    .filter_map(|seg| tree.active.next_hop(self.device, seg))
+                    .collect()
+            }),
+            row: slot.map(|slot| self.row(slot)),
         }
     }
 
@@ -513,19 +520,33 @@ impl Filters {
 
     /// The ids of the pages with a materialised filter, ascending.
     pub(crate) fn tracked_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        (self.slots.iter().enumerate())
-            .filter(|&(_, &slot)| slot != UNTRACKED)
-            .map(|(i, _)| PageId::new(i as u32))
+        self.index.iter().map(|&(page, _)| page)
     }
 
-    /// `page`'s raw, unaged learned-interest ports.
-    pub(crate) fn learned(&self, page: PageId) -> &HostMask {
-        self.filter(page).map_or(&NO_PORTS, |f| &f.learned)
+    /// `page`'s raw, unaged learned-interest ports: those with a written
+    /// stamp.
+    pub(crate) fn learned(&self, page: PageId) -> HostMask {
+        let Some(row) = self.stamps(page) else {
+            return HostMask::EMPTY;
+        };
+        (self.ports().iter().zip(row))
+            .filter(|(_, stamp)| stamp.is_learned())
+            .map(|(&port, _)| port)
+            .collect()
+    }
+
+    /// The segments pinned to `page`, if it has any.
+    fn pins_of(&self, page: PageId) -> Option<&HostMask> {
+        if self.pins.is_empty() {
+            return None;
+        }
+        let at = self.pins.binary_search_by_key(&page, |&(p, _)| p).ok()?;
+        Some(&self.pins[at].1)
     }
 
     /// The segments pinned to `page`.
     pub(crate) fn pinned_segs(&self, page: PageId) -> &HostMask {
-        self.filter(page).map_or(&NO_PORTS, |f| &f.pinned_segs)
+        self.pins_of(page).unwrap_or(&NO_PORTS)
     }
 
     /// `page`'s row of the stamp slab, if it has a filter.
@@ -538,11 +559,19 @@ impl Filters {
         self.filter(page).and_then(|f| f.newest_gen)
     }
 
-    /// Test-only fault injection: records learned interest for `page`
-    /// on `segment`, through the ordinary mutation path.
+    /// Test-only fault injection: stamps demand for `page` on the
+    /// device's first port one transit ahead of the aging clock — a
+    /// stamp no forwarded frame can have written — through the ordinary
+    /// mutation path.
     #[doc(hidden)]
-    pub(crate) fn corrupt_learned_for_test(&mut self, page: PageId, segment: usize) {
-        self.filter_mut(page).learned.insert(segment);
+    pub(crate) fn corrupt_learned_for_test(&mut self, page: PageId) {
+        let clock = self.clock + 1;
+        let slot = self.slot_mut(page);
+        self.row_mut(slot).1[0] = PortStamp {
+            clock,
+            at: SimTime::ZERO,
+            requested_at: SimTime::ZERO,
+        };
     }
 
     /// Test-only fault injection: points (or, with `None`, erases)
@@ -560,7 +589,12 @@ impl Filters {
             "segment {seg} >= {}",
             self.layout.segments()
         );
-        self.filter_mut(page).pinned_segs.insert(seg);
+        // A pin is filter state too: the page is tracked and dirty.
+        self.slot_mut(page);
+        match self.pins.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(at) => self.pins[at].1.insert(seg),
+            Err(at) => self.pins.insert(at, (page, HostMask::single(seg))),
+        }
     }
 
     /// `page` was just created on segment `seg`: points the holder belief
@@ -608,9 +642,7 @@ impl Filters {
                 // the reply must route back out this port (the pending
                 // marker, which no aging horizon expires), and later
                 // publications too (learned interest).
-                let (f, row) = self.row_mut(slot);
-                f.learned.insert(in_port);
-                row[in_idx] = PortStamp {
+                self.row_mut(slot).1[in_idx] = PortStamp {
                     clock,
                     at: now,
                     requested_at: now,
@@ -630,13 +662,10 @@ impl Filters {
                     .transfer_port(transfer_to, tree)
                     .map(|port| (self.port_index(port), port));
                 let (f, row) = self.row_mut(slot);
-                let mut demand = |f: &mut PageFilter, i: usize, port: usize| {
-                    f.learned.insert(port);
-                    (row[i].clock, row[i].at) = (clock, now);
-                };
+                let mut demand = |i: usize| (row[i].clock, row[i].at) = (clock, now);
                 // The sending side holds copies (at least the sender's
                 // own); keep it refreshed once consistency moves on.
-                demand(f, in_idx, in_port);
+                demand(in_idx);
                 let mut repairs = 0;
                 // The data also came *from* the holder's direction —
                 // the belief request routing follows — but only when it
@@ -653,7 +682,7 @@ impl Filters {
                 // follows the move unconditionally — `transfer_to`
                 // names the new holder explicitly.
                 if let Some((i, port)) = transfer {
-                    demand(f, i, port);
+                    demand(i);
                     repairs += u64::from(f.point_holder(port));
                 }
                 self.beliefs.belief_repairs += repairs;
@@ -859,8 +888,8 @@ impl Filters {
         m
     }
 
-    /// Forgets everything learned through `port`: its learned-interest
-    /// bits, demand stamps, and any holder belief pointing out of it.
+    /// Forgets everything learned through `port`: its demand stamps
+    /// (its learned interest) and any holder belief pointing out of it.
     /// Called when the port's role changed — on the new tree those
     /// directions are meaningless, and a stale belief would bounce
     /// requests into the dead part of the fabric.
@@ -868,13 +897,9 @@ impl Filters {
         let i = self.port_index(port);
         let nports = self.ports().len();
         // Walked through the index, so the dirty pushes keep page order.
-        for (idx, &slot) in self.slots.iter().enumerate() {
-            if slot == UNTRACKED {
-                continue;
-            }
+        for &(page, slot) in &self.index {
             let slot = slot as usize;
             let f = &mut self.pages[slot];
-            f.learned.remove(port);
             self.stamps[slot * nports + i] = PortStamp::NEVER;
             if f.holder == Some(port as u16) {
                 f.holder = None;
@@ -885,7 +910,7 @@ impl Filters {
             }
             if !f.dirty {
                 f.dirty = true;
-                self.dirty_pages.push(PageId::new(idx as u32));
+                self.dirty_pages.push(page);
             }
         }
     }

@@ -655,11 +655,6 @@ impl Lan {
         lock(&self.wire.medium).loss = p;
     }
 
-    /// The current frame-loss probability.
-    pub fn loss(&self) -> f64 {
-        lock(&self.wire.medium).loss
-    }
-
     /// Transmits one encoded frame as `from`: the entry point of every
     /// broadcast, which carries it across the fabric too on a bridged
     /// segment, and wakes whom it owes once its locks are released.

@@ -19,6 +19,9 @@ impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The last representable instant, which no run reaches.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Nanoseconds since the epoch.
     pub fn as_nanos(self) -> u64 {
         self.0

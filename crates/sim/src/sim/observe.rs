@@ -21,8 +21,8 @@
 //! a page never moves backwards.
 //!
 //! **(b) Bridge belief sanity** — a device's believed-holder port, its
-//! learned-interest bits, and its post-election hold-downs all name
-//! physical ports of that device; pinned segments name segments of the
+//! learned-interest ports (those with a written demand stamp), and its
+//! post-election hold-downs all name physical ports of that device; pinned segments name segments of the
 //! layout. (The belief may legitimately be *stale* — pointing where the
 //! holder used to be until the next data transit repairs it — so the
 //! structural check is the invariant; chasing accuracy is the belief
@@ -401,9 +401,45 @@ impl Observer {
         // two-phase shape matters: a consistency transfer dirties both
         // ends, and judging mid-update would see the stale holder and
         // the new one together.
+        //
+        // Everything is drained before anything is recorded, so each
+        // derived map is sized once for what this sweep adds to it
+        // rather than rehashed as it grows: the closing sweep of a run
+        // that never sampled drains every page the run touched at once.
+        let drained: Vec<Vec<PageId>> = hosts
+            .iter_mut()
+            .map(|h| h.table.take_dirty_pages())
+            .collect();
+        let fabric_dirty = fabric.map(|fabric| {
+            let dirty = fabric.take_dirty();
+            (fabric, dirty)
+        });
+        self.host_gens.reserve(drained.iter().map(Vec::len).sum());
+        self.holders.reserve(
+            (hosts.iter().zip(&drained))
+                .map(|(h, pages)| {
+                    (pages.iter())
+                        .filter(|&&p| h.table.is_consistent_holder(p))
+                        .count()
+                })
+                .sum(),
+        );
+        if let Some((fabric, (dirty_devices, _))) = &fabric_dirty {
+            self.device_gens.reserve(
+                (dirty_devices.iter())
+                    .filter(|(d, _, _)| !fabric.is_dead(*d))
+                    .map(|(d, pages, _)| {
+                        let policy = fabric.device(*d).policy();
+                        (pages.iter())
+                            .filter(|&&p| policy.newest_gen(p).is_some())
+                            .count()
+                    })
+                    .sum(),
+            );
+        }
         let mut touched: Vec<u32> = Vec::new();
-        for h in hosts.iter_mut() {
-            for page in h.table.take_dirty_pages() {
+        for (h, pages) in hosts.iter().zip(drained) {
+            for page in pages {
                 cost += 1;
                 dirty_total += 1;
                 let idx = page.index();
@@ -416,20 +452,17 @@ impl Observer {
                         h.index,
                     );
                 }
-                let holders = self.holders.entry(idx).or_default();
-                let pos = holders.iter().position(|&x| x == h.index);
-                match (pos, is_holder) {
-                    (Some(i), false) => {
-                        holders.remove(i);
-                    }
-                    (None, true) => {
+                if is_holder {
+                    let holders = self.holders.entry(idx).or_default();
+                    if !holders.contains(&h.index) {
                         holders.push(h.index);
                         holders.sort_unstable();
                     }
-                    _ => {}
-                }
-                if holders.is_empty() {
-                    self.holders.remove(&idx);
+                } else if let Some(holders) = self.holders.get_mut(&idx) {
+                    holders.retain(|&x| x != h.index);
+                    if holders.is_empty() {
+                        self.holders.remove(&idx);
+                    }
                 }
                 touched.push(idx);
                 let gen = h.table.generation(page);
@@ -459,8 +492,7 @@ impl Observer {
                 );
             }
         }
-        if let Some(fabric) = fabric {
-            let (dirty_devices, liveness) = fabric.take_dirty();
+        if let Some((fabric, (dirty_devices, liveness))) = fabric_dirty {
             let mut rerun_tree = liveness;
             // Invariant (f) is re-judged for every page whose holder or
             // whose filter state on some device moved.
@@ -500,7 +532,7 @@ impl Observer {
     /// incremental holder map. Returns the number of states scanned.
     fn sweep_hosts_full(&mut self, hosts: &[&mut HostSim], now: SimTime) -> u64 {
         let mut cost = hosts.len() as u64;
-        let mut rebuilt: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut rebuilt: HashMap<u32, Vec<usize>> = HashMap::with_capacity(self.holders.len());
         for h in hosts.iter() {
             for page in h.table.tracked_pages() {
                 cost += 1;

@@ -27,8 +27,9 @@
 pub mod heap {
     //! A counting global allocator: a binary installs [`Counting`] with
     //! `#[global_allocator]` and reads live and peak heap bytes around
-    //! the work it measures with [`measure`]. Counts are process-wide,
-    //! so measure with nothing else allocating.
+    //! the work it measures with [`measure`], and allocation calls with
+    //! [`allocations`]. Counts are process-wide, so measure with nothing
+    //! else allocating.
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -38,8 +39,10 @@ pub mod heap {
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
     static PEAK: AtomicUsize = AtomicUsize::new(0);
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
 
     fn grew(bytes: usize) {
+        CALLS.fetch_add(1, Relaxed);
         let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
         PEAK.fetch_max(live, Relaxed);
     }
@@ -76,5 +79,11 @@ pub mod heap {
         let out = work();
         let kept = LIVE.load(Relaxed) - before;
         (out, kept, PEAK.load(Relaxed) - before)
+    }
+
+    /// Allocation and reallocation calls so far, process-wide. Reads 0
+    /// unless [`Counting`] is the global allocator.
+    pub fn allocations() -> usize {
+        CALLS.load(Relaxed)
     }
 }

@@ -380,7 +380,8 @@ fn observer_active() -> bool {
 /// Corruption-injection differential: over ≥8 printed seeds, run a
 /// scenario partway, plant exactly one corruption — a second consistent
 /// holder on a host table, a holder belief pointing off-port, or a
-/// learned-interest entry for a segment the device has no port on — and
+/// demand stamp (learned interest) whose clock is ahead of the device's
+/// aging clock — and
 /// assert the **incremental** observer ([`Simulation::sweep_dirty`])
 /// flags it on its very next sweep, the same sweep the **full oracle**
 /// ([`Simulation::check_invariants`]) flags it on. The oracle runs on an
@@ -442,11 +443,11 @@ fn corruption_is_flagged_by_incremental_and_full_alike() {
                     sim.create_owned(twin, page);
                     true
                 }
-                _ => {
-                    // Device 0 gets state naming a segment it has no
-                    // port on (falling back to an out-of-range segment
-                    // id on shapes like ring(2) where device 0 spans
-                    // every segment).
+                1 => {
+                    // Device 0 gets a holder belief naming a segment it
+                    // has no port on (falling back to an out-of-range
+                    // segment id on shapes like ring(2) where device 0
+                    // spans every segment).
                     let segments = sim.segment_count();
                     let ports = sc.topology().ports(0).to_vec();
                     let bad = (0..segments)
@@ -454,12 +455,15 @@ fn corruption_is_flagged_by_incremental_and_full_alike() {
                         .unwrap_or(segments);
                     let fabric = sim.fabric_mut_for_test().expect("fabric topology");
                     let policy = fabric.device_mut(0).policy_mut();
-                    let page = PageId::new(0);
-                    if kind == 1 {
-                        policy.corrupt_holder_belief_for_test(page, Some(bad));
-                    } else {
-                        policy.corrupt_learned_for_test(page, bad);
-                    }
+                    policy.corrupt_holder_belief_for_test(PageId::new(0), Some(bad));
+                    true
+                }
+                _ => {
+                    // Device 0 gets a demand stamp from a transit it
+                    // has not forwarded yet.
+                    let fabric = sim.fabric_mut_for_test().expect("fabric topology");
+                    let policy = fabric.device_mut(0).policy_mut();
+                    policy.corrupt_learned_for_test(PageId::new(0));
                     true
                 }
             }

@@ -32,6 +32,12 @@
 /// Most doublings one fault's timer takes (a 16 × cap).
 pub const MAX_BACKOFF: u32 = 4;
 
+/// The least a retransmission timeout may be, in nanoseconds (20 ms),
+/// in both engines. It is a floor, not the timeout: each host measures
+/// its own. The simulator's no-load round trip alone is 29 ms, and a
+/// threaded runtime's few microseconds leave its timeout at the floor.
+pub const RETRY_FLOOR_NS: u64 = 20_000_000;
+
 /// Per-host retransmission-timeout estimator. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtoEstimator {

@@ -11,7 +11,7 @@
 use crate::sync::SyncCell;
 use mether_core::{PageId, Result};
 use mether_runtime::Node;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One participant's handle on a distributed barrier.
 #[derive(Debug, Clone)]
@@ -73,28 +73,9 @@ impl Barrier {
     pub fn wait(&mut self, node: &Node) -> Result<()> {
         self.epoch += 1;
         self.my_cell.publish(node, self.epoch)?;
-        let deadline = std::time::Instant::now() + self.timeout;
+        let deadline = Instant::now() + self.timeout;
         for cell in &self.peer_cells {
-            loop {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    return Err(mether_core::Error::Timeout);
-                }
-                let seen = cell.get(node, remaining.min(Duration::from_millis(250)));
-                match seen {
-                    Ok(v) if v >= self.epoch => break,
-                    Ok(stale) => {
-                        // Wait for the peer's next publish.
-                        match cell.wait_change(node, stale, remaining.min(Duration::from_secs(1))) {
-                            Ok(v) if v >= self.epoch => break,
-                            Ok(_) | Err(mether_core::Error::Timeout) => continue,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Err(mether_core::Error::Timeout) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
+            cell.wait_until(node, |v| v >= self.epoch, deadline)?;
         }
         Ok(())
     }

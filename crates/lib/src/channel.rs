@@ -15,10 +15,12 @@
 //! Waiting follows the paper's final-protocol recipe verbatim: check the
 //! demand-driven short copy; if stale, purge and check again; if still
 //! stale, block on the data-driven short view until the peer's purge
-//! broadcast arrives. Payloads up to 16 bytes ride inside the short page
-//! ("if the amount of data is less than 32 bytes then the short page can
-//! be accessed with a corresponding performance improvement"); larger
-//! payloads switch both the broadcast and the read to the full-page view.
+//! broadcast arrives ([`SyncCell::wait_until`], which also covers a
+//! publish that lands between the check and the purge). Payloads up to
+//! 16 bytes ride inside the short page ("if the amount of data is less
+//! than 32 bytes then the short page can be accessed with a
+//! corresponding performance improvement"); larger payloads switch both
+//! the broadcast and the read to the full-page view.
 //!
 //! The protocol "is absolutely symmetric; a write or read from either
 //! end proceeds in the exact same way" — a [`ChannelEnd`] can both send
@@ -26,12 +28,13 @@
 //! pipe returns a read pointer and a write pointer onto the same pair of
 //! pages.
 
+use crate::sync::SyncCell;
 use mether_core::generation::{
     fits_short_page, read_may_proceed, write_may_proceed, ChannelHeader,
 };
 use mether_core::{Error, MapMode, PageId, PageLength, Result, VAddr, View, PAGE_SIZE};
 use mether_runtime::Node;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum payload of one message.
 pub const MAX_PAYLOAD: usize = PAGE_SIZE - ChannelHeader::INLINE_DATA;
@@ -91,67 +94,9 @@ impl ChannelEnd {
             .expect("header fits the short view")
     }
 
-    fn peer(&self, view: View, offset: usize) -> VAddr {
-        VAddr::new(self.peer_page, view, offset as u32).expect("header fits the short view")
-    }
-
-    /// Reads a header word of the peer's page, waiting data-driven until
-    /// `pred` holds on it.
-    ///
-    /// The wait follows the paper's recipe (demand check → purge →
-    /// data-driven block) with one addition: the data-driven block is
-    /// bounded by a short poll interval, after which the loop falls back
-    /// to a fresh demand fetch from the holder. This closes the inherent
-    /// purge/broadcast race of the raw protocol — a broadcast that lands
-    /// *between* our purge and our block would otherwise be the last one
-    /// ever sent, leaving the sleeper waiting forever. (The original
-    /// implementation lived with this because its workloads broadcast
-    /// continuously; a request/response library cannot.)
-    fn await_peer_word<F: Fn(u32) -> bool>(
-        &self,
-        node: &Node,
-        offset: usize,
-        pred: F,
-    ) -> Result<u32> {
-        const DATA_POLL: Duration = Duration::from_millis(25);
-        const DEMAND_POLL: Duration = Duration::from_millis(250);
-        let deadline = std::time::Instant::now() + self.timeout;
-        loop {
-            // 1. Check the demand-driven short copy (fetching on a miss;
-            //    bounded so a dropped request datagram is retransmitted).
-            match node.read_u32_timeout(
-                self.peer(View::short_demand(), offset),
-                MapMode::ReadOnly,
-                DEMAND_POLL,
-            ) {
-                Ok(v) if pred(v) => return Ok(v),
-                Ok(_) => {}
-                Err(Error::Timeout) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(Error::Timeout);
-                    }
-                    continue; // request or reply lost; retransmit
-                }
-                Err(e) => return Err(e),
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(Error::Timeout);
-            }
-            // 2. Stale: purge, then 3. block on the data-driven view
-            //    (bounded; a publish that lands inside the purge window
-            //    or a dropped broadcast is recovered by looping back to
-            //    the demand fetch).
-            node.purge(self.peer_page, MapMode::ReadOnly, PageLength::Short)?;
-            match node.read_u32_timeout(
-                self.peer(View::short_data(), offset),
-                MapMode::ReadOnly,
-                DATA_POLL,
-            ) {
-                Ok(v) if pred(v) => return Ok(v),
-                Ok(_) | Err(Error::Timeout) => {}
-                Err(e) => return Err(e),
-            }
-        }
+    /// A header word of the peer's page, read and waited on as a cell.
+    fn peer(&self, offset: usize) -> SyncCell {
+        SyncCell::new(self.peer_page, offset as u32)
     }
 
     /// Sends one message (the paper's `csend`).
@@ -173,9 +118,12 @@ impl ChannelEnd {
             )));
         }
         let wgen = node.read_u32(self.my(ChannelHeader::WRITE_GEN), MapMode::Writeable)?;
-        self.await_peer_word(node, ChannelHeader::READ_GEN, |rg| {
-            write_may_proceed(wgen, rg)
-        })?;
+        let deadline = Instant::now() + self.timeout;
+        self.peer(ChannelHeader::READ_GEN).wait_until(
+            node,
+            |rg| write_may_proceed(wgen, rg),
+            deadline,
+        )?;
 
         let fits = fits_short_page(data.len());
         node.lock(self.my_page, PageLength::Full)?;
@@ -213,15 +161,15 @@ impl ChannelEnd {
     /// [`Error::InvalidConfig`] if `buf` is too small for the message;
     /// [`Error::Timeout`] if no message arrives in time.
     pub fn crecv(&self, node: &Node, buf: &mut [u8]) -> Result<usize> {
+        let deadline = Instant::now() + self.timeout;
         let rgen = node.read_u32(self.my(ChannelHeader::READ_GEN), MapMode::Writeable)?;
-        self.await_peer_word(node, ChannelHeader::WRITE_GEN, |wg| {
-            read_may_proceed(wg, rgen)
-        })?;
-
-        let size = node.read_u32(
-            self.peer(View::short_demand(), ChannelHeader::WRITE_SIZE),
-            MapMode::ReadOnly,
-        )? as usize;
+        self.peer(ChannelHeader::WRITE_GEN).wait_until(
+            node,
+            |wg| read_may_proceed(wg, rgen),
+            deadline,
+        )?;
+        let left = || deadline.saturating_duration_since(Instant::now());
+        let size = self.peer(ChannelHeader::WRITE_SIZE).get(node, left())? as usize;
         if size > buf.len() {
             return Err(Error::InvalidConfig(format!(
                 "message of {size} bytes does not fit caller buffer of {}",
@@ -231,27 +179,14 @@ impl ChannelEnd {
         if size > 0 {
             // "Note that if the amount of data to be copied out is larger
             // than the short page the reader must access the full-page
-            // view." Bounded + retried so a dropped full-page reply on a
-            // lossy LAN is refetched.
+            // view."
             let view = if fits_short_page(size) {
                 View::short_demand()
             } else {
                 View::full_demand()
             };
             let addr = VAddr::new(self.peer_page, view, ChannelHeader::INLINE_DATA as u32)?;
-            let deadline = std::time::Instant::now() + self.timeout;
-            loop {
-                match node.read_bytes_timeout(
-                    addr,
-                    MapMode::ReadOnly,
-                    &mut buf[..size],
-                    Duration::from_millis(250),
-                ) {
-                    Ok(()) => break,
-                    Err(Error::Timeout) if std::time::Instant::now() < deadline => continue,
-                    Err(e) => return Err(e),
-                }
-            }
+            node.read_bytes_timeout(addr, MapMode::ReadOnly, &mut buf[..size], left())?;
         }
         node.write_u32(self.my(ChannelHeader::READ_SIZE), size as u32)?;
         node.write_u32(self.my(ChannelHeader::READ_GEN), rgen + 1)?;

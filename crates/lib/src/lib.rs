@@ -11,11 +11,15 @@
 //! * [`pipe`] — the pipe API (create/open, read and write pointers,
 //!   bidirectional);
 //! * [`sync`] — `SyncCell`, the final protocol as a publish/watch
-//!   primitive;
+//!   primitive, whose `wait_until` is every wait the other modules do;
 //! * [`barrier`] — a coordinator-free distributed barrier (n broadcast
 //!   packets per crossing);
 //! * [`publisher`] — one-to-many publication riding the snoopy refresh:
 //!   one broadcast serves every subscriber.
+//!
+//! Nothing here recovers loss: a node re-sends a lost request itself
+//! (`mether_runtime::Node`, "Loss"), so the library holds no poll
+//! interval of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,9 +13,10 @@
 //! newest). That is the semantics a display refresher or a status board
 //! wants — and it is exactly the "inconsistent store" philosophy of §3.
 
+use crate::sync::SyncCell;
 use mether_core::{Error, MapMode, PageId, PageLength, Result, VAddr, View, PAGE_SIZE};
 use mether_runtime::Node;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEQ: u32 = 0;
 const LEN: u32 = 4;
@@ -125,54 +126,15 @@ impl Subscriber {
     ///
     /// [`Error::Timeout`] if nothing new is published in time.
     pub fn next(&mut self, node: &Node) -> Result<(u32, Vec<u8>)> {
-        const DATA_POLL: Duration = Duration::from_millis(25);
-        const DEMAND_POLL: Duration = Duration::from_millis(250);
-        let deadline = std::time::Instant::now() + self.timeout;
-        let seq_demand = VAddr::new(self.page, View::short_demand(), SEQ)?;
-        let seq_data = VAddr::new(self.page, View::short_data(), SEQ)?;
-        let seq = loop {
-            match node.read_u32_timeout(seq_demand, MapMode::ReadOnly, DEMAND_POLL) {
-                Ok(s) if s > self.last_seq => break s,
-                Ok(_) => {}
-                Err(Error::Timeout) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(Error::Timeout);
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(Error::Timeout);
-            }
-            node.purge(self.page, MapMode::ReadOnly, PageLength::Short)?;
-            match node.read_u32_timeout(seq_data, MapMode::ReadOnly, DATA_POLL) {
-                Ok(s) if s > self.last_seq => break s,
-                Ok(_) | Err(Error::Timeout) => {}
-                Err(e) => return Err(e),
-            }
-        };
-        let len = node.read_u32_timeout(
-            VAddr::new(self.page, View::short_demand(), LEN)?,
-            MapMode::ReadOnly,
-            self.timeout,
-        )? as usize;
-        let mut buf = vec![0u8; len];
-        if len > 0 {
-            let view = if len <= SHORT_ITEM {
-                View::short_demand()
-            } else {
-                View::full_demand()
-            };
-            node.read_bytes_timeout(
-                VAddr::new(self.page, view, DATA)?,
-                MapMode::ReadOnly,
-                &mut buf,
-                self.timeout,
-            )?;
-        }
+        let last = self.last_seq;
+        let seq = SyncCell::new(self.page, SEQ).wait_until(
+            node,
+            |s| s > last,
+            Instant::now() + self.timeout,
+        )?;
+        let item = self.item(node)?;
         self.last_seq = seq;
-        Ok((seq, buf))
+        Ok((seq, item))
     }
 
     /// Non-waiting peek at the current publication, however stale the
@@ -187,6 +149,12 @@ impl Subscriber {
             MapMode::ReadOnly,
             self.timeout,
         )?;
+        Ok((seq, self.item(node)?))
+    }
+
+    /// The payload of the publication the local copy holds: its length,
+    /// then that many bytes through the view they fit.
+    fn item(&self, node: &Node) -> Result<Vec<u8>> {
         let len = node.read_u32_timeout(
             VAddr::new(self.page, View::short_demand(), LEN)?,
             MapMode::ReadOnly,
@@ -206,7 +174,7 @@ impl Subscriber {
                 self.timeout,
             )?;
         }
-        Ok((seq, buf))
+        Ok(buf)
     }
 }
 

@@ -6,10 +6,13 @@
 //! sleeping data-driven between purge broadcasts — "a process is either
 //! incrementing the variable, checking the variable once or twice, or
 //! sleeping on a new version of the variable."
+//!
+//! [`SyncCell::wait_until`] is the library's one such wait: channels,
+//! barriers and subscribers all wait through it.
 
-use mether_core::{MapMode, PageId, PageLength, Result, VAddr, View};
+use mether_core::{Error, MapMode, PageId, PageLength, Result, VAddr, View};
 use mether_runtime::Node;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A one-word publish/watch cell on a Mether page.
 #[derive(Debug, Clone, Copy)]
@@ -62,41 +65,50 @@ impl SyncCell {
     }
 
     /// Waits until the cell holds a value different from `last` and
-    /// returns it, using the final protocol's check → purge → data-block
-    /// sequence.
+    /// returns it ([`SyncCell::wait_until`]).
     ///
     /// # Errors
     ///
     /// [`mether_core::Error::Timeout`] if nothing is published in time.
     pub fn wait_change(&self, node: &Node, last: u32, timeout: Duration) -> Result<u32> {
-        const DATA_POLL: Duration = Duration::from_millis(25);
-        const DEMAND_POLL: Duration = Duration::from_millis(250);
-        let deadline = std::time::Instant::now() + timeout;
-        let demand = VAddr::new(self.page, View::short_demand(), self.offset)?;
+        self.wait_until(node, |v| v != last, Instant::now() + timeout)
+    }
+
+    /// Waits until `pred` holds on the cell and returns the value, with
+    /// the final protocol's wait: a demand check, then a purge, then a
+    /// data-driven block for the next publish.
+    ///
+    /// The block lasts one [`Node::fault_timeout`] at most, then the
+    /// demand check runs again. That check sees a publish that landed
+    /// between the last check and the purge (its broadcast refreshed the
+    /// copy the purge then dropped), and one whose broadcast was lost.
+    /// A lost request or reply the node re-sends itself.
+    ///
+    /// # Errors
+    ///
+    /// [`mether_core::Error::Timeout`] if `pred` does not hold by
+    /// `deadline`.
+    pub fn wait_until(
+        &self,
+        node: &Node,
+        pred: impl Fn(u32) -> bool,
+        deadline: Instant,
+    ) -> Result<u32> {
         let data = VAddr::new(self.page, View::short_data(), self.offset)?;
+        let remaining = || deadline.saturating_duration_since(Instant::now());
         loop {
-            // Demand check first (bounded so dropped requests retry).
-            match node.read_u32_timeout(demand, MapMode::ReadOnly, DEMAND_POLL) {
-                Ok(v) if v != last => return Ok(v),
-                Ok(_) => {}
-                Err(mether_core::Error::Timeout) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(mether_core::Error::Timeout);
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
+            let v = self.get(node, remaining())?;
+            if pred(v) {
+                return Ok(v);
             }
-            if std::time::Instant::now() >= deadline {
-                return Err(mether_core::Error::Timeout);
+            if remaining().is_zero() {
+                return Err(Error::Timeout);
             }
-            // Bounded data-driven block; survives both the purge-window
-            // race and dropped broadcasts by looping back to the demand
-            // fetch (see `ChannelEnd::await_peer_word`).
             node.purge(self.page, MapMode::ReadOnly, PageLength::Short)?;
-            match node.read_u32_timeout(data, MapMode::ReadOnly, DATA_POLL) {
-                Ok(v) if v != last => return Ok(v),
-                Ok(_) | Err(mether_core::Error::Timeout) => {}
+            let block = node.fault_timeout().min(remaining());
+            match node.read_u32_timeout(data, MapMode::ReadOnly, block) {
+                Ok(v) if pred(v) => return Ok(v),
+                Ok(_) | Err(Error::Timeout) => {}
                 Err(e) => return Err(e),
             }
         }

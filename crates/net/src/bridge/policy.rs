@@ -170,7 +170,7 @@ impl PageFilter {
 
 /// The last demand evidence one port of a device showed for one page.
 /// A written stamp is the port's learned interest in the page; a port
-/// without it holds [`PortStamp::NEVER`].
+/// without it holds `PortStamp::NEVER`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortStamp {
     /// The device's forwarded-transit clock at the last demand.

@@ -106,6 +106,8 @@ mod tests {
             .read_u32_timeout(addr, MapMode::ReadOnly, Duration::from_millis(150))
             .unwrap_err();
         assert_eq!(err, mether_core::Error::Timeout);
+        // A data wait sends nothing, so there is nothing to re-send.
+        assert_eq!(c.net_stats().requests, 0);
     }
 
     #[test]

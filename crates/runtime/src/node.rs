@@ -26,15 +26,28 @@
 //! not this thread structure, is what models the paper's user-level
 //! server process.
 //!
+//! # Loss
+//!
+//! A fault that sent a request (a demand or consistent fetch) re-sends
+//! it when no reply comes within the node's retransmission timeout: the
+//! hardened simulator host's rules, from the same core estimator. A
+//! read's timer stays at one timeout, a write's doubles per re-send; a
+//! fault its first request answered is a round-trip sample, a re-sent
+//! one gives none (Karn's rule). So a read without a deadline is live on
+//! a lossy LAN, and a deadline only says how long the caller will wait.
+//! A data-driven wait sends nothing, so nothing of it is re-sent: as the
+//! paper defines it, it ends when a broadcast brings the page.
+//!
 //! One deliberate simplification versus SunOS: the PURGE → server →
 //! DO-PURGE handshake is performed inline by the purging thread. In the
 //! paper that indirection exists because the server is a separate process
 //! that owns the socket; in a threaded runtime every thread can transmit,
 //! so the handshake collapses without changing what reaches the wire.
 
+use mether_core::rto::{MAX_BACKOFF, RETRY_FLOOR_NS};
 use mether_core::{
-    AccessOutcome, Admit, Effect, Error, HostId, MapMode, MetherConfig, NicDrop, Packet, PageId,
-    PageLength, PageTable, Result, VAddr,
+    AccessOutcome, Admit, Effect, Error, FaultKind, HostId, MapMode, MetherConfig, NicDrop, Packet,
+    PageId, PageLength, PageTable, Result, RtoEstimator, VAddr,
 };
 use mether_net::rt::{lock, Endpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +75,9 @@ pub(crate) struct NodeInner {
     /// Page requests [`Admit::Coalesced`] within a drained receive burst
     /// (see [`Node::requests_coalesced`]).
     requests_coalesced: AtomicU64,
+    /// Times this node's fault re-sends (see the module docs, "Loss");
+    /// locked only by a fault that blocked.
+    rto: Mutex<RtoEstimator>,
 }
 
 /// A drained burst and the effects it produced; kept between pumps so
@@ -91,6 +107,38 @@ impl NodeInner {
             }
         }
         Ok(())
+    }
+
+    /// Arms the timer of a request sent now: a fault's first starts at
+    /// the node's retained backoff, each re-send adds a doubling. A
+    /// read's timer stays at one timeout; a write's doubles.
+    fn arm(&self, mode: MapMode, last: Option<Retry>) -> Retry {
+        let rto = lock(&self.rto);
+        let backoff = last.map_or(rto.backoff(), |r| (r.backoff + 1).min(MAX_BACKOFF));
+        let doublings = if mode == MapMode::ReadOnly {
+            0
+        } else {
+            backoff
+        };
+        let sent = Instant::now();
+        Retry {
+            sent,
+            due: sent + Duration::from_nanos(rto.timeout_ns(doublings)),
+            backoff,
+            resent: last.is_some(),
+        }
+    }
+
+    /// A fault was answered: a round-trip sample if its first request
+    /// was, Karn's rule if it re-sent.
+    fn answered(&self, retry: Option<Retry>) {
+        let Some(r) = retry else { return };
+        let mut rto = lock(&self.rto);
+        if r.resent {
+            rto.retransmitted(r.backoff);
+        } else {
+            rto.sample(r.sent.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Handles the burst of frames due now, if any: the one receive path
@@ -138,6 +186,17 @@ impl NodeInner {
     }
 }
 
+/// The re-send timer of one request-bearing fault (see the module docs,
+/// "Loss"): when its last request went out and when that one is taken
+/// for lost, and the doublings so far.
+#[derive(Clone, Copy)]
+struct Retry {
+    sent: Instant,
+    due: Instant,
+    backoff: u32,
+    resent: bool,
+}
+
 /// Tells the bridge fabric a page was created on this node, so the
 /// devices between the page's home and this node's segment can route
 /// requests to it before it has transmitted anything
@@ -169,6 +228,7 @@ impl Node {
             next_waiter: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
             requests_coalesced: AtomicU64::new(0),
+            rto: Mutex::new(RtoEstimator::new(RETRY_FLOOR_NS, 0)),
         });
         let rx_inner = Arc::clone(&inner);
         let receiver = std::thread::Builder::new()
@@ -203,6 +263,12 @@ impl Node {
     /// the engines' reports line up.
     pub fn requests_coalesced(&self) -> u64 {
         self.inner.requests_coalesced.load(Ordering::Relaxed)
+    }
+
+    /// The node's measured retransmission timeout: how long a fault
+    /// waits for a reply before it re-sends its request, before backoff.
+    pub fn fault_timeout(&self) -> Duration {
+        Duration::from_nanos(lock(&self.inner.rto).rto_ns())
     }
 
     /// Seeds `page` as created here: zero-filled, consistent copy local.
@@ -310,9 +376,10 @@ impl Node {
     }
 
     /// Runs `op` on the driver once an access to `addr` through `mode`
-    /// is ready, faulting the page in first; gives the fault up at
+    /// is ready, faulting the page in first and re-sending a lost
+    /// request (see the module docs, "Loss"); gives the fault up at
     /// `deadline` with [`Error::Timeout`]. While blocked, the calling
-    /// thread receives for the node (see the module docs).
+    /// thread receives for the node (see "Who receives").
     fn when_ready<T>(
         &self,
         addr: VAddr,
@@ -322,9 +389,8 @@ impl Node {
     ) -> Result<T> {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
         let page = addr.page();
-        let ready = |driver: &mut PageTable, effects: &mut Vec<Effect>| {
-            let outcome = driver.access(page, addr.view(), mode, waiter, effects)?;
-            Ok::<_, Error>(matches!(outcome, AccessOutcome::Ready))
+        let access = |driver: &mut PageTable, effects: &mut Vec<Effect>| {
+            driver.access(page, addr.view(), mode, waiter, effects)
         };
         let finish = |mut driver: MutexGuard<'_, PageTable>, effects: Vec<Effect>| {
             let out = op(&mut driver)?;
@@ -337,10 +403,13 @@ impl Node {
         // it moves `wakes` past `checked` (and the epoch past `seen`).
         let mut checked = self.inner.wakes.load(Ordering::SeqCst);
         let mut driver = lock(&self.inner.driver);
-        if ready(&mut driver, &mut effects)? {
-            return finish(driver, effects);
-        }
+        let kind = match access(&mut driver, &mut effects)? {
+            AccessOutcome::Ready => return finish(driver, effects),
+            AccessOutcome::Blocked(kind) => kind,
+        };
         drop(driver);
+        let mut retry = matches!(kind, FaultKind::DemandFetch | FaultKind::ConsistentFetch)
+            .then(|| self.inner.arm(mode, None));
         // A miss: from here until it returns this thread receives for
         // the node, registered before the fault request goes out so the
         // reply wakes it.
@@ -352,7 +421,8 @@ impl Node {
             if wakes != checked {
                 checked = wakes;
                 let mut driver = lock(&self.inner.driver);
-                if ready(&mut driver, &mut effects)? {
+                if access(&mut driver, &mut effects)? == AccessOutcome::Ready {
+                    self.inner.answered(retry);
                     return finish(driver, effects);
                 }
                 drop(driver);
@@ -360,12 +430,28 @@ impl Node {
                     continue;
                 }
             }
-            if deadline.is_some_and(|d| d <= Instant::now()) {
+            let now = Instant::now();
+            if deadline.is_some_and(|d| d <= now) {
                 return Err(self.give_up(page, waiter));
             }
+            if let Some(r) = retry.as_mut().filter(|r| r.due <= now) {
+                // No reply in time: the request or the reply was lost.
+                // Accessing anew re-sends the request.
+                let mut driver = lock(&self.inner.driver);
+                driver.cancel_wait(page, waiter);
+                if access(&mut driver, &mut effects)? == AccessOutcome::Ready {
+                    self.inner.answered(retry);
+                    return finish(driver, effects);
+                }
+                drop(driver);
+                *r = self.inner.arm(mode, Some(*r));
+                continue;
+            }
             self.inner.pump()?;
-            match fg.wait(seen, deadline) {
-                Err(Error::Timeout) => return Err(self.give_up(page, waiter)),
+            let until = deadline.into_iter().chain(retry.map(|r| r.due)).min();
+            match fg.wait(seen, until) {
+                // The deadline or the re-send: the loop's top tells which.
+                Err(Error::Timeout) => {}
                 other => other?,
             }
         }
@@ -497,6 +583,22 @@ pub(crate) mod tests {
         let read = rx.recv_timeout(Duration::from_secs(5));
         assert_eq!(read, Ok(Err(Error::Disconnected)));
         reader.join().unwrap();
+    }
+
+    /// Page 5 is homed nowhere, so no reply comes: the read re-sends its
+    /// request at each timeout until its deadline, and no timeout is
+    /// under the 20 ms floor.
+    #[test]
+    fn an_unanswered_demand_read_re_sends_until_its_deadline() {
+        let c = Cluster::new(ClusterConfig::fast(2)).unwrap();
+        assert_eq!(c.node(1).fault_timeout(), Duration::from_millis(20));
+        let addr = VAddr::new(PageId::new(5), View::short_demand(), 0).unwrap();
+        let read = c
+            .node(1)
+            .read_u32_timeout(addr, MapMode::ReadOnly, Duration::from_millis(100));
+        assert_eq!(read, Err(Error::Timeout));
+        let requests = c.net_stats().requests;
+        assert!((2..=5).contains(&requests), "{requests} requests in 100 ms");
     }
 
     /// A node whose receiver thread and two accessor threads all drain

@@ -39,11 +39,6 @@
 
 use mether_net::SimDuration;
 
-/// The least a fault retransmission timeout may be under
-/// [`Calib::hardened`]. It is a floor, not the timeout: each host
-/// measures its own, and the no-load round trip alone is 29 ms.
-pub(crate) const RETRY_FLOOR: SimDuration = SimDuration::from_millis(20);
-
 /// Host-side cost model for the simulator, in one of two profiles:
 /// [`Calib::sun3_sunos4`] (the paper's) or [`Calib::hardened`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +122,9 @@ impl Calib {
     ///   which re-sends the request — the recovery path that lets a
     ///   workload ride through a lost reply, a partitioned fabric, or a
     ///   request that reached its holder after the page had moved on.
-    ///   The timeout is never under 20 ms (`RETRY_FLOOR`), but it is
-    ///   not a constant: each host measures its own
+    ///   The timeout is never under 20 ms
+    ///   (`mether_core::rto::RETRY_FLOOR_NS`), but it is not a
+    ///   constant: each host measures its own
     ///   (`mether_core::rto`), the smoothed round trip of the faults its
     ///   first request satisfied plus four mean deviations, and before
     ///   any sample three times the no-load round trip. A write fault's
@@ -229,6 +225,7 @@ impl Default for Calib {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mether_core::rto::RETRY_FLOOR_NS;
 
     #[test]
     fn single_process_baseline_arithmetic() {
@@ -266,7 +263,7 @@ mod tests {
         // floor cannot be the timeout.
         let rtt = Calib::hardened().no_load_round_trip(32);
         assert_eq!(rtt, SimDuration::from_nanos(29_262_500));
-        assert!(RETRY_FLOOR < rtt);
+        assert!(SimDuration::from_nanos(RETRY_FLOOR_NS) < rtt);
         assert!(Calib::kernel_server().no_load_round_trip(32) < rtt);
     }
 

@@ -56,10 +56,10 @@
 //! each server item was, and the time it took, is tallied by
 //! [`ServerKind`] in [`HostSim::server_work`].
 
-use crate::calib::{Calib, RETRY_FLOOR};
+use crate::calib::Calib;
 use crate::hist::LatencyHistogram;
 use crate::process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
-use mether_core::rto::MAX_BACKOFF;
+use mether_core::rto::{MAX_BACKOFF, RETRY_FLOOR_NS};
 use mether_core::table::WaiterId;
 use mether_core::{
     AccessOutcome, Admit, DriveMode, Effect, FaultKind, Generation, MapMode, MetherConfig, NicDrop,
@@ -427,7 +427,7 @@ impl HostSim {
         let no_load = calib.no_load_round_trip(short);
         let rto = calib
             .hardened
-            .then(|| RtoEstimator::new(RETRY_FLOOR.as_nanos(), no_load.as_nanos()));
+            .then(|| RtoEstimator::new(RETRY_FLOOR_NS, no_load.as_nanos()));
         HostSim {
             index,
             calib,

@@ -56,6 +56,7 @@ use crate::fabric::{run_past_last_event, PostRecovery};
 use crate::publisher::Publisher;
 use crate::segments::PollingReader;
 use mether_core::{BridgeTopology, MapMode, MetherConfig, PageId, PageLength, VAddr, View};
+use mether_lib::SyncCell;
 use mether_net::rt::LanConfig;
 use mether_net::{
     AgeHorizon, BridgeStats, ElectionMode, FabricConfig, FabricEvent, NetStats, SimDuration,
@@ -690,7 +691,7 @@ impl SoakScenario {
     /// election, reply grace), the same per-segment loss rate,
     /// and the same workload shape — P5 counting pairs and/or a paced
     /// publisher with polling readers — as real blocking threads whose
-    /// recovery path is the protocols' own demand-retry loop. Faults
+    /// recovery path is each node's request re-send. Faults
     /// are replayed by a [`FaultPlan`] at the sim schedule's offsets
     /// (1 sim-ms ≙ 1 wall-ms). `finished` means every worker hit its
     /// target before `SoakScenario::runtime_deadline`.
@@ -758,11 +759,9 @@ impl SoakScenario {
                         let _ = c
                             .node(node)
                             .purge(page, MapMode::ReadOnly, PageLength::Short);
-                        if let Ok(v) = c.node(node).read_u32_timeout(
-                            addr,
-                            MapMode::ReadOnly,
-                            Duration::from_millis(200),
-                        ) {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if let Ok(v) = c.node(node).read_u32_timeout(addr, MapMode::ReadOnly, left)
+                        {
                             if v >= target {
                                 return true;
                             }
@@ -889,11 +888,11 @@ impl SoakScenario {
 }
 
 /// One P5 counting party on the threaded runtime: the exact loop the
-/// simulator's `DisjointPageCounter::protocol5` models — write my page
-/// and purge on my turn, else demand-check the partner's page and block
-/// data-driven for its transit. Timeouts fall back to the demand check,
-/// which is the runtime's natural loss-retry path. Returns whether the
-/// party reached `target` before `deadline`.
+/// simulator's `DisjointPageCounter::protocol5` models — publish my page
+/// on my turn, else wait for the partner's with the final protocol's
+/// demand check, purge and data-driven block ([`SyncCell::wait_until`];
+/// the node re-sends a lost request). Returns whether the party reached
+/// `target` before `deadline`.
 fn p5_runtime_party(
     c: &Cluster,
     node: usize,
@@ -903,44 +902,18 @@ fn p5_runtime_party(
     target: u32,
     deadline: Instant,
 ) -> bool {
-    let my_addr = VAddr::new(my_page, View::short_demand(), 0).unwrap();
-    let other_demand = VAddr::new(other_page, View::short_demand(), 0).unwrap();
-    let other_data = VAddr::new(other_page, View::short_data(), 0).unwrap();
+    let node = c.node(node);
+    let (mine, other) = (SyncCell::new(my_page, 0), SyncCell::new(other_page, 0));
     let mut last = 0u32;
     while last < target {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        if last % 2 == me {
-            if c.node(node).write_u32(my_addr, last + 1).is_err() {
-                return false;
-            }
-            let _ = c
-                .node(node)
-                .purge(my_page, MapMode::Writeable, PageLength::Short);
-            last += 1;
-            continue;
-        }
-        if let Ok(v) = c.node(node).read_u32_timeout(
-            other_demand,
-            MapMode::ReadOnly,
-            Duration::from_millis(200),
-        ) {
-            if v > last {
-                last = v;
-                continue;
-            }
-        }
-        let _ = c
-            .node(node)
-            .purge(other_page, MapMode::ReadOnly, PageLength::Short);
-        if let Ok(v) =
-            c.node(node)
-                .read_u32_timeout(other_data, MapMode::ReadOnly, Duration::from_millis(200))
-        {
-            if v > last {
-                last = v;
-            }
+        let step = if last % 2 == me {
+            mine.publish(node, last + 1).map(|()| last + 1)
+        } else {
+            other.wait_until(node, |v| v > last, deadline)
+        };
+        match step {
+            Ok(v) => last = v,
+            Err(_) => return false,
         }
     }
     true

@@ -1,17 +1,20 @@
-//! Failure injection: the channel layer over a lossy LAN.
+//! Failure injection: the threaded runtime and the channel layer over a
+//! lossy LAN.
 //!
 //! The paper's motivation for abandoning global consistency was "the
 //! comparatively low reliability of the network we are using". The raw
-//! Mether protocols have no acknowledgements; the library layer's
-//! wait loops (demand-poll fallback) are what make `csend`/`crecv`
-//! usable over drops. These tests inject uniform frame loss and assert
-//! the channel still delivers every message, in order.
+//! Mether protocols have no acknowledgements; a node re-sends the
+//! request of a fault that got no reply within its retransmission
+//! timeout, so a bare read is live over drops, and `csend`/`crecv` ride
+//! on that with no retry loop of their own. These tests inject frame
+//! loss and assert that reads, writes and the channel still complete,
+//! in order, and that a lossless exchange re-sends nothing.
 
 use mether_core::{MapMode, PageId, VAddr, View};
 use mether_lib::channel_pair;
 use mether_net::rt::LanConfig;
 use mether_runtime::{Cluster, ClusterConfig};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn lossy_cluster(loss: f64, seed: u64) -> Arc<Cluster> {
@@ -63,32 +66,47 @@ fn channel_survives_30_percent_loss() {
 }
 
 #[test]
-fn demand_read_retries_via_library_poll() {
-    // A bare demand fault whose request frame is dropped would block
-    // forever in the raw protocol; verify the *library* path (SyncCell)
-    // recovers where the raw runtime read would not.
-    let c = lossy_cluster(0.25, 99);
-    let cell = mether_lib::SyncCell::new(PageId::new(4), 0);
-    cell.create_on(c.node(0));
-    cell.publish(c.node(0), 5).unwrap();
-    // get() is a single demand fetch: retry at the test level to tolerate
-    // a dropped request or reply, as the paper's applications did.
-    let mut got = None;
-    for _ in 0..20 {
-        match cell.get(c.node(1), Duration::from_millis(200)) {
-            Ok(v) => {
-                got = Some(v);
-                break;
-            }
-            Err(mether_core::Error::Timeout) => continue,
-            Err(e) => panic!("{e}"),
-        }
+fn a_bare_demand_read_survives_25_percent_loss() {
+    // One read, no retry loop around it: a lost request or reply is
+    // re-sent by the node at its retransmission timeout.
+    for seed in 0..20 {
+        let c = lossy_cluster(0.25, seed);
+        let page = PageId::new(4);
+        c.node(0).create_owned(page);
+        let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+        c.node(0).write_u32(addr, 5).unwrap();
+        let read = c
+            .node(1)
+            .read_u32_timeout(addr, MapMode::ReadOnly, Duration::from_secs(2));
+        assert_eq!(read, Ok(5), "seed {seed}");
     }
-    assert_eq!(
-        got,
-        Some(5),
-        "demand fetch should succeed within 20 poll attempts"
-    );
+}
+
+#[test]
+fn a_remote_write_re_sends_its_lost_request() {
+    // Every frame is lost until the first request is; then the LAN
+    // heals and only the write's own re-send can fetch the consistent
+    // copy. (Uniform loss would also drop grants: a lost grant leaves
+    // the page with no consistent holder, which no re-send recovers, on
+    // either engine.)
+    let c = lossy_cluster(0.0, 0);
+    let page = PageId::new(4);
+    c.node(0).create_owned(page);
+    let addr = VAddr::new(page, View::short_demand(), 0).unwrap();
+    c.set_loss(0, 1.0);
+    let (tx, rx) = mpsc::channel();
+    let writer = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || tx.send(c.node(1).write_u32(addr, 7)).unwrap())
+    };
+    while c.net_stats().lost == 0 {
+        std::thread::yield_now();
+    }
+    c.set_loss(0, 0.0);
+    assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok(Ok(())));
+    writer.join().unwrap();
+    assert!(c.node(1).is_consistent_holder(page));
+    assert!(c.net_stats().requests >= 2, "{:?}", c.net_stats());
 }
 
 #[test]

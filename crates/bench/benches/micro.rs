@@ -265,7 +265,13 @@ fn bench_wake(c: &mut Criterion) {
     // page, returning how many were queued (so the bench can assert the
     // wakes are real work, not a hit path).
     fn rearm(t: &mut PageTable, fx: &mut Vec<Effect>) -> u64 {
-        let _ = t.purge(PageId::new(0), MapMode::ReadOnly, u64::MAX, fx);
+        let _ = t.purge(
+            PageId::new(0),
+            MapMode::ReadOnly,
+            PageLength::Short,
+            u64::MAX,
+            fx,
+        );
         let mut armed = 0;
         for w in 0..WAITERS {
             if let Ok(mether_core::AccessOutcome::Blocked(_)) =

@@ -91,7 +91,7 @@ pub use error::{Error, Result};
 pub use generation::Generation;
 pub use nic::{Admit, NicDrop};
 pub use page::PageBuf;
-pub use rto::RtoEstimator;
+pub use rto::{FaultTimer, RtoEstimator};
 pub use rules::PageHomePolicy;
 pub use table::{woken_waiters, AccessOutcome, Effect, FaultKind, PageTable, WakeSet};
 pub use topology::{ActiveTree, BridgeTopology, DeviceView};

@@ -17,20 +17,45 @@
 //! `3 r`). Before any sample the RTO is three times the round trip the
 //! embedder's cost model implies on an idle network.
 //!
-//! Each unanswered request of one fault doubles that fault's timer, up
-//! to [`MAX_BACKOFF`] doublings, so a partition is re-probed in bounded
-//! time once it heals. **Karn's rule**: a fault that was retransmitted
-//! gives no sample (its reply cannot be matched to one of its
-//! requests), and the backoff it reached is kept as the starting point
-//! of the host's next fault until a clean sample clears it — without
-//! the retention, a round trip that jumps above the RTO is never
-//! sampled again and the estimate sticks low.
+//! # One fault's timer
+//!
+//! Each request-bearing fault carries a [`FaultTimer`]: when its last
+//! request went out, the doublings it has reached and whether it has
+//! re-sent. The rules, the same in the simulator and the threaded
+//! runtime:
+//!
+//! * a fault's first request ([`RtoEstimator::request_sent`] with no
+//!   earlier timer) starts at the host's retained backoff;
+//! * each re-send adds one doubling, up to 16 × the timeout, so a
+//!   partition is re-probed in bounded time once it heals;
+//! * the timer falls due ([`RtoEstimator::due_ns`]) one timeout after
+//!   the last send, doubled per its backoff if the caller's faults
+//!   double. Writes and every open-loop fault of the simulator double;
+//!   a process read in the simulator and a read in the runtime stay at
+//!   one timeout: with reads doubling too, lossy soak seed 7834 ran out
+//!   its 4.4 s budget, at one timeout it finishes in 0.87 s;
+//! * **Karn's rule** ([`RtoEstimator::answered`]): a fault answered by
+//!   its first request is a round-trip sample and clears the retained
+//!   backoff; a fault that re-sent gives no sample (its reply cannot be
+//!   matched to one of its requests), and the backoff it reached is
+//!   kept as the starting point of the host's next fault until a clean
+//!   sample clears it. Without the retention, a round trip that jumps
+//!   above the timeout is never sampled again and the estimate sticks
+//!   low.
+//!
+//! A simulated process's data wait sends nothing, yet nothing else
+//! would wake it if the waking broadcast is lost: it borrows a timer
+//! of one timeout, whose firing escalates the read to a demand fetch.
+//! The borrowed timer is never answered, so it is neither a sample nor
+//! a re-send. The runtime's data wait takes no timer at all: as the
+//! paper defines it, it ends when a broadcast brings the page.
 //!
 //! No time type and no I/O: the simulator feeds it sim-time
-//! nanoseconds, a threaded runtime can feed it wall-clock ones.
+//! nanoseconds, a threaded runtime wall-clock ones since an instant of
+//! its own.
 
 /// Most doublings one fault's timer takes (a 16 × cap).
-pub const MAX_BACKOFF: u32 = 4;
+const MAX_BACKOFF: u32 = 4;
 
 /// The least a retransmission timeout may be, in nanoseconds (20 ms),
 /// in both engines. It is a floor, not the timeout: each host measures
@@ -49,6 +74,21 @@ pub struct RtoEstimator {
     smoothed: Option<(u64, u64)>,
     /// Doublings a new fault's timer starts with (Karn's retention).
     backoff: u32,
+}
+
+/// The retransmission timer of one outstanding fault (see the module
+/// docs, "One fault's timer"). 16 bytes: both engines keep one per
+/// blocked waiter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultTimer {
+    /// When the fault's latest request went out, in the embedder's
+    /// nanoseconds.
+    sent_ns: u64,
+    /// Doublings so far: the host's retained backoff plus one per
+    /// re-send.
+    backoff: u32,
+    /// The request has gone out more than once.
+    resent: bool,
 }
 
 impl RtoEstimator {
@@ -83,7 +123,7 @@ impl RtoEstimator {
     }
 
     /// The timeout of a request sent at `backoff` doublings (clamped to
-    /// [`MAX_BACKOFF`]).
+    /// the 16 × cap).
     pub fn timeout_ns(&self, backoff: u32) -> u64 {
         self.rto_ns().saturating_mul(1 << backoff.min(MAX_BACKOFF))
     }
@@ -106,6 +146,43 @@ impl RtoEstimator {
     /// doublings: no sample, and the next fault starts there.
     pub fn retransmitted(&mut self, backoff: u32) {
         self.backoff = backoff.min(MAX_BACKOFF);
+    }
+
+    /// The timer of a fault whose request goes out at `now_ns`: its
+    /// first if `last` is `None`, starting at the retained backoff;
+    /// else a re-send of the fault `last` timed, one doubling up.
+    pub fn request_sent(&self, last: Option<FaultTimer>, now_ns: u64) -> FaultTimer {
+        let (backoff, resent) = match last {
+            Some(t) => ((t.backoff + 1).min(MAX_BACKOFF), true),
+            None => (self.backoff, false),
+        };
+        FaultTimer {
+            sent_ns: now_ns,
+            backoff,
+            resent,
+        }
+    }
+
+    /// When `timer` falls due: one timeout after its last send, doubled
+    /// per its backoff if the caller's faults double.
+    pub fn due_ns(&self, timer: FaultTimer, doubles: bool) -> u64 {
+        let backoff = if doubles { timer.backoff } else { 0 };
+        timer.sent_ns.saturating_add(self.timeout_ns(backoff))
+    }
+
+    /// `timer`'s fault was answered at `now_ns`. Sent once, it is a
+    /// round-trip sample and `None` is returned; re-sent, it gives none,
+    /// its backoff carries to the host's next fault (Karn's rule), and
+    /// the time since its last send is returned.
+    pub fn answered(&mut self, timer: FaultTimer, now_ns: u64) -> Option<u64> {
+        let since = now_ns.saturating_sub(timer.sent_ns);
+        if timer.resent {
+            self.retransmitted(timer.backoff);
+            Some(since)
+        } else {
+            self.sample(since);
+            None
+        }
     }
 }
 
@@ -184,6 +261,45 @@ mod tests {
         assert_eq!(e.backoff(), 0);
         e.retransmitted(9);
         assert_eq!(e.backoff(), MAX_BACKOFF);
+    }
+
+    /// One fault's timer from its first send to its answer, then the
+    /// next fault's.
+    #[test]
+    fn one_fault_timer_from_first_send_to_answer() {
+        assert_eq!(std::mem::size_of::<FaultTimer>(), 16);
+        let mut e = RtoEstimator::new(20 * MS, 10 * MS);
+        e.retransmitted(1);
+        let rto = e.rto_ns();
+
+        // The first send starts at the retained backoff.
+        let first = e.request_sent(None, 100 * MS);
+        assert_eq!(e.due_ns(first, true), 100 * MS + 2 * rto);
+        assert_eq!(e.due_ns(first, false), 100 * MS + rto);
+
+        // A read's re-sends stay due at one timeout; a write's double
+        // up to the 16 × cap.
+        let mut t = first;
+        let mut due = Vec::new();
+        for i in 1..=5 {
+            t = e.request_sent(Some(t), i * 1000 * MS);
+            assert_eq!(e.due_ns(t, false) - i * 1000 * MS, rto);
+            due.push((e.due_ns(t, true) - i * 1000 * MS) / rto);
+        }
+        assert_eq!(due, [4, 8, 16, 16, 16]);
+
+        // Answered after a re-send: no sample, the backoff kept.
+        assert_eq!(e.answered(t, 5000 * MS + 3 * MS), Some(3 * MS));
+        assert_eq!(e.srtt_ns(), None);
+        assert_eq!(e.backoff(), MAX_BACKOFF);
+
+        // The next fault starts there; its first request's answer is a
+        // sample and clears the backoff.
+        let next = e.request_sent(None, 6000 * MS);
+        assert_eq!(e.due_ns(next, true), 6000 * MS + 16 * rto);
+        assert_eq!(e.answered(next, 6000 * MS + 30 * MS), None);
+        assert_eq!(e.srtt_ns(), Some(30 * MS));
+        assert_eq!(e.backoff(), 0);
     }
 
     proptest! {

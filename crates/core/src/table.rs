@@ -182,10 +182,15 @@ pub enum Effect {
     /// `handle_packet` call; see [`WakeSet`]). The batch is never empty.
     WakeAll(WakeSet),
     /// The purge-pending bit was set: the user-level server must broadcast
-    /// a read-only copy of the page and then call
+    /// a read-only copy of `length` of the page and then call
     /// [`PageTable::do_purge`]. (The paper's PURGE → server → DO-PURGE
     /// handshake.)
-    ServerPurge(PageId),
+    ServerPurge {
+        /// The page purged.
+        page: PageId,
+        /// The length of the view it was purged through.
+        length: PageLength,
+    },
     /// This host just became the consistent holder of the page.
     ConsistentArrived(PageId),
 }
@@ -254,6 +259,12 @@ impl PageEntry {
 
     fn presence(&self, short_len: usize) -> Presence {
         Presence::from_valid_len(self.buf.as_ref().map(PageBuf::valid_len), short_len)
+    }
+
+    /// Is `waiter` on this page's demand or data list?
+    fn waits(&self, waiter: WaiterId) -> bool {
+        self.demand_waiters.iter().any(|(w, _, _)| *w == waiter)
+            || self.data_waiters.contains(&waiter)
     }
 }
 
@@ -444,7 +455,9 @@ impl PageTable {
     /// [`MapMode::Writeable`], write) the local copy via
     /// [`PageTable::page_buf`] / [`PageTable::page_buf_mut`]. On
     /// [`AccessOutcome::Blocked`], the caller must block `waiter` until a
-    /// [`Effect::Wake`] names it, then retry.
+    /// [`Effect::Wake`] names it, then retry. A waiter already blocked on
+    /// the page is listed, and its fault counted, once however often it
+    /// re-checks.
     ///
     /// # Errors
     ///
@@ -483,8 +496,10 @@ impl PageTable {
                 } else {
                     Want::Consistent
                 };
-                self.stats.consistent_faults += 1;
-                e.demand_waiters.push((waiter, view.length, want));
+                if !e.waits(waiter) {
+                    self.stats.consistent_faults += 1;
+                    e.demand_waiters.push((waiter, view.length, want));
+                }
                 if e.requested != Some(want) {
                     e.requested = Some(want);
                     effects.push(Effect::Send(Packet::PageRequest {
@@ -503,10 +518,13 @@ impl PageTable {
                     e.referenced = true;
                     return Ok(AccessOutcome::Ready);
                 }
+                let registered = e.waits(waiter);
                 match view.drive {
                     DriveMode::Demand => {
-                        self.stats.demand_faults += 1;
-                        e.demand_waiters.push((waiter, view.length, Want::ReadOnly));
+                        if !registered {
+                            self.stats.demand_faults += 1;
+                            e.demand_waiters.push((waiter, view.length, Want::ReadOnly));
+                        }
                         if e.requested.is_none() {
                             e.requested = Some(Want::ReadOnly);
                             effects.push(Effect::Send(Packet::PageRequest {
@@ -521,8 +539,10 @@ impl PageTable {
                     DriveMode::Data => {
                         // "the server does not send out a request. Some
                         // other process must actively send out an update."
-                        self.stats.data_faults += 1;
-                        e.data_waiters.push(waiter);
+                        if !registered {
+                            self.stats.data_faults += 1;
+                            e.data_waiters.push(waiter);
+                        }
                         Ok(AccessOutcome::Blocked(FaultKind::DataWait))
                     }
                 }
@@ -536,8 +556,8 @@ impl PageTable {
     ///   host holds the consistent copy, in which case the inconsistent
     ///   view shares the consistent storage and there is nothing separate
     ///   to purge — the purge is a no-op). Returns `Ready`.
-    /// * Writeable: sets purge-pending, emits [`Effect::ServerPurge`];
-    ///   the purger must block until DO-PURGE. Returns
+    /// * Writeable: sets purge-pending, emits [`Effect::ServerPurge`]
+    ///   with `length`; the purger must block until DO-PURGE. Returns
     ///   `Blocked(PurgeWait)`.
     ///
     /// # Errors
@@ -548,6 +568,7 @@ impl PageTable {
         &mut self,
         page: PageId,
         mode: MapMode,
+        length: PageLength,
         waiter: WaiterId,
         effects: &mut Vec<Effect>,
     ) -> Result<AccessOutcome> {
@@ -571,7 +592,7 @@ impl PageTable {
                 self.stats.rw_purges += 1;
                 e.purge_pending = true;
                 e.purge_waiter = Some(waiter);
-                effects.push(Effect::ServerPurge(page));
+                effects.push(Effect::ServerPurge { page, length });
                 Ok(AccessOutcome::Blocked(FaultKind::PurgeWait))
             }
         }
@@ -1161,6 +1182,30 @@ pub(crate) mod tests {
         );
     }
 
+    /// A waiter that re-checks a blocked access stays one list entry
+    /// and one fault; the request latch still decides what is sent.
+    #[test]
+    fn a_blocked_waiter_is_listed_once() {
+        let mut t = table(1);
+        let mut fx = Vec::new();
+        for _ in 0..2 {
+            t.access(p0(), View::short_data(), MapMode::ReadOnly, 7, &mut fx)
+                .unwrap();
+        }
+        assert_eq!(t.pages.get(p0()).unwrap().data_waiters, [7]);
+        assert_eq!(t.stats().data_faults, 1);
+        t.cancel_wait(p0(), 7);
+        for _ in 0..2 {
+            t.access(p0(), View::short_demand(), MapMode::ReadOnly, 7, &mut fx)
+                .unwrap();
+        }
+        let e = t.pages.get(p0()).unwrap();
+        assert_eq!((e.data_waiters.len(), e.demand_waiters.len()), (0, 1));
+        assert_eq!(t.stats().demand_faults, 1);
+        let sends = fx.iter().filter(|e| matches!(e, Effect::Send(_))).count();
+        assert_eq!(sends, 1, "the re-check rides on the outstanding request");
+    }
+
     #[test]
     fn data_driven_fault_is_silent() {
         let mut t = table(1);
@@ -1464,7 +1509,8 @@ pub(crate) mod tests {
         let mut t0 = table(0);
         t0.create_owned(p0());
         let mut fx = Vec::new();
-        t0.purge(p0(), MapMode::Writeable, 9, &mut fx).unwrap();
+        t0.purge(p0(), MapMode::Writeable, PageLength::Short, 9, &mut fx)
+            .unwrap();
         let purge = t0.server_purge_broadcast(p0(), PageLength::Short).unwrap();
         assert!(purge.is_data() && !purge.is_reply());
         t0.do_purge(p0(), &mut fx);
@@ -1575,7 +1621,9 @@ pub(crate) mod tests {
             .unwrap();
         t.handle_packet(&frame(p0(), 1, None, vec![0u8; 32]), &mut fx);
         assert!(t.page_buf(p0()).is_some());
-        let out = t.purge(p0(), MapMode::ReadOnly, 1, &mut fx).unwrap();
+        let out = t
+            .purge(p0(), MapMode::ReadOnly, PageLength::Short, 1, &mut fx)
+            .unwrap();
         assert_eq!(out, AccessOutcome::Ready);
         assert!(t.page_buf(p0()).is_none());
         assert_eq!(t.stats().ro_purges, 1);
@@ -1586,7 +1634,8 @@ pub(crate) mod tests {
         let mut t = table(0);
         t.create_owned(p0());
         let mut fx = Vec::new();
-        t.purge(p0(), MapMode::ReadOnly, 1, &mut fx).unwrap();
+        t.purge(p0(), MapMode::ReadOnly, PageLength::Short, 1, &mut fx)
+            .unwrap();
         assert!(
             t.page_buf(p0()).is_some(),
             "the consistent copy is never purged away"
@@ -1601,9 +1650,17 @@ pub(crate) mod tests {
         t.page_buf_mut(p0()).unwrap().write_u32(0, 42).unwrap();
         let mut fx = Vec::new();
 
-        let out = t.purge(p0(), MapMode::Writeable, 5, &mut fx).unwrap();
+        let out = t
+            .purge(p0(), MapMode::Writeable, PageLength::Short, 5, &mut fx)
+            .unwrap();
         assert_eq!(out, AccessOutcome::Blocked(FaultKind::PurgeWait));
-        assert_eq!(fx, vec![Effect::ServerPurge(p0())]);
+        assert_eq!(
+            fx,
+            vec![Effect::ServerPurge {
+                page: p0(),
+                length: PageLength::Short
+            }]
+        );
         assert!(t.purge_pending(p0()));
 
         // Server: broadcast then DO-PURGE.
@@ -1632,7 +1689,9 @@ pub(crate) mod tests {
     fn rw_purge_requires_holder() {
         let mut t = table(1);
         let mut fx = Vec::new();
-        let err = t.purge(p0(), MapMode::Writeable, 1, &mut fx).unwrap_err();
+        let err = t
+            .purge(p0(), MapMode::Writeable, PageLength::Short, 1, &mut fx)
+            .unwrap_err();
         assert_eq!(err, Error::NotConsistentHolder { page: p0() });
     }
 
@@ -1914,7 +1973,8 @@ pub(crate) mod tests {
         assert_eq!(tracked, [true, false, false, true, false]);
         // A second mutation of an already-dirty page adds no entry.
         let mut fx = Vec::new();
-        t.purge(p0(), MapMode::Writeable, 1, &mut fx).unwrap();
+        t.purge(p0(), MapMode::Writeable, PageLength::Short, 1, &mut fx)
+            .unwrap();
         t.server_purge_broadcast(p0(), PageLength::Short).unwrap();
         assert_eq!(t.dirty_page_count(), 2);
         let mut drained = t.take_dirty_pages();

@@ -29,14 +29,13 @@
 //! # Loss
 //!
 //! A fault that sent a request (a demand or consistent fetch) re-sends
-//! it when no reply comes within the node's retransmission timeout: the
-//! hardened simulator host's rules, from the same core estimator. A
-//! read's timer stays at one timeout, a write's doubles per re-send; a
-//! fault its first request answered is a round-trip sample, a re-sent
-//! one gives none (Karn's rule). So a read without a deadline is live on
-//! a lossy LAN, and a deadline only says how long the caller will wait.
-//! A data-driven wait sends nothing, so nothing of it is re-sent: as the
-//! paper defines it, it ends when a broadcast brings the page.
+//! it when no reply comes within the node's retransmission timeout, by
+//! the per-fault rules of [`mether_core::rto`] that the hardened
+//! simulator host follows too; a read here stays at one timeout. So a
+//! read without a deadline is live on a lossy LAN, and a deadline only
+//! says how long the caller will wait. A data-driven wait sends
+//! nothing, so nothing of it is re-sent: as the paper defines it, it
+//! ends when a broadcast brings the page.
 //!
 //! One deliberate simplification versus SunOS: the PURGE → server →
 //! DO-PURGE handshake is performed inline by the purging thread. In the
@@ -44,10 +43,10 @@
 //! that owns the socket; in a threaded runtime every thread can transmit,
 //! so the handshake collapses without changing what reaches the wire.
 
-use mether_core::rto::{MAX_BACKOFF, RETRY_FLOOR_NS};
+use mether_core::rto::RETRY_FLOOR_NS;
 use mether_core::{
-    AccessOutcome, Admit, Effect, Error, FaultKind, HostId, MapMode, MetherConfig, NicDrop, Packet,
-    PageId, PageLength, PageTable, Result, RtoEstimator, VAddr,
+    AccessOutcome, Admit, Effect, Error, FaultKind, FaultTimer, HostId, MapMode, MetherConfig,
+    NicDrop, Packet, PageId, PageLength, PageTable, Result, RtoEstimator, VAddr,
 };
 use mether_net::rt::{lock, Endpoint};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,8 +68,8 @@ pub(crate) struct NodeInner {
     endpoint: Endpoint,
     next_waiter: AtomicU64,
     /// Wake effects applied so far, each counted before its kick: a
-    /// blocked access re-checks only once this moved, since every check
-    /// that stays blocked queues its waiter in the table once more.
+    /// blocked access re-checks only once this moved, since a check
+    /// takes the driver lock and one that stays blocked changes nothing.
     wakes: AtomicU64,
     /// Page requests [`Admit::Coalesced`] within a drained receive burst
     /// (see [`Node::requests_coalesced`]).
@@ -78,6 +77,8 @@ pub(crate) struct NodeInner {
     /// Times this node's fault re-sends (see the module docs, "Loss");
     /// locked only by a fault that blocked.
     rto: Mutex<RtoEstimator>,
+    /// The instant the fault timers count their nanoseconds from.
+    clock: Instant,
 }
 
 /// A drained burst and the effects it produced; kept between pumps so
@@ -101,7 +102,7 @@ impl NodeInner {
                     self.wakes.fetch_add(1, Ordering::SeqCst);
                     self.endpoint.inbox().kick();
                 }
-                Effect::ServerPurge(_) => {
+                Effect::ServerPurge { .. } => {
                     unreachable!("writeable purges are handled inline by Node::purge")
                 }
             }
@@ -109,36 +110,9 @@ impl NodeInner {
         Ok(())
     }
 
-    /// Arms the timer of a request sent now: a fault's first starts at
-    /// the node's retained backoff, each re-send adds a doubling. A
-    /// read's timer stays at one timeout; a write's doubles.
-    fn arm(&self, mode: MapMode, last: Option<Retry>) -> Retry {
-        let rto = lock(&self.rto);
-        let backoff = last.map_or(rto.backoff(), |r| (r.backoff + 1).min(MAX_BACKOFF));
-        let doublings = if mode == MapMode::ReadOnly {
-            0
-        } else {
-            backoff
-        };
-        let sent = Instant::now();
-        Retry {
-            sent,
-            due: sent + Duration::from_nanos(rto.timeout_ns(doublings)),
-            backoff,
-            resent: last.is_some(),
-        }
-    }
-
-    /// A fault was answered: a round-trip sample if its first request
-    /// was, Karn's rule if it re-sent.
-    fn answered(&self, retry: Option<Retry>) {
-        let Some(r) = retry else { return };
-        let mut rto = lock(&self.rto);
-        if r.resent {
-            rto.retransmitted(r.backoff);
-        } else {
-            rto.sample(r.sent.elapsed().as_nanos() as u64);
-        }
+    /// Nanoseconds on the fault timers' clock.
+    fn now_ns(&self) -> u64 {
+        self.clock.elapsed().as_nanos() as u64
     }
 
     /// Handles the burst of frames due now, if any: the one receive path
@@ -186,17 +160,6 @@ impl NodeInner {
     }
 }
 
-/// The re-send timer of one request-bearing fault (see the module docs,
-/// "Loss"): when its last request went out and when that one is taken
-/// for lost, and the doublings so far.
-#[derive(Clone, Copy)]
-struct Retry {
-    sent: Instant,
-    due: Instant,
-    backoff: u32,
-    resent: bool,
-}
-
 /// Tells the bridge fabric a page was created on this node, so the
 /// devices between the page's home and this node's segment can route
 /// requests to it before it has transmitted anything
@@ -229,6 +192,7 @@ impl Node {
             wakes: AtomicU64::new(0),
             requests_coalesced: AtomicU64::new(0),
             rto: Mutex::new(RtoEstimator::new(RETRY_FLOOR_NS, 0)),
+            clock: Instant::now(),
         });
         let rx_inner = Arc::clone(&inner);
         let receiver = std::thread::Builder::new()
@@ -392,7 +356,19 @@ impl Node {
         let access = |driver: &mut PageTable, effects: &mut Vec<Effect>| {
             driver.access(page, addr.view(), mode, waiter, effects)
         };
-        let finish = |mut driver: MutexGuard<'_, PageTable>, effects: Vec<Effect>| {
+        // A request's timer, and when it falls due.
+        let arm = |last: Option<FaultTimer>| {
+            let rto = lock(&self.inner.rto);
+            let timer = rto.request_sent(last, self.inner.now_ns());
+            let due = rto.due_ns(timer, mode != MapMode::ReadOnly);
+            (timer, self.inner.clock + Duration::from_nanos(due))
+        };
+        let finish = |mut driver: MutexGuard<'_, PageTable>,
+                      effects: Vec<Effect>,
+                      retry: Option<(FaultTimer, Instant)>| {
+            if let Some((timer, _)) = retry {
+                lock(&self.inner.rto).answered(timer, self.inner.now_ns());
+            }
             let out = op(&mut driver)?;
             drop(driver);
             self.inner.apply_effects(effects)?;
@@ -404,12 +380,12 @@ impl Node {
         let mut checked = self.inner.wakes.load(Ordering::SeqCst);
         let mut driver = lock(&self.inner.driver);
         let kind = match access(&mut driver, &mut effects)? {
-            AccessOutcome::Ready => return finish(driver, effects),
+            AccessOutcome::Ready => return finish(driver, effects, None),
             AccessOutcome::Blocked(kind) => kind,
         };
         drop(driver);
-        let mut retry = matches!(kind, FaultKind::DemandFetch | FaultKind::ConsistentFetch)
-            .then(|| self.inner.arm(mode, None));
+        let mut retry =
+            matches!(kind, FaultKind::DemandFetch | FaultKind::ConsistentFetch).then(|| arm(None));
         // A miss: from here until it returns this thread receives for
         // the node, registered before the fault request goes out so the
         // reply wakes it.
@@ -422,8 +398,7 @@ impl Node {
                 checked = wakes;
                 let mut driver = lock(&self.inner.driver);
                 if access(&mut driver, &mut effects)? == AccessOutcome::Ready {
-                    self.inner.answered(retry);
-                    return finish(driver, effects);
+                    return finish(driver, effects, retry);
                 }
                 drop(driver);
                 if !effects.is_empty() {
@@ -434,21 +409,20 @@ impl Node {
             if deadline.is_some_and(|d| d <= now) {
                 return Err(self.give_up(page, waiter));
             }
-            if let Some(r) = retry.as_mut().filter(|r| r.due <= now) {
+            if let Some((timer, _)) = retry.filter(|&(_, due)| due <= now) {
                 // No reply in time: the request or the reply was lost.
                 // Accessing anew re-sends the request.
                 let mut driver = lock(&self.inner.driver);
                 driver.cancel_wait(page, waiter);
                 if access(&mut driver, &mut effects)? == AccessOutcome::Ready {
-                    self.inner.answered(retry);
-                    return finish(driver, effects);
+                    return finish(driver, effects, retry);
                 }
                 drop(driver);
-                *r = self.inner.arm(mode, Some(*r));
+                retry = Some(arm(Some(timer)));
                 continue;
             }
             self.inner.pump()?;
-            let until = deadline.into_iter().chain(retry.map(|r| r.due)).min();
+            let until = deadline.into_iter().chain(retry.map(|(_, due)| due)).min();
             match fg.wait(seen, until) {
                 // The deadline or the re-send: the loop's top tells which.
                 Err(Error::Timeout) => {}
@@ -478,7 +452,7 @@ impl Node {
         let waiter = self.inner.next_waiter.fetch_add(1, Ordering::Relaxed);
         let mut effects = Vec::new();
         let mut driver = lock(&self.inner.driver);
-        match driver.purge(page, mode, waiter, &mut effects)? {
+        match driver.purge(page, mode, length, waiter, &mut effects)? {
             AccessOutcome::Ready => {
                 drop(driver);
                 self.inner.apply_effects(effects)?;
@@ -599,6 +573,40 @@ pub(crate) mod tests {
         assert_eq!(read, Err(Error::Timeout));
         let requests = c.net_stats().requests;
         assert!((2..=5).contains(&requests), "{requests} requests in 100 ms");
+    }
+
+    /// Eight threads block on a data-driven read of a page nobody
+    /// publishes while the node makes 1 000 purge-and-refetch round
+    /// trips: every reply wakes them to re-check, and each stays one
+    /// waiter and one fault.
+    #[test]
+    fn a_blocked_accessor_is_registered_once() {
+        let c = Cluster::new(ClusterConfig::fast(2)).unwrap();
+        let page = PageId::new(1);
+        c.node(0).create_owned(page);
+        let fetched = VAddr::new(page, View::short_demand(), 0).unwrap();
+        let unpublished = VAddr::new(PageId::new(2), View::short_data(), 0).unwrap();
+        let node = c.node(1);
+        let data_faults = || lock(&node.inner.driver).stats().data_faults;
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| node.read_u32(unpublished, MapMode::ReadOnly)))
+                .collect();
+            while data_faults() < 8 {
+                std::thread::yield_now();
+            }
+            for _ in 0..1000 {
+                node.purge(page, MapMode::ReadOnly, PageLength::Short)
+                    .unwrap();
+                node.read_u32(fetched, MapMode::ReadOnly).unwrap();
+            }
+            let faults = data_faults();
+            node.signal_shutdown();
+            for r in readers {
+                assert_eq!(r.join().unwrap(), Err(Error::Disconnected));
+            }
+            assert_eq!(faults, 8);
+        });
     }
 
     /// A node whose receiver thread and two accessor threads all drain

@@ -34,15 +34,13 @@
 //! answers them and each waits out a timeout.
 //!
 //! Third, a fault whose reply does not come is re-sent. The timeout is
-//! measured, not configured — every host keeps one
-//! [`mether_core::RtoEstimator`], fed the round trip of each fault its
-//! first request satisfied and asked for the timeout wherever a fault
-//! blocks (`block`, `open_arrival`, `open_retry_fired`). A fault that
-//! had to re-send gives no sample; a write or open-loop fault doubles
-//! its own timer per attempt, a process read re-arms at one timeout. A
-//! data wait sends nothing, so it arms the timer but is neither a
-//! sample nor a retransmission. What the timer did is counted beside
-//! the other serving counters: [`HostSim::fault_retransmits`],
+//! measured, not configured: every host keeps one
+//! [`mether_core::RtoEstimator`], and each blocked fault a
+//! [`mether_core::FaultTimer`] from it, armed in `arm_retry`. The
+//! per-fault rules, among them which faults double and how a data wait
+//! borrows the timer, are stated once in [`mether_core::rto`]. What the
+//! timer did is counted beside the other serving counters:
+//! [`HostSim::fault_retransmits`],
 //! [`HostSim::spurious_retransmits`]. The same timeout is each
 //! process's read lease: a process that keeps reading an unchanged,
 //! non-consistent copy for longer than one timeout drops it and
@@ -59,11 +57,11 @@
 use crate::calib::Calib;
 use crate::hist::LatencyHistogram;
 use crate::process::{DsmOp, OpResult, Step, StepCtx, Workload, WorkloadCounters};
-use mether_core::rto::{MAX_BACKOFF, RETRY_FLOOR_NS};
+use mether_core::rto::RETRY_FLOOR_NS;
 use mether_core::table::WaiterId;
 use mether_core::{
-    AccessOutcome, Admit, DriveMode, Effect, FaultKind, Generation, MapMode, MetherConfig, NicDrop,
-    Packet, PageId, PageLength, PageTable, RtoEstimator, View, Want,
+    AccessOutcome, Admit, DriveMode, Effect, FaultKind, FaultTimer, Generation, MapMode,
+    MetherConfig, NicDrop, Packet, PageId, PageLength, PageTable, RtoEstimator, View, Want,
 };
 use mether_net::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -73,7 +71,7 @@ use std::sync::{Arc, OnceLock};
 /// waiters are process indices (small); open-loop waiters are
 /// `OPEN_WAITER_BASE + issue-sequence`, so the two can share the page
 /// table's wait lists without colliding.
-pub(crate) const OPEN_WAITER_BASE: WaiterId = 1 << 32;
+const OPEN_WAITER_BASE: WaiterId = 1 << 32;
 
 /// One access injected by the open-loop traffic driver: issued at `at`
 /// regardless of what the host is doing (open-loop arrivals do not wait
@@ -127,32 +125,8 @@ struct OpenWait {
     page: PageId,
     view: View,
     mode: MapMode,
-    retry: FaultRetry,
-}
-
-/// Retransmission state of one outstanding fault.
-#[derive(Debug, Clone, Copy)]
-struct FaultRetry {
-    /// When the fault's latest request was queued for the server.
-    sent_at: SimTime,
-    /// Doublings on the timer now armed: the host's carried backoff
-    /// plus one per unanswered request of this fault.
-    backoff: u32,
-    /// The request has been sent more than once, so a reply cannot be
-    /// matched to a send time (Karn's rule: no sample).
-    retransmitted: bool,
-}
-
-impl FaultRetry {
-    /// The state after this fault's timer fired and its request was
-    /// re-sent at `now`.
-    fn resent(self, now: SimTime) -> FaultRetry {
-        FaultRetry {
-            sent_at: now,
-            backoff: (self.backoff + 1).min(MAX_BACKOFF),
-            retransmitted: true,
-        }
-    }
+    /// `None` under the paper's profile, which has no timer.
+    retry: Option<FaultTimer>,
 }
 
 /// Scheduler state of a process.
@@ -191,10 +165,10 @@ struct Proc {
     /// epoch they were armed at, so a timer from an earlier block never
     /// fires against a later one.
     block_epoch: u64,
-    /// Retransmission state of the request-bearing fault the process is
+    /// Retransmission timer of the request-bearing fault the process is
     /// blocked on, kept across the re-blocks of one fault; `None`
-    /// between faults and during a data wait.
-    retry: Option<FaultRetry>,
+    /// between faults, during a data wait and without the timer.
+    retry: Option<FaultTimer>,
     /// The read lease: `(page, generation, since)` of the last read
     /// that hit a non-consistent copy, `since` being the first such
     /// read at that generation. Kept only under [`Calib::hardened`];
@@ -412,8 +386,6 @@ pub struct HostSim {
     /// the simulation into retry events; only armed under
     /// [`Calib::hardened`].
     pending_retries: Vec<(usize, SimTime, u64)>,
-    /// Pending writeable-purge broadcast lengths, page → view length.
-    purge_lengths: Vec<(PageId, PageLength)>,
     /// A process was just woken: it outranks the server once (SunOS
     /// priority boost for processes returning from a long sleep).
     wake_boost: bool,
@@ -459,7 +431,6 @@ impl HostSim {
             open: None,
             pending_sleeps: Vec::new(),
             pending_retries: Vec::new(),
-            purge_lengths: Vec::new(),
             wake_boost: false,
         }
     }
@@ -557,8 +528,7 @@ impl HostSim {
                 // processes: their request's answerer can vanish
                 // mid-flight (consistency handed off between request and
                 // serve), and no process re-execution would ever re-send.
-                let retry = self.first_request(now);
-                self.arm_retry(waiter as usize, now, retry.backoff, 0);
+                let retry = self.arm_retry(waiter as usize, None, now, true, 0);
                 let ol = self.open.as_mut().expect("attached");
                 ol.faults += 1;
                 ol.outstanding.push(OpenWait {
@@ -576,57 +546,6 @@ impl HostSim {
         ol.next = ol.stream.next_access();
         self.apply_effects(now, effects, &mut actions);
         actions
-    }
-
-    /// The retransmission timer of open-loop waiter `waiter` fired.
-    /// Returns `None` if the fault was already satisfied (a stale timer —
-    /// waiter ids are never reused, so presence in the outstanding list
-    /// is the whole liveness check). Otherwise abandons the wait,
-    /// re-issues the access under the *same* waiter id and issue
-    /// timestamp (the histogram must charge the retry's cost to the
-    /// fault), re-arms the timer at twice its last timeout if it blocks
-    /// again, and returns the transmissions.
-    pub(crate) fn open_retry_fired(
-        &mut self,
-        now: SimTime,
-        waiter: WaiterId,
-    ) -> Option<Vec<HostAction>> {
-        // The index holds to the end: nothing below touches the list
-        // before the effects are applied.
-        let ol = self.open.as_ref()?;
-        let pos = ol.outstanding.iter().position(|w| w.waiter == waiter)?;
-        let OpenWait {
-            page, view, mode, ..
-        } = ol.outstanding[pos];
-        self.table.cancel_wait(page, waiter);
-        if mode == MapMode::ReadOnly {
-            // Same escalation as a process data-wait retry: shed any
-            // snooped copy so the re-execution demand-fetches and
-            // re-stamps the fabric's learned interest.
-            self.table.drop_stale_copy(page);
-        }
-        let mut effects = Vec::new();
-        let mut actions = Vec::new();
-        match self.table.access(page, view, mode, waiter, &mut effects) {
-            Ok(AccessOutcome::Ready) => {
-                // Satisfied between the wake we missed and this timer
-                // (e.g. the copy arrived without a waiting wake): stamp
-                // satisfaction now.
-                let ol = self.open.as_mut().expect("checked above");
-                let w = ol.outstanding.swap_remove(pos);
-                ol.hist.record(now.since(w.issued_at).as_nanos());
-            }
-            Ok(AccessOutcome::Blocked(_)) => {
-                let ol = self.open.as_mut().expect("checked above");
-                let retry = ol.outstanding[pos].retry.resent(now);
-                ol.outstanding[pos].retry = retry;
-                self.fault_retransmits += 1;
-                self.arm_retry(waiter as usize, now, retry.backoff, 0);
-            }
-            Err(e) => panic!("open-loop retry bug: {e}"),
-        }
-        self.apply_effects(now, effects, &mut actions);
-        Some(actions)
     }
 
     /// The open-loop fault-latency histogram, when a stream is attached.
@@ -778,15 +697,15 @@ impl HostSim {
         std::mem::take(&mut self.pending_retries)
     }
 
-    /// The retransmission timer of process `proc` (armed at `epoch`)
-    /// fired. If the process is still blocked on that same fault, the
+    /// The retransmission timer of `waiter`'s fault, armed at `epoch`,
+    /// fired. Returns `None` if the timer is stale: the fault was
+    /// satisfied, or the process has blocked again since. Otherwise the
     /// wait is abandoned ([`mether_core::PageTable::cancel_wait`],
-    /// clearing the request-dedup latch) and the process re-issues the
-    /// faulting access, which retransmits the request — the recovery
-    /// path for a reply lost to a dead bridge or a partitioned fabric.
-    /// The re-block of a write arms the timer at twice the timeout that
-    /// just expired; a read's stays at one timeout.
+    /// clearing the request-dedup latch) and the fault's access is run
+    /// anew, which retransmits the request — the recovery path for a
+    /// reply lost to a dead bridge or a partitioned fabric.
     ///
+    /// A process re-executes its faulting access once it is scheduled.
     /// A data wait needs one extra step: the process blocked over a
     /// stale-but-present copy without transmitting anything, so
     /// re-executing the read would just block again. The retry drops
@@ -797,43 +716,92 @@ impl HostSim {
     /// is the fault's first, not a retransmission: it is timed and
     /// sampled like any other.
     ///
-    /// Returns true if the process was unblocked for the retry.
-    pub(crate) fn retry_fired(&mut self, proc: usize, epoch: u64) -> bool {
-        let p = &mut self.procs[proc];
-        if p.state != ProcState::Blocked
-            || p.block_epoch != epoch
-            || !matches!(
-                p.blocked_kind,
-                Some(FaultKind::DemandFetch)
-                    | Some(FaultKind::ConsistentFetch)
-                    | Some(FaultKind::DataWait)
-            )
-        {
-            return false;
-        }
-        let page = match &p.pending_op {
-            Some(DsmOp::Read { page, .. }) | Some(DsmOp::Write { page, .. }) => *page,
-            _ => return false,
-        };
-        let was_data_wait = p.blocked_kind == Some(FaultKind::DataWait);
-        p.state = ProcState::Ready;
-        p.blocked_kind = None;
-        self.table.cancel_wait(page, proc as WaiterId);
-        if was_data_wait {
-            // A re-executed data-view read transmits nothing — with the
-            // copy still absent (or stale) it blocks exactly as before.
-            // Escalate this one execution to demand drive: the request
-            // it sends re-stamps learned interest and fetches whatever
-            // the holder has now. If that is still the old value the
-            // workload's own check loop purges and re-waits, with the
-            // next retry escalating again — a slow poll, but live.
-            self.table.drop_stale_copy(page);
-            if let Some(DsmOp::Read { view, .. }) = &mut self.procs[proc].pending_op {
-                view.drive = DriveMode::Demand;
+    /// An open-loop fault is re-issued here, under the *same* waiter id
+    /// and issue timestamp (the histogram must charge the retry's cost
+    /// to the fault); waiter ids are never reused, so presence in the
+    /// outstanding list is the whole liveness check. Returns the
+    /// transmissions.
+    pub(crate) fn retry_fired(
+        &mut self,
+        now: SimTime,
+        waiter: WaiterId,
+        epoch: u64,
+    ) -> Option<Vec<HostAction>> {
+        if waiter < OPEN_WAITER_BASE {
+            let proc = waiter as usize;
+            let p = &mut self.procs[proc];
+            if p.state != ProcState::Blocked
+                || p.block_epoch != epoch
+                || !matches!(
+                    p.blocked_kind,
+                    Some(FaultKind::DemandFetch)
+                        | Some(FaultKind::ConsistentFetch)
+                        | Some(FaultKind::DataWait)
+                )
+            {
+                return None;
             }
+            let page = match &p.pending_op {
+                Some(DsmOp::Read { page, .. }) | Some(DsmOp::Write { page, .. }) => *page,
+                _ => return None,
+            };
+            let was_data_wait = p.blocked_kind == Some(FaultKind::DataWait);
+            p.state = ProcState::Ready;
+            p.blocked_kind = None;
+            self.table.cancel_wait(page, waiter);
+            if was_data_wait {
+                // A re-executed data-view read transmits nothing — with the
+                // copy still absent (or stale) it blocks exactly as before.
+                // Escalate this one execution to demand drive: the request
+                // it sends re-stamps learned interest and fetches whatever
+                // the holder has now. If that is still the old value the
+                // workload's own check loop purges and re-waits, with the
+                // next retry escalating again — a slow poll, but live.
+                self.table.drop_stale_copy(page);
+                if let Some(DsmOp::Read { view, .. }) = &mut self.procs[proc].pending_op {
+                    view.drive = DriveMode::Demand;
+                }
+            }
+            self.run_queue.push_back(proc);
+            return Some(Vec::new());
         }
-        self.run_queue.push_back(proc);
-        true
+        // The index holds to the end: nothing below touches the list
+        // before the effects are applied.
+        let ol = self.open.as_ref()?;
+        let pos = ol.outstanding.iter().position(|w| w.waiter == waiter)?;
+        let OpenWait {
+            page,
+            view,
+            mode,
+            retry,
+            ..
+        } = ol.outstanding[pos];
+        self.table.cancel_wait(page, waiter);
+        if mode == MapMode::ReadOnly {
+            // Same escalation as a process data-wait retry: shed any
+            // snooped copy so the re-execution demand-fetches and
+            // re-stamps the fabric's learned interest.
+            self.table.drop_stale_copy(page);
+        }
+        let mut effects = Vec::new();
+        match self.table.access(page, view, mode, waiter, &mut effects) {
+            Ok(AccessOutcome::Ready) => {
+                // Satisfied between the wake we missed and this timer
+                // (e.g. the copy arrived without a waiting wake): stamp
+                // satisfaction now.
+                let ol = self.open.as_mut().expect("checked above");
+                let w = ol.outstanding.swap_remove(pos);
+                ol.hist.record(now.since(w.issued_at).as_nanos());
+            }
+            Ok(AccessOutcome::Blocked(_)) => {
+                let retry = self.arm_retry(waiter as usize, retry, now, true, 0);
+                self.open.as_mut().expect("checked above").outstanding[pos].retry = retry;
+            }
+            Err(e) => panic!("open-loop retry bug: {e}"),
+        }
+        let mut actions = Vec::new();
+        self.apply_effects(now, effects, &mut actions);
+        Some(actions)
     }
 
     /// This host's retransmission-timeout estimator, under
@@ -842,41 +810,35 @@ impl HostSim {
         self.rto.as_ref()
     }
 
-    /// Retransmission state of a fault whose first request is queued at
-    /// `now`: it starts from whatever backoff the host's last
-    /// retransmitted fault left.
-    fn first_request(&self, now: SimTime) -> FaultRetry {
-        FaultRetry {
-            sent_at: now,
-            backoff: self.rto.as_ref().map_or(0, RtoEstimator::backoff),
-            retransmitted: false,
-        }
+    /// Times a request of `waiter`'s fault queued at `now`, its first
+    /// or a re-send of `last`, and arms its retransmission timer, which
+    /// doubles per re-send if `doubles`. Returns the fault's timer; `None`
+    /// under the paper's profile, which has none.
+    fn arm_retry(
+        &mut self,
+        waiter: usize,
+        last: Option<FaultTimer>,
+        now: SimTime,
+        doubles: bool,
+        epoch: u64,
+    ) -> Option<FaultTimer> {
+        let rto = self.rto.as_ref()?;
+        self.fault_retransmits += u64::from(last.is_some());
+        let timer = rto.request_sent(last, now.as_nanos());
+        let due = SimTime::ZERO + SimDuration::from_nanos(rto.due_ns(timer, doubles));
+        self.pending_retries.push((waiter, due, epoch));
+        Some(timer)
     }
 
-    /// Arms the retransmission timer of `waiter`'s fault (when enabled):
-    /// the host's measured timeout, doubled `backoff` times.
-    fn arm_retry(&mut self, waiter: usize, now: SimTime, backoff: u32, epoch: u64) {
-        if let Some(rto) = &self.rto {
-            let timeout = SimDuration::from_nanos(rto.timeout_ns(backoff));
-            self.pending_retries.push((waiter, now + timeout, epoch));
-        }
-    }
-
-    /// A request-bearing fault was satisfied at `now`. Sent once, its
-    /// round trip is a sample; retransmitted, it gives none and its
-    /// backoff carries to the host's next fault (Karn's rule).
-    fn request_answered(&mut self, now: SimTime, retry: FaultRetry) {
-        let Some(rto) = self.rto.as_mut() else {
-            return;
-        };
-        let since_sent = now.since(retry.sent_at);
-        if retry.retransmitted {
-            rto.retransmitted(retry.backoff);
-            if since_sent < self.reply_floor {
+    /// A request-bearing fault was satisfied at `now`: the estimator
+    /// samples it or applies Karn's rule, and a re-sent fault answered
+    /// sooner than `reply_floor` after its last send counts as spurious.
+    fn request_answered(&mut self, now: SimTime, retry: Option<FaultTimer>) {
+        if let (Some(rto), Some(timer)) = (self.rto.as_mut(), retry) {
+            let since = rto.answered(timer, now.as_nanos());
+            if since.is_some_and(|since| since < self.reply_floor.as_nanos()) {
                 self.spurious_retransmits += 1;
             }
-        } else {
-            rto.sample(since_sent.as_nanos());
         }
     }
 
@@ -1254,11 +1216,12 @@ impl HostSim {
                 }
             }
             DsmOp::Purge { page, mode, length } => {
-                match self.table.purge(*page, *mode, waiter, &mut effects) {
+                match self
+                    .table
+                    .purge(*page, *mode, *length, waiter, &mut effects)
+                {
                     Ok(AccessOutcome::Ready) => Some(OpResult::Done),
                     Ok(AccessOutcome::Blocked(kind)) => {
-                        // Record the broadcast length for the server.
-                        self.purge_lengths.push((*page, *length));
                         self.block(now, proc, op.clone(), kind);
                         None
                     }
@@ -1353,27 +1316,13 @@ impl HostSim {
             FaultKind::DemandFetch | FaultKind::ConsistentFetch | FaultKind::DataWait
         ) {
             // Retry state outlives a block only through `retry_fired`:
-            // this is the same fault re-sending its request.
-            let retry = match p.retry {
-                Some(retry) => {
-                    self.fault_retransmits += 1;
-                    retry.resent(now)
-                }
-                None => self.first_request(now),
-            };
-            // A data wait only borrows the timer: it sent nothing, so
-            // there is no round trip to sample and nothing to re-send.
+            // this is the same fault re-sending its request. A read's
+            // timer stays at one timeout; a data wait only borrows it.
+            let last = p.retry;
+            let retry = self.arm_retry(proc, last, now, !read, epoch);
             if kind != FaultKind::DataWait {
-                self.procs[proc].retry = Some(retry);
+                self.procs[proc].retry = retry;
             }
-            // A read's timer stays at one timeout; a write's doubles per
-            // unanswered request. With reads doubling too, lossy soak
-            // seed 7834 ran out its 4.4 s budget; at one timeout it
-            // finishes in 0.87 s. The bookkeeping is the same for both:
-            // Karn's rule still withholds the sample and carries the
-            // backoff to the host's next fault.
-            let backoff = if read { 0 } else { retry.backoff };
-            self.arm_retry(proc, now, backoff, epoch);
         }
         self.current = None;
     }
@@ -1414,9 +1363,8 @@ impl HostSim {
             p.blocked_kind = None;
             self.run_queue.push_back(proc);
             self.wake_boost = true;
-            if let Some(retry) = self.procs[proc].retry.take() {
-                self.request_answered(now, retry);
-            }
+            let retry = self.procs[proc].retry.take();
+            self.request_answered(now, retry);
         }
     }
 
@@ -1550,15 +1498,7 @@ impl HostSim {
                         self.wake_one(now, w);
                     }
                 }
-                Effect::ServerPurge(page) => {
-                    let length = self
-                        .purge_lengths
-                        .iter()
-                        .rev()
-                        .find(|(p, _)| *p == page)
-                        .map(|(_, l)| *l)
-                        .unwrap_or(PageLength::Full);
-                    self.purge_lengths.retain(|(p, _)| *p != page);
+                Effect::ServerPurge { page, length } => {
                     self.push_server_work(now, ServerWork::PurgeBroadcast { page, length });
                 }
                 Effect::ConsistentArrived(_) => {}
@@ -2194,14 +2134,14 @@ mod tests {
 
         // The reply is lost: one RTO after the fault, the request goes
         // out again and the timer is re-armed at twice the timeout.
-        assert!(h.open_retry_fired(first, waiter).is_some());
+        assert!(h.retry_fired(first, waiter, 0).is_some());
         assert_eq!(h.fault_retransmits, 1);
         let second = first + rto.saturating_mul(2);
         assert_eq!(h.take_retries(), [(waiter as usize, second, 0)]);
         send_request(&mut h, first);
 
         // Lost again: RTO + 2 RTO after the fault, four on the timer.
-        assert!(h.open_retry_fired(second, waiter).is_some());
+        assert!(h.retry_fired(second, waiter, 0).is_some());
         assert_eq!(h.fault_retransmits, 2);
         let third = second + rto.saturating_mul(4);
         assert_eq!(h.take_retries(), [(waiter as usize, third, 0)]);
@@ -2210,7 +2150,7 @@ mod tests {
         // This one is answered after an honest serve time.
         let woken = install(&mut h, sent + serve, holder_reply(&req));
         assert_eq!(h.open_hist().expect("attached").count(), 1);
-        assert!(h.open_retry_fired(third, waiter).is_none(), "stale timer");
+        assert!(h.retry_fired(third, waiter, 0).is_none(), "stale timer");
         let est = h.fault_rto().expect("retry armed");
         assert_eq!(est.srtt_ns(), None, "a retransmitted fault is no sample");
         assert_eq!(est.backoff(), 2, "its backoff carries to the next fault");
@@ -2230,7 +2170,7 @@ mod tests {
         let waiter = open_read_fault(&mut h);
         let fire_at = h.take_retries()[0].1;
         let (_, req) = send_request(&mut h, SimTime::ZERO);
-        assert!(h.open_retry_fired(fire_at, waiter).is_some());
+        assert!(h.retry_fired(fire_at, waiter, 0).is_some());
         // The late reply to the first request lands as the re-send
         // leaves: no holder could have served that one yet.
         let (resent, _) = send_request(&mut h, fire_at);
@@ -2296,7 +2236,7 @@ mod tests {
         let rto = h.fault_rto().expect("retry armed").rto_ns();
         assert_eq!(fire_at.since(trapped).as_nanos(), rto);
 
-        assert!(h.retry_fired(0, epoch));
+        assert!(h.retry_fired(fire_at, 0, epoch).is_some());
         let retrapped = h.dispatch(fire_at).expect("re-executed read");
         h.finish_burst(retrapped);
         let (sent, req) = send_request(&mut h, retrapped);
@@ -2449,7 +2389,7 @@ mod tests {
             };
             timeouts.push(fire_at.since(blocked));
             send_request(&mut h, blocked);
-            assert!(h.retry_fired(0, epoch));
+            assert!(h.retry_fired(fire_at, 0, epoch).is_some());
             now = fire_at;
         }
         assert_eq!(h.fault_retransmits, 2);
@@ -2711,7 +2651,13 @@ mod tests {
         assert!(h.deliver_packet(now, &Arc::new(grant)), "a grant here");
 
         let (mut h, now) = unread(View::short_demand());
-        let purged = h.table.purge(page, MapMode::ReadOnly, 7, &mut Vec::new());
+        let purged = h.table.purge(
+            page,
+            MapMode::ReadOnly,
+            PageLength::Short,
+            7,
+            &mut Vec::new(),
+        );
         assert_eq!(purged, Ok(AccessOutcome::Ready));
         assert!(h.table.page_buf(page).is_none());
         assert!(

@@ -155,7 +155,7 @@
 
 use super::observe::Observer;
 use super::{Env, Ev, EvKind, EventKind, Queue, Recipients, RunLimits, RunOutcome, Simulation};
-use crate::host::{HostAction, HostSim, OPEN_WAITER_BASE};
+use crate::host::{HostAction, HostSim};
 use mether_core::table::WaiterId;
 use mether_core::{HostMask, Packet};
 use mether_net::{Emission, EtherSim, Fabric, FabricEvent, Forward, SimDuration, SimTime};
@@ -575,12 +575,8 @@ impl Lane {
                 self.kick(host, env);
             }
             EvKind::Retry { host, proc, epoch } => {
-                if (proc as WaiterId) >= OPEN_WAITER_BASE {
-                    if let Some(actions) = self.host(host).open_retry_fired(now, proc as WaiterId) {
-                        self.apply(host, actions, env, fabric);
-                        self.kick(host, env);
-                    }
-                } else if self.host(host).retry_fired(proc, epoch) {
+                if let Some(actions) = self.host(host).retry_fired(now, proc as WaiterId, epoch) {
+                    self.apply(host, actions, env, fabric);
                     self.kick(host, env);
                 }
             }

@@ -53,9 +53,9 @@ pub use segments::{
     sweep_segmented_solver, PollingReader, SegmentedReport, SweepPoint, WriteGraph,
 };
 pub use soak::{
-    base_seed_from_env, run_cross_engine_soak, run_large_faulted_soak, run_large_soak, run_soak,
-    runtime_metrics, scenario_count_from_env, state_digest, CrossEngineReport, RuntimeSoakReport,
-    SoakMix, SoakReport, SoakScenario, SoakShape,
+    base_seed_from_env, run_cross_engine_soak, run_soak, runtime_metrics, scenario_count_from_env,
+    state_digest, CrossEngineReport, RuntimeSoakReport, SoakMix, SoakReport, SoakScenario,
+    SoakShape,
 };
 pub use solver::{
     jacobi_step, run_solver_speedup, SolverConfig, SolverWorker, SparseMatrix, SpeedupPoint,

@@ -1155,32 +1155,20 @@ pub fn base_seed_from_env(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Runs `count` scenarios with seeds `base_seed..base_seed + count`,
-/// printing each seed and scenario **before** its run (so a panicked
-/// run leaves its reproducer behind) and a digest line after. Returns
-/// every report, seed-tagged.
-pub fn run_soak(base_seed: u64, count: usize, workers: Option<usize>) -> Vec<(u64, SoakReport)> {
-    (0..count)
-        .map(|i| {
-            let seed = base_seed.wrapping_add(i as u64);
-            let scenario = SoakScenario::from_seed(seed);
-            println!("soak[{i}/{count}] seed={seed}: {scenario}");
-            let report = scenario.run(workers);
-            println!(
-                "soak[{i}/{count}] seed={seed}: finished={} events={} wall={} digest={:016x}",
-                report.outcome.finished, report.outcome.events, report.outcome.wall, report.digest,
-            );
-            (seed, report)
-        })
-        .collect()
-}
-
-/// [`run_soak`] over the **large-fabric** generator
-/// ([`SoakScenario::large_from_seed`]): 100+ device shapes, simulator
-/// only (the threaded runtime would need 500+ real threads), every run
-/// asserted to complete (large scenarios are fault-free). Seeds print
-/// before each run, so a panic leaves its reproducer on the console.
-pub fn run_large_soak(
+/// Runs `count` scenarios of one family, `family(seed)` for seeds
+/// `base_seed..base_seed + count`, printing each seed and scenario
+/// **before** its run (so a panicked run leaves its reproducer behind),
+/// then its digest, and what request routing did after the last
+/// recovery when there was one; every line starts with `label`. The
+/// families are [`SoakScenario::from_seed`],
+/// [`SoakScenario::large_from_seed`] (100+ device shapes, simulator only:
+/// the threaded runtime would need 500+ real threads) and
+/// [`SoakScenario::large_faulted_from_seed`] (those with mid-run bridge
+/// and link faults and paired recoveries). Returns every report,
+/// seed-tagged.
+pub fn run_soak(
+    label: &str,
+    family: fn(u64) -> SoakScenario,
     base_seed: u64,
     count: usize,
     workers: Option<usize>,
@@ -1188,48 +1176,19 @@ pub fn run_large_soak(
     (0..count)
         .map(|i| {
             let seed = base_seed.wrapping_add(i as u64);
-            let scenario = SoakScenario::large_from_seed(seed);
+            let scenario = family(seed);
             println!(
-                "large-soak[{i}/{count}] seed={seed} devices={}: {scenario}",
-                scenario.devices()
-            );
-            let report = scenario.run(workers);
-            println!(
-                "large-soak[{i}/{count}] seed={seed}: finished={} events={} wall={} digest={:016x}",
-                report.outcome.finished, report.outcome.events, report.outcome.wall, report.digest,
-            );
-            (seed, report)
-        })
-        .collect()
-}
-
-/// [`run_large_soak`] over the **faulted** large-fabric generator
-/// ([`SoakScenario::large_faulted_from_seed`]): 100+ device shapes with
-/// mid-run bridge/link faults and paired recoveries. Completion is not
-/// asserted (reconvergence can outlast the budget); determinism is —
-/// the digest line prints after every run so CI can pin it, followed by
-/// what request routing did after the last recovery.
-pub fn run_large_faulted_soak(
-    base_seed: u64,
-    count: usize,
-    workers: Option<usize>,
-) -> Vec<(u64, SoakReport)> {
-    (0..count)
-        .map(|i| {
-            let seed = base_seed.wrapping_add(i as u64);
-            let scenario = SoakScenario::large_faulted_from_seed(seed);
-            println!(
-                "large-faulted-soak[{i}/{count}] seed={seed} devices={} faults={}: {scenario}",
+                "{label}[{i}/{count}] seed={seed} devices={} faults={}: {scenario}",
                 scenario.devices(),
                 scenario.faults.len(),
             );
             let report = scenario.run(workers);
             println!(
-                "large-faulted-soak[{i}/{count}] seed={seed}: finished={} events={} wall={} digest={:016x}",
+                "{label}[{i}/{count}] seed={seed}: finished={} events={} wall={} digest={:016x}",
                 report.outcome.finished, report.outcome.events, report.outcome.wall, report.digest,
             );
             if let Some(post) = report.post_recovery {
-                println!("large-faulted-soak[{i}/{count}] seed={seed}: {post}");
+                println!("{label}[{i}/{count}] seed={seed}: {post}");
             }
             (seed, report)
         })
@@ -1446,7 +1405,7 @@ mod tests {
     fn soak_smoke_batch() {
         // A tiny always-on batch; CI runs the real ≥50-scenario batch
         // through the integration test with METHER_SOAK_SCENARIOS set.
-        let reports = run_soak(0, 4, None);
+        let reports = run_soak("soak", SoakScenario::from_seed, 0, 4, None);
         assert_eq!(reports.len(), 4);
     }
 

@@ -105,12 +105,10 @@ impl World {
         for fx in effects {
             match fx {
                 Effect::Send(pkt) => self.wire.push_back(pkt),
-                Effect::ServerPurge(page) => {
+                Effect::ServerPurge { page, length } => {
                     // Act as the host's server immediately: broadcast and
                     // DO-PURGE.
-                    if let Ok(pkt) =
-                        self.tables[host].server_purge_broadcast(page, PageLength::Short)
-                    {
+                    if let Ok(pkt) = self.tables[host].server_purge_broadcast(page, length) {
                         self.wire.push_back(pkt);
                     }
                     let mut fx2 = Vec::new();
@@ -201,7 +199,13 @@ impl World {
             Op::PurgeRo { host, page } => {
                 let mut fx = Vec::new();
                 self.tables[host]
-                    .purge(PageId::new(page), MapMode::ReadOnly, w, &mut fx)
+                    .purge(
+                        PageId::new(page),
+                        MapMode::ReadOnly,
+                        PageLength::Short,
+                        w,
+                        &mut fx,
+                    )
                     .unwrap();
                 self.absorb(fx, host);
             }
@@ -212,23 +216,14 @@ impl World {
                 } else {
                     PageLength::Full
                 };
-                match self.tables[host].purge(PageId::new(page), MapMode::Writeable, w, &mut fx) {
-                    Ok(_) => {
-                        // Route ServerPurge with the chosen length.
-                        for f in &mut fx {
-                            if let Effect::ServerPurge(_) = f {
-                                if let Ok(pkt) = self.tables[host]
-                                    .server_purge_broadcast(PageId::new(page), length)
-                                {
-                                    self.wire.push_back(pkt);
-                                }
-                                let mut fx2 = Vec::new();
-                                self.tables[host].do_purge(PageId::new(page), &mut fx2);
-                            }
-                        }
-                        fx.retain(|f| !matches!(f, Effect::ServerPurge(_)));
-                        self.absorb(fx, host);
-                    }
+                match self.tables[host].purge(
+                    PageId::new(page),
+                    MapMode::Writeable,
+                    length,
+                    w,
+                    &mut fx,
+                ) {
+                    Ok(_) => self.absorb(fx, host),
                     Err(mether_core::Error::NotConsistentHolder { .. }) => {}
                     Err(e) => panic!("unexpected purge error: {e}"),
                 }

@@ -33,9 +33,8 @@ use mether_core::{BridgeTopology, PageId};
 use mether_net::{AgeHorizon, FabricConfig, FabricEvent, SimDuration};
 use mether_sim::{Calib, RunLimits, RunOutcome, SimConfig, Simulation, Topology};
 use mether_workloads::{
-    base_seed_from_env, run_cross_engine_soak, run_large_faulted_soak, run_large_soak, run_soak,
-    scenario_count_from_env, CountingConfig, DisjointPageCounter, PollingReader, Publisher,
-    SoakMix, SoakScenario, SoakShape,
+    base_seed_from_env, run_cross_engine_soak, run_soak, scenario_count_from_env, CountingConfig,
+    DisjointPageCounter, PollingReader, Publisher, SoakMix, SoakScenario, SoakShape,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -135,7 +134,7 @@ fn serial_and_workers_schedules_agree() {
 fn ci_soak_batch() {
     let count = scenario_count_from_env(6);
     let base = base_seed_from_env(0);
-    let reports = run_soak(base, count, None);
+    let reports = run_soak("soak", SoakScenario::from_seed, base, count, None);
     assert_eq!(reports.len(), count);
 }
 
@@ -336,7 +335,13 @@ fn cross_engine_soak_batch() {
 fn ci_large_fabric_soak() {
     let count = scenario_count_from_env(2);
     let base = base_seed_from_env(0);
-    let reports = run_large_soak(base, count, None);
+    let reports = run_soak(
+        "large-soak",
+        SoakScenario::large_from_seed,
+        base,
+        count,
+        None,
+    );
     assert_eq!(reports.len(), count);
     for (seed, r) in &reports {
         assert!(r.outcome.finished, "large seed {seed} hit its limits");
@@ -355,9 +360,10 @@ fn ci_large_fabric_soak() {
 fn ci_large_faulted_soak() {
     let count = scenario_count_from_env(2);
     let base = base_seed_from_env(0);
-    let reports = run_large_faulted_soak(base, count, None);
+    let faulted = SoakScenario::large_faulted_from_seed;
+    let reports = run_soak("large-faulted-soak", faulted, base, count, None);
     assert_eq!(reports.len(), count);
-    let replay = run_large_faulted_soak(base, count, None);
+    let replay = run_soak("large-faulted-soak", faulted, base, count, None);
     for ((seed, a), (_, b)) in reports.iter().zip(replay.iter()) {
         assert_eq!(
             a, b,
